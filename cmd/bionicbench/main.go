@@ -300,8 +300,13 @@ func engineParallelStats() engineParallelSection {
 // kernelDoc is the -benchjson document: the perf-trajectory baseline a PR
 // compares against (BENCH_kernel.json at the repo root).
 type kernelDoc struct {
-	Suite  string `json:"suite"`
-	Kernel struct {
+	Suite string `json:"suite"`
+	// The toolchain and the GOMAXPROCS the kernel and experiments sections
+	// ran under (the parallel section sets its own per point and names
+	// host_cpus): a speed number is only comparable with both named.
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Kernel     struct {
 		EventsPerSec   float64 `json:"events_per_sec"`
 		AllocsPerEvent float64 `json:"allocs_per_event"`
 		Events         uint64  `json:"events_measured"`
@@ -314,6 +319,8 @@ type kernelDoc struct {
 func writeBenchJSON(path string) error {
 	var doc kernelDoc
 	doc.Suite = "bionicbench-kernel"
+	doc.GoVersion = runtime.Version()
+	doc.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	doc.Kernel.EventsPerSec, doc.Kernel.AllocsPerEvent, doc.Kernel.Events = kernelStats()
 	doc.Parallel = kernelParallelStats()
 	doc.EngineParallel = engineParallelStats()

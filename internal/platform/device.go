@@ -47,16 +47,6 @@ func (d *Device) Transfer(p *sim.Proc, bytes int) sim.Duration {
 	return p.Now().Sub(start)
 }
 
-// TransferAsync begins a transfer and fires done (with nil) when it
-// completes, without blocking the caller. The spawned mover process models
-// the device's own DMA engine.
-func (d *Device) TransferAsync(env *sim.Env, bytes int, done *sim.Signal) {
-	env.Spawn(d.name+".dma", func(p *sim.Proc) {
-		d.Transfer(p, bytes)
-		done.Fire(nil)
-	})
-}
-
 // OnShard rebinds the device's channel resource to the given kernel shard,
 // confining it there: on a concurrent environment only processes on that
 // shard may Transfer through it. Call at setup time, before running.

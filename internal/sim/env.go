@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -14,7 +13,11 @@ import (
 // seed.
 //
 // An Env must be created with NewEnv and driven from a single goroutine via
-// Run or RunUntil.
+// Run or RunUntil. That goroutine runs the shard's dispatch loop: pop an
+// event, run the callback inline or switch into the process (a coroutine,
+// see coro.go), and continue when the process parks or finishes. The Go
+// scheduler takes no part in a process switch, so the serial kernel costs
+// the same at any GOMAXPROCS.
 //
 // The environment owns one or more shards, each a complete serial event
 // kernel: its own clock, sequence counter and heap. NewEnv creates exactly
@@ -40,7 +43,7 @@ type Env struct {
 	failed atomic.Bool // mirrors err != nil for lock-free dispatch checks
 
 	closed bool
-	dead   bool // Close ran: parked processes are being (or have been) reaped
+	dead   bool // Close ran: unfinished processes are being (or have been) reaped
 
 	windowWG sync.WaitGroup // tracks in-flight shard windows (parallel only)
 }
@@ -51,17 +54,17 @@ type Env struct {
 // details — and unlike container/heap there is no interface boxing on push
 // or type assertion on pop, which keeps the steady-state event loop
 // allocation-free. All shard state except the inbox is touched only by the
-// shard's own baton chain (or the driver between windows).
+// goroutine running the shard's dispatch loop and the process it switched
+// into (or the driver between windows).
 type shard struct {
 	env      *Env
 	id       int
 	now      Time
 	seq      uint64
 	events   []event // binary min-heap ordered by (at, seq)
-	cur      *Proc
-	parked   chan struct{}
-	horizon  Time   // active window bound; fast-path waits must not pass it
-	executed uint64 // events executed, including fast-path waits
+	cur      *Proc   // process the dispatch loop is switched into, if any
+	horizon  Time    // active window bound; fast-path waits must not pass it
+	executed uint64  // events executed, including fast-path waits
 
 	// Parallel-mode fields (see parallel.go).
 	start    chan struct{} // driver -> worker: run one window
@@ -84,13 +87,13 @@ type event struct {
 	at  Time
 	seq uint64
 	p   *Proc  // process to wake, or
-	fn  func() // callback to run in the scheduler
+	fn  func() // callback to run in the dispatch loop
 }
 
 // NewEnv returns an empty single-shard environment with the clock at zero.
 func NewEnv() *Env {
 	e := &Env{}
-	e.shs = []*shard{{env: e, id: 0, parked: make(chan struct{})}}
+	e.shs = []*shard{{env: e, id: 0}}
 	return e
 }
 
@@ -122,10 +125,10 @@ func (e *Env) Executed() uint64 {
 	return n
 }
 
-// At schedules fn to run in the scheduler goroutine at time t (clamped to
-// the present) on shard 0. Callbacks must not block; they are for
-// lightweight bookkeeping such as statistics sampling. Consecutive due
-// callbacks run back-to-back in the scheduler with no goroutine handoff.
+// At schedules fn to run in the dispatch loop at time t (clamped to the
+// present) on shard 0. Callbacks must not block; they are for lightweight
+// bookkeeping such as statistics sampling. Consecutive due callbacks run
+// back-to-back with no process switch.
 func (e *Env) At(t Time, fn func()) { e.AtOn(0, t, fn) }
 
 // AtOn schedules fn at time t on the given shard, clamped to that shard's
@@ -190,7 +193,7 @@ func (s *shard) pop() event {
 }
 
 // scheduleWake arranges for p to resume at time t on p's shard. Exactly one
-// wake may be outstanding per parked process; double wakes are a kernel bug.
+// wake may be outstanding per waiting process; double wakes are a kernel bug.
 // t is clamped to the shard's present so a wake computed from a slightly
 // stale clock can never drag the shard backwards in time.
 func (e *Env) scheduleWake(p *Proc, t Time) {
@@ -231,16 +234,9 @@ func (e *Env) Run() error { return e.RunUntil(Time(1<<63 - 1)) }
 // RunUntil executes events with timestamps not after horizon. The clock
 // stops at the last executed event (it does not jump to the horizon).
 //
-// Control is baton-passed: the driver dispatches the first event, and from
-// then on each parking (or finishing) process pops the next event and wakes
-// its target directly. A classic central scheduler costs two goroutine
-// handoffs per event (process -> scheduler -> next process); the baton
-// costs one, and the event order — hence every simulated result — is
-// byte-for-byte the same.
-//
 // On a parallel environment RunUntil runs the conservative window protocol
-// (parallel.go) instead; within each shard the baton discipline and event
-// order are identical to the serial kernel.
+// (parallel.go) instead; within each shard the dispatch loop and event order
+// are identical to the serial kernel.
 func (e *Env) RunUntil(horizon Time) error {
 	if e.closed {
 		return fmt.Errorf("sim: environment already closed")
@@ -250,9 +246,7 @@ func (e *Env) RunUntil(horizon Time) error {
 	}
 	s := e.shs[0]
 	s.horizon = horizon
-	if s.dispatch(nil) == batonHanded {
-		<-s.parked
-	}
+	s.dispatch()
 	if err := e.firstErr(); err != nil {
 		e.closed = true
 		return err
@@ -260,62 +254,53 @@ func (e *Env) RunUntil(horizon Time) error {
 	return nil
 }
 
-// baton reports where dispatch left control.
-type baton int
-
-const (
-	batonIdle   baton = iota // nothing runnable: the caller still holds the baton
-	batonHanded              // another process was woken; the caller must block
-	batonSelf                // the caller's own wake came up: keep running
-)
-
-// dispatch executes ready events until one hands the baton to a process or
-// nothing remains within the shard's horizon. self is the dispatching
-// process (nil for the driver or window worker); popping self's own wake
-// returns batonSelf so the caller continues without any channel handoff at
-// all. Callback events run inline in the dispatching goroutine — batched
-// back-to-back with no handoff.
-func (s *shard) dispatch(self *Proc) baton {
+// dispatch is the shard's event loop: it executes events in (at, seq) order
+// until none remains within the shard's horizon or a process has panicked.
+// A callback event runs inline; a process event switches into the process's
+// coroutine and comes back when the process parks or finishes. A central
+// loop costs two coroutine switches per process change where handing control
+// process to process would cost one, but a coroutine switch stays on the
+// calling thread and never enters the Go scheduler.
+func (s *shard) dispatch() {
 	e := s.env
-	s.cur = nil
-	for {
-		if e.dead || e.failed.Load() || len(s.events) == 0 || s.events[0].at > s.horizon {
-			return batonIdle
-		}
+	for !e.failed.Load() && len(s.events) > 0 && s.events[0].at <= s.horizon {
 		ev := s.pop()
-		s.now = ev.at
-		s.executed++
-		if s.obsFn != nil && s.now >= s.obsNext {
-			s.fireObs()
-		}
+		s.advance(ev.at)
 		if ev.fn != nil {
 			ev.fn()
 			continue
 		}
-		p := ev.p
-		p.waking = false
-		s.cur = p
-		if p == self {
-			return batonSelf
-		}
-		p.wake <- struct{}{}
-		return batonHanded
+		ev.p.waking = false
+		s.cur = ev.p
+		ev.p.next()
+		s.cur = nil
 	}
 }
 
-// procKilled is the panic sentinel Close injects into parked processes so
-// their goroutines unwind and exit; Spawn's recovery treats it as a normal
-// termination, not a process error.
+// advance moves the shard clock to t for one executed event and fires the
+// sampler if the clock crossed its next tick.
+func (s *shard) advance(t Time) {
+	s.now = t
+	s.executed++
+	if s.obsFn != nil && t >= s.obsNext {
+		s.fireObs()
+	}
+}
+
+// procKilled is the panic sentinel that unwinds a process Close is reaping;
+// the process body's recovery treats it as a normal termination, not a
+// process error.
 type procKilled struct{}
 
-// Close reaps every process still blocked in the environment — processes
-// left parked when RunUntil returned early on a panic, or blocked forever
-// on queues and resources no one will ever signal — on every shard, not
-// just shard 0. Each is woken once and unwound via a panic sentinel, so its
-// goroutine exits and Live drops to zero; on a parallel environment the
-// per-shard window workers are then shut down too. The environment is
-// unusable afterwards; Close is idempotent and must be called from the
-// driving goroutine, never from a process.
+// Close reaps every process still unfinished in the environment — processes
+// left waiting when RunUntil returned early on a panic, blocked forever on
+// queues and resources no one will ever signal, or spawned and never run —
+// on every shard, not just shard 0. Stopping a started coroutine makes its
+// yield return false, which park turns into a panic sentinel, so the
+// process unwinds through its deferred calls and Live drops to zero; on a
+// parallel environment the per-shard window workers are then shut down too.
+// The environment is unusable afterwards; Close is idempotent and must be
+// called from the driving goroutine, never from a process.
 func (e *Env) Close() {
 	if e.dead {
 		return
@@ -326,11 +311,12 @@ func (e *Env) Close() {
 		if p.done.Load() {
 			continue
 		}
-		p.wake <- struct{}{}
-		// The unwinding process dispatches on its own shard, finds the
-		// environment dead, and parks the baton there — which is the receipt
-		// that its goroutine has passed its last observable action.
-		<-p.sh.parked
+		p.stop()
+		if !p.done.Load() {
+			// Never dispatched: stop ran none of the body, so not its
+			// deferred exit either.
+			p.exit()
+		}
 	}
 	e.procs = nil
 	for _, s := range e.shs {
@@ -358,7 +344,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc { return e.SpawnOn(0, n
 // driver, or onto the caller's own shard.
 func (e *Env) SpawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 	s := e.shs[shard]
-	p := &Proc{env: e, sh: s, name: name, wake: make(chan struct{})}
+	p := &Proc{env: e, sh: s, name: name}
 	e.spawnMu.Lock()
 	e.live++
 	// procs exists so Close can reap; drop finished entries once they
@@ -377,27 +363,7 @@ func (e *Env) SpawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 	}
 	e.procs = append(e.procs, p)
 	e.spawnMu.Unlock()
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, killed := r.(procKilled); !killed {
-					e.setErr(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
-				}
-			}
-			p.done.Store(true)
-			e.spawnMu.Lock()
-			e.live--
-			e.spawnMu.Unlock()
-			if s.dispatch(nil) == batonIdle {
-				s.parked <- struct{}{}
-			}
-		}()
-		<-p.wake
-		if e.dead {
-			panic(procKilled{})
-		}
-		fn(p)
-	}()
+	p.start(fn)
 	e.scheduleWake(p, s.now)
 	return p
 }
@@ -409,17 +375,23 @@ func (e *Env) Live() int {
 	return e.live
 }
 
-// Proc is a simulated process: a goroutine that runs only when the scheduler
-// wakes it and must park (via Wait or a blocking kernel primitive) or return
-// to yield control. All Proc methods must be called from the process's own
-// goroutine. A process is confined to the shard it was spawned on.
+// Proc is a simulated process: a coroutine that runs only when its shard's
+// dispatch loop switches into it and must park (via Wait or a blocking
+// kernel primitive) or return to give control back. All Proc methods must be
+// called from the process's own body. A process is confined to the shard it
+// was spawned on.
 type Proc struct {
 	env    *Env
 	sh     *shard
 	name   string
-	wake   chan struct{}
 	waking bool
 	done   atomic.Bool
+
+	// The coroutine (coro.go): next switches into the process and returns
+	// when it parks or finishes, yield parks it, stop reaps it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 }
 
 // Name returns the diagnostic name given at Spawn.
@@ -434,25 +406,15 @@ func (p *Proc) Shard() int { return p.sh.id }
 // Now returns the current simulated time on the process's shard.
 func (p *Proc) Now() Time { return p.sh.now }
 
-// park yields the baton and blocks until some event wakes p. The caller
-// must have arranged a wake (a timer event or registration on a
-// queue/resource/signal waiter list) before parking. The parking goroutine
-// dispatches the next event itself; the baton returns to the driver (or the
-// shard's window worker) only when nothing is runnable.
+// park gives control back to the dispatch loop until some event wakes p.
+// The caller must have arranged a wake (a timer event or registration on a
+// queue/resource/signal waiter list) before parking. There is no case to
+// short-cut here: a wake p scheduled for itself is never the heap top when p
+// parks, because Wait's fast path takes every such case before it is pushed.
+// yield returns false once Close has stopped the coroutine, at this park or
+// at any later one reached from a deferred call while unwinding.
 func (p *Proc) park() {
-	if p.env.dead {
-		panic(procKilled{})
-	}
-	switch p.sh.dispatch(p) {
-	case batonSelf:
-		// Our own wake was the next event: continue without blocking.
-	case batonHanded:
-		<-p.wake
-	case batonIdle:
-		p.sh.parked <- struct{}{}
-		<-p.wake
-	}
-	if p.env.dead {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -462,7 +424,7 @@ func (p *Proc) park() {
 //
 // When the wake this Wait would schedule is provably the next event — no
 // queued event precedes it and it stays inside the shard's horizon — the
-// clock advances directly: no heap push, no park, no scheduler round trip.
+// clock advances directly: no heap push, no park, no switch.
 // The schedule is bit-identical to the slow path because the skipped event
 // would have been popped immediately with nothing able to run in between.
 func (p *Proc) Wait(d Duration) {
@@ -472,11 +434,7 @@ func (p *Proc) Wait(d Duration) {
 	s := p.sh
 	t := s.now.Add(d)
 	if s.cur == p && t <= s.horizon && (len(s.events) == 0 || s.events[0].at > t) {
-		s.now = t
-		s.executed++
-		if s.obsFn != nil && s.now >= s.obsNext {
-			s.fireObs()
-		}
+		s.advance(t)
 		return
 	}
 	p.env.scheduleWake(p, t)
@@ -489,7 +447,7 @@ func (p *Proc) Yield() { p.Wait(0) }
 
 // Suspend parks the process indefinitely. The caller must have registered
 // the process somewhere a later Resume will find it — Suspend/Resume is the
-// primitive behind worker pools that reuse one process (and its goroutine)
+// primitive behind worker pools that reuse one process (and its coroutine)
 // for many units of work instead of spawning per unit. A Resume costs
 // exactly what a Spawn's initial wake costs (one event at the current
 // time), so pooling changes allocation behavior, never the event schedule.
@@ -502,7 +460,7 @@ func (p *Proc) Suspend() { p.park() }
 func (e *Env) Resume(p *Proc) { e.scheduleWake(p, p.sh.now) }
 
 // SetSampler installs a host-side observation hook on a shard: fn runs, on
-// that shard's executing goroutine, the first time the shard clock reaches
+// whatever is executing that shard, the first time the shard clock reaches
 // each multiple of tick. The hook is out of band — it is invoked from the
 // clock-advance path rather than from a scheduled event, so installing it
 // pushes nothing onto the heap, allocates no sequence numbers and cannot

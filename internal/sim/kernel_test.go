@@ -318,3 +318,42 @@ func BenchmarkKernelQueuePingPong(b *testing.B) {
 		b.Fatalf("done = %d, want %d", done, 2*b.N)
 	}
 }
+
+// BenchmarkKernelHandoffRing64 measures the terminal pattern: 64 processes
+// waking in timer lock-step, so every event is a switch to another process
+// and none takes the Wait fast path.
+func BenchmarkKernelHandoffRing64(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	const procs = 64
+	steps := b.N/procs + 1
+	for i := 0; i < procs; i++ {
+		env.Spawn("p", func(p *Proc) {
+			for j := 0; j < steps; j++ {
+				p.Wait(Nanosecond)
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(env.Executed())/float64(b.N), "events/op")
+}
+
+// BenchmarkKernelSpawn measures a spawn-and-finish: the parent spawns a
+// child that returns at once, then steps its own clock so the child runs
+// before the next spawn.
+func BenchmarkKernelSpawn(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	env.Spawn("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			env.Spawn("child", func(*Proc) {})
+			p.Wait(Nanosecond)
+		}
+	})
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(env.Executed())/float64(b.N), "events/op")
+}

@@ -13,7 +13,7 @@ import (
 //
 //   - Every process and every primitive (Queue, Resource, Signal) is
 //     confined to exactly one shard. Within a shard, execution is the
-//     serial baton-passed kernel, bit for bit.
+//     serial kernel's dispatch loop, bit for bit.
 //   - The only cross-shard edge is Proc.CrossAt(target, t, fn), and t must
 //     be at least lookahead beyond the sender's clock. The lookahead is the
 //     modeled interconnect per-hop latency: no message can take effect on
@@ -40,9 +40,10 @@ import (
 // and identical to the serial kernel whenever the program's cross-shard
 // sends are themselves deterministic. A single-shard parallel environment
 // degenerates to one full-horizon window: the serial kernel with one extra
-// channel handoff per RunUntil, and byte-identical event order.
+// channel handoff per RunUntil (when concurrent), and byte-identical event
+// order.
 
-// crossEvent is one cross-shard arrival parked in a shard's inbox until the
+// crossEvent is one cross-shard arrival held in a shard's inbox until the
 // next barrier. src/srcSeq make the merge order a total order independent
 // of host timing: arrivals are sorted by (at, src, srcSeq) before local
 // sequence numbers are assigned.
@@ -77,7 +78,7 @@ func (e *Env) Shape(shards int, lookahead Duration) {
 		}
 		return
 	}
-	if e.closed || e.dead {
+	if e.closed {
 		panic("sim: Shape on a closed environment")
 	}
 	if lookahead < 1 {
@@ -86,7 +87,7 @@ func (e *Env) Shape(shards int, lookahead Duration) {
 	e.parallel = true
 	e.lookahead = lookahead
 	for i := len(e.shs); i < shards; i++ {
-		e.shs = append(e.shs, &shard{env: e, id: i, parked: make(chan struct{})})
+		e.shs = append(e.shs, &shard{env: e, id: i})
 	}
 }
 
@@ -100,7 +101,7 @@ func (e *Env) SetConcurrent(on bool) {
 		return
 	}
 	if on && !e.workers {
-		if e.closed || e.dead {
+		if e.closed {
 			panic("sim: SetConcurrent on a closed environment")
 		}
 		e.workers = true
@@ -140,16 +141,13 @@ func (e *Env) Lookahead() Duration {
 	return e.lookahead
 }
 
-// windowWorker runs one shard's share of each window: the same baton
-// dispatch the serial driver performs, bounded by the shard horizon the
-// coordinator computed. It exits when Close closes the start channel.
+// windowWorker runs one shard's share of each window: the same dispatch loop
+// the serial driver runs, bounded by the shard horizon the coordinator
+// computed. It exits when Close closes the start channel.
 func (s *shard) windowWorker() {
-	e := s.env
 	for range s.start {
-		if s.dispatch(nil) == batonHanded {
-			<-s.parked
-		}
-		e.windowWG.Done()
+		s.dispatch()
+		s.env.windowWG.Done()
 	}
 }
 
@@ -206,9 +204,7 @@ func (e *Env) runParallel(horizon Time) error {
 			s.horizon = lim
 			s.windows++
 			if !e.concurrent {
-				if s.dispatch(nil) == batonHanded {
-					<-s.parked
-				}
+				s.dispatch()
 				continue
 			}
 			e.windowWG.Add(1)

@@ -120,6 +120,40 @@ func TestParallelStormMatchesSerial(t *testing.T) {
 	}
 }
 
+// The kernel golden: the storm at one fixed shape, pinned on the commit
+// before the coroutine kernel so that a kernel change is refereed against
+// constants in milliseconds, without an engine run. The digest covers every
+// per-shard trace record (time, kind, process, random draw); Executed pins
+// the event count, fast-path advances included.
+const (
+	stormGoldenDigest   = "d0a24b4ccd7d694ddb0720fd2c449a5dbbf4b5175f88f3b73d3eaebe55f9af84"
+	stormGoldenExecuted = 4480
+)
+
+func TestKernelGolden(t *testing.T) {
+	identity := func(i int) int { return i }
+	for _, mode := range []struct {
+		name  string
+		setup func(*Env)
+		place func(int) int
+	}{
+		{"serial", func(*Env) {}, func(int) int { return 0 }},
+		{"inline", func(e *Env) { e.Shape(4, stormLookahead) }, identity},
+		{"concurrent", func(e *Env) { e.EnableParallel(4, stormLookahead) }, identity},
+	} {
+		env := NewEnv()
+		mode.setup(env)
+		got := runStorm(t, env, 4, 6, 60, mode.place)
+		if got != stormGoldenDigest {
+			t.Errorf("%s: storm digest %s, want %s", mode.name, got, stormGoldenDigest)
+		}
+		if n := env.Executed(); n != stormGoldenExecuted {
+			t.Errorf("%s: Executed = %d, want %d", mode.name, n, stormGoldenExecuted)
+		}
+		env.Close()
+	}
+}
+
 // TestParallelStormDeterministicAcrossGOMAXPROCS pins determinism against
 // host scheduling: the same sharded program produces the same digest
 // whether shard windows get one OS thread or many.
@@ -191,6 +225,30 @@ func TestCloseReapsAllShards(t *testing.T) {
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("goroutines leaked across Close: baseline %d, now %d", baseline, n)
+	}
+}
+
+// TestCloseReapsUnstartedProcess covers the process Close cannot unwind: one
+// that was spawned and never dispatched has run none of its body, so no
+// deferred exit drops Live for it. Close must account for it itself, and its
+// coroutine's goroutine must be gone when Close returns.
+func TestCloseReapsUnstartedProcess(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	env := NewEnv()
+	ran := false
+	env.Spawn("never", func(p *Proc) { ran = true })
+	if live := env.Live(); live != 1 {
+		t.Fatalf("Live = %d after Spawn, want 1", live)
+	}
+	env.Close()
+	if ran {
+		t.Error("Close ran the body of a process that was never dispatched")
+	}
+	if live := env.Live(); live != 0 {
+		t.Errorf("Close left Live = %d", live)
 	}
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Errorf("goroutines leaked across Close: baseline %d, now %d", baseline, n)

@@ -1,6 +1,6 @@
 package sim
 
-// waitRing is a FIFO of parked processes backed by a power-of-two ring
+// waitRing is a FIFO of waiting processes backed by a power-of-two ring
 // buffer. Kernel primitives (queues, resources) go through repeated
 // fill-and-drain cycles on their waiter lists; a plain slice popped with
 // s = s[1:] loses its front capacity and reallocates every cycle, while the
