@@ -111,20 +111,27 @@ var (
 // collected accumulates every bench result of the invocation for -json.
 var collected []bench.Result
 
-// kernelEvents/kernelWall accumulate the event kernel's volume and host
-// wall-clock across every run-backed point, for the end-of-run throughput
-// line (simulated results never depend on the kernel; events/sec does).
+// kernelEvents/kernelSwitches/kernelWall accumulate the event kernel's
+// volume, how much of it resumed a process coroutine, and host wall-clock
+// across every run-backed point, for the end-of-run throughput line
+// (simulated results never depend on the kernel; events/sec does).
 var (
-	kernelEvents uint64
-	kernelWall   time.Duration
+	kernelEvents   uint64
+	kernelSwitches uint64
+	kernelWall     time.Duration
 )
 
 // expWalls accumulates host wall-clock per experiment for -benchjson.
 var expWalls []expWall
 
+// expWall is one experiment's host cost: wall-clock, and for experiments
+// made of run-backed points the kernel events they executed and how many of
+// those switched into a process (the rest ran inline in the dispatch loop).
 type expWall struct {
-	Name   string  `json:"name"`
-	WallMs float64 `json:"wall_ms"`
+	Name     string  `json:"name"`
+	WallMs   float64 `json:"wall_ms"`
+	Events   uint64  `json:"events,omitempty"`
+	Switches uint64  `json:"switches,omitempty"`
 }
 
 // fatal stops any active CPU profile — so the profile file is complete and
@@ -137,9 +144,12 @@ func fatal(v any) {
 
 // timed runs one experiment, recording its host wall-clock.
 func timed(name string, fn func()) {
-	start := time.Now()
+	start, ev0, sw0 := time.Now(), kernelEvents, kernelSwitches
 	fn()
-	expWalls = append(expWalls, expWall{Name: name, WallMs: float64(time.Since(start).Nanoseconds()) / 1e6})
+	expWalls = append(expWalls, expWall{
+		Name: name, WallMs: float64(time.Since(start).Nanoseconds()) / 1e6,
+		Events: kernelEvents - ev0, Switches: kernelSwitches - sw0,
+	})
 }
 
 // kernelStats measures the raw event kernel — a closed set of processes
@@ -416,8 +426,8 @@ func main() {
 	if kernelEvents > 0 && kernelWall > 0 {
 		// Host measurement, so stderr: stdout stays byte-identical across
 		// runs (the figure-parity check diffs it).
-		fmt.Fprintf(os.Stderr, "kernel: %d simulated events, %.2fs summed run wall, %.2fM events/sec (kernel-parallel=%v)\n",
-			kernelEvents, kernelWall.Seconds(), float64(kernelEvents)/kernelWall.Seconds()/1e6, *kernelPar)
+		fmt.Fprintf(os.Stderr, "kernel: %d simulated events (%d process switches), %.2fs summed run wall, %.2fM events/sec (kernel-parallel=%v)\n",
+			kernelEvents, kernelSwitches, kernelWall.Seconds(), float64(kernelEvents)/kernelWall.Seconds()/1e6, *kernelPar)
 	}
 	if *benchjson != "" {
 		if err := writeBenchJSON(*benchjson); err != nil {
@@ -529,6 +539,7 @@ func runPoints(points []bench.Point) []bench.Result {
 			fatal(r.Err)
 		}
 		kernelEvents += r.Res.Events
+		kernelSwitches += r.Res.Switches
 		kernelWall += r.Wall
 	}
 	writeObsArtifacts(results)

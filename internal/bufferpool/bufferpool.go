@@ -103,13 +103,16 @@ func (bp *Pool) Fix(t *platform.Task, id storage.PageID) (hit bool) {
 	f = &frame{id: id, pins: 1, refbit: true}
 	bp.resident[id] = f
 	bp.ring = append(bp.ring, f)
-	bp.latch.Release()
-	// I/O happens outside the latch so other fixes proceed.
+	// I/O happens outside the latch so other fixes proceed: release it, then
+	// the victim's write-back and the page read, under one park.
+	sc := t.P.Script()
+	sc.Release(bp.latch)
 	if victimDirty {
 		bp.writebacks++
-		bp.dev.Transfer(t.P, bp.cfg.PageSize)
+		bp.dev.AddTransfer(sc, bp.cfg.PageSize)
 	}
-	bp.dev.Transfer(t.P, bp.cfg.PageSize)
+	bp.dev.AddTransfer(sc, bp.cfg.PageSize)
+	sc.Run()
 	return false
 }
 

@@ -354,9 +354,10 @@ func (e *Conventional) lockTax(task *platform.Task) {
 	if s == lockTableSocket {
 		return
 	}
-	task.Flush()
-	ic.Transfer(task.P, s, lockTableSocket, 64)
-	ic.Transfer(task.P, lockTableSocket, s, 64)
+	sc := task.Script()
+	ic.AddTransfer(sc, s, lockTableSocket, 64)
+	ic.AddTransfer(sc, lockTableSocket, s, 64)
+	sc.Run()
 }
 
 func (c *convCtx) lock(table uint16, key []byte, tableMode, rowMode lockmgr.Mode) bool {

@@ -769,9 +769,10 @@ func (e *DORAEngine) chargeVisits(task *platform.Task, pool *bufferpool.Pool, tr
 func (e *DORAEngine) swProbeFPGA(task *platform.Task, tr *btree.Trace) {
 	for _, v := range tr.Visits {
 		task.Exec(stats.CompBtree, 40+8*v.Cmps)
-		task.Flush()
-		e.pl.PCIe.Transfer(task.P, 64)
-		e.pl.PCIe.Transfer(task.P, v.Bytes)
+		sc := task.Script()
+		e.pl.PCIe.AddTransfer(sc, 64)
+		e.pl.PCIe.AddTransfer(sc, v.Bytes)
+		sc.Run()
 	}
 }
 
@@ -780,13 +781,14 @@ func (e *DORAEngine) swProbeFPGA(task *platform.Task, tr *btree.Trace) {
 // instead of local SG-DRAM.
 func (e *DORAEngine) hwProbeHost(task *platform.Task, tr *btree.Trace) {
 	task.Exec(stats.CompBtree, 80)
-	task.Flush()
-	e.pl.PCIe.Transfer(task.P, 64)
+	sc := task.Script()
+	e.pl.PCIe.AddTransfer(sc, 64)
 	for _, v := range tr.Visits {
-		e.pl.PCIe.Transfer(task.P, 64)
-		e.pl.PCIe.Transfer(task.P, v.Bytes)
+		e.pl.PCIe.AddTransfer(sc, 64)
+		e.pl.PCIe.AddTransfer(sc, v.Bytes)
 	}
-	e.pl.PCIe.Transfer(task.P, 64)
+	e.pl.PCIe.AddTransfer(sc, 64)
+	sc.Run()
 	task.Exec(stats.CompBtree, 60)
 }
 

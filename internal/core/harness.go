@@ -99,6 +99,13 @@ type Result struct {
 	// not part of the sweep digest.
 	Events uint64
 
+	// Switches is how many of those events resumed a process's coroutine;
+	// the rest ran inline in the dispatch loop at about a third of the host
+	// cost. It depends on how the engines chain their blocking calls into
+	// kernel scripts, not on the simulated schedule, and is a host-cost
+	// indicator outside the sweep digest like Events.
+	Switches uint64
+
 	// EventsByShard is the per-kernel-shard event count of an engine-sharded
 	// run — the witness that engine work actually executed off shard 0. Nil
 	// on classic runs, and deliberately not part of the sweep digest.
@@ -481,5 +488,6 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	res.Trace = rec
 	res.Metrics = tel
 	res.Events = env.Executed()
+	res.Switches = env.Switches()
 	return res, nil
 }

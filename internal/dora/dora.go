@@ -332,16 +332,21 @@ func (pt *Partition) Enqueue(t *platform.Task, a *Action) {
 			// partition's shard after the hop latency. The sender never
 			// touches the remote queue slots.
 			t.Exec(stats.CompDora, pt.Costs.EnqueueInstr)
-			t.Flush()
 			if sRec := pt.recs.Shard(pt.pl.ShardOf(from)); sRec != nil {
 				// Flow edge: an instant marker on the sender's shard, tied
-				// by id to the queue-wait span on the partition's shard.
+				// by id to the queue-wait span on the partition's shard. Its
+				// instant is the end of the flush, so a recorded run parks
+				// there and again for the send.
+				t.Flush()
 				a.Flow = sRec.NextFlow()
 				now := t.P.Now()
 				sRec.Record(obs.Span{Start: now, End: now, Kind: obs.KindDispatch,
 					Socket: int32(from), Txn: a.TxnID, Flow: a.Flow, FlowOut: true})
 			}
-			arrival := pt.pl.IC.Send(t.P, from, pt.socket, actionMsgBytes)
+			sc := t.Script()
+			flight := pt.pl.IC.AddSend(sc, from, pt.socket, actionMsgBytes)
+			sc.Run()
+			arrival := t.P.Now().Add(flight)
 			a.EnqAt = arrival
 			t.P.CrossAt(pt.shard, arrival, func() {
 				if pt.in.Closed() {
@@ -359,19 +364,21 @@ func (pt *Partition) Enqueue(t *platform.Task, a *Action) {
 	if pt.HWQueue != nil {
 		// Doorbell write + hardware enqueue: minimal CPU, unit does the rest.
 		t.Exec(stats.CompDora, pt.Costs.EnqueueInstr/4)
-		t.Flush()
-		pt.HWQueue.Work(t.P, pt.HWQueueCycles)
 	} else {
 		t.Exec(stats.CompDora, pt.Costs.EnqueueInstr)
 		// Producer-side coherence traffic on the queue slot.
 		t.Access(stats.CompDora, pt.qAddr+uint64(pt.in.Puts()%1024)*64, 64)
-		t.Flush()
+	}
+	// One park for the core time, the hardware enqueue and the interconnect
+	// message together.
+	sc := t.Script()
+	if pt.HWQueue != nil {
+		pt.HWQueue.AddWork(sc, pt.HWQueueCycles)
 	}
 	if ic := pt.pl.IC; ic != nil {
-		if from := t.Core().SocketID(); from != pt.socket {
-			ic.Transfer(t.P, from, pt.socket, actionMsgBytes)
-		}
+		ic.AddTransfer(sc, t.Core().SocketID(), pt.socket, actionMsgBytes)
 	}
+	sc.Run()
 	a.EnqAt = t.P.Now()
 	if a.Priority {
 		pt.in.PutFront(a)
@@ -496,8 +503,9 @@ func (pt *Partition) dispatch(task *platform.Task, a *Action) {
 	}
 	if pt.HWQueue != nil {
 		task.Exec(stats.CompDora, pt.Costs.DequeueInstr/4)
-		task.Flush()
-		pt.HWQueue.Work(task.P, pt.HWQueueCycles)
+		sc := task.Script()
+		pt.HWQueue.AddWork(sc, pt.HWQueueCycles)
+		sc.Run()
 	} else {
 		task.Exec(stats.CompDora, pt.Costs.DequeueInstr)
 		task.Access(stats.CompDora, pt.qAddr+uint64(pt.done%1024)*64, 64)

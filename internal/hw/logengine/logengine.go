@@ -230,12 +230,14 @@ func (e *Engine) syncOnce(p *sim.Proc, core *platform.Core) {
 		return
 	}
 	e.syncs++
+	sc := p.Script()
 	// Host -> FPGA: the staged records cross the link once, batched.
-	e.link.Transfer(p, len(batch))
+	e.link.AddTransfer(sc, len(batch))
 	// Arbitration: the unit merges the per-core streams into final order.
-	e.unit.Work(p, records*e.cfg.ArbCyclesPerRecord)
+	e.unit.AddWork(sc, records*e.cfg.ArbCyclesPerRecord)
 	// FPGA -> host -> SSD: the ordered epoch lands in the log file.
-	e.link.Transfer(p, len(batch))
+	e.link.AddTransfer(sc, len(batch))
+	sc.Run()
 	e.store.Write(p, batch)
 	e.spareBatch = batch[:0]
 	e.durable = epochHandle

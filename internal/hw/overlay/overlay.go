@@ -127,7 +127,12 @@ func New(pl *platform.Platform, probe *treeprobe.Engine, cfg Config) *Store {
 		evicted:   make(map[storage.PageID]bool),
 		leafTouch: make(map[storage.PageID]sim.Time),
 	}
-	probe.Resident = func(id storage.PageID) bool { return !s.evicted[id] }
+	if cfg.CapacityRows > 0 {
+		// Only a bounded overlay ever evicts. An unbounded one leaves the
+		// hook unset, and the probe unit walks root to leaf under one park
+		// instead of stopping at the leaf to ask.
+		probe.Resident = func(id storage.PageID) bool { return !s.evicted[id] }
+	}
 	pl.Env.Spawn("overlay-merge", func(p *sim.Proc) { s.mergeLoop(p) })
 	return s
 }
@@ -218,8 +223,9 @@ func (s *Store) ScanRange(t *platform.Task, tableID uint16, from, to []byte, fn 
 	tr := s.traces.Get()
 	defer s.traces.Put(tr)
 	t.Exec(stats.CompBtree, 100)
-	t.Flush()
-	s.pl.PCIe.Transfer(t.P, 64)
+	sc := t.Script()
+	s.pl.PCIe.AddTransfer(sc, 64)
+	sc.Run()
 	rows := s.rowsPool.Get()
 	defer func() { s.rowsPool.Put(rows) }()
 	rowBytes := 0
@@ -229,13 +235,17 @@ func (s *Store) ScanRange(t *platform.Task, tableID uint16, from, to []byte, fn 
 		return true
 	})
 	for _, v := range tr.Visits {
-		s.pl.SGDRAM.Transfer(t.P, v.Bytes)
+		s.pl.SGDRAM.AddTransfer(sc, v.Bytes)
 		if v.Leaf {
+			// A recency stamp carries the instant the leaf was read, and
+			// eviction reads it from other processes: the script ends here.
+			sc.Run()
 			s.leafTouch[v.ID] = t.P.Now()
 		}
 	}
-	s.unit.Work(t.P, len(rows)+len(tr.Visits)*2)
-	s.pl.PCIe.Transfer(t.P, 64+rowBytes)
+	s.unit.AddWork(sc, len(rows)+len(tr.Visits)*2)
+	s.pl.PCIe.AddTransfer(sc, 64+rowBytes)
+	sc.Run()
 	t.Exec(stats.CompBtree, 60+len(rows)/4)
 	for _, r := range rows {
 		if !fn(r.k, r.v) {
@@ -268,9 +278,10 @@ func (s *Store) chargeWrite(t *platform.Task, tbl *Table, tr *btree.Trace, valBy
 		// SMOs run in software: descriptors cross PCIe, node builds hit
 		// SG-DRAM, CPU does the bookkeeping.
 		t.Exec(stats.CompBtree, 1200*tr.Splits)
-		t.Flush()
-		s.pl.PCIe.Transfer(t.P, 256*tr.Splits)
-		s.pl.SGDRAM.Transfer(t.P, s.pl.Cfg.PageSize*tr.Splits)
+		sc := t.Script()
+		s.pl.PCIe.AddTransfer(sc, 256*tr.Splits)
+		s.pl.SGDRAM.AddTransfer(sc, s.pl.Cfg.PageSize*tr.Splits)
+		sc.Run()
 	}
 	for _, v := range tr.Visits {
 		if v.Leaf {
@@ -294,17 +305,20 @@ func (s *Store) chargeWrite(t *platform.Task, tbl *Table, tr *btree.Trace, valBy
 	w.proc = s.pl.Env.Spawn("overlay.write", func(p *sim.Proc) {
 		for {
 			valBytes := w.valBytes
-			s.pl.PCIe.Transfer(p, 64+valBytes)
+			sc := p.Script()
+			s.pl.PCIe.AddTransfer(sc, 64+valBytes)
 			snap := btree.Trace{Visits: w.visits}
-			res := s.probe.WalkTrace(p, &snap)
+			res := s.probe.AddWalk(sc, &snap)
 			if res.Aborted {
 				// The write path faults like the read path.
 				s.faults++
-				s.pl.Disk.Transfer(p, s.pl.Cfg.PageSize)
+				s.pl.Disk.AddTransfer(sc, s.pl.Cfg.PageSize)
+				sc.Run()
 				s.clearEvicted(&snap)
 			}
-			s.unit.Work(p, s.cfg.WriteCycles+valBytes/8)
-			s.pl.SGDRAM.Transfer(p, 64+valBytes)
+			s.unit.AddWork(sc, s.cfg.WriteCycles+valBytes/8)
+			s.pl.SGDRAM.AddTransfer(sc, 64+valBytes)
+			sc.Run()
 			if s.stopped {
 				return
 			}
@@ -334,9 +348,10 @@ func (s *Store) touch(tree *btree.Tree, key []byte) {
 func (s *Store) fault(t *platform.Task, tree *btree.Tree, key []byte) {
 	s.faults++
 	t.Exec(stats.CompBpool, 400) // software fetch-and-retry handler
-	t.Flush()
-	s.pl.Disk.Transfer(t.P, s.pl.Cfg.PageSize)
-	s.pl.SGDRAM.Transfer(t.P, s.pl.Cfg.PageSize)
+	sc := t.Script()
+	s.pl.Disk.AddTransfer(sc, s.pl.Cfg.PageSize)
+	s.pl.SGDRAM.AddTransfer(sc, s.pl.Cfg.PageSize)
+	sc.Run()
 	tr := s.traces.Get()
 	tree.Get(key, tr)
 	s.clearEvicted(tr)
@@ -428,8 +443,10 @@ func (s *Store) mergeOnce(p *sim.Proc) {
 	if totalBytes != 0 {
 		// One coalesced sequential pass: read the batch from SG-DRAM, write
 		// one run to the database files (a single seek, not one per table).
-		s.pl.SGDRAM.Transfer(p, totalBytes)
-		s.pl.Disk.Transfer(p, totalBytes)
+		sc := p.Script()
+		s.pl.SGDRAM.AddTransfer(sc, totalBytes)
+		s.pl.Disk.AddTransfer(sc, totalBytes)
+		sc.Run()
 	}
 	if s.AfterMerge != nil {
 		s.AfterMerge(p)

@@ -57,8 +57,9 @@ type Pred func(t *columnar.Table, pos int) bool
 func (e *Engine) Scan(t *platform.Task, table *columnar.Table, pred Pred, projCols []string) []int {
 	e.scans++
 	t.Exec(stats.CompOther, 200) // descriptor setup
-	t.Flush()
-	e.pl.PCIe.Transfer(t.P, 64) // scan descriptor
+	sc := t.Script()
+	e.pl.PCIe.AddTransfer(sc, 64) // scan descriptor
+	sc.Run()
 
 	var out []int
 	rows := table.Rows()
@@ -72,8 +73,8 @@ func (e *Engine) Scan(t *platform.Task, table *columnar.Table, pred Pred, projCo
 			out = append(out, pos)
 		}
 	}
-	e.pl.SGDRAM.Transfer(t.P, scanBytes)
-	e.unit.Work(t.P, rows*e.cfg.CyclesPerValue)
+	e.pl.SGDRAM.AddTransfer(sc, scanBytes)
+	e.unit.AddWork(sc, rows*e.cfg.CyclesPerValue)
 
 	// Only qualifying projected bytes cross the bus.
 	projWidth := 0
@@ -86,9 +87,10 @@ func (e *Engine) Scan(t *platform.Task, table *columnar.Table, pred Pred, projCo
 		projWidth = 8
 	}
 	outBytes := len(out) * projWidth
-	e.rowsOut += int64(len(out))
-	e.pcieSent += int64(outBytes)
-	e.pl.PCIe.Transfer(t.P, 64+outBytes)
+	sc.Add(&e.rowsOut, int64(len(out)))
+	sc.Add(&e.pcieSent, int64(outBytes))
+	e.pl.PCIe.AddTransfer(sc, 64+outBytes)
+	sc.Run()
 	t.Exec(stats.CompOther, 60+len(out)/8)
 	return out
 }
@@ -129,9 +131,10 @@ func HostScan(t *platform.Task, pl *platform.Platform, table *columnar.Table, pr
 	// empty-table scan still advances simulated time.
 	t.Exec(stats.CompOther, 200)
 	t.Exec(stats.CompOther, rows*cfg.CPUPerRowInstr)
-	t.Flush()
 	// The swept rows stream from host memory at sequential bandwidth.
-	pl.HostDRAM.Transfer(t.P, rows*table.RowWidth())
+	sc := t.Script()
+	pl.HostDRAM.AddTransfer(sc, rows*table.RowWidth())
+	sc.Run()
 	return out
 }
 

@@ -88,47 +88,69 @@ type Result struct {
 // because the core is released, sibling actions in the partition window
 // keep it busy — the asynchrony §5.2 calls for. Host-side costs are charged
 // to the Btree component (it is still index time, just cheaper).
+//
+// The caller parks three times at most: for the request leg, for the walk
+// down to the leaf, and for the leaf visit plus the completion leg. The tree
+// is read between the first two because that is the instant the unit starts
+// walking it.
 func (e *Engine) Probe(t *platform.Task, tree *btree.Tree, key []byte) Result {
 	// Host side: marshal and send the request descriptor.
 	t.Exec(stats.CompBtree, e.cfg.CPUIssueInstr)
-	t.Flush()
-	e.pl.PCIe.Transfer(t.P, e.cfg.ReqBytes)
+	sc := t.Script()
+	e.pl.PCIe.AddTransfer(sc, e.cfg.ReqBytes)
+	sc.Run()
 
 	// Hardware side: walk the real tree, charging SG-DRAM and pipeline
 	// time per visited node.
 	tr := e.traces.Get()
 	val, found := tree.Get(key, tr)
-	res := e.walk(t, tr)
+	res := e.AddWalk(sc, tr)
 	e.traces.Put(tr)
 	if !res.Aborted {
 		res.Val, res.Found = val, found
 	}
 
 	// Completion descriptor back to the host.
-	e.pl.PCIe.Transfer(t.P, e.cfg.RespBytes+len(res.Val))
+	e.pl.PCIe.AddTransfer(sc, e.cfg.RespBytes+len(res.Val))
+	sc.Run()
 	t.Exec(stats.CompBtree, e.cfg.CPUCompleteInstr)
 	return res
 }
 
-// walk charges the hardware time for a traced traversal and applies the
-// residency check. The walk stops at the first non-resident node, like the
-// real unit would.
-func (e *Engine) walk(t *platform.Task, tr *btree.Trace) Result { return e.walkP(t.P, tr) }
-
-func (e *Engine) walkP(p *sim.Proc, tr *btree.Trace) Result {
-	e.probes++
-	e.window.Acquire(p)
-	defer e.window.Release()
+// AddWalk appends the hardware time of a traced traversal to sc, the script
+// of the requesting process, behind whatever request leg the caller has put
+// there, and applies the residency check. Probe and ProbeTrace use it for a
+// host requester; an FPGA-side requester (the overlay's posted-write
+// completion process: no PCIe, no host CPU) calls it with its own legs. It
+// runs sc only as far as the check needs: on return sc holds the walk's last
+// steps, not yet run, so that the caller can append its completion leg and
+// park once for both.
+//
+// The walk stops at the first non-resident node, like the real unit would.
+// A leaf's residency is read at the instant the walk reaches it, since
+// leaves come and go under concurrent evictions and faults. Inner nodes are
+// asked about when the walk is built: they are never evicted (overlay
+// package), so for them the answer does not depend on when it is read.
+func (e *Engine) AddWalk(sc *sim.Script, tr *btree.Trace) Result {
+	sc.Add(&e.probes, 1)
+	e.window.AddAcquire(sc)
 	for _, v := range tr.Visits {
-		if e.Resident != nil && !e.Resident(v.ID) {
-			e.aborts++
-			return Result{Aborted: true}
+		if e.Resident != nil {
+			if v.Leaf {
+				sc.Run()
+			}
+			if !e.Resident(v.ID) {
+				sc.Add(&e.aborts, 1)
+				e.window.AddRelease(sc)
+				return Result{Aborted: true}
+			}
 		}
 		// Dependent pointer chase: SG-DRAM round trip for the node's
 		// examined bytes, then the comparator pipeline.
-		e.pl.SGDRAM.Transfer(p, v.Bytes)
-		e.pipe.Work(p, e.cfg.VisitCycles)
+		e.pl.SGDRAM.AddTransfer(sc, v.Bytes)
+		e.pipe.AddWork(sc, e.cfg.VisitCycles)
 	}
+	e.window.AddRelease(sc)
 	return Result{}
 }
 
@@ -141,7 +163,9 @@ func (e *Engine) walkP(p *sim.Proc, tr *btree.Trace) Result {
 func (e *Engine) ProbeLocal(p *sim.Proc, tree *btree.Tree, key []byte) Result {
 	tr := e.traces.Get()
 	val, found := tree.Get(key, tr)
-	res := e.walkP(p, tr)
+	sc := p.Script()
+	res := e.AddWalk(sc, tr)
+	sc.Run()
 	e.traces.Put(tr)
 	if !res.Aborted {
 		res.Val, res.Found = val, found
@@ -149,21 +173,17 @@ func (e *Engine) ProbeLocal(p *sim.Proc, tree *btree.Tree, key []byte) Result {
 	return res
 }
 
-// WalkTrace charges the unit's time for an already-collected trace from an
-// FPGA-side requester (no PCIe, no host CPU): the overlay's posted-write
-// path runs it from the asynchronous completion process.
-func (e *Engine) WalkTrace(p *sim.Proc, tr *btree.Trace) Result { return e.walkP(p, tr) }
-
 // ProbeTrace charges hardware time for an already-collected trace (used by
 // the overlay's write path, where the functional tree operation and the
 // timing are driven by the caller). It returns false if a visited node was
 // non-resident.
 func (e *Engine) ProbeTrace(t *platform.Task, tr *btree.Trace) (resident bool) {
 	t.Exec(stats.CompBtree, e.cfg.CPUIssueInstr)
-	t.Flush()
-	e.pl.PCIe.Transfer(t.P, e.cfg.ReqBytes)
-	res := e.walk(t, tr)
-	e.pl.PCIe.Transfer(t.P, e.cfg.RespBytes)
+	sc := t.Script()
+	e.pl.PCIe.AddTransfer(sc, e.cfg.ReqBytes)
+	res := e.AddWalk(sc, tr)
+	e.pl.PCIe.AddTransfer(sc, e.cfg.RespBytes)
+	sc.Run()
 	t.Exec(stats.CompBtree, e.cfg.CPUCompleteInstr)
 	return !res.Aborted
 }

@@ -193,3 +193,53 @@ func TestCoreFreeDuringProbe(t *testing.T) {
 		t.Fatalf("core was held during hardware probe: sibling ran at %v", gotCore)
 	}
 }
+
+// TestProbeParksThreeTimes pins the host cost of a probe as an exact count.
+// The unit is idle, but a callback every 50ns keeps every wait of the probe
+// off the kernel's direct-advance path, as the other terminals do in an
+// engine run, so each blocking step would park if the process made it
+// itself: 14 to 15 resumes for a 3-level tree before kernel scripts. With
+// scripts the process parks for the request leg, for the walk to the leaf
+// and for the leaf visit plus the completion leg; without a residency check
+// the last two are one.
+func TestProbeParksThreeTimes(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		resident func(storage.PageID) bool
+		want     uint64
+	}{
+		{"always resident", nil, 2},
+		{"residency checked at the leaf", func(storage.PageID) bool { return true }, 3},
+	} {
+		env, pl, e, tree := fixture()
+		if tree.Height() != 3 {
+			t.Fatalf("fixture tree has %d levels, want 3", tree.Height())
+		}
+		e.Resident = c.resident
+		done := false
+		var tick func()
+		tick = func() {
+			if !done {
+				env.At(env.Now().Add(50*sim.Nanosecond), tick)
+			}
+		}
+		env.At(0, tick)
+		var resumes uint64
+		env.Spawn("p", func(p *sim.Proc) {
+			task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
+			before := env.Switches()
+			res := e.Probe(task, tree, storage.Uint64Key(4242))
+			resumes = env.Switches() - before
+			if !res.Found {
+				t.Errorf("%s: probe missed", c.name)
+			}
+			done = true
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if resumes != c.want {
+			t.Errorf("%s: %d resumes, want %d", c.name, resumes, c.want)
+		}
+	}
+}

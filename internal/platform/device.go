@@ -16,7 +16,6 @@ type Device struct {
 	holdLat sim.Duration // seek-style: occupies the channel (disks, SSD)
 
 	bytes int64
-	ops   int64
 }
 
 // NewDevice creates a device with aggregate bandwidth gbps split over the
@@ -35,16 +34,27 @@ func NewDevice(env *sim.Env, name string, gbps float64, latency sim.Duration, ch
 
 // Transfer moves bytes through the device: it occupies one channel for the
 // serialization time, then waits the pipelined latency. It returns the total
-// time the calling process spent in the device (including queueing).
+// time the calling process spent in the device (including queueing). The
+// process parks at most once.
 func (d *Device) Transfer(p *sim.Proc, bytes int) sim.Duration {
 	start := p.Now()
-	d.ops++
-	d.bytes += int64(bytes)
-	d.chans.Acquire(p)
-	p.Wait(d.holdLat + transferTime(int64(bytes), d.perChan))
-	d.chans.Release()
-	p.Wait(d.latency)
+	sc := p.Script()
+	d.AddTransfer(sc, bytes)
+	sc.Run()
 	return p.Now().Sub(start)
+}
+
+// AddTransfer appends one transfer to a script the caller is building, for
+// callers that chain it with other device, core or unit steps under one
+// park. The byte count advances when the transfer starts. The trailing
+// latency wait is a step even at zero latency (seek-style devices): there it
+// is the yield a transfer has always ended with.
+func (d *Device) AddTransfer(sc *sim.Script, bytes int) {
+	sc.Add(&d.bytes, int64(bytes))
+	sc.Acquire(d.chans)
+	sc.Wait(d.holdLat + transferTime(int64(bytes), d.perChan))
+	sc.Release(d.chans)
+	sc.Wait(d.latency)
 }
 
 // OnShard rebinds the device's channel resource to the given kernel shard,
@@ -65,7 +75,7 @@ func (d *Device) Latency() sim.Duration { return d.latency + d.holdLat }
 func (d *Device) Bytes() int64 { return d.bytes }
 
 // Ops returns the number of transfers.
-func (d *Device) Ops() int64 { return d.ops }
+func (d *Device) Ops() int64 { return d.chans.Acquires() }
 
 // BusyTime returns channel-seconds of serialization consumed.
 func (d *Device) BusyTime() sim.Duration { return d.chans.BusyTime() }

@@ -131,16 +131,24 @@ func newInterconnect(env *sim.Env, cfg *Config, n int) *Interconnect {
 // latency per topology hop. Same-socket sends are free. It returns the
 // time the calling process spent in the fabric.
 func (ic *Interconnect) Transfer(p *sim.Proc, from, to, bytes int) sim.Duration {
+	start := p.Now()
+	sc := p.Script()
+	ic.AddTransfer(sc, from, to, bytes)
+	sc.Run()
+	return p.Now().Sub(start)
+}
+
+// AddTransfer appends Transfer to a script the caller is building; it
+// appends nothing for a same-socket send.
+func (ic *Interconnect) AddTransfer(sc *sim.Script, from, to, bytes int) {
 	hops := ic.Topo.Hops(from, to, len(ic.ports))
 	if hops == 0 {
-		return 0
+		return
 	}
-	ic.msgs++
-	ic.hopBytes += int64(bytes) * int64(hops)
-	start := p.Now()
-	ic.ports[from].Transfer(p, bytes) // ports carry zero pipelined latency
-	p.Wait(sim.Duration(hops) * ic.hopLat)
-	return p.Now().Sub(start)
+	sc.Add(&ic.msgs, 1)
+	sc.Add(&ic.hopBytes, int64(bytes)*int64(hops))
+	ic.ports[from].AddTransfer(sc, bytes) // ports carry zero pipelined latency
+	sc.Wait(sim.Duration(hops) * ic.hopLat)
 }
 
 // confine homes each egress port on its socket's kernel shard and sizes the
@@ -162,14 +170,24 @@ func (ic *Interconnect) confine(pl *Platform) {
 // arrival is always at least one hop (= the kernel lookahead) ahead, so the
 // post is legal by construction. Same-socket sends return the current time.
 func (ic *Interconnect) Send(p *sim.Proc, from, to, bytes int) sim.Time {
+	sc := p.Script()
+	flight := ic.AddSend(sc, from, to, bytes)
+	sc.Run()
+	return p.Now().Add(flight)
+}
+
+// AddSend appends Send's port serialization to a script the caller is
+// building and returns the message's flight time: the arrival is the time
+// the script finishes plus that.
+func (ic *Interconnect) AddSend(sc *sim.Script, from, to, bytes int) (flight sim.Duration) {
 	hops := ic.Topo.Hops(from, to, len(ic.ports))
 	if hops == 0 {
-		return p.Now()
+		return 0
 	}
-	ic.portMsgs[from]++
-	ic.portHopBytes[from] += int64(bytes) * int64(hops)
-	ic.ports[from].Transfer(p, bytes) // ports carry zero pipelined latency
-	return p.Now().Add(sim.Duration(hops) * ic.hopLat)
+	sc.Add(&ic.portMsgs[from], 1)
+	sc.Add(&ic.portHopBytes[from], int64(bytes)*int64(hops))
+	ic.ports[from].AddTransfer(sc, bytes) // ports carry zero pipelined latency
+	return sim.Duration(hops) * ic.hopLat
 }
 
 // NoteSend accounts a message on the fabric counters without modeling port

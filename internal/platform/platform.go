@@ -412,7 +412,9 @@ func (c *Core) access(addr uint64, size int) sim.Duration {
 // Figure 3 component. Charges accumulate locally and are applied to the
 // core when Flush is called (or when the accumulated burst exceeds
 // maxBurst); engine code must Flush before blocking on queues, locks or
-// hardware completions so simulated time stays causal.
+// hardware completions so simulated time stays causal. A Flush is one park
+// at most, however long the core is contended, and Script folds it into
+// the park of whatever device or unit steps follow.
 type Task struct {
 	P    *sim.Proc
 	BD   *stats.Breakdown
@@ -465,14 +467,22 @@ func (t *Task) charge(comp stats.Component, d sim.Duration) {
 // pending duration. Call before any blocking operation and at action
 // boundaries.
 func (t *Task) Flush() {
-	if t.pending == 0 {
-		return
+	if t.pending != 0 {
+		t.Script().Run()
 	}
-	d := t.pending
-	t.pending = 0
-	t.core.res.Acquire(t.P)
-	t.P.Wait(d)
-	t.core.res.Release()
+}
+
+// Script starts a kernel script on t.P that begins with the flush (nothing,
+// when no charge is pending), for callers that go on to block on a device,
+// a unit or the fabric: they append those steps and Run, and the core time
+// and what follows it cost one park together.
+func (t *Task) Script() *sim.Script {
+	sc := t.P.Script()
+	if t.pending != 0 {
+		sc.Use(t.core.res, t.pending)
+		t.pending = 0
+	}
+	return sc
 }
 
 // Block flushes pending work and then waits d off-core (an asynchronous
@@ -490,7 +500,6 @@ type HWUnit struct {
 	plat   *Platform
 	slots  *sim.Resource
 	nSlots int
-	ops    int64
 }
 
 // NewHWUnit configures an FPGA engine with the given pipeline parallelism.
@@ -507,18 +516,25 @@ func (pl *Platform) NewHWUnit(name string, slots int) *HWUnit {
 
 // Work occupies one pipeline slot for the given number of fabric cycles.
 func (u *HWUnit) Work(p *sim.Proc, cycles int) {
-	u.ops++
-	u.slots.Use(p, sim.Duration(cycles)*u.plat.Cfg.FPGACycle())
+	sc := p.Script()
+	u.AddWork(sc, cycles)
+	sc.Run()
 }
 
-// Acquire claims a pipeline slot (for multi-step occupancy); pair with Release.
-func (u *HWUnit) Acquire(p *sim.Proc) { u.ops++; u.slots.Acquire(p) }
+// AddWork appends Work to a script the caller is building.
+func (u *HWUnit) AddWork(sc *sim.Script, cycles int) {
+	sc.Use(u.slots, sim.Duration(cycles)*u.plat.Cfg.FPGACycle())
+}
 
-// Release frees a pipeline slot.
-func (u *HWUnit) Release() { u.slots.Release() }
+// AddAcquire appends a claim on one pipeline slot, held across whatever
+// steps follow (multi-step occupancy); pair with AddRelease.
+func (u *HWUnit) AddAcquire(sc *sim.Script) { sc.Acquire(u.slots) }
+
+// AddRelease appends the release of a slot claimed with AddAcquire.
+func (u *HWUnit) AddRelease(sc *sim.Script) { sc.Release(u.slots) }
 
 // Ops returns the number of operations accepted by the unit.
-func (u *HWUnit) Ops() int64 { return u.ops }
+func (u *HWUnit) Ops() int64 { return u.slots.Acquires() }
 
 // BusyTime returns slot-time consumed.
 func (u *HWUnit) BusyTime() sim.Duration { return u.slots.BusyTime() }

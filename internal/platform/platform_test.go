@@ -348,3 +348,78 @@ func TestCacheStatsAggregation(t *testing.T) {
 		t.Errorf("miss ratio %v, want 0.5", r)
 	}
 }
+
+// TestTransferParksOnce pins the host cost of a transfer as an exact count:
+// four processes contend for PCIe's one channel, so a transfer queues, holds
+// and then waits out the latency, and the process is resumed once for all of
+// it (three times before kernel scripts).
+func TestTransferParksOnce(t *testing.T) {
+	env, pl := newTestPlatform()
+	const procs, each = 4, 50
+	for i := 0; i < procs; i++ {
+		env.Spawn("xfer", func(p *sim.Proc) {
+			for j := 0; j < each; j++ {
+				pl.PCIe.Transfer(p, 4096)
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// One resume starts each process; a transfer adds at most one.
+	if got, max := env.Switches(), uint64(procs+procs*each); got > max || got < max-procs {
+		t.Errorf("%d resumes for %d transfers by %d processes, want %d less at most %d fast-path tails",
+			got, procs*each, procs, max, procs)
+	}
+	if pl.PCIe.Ops() != procs*each || pl.PCIe.Bytes() != procs*each*4096 {
+		t.Errorf("ops=%d bytes=%d", pl.PCIe.Ops(), pl.PCIe.Bytes())
+	}
+}
+
+// TestCountersMoveWhenTheStepStarts checks the instant traffic counters
+// advance, which the harness depends on when it snapshots them at the edges
+// of the measurement window: a transfer counts from the moment it queues for
+// a channel, not from when it gets one, and a transfer chained behind a
+// flush in one script counts only once the flush is over.
+func TestCountersMoveWhenTheStepStarts(t *testing.T) {
+	env, pl := newTestPlatform()
+	unit := pl.NewHWUnit("u", 1)
+	type reading struct{ ssdOps, ssdBytes, pcieOps, pcieBytes, unitOps int64 }
+	read := func() reading {
+		return reading{pl.SSD.Ops(), pl.SSD.Bytes(), pl.PCIe.Ops(), pl.PCIe.Bytes(), unit.Ops()}
+	}
+	at := make(map[sim.Duration]reading)
+	for _, d := range []sim.Duration{sim.Microsecond, 25 * sim.Microsecond, 60 * sim.Microsecond} {
+		d := d
+		env.At(sim.Time(d), func() { at[d] = read() })
+	}
+	// The SSD's one channel is held for 20us a transfer: the second queues.
+	for i := 0; i < 2; i++ {
+		env.Spawn("ssd", func(p *sim.Proc) { pl.SSD.Transfer(p, 512) })
+	}
+	// Core 0 is busy for 50us, so the chained flush waits that long for it.
+	env.Spawn("hog", func(p *sim.Proc) {
+		task := pl.NewTask(p, pl.Cores[0], nil)
+		task.ChargeTime(stats.CompOther, 50*sim.Microsecond)
+	})
+	env.Spawn("chained", func(p *sim.Proc) {
+		task := pl.NewTask(p, pl.Cores[0], nil)
+		task.Exec(stats.CompOther, 250)
+		sc := task.Script()
+		pl.PCIe.AddTransfer(sc, 64)
+		unit.AddWork(sc, 15)
+		sc.Run()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := at[sim.Microsecond], (reading{ssdOps: 2, ssdBytes: 1024}); got != want {
+		t.Errorf("at 1us: %+v, want %+v (both SSD transfers counted, the chained ones not begun)", got, want)
+	}
+	if got, want := at[25*sim.Microsecond], (reading{ssdOps: 2, ssdBytes: 1024}); got != want {
+		t.Errorf("at 25us: %+v, want %+v (the flush still waits for its core)", got, want)
+	}
+	if got, want := at[60*sim.Microsecond], (reading{2, 1024, 1, 64, 1}); got != want {
+		t.Errorf("at 60us: %+v, want %+v", got, want)
+	}
+}

@@ -14,10 +14,11 @@ import (
 //
 // An Env must be created with NewEnv and driven from a single goroutine via
 // Run or RunUntil. That goroutine runs the shard's dispatch loop: pop an
-// event, run the callback inline or switch into the process (a coroutine,
-// see coro.go), and continue when the process parks or finishes. The Go
-// scheduler takes no part in a process switch, so the serial kernel costs
-// the same at any GOMAXPROCS.
+// event, run the callback inline, advance the script the process parked in
+// (script.go) or switch into the process (a coroutine, see coro.go), and
+// continue when the process parks or finishes. The Go scheduler takes no
+// part in a process switch, so the serial kernel costs the same at any
+// GOMAXPROCS.
 //
 // The environment owns one or more shards, each a complete serial event
 // kernel: its own clock, sequence counter and heap. NewEnv creates exactly
@@ -65,6 +66,7 @@ type shard struct {
 	cur      *Proc   // process the dispatch loop is switched into, if any
 	horizon  Time    // active window bound; fast-path waits must not pass it
 	executed uint64  // events executed, including fast-path waits
+	switches uint64  // coroutine resumes: events that switched into a process
 
 	// Parallel-mode fields (see parallel.go).
 	start    chan struct{} // driver -> worker: run one window
@@ -121,6 +123,19 @@ func (e *Env) Executed() uint64 {
 	var n uint64
 	for _, s := range e.shs {
 		n += s.executed
+	}
+	return n
+}
+
+// Switches reports how many executed events resumed a process's coroutine,
+// summed over all shards. The rest of Executed ran inline in a dispatch
+// loop — callbacks, fast-path waits and script steps (script.go) — at
+// roughly a third of the host cost. Unlike Executed it is a property of how
+// the program is written, not of the simulated schedule.
+func (e *Env) Switches() uint64 {
+	var n uint64
+	for _, s := range e.shs {
+		n += s.switches
 	}
 	return n
 }
@@ -256,11 +271,13 @@ func (e *Env) RunUntil(horizon Time) error {
 
 // dispatch is the shard's event loop: it executes events in (at, seq) order
 // until none remains within the shard's horizon or a process has panicked.
-// A callback event runs inline; a process event switches into the process's
-// coroutine and comes back when the process parks or finishes. A central
-// loop costs two coroutine switches per process change where handing control
-// process to process would cost one, but a coroutine switch stays on the
-// calling thread and never enters the Go scheduler.
+// A callback event runs inline. A process event first advances the script
+// the process parked in, if any, also inline; only when there is none, or it
+// has finished, does the loop switch into the process's coroutine, coming
+// back when the process parks or finishes. A central loop costs two
+// coroutine switches per process change where handing control process to
+// process would cost one, but a coroutine switch stays on the calling thread
+// and never enters the Go scheduler.
 func (s *shard) dispatch() {
 	e := s.env
 	for !e.failed.Load() && len(s.events) > 0 && s.events[0].at <= s.horizon {
@@ -270,9 +287,13 @@ func (s *shard) dispatch() {
 			ev.fn()
 			continue
 		}
-		ev.p.waking = false
-		s.cur = ev.p
-		ev.p.next()
+		p := ev.p
+		p.waking = false
+		s.cur = p
+		if !p.script.parked || p.script.advance() {
+			s.switches++
+			p.next()
+		}
 		s.cur = nil
 	}
 }
@@ -345,6 +366,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc { return e.SpawnOn(0, n
 func (e *Env) SpawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 	s := e.shs[shard]
 	p := &Proc{env: e, sh: s, name: name}
+	p.script.p = p
 	e.spawnMu.Lock()
 	e.live++
 	// procs exists so Close can reap; drop finished entries once they
@@ -392,6 +414,8 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
+
+	script Script // the one script p builds and runs at a time (script.go)
 }
 
 // Name returns the diagnostic name given at Spawn.
@@ -428,6 +452,15 @@ func (p *Proc) park() {
 // The schedule is bit-identical to the slow path because the skipped event
 // would have been popped immediately with nothing able to run in between.
 func (p *Proc) Wait(d Duration) {
+	if !p.startWait(d) {
+		p.park()
+	}
+}
+
+// startWait is the whole of Wait but the park, shared with the script
+// interpreter: it reports true when the fast path advanced the clock and
+// false when it scheduled p's wake instead.
+func (p *Proc) startWait(d Duration) bool {
 	if d < 0 {
 		d = 0
 	}
@@ -435,10 +468,10 @@ func (p *Proc) Wait(d Duration) {
 	t := s.now.Add(d)
 	if s.cur == p && t <= s.horizon && (len(s.events) == 0 || s.events[0].at > t) {
 		s.advance(t)
-		return
+		return true
 	}
 	p.env.scheduleWake(p, t)
-	p.park()
+	return false
 }
 
 // Yield reschedules the process at the current time, letting every other

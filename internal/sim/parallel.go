@@ -143,7 +143,9 @@ func (e *Env) Lookahead() Duration {
 
 // windowWorker runs one shard's share of each window: the same dispatch loop
 // the serial driver runs, bounded by the shard horizon the coordinator
-// computed. It exits when Close closes the start channel.
+// computed, so scripts (script.go) advance inline here with nothing added:
+// a script's resources are confined to its process's shard like any other
+// blocking call. It exits when Close closes the start channel.
 func (s *shard) windowWorker() {
 	for range s.start {
 		s.dispatch()

@@ -37,6 +37,16 @@ type stormRec struct {
 // sharded run, all-zeros for the serial reference.
 func runStorm(t *testing.T, env *Env, nShards, nProcs, nSteps int, place func(int) int) string {
 	t.Helper()
+	return runStormUsing(t, env, nShards, nProcs, nSteps, place,
+		func(_ int, r *Resource, p *Proc, d Duration) { r.Use(p, d) })
+}
+
+// runStormUsing is runStorm with the resource step supplied by the caller
+// (s is the logical shard), so that the script tests can run the same storm
+// with that step written by hand and written as a script.
+func runStormUsing(t *testing.T, env *Env, nShards, nProcs, nSteps int, place func(int) int,
+	use func(s int, r *Resource, p *Proc, d Duration)) string {
+	t.Helper()
 	traces := make([][]stormRec, nShards)
 	ress := make([]*Resource, nShards)
 	queues := make([]*Queue[uint64], nShards)
@@ -55,7 +65,7 @@ func runStorm(t *testing.T, env *Env, nShards, nProcs, nSteps int, place func(in
 					p.Wait(Duration(stormQuantum * (1 + (k+i)%5)))
 					draw := r.Uint64()
 					traces[s] = append(traces[s], stormRec{p.Now(), 0, uint8(s), uint8(k), draw})
-					ress[s].Use(p, Duration(stormQuantum*(1+k%3)))
+					use(s, ress[s], p, Duration(stormQuantum*(1+k%3)))
 					traces[s] = append(traces[s], stormRec{p.Now(), 1, uint8(s), uint8(k), 0})
 					queues[s].Put(p, draw)
 					if v, ok := queues[s].TryGet(); ok {
@@ -76,10 +86,15 @@ func runStorm(t *testing.T, env *Env, nShards, nProcs, nSteps int, place func(in
 	if err := env.Run(); err != nil {
 		t.Fatalf("storm failed: %v", err)
 	}
+	return stormDigest(traces)
+}
+
+// stormDigest hashes per-logical-shard traces in shard order.
+func stormDigest(traces [][]stormRec) string {
 	h := sha256.New()
 	var buf [8]byte
-	for s := 0; s < nShards; s++ {
-		for _, rec := range traces[s] {
+	for _, trace := range traces {
+		for _, rec := range trace {
 			binary.LittleEndian.PutUint64(buf[:], uint64(rec.at))
 			h.Write(buf[:])
 			h.Write([]byte{rec.kind, rec.shard, rec.proc})
@@ -130,17 +145,21 @@ const (
 	stormGoldenExecuted = 4480
 )
 
+// kernelModes are the three ways one four-shard program runs: the serial
+// kernel with every logical shard placed on shard 0, four shards with
+// windows inline on the driver, four shards with one host goroutine each.
+var kernelModes = []struct {
+	name  string
+	setup func(*Env)
+	place func(int) int
+}{
+	{"serial", func(*Env) {}, func(int) int { return 0 }},
+	{"inline", func(e *Env) { e.Shape(4, stormLookahead) }, func(i int) int { return i }},
+	{"concurrent", func(e *Env) { e.EnableParallel(4, stormLookahead) }, func(i int) int { return i }},
+}
+
 func TestKernelGolden(t *testing.T) {
-	identity := func(i int) int { return i }
-	for _, mode := range []struct {
-		name  string
-		setup func(*Env)
-		place func(int) int
-	}{
-		{"serial", func(*Env) {}, func(int) int { return 0 }},
-		{"inline", func(e *Env) { e.Shape(4, stormLookahead) }, identity},
-		{"concurrent", func(e *Env) { e.EnableParallel(4, stormLookahead) }, identity},
-	} {
+	for _, mode := range kernelModes {
 		env := NewEnv()
 		mode.setup(env)
 		got := runStorm(t, env, 4, 6, 60, mode.place)

@@ -41,20 +41,13 @@ func (r *Resource) stamp() {
 	r.lastStamp = now
 }
 
-// Acquire claims one slot, blocking in FIFO order while none is free.
+// Acquire claims one slot, blocking in FIFO order while none is free. It is
+// a one-step script: the acquire logic lives in the interpreter (script.go),
+// which also keeps the panic for a process on another shard.
 func (r *Resource) Acquire(p *Proc) {
-	if r.env.parallel && p.sh != r.sh {
-		panic("sim: process " + p.name + " acquires resource " + r.name + " owned by another shard")
-	}
-	r.acquires++
-	start := r.sh.now
-	for r.inUse >= r.capacity {
-		r.waiters.push(p)
-		p.park()
-	}
-	r.waited += r.sh.now.Sub(start)
-	r.stamp()
-	r.inUse++
+	sc := p.Script()
+	sc.Acquire(r)
+	sc.Run()
 }
 
 // TryAcquire claims a slot only if one is free right now.
@@ -73,6 +66,10 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
+	r.release()
+}
+
+func (r *Resource) release() {
 	r.stamp()
 	r.inUse--
 	if w := r.waiters.pop(); w != nil {
@@ -81,11 +78,12 @@ func (r *Resource) Release() {
 }
 
 // Use acquires a slot, holds it for d, then releases it. It is the common
-// pattern for charging service time at a contended resource.
+// pattern for charging service time at a contended resource. The process
+// parks at most once, however long it queues.
 func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p)
-	p.Wait(d)
-	r.Release()
+	sc := p.Script()
+	sc.Use(r, d)
+	sc.Run()
 }
 
 // InUse reports the number of currently held slots.

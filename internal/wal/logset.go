@@ -103,8 +103,9 @@ func (ls *LogSet) Append(t *platform.Task, shard int, rec *Record) LSN {
 				// append would touch a foreign shard's log buffer directly.
 				panic(fmt.Sprintf("wal: cross-socket append (socket %d -> shard %d) on a confined log set", from, shard))
 			}
-			t.Flush()
-			ls.pl.IC.Transfer(t.P, from, sh.Socket, logMsgBytes)
+			sc := t.Script()
+			ls.pl.IC.AddTransfer(sc, from, sh.Socket, logMsgBytes)
+			sc.Run()
 		}
 	}
 	return sh.App.Append(t, rec)

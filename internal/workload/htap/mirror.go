@@ -214,8 +214,9 @@ func (mr *Run) refreshOnce(p *sim.Proc) {
 		})
 	}
 	task.Exec(stats.CompOther, rows*refreshInstrPerRow)
-	task.Flush()
-	mr.pl.HostDRAM.Transfer(p, bytes)
+	sc := task.Script()
+	mr.pl.HostDRAM.AddTransfer(sc, bytes)
+	sc.Run()
 	mr.st.RefreshRows += int64(rows)
 	mr.stampFresh(p.Now())
 }
