@@ -43,7 +43,7 @@ type Conventional struct {
 	// tableLocks memoizes lockmgr.TableLock names: two hierarchical lock
 	// acquisitions per row access both start with the table lock, and the
 	// set of tables is fixed at construction.
-	tableLocks map[uint16]string
+	tableLocks map[uint16]lockmgr.Name
 }
 
 const latchStripes = 64
@@ -58,7 +58,7 @@ func NewConventional(env *sim.Env, cfg *platform.Config, tables []TableDef) *Con
 		bd:    &stats.Breakdown{},
 		ctr:   stats.NewCounter(),
 	}
-	e.tableLocks = make(map[uint16]string, len(tables))
+	e.tableLocks = make(map[uint16]lockmgr.Name, len(tables))
 	for _, def := range tables {
 		e.tableLocks[def.ID] = lockmgr.TableLock(def.ID)
 	}
@@ -196,13 +196,20 @@ func (e *Conventional) Submit(term *Terminal, logic TxnLogic) bool {
 }
 
 func (e *Conventional) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
+	ctx := term.conv
+	if ctx == nil || ctx.e != e {
+		ctx = &convCtx{e: e, term: term, task: e.pl.NewTask(term.P, term.Core, e.bd),
+			commit: sim.NewSignal(e.pl.Env)}
+		term.conv = ctx
+	}
+	task, tx := ctx.task, &ctx.tx
 	for attempt := 0; ; attempt++ {
-		task := e.pl.NewTask(term.P, term.Core, e.bd)
+		task.Reset()
 		task.Exec(stats.CompFrontEnd, frontEndInstr)
-		tx := e.tm.Begin(task)
-		ctx := &convCtx{e: e, task: task, tx: tx, term: term}
+		e.tm.BeginIn(task, tx)
+		ctx.err, ctx.lockD = nil, 0
 		logicStart := term.P.Now()
-		ok := logic(&convTx{ctx: ctx})
+		ok := logic(ctx)
 		// Anatomy: the logic's elapsed time splits into lock-manager time
 		// (accumulated by convCtx.lock around acquires, waits included) and
 		// everything else, which for this engine is execution.
@@ -225,7 +232,8 @@ func (e *Conventional) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 			e.ctr.Inc("aborts.user", 1)
 			return false, tx.ID
 		}
-		sig := e.tm.Commit(task, tx)
+		sig := ctx.commit
+		e.tm.CommitTo(task, tx, sig)
 		task.Flush()
 		// Strict 2PL with early lock release at commit-record append; the
 		// group-commit wait happens without locks held.
@@ -234,6 +242,7 @@ func (e *Conventional) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 		task.Flush()
 		w0 := term.P.Now()
 		sig.Await(term.P)
+		sig.Reset() // that was its only observer: armed for the next commit
 		if w1 := term.P.Now(); w1 > w0 {
 			term.Ph[stats.PhaseDur] += w1.Sub(w0)
 			term.Rec.Record(obs.Span{Start: w0, End: w1, Kind: obs.KindDurability,
@@ -245,7 +254,7 @@ func (e *Conventional) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 }
 
 func (e *Conventional) rollback(task *platform.Task, ctx *convCtx) {
-	e.tm.Abort(task, ctx.tx, func(u txn.UndoRec) {
+	e.tm.Abort(task, &ctx.tx, func(u txn.UndoRec) {
 		e.applyUndoRaw(task, u)
 	})
 	e.lockTax(task)
@@ -303,33 +312,32 @@ func (e *Conventional) chargeVisits(task *platform.Task, tr *btree.Trace, write 
 	}
 }
 
-// convTx adapts the conventional engine to the Tx interface: phases run
-// sequentially in the caller's process.
-type convTx struct {
-	ctx *convCtx
-}
-
-// Phase implements Tx.
-func (t *convTx) Phase(actions ...Action) bool {
+// Phase implements Tx: phases run sequentially in the caller's process.
+func (c *convCtx) Phase(actions ...Action) bool {
 	for _, a := range actions {
-		if t.ctx.err != nil {
+		if c.err != nil {
 			return false
 		}
-		if !a.Body(t.ctx) {
+		if !a.Body(c) {
 			return false
 		}
 	}
-	return t.ctx.err == nil
+	return c.err == nil
 }
 
-// convCtx is the conventional AccessCtx: hierarchical 2PL plus latched,
-// buffer-pooled probes.
+// convCtx is the conventional engine's Tx and AccessCtx — hierarchical 2PL
+// plus latched, buffer-pooled probes — and the terminal's transaction frame
+// on this engine: built on the terminal's first Submit and re-armed per
+// attempt. Everything in it is used by the terminal's own process only, and
+// the commit signal's one foreign user, the log flusher, has fired it before
+// Submit's Await on it returns.
 type convCtx struct {
-	e    *Conventional
-	task *platform.Task
-	tx   *txn.Txn
-	term *Terminal
-	err  error
+	e      *Conventional
+	term   *Terminal
+	task   *platform.Task
+	tx     txn.Txn
+	commit *sim.Signal
+	err    error
 
 	// lockD accumulates elapsed time inside lock-manager interactions
 	// (NUMA tax, acquire CPU and blocked waits) for the latency anatomy.
@@ -415,7 +423,7 @@ func (c *convCtx) Update(table uint16, key, val []byte) bool {
 		c.e.trees[table].Delete(key, nil) // undo accidental insert
 		return false
 	}
-	c.e.tm.LogUpdate(c.task, c.tx, table, key, prev, val)
+	c.e.tm.LogUpdate(c.task, &c.tx, table, key, prev, val)
 	return true
 }
 
@@ -432,7 +440,7 @@ func (c *convCtx) Insert(table uint16, key, val []byte) bool {
 		c.e.trees[table].Put(key, prev, nil) // restore
 		return false
 	}
-	c.e.tm.LogInsert(c.task, c.tx, table, key, val)
+	c.e.tm.LogInsert(c.task, &c.tx, table, key, val)
 	return true
 }
 
@@ -448,7 +456,7 @@ func (c *convCtx) Delete(table uint16, key []byte) bool {
 	if !ok {
 		return false
 	}
-	c.e.tm.LogDelete(c.task, c.tx, table, key, val)
+	c.e.tm.LogDelete(c.task, &c.tx, table, key, val)
 	return true
 }
 

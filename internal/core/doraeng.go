@@ -467,16 +467,17 @@ func (e *DORAEngine) Submit(term *Terminal, logic TxnLogic) bool {
 }
 
 func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
-	bd, ctr := e.bd, e.ctr
+	ctr := e.ctr
 	if e.engineSharded {
-		soc := term.Core.SocketID()
-		bd, ctr = e.bds[soc], e.ctrs[soc]
+		ctr = e.ctrs[term.Core.SocketID()]
 	}
+	dtx := e.frame(term)
+	task, tx := dtx.task, &dtx.tx
 	for attempt := 0; ; attempt++ {
-		task := e.pl.NewTask(term.P, term.Core, bd)
+		task.Reset()
 		task.Exec(stats.CompFrontEnd, frontEndInstr)
-		tx := e.tm.Begin(task)
-		dtx := &doraTx{e: e, task: task, tx: tx, term: term}
+		e.tm.BeginIn(task, tx)
+		dtx.involved, dtx.refused = dtx.involved[:0], false
 		ok := logic(dtx)
 		if dtx.refused {
 			e.rollback(term, task, dtx)
@@ -492,7 +493,8 @@ func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 			ctr.Inc("aborts.user", 1)
 			return false, tx.ID
 		}
-		sig := e.tm.Commit(task, tx)
+		sig := dtx.commit
+		e.tm.CommitTo(task, tx, sig)
 		task.Flush()
 		// Sharded log, cross-shard write set: the decision round must not
 		// acknowledge (and locks must not release) before the vector
@@ -513,6 +515,7 @@ func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 		e.releaseLocks(task, dtx)
 		tWait0 := term.P.Now()
 		sig.Await(term.P)
+		sig.Reset() // that was its last observer: armed for the next commit
 		tWait1 := term.P.Now()
 		soc := int32(term.Core.SocketID())
 		if tCross0 > tDur0 {
@@ -532,14 +535,19 @@ func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 	}
 }
 
-// newRVP builds a rendezvous for a fan-out coordinated by term: homed on
-// the coordinator's kernel shard when the engine is sharded (remote votes
-// arrive as cross-shard messages), the classic unhomed RVP otherwise.
-func (e *DORAEngine) newRVP(term *Terminal, n int) *dora.RVP {
-	if e.engineSharded {
-		return dora.NewRVPOn(e.pl.Env, n, e.pl.ShardOf(term.Core.SocketID()))
+// frame returns term's transaction frame on this engine, building it on the
+// terminal's first Submit here.
+func (e *DORAEngine) frame(term *Terminal) *doraTx {
+	if f := term.dora; f != nil && f.e == e {
+		return f
 	}
-	return dora.NewRVP(e.pl.Env, n)
+	bd := e.bd
+	if e.engineSharded {
+		bd = e.bds[term.Core.SocketID()]
+	}
+	term.dora = &doraTx{e: e, term: term, task: e.pl.NewTask(term.P, term.Core, bd),
+		commit: sim.NewSignal(e.pl.Env).OnShard(term.P.Shard())}
+	return term.dora
 }
 
 // crossShardSockets returns the distinct sockets of the transaction's
@@ -550,7 +558,7 @@ func (e *DORAEngine) crossShardSockets(dtx *doraTx) []int {
 	if e.pl.IC == nil {
 		return nil
 	}
-	var sockets []int
+	sockets := dtx.sockets[:0]
 	for _, pidx := range dtx.involved {
 		s := e.parts[pidx].Socket()
 		found := false
@@ -564,6 +572,7 @@ func (e *DORAEngine) crossShardSockets(dtx *doraTx) []int {
 			sockets = append(sockets, s) // involved is sorted, so this order is deterministic
 		}
 	}
+	dtx.sockets = sockets
 	if len(sockets) < 2 {
 		return nil
 	}
@@ -584,7 +593,7 @@ func (e *DORAEngine) crossShardDecision(term *Terminal, task *platform.Task, dtx
 		return
 	}
 	home := term.Core.SocketID()
-	var reps []int // one involved partition per remote socket, in involved order
+	reps := dtx.reps[:0] // one involved partition per remote socket, in involved order
 	for _, s := range sockets {
 		if s == home {
 			continue
@@ -596,6 +605,7 @@ func (e *DORAEngine) crossShardDecision(term *Terminal, task *platform.Task, dtx
 			}
 		}
 	}
+	dtx.reps = reps
 	ctr := e.ctr
 	if e.engineSharded {
 		ctr = e.ctrs[home]
@@ -608,20 +618,9 @@ func (e *DORAEngine) crossShardDecision(term *Terminal, task *platform.Task, dtx
 	if len(reps) == 0 {
 		return // every involved socket is the coordinator's own
 	}
-	rvp := e.newRVP(term, len(reps))
-	for _, pidx := range reps {
-		e.parts[pidx].Enqueue(task, &dora.Action{
-			TxnID:       dtx.tx.ID,
-			Priority:    true,
-			RVP:         rvp,
-			ReplySocket: home,
-			Run: func(wt *platform.Task, pt *dora.Partition) bool {
-				// Apply the decision: mark the outcome in the shard-local
-				// transaction table (a constant bookkeeping charge).
-				wt.Exec(stats.CompDora, decisionApplyInstr)
-				return true
-			},
-		})
+	rvp := dtx.arm(len(reps))
+	for i, pidx := range reps {
+		dtx.send(i, pidx, "", true, applyDecision)
 	}
 	task.Flush()
 	rvp.Await(term.P)
@@ -630,6 +629,13 @@ func (e *DORAEngine) crossShardDecision(term *Terminal, task *platform.Task, dtx
 // decisionApplyInstr is the shard-side cost of recording a cross-shard
 // commit/abort decision.
 const decisionApplyInstr = 120
+
+// applyDecision is the body of a decision action: mark the outcome in the
+// shard-local transaction table (a constant bookkeeping charge).
+func applyDecision(c AccessCtx) bool {
+	c.(*doraCtx).task.Exec(stats.CompDora, decisionApplyInstr)
+	return true
+}
 
 // rollback routes undo records back to their owning partitions (reverse
 // order within each), appends the abort record, and releases entity locks.
@@ -642,20 +648,21 @@ func (e *DORAEngine) rollback(term *Terminal, task *platform.Task, dtx *doraTx) 
 			pidx := e.scheme.Route(u.Table, u.Key)
 			groups[pidx] = append(groups[pidx], u)
 		}
-		rvp := e.newRVP(term, len(groups))
-		for _, pidx := range sortedKeys(groups) {
+		rvp := dtx.arm(len(groups))
+		for i, pidx := range sortedKeys(groups) {
 			recs := groups[pidx]
-			e.parts[pidx].Enqueue(task, &dora.Action{TxnID: dtx.tx.ID, Priority: true, RVP: rvp, ReplySocket: term.Core.SocketID(), Run: func(wt *platform.Task, pt *dora.Partition) bool {
+			dtx.send(i, pidx, "", true, func(c AccessCtx) bool {
+				wc := c.(*doraCtx)
 				for _, u := range recs {
-					e.applyUndoRaw(wt, u, pt.Socket())
+					e.applyUndoRaw(wc.task, u, wc.soc)
 				}
 				return true
-			}})
+			})
 		}
 		task.Flush()
 		rvp.Await(term.P)
 	}
-	e.tm.Abort(task, dtx.tx, func(u txn.UndoRec) {}) // undo already applied above
+	e.tm.Abort(task, &dtx.tx, func(u txn.UndoRec) {}) // undo already applied above
 	task.Flush()
 	// Cross-shard transactions broadcast the abort decision and collect
 	// acks before locks release, mirroring the commit path.
@@ -663,15 +670,11 @@ func (e *DORAEngine) rollback(term *Terminal, task *platform.Task, dtx *doraTx) 
 	e.releaseLocks(task, dtx)
 }
 
-// releaseLocks sends fire-and-forget release actions (no RVP: nobody
-// awaits them) to every involved partition, in partition order.
+// releaseLocks sends fire-and-forget release messages (nobody awaits them)
+// to every involved partition, in partition order.
 func (e *DORAEngine) releaseLocks(task *platform.Task, dtx *doraTx) {
-	txnID := dtx.tx.ID
 	for _, pidx := range dtx.involved {
-		e.parts[pidx].Enqueue(task, &dora.Action{TxnID: txnID, Priority: true, Run: func(wt *platform.Task, pt *dora.Partition) bool {
-			pt.ReleaseLocks(wt, txnID)
-			return true
-		}})
+		e.parts[pidx].Release(task, dtx.tx.ID)
 	}
 	task.Flush()
 }
@@ -792,14 +795,91 @@ func (e *DORAEngine) hwProbeHost(task *platform.Task, tr *btree.Trace) {
 	task.Exec(stats.CompBtree, 60)
 }
 
-// doraTx coordinates one transaction's phases from the terminal process.
+// doraTx coordinates one transaction's phases from the terminal process. It
+// is the terminal's transaction frame on this engine: built on the
+// terminal's first Submit and re-armed per attempt, it owns every object an
+// attempt hands to the partitions, the log and the kernel — the task, the
+// transaction, the rendezvous, the action slots, the commit signal — because
+// a terminal runs one transaction at a time and each of those objects has
+// been awaited, voted on or fired before Submit returns. The one rule (see
+// DESIGN.md, "Pools above the kernel"): only the terminal's process re-arms
+// them, and only after the kernel edge that orders their last foreign use.
 type doraTx struct {
 	e        *DORAEngine
-	task     *platform.Task
-	tx       *txn.Txn
 	term     *Terminal
+	task     *platform.Task
+	tx       txn.Txn
 	involved []int // partitions touched, kept sorted and unique
 	refused  bool
+
+	// commit (homed, like rvp, on the terminal's kernel shard) is re-armed
+	// when Submit's final Await on it returns; rvp (built by arm) when
+	// the next fan-out starts, its Await having returned; a slot when the
+	// fan-out it served has fired rvp (the partition's last touch of an
+	// action precedes its Arrive, directly or as the CrossAt delivery of its
+	// vote). sockets and reps are crossShardDecision's scratch.
+	commit  *sim.Signal
+	rvp     *dora.RVP
+	slots   []*actionSlot
+	sockets []int
+	reps    []int
+}
+
+// actionSlot is one reusable action of a fan-out: the dora.Action that
+// travels to the partition, the AccessCtx its body runs against and, on an
+// engine-sharded run, its private write buffer. da.Run is bound to run once,
+// when the slot is built.
+type actionSlot struct {
+	da   dora.Action
+	ctx  doraCtx
+	w    txn.Writes
+	body func(c AccessCtx) bool
+}
+
+func (s *actionSlot) run(wt *platform.Task, pt *dora.Partition) bool {
+	s.ctx.task = wt
+	return s.body(&s.ctx)
+}
+
+// arm readies the frame's rendezvous for a fan-out of n actions: homed on
+// the coordinator's kernel shard (remote votes of an engine-sharded run
+// arrive there as cross-shard messages; shard 0 otherwise).
+func (t *doraTx) arm(n int) *dora.RVP {
+	if t.rvp == nil {
+		t.rvp = dora.NewRVPOn(t.e.pl.Env, n, t.term.P.Shard())
+	} else {
+		t.rvp.Reset(n)
+	}
+	return t.rvp
+}
+
+// send arms slot i as one action of the fan-out arm readied and enqueues it
+// on partition pidx, charging the coordinator's task.
+func (t *doraTx) send(i, pidx int, lockKey string, priority bool, body func(c AccessCtx) bool) {
+	for len(t.slots) <= i {
+		s := &actionSlot{}
+		s.da.Run = s.run
+		t.slots = append(t.slots, s)
+	}
+	e, s := t.e, t.slots[i]
+	s.body = body
+	s.ctx = doraCtx{e: e, tx: &t.tx, soc: e.parts[pidx].Socket()}
+	if e.engineSharded {
+		// The action logs into a private write buffer on its partition's
+		// shard instead of mutating the shared transaction; Phase merges the
+		// buffers in action order after the rendezvous.
+		s.w.Reset()
+		s.ctx.w = &s.w
+	}
+	s.da = dora.Action{
+		TxnID:       t.tx.ID,
+		LockKey:     lockKey,
+		RVP:         t.rvp,
+		ReplySocket: t.term.Core.SocketID(),
+		Priority:    priority,
+		Run:         s.da.Run,
+	}
+	e.parts[pidx].Enqueue(t.task, &s.da)
 }
 
 // involve records pidx in the sorted involved set. Releases iterate this
@@ -828,63 +908,32 @@ func (t *doraTx) Phase(actions ...Action) bool {
 		return true
 	}
 	e := t.e
-	rvp := e.newRVP(t.term, len(actions))
-	das := make([]*dora.Action, len(actions))
-	// Engine-sharded: each action logs into a private write buffer on its
-	// partition's shard instead of mutating the shared transaction, and the
-	// coordinator merges the buffers in action order after the rendezvous —
-	// a fan-out order independent of which shard finished first.
-	var ws []*txn.Writes
-	if e.engineSharded {
-		ws = make([]*txn.Writes, len(actions))
-	}
+	rvp := t.arm(len(actions))
 	for i, a := range actions {
 		pidx := e.scheme.Route(a.Table, a.Key)
 		t.involve(pidx)
-		body := a.Body
 		lockKey := ""
 		if !a.NoLock {
 			lockKey = e.scheme.Entity(a.Table, a.Key)
 		}
-		ctx := &doraCtx{e: e, tx: t.tx, soc: e.parts[pidx].Socket()}
-		if e.engineSharded {
-			ctx.w = &txn.Writes{}
-			ws[i] = ctx.w
-		}
-		da := &dora.Action{
-			TxnID:       t.tx.ID,
-			LockKey:     lockKey,
-			RVP:         rvp,
-			ReplySocket: t.term.Core.SocketID(),
-			Run: func(wt *platform.Task, pt *dora.Partition) bool {
-				ctx.task = wt
-				return body(ctx)
-			},
-		}
-		das[i] = da
-		e.parts[pidx].Enqueue(t.task, da)
+		t.send(i, pidx, lockKey, false, a.Body)
 	}
 	t.task.Flush()
 	ok := rvp.Await(t.term.P)
-	if ws != nil {
-		for _, w := range ws {
-			t.tx.MergeWrites(w)
+	// The actions are all complete (the RVP fired through the kernel's
+	// cross-shard handoff), so reading their buffers and stamps here is
+	// ordered even on the concurrent kernel. Write buffers merge in action
+	// order — independent of which shard finished first — and the
+	// partition-side stamps fold into the transaction's anatomy.
+	for _, s := range t.slots[:len(actions)] {
+		if e.engineSharded {
+			t.tx.MergeWrites(&s.w)
 		}
-	}
-	// Fold the partition-side stamps into the transaction's anatomy. The
-	// actions are all complete (the RVP fired through the kernel's
-	// cross-shard handoff), so reading their stamps here is ordered even on
-	// the concurrent kernel.
-	for _, da := range das {
-		t.term.Ph[stats.PhaseQueue] += da.QueueWait
-		t.term.Ph[stats.PhaseLock] += da.LockWait
-		t.term.Ph[stats.PhaseExec] += da.ExecTime
-	}
-	if !ok {
-		for _, da := range das {
-			if da.Refused {
-				t.refused = true
-			}
+		t.term.Ph[stats.PhaseQueue] += s.da.QueueWait
+		t.term.Ph[stats.PhaseLock] += s.da.LockWait
+		t.term.Ph[stats.PhaseExec] += s.da.ExecTime
+		if s.da.Refused {
+			t.refused = true
 		}
 	}
 	return ok

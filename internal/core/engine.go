@@ -71,6 +71,11 @@ type Terminal struct {
 	// nil when untraced. Engines record submit, durability-wait and
 	// cross-shard decision spans into it from the terminal's process.
 	Rec *obs.ShardRec
+
+	// The terminal's transaction frame on the engine it submits to, built
+	// by that engine on first use (doraTx, convCtx).
+	dora *doraTx
+	conv *convCtx
 }
 
 // Engine is a complete transaction processing system under one cost model.

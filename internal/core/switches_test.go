@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"bionicdb/internal/core"
@@ -11,46 +12,50 @@ import (
 	"bionicdb/internal/workload/ycsb"
 )
 
+// benchConfigs are the repository benchmark's three core.Run machines,
+// engines, scales and client counts (benchmark/workloads.go) with a tenth of
+// its simulated window. TestSwitchesPerEvent and TestAllocsPerTxn pin exact
+// host-cost counts on them; both counts repeat on every host.
+var benchConfigs = []struct {
+	name      string
+	terminals int
+	measure   sim.Duration
+	switches  float64 // ceiling on coroutine resumes per kernel event
+	allocs    float64 // ceiling on heap allocations per transaction issued
+	build     func() (core.Workload, func(*sim.Env) core.Engine)
+}{
+	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 6.6, func() (core.Workload, func(*sim.Env) core.Engine) {
+		wl := tatp.New(tatp.Config{Subscribers: 100000})
+		return wl, func(env *sim.Env) core.Engine {
+			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
+		}
+	}},
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 158, func() (core.Workload, func(*sim.Env) core.Engine) {
+		wl := tpcc.New(tpcc.DefaultConfig())
+		return wl, func(env *sim.Env) core.Engine {
+			return core.NewConventional(env, platform.HC2(), wl.Tables())
+		}
+	}},
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.60, 19.2, func() (core.Workload, func(*sim.Env) core.Engine) {
+		cfg := ycsb.WorkloadA()
+		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
+		wl := ycsb.New(cfg)
+		return wl, func(env *sim.Env) core.Engine {
+			return core.NewDORA(env, platform.HC2ScaledSharded(4), wl.Tables(), wl.Scheme(32))
+		}
+	}},
+}
+
 // TestSwitchesPerEvent pins how chatty the engines are toward the coroutine
 // layer: the share of kernel events that resume a process instead of running
-// inline in the dispatch loop. The three machines, engines, scales and
-// client counts are the repository benchmark's (benchmark/workloads.go) with
-// a tenth of its simulated window. Both counts are exact and repeat on every
-// host, so a ceiling that starts failing means a blocking chain somewhere
-// was split back into one park per step. Before kernel scripts the ratios
-// were 0.93, 0.94 and 0.70.
+// inline in the dispatch loop. A ceiling that starts failing means a blocking
+// chain somewhere was split back into one park per step. Before kernel
+// scripts the ratios were 0.93, 0.94 and 0.70.
 func TestSwitchesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("populates three benchmark-scale databases")
 	}
-	for _, c := range []struct {
-		name      string
-		terminals int
-		measure   sim.Duration
-		ceiling   float64
-		build     func() (core.Workload, func(*sim.Env) core.Engine)
-	}{
-		{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, func() (core.Workload, func(*sim.Env) core.Engine) {
-			wl := tatp.New(tatp.Config{Subscribers: 100000})
-			return wl, func(env *sim.Env) core.Engine {
-				return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
-			}
-		}},
-		{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, func() (core.Workload, func(*sim.Env) core.Engine) {
-			wl := tpcc.New(tpcc.DefaultConfig())
-			return wl, func(env *sim.Env) core.Engine {
-				return core.NewConventional(env, platform.HC2(), wl.Tables())
-			}
-		}},
-		{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.60, func() (core.Workload, func(*sim.Env) core.Engine) {
-			cfg := ycsb.WorkloadA()
-			cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
-			wl := ycsb.New(cfg)
-			return wl, func(env *sim.Env) core.Engine {
-				return core.NewDORA(env, platform.HC2ScaledSharded(4), wl.Tables(), wl.Scheme(32))
-			}
-		}},
-	} {
+	for _, c := range benchConfigs {
 		t.Run(c.name, func(t *testing.T) {
 			wl, mk := c.build()
 			res, err := core.Run(core.RunConfig{
@@ -61,9 +66,60 @@ func TestSwitchesPerEvent(t *testing.T) {
 			}
 			ratio := float64(res.Switches) / float64(res.Events)
 			t.Logf("%d resumes / %d events = %.3f", res.Switches, res.Events, ratio)
-			if res.Switches == 0 || ratio > c.ceiling {
+			if res.Switches == 0 || ratio > c.switches {
 				t.Errorf("resumes per event = %.3f (%d / %d), want in (0, %.2f]",
-					ratio, res.Switches, res.Events, c.ceiling)
+					ratio, res.Switches, res.Events, c.switches)
+			}
+		})
+	}
+}
+
+// steadyAllocs wraps a workload to count what the steady state allocates:
+// heap objects from the first transaction drawn to wherever the caller reads
+// the counter again, and how many transactions were drawn.
+type steadyAllocs struct {
+	core.Workload
+	issued  int
+	mallocs uint64 // runtime.MemStats.Mallocs at the first NextTxn
+}
+
+func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
+	if w.issued == 0 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		w.mallocs = ms.Mallocs
+	}
+	w.issued++
+	return w.Workload.NextTxn(r)
+}
+
+// TestAllocsPerTxn pins the transaction path's allocation diet: heap objects
+// allocated from the first transaction drawn to the end of core.Run, over
+// transactions drawn. Population and engine construction are outside the
+// count; the workload's own key and row building is inside. A ceiling that
+// starts failing means some per-transaction object stopped being re-armed by
+// its owner (DESIGN.md, "Pools above the kernel"). The ceilings sit 3-5 %
+// above what this scale measures (6.28, 153.05, 18.48; the last few objects
+// are the runtime's and move by a dozen per run); before transaction frames
+// the counts were 29.39, 376.30 and 50.19.
+func TestAllocsPerTxn(t *testing.T) {
+	for _, c := range benchConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			wl, mk := c.build()
+			counted := &steadyAllocs{Workload: wl}
+			if _, err := core.Run(core.RunConfig{
+				Terminals: c.terminals, Warmup: 20 * sim.Millisecond, Measure: c.measure, Seed: 42,
+			}, counted, mk); err != nil {
+				t.Fatal(err)
+			}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			n := ms.Mallocs - counted.mallocs
+			per := float64(n) / float64(counted.issued)
+			t.Logf("%d allocations / %d transactions = %.2f", n, counted.issued, per)
+			if counted.issued == 0 || per > c.allocs {
+				t.Errorf("allocations per transaction = %.2f (%d / %d), want <= %.1f",
+					per, n, counted.issued, c.allocs)
 			}
 		})
 	}

@@ -47,15 +47,21 @@ func DefaultCosts() Costs {
 //
 // If LockKey is non-empty the partition acquires the (entity-granularity)
 // local lock for TxnID before running Body; the lock is held until the
-// transaction's ReleaseLocks action. A conflicting action is deferred, not
-// blocked; if deferring would close a waits-for cycle the action instead
-// arrives at its RVP with a false (abort) vote and Body never runs.
+// transaction's Release. A conflicting action is deferred, not blocked; if
+// deferring would close a waits-for cycle the action instead arrives at its
+// RVP with a false (abort) vote and Body never runs.
+//
+// An Action belongs to whoever enqueued it and may be re-armed for another
+// enqueue once its RVP has fired: the partition's last touch of an action
+// precedes its Arrive.
 type Action struct {
 	TxnID   uint64
-	LockKey string // "" = no locking (undo, release, single-phase reads)
-	// RVP may be nil for fire-and-forget actions (lock releases) whose
-	// completion nobody awaits.
+	LockKey string // "" = no locking (undo, single-phase reads)
+	// RVP may be nil for fire-and-forget actions whose completion nobody
+	// awaits.
 	RVP *RVP
+	// Run is the action's body. Coordinators that reuse an Action bind a
+	// method value here once instead of building a closure per enqueue.
 	Run func(t *platform.Task, pt *Partition) bool
 
 	// ReplySocket is the socket of the coordinator awaiting this action's
@@ -89,6 +95,12 @@ type Action struct {
 	Flow      uint64
 
 	defAt sim.Time // when parked on a deferred list; lock wait starts here
+
+	// release marks a lock-release message (Partition.Release): it has no
+	// body, the partition frees TxnID's entity locks itself. recycle is set
+	// when the message came from the partition's own free list and goes back
+	// there once applied.
+	release, recycle bool
 }
 
 // ResetStamps clears the flight-recorder stamps so a pooled Action can be
@@ -101,20 +113,16 @@ func (a *Action) ResetStamps() {
 
 // RVP is a rendezvous point: the join of a fan-out of actions. The signal
 // fires when all arrivals are in; the value is true only if every action
-// voted to continue.
+// voted to continue. A coordinator that runs one fan-out at a time keeps one
+// RVP and re-arms it with Reset.
 type RVP struct {
 	remaining int
 	ok        bool
-	sig       *sim.Signal
+	sig       sim.Signal
 }
 
 // NewRVP creates a rendezvous expecting n arrivals.
-func NewRVP(env *sim.Env, n int) *RVP {
-	if n < 1 {
-		panic("dora: RVP needs at least one arrival")
-	}
-	return &RVP{remaining: n, ok: true, sig: sim.NewSignal(env)}
-}
+func NewRVP(env *sim.Env, n int) *RVP { return NewRVPOn(env, n, 0) }
 
 // NewRVPOn creates a rendezvous homed on the given kernel shard — the
 // coordinator's. Local partitions arrive directly; remote partitions'
@@ -124,7 +132,23 @@ func NewRVPOn(env *sim.Env, n, shard int) *RVP {
 	if n < 1 {
 		panic("dora: RVP needs at least one arrival")
 	}
-	return &RVP{remaining: n, ok: true, sig: sim.NewSignal(env).OnShard(shard)}
+	r := &RVP{remaining: n, ok: true, sig: *sim.NewSignal(env)}
+	r.sig.OnShard(shard)
+	return r
+}
+
+// Reset re-arms the rendezvous for a new fan-out of n arrivals. Only the
+// coordinator that awaited it may call it; Reset panics while an arrival of
+// the previous fan-out is still outstanding.
+func (r *RVP) Reset(n int) {
+	if n < 1 {
+		panic("dora: RVP needs at least one arrival")
+	}
+	if r.remaining != 0 {
+		panic("dora: RVP reset before its last arrival")
+	}
+	r.sig.Reset()
+	r.remaining, r.ok = n, true
 }
 
 // Arrive registers one arrival with its vote; the last arrival fires the
@@ -232,11 +256,20 @@ type Partition struct {
 	shard    int // kernel shard of socket, valid when confined
 
 	inflight   int
-	slotFree   *sim.Signal
+	slotFree   *sim.Signal // fired by a finishing child while the worker waits for a slot
 	done       int64
 	defers     int64
 	actionName string         // spawn name for windowed child actions, built once
 	idle       []*actionChild // pooled child processes awaiting work
+
+	// Free lists and scratch, all touched only from the partition's own
+	// shard: entity locks churn once per lock, release messages once per
+	// transaction, and owned is ReleaseLocks' sorted-key scratch (taken for
+	// the duration of a call, so a re-entrant call on a windowed partition
+	// that parked mid-loop builds its own).
+	freeLocks []*entityLock
+	freeRel   []*Action
+	owned     []string
 
 	// HWQueue, when non-nil, is the hardware queue-management engine: the
 	// enqueue/dequeue path charges it instead of the software costs.
@@ -402,12 +435,13 @@ func (pt *Partition) Defers() int64 { return pt.defers }
 // on asynchronous hardware leaves the core free for its siblings.
 func (pt *Partition) Start() {
 	body := func(p *sim.Proc) {
+		// One task for the worker's life, started afresh per action.
+		task := pt.pl.NewTask(p, pt.Core, pt.bd)
 		for {
 			a, ok := pt.in.Get(p)
 			if !ok {
 				for pt.inflight > 0 {
-					pt.slotFree = sim.NewSignal(p.Env())
-					pt.slotFree.Await(p)
+					pt.awaitSlot(p)
 				}
 				// Drained: release the pooled child processes so they
 				// exit and the partition leaves nothing parked behind.
@@ -419,13 +453,12 @@ func (pt *Partition) Start() {
 				return
 			}
 			if pt.Window == 1 {
-				task := pt.pl.NewTask(p, pt.Core, pt.bd)
+				task.Reset()
 				pt.dispatch(task, a)
 				continue
 			}
 			for pt.inflight >= pt.Window {
-				pt.slotFree = sim.NewSignal(p.Env())
-				pt.slotFree.Await(p)
+				pt.awaitSlot(p)
 			}
 			pt.inflight++
 			pt.startAction(a)
@@ -437,6 +470,17 @@ func (pt *Partition) Start() {
 		return
 	}
 	pt.pl.Env.Spawn(name, body)
+}
+
+// awaitSlot parks the worker until a child process finishes an action. The
+// worker owns slotFree and is its only waiter, so it re-arms the one signal.
+func (pt *Partition) awaitSlot(p *sim.Proc) {
+	if pt.slotFree == nil {
+		pt.slotFree = sim.NewSignal(p.Env())
+	} else {
+		pt.slotFree.Reset()
+	}
+	pt.slotFree.Await(p)
 }
 
 // actionChild is one pooled windowed-action process: a single goroutine
@@ -462,10 +506,11 @@ func (pt *Partition) startAction(a *Action) {
 	}
 	c := &actionChild{next: a}
 	c.proc = pt.pl.Env.Spawn(pt.actionName, func(cp *sim.Proc) {
+		task := pt.pl.NewTask(cp, pt.Core, pt.bd)
 		for {
 			a := c.next
 			c.next = nil
-			task := pt.pl.NewTask(cp, pt.Core, pt.bd)
+			task.Reset()
 			pt.dispatch(task, a)
 			pt.inflight--
 			if pt.slotFree != nil && !pt.slotFree.Fired() {
@@ -514,7 +559,13 @@ func (pt *Partition) dispatch(task *platform.Task, a *Action) {
 		task.Exec(stats.CompDora, pt.Costs.LocalLockInstr)
 		l := pt.locks[a.LockKey]
 		if l == nil {
-			l = &entityLock{owner: a.TxnID, ownerHome: a.ReplySocket}
+			if n := len(pt.freeLocks); n > 0 {
+				l = pt.freeLocks[n-1]
+				pt.freeLocks = pt.freeLocks[:n-1]
+			} else {
+				l = &entityLock{}
+			}
+			l.owner, l.ownerHome = a.TxnID, a.ReplySocket
 			pt.locks[a.LockKey] = l
 		} else if l.owner != a.TxnID {
 			// Home-socket wait rule on a confined partition: a transaction
@@ -549,13 +600,24 @@ func (pt *Partition) dispatch(task *platform.Task, a *Action) {
 
 func (pt *Partition) run(task *platform.Task, a *Action) {
 	t0 := task.P.Now()
-	vote := a.Run(task, pt)
+	vote := true
+	if a.release {
+		pt.ReleaseLocks(task, a.TxnID)
+	} else {
+		vote = a.Run(task, pt)
+	}
 	if t1 := task.P.Now(); t1 > t0 {
 		a.ExecTime += t1.Sub(t0)
 		pt.rec.Record(obs.Span{Start: t0, End: t1, Kind: obs.KindAction,
 			Socket: int32(pt.socket), Txn: a.TxnID})
 	}
+	// Read before finish: an action with an RVP is its coordinator's again
+	// the moment it arrives. Only RVP-less release messages are recycled.
+	recycle := a.recycle
 	pt.finish(task, a, vote)
+	if recycle {
+		pt.freeRel = append(pt.freeRel, a)
+	}
 }
 
 func (pt *Partition) finish(task *platform.Task, a *Action, vote bool) {
@@ -597,13 +659,36 @@ func (pt *Partition) finish(task *platform.Task, a *Action, vote bool) {
 	}
 }
 
+// Release asks the partition to free every entity lock txnID holds and
+// re-dispatch what was deferred behind them: a priority message nobody
+// awaits, charged to the sender's task like any Enqueue. The message comes
+// from the partition's free list when the sender runs on the partition's
+// shard (the list's owner); a sender on another shard builds one.
+func (pt *Partition) Release(t *platform.Task, txnID uint64) {
+	var a *Action
+	// Only a sender on the partition's shard may so much as look at the list.
+	local := !pt.confined || t.Core().SocketID() == pt.socket
+	if local && len(pt.freeRel) > 0 {
+		n := len(pt.freeRel) - 1
+		a = pt.freeRel[n]
+		pt.freeRel = pt.freeRel[:n]
+		a.ResetStamps()
+	} else {
+		a = &Action{Priority: true, release: true, recycle: local}
+	}
+	a.TxnID = txnID
+	pt.Enqueue(t, a)
+}
+
 // ReleaseLocks frees every local lock txnID holds in this partition and
-// re-dispatches deferred actions by re-enqueueing them. It is called from a
-// release action's body, on the partition's own worker.
+// re-dispatches deferred actions by re-enqueueing them. It runs on the
+// partition's own worker: applying a Release message, or from an action
+// body that wants the release awaited through its RVP.
 func (pt *Partition) ReleaseLocks(task *platform.Task, txnID uint64) {
 	// Release in sorted key order: the order decides when deferred actions
 	// re-enter the queue, so it must not follow randomized map iteration.
-	var owned []string
+	owned := pt.owned[:0]
+	pt.owned = nil // task.Exec below can park a windowed partition's child
 	for key, l := range pt.locks {
 		if l.owner == txnID {
 			owned = append(owned, key)
@@ -615,6 +700,7 @@ func (pt *Partition) ReleaseLocks(task *platform.Task, txnID uint64) {
 		task.Exec(stats.CompDora, pt.Costs.LocalLockInstr)
 		if len(l.deferred) == 0 {
 			delete(pt.locks, key)
+			pt.freeLocks = append(pt.freeLocks, l)
 			continue
 		}
 		// Hand the entity to the first deferred action's transaction and
@@ -624,7 +710,6 @@ func (pt *Partition) ReleaseLocks(task *platform.Task, txnID uint64) {
 		l.owner = next.TxnID
 		l.ownerHome = next.ReplySocket
 		rest := l.deferred
-		l.deferred = nil
 		// Re-dispatch at the queue head: deferred actions were admitted
 		// before anything currently queued.
 		for i := len(rest) - 1; i >= 0; i-- {
@@ -632,7 +717,11 @@ func (pt *Partition) ReleaseLocks(task *platform.Task, txnID uint64) {
 			pt.reg.remove(d.TxnID, txnID)
 			pt.in.PutFront(d)
 		}
+		clear(rest)
+		l.deferred = rest[:0]
 	}
+	clear(owned)
+	pt.owned = owned[:0]
 }
 
 // Close shuts the input queue; the worker exits after draining.

@@ -458,3 +458,148 @@ func TestReleaseHandsOffToDeferred(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRVPResetPanicsBeforeLastArrival(t *testing.T) {
+	env := sim.NewEnv()
+	rvp := NewRVP(env, 2)
+	rvp.Arrive(true)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset with an arrival outstanding did not panic")
+			}
+		}()
+		rvp.Reset(1)
+	}()
+	rvp.Arrive(true)
+	rvp.Reset(3) // every arrival is in and nobody awaited: legal
+	env.Spawn("waiter", func(p *sim.Proc) {
+		if rvp.Await(p) {
+			t.Error("re-armed RVP lost the abort vote")
+		}
+	})
+	env.Spawn("arrivals", func(p *sim.Proc) {
+		rvp.Arrive(true)
+		rvp.Arrive(false)
+		p.Wait(sim.Microsecond)
+		rvp.Arrive(true)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// phaseOutcome is what a coordinator reads off an action after its phase.
+type phaseOutcome struct {
+	refused                       bool
+	queueWait, lockWait, execTime sim.Duration
+}
+
+// twoPhases runs transaction 2 through two phases on one partition, the
+// second with an action that runs at once, one deferred behind transaction
+// 3 and one refused (transaction 1 already waits for transaction 2, so
+// waiting for 1 would close a cycle). With reuse the second phase re-arms the
+// first phase's Actions and RVP, as a terminal's frame does; without, it
+// builds fresh ones, as engines did. It reports both votes, the second
+// phase's outcomes, and the clock and event count at the end.
+func twoPhases(t *testing.T, reuse bool) (votes [2]bool, out [3]phaseOutcome, end sim.Time, events uint64) {
+	env, pl, pt, _ := fixture(1)
+	body := func(tk *platform.Task, _ *Partition) bool {
+		tk.Exec(stats.CompOther, 2500)
+		tk.Flush() // inside the body, so the action's ExecTime sees it
+		return true
+	}
+	env.Spawn("others", func(p *sim.Proc) {
+		task := pl.NewTask(p, pl.Cores[2], nil)
+		sendLocked(env, task, pt, 1, "e", nil).Await(p) // 1 holds e
+		sendLocked(env, task, pt, 3, "g", nil).Await(p) // 3 holds g
+		p.Wait(10 * sim.Microsecond)
+		sendLocked(env, task, pt, 1, "f", nil) // 1 waits for 2, which holds f by then
+		task.Flush()
+		p.Wait(30 * sim.Microsecond)
+		release(env, task, pt, 3).Await(p) // lets 2's deferred action run
+	})
+	env.Spawn("coord", func(p *sim.Proc) {
+		task := pl.NewTask(p, pl.Cores[1], nil)
+		p.Wait(5 * sim.Microsecond)
+		acts := make([]*Action, 3)
+		var rvp *RVP
+		phase := func(keys ...string) bool {
+			if rvp == nil || !reuse {
+				rvp = NewRVP(env, len(keys))
+			} else {
+				rvp.Reset(len(keys))
+			}
+			for i, key := range keys {
+				if acts[i] == nil || !reuse {
+					acts[i] = &Action{Run: body}
+				}
+				*acts[i] = Action{TxnID: 2, LockKey: key, RVP: rvp, Run: acts[i].Run}
+				pt.Enqueue(task, acts[i])
+			}
+			task.Flush()
+			return rvp.Await(p)
+		}
+		votes[0] = phase("f", "h")
+		p.Wait(15 * sim.Microsecond)
+		votes[1] = phase("h", "g", "e")
+		for i, a := range acts {
+			out[i] = phaseOutcome{a.Refused, a.QueueWait, a.LockWait, a.ExecTime}
+		}
+		release(env, task, pt, 2).Await(p)
+		release(env, task, pt, 1).Await(p)
+		pt.Close()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return votes, out, env.Now(), env.Executed()
+}
+
+// TestReusedActionsMatchFresh re-runs a phase on re-armed Actions and a
+// re-armed RVP and requires the votes, the refusal flag and every stamp a
+// fresh set reports, at the same instant for the same number of events.
+func TestReusedActionsMatchFresh(t *testing.T) {
+	fVotes, fOut, fEnd, fEvents := twoPhases(t, false)
+	rVotes, rOut, rEnd, rEvents := twoPhases(t, true)
+	if fVotes != [2]bool{true, false} {
+		t.Fatalf("fresh votes %v, want the first phase to pass and the second to be refused", fVotes)
+	}
+	if fOut[0].refused || fOut[0].execTime == 0 || fOut[1].refused || fOut[1].lockWait == 0 || !fOut[2].refused {
+		t.Fatalf("the scenario does not run one action, defer one and refuse one: %+v", fOut)
+	}
+	if rVotes != fVotes || rOut != fOut {
+		t.Errorf("reused: votes %v outcomes %+v\nfresh:  votes %v outcomes %+v", rVotes, rOut, fVotes, fOut)
+	}
+	if rEnd != fEnd || rEvents != fEvents {
+		t.Errorf("reused run ended at %v after %d events, fresh at %v after %d", rEnd, rEvents, fEnd, fEvents)
+	}
+}
+
+// TestReleaseMessagesAreRecycled: a partition builds a release message for
+// the first release it is sent and reuses it for every later one, and a
+// re-dispatched release does what the closure-bodied one did.
+func TestReleaseMessagesAreRecycled(t *testing.T) {
+	env, pl, pt, _ := fixture(1)
+	env.Spawn("coord", func(p *sim.Proc) {
+		task := pl.NewTask(p, pl.Cores[1], nil)
+		for txn := uint64(1); txn <= 20; txn++ {
+			sendLocked(env, task, pt, txn, "e", nil).Await(p)
+			pt.Release(task, txn)
+			task.Flush()
+		}
+		// A no-lock action behind the last release: once it has run, so
+		// has the release.
+		sendLocked(env, task, pt, 99, "", nil).Await(p)
+		if pt.HeldLocks() != 0 || pt.Defers() != 0 {
+			t.Errorf("%d locks held, %d defers after 20 lock/release rounds", pt.HeldLocks(), pt.Defers())
+		}
+		if len(pt.freeRel) != 1 || len(pt.freeLocks) != 1 {
+			t.Errorf("%d release messages and %d entity locks built, want 1 and 1", len(pt.freeRel), len(pt.freeLocks))
+		}
+		pt.Close()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -181,13 +181,15 @@ func (e *Engine) Stop() {
 
 func (e *Engine) syncLoop(p *sim.Proc) {
 	// The daemon runs on the engine's home core: Figure 4's "log sync" box
-	// (the socket's last core for a shard).
+	// (the socket's last core for a shard). One task for its life: every
+	// epoch ends flushed.
+	task := e.pl.NewTask(p, e.home, nil)
 	for {
 		if e.kick.Len() == 0 {
 			p.Wait(e.cfg.SyncInterval)
 		}
 		e.kick.TryGet()
-		e.syncOnce(p, e.home)
+		e.syncOnce(task)
 		if e.stopped && e.pending() == 0 {
 			return
 		}
@@ -204,7 +206,8 @@ func (e *Engine) pending() int {
 
 // syncOnce collects one epoch: all staging buffers, one link push to the
 // unit for arbitration, then the ordered batch to the SSD.
-func (e *Engine) syncOnce(p *sim.Proc, core *platform.Core) {
+func (e *Engine) syncOnce(task *platform.Task) {
+	p := task.P
 	// The staging buffers and the epoch batch are reused across epochs:
 	// the batch append copies staged bytes out synchronously, so the
 	// truncated staging arrays are free for new appends even while the
@@ -212,7 +215,6 @@ func (e *Engine) syncOnce(p *sim.Proc, core *platform.Core) {
 	batch := e.spareBatch[:0]
 	e.spareBatch = nil
 	records := 0
-	task := e.pl.NewTask(p, core, nil)
 	for i := range e.staging {
 		if len(e.staging[i]) == 0 {
 			continue

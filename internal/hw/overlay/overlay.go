@@ -11,6 +11,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bionicdb/internal/btree"
@@ -56,7 +57,8 @@ type Table struct {
 	ID   uint16
 	Tree *btree.Tree
 	// MergeFn, when set, applies a merged row to the columnar base. The
-	// key and value are the tree's images.
+	// value is the tree's image; the key is the merge daemon's buffer, valid
+	// only for the call.
 	MergeFn func(key, val []byte)
 
 	dirty map[string]struct{}
@@ -69,7 +71,8 @@ type Store struct {
 	probe *treeprobe.Engine
 	unit  *platform.HWUnit
 
-	tables map[uint16]*Table
+	tables   map[uint16]*Table
+	tableIDs []uint16 // ascending: the order a merge pass visits the tables in
 
 	// AfterMerge, when set, runs at the end of every bulk-merge pass —
 	// including passes that found nothing dirty — after the pass's device
@@ -90,6 +93,11 @@ type Store struct {
 
 	idleWriters []*writeWorker           // pooled posted-write completion processes
 	rowsPool    sim.ScratchPool[scanRow] // pooled scan materialization buffers
+
+	// The merge daemon's scratch, reused pass after pass (only its process
+	// touches them): the keys one table contributes and the key being merged.
+	mergeKeys []string
+	mergeKey  []byte
 
 	// rec, when non-nil, records one overlay-merge span per non-empty
 	// bulk-merge pass (SetRecorder). Host-side only.
@@ -156,6 +164,8 @@ func (s *Store) CreateTable(id uint16, order int) *Table {
 		AddrOf: func(id storage.PageID, size int) uint64 { return s.pl.AllocFPGA(8 << 10) },
 	})
 	s.tables[id] = t
+	s.tableIDs = append(s.tableIDs, id)
+	slices.Sort(s.tableIDs)
 	return t
 }
 
@@ -415,30 +425,25 @@ func (s *Store) mergeOnce(p *sim.Proc) {
 	// Tables and dirty keys merge in sorted order: which rows a pass picks
 	// decides its I/O timing, so the choice must be a pure function of
 	// simulation state, never Go's randomized map order.
-	ids := make([]int, 0, len(s.tables))
-	for id := range s.tables {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		tbl := s.tables[uint16(id)]
+	for _, id := range s.tableIDs {
+		tbl := s.tables[id]
 		if budget <= 0 {
 			break
 		}
-		keys := smallestDirty(tbl.dirty, budget)
-		if len(keys) == 0 {
-			continue
-		}
+		keys := smallestDirty(tbl.dirty, budget, s.mergeKeys[:0])
 		for _, k := range keys {
-			val, ok := tbl.Tree.Get([]byte(k), nil)
+			s.mergeKey = append(s.mergeKey[:0], k...)
+			val, ok := tbl.Tree.Get(s.mergeKey, nil)
 			if ok && tbl.MergeFn != nil {
-				tbl.MergeFn([]byte(k), val)
+				tbl.MergeFn(s.mergeKey, val)
 			}
 			totalBytes += len(k) + len(val)
 			delete(tbl.dirty, k)
 			s.merged++
 		}
 		budget -= len(keys)
+		clear(keys) // the keys are merged: do not pin them until the next pass
+		s.mergeKeys = keys
 	}
 	if totalBytes != 0 {
 		// One coalesced sequential pass: read the batch from SG-DRAM, write
@@ -457,15 +462,14 @@ func (s *Store) mergeOnce(p *sim.Proc) {
 }
 
 // smallestDirty returns the budget lexicographically-smallest dirty keys
-// in sorted order. A bounded max-heap keeps the scan O(D log budget)
-// instead of sorting the whole dirty set, which can be far larger than
-// one merge pass's budget.
-func smallestDirty(dirty map[string]struct{}, budget int) []string {
+// in sorted order, built in h's storage (h must be empty). A bounded
+// max-heap keeps the scan O(D log budget) instead of sorting the whole dirty
+// set, which can be far larger than one merge pass's budget.
+func smallestDirty(dirty map[string]struct{}, budget int, h []string) []string {
 	if budget <= 0 {
-		return nil
+		return h
 	}
 	// h is a max-heap: h[0] is the largest of the budget smallest so far.
-	h := make([]string, 0, budget)
 	siftDown := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2

@@ -219,7 +219,8 @@ func TestDuplicateTablePanics(t *testing.T) {
 }
 
 // TestSmallestDirty checks the bounded selection matches a full sort's
-// prefix for budgets below, at, and above the set size.
+// prefix for budgets below, at, and above the set size, each call building
+// its result in the previous call's storage as the merge daemon does.
 func TestSmallestDirty(t *testing.T) {
 	r := sim.NewRand(11)
 	dirty := make(map[string]struct{})
@@ -231,8 +232,10 @@ func TestSmallestDirty(t *testing.T) {
 		all = append(all, k)
 	}
 	sort.Strings(all)
-	for _, budget := range []int{0, 1, 7, 100, len(all), len(all) + 50} {
-		got := smallestDirty(dirty, budget)
+	var scratch []string
+	for _, budget := range []int{0, 1, 7, 100, len(all), len(all) + 50, 3} {
+		got := smallestDirty(dirty, budget, scratch[:0])
+		scratch = got
 		want := all
 		if budget < len(all) {
 			want = all[:budget]

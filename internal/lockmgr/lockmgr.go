@@ -94,6 +94,10 @@ func DefaultConfig() Config {
 	return Config{AcquireInstr: 220, ReleaseInstr: 80, LatchStripes: 16}
 }
 
+// waiter is one queued request. Waiters come from the manager's free list:
+// the blocked process takes one, parks on its signal, and hands it back —
+// signal re-armed — once it has read the verdict, which is after every other
+// party (promote or CancelWait, which fired it) is done with it.
 type waiter struct {
 	txn     uint64
 	mode    Mode
@@ -110,19 +114,21 @@ type lockState struct {
 type Manager struct {
 	cfg     Config
 	env     *sim.Env
-	locks   map[string]*lockState
-	holds   map[uint64][]string // txn -> lock names, for ReleaseAll
-	waiting map[uint64]string   // txn -> lock name it is blocked on
+	locks   map[Name]*lockState
+	holds   map[uint64][]Name // txn -> lock names, for ReleaseAll
+	waiting map[uint64]Name   // txn -> lock name it is blocked on
 	latches []*sim.Resource
 	addr    uint64
 
 	// Free lists and scratch space: lock states and hold lists churn once
-	// per lock and per transaction, so steady-state acquire/release cycles
-	// reuse their storage instead of reallocating it.
-	freeStates []*lockState
-	freeHolds  [][]string
-	dfsSeen    map[uint64]bool
-	dfsBlocked []uint64
+	// per lock and per transaction and waiters once per blocked acquire, so
+	// steady-state acquire/release cycles reuse their storage instead of
+	// reallocating it.
+	freeStates  []*lockState
+	freeHolds   [][]Name
+	freeWaiters []*waiter
+	dfsSeen     map[uint64]bool
+	dfsBlocked  []uint64
 
 	acquires  int64
 	waits     int64
@@ -135,9 +141,9 @@ func New(pl *platform.Platform, cfg Config) *Manager {
 	m := &Manager{
 		cfg:     cfg,
 		env:     pl.Env,
-		locks:   make(map[string]*lockState),
-		holds:   make(map[uint64][]string),
-		waiting: make(map[uint64]string),
+		locks:   make(map[Name]*lockState),
+		holds:   make(map[uint64][]Name),
+		waiting: make(map[uint64]Name),
 		dfsSeen: make(map[uint64]bool),
 		addr:    pl.AllocHost(1 << 20),
 	}
@@ -147,11 +153,67 @@ func New(pl *platform.Platform, cfg Config) *Manager {
 	return m
 }
 
-func hashName(name string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
+// Name identifies one lock: a table, or one row of a table by its primary
+// key. It is a comparable value — the lock table's map key — built by
+// RowLock and TableLock without allocating: keys up to nameInline bytes
+// (every key of the shipped workloads) are held inline, longer ones spill
+// into a string.
+type Name struct {
+	kind  byte  // 'r' for a row, 't' for a table
+	n     uint8 // bytes of key held inline
+	table uint16
+	key   [nameInline]byte
+	spill string // the whole key when it does not fit inline, else ""
+}
+
+// nameInline is the longest key a Name holds without spilling; TPC-C's
+// customer-by-name index key, the longest in the shipped workloads, is 40.
+const nameInline = 40
+
+// RowLock names the lock of the row of table with the given primary key.
+func RowLock(table uint16, key []byte) Name {
+	n := Name{kind: 'r', table: table}
+	if len(key) > nameInline {
+		n.spill = string(key)
+	} else {
+		n.n = uint8(copy(n.key[:], key))
+	}
+	return n
+}
+
+// TableLock names a table-level lock.
+func TableLock(table uint16) Name { return Name{kind: 't', table: table} }
+
+// head appends the part of the name's text form that precedes the key:
+// "t<table>" for a table, "r<table>:" for a row.
+func (n Name) head(dst []byte) []byte {
+	dst = append(dst, n.kind)
+	dst = strconv.AppendUint(dst, uint64(n.table), 10)
+	if n.kind == 'r' {
+		dst = append(dst, ':')
+	}
+	return dst
+}
+
+// String renders the name's text form, "t<table>" or "r<table>:<key>": the
+// bytes lock names were before they became values.
+func (n Name) String() string {
+	return string(n.head(nil)) + string(n.key[:n.n]) + n.spill
+}
+
+// hashName is FNV-1a over the name's text form. The lock table's timing
+// address and the latch stripe are taken from it, so it must not change with
+// the name's representation.
+func hashName(n Name) uint64 {
+	var buf [8]byte // kind, at most five digits, ':'
+	h := fnv1a(1469598103934665603, n.head(buf[:0]))
+	h = fnv1a(h, n.key[:n.n])
+	return fnv1a(h, n.spill)
+}
+
+func fnv1a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211
 	}
 	return h
 }
@@ -160,7 +222,7 @@ func hashName(name string) uint64 {
 // ErrDeadlock when waiting would close a cycle; the caller must abort.
 // Re-acquiring a held lock in the same or weaker mode is free; requesting a
 // stronger mode converts (upgrades) it.
-func (m *Manager) Acquire(t *platform.Task, txn uint64, name string, mode Mode) error {
+func (m *Manager) Acquire(t *platform.Task, txn uint64, name Name, mode Mode) error {
 	m.acquires++
 	t.Exec(stats.CompXct, m.cfg.AcquireInstr)
 	h := hashName(name)
@@ -195,21 +257,30 @@ func (m *Manager) Acquire(t *platform.Task, txn uint64, name string, mode Mode) 
 		latch.Release()
 		return ErrDeadlock
 	}
-	w := &waiter{txn: txn, mode: mode, sig: sim.NewSignal(m.env), upgrade: upgrade}
+	var w *waiter
+	if n := len(m.freeWaiters); n > 0 {
+		w = m.freeWaiters[n-1]
+		m.freeWaiters = m.freeWaiters[:n-1]
+	} else {
+		w = &waiter{sig: sim.NewSignal(m.env)}
+	}
+	w.txn, w.mode, w.upgrade = txn, mode, upgrade
+	ls.queue = append(ls.queue, w)
 	if upgrade {
 		// Upgrades queue ahead of fresh requests.
-		ls.queue = append([]*waiter{w}, ls.queue...)
-	} else {
-		ls.queue = append(ls.queue, w)
+		copy(ls.queue[1:], ls.queue)
+		ls.queue[0] = w
 	}
 	m.waiting[txn] = name
 	m.waits++
 	latch.Release()
 	start := t.P.Now()
-	w.sig.Await(t.P)
+	granted := w.sig.Await(t.P).(bool)
+	w.sig.Reset()
+	m.freeWaiters = append(m.freeWaiters, w)
 	m.waitTime += t.P.Now().Sub(start)
 	delete(m.waiting, txn)
-	if !w.sig.Value().(bool) {
+	if !granted {
 		m.deadlocks++
 		return ErrDeadlock
 	}
@@ -233,7 +304,7 @@ func (m *Manager) grantable(ls *lockState, txn uint64, mode Mode, upgrade bool) 
 	return true
 }
 
-func (m *Manager) grant(ls *lockState, txn uint64, name string, mode Mode, upgrade bool) {
+func (m *Manager) grant(ls *lockState, txn uint64, name Name, mode Mode, upgrade bool) {
 	ls.granted[txn] = mode
 	if !upgrade {
 		held, ok := m.holds[txn]
@@ -334,15 +405,12 @@ func (m *Manager) ReleaseAll(t *platform.Task, txn uint64) {
 		m.promote(ls, name)
 		if len(ls.granted) == 0 && len(ls.queue) == 0 {
 			delete(m.locks, name)
-			ls.queue = nil
 			m.freeStates = append(m.freeStates, ls)
 		}
 		latch.Release()
 	}
 	if names != nil {
-		for i := range names {
-			names[i] = ""
-		}
+		clear(names) // drop spilled keys
 		m.freeHolds = append(m.freeHolds, names[:0])
 	}
 }
@@ -357,7 +425,7 @@ func (m *Manager) CancelWait(txn uint64) {
 	ls := m.locks[name]
 	for i, w := range ls.queue {
 		if w.txn == txn {
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+			ls.queue = dequeue(ls.queue, i)
 			w.sig.Fire(false)
 			return
 		}
@@ -365,7 +433,14 @@ func (m *Manager) CancelWait(txn uint64) {
 }
 
 // promote grants the longest compatible prefix of the wait queue.
-func (m *Manager) promote(ls *lockState, name string) {
+// dequeue removes queue[i], keeping the queue's storage and front capacity.
+func dequeue(queue []*waiter, i int) []*waiter {
+	copy(queue[i:], queue[i+1:])
+	queue[len(queue)-1] = nil
+	return queue[:len(queue)-1]
+}
+
+func (m *Manager) promote(ls *lockState, name Name) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
 		ok := true
@@ -378,7 +453,7 @@ func (m *Manager) promote(ls *lockState, name string) {
 		if !ok {
 			return
 		}
-		ls.queue = ls.queue[1:]
+		ls.queue = dequeue(ls.queue, 0)
 		m.grant(ls, w.txn, name, w.mode, w.upgrade)
 		w.sig.Fire(true)
 	}
@@ -399,24 +474,3 @@ func (m *Manager) WaitTime() sim.Duration { return m.waitTime }
 // CurWaiters returns the number of transactions currently blocked waiting
 // for a lock — an instantaneous gauge for the telemetry sampler.
 func (m *Manager) CurWaiters() int { return len(m.waiting) }
-
-// RowLock names a row lock for table t and primary key. The name is built
-// by hand — identical bytes to the old fmt.Sprintf("r%d:%s", ...) — because
-// two lock names are built per row access on the conventional engine's hot
-// path and fmt is several allocations per call.
-func RowLock(table uint16, key []byte) string {
-	buf := make([]byte, 0, 8+len(key))
-	buf = append(buf, 'r')
-	buf = strconv.AppendUint(buf, uint64(table), 10)
-	buf = append(buf, ':')
-	buf = append(buf, key...)
-	return string(buf)
-}
-
-// TableLock names a table-level lock (identical to the old
-// fmt.Sprintf("t%d", table)).
-func TableLock(table uint16) string {
-	buf := make([]byte, 1, 6)
-	buf[0] = 't'
-	return string(strconv.AppendUint(buf, uint64(table), 10))
-}

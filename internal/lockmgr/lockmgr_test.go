@@ -1,6 +1,7 @@
 package lockmgr
 
 import (
+	"strconv"
 	"testing"
 
 	"bionicdb/internal/platform"
@@ -13,6 +14,10 @@ func fixture() (*sim.Env, *platform.Platform, *Manager) {
 	pl := platform.New(env, platform.HC2())
 	return env, pl, New(pl, DefaultConfig())
 }
+
+// name makes the lock name a test calls s: the row lock of table 0 under
+// that key.
+func name(s string) Name { return RowLock(0, []byte(s)) }
 
 func task(pl *platform.Platform, p *sim.Proc, core int) *platform.Task {
 	return pl.NewTask(p, pl.Cores[core%len(pl.Cores)], &stats.Breakdown{})
@@ -48,7 +53,7 @@ func TestSharedLocksCoexist(t *testing.T) {
 		i := i
 		env.Spawn("r", func(p *sim.Proc) {
 			tk := task(pl, p, i)
-			if err := m.Acquire(tk, uint64(i+1), "row", S); err != nil {
+			if err := m.Acquire(tk, uint64(i+1), name("row"), S); err != nil {
 				t.Error(err)
 				return
 			}
@@ -77,7 +82,7 @@ func TestExclusiveBlocksAndFIFO(t *testing.T) {
 		env.Spawn("w", func(p *sim.Proc) {
 			p.Wait(sim.Duration(i) * sim.Microsecond) // arrive in order
 			tk := task(pl, p, i)
-			if err := m.Acquire(tk, uint64(i+1), "row", X); err != nil {
+			if err := m.Acquire(tk, uint64(i+1), name("row"), X); err != nil {
 				t.Error(err)
 				return
 			}
@@ -101,13 +106,13 @@ func TestReacquireHeldIsFree(t *testing.T) {
 	env, pl, m := fixture()
 	env.Spawn("w", func(p *sim.Proc) {
 		tk := task(pl, p, 0)
-		if err := m.Acquire(tk, 1, "row", X); err != nil {
+		if err := m.Acquire(tk, 1, name("row"), X); err != nil {
 			t.Error(err)
 		}
-		if err := m.Acquire(tk, 1, "row", X); err != nil {
+		if err := m.Acquire(tk, 1, name("row"), X); err != nil {
 			t.Error(err)
 		}
-		if err := m.Acquire(tk, 1, "row", S); err != nil { // weaker: no-op
+		if err := m.Acquire(tk, 1, name("row"), S); err != nil { // weaker: no-op
 			t.Error(err)
 		}
 		m.ReleaseAll(tk, 1)
@@ -121,10 +126,10 @@ func TestUpgradeSoleHolder(t *testing.T) {
 	env, pl, m := fixture()
 	env.Spawn("w", func(p *sim.Proc) {
 		tk := task(pl, p, 0)
-		if err := m.Acquire(tk, 1, "row", S); err != nil {
+		if err := m.Acquire(tk, 1, name("row"), S); err != nil {
 			t.Error(err)
 		}
-		if err := m.Acquire(tk, 1, "row", X); err != nil {
+		if err := m.Acquire(tk, 1, name("row"), X); err != nil {
 			t.Errorf("sole-holder upgrade failed: %v", err)
 		}
 		m.ReleaseAll(tk, 1)
@@ -139,15 +144,15 @@ func TestUpgradeWaitsForReaders(t *testing.T) {
 	var upgradedAt sim.Time
 	env.Spawn("reader", func(p *sim.Proc) {
 		tk := task(pl, p, 0)
-		m.Acquire(tk, 2, "row", S)
+		m.Acquire(tk, 2, name("row"), S)
 		p.Wait(50 * sim.Microsecond)
 		m.ReleaseAll(tk, 2)
 	})
 	env.Spawn("upgrader", func(p *sim.Proc) {
 		p.Wait(sim.Microsecond)
 		tk := task(pl, p, 1)
-		m.Acquire(tk, 1, "row", S)
-		if err := m.Acquire(tk, 1, "row", X); err != nil {
+		m.Acquire(tk, 1, name("row"), S)
+		if err := m.Acquire(tk, 1, name("row"), X); err != nil {
 			t.Errorf("upgrade: %v", err)
 			return
 		}
@@ -168,18 +173,18 @@ func TestDeadlockDetected(t *testing.T) {
 	// T1: lock A then B. T2: lock B then A.
 	env.Spawn("t1", func(p *sim.Proc) {
 		tk := task(pl, p, 0)
-		m.Acquire(tk, 1, "A", X)
+		m.Acquire(tk, 1, name("A"), X)
 		p.Wait(10 * sim.Microsecond)
-		errs[0] = m.Acquire(tk, 1, "B", X)
+		errs[0] = m.Acquire(tk, 1, name("B"), X)
 		p.Wait(10 * sim.Microsecond)
 		m.ReleaseAll(tk, 1)
 	})
 	env.Spawn("t2", func(p *sim.Proc) {
 		tk := task(pl, p, 1)
 		p.Wait(2 * sim.Microsecond)
-		m.Acquire(tk, 2, "B", X)
+		m.Acquire(tk, 2, name("B"), X)
 		p.Wait(10 * sim.Microsecond)
-		errs[1] = m.Acquire(tk, 2, "A", X)
+		errs[1] = m.Acquire(tk, 2, name("A"), X)
 		m.ReleaseAll(tk, 2)
 	})
 	if err := env.Run(); err != nil {
@@ -200,9 +205,9 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 		i := i
 		env.Spawn("u", func(p *sim.Proc) {
 			tk := task(pl, p, i)
-			m.Acquire(tk, uint64(i+1), "row", S)
+			m.Acquire(tk, uint64(i+1), name("row"), S)
 			p.Wait(5 * sim.Microsecond)
-			if err := m.Acquire(tk, uint64(i+1), "row", X); err == ErrDeadlock {
+			if err := m.Acquire(tk, uint64(i+1), name("row"), X); err == ErrDeadlock {
 				deadlocks++
 				m.ReleaseAll(tk, uint64(i+1))
 				return
@@ -259,7 +264,7 @@ func TestReleaseAllPromotesWaiters(t *testing.T) {
 	granted := 0
 	env.Spawn("holder", func(p *sim.Proc) {
 		tk := task(pl, p, 0)
-		m.Acquire(tk, 1, "row", X)
+		m.Acquire(tk, 1, name("row"), X)
 		p.Wait(20 * sim.Microsecond)
 		m.ReleaseAll(tk, 1)
 	})
@@ -268,7 +273,7 @@ func TestReleaseAllPromotesWaiters(t *testing.T) {
 		env.Spawn("reader", func(p *sim.Proc) {
 			p.Wait(sim.Microsecond)
 			tk := task(pl, p, i+1)
-			if err := m.Acquire(tk, uint64(i+10), "row", S); err != nil {
+			if err := m.Acquire(tk, uint64(i+10), name("row"), S); err != nil {
 				t.Error(err)
 				return
 			}
@@ -296,18 +301,140 @@ func TestLockNamesDistinct(t *testing.T) {
 	}
 }
 
+// legacyName is what a lock name was before it became a value: the string
+// whose bytes hashName hashed.
+func legacyName(kind byte, table uint16, key []byte) string {
+	s := string(kind) + strconv.Itoa(int(table))
+	if kind == 'r' {
+		s += ":" + string(key)
+	}
+	return s
+}
+
+// TestNameHashIsTheLegacyHash draws random tables and keys, on both sides of
+// the inline capacity, and checks that a name hashes to FNV-1a over its
+// legacy text: the lock table's timing address and latch stripe, and through
+// them every simulated result of the conventional engine, depend on it.
+func TestNameHashIsTheLegacyHash(t *testing.T) {
+	// The hash as it was written over string names (FNV-1a's loop from this
+	// package's own offset basis, which is not the standard one).
+	fnv := func(name string) uint64 {
+		h := uint64(1469598103934665603)
+		for i := 0; i < len(name); i++ {
+			h ^= uint64(name[i])
+			h *= 1099511628211
+		}
+		return h
+	}
+	r := sim.NewRand(18)
+	for i := 0; i < 5000; i++ {
+		table := uint16(r.Intn(1 << 16))
+		key := make([]byte, r.Intn(2*nameInline+8))
+		for j := range key {
+			key[j] = byte(r.Intn(256))
+		}
+		row := RowLock(table, key)
+		if got, want := hashName(row), fnv(legacyName('r', table, key)); got != want {
+			t.Fatalf("hashName(RowLock(%d, %x)) = %x, want %x", table, key, got, want)
+		}
+		if got, want := row.String(), legacyName('r', table, key); got != want {
+			t.Fatalf("RowLock(%d, %x).String() = %q, want %q", table, key, got, want)
+		}
+		if got, want := hashName(TableLock(table)), fnv(legacyName('t', table, nil)); got != want {
+			t.Fatalf("hashName(TableLock(%d)) = %x, want %x", table, got, want)
+		}
+	}
+}
+
+// TestLongKeysSpill locks rows whose keys exceed the inline capacity: names
+// that differ only beyond it are different locks, equal keys the same lock,
+// and building an inline name allocates nothing.
+func TestLongKeysSpill(t *testing.T) {
+	long := func(last byte) []byte {
+		k := make([]byte, nameInline+12)
+		k[len(k)-1] = last
+		return k
+	}
+	if RowLock(1, long(1)) == RowLock(1, long(2)) {
+		t.Error("long keys differing in their last byte share a name")
+	}
+	if RowLock(1, long(1)) != RowLock(1, long(1)) {
+		t.Error("equal long keys name different locks")
+	}
+	env, pl, m := fixture()
+	var order []int
+	for i := 0; i < 2; i++ {
+		i := i
+		env.Spawn("w", func(p *sim.Proc) {
+			p.Wait(sim.Duration(i) * sim.Microsecond)
+			tk := task(pl, p, i)
+			if err := m.Acquire(tk, uint64(i+1), RowLock(1, long(7)), X); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := m.Acquire(tk, uint64(i+1), RowLock(1, long(byte(i))), X); err != nil {
+				t.Error(err)
+			}
+			order = append(order, i)
+			p.Wait(10 * sim.Microsecond)
+			m.ReleaseAll(tk, uint64(i+1))
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != 0 || m.Waits() != 1 {
+		t.Fatalf("grant order %v with %d waits, want [0 1] with 1", order, m.Waits())
+	}
+	key := make([]byte, nameInline)
+	if n := testing.AllocsPerRun(100, func() { _ = hashName(RowLock(3, key)) }); n != 0 {
+		t.Errorf("an inline row lock name costs %v allocations", n)
+	}
+}
+
+// TestWaitersAreRecycled blocks the same two transactions on each other's
+// row over and over: after the first round the manager builds no new waiter.
+func TestWaitersAreRecycled(t *testing.T) {
+	env, pl, m := fixture()
+	const rounds = 50
+	for i := 0; i < 2; i++ {
+		i := i
+		env.Spawn("w", func(p *sim.Proc) {
+			tk := task(pl, p, i)
+			for r := 0; r < rounds; r++ {
+				id := uint64(2*r + i + 1)
+				if err := m.Acquire(tk, id, name("row"), X); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Wait(sim.Microsecond)
+				m.ReleaseAll(tk, id)
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Waits() < rounds/2 {
+		t.Fatalf("only %d waits in %d rounds: the test does not contend", m.Waits(), rounds)
+	}
+	if n := len(m.freeWaiters); n != 1 {
+		t.Errorf("%d waiters built for %d waits of one process at a time, want 1", n, m.Waits())
+	}
+}
+
 func TestWaitTimeAccumulates(t *testing.T) {
 	env, pl, m := fixture()
 	env.Spawn("holder", func(p *sim.Proc) {
 		tk := task(pl, p, 0)
-		m.Acquire(tk, 1, "row", X)
+		m.Acquire(tk, 1, name("row"), X)
 		p.Wait(100 * sim.Microsecond)
 		m.ReleaseAll(tk, 1)
 	})
 	env.Spawn("waiter", func(p *sim.Proc) {
 		p.Wait(sim.Microsecond)
 		tk := task(pl, p, 1)
-		m.Acquire(tk, 2, "row", X)
+		m.Acquire(tk, 2, name("row"), X)
 		m.ReleaseAll(tk, 2)
 	})
 	if err := env.Run(); err != nil {

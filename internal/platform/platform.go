@@ -433,6 +433,12 @@ func (pl *Platform) NewTask(p *sim.Proc, core *Core, bd *stats.Breakdown) *Task 
 	return &Task{P: p, BD: bd, core: core}
 }
 
+// Reset starts the task afresh, as a NewTask on the same process and core
+// would be: a charge accumulated since the last Flush is dropped, never
+// served by the core (the Breakdown keeps it). Owners that keep one Task for
+// many units of work call it between units.
+func (t *Task) Reset() { t.pending = 0 }
+
 // Core returns the core this task charges.
 func (t *Task) Core() *Core { return t.core }
 

@@ -192,12 +192,19 @@ func (q *Queue[T]) Close() {
 // Signal is a one-shot completion event carrying a value: the handshake for
 // asynchronous hardware requests. Await blocks until Fire; once fired,
 // Await returns immediately. Multiple processes may await one signal.
+//
+// The first waiter is held inline (nearly every signal has exactly one), so
+// awaiting allocates nothing until a second process arrives. An owner that
+// uses one signal per transaction re-arms it with Reset instead of building
+// a new one.
 type Signal struct {
 	env     *Env
 	sh      *shard // owner shard: clock source and confinement domain
 	fired   bool
 	val     any
-	waiters []*Proc
+	first   *Proc   // the first waiter
+	waiters []*Proc // later waiters, in arrival order
+	woken   int     // waiters Fire woke that have not yet returned from Await
 	onFire  []func(any)
 }
 
@@ -213,22 +220,47 @@ func (s *Signal) OnShard(i int) *Signal {
 }
 
 // Fire completes the signal with value v, runs OnFire callbacks, and wakes
-// all waiters. Firing an already-fired signal panics: completions must be
-// delivered exactly once.
+// all waiters in arrival order. Firing an already-fired signal panics:
+// completions must be delivered exactly once.
 func (s *Signal) Fire(v any) {
 	if s.fired {
 		panic("sim: signal fired twice")
 	}
 	s.fired = true
 	s.val = v
-	for _, fn := range s.onFire {
+	for i, fn := range s.onFire {
 		fn(v)
+		s.onFire[i] = nil
 	}
-	s.onFire = nil
-	for _, w := range s.waiters {
+	s.onFire = s.onFire[:0]
+	if s.first == nil {
+		return
+	}
+	s.env.scheduleWake(s.first, s.sh.now)
+	s.first = nil
+	s.woken = 1 + len(s.waiters)
+	for i, w := range s.waiters {
 		s.env.scheduleWake(w, s.sh.now)
+		s.waiters[i] = nil
 	}
-	s.waiters = nil
+	s.waiters = s.waiters[:0]
+}
+
+// Reset re-arms a fired signal for another Fire, keeping its shard binding
+// and the storage of its waiter and callback lists. Only the signal's owner
+// may call it, and only once nothing else can still be looking at the old
+// completion: Reset panics on a signal that has not fired (a waiter or an
+// OnFire callback may be pending on it) and on one whose woken waiters have
+// not all returned from Await.
+func (s *Signal) Reset() {
+	if !s.fired {
+		panic("sim: reset of a signal that has not fired")
+	}
+	if s.woken != 0 {
+		panic("sim: reset of a signal whose waiters have not all resumed")
+	}
+	s.fired = false
+	s.val = nil
 }
 
 // OnFire registers fn to run synchronously, in registration order, when the
@@ -255,9 +287,14 @@ func (s *Signal) Await(p *Proc) any {
 	if s.env.parallel && p.sh != s.sh {
 		panic("sim: process " + p.name + " awaits a signal owned by another shard")
 	}
-	for !s.fired {
-		s.waiters = append(s.waiters, p)
+	if !s.fired {
+		if s.first == nil {
+			s.first = p
+		} else {
+			s.waiters = append(s.waiters, p)
+		}
 		p.park()
+		s.woken--
 	}
 	return s.val
 }

@@ -405,6 +405,101 @@ func TestSignalDoubleFirePanics(t *testing.T) {
 	}
 }
 
+// signalRound parks n waiters on sig at one-microsecond intervals, fires it
+// after the last has arrived and reports the order the waiters woke in.
+func signalRound(env *Env, sig *Signal, n int, order *[]int) {
+	for i := 0; i < n; i++ {
+		i := i
+		env.Spawn("waiter", func(p *Proc) {
+			p.Wait(Duration(i) * Microsecond)
+			if got := sig.Await(p); got != n {
+				panic("waiter woke with the wrong value")
+			}
+			*order = append(*order, i)
+		})
+	}
+	env.Spawn("firer", func(p *Proc) {
+		p.Wait(Duration(n) * Microsecond)
+		sig.Fire(n)
+	})
+}
+
+// TestSignalWakesInArrivalOrder fires a signal with 1, 2 and 5 waiters — the
+// inline first waiter alone, with one spilled, with several — and checks
+// they wake in arrival order for the event count a signal that kept every
+// waiter in one slice cost (taken on the commit before the inline waiter).
+// A second round on the same signal after Reset must cost and order the
+// same.
+func TestSignalWakesInArrivalOrder(t *testing.T) {
+	for _, c := range []struct {
+		waiters  int
+		executed uint64
+	}{{1, 5}, {2, 8}, {5, 17}} {
+		env := NewEnv()
+		sig := NewSignal(env)
+		for round := 0; round < 2; round++ {
+			var order []int
+			before := env.Executed()
+			signalRound(env, sig, c.waiters, &order)
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := env.Executed() - before; got != c.executed {
+				t.Errorf("%d waiters, round %d: %d events, want %d", c.waiters, round, got, c.executed)
+			}
+			for i, w := range order {
+				if w != i {
+					t.Fatalf("%d waiters, round %d: woke in order %v", c.waiters, round, order)
+				}
+			}
+			if len(order) != c.waiters {
+				t.Fatalf("%d waiters, round %d: only %v woke", c.waiters, round, order)
+			}
+			sig.Reset()
+		}
+	}
+}
+
+// TestSignalResetPanicsWhileInUse: Reset is for a signal whose completion
+// everybody has seen. An unfired signal may have a waiter or an OnFire
+// callback pending (or get one later), and a fired one may still owe a woken
+// waiter its return from Await.
+func TestSignalResetPanicsWhileInUse(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Reset did not panic", name)
+			}
+		}()
+		fn()
+	}
+	env := NewEnv()
+	mustPanic("unfired", func() { NewSignal(env).Reset() })
+
+	hooked := NewSignal(env)
+	hooked.OnFire(func(any) {})
+	mustPanic("OnFire pending", hooked.Reset)
+
+	awaited, woken := NewSignal(env), NewSignal(env)
+	env.Spawn("waiter", func(p *Proc) { awaited.Await(p) })
+	env.Spawn("sleeper", func(p *Proc) { woken.Await(p) })
+	env.Spawn("owner", func(p *Proc) {
+		p.Wait(Microsecond)
+		mustPanic("waiter parked", awaited.Reset)
+		woken.Fire(nil)
+		// The sleeper's wake is scheduled, not yet run: it has not seen the
+		// completion.
+		mustPanic("waiter woken but not resumed", woken.Reset)
+		p.Yield()
+		woken.Reset()
+	})
+	if err := env.RunUntil(Time(Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	env.Close()
+}
+
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(7), NewRand(7)
 	for i := 0; i < 100; i++ {

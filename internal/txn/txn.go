@@ -48,7 +48,9 @@ type UndoRec struct {
 	Before []byte // pre-image for updates/deletes
 }
 
-// Txn is one transaction.
+// Txn is one transaction. A client that runs one transaction at a time may
+// keep one Txn and start each transaction in it with Manager.BeginIn, which
+// keeps the storage of Undo and Shards.
 type Txn struct {
 	ID      uint64
 	State   State
@@ -59,6 +61,15 @@ type Txn struct {
 	// there, kept sorted by shard. Single-shard transactions (and every
 	// transaction on a central log) have at most one entry.
 	Shards []wal.ShardLSN
+
+	vec []byte // the commit record's encoded shard vector, reused
+}
+
+// dropUndo empties the undo list, releasing the key and image references
+// but keeping the list's storage for the Txn's next transaction.
+func (tx *Txn) dropUndo() {
+	clear(tx.Undo)
+	tx.Undo = tx.Undo[:0]
 }
 
 // note records that a data record reached horizon lsn on shard, keeping the
@@ -100,6 +111,12 @@ func noteVec(vec []wal.ShardLSN, shard int, lsn wal.LSN, max bool) []wal.ShardLS
 type Writes struct {
 	Undo   []UndoRec
 	Shards []wal.ShardLSN
+}
+
+// Reset empties the buffer for another action, keeping its storage.
+func (w *Writes) Reset() {
+	clear(w.Undo)
+	w.Undo, w.Shards = w.Undo[:0], w.Shards[:0]
 }
 
 // MergeWrites folds one action's write buffer into the transaction: undo
@@ -145,11 +162,19 @@ type Manager struct {
 	beginsBy  []int64
 	commitsBy []int64
 	abortsBy  []int64
+
+	// recs holds idle log records, one free list per socket in per-socket
+	// mode and a single one otherwise. A record goes through the Appender
+	// interface and so lives on the heap; an append borrows one for its own
+	// duration. An append can park (core, log latch) while another process —
+	// another action of the same transaction, even — starts its own, so the
+	// unit of reuse is the append in flight, never the Txn or the Manager.
+	recs [][]*wal.Record
 }
 
 // NewManager creates a transaction manager appending to log.
 func NewManager(env *sim.Env, log *wal.LogSet, cfg Config) *Manager {
-	return &Manager{cfg: cfg, log: log, env: env, nextID: 1}
+	return &Manager{cfg: cfg, log: log, env: env, nextID: 1, recs: make([][]*wal.Record, 1)}
 }
 
 // ShardPerSocket switches the manager to per-socket operation for an
@@ -168,61 +193,98 @@ func (m *Manager) ShardPerSocket(nSockets int) {
 	m.beginsBy = make([]int64, nSockets)
 	m.commitsBy = make([]int64, nSockets)
 	m.abortsBy = make([]int64, nSockets)
+	m.recs = make([][]*wal.Record, nSockets)
 }
 
 // LogSet returns the log set the manager appends to.
 func (m *Manager) LogSet() *wal.LogSet { return m.log }
 
-// Begin starts a transaction, logging a BEGIN record on the caller's shard.
+// Begin starts a transaction in a fresh Txn; see BeginIn.
+func (m *Manager) Begin(t *platform.Task) *Txn {
+	tx := &Txn{}
+	m.BeginIn(t, tx)
+	return tx
+}
+
+// BeginIn starts a transaction in tx, which must not be active (a zero Txn,
+// or one whose previous transaction committed or aborted and whose commit
+// signal, if any, has fired), logging a BEGIN record on the caller's shard.
 // Begin records are not part of the durability vector: recovery never needs
 // them, so losing one in a crash is harmless.
-func (m *Manager) Begin(t *platform.Task) *Txn {
-	var tx *Txn
+func (m *Manager) BeginIn(t *platform.Task, tx *Txn) {
+	if tx.State == Active {
+		panic(fmt.Sprintf("txn: begin in active transaction %d", tx.ID))
+	}
 	if m.nextIDs != nil {
 		s := t.Core().SocketID()
 		m.beginsBy[s]++
-		tx = &Txn{ID: m.nextIDs[s], State: Active}
+		tx.ID = m.nextIDs[s]
 		m.nextIDs[s] += uint64(m.nSock)
 	} else {
 		m.begins++
-		tx = &Txn{ID: m.nextID, State: Active}
+		tx.ID = m.nextID
 		m.nextID++
 	}
+	tx.State = Active
+	tx.dropUndo()
+	tx.Shards = tx.Shards[:0]
 	t.Exec(stats.CompXct, m.cfg.BeginInstr)
-	rec := wal.Record{Txn: tx.ID, Type: wal.RecBegin}
-	tx.LastLSN = m.log.Append(t, m.log.ShardFor(t), &rec)
-	return tx
+	tx.LastLSN = m.append(t, m.log.ShardFor(t), wal.Record{Txn: tx.ID, Type: wal.RecBegin})
+}
+
+// append writes rec to the given log shard through a borrowed heap record
+// and returns its durability horizon.
+func (m *Manager) append(t *platform.Task, shard int, rec wal.Record) wal.LSN {
+	free := &m.recs[0]
+	if m.nextIDs != nil {
+		free = &m.recs[t.Core().SocketID()]
+	}
+	var r *wal.Record
+	if n := len(*free); n > 0 {
+		r = (*free)[n-1]
+		*free = (*free)[:n-1]
+	} else {
+		r = new(wal.Record)
+	}
+	*r = rec
+	lsn := m.log.Append(t, shard, r)
+	*r = wal.Record{}
+	*free = append(*free, r)
+	return lsn
 }
 
 // logData appends one data record on the caller's socket-local shard and
 // folds its horizon into the transaction's durability vector.
-func (m *Manager) logData(t *platform.Task, tx *Txn, rec *wal.Record) {
+func (m *Manager) logData(t *platform.Task, tx *Txn, rec wal.Record) {
 	shard := m.log.ShardFor(t)
-	tx.note(shard, m.log.Append(t, shard, rec))
+	tx.note(shard, m.append(t, shard, rec))
+}
+
+// logDataW is logData for an action's private write buffer.
+func (m *Manager) logDataW(t *platform.Task, w *Writes, rec wal.Record) {
+	shard := m.log.ShardFor(t)
+	w.Shards = noteVec(w.Shards, shard, m.append(t, shard, rec), false)
 }
 
 // LogInsert records an insert of key into table with the given post-image
 // and remembers how to undo it.
 func (m *Manager) LogInsert(t *platform.Task, tx *Txn, table uint16, key, after []byte) {
 	m.mustBeActive(tx)
-	rec := wal.Record{Txn: tx.ID, Type: wal.RecInsert, Table: table, Key: key, After: after}
-	m.logData(t, tx, &rec)
+	m.logData(t, tx, wal.Record{Txn: tx.ID, Type: wal.RecInsert, Table: table, Key: key, After: after})
 	tx.Undo = append(tx.Undo, UndoRec{Table: table, Type: wal.RecInsert, Key: key})
 }
 
 // LogUpdate records an update with before and after images.
 func (m *Manager) LogUpdate(t *platform.Task, tx *Txn, table uint16, key, before, after []byte) {
 	m.mustBeActive(tx)
-	rec := wal.Record{Txn: tx.ID, Type: wal.RecUpdate, Table: table, Key: key, Before: before, After: after}
-	m.logData(t, tx, &rec)
+	m.logData(t, tx, wal.Record{Txn: tx.ID, Type: wal.RecUpdate, Table: table, Key: key, Before: before, After: after})
 	tx.Undo = append(tx.Undo, UndoRec{Table: table, Type: wal.RecUpdate, Key: key, Before: before})
 }
 
 // LogDelete records a delete with its pre-image.
 func (m *Manager) LogDelete(t *platform.Task, tx *Txn, table uint16, key, before []byte) {
 	m.mustBeActive(tx)
-	rec := wal.Record{Txn: tx.ID, Type: wal.RecDelete, Table: table, Key: key, Before: before}
-	m.logData(t, tx, &rec)
+	m.logData(t, tx, wal.Record{Txn: tx.ID, Type: wal.RecDelete, Table: table, Key: key, Before: before})
 	tx.Undo = append(tx.Undo, UndoRec{Table: table, Type: wal.RecDelete, Key: key, Before: before})
 }
 
@@ -232,25 +294,19 @@ func (m *Manager) LogDelete(t *platform.Task, tx *Txn, table uint16, key, before
 // action's private buffer instead of a shared Txn. The owner merges buffers
 // at the phase barrier (Txn.MergeWrites).
 func (m *Manager) LogInsertW(t *platform.Task, txnID uint64, w *Writes, table uint16, key, after []byte) {
-	rec := wal.Record{Txn: txnID, Type: wal.RecInsert, Table: table, Key: key, After: after}
-	shard := m.log.ShardFor(t)
-	w.Shards = noteVec(w.Shards, shard, m.log.Append(t, shard, &rec), false)
+	m.logDataW(t, w, wal.Record{Txn: txnID, Type: wal.RecInsert, Table: table, Key: key, After: after})
 	w.Undo = append(w.Undo, UndoRec{Table: table, Type: wal.RecInsert, Key: key})
 }
 
 // LogUpdateW is the Writes-buffered LogUpdate; see LogInsertW.
 func (m *Manager) LogUpdateW(t *platform.Task, txnID uint64, w *Writes, table uint16, key, before, after []byte) {
-	rec := wal.Record{Txn: txnID, Type: wal.RecUpdate, Table: table, Key: key, Before: before, After: after}
-	shard := m.log.ShardFor(t)
-	w.Shards = noteVec(w.Shards, shard, m.log.Append(t, shard, &rec), false)
+	m.logDataW(t, w, wal.Record{Txn: txnID, Type: wal.RecUpdate, Table: table, Key: key, Before: before, After: after})
 	w.Undo = append(w.Undo, UndoRec{Table: table, Type: wal.RecUpdate, Key: key, Before: before})
 }
 
 // LogDeleteW is the Writes-buffered LogDelete; see LogInsertW.
 func (m *Manager) LogDeleteW(t *platform.Task, txnID uint64, w *Writes, table uint16, key, before []byte) {
-	rec := wal.Record{Txn: txnID, Type: wal.RecDelete, Table: table, Key: key, Before: before}
-	shard := m.log.ShardFor(t)
-	w.Shards = noteVec(w.Shards, shard, m.log.Append(t, shard, &rec), false)
+	m.logDataW(t, w, wal.Record{Txn: txnID, Type: wal.RecDelete, Table: table, Key: key, Before: before})
 	w.Undo = append(w.Undo, UndoRec{Table: table, Type: wal.RecDelete, Key: key, Before: before})
 }
 
@@ -276,6 +332,17 @@ func (m *Manager) anchorShard(t *platform.Task, tx *Txn) int {
 // caller chooses whether to await the signal (synchronous commit latency)
 // or hand it to a terminal (lazy commit, the DORA pattern).
 func (m *Manager) Commit(t *platform.Task, tx *Txn) *sim.Signal {
+	done := sim.NewSignal(m.env)
+	if m.nextIDs != nil {
+		done.OnShard(t.P.Shard())
+	}
+	m.CommitTo(t, tx, done)
+	return done
+}
+
+// CommitTo is Commit firing a signal the caller owns: unfired, and in
+// per-socket mode homed on the caller's kernel shard.
+func (m *Manager) CommitTo(t *platform.Task, tx *Txn, done *sim.Signal) {
 	m.mustBeActive(tx)
 	if m.commitsBy != nil {
 		m.commitsBy[t.Core().SocketID()]++
@@ -291,18 +358,14 @@ func (m *Manager) Commit(t *platform.Task, tx *Txn) *sim.Signal {
 	// the multi-shard case; with a per-socket (caller-shard) anchor a
 	// single remote data shard needs it too.
 	if len(tx.Shards) > 1 || (len(tx.Shards) == 1 && tx.Shards[0].Shard != anchor) {
-		rec.After = wal.EncodeShardVec(nil, tx.Shards)
+		tx.vec = wal.EncodeShardVec(tx.vec[:0], tx.Shards)
+		rec.After = tx.vec
 	}
-	lsn := m.log.Append(t, anchor, &rec)
+	lsn := m.append(t, anchor, rec)
 	tx.note(anchor, lsn) // the anchor entry now covers the commit record
 	tx.State = Committed
-	tx.Undo = nil
-	done := sim.NewSignal(m.env)
-	if m.nextIDs != nil {
-		done.OnShard(t.P.Shard())
-	}
+	tx.dropUndo()
 	m.log.CommitDurableFrom(t, tx.Shards, done)
-	return done
 }
 
 // Abort rolls the transaction back: apply is called for each undo record in
@@ -320,10 +383,9 @@ func (m *Manager) Abort(t *platform.Task, tx *Txn, apply func(u UndoRec)) {
 	for i := len(tx.Undo) - 1; i >= 0; i-- {
 		apply(tx.Undo[i])
 	}
-	rec := wal.Record{Txn: tx.ID, Type: wal.RecAbort}
-	tx.LastLSN = m.log.Append(t, m.anchorShard(t, tx), &rec)
+	tx.LastLSN = m.append(t, m.anchorShard(t, tx), wal.Record{Txn: tx.ID, Type: wal.RecAbort})
 	tx.State = Aborted
-	tx.Undo = nil
+	tx.dropUndo()
 }
 
 func (m *Manager) mustBeActive(tx *Txn) {

@@ -159,3 +159,110 @@ func TestXctComponentCharged(t *testing.T) {
 		t.Fatal("log records should charge Log mgmt")
 	}
 }
+
+// TestInterleavedAppendsKeepTheirRecords has two actions of one transaction
+// log updates from two cores at once: the log latch is contended, so each
+// append parks with its record half-written to the log while the other
+// starts its own. The log must hold, per action in order, exactly the records
+// a fresh literal per append would have produced, and the manager must not
+// have built more records than appends were ever in flight together.
+func TestInterleavedAppendsKeepTheirRecords(t *testing.T) {
+	env, pl, store, lm, tm := fixture()
+	const per = 40
+	img := func(who, i int, what byte) []byte { return []byte{what, byte(who), byte(i), what} }
+	var tx *Txn
+	finished := 0
+	env.Spawn("coord", func(p *sim.Proc) {
+		task := pl.NewTask(p, pl.Cores[0], nil)
+		tx = tm.Begin(task)
+		task.Flush()
+		for who := 1; who <= 2; who++ {
+			who := who
+			env.Spawn("action", func(ap *sim.Proc) {
+				at := pl.NewTask(ap, pl.Cores[who], nil)
+				for i := 0; i < per; i++ {
+					tm.LogUpdate(at, tx, uint16(who), img(who, i, 'k'), img(who, i, 'b'), img(who, i, 'a'))
+				}
+				at.Flush()
+				if finished++; finished == 2 {
+					lm.Stop()
+				}
+			})
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lm.LatchWait() == 0 {
+		t.Fatal("the two actions never queued on the log latch: nothing interleaved")
+	}
+	next := map[uint16]int{1: 0, 2: 0}
+	err := wal.Scan(store.Bytes(), 0, func(r wal.Record) bool {
+		if r.Type != wal.RecUpdate {
+			return true
+		}
+		who, i := int(r.Table), next[r.Table]
+		next[r.Table]++
+		if r.Txn != tx.ID || !bytes.Equal(r.Key, img(who, i, 'k')) ||
+			!bytes.Equal(r.Before, img(who, i, 'b')) || !bytes.Equal(r.After, img(who, i, 'a')) {
+			t.Errorf("action %d update %d logged as %+v", who, i, r)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next[1] != per || next[2] != per {
+		t.Errorf("logged %d and %d updates, want %d each", next[1], next[2], per)
+	}
+	if len(tx.Undo) != 2*per {
+		t.Errorf("%d undo entries, want %d", len(tx.Undo), 2*per)
+	}
+	if n := len(tm.recs[0]); n != 2 {
+		t.Errorf("%d log records built for two appenders, want 2", n)
+	}
+}
+
+// TestBeginInReusesTheTxn runs two transactions through one Txn: the second
+// starts clean, keeps the first one's storage, and BeginIn refuses a
+// transaction that is still active.
+func TestBeginInReusesTheTxn(t *testing.T) {
+	env, pl, _, lm, tm := fixture()
+	env.Spawn("w", func(p *sim.Proc) {
+		task := pl.NewTask(p, pl.Cores[0], nil)
+		done := sim.NewSignal(env)
+		var tx Txn
+		tm.BeginIn(task, &tx)
+		first := tx.ID
+		tm.LogUpdate(task, &tx, 1, []byte("k"), []byte("b"), []byte("a"))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("BeginIn on an active transaction did not panic")
+				}
+			}()
+			tm.BeginIn(task, &tx)
+		}()
+		tm.CommitTo(task, &tx, done)
+		task.Flush()
+		done.Await(p)
+		done.Reset()
+		undoCap := cap(tx.Undo)
+		tm.BeginIn(task, &tx)
+		if tx.ID == first || tx.State != Active || len(tx.Undo) != 0 || len(tx.Shards) != 0 {
+			t.Errorf("second transaction starts as %+v", tx)
+		}
+		if cap(tx.Undo) != undoCap || undoCap == 0 {
+			t.Errorf("undo storage not kept: cap %d, was %d", cap(tx.Undo), undoCap)
+		}
+		tm.Abort(task, &tx, func(UndoRec) {})
+		task.Flush()
+		lm.Stop()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tm.Begins() != 2 || tm.Commits() != 1 || tm.Aborts() != 1 {
+		t.Errorf("begins %d commits %d aborts %d", tm.Begins(), tm.Commits(), tm.Aborts())
+	}
+}

@@ -322,10 +322,16 @@ const shardVecEntrySize = 10
 // EncodeShardVec appends the wire form of vec to dst, sorted by shard so
 // the bytes are a pure function of the vector's content.
 func EncodeShardVec(dst []byte, vec []ShardLSN) []byte {
-	sorted := make([]ShardLSN, len(vec))
-	copy(sorted, vec)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Shard < sorted[j].Shard })
-	for _, e := range sorted {
+	// Transactions keep their vectors sorted; only a caller's unsorted one
+	// pays for a sorted copy.
+	for i := 1; i < len(vec); i++ {
+		if vec[i].Shard < vec[i-1].Shard {
+			vec = append([]ShardLSN(nil), vec...)
+			sort.Slice(vec, func(i, j int) bool { return vec[i].Shard < vec[j].Shard })
+			break
+		}
+	}
+	for _, e := range vec {
 		dst = append(dst, byte(e.Shard), byte(e.Shard>>8))
 		v := uint64(e.LSN)
 		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
