@@ -735,7 +735,7 @@ func fig4() {
 	}
 	results := runPoints(points)
 
-	t := stats.NewTable("workload", "engine", ">tps", ">uJ/txn", ">rel J", ">p50", ">p95", ">CPU J", ">FPGA J")
+	t := stats.NewTable("workload", "engine", ">tps", ">uJ/txn", ">rel J", ">p50", ">p95", ">retries/txn", ">CPU J", ">FPGA J")
 	var baseJ float64
 	for _, r := range results {
 		res := r.Res
@@ -752,6 +752,7 @@ func fig4() {
 			fmt.Sprintf("%.2f", rel),
 			res.Latency.Percentile(50).String(),
 			res.Latency.Percentile(95).String(),
+			fmt.Sprintf("%.3f", res.RetriesPerTxn()),
 			fmt.Sprintf("%.1f", (res.Energy.CPUDynamic+res.Energy.CPUIdle)*1e3),
 			fmt.Sprintf("%.1f", res.Energy.FPGA*1e3))
 	}

@@ -42,7 +42,7 @@ func main() {
 		// A read-modify-write transaction.
 		eng.Submit(term, func(tx bionicdb.Tx) bool {
 			return tx.Phase(bionicdb.Action{Table: 1, Key: key(7), Body: func(c bionicdb.AccessCtx) bool {
-				v, ok := c.Read(1, key(7))
+				v, ok := c.ReadForUpdate(1, key(7))
 				if !ok {
 					return false
 				}

@@ -56,6 +56,10 @@ func main() {
 		for _, name := range res.TxnNames() {
 			fmt.Printf(" %s=%d", name, res.TxnCounts[name])
 		}
+		fmt.Printf("\n    engine retries:")
+		for _, name := range res.TxnNames() {
+			fmt.Printf(" %s=%d", name, res.TxnRetries[name])
+		}
 		fmt.Println()
 		for _, line := range bionicdb.BreakdownLines(&res.BD) {
 			fmt.Println("    " + line)

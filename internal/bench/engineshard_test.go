@@ -51,6 +51,7 @@ func TestEngineShardGoldenDigest(t *testing.T) {
 	serial := mustRun(t, "engine-shard/serial", withKernel(points, false), Options{Parallel: 2})
 	if got := Digest(serial); got != engineShardGoldenDigest {
 		t.Errorf("serial engine-shard digest drifted:\n got  %s\n want %s", got, engineShardGoldenDigest)
+		logPointDigests(t, serial)
 	}
 	par := mustRun(t, "engine-shard/parallel", withKernel(points, true), Options{Parallel: 2})
 	if got := Digest(par); got != engineShardGoldenDigest {

@@ -203,7 +203,7 @@ func (e *Conventional) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 		term.conv = ctx
 	}
 	task, tx := ctx.task, &ctx.tx
-	for attempt := 0; ; attempt++ {
+	for term.Retries = 0; ; term.Retries++ {
 		task.Reset()
 		task.Exec(stats.CompFrontEnd, frontEndInstr)
 		e.tm.BeginIn(task, tx)
@@ -221,7 +221,7 @@ func (e *Conventional) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 			// Engine-induced abort (deadlock victim): roll back and retry.
 			e.rollback(task, ctx)
 			e.ctr.Inc("aborts.deadlock", 1)
-			if attempt < maxRetries {
+			if term.Retries < maxRetries {
 				continue
 			}
 			e.ctr.Inc("aborts.giveup", 1)
@@ -400,7 +400,19 @@ func (c *convCtx) noteLock(t0 sim.Time) {
 
 // Read implements AccessCtx.
 func (c *convCtx) Read(table uint16, key []byte) ([]byte, bool) {
-	if !c.lock(table, key, lockmgr.IS, lockmgr.S) {
+	return c.read(table, key, lockmgr.IS, lockmgr.S)
+}
+
+// ReadForUpdate implements AccessCtx: the read takes the locks the write
+// that follows it needs. Under S the two readers of one row that both go on
+// to write it each wait for the other's S to go, and the lock manager has to
+// abort one; under X the second queues behind the first.
+func (c *convCtx) ReadForUpdate(table uint16, key []byte) ([]byte, bool) {
+	return c.read(table, key, lockmgr.IX, lockmgr.X)
+}
+
+func (c *convCtx) read(table uint16, key []byte, tableMode, rowMode lockmgr.Mode) ([]byte, bool) {
+	if !c.lock(table, key, tableMode, rowMode) {
 		return nil, false
 	}
 	tr := c.e.traces.Get()

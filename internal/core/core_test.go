@@ -448,3 +448,71 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadForUpdateWaitsForReaders pins what ReadForUpdate means on the
+// conventional engine: it asks for the row's write lock, so it waits for a
+// transaction that holds the row under a plain Read, where a second plain
+// Read would share it. Nobody is a deadlock victim either way.
+func TestReadForUpdateWaitsForReaders(t *testing.T) {
+	key := storage.Uint64Key(7)
+	for _, c := range []struct {
+		name  string
+		read  func(c AccessCtx) ([]byte, bool)
+		waits bool
+	}{
+		{"Read", func(c AccessCtx) ([]byte, bool) { return c.Read(1, key) }, false},
+		{"ReadForUpdate", func(c AccessCtx) ([]byte, bool) { return c.ReadForUpdate(1, key) }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			e := NewConventional(env, platform.HC2(), kvTables())
+			e.Load(1, key, []byte("init"))
+			var readerDone, secondRead sim.Time
+			spawn := func(id int, logic func(p *sim.Proc) TxnLogic) {
+				env.Spawn("terminal", func(p *sim.Proc) {
+					term := &Terminal{ID: id, P: p, Core: e.Platform().Cores[id], R: sim.NewRand(1)}
+					if !e.Submit(term, logic(p)) {
+						t.Errorf("terminal %d did not commit", id)
+					}
+				})
+			}
+			spawn(0, func(p *sim.Proc) TxnLogic {
+				return func(tx Tx) bool {
+					return tx.Phase(Action{Table: 1, Key: key, Body: func(c AccessCtx) bool {
+						_, ok := c.Read(1, key)
+						p.Wait(100 * sim.Microsecond) // hold S while the other arrives
+						readerDone = p.Now()
+						return ok
+					}})
+				}
+			})
+			spawn(1, func(p *sim.Proc) TxnLogic {
+				return func(tx Tx) bool {
+					return tx.Phase(Action{Table: 1, Key: key, Body: func(ctx AccessCtx) bool {
+						p.Wait(20 * sim.Microsecond)
+						_, ok := c.read(ctx)
+						secondRead = p.Now()
+						return ok && ctx.Update(1, key, []byte("new"))
+					}})
+				}
+			})
+			if err := env.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if waited := secondRead >= readerDone; waited != c.waits {
+				t.Errorf("second %s returned at %v, the S holder finished at %v: waited = %v, want %v",
+					c.name, secondRead, readerDone, waited, c.waits)
+			}
+			if n := e.Counters().Get("aborts.deadlock"); n != 0 {
+				t.Errorf("%d deadlock aborts, want 0", n)
+			}
+			if v, _ := e.ReadRaw(1, key); string(v) != "new" {
+				t.Errorf("row = %q, want the second transaction's update", v)
+			}
+		})
+	}
+}

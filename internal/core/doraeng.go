@@ -473,7 +473,7 @@ func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 	}
 	dtx := e.frame(term)
 	task, tx := dtx.task, &dtx.tx
-	for attempt := 0; ; attempt++ {
+	for term.Retries = 0; ; term.Retries++ {
 		task.Reset()
 		task.Exec(stats.CompFrontEnd, frontEndInstr)
 		e.tm.BeginIn(task, tx)
@@ -482,7 +482,7 @@ func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 		if dtx.refused {
 			e.rollback(term, task, dtx)
 			ctr.Inc("aborts.deadlock", 1)
-			if attempt < maxRetries {
+			if term.Retries < maxRetries {
 				continue
 			}
 			ctr.Inc("aborts.giveup", 1)
@@ -978,6 +978,12 @@ func (c *doraCtx) Read(table uint16, key []byte) ([]byte, bool) {
 		tp.Put(tr)
 		return val, ok
 	}
+}
+
+// ReadForUpdate implements AccessCtx: the entity lock the action runs under
+// is already exclusive, so there is nothing to strengthen.
+func (c *doraCtx) ReadForUpdate(table uint16, key []byte) ([]byte, bool) {
+	return c.Read(table, key)
 }
 
 // Update implements AccessCtx.

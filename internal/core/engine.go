@@ -15,6 +15,11 @@ import (
 type AccessCtx interface {
 	// Read returns the row under key.
 	Read(table uint16, key []byte) (val []byte, ok bool)
+	// ReadForUpdate is a Read by a body that goes on to Update or Delete
+	// the row. It returns what Read returns; an engine that locks rows takes
+	// the write lock here, so two such bodies on one row queue at the read
+	// instead of both holding a read lock the other's upgrade waits on.
+	ReadForUpdate(table uint16, key []byte) (val []byte, ok bool)
 	// Update replaces an existing row; false if it does not exist.
 	Update(table uint16, key, val []byte) bool
 	// Insert adds a new row; false if the key already exists.
@@ -71,6 +76,12 @@ type Terminal struct {
 	// nil when untraced. Engines record submit, durability-wait and
 	// cross-shard decision spans into it from the terminal's process.
 	Rec *obs.ShardRec
+
+	// Retries is how many times the engine re-ran the current transaction
+	// after an engine-induced abort (deadlock victim, refused lock). Engines
+	// reset it at Submit entry and bump it per re-attempt; the harness folds
+	// in-window values per transaction type into Result.TxnRetries.
+	Retries int
 
 	// The terminal's transaction frame on the engine it submits to, built
 	// by that engine on first use (doraTx, convCtx).

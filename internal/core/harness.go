@@ -79,7 +79,11 @@ type Result struct {
 	BD        stats.Breakdown  // CPU component times in the window
 	Latency   *stats.Histogram // committed-transaction latency
 	TxnCounts map[string]int64 // per-transaction-type completions
-	Cache     platform.CacheStats
+	// TxnRetries is, per transaction type, how many times the engine re-ran
+	// the in-window transactions TxnCounts counts (Terminal.Retries summed).
+	// Like Anatomy it is deliberately not part of the sweep digest.
+	TxnRetries map[string]int64
+	Cache      platform.CacheStats
 
 	// LogShards is per-log-shard activity in the window (bytes written,
 	// syncs, arbitration epochs per socket); one entry for a central log.
@@ -199,6 +203,20 @@ func (r *Result) TxnNames() []string {
 	return names
 }
 
+// RetriesPerTxn is the engine's re-attempts per in-window transaction over
+// all types (TxnRetries over TxnCounts).
+func (r *Result) RetriesPerTxn() float64 {
+	var retries, txns int64
+	for name, n := range r.TxnCounts {
+		txns += n
+		retries += r.TxnRetries[name]
+	}
+	if txns == 0 {
+		return 0
+	}
+	return float64(retries) / float64(txns)
+}
+
 // Run executes one full measurement: build the engine on a fresh
 // environment, populate, warm up, measure, and drain. The returned Result
 // covers only the measurement window.
@@ -303,10 +321,11 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	// are preallocated here, once per run — nothing on the per-transaction
 	// recording path allocates.
 	res := &Result{
-		Engine:    eng.Name(),
-		Workload:  wl.Name(),
-		Latency:   &stats.Histogram{},
-		TxnCounts: make(map[string]int64, 16),
+		Engine:     eng.Name(),
+		Workload:   wl.Name(),
+		Latency:    &stats.Histogram{},
+		TxnCounts:  make(map[string]int64, 16),
+		TxnRetries: make(map[string]int64), // most runs never retry: no buckets up front
 	}
 
 	var startBD, endBD stats.Breakdown
@@ -354,10 +373,11 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	}
 
 	stop := false
-	var termCounts []map[string]int64
+	var termCounts, termRetries []map[string]int64
 	var termLats []*stats.Histogram
 	if shardedRun {
 		termCounts = make([]map[string]int64, cfg.Terminals)
+		termRetries = make([]map[string]int64, cfg.Terminals)
 		termLats = make([]*stats.Histogram, cfg.Terminals)
 	}
 	// Per-terminal anatomy, merged in terminal-ID order after the run —
@@ -367,11 +387,12 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 		i := i
 		tr := root.Split()
 		core := pl.Cores[i%len(pl.Cores)]
-		counts, lat := res.TxnCounts, res.Latency
+		counts, retries, lat := res.TxnCounts, res.TxnRetries, res.Latency
 		if shardedRun {
 			termCounts[i] = make(map[string]int64, 16)
+			termRetries[i] = make(map[string]int64)
 			termLats[i] = &stats.Histogram{}
-			counts, lat = termCounts[i], termLats[i]
+			counts, retries, lat = termCounts[i], termRetries[i], termLats[i]
 		}
 		var termRec *obs.ShardRec
 		if rec != nil {
@@ -390,6 +411,9 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 				committed := eng.Submit(term, logic)
 				if start >= warmT && p.Now() <= endT {
 					counts[name]++
+					if term.Retries > 0 {
+						retries[name] += int64(term.Retries)
+					}
 					if committed {
 						lat.Record(p.Now().Sub(start))
 						for ph := stats.Phase(0); ph < stats.NumPhases; ph++ {
@@ -469,6 +493,9 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 		for i := 0; i < cfg.Terminals; i++ {
 			for name, n := range termCounts[i] {
 				res.TxnCounts[name] += n
+			}
+			for name, n := range termRetries[i] {
+				res.TxnRetries[name] += n
 			}
 			res.Latency.Merge(termLats[i])
 		}

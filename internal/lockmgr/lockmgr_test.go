@@ -100,6 +100,11 @@ func TestExclusiveBlocksAndFIFO(t *testing.T) {
 	if m.Waits() != 2 {
 		t.Fatalf("waits=%d", m.Waits())
 	}
+	// Writers that ask for X outright queue; none of them is a victim. This
+	// is what an update-intent read (core.AccessCtx.ReadForUpdate) relies on.
+	if m.Deadlocks() != 0 {
+		t.Fatalf("deadlocks=%d among outright X requests, want 0", m.Deadlocks())
+	}
 }
 
 func TestReacquireHeldIsFree(t *testing.T) {
@@ -198,19 +203,25 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestUpgradeDeadlockDetected is the S, S, X, X interleaving: both hold S,
+// both ask for the upgrade. Exactly one is the victim and the other gets its
+// X once the victim has let go.
 func TestUpgradeDeadlockDetected(t *testing.T) {
 	env, pl, m := fixture()
-	var deadlocks int
+	var deadlocks, upgraded int
 	for i := 0; i < 2; i++ {
 		i := i
 		env.Spawn("u", func(p *sim.Proc) {
 			tk := task(pl, p, i)
 			m.Acquire(tk, uint64(i+1), name("row"), S)
 			p.Wait(5 * sim.Microsecond)
-			if err := m.Acquire(tk, uint64(i+1), name("row"), X); err == ErrDeadlock {
+			switch err := m.Acquire(tk, uint64(i+1), name("row"), X); err {
+			case ErrDeadlock:
 				deadlocks++
-				m.ReleaseAll(tk, uint64(i+1))
-				return
+			case nil:
+				upgraded++
+			default:
+				t.Error(err)
 			}
 			m.ReleaseAll(tk, uint64(i+1))
 		})
@@ -218,8 +229,9 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if deadlocks == 0 {
-		t.Fatal("S->X upgrade race produced no deadlock victim")
+	if deadlocks != 1 || upgraded != 1 || m.Deadlocks() != 1 {
+		t.Fatalf("S->X upgrade race: %d victims, %d upgraded, Deadlocks()=%d; want 1, 1, 1",
+			deadlocks, upgraded, m.Deadlocks())
 	}
 }
 

@@ -383,7 +383,7 @@ func (w *Workload) UpdateSubscriberData(r *sim.Rand) core.TxnLogic {
 	sfKey := SFKey(sid, sf)
 	return func(tx core.Tx) bool {
 		return tx.Phase(core.Action{Table: TSubscriber, Key: subKey, Body: func(c core.AccessCtx) bool {
-			val, ok := c.Read(TSubscriber, subKey)
+			val, ok := c.ReadForUpdate(TSubscriber, subKey)
 			if !ok {
 				return false
 			}
@@ -392,7 +392,7 @@ func (w *Workload) UpdateSubscriberData(r *sim.Rand) core.TxnLogic {
 			if !c.Update(TSubscriber, subKey, sub.Encode()) {
 				return false
 			}
-			sfVal, ok := c.Read(TSpecialFacility, sfKey)
+			sfVal, ok := c.ReadForUpdate(TSpecialFacility, sfKey)
 			if !ok {
 				return false // spec: roll back
 			}
@@ -416,7 +416,7 @@ func (w *Workload) UpdateLocation(r *sim.Rand) core.TxnLogic {
 				return false
 			}
 			target := SubscriberKey(storage.DecodeUint64(idxVal))
-			val, ok := c.Read(TSubscriber, target)
+			val, ok := c.ReadForUpdate(TSubscriber, target)
 			if !ok {
 				return false
 			}

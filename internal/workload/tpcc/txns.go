@@ -57,7 +57,7 @@ func (w *Workload) NewOrder(r *sim.Rand) core.TxnLogic {
 		// against Payment).
 		ok := tx.Phase(
 			core.Action{Table: TDistrict, Key: DistrictKey(wid, did), Body: func(c core.AccessCtx) bool {
-				dv, found := c.Read(TDistrict, DistrictKey(wid, did))
+				dv, found := c.ReadForUpdate(TDistrict, DistrictKey(wid, did))
 				if !found {
 					return false
 				}
@@ -89,7 +89,7 @@ func (w *Workload) NewOrder(r *sim.Rand) core.TxnLogic {
 					return false // invalid item: spec rollback
 				}
 				item := DecodeItem(iv)
-				sv, found := c.Read(TStock, StockKey(ln.supplyW, ln.iid))
+				sv, found := c.ReadForUpdate(TStock, StockKey(ln.supplyW, ln.iid))
 				if !found {
 					return false
 				}
@@ -177,7 +177,7 @@ func (w *Workload) Payment(r *sim.Rand) core.TxnLogic {
 		// instead of the whole transaction (otherwise every Payment on
 		// the warehouse convoys behind whichever holder blocks).
 		if !tx.Phase(core.Action{Table: TDistrict, Key: DistrictKey(wid, did), Body: func(c core.AccessCtx) bool {
-			dv, found := c.Read(TDistrict, DistrictKey(wid, did))
+			dv, found := c.ReadForUpdate(TDistrict, DistrictKey(wid, did))
 			if !found {
 				return false
 			}
@@ -207,7 +207,7 @@ func (w *Workload) Payment(r *sim.Rand) core.TxnLogic {
 				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 				target = ids[len(ids)/2]
 			}
-			cv, found := c.Read(TCustomer, CustomerKey(cwid, cdid, target))
+			cv, found := c.ReadForUpdate(TCustomer, CustomerKey(cwid, cdid, target))
 			if !found {
 				return false
 			}
@@ -232,7 +232,7 @@ func (w *Workload) Payment(r *sim.Rand) core.TxnLogic {
 		}
 		// Final phase: the warehouse YTD update, held only across commit.
 		return tx.Phase(core.Action{Table: TWarehouse, Key: WarehouseKey(wid), Body: func(c core.AccessCtx) bool {
-			wv, found := c.Read(TWarehouse, WarehouseKey(wid))
+			wv, found := c.ReadForUpdate(TWarehouse, WarehouseKey(wid))
 			if !found {
 				return false
 			}
@@ -330,7 +330,7 @@ func (w *Workload) Delivery(r *sim.Rand) core.TxnLogic {
 				if !c.Delete(TNewOrder, OrderKey(wid, did, oldest)) {
 					return false
 				}
-				ov, found := c.Read(TOrder, OrderKey(wid, did, oldest))
+				ov, found := c.ReadForUpdate(TOrder, OrderKey(wid, did, oldest))
 				if !found {
 					return false
 				}
@@ -357,7 +357,7 @@ func (w *Workload) Delivery(r *sim.Rand) core.TxnLogic {
 						return false
 					}
 				}
-				cv, found := c.Read(TCustomer, CustomerKey(wid, did, o.CID))
+				cv, found := c.ReadForUpdate(TCustomer, CustomerKey(wid, did, o.CID))
 				if !found {
 					return false
 				}

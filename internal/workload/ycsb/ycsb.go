@@ -238,7 +238,7 @@ func (w *Workload) ReadModifyWrite(r *sim.Rand) core.TxnLogic {
 	val := w.value(r)
 	return func(tx core.Tx) bool {
 		return tx.Phase(core.Action{Table: TUser, Key: key, Body: func(c core.AccessCtx) bool {
-			if _, ok := c.Read(TUser, key); !ok {
+			if _, ok := c.ReadForUpdate(TUser, key); !ok {
 				return false
 			}
 			return c.Update(TUser, key, val)
