@@ -21,6 +21,7 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
+	"bionicdb/internal/storage"
 	"bionicdb/internal/workload/htap"
 	"bionicdb/internal/workload/tatp"
 	"bionicdb/internal/workload/tpcc"
@@ -54,6 +55,9 @@ type (
 	Action = core.Action
 	// AccessCtx is the data interface action bodies program against.
 	AccessCtx = core.AccessCtx
+	// Arena is where a transaction attempt builds its keys (Tx.Arena,
+	// AccessCtx.Arena): reset and reused by the engine per attempt.
+	Arena = storage.Arena
 	// TxnLogic is a transaction program.
 	TxnLogic = core.TxnLogic
 	// Terminal is one closed-loop client.

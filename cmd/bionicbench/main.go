@@ -1152,8 +1152,10 @@ func probeThroughput(window int) (perSec float64, util float64) {
 	tree := btree.New(btree.Config{
 		AddrOf: func(id storage.PageID, size int) uint64 { return pl.AllocFPGA(8 << 10) },
 	})
+	var loadKey storage.Arena // the tree copies the keys it keeps
 	for i := 0; i < 100000; i++ {
-		tree.Put(storage.Uint64Key(uint64(i)), []byte("row"), nil)
+		loadKey.Reset()
+		tree.Put(loadKey.Uint64Key(uint64(i)), []byte("row"), nil)
 	}
 	const probesPerStream = 400
 	r := sim.NewRand(*seed)

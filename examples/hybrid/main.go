@@ -42,8 +42,10 @@ func main() {
 
 	// Initial state: 50k accounts with balance 100, loaded into both.
 	const accounts = 50000
+	var loadKey storage.Arena // the tree copies the keys it keeps
 	for i := uint64(1); i <= accounts; i++ {
-		ov.LoadRaw(1, storage.Uint64Key(i), storage.Uint64Key(100))
+		loadKey.Reset()
+		ov.LoadRaw(1, loadKey.Uint64Key(i), storage.Uint64Key(100))
 		base.Upsert(i, uint64(100))
 	}
 

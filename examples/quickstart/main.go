@@ -18,8 +18,20 @@ func main() {
 	tables := []bionicdb.TableDef{{ID: 1, Name: "greetings", Order: 64}}
 	eng := bionicdb.NewBionic(env, bionicdb.HC2(), tables, bionicdb.HashScheme(4), bionicdb.AllOffloads(), 8)
 
-	key := func(i int) []byte {
-		return []byte(fmt.Sprintf("key-%04d", i))
+	// Keys are the text "key-0007". A key handed to the engine need only
+	// stay valid until the transaction attempt that built it ends (whatever
+	// keeps it longer, the tree storing a new row, copies it), so a
+	// transaction builds its keys in the attempt's arena, tx.Arena() in the
+	// logic and c.Arena() in an action body: the engine resets and reuses
+	// it, and steady-state keys cost no allocation. A nil arena allocates a
+	// fresh slice the caller owns.
+	key := func(a *bionicdb.Arena, i int) []byte {
+		k := a.Alloc(8)
+		copy(k, "key-0000")
+		for p := 7; i > 0; p, i = p-1, i/10 {
+			k[p] = byte('0' + i%10)
+		}
+		return k
 	}
 
 	// A terminal is a simulated client process.
@@ -30,8 +42,10 @@ func main() {
 		for i := 0; i < 50; i++ {
 			i := i
 			committed := eng.Submit(term, func(tx bionicdb.Tx) bool {
-				return tx.Phase(bionicdb.Action{Table: 1, Key: key(i), Body: func(c bionicdb.AccessCtx) bool {
-					return c.Insert(1, key(i), []byte(fmt.Sprintf("hello #%d", i)))
+				return tx.Phase(bionicdb.Action{Table: 1, Key: key(tx.Arena(), i), Body: func(c bionicdb.AccessCtx) bool {
+					// The value is different: it becomes the stored row, so
+					// it is a fresh slice the engine now owns.
+					return c.Insert(1, key(c.Arena(), i), []byte(fmt.Sprintf("hello #%d", i)))
 				}})
 			})
 			if !committed {
@@ -41,20 +55,22 @@ func main() {
 
 		// A read-modify-write transaction.
 		eng.Submit(term, func(tx bionicdb.Tx) bool {
-			return tx.Phase(bionicdb.Action{Table: 1, Key: key(7), Body: func(c bionicdb.AccessCtx) bool {
-				v, ok := c.ReadForUpdate(1, key(7))
+			return tx.Phase(bionicdb.Action{Table: 1, Key: key(tx.Arena(), 7), Body: func(c bionicdb.AccessCtx) bool {
+				k := key(c.Arena(), 7)
+				v, ok := c.ReadForUpdate(1, k)
 				if !ok {
 					return false
 				}
-				return c.Update(1, key(7), append(v, []byte(" (updated)")...))
+				// v is the stored row, immutable: build the new row beside it.
+				return c.Update(1, k, append(v[:len(v):len(v)], " (updated)"...))
 			}})
 		})
 
 		// A scan.
 		count := 0
 		eng.Submit(term, func(tx bionicdb.Tx) bool {
-			return tx.Phase(bionicdb.Action{Table: 1, Key: key(0), Body: func(c bionicdb.AccessCtx) bool {
-				c.Scan(1, key(10), key(20), func(k, v []byte) bool {
+			return tx.Phase(bionicdb.Action{Table: 1, Key: key(tx.Arena(), 0), Body: func(c bionicdb.AccessCtx) bool {
+				c.Scan(1, key(c.Arena(), 10), key(c.Arena(), 20), func(k, v []byte) bool {
 					count++
 					return true
 				})
@@ -70,7 +86,7 @@ func main() {
 		panic(err)
 	}
 
-	v, _ := eng.ReadRaw(1, key(7))
+	v, _ := eng.ReadRaw(1, key(nil, 7))
 	fmt.Printf("row 7 is now: %q\n", v)
 	fmt.Printf("simulated time elapsed: %v\n", env.Now())
 	fmt.Printf("commits: %d\n", eng.Counters().Get("commits"))

@@ -23,8 +23,10 @@ func main() {
 	key := func(i int) []byte { return storage.Uint64Key(uint64(i)) }
 	val := func(s string) []byte { return []byte(s) }
 
+	var loadKey storage.Arena // the tree copies the keys it keeps
 	for i := 0; i < 1000; i++ {
-		eng.Load(1, key(i), val(fmt.Sprintf("opening-%d", i)))
+		loadKey.Reset()
+		eng.Load(1, loadKey.Uint64Key(uint64(i)), val(fmt.Sprintf("opening-%d", i)))
 	}
 
 	var meta core.CheckpointMeta

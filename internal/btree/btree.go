@@ -210,7 +210,10 @@ func (t *Tree) Get(key []byte, tr *Trace) (val []byte, ok bool) {
 }
 
 // Put inserts or replaces key's value and returns the previous value, if
-// any. The value slice is stored as-is (callers must not mutate it after).
+// any. The tree owns its keys: a key it does not hold yet is copied, so the
+// caller may reuse or overwrite key's bytes once Put returns, and a replace
+// keeps the stored key and copies nothing. The value slice is stored as-is
+// (ownership passes to the tree; callers must not mutate it after).
 func (t *Tree) Put(key, val []byte, tr *Trace) (prev []byte, existed bool) {
 	prev, existed, splitKey, right := t.insert(t.root, key, val, tr)
 	if right != nil {
@@ -240,7 +243,7 @@ func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed
 			n.vals[idx] = val
 			return prev, true, nil, nil
 		}
-		n.keys = insertAt(n.keys, idx, key)
+		n.keys = insertAt(n.keys, idx, bytes.Clone(key))
 		n.vals = insertAt(n.vals, idx, val)
 		if len(n.keys) > t.cfg.Order {
 			splitKey, right = t.splitLeaf(n, tr)

@@ -73,6 +73,41 @@ func TestPutReplaces(t *testing.T) {
 	}
 }
 
+// TestPutOwnsNewKeys: the tree copies a key it does not hold yet, so a caller
+// that builds every key in one reused buffer (an arena) leaves the tree valid
+// and every key findable.
+func TestPutOwnsNewKeys(t *testing.T) {
+	tr := small()
+	buf := make([]byte, 8)
+	for i := 0; i < 100; i++ {
+		copy(buf, key(i*7%100))
+		tr.Put(buf, val(i), nil)
+		for j := range buf {
+			buf[j] = 0xDB // what a reset arena holds under the race build
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, ok := tr.Get(key(i), nil); !ok {
+			t.Fatalf("key %d lost after its caller reused the buffer", i)
+		}
+	}
+}
+
+// TestPutReplaceCopiesNothing: a replace keeps the stored key.
+func TestPutReplaceCopiesNothing(t *testing.T) {
+	tr := sized(64)
+	for i := 0; i < 1000; i++ {
+		tr.Put(key(i), val(i), nil)
+	}
+	k, v := key(500), val(1)
+	if n := testing.AllocsPerRun(100, func() { tr.Put(k, v, nil) }); n != 0 {
+		t.Fatalf("replacing a value allocates %.0f times, want 0", n)
+	}
+}
+
 func TestReverseAndRandomInsertOrders(t *testing.T) {
 	for name, order := range map[string][]int{
 		"reverse": reverseInts(500),

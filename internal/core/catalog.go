@@ -14,6 +14,8 @@
 // socket.
 package core
 
+import "bionicdb/internal/dora"
+
 // TableDef declares one table: an index-organized primary B+Tree. Secondary
 // indexes are ordinary tables whose values are primary keys.
 type TableDef struct {
@@ -30,15 +32,15 @@ type PartitionScheme struct {
 	Partitions int
 	// Route maps a table and key to a partition in [0, Partitions).
 	Route func(table uint16, key []byte) int
-	// Entity names the local-lock entity for a key ("" = no entity lock).
-	// Entities are the DORA isolation granule: the district in TPC-C, the
-	// subscriber in TATP.
-	Entity func(table uint16, key []byte) string
+	// Entity names the local-lock entity for a key (the zero Entity = no
+	// entity lock). Entities are the DORA isolation granule: the district in
+	// TPC-C, the subscriber in TATP.
+	Entity func(table uint16, key []byte) dora.Entity
 }
 
 // HashScheme returns a generic scheme: route by hash of the first eight key
-// bytes, entity = whole key. Workload-specific schemes colocate related
-// rows instead.
+// bytes, entity = the key (dora.KeyEntity: its first 16 bytes).
+// Workload-specific schemes colocate related rows instead.
 func HashScheme(n int) PartitionScheme {
 	return PartitionScheme{
 		Partitions: n,
@@ -50,8 +52,8 @@ func HashScheme(n int) PartitionScheme {
 			}
 			return int(h % uint64(n))
 		},
-		Entity: func(table uint16, key []byte) string {
-			return string(key)
+		Entity: func(table uint16, key []byte) dora.Entity {
+			return dora.KeyEntity(key)
 		},
 	}
 }

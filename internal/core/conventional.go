@@ -208,6 +208,7 @@ func (e *Conventional) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 		task.Exec(stats.CompFrontEnd, frontEndInstr)
 		e.tm.BeginIn(task, tx)
 		ctx.err, ctx.lockD = nil, 0
+		ctx.arena.Reset() // BeginIn dropped the undo list, the last holder of its keys
 		logicStart := term.P.Now()
 		ok := logic(ctx)
 		// Anatomy: the logic's elapsed time splits into lock-manager time
@@ -342,7 +343,14 @@ type convCtx struct {
 	// lockD accumulates elapsed time inside lock-manager interactions
 	// (NUMA tax, acquire CPU and blocked waits) for the latency anatomy.
 	lockD sim.Duration
+
+	// arena holds the attempt's keys, the logic's and the bodies' alike
+	// (they run one after another in this process); submit resets it.
+	arena storage.Arena
 }
+
+// Arena implements Tx and AccessCtx.
+func (c *convCtx) Arena() *storage.Arena { return &c.arena }
 
 // lockTableSocket is where the conventional engine's centralized lock
 // table lives. On a multi-socket platform every lock-manager interaction

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bionicdb/internal/btree"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
@@ -113,6 +114,62 @@ func TestUserAbortRollsBackOnAllEngines(t *testing.T) {
 			}
 			if e.Counters().Get("aborts.user") != 1 {
 				t.Fatalf("aborts.user=%d", e.Counters().Get("aborts.user"))
+			}
+		})
+	}
+}
+
+// TestAbortedDeleteSurvivesArenaReuse: rollback re-inserts a deleted row under
+// the undo entry's key, which lives in the attempt's arena. The tree must own
+// its copy: the terminal's next transaction reuses the same arena bytes for
+// other keys, and the restored row has to stay where it was.
+func TestAbortedDeleteSurvivesArenaReuse(t *testing.T) {
+	for name, mk := range engineFactories(kvTables(), HashScheme(4)) {
+		t.Run(name, func(t *testing.T) {
+			env := sim.NewEnv()
+			e := mk(env)
+			for i := uint64(0); i < 50; i++ {
+				e.Load(1, storage.Uint64Key(i), []byte(fmt.Sprintf("init-%d", i)))
+			}
+			// touch runs op on row id with every key built in the arenas.
+			touch := func(id uint64, op func(c AccessCtx, key []byte) bool, commit bool) TxnLogic {
+				return func(tx Tx) bool {
+					ok := tx.Phase(Action{Table: 1, Key: tx.Arena().Uint64Key(id), Body: func(c AccessCtx) bool {
+						return op(c, c.Arena().Uint64Key(id))
+					}})
+					return ok && commit
+				}
+			}
+			env.Spawn("terminal", func(p *sim.Proc) {
+				term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
+				if e.Submit(term, touch(5, func(c AccessCtx, key []byte) bool { return c.Delete(1, key) }, false)) {
+					t.Error("aborted delete reported as commit")
+				}
+				// Same frame, same arena offsets, other rows.
+				for id := uint64(6); id < 10; id++ {
+					if !e.Submit(term, touch(id, func(c AccessCtx, key []byte) bool {
+						return c.Update(1, key, []byte("updated"))
+					}, true)) {
+						t.Errorf("update of row %d did not commit", id)
+					}
+				}
+				e.Close()
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := e.ReadRaw(1, storage.Uint64Key(5)); !ok || string(v) != "init-5" {
+				t.Fatalf("row 5 after an aborted delete and arena reuse: %q, found %v", v, ok)
+			}
+			for _, set := range e.(interface {
+				TableSets() []map[uint16]*btree.Tree
+			}).TableSets() {
+				if err := set[1].Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if set[1].Size() != 50 {
+					t.Fatalf("%d rows, want 50", set[1].Size())
+				}
 			}
 		})
 	}

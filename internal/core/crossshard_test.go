@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bionicdb/internal/dora"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
@@ -15,7 +16,7 @@ func modScheme(n int) PartitionScheme {
 	return PartitionScheme{
 		Partitions: n,
 		Route:      func(table uint16, key []byte) int { return int(storage.DecodeUint64(key) % uint64(n)) },
-		Entity:     func(table uint16, key []byte) string { return string(key) },
+		Entity:     func(table uint16, key []byte) dora.Entity { return dora.KeyEntity(key) },
 	}
 }
 

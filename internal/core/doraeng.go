@@ -478,6 +478,12 @@ func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 		task.Exec(stats.CompFrontEnd, frontEndInstr)
 		e.tm.BeginIn(task, tx)
 		dtx.involved, dtx.refused = dtx.involved[:0], false
+		// The previous attempt's fan-outs have all fired their RVP and
+		// BeginIn dropped its undo list, the last holder of its keys.
+		dtx.arena.Reset()
+		for _, s := range dtx.slots {
+			s.arena.Reset()
+		}
 		ok := logic(dtx)
 		if dtx.refused {
 			e.rollback(term, task, dtx)
@@ -620,7 +626,7 @@ func (e *DORAEngine) crossShardDecision(term *Terminal, task *platform.Task, dtx
 	}
 	rvp := dtx.arm(len(reps))
 	for i, pidx := range reps {
-		dtx.send(i, pidx, "", true, applyDecision)
+		dtx.send(i, pidx, dora.Entity{}, true, applyDecision)
 	}
 	task.Flush()
 	rvp.Await(term.P)
@@ -651,7 +657,7 @@ func (e *DORAEngine) rollback(term *Terminal, task *platform.Task, dtx *doraTx) 
 		rvp := dtx.arm(len(groups))
 		for i, pidx := range sortedKeys(groups) {
 			recs := groups[pidx]
-			dtx.send(i, pidx, "", true, func(c AccessCtx) bool {
+			dtx.send(i, pidx, dora.Entity{}, true, func(c AccessCtx) bool {
 				wc := c.(*doraCtx)
 				for _, u := range recs {
 					e.applyUndoRaw(wc.task, u, wc.soc)
@@ -817,23 +823,33 @@ type doraTx struct {
 	// the next fan-out starts, its Await having returned; a slot when the
 	// fan-out it served has fired rvp (the partition's last touch of an
 	// action precedes its Arrive, directly or as the CrossAt delivery of its
-	// vote). sockets and reps are crossShardDecision's scratch.
+	// vote). sockets and reps are crossShardDecision's scratch. arena holds
+	// the keys the logic builds (Action.Key, keys it hands to bodies) and a
+	// slot's arena the keys its body builds; submit resets them all when the
+	// next attempt starts, the undo list that held some of them dropped.
 	commit  *sim.Signal
 	rvp     *dora.RVP
 	slots   []*actionSlot
 	sockets []int
 	reps    []int
+	arena   storage.Arena
 }
 
+// Arena implements Tx.
+func (t *doraTx) Arena() *storage.Arena { return &t.arena }
+
 // actionSlot is one reusable action of a fan-out: the dora.Action that
-// travels to the partition, the AccessCtx its body runs against and, on an
-// engine-sharded run, its private write buffer. da.Run is bound to run once,
-// when the slot is built.
+// travels to the partition, the AccessCtx its body runs against, the arena
+// the body builds its keys in (the actions of one fan-out run on different
+// partitions, on different kernel shards even, so they cannot share one)
+// and, on an engine-sharded run, its private write buffer. da.Run is bound
+// to run once, when the slot is built.
 type actionSlot struct {
-	da   dora.Action
-	ctx  doraCtx
-	w    txn.Writes
-	body func(c AccessCtx) bool
+	da    dora.Action
+	ctx   doraCtx
+	w     txn.Writes
+	arena storage.Arena
+	body  func(c AccessCtx) bool
 }
 
 func (s *actionSlot) run(wt *platform.Task, pt *dora.Partition) bool {
@@ -855,7 +871,7 @@ func (t *doraTx) arm(n int) *dora.RVP {
 
 // send arms slot i as one action of the fan-out arm readied and enqueues it
 // on partition pidx, charging the coordinator's task.
-func (t *doraTx) send(i, pidx int, lockKey string, priority bool, body func(c AccessCtx) bool) {
+func (t *doraTx) send(i, pidx int, lockKey dora.Entity, priority bool, body func(c AccessCtx) bool) {
 	for len(t.slots) <= i {
 		s := &actionSlot{}
 		s.da.Run = s.run
@@ -863,7 +879,7 @@ func (t *doraTx) send(i, pidx int, lockKey string, priority bool, body func(c Ac
 	}
 	e, s := t.e, t.slots[i]
 	s.body = body
-	s.ctx = doraCtx{e: e, tx: &t.tx, soc: e.parts[pidx].Socket()}
+	s.ctx = doraCtx{e: e, tx: &t.tx, soc: e.parts[pidx].Socket(), arena: &s.arena}
 	if e.engineSharded {
 		// The action logs into a private write buffer on its partition's
 		// shard instead of mutating the shared transaction; Phase merges the
@@ -912,7 +928,7 @@ func (t *doraTx) Phase(actions ...Action) bool {
 	for i, a := range actions {
 		pidx := e.scheme.Route(a.Table, a.Key)
 		t.involve(pidx)
-		lockKey := ""
+		var lockKey dora.Entity
 		if !a.NoLock {
 			lockKey = e.scheme.Entity(a.Table, a.Key)
 		}
@@ -950,7 +966,12 @@ type doraCtx struct {
 	tx   *txn.Txn
 	soc  int
 	w    *txn.Writes
+
+	arena *storage.Arena // the action slot's
 }
+
+// Arena implements AccessCtx.
+func (c *doraCtx) Arena() *storage.Arena { return c.arena }
 
 // Read implements AccessCtx.
 func (c *doraCtx) Read(table uint16, key []byte) ([]byte, bool) {

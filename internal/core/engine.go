@@ -5,6 +5,7 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
+	"bionicdb/internal/storage"
 )
 
 // AccessCtx is the data interface a transaction-action body programs
@@ -12,6 +13,15 @@ import (
 // write WAL records and register undo. Methods return false when the row
 // state prevents the operation (missing row, duplicate insert) — the body
 // decides whether that is a transaction abort.
+//
+// Key lifetime: a key or scan bound passed to any method need only stay
+// valid until the transaction attempt that built it ends, which is what
+// Arena's keys do; whoever keeps a key longer (a tree storing a new row, a
+// lock name, a log record) copies it. Values are different: a val passed to
+// Update or Insert becomes the stored row, so ownership passes to the engine
+// and the caller must not touch it again; a val returned by Read or Scan is
+// the stored row itself, immutable (a later write replaces it, never
+// overwrites it in place), so views into it stay good.
 type AccessCtx interface {
 	// Read returns the row under key.
 	Read(table uint16, key []byte) (val []byte, ok bool)
@@ -28,12 +38,17 @@ type AccessCtx interface {
 	Delete(table uint16, key []byte) bool
 	// Scan iterates rows with keys in [from, to); nil bounds are open.
 	Scan(table uint16, from, to []byte, fn func(key, val []byte) bool)
+	// Arena is where the body builds its keys and scan bounds: the engine
+	// resets it when the next attempt starts, and it is the body's own (the
+	// actions of one Phase run side by side, each with its own).
+	Arena() *storage.Arena
 }
 
 // Action is one partition-confined unit of a transaction: the routing key
 // decides the owning partition (DORA engines) and the entity lock; Body
 // runs on that partition with an engine-appropriate AccessCtx and returns
-// false to vote the transaction into abort.
+// false to vote the transaction into abort. Key follows AccessCtx's lifetime
+// rule: valid until the attempt ends, so it is built in Tx.Arena.
 type Action struct {
 	Table uint16
 	Key   []byte
@@ -50,6 +65,10 @@ type Tx interface {
 	// whether all voted to continue. After a false Phase the logic must
 	// return false.
 	Phase(actions ...Action) bool
+	// Arena is where the logic builds Action.Key and any key it hands to a
+	// body: reset by the engine at the start of every attempt, so the logic
+	// builds its keys inside the TxnLogic function, not before it.
+	Arena() *storage.Arena
 }
 
 // TxnLogic is a transaction program: it issues phases and returns whether
@@ -101,6 +120,8 @@ type Engine interface {
 	// It returns whether the transaction finally committed (durably).
 	Submit(term *Terminal, logic TxnLogic) (committed bool)
 	// Load inserts a row during population, bypassing timing and logging.
+	// The engine copies key (the caller may reuse its bytes at once) and
+	// takes ownership of val.
 	Load(table uint16, key, val []byte)
 	// ReadRaw reads a row without timing (verification only).
 	ReadRaw(table uint16, key []byte) (val []byte, ok bool)

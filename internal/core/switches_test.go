@@ -14,8 +14,9 @@ import (
 
 // benchConfigs are the repository benchmark's three core.Run machines,
 // engines, scales and client counts (benchmark/workloads.go) with a tenth of
-// its simulated window. TestSwitchesPerEvent and TestAllocsPerTxn pin exact
-// host-cost counts on them; both counts repeat on every host.
+// its simulated window, and the machine and database of its fourth workload.
+// TestSwitchesPerEvent and TestAllocsPerTxn pin exact host-cost counts on
+// them; both counts repeat on every host.
 var benchConfigs = []struct {
 	name      string
 	terminals int
@@ -24,24 +25,34 @@ var benchConfigs = []struct {
 	allocs    float64 // ceiling on heap allocations per transaction issued
 	build     func() (core.Workload, func(*sim.Env) core.Engine)
 }{
-	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 6.6, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 3.7, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tatp.New(tatp.Config{Subscribers: 100000})
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 119, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 54.5, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
 		}
 	}},
-	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.60, 19.2, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.60, 17.1, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := ycsb.WorkloadA()
 		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
 		wl := ycsb.New(cfg)
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewDORA(env, platform.HC2ScaledSharded(4), wl.Tables(), wl.Scheme(32))
+		}
+	}},
+	// crash-recover-2s's machine and database, run as a plain window: the
+	// bionic engine's TPC-C path (overlay, per-action arenas, entity locks).
+	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 80.5, func() (core.Workload, func(*sim.Env) core.Engine) {
+		cfg := tpcc.DefaultConfig()
+		cfg.Warehouses = 8
+		wl := tpcc.New(cfg)
+		return wl, func(env *sim.Env) core.Engine {
+			return core.NewBionic(env, platform.HC2ScaledSharded(2), wl.Tables(), wl.Scheme(16), core.AllOffloads(), 8)
 		}
 	}},
 }
@@ -50,7 +61,8 @@ var benchConfigs = []struct {
 // layer: the share of kernel events that resume a process instead of running
 // inline in the dispatch loop. A ceiling that starts failing means a blocking
 // chain somewhere was split back into one park per step. Before kernel
-// scripts the ratios were 0.93, 0.94 and 0.70.
+// scripts the ratios were 0.93, 0.94 and 0.70 (tpcc-bionic-2s, added later,
+// measures 0.18).
 func TestSwitchesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("populates three benchmark-scale databases")
@@ -144,11 +156,13 @@ func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // transactions drawn. Population and engine construction are outside the
 // count; the workload's own key and row building is inside. A ceiling that
 // starts failing means some per-transaction object stopped being re-armed by
-// its owner (DESIGN.md, "Pools above the kernel"). The ceilings sit 3-5 %
-// above what this scale measures (6.28, 115.24, 18.48; the last few objects
-// are the runtime's and move by a dozen per run); before transaction frames
-// the counts were 29.39, 376.30 and 50.19, and tpcc-conv's was 153.05 while
-// it ran each transaction 3.25 times (TestConventionalTPCCRetries).
+// its owner (DESIGN.md, "Pools above the kernel"), or a key or a decoded
+// string went back to the heap. The ceilings sit 3-5 % above what this scale
+// measures (3.50, 52.06, 16.37, 77.20; the last few objects are the runtime's
+// and move by a dozen per run). Before the key arenas, view decoding and
+// dora.Entity the counts were 6.28, 115.24, 18.48 and 146.76; before
+// transaction frames 29.39, 376.30 and 50.19, and tpcc-conv's was 153.05
+// while it ran each transaction 3.25 times (TestConventionalTPCCRetries).
 func TestAllocsPerTxn(t *testing.T) {
 	for _, c := range benchConfigs {
 		t.Run(c.name, func(t *testing.T) {

@@ -91,7 +91,7 @@ func TestConfinedWaitRuleRefusesForeignWaiter(t *testing.T) {
 		// — so the lock stays up after the vote comes back.
 		task := pl.NewTask(p, pl.Sockets[1].Cores[1], &stats.Breakdown{})
 		hold := NewRVPOn(env, 1, pl.ShardOf(1))
-		pt.Enqueue(task, &Action{TxnID: 1, LockKey: "k", RVP: hold, ReplySocket: 1,
+		pt.Enqueue(task, &Action{TxnID: 1, LockKey: ent("k"), RVP: hold, ReplySocket: 1,
 			Run: func(wt *platform.Task, w *Partition) bool { return true }})
 		task.Flush()
 		if !hold.Await(p) {
@@ -100,7 +100,7 @@ func TestConfinedWaitRuleRefusesForeignWaiter(t *testing.T) {
 		// A socket-0 coordinator now conflicts on "k": the home-socket wait
 		// rule must refuse it rather than defer it.
 		done := sim.NewSignal(env).OnShard(pl.ShardOf(1))
-		foreign := &Action{TxnID: 2, LockKey: "k", RVP: NewRVPOn(env, 1, 0), ReplySocket: 0,
+		foreign := &Action{TxnID: 2, LockKey: ent("k"), RVP: NewRVPOn(env, 1, 0), ReplySocket: 0,
 			Run: func(wt *platform.Task, w *Partition) bool { return true }}
 		env.SpawnOn(0, "foreign-waiter", func(fp *sim.Proc) {
 			ftask := pl.NewTask(fp, pl.Sockets[0].Cores[0], &stats.Breakdown{})

@@ -18,8 +18,11 @@
 package dora
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"bionicdb/internal/obs"
 	"bionicdb/internal/platform"
@@ -43,20 +46,89 @@ func DefaultCosts() Costs {
 	return Costs{EnqueueInstr: 160, DequeueInstr: 120, LocalLockInstr: 60, RVPInstr: 90}
 }
 
+// Entity names one isolation granule of a partition: the district in TPC-C,
+// the subscriber in TATP. It is a small comparable value, so computing one
+// per locked action and keying the local lock table with it allocates
+// nothing; the zero Entity means "no lock". String renders the name the
+// engines used to build as text ("d3.7", "s42"), and Compare orders entities
+// as that text orders, which is the order ReleaseLocks frees them in.
+type Entity struct {
+	form   uint8 // entityNone, entity1, entity2 or entityKey
+	prefix byte  // the name's first letter; the key length for entityKey
+	a, b   uint64
+}
+
+const (
+	entityNone = iota
+	entity1    // prefix a
+	entity2    // prefix a "." b
+	entityKey  // a key's own bytes
+)
+
+// Entity1 names the entity prefix+a, as in "w3".
+func Entity1(prefix byte, a uint64) Entity { return Entity{form: entity1, prefix: prefix, a: a} }
+
+// Entity2 names the entity prefix+a+"."+b, as in "d3.7".
+func Entity2(prefix byte, a, b uint64) Entity {
+	return Entity{form: entity2, prefix: prefix, a: a, b: b}
+}
+
+// KeyEntity names an entity by a key's own bytes, for schemes that lock
+// single rows. Only the first 16 bytes count: longer keys that agree on them
+// share one entity, a coarser granule and never a missing lock.
+func KeyEntity(key []byte) Entity {
+	var buf [16]byte
+	n := copy(buf[:], key)
+	return Entity{form: entityKey, prefix: byte(n),
+		a: binary.BigEndian.Uint64(buf[:8]), b: binary.BigEndian.Uint64(buf[8:])}
+}
+
+// appendText appends the entity's name to dst.
+func (e Entity) appendText(dst []byte) []byte {
+	switch e.form {
+	case entity1:
+		return strconv.AppendUint(append(dst, e.prefix), e.a, 10)
+	case entity2:
+		dst = strconv.AppendUint(append(dst, e.prefix), e.a, 10)
+		return strconv.AppendUint(append(dst, '.'), e.b, 10)
+	case entityKey:
+		var buf [16]byte
+		binary.BigEndian.PutUint64(buf[:8], e.a)
+		binary.BigEndian.PutUint64(buf[8:], e.b)
+		return append(dst, buf[:e.prefix]...)
+	}
+	return dst
+}
+
+// entityTextMax bounds a name: a letter, two 20-digit numbers and a dot.
+const entityTextMax = 42
+
+// String renders the entity's name.
+func (e Entity) String() string {
+	var buf [entityTextMax]byte
+	return string(e.appendText(buf[:0]))
+}
+
+// Compare orders entities as their names order as strings.
+func (e Entity) Compare(o Entity) int {
+	var x, y [entityTextMax]byte
+	return bytes.Compare(e.appendText(x[:0]), o.appendText(y[:0]))
+}
+
 // Action is one unit of partition-confined work.
 //
-// If LockKey is non-empty the partition acquires the (entity-granularity)
-// local lock for TxnID before running Body; the lock is held until the
-// transaction's Release. A conflicting action is deferred, not blocked; if
-// deferring would close a waits-for cycle the action instead arrives at its
-// RVP with a false (abort) vote and Body never runs.
+// If LockKey is not the zero Entity the partition acquires the
+// (entity-granularity) local lock for TxnID before running Body; the lock is
+// held until the transaction's Release. A conflicting action is deferred,
+// not blocked; if deferring would close a waits-for cycle the action instead
+// arrives at its RVP with a false (abort) vote and Body never runs.
 //
 // An Action belongs to whoever enqueued it and may be re-armed for another
 // enqueue once its RVP has fired: the partition's last touch of an action
 // precedes its Arrive.
 type Action struct {
 	TxnID   uint64
-	LockKey string // "" = no locking (undo, single-phase reads)
+	LockKey Entity // zero = no locking (undo, single-phase reads)
 	// RVP may be nil for fire-and-forget actions whose completion nobody
 	// awaits.
 	RVP *RVP
@@ -82,6 +154,13 @@ type Action struct {
 	// user aborts (do not retry).
 	Refused bool
 
+	// release marks a lock-release message (Partition.Release): it has no
+	// body, the partition frees TxnID's entity locks itself. recycle is set
+	// when the message came from the partition's own free list and goes back
+	// there once applied. (Declared beside the other flags so the four share
+	// one word: an Action stays in the allocator's 112-byte class.)
+	release, recycle bool
+
 	// Flight-recorder stamps, maintained by the partition as the action
 	// moves through queue, lock and execution stages. The durations
 	// accumulate across re-dispatches (a deferred action re-enters the
@@ -95,12 +174,6 @@ type Action struct {
 	Flow      uint64
 
 	defAt sim.Time // when parked on a deferred list; lock wait starts here
-
-	// release marks a lock-release message (Partition.Release): it has no
-	// body, the partition frees TxnID's entity locks itself. recycle is set
-	// when the message came from the partition's own free list and goes back
-	// there once applied.
-	release, recycle bool
 }
 
 // ResetStamps clears the flight-recorder stamps so a pooled Action can be
@@ -242,7 +315,7 @@ type Partition struct {
 	pl    *platform.Platform
 	reg   *Registry
 	in    *sim.Queue[*Action]
-	locks map[string]*entityLock
+	locks map[Entity]*entityLock
 	bd    *stats.Breakdown
 
 	qAddr  uint64 // queue slots, for coherence-miss charging
@@ -269,7 +342,7 @@ type Partition struct {
 	// that parked mid-loop builds its own).
 	freeLocks []*entityLock
 	freeRel   []*Action
-	owned     []string
+	owned     []Entity
 
 	// HWQueue, when non-nil, is the hardware queue-management engine: the
 	// enqueue/dequeue path charges it instead of the software costs.
@@ -308,7 +381,7 @@ func NewPartition(pl *platform.Platform, reg *Registry, id int, core *platform.C
 		pl:         pl,
 		reg:        reg,
 		in:         sim.NewQueue[*Action](pl.Env, fmt.Sprintf("part%d.in", id), 0),
-		locks:      make(map[string]*entityLock),
+		locks:      make(map[Entity]*entityLock),
 		bd:         bd,
 		qAddr:      pl.AllocHost(64 * 1024),
 		socket:     core.SocketID(),
@@ -555,7 +628,7 @@ func (pt *Partition) dispatch(task *platform.Task, a *Action) {
 		task.Exec(stats.CompDora, pt.Costs.DequeueInstr)
 		task.Access(stats.CompDora, pt.qAddr+uint64(pt.done%1024)*64, 64)
 	}
-	if a.LockKey != "" {
+	if a.LockKey != (Entity{}) {
 		task.Exec(stats.CompDora, pt.Costs.LocalLockInstr)
 		l := pt.locks[a.LockKey]
 		if l == nil {
@@ -694,7 +767,7 @@ func (pt *Partition) ReleaseLocks(task *platform.Task, txnID uint64) {
 			owned = append(owned, key)
 		}
 	}
-	sort.Strings(owned)
+	slices.SortFunc(owned, Entity.Compare)
 	for _, key := range owned {
 		l := pt.locks[key]
 		task.Exec(stats.CompDora, pt.Costs.LocalLockInstr)
@@ -744,7 +817,7 @@ func (pt *Partition) Inflight() int { return pt.inflight }
 
 // HoldsLock reports whether txnID owns the entity lock for key (testing
 // hook).
-func (pt *Partition) HoldsLock(key string, txnID uint64) bool {
+func (pt *Partition) HoldsLock(key Entity, txnID uint64) bool {
 	l := pt.locks[key]
 	return l != nil && l.owner == txnID
 }

@@ -1,11 +1,13 @@
 package dora
 
 import (
+	"strings"
 	"testing"
 
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
+	"bionicdb/internal/storage"
 )
 
 func fixture(window int) (*sim.Env, *platform.Platform, *Partition, *stats.Breakdown) {
@@ -176,10 +178,18 @@ func TestWindowCapsInflight(t *testing.T) {
 	}
 }
 
+// ent names a test entity by a short text ("" = no lock).
+func ent(name string) Entity {
+	if name == "" {
+		return Entity{}
+	}
+	return KeyEntity([]byte(name))
+}
+
 // sendLocked enqueues a locking action for txn and returns its RVP.
 func sendLocked(env *sim.Env, task *platform.Task, pt *Partition, txn uint64, key string, body func(t *platform.Task) bool) *RVP {
 	rvp := NewRVP(env, 1)
-	pt.Enqueue(task, &Action{TxnID: txn, LockKey: key, RVP: rvp, Run: func(t *platform.Task, w *Partition) bool {
+	pt.Enqueue(task, &Action{TxnID: txn, LockKey: ent(key), RVP: rvp, Run: func(t *platform.Task, w *Partition) bool {
 		if body == nil {
 			return true
 		}
@@ -230,7 +240,7 @@ func TestEntityLockDefersConflicts(t *testing.T) {
 		if len(events) != 2 || events[1] != "t2-run" {
 			t.Errorf("events %v", events)
 		}
-		if !pt.HoldsLock("entity-5", 2) {
+		if !pt.HoldsLock(ent("entity-5"), 2) {
 			t.Error("entity not handed to T2")
 		}
 		pt.Close()
@@ -440,7 +450,7 @@ func TestReleaseHandsOffToDeferred(t *testing.T) {
 		if !rvps[0].Await(p) {
 			t.Error("first deferred action failed")
 		}
-		if !pt.HoldsLock("e", 2) {
+		if !pt.HoldsLock(ent("e"), 2) {
 			t.Error("handoff skipped FIFO order")
 		}
 		for txn := uint64(2); txn <= 4; txn++ {
@@ -534,7 +544,7 @@ func twoPhases(t *testing.T, reuse bool) (votes [2]bool, out [3]phaseOutcome, en
 				if acts[i] == nil || !reuse {
 					acts[i] = &Action{Run: body}
 				}
-				*acts[i] = Action{TxnID: 2, LockKey: key, RVP: rvp, Run: acts[i].Run}
+				*acts[i] = Action{TxnID: 2, LockKey: ent(key), RVP: rvp, Run: acts[i].Run}
 				pt.Enqueue(task, acts[i])
 			}
 			task.Flush()
@@ -601,5 +611,40 @@ func TestReleaseMessagesAreRecycled(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntityNamesAndOrder: an Entity renders the name the engines used to
+// build as a string, and Compare is that string's order, which ReleaseLocks
+// frees locks in (so "d1.10" still goes before "d1.2").
+func TestEntityNamesAndOrder(t *testing.T) {
+	ents := []Entity{
+		Entity1('w', 3), Entity1('w', 12), Entity1('s', 100000),
+		Entity2('d', 1, 2), Entity2('d', 1, 10), Entity2('d', 10, 1), Entity2('s', 1, 99999),
+		KeyEntity(storage.Uint64Key(7)), KeyEntity(storage.Uint64Key(1 << 40)), KeyEntity([]byte("e")),
+	}
+	want := []string{"w3", "w12", "s100000", "d1.2", "d1.10", "d10.1", "s1.99999",
+		string(storage.Uint64Key(7)), string(storage.Uint64Key(1 << 40)), "e"}
+	for i, e := range ents {
+		if e.String() != want[i] {
+			t.Errorf("entity %d renders %q, want %q", i, e, want[i])
+		}
+		if e == (Entity{}) {
+			t.Errorf("entity %q equals the no-lock value", e)
+		}
+	}
+	for i, a := range ents {
+		for j, b := range ents {
+			if got, w := a.Compare(b), strings.Compare(want[i], want[j]); got != w {
+				t.Errorf("Compare(%q, %q) = %d, want %d", a, b, got, w)
+			}
+		}
+	}
+	if (Entity{}).String() != "" {
+		t.Errorf("the no-lock entity renders %q", Entity{})
+	}
+	a, b := Entity2('d', 1, 2), Entity2('d', 1, 10)
+	if n := testing.AllocsPerRun(100, func() { _ = a.Compare(b) }); n != 0 {
+		t.Errorf("Compare allocates %.0f times, want 0", n)
 	}
 }

@@ -161,17 +161,113 @@ func EncodeUint64(dst []byte, v uint64) []byte {
 }
 
 // Uint64Key returns a fresh order-preserving key for v.
-func Uint64Key(v uint64) []byte { return EncodeUint64(nil, v) }
+func Uint64Key(v uint64) []byte { return (*Arena)(nil).Uint64Key(v) }
 
 // DecodeUint64 reads an order-preserving uint64 from the front of b.
 func DecodeUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
 
 // CompositeKey builds an order-preserving key from fixed-width integer
 // parts, for multi-column primary keys like (warehouse, district, order).
-func CompositeKey(parts ...uint64) []byte {
-	out := make([]byte, 0, 8*len(parts))
-	for _, p := range parts {
-		out = EncodeUint64(out, p)
+func CompositeKey(parts ...uint64) []byte { return (*Arena)(nil).CompositeKey(parts...) }
+
+// Arena is a bump allocator for byte strings that all die together: the
+// keys and scan bounds one transaction attempt builds, or the key of one
+// population row. Reset ends their lifetime and keeps the storage, so a
+// steady caller stops allocating. An arena that runs out chains a larger
+// chunk instead of moving what it already handed out, so earlier slices stay
+// valid until Reset. The zero value is ready to use; an arena belongs to one
+// process at a time. A nil *Arena allocates every slice from the heap, for
+// callers that want a fresh key they own.
+type Arena struct {
+	cur  []byte   // the chunk being filled; len is the used part
+	full [][]byte // exhausted chunks of this cycle, kept so their slices stay valid
+}
+
+// arenaMinChunk is the first chunk's size: the keys of a short transaction
+// or of one action body; longer ones reach their size by doubling, once.
+const arenaMinChunk = 256
+
+// Alloc returns n uninitialised bytes, valid until Reset. The slice's
+// capacity is n, so appending to it never runs into a neighbour.
+func (a *Arena) Alloc(n int) []byte {
+	if a == nil {
+		return make([]byte, n)
+	}
+	off := len(a.cur)
+	if off+n > cap(a.cur) {
+		a.grow(n)
+		off = 0
+	}
+	a.cur = a.cur[:off+n]
+	return a.cur[off : off+n : off+n]
+}
+
+// grow chains a chunk at least twice the size of the exhausted one.
+func (a *Arena) grow(n int) {
+	size := 2 * cap(a.cur)
+	if size < arenaMinChunk {
+		size = arenaMinChunk
+	}
+	for size < n {
+		size *= 2
+	}
+	if cap(a.cur) > 0 {
+		a.full = append(a.full, a.cur)
+	}
+	a.cur = make([]byte, 0, size)
+}
+
+// Reset ends the lifetime of every slice handed out and keeps the storage.
+// A chain of chunks is replaced by one chunk of their combined size, so a
+// cycle that repeats fits without growing. Under the race build tag the
+// freed bytes are overwritten first (see arenaPoison).
+func (a *Arena) Reset() {
+	if arenaPoison {
+		for _, c := range a.full {
+			poison(c)
+		}
+		poison(a.cur)
+	}
+	if len(a.full) > 0 {
+		size := cap(a.cur)
+		for _, c := range a.full {
+			size += cap(c)
+		}
+		clear(a.full)
+		a.full = a.full[:0]
+		a.cur = make([]byte, 0, size)
+		return
+	}
+	a.cur = a.cur[:0]
+}
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
+}
+
+// Copy returns an arena copy of b.
+func (a *Arena) Copy(b []byte) []byte {
+	out := a.Alloc(len(b))
+	copy(out, b)
+	return out
+}
+
+// Uint64Key returns an order-preserving key for v, built in the arena.
+func (a *Arena) Uint64Key(v uint64) []byte {
+	out := a.Alloc(8)
+	binary.BigEndian.PutUint64(out, v)
+	return out
+}
+
+// CompositeKey builds an order-preserving key from fixed-width integer parts
+// in the arena. The receiver is concrete and parts is not kept, so a call's
+// argument list stays on the caller's stack.
+func (a *Arena) CompositeKey(parts ...uint64) []byte {
+	out := a.Alloc(8 * len(parts))
+	for i, p := range parts {
+		binary.BigEndian.PutUint64(out[8*i:], p)
 	}
 	return out
 }

@@ -186,3 +186,77 @@ func TestDiskManagerWideImageSpansPages(t *testing.T) {
 		t.Errorf("3-page write (%v) not charged above 1-page write (%v)", wide, narrow)
 	}
 }
+
+// TestArenaSlicesSurviveGrowth: an arena that runs out chains a new chunk and
+// leaves what it handed out where it was.
+func TestArenaSlicesSurviveGrowth(t *testing.T) {
+	var a Arena
+	var keys [][]byte
+	for i := uint64(0); i < 200; i++ { // 200 x 24 B: several chunk generations
+		keys = append(keys, a.CompositeKey(i, i*7, ^i))
+	}
+	for i, k := range keys {
+		if want := CompositeKey(uint64(i), uint64(i)*7, ^uint64(i)); !bytes.Equal(k, want) {
+			t.Fatalf("key %d reads %x after the arena grew, want %x", i, k, want)
+		}
+	}
+	// A slice's capacity ends where it does: appending cannot reach a neighbour.
+	_ = append(keys[0], 0xFF)
+	if !bytes.Equal(keys[1], CompositeKey(1, 7, ^uint64(1))) {
+		t.Fatal("append to one arena slice overwrote the next")
+	}
+}
+
+// TestArenaResetReusesStorage: once an arena has seen a cycle's worth of keys,
+// the same cycle allocates nothing.
+func TestArenaResetReusesStorage(t *testing.T) {
+	var a Arena
+	cycle := func() {
+		a.Reset()
+		for i := uint64(0); i < 100; i++ {
+			a.Uint64Key(i)
+			a.CompositeKey(i, i, i, i)
+			a.Copy([]byte("0123456789abcde"))
+		}
+	}
+	cycle() // grows by chaining
+	cycle() // Reset merged the chain into one chunk
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("a repeated cycle allocates %.0f times, want 0", n)
+	}
+}
+
+// TestArenaKeysMatchFreshKeys: the arena builders and the fresh-slice helpers
+// define one encoding, and a nil arena is the heap.
+func TestArenaKeysMatchFreshKeys(t *testing.T) {
+	for _, a := range []*Arena{nil, {}} {
+		if got := a.Uint64Key(0xDEADBEEF); !bytes.Equal(got, Uint64Key(0xDEADBEEF)) {
+			t.Fatalf("Uint64Key = %x", got)
+		}
+		if got := a.CompositeKey(1, 2, 3); !bytes.Equal(got, CompositeKey(1, 2, 3)) {
+			t.Fatalf("CompositeKey = %x", got)
+		}
+		if got := a.Copy([]byte("abc")); string(got) != "abc" {
+			t.Fatalf("Copy = %q", got)
+		}
+	}
+}
+
+// TestArenaResetPoisonsUnderRace pins what the race build adds: bytes freed by
+// Reset read 0xDB, so a key kept past its attempt cannot go on working.
+func TestArenaResetPoisonsUnderRace(t *testing.T) {
+	if !arenaPoison {
+		t.Skip("Reset overwrites freed bytes only under the race build tag")
+	}
+	var a Arena
+	var keys [][]byte
+	for i := uint64(0); i < 100; i++ {
+		keys = append(keys, a.Uint64Key(i))
+	}
+	a.Reset()
+	for i, k := range keys {
+		if !bytes.Equal(k, bytes.Repeat([]byte{0xDB}, 8)) {
+			t.Fatalf("key %d reads %x after Reset, want poison", i, k)
+		}
+	}
+}

@@ -6,9 +6,8 @@
 package tatp
 
 import (
-	"strconv"
-
 	"bionicdb/internal/core"
+	"bionicdb/internal/dora"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
 )
@@ -71,12 +70,8 @@ func (w *Workload) Scheme(partitions int) core.PartitionScheme {
 		Route: func(table uint16, key []byte) int {
 			return int(sidOf(table, key) % uint64(partitions))
 		},
-		Entity: func(table uint16, key []byte) string {
-			// Manual build of the old fmt.Sprintf("s%d", sid) string: the
-			// entity is computed per action, so it must not pay fmt.
-			buf := make([]byte, 1, 21)
-			buf[0] = 's'
-			return string(strconv.AppendUint(buf, sidOf(table, key), 10))
+		Entity: func(table uint16, key []byte) dora.Entity {
+			return dora.Entity1('s', sidOf(table, key))
 		},
 	}
 }
@@ -90,14 +85,7 @@ func sidOf(table uint16, key []byte) uint64 {
 }
 
 // SubNbr renders the 15-digit subscriber number of s_id.
-func SubNbr(sid uint64) []byte {
-	b := make([]byte, 15)
-	for i := 14; i >= 0; i-- {
-		b[i] = byte('0' + sid%10)
-		sid /= 10
-	}
-	return b
-}
+func SubNbr(sid uint64) []byte { return keys{}.subNbr(sid) }
 
 func parseSubNbr(nbr []byte) uint64 {
 	var v uint64
@@ -107,7 +95,10 @@ func parseSubNbr(nbr []byte) uint64 {
 	return v
 }
 
-// Row encodings. Fixed field order via storage.RecordWriter/Reader.
+// Row encodings. Fixed field order via storage.RecordWriter/Reader. A
+// decoded row's variable-width fields are views into the encoded row: stored
+// rows are immutable (a write replaces the row, never overwrites it in
+// place), so decoding copies nothing.
 
 // SubscriberRow is the decoded Subscriber tuple.
 type SubscriberRow struct {
@@ -117,13 +108,13 @@ type SubscriberRow struct {
 	Byte2  []byte // byte2_1..byte2_10
 	MSC    uint32
 	VLR    uint32
-	SubNbr string
+	SubNbr []byte
 }
 
 // Encode serializes the row.
 func (r *SubscriberRow) Encode() []byte {
 	w := storage.NewRecordWriter(64)
-	w.Uint64(r.SID).Uint32(r.Bits).Uint64(r.Hex).Bytes(r.Byte2).Uint32(r.MSC).Uint32(r.VLR).String(r.SubNbr)
+	w.Uint64(r.SID).Uint32(r.Bits).Uint64(r.Hex).Bytes(r.Byte2).Uint32(r.MSC).Uint32(r.VLR).Bytes(r.SubNbr)
 	return w.Finish()
 }
 
@@ -132,7 +123,7 @@ func DecodeSubscriber(b []byte) SubscriberRow {
 	rd := storage.NewRecordReader(b)
 	return SubscriberRow{
 		SID: rd.Uint64(), Bits: rd.Uint32(), Hex: rd.Uint64(),
-		Byte2: append([]byte(nil), rd.Bytes()...), MSC: rd.Uint32(), VLR: rd.Uint32(), SubNbr: rd.String(),
+		Byte2: rd.Bytes(), MSC: rd.Uint32(), VLR: rd.Uint32(), SubNbr: rd.Bytes(),
 	}
 }
 
@@ -143,13 +134,13 @@ type SpecialFacilityRow struct {
 	IsActive uint32
 	ErrorCtl uint32
 	DataA    uint32
-	DataB    string
+	DataB    []byte
 }
 
 // Encode serializes the row.
 func (r *SpecialFacilityRow) Encode() []byte {
 	w := storage.NewRecordWriter(40)
-	w.Uint64(r.SID).Uint32(r.SFType).Uint32(r.IsActive).Uint32(r.ErrorCtl).Uint32(r.DataA).String(r.DataB)
+	w.Uint64(r.SID).Uint32(r.SFType).Uint32(r.IsActive).Uint32(r.ErrorCtl).Uint32(r.DataA).Bytes(r.DataB)
 	return w.Finish()
 }
 
@@ -158,7 +149,7 @@ func DecodeSpecialFacility(b []byte) SpecialFacilityRow {
 	rd := storage.NewRecordReader(b)
 	return SpecialFacilityRow{
 		SID: rd.Uint64(), SFType: rd.Uint32(), IsActive: rd.Uint32(),
-		ErrorCtl: rd.Uint32(), DataA: rd.Uint32(), DataB: rd.String(),
+		ErrorCtl: rd.Uint32(), DataA: rd.Uint32(), DataB: rd.Bytes(),
 	}
 }
 
@@ -168,13 +159,13 @@ type CallForwardingRow struct {
 	SFType    uint32
 	StartTime uint32 // 0, 8, 16
 	EndTime   uint32
-	NumberX   string
+	NumberX   []byte
 }
 
 // Encode serializes the row.
 func (r *CallForwardingRow) Encode() []byte {
 	w := storage.NewRecordWriter(48)
-	w.Uint64(r.SID).Uint32(r.SFType).Uint32(r.StartTime).Uint32(r.EndTime).String(r.NumberX)
+	w.Uint64(r.SID).Uint32(r.SFType).Uint32(r.StartTime).Uint32(r.EndTime).Bytes(r.NumberX)
 	return w.Finish()
 }
 
@@ -183,9 +174,12 @@ func DecodeCallForwarding(b []byte) CallForwardingRow {
 	rd := storage.NewRecordReader(b)
 	return CallForwardingRow{
 		SID: rd.Uint64(), SFType: rd.Uint32(), StartTime: rd.Uint32(),
-		EndTime: rd.Uint32(), NumberX: rd.String(),
+		EndTime: rd.Uint32(), NumberX: rd.Bytes(),
 	}
 }
+
+// dataB is the Special_Facility filler text.
+var dataB = []byte("fghij")
 
 // accessInfoRow encodes an Access_Info tuple (only data1 is read back).
 func accessInfoRow(sid uint64, aiType uint32, r *sim.Rand) []byte {
@@ -197,31 +191,63 @@ func accessInfoRow(sid uint64, aiType uint32, r *sim.Rand) []byte {
 
 // Keys.
 
+// keys builds every table's key, in the arena a: the transaction path and
+// Populate build theirs in the attempt's (or the row's) arena, where they cost
+// no allocation, and the exported functions below build in the nil arena,
+// which returns fresh slices the caller owns.
+type keys struct{ a *storage.Arena }
+
+func (k keys) subscriber(sid uint64) []byte { return k.a.Uint64Key(sid) }
+
+func (k keys) accessInfo(sid uint64, aiType uint32) []byte {
+	return k.a.CompositeKey(sid, uint64(aiType))
+}
+
+func (k keys) sf(sid uint64, sfType uint32) []byte {
+	return k.a.CompositeKey(sid, uint64(sfType))
+}
+
+func (k keys) cf(sid uint64, sfType, start uint32) []byte {
+	return k.a.CompositeKey(sid, uint64(sfType), uint64(start))
+}
+
+// subNbr is the sub_nbr index key: the 15-digit subscriber number.
+func (k keys) subNbr(sid uint64) []byte {
+	b := k.a.Alloc(15)
+	for i := 14; i >= 0; i-- {
+		b[i] = byte('0' + sid%10)
+		sid /= 10
+	}
+	return b
+}
+
 // SubscriberKey returns the primary key for s_id.
-func SubscriberKey(sid uint64) []byte { return storage.Uint64Key(sid) }
+func SubscriberKey(sid uint64) []byte { return keys{}.subscriber(sid) }
 
 // AccessInfoKey returns the (s_id, ai_type) key.
-func AccessInfoKey(sid uint64, aiType uint32) []byte {
-	return storage.CompositeKey(sid, uint64(aiType))
-}
+func AccessInfoKey(sid uint64, aiType uint32) []byte { return keys{}.accessInfo(sid, aiType) }
 
 // SFKey returns the (s_id, sf_type) key.
-func SFKey(sid uint64, sfType uint32) []byte {
-	return storage.CompositeKey(sid, uint64(sfType))
-}
+func SFKey(sid uint64, sfType uint32) []byte { return keys{}.sf(sid, sfType) }
 
 // CFKey returns the (s_id, sf_type, start_time) key.
-func CFKey(sid uint64, sfType, start uint32) []byte {
-	return storage.CompositeKey(sid, uint64(sfType), uint64(start))
-}
+func CFKey(sid uint64, sfType, start uint32) []byte { return keys{}.cf(sid, sfType, start) }
 
 // Populate implements core.Workload: the spec's population rules — every
 // subscriber, 1-4 access-info rows, 1-4 special facilities (85% active),
 // 0-3 call forwardings per facility.
+//
+// Every key (and the sub_nbr texts the rows embed) is built in one arena that
+// is reset per subscriber: the engine's tree copies the keys it keeps, so a
+// fresh key per row would be allocated twice.
 func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Rand) {
 	n := w.cfg.Subscribers
+	var arena storage.Arena
+	k := keys{&arena}
 	for i := 1; i <= n; i++ {
+		arena.Reset()
 		sid := uint64(i)
+		nbr := k.subNbr(sid)
 		sub := SubscriberRow{
 			SID:    sid,
 			Bits:   uint32(r.Uint64() & 0x3ff),
@@ -229,13 +255,13 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 			Byte2:  randBytes(r, 10),
 			MSC:    uint32(r.Uint64()),
 			VLR:    uint32(r.Uint64()),
-			SubNbr: string(SubNbr(sid)),
+			SubNbr: nbr,
 		}
-		load(TSubscriber, SubscriberKey(sid), sub.Encode())
-		load(TSubNbrIdx, SubNbr(sid), storage.Uint64Key(sid))
+		load(TSubscriber, k.subscriber(sid), sub.Encode())
+		load(TSubNbrIdx, nbr, storage.Uint64Key(sid))
 
 		for _, ai := range pickTypes(r) {
-			load(TAccessInfo, AccessInfoKey(sid, ai), accessInfoRow(sid, ai, r))
+			load(TAccessInfo, k.accessInfo(sid, ai), accessInfoRow(sid, ai, r))
 		}
 		for _, sf := range pickTypes(r) {
 			active := uint32(0)
@@ -243,15 +269,15 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 				active = 1
 			}
 			row := SpecialFacilityRow{SID: sid, SFType: sf, IsActive: active,
-				ErrorCtl: uint32(r.Intn(256)), DataA: uint32(r.Intn(256)), DataB: "fghij"}
-			load(TSpecialFacility, SFKey(sid, sf), row.Encode())
+				ErrorCtl: uint32(r.Intn(256)), DataA: uint32(r.Intn(256)), DataB: dataB}
+			load(TSpecialFacility, k.sf(sid, sf), row.Encode())
 			nCF := r.Intn(4)
 			starts := []uint32{0, 8, 16}
 			for c := 0; c < nCF; c++ {
 				st := starts[c%3]
 				cf := CallForwardingRow{SID: sid, SFType: sf, StartTime: st,
-					EndTime: st + uint32(r.Range(1, 8)), NumberX: string(SubNbr(uint64(r.Range(1, n))))}
-				load(TCallForwarding, CFKey(sid, sf, st), cf.Encode())
+					EndTime: st + uint32(r.Range(1, 8)), NumberX: k.subNbr(uint64(r.Range(1, n)))}
+				load(TCallForwarding, k.cf(sid, sf, st), cf.Encode())
 			}
 		}
 	}
@@ -321,8 +347,9 @@ func (w *Workload) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 
 // GetSubscriberData reads one subscriber row (read-only, 35%).
 func (w *Workload) GetSubscriberData(r *sim.Rand) core.TxnLogic {
-	key := SubscriberKey(w.nuRand(r))
+	sid := w.nuRand(r)
 	return func(tx core.Tx) bool {
+		key := keys{tx.Arena()}.subscriber(sid)
 		return tx.Phase(core.Action{Table: TSubscriber, Key: key, Body: func(c core.AccessCtx) bool {
 			c.Read(TSubscriber, key)
 			return true
@@ -334,8 +361,8 @@ func (w *Workload) GetSubscriberData(r *sim.Rand) core.TxnLogic {
 func (w *Workload) GetAccessData(r *sim.Rand) core.TxnLogic {
 	sid := w.nuRand(r)
 	ai := uint32(r.Range(1, 4))
-	key := AccessInfoKey(sid, ai)
 	return func(tx core.Tx) bool {
+		key := keys{tx.Arena()}.accessInfo(sid, ai)
 		return tx.Phase(core.Action{Table: TAccessInfo, Key: key, Body: func(c core.AccessCtx) bool {
 			c.Read(TAccessInfo, key)
 			return true
@@ -350,8 +377,8 @@ func (w *Workload) GetNewDestination(r *sim.Rand) core.TxnLogic {
 	sf := uint32(r.Range(1, 4))
 	startTime := uint32(r.Intn(3) * 8)
 	endTime := uint32(r.Range(1, 24))
-	sfKey := SFKey(sid, sf)
 	return func(tx core.Tx) bool {
+		sfKey := keys{tx.Arena()}.sf(sid, sf)
 		return tx.Phase(core.Action{Table: TSpecialFacility, Key: sfKey, Body: func(c core.AccessCtx) bool {
 			val, ok := c.Read(TSpecialFacility, sfKey)
 			if !ok {
@@ -361,7 +388,8 @@ func (w *Workload) GetNewDestination(r *sim.Rand) core.TxnLogic {
 			if row.IsActive == 0 {
 				return true
 			}
-			c.Scan(TCallForwarding, CFKey(sid, sf, 0), CFKey(sid, sf+1, 0), func(k, v []byte) bool {
+			k := keys{c.Arena()}
+			c.Scan(TCallForwarding, k.cf(sid, sf, 0), k.cf(sid, sf+1, 0), func(_, v []byte) bool {
 				cf := DecodeCallForwarding(v)
 				_ = cf.StartTime <= startTime && startTime < cf.EndTime && endTime <= cf.EndTime
 				return true
@@ -379,9 +407,9 @@ func (w *Workload) UpdateSubscriberData(r *sim.Rand) core.TxnLogic {
 	sf := uint32(r.Range(1, 4))
 	bit := uint32(1) << uint(r.Intn(10))
 	dataA := uint32(r.Intn(256))
-	subKey := SubscriberKey(sid)
-	sfKey := SFKey(sid, sf)
 	return func(tx core.Tx) bool {
+		k := keys{tx.Arena()}
+		subKey, sfKey := k.subscriber(sid), k.sf(sid, sf)
 		return tx.Phase(core.Action{Table: TSubscriber, Key: subKey, Body: func(c core.AccessCtx) bool {
 			val, ok := c.ReadForUpdate(TSubscriber, subKey)
 			if !ok {
@@ -407,15 +435,15 @@ func (w *Workload) UpdateSubscriberData(r *sim.Rand) core.TxnLogic {
 // index (14%).
 func (w *Workload) UpdateLocation(r *sim.Rand) core.TxnLogic {
 	sid := w.nuRand(r)
-	nbr := SubNbr(sid)
 	vlr := uint32(r.Uint64())
 	return func(tx core.Tx) bool {
+		nbr := keys{tx.Arena()}.subNbr(sid)
 		return tx.Phase(core.Action{Table: TSubNbrIdx, Key: nbr, Body: func(c core.AccessCtx) bool {
 			idxVal, ok := c.Read(TSubNbrIdx, nbr)
 			if !ok {
 				return false
 			}
-			target := SubscriberKey(storage.DecodeUint64(idxVal))
+			target := keys{c.Arena()}.subscriber(storage.DecodeUint64(idxVal))
 			val, ok := c.ReadForUpdate(TSubscriber, target)
 			if !ok {
 				return false
@@ -434,19 +462,20 @@ func (w *Workload) InsertCallForwarding(r *sim.Rand) core.TxnLogic {
 	sf := uint32(r.Range(1, 4))
 	start := uint32(r.Intn(3) * 8)
 	end := start + uint32(r.Range(1, 8))
-	nbr := SubNbr(sid)
 	return func(tx core.Tx) bool {
+		nbr := keys{tx.Arena()}.subNbr(sid)
 		return tx.Phase(core.Action{Table: TSubNbrIdx, Key: nbr, Body: func(c core.AccessCtx) bool {
 			idxVal, ok := c.Read(TSubNbrIdx, nbr)
 			if !ok {
 				return false
 			}
 			target := storage.DecodeUint64(idxVal)
-			if _, ok := c.Read(TSpecialFacility, SFKey(target, sf)); !ok {
+			k := keys{c.Arena()}
+			if _, ok := c.Read(TSpecialFacility, k.sf(target, sf)); !ok {
 				return false
 			}
-			row := CallForwardingRow{SID: target, SFType: sf, StartTime: start, EndTime: end, NumberX: string(nbr)}
-			return c.Insert(TCallForwarding, CFKey(target, sf, start), row.Encode())
+			row := CallForwardingRow{SID: target, SFType: sf, StartTime: start, EndTime: end, NumberX: nbr}
+			return c.Insert(TCallForwarding, k.cf(target, sf, start), row.Encode())
 		}})
 	}
 }
@@ -457,15 +486,15 @@ func (w *Workload) DeleteCallForwarding(r *sim.Rand) core.TxnLogic {
 	sid := w.nuRand(r)
 	sf := uint32(r.Range(1, 4))
 	start := uint32(r.Intn(3) * 8)
-	nbr := SubNbr(sid)
 	return func(tx core.Tx) bool {
+		nbr := keys{tx.Arena()}.subNbr(sid)
 		return tx.Phase(core.Action{Table: TSubNbrIdx, Key: nbr, Body: func(c core.AccessCtx) bool {
 			idxVal, ok := c.Read(TSubNbrIdx, nbr)
 			if !ok {
 				return false
 			}
 			target := storage.DecodeUint64(idxVal)
-			return c.Delete(TCallForwarding, CFKey(target, sf, start))
+			return c.Delete(TCallForwarding, keys{c.Arena()}.cf(target, sf, start))
 		}})
 	}
 }

@@ -2,6 +2,7 @@ package tatp
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"bionicdb/internal/core"
@@ -23,17 +24,17 @@ func TestSubNbrRoundTrip(t *testing.T) {
 }
 
 func TestRowEncodings(t *testing.T) {
-	sub := SubscriberRow{SID: 7, Bits: 0x2aa, Hex: 0x1234567890, Byte2: []byte("0123456789"), MSC: 11, VLR: 22, SubNbr: "000000000000007"}
+	sub := SubscriberRow{SID: 7, Bits: 0x2aa, Hex: 0x1234567890, Byte2: []byte("0123456789"), MSC: 11, VLR: 22, SubNbr: []byte("000000000000007")}
 	got := DecodeSubscriber(sub.Encode())
-	if got.SID != 7 || got.Bits != 0x2aa || got.VLR != 22 || got.SubNbr != sub.SubNbr || !bytes.Equal(got.Byte2, sub.Byte2) {
+	if got.SID != 7 || got.Bits != 0x2aa || got.VLR != 22 || !bytes.Equal(got.SubNbr, sub.SubNbr) || !bytes.Equal(got.Byte2, sub.Byte2) {
 		t.Fatalf("subscriber round trip: %+v", got)
 	}
-	sf := SpecialFacilityRow{SID: 7, SFType: 3, IsActive: 1, DataA: 99, DataB: "fghij"}
+	sf := SpecialFacilityRow{SID: 7, SFType: 3, IsActive: 1, DataA: 99, DataB: []byte("fghij")}
 	if g := DecodeSpecialFacility(sf.Encode()); g.SFType != 3 || g.IsActive != 1 || g.DataA != 99 {
 		t.Fatalf("sf round trip: %+v", g)
 	}
-	cf := CallForwardingRow{SID: 7, SFType: 2, StartTime: 8, EndTime: 12, NumberX: "000000000000042"}
-	if g := DecodeCallForwarding(cf.Encode()); g.StartTime != 8 || g.EndTime != 12 || g.NumberX != cf.NumberX {
+	cf := CallForwardingRow{SID: 7, SFType: 2, StartTime: 8, EndTime: 12, NumberX: []byte("000000000000042")}
+	if g := DecodeCallForwarding(cf.Encode()); g.StartTime != 8 || g.EndTime != 12 || !bytes.Equal(g.NumberX, cf.NumberX) {
 		t.Fatalf("cf round trip: %+v", g)
 	}
 }
@@ -129,8 +130,12 @@ func TestSchemeColocatesSubscriberRows(t *testing.T) {
 		if q := s.Route(TSubNbrIdx, SubNbr(sid)); q != p {
 			t.Fatalf("sub_nbr idx of %d routed elsewhere", sid)
 		}
-		if e := s.Entity(TSubscriber, SubscriberKey(sid)); e != s.Entity(TAccessInfo, AccessInfoKey(sid, 1)) {
+		e := s.Entity(TSubscriber, SubscriberKey(sid))
+		if e != s.Entity(TAccessInfo, AccessInfoKey(sid, 1)) {
 			t.Fatalf("entities differ for subscriber %d", sid)
+		}
+		if want := fmt.Sprintf("s%d", sid); e.String() != want {
+			t.Fatalf("entity %q, want %q", e, want)
 		}
 	}
 }
@@ -218,7 +223,7 @@ func TestInsertThenDeleteCallForwarding(t *testing.T) {
 	key := CFKey(3, sfType, 99) // start_time outside populated values
 	env.Spawn("term", func(p *sim.Proc) {
 		term := &core.Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(2)}
-		row := CallForwardingRow{SID: 3, SFType: sfType, StartTime: 99, EndTime: 100, NumberX: "x"}
+		row := CallForwardingRow{SID: 3, SFType: sfType, StartTime: 99, EndTime: 100, NumberX: []byte("x")}
 		ok := e.Submit(term, func(tx core.Tx) bool {
 			return tx.Phase(core.Action{Table: TCallForwarding, Key: key, Body: func(c core.AccessCtx) bool {
 				return c.Insert(TCallForwarding, key, row.Encode())

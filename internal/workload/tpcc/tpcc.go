@@ -8,10 +8,11 @@
 package tpcc
 
 import (
-	"fmt"
+	"encoding/binary"
 	"strconv"
 
 	"bionicdb/internal/core"
+	"bionicdb/internal/dora"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
 )
@@ -122,76 +123,99 @@ func (w *Workload) Scheme(partitions int) core.PartitionScheme {
 				return int((wid*31 + did) % uint64(partitions))
 			}
 		},
-		Entity: func(table uint16, key []byte) string {
-			// Manual builds of the old fmt.Sprintf("%c%d.%d", ...) strings:
-			// entities are computed per action, so they must not pay fmt.
+		Entity: func(table uint16, key []byte) dora.Entity {
 			switch table {
 			case TItem:
-				return "" // read-only after load
+				return dora.Entity{} // read-only after load
 			case TStock:
-				return entity2('s', storage.DecodeUint64(key), storage.DecodeUint64(key[8:]))
+				return dora.Entity2('s', storage.DecodeUint64(key), storage.DecodeUint64(key[8:]))
 			case TWarehouse:
-				buf := make([]byte, 1, 21)
-				buf[0] = 'w'
-				return string(strconv.AppendUint(buf, storage.DecodeUint64(key), 10))
+				return dora.Entity1('w', storage.DecodeUint64(key))
 			default:
-				return entity2('d', storage.DecodeUint64(key), storage.DecodeUint64(key[8:]))
+				return dora.Entity2('d', storage.DecodeUint64(key), storage.DecodeUint64(key[8:]))
 			}
 		},
 	}
 }
 
-// entity2 renders prefix + a + "." + b, the two-part entity-lock name.
-func entity2(prefix byte, a, b uint64) string {
-	buf := make([]byte, 1, 44)
-	buf[0] = prefix
-	buf = strconv.AppendUint(buf, a, 10)
-	buf = append(buf, '.')
-	return string(strconv.AppendUint(buf, b, 10))
-}
-
 // Keys.
 
+// keys builds every table's key, in the arena a: the transaction path and
+// Populate build theirs in the attempt's (or the row's) arena, where they cost
+// no allocation, and the exported functions below build in the nil arena,
+// which returns fresh slices the caller owns.
+type keys struct{ a *storage.Arena }
+
+func (k keys) warehouse(wid uint64) []byte          { return k.a.Uint64Key(wid) }
+func (k keys) district(wid, did uint64) []byte      { return k.a.CompositeKey(wid, did) }
+func (k keys) customer(wid, did, cid uint64) []byte { return k.a.CompositeKey(wid, did, cid) }
+func (k keys) item(iid uint64) []byte               { return k.a.Uint64Key(iid) }
+func (k keys) stock(wid, iid uint64) []byte         { return k.a.CompositeKey(wid, iid) }
+func (k keys) order(wid, did, oid uint64) []byte    { return k.a.CompositeKey(wid, did, oid) }
+
+func (k keys) orderLine(wid, did, oid, ol uint64) []byte {
+	return k.a.CompositeKey(wid, did, oid, ol)
+}
+
+// orderCust is the customer-order index key (w, d, c, o).
+func (k keys) orderCust(wid, did, cid, oid uint64) []byte {
+	return k.a.CompositeKey(wid, did, cid, oid)
+}
+
+// history is the history row's key (w, d, customer's w, a unique draw).
+func (k keys) history(wid, did, cwid, uniq uint64) []byte {
+	return k.a.CompositeKey(wid, did, cwid, uniq)
+}
+
+// custNameTo builds (w, d, last, sep) with room for extra bytes after it: the
+// part of a last-name index key that bounds and keys share.
+func (k keys) custNameTo(wid, did uint64, last string, sep byte, extra int) []byte {
+	n := 16 + len(last) + 1
+	out := k.a.Alloc(n + extra)
+	binary.BigEndian.PutUint64(out, wid)
+	binary.BigEndian.PutUint64(out[8:], did)
+	copy(out[16:], last)
+	out[n-1] = sep
+	return out
+}
+
+// custName is the last-name index key (w, d, last, 0, c).
+func (k keys) custName(wid, did uint64, last string, cid uint64) []byte {
+	out := k.custNameTo(wid, did, last, 0, 8)
+	binary.BigEndian.PutUint64(out[len(out)-8:], cid)
+	return out
+}
+
+// custNameBounds bounds a last-name scan.
+func (k keys) custNameBounds(wid, did uint64, last string) (from, to []byte) {
+	return k.custNameTo(wid, did, last, 0, 0), k.custNameTo(wid, did, last, 1, 0)
+}
+
 // WarehouseKey returns warehouse w's key (1-based).
-func WarehouseKey(wid uint64) []byte { return storage.Uint64Key(wid) }
+func WarehouseKey(wid uint64) []byte { return keys{}.warehouse(wid) }
 
 // DistrictKey returns district (w, d)'s key.
-func DistrictKey(wid, did uint64) []byte { return storage.CompositeKey(wid, did) }
+func DistrictKey(wid, did uint64) []byte { return keys{}.district(wid, did) }
 
 // CustomerKey returns customer (w, d, c)'s key.
-func CustomerKey(wid, did, cid uint64) []byte { return storage.CompositeKey(wid, did, cid) }
-
-// custNameKey builds the last-name index key (w, d, last, c).
-func custNameKey(wid, did uint64, last string, cid uint64) []byte {
-	k := storage.CompositeKey(wid, did)
-	k = append(k, []byte(last)...)
-	k = append(k, 0)
-	return storage.EncodeUint64(k, cid)
-}
-
-// custNamePrefix bounds a last-name scan.
-func custNamePrefix(wid, did uint64, last string) (from, to []byte) {
-	base := storage.CompositeKey(wid, did)
-	from = append(append(append([]byte(nil), base...), []byte(last)...), 0)
-	to = append(append(append([]byte(nil), base...), []byte(last)...), 1)
-	return from, to
-}
+func CustomerKey(wid, did, cid uint64) []byte { return keys{}.customer(wid, did, cid) }
 
 // ItemKey returns item i's key.
-func ItemKey(iid uint64) []byte { return storage.Uint64Key(iid) }
+func ItemKey(iid uint64) []byte { return keys{}.item(iid) }
 
 // StockKey returns stock (w, i)'s key.
-func StockKey(wid, iid uint64) []byte { return storage.CompositeKey(wid, iid) }
+func StockKey(wid, iid uint64) []byte { return keys{}.stock(wid, iid) }
 
 // OrderKey returns order (w, d, o)'s key.
-func OrderKey(wid, did, oid uint64) []byte { return storage.CompositeKey(wid, did, oid) }
+func OrderKey(wid, did, oid uint64) []byte { return keys{}.order(wid, did, oid) }
 
 // OrderLineKey returns order line (w, d, o, ol)'s key.
-func OrderLineKey(wid, did, oid, ol uint64) []byte {
-	return storage.CompositeKey(wid, did, oid, ol)
-}
+func OrderLineKey(wid, did, oid, ol uint64) []byte { return keys{}.orderLine(wid, did, oid, ol) }
 
-// Rows.
+// Rows. A decoded row's variable-width fields ([]byte) are views into the
+// encoded row: stored rows are immutable (a write replaces the row, it never
+// overwrites it in place), so a view stays good for as long as the row it
+// came from is reachable, and decoding copies nothing.
 
 // WarehouseRow is the decoded warehouse tuple.
 type WarehouseRow struct {
@@ -233,21 +257,21 @@ func DecodeDistrict(b []byte) DistrictRow {
 // CustomerRow is the decoded customer tuple.
 type CustomerRow struct {
 	WID, DID, CID uint64
-	Last          string
+	Last          []byte
 	Credit        uint32 // 0 = GC, 1 = BC
 	Discount      uint32 // basis points
 	Balance       int64  // cents
 	YTDPayment    uint64
 	PaymentCnt    uint32
 	DeliveryCnt   uint32
-	Data          string
+	Data          []byte
 }
 
 // Encode serializes the row.
 func (r *CustomerRow) Encode() []byte {
 	w := storage.NewRecordWriter(96)
-	w.Uint64(r.WID).Uint64(r.DID).Uint64(r.CID).String(r.Last).Uint32(r.Credit).Uint32(r.Discount)
-	w.Uint64(uint64(r.Balance)).Uint64(r.YTDPayment).Uint32(r.PaymentCnt).Uint32(r.DeliveryCnt).String(r.Data)
+	w.Uint64(r.WID).Uint64(r.DID).Uint64(r.CID).Bytes(r.Last).Uint32(r.Credit).Uint32(r.Discount)
+	w.Uint64(uint64(r.Balance)).Uint64(r.YTDPayment).Uint32(r.PaymentCnt).Uint32(r.DeliveryCnt).Bytes(r.Data)
 	return w.Finish()
 }
 
@@ -255,9 +279,9 @@ func (r *CustomerRow) Encode() []byte {
 func DecodeCustomer(b []byte) CustomerRow {
 	rd := storage.NewRecordReader(b)
 	return CustomerRow{
-		WID: rd.Uint64(), DID: rd.Uint64(), CID: rd.Uint64(), Last: rd.String(),
+		WID: rd.Uint64(), DID: rd.Uint64(), CID: rd.Uint64(), Last: rd.Bytes(),
 		Credit: rd.Uint32(), Discount: rd.Uint32(), Balance: int64(rd.Uint64()),
-		YTDPayment: rd.Uint64(), PaymentCnt: rd.Uint32(), DeliveryCnt: rd.Uint32(), Data: rd.String(),
+		YTDPayment: rd.Uint64(), PaymentCnt: rd.Uint32(), DeliveryCnt: rd.Uint32(), Data: rd.Bytes(),
 	}
 }
 
@@ -265,18 +289,18 @@ func DecodeCustomer(b []byte) CustomerRow {
 type ItemRow struct {
 	IID   uint64
 	Price uint32 // cents
-	Name  string
+	Name  []byte
 }
 
 // Encode serializes the row.
 func (r *ItemRow) Encode() []byte {
-	return storage.NewRecordWriter(40).Uint64(r.IID).Uint32(r.Price).String(r.Name).Finish()
+	return storage.NewRecordWriter(40).Uint64(r.IID).Uint32(r.Price).Bytes(r.Name).Finish()
 }
 
 // DecodeItem parses an item row.
 func DecodeItem(b []byte) ItemRow {
 	rd := storage.NewRecordReader(b)
-	return ItemRow{IID: rd.Uint64(), Price: rd.Uint32(), Name: rd.String()}
+	return ItemRow{IID: rd.Uint64(), Price: rd.Uint32(), Name: rd.Bytes()}
 }
 
 // StockRow is the decoded stock tuple.
@@ -331,14 +355,14 @@ type OrderLineRow struct {
 	Qty               uint32
 	Amount            uint64 // cents
 	DeliveryD         uint64 // 0 = undelivered
-	DistInfo          string
+	DistInfo          []byte
 }
 
 // Encode serializes the row.
 func (r *OrderLineRow) Encode() []byte {
 	w := storage.NewRecordWriter(96)
 	w.Uint64(r.WID).Uint64(r.DID).Uint64(r.OID).Uint64(r.OL).Uint64(r.IID).Uint64(r.SupplyW)
-	w.Uint32(r.Qty).Uint64(r.Amount).Uint64(r.DeliveryD).String(r.DistInfo)
+	w.Uint32(r.Qty).Uint64(r.Amount).Uint64(r.DeliveryD).Bytes(r.DistInfo)
 	return w.Finish()
 }
 
@@ -347,7 +371,7 @@ func DecodeOrderLine(b []byte) OrderLineRow {
 	rd := storage.NewRecordReader(b)
 	return OrderLineRow{
 		WID: rd.Uint64(), DID: rd.Uint64(), OID: rd.Uint64(), OL: rd.Uint64(), IID: rd.Uint64(),
-		SupplyW: rd.Uint64(), Qty: rd.Uint32(), Amount: rd.Uint64(), DeliveryD: rd.Uint64(), DistInfo: rd.String(),
+		SupplyW: rd.Uint64(), Qty: rd.Uint32(), Amount: rd.Uint64(), DeliveryD: rd.Uint64(), DistInfo: rd.Bytes(),
 	}
 }
 
@@ -383,24 +407,42 @@ func (w *Workload) randLastNum(r *sim.Rand) int {
 	return int(nuRand(r, 255, w.cLast, 0, span-1))
 }
 
-// Populate implements core.Workload.
+// Row texts the workload writes; Encode copies them into the row.
+var (
+	dataInitial = []byte("initial")
+	dataBCTrail = []byte("bc-trail")
+	distInfoPad = []byte("dist-info-pad")
+	histPayment = []byte("payment")
+)
+
+// Populate implements core.Workload. Every key is built in one arena that
+// is reset after each load: the engine's tree copies the keys it keeps, so a
+// fresh key per row would be allocated twice.
 func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Rand) {
 	cfg := w.cfg
+	var arena storage.Arena
+	k := keys{&arena}
+	put := func(table uint16, key, val []byte) {
+		load(table, key, val)
+		arena.Reset()
+	}
+	var name []byte
 	for i := 1; i <= cfg.Items; i++ {
-		row := ItemRow{IID: uint64(i), Price: uint32(r.Range(100, 10000)), Name: fmt.Sprintf("item-%d", i)}
-		load(TItem, ItemKey(uint64(i)), row.Encode())
+		name = strconv.AppendUint(append(name[:0], "item-"...), uint64(i), 10)
+		row := ItemRow{IID: uint64(i), Price: uint32(r.Range(100, 10000)), Name: name}
+		put(TItem, k.item(uint64(i)), row.Encode())
 	}
 	for wid := 1; wid <= cfg.Warehouses; wid++ {
 		wrow := WarehouseRow{WID: uint64(wid), Tax: uint32(r.Intn(2001))}
-		load(TWarehouse, WarehouseKey(uint64(wid)), wrow.Encode())
+		put(TWarehouse, k.warehouse(uint64(wid)), wrow.Encode())
 		for i := 1; i <= cfg.Items; i++ {
 			srow := StockRow{WID: uint64(wid), IID: uint64(i), Qty: int64(r.Range(10, 100))}
-			load(TStock, StockKey(uint64(wid), uint64(i)), srow.Encode())
+			put(TStock, k.stock(uint64(wid), uint64(i)), srow.Encode())
 		}
 		for did := 1; did <= cfg.Districts; did++ {
 			nOrders := cfg.InitialOrdersPerDistrict
 			drow := DistrictRow{WID: uint64(wid), DID: uint64(did), Tax: uint32(r.Intn(2001)), NextOID: uint64(nOrders + 1)}
-			load(TDistrict, DistrictKey(uint64(wid), uint64(did)), drow.Encode())
+			put(TDistrict, k.district(uint64(wid), uint64(did)), drow.Encode())
 			for cid := 1; cid <= cfg.CustomersPerDistrict; cid++ {
 				lastNum := cid - 1
 				if cid > 1000 {
@@ -410,13 +452,14 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 				if r.Bool(0.1) {
 					credit = 1
 				}
+				last := LastName(lastNum % 1000)
 				crow := CustomerRow{
 					WID: uint64(wid), DID: uint64(did), CID: uint64(cid),
-					Last: LastName(lastNum % 1000), Credit: credit,
-					Discount: uint32(r.Intn(5001)), Balance: -1000, Data: "initial",
+					Last: []byte(last), Credit: credit,
+					Discount: uint32(r.Intn(5001)), Balance: -1000, Data: dataInitial,
 				}
-				load(TCustomer, CustomerKey(uint64(wid), uint64(did), uint64(cid)), crow.Encode())
-				load(TCustNameIdx, custNameKey(uint64(wid), uint64(did), crow.Last, uint64(cid)), storage.Uint64Key(uint64(cid)))
+				put(TCustomer, k.customer(uint64(wid), uint64(did), uint64(cid)), crow.Encode())
+				put(TCustNameIdx, k.custName(uint64(wid), uint64(did), last, uint64(cid)), storage.Uint64Key(uint64(cid)))
 			}
 			// Initial order backlog: the last 1/3 are undelivered.
 			for oid := 1; oid <= nOrders; oid++ {
@@ -428,10 +471,10 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 					carrier = 0
 				}
 				orow := OrderRow{WID: uint64(wid), DID: uint64(did), OID: uint64(oid), CID: cid, Carrier: carrier, OLCnt: uint32(olCnt), AllLocal: 1}
-				load(TOrder, OrderKey(uint64(wid), uint64(did), uint64(oid)), orow.Encode())
-				load(TOrderCustIdx, storage.CompositeKey(uint64(wid), uint64(did), cid, uint64(oid)), storage.Uint64Key(uint64(oid)))
+				put(TOrder, k.order(uint64(wid), uint64(did), uint64(oid)), orow.Encode())
+				put(TOrderCustIdx, k.orderCust(uint64(wid), uint64(did), cid, uint64(oid)), storage.Uint64Key(uint64(oid)))
 				if undelivered {
-					load(TNewOrder, OrderKey(uint64(wid), uint64(did), uint64(oid)), []byte{1})
+					put(TNewOrder, k.order(uint64(wid), uint64(did), uint64(oid)), []byte{1})
 				}
 				for ol := uint64(1); ol <= olCnt; ol++ {
 					deliveryD := uint64(1)
@@ -441,9 +484,9 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 					olrow := OrderLineRow{
 						WID: uint64(wid), DID: uint64(did), OID: uint64(oid), OL: ol,
 						IID: uint64(r.Range(1, cfg.Items)), SupplyW: uint64(wid),
-						Qty: 5, Amount: uint64(r.Range(1, 999900)), DeliveryD: deliveryD, DistInfo: "dist-info-pad",
+						Qty: 5, Amount: uint64(r.Range(1, 999900)), DeliveryD: deliveryD, DistInfo: distInfoPad,
 					}
-					load(TOrderLine, OrderLineKey(uint64(wid), uint64(did), uint64(oid), ol), olrow.Encode())
+					put(TOrderLine, k.orderLine(uint64(wid), uint64(did), uint64(oid), ol), olrow.Encode())
 				}
 			}
 		}

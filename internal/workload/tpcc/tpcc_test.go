@@ -1,9 +1,11 @@
 package tpcc
 
 import (
+	"reflect"
 	"testing"
 
 	"bionicdb/internal/core"
+	"bionicdb/internal/dora"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
@@ -26,8 +28,8 @@ func TestRowEncodings(t *testing.T) {
 	if g := DecodeDistrict(d.Encode()); g != d {
 		t.Fatalf("district: %+v", g)
 	}
-	c := CustomerRow{WID: 1, DID: 2, CID: 3, Last: "BARBARBAR", Credit: 1, Discount: 100, Balance: -4200, YTDPayment: 77, PaymentCnt: 3, DeliveryCnt: 1, Data: "d"}
-	if g := DecodeCustomer(c.Encode()); g != c {
+	c := CustomerRow{WID: 1, DID: 2, CID: 3, Last: []byte("BARBARBAR"), Credit: 1, Discount: 100, Balance: -4200, YTDPayment: 77, PaymentCnt: 3, DeliveryCnt: 1, Data: []byte("d")}
+	if g := DecodeCustomer(c.Encode()); !reflect.DeepEqual(g, c) {
 		t.Fatalf("customer: %+v", g)
 	}
 	s := StockRow{WID: 1, IID: 9, Qty: -5, YTD: 100, OrderCnt: 7, RemoteCnt: 2}
@@ -38,8 +40,8 @@ func TestRowEncodings(t *testing.T) {
 	if g := DecodeOrder(o.Encode()); g != o {
 		t.Fatalf("order: %+v", g)
 	}
-	ol := OrderLineRow{WID: 1, DID: 2, OID: 3, OL: 4, IID: 5, SupplyW: 6, Qty: 7, Amount: 8, DeliveryD: 9, DistInfo: "x"}
-	if g := DecodeOrderLine(ol.Encode()); g != ol {
+	ol := OrderLineRow{WID: 1, DID: 2, OID: 3, OL: 4, IID: 5, SupplyW: 6, Qty: 7, Amount: 8, DeliveryD: 9, DistInfo: []byte("x")}
+	if g := DecodeOrderLine(ol.Encode()); !reflect.DeepEqual(g, ol) {
 		t.Fatalf("orderline: %+v", g)
 	}
 }
@@ -405,8 +407,18 @@ func TestSchemeRouting(t *testing.T) {
 		t.Error("customer not colocated with district")
 	}
 	// Item is entity-free.
-	if s.Entity(TItem, ItemKey(42)) != "" {
+	if s.Entity(TItem, ItemKey(42)) != (dora.Entity{}) {
 		t.Error("item should have no entity lock")
+	}
+	// Entity names read as they always have.
+	if got := s.Entity(TStock, StockKey(1, 2)).String(); got != "s1.2" {
+		t.Errorf("stock entity %q, want s1.2", got)
+	}
+	if got := s.Entity(TWarehouse, WarehouseKey(3)).String(); got != "w3" {
+		t.Errorf("warehouse entity %q, want w3", got)
+	}
+	if got := s.Entity(TOrder, OrderKey(4, 10, 77)).String(); got != "d4.10" {
+		t.Errorf("district entity %q, want d4.10", got)
 	}
 	// Stock entities are per (w, i).
 	if s.Entity(TStock, StockKey(1, 2)) == s.Entity(TStock, StockKey(1, 3)) {

@@ -55,23 +55,26 @@ func (w *Workload) NewOrder(r *sim.Rand) core.TxnLogic {
 		// takes no entity lock (read-committed suffices, and it keeps the
 		// entity-acquisition order warehouse < district cycle-free
 		// against Payment).
+		tk := keys{tx.Arena()}
 		ok := tx.Phase(
-			core.Action{Table: TDistrict, Key: DistrictKey(wid, did), Body: func(c core.AccessCtx) bool {
-				dv, found := c.ReadForUpdate(TDistrict, DistrictKey(wid, did))
+			core.Action{Table: TDistrict, Key: tk.district(wid, did), Body: func(c core.AccessCtx) bool {
+				k := keys{c.Arena()}
+				dk := k.district(wid, did)
+				dv, found := c.ReadForUpdate(TDistrict, dk)
 				if !found {
 					return false
 				}
 				d := DecodeDistrict(dv)
 				oid = d.NextOID
 				d.NextOID++
-				if !c.Update(TDistrict, DistrictKey(wid, did), d.Encode()) {
+				if !c.Update(TDistrict, dk, d.Encode()) {
 					return false
 				}
-				_, found = c.Read(TCustomer, CustomerKey(wid, did, cid))
+				_, found = c.Read(TCustomer, k.customer(wid, did, cid))
 				return found
 			}},
-			core.Action{Table: TWarehouse, Key: WarehouseKey(wid), NoLock: true, Body: func(c core.AccessCtx) bool {
-				_, found := c.Read(TWarehouse, WarehouseKey(wid))
+			core.Action{Table: TWarehouse, Key: tk.warehouse(wid), NoLock: true, Body: func(c core.AccessCtx) bool {
+				_, found := c.Read(TWarehouse, keys{c.Arena()}.warehouse(wid))
 				return found
 			}},
 		)
@@ -83,13 +86,15 @@ func (w *Workload) NewOrder(r *sim.Rand) core.TxnLogic {
 		actions := make([]core.Action, len(lines))
 		for i, ln := range lines {
 			i, ln := i, ln
-			actions[i] = core.Action{Table: TStock, Key: StockKey(ln.supplyW, ln.iid), Body: func(c core.AccessCtx) bool {
-				iv, found := c.Read(TItem, ItemKey(ln.iid))
+			actions[i] = core.Action{Table: TStock, Key: tk.stock(ln.supplyW, ln.iid), Body: func(c core.AccessCtx) bool {
+				k := keys{c.Arena()}
+				iv, found := c.Read(TItem, k.item(ln.iid))
 				if !found {
 					return false // invalid item: spec rollback
 				}
 				item := DecodeItem(iv)
-				sv, found := c.ReadForUpdate(TStock, StockKey(ln.supplyW, ln.iid))
+				sk := k.stock(ln.supplyW, ln.iid)
+				sv, found := c.ReadForUpdate(TStock, sk)
 				if !found {
 					return false
 				}
@@ -104,7 +109,7 @@ func (w *Workload) NewOrder(r *sim.Rand) core.TxnLogic {
 				if ln.supplyW != wid {
 					s.RemoteCnt++
 				}
-				if !c.Update(TStock, StockKey(ln.supplyW, ln.iid), s.Encode()) {
+				if !c.Update(TStock, sk, s.Encode()) {
 					return false
 				}
 				amounts[i] = uint64(ln.qty) * uint64(item.Price)
@@ -115,7 +120,8 @@ func (w *Workload) NewOrder(r *sim.Rand) core.TxnLogic {
 			return false
 		}
 		// Phase 3: materialize the order in the district partition.
-		return tx.Phase(core.Action{Table: TOrder, Key: OrderKey(wid, did, oid), Body: func(c core.AccessCtx) bool {
+		return tx.Phase(core.Action{Table: TOrder, Key: tk.order(wid, did, oid), Body: func(c core.AccessCtx) bool {
+			k := keys{c.Arena()}
 			allLocal := uint32(1)
 			for _, ln := range lines {
 				if ln.supplyW != wid {
@@ -123,19 +129,20 @@ func (w *Workload) NewOrder(r *sim.Rand) core.TxnLogic {
 				}
 			}
 			o := OrderRow{WID: wid, DID: did, OID: oid, CID: cid, EntryD: entryD, OLCnt: uint32(len(lines)), AllLocal: allLocal}
-			if !c.Insert(TOrder, OrderKey(wid, did, oid), o.Encode()) {
+			okey := k.order(wid, did, oid)
+			if !c.Insert(TOrder, okey, o.Encode()) {
 				return false
 			}
-			if !c.Insert(TOrderCustIdx, storage.CompositeKey(wid, did, cid, oid), storage.Uint64Key(oid)) {
+			if !c.Insert(TOrderCustIdx, k.orderCust(wid, did, cid, oid), storage.Uint64Key(oid)) {
 				return false
 			}
-			if !c.Insert(TNewOrder, OrderKey(wid, did, oid), []byte{1}) {
+			if !c.Insert(TNewOrder, okey, []byte{1}) {
 				return false
 			}
 			for i, ln := range lines {
 				olr := OrderLineRow{WID: wid, DID: did, OID: oid, OL: uint64(i + 1), IID: ln.iid,
-					SupplyW: ln.supplyW, Qty: ln.qty, Amount: amounts[i], DistInfo: "dist-info-pad"}
-				if !c.Insert(TOrderLine, OrderLineKey(wid, did, oid, uint64(i+1)), olr.Encode()) {
+					SupplyW: ln.supplyW, Qty: ln.qty, Amount: amounts[i], DistInfo: distInfoPad}
+				if !c.Insert(TOrderLine, k.orderLine(wid, did, oid, uint64(i+1)), olr.Encode()) {
 					return false
 				}
 			}
@@ -176,28 +183,31 @@ func (w *Workload) Payment(r *sim.Rand) core.TxnLogic {
 		// warehouse entity is held for only one short phase before commit
 		// instead of the whole transaction (otherwise every Payment on
 		// the warehouse convoys behind whichever holder blocks).
-		if !tx.Phase(core.Action{Table: TDistrict, Key: DistrictKey(wid, did), Body: func(c core.AccessCtx) bool {
-			dv, found := c.ReadForUpdate(TDistrict, DistrictKey(wid, did))
+		tk := keys{tx.Arena()}
+		if !tx.Phase(core.Action{Table: TDistrict, Key: tk.district(wid, did), Body: func(c core.AccessCtx) bool {
+			dk := keys{c.Arena()}.district(wid, did)
+			dv, found := c.ReadForUpdate(TDistrict, dk)
 			if !found {
 				return false
 			}
 			d := DecodeDistrict(dv)
 			d.YTD += amount
-			return c.Update(TDistrict, DistrictKey(wid, did), d.Encode())
+			return c.Update(TDistrict, dk, d.Encode())
 		}}) {
 			return false
 		}
 		// Phase 2: customer selection and update in its home partition.
-		custKey := CustomerKey(cwid, cdid, cid)
+		custKey := tk.customer(cwid, cdid, cid)
 		if byName {
-			custKey = DistrictKey(cwid, cdid) // routing only needs (w, d)
+			custKey = tk.district(cwid, cdid) // routing only needs (w, d)
 		}
 		if !tx.Phase(core.Action{Table: TCustomer, Key: custKey, Body: func(c core.AccessCtx) bool {
+			k := keys{c.Arena()}
 			target := cid
 			if byName {
-				from, to := custNamePrefix(cwid, cdid, lastName)
+				from, to := k.custNameBounds(cwid, cdid, lastName)
 				var ids []uint64
-				c.Scan(TCustNameIdx, from, to, func(k, v []byte) bool {
+				c.Scan(TCustNameIdx, from, to, func(_, v []byte) bool {
 					ids = append(ids, storage.DecodeUint64(v))
 					return true
 				})
@@ -207,7 +217,8 @@ func (w *Workload) Payment(r *sim.Rand) core.TxnLogic {
 				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 				target = ids[len(ids)/2]
 			}
-			cv, found := c.ReadForUpdate(TCustomer, CustomerKey(cwid, cdid, target))
+			ck := k.customer(cwid, cdid, target)
+			cv, found := c.ReadForUpdate(TCustomer, ck)
 			if !found {
 				return false
 			}
@@ -216,29 +227,30 @@ func (w *Workload) Payment(r *sim.Rand) core.TxnLogic {
 			cr.YTDPayment += amount
 			cr.PaymentCnt++
 			if cr.Credit == 1 { // bad credit: data trail update
-				cr.Data = "bc-trail"
+				cr.Data = dataBCTrail
 			}
-			return c.Update(TCustomer, CustomerKey(cwid, cdid, target), cr.Encode())
+			return c.Update(TCustomer, ck, cr.Encode())
 		}}) {
 			return false
 		}
 		// Phase 3: history row in the home district partition.
-		histKey := storage.CompositeKey(wid, did, cwid, uniq)
+		histKey := tk.history(wid, did, cwid, uniq)
 		if !tx.Phase(core.Action{Table: THistory, Key: histKey, Body: func(c core.AccessCtx) bool {
-			row := storage.NewRecordWriter(48).Uint64(cwid).Uint64(cdid).Uint64(amount).String("payment").Finish()
+			row := storage.NewRecordWriter(48).Uint64(cwid).Uint64(cdid).Uint64(amount).Bytes(histPayment).Finish()
 			return c.Insert(THistory, histKey, row)
 		}}) {
 			return false
 		}
 		// Final phase: the warehouse YTD update, held only across commit.
-		return tx.Phase(core.Action{Table: TWarehouse, Key: WarehouseKey(wid), Body: func(c core.AccessCtx) bool {
-			wv, found := c.ReadForUpdate(TWarehouse, WarehouseKey(wid))
+		return tx.Phase(core.Action{Table: TWarehouse, Key: tk.warehouse(wid), Body: func(c core.AccessCtx) bool {
+			wk := keys{c.Arena()}.warehouse(wid)
+			wv, found := c.ReadForUpdate(TWarehouse, wk)
 			if !found {
 				return false
 			}
 			wr := DecodeWarehouse(wv)
 			wr.YTD += amount
-			return c.Update(TWarehouse, WarehouseKey(wid), wr.Encode())
+			return c.Update(TWarehouse, wk, wr.Encode())
 		}})
 	}
 }
@@ -260,12 +272,13 @@ func (w *Workload) OrderStatus(r *sim.Rand) core.TxnLogic {
 	}
 
 	return func(tx core.Tx) bool {
-		return tx.Phase(core.Action{Table: TCustomer, Key: DistrictKey(wid, did), Body: func(c core.AccessCtx) bool {
+		return tx.Phase(core.Action{Table: TCustomer, Key: keys{tx.Arena()}.district(wid, did), Body: func(c core.AccessCtx) bool {
+			k := keys{c.Arena()}
 			target := cid
 			if byName {
-				from, to := custNamePrefix(wid, did, lastName)
+				from, to := k.custNameBounds(wid, did, lastName)
 				var ids []uint64
-				c.Scan(TCustNameIdx, from, to, func(k, v []byte) bool {
+				c.Scan(TCustNameIdx, from, to, func(_, v []byte) bool {
 					ids = append(ids, storage.DecodeUint64(v))
 					return true
 				})
@@ -275,25 +288,25 @@ func (w *Workload) OrderStatus(r *sim.Rand) core.TxnLogic {
 				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 				target = ids[len(ids)/2]
 			}
-			if _, found := c.Read(TCustomer, CustomerKey(wid, did, target)); !found {
+			if _, found := c.Read(TCustomer, k.customer(wid, did, target)); !found {
 				return false
 			}
 			// Most recent order via the customer-order index.
 			var lastOID uint64
-			c.Scan(TOrderCustIdx, storage.CompositeKey(wid, did, target, 0), storage.CompositeKey(wid, did, target+1, 0), func(k, v []byte) bool {
+			c.Scan(TOrderCustIdx, k.orderCust(wid, did, target, 0), k.orderCust(wid, did, target+1, 0), func(_, v []byte) bool {
 				lastOID = storage.DecodeUint64(v)
 				return true
 			})
 			if lastOID == 0 {
 				return true // customer with no orders: still a success
 			}
-			ov, found := c.Read(TOrder, OrderKey(wid, did, lastOID))
+			ov, found := c.Read(TOrder, k.order(wid, did, lastOID))
 			if !found {
 				return false
 			}
 			o := DecodeOrder(ov)
 			count := uint32(0)
-			c.Scan(TOrderLine, OrderLineKey(wid, did, lastOID, 0), OrderLineKey(wid, did, lastOID+1, 0), func(k, v []byte) bool {
+			c.Scan(TOrderLine, k.orderLine(wid, did, lastOID, 0), k.orderLine(wid, did, lastOID+1, 0), func(_, v []byte) bool {
 				count++
 				return true
 			})
@@ -317,26 +330,28 @@ func (w *Workload) Delivery(r *sim.Rand) core.TxnLogic {
 		// canonical order and cannot deadlock each other.
 		for d := 1; d <= cfg.Districts; d++ {
 			did := uint64(d)
-			ok := tx.Phase(core.Action{Table: TNewOrder, Key: DistrictKey(wid, did), Body: func(c core.AccessCtx) bool {
+			ok := tx.Phase(core.Action{Table: TNewOrder, Key: keys{tx.Arena()}.district(wid, did), Body: func(c core.AccessCtx) bool {
+				k := keys{c.Arena()}
 				// Oldest undelivered order in this district.
 				var oldest uint64
-				c.Scan(TNewOrder, OrderKey(wid, did, 0), OrderKey(wid, did+1, 0), func(k, v []byte) bool {
-					oldest = storage.DecodeUint64(k[16:])
+				c.Scan(TNewOrder, k.order(wid, did, 0), k.order(wid, did+1, 0), func(nk, _ []byte) bool {
+					oldest = storage.DecodeUint64(nk[16:])
 					return false // first = oldest
 				})
 				if oldest == 0 {
 					return true // nothing to deliver: skip, not an abort
 				}
-				if !c.Delete(TNewOrder, OrderKey(wid, did, oldest)) {
+				okey := k.order(wid, did, oldest)
+				if !c.Delete(TNewOrder, okey) {
 					return false
 				}
-				ov, found := c.ReadForUpdate(TOrder, OrderKey(wid, did, oldest))
+				ov, found := c.ReadForUpdate(TOrder, okey)
 				if !found {
 					return false
 				}
 				o := DecodeOrder(ov)
 				o.Carrier = carrier
-				if !c.Update(TOrder, OrderKey(wid, did, oldest), o.Encode()) {
+				if !c.Update(TOrder, okey, o.Encode()) {
 					return false
 				}
 				var total uint64
@@ -345,11 +360,11 @@ func (w *Workload) Delivery(r *sim.Rand) core.TxnLogic {
 					row OrderLineRow
 				}
 				var upds []olUpd
-				c.Scan(TOrderLine, OrderLineKey(wid, did, oldest, 0), OrderLineKey(wid, did, oldest+1, 0), func(k, v []byte) bool {
+				c.Scan(TOrderLine, k.orderLine(wid, did, oldest, 0), k.orderLine(wid, did, oldest+1, 0), func(lk, v []byte) bool {
 					ol := DecodeOrderLine(v)
 					total += ol.Amount
 					ol.DeliveryD = deliveryD
-					upds = append(upds, olUpd{key: append([]byte(nil), k...), row: ol})
+					upds = append(upds, olUpd{key: c.Arena().Copy(lk), row: ol})
 					return true
 				})
 				for _, u := range upds {
@@ -357,14 +372,15 @@ func (w *Workload) Delivery(r *sim.Rand) core.TxnLogic {
 						return false
 					}
 				}
-				cv, found := c.ReadForUpdate(TCustomer, CustomerKey(wid, did, o.CID))
+				ck := k.customer(wid, did, o.CID)
+				cv, found := c.ReadForUpdate(TCustomer, ck)
 				if !found {
 					return false
 				}
 				cr := DecodeCustomer(cv)
 				cr.Balance += int64(total)
 				cr.DeliveryCnt++
-				return c.Update(TCustomer, CustomerKey(wid, did, o.CID), cr.Encode())
+				return c.Update(TCustomer, ck, cr.Encode())
 			}})
 			if !ok {
 				return false
@@ -390,8 +406,9 @@ func (w *Workload) StockLevel(r *sim.Rand) core.TxnLogic {
 		// so no action takes entity locks: a long inventory inquiry never
 		// camps on the district that NewOrder and Payment need.
 		var nextOID uint64
-		if !tx.Phase(core.Action{Table: TDistrict, Key: DistrictKey(wid, did), NoLock: true, Body: func(c core.AccessCtx) bool {
-			dv, found := c.Read(TDistrict, DistrictKey(wid, did))
+		tk := keys{tx.Arena()}
+		if !tx.Phase(core.Action{Table: TDistrict, Key: tk.district(wid, did), NoLock: true, Body: func(c core.AccessCtx) bool {
+			dv, found := c.Read(TDistrict, keys{c.Arena()}.district(wid, did))
 			if !found {
 				return false
 			}
@@ -406,8 +423,9 @@ func (w *Workload) StockLevel(r *sim.Rand) core.TxnLogic {
 		}
 		// Phase 2: collect the distinct items of the last 20 orders.
 		items := map[uint64]bool{}
-		if !tx.Phase(core.Action{Table: TOrderLine, Key: DistrictKey(wid, did), NoLock: true, Body: func(c core.AccessCtx) bool {
-			c.Scan(TOrderLine, OrderLineKey(wid, did, lowOID, 0), OrderLineKey(wid, did, nextOID, 0), func(k, v []byte) bool {
+		if !tx.Phase(core.Action{Table: TOrderLine, Key: tk.district(wid, did), NoLock: true, Body: func(c core.AccessCtx) bool {
+			k := keys{c.Arena()}
+			c.Scan(TOrderLine, k.orderLine(wid, did, lowOID, 0), k.orderLine(wid, did, nextOID, 0), func(_, v []byte) bool {
 				items[DecodeOrderLine(v).IID] = true
 				return true
 			})
@@ -440,9 +458,10 @@ func (w *Workload) StockLevel(r *sim.Rand) core.TxnLogic {
 		actions := make([]core.Action, 0, len(groups))
 		for _, p := range parts {
 			group := groups[p]
-			actions = append(actions, core.Action{Table: TStock, Key: StockKey(wid, group[0]), NoLock: true, Body: func(c core.AccessCtx) bool {
+			actions = append(actions, core.Action{Table: TStock, Key: tk.stock(wid, group[0]), NoLock: true, Body: func(c core.AccessCtx) bool {
+				k := keys{c.Arena()}
 				for _, iid := range group {
-					sv, found := c.Read(TStock, StockKey(wid, iid))
+					sv, found := c.Read(TStock, k.stock(wid, iid))
 					if !found {
 						return false
 					}

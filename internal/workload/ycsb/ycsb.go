@@ -8,9 +8,8 @@
 package ycsb
 
 import (
-	"strconv"
-
 	"bionicdb/internal/core"
+	"bionicdb/internal/dora"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
 )
@@ -133,24 +132,28 @@ func (w *Workload) Scheme(partitions int) core.PartitionScheme {
 		Route: func(table uint16, key []byte) int {
 			return int(storage.DecodeUint64(key) % uint64(partitions))
 		},
-		Entity: func(table uint16, key []byte) string {
-			// Manual build of the old fmt.Sprintf("u%d", id) string: the
-			// entity is computed per action, so it must not pay fmt.
-			buf := make([]byte, 1, 21)
-			buf[0] = 'u'
-			return string(strconv.AppendUint(buf, storage.DecodeUint64(key), 10))
+		Entity: func(table uint16, key []byte) dora.Entity {
+			return dora.Entity1('u', storage.DecodeUint64(key))
 		},
 	}
 }
 
-// Key returns the primary key of record i.
-func Key(i uint64) []byte { return storage.Uint64Key(i) }
+// Key returns the primary key of record i, a fresh slice the caller owns.
+func Key(i uint64) []byte { return keyIn(nil, i) }
+
+// keyIn builds record i's key in the arena a: the transaction path and
+// Populate build theirs in the attempt's (or the row's) arena, where they
+// cost no allocation.
+func keyIn(a *storage.Arena, i uint64) []byte { return a.Uint64Key(i) }
 
 // Populate implements core.Workload: Records rows of FieldSize random
-// bytes.
+// bytes. The keys are built in one arena, reset per row: the engine's tree
+// copies the keys it keeps, so a fresh key per row would be allocated twice.
 func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Rand) {
+	var arena storage.Arena
 	for i := 0; i < w.cfg.Records; i++ {
-		load(TUser, Key(uint64(i)), w.value(r))
+		arena.Reset()
+		load(TUser, keyIn(&arena, uint64(i)), w.value(r))
 	}
 }
 
@@ -190,8 +193,9 @@ func (w *Workload) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 
 // Read returns a single-key point read.
 func (w *Workload) Read(r *sim.Rand) core.TxnLogic {
-	key := Key(w.nextKey(r))
+	id := w.nextKey(r)
 	return func(tx core.Tx) bool {
+		key := keyIn(tx.Arena(), id)
 		return tx.Phase(core.Action{Table: TUser, Key: key, Body: func(c core.AccessCtx) bool {
 			c.Read(TUser, key)
 			return true
@@ -201,9 +205,10 @@ func (w *Workload) Read(r *sim.Rand) core.TxnLogic {
 
 // Update returns a blind full-value overwrite of one key.
 func (w *Workload) Update(r *sim.Rand) core.TxnLogic {
-	key := Key(w.nextKey(r))
+	id := w.nextKey(r)
 	val := w.value(r)
 	return func(tx core.Tx) bool {
+		key := keyIn(tx.Arena(), id)
 		return tx.Phase(core.Action{Table: TUser, Key: key, Body: func(c core.AccessCtx) bool {
 			return c.Update(TUser, key, val)
 		}})
@@ -222,8 +227,8 @@ func (w *Workload) Scan(r *sim.Rand) core.TxnLogic {
 	if end > uint64(w.cfg.Records) {
 		end = uint64(w.cfg.Records)
 	}
-	startKey, endKey := Key(start), Key(end)
 	return func(tx core.Tx) bool {
+		startKey, endKey := keyIn(tx.Arena(), start), keyIn(tx.Arena(), end)
 		return tx.Phase(core.Action{Table: TUser, Key: startKey, NoLock: true, Body: func(c core.AccessCtx) bool {
 			c.Scan(TUser, startKey, endKey, func(k, v []byte) bool { return true })
 			return true
@@ -234,9 +239,10 @@ func (w *Workload) Scan(r *sim.Rand) core.TxnLogic {
 // ReadModifyWrite returns a read of one key followed by a full-value write
 // of the same key inside the same action.
 func (w *Workload) ReadModifyWrite(r *sim.Rand) core.TxnLogic {
-	key := Key(w.nextKey(r))
+	id := w.nextKey(r)
 	val := w.value(r)
 	return func(tx core.Tx) bool {
+		key := keyIn(tx.Arena(), id)
 		return tx.Phase(core.Action{Table: TUser, Key: key, Body: func(c core.AccessCtx) bool {
 			if _, ok := c.ReadForUpdate(TUser, key); !ok {
 				return false

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"fmt"
 	"testing"
 
 	"bionicdb/internal/sim"
@@ -150,8 +151,8 @@ func TestSchemeRoutesInRange(t *testing.T) {
 			t.Fatalf("key %d routed to %d", i, p)
 		}
 		hit[p] = true
-		if s.Entity(TUser, Key(i)) == "" {
-			t.Fatalf("key %d has empty entity", i)
+		if got, want := s.Entity(TUser, Key(i)).String(), fmt.Sprintf("u%d", i); got != want {
+			t.Fatalf("key %d has entity %q, want %q", i, got, want)
 		}
 	}
 	for p, ok := range hit {
