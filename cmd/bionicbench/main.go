@@ -23,11 +23,10 @@
 //
 // The flight recorder rides along with any run-backed experiment:
 // -trace-out FILE writes each run's span trace as Chrome trace_event JSON
-// (open in chrome://tracing or Perfetto; one lane per socket, cross-socket
-// dispatches as flow arrows) and -metrics-out FILE writes the per-socket
-// telemetry time series (CSV, or JSON when the path ends in .json). Both
-// are strictly out of band: simulated results and digests are bit-identical
-// with them on or off.
+// (open in chrome://tracing or Perfetto; one lane per socket) and
+// -metrics-out FILE writes the per-socket telemetry time series (CSV, or
+// JSON when the path ends in .json). Both are strictly out of band:
+// simulated results and digests are bit-identical with them on or off.
 //
 // Every measurement executes through the internal/bench sweep subsystem:
 // runs fan out across -parallel workers (default GOMAXPROCS), each in its
@@ -87,7 +86,6 @@ var (
 	recJSON     = flag.String("recovery-json", "", "write -fig-recovery results as JSON to this file")
 	failJSON    = flag.String("failover-json", "", "write -fig-failover results as JSON to this file")
 	replication = flag.String("replication", "off", "log-shipping replication mode for the run-backed experiments: off|async|sync|quorum (-fig-failover sweeps all modes unless this narrows it)")
-	kernelPar   = flag.Bool("kernel-parallel", false, "run each simulation on the sharded event kernel: one event loop per simulated socket on host goroutines, interconnect-lookahead windows; results are bit-identical to the serial kernel")
 	replicas    = flag.Int("replicas", 2, "replica machines when -replication is on")
 	all         = flag.Bool("all", false, "run every experiment")
 	quick       = flag.Bool("quick", false, "shrink scales for a fast run")
@@ -185,145 +183,21 @@ func kernelStats() (eventsPerSec, allocsPerEvent float64, events uint64) {
 	return float64(ev) / wall.Seconds(), float64(allocs) / float64(ev), ev
 }
 
-// parallelKernelStorm runs the sharded kernel's throughput microbenchmark:
-// `shards` event loops of timer-stepping processes exchanging occasional
-// cross-shard posts at the interconnect lookahead — the same shape an
-// engine run has under -kernel-parallel on a `shards`-socket machine.
-func parallelKernelStorm(shards int, la sim.Duration) (events uint64, wall time.Duration) {
-	env := sim.NewEnv()
-	defer env.Close()
-	if shards > 1 {
-		env.EnableParallel(shards, la)
-	}
-	const procs, steps = 8, 12000
-	for s := 0; s < shards; s++ {
-		s := s
-		for i := 0; i < procs; i++ {
-			i := i
-			env.SpawnOn(s, "pkernel", func(p *sim.Proc) {
-				for j := 0; j < steps; j++ {
-					p.Wait(sim.Duration(1 + (i+j)%7))
-					if shards > 1 && j%256 == 255 {
-						p.CrossAt((s+1)%shards, p.Now().Add(la+sim.Duration(s*8+3)), func() {})
-					}
-				}
-			})
-		}
-	}
-	start := time.Now()
-	if err := env.Run(); err != nil {
-		panic(err)
-	}
-	return env.Executed(), time.Since(start)
-}
-
-// parallelPoint is one (shards, GOMAXPROCS) cell of the sharded-kernel
-// throughput matrix in the -benchjson document.
-type parallelPoint struct {
-	Shards       int     `json:"shards"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// parallelSection is the -benchjson "parallel" section: the sharded kernel's
-// events/sec at 8 and 16 simulated sockets across host-core grants. host_cpus
-// records the machine that produced the numbers — speedup columns are only
-// meaningful when gomaxprocs <= host_cpus.
-type parallelSection struct {
-	HostCPUs    int             `json:"host_cpus"`
-	LookaheadPs int64           `json:"lookahead_ps"`
-	Points      []parallelPoint `json:"points"`
-}
-
-// kernelParallelStats measures the sharded kernel at 8 and 16 simulated
-// sockets under 1, 4 and 8 host cores, one warm-up pass per cell like
-// kernelStats.
-func kernelParallelStats() parallelSection {
-	la := platform.HC2().ICHopLat
-	sec := parallelSection{HostCPUs: runtime.NumCPU(), LookaheadPs: int64(la)}
-	for _, shards := range []int{8, 16} {
-		for _, gmp := range []int{1, 4, 8} {
-			prev := runtime.GOMAXPROCS(gmp)
-			parallelKernelStorm(shards, la) // warm up
-			ev, wall := parallelKernelStorm(shards, la)
-			runtime.GOMAXPROCS(prev)
-			sec.Points = append(sec.Points, parallelPoint{
-				Shards: shards, GOMAXPROCS: gmp,
-				Events: ev, EventsPerSec: float64(ev) / wall.Seconds(),
-			})
-		}
-	}
-	return sec
-}
-
-// engineParallelSection is the -benchjson "engine_parallel" section: one
-// engine-on-shard sweep point — 8-socket sharded-log DORA on YCSB — run end
-// to end on the serial and the concurrent kernel. The two runs produce
-// bit-identical digests (the equivalence matrix in internal/bench gates
-// that); the wall-clock ratio is what engine-on-shard execution buys, and
-// only shows a speedup when the host grants multiple cores (see
-// parallelSection.HostCPUs).
-type engineParallelSection struct {
-	Sockets          int     `json:"sockets"`
-	SerialWallMs     float64 `json:"serial_wall_ms"`
-	ConcurrentWallMs float64 `json:"concurrent_wall_ms"`
-	Speedup          float64 `json:"speedup"`
-}
-
-// engineParallelStats times the engine-on-shard point on both kernels, one
-// warm-up pass first like kernelStats. Fixed windows, independent of
-// -quick, so baselines compare across invocations.
-func engineParallelStats() engineParallelSection {
-	spec := bench.ScalingSpec{
-		Sockets:   []int{8},
-		Workloads: []bench.WorkloadSpec{ycsbSpec()},
-		Engines: []bench.ScalingEngine{{Name: "dora", On: func(cfg *platform.Config, partitions, window int) bench.EngineSpec {
-			return bench.DORAOn(cfg, partitions)
-		}}},
-		TerminalsPerSocket: 8,
-		ShardedLog:         true,
-		Warmup:             5 * sim.Millisecond,
-		Measure:            15 * sim.Millisecond,
-	}
-	run := func(par bool) float64 {
-		s := spec
-		s.KernelParallel = par
-		start := time.Now()
-		for _, r := range s.Run(bench.Options{Parallel: 1}) {
-			if r.Err != nil {
-				panic(r.Err)
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / 1e6
-	}
-	run(false) // warm up
-	sec := engineParallelSection{Sockets: 8}
-	sec.SerialWallMs = run(false)
-	sec.ConcurrentWallMs = run(true)
-	if sec.ConcurrentWallMs > 0 {
-		sec.Speedup = sec.SerialWallMs / sec.ConcurrentWallMs
-	}
-	return sec
-}
-
 // kernelDoc is the -benchjson document: the perf-trajectory baseline a PR
 // compares against (BENCH_kernel.json at the repo root).
 type kernelDoc struct {
 	Suite string `json:"suite"`
-	// The toolchain and the GOMAXPROCS the kernel and experiments sections
-	// ran under (the parallel section sets its own per point and names
-	// host_cpus): a speed number is only comparable with both named.
+	// The toolchain, the GOMAXPROCS the sections ran under and the host's
+	// CPU count: a speed number is only comparable with all three named.
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	HostCPUs   int    `json:"host_cpus"`
 	Kernel     struct {
 		EventsPerSec   float64 `json:"events_per_sec"`
 		AllocsPerEvent float64 `json:"allocs_per_event"`
 		Events         uint64  `json:"events_measured"`
 	} `json:"kernel"`
-	Parallel       parallelSection       `json:"parallel"`
-	EngineParallel engineParallelSection `json:"engine_parallel"`
-	Experiments    []expWall             `json:"experiments"`
+	Experiments []expWall `json:"experiments"`
 }
 
 func writeBenchJSON(path string) error {
@@ -331,9 +205,8 @@ func writeBenchJSON(path string) error {
 	doc.Suite = "bionicbench-kernel"
 	doc.GoVersion = runtime.Version()
 	doc.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	doc.HostCPUs = runtime.NumCPU()
 	doc.Kernel.EventsPerSec, doc.Kernel.AllocsPerEvent, doc.Kernel.Events = kernelStats()
-	doc.Parallel = kernelParallelStats()
-	doc.EngineParallel = engineParallelStats()
 	doc.Experiments = expWalls
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -436,8 +309,8 @@ func main() {
 	if kernelEvents > 0 && kernelWall > 0 {
 		// Host measurement, so stderr: stdout stays byte-identical across
 		// runs (the figure-parity check diffs it).
-		fmt.Fprintf(os.Stderr, "kernel: %d simulated events (%d process switches), %.2fs summed run wall, %.2fM events/sec (kernel-parallel=%v)\n",
-			kernelEvents, kernelSwitches, kernelWall.Seconds(), float64(kernelEvents)/kernelWall.Seconds()/1e6, *kernelPar)
+		fmt.Fprintf(os.Stderr, "kernel: %d simulated events (%d process switches), %.2fs summed run wall, %.2fM events/sec\n",
+			kernelEvents, kernelSwitches, kernelWall.Seconds(), float64(kernelEvents)/kernelWall.Seconds()/1e6)
 	}
 	if *benchjson != "" {
 		if err := writeBenchJSON(*benchjson); err != nil {
@@ -685,7 +558,6 @@ func fig3() {
 		Terminals: []int{*terminals},
 		Seeds:     []uint64{*seed},
 		Warmup:    warmup, Measure: measure,
-		KernelParallel: *kernelPar,
 	}
 	results := runPoints(g.Points())
 	t := stats.NewTable("component", ">TATP UpdSubData", ">TPCC StockLevel")
@@ -729,7 +601,6 @@ func fig4() {
 			Terminals: []int{wg.terminals},
 			Seeds:     []uint64{*seed},
 			Warmup:    warmup, Measure: measure,
-			KernelParallel: *kernelPar,
 		}
 		points = append(points, g.Points()...)
 	}
@@ -785,7 +656,6 @@ func runAblation() {
 		Terminals: []int{*terminals},
 		Seeds:     []uint64{*seed},
 		Warmup:    warmup, Measure: measure,
-		KernelParallel: *kernelPar,
 	}
 	results := runPoints(g.Points())
 	t := stats.NewTable("offloads", ">tps", ">uJ/txn", ">p50", ">p95")
@@ -819,7 +689,6 @@ func runSweep() {
 		Terminals: []int{*terminals},
 		Seeds:     seedList,
 		Warmup:    warmup, Measure: measure,
-		KernelParallel: *kernelPar,
 	}
 	results := runPoints(g.Points())
 	emit(fmt.Sprintf("Sweep: %d grid points (engines x workloads x %d seed(s))",
@@ -881,7 +750,6 @@ func runFigScaling() {
 			TerminalsPerSocket: perSocketTerminals(),
 			Seeds:              []uint64{*seed},
 			Warmup:             warmup, Measure: measure,
-			KernelParallel: *kernelPar,
 		}
 		points = append(points, spec.Points()...)
 		if *shardedLog && n > 1 {
@@ -925,7 +793,6 @@ func runFigHTAP() {
 			ShardedLog:         true,
 			Seeds:              []uint64{*seed},
 			Warmup:             warmup, Measure: measure,
-			KernelParallel: *kernelPar,
 		}
 		points = append(points, spec.Points()...)
 	}
@@ -953,7 +820,6 @@ func runFigRecovery() {
 		TerminalsPerSocket: perSocketTerminals(),
 		Seed:               *seed,
 		Warmup:             warmup, Measure: measure,
-		KernelParallel: *kernelPar,
 	}
 	results := spec.RunRecovery(bench.Options{Parallel: *parallel})
 	for _, r := range results {
@@ -999,7 +865,6 @@ func runFigFailover() {
 		TerminalsPerSocket: perSocketTerminals(),
 		Seed:               *seed,
 		Warmup:             warmup, Measure: measure,
-		KernelParallel: *kernelPar,
 	}
 	if m := replMode(); m != stats.ReplNone {
 		spec.Modes = []stats.ReplMode{stats.ReplNone, m}
@@ -1072,7 +937,6 @@ func runFigAnatomy() {
 			ShardedLog:         *shardedLog,
 			Seeds:              []uint64{*seed},
 			Warmup:             warmup, Measure: measure,
-			KernelParallel: *kernelPar,
 		}
 		pts := spec.Points()
 		for i := range pts {

@@ -37,10 +37,9 @@ func main() {
 			}},
 		},
 		TerminalsPerSocket: 16,
-		// Per-socket log devices: cross-socket transactions then flow
-		// between kernel shards, which is what draws flow edges in the
-		// trace. On the classic shared-log layout the whole engine lives
-		// on shard 0 and the trace has a single busy lane.
+		// Per-socket log devices: each socket's lane then shows its own
+		// durability waits, and cross-socket transactions their decision
+		// rounds.
 		ShardedLog: true,
 		Warmup:     1 * bionicdb.Millisecond,
 		Measure:    bionicdb.Duration(*measureMs) * bionicdb.Millisecond,
@@ -85,9 +84,9 @@ func main() {
 		fmt.Println()
 	}
 
-	// Export the multi-socket run's artifacts: one trace lane per socket,
-	// cross-shard dispatches joined by flow arrows, and a fixed-tick
-	// telemetry series (queue depths, log backlog, LLC/DRAM traffic).
+	// Export the multi-socket run's artifacts: one trace lane per socket
+	// and a fixed-tick telemetry series (queue depths, log backlog, LLC/DRAM
+	// traffic).
 	last := results[len(results)-1].Res
 	if err := obs.WriteTraceFile(*traceOut, last.Trace); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -98,7 +97,6 @@ func main() {
 		os.Exit(1)
 	}
 	spans := last.Trace.Merged()
-	fmt.Printf("wrote %s (%d spans across %d kernel shards, %d dropped)\n",
-		*traceOut, len(spans), last.Trace.NumShards(), last.Trace.Dropped())
+	fmt.Printf("wrote %s (%d spans, %d dropped)\n", *traceOut, len(spans), last.Trace.Dropped())
 	fmt.Printf("wrote %s (%d samples)\n", *metricsOut, len(last.Metrics.Samples()))
 }

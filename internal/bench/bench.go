@@ -91,11 +91,6 @@ type Grid struct {
 	// specs were built with (reporting metadata, like Point.Repl).
 	Repl stats.ReplMode
 
-	// KernelParallel runs every point on the parallel event kernel (see
-	// core.RunConfig.KernelParallel). Results stay bit-identical; only host
-	// execution changes.
-	KernelParallel bool
-
 	// Obs attaches the flight recorder to every point (see
 	// core.RunConfig.Obs). Strictly out-of-band: digests are bit-identical
 	// with it on or off, which the observability equivalence test pins.
@@ -139,15 +134,9 @@ type Point struct {
 	// Engine.Make.
 	Repl stats.ReplMode
 
-	// KernelParallel selects the parallel event kernel for this run (see
-	// core.RunConfig.KernelParallel). It is a host-execution knob: results
-	// and digests are bit-identical with it on or off, which is exactly what
-	// the kernel equivalence tests pin.
-	KernelParallel bool
-
 	// Obs attaches the flight recorder to this run (see core.RunConfig.Obs).
-	// Out-of-band like KernelParallel: every simulated field of the result is
-	// bit-identical with it on or off.
+	// Out-of-band: every simulated field of the result is bit-identical with
+	// it on or off.
 	Obs *obs.Options
 
 	Warmup  sim.Duration
@@ -180,8 +169,7 @@ func (g *Grid) Points() []Point {
 				for _, seed := range seeds {
 					out = append(out, Point{
 						Index: len(out), Group: g.Group, Engine: eng, Workload: wl,
-						Terminals: t, Seed: seed, Repl: g.Repl,
-						KernelParallel: g.KernelParallel, Obs: g.Obs,
+						Terminals: t, Seed: seed, Repl: g.Repl, Obs: g.Obs,
 						Warmup: warmup, Measure: measure, Drain: g.Drain,
 					})
 				}
@@ -207,13 +195,12 @@ type Result struct {
 func (p Point) Run() Result {
 	wl := p.Workload.Make()
 	cfg := core.RunConfig{
-		Terminals:      p.Terminals,
-		Warmup:         p.Warmup,
-		Measure:        p.Measure,
-		Drain:          p.Drain,
-		Seed:           p.Seed,
-		KernelParallel: p.KernelParallel,
-		Obs:            p.Obs,
+		Terminals: p.Terminals,
+		Warmup:    p.Warmup,
+		Measure:   p.Measure,
+		Drain:     p.Drain,
+		Seed:      p.Seed,
+		Obs:       p.Obs,
 	}
 	if p.HTAP {
 		if a, ok := wl.(core.Analytics); ok {

@@ -36,6 +36,16 @@ func smallTPCC() WorkloadSpec {
 	}}
 }
 
+// quickTPCC is bionicbench -quick's TPC-C on an n-socket machine: two
+// warehouses per socket, the figure generators' weak-scaling unit.
+func quickTPCC(n int) WorkloadSpec {
+	cfg := tpcc.DefaultConfig()
+	cfg.Warehouses = 2 * n
+	cfg.CustomersPerDistrict = 600
+	cfg.Items = 20000
+	return WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(cfg) }}
+}
+
 func smallGrid() Grid {
 	return Grid{
 		Engines:   []EngineSpec{DORA(4), Bionic(4, core.AllOffloads(), 8)},

@@ -44,10 +44,6 @@ type jsonResult struct {
 	Sockets    int    `json:"sockets,omitempty"`
 	ShardedLog bool   `json:"sharded_log,omitempty"`
 	Repl       string `json:"replication,omitempty"`
-	// KernelParallel records which event kernel executed the point. It is a
-	// host-execution detail: every simulated field below is bit-identical
-	// either way (the equivalence test matrix enforces this).
-	KernelParallel bool `json:"kernel_parallel,omitempty"`
 
 	WarmupMs  float64 `json:"warmup_ms"`
 	MeasureMs float64 `json:"measure_ms"`
@@ -75,11 +71,6 @@ type jsonResult struct {
 	// transactions (one entry per phase with samples). Like Events it is a
 	// reporting field outside the sweep digest.
 	Anatomy []phaseJSON `json:"anatomy,omitempty"`
-	// WindowsByShard / StallsByShard are the parallel kernel's per-shard
-	// self-observability counters, present only on KernelParallel points.
-	// Host-execution detail, outside the digest like WallMs.
-	WindowsByShard []uint64 `json:"windows_by_shard,omitempty"`
-	StallsByShard  []uint64 `json:"stalls_by_shard,omitempty"`
 
 	WallMs float64 `json:"wall_ms"`
 	Error  string  `json:"error,omitempty"`
@@ -183,19 +174,18 @@ func JSON(results []Result) ([]byte, error) {
 			name = p.Group + "/" + name
 		}
 		jr := jsonResult{
-			Name:           name,
-			Group:          p.Group,
-			Workload:       p.Workload.Name,
-			Engine:         p.Engine.Name,
-			Terminals:      p.Terminals,
-			Seed:           p.Seed,
-			Sockets:        p.Sockets,
-			ShardedLog:     p.ShardedLog,
-			Repl:           replLabel(p.Repl),
-			KernelParallel: p.KernelParallel,
-			WarmupMs:       p.Warmup.Seconds() * 1e3,
-			MeasureMs:      p.Measure.Seconds() * 1e3,
-			WallMs:         float64(r.Wall.Nanoseconds()) / 1e6,
+			Name:       name,
+			Group:      p.Group,
+			Workload:   p.Workload.Name,
+			Engine:     p.Engine.Name,
+			Terminals:  p.Terminals,
+			Seed:       p.Seed,
+			Sockets:    p.Sockets,
+			ShardedLog: p.ShardedLog,
+			Repl:       replLabel(p.Repl),
+			WarmupMs:   p.Warmup.Seconds() * 1e3,
+			MeasureMs:  p.Measure.Seconds() * 1e3,
+			WallMs:     float64(r.Wall.Nanoseconds()) / 1e6,
 		}
 		if r.Err != nil {
 			jr.Error = r.Err.Error()
@@ -214,8 +204,6 @@ func JSON(results []Result) ([]byte, error) {
 			jr.Events = res.Events
 			jr.TxnCounts = res.TxnCounts
 			jr.Anatomy = anatomyJSON(&res.Anatomy)
-			jr.WindowsByShard = res.WindowsByShard
-			jr.StallsByShard = res.StallsByShard
 			for _, sh := range res.LogShards {
 				jr.LogShards = append(jr.LogShards, logShardJSON{
 					Shard: sh.Shard, Bytes: sh.Bytes, Syncs: sh.Syncs, Epochs: sh.Epochs,

@@ -40,10 +40,6 @@ type FailoverSpec struct {
 	Engine func(cfg *platform.Config, partitions, window int) EngineSpec
 	// ShardedLog gives the machine per-socket log devices.
 	ShardedLog bool
-	// KernelParallel runs the steady-state and crash phases on the parallel
-	// event kernel (see core.RunConfig.KernelParallel); results stay
-	// bit-identical.
-	KernelParallel bool
 	// Obs attaches the flight recorder to every steady-state run (see
 	// core.RunConfig.Obs); results stay bit-identical. The crash phase runs
 	// uninstrumented — it stops mid-flight, so there is no window to trace.
@@ -190,7 +186,7 @@ func (s FailoverSpec) RunFailover(opt Options) ([]FailoverResult, []Result) {
 		}
 		wl := s.Workload(n)
 		spec := engine(cfg, pps*n, window)
-		out[i], steady[i] = runFailoverPoint(cfg, spec, wl, mode, s.KernelParallel, s.Obs,
+		out[i], steady[i] = runFailoverPoint(cfg, spec, wl, mode, s.Obs,
 			tps*n, seed, warmup, measure, detect, !s.NoFaultWindows)
 		out[i].Sockets = n
 		out[i].ShardedLog = cfg.ShardedLog()
@@ -219,7 +215,7 @@ func (s FailoverSpec) RunFailover(opt Options) ([]FailoverResult, []Result) {
 // runFailoverPoint measures one (config, mode): a steady-state run, then —
 // for replicated modes — a faulted crash run and the replica's failover
 // boot.
-func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, mode stats.ReplMode, kernelParallel bool, obsOpt *obs.Options,
+func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, mode stats.ReplMode, obsOpt *obs.Options,
 	terminals int, seed uint64, warmup, measure sim.Duration, detect sim.Duration, windows bool) (FailoverResult, Result) {
 	res := FailoverResult{Engine: spec.Name, Workload: wlSpec.Name, Mode: mode, DigestOK: true}
 
@@ -227,8 +223,7 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	p := Point{
 		Group: "fig-failover", Engine: spec, Workload: wlSpec,
 		Terminals: terminals, Seed: seed,
-		Sockets: cfg.NumSockets(), ShardedLog: cfg.ShardedLog(), Repl: mode,
-		KernelParallel: kernelParallel, Obs: obsOpt,
+		Sockets: cfg.NumSockets(), ShardedLog: cfg.ShardedLog(), Repl: mode, Obs: obsOpt,
 		Warmup: warmup, Measure: measure,
 	}
 	sr := p.Run()
@@ -256,7 +251,6 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	defer env.Close()
 	wl := wlSpec.Make()
 	eng := spec.Make(env, wl)
-	enableParallelKernel(env, eng.Platform(), kernelParallel)
 	ck, ok := eng.(checkpointable)
 	if !ok {
 		res.Err = fmt.Errorf("engine %s is not checkpointable", spec.Name)
@@ -278,8 +272,6 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	// the adaptive stepping rationale).
 	var meta core.CheckpointMeta
 	ckDone := false
-	// A replicated engine never shards itself over the kernel, so the set
-	// slice here is always single-element and this is exactly CheckpointAll.
 	env.Spawn("checkpointer", func(p *sim.Proc) {
 		meta = core.CheckpointAllSets(p, ck.TableSets(), ck.DiskManager(), ck.LogSet())
 		ckDone = true

@@ -106,3 +106,31 @@ func TestFailoverTableAndJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestFailoverBaselineSharesLayout pins that the tax column compares like
+// with like: the unreplicated baseline runs the same engine layout as the
+// replicated modes, so at 2 sockets on -quick's TPC-C asynchronous shipping
+// (which waits for nothing) commits the baseline's throughput within 1%.
+func TestFailoverBaselineSharesLayout(t *testing.T) {
+	spec := FailoverSpec{
+		Sockets:            []int{2},
+		Modes:              []stats.ReplMode{stats.ReplNone, stats.ReplAsync},
+		Replicas:           2,
+		Workload:           quickTPCC,
+		ShardedLog:         true,
+		TerminalsPerSocket: 8,
+		Seed:               42,
+		Warmup:             5 * sim.Millisecond,
+		Measure:            15 * sim.Millisecond,
+	}
+	fo, _ := spec.RunFailover(Options{Parallel: 2})
+	for _, r := range fo {
+		if r.Err != nil {
+			t.Fatalf("x%d/%s failed: %v", r.Sockets, r.Mode, r.Err)
+		}
+	}
+	none, async := fo[0].TPS, fo[1].TPS
+	if d := async/none - 1; d > 0.01 || d < -0.01 {
+		t.Errorf("async commits %.0f tps against an unreplicated %.0f (%+.1f%%), want within 1%%", async, none, 100*d)
+	}
+}

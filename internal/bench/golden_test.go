@@ -29,8 +29,7 @@ import (
 // digests (logPointDigests) moved on the six conventional TPC-C points only:
 // golden/tpcc, fig-scaling/tpcc x2 and x4, fig-htap/htap-tpcc x1, x2 and x4.
 // The three grids' other 33 points, every DORA and bionic point and the
-// conventional TATP and YCSB points among them, are bit-identical, as is
-// engineShardGoldenDigest.
+// conventional TATP and YCSB points among them, are bit-identical.
 const goldenDigest = "8f736756929f7950592fff861439f3342ffaab07f135b7b2370fd919188d9e9c"
 
 // logPointDigests logs one digest per point of a sweep whose pinned digest

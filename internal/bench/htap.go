@@ -40,9 +40,6 @@ type HTAPSpec struct {
 	// ShardedLog runs every point on a machine with per-socket log
 	// devices, so the freshness vector has one entry per socket.
 	ShardedLog bool
-	// KernelParallel runs every point on the parallel event kernel (see
-	// core.RunConfig.KernelParallel); results stay bit-identical.
-	KernelParallel bool
 	// Obs attaches the flight recorder to every point (see
 	// core.RunConfig.Obs); results stay bit-identical.
 	Obs *obs.Options
@@ -115,8 +112,7 @@ func (s HTAPSpec) Points() []Point {
 						Index: len(out), Group: "fig-htap",
 						Engine: spec, Workload: wl,
 						Terminals: tps * n, Seed: seed, Sockets: n,
-						ShardedLog: cfg.ShardedLog(), HTAP: true,
-						KernelParallel: s.KernelParallel, Obs: s.Obs,
+						ShardedLog: cfg.ShardedLog(), HTAP: true, Obs: s.Obs,
 						Warmup: warmup, Measure: measure, Drain: s.Drain,
 					})
 				}

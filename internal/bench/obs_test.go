@@ -12,9 +12,9 @@ import (
 
 // This file is the observability equivalence matrix: the flight recorder
 // (span tracing + time-series telemetry) is strictly out-of-band, so every
-// pinned golden digest must be bit-identical with it on or off, on both
-// event kernels, at any GOMAXPROCS. A recorder that consumed simulated
-// time, energy, or a random draw would shift a digest and fail here.
+// pinned golden digest must be bit-identical with it on or off, at any
+// GOMAXPROCS. A recorder that consumed simulated time, energy, or a random
+// draw would shift a digest and fail here.
 
 // fullObs returns the everything-on recorder options the matrix runs under.
 func fullObs() *obs.Options {
@@ -29,6 +29,18 @@ func withObs(points []Point, o *obs.Options) []Point {
 		out[i] = p
 	}
 	return out
+}
+
+// mustRun executes points and fails the test on any per-point error.
+func mustRun(t *testing.T, name string, points []Point, opt Options) []Result {
+	t.Helper()
+	results := Run(points, opt)
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %s/%s failed: %v", name, r.Point.Workload.Name, r.Point.Engine.Name, r.Err)
+		}
+	}
+	return results
 }
 
 // TestSpecsPropagateObs pins the options plumbing: every spec type that
@@ -77,10 +89,9 @@ func TestSpecsPropagateObs(t *testing.T) {
 
 // TestObsEquivalenceMatrix asserts every pinned golden digest — the quick
 // grid, the multi-socket scaling sweep, the hybrid sweep and the
-// engine-on-shard sweep — is reproduced bit for bit with tracing and
-// telemetry enabled, on both the serial and the parallel kernel. The
-// recorder artifacts must also be non-empty, so a silently detached
-// recorder cannot pass as zero perturbation.
+// sharded-log software-DORA sweep — is reproduced bit for bit with tracing
+// and telemetry enabled. The recorder artifacts must also be non-empty, so a
+// silently detached recorder cannot pass as zero perturbation.
 func TestObsEquivalenceMatrix(t *testing.T) {
 	quick := goldenGrid()
 	families := []struct {
@@ -91,30 +102,22 @@ func TestObsEquivalenceMatrix(t *testing.T) {
 		{"fig3-fig4-quick", quick.Points(), goldenDigest},
 		{"scaling-golden", goldenScalingSpec().Points(), goldenScalingDigest},
 		{"htap-golden", goldenHTAPSpec().Points(), goldenHTAPDigest},
-		{"engine-shard", engineShardSpec([]int{2, 4, 8}).Points(), engineShardGoldenDigest},
 	}
 	for _, fam := range families {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
-			for _, kernel := range []struct {
-				name     string
-				parallel bool
-			}{{"serial", false}, {"parallel", true}} {
-				points := withObs(withKernel(fam.points, kernel.parallel), fullObs())
-				results := mustRun(t, fam.name+"/"+kernel.name, points, Options{Parallel: 4})
-				if got := Digest(results); got != fam.golden {
-					t.Errorf("%s kernel with recorder on diverged from golden:\n got  %s\n want %s",
-						kernel.name, got, fam.golden)
+			results := mustRun(t, fam.name, withObs(fam.points, fullObs()), Options{Parallel: 4})
+			if got := Digest(results); got != fam.golden {
+				t.Errorf("recorder on diverged from golden:\n got  %s\n want %s", got, fam.golden)
+			}
+			for _, r := range results {
+				if r.Res.Trace == nil || len(r.Res.Trace.Merged()) == 0 {
+					t.Errorf("%s/%s x%d: traced run returned no spans",
+						r.Point.Workload.Name, r.Point.Engine.Name, r.Point.Sockets)
 				}
-				for _, r := range results {
-					if r.Res.Trace == nil || len(r.Res.Trace.Merged()) == 0 {
-						t.Errorf("%s/%s x%d: traced run returned no spans",
-							r.Point.Workload.Name, r.Point.Engine.Name, r.Point.Sockets)
-					}
-					if r.Res.Metrics == nil || len(r.Res.Metrics.Samples()) == 0 {
-						t.Errorf("%s/%s x%d: sampled run returned no telemetry",
-							r.Point.Workload.Name, r.Point.Engine.Name, r.Point.Sockets)
-					}
+				if r.Res.Metrics == nil || len(r.Res.Metrics.Samples()) == 0 {
+					t.Errorf("%s/%s x%d: sampled run returned no telemetry",
+						r.Point.Workload.Name, r.Point.Engine.Name, r.Point.Sockets)
 				}
 			}
 		})
@@ -122,22 +125,21 @@ func TestObsEquivalenceMatrix(t *testing.T) {
 }
 
 // TestObsGOMAXPROCSInvariance asserts the recorder changes nothing under
-// host-parallelism changes either: the parallel kernel with tracing and
-// telemetry on produces the golden scaling digest at GOMAXPROCS=1 and
-// GOMAXPROCS=8 alike.
+// host-parallelism changes either: the sweep's worker pool with tracing and
+// telemetry on every point produces the golden scaling digest at
+// GOMAXPROCS=1 and GOMAXPROCS=8 alike.
 func TestObsGOMAXPROCSInvariance(t *testing.T) {
-	points := withObs(withKernel(goldenScalingSpec().Points(), true), fullObs())
+	points := withObs(goldenScalingSpec().Points(), fullObs())
 	prev := runtime.GOMAXPROCS(1)
-	one := Digest(mustRun(t, "obs-gomaxprocs1", points, Options{Parallel: 1}))
+	one := Digest(mustRun(t, "obs-gomaxprocs1", points, Options{Parallel: 4}))
 	runtime.GOMAXPROCS(8)
-	many := Digest(mustRun(t, "obs-gomaxprocs8", points, Options{Parallel: 1}))
+	many := Digest(mustRun(t, "obs-gomaxprocs8", points, Options{Parallel: 4}))
 	runtime.GOMAXPROCS(prev)
 	if one != many {
 		t.Errorf("recorder digest depends on GOMAXPROCS:\n 1: %s\n N: %s", one, many)
 	}
 	if one != goldenScalingDigest {
-		t.Errorf("parallel kernel with recorder on diverged from golden:\n got  %s\n want %s",
-			one, goldenScalingDigest)
+		t.Errorf("recorder on diverged from golden:\n got  %s\n want %s", one, goldenScalingDigest)
 	}
 }
 

@@ -32,10 +32,6 @@ type RecoverySpec struct {
 	// ShardedLog gives the machine per-socket log devices (default in
 	// RunRecovery callers; false measures the centralized baseline).
 	ShardedLog bool
-	// KernelParallel runs the crash phase and both recovery boots on the
-	// parallel event kernel (see core.RunConfig.KernelParallel); results
-	// stay bit-identical.
-	KernelParallel bool
 
 	// TerminalsPerSocket is the offered load (default 32).
 	TerminalsPerSocket int
@@ -73,9 +69,7 @@ type RecoveryResult struct {
 	Err error
 }
 
-// checkpointable is the engine surface the crash harness needs. TableSets
-// is the socket-indexed checkpoint surface: one set per socket on an
-// engine-sharded machine, a single-element slice otherwise.
+// checkpointable is the engine surface the crash harness needs.
 type checkpointable interface {
 	core.Engine
 	TableSets() []map[uint16]*btree.Tree
@@ -128,7 +122,7 @@ func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
 		}
 		wl := s.Workload(n)
 		spec := engine(cfg, pps*n, window)
-		out[i] = runRecoveryPoint(cfg, spec, wl, tps*n, seed, warmup, measure, s.KernelParallel)
+		out[i] = runRecoveryPoint(cfg, spec, wl, tps*n, seed, warmup, measure)
 		out[i].Sockets = n
 		out[i].ShardedLog = cfg.ShardedLog()
 		if opt.OnResult != nil {
@@ -141,7 +135,7 @@ func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
 }
 
 // runRecoveryPoint is one crash + two recovery boots.
-func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed uint64, warmup, measure sim.Duration, kernelParallel bool) RecoveryResult {
+func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed uint64, warmup, measure sim.Duration) RecoveryResult {
 	res := RecoveryResult{Engine: spec.Name, Workload: wlSpec.Name}
 
 	// --- Crash phase: populate, checkpoint sharp, run the window, stop cold.
@@ -149,7 +143,6 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	defer env.Close()
 	wl := wlSpec.Make()
 	eng := spec.Make(env, wl)
-	enableParallelKernel(env, eng.Platform(), kernelParallel)
 	ck, ok := eng.(checkpointable)
 	if !ok {
 		res.Err = fmt.Errorf("engine %s is not checkpointable", spec.Name)
@@ -170,28 +163,10 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	// checkpointer here, so overshooting its completion instant is free.
 	var meta core.CheckpointMeta
 	ckDone := false
-	sets := ck.TableSets()
-	shardedEng := len(sets) > 1
-	if shardedEng {
-		// Engine-on-shard machine: no single process may walk every socket's
-		// trees, so capture the image host-side right here — the kernel has
-		// not started, which is the strongest barrier there is — and charge
-		// the captured spans to the (shard-0) checkpoint device from a
-		// shard-0 process.
-		var spans []int
-		meta, spans = core.CheckpointAllSetsHost(sets, ck.DiskManager(), ck.LogSet())
-		env.SpawnOn(0, "checkpointer", func(p *sim.Proc) {
-			for _, span := range spans {
-				ck.DiskManager().Device().Transfer(p, span)
-			}
-			ckDone = true
-		})
-	} else {
-		env.Spawn("checkpointer", func(p *sim.Proc) {
-			meta = core.CheckpointAllSets(p, sets, ck.DiskManager(), ck.LogSet())
-			ckDone = true
-		})
-	}
+	env.Spawn("checkpointer", func(p *sim.Proc) {
+		meta = core.CheckpointAllSets(p, ck.TableSets(), ck.DiskManager(), ck.LogSet())
+		ckDone = true
+	})
 	step := sim.Time(1 * sim.Millisecond)
 	for !ckDone {
 		before := env.Executed()
@@ -214,18 +189,13 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 		i := i
 		tr := root.Split()
 		tcore := pl.Cores[i%len(pl.Cores)]
-		body := func(tp *sim.Proc) {
+		env.Spawn(fmt.Sprintf("terminal%d", i), func(tp *sim.Proc) {
 			term := &core.Terminal{ID: i, P: tp, Core: tcore, R: tr}
 			for {
 				_, logic := wl.NextTxn(term.R)
 				eng.Submit(term, logic)
 			}
-		}
-		if shardedEng {
-			env.SpawnOn(pl.ShardOfCore(tcore), fmt.Sprintf("terminal%d", i), body)
-		} else {
-			env.Spawn(fmt.Sprintf("terminal%d", i), body)
-		}
+		})
 	}
 	if err := env.RunUntil(endT); err != nil {
 		res.Err = err
@@ -241,7 +211,6 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 		env2 := sim.NewEnv()
 		defer env2.Close()
 		pl2 := platform.New(env2, cfg)
-		enableParallelKernel(env2, pl2, kernelParallel)
 		dm2 := ck.DiskManager().Rebind(pl2.Disk)
 		var st core.RecoveryStats
 		var recovered []map[uint16]*btree.Tree
@@ -283,18 +252,6 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 		}
 	}
 	return res
-}
-
-// enableParallelKernel switches a raw driver environment onto the parallel
-// event kernel when requested and the machine has a parallel shape — the
-// same selection core.Run performs for harness-driven runs.
-func enableParallelKernel(env *sim.Env, pl *platform.Platform, on bool) {
-	if !on {
-		return
-	}
-	if shards, la := pl.KernelShards(); shards > 1 && la > 0 {
-		env.EnableParallel(shards, la)
-	}
 }
 
 // RecoveryTable renders recovery results as the fig-recovery table. The

@@ -40,9 +40,6 @@ type ScalingSpec struct {
 	// structurally unaffected — the flag only bites at 2+ sockets — so the
 	// 1-socket row still anchors the speedup column.
 	ShardedLog bool
-	// KernelParallel runs every point on the parallel event kernel (see
-	// core.RunConfig.KernelParallel); results stay bit-identical.
-	KernelParallel bool
 	// Obs attaches the flight recorder to every point (see
 	// core.RunConfig.Obs); results stay bit-identical.
 	Obs *obs.Options
@@ -130,8 +127,7 @@ func (s ScalingSpec) Points() []Point {
 						Index: len(out), Group: "fig-scaling",
 						Engine: spec, Workload: wl,
 						Terminals: tps * n, Seed: seed, Sockets: n,
-						ShardedLog:     cfg.ShardedLog(),
-						KernelParallel: s.KernelParallel, Obs: s.Obs,
+						ShardedLog: cfg.ShardedLog(), Obs: s.Obs,
 						Warmup: warmup, Measure: measure, Drain: s.Drain,
 					})
 				}

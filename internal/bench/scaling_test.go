@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"bionicdb/internal/core"
+	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 )
 
@@ -126,28 +128,65 @@ func TestScalingJSONCarriesSockets(t *testing.T) {
 }
 
 // TestScalingThroughputGrows is the sweep's reason to exist: under weak
-// scaling the sharded engine's throughput must grow with sockets (the
-// simulated machine is deterministic, so this is a stable property, not a
-// flaky performance assertion).
+// scaling software DORA's throughput must grow with sockets (the simulated
+// machine is deterministic, so this is a stable property, not a flaky
+// performance assertion), and no transaction may exhaust its retry budget
+// on the way. The sharded-log case is bionicbench -fig-scaling -sharded-log
+// -quick's TPC-C row: its curve is a property of the modeled machine, so it
+// never falls from one socket count to the next.
 func TestScalingThroughputGrows(t *testing.T) {
-	spec := ScalingSpec{
-		Sockets:            []int{1, 4},
-		Workloads:          []WorkloadSpec{smallTATP()},
-		Engines:            DefaultScalingEngines()[1:2], // dora
-		TerminalsPerSocket: 8,
-		Seeds:              []uint64{42},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            4 * sim.Millisecond,
-	}
-	results := spec.Run(Options{Parallel: 2})
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%v", r.Err)
-		}
-	}
-	one, four := results[0].Res.TPS, results[1].Res.TPS
-	if four < 2*one {
-		t.Errorf("dora TATP throughput at 4 sockets = %.0f tps, want at least 2x the 1-socket %.0f", four, one)
+	for _, tc := range []struct {
+		name            string
+		sockets         []int
+		workload        func(n int) WorkloadSpec
+		sharded         bool
+		warmup, measure sim.Duration
+		grow            float64 // least tps ratio between successive socket counts
+	}{
+		{"central-tatp", []int{1, 4}, func(int) WorkloadSpec { return smallTATP() }, false,
+			1 * sim.Millisecond, 4 * sim.Millisecond, 2},
+		{"sharded-tpcc", []int{1, 2, 4}, quickTPCC, true,
+			5 * sim.Millisecond, 15 * sim.Millisecond, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engines := make([]core.Engine, len(tc.sockets))
+			var points []Point
+			for i, n := range tc.sockets {
+				spec := ScalingSpec{
+					Sockets:   []int{n},
+					Workloads: []WorkloadSpec{tc.workload(n)},
+					Engines: []ScalingEngine{{Name: "dora", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
+						es := DORAOn(cfg, partitions)
+						mk := es.Make
+						es.Make = func(env *sim.Env, wl core.Workload) core.Engine {
+							engines[i] = mk(env, wl)
+							return engines[i]
+						}
+						return es
+					}}},
+					TerminalsPerSocket: 8,
+					ShardedLog:         tc.sharded,
+					Seeds:              []uint64{42},
+					Warmup:             tc.warmup,
+					Measure:            tc.measure,
+				}
+				points = append(points, spec.Points()...)
+			}
+			results := mustRun(t, tc.name, points, Options{Parallel: 2})
+			for i, r := range results {
+				t.Logf("x%d: %.0f tps", tc.sockets[i], r.Res.TPS)
+				if n := engines[i].Counters().Get("aborts.giveup"); n != 0 {
+					t.Errorf("x%d: %d transactions exhausted their retry budget", tc.sockets[i], n)
+				}
+				if i == 0 {
+					continue
+				}
+				if prev := results[i-1].Res.TPS; r.Res.TPS < tc.grow*prev {
+					t.Errorf("dora throughput at %d sockets = %.0f tps, want at least %gx the %.0f at %d",
+						tc.sockets[i], r.Res.TPS, tc.grow, prev, tc.sockets[i-1])
+				}
+			}
+		})
 	}
 }
 

@@ -70,14 +70,6 @@ func New(pl *platform.Platform, dev *platform.Device, cfg Config) *Pool {
 	}
 }
 
-// Confine homes the pool's latch on the given kernel shard, so a per-socket
-// pool may be fixed only from its socket's shard on a concurrent
-// environment. Call at setup time, before running.
-func (bp *Pool) Confine(shard int) *Pool {
-	bp.latch.OnShard(shard)
-	return bp
-}
-
 // Fix pins page id, charging the hit path or the miss path (victim
 // write-back if dirty, then a page read). It returns whether the page was
 // resident. Fixes of pages already being read by another process are

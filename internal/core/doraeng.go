@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"sort"
 
 	"bionicdb/internal/btree"
@@ -35,20 +34,6 @@ type DORAEngine struct {
 	// Software data path (Overlay off).
 	trees map[uint16]*btree.Tree
 	pool  *bufferpool.Pool
-
-	// Engine-on-shard state (engineSharded true): every engine-side
-	// structure a partition worker touches is replicated per socket and
-	// homed on that socket's kernel shard, so the parallel kernel can run
-	// the sockets concurrently. Socket-indexed throughout.
-	engineSharded bool
-	nSock         int
-	treeSets      []map[uint16]*btree.Tree
-	pools         []*bufferpool.Pool
-	regs          []*dora.Registry
-	bds           []*stats.Breakdown
-	ctrs          []*stats.Counter
-	tracesBy      []btree.TracePool
-	kvsBy         []sim.ScratchPool[kvPair]
 
 	// Hardware data path (Overlay on).
 	ov    *overlay.Store
@@ -108,19 +93,6 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 	// device), otherwise the classic single central stream — structurally
 	// identical to the pre-sharding engine.
 	e.sharded = cfg.ShardedLog()
-	// Engine-on-shard gate: the pure-software data-oriented engine on a
-	// multi-socket machine with a per-socket log and no replication homes
-	// each socket's partitions, trees, pool, locks and log shard on that
-	// socket's kernel shard. The gate is a pure function of the config, so
-	// it is active identically under serial and concurrent execution —
-	// which is what keeps serial and parallel digests bit-identical. Every
-	// other configuration keeps the classic shard-0 layout untouched.
-	e.engineSharded = e.sharded && pl.NumSockets() > 1 && off == (Offloads{}) &&
-		window == 1 && !cfg.Replicated()
-	if e.engineSharded {
-		e.nSock = pl.NumSockets()
-		pl.Confine()
-	}
 	nShards := 1
 	if e.sharded {
 		nShards = pl.NumSockets()
@@ -139,12 +111,7 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 			e.hwLogs = append(e.hwLogs, hw)
 			app = hw
 		} else {
-			var m *wal.Manager
-			if e.engineSharded {
-				m = wal.NewManagerOn(pl, st, wal.DefaultManagerConfig(), s)
-			} else {
-				m = wal.NewManager(pl, st, wal.DefaultManagerConfig())
-			}
+			m := wal.NewManager(pl, st, wal.DefaultManagerConfig())
 			e.logMgrs = append(e.logMgrs, m)
 			app = m
 		}
@@ -154,13 +121,7 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 	if cfg.Replicated() {
 		e.logSet.AttachReplication(wal.NewReplicaSet(e.logSet))
 	}
-	if e.engineSharded {
-		e.logSet.Confine()
-	}
 	e.tm = txn.NewManager(env, e.logSet, txn.DefaultConfig())
-	if e.engineSharded {
-		e.tm.ShardPerSocket(e.nSock)
-	}
 
 	if off.Overlay || off.Tree {
 		e.probe = treeprobe.New(pl, treeprobe.DefaultConfig())
@@ -170,38 +131,6 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 		for _, def := range tables {
 			e.defs[def.ID] = def
 			e.ov.CreateTable(def.ID, def.Order)
-		}
-	} else if e.engineSharded {
-		// One tree set, pool, waits-for registry, breakdown, counter and
-		// scratch pool per socket. Page IDs stride by socket (one shared
-		// allocator per socket across its tables) so they stay globally
-		// unique without a shared counter; node addresses come from the
-		// socket's private arena.
-		e.treeSets = make([]map[uint16]*btree.Tree, e.nSock)
-		e.pools = make([]*bufferpool.Pool, e.nSock)
-		e.regs = make([]*dora.Registry, e.nSock)
-		e.bds = make([]*stats.Breakdown, e.nSock)
-		e.ctrs = make([]*stats.Counter, e.nSock)
-		e.tracesBy = make([]btree.TracePool, e.nSock)
-		e.kvsBy = make([]sim.ScratchPool[kvPair], e.nSock)
-		for s := 0; s < e.nSock; s++ {
-			s := s
-			e.pools[s] = bufferpool.New(pl, pl.DataDisk(s), bufferpool.DefaultConfig(1<<18, cfg.PageSize)).Confine(pl.ShardOf(s))
-			e.regs[s] = dora.NewRegistry()
-			e.bds[s] = &stats.Breakdown{}
-			e.ctrs[s] = stats.NewCounter()
-			alloc := e.dm.AllocatorOn(s, e.nSock)
-			set := make(map[uint16]*btree.Tree, len(tables))
-			for _, def := range tables {
-				def := def
-				e.defs[def.ID] = def
-				set[def.ID] = btree.New(btree.Config{
-					Order:  def.Order,
-					NextID: alloc,
-					AddrOf: func(id storage.PageID, size int) uint64 { return pl.AllocHostOn(s, cfg.PageSize) },
-				})
-			}
-			e.treeSets[s] = set
 		}
 	} else {
 		e.pool = bufferpool.New(pl, pl.Disk, bufferpool.DefaultConfig(1<<18, cfg.PageSize))
@@ -227,17 +156,10 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 	// cross-shard commit path and the scaling sweep assume.
 	for i := 0; i < scheme.Partitions; i++ {
 		core := pl.Cores[i%len(pl.Cores)]
-		reg, bd := e.reg, e.bd
-		if e.engineSharded {
-			reg, bd = e.regs[core.SocketID()], e.bds[core.SocketID()]
-		}
-		pt := dora.NewPartition(pl, reg, i, core, dora.DefaultCosts(), window, bd)
+		pt := dora.NewPartition(pl, e.reg, i, core, dora.DefaultCosts(), window, e.bd)
 		if e.qeng != nil {
 			pt.HWQueue = e.qeng.Unit
 			pt.HWQueueCycles = e.qeng.OpCycles()
-		}
-		if e.engineSharded {
-			pt.Confine()
 		}
 		pt.Start()
 		e.parts = append(e.parts, pt)
@@ -245,48 +167,17 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 	return e
 }
 
-// EngineSharded reports whether the engine homes its per-socket state on
-// the kernel shards (the engine-on-shard execution mode).
-func (e *DORAEngine) EngineSharded() bool { return e.engineSharded }
-
 // Name implements Engine.
 func (e *DORAEngine) Name() string { return e.name }
 
 // Platform implements Engine.
 func (e *DORAEngine) Platform() *platform.Platform { return e.pl }
 
-// Breakdown implements Engine. On an engine-sharded run it returns a fresh
-// merge of the per-socket breakdowns, summed in socket order; callers
-// snapshot the value, so the fresh allocation is invisible to them.
-func (e *DORAEngine) Breakdown() *stats.Breakdown {
-	if !e.engineSharded {
-		return e.bd
-	}
-	out := &stats.Breakdown{}
-	out.AddAll(e.bd)
-	for _, bd := range e.bds {
-		out.AddAll(bd)
-	}
-	return out
-}
+// Breakdown implements Engine.
+func (e *DORAEngine) Breakdown() *stats.Breakdown { return e.bd }
 
-// Counters implements Engine. Engine-sharded runs merge the per-socket
-// counters in socket order.
-func (e *DORAEngine) Counters() *stats.Counter {
-	if !e.engineSharded {
-		return e.ctr
-	}
-	out := stats.NewCounter()
-	for _, name := range e.ctr.Names() {
-		out.Inc(name, e.ctr.Get(name))
-	}
-	for _, c := range e.ctrs {
-		for _, name := range c.Names() {
-			out.Inc(name, c.Get(name))
-		}
-	}
-	return out
-}
+// Counters implements Engine.
+func (e *DORAEngine) Counters() *stats.Counter { return e.ctr }
 
 // Offloads reports the enabled hardware units.
 func (e *DORAEngine) Offloads() Offloads { return e.off }
@@ -321,12 +212,8 @@ func (e *DORAEngine) ReplStats() []stats.ReplicationStats {
 // DiskManager exposes the checkpoint page store.
 func (e *DORAEngine) DiskManager() *storage.DiskManager { return e.dm }
 
-// Tables exposes the primary trees for checkpointing (overlay or host). An
-// engine-sharded engine has no single tree per table; use TableSets.
+// Tables exposes the primary trees for checkpointing (overlay or host).
 func (e *DORAEngine) Tables() map[uint16]*btree.Tree {
-	if e.engineSharded {
-		panic("core: Tables() on an engine-sharded engine; use TableSets")
-	}
 	if e.ov == nil {
 		return e.trees
 	}
@@ -337,18 +224,10 @@ func (e *DORAEngine) Tables() map[uint16]*btree.Tree {
 	return out
 }
 
-// TableSets exposes the socket-indexed tree sets of an engine-sharded
-// engine. On any other engine it returns the single table set at index 0.
+// TableSets is Tables as the one-element slice CheckpointAllSets and
+// ContentDigestSets take.
 func (e *DORAEngine) TableSets() []map[uint16]*btree.Tree {
-	if e.engineSharded {
-		return e.treeSets
-	}
 	return []map[uint16]*btree.Tree{e.Tables()}
-}
-
-// socketOf returns the socket owning table/key's partition.
-func (e *DORAEngine) socketOf(table uint16, key []byte) int {
-	return e.parts[e.scheme.Route(table, key)].Socket()
 }
 
 // Registry exposes the waits-for registry (deadlock statistics).
@@ -358,15 +237,6 @@ func (e *DORAEngine) Registry() *dora.Registry { return e.reg }
 // overlay is resident by construction). The harness calls it after
 // population so measurements start from a warm cache.
 func (e *DORAEngine) Warm() {
-	if e.engineSharded {
-		for s, set := range e.treeSets {
-			pool := e.pools[s]
-			for _, id := range sortedKeys(set) {
-				set[id].Pages(func(id storage.PageID, leaf bool) { pool.Prewarm(id) })
-			}
-		}
-		return
-	}
 	if e.pool == nil {
 		return
 	}
@@ -390,13 +260,8 @@ func sortedKeys[K interface {
 	return keys
 }
 
-// Load implements Engine. Engine-sharded engines route each row to its
-// owning partition's socket tree.
+// Load implements Engine.
 func (e *DORAEngine) Load(table uint16, key, val []byte) {
-	if e.engineSharded {
-		e.treeSets[e.socketOf(table, key)][table].Put(key, val, nil)
-		return
-	}
 	if e.ov != nil {
 		e.ov.LoadRaw(table, key, val)
 		return
@@ -406,32 +271,11 @@ func (e *DORAEngine) Load(table uint16, key, val []byte) {
 
 // ReadRaw implements Engine.
 func (e *DORAEngine) ReadRaw(table uint16, key []byte) ([]byte, bool) {
-	if e.engineSharded {
-		return e.treeSets[e.socketOf(table, key)][table].Get(key, nil)
-	}
 	return e.Tables()[table].Get(key, nil)
 }
 
-// ScanRaw implements Engine. An engine-sharded engine's rows are spread
-// over disjoint per-socket trees, so the scan collects from every socket
-// and merges by key before yielding — the global key order callers expect.
+// ScanRaw implements Engine.
 func (e *DORAEngine) ScanRaw(table uint16, from, to []byte, fn func(k, v []byte) bool) {
-	if e.engineSharded {
-		var rows []kvPair
-		for _, set := range e.treeSets {
-			set[table].Scan(from, to, nil, func(k, v []byte) bool {
-				rows = append(rows, kvPair{k, v})
-				return true
-			})
-		}
-		sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].k, rows[j].k) < 0 })
-		for _, r := range rows {
-			if !fn(r.k, r.v) {
-				return
-			}
-		}
-		return
-	}
 	e.Tables()[table].Scan(from, to, nil, fn)
 }
 
@@ -468,9 +312,6 @@ func (e *DORAEngine) Submit(term *Terminal, logic TxnLogic) bool {
 
 func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
 	ctr := e.ctr
-	if e.engineSharded {
-		ctr = e.ctrs[term.Core.SocketID()]
-	}
 	dtx := e.frame(term)
 	task, tx := dtx.task, &dtx.tx
 	for term.Retries = 0; ; term.Retries++ {
@@ -547,12 +388,8 @@ func (e *DORAEngine) frame(term *Terminal) *doraTx {
 	if f := term.dora; f != nil && f.e == e {
 		return f
 	}
-	bd := e.bd
-	if e.engineSharded {
-		bd = e.bds[term.Core.SocketID()]
-	}
-	term.dora = &doraTx{e: e, term: term, task: e.pl.NewTask(term.P, term.Core, bd),
-		commit: sim.NewSignal(e.pl.Env).OnShard(term.P.Shard())}
+	term.dora = &doraTx{e: e, term: term, task: e.pl.NewTask(term.P, term.Core, e.bd),
+		commit: sim.NewSignal(e.pl.Env)}
 	return term.dora
 }
 
@@ -612,14 +449,10 @@ func (e *DORAEngine) crossShardDecision(term *Terminal, task *platform.Task, dtx
 		}
 	}
 	dtx.reps = reps
-	ctr := e.ctr
-	if e.engineSharded {
-		ctr = e.ctrs[home]
-	}
 	if commit {
-		ctr.Inc("crossshard.commits", 1)
+		e.ctr.Inc("crossshard.commits", 1)
 	} else {
-		ctr.Inc("crossshard.aborts", 1)
+		e.ctr.Inc("crossshard.aborts", 1)
 	}
 	if len(reps) == 0 {
 		return // every involved socket is the coordinator's own
@@ -660,7 +493,7 @@ func (e *DORAEngine) rollback(term *Terminal, task *platform.Task, dtx *doraTx) 
 			dtx.send(i, pidx, dora.Entity{}, true, func(c AccessCtx) bool {
 				wc := c.(*doraCtx)
 				for _, u := range recs {
-					e.applyUndoRaw(wc.task, u, wc.soc)
+					e.applyUndoRaw(wc.task, u)
 				}
 				return true
 			})
@@ -686,9 +519,8 @@ func (e *DORAEngine) releaseLocks(task *platform.Task, dtx *doraTx) {
 }
 
 // applyUndoRaw reverses one operation without logging, charged on the
-// partition worker; soc is the worker's socket (its tree set and pool on
-// an engine-sharded run).
-func (e *DORAEngine) applyUndoRaw(task *platform.Task, u txn.UndoRec, soc int) {
+// partition worker.
+func (e *DORAEngine) applyUndoRaw(task *platform.Task, u txn.UndoRec) {
 	if e.ov != nil {
 		switch u.Type {
 		case wal.RecInsert:
@@ -698,57 +530,24 @@ func (e *DORAEngine) applyUndoRaw(task *platform.Task, u txn.UndoRec, soc int) {
 		}
 		return
 	}
-	tree := e.treeFor(soc, u.Table)
-	tp := e.tracesFor(soc)
-	tr := tp.Get()
+	tree := e.trees[u.Table]
+	tr := e.traces.Get()
 	switch u.Type {
 	case wal.RecInsert:
 		tree.Delete(u.Key, tr)
 	case wal.RecUpdate, wal.RecDelete:
 		tree.Put(u.Key, u.Before, tr)
 	}
-	e.chargeVisits(task, e.poolFor(soc), tr, true)
-	tp.Put(tr)
-}
-
-// treeFor returns table's tree for a worker on socket soc.
-func (e *DORAEngine) treeFor(soc int, table uint16) *btree.Tree {
-	if e.engineSharded {
-		return e.treeSets[soc][table]
-	}
-	return e.trees[table]
-}
-
-// poolFor returns the buffer pool for a worker on socket soc.
-func (e *DORAEngine) poolFor(soc int) *bufferpool.Pool {
-	if e.engineSharded {
-		return e.pools[soc]
-	}
-	return e.pool
-}
-
-// tracesFor returns the trace scratch pool for a worker on socket soc.
-func (e *DORAEngine) tracesFor(soc int) *btree.TracePool {
-	if e.engineSharded {
-		return &e.tracesBy[soc]
-	}
-	return &e.traces
-}
-
-// kvsFor returns the scan scratch pool for a worker on socket soc.
-func (e *DORAEngine) kvsFor(soc int) *sim.ScratchPool[kvPair] {
-	if e.engineSharded {
-		return &e.kvsBy[soc]
-	}
-	return &e.kvs
+	e.chargeVisits(task, tr, true)
+	e.traces.Put(tr)
 }
 
 // chargeVisits is the software data path (no page latches — PLP): a
 // buffer-pool fix plus the node search per visit. A binary search over a
 // wide node touches several cache lines, one per probe pair.
-func (e *DORAEngine) chargeVisits(task *platform.Task, pool *bufferpool.Pool, tr *btree.Trace, write bool) {
+func (e *DORAEngine) chargeVisits(task *platform.Task, tr *btree.Trace, write bool) {
 	for _, v := range tr.Visits {
-		pool.Fix(task, v.ID)
+		e.pool.Fix(task, v.ID)
 		task.Access(stats.CompBtree, v.Addr, 64)
 		for i := 1; i < (v.Cmps+1)/2; i++ {
 			task.Access(stats.CompBtree, v.Addr+uint64(64*i), 16)
@@ -758,11 +557,11 @@ func (e *DORAEngine) chargeVisits(task *platform.Task, pool *bufferpool.Pool, tr
 			// Record locate/copy and slot bookkeeping at the leaf.
 			task.Exec(stats.CompBtree, 110)
 		}
-		pool.Unfix(task, v.ID, write && v.Leaf)
+		e.pool.Unfix(task, v.ID, write && v.Leaf)
 	}
 	for _, id := range tr.NewPages {
 		// Pages born by splits enter the pool without I/O.
-		pool.Prewarm(id)
+		e.pool.Prewarm(id)
 	}
 	if tr.Splits > 0 {
 		task.Exec(stats.CompBtree, 1500*tr.Splits)
@@ -818,15 +617,14 @@ type doraTx struct {
 	involved []int // partitions touched, kept sorted and unique
 	refused  bool
 
-	// commit (homed, like rvp, on the terminal's kernel shard) is re-armed
-	// when Submit's final Await on it returns; rvp (built by arm) when
-	// the next fan-out starts, its Await having returned; a slot when the
-	// fan-out it served has fired rvp (the partition's last touch of an
-	// action precedes its Arrive, directly or as the CrossAt delivery of its
-	// vote). sockets and reps are crossShardDecision's scratch. arena holds
-	// the keys the logic builds (Action.Key, keys it hands to bodies) and a
-	// slot's arena the keys its body builds; submit resets them all when the
-	// next attempt starts, the undo list that held some of them dropped.
+	// commit is re-armed when Submit's final Await on it returns; rvp (built
+	// by arm) when the next fan-out starts, its Await having returned; a
+	// slot when the fan-out it served has fired rvp (the partition's last
+	// touch of an action precedes its Arrive). sockets and reps are
+	// crossShardDecision's scratch. arena holds the keys the logic builds
+	// (Action.Key, keys it hands to bodies) and a slot's arena the keys its
+	// body builds; submit resets them all when the next attempt starts, the
+	// undo list that held some of them dropped.
 	commit  *sim.Signal
 	rvp     *dora.RVP
 	slots   []*actionSlot
@@ -841,13 +639,11 @@ func (t *doraTx) Arena() *storage.Arena { return &t.arena }
 // actionSlot is one reusable action of a fan-out: the dora.Action that
 // travels to the partition, the AccessCtx its body runs against, the arena
 // the body builds its keys in (the actions of one fan-out run on different
-// partitions, on different kernel shards even, so they cannot share one)
-// and, on an engine-sharded run, its private write buffer. da.Run is bound
-// to run once, when the slot is built.
+// partitions, interleaved, so they cannot share one). da.Run is bound to run
+// once, when the slot is built.
 type actionSlot struct {
 	da    dora.Action
 	ctx   doraCtx
-	w     txn.Writes
 	arena storage.Arena
 	body  func(c AccessCtx) bool
 }
@@ -857,12 +653,10 @@ func (s *actionSlot) run(wt *platform.Task, pt *dora.Partition) bool {
 	return s.body(&s.ctx)
 }
 
-// arm readies the frame's rendezvous for a fan-out of n actions: homed on
-// the coordinator's kernel shard (remote votes of an engine-sharded run
-// arrive there as cross-shard messages; shard 0 otherwise).
+// arm readies the frame's rendezvous for a fan-out of n actions.
 func (t *doraTx) arm(n int) *dora.RVP {
 	if t.rvp == nil {
-		t.rvp = dora.NewRVPOn(t.e.pl.Env, n, t.term.P.Shard())
+		t.rvp = dora.NewRVP(t.e.pl.Env, n)
 	} else {
 		t.rvp.Reset(n)
 	}
@@ -879,14 +673,7 @@ func (t *doraTx) send(i, pidx int, lockKey dora.Entity, priority bool, body func
 	}
 	e, s := t.e, t.slots[i]
 	s.body = body
-	s.ctx = doraCtx{e: e, tx: &t.tx, soc: e.parts[pidx].Socket(), arena: &s.arena}
-	if e.engineSharded {
-		// The action logs into a private write buffer on its partition's
-		// shard instead of mutating the shared transaction; Phase merges the
-		// buffers in action order after the rendezvous.
-		s.w.Reset()
-		s.ctx.w = &s.w
-	}
+	s.ctx = doraCtx{e: e, tx: &t.tx, arena: &s.arena}
 	s.da = dora.Action{
 		TxnID:       t.tx.ID,
 		LockKey:     lockKey,
@@ -936,15 +723,9 @@ func (t *doraTx) Phase(actions ...Action) bool {
 	}
 	t.task.Flush()
 	ok := rvp.Await(t.term.P)
-	// The actions are all complete (the RVP fired through the kernel's
-	// cross-shard handoff), so reading their buffers and stamps here is
-	// ordered even on the concurrent kernel. Write buffers merge in action
-	// order — independent of which shard finished first — and the
-	// partition-side stamps fold into the transaction's anatomy.
+	// The actions are all complete: fold the partition-side stamps into the
+	// transaction's anatomy.
 	for _, s := range t.slots[:len(actions)] {
-		if e.engineSharded {
-			t.tx.MergeWrites(&s.w)
-		}
 		t.term.Ph[stats.PhaseQueue] += s.da.QueueWait
 		t.term.Ph[stats.PhaseLock] += s.da.LockWait
 		t.term.Ph[stats.PhaseExec] += s.da.ExecTime
@@ -957,15 +738,10 @@ func (t *doraTx) Phase(actions ...Action) bool {
 
 // doraCtx is the partition-side AccessCtx. No hierarchical locks, no page
 // latches: isolation came from routing plus the entity lock already held.
-// On an engine-sharded run soc selects the worker's socket-local tree set,
-// pool and scratch pools, and w (non-nil) buffers log writes per action so
-// the shared transaction is never touched from a partition shard.
 type doraCtx struct {
 	e    *DORAEngine
 	task *platform.Task
 	tx   *txn.Txn
-	soc  int
-	w    *txn.Writes
 
 	arena *storage.Arena // the action slot's
 }
@@ -992,11 +768,10 @@ func (c *doraCtx) Read(table uint16, key []byte) ([]byte, bool) {
 		e.traces.Put(tr)
 		return val, ok
 	default:
-		tp := e.tracesFor(c.soc)
-		tr := tp.Get()
-		val, ok := e.treeFor(c.soc, table).Get(key, tr)
-		e.chargeVisits(c.task, e.poolFor(c.soc), tr, false)
-		tp.Put(tr)
+		tr := e.traces.Get()
+		val, ok := e.trees[table].Get(key, tr)
+		e.chargeVisits(c.task, tr, false)
+		e.traces.Put(tr)
 		return val, ok
 	}
 }
@@ -1019,21 +794,16 @@ func (c *doraCtx) Update(table uint16, key, val []byte) bool {
 		e.tm.LogUpdate(c.task, c.tx, table, key, prev, val)
 		return true
 	}
-	tp := e.tracesFor(c.soc)
-	tr := tp.Get()
-	tree := e.treeFor(c.soc, table)
+	tr := e.traces.Get()
+	tree := e.trees[table]
 	prev, existed := tree.Put(key, val, tr)
-	e.chargeVisits(c.task, e.poolFor(c.soc), tr, true)
-	tp.Put(tr)
+	e.chargeVisits(c.task, tr, true)
+	e.traces.Put(tr)
 	if !existed {
 		tree.Delete(key, nil)
 		return false
 	}
-	if c.w != nil {
-		e.tm.LogUpdateW(c.task, c.tx.ID, c.w, table, key, prev, val)
-	} else {
-		e.tm.LogUpdate(c.task, c.tx, table, key, prev, val)
-	}
+	e.tm.LogUpdate(c.task, c.tx, table, key, prev, val)
 	return true
 }
 
@@ -1049,21 +819,16 @@ func (c *doraCtx) Insert(table uint16, key, val []byte) bool {
 		e.tm.LogInsert(c.task, c.tx, table, key, val)
 		return true
 	}
-	tp := e.tracesFor(c.soc)
-	tr := tp.Get()
-	tree := e.treeFor(c.soc, table)
+	tr := e.traces.Get()
+	tree := e.trees[table]
 	prev, existed := tree.Put(key, val, tr)
-	e.chargeVisits(c.task, e.poolFor(c.soc), tr, true)
-	tp.Put(tr)
+	e.chargeVisits(c.task, tr, true)
+	e.traces.Put(tr)
 	if existed {
 		tree.Put(key, prev, nil)
 		return false
 	}
-	if c.w != nil {
-		e.tm.LogInsertW(c.task, c.tx.ID, c.w, table, key, val)
-	} else {
-		e.tm.LogInsert(c.task, c.tx, table, key, val)
-	}
+	e.tm.LogInsert(c.task, c.tx, table, key, val)
 	return true
 }
 
@@ -1078,19 +843,14 @@ func (c *doraCtx) Delete(table uint16, key []byte) bool {
 		e.tm.LogDelete(c.task, c.tx, table, key, val)
 		return true
 	}
-	tp := e.tracesFor(c.soc)
-	tr := tp.Get()
-	val, ok := e.treeFor(c.soc, table).Delete(key, tr)
-	e.chargeVisits(c.task, e.poolFor(c.soc), tr, true)
-	tp.Put(tr)
+	tr := e.traces.Get()
+	val, ok := e.trees[table].Delete(key, tr)
+	e.chargeVisits(c.task, tr, true)
+	e.traces.Put(tr)
 	if !ok {
 		return false
 	}
-	if c.w != nil {
-		e.tm.LogDeleteW(c.task, c.tx.ID, c.w, table, key, val)
-	} else {
-		e.tm.LogDelete(c.task, c.tx, table, key, val)
-	}
+	e.tm.LogDelete(c.task, c.tx, table, key, val)
 	return true
 }
 
@@ -1101,17 +861,15 @@ func (c *doraCtx) Scan(table uint16, from, to []byte, fn func(k, v []byte) bool)
 		e.ov.ScanRange(c.task, table, from, to, fn)
 		return
 	}
-	tp := e.tracesFor(c.soc)
-	kp := e.kvsFor(c.soc)
-	tr := tp.Get()
-	rows := kp.Get()
-	defer func() { kp.Put(rows) }()
-	e.treeFor(c.soc, table).Scan(from, to, tr, func(k, v []byte) bool {
+	tr := e.traces.Get()
+	rows := e.kvs.Get()
+	defer func() { e.kvs.Put(rows) }()
+	e.trees[table].Scan(from, to, tr, func(k, v []byte) bool {
 		rows = append(rows, kvPair{k, v})
 		return true
 	})
-	e.chargeVisits(c.task, e.poolFor(c.soc), tr, false)
-	tp.Put(tr)
+	e.chargeVisits(c.task, tr, false)
+	e.traces.Put(tr)
 	for _, r := range rows {
 		c.task.Exec(stats.CompBtree, 20)
 		if !fn(r.k, r.v) {
@@ -1139,8 +897,7 @@ func (e *DORAEngine) SetRecorder(rec *obs.Recorder) {
 // ObsGauges implements the telemetry gauge surface: partition input-queue
 // depth and deferred actions summed over the socket's partitions, the
 // socket's log-shard flush backlog, and (socket 0, where replication
-// lives) the worst replica lag. On an engine-sharded run each socket's
-// gauges are read only by its own kernel shard's sampler.
+// lives) the worst replica lag.
 func (e *DORAEngine) ObsGauges(socket int) obs.Gauges {
 	var g obs.Gauges
 	for _, pt := range e.parts {

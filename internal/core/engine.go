@@ -91,8 +91,8 @@ type Terminal struct {
 	// scratch: never read by simulated logic.
 	Ph [stats.NumPhases]sim.Duration
 
-	// Rec is the flight-recorder ring of the terminal's home kernel shard,
-	// nil when untraced. Engines record submit, durability-wait and
+	// Rec is the flight-recorder ring the terminal records into, nil when
+	// untraced. Engines record submit, durability-wait and
 	// cross-shard decision spans into it from the terminal's process.
 	Rec *obs.ShardRec
 

@@ -39,13 +39,6 @@ type RunConfig struct {
 	Drain sim.Duration
 	// Seed drives population and the transaction mix.
 	Seed uint64
-	// KernelParallel runs the simulation on the parallel event kernel: one
-	// shard per simulated socket, synchronized under the interconnect hop
-	// latency as conservative lookahead. Results are bit-identical to the
-	// serial kernel (the equivalence matrix in internal/bench enforces it);
-	// the flag changes host execution only. Single-socket machines have one
-	// shard and stay serial regardless.
-	KernelParallel bool
 	// Analytics, when non-nil, attaches an analytical subsystem to the run
 	// (the HTAP mixed workloads). Nil leaves the run bit-identical to the
 	// pre-HTAP harness.
@@ -99,8 +92,7 @@ type Result struct {
 
 	// Events is the kernel event count for the whole run (populate through
 	// drain) — the numerator for host events/sec reporting. It is simulated
-	// state, identical on the serial and parallel kernels, and deliberately
-	// not part of the sweep digest.
+	// state and deliberately not part of the sweep digest.
 	Events uint64
 
 	// Switches is how many of those events resumed a process's coroutine;
@@ -110,24 +102,12 @@ type Result struct {
 	// indicator outside the sweep digest like Events.
 	Switches uint64
 
-	// EventsByShard is the per-kernel-shard event count of an engine-sharded
-	// run — the witness that engine work actually executed off shard 0. Nil
-	// on classic runs, and deliberately not part of the sweep digest.
-	EventsByShard []uint64
-
 	// Anatomy is the per-phase latency breakdown (queue, lock, exec,
 	// cross-shard, durability, replication) of committed in-window
 	// transactions: per-terminal recordings merged in terminal-ID order,
 	// plus the windowed engine-level replication-wait histogram. Always
 	// collected; deliberately not part of the sweep digest.
 	Anatomy stats.Anatomy
-
-	// WindowsByShard and StallsByShard are the parallel kernel's
-	// self-observability counters for the whole run: window rounds executed
-	// and barrier rounds sat out per shard. Nil on serial-kernel runs; not
-	// part of the sweep digest.
-	WindowsByShard []uint64
-	StallsByShard  []uint64
 
 	// Trace is the flight recorder holding the run's spans when
 	// RunConfig.Obs enabled tracing; nil otherwise. Export with
@@ -145,10 +125,8 @@ type gaugeReader interface {
 	ObsGauges(socket int) obs.Gauges
 }
 
-// sampleSocket builds one telemetry sample for socket as seen from shard.
-// It only reads state owned by that shard (or by the whole run when the
-// classic single-shard layout samples every socket from shard 0).
-func sampleSocket(env *sim.Env, pl *platform.Platform, gr gaugeReader, socket, shard int, now sim.Time) obs.Sample {
+// sampleSocket builds one telemetry sample for socket.
+func sampleSocket(env *sim.Env, pl *platform.Platform, gr gaugeReader, socket int, now sim.Time) obs.Sample {
 	smp := obs.Sample{At: now, Socket: socket}
 	if gr != nil {
 		g := gr.ObsGauges(socket)
@@ -157,7 +135,7 @@ func sampleSocket(env *sim.Env, pl *platform.Platform, gr gaugeReader, socket, s
 	}
 	smp.Instructions, smp.DRAMBytes, smp.LLCHits, smp.LLCMisses = pl.SocketCounters(socket)
 	smp.EgressBusy = pl.EgressBusy(socket)
-	smp.Events, smp.Windows, smp.Stalls = env.ShardCounters(shard)
+	smp.Events, smp.Windows, smp.Stalls = env.ShardCounters(0)
 	return smp
 }
 
@@ -229,28 +207,10 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	defer env.Close()
 	eng := mk(env)
 	pl := eng.Platform()
-	if cfg.KernelParallel {
-		if shards, la := pl.KernelShards(); shards > 1 && la > 0 {
-			env.EnableParallel(shards, la)
-		}
-	}
-	// Engine-on-shard runs distribute engine and terminal processes over
-	// the kernel shards. Snapshots that read engine-wide state move from
-	// in-simulation At callbacks to host code at RunUntil barriers (where
-	// every shard has quiesced at the same horizon), and per-terminal
-	// recording replaces the shared histogram/count map; both are merged
-	// deterministically, so serial and concurrent execution agree.
-	shardedRun := false
-	if es, ok := eng.(interface{ EngineSharded() bool }); ok {
-		shardedRun = es.EngineSharded()
-	}
-	if shardedRun && cfg.Analytics != nil {
-		return nil, fmt.Errorf("core: analytics is not supported on an engine-sharded run")
-	}
 
-	// Flight recorder: spans into one ring per kernel shard, each written
-	// only by its own shard's goroutine. Attached before any event runs;
-	// strictly out of band (see RunConfig.Obs).
+	// Flight recorder: spans into one ring per kernel shard (the engines run
+	// on shard 0). Attached before any event runs; strictly out of band (see
+	// RunConfig.Obs).
 	var rec *obs.Recorder
 	if cfg.Obs.TraceOn() {
 		rec = obs.NewRecorder(env.NumShards(), cfg.Obs.Cap())
@@ -268,30 +228,17 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 			rs.SetObs(rec.Shard(0), engAn)
 		}
 	}
-	// Telemetry: per-socket samplers on a fixed simulated-time tick, fired
-	// from the kernel's clock-advance path (no events scheduled). On an
-	// engine-sharded run each socket is sampled by its own shard; the
-	// classic layout simulates everything on shard 0 and samples every
-	// socket from there.
+	// Telemetry: every socket sampled on a fixed simulated-time tick, fired
+	// from the kernel's clock-advance path (no events scheduled).
 	var tel *obs.Telemetry
 	if cfg.Obs.MetricsOn() {
 		tel = obs.NewTelemetry(pl.NumSockets(), cfg.Obs.Tick())
 		gr, _ := eng.(gaugeReader)
-		if shardedRun {
+		env.SetSampler(0, tel.Tick, func(now sim.Time) {
 			for s := 0; s < pl.NumSockets(); s++ {
-				s := s
-				sh := pl.ShardOf(s)
-				env.SetSampler(sh, tel.Tick, func(now sim.Time) {
-					tel.Append(sampleSocket(env, pl, gr, s, sh, now))
-				})
+				tel.Append(sampleSocket(env, pl, gr, s, now))
 			}
-		} else {
-			env.SetSampler(0, tel.Tick, func(now sim.Time) {
-				for s := 0; s < pl.NumSockets(); s++ {
-					tel.Append(sampleSocket(env, pl, gr, s, 0, now))
-				}
-			})
-		}
+		})
 	}
 
 	root := sim.NewRand(cfg.Seed)
@@ -367,41 +314,17 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 			endScan = arun.Snapshot()
 		}
 	}
-	if !shardedRun {
-		env.At(warmT, snapStart)
-		env.At(endT, snapEnd)
-	}
+	env.At(warmT, snapStart)
+	env.At(endT, snapEnd)
 
 	stop := false
-	var termCounts, termRetries []map[string]int64
-	var termLats []*stats.Histogram
-	if shardedRun {
-		termCounts = make([]map[string]int64, cfg.Terminals)
-		termRetries = make([]map[string]int64, cfg.Terminals)
-		termLats = make([]*stats.Histogram, cfg.Terminals)
-	}
-	// Per-terminal anatomy, merged in terminal-ID order after the run —
-	// like the latency reservoir, written only by the terminal's own shard.
+	// Per-terminal anatomy, merged in terminal-ID order after the run.
 	termAns := make([]stats.Anatomy, cfg.Terminals)
+	termRec := rec.Shard(0)
 	for i := 0; i < cfg.Terminals; i++ {
 		i := i
 		tr := root.Split()
 		core := pl.Cores[i%len(pl.Cores)]
-		counts, retries, lat := res.TxnCounts, res.TxnRetries, res.Latency
-		if shardedRun {
-			termCounts[i] = make(map[string]int64, 16)
-			termRetries[i] = make(map[string]int64)
-			termLats[i] = &stats.Histogram{}
-			counts, retries, lat = termCounts[i], termRetries[i], termLats[i]
-		}
-		var termRec *obs.ShardRec
-		if rec != nil {
-			sh := 0
-			if shardedRun {
-				sh = pl.ShardOfCore(core)
-			}
-			termRec = rec.Shard(sh)
-		}
 		an := &termAns[i]
 		body := func(p *sim.Proc) {
 			term := &Terminal{ID: i, P: p, Core: core, R: tr, Rec: termRec}
@@ -410,12 +333,12 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 				start := p.Now()
 				committed := eng.Submit(term, logic)
 				if start >= warmT && p.Now() <= endT {
-					counts[name]++
+					res.TxnCounts[name]++
 					if term.Retries > 0 {
-						retries[name] += int64(term.Retries)
+						res.TxnRetries[name] += int64(term.Retries)
 					}
 					if committed {
-						lat.Record(p.Now().Sub(start))
+						res.Latency.Record(p.Now().Sub(start))
 						for ph := stats.Phase(0); ph < stats.NumPhases; ph++ {
 							an.Record(ph, term.Ph[ph])
 						}
@@ -423,27 +346,14 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 				}
 			}
 		}
-		if shardedRun {
-			env.SpawnOn(pl.ShardOfCore(core), fmt.Sprintf("terminal%d", i), body)
-		} else {
-			env.Spawn(fmt.Sprintf("terminal%d", i), body)
-		}
+		env.Spawn(fmt.Sprintf("terminal%d", i), body)
 	}
 	if arun != nil {
 		arun.Start(&stop)
 	}
 
-	if shardedRun {
-		if err := env.RunUntil(warmT); err != nil {
-			return nil, err
-		}
-		snapStart()
-	}
 	if err := env.RunUntil(endT); err != nil {
 		return nil, err
-	}
-	if shardedRun {
-		snapEnd()
 	}
 	// Drain: let in-flight transactions finish within a bounded grace
 	// period (background daemons tick forever, so an unbounded Run would
@@ -487,20 +397,6 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 		sc := endScan.Sub(startScan)
 		res.Scan = &sc
 	}
-	if shardedRun {
-		// Merge per-terminal recordings in terminal-ID order — a pure
-		// function of the recorded values, independent of host scheduling.
-		for i := 0; i < cfg.Terminals; i++ {
-			for name, n := range termCounts[i] {
-				res.TxnCounts[name] += n
-			}
-			for name, n := range termRetries[i] {
-				res.TxnRetries[name] += n
-			}
-			res.Latency.Merge(termLats[i])
-		}
-		res.EventsByShard = env.ShardExecuted()
-	}
 	// Latency anatomy: per-terminal phase histograms merged in terminal-ID
 	// order, then the windowed engine-level replication-wait histogram.
 	for i := range termAns {
@@ -508,10 +404,6 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	}
 	windowedAn := endEngAn.Sub(&startEngAn)
 	res.Anatomy.Merge(&windowedAn)
-	if cfg.KernelParallel {
-		res.WindowsByShard = env.ShardWindows()
-		res.StallsByShard = env.ShardStalls()
-	}
 	res.Trace = rec
 	res.Metrics = tel
 	res.Events = env.Executed()

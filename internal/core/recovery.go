@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -24,12 +23,6 @@ type CheckpointMeta struct {
 	Roots     map[uint16]storage.PageID
 	StartLSN  wal.LSN
 	StartLSNs []wal.LSN
-
-	// SocketRoots is the per-socket root map of an engine-sharded
-	// checkpoint (socket-indexed; every socket owns a disjoint key range of
-	// every table). Nil for the classic single-tree-per-table layout, whose
-	// anchor stays in Roots — old metas recover exactly as before.
-	SocketRoots []map[uint16]storage.PageID
 }
 
 // startLSN returns the replay start position for shard.
@@ -63,53 +56,11 @@ func CheckpointAll(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskM
 	return meta
 }
 
-// CheckpointAllSets is CheckpointAll over socket-indexed tree sets (the
-// engine-sharded layout). A single-set slice produces exactly the classic
-// meta; multiple sets anchor each socket's roots in SocketRoots. Page IDs
-// are globally unique across sockets, so every set shares one page store.
+// CheckpointAllSets is CheckpointAll over the one-element slice
+// DORAEngine.TableSets returns (the form the benchmark's crash harness
+// calls).
 func CheckpointAllSets(p *sim.Proc, sets []map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
-	if len(sets) == 1 {
-		return CheckpointAll(p, sets[0], dm, ls)
-	}
-	meta := CheckpointMeta{SocketRoots: make([]map[uint16]storage.PageID, len(sets))}
-	for s, set := range sets {
-		meta.SocketRoots[s] = checkpointPages(p, set, dm).Roots
-	}
-	meta.Roots = meta.SocketRoots[0]
-	meta.StartLSNs = ls.StartLSNs()
-	meta.StartLSN = meta.StartLSNs[0]
-	return meta
-}
-
-// CheckpointAllSetsHost is CheckpointAllSets split at the device boundary.
-// Page capture runs entirely host-side — no simulated charges — so it is
-// legal at a kernel barrier, where no shard is executing; an engine-sharded
-// machine has no single process allowed to walk every socket's trees, so
-// its crash harness checkpoints there. The returned spans are the bulk
-// transfers the in-simulation path would have charged (one per table per
-// set, in capture order); the caller replays them on the checkpoint device
-// from a process of its choosing.
-func CheckpointAllSetsHost(sets []map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) (CheckpointMeta, []int) {
-	meta := CheckpointMeta{SocketRoots: make([]map[uint16]storage.PageID, len(sets))}
-	var spans []int
-	for s, set := range sets {
-		roots := make(map[uint16]storage.PageID, len(set))
-		for _, id := range sortedKeys(set) {
-			tree := set[id]
-			roots[id] = tree.RootID()
-			written := 0
-			tree.Checkpoint(func(pid storage.PageID, img []byte) {
-				dm.Store(pid, img)
-				written += dm.SpanBytes(len(img))
-			})
-			spans = append(spans, written)
-		}
-		meta.SocketRoots[s] = roots
-	}
-	meta.Roots = meta.SocketRoots[0]
-	meta.StartLSNs = ls.StartLSNs()
-	meta.StartLSN = meta.StartLSNs[0]
-	return meta, spans
+	return CheckpointAll(p, sets[0], dm, ls)
 }
 
 func checkpointPages(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager) CheckpointMeta {
@@ -206,33 +157,18 @@ func applyShard(trees map[uint16]*btree.Tree, data []byte, start wal.LSN, commit
 	return records, err
 }
 
-// rootSets returns the checkpoint's root maps as a slice: the per-socket
-// sets of an engine-sharded checkpoint, or the single classic map.
-func (m CheckpointMeta) rootSets() []map[uint16]storage.PageID {
-	if m.SocketRoots != nil {
-		return m.SocketRoots
-	}
-	return []map[uint16]storage.PageID{m.Roots}
-}
-
-// loadTreeSets rebuilds every table of every root set from its checkpoint
-// image.
-func loadTreeSets(p *sim.Proc, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager) ([]map[uint16]*btree.Tree, error) {
-	rootSets := meta.rootSets()
-	sets := make([]map[uint16]*btree.Tree, len(rootSets))
-	for s, roots := range rootSets {
-		trees := make(map[uint16]*btree.Tree, len(defs))
-		for _, def := range defs {
-			tree, err := btree.Load(btree.Config{Order: def.Order}, roots[def.ID],
-				func(id storage.PageID) []byte { return dm.Read(p, id) })
-			if err != nil {
-				return nil, err
-			}
-			trees[def.ID] = tree
+// loadTrees rebuilds every table from its checkpoint image, fetching page
+// images through read.
+func loadTrees(defs []TableDef, meta CheckpointMeta, read func(storage.PageID) []byte) (map[uint16]*btree.Tree, error) {
+	trees := make(map[uint16]*btree.Tree, len(defs))
+	for _, def := range defs {
+		tree, err := btree.Load(btree.Config{Order: def.Order}, meta.Roots[def.ID], read)
+		if err != nil {
+			return nil, err
 		}
-		sets[s] = trees
+		trees[def.ID] = tree
 	}
-	return sets, nil
+	return trees, nil
 }
 
 // Recover rebuilds every table from its checkpoint image and replays the
@@ -246,31 +182,9 @@ func loadTreeSets(p *sim.Proc, defs []TableDef, meta CheckpointMeta, dm *storage
 // state is independent of shard order. It returns the recovered trees
 // keyed by table id.
 func Recover(p *sim.Proc, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager, logs ...[]byte) (map[uint16]*btree.Tree, error) {
-	if meta.SocketRoots != nil {
-		return nil, fmt.Errorf("core: engine-sharded checkpoint; use RecoverSets")
-	}
-	sets, err := RecoverSets(p, defs, meta, dm, logs...)
+	trees, err := loadTrees(defs, meta, func(id storage.PageID) []byte { return dm.Read(p, id) })
 	if err != nil {
 		return nil, err
-	}
-	return sets[0], nil
-}
-
-// RecoverSets is Recover for either checkpoint layout. It returns the
-// recovered socket-indexed tree sets: one set per socket for an
-// engine-sharded checkpoint (shard s replays into socket s's set — the
-// shard's keys are exactly that socket's), or a single-element slice for
-// the classic layout.
-func RecoverSets(p *sim.Proc, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager, logs ...[]byte) ([]map[uint16]*btree.Tree, error) {
-	sets, err := loadTreeSets(p, defs, meta, dm)
-	if err != nil {
-		return nil, err
-	}
-	setFor := func(s int) map[uint16]*btree.Tree {
-		if len(sets) > 1 {
-			return sets[s]
-		}
-		return sets[0]
 	}
 	// Pass 1: which transactions committed, with complete vectors?
 	perShard := make([]map[uint64][]wal.ShardLSN, len(logs))
@@ -285,11 +199,11 @@ func RecoverSets(p *sim.Proc, defs []TableDef, meta CheckpointMeta, dm *storage.
 	committed := committedSet(perShard, durable)
 	// Pass 2: redo committed work, shard by shard in log order.
 	for s, data := range logs {
-		if _, err := applyShard(setFor(s), data, meta.startLSN(s), committed); err != nil {
+		if _, err := applyShard(trees, data, meta.startLSN(s), committed); err != nil {
 			return nil, err
 		}
 	}
-	return sets, nil
+	return trees, nil
 }
 
 // ContentDigest folds a table set's full key/value content into one
@@ -320,38 +234,9 @@ func ContentDigest(trees map[uint16]*btree.Tree) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// ContentDigestSets is ContentDigest over socket-indexed tree sets: rows
-// of every set merge into one (table, key) order before hashing, so the
-// digest of an engine-sharded state is comparable with (and formatted
-// identically to) the single-tree digest of the same content.
-func ContentDigestSets(sets []map[uint16]*btree.Tree) string {
-	if len(sets) == 1 {
-		return ContentDigest(sets[0])
-	}
-	h := sha256.New()
-	var b4 [4]byte
-	for _, id := range sortedKeys(sets[0]) {
-		binary.LittleEndian.PutUint32(b4[:], uint32(id))
-		h.Write(b4[:])
-		var rows []kvPair
-		for _, set := range sets {
-			set[id].Scan(nil, nil, nil, func(k, v []byte) bool {
-				rows = append(rows, kvPair{append([]byte(nil), k...), append([]byte(nil), v...)})
-				return true
-			})
-		}
-		sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].k, rows[j].k) < 0 })
-		for _, r := range rows {
-			binary.LittleEndian.PutUint32(b4[:], uint32(len(r.k)))
-			h.Write(b4[:])
-			h.Write(r.k)
-			binary.LittleEndian.PutUint32(b4[:], uint32(len(r.v)))
-			h.Write(b4[:])
-			h.Write(r.v)
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
+// ContentDigestSets is ContentDigest over the one-element slice
+// DORAEngine.TableSets and RecoverMeasured return.
+func ContentDigestSets(sets []map[uint16]*btree.Tree) string { return ContentDigest(sets[0]) }
 
 // RecoveryStats describes one measured recovery: how much log was replayed
 // and where the boot's simulated time went. Restore is the checkpoint-image
@@ -387,7 +272,8 @@ const recInstrPerByte = 0.25 // per-byte decode/copy cost, both passes
 // order across tables interleaves — but every table's key/value state is
 // the same). The caller's process drives the phases and observes the
 // completion; pl must be a freshly-booted platform matching the crashed
-// machine's config.
+// machine's config. The recovered trees come back as a one-element slice,
+// the form ContentDigestSets takes.
 func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager, logs [][]byte, parallel bool) ([]map[uint16]*btree.Tree, RecoveryStats, error) {
 	start := p.Now()
 	st := RecoveryStats{Shards: len(logs)}
@@ -395,29 +281,13 @@ func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta C
 	// pay for them as one sequential scan of the checkpoint file — how a
 	// boot actually reads it — instead of a random seek per page.
 	restored := 0
-	rootSets := meta.rootSets()
-	sets := make([]map[uint16]*btree.Tree, len(rootSets))
-	for s, roots := range rootSets {
-		trees := make(map[uint16]*btree.Tree, len(defs))
-		for _, def := range defs {
-			tree, err := btree.Load(btree.Config{Order: def.Order}, roots[def.ID],
-				func(id storage.PageID) []byte {
-					img := dm.ReadRaw(id)
-					restored += dm.SpanBytes(len(img))
-					return img
-				})
-			if err != nil {
-				return nil, st, err
-			}
-			trees[def.ID] = tree
-		}
-		sets[s] = trees
-	}
-	setFor := func(s int) map[uint16]*btree.Tree {
-		if len(sets) > 1 {
-			return sets[s]
-		}
-		return sets[0]
+	trees, err := loadTrees(defs, meta, func(id storage.PageID) []byte {
+		img := dm.ReadRaw(id)
+		restored += dm.SpanBytes(len(img))
+		return img
+	})
+	if err != nil {
+		return nil, st, err
 	}
 	dm.Device().Transfer(p, restored)
 	st.Restore = p.Now().Sub(start)
@@ -460,7 +330,7 @@ func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta C
 	var committed map[uint64]bool
 	replay := func(ps *sim.Proc, s int) {
 		task := pl.NewTask(ps, shardCore(s), nil)
-		n, err := applyShard(setFor(s), logs[s], meta.startLSN(s), committed)
+		n, err := applyShard(trees, logs[s], meta.startLSN(s), committed)
 		noteErr(err)
 		tail := len(logs[s]) - int(meta.startLSN(s))
 		if tail < 0 {
@@ -505,5 +375,5 @@ func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta C
 	}
 	st.SimTime = p.Now().Sub(start)
 	st.Replay = st.SimTime - st.Restore
-	return sets, st, nil
+	return []map[uint16]*btree.Tree{trees}, st, nil
 }

@@ -192,18 +192,16 @@ func TestShardedCrashRecovery(t *testing.T) {
 
 				// Serial replay (unmeasured path).
 				env.Spawn("recover-serial", func(p *sim.Proc) {
-					sets, err := RecoverSets(p, kvTables(), meta, e.DiskManager(), logs...)
+					trees, err := Recover(p, kvTables(), meta, e.DiskManager(), logs...)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if got := ContentDigestSets(sets); got != liveDigest {
+					if got := ContentDigest(trees); got != liveDigest {
 						t.Errorf("serial recovery diverged from live state:\n got  %s\n want %s", got, liveDigest)
 					}
-					for _, set := range sets {
-						if err := set[1].Validate(); err != nil {
-							t.Error(err)
-						}
+					if err := trees[1].Validate(); err != nil {
+						t.Error(err)
 					}
 				})
 				if err := env.Run(); err != nil {
@@ -289,25 +287,20 @@ func TestCrossShardTornVector(t *testing.T) {
 	torn := make([][]byte, len(logs))
 	copy(torn, logs)
 	torn[1] = torn[1][:meta.StartLSNs[1]]
-	// get finds a key across the recovered socket sets (keys are disjoint).
-	get := func(sets []map[uint16]*btree.Tree, k []byte) []byte {
-		for _, set := range sets {
-			if v, ok := set[1].Get(k, nil); ok {
-				return v
-			}
-		}
-		return nil
+	get := func(trees map[uint16]*btree.Tree, k []byte) []byte {
+		v, _ := trees[1].Get(k, nil)
+		return v
 	}
 	env.Spawn("recovery", func(p *sim.Proc) {
-		sets, err := RecoverSets(p, kvTables(), meta, e.DiskManager(), torn...)
+		trees, err := Recover(p, kvTables(), meta, e.DiskManager(), torn...)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if v := get(sets, k0); !bytes.Equal(v, []byte("before-0")) {
+		if v := get(trees, k0); !bytes.Equal(v, []byte("before-0")) {
 			t.Errorf("anchor-shard record of a vector-incomplete commit replayed: k0=%q", v)
 		}
-		if v := get(sets, k1); !bytes.Equal(v, []byte("before-1")) {
+		if v := get(trees, k1); !bytes.Equal(v, []byte("before-1")) {
 			t.Errorf("torn-shard record replayed: k1=%q", v)
 		}
 	})
@@ -316,15 +309,15 @@ func TestCrossShardTornVector(t *testing.T) {
 	}
 	// Sanity: with the full logs, the same recovery replays both sides.
 	env.Spawn("recovery-full", func(p *sim.Proc) {
-		sets, err := RecoverSets(p, kvTables(), meta, e.DiskManager(), logs...)
+		trees, err := Recover(p, kvTables(), meta, e.DiskManager(), logs...)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if v := get(sets, k0); !bytes.Equal(v, []byte("after-0")) {
+		if v := get(trees, k0); !bytes.Equal(v, []byte("after-0")) {
 			t.Errorf("intact recovery lost k0: %q", v)
 		}
-		if v := get(sets, k1); !bytes.Equal(v, []byte("after-1")) {
+		if v := get(trees, k1); !bytes.Equal(v, []byte("after-1")) {
 			t.Errorf("intact recovery lost k1: %q", v)
 		}
 	})

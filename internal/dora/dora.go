@@ -155,23 +155,20 @@ type Action struct {
 	Refused bool
 
 	// release marks a lock-release message (Partition.Release): it has no
-	// body, the partition frees TxnID's entity locks itself. recycle is set
-	// when the message came from the partition's own free list and goes back
-	// there once applied. (Declared beside the other flags so the four share
-	// one word: an Action stays in the allocator's 112-byte class.)
-	release, recycle bool
+	// body, the partition frees TxnID's entity locks itself and takes the
+	// message back onto its free list once applied. (Declared beside the
+	// other flags so the three share one word.)
+	release bool
 
 	// Flight-recorder stamps, maintained by the partition as the action
 	// moves through queue, lock and execution stages. The durations
 	// accumulate across re-dispatches (a deferred action re-enters the
 	// queue); coordinators fold them into the transaction's latency
-	// anatomy after the RVP. Flow links a cross-socket enqueue to its
-	// dequeue in the trace. All host-side: never read by simulated logic.
+	// anatomy after the RVP. All host-side: never read by simulated logic.
 	EnqAt     sim.Time
 	QueueWait sim.Duration
 	LockWait  sim.Duration
 	ExecTime  sim.Duration
-	Flow      uint64
 
 	defAt sim.Time // when parked on a deferred list; lock wait starts here
 }
@@ -181,7 +178,6 @@ type Action struct {
 func (a *Action) ResetStamps() {
 	a.EnqAt, a.defAt = 0, 0
 	a.QueueWait, a.LockWait, a.ExecTime = 0, 0, 0
-	a.Flow = 0
 }
 
 // RVP is a rendezvous point: the join of a fan-out of actions. The signal
@@ -195,19 +191,11 @@ type RVP struct {
 }
 
 // NewRVP creates a rendezvous expecting n arrivals.
-func NewRVP(env *sim.Env, n int) *RVP { return NewRVPOn(env, n, 0) }
-
-// NewRVPOn creates a rendezvous homed on the given kernel shard — the
-// coordinator's. Local partitions arrive directly; remote partitions'
-// votes are carried over via CrossAt and arrive as scheduler callbacks on
-// the home shard, so every Arrive (and the final Fire) executes there.
-func NewRVPOn(env *sim.Env, n, shard int) *RVP {
+func NewRVP(env *sim.Env, n int) *RVP {
 	if n < 1 {
 		panic("dora: RVP needs at least one arrival")
 	}
-	r := &RVP{remaining: n, ok: true, sig: *sim.NewSignal(env)}
-	r.sig.OnShard(shard)
-	return r
+	return &RVP{remaining: n, ok: true, sig: *sim.NewSignal(env)}
 }
 
 // Reset re-arms the rendezvous for a new fan-out of n arrivals. Only the
@@ -321,13 +309,6 @@ type Partition struct {
 	qAddr  uint64 // queue slots, for coherence-miss charging
 	socket int    // the socket Core lives on, cached for the message path
 
-	// confined marks the partition as homed on its socket's kernel shard:
-	// the worker, input queue and queue slots live there, remote enqueues
-	// arrive as posted interconnect messages via CrossAt, and waits are
-	// restricted to the home socket (see dispatch). Set by Confine.
-	confined bool
-	shard    int // kernel shard of socket, valid when confined
-
 	inflight   int
 	slotFree   *sim.Signal // fired by a finishing child while the worker waits for a slot
 	done       int64
@@ -335,11 +316,10 @@ type Partition struct {
 	actionName string         // spawn name for windowed child actions, built once
 	idle       []*actionChild // pooled child processes awaiting work
 
-	// Free lists and scratch, all touched only from the partition's own
-	// shard: entity locks churn once per lock, release messages once per
-	// transaction, and owned is ReleaseLocks' sorted-key scratch (taken for
-	// the duration of a call, so a re-entrant call on a windowed partition
-	// that parked mid-loop builds its own).
+	// Free lists and scratch: entity locks churn once per lock, release
+	// messages once per transaction, and owned is ReleaseLocks' sorted-key
+	// scratch (taken for the duration of a call, so a re-entrant call on a
+	// windowed partition that parked mid-loop builds its own).
 	freeLocks []*entityLock
 	freeRel   []*Action
 	owned     []Entity
@@ -350,21 +330,15 @@ type Partition struct {
 	// HWQueueCycles is the unit occupancy per queue operation.
 	HWQueueCycles int
 
-	// Flight recorder (SetRecorder): recs spans all shards for cross-shard
-	// flow edges, rec is this partition's home-shard ring. Nil when
-	// untraced; action stamps are maintained regardless (they cost a few
-	// clock reads and feed the always-on latency anatomy).
-	recs *obs.Recorder
-	rec  *obs.ShardRec
+	// Flight recorder ring (SetRecorder). Nil when untraced; action stamps
+	// are maintained regardless (they cost a few clock reads and feed the
+	// always-on latency anatomy).
+	rec *obs.ShardRec
 }
 
 type entityLock struct {
-	owner uint64
-	// ownerHome is the owner's coordinator socket (Action.ReplySocket at
-	// acquire), recorded so a confined partition can apply the home-socket
-	// wait rule without consulting a foreign shard.
-	ownerHome int
-	deferred  []*Action
+	owner    uint64
+	deferred []*Action
 }
 
 // NewPartition creates a partition owned by core, sharing reg for deadlock
@@ -392,33 +366,10 @@ func NewPartition(pl *platform.Platform, reg *Registry, id int, core *platform.C
 // Socket returns the socket this partition's owning core lives on.
 func (pt *Partition) Socket() int { return pt.socket }
 
-// SetRecorder attaches the flight recorder. The partition records
-// queue-wait, lock-wait and action-execution spans into its own kernel
-// shard's ring; cross-socket enqueues and votes additionally record
-// flow-edge markers into the sending and receiving shards' rings (each
-// ring is written only from its own shard's goroutine, so the recorder
-// stays race-free under the parallel kernel). Host-side only: attaching a
-// recorder changes no simulated behavior. Call after Confine.
-func (pt *Partition) SetRecorder(rec *obs.Recorder) {
-	pt.recs = rec
-	sh := 0
-	if pt.confined {
-		sh = pt.shard
-	}
-	pt.rec = rec.Shard(sh)
-}
-
-// Confine homes the partition on its socket's kernel shard: the input
-// queue moves onto the shard, the queue slots move into the socket's
-// private arena, and Start will spawn the worker there. Call at setup
-// time, before Start and before any Enqueue.
-func (pt *Partition) Confine() *Partition {
-	pt.confined = true
-	pt.shard = pt.pl.ShardOf(pt.socket)
-	pt.in.OnShard(pt.shard)
-	pt.qAddr = pt.pl.AllocHostOn(pt.socket, 64*1024)
-	return pt
-}
+// SetRecorder attaches the flight recorder: the partition records
+// queue-wait, lock-wait and action-execution spans. Host-side only:
+// attaching a recorder changes no simulated behavior.
+func (pt *Partition) SetRecorder(rec *obs.Recorder) { pt.rec = rec.Shard(0) }
 
 // actionMsgBytes is the modeled size of one cross-socket action message —
 // a cache-line-sized descriptor (routing key, txn id, body pointer) — and
@@ -430,43 +381,6 @@ const actionMsgBytes = 64
 // one interconnect message to carry the action descriptor to the
 // partition's socket; same-socket sends pay nothing new.
 func (pt *Partition) Enqueue(t *platform.Task, a *Action) {
-	if pt.confined {
-		if from := t.Core().SocketID(); from != pt.socket {
-			// Posted cross-shard send: the sender pays the routing cost and
-			// the interconnect transfer on its own shard, then the descriptor
-			// travels as a scheduler message and lands in the queue on the
-			// partition's shard after the hop latency. The sender never
-			// touches the remote queue slots.
-			t.Exec(stats.CompDora, pt.Costs.EnqueueInstr)
-			if sRec := pt.recs.Shard(pt.pl.ShardOf(from)); sRec != nil {
-				// Flow edge: an instant marker on the sender's shard, tied
-				// by id to the queue-wait span on the partition's shard. Its
-				// instant is the end of the flush, so a recorded run parks
-				// there and again for the send.
-				t.Flush()
-				a.Flow = sRec.NextFlow()
-				now := t.P.Now()
-				sRec.Record(obs.Span{Start: now, End: now, Kind: obs.KindDispatch,
-					Socket: int32(from), Txn: a.TxnID, Flow: a.Flow, FlowOut: true})
-			}
-			sc := t.Script()
-			flight := pt.pl.IC.AddSend(sc, from, pt.socket, actionMsgBytes)
-			sc.Run()
-			arrival := t.P.Now().Add(flight)
-			a.EnqAt = arrival
-			t.P.CrossAt(pt.shard, arrival, func() {
-				if pt.in.Closed() {
-					return // machine shut down while the descriptor was in flight
-				}
-				if a.Priority {
-					pt.in.PutFront(a)
-				} else {
-					pt.in.TryPut(a)
-				}
-			})
-			return
-		}
-	}
 	if pt.HWQueue != nil {
 		// Doorbell write + hardware enqueue: minimal CPU, unit does the rest.
 		t.Exec(stats.CompDora, pt.Costs.EnqueueInstr/4)
@@ -537,12 +451,7 @@ func (pt *Partition) Start() {
 			pt.startAction(a)
 		}
 	}
-	name := fmt.Sprintf("part%d.worker", pt.ID)
-	if pt.confined {
-		pt.pl.Env.SpawnOn(pt.shard, name, body)
-		return
-	}
-	pt.pl.Env.Spawn(name, body)
+	pt.pl.Env.Spawn(fmt.Sprintf("part%d.worker", pt.ID), body)
 }
 
 // awaitSlot parks the worker until a child process finishes an action. The
@@ -614,10 +523,9 @@ func (pt *Partition) dispatch(task *platform.Task, a *Action) {
 		if at > a.EnqAt {
 			a.QueueWait += at.Sub(a.EnqAt)
 		}
-		// Recorded even at zero width so a cross-socket flow edge always
-		// has its receiving end.
+		// Recorded even at zero width: every dequeue shows in the trace.
 		pt.rec.Record(obs.Span{Start: a.EnqAt, End: at, Kind: obs.KindQueueWait,
-			Socket: int32(pt.socket), Txn: a.TxnID, Flow: a.Flow})
+			Socket: int32(pt.socket), Txn: a.TxnID})
 	}
 	if pt.HWQueue != nil {
 		task.Exec(stats.CompDora, pt.Costs.DequeueInstr/4)
@@ -638,22 +546,9 @@ func (pt *Partition) dispatch(task *platform.Task, a *Action) {
 			} else {
 				l = &entityLock{}
 			}
-			l.owner, l.ownerHome = a.TxnID, a.ReplySocket
+			l.owner = a.TxnID
 			pt.locks[a.LockKey] = l
 		} else if l.owner != a.TxnID {
-			// Home-socket wait rule on a confined partition: a transaction
-			// may defer only in partitions of its own socket, and only
-			// behind a holder homed there too. This keeps every waits-for
-			// edge inside one per-socket registry — each shard sees every
-			// cycle it could be part of without reading foreign state — at
-			// the price of refusing (abort-voting) the rarer cross-socket
-			// conflicts, which the coordinator retries like any deadlock.
-			if pt.confined && (a.ReplySocket != pt.socket || l.ownerHome != pt.socket) {
-				pt.reg.deadlocks++
-				a.Refused = true
-				pt.finish(task, a, false)
-				return
-			}
 			// Conflict: defer unless that would close a cycle.
 			if pt.reg.wouldCycle(a.TxnID, l.owner) {
 				pt.reg.deadlocks++
@@ -686,9 +581,9 @@ func (pt *Partition) run(task *platform.Task, a *Action) {
 	}
 	// Read before finish: an action with an RVP is its coordinator's again
 	// the moment it arrives. Only RVP-less release messages are recycled.
-	recycle := a.recycle
+	release := a.release
 	pt.finish(task, a, vote)
-	if recycle {
+	if release {
 		pt.freeRel = append(pt.freeRel, a)
 	}
 }
@@ -699,32 +594,6 @@ func (pt *Partition) finish(task *platform.Task, a *Action, vote bool) {
 	pt.done++
 	if a.RVP != nil {
 		// Carry the vote back to a coordinator on another socket.
-		if pt.confined && a.ReplySocket != pt.socket {
-			// Posted send: the vote crosses the interconnect and arrives at
-			// the coordinator's RVP — homed on its shard — after the hop
-			// latency, without this worker blocking through the transfer.
-			rvp := a.RVP
-			var flow uint64
-			txn, replySocket := a.TxnID, a.ReplySocket
-			if pt.rec != nil {
-				flow = pt.rec.NextFlow()
-				now := task.P.Now()
-				pt.rec.Record(obs.Span{Start: now, End: now, Kind: obs.KindDispatch,
-					Socket: int32(pt.socket), Txn: txn, Flow: flow, FlowOut: true})
-			}
-			arrival := pt.pl.IC.Send(task.P, pt.socket, replySocket, actionMsgBytes)
-			home := pt.pl.ShardOf(replySocket)
-			task.P.CrossAt(home, arrival, func() {
-				if flow != 0 {
-					// The action itself may be recycled by now; the captured
-					// stamps are all the callback touches.
-					pt.recs.Shard(home).Record(obs.Span{Start: arrival, End: arrival,
-						Kind: obs.KindDispatch, Socket: int32(replySocket), Txn: txn, Flow: flow})
-				}
-				rvp.Arrive(vote)
-			})
-			return
-		}
 		if ic := pt.pl.IC; ic != nil && a.ReplySocket != pt.socket {
 			ic.Transfer(task.P, pt.socket, a.ReplySocket, actionMsgBytes)
 		}
@@ -735,19 +604,15 @@ func (pt *Partition) finish(task *platform.Task, a *Action, vote bool) {
 // Release asks the partition to free every entity lock txnID holds and
 // re-dispatch what was deferred behind them: a priority message nobody
 // awaits, charged to the sender's task like any Enqueue. The message comes
-// from the partition's free list when the sender runs on the partition's
-// shard (the list's owner); a sender on another shard builds one.
+// from the partition's free list.
 func (pt *Partition) Release(t *platform.Task, txnID uint64) {
 	var a *Action
-	// Only a sender on the partition's shard may so much as look at the list.
-	local := !pt.confined || t.Core().SocketID() == pt.socket
-	if local && len(pt.freeRel) > 0 {
-		n := len(pt.freeRel) - 1
+	if n := len(pt.freeRel) - 1; n >= 0 {
 		a = pt.freeRel[n]
 		pt.freeRel = pt.freeRel[:n]
 		a.ResetStamps()
 	} else {
-		a = &Action{Priority: true, release: true, recycle: local}
+		a = &Action{Priority: true, release: true}
 	}
 	a.TxnID = txnID
 	pt.Enqueue(t, a)
@@ -781,7 +646,6 @@ func (pt *Partition) ReleaseLocks(task *platform.Task, txnID uint64) {
 		// others re-defer when dispatched.
 		next := l.deferred[0]
 		l.owner = next.TxnID
-		l.ownerHome = next.ReplySocket
 		rest := l.deferred
 		// Re-dispatch at the queue head: deferred actions were admitted
 		// before anything currently queued.

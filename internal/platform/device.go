@@ -57,14 +57,6 @@ func (d *Device) AddTransfer(sc *sim.Script, bytes int) {
 	sc.Wait(d.latency)
 }
 
-// OnShard rebinds the device's channel resource to the given kernel shard,
-// confining it there: on a concurrent environment only processes on that
-// shard may Transfer through it. Call at setup time, before running.
-func (d *Device) OnShard(shard int) *Device {
-	d.chans.OnShard(shard)
-	return d
-}
-
 // Name returns the device name.
 func (d *Device) Name() string { return d.name }
 

@@ -39,12 +39,6 @@ func (pl *Platform) Snapshot() Snapshot {
 		s.ICHopBytes = pl.IC.HopBytes()
 	}
 	s.DiskBusy = pl.Disk.BusyTime()
-	// Confined platforms: index 0 aliases Disk and is already counted.
-	if pl.dataDisks != nil {
-		for _, d := range pl.dataDisks[1:] {
-			s.DiskBusy += d.BusyTime()
-		}
-	}
 	s.SSDBusy = pl.SSD.BusyTime()
 	// Sharded-log devices: index 0 aliases SSD/PCIe and is already counted.
 	for _, d := range pl.logSSDs[1:] {

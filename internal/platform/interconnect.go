@@ -108,12 +108,6 @@ type Interconnect struct {
 	msgs     int64
 	hopBytes int64 // sum over messages of bytes * hops, for energy
 	hopLat   sim.Duration
-
-	// Per-source-socket counters (confined platforms): each socket's shard
-	// bumps only its own slot, so concurrent shards never contend; readers
-	// sum. nil until confine.
-	portMsgs     []int64
-	portHopBytes []int64
 }
 
 // newInterconnect wires n socket ports. Only built for n > 1; one-socket
@@ -151,75 +145,11 @@ func (ic *Interconnect) AddTransfer(sc *sim.Script, from, to, bytes int) {
 	sc.Wait(sim.Duration(hops) * ic.hopLat)
 }
 
-// confine homes each egress port on its socket's kernel shard and sizes the
-// per-source counter arrays. Called from Platform.Confine only.
-func (ic *Interconnect) confine(pl *Platform) {
-	for s, port := range ic.ports {
-		port.OnShard(pl.ShardOf(s))
-	}
-	ic.portMsgs = make([]int64, len(ic.ports))
-	ic.portHopBytes = make([]int64, len(ic.ports))
-}
-
-// Send is the posted-message fabric edge for confined engines: the sender
-// serializes the message on its own socket's egress port (which Confine
-// homed on the sender's shard) and Send returns the simulated arrival time
-// at the destination — port release plus one pipelined hop latency per
-// topology hop — without blocking the sender through the hop latency. The
-// caller delivers the message with Proc.CrossAt(targetShard, arrival, ...);
-// arrival is always at least one hop (= the kernel lookahead) ahead, so the
-// post is legal by construction. Same-socket sends return the current time.
-func (ic *Interconnect) Send(p *sim.Proc, from, to, bytes int) sim.Time {
-	sc := p.Script()
-	flight := ic.AddSend(sc, from, to, bytes)
-	sc.Run()
-	return p.Now().Add(flight)
-}
-
-// AddSend appends Send's port serialization to a script the caller is
-// building and returns the message's flight time: the arrival is the time
-// the script finishes plus that.
-func (ic *Interconnect) AddSend(sc *sim.Script, from, to, bytes int) (flight sim.Duration) {
-	hops := ic.Topo.Hops(from, to, len(ic.ports))
-	if hops == 0 {
-		return 0
-	}
-	sc.Add(&ic.portMsgs[from], 1)
-	sc.Add(&ic.portHopBytes[from], int64(bytes)*int64(hops))
-	ic.ports[from].AddTransfer(sc, bytes) // ports carry zero pipelined latency
-	return sim.Duration(hops) * ic.hopLat
-}
-
-// NoteSend accounts a message on the fabric counters without modeling port
-// serialization — for acknowledgement hops issued from scheduler callbacks,
-// which have no process to serialize with. from must be the socket whose
-// shard the caller is executing on.
-func (ic *Interconnect) NoteSend(from, to, bytes int) {
-	hops := ic.Topo.Hops(from, to, len(ic.ports))
-	if hops == 0 {
-		return
-	}
-	ic.portMsgs[from]++
-	ic.portHopBytes[from] += int64(bytes) * int64(hops)
-}
-
 // Messages returns how many cross-socket messages have been sent.
-func (ic *Interconnect) Messages() int64 {
-	n := ic.msgs
-	for _, m := range ic.portMsgs {
-		n += m
-	}
-	return n
-}
+func (ic *Interconnect) Messages() int64 { return ic.msgs }
 
 // HopBytes returns cumulative bytes x hops moved (the energy integrand).
-func (ic *Interconnect) HopBytes() int64 {
-	n := ic.hopBytes
-	for _, b := range ic.portHopBytes {
-		n += b
-	}
-	return n
-}
+func (ic *Interconnect) HopBytes() int64 { return ic.hopBytes }
 
 // BusyTime returns summed egress-port serialization time.
 func (ic *Interconnect) BusyTime() sim.Duration {

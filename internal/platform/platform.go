@@ -49,21 +49,13 @@ type Platform struct {
 
 	units []*HWUnit
 
-	// Per-socket data disks (Confine only): socket 0 keeps the Figure 2
-	// SAS array, every other socket gets its own so buffer-pool traffic
-	// stays shard-local. nil on an unconfined platform.
-	dataDisks []*Device
-	confined  bool
-
-	hostBrk  uint64
-	sockBrks []uint64 // per-socket host arenas (AllocHostOn)
-	fpgaBrk  uint64
+	hostBrk uint64
+	fpgaBrk uint64
 }
 
 // Socket is one CPU package: a block of cores sharing one LLC. Instruction
-// and DRAM-fill counters live here, not on the platform, so cores on
-// different kernel shards never contend on one counter; platform-wide reads
-// sum the sockets.
+// and DRAM-fill counters live here, so telemetry reads them per socket;
+// platform-wide reads sum the sockets.
 type Socket struct {
 	ID    int
 	Cores []*Core
@@ -73,14 +65,10 @@ type Socket struct {
 	dramLineBytes int64 // cached-path DRAM traffic (LLC miss fills)
 }
 
-// Address-space bases; the top bit distinguishes FPGA-side memory. Each
-// socket additionally owns a private host arena of hostArena bytes starting
-// at hostBase + (socket+1)*hostArena, so runtime allocations from confined
-// engine code (B-tree page addresses on splits) never touch a shared break.
+// Address-space bases; the top bit distinguishes FPGA-side memory.
 const (
-	hostBase  = uint64(0x0000_1000_0000_0000)
-	hostArena = uint64(1) << 42
-	fpgaBase  = uint64(0x8000_0000_0000_0000)
+	hostBase = uint64(0x0000_1000_0000_0000)
+	fpgaBase = uint64(0x8000_0000_0000_0000)
 )
 
 // New builds a platform on env from cfg. cfg must not be modified afterward.
@@ -178,26 +166,6 @@ func (pl *Platform) LogLink(socket int) *Device {
 // NumSockets returns the socket count of the built machine.
 func (pl *Platform) NumSockets() int { return len(pl.Sockets) }
 
-// KernelShards reports the machine's parallel event-kernel shape: one shard
-// per socket, with the interconnect per-hop latency as the conservative
-// lookahead — no cross-socket interaction can land sooner than one hop, so
-// a shard may safely run that far ahead of its neighbors. A single-socket
-// machine has no interconnect and no parallel shape: (1, 0).
-func (pl *Platform) KernelShards() (shards int, lookahead sim.Duration) {
-	if pl.IC == nil {
-		return 1, 0
-	}
-	return pl.NumSockets(), pl.Cfg.ICHopLat
-}
-
-// ShardOf maps a socket to its event-kernel shard. The mapping is the
-// identity — shard i simulates socket i — kept behind a name so code
-// confining work to shards never hard-codes the layout.
-func (pl *Platform) ShardOf(socket int) int { return socket }
-
-// ShardOfCore maps a core to the event-kernel shard of its socket.
-func (pl *Platform) ShardOfCore(c *Core) int { return pl.ShardOf(c.sock.ID) }
-
 // newHoldingDevice builds a Device whose latency occupies the channel
 // (seek-style devices), by folding the latency into per-transfer hold time.
 func newHoldingDevice(env *sim.Env, name string, gbps float64, latency sim.Duration, channels int) *Device {
@@ -211,28 +179,6 @@ func newHoldingDevice(env *sim.Env, name string, gbps float64, latency sim.Durat
 func (pl *Platform) AllocHost(size int) uint64 {
 	a := pl.hostBrk
 	pl.hostBrk += uint64(size+63) &^ 63
-	if pl.hostBrk >= hostBase+hostArena {
-		panic("platform: shared host break overflowed into the socket arenas")
-	}
-	return a
-}
-
-// AllocHostOn reserves size bytes from the given socket's private host
-// arena. Confined engine code must allocate here, never through the shared
-// break: arena allocation is a plain per-socket bump touched only by that
-// socket's shard, so concurrent shards never race on an allocator.
-func (pl *Platform) AllocHostOn(socket, size int) uint64 {
-	if pl.sockBrks == nil {
-		pl.sockBrks = make([]uint64, pl.NumSockets())
-		for s := range pl.sockBrks {
-			pl.sockBrks[s] = hostBase + uint64(s+1)*hostArena
-		}
-	}
-	a := pl.sockBrks[socket]
-	pl.sockBrks[socket] += uint64(size+63) &^ 63
-	if pl.sockBrks[socket] >= hostBase+uint64(socket+2)*hostArena {
-		panic("platform: socket host arena exhausted")
-	}
 	return a
 }
 
@@ -264,65 +210,6 @@ func (pl *Platform) dramLineTotal() int64 {
 	return n
 }
 
-// Confine homes every per-socket platform structure on its socket's kernel
-// shard: it shapes the environment (sim.Env.Shape — windows still execute
-// inline until the run enables concurrency), rebinds each core's resource
-// and each socket's log device onto its shard, gives every socket its own
-// data disk (socket 0 keeps the Figure 2 SAS array) and puts the
-// interconnect ports on their owning shards. Engines that distribute
-// themselves over the kernel call this once at construction, before
-// spawning any confined process. Single-socket machines are a no-op.
-// Confine is idempotent.
-func (pl *Platform) Confine() {
-	if pl.confined {
-		return
-	}
-	shards, la := pl.KernelShards()
-	if shards <= 1 {
-		return
-	}
-	pl.Env.Shape(shards, la)
-	pl.confined = true
-	if pl.sockBrks == nil {
-		pl.AllocHostOn(0, 0)
-	}
-	cfg := pl.Cfg
-	pl.dataDisks = []*Device{pl.Disk}
-	for s := 1; s < pl.NumSockets(); s++ {
-		pl.dataDisks = append(pl.dataDisks,
-			newHoldingDevice(pl.Env, fmt.Sprintf("sas-disk%d", s), cfg.DiskBWGBps, cfg.DiskLat, cfg.DiskChans))
-	}
-	for s, d := range pl.dataDisks {
-		d.OnShard(pl.ShardOf(s))
-	}
-	for s := range pl.logSSDs {
-		pl.logSSDs[s].OnShard(pl.ShardOf(s))
-	}
-	for _, sock := range pl.Sockets {
-		sh := pl.ShardOf(sock.ID)
-		for _, c := range sock.Cores {
-			c.res.OnShard(sh)
-		}
-	}
-	if pl.IC != nil {
-		pl.IC.confine(pl)
-	}
-}
-
-// Confined reports whether Confine has homed the platform's per-socket
-// structures on their kernel shards.
-func (pl *Platform) Confined() bool { return pl.confined }
-
-// DataDisk returns the data disk buffer-pool traffic for the given socket
-// goes to: the per-socket disk on a confined platform, the shared Figure 2
-// SAS array otherwise.
-func (pl *Platform) DataDisk(socket int) *Device {
-	if pl.dataDisks == nil {
-		return pl.Disk
-	}
-	return pl.dataDisks[socket]
-}
-
 // CacheStats aggregates hit/miss counts across the hierarchy (LLC counts
 // sum over all sockets' LLCs).
 func (pl *Platform) CacheStats() CacheStats {
@@ -342,8 +229,6 @@ func (pl *Platform) CacheStats() CacheStats {
 
 // SocketCounters returns one socket's cumulative hardware counters:
 // instructions retired, cached-path DRAM fill bytes, and LLC hits/misses.
-// All four live on the Socket, so on a confined platform they are owned by
-// that socket's kernel shard — the telemetry sampler reads them from there.
 func (pl *Platform) SocketCounters(socket int) (instructions, dramBytes, llcHits, llcMisses int64) {
 	sock := pl.Sockets[socket]
 	return sock.instructions, sock.dramLineBytes, sock.l3.hits, sock.l3.misses

@@ -290,67 +290,7 @@ func (p *Proc) CrossAt(target int, t Time, fn func()) {
 	// therefore never merge an arrival into its executed past.
 }
 
-// CrossFrom is CrossAt for code that executes on a shard without a process
-// of its own — scheduler callbacks (signal OnFire hooks, CrossAt deliveries)
-// that need to post back to another shard. src names the shard the caller is
-// currently executing on; the same lookahead rule applies relative to that
-// shard's clock. On a serial environment (or to the caller's own shard) it
-// degenerates to AtOn, exactly like CrossAt.
-func (e *Env) CrossFrom(src, target int, t Time, fn func()) {
-	s := e.shs[src]
-	tg := e.shs[target]
-	if !e.parallel || tg == s {
-		if t < s.now {
-			t = s.now
-		}
-		tg.push(event{at: t, fn: fn})
-		return
-	}
-	if t < s.now.Add(e.lookahead) {
-		panic(fmt.Sprintf("sim: cross-shard post from shard %d at %v for shard %d at %v violates lookahead %v",
-			s.id, s.now, target, t, e.lookahead))
-	}
-	s.crossSeq++
-	tg.inboxMu.Lock()
-	tg.inbox = append(tg.inbox, crossEvent{at: t, src: s.id, srcSeq: s.crossSeq, fn: fn})
-	tg.inboxMu.Unlock()
-}
-
 // ShardNow returns the given shard's clock. Outside a running window it is
 // only meaningful from the driver (between RunUntil calls) or from code
 // executing on that shard.
 func (e *Env) ShardNow(shard int) Time { return e.shs[shard].now }
-
-// ShardExecuted returns a snapshot of per-shard executed-event counts. The
-// off-shard-0 entries are the proof that engine work really runs on foreign
-// shards; the engine-sharding tests assert they are nonzero.
-func (e *Env) ShardExecuted() []uint64 {
-	out := make([]uint64, len(e.shs))
-	for i, s := range e.shs {
-		out[i] = s.executed
-	}
-	return out
-}
-
-// ShardWindows returns a snapshot of per-shard window-round counts: how
-// many barrier rounds each shard ran a window in. Zero on the serial
-// kernel, where RunUntil is one unbounded window.
-func (e *Env) ShardWindows() []uint64 {
-	out := make([]uint64, len(e.shs))
-	for i, s := range e.shs {
-		out[i] = s.windows
-	}
-	return out
-}
-
-// ShardStalls returns a snapshot of per-shard barrier-stall counts: rounds
-// where the shard held pending events but its next event lay beyond the
-// conservative window bound, so it sat the round out waiting on another
-// shard's progress.
-func (e *Env) ShardStalls() []uint64 {
-	out := make([]uint64, len(e.shs))
-	for i, s := range e.shs {
-		out[i] = s.stalls
-	}
-	return out
-}

@@ -292,8 +292,8 @@ func Phases() []Phase {
 
 // Anatomy is the per-transaction latency breakdown: one log-scale histogram
 // per phase. The zero value is ready to use. Like every histogram in this
-// package it is written only from simulated processes (one at a time per
-// kernel shard) and merged host-side in deterministic order.
+// package it is written only from simulated processes (one at a time) and
+// merged host-side in deterministic order.
 type Anatomy struct {
 	Phases [NumPhases]Histogram
 }

@@ -51,21 +51,6 @@ func (dm *DiskManager) Allocate() PageID {
 	return id
 }
 
-// AllocatorOn returns a page-identity allocator private to one socket of an
-// nSockets-socket machine: socket s draws from the strided sequence
-// 1+s, 1+s+nSockets, 1+s+2*nSockets, ... so per-socket tree structures on
-// concurrent kernel shards never contend on (or race over) one counter, and
-// no two sockets can allocate the same identity. Engines using AllocatorOn
-// must not mix in calls to Allocate on the same manager.
-func (dm *DiskManager) AllocatorOn(socket, nSockets int) func() PageID {
-	next := PageID(1 + socket)
-	return func() PageID {
-		id := next
-		next += PageID(nSockets)
-		return id
-	}
-}
-
 // spanPages returns how many on-device pages an image of n bytes occupies
 // (at least one; a wide B+Tree node's checkpoint image may span several).
 func (dm *DiskManager) spanPages(n int) int {

@@ -76,56 +76,19 @@ func (tx *Txn) dropUndo() {
 // vector sorted by shard id (a pure function of the shards touched).
 func (tx *Txn) note(shard int, lsn wal.LSN) {
 	tx.LastLSN = lsn
-	tx.Shards = noteVec(tx.Shards, shard, lsn, false)
-}
-
-// noteVec inserts (shard, lsn) into a sorted durability vector. With max
-// set, an existing entry only ever rises — merge order then cannot matter,
-// which is what lets per-action scratch vectors merge in any fixed order.
-func noteVec(vec []wal.ShardLSN, shard int, lsn wal.LSN, max bool) []wal.ShardLSN {
-	for i, e := range vec {
+	for i, e := range tx.Shards {
 		if e.Shard == shard {
-			if !max || lsn > e.LSN {
-				vec[i].LSN = lsn
-			}
-			return vec
+			tx.Shards[i].LSN = lsn
+			return
 		}
 		if e.Shard > shard {
-			vec = append(vec, wal.ShardLSN{})
-			copy(vec[i+1:], vec[i:])
-			vec[i] = wal.ShardLSN{Shard: shard, LSN: lsn}
-			return vec
+			tx.Shards = append(tx.Shards, wal.ShardLSN{})
+			copy(tx.Shards[i+1:], tx.Shards[i:])
+			tx.Shards[i] = wal.ShardLSN{Shard: shard, LSN: lsn}
+			return
 		}
 	}
-	return append(vec, wal.ShardLSN{Shard: shard, LSN: lsn})
-}
-
-// Writes is a per-action write buffer for engines whose actions execute
-// concurrently on behalf of one transaction (the engine-sharded DORA
-// kernel): each action logs through its own Writes instead of mutating the
-// shared Txn, and the transaction's owner merges the buffers back — in
-// action order, at the phase barrier — with MergeWrites. Per-shard LSNs are
-// merged by maximum, so the merged vector is identical to what serial
-// execution's overwrite-in-order would have produced (per-shard horizons
-// are monotone).
-type Writes struct {
-	Undo   []UndoRec
-	Shards []wal.ShardLSN
-}
-
-// Reset empties the buffer for another action, keeping its storage.
-func (w *Writes) Reset() {
-	clear(w.Undo)
-	w.Undo, w.Shards = w.Undo[:0], w.Shards[:0]
-}
-
-// MergeWrites folds one action's write buffer into the transaction: undo
-// records append in buffer order, vector entries merge by max LSN.
-func (tx *Txn) MergeWrites(w *Writes) {
-	tx.Undo = append(tx.Undo, w.Undo...)
-	for _, e := range w.Shards {
-		tx.Shards = noteVec(tx.Shards, e.Shard, e.LSN, true)
-	}
+	tx.Shards = append(tx.Shards, wal.ShardLSN{Shard: shard, LSN: lsn})
 }
 
 // Config tunes the CPU costs of transaction management (the Figure 3
@@ -153,47 +116,17 @@ type Manager struct {
 	commits int64
 	aborts  int64
 
-	// Per-socket mode (ShardPerSocket): id assignment and lifecycle
-	// counters stride by socket so terminals on concurrent kernel shards
-	// never touch a shared counter, and commit/abort records anchor on the
-	// caller's socket so every append stays shard-local.
-	nSock     int
-	nextIDs   []uint64
-	beginsBy  []int64
-	commitsBy []int64
-	abortsBy  []int64
-
-	// recs holds idle log records, one free list per socket in per-socket
-	// mode and a single one otherwise. A record goes through the Appender
+	// recs holds idle log records. A record goes through the Appender
 	// interface and so lives on the heap; an append borrows one for its own
 	// duration. An append can park (core, log latch) while another process —
 	// another action of the same transaction, even — starts its own, so the
 	// unit of reuse is the append in flight, never the Txn or the Manager.
-	recs [][]*wal.Record
+	recs []*wal.Record
 }
 
 // NewManager creates a transaction manager appending to log.
 func NewManager(env *sim.Env, log *wal.LogSet, cfg Config) *Manager {
-	return &Manager{cfg: cfg, log: log, env: env, nextID: 1, recs: make([][]*wal.Record, 1)}
-}
-
-// ShardPerSocket switches the manager to per-socket operation for an
-// engine-sharded run on an nSockets-socket machine: socket s draws
-// transaction ids from the strided sequence 1+s, 1+s+nSockets, ... (unique
-// across sockets, no shared counter), lifecycle counters split per socket,
-// and commit/abort records anchor on the committing terminal's own socket
-// instead of the lowest touched data shard — the caller's log shard is the
-// one shard a confined terminal may append to. Call once at construction.
-func (m *Manager) ShardPerSocket(nSockets int) {
-	m.nSock = nSockets
-	m.nextIDs = make([]uint64, nSockets)
-	for s := range m.nextIDs {
-		m.nextIDs[s] = uint64(1 + s)
-	}
-	m.beginsBy = make([]int64, nSockets)
-	m.commitsBy = make([]int64, nSockets)
-	m.abortsBy = make([]int64, nSockets)
-	m.recs = make([][]*wal.Record, nSockets)
+	return &Manager{cfg: cfg, log: log, env: env, nextID: 1}
 }
 
 // LogSet returns the log set the manager appends to.
@@ -215,16 +148,9 @@ func (m *Manager) BeginIn(t *platform.Task, tx *Txn) {
 	if tx.State == Active {
 		panic(fmt.Sprintf("txn: begin in active transaction %d", tx.ID))
 	}
-	if m.nextIDs != nil {
-		s := t.Core().SocketID()
-		m.beginsBy[s]++
-		tx.ID = m.nextIDs[s]
-		m.nextIDs[s] += uint64(m.nSock)
-	} else {
-		m.begins++
-		tx.ID = m.nextID
-		m.nextID++
-	}
+	m.begins++
+	tx.ID = m.nextID
+	m.nextID++
 	tx.State = Active
 	tx.dropUndo()
 	tx.Shards = tx.Shards[:0]
@@ -235,21 +161,17 @@ func (m *Manager) BeginIn(t *platform.Task, tx *Txn) {
 // append writes rec to the given log shard through a borrowed heap record
 // and returns its durability horizon.
 func (m *Manager) append(t *platform.Task, shard int, rec wal.Record) wal.LSN {
-	free := &m.recs[0]
-	if m.nextIDs != nil {
-		free = &m.recs[t.Core().SocketID()]
-	}
 	var r *wal.Record
-	if n := len(*free); n > 0 {
-		r = (*free)[n-1]
-		*free = (*free)[:n-1]
+	if n := len(m.recs); n > 0 {
+		r = m.recs[n-1]
+		m.recs = m.recs[:n-1]
 	} else {
 		r = new(wal.Record)
 	}
 	*r = rec
 	lsn := m.log.Append(t, shard, r)
 	*r = wal.Record{}
-	*free = append(*free, r)
+	m.recs = append(m.recs, r)
 	return lsn
 }
 
@@ -258,12 +180,6 @@ func (m *Manager) append(t *platform.Task, shard int, rec wal.Record) wal.LSN {
 func (m *Manager) logData(t *platform.Task, tx *Txn, rec wal.Record) {
 	shard := m.log.ShardFor(t)
 	tx.note(shard, m.append(t, shard, rec))
-}
-
-// logDataW is logData for an action's private write buffer.
-func (m *Manager) logDataW(t *platform.Task, w *Writes, rec wal.Record) {
-	shard := m.log.ShardFor(t)
-	w.Shards = noteVec(w.Shards, shard, m.append(t, shard, rec), false)
 }
 
 // LogInsert records an insert of key into table with the given post-image
@@ -288,37 +204,12 @@ func (m *Manager) LogDelete(t *platform.Task, tx *Txn, table uint16, key, before
 	tx.Undo = append(tx.Undo, UndoRec{Table: table, Type: wal.RecDelete, Key: key, Before: before})
 }
 
-// LogInsertW, LogUpdateW and LogDeleteW are the Writes-buffered data-record
-// paths for actions executing concurrently on behalf of txnID: identical
-// charges and records, but the durability note and undo entry land in the
-// action's private buffer instead of a shared Txn. The owner merges buffers
-// at the phase barrier (Txn.MergeWrites).
-func (m *Manager) LogInsertW(t *platform.Task, txnID uint64, w *Writes, table uint16, key, after []byte) {
-	m.logDataW(t, w, wal.Record{Txn: txnID, Type: wal.RecInsert, Table: table, Key: key, After: after})
-	w.Undo = append(w.Undo, UndoRec{Table: table, Type: wal.RecInsert, Key: key})
-}
-
-// LogUpdateW is the Writes-buffered LogUpdate; see LogInsertW.
-func (m *Manager) LogUpdateW(t *platform.Task, txnID uint64, w *Writes, table uint16, key, before, after []byte) {
-	m.logDataW(t, w, wal.Record{Txn: txnID, Type: wal.RecUpdate, Table: table, Key: key, Before: before, After: after})
-	w.Undo = append(w.Undo, UndoRec{Table: table, Type: wal.RecUpdate, Key: key, Before: before})
-}
-
-// LogDeleteW is the Writes-buffered LogDelete; see LogInsertW.
-func (m *Manager) LogDeleteW(t *platform.Task, txnID uint64, w *Writes, table uint16, key, before []byte) {
-	m.logDataW(t, w, wal.Record{Txn: txnID, Type: wal.RecDelete, Table: table, Key: key, Before: before})
-	w.Undo = append(w.Undo, UndoRec{Table: table, Type: wal.RecDelete, Key: key, Before: before})
-}
-
 // anchorShard is where a transaction's commit and abort records go: its
 // lowest touched data shard (deterministic in the shards touched), so the
 // commit record always follows the anchor's data records in that shard's
 // stream. A transaction that logged nothing anchors on the caller's shard.
-// In per-socket mode the anchor is always the caller's shard — a confined
-// terminal may only append locally — and the commit record's shard vector
-// covers the difference.
 func (m *Manager) anchorShard(t *platform.Task, tx *Txn) int {
-	if m.nextIDs == nil && len(tx.Shards) > 0 {
+	if len(tx.Shards) > 0 {
 		return tx.Shards[0].Shard
 	}
 	return m.log.ShardFor(t)
@@ -333,31 +224,21 @@ func (m *Manager) anchorShard(t *platform.Task, tx *Txn) int {
 // or hand it to a terminal (lazy commit, the DORA pattern).
 func (m *Manager) Commit(t *platform.Task, tx *Txn) *sim.Signal {
 	done := sim.NewSignal(m.env)
-	if m.nextIDs != nil {
-		done.OnShard(t.P.Shard())
-	}
 	m.CommitTo(t, tx, done)
 	return done
 }
 
-// CommitTo is Commit firing a signal the caller owns: unfired, and in
-// per-socket mode homed on the caller's kernel shard.
+// CommitTo is Commit firing an unfired signal the caller owns.
 func (m *Manager) CommitTo(t *platform.Task, tx *Txn, done *sim.Signal) {
 	m.mustBeActive(tx)
-	if m.commitsBy != nil {
-		m.commitsBy[t.Core().SocketID()]++
-	} else {
-		m.commits++
-	}
+	m.commits++
 	t.Exec(stats.CompXct, m.cfg.CommitInstr)
 	rec := wal.Record{Txn: tx.ID, Type: wal.RecCommit}
 	anchor := m.anchorShard(t, tx)
 	// The commit record carries the shard vector whenever recovery will
 	// need it: any transaction whose data records live on a shard other
-	// than the anchor. With the classic lowest-shard anchor that is exactly
-	// the multi-shard case; with a per-socket (caller-shard) anchor a
-	// single remote data shard needs it too.
-	if len(tx.Shards) > 1 || (len(tx.Shards) == 1 && tx.Shards[0].Shard != anchor) {
+	// than the anchor, which is the lowest touched shard.
+	if len(tx.Shards) > 1 {
 		tx.vec = wal.EncodeShardVec(tx.vec[:0], tx.Shards)
 		rec.After = tx.vec
 	}
@@ -365,7 +246,7 @@ func (m *Manager) CommitTo(t *platform.Task, tx *Txn, done *sim.Signal) {
 	tx.note(anchor, lsn) // the anchor entry now covers the commit record
 	tx.State = Committed
 	tx.dropUndo()
-	m.log.CommitDurableFrom(t, tx.Shards, done)
+	m.log.CommitDurable(tx.Shards, done)
 }
 
 // Abort rolls the transaction back: apply is called for each undo record in
@@ -374,11 +255,7 @@ func (m *Manager) CommitTo(t *platform.Task, tx *Txn, done *sim.Signal) {
 // durability.
 func (m *Manager) Abort(t *platform.Task, tx *Txn, apply func(u UndoRec)) {
 	m.mustBeActive(tx)
-	if m.abortsBy != nil {
-		m.abortsBy[t.Core().SocketID()]++
-	} else {
-		m.aborts++
-	}
+	m.aborts++
 	t.Exec(stats.CompXct, m.cfg.AbortInstr)
 	for i := len(tx.Undo) - 1; i >= 0; i-- {
 		apply(tx.Undo[i])
@@ -395,18 +272,10 @@ func (m *Manager) mustBeActive(tx *Txn) {
 }
 
 // Begins returns the number of transactions started.
-func (m *Manager) Begins() int64 { return m.begins + sum(m.beginsBy) }
+func (m *Manager) Begins() int64 { return m.begins }
 
 // Commits returns the number of commit records appended.
-func (m *Manager) Commits() int64 { return m.commits + sum(m.commitsBy) }
+func (m *Manager) Commits() int64 { return m.commits }
 
 // Aborts returns the number of aborted transactions.
-func (m *Manager) Aborts() int64 { return m.aborts + sum(m.abortsBy) }
-
-func sum(v []int64) int64 {
-	var n int64
-	for _, x := range v {
-		n += x
-	}
-	return n
-}
+func (m *Manager) Aborts() int64 { return m.aborts }

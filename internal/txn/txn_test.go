@@ -218,7 +218,7 @@ func TestInterleavedAppendsKeepTheirRecords(t *testing.T) {
 	if len(tx.Undo) != 2*per {
 		t.Errorf("%d undo entries, want %d", len(tx.Undo), 2*per)
 	}
-	if n := len(tm.recs[0]); n != 2 {
+	if n := len(tm.recs); n != 2 {
 		t.Errorf("%d log records built for two appenders, want 2", n)
 	}
 }

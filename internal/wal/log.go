@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"fmt"
-
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
@@ -147,26 +145,6 @@ func NewManager(pl *platform.Platform, store *Store, cfg ManagerConfig) *Manager
 		kick:    sim.NewQueue[struct{}](pl.Env, "log-kick", 1),
 	}
 	pl.Env.Spawn("log-flusher", func(p *sim.Proc) { m.flusherLoop(p) })
-	return m
-}
-
-// NewManagerOn creates a software log manager confined to one socket's
-// kernel shard: its latch, kick queue and flush daemon all live on that
-// shard and its buffer address comes from the socket's private arena, so on
-// a concurrent environment the manager may be appended to only from its own
-// socket. Everything else — costs, group commit, the durability handshake —
-// is NewManager exactly.
-func NewManagerOn(pl *platform.Platform, store *Store, cfg ManagerConfig, socket int) *Manager {
-	sh := pl.ShardOf(socket)
-	m := &Manager{
-		cfg:     cfg,
-		store:   store,
-		latch:   sim.NewResource(pl.Env, fmt.Sprintf("log-latch%d", socket), 1).OnShard(sh),
-		base:    store.Durable(),
-		bufAddr: pl.AllocHostOn(socket, cfg.FlushBytes*2),
-		kick:    sim.NewQueue[struct{}](pl.Env, fmt.Sprintf("log-kick%d", socket), 1).OnShard(sh),
-	}
-	pl.Env.SpawnOn(sh, fmt.Sprintf("log-flusher%d", socket), func(p *sim.Proc) { m.flusherLoop(p) })
 	return m
 }
 

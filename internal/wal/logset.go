@@ -44,10 +44,6 @@ type LogSet struct {
 	// machine, where the commit path below is exactly the single-machine
 	// code.
 	repl *ReplicaSet
-	// confined marks an engine-sharded set: every shard's appender lives on
-	// its socket's kernel shard, appends must be socket-local, and the
-	// vector durable point fans out through CrossAt (CommitDurableFrom).
-	confined bool
 }
 
 // NewLogSet builds a log set over the given shards. Shard i must serve
@@ -97,12 +93,6 @@ func (ls *LogSet) Append(t *platform.Task, shard int, rec *Record) LSN {
 	sh := ls.shards[shard]
 	if len(ls.shards) > 1 && ls.pl.IC != nil {
 		if from := t.Core().SocketID(); from != sh.Socket {
-			if ls.confined {
-				// Engine-sharded sets anchor commit records on the caller's
-				// socket, so every append is local by construction; a remote
-				// append would touch a foreign shard's log buffer directly.
-				panic(fmt.Sprintf("wal: cross-socket append (socket %d -> shard %d) on a confined log set", from, shard))
-			}
 			sc := t.Script()
 			ls.pl.IC.AddTransfer(sc, from, sh.Socket, logMsgBytes)
 			sc.Run()
@@ -123,31 +113,11 @@ func (ls *LogSet) DurableVector() []LSN {
 	return out
 }
 
-// Confine marks the set engine-sharded: each shard's appender is confined
-// to its socket's kernel shard (the engine built them with NewManagerOn),
-// appends must be socket-local, and commits use CommitDurableFrom. A
-// replicated set cannot be confined — the shippers drain every shard's
-// store from shard 0.
-func (ls *LogSet) Confine() {
-	if ls.repl != nil {
-		panic("wal: cannot confine a replicated log set")
-	}
-	ls.confined = true
-}
-
-// Confined reports whether Confine marked this set engine-sharded.
-func (ls *LogSet) Confined() bool { return ls.confined }
-
 // AttachReplication wires rs into the commit path: under sync/quorum
 // modes CommitDurable waits for replica acknowledgements after the local
 // vector durable point. Engines attach at construction, gated on
 // Config.Replicated().
-func (ls *LogSet) AttachReplication(rs *ReplicaSet) {
-	if ls.confined {
-		panic("wal: cannot replicate a confined log set")
-	}
-	ls.repl = rs
-}
+func (ls *LogSet) AttachReplication(rs *ReplicaSet) { ls.repl = rs }
 
 // Replication returns the attached replica set (nil when unreplicated).
 func (ls *LogSet) Replication() *ReplicaSet { return ls.repl }
@@ -170,65 +140,6 @@ func (ls *LogSet) CommitDurable(vec []ShardLSN, done *sim.Signal) {
 		return
 	}
 	ls.commitLocal(vec, done)
-}
-
-// CommitDurableFrom is CommitDurable for a confined set: the calling task's
-// socket is the fan-in point. Each remote vector entry costs one posted
-// interconnect message carrying the wait registration to the entry's shard
-// (serialized on the sender's own egress port, delivered via CrossAt one
-// hop later) and one acknowledgement hop back once the entry is durable;
-// done must be homed on the caller's shard and fires there when every entry
-// has acknowledged. Socket-local entries register directly, exactly like
-// the classic path. On an unconfined set it is CommitDurable unchanged.
-func (ls *LogSet) CommitDurableFrom(t *platform.Task, vec []ShardLSN, done *sim.Signal) {
-	if !ls.confined {
-		ls.CommitDurable(vec, done)
-		return
-	}
-	if len(vec) == 0 {
-		done.Fire(nil)
-		return
-	}
-	home := t.Core().SocketID()
-	if len(vec) == 1 && vec[0].Shard == home {
-		ls.shards[home].App.CommitDurable(vec[0].LSN, done)
-		return
-	}
-	env := ls.pl.Env
-	homeShard := ls.pl.ShardOf(home)
-	hopLat := ls.pl.Cfg.ICHopLat
-	nSock := ls.pl.NumSockets()
-	remaining := len(vec)
-	dec := func() {
-		remaining--
-		if remaining == 0 {
-			done.Fire(nil)
-		}
-	}
-	t.Flush()
-	for _, e := range vec {
-		if e.Shard == home {
-			sub := sim.NewSignal(env).OnShard(homeShard)
-			sub.OnFire(func(any) { dec() })
-			ls.shards[e.Shard].App.CommitDurable(e.LSN, sub)
-			continue
-		}
-		e := e
-		target := ls.pl.ShardOf(ls.shards[e.Shard].Socket)
-		hops := ls.pl.IC.Topo.Hops(e.Shard, home, nSock)
-		arrival := ls.pl.IC.Send(t.P, home, e.Shard, logMsgBytes)
-		t.P.CrossAt(target, arrival, func() {
-			sub := sim.NewSignal(env).OnShard(target)
-			sub.OnFire(func(any) {
-				// The ack hop back to the fan-in point: counters only — a
-				// scheduler callback has no process to serialize a port with.
-				ls.pl.IC.NoteSend(e.Shard, home, logMsgBytes)
-				at := env.ShardNow(target).Add(sim.Duration(hops) * hopLat)
-				env.CrossFrom(target, homeShard, at, dec)
-			})
-			ls.shards[e.Shard].App.CommitDurable(e.LSN, sub)
-		})
-	}
 }
 
 // commitLocal is the single-machine vector durable point.

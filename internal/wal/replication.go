@@ -57,8 +57,6 @@ type ReplicaSet struct {
 	stopped bool
 
 	// Flight-recorder hooks (SetObs): host-side only, nil when untraced.
-	// Replication machinery always lives on kernel shard 0 (a replicated
-	// log set cannot be confined), so both are written from that shard.
 	obsRec *obs.ShardRec
 	obsAn  *stats.Anatomy
 }
