@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bionicdb/internal/core"
+	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
@@ -206,5 +207,49 @@ func TestGoldenHTAPDigest(t *testing.T) {
 	par := Run(points, Options{Parallel: 4})
 	if pd := Digest(par); pd != got {
 		t.Errorf("parallel htap sweep diverged from serial:\n got  %s\n want %s", pd, got)
+	}
+}
+
+// goldenShardedDORADigest pins pure-software DORA on the sharded-log machine
+// at 2, 4 and 8 sockets: per-socket log shards, cross-socket enqueues and
+// votes over the interconnect, the cross-shard decision round and the vector
+// durable point with no hardware unit in the way. Re-pin exactly as for
+// goldenDigest.
+//
+// Re-pinned once (from a71002e2, the deleted engineShardGoldenDigest over the
+// same three points): sharded-log software DORA now runs the one layout; it
+// parks on cross-socket conflicts like every other engine. The value is what
+// the parent commit prints with its engine-on-shard gate forced false (points
+// 683f0753, 39f7af01, 06edc267), so the classic path itself did not move.
+const goldenShardedDORADigest = "6803235d8103961ea52ba6e745358595856446cfeb3484c7ffb0ec4380181082"
+
+// goldenShardedDORASpec is the pinned sharded-log software-DORA grid.
+func goldenShardedDORASpec() ScalingSpec {
+	return ScalingSpec{
+		Sockets:   []int{2, 4, 8},
+		Workloads: []WorkloadSpec{smallYCSB()},
+		Engines: []ScalingEngine{{Name: "dora", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
+			return DORAOn(cfg, partitions)
+		}}},
+		TerminalsPerSocket: 4,
+		ShardedLog:         true,
+		Warmup:             1 * sim.Millisecond,
+		Measure:            3 * sim.Millisecond,
+	}
+}
+
+// TestGoldenShardedDORADigest proves the recorded digest holds, serial and
+// parallel.
+func TestGoldenShardedDORADigest(t *testing.T) {
+	points := goldenShardedDORASpec().Points()
+	serial := mustRun(t, "sharded-dora", points, Options{Parallel: 1})
+	got := Digest(serial)
+	if got != goldenShardedDORADigest {
+		t.Errorf("sharded-log DORA digest diverged from golden:\n got  %s\n want %s", got, goldenShardedDORADigest)
+		logPointDigests(t, serial)
+	}
+	par := mustRun(t, "sharded-dora/parallel", points, Options{Parallel: 4})
+	if pd := Digest(par); pd != got {
+		t.Errorf("parallel sharded-log DORA digest diverged from serial:\n got  %s\n want %s", pd, got)
 	}
 }

@@ -102,6 +102,7 @@ func TestObsEquivalenceMatrix(t *testing.T) {
 		{"fig3-fig4-quick", quick.Points(), goldenDigest},
 		{"scaling-golden", goldenScalingSpec().Points(), goldenScalingDigest},
 		{"htap-golden", goldenHTAPSpec().Points(), goldenHTAPDigest},
+		{"sharded-dora", goldenShardedDORASpec().Points(), goldenShardedDORADigest},
 	}
 	for _, fam := range families {
 		fam := fam
