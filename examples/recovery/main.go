@@ -1,8 +1,8 @@
 // Crash recovery: run transactions on the bionic engine, take a sharp
 // checkpoint, run more transactions, then "crash" — discard every volatile
-// structure — and rebuild from the checkpoint images plus the durable log
-// (Figure 4 keeps "log sync & recovery" in software). Committed effects
-// must survive; the uncommitted insert must not.
+// structure — and boot a fresh machine from the checkpoint images plus the
+// durable log (Figure 4 keeps "log sync & recovery" in software). Committed
+// effects must survive; the uncommitted insert must not.
 package main
 
 import (
@@ -33,8 +33,8 @@ func main() {
 	env.Spawn("driver", func(p *sim.Proc) {
 		term := &core.Terminal{ID: 0, P: p, Core: eng.Platform().Cores[0], R: sim.NewRand(1)}
 
-		meta = core.Checkpoint(p, eng.Tables(), eng.DiskManager(), eng.LogStore())
-		fmt.Printf("checkpoint complete at %v (log position %d)\n", p.Now(), meta.StartLSN)
+		meta = core.Checkpoint(p, eng.Tables(), eng.DiskManager(), eng.LogSet())
+		fmt.Printf("checkpoint complete at %v (log position %d)\n", p.Now(), meta.StartLSNs[0])
 
 		// Post-checkpoint work that only the log protects.
 		for i := 0; i < 100; i++ {
@@ -66,33 +66,30 @@ func main() {
 
 	fmt.Println("\n*** CRASH: volatile state discarded; rebooting from disk + log ***")
 
-	env.Spawn("recovery", func(p *sim.Proc) {
-		t0 := p.Now()
-		trees, err := core.Recover(p, tables, meta, eng.DiskManager(), eng.LogStore().Bytes())
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("recovery replayed the log in %v of simulated time\n", p.Now().Sub(t0))
-
-		rec := trees[1]
-		live := eng.Tables()[1]
-		mismatches := 0
-		live.Scan(nil, nil, nil, func(k, v []byte) bool {
-			got, ok := rec.Get(k, nil)
-			if !ok || !bytes.Equal(got, v) {
-				mismatches++
-			}
-			return true
-		})
-		fmt.Printf("recovered %d rows; %d mismatches vs pre-crash state\n", rec.Size(), mismatches)
-		if v, ok := rec.Get(key(42), nil); ok {
-			fmt.Printf("row 42: %q (committed update survived)\n", v)
-		}
-		if _, ok := rec.Get(key(6000), nil); !ok {
-			fmt.Println("row 6000 absent (aborted insert correctly not replayed)")
-		}
-	})
-	if err := env.Run(); err != nil {
+	// What survives: the checkpoint pages and the durable log bytes.
+	img := core.Image{Cfg: eng.Platform().Cfg, Defs: tables, Meta: meta,
+		DM: eng.DiskManager(), Logs: eng.LogSet().Datas()}
+	trees, st, _, err := core.Boot(img, img.Logs, false, 0)
+	if err != nil {
 		panic(err)
+	}
+	fmt.Printf("recovery replayed the log in %v of simulated time\n", st.SimTime)
+
+	rec := trees[1]
+	live := eng.Tables()[1]
+	mismatches := 0
+	live.Scan(nil, nil, nil, func(k, v []byte) bool {
+		got, ok := rec.Get(k, nil)
+		if !ok || !bytes.Equal(got, v) {
+			mismatches++
+		}
+		return true
+	})
+	fmt.Printf("recovered %d rows; %d mismatches vs pre-crash state\n", rec.Size(), mismatches)
+	if v, ok := rec.Get(key(42), nil); ok {
+		fmt.Printf("row 42: %q (committed update survived)\n", v)
+	}
+	if _, ok := rec.Get(key(6000), nil); !ok {
+		fmt.Println("row 6000 absent (aborted insert correctly not replayed)")
 	}
 }

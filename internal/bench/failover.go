@@ -11,7 +11,6 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
-	"bionicdb/internal/wal"
 )
 
 // FailoverSpec declares the fig-failover experiment. Each (sockets, mode)
@@ -35,8 +34,7 @@ type FailoverSpec struct {
 	Replicas int
 	// Workload builds the (socket-scaled) workload for one point; required.
 	Workload func(sockets int) WorkloadSpec
-	// Engine builds the engine under test (default DORA). Must be
-	// checkpointable and replicated for the failover phase.
+	// Engine builds the engine under test (default DORA).
 	Engine func(cfg *platform.Config, partitions, window int) EngineSpec
 	// ShardedLog gives the machine per-socket log devices.
 	ShardedLog bool
@@ -98,12 +96,6 @@ type FailoverResult struct {
 	Err error
 }
 
-// replicated is the engine surface the failover harness needs beyond
-// checkpointable.
-type replicated interface {
-	Replicator() *wal.ReplicaSet
-}
-
 // DefaultFailoverSockets returns the default socket axis.
 func DefaultFailoverSockets() []int { return []int{1, 2, 4} }
 
@@ -118,10 +110,6 @@ func DefaultFailoverModes() []stats.ReplMode {
 // returns the per-point failover measurements plus the steady-state sweep
 // results (for the shared JSON/digest pipeline).
 func (s FailoverSpec) RunFailover(opt Options) ([]FailoverResult, []Result) {
-	sockets := s.Sockets
-	if len(sockets) == 0 {
-		sockets = DefaultFailoverSockets()
-	}
 	modes := s.Modes
 	if len(modes) == 0 {
 		modes = DefaultFailoverModes()
@@ -132,40 +120,22 @@ func (s FailoverSpec) RunFailover(opt Options) ([]FailoverResult, []Result) {
 	}
 	engine := s.Engine
 	if engine == nil {
-		engine = func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return DORAOn(cfg, partitions)
-		}
-	}
-	tps := s.TerminalsPerSocket
-	if tps <= 0 {
-		tps = 32
-	}
-	window := s.Window
-	if window <= 0 {
-		window = 8
+		engine = doraSpec
 	}
 	detect := s.Detect
 	if detect <= 0 {
 		detect = core.DefaultDetect
 	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = core.DefaultRunConfig().Seed
-	}
-	warmup, measure := s.Warmup, s.Measure
-	if warmup <= 0 {
-		warmup = core.DefaultRunConfig().Warmup
-	}
-	if measure <= 0 {
-		measure = core.DefaultRunConfig().Measure
-	}
+	o := scaled{sockets: s.Sockets, terminals: s.TerminalsPerSocket, partitions: s.PartitionsPerSocket,
+		window: s.Window, seeds: oneSeed(s.Seed), warmup: s.Warmup, measure: s.Measure,
+		shardedLog: s.ShardedLog}.resolve(DefaultFailoverSockets())
 
 	type pt struct {
 		sockets int
 		mode    stats.ReplMode
 	}
 	var pts []pt
-	for _, n := range sockets {
+	for _, n := range o.sockets {
 		for _, m := range modes {
 			pts = append(pts, pt{n, m})
 		}
@@ -174,20 +144,13 @@ func (s FailoverSpec) RunFailover(opt Options) ([]FailoverResult, []Result) {
 	steady := make([]Result, len(pts))
 	ForEach(len(pts), opt.Parallel, func(i int) {
 		n, mode := pts[i].sockets, pts[i].mode
-		cfg := platform.HC2Scaled(n)
-		cfg.LogDevPerSocket = s.ShardedLog
+		cfg, partitions := o.machine(n)
 		if mode != stats.ReplNone {
 			cfg.Replicas = replicas
 			cfg.ReplMode = mode
 		}
-		pps := s.PartitionsPerSocket
-		if pps <= 0 {
-			pps = cfg.Cores
-		}
-		wl := s.Workload(n)
-		spec := engine(cfg, pps*n, window)
-		out[i], steady[i] = runFailoverPoint(cfg, spec, wl, mode, s.Obs,
-			tps*n, seed, warmup, measure, detect, !s.NoFaultWindows)
+		out[i], steady[i] = runFailoverPoint(cfg, engine(cfg, partitions, o.window), s.Workload(n), mode, s.Obs,
+			o.terminals*n, o.seeds[0], o.warmup, o.measure, detect, !s.NoFaultWindows)
 		out[i].Sockets = n
 		out[i].ShardedLog = cfg.ShardedLog()
 		out[i].Replicas = cfg.Replicas
@@ -247,53 +210,25 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 
 	// --- Crash phase: populate, checkpoint sharp, run under the fault
 	// plan, stop the world at the primary kill.
-	env := sim.NewEnv()
-	defer env.Close()
 	wl := wlSpec.Make()
-	eng := spec.Make(env, wl)
-	ck, ok := eng.(checkpointable)
-	if !ok {
-		res.Err = fmt.Errorf("engine %s is not checkpointable", spec.Name)
-		return res, sr
-	}
-	repl, ok := eng.(replicated)
-	if !ok || repl.Replicator() == nil {
+	s := core.Open(wl, seed, func(env *sim.Env) core.Engine { return spec.Make(env, wl) })
+	defer s.Close()
+	rs := s.Eng.LogSet().Replication()
+	if rs == nil {
 		res.Err = fmt.Errorf("engine %s built no replication machinery", spec.Name)
 		return res, sr
 	}
-	rs := repl.Replicator()
-	root := sim.NewRand(seed)
-	wl.Populate(eng.Load, root.Split())
-	faultR := root.Split()
-	if warmer, ok := eng.(interface{ Warm() }); ok {
-		warmer.Warm()
-	}
-	// Checkpoint sharp before any terminal exists (see runRecoveryPoint for
-	// the adaptive stepping rationale).
-	var meta core.CheckpointMeta
-	ckDone := false
-	env.Spawn("checkpointer", func(p *sim.Proc) {
-		meta = core.CheckpointAllSets(p, ck.TableSets(), ck.DiskManager(), ck.LogSet())
-		ckDone = true
-	})
-	step := sim.Time(1 * sim.Millisecond)
-	for !ckDone {
-		before := env.Executed()
-		if err := env.RunUntil(env.Now() + step); err != nil {
-			res.Err = err
-			return res, sr
-		}
-		if env.Executed() == before {
-			step *= 2
-		} else {
-			step = sim.Time(1 * sim.Millisecond)
-		}
+	faultR := s.Split()
+	meta, err := s.Checkpoint()
+	if err != nil {
+		res.Err = err
+		return res, sr
 	}
 	// The fault plan covers the measurement window; its kill is the run's
 	// stopping point and its windowed faults drive the ReplicaSet hooks.
-	startT := env.Now()
+	startT := s.Env.Now()
 	plan := sim.NewFaultPlan(faultR, startT.Add(warmup), startT.Add(warmup).Add(measure), rs.Replicas(), windows)
-	plan.Schedule(env,
+	plan.Schedule(s.Env,
 		func(f sim.Fault) {
 			switch f.Kind {
 			case sim.FaultLinkLag:
@@ -314,66 +249,60 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 				rs.SetStalled(f.Replica, false)
 			}
 		})
-	for i := 0; i < terminals; i++ {
-		i := i
-		tr := root.Split()
-		env.Spawn(fmt.Sprintf("terminal%d", i), func(tp *sim.Proc) {
-			term := &core.Terminal{ID: i, P: tp, Core: eng.Platform().Cores[i%len(eng.Platform().Cores)], R: tr}
-			for {
-				_, logic := wl.NextTxn(term.R)
-				eng.Submit(term, logic)
-			}
-		})
-	}
+	s.Start(terminals, nil, nil)
 	killT, _ := plan.KillTime()
-	if err := env.RunUntil(killT); err != nil {
+	if err := s.RunTo(killT); err != nil {
 		res.Err = err
 		return res, sr
 	}
 	res.KillAt = killT.Sub(startT)
-	res.CommitsAcked = eng.Counters().Get("commits")
-	primary := ck.LogSet().Datas()
+	res.CommitsAcked = s.Eng.Counters().Get("commits")
+	img := s.Crash(meta)
 	replicaLogs, replicaBytes, lostTail := rs.CrashImage()
 	res.Shards = len(replicaLogs)
 	res.ReplicaBytes = replicaBytes
 	res.LostTailBytes = lostTail
 	// Every replica copy must be a literal byte prefix of its primary
 	// shard — the property the whole failover guarantee rests on.
-	truncated := make([][]byte, len(primary))
-	for s := range primary {
-		if len(replicaLogs[s]) > len(primary[s]) || !bytes.Equal(replicaLogs[s], primary[s][:len(replicaLogs[s])]) {
-			res.Err = fmt.Errorf("shard %d replica copy is not a prefix of the primary stream", s)
+	truncated := make([][]byte, len(img.Logs))
+	for sh, primary := range img.Logs {
+		if len(replicaLogs[sh]) > len(primary) || !bytes.Equal(replicaLogs[sh], primary[:len(replicaLogs[sh])]) {
+			res.Err = fmt.Errorf("shard %d replica copy is not a prefix of the primary stream", sh)
 			return res, sr
 		}
-		truncated[s] = primary[s][:len(replicaLogs[s])]
+		truncated[sh] = primary[:len(replicaLogs[sh])]
 	}
-	defs := wl.Tables()
 
-	// --- Failover: boot the replica through measured parallel recovery.
-	trees, fst, err := core.Failover(cfg, defs, meta, ck.DiskManager(), replicaLogs, detect, true)
+	// --- Failover: the replica detects the kill and boots through measured
+	// parallel recovery.
+	trees, st, _, err := core.Boot(img, replicaLogs, true, detect)
 	if err != nil {
 		res.Err = err
 		return res, sr
 	}
-	res.TxnsRecovered = fst.Recovery.Txns
+	res.TxnsRecovered = st.Txns
 	if lost := res.CommitsAcked - res.TxnsRecovered; lost > 0 {
 		res.LostTxns = lost
 	}
-	res.RestoreSim = fst.Recovery.Restore
-	res.ReplaySim = fst.Recovery.Replay
-	res.TimeToServing = fst.TimeToServing
-	_ = trees
+	res.RestoreSim = st.Restore
+	res.ReplaySim = st.Replay
+	res.TimeToServing = detect + st.SimTime
 
-	// Oracle: recovering the primary's shipped prefix directly must yield
-	// the same content digest the replica serves.
-	_, ofst, err := core.Failover(cfg, defs, meta, ck.DiskManager(), truncated, 0, true)
+	// Oracles: recovering the primary's shipped prefix directly must yield
+	// the content the replica serves, and the modes that wait for replica
+	// acknowledgements must not lose an acknowledged commit.
+	oracle, _, _, err := core.Boot(img, truncated, true, 0)
 	if err != nil {
 		res.Err = err
 		return res, sr
 	}
-	res.DigestOK = fst.Digest == ofst.Digest
-	if !res.DigestOK {
-		res.Err = fmt.Errorf("replica content diverged from the primary's shipped prefix: %s vs %s", fst.Digest, ofst.Digest)
+	got, want := core.ContentDigest(trees), core.ContentDigest(oracle)
+	res.DigestOK = got == want
+	switch {
+	case !res.DigestOK:
+		res.Err = fmt.Errorf("replica content diverged from the primary's shipped prefix: %s vs %s", got, want)
+	case res.LostTxns > 0 && (mode == stats.ReplSync || mode == stats.ReplQuorum):
+		res.Err = fmt.Errorf("%s lost %d of %d acknowledged commits", mode, res.LostTxns, res.CommitsAcked)
 	}
 	return res, sr
 }

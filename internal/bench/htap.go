@@ -66,54 +66,28 @@ func HTAPEngines() []ScalingEngine {
 // Points expands the spec in deterministic order: workload outermost, then
 // socket count, engine, seed — the same shape as the scaling sweep.
 func (s HTAPSpec) Points() []Point {
-	sockets := s.Sockets
-	if len(sockets) == 0 {
-		sockets = DefaultScalingSockets()
-	}
 	engines := s.Engines
 	if len(engines) == 0 {
 		engines = HTAPEngines()
 	}
-	tps := s.TerminalsPerSocket
-	if tps <= 0 {
-		tps = 32
-	}
-	window := s.Window
-	if window <= 0 {
-		window = 8
-	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{core.DefaultRunConfig().Seed}
-	}
-	warmup, measure := s.Warmup, s.Measure
-	if warmup <= 0 {
-		warmup = core.DefaultRunConfig().Warmup
-	}
-	if measure <= 0 {
-		measure = core.DefaultRunConfig().Measure
-	}
+	o := scaled{sockets: s.Sockets, terminals: s.TerminalsPerSocket, partitions: s.PartitionsPerSocket,
+		window: s.Window, seeds: s.Seeds, warmup: s.Warmup, measure: s.Measure,
+		shardedLog: s.ShardedLog}.resolve(DefaultScalingSockets())
 
 	var out []Point
 	for _, wl := range s.Workloads {
-		for _, n := range sockets {
-			cfg := platform.HC2Scaled(n)
-			cfg.LogDevPerSocket = s.ShardedLog
-			pps := s.PartitionsPerSocket
-			if pps <= 0 {
-				pps = cfg.Cores
-			}
-			partitions := pps * n
+		for _, n := range o.sockets {
+			cfg, partitions := o.machine(n)
 			for _, eng := range engines {
-				spec := eng.On(cfg, partitions, window)
+				spec := eng.On(cfg, partitions, o.window)
 				spec.Name = eng.Name
-				for _, seed := range seeds {
+				for _, seed := range o.seeds {
 					out = append(out, Point{
 						Index: len(out), Group: "fig-htap",
 						Engine: spec, Workload: wl,
-						Terminals: tps * n, Seed: seed, Sockets: n,
+						Terminals: o.terminals * n, Seed: seed, Sockets: n,
 						ShardedLog: cfg.ShardedLog(), HTAP: true, Obs: s.Obs,
-						Warmup: warmup, Measure: measure, Drain: s.Drain,
+						Warmup: o.warmup, Measure: o.measure, Drain: s.Drain,
 					})
 				}
 			}

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"os"
 
-	"bionicdb/internal/btree"
 	"bionicdb/internal/core"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
-	"bionicdb/internal/storage"
-	"bionicdb/internal/wal"
 )
 
 // RecoverySpec declares the fig-recovery experiment: run a workload on a
@@ -27,7 +24,7 @@ type RecoverySpec struct {
 	// Workload builds the (socket-scaled) workload for one point; required.
 	Workload func(sockets int) WorkloadSpec
 	// Engine builds the engine under test for one scaled config (default
-	// DORA — the software sharded log). The engine must be checkpointable.
+	// DORA — the software sharded log).
 	Engine func(cfg *platform.Config, partitions, window int) EngineSpec
 	// ShardedLog gives the machine per-socket log devices (default in
 	// RunRecovery callers; false measures the centralized baseline).
@@ -69,60 +66,24 @@ type RecoveryResult struct {
 	Err error
 }
 
-// checkpointable is the engine surface the crash harness needs.
-type checkpointable interface {
-	core.Engine
-	TableSets() []map[uint16]*btree.Tree
-	DiskManager() *storage.DiskManager
-	LogSet() *wal.LogSet
-}
-
 // RunRecovery executes the spec, fanning points out across the worker pool.
 // Each point runs its crash phase and both recovery boots in private
 // environments, so parallel execution is bit-identical to serial.
 func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
-	sockets := s.Sockets
-	if len(sockets) == 0 {
-		sockets = DefaultScalingSockets()
-	}
 	engine := s.Engine
 	if engine == nil {
-		engine = func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return DORAOn(cfg, partitions)
-		}
+		engine = doraSpec
 	}
-	tps := s.TerminalsPerSocket
-	if tps <= 0 {
-		tps = 32
-	}
-	window := s.Window
-	if window <= 0 {
-		window = 8
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = core.DefaultRunConfig().Seed
-	}
-	warmup, measure := s.Warmup, s.Measure
-	if warmup <= 0 {
-		warmup = core.DefaultRunConfig().Warmup
-	}
-	if measure <= 0 {
-		measure = core.DefaultRunConfig().Measure
-	}
+	o := scaled{sockets: s.Sockets, terminals: s.TerminalsPerSocket, partitions: s.PartitionsPerSocket,
+		window: s.Window, seeds: oneSeed(s.Seed), warmup: s.Warmup, measure: s.Measure,
+		shardedLog: s.ShardedLog}.resolve(DefaultScalingSockets())
 
-	out := make([]RecoveryResult, len(sockets))
-	ForEach(len(sockets), opt.Parallel, func(i int) {
-		n := sockets[i]
-		cfg := platform.HC2Scaled(n)
-		cfg.LogDevPerSocket = s.ShardedLog
-		pps := s.PartitionsPerSocket
-		if pps <= 0 {
-			pps = cfg.Cores
-		}
-		wl := s.Workload(n)
-		spec := engine(cfg, pps*n, window)
-		out[i] = runRecoveryPoint(cfg, spec, wl, tps*n, seed, warmup, measure)
+	out := make([]RecoveryResult, len(o.sockets))
+	ForEach(len(o.sockets), opt.Parallel, func(i int) {
+		n := o.sockets[i]
+		cfg, partitions := o.machine(n)
+		out[i] = runRecoveryPoint(engine(cfg, partitions, o.window), s.Workload(n),
+			o.terminals*n, o.seeds[0], o.warmup+o.measure)
 		out[i].Sockets = n
 		out[i].ShardedLog = cfg.ShardedLog()
 		if opt.OnResult != nil {
@@ -134,108 +95,52 @@ func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
 	return out
 }
 
-// runRecoveryPoint is one crash + two recovery boots.
-func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed uint64, warmup, measure sim.Duration) RecoveryResult {
+// runRecoveryPoint is one crash + two recovery boots: populate, checkpoint
+// sharp, open the terminals for run, crash cold, then boot the crash image
+// serially and in parallel. Its oracle: both boots recover the same
+// content, no acknowledged commit is lost, and the log holds at most one
+// unacknowledged commit per terminal (the engine acknowledges a commit only
+// after its durable point, so a terminal can have one durable commit in
+// flight when the machine dies).
+func runRecoveryPoint(spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed uint64, run sim.Duration) RecoveryResult {
 	res := RecoveryResult{Engine: spec.Name, Workload: wlSpec.Name}
-
-	// --- Crash phase: populate, checkpoint sharp, run the window, stop cold.
-	env := sim.NewEnv()
-	defer env.Close()
 	wl := wlSpec.Make()
-	eng := spec.Make(env, wl)
-	ck, ok := eng.(checkpointable)
-	if !ok {
-		res.Err = fmt.Errorf("engine %s is not checkpointable", spec.Name)
-		return res
-	}
-	root := sim.NewRand(seed)
-	wl.Populate(eng.Load, root.Split())
-	if warmer, ok := eng.(interface{ Warm() }); ok {
-		warmer.Warm()
-	}
-	// Checkpoint sharp before any terminal exists. The checkpoint's
-	// simulated duration is not known up front, and engine daemons tick
-	// forever (an unbounded Run would never return), so the host steps the
-	// environment in adaptive chunks until the checkpointer reports done:
-	// chunks double while no event lands inside one (RunUntil never
-	// advances the clock past the last executed event) and reset once
-	// progress resumes. Only idle daemons share the clock with the
-	// checkpointer here, so overshooting its completion instant is free.
-	var meta core.CheckpointMeta
-	ckDone := false
-	env.Spawn("checkpointer", func(p *sim.Proc) {
-		meta = core.CheckpointAllSets(p, ck.TableSets(), ck.DiskManager(), ck.LogSet())
-		ckDone = true
-	})
-	step := sim.Time(1 * sim.Millisecond)
-	for !ckDone {
-		before := env.Executed()
-		if err := env.RunUntil(env.Now() + step); err != nil {
-			res.Err = err
-			return res
-		}
-		if env.Executed() == before {
-			step *= 2
-		} else {
-			step = sim.Time(1 * sim.Millisecond)
-		}
-	}
-	// Open the terminals for exactly warmup+measure, then crash: stop the
-	// world mid-flight. No drain, no Close — staged and buffered log bytes
-	// die with the machine; only the stores' durable bytes survive.
-	endT := env.Now() + sim.Time(warmup) + sim.Time(measure)
-	pl := eng.Platform()
-	for i := 0; i < terminals; i++ {
-		i := i
-		tr := root.Split()
-		tcore := pl.Cores[i%len(pl.Cores)]
-		env.Spawn(fmt.Sprintf("terminal%d", i), func(tp *sim.Proc) {
-			term := &core.Terminal{ID: i, P: tp, Core: tcore, R: tr}
-			for {
-				_, logic := wl.NextTxn(term.R)
-				eng.Submit(term, logic)
-			}
-		})
-	}
-	if err := env.RunUntil(endT); err != nil {
-		res.Err = err
-		return res
-	}
-	res.Commits = eng.Counters().Get("commits")
-	logs := ck.LogSet().Datas()
-	res.Shards = len(logs)
-	defs := wl.Tables()
-
-	// --- Recovery boots: serial then parallel, each on a fresh machine.
-	boot := func(parallel bool) (core.RecoveryStats, *platform.Platform, []map[uint16]*btree.Tree, error) {
-		env2 := sim.NewEnv()
-		defer env2.Close()
-		pl2 := platform.New(env2, cfg)
-		dm2 := ck.DiskManager().Rebind(pl2.Disk)
-		var st core.RecoveryStats
-		var recovered []map[uint16]*btree.Tree
-		var err error
-		env2.Spawn("recovery", func(p *sim.Proc) {
-			recovered, st, err = core.RecoverMeasured(p, pl2, defs, meta, dm2, logs, parallel)
-		})
-		if runErr := env2.Run(); runErr != nil {
-			return st, pl2, nil, runErr
-		}
-		return st, pl2, recovered, err
-	}
-
-	serial, _, serialSets, err := boot(false)
+	s := core.Open(wl, seed, func(env *sim.Env) core.Engine { return spec.Make(env, wl) })
+	defer s.Close()
+	meta, err := s.Checkpoint()
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	par, pl2, parSets, err := boot(true)
+	s.Start(terminals, nil, nil)
+	if err := s.RunTo(s.Env.Now() + sim.Time(run)); err != nil {
+		res.Err = err
+		return res
+	}
+	res.Commits = s.Eng.Counters().Get("commits")
+	img := s.Crash(meta)
+	res.Shards = len(img.Logs)
+
+	serialTrees, serial, _, err := core.Boot(img, img.Logs, false, 0)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	if d1, d2 := core.ContentDigestSets(serialSets), core.ContentDigestSets(parSets); d1 != d2 {
+	trees, par, joules, err := core.Boot(img, img.Logs, true, 0)
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	if d1, d2 := core.ContentDigest(serialTrees), core.ContentDigest(trees); d1 != d2 {
 		res.Err = fmt.Errorf("serial and parallel replay diverged: %s vs %s", d1, d2)
+		return res
+	}
+	switch {
+	case par.Txns < res.Commits:
+		res.Err = fmt.Errorf("recovered %d transactions, %d acknowledged: acknowledged commits lost", par.Txns, res.Commits)
+		return res
+	case par.Txns-res.Commits > int64(terminals):
+		res.Err = fmt.Errorf("recovered %d transactions, %d acknowledged: more than one unacknowledged per terminal", par.Txns, res.Commits)
 		return res
 	}
 	res.LogBytes = par.LogBytes
@@ -245,11 +150,9 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	res.SerialReplay = serial.Replay
 	res.ParallelReplay = par.Replay
 	res.TotalSim = par.SimTime
-	res.Joules = pl2.Energy(platform.Snapshot{}, pl2.Snapshot()).Total()
-	for _, set := range parSets {
-		for _, tree := range set {
-			res.Rows += int64(tree.Size())
-		}
+	res.Joules = joules
+	for _, tree := range trees {
+		res.Rows += int64(tree.Size())
 	}
 	return res
 }

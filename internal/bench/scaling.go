@@ -81,60 +81,98 @@ func DefaultScalingSockets() []int { return []int{1, 2, 4, 8, 16} }
 // workload outermost, then socket count, engine, seed — so each
 // workload's scaling curves print together, engine by engine.
 func (s ScalingSpec) Points() []Point {
-	sockets := s.Sockets
-	if len(sockets) == 0 {
-		sockets = DefaultScalingSockets()
-	}
 	engines := s.Engines
 	if len(engines) == 0 {
 		engines = DefaultScalingEngines()
 	}
-	tps := s.TerminalsPerSocket
-	if tps <= 0 {
-		tps = 32
-	}
-	window := s.Window
-	if window <= 0 {
-		window = 8
-	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{core.DefaultRunConfig().Seed}
-	}
-	warmup, measure := s.Warmup, s.Measure
-	if warmup <= 0 {
-		warmup = core.DefaultRunConfig().Warmup
-	}
-	if measure <= 0 {
-		measure = core.DefaultRunConfig().Measure
-	}
+	o := scaled{sockets: s.Sockets, terminals: s.TerminalsPerSocket, partitions: s.PartitionsPerSocket,
+		window: s.Window, seeds: s.Seeds, warmup: s.Warmup, measure: s.Measure,
+		shardedLog: s.ShardedLog}.resolve(DefaultScalingSockets())
 
 	var out []Point
 	for _, wl := range s.Workloads {
-		for _, n := range sockets {
-			cfg := platform.HC2Scaled(n)
-			cfg.LogDevPerSocket = s.ShardedLog
-			pps := s.PartitionsPerSocket
-			if pps <= 0 {
-				pps = cfg.Cores
-			}
-			partitions := pps * n
+		for _, n := range o.sockets {
+			cfg, partitions := o.machine(n)
 			for _, eng := range engines {
-				spec := eng.On(cfg, partitions, window)
+				spec := eng.On(cfg, partitions, o.window)
 				spec.Name = eng.Name // rows name the curve ("bionic"), not the offload list
-				for _, seed := range seeds {
+				for _, seed := range o.seeds {
 					out = append(out, Point{
 						Index: len(out), Group: "fig-scaling",
 						Engine: spec, Workload: wl,
-						Terminals: tps * n, Seed: seed, Sockets: n,
+						Terminals: o.terminals * n, Seed: seed, Sockets: n,
 						ShardedLog: cfg.ShardedLog(), Obs: s.Obs,
-						Warmup: warmup, Measure: measure, Drain: s.Drain,
+						Warmup: o.warmup, Measure: o.measure, Drain: s.Drain,
 					})
 				}
 			}
 		}
 	}
 	return out
+}
+
+// scaled is what the socket-scaled specs (fig-scaling, fig-htap,
+// fig-recovery, fig-failover) share, with every default resolved in one
+// place.
+type scaled struct {
+	sockets         []int
+	terminals       int // per socket (default 32)
+	partitions      int // per socket (default: the config's cores per socket)
+	window          int // bionic in-flight window (default 8)
+	seeds           []uint64
+	warmup, measure sim.Duration
+	shardedLog      bool
+}
+
+// resolve fills every zero field with its default; defSockets is the
+// spec's own socket axis.
+func (o scaled) resolve(defSockets []int) scaled {
+	def := core.DefaultRunConfig()
+	if len(o.sockets) == 0 {
+		o.sockets = defSockets
+	}
+	if o.terminals <= 0 {
+		o.terminals = 32
+	}
+	if o.window <= 0 {
+		o.window = 8
+	}
+	if len(o.seeds) == 0 {
+		o.seeds = []uint64{def.Seed}
+	}
+	if o.warmup <= 0 {
+		o.warmup = def.Warmup
+	}
+	if o.measure <= 0 {
+		o.measure = def.Measure
+	}
+	return o
+}
+
+// machine returns the n-socket configuration and its total partition
+// count.
+func (o scaled) machine(n int) (*platform.Config, int) {
+	cfg := platform.HC2Scaled(n)
+	cfg.LogDevPerSocket = o.shardedLog
+	pps := o.partitions
+	if pps <= 0 {
+		pps = cfg.Cores
+	}
+	return cfg, pps * n
+}
+
+// oneSeed is a single-seed spec's Seed as a seed axis (nil when unset).
+func oneSeed(seed uint64) []uint64 {
+	if seed == 0 {
+		return nil
+	}
+	return []uint64{seed}
+}
+
+// doraSpec is the crash experiments' default engine: DORA, the software
+// sharded log.
+func doraSpec(cfg *platform.Config, partitions, window int) EngineSpec {
+	return DORAOn(cfg, partitions)
 }
 
 // Run executes the scaling sweep; see Run.

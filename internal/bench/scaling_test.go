@@ -282,7 +282,11 @@ func TestScalingShardedLogAxis(t *testing.T) {
 // TestRecoverySweepSmall runs the fig-recovery experiment at 1 and 2
 // sockets on a small YCSB database: every point must recover without error
 // (the point itself cross-checks serial vs parallel replay content) and
-// report a sane shape.
+// report a sane shape. Then it crashes every engine on small TPC-C, YCSB and
+// TATP at 1, 2 and 4 sockets at eight instants strided across the first
+// three milliseconds, where the crash lands mid-flush, mid-commit and
+// mid-decision-round: the point's own oracle must find every acknowledged
+// commit in the recovered log, and at most one more per terminal.
 func TestRecoverySweepSmall(t *testing.T) {
 	spec := RecoverySpec{
 		Sockets:            []int{1, 2},
@@ -317,5 +321,28 @@ func TestRecoverySweepSmall(t *testing.T) {
 	}
 	if _, err := RecoveryJSON(results); err != nil {
 		t.Fatal(err)
+	}
+
+	for _, eng := range DefaultScalingEngines() {
+		for _, wl := range []WorkloadSpec{smallTPCC(), smallYCSB(), smallTATP()} {
+			for k := 0; k < 8; k++ {
+				measure := 250*sim.Microsecond + sim.Duration(k)*370*sim.Microsecond
+				spec := RecoverySpec{
+					Sockets:            []int{1, 2, 4},
+					Workload:           func(int) WorkloadSpec { return wl },
+					Engine:             eng.On,
+					ShardedLog:         true,
+					TerminalsPerSocket: 4,
+					Seed:               42,
+					Warmup:             1 * sim.Millisecond,
+					Measure:            measure,
+				}
+				for _, r := range spec.RunRecovery(Options{Parallel: 2}) {
+					if r.Err != nil {
+						t.Errorf("%s/%s/x%d crashed at +%v: %v", eng.Name, wl.Name, r.Sockets, measure, r.Err)
+					}
+				}
+			}
+		}
 	}
 }

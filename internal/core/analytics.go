@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bionicdb/internal/obs"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
@@ -31,4 +32,7 @@ type AnalyticsRun interface {
 	// Close quiesces analytical daemons. It is called after the drain,
 	// before the engine closes.
 	Close()
+	// SetRecorder attaches the flight-recorder ring the scan clients record
+	// into (nil when untraced); host-side only.
+	SetRecorder(rec *obs.ShardRec)
 }

@@ -28,7 +28,6 @@ type Conventional struct {
 	tm     *txn.Manager
 	logMgr *wal.Manager
 	logSet *wal.LogSet
-	store  *wal.Store
 	dm     *storage.DiskManager
 
 	// latches are page-latch stripes; conventional probes latch every node
@@ -65,14 +64,14 @@ func NewConventional(env *sim.Env, cfg *platform.Config, tables []TableDef) *Con
 	e.dm = storage.NewDiskManager(pl.Disk, cfg.PageSize)
 	e.pool = bufferpool.New(pl, pl.Disk, bufferpool.DefaultConfig(1<<18, cfg.PageSize))
 	e.lm = lockmgr.New(pl, lockmgr.DefaultConfig())
-	e.store = wal.NewStore(pl.SSD)
-	e.logMgr = wal.NewManager(pl, e.store, wal.DefaultManagerConfig())
+	store := wal.NewStore(pl.SSD)
+	e.logMgr = wal.NewManager(pl, store, wal.DefaultManagerConfig())
 	// The shared-everything engine never shards its log, even on a machine
 	// with per-socket log devices: without data-oriented routing a key has
 	// no home socket, so per-socket streams would leave same-key records
 	// with no recoverable order. Its centralized log (and single SSD) stays
 	// — that is the scaling wall the sharded engines escape.
-	e.logSet = wal.NewLogSet(pl, []wal.LogShard{{App: e.logMgr, Store: e.store}})
+	e.logSet = wal.NewLogSet(pl, []wal.LogShard{{App: e.logMgr, Store: store}})
 	if cfg.Replicated() {
 		e.logSet.AttachReplication(wal.NewReplicaSet(e.logSet))
 	}
@@ -119,50 +118,26 @@ func (e *Conventional) ScanRaw(table uint16, from, to []byte, fn func(k, v []byt
 	e.trees[table].Scan(from, to, nil, fn)
 }
 
-// Tables exposes the primary trees for checkpointing.
+// Tables implements Engine.
 func (e *Conventional) Tables() map[uint16]*btree.Tree { return e.trees }
 
-// TableSets is the socket-indexed checkpoint surface; a conventional engine
-// keeps one shared tree set.
-func (e *Conventional) TableSets() []map[uint16]*btree.Tree {
-	return []map[uint16]*btree.Tree{e.trees}
-}
-
-// Warm marks every tree page buffer-pool resident, as a production system
-// would be after its working set is faulted in. The harness calls it after
-// population so measurements start from a warm cache.
+// Warm implements Engine: every tree page becomes buffer-pool resident, as
+// a production system would be after its working set is faulted in.
 func (e *Conventional) Warm() {
 	for _, id := range sortedKeys(e.trees) {
 		e.trees[id].Pages(func(id storage.PageID, leaf bool) { e.pool.Prewarm(id) })
 	}
 }
 
-// DiskManager exposes the checkpoint page store.
+// DiskManager implements Engine.
 func (e *Conventional) DiskManager() *storage.DiskManager { return e.dm }
 
-// LogStore exposes the durable log for recovery.
-func (e *Conventional) LogStore() *wal.Store { return e.store }
-
-// LogSet exposes the (single-shard) log set for checkpointing and recovery.
+// LogSet implements Engine: the shared-everything engine keeps one shard.
 func (e *Conventional) LogSet() *wal.LogSet { return e.logSet }
 
-// LogStats reports the central log's activity as a one-shard set.
-func (e *Conventional) LogStats() []stats.LogShardStats { return e.logSet.Stats() }
-
-// Replicator exposes the log-shipping machinery (nil when unreplicated).
-func (e *Conventional) Replicator() *wal.ReplicaSet { return e.logSet.Replication() }
-
-// ReplStats reports log-shipping activity; nil when unreplicated.
-func (e *Conventional) ReplStats() []stats.ReplicationStats {
-	if rs := e.logSet.Replication(); rs != nil {
-		return rs.Stats()
-	}
-	return nil
-}
-
-// ObsGauges implements the telemetry gauge surface. The shared-everything
-// engine has no partition queues; its lock table, central log and
-// replication stream all live on socket 0, so other sockets read zero.
+// ObsGauges implements Engine. The shared-everything engine has no
+// partition queues; its lock table, central log and replication stream all
+// live on socket 0, so other sockets read zero.
 func (e *Conventional) ObsGauges(socket int) obs.Gauges {
 	var g obs.Gauges
 	if socket == 0 {

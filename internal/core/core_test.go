@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"bionicdb/internal/btree"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
@@ -161,15 +160,11 @@ func TestAbortedDeleteSurvivesArenaReuse(t *testing.T) {
 			if v, ok := e.ReadRaw(1, storage.Uint64Key(5)); !ok || string(v) != "init-5" {
 				t.Fatalf("row 5 after an aborted delete and arena reuse: %q, found %v", v, ok)
 			}
-			for _, set := range e.(interface {
-				TableSets() []map[uint16]*btree.Tree
-			}).TableSets() {
-				if err := set[1].Validate(); err != nil {
-					t.Fatal(err)
-				}
-				if set[1].Size() != 50 {
-					t.Fatalf("%d rows, want 50", set[1].Size())
-				}
+			if err := e.Tables()[1].Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.Tables()[1].Size(); n != 50 {
+				t.Fatalf("%d rows, want 50", n)
 			}
 		})
 	}
@@ -427,7 +422,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	var meta CheckpointMeta
 	env.Spawn("driver", func(p *sim.Proc) {
 		// Sharp checkpoint of the populated state.
-		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogStore())
+		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
 		// Post-checkpoint transactions: updates, an insert, a delete, and
 		// one abort that must NOT survive recovery.
 		term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
@@ -466,43 +461,33 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	}
 
 	// CRASH: all volatile state is abandoned; only the disk manager and
-	// the durable log survive. Recover in a fresh boot on the same
-	// machine.
-	env.Spawn("recovery", func(p *sim.Proc) {
-		trees, err := Recover(p, kvTables(), meta, e.DiskManager(), e.LogStore().Bytes())
-		if err != nil {
-			t.Error(err)
-			return
+	// the durable log survive. Recover in a fresh boot.
+	trees := boot(t, e, meta, e.LogSet().Datas())
+	// Compare recovered contents with the live engine's final state.
+	live := e.Tables()[1]
+	rec := trees[1]
+	if rec.Size() != live.Size() {
+		t.Errorf("recovered %d rows, live %d", rec.Size(), live.Size())
+	}
+	mismatch := 0
+	live.Scan(nil, nil, nil, func(k, v []byte) bool {
+		got, ok := rec.Get(k, nil)
+		if !ok || !bytes.Equal(got, v) {
+			mismatch++
 		}
-		// Compare recovered contents with the live engine's final state.
-		live := e.Tables()[1]
-		rec := trees[1]
-		if rec.Size() != live.Size() {
-			t.Errorf("recovered %d rows, live %d", rec.Size(), live.Size())
-		}
-		mismatch := 0
-		live.Scan(nil, nil, nil, func(k, v []byte) bool {
-			got, ok := rec.Get(k, nil)
-			if !ok || !bytes.Equal(got, v) {
-				mismatch++
-			}
-			return true
-		})
-		if mismatch != 0 {
-			t.Errorf("%d rows diverged after recovery", mismatch)
-		}
-		if _, ok := rec.Get(storage.Uint64Key(8888), nil); ok {
-			t.Error("aborted insert survived recovery")
-		}
-		if _, ok := rec.Get(storage.Uint64Key(400), nil); ok {
-			t.Error("committed delete survived recovery")
-		}
-		if v, ok := rec.Get(storage.Uint64Key(9999), nil); !ok || !bytes.Equal(v, []byte("new-row")) {
-			t.Error("committed insert lost in recovery")
-		}
+		return true
 	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	if mismatch != 0 {
+		t.Errorf("%d rows diverged after recovery", mismatch)
+	}
+	if _, ok := rec.Get(storage.Uint64Key(8888), nil); ok {
+		t.Error("aborted insert survived recovery")
+	}
+	if _, ok := rec.Get(storage.Uint64Key(400), nil); ok {
+		t.Error("committed delete survived recovery")
+	}
+	if v, ok := rec.Get(storage.Uint64Key(9999), nil); !ok || !bytes.Equal(v, []byte("new-row")) {
+		t.Error("committed insert lost in recovery")
 	}
 }
 

@@ -188,31 +188,17 @@ func (e *DORAEngine) Overlay() *overlay.Store { return e.ov }
 // ProbeEngine exposes the tree-probe unit (nil when unused).
 func (e *DORAEngine) ProbeEngine() *treeprobe.Engine { return e.probe }
 
-// LogStore exposes shard 0's durable log (the whole log on a non-sharded
-// engine); sharded recovery goes through LogSet.
-func (e *DORAEngine) LogStore() *wal.Store { return e.logSet.Store(0) }
-
-// LogSet exposes the full sharded log for checkpointing and recovery.
+// LogSet implements Engine.
 func (e *DORAEngine) LogSet() *wal.LogSet { return e.logSet }
 
-// LogStats reports per-shard log activity (bytes, syncs, epochs).
+// LogStats reports per-shard log activity (bytes, syncs, epochs); the
+// benchmark's crash harness windows it.
 func (e *DORAEngine) LogStats() []stats.LogShardStats { return e.logSet.Stats() }
 
-// Replicator exposes the log-shipping machinery (nil when unreplicated).
-func (e *DORAEngine) Replicator() *wal.ReplicaSet { return e.logSet.Replication() }
-
-// ReplStats reports per-shard log-shipping activity; nil when unreplicated.
-func (e *DORAEngine) ReplStats() []stats.ReplicationStats {
-	if rs := e.logSet.Replication(); rs != nil {
-		return rs.Stats()
-	}
-	return nil
-}
-
-// DiskManager exposes the checkpoint page store.
+// DiskManager implements Engine.
 func (e *DORAEngine) DiskManager() *storage.DiskManager { return e.dm }
 
-// Tables exposes the primary trees for checkpointing (overlay or host).
+// Tables implements Engine: the overlay's trees or the host trees.
 func (e *DORAEngine) Tables() map[uint16]*btree.Tree {
 	if e.ov == nil {
 		return e.trees
@@ -233,9 +219,8 @@ func (e *DORAEngine) TableSets() []map[uint16]*btree.Tree {
 // Registry exposes the waits-for registry (deadlock statistics).
 func (e *DORAEngine) Registry() *dora.Registry { return e.reg }
 
-// Warm marks every tree page buffer-pool resident (software data path; the
-// overlay is resident by construction). The harness calls it after
-// population so measurements start from a warm cache.
+// Warm implements Engine: every tree page becomes buffer-pool resident on
+// the software data path; the overlay is resident by construction.
 func (e *DORAEngine) Warm() {
 	if e.pool == nil {
 		return
@@ -883,8 +868,8 @@ func (e *DORAEngine) Partitions() []*dora.Partition { return e.parts }
 
 // SetRecorder attaches the flight recorder to every layer this engine
 // owns: the partitions (queue-wait, lock-wait, action and flow-edge spans)
-// and the overlay merge daemon. Host-side only; the harness calls it after
-// construction, before any terminal starts.
+// and the overlay merge daemon. Host-side only; Run calls it after Open,
+// before any event runs. It is one of Engine's two optional capabilities.
 func (e *DORAEngine) SetRecorder(rec *obs.Recorder) {
 	for _, pt := range e.parts {
 		pt.SetRecorder(rec)
@@ -894,10 +879,9 @@ func (e *DORAEngine) SetRecorder(rec *obs.Recorder) {
 	}
 }
 
-// ObsGauges implements the telemetry gauge surface: partition input-queue
-// depth and deferred actions summed over the socket's partitions, the
-// socket's log-shard flush backlog, and (socket 0, where replication
-// lives) the worst replica lag.
+// ObsGauges implements Engine: partition input-queue depth and deferred
+// actions summed over the socket's partitions, the socket's log-shard flush
+// backlog, and (socket 0, where replication lives) the worst replica lag.
 func (e *DORAEngine) ObsGauges(socket int) obs.Gauges {
 	var g obs.Gauges
 	for _, pt := range e.parts {

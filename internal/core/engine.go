@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bionicdb/internal/btree"
 	"bionicdb/internal/obs"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 	"bionicdb/internal/storage"
+	"bionicdb/internal/wal"
 )
 
 // AccessCtx is the data interface a transaction-action body programs
@@ -108,7 +110,15 @@ type Terminal struct {
 	conv *convCtx
 }
 
-// Engine is a complete transaction processing system under one cost model.
+// Engine is a complete transaction processing system under one cost model,
+// with everything a Session needs to populate, warm, observe, checkpoint
+// and crash it.
+//
+// Two capabilities are optional, so they are probed for where they are
+// used rather than required here: SetRecorder(*obs.Recorder), because only
+// the data-oriented engines trace partition and overlay spans (Run), and
+// Overlay() *overlay.Store, because only an engine with the overlay unit
+// can feed analytical projections from its merge path (htap).
 type Engine interface {
 	// Name identifies the engine in tables ("conventional", "dora",
 	// "bionic[...]").
@@ -133,6 +143,20 @@ type Engine interface {
 	Counters() *stats.Counter
 	// Close quiesces background daemons and partition workers.
 	Close()
+
+	// Warm marks every tree page buffer-pool resident, so measurements start
+	// from a warm cache (Open calls it after population).
+	Warm()
+	// Tables returns the primary trees, keyed by table id.
+	Tables() map[uint16]*btree.Tree
+	// DiskManager returns the checkpoint page store.
+	DiskManager() *storage.DiskManager
+	// LogSet returns the durable log: one shard, or one per socket on a
+	// sharded-log machine, with its replication when the machine ships it.
+	LogSet() *wal.LogSet
+	// ObsGauges returns socket's instantaneous queue, lock, log and
+	// replication gauges for the telemetry sampler.
+	ObsGauges(socket int) obs.Gauges
 }
 
 // maxRetries bounds deadlock-retry loops.

@@ -28,7 +28,7 @@ func TestFailoverCrashRecovery(t *testing.T) {
 				env := sim.NewEnv()
 				defer env.Close()
 				e := NewDORA(env, cfg, kvTables(), HashScheme(cfg.TotalCores()))
-				rs := e.Replicator()
+				rs := e.LogSet().Replication()
 				if rs == nil {
 					t.Fatal("replicated engine built no ReplicaSet")
 				}
@@ -43,7 +43,7 @@ func TestFailoverCrashRecovery(t *testing.T) {
 				var meta CheckpointMeta
 				ckDone := false
 				env.Spawn("checkpointer", func(p *sim.Proc) {
-					meta = CheckpointAll(p, e.Tables(), e.DiskManager(), e.LogSet())
+					meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
 					ckDone = true
 				})
 				for !ckDone {
@@ -111,23 +111,23 @@ func TestFailoverCrashRecovery(t *testing.T) {
 
 				// The promoted replica and a direct recovery of the shipped
 				// prefix must serve identical content.
-				_, fst, err := Failover(cfg, kvTables(), meta, e.DiskManager(), replicaLogs, DefaultDetect, true)
+				img := Image{Cfg: cfg, Defs: kvTables(), Meta: meta, DM: e.DiskManager(), Logs: primary}
+				replica, st, _, err := Boot(img, replicaLogs, true, DefaultDetect)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, oracle, err := Failover(cfg, kvTables(), meta, e.DiskManager(), truncated, 0, true)
+				oracle, _, _, err := Boot(img, truncated, true, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fst.Digest != oracle.Digest {
-					t.Errorf("replica content diverged from the primary's shipped prefix:\n got  %s\n want %s",
-						fst.Digest, oracle.Digest)
+				if got, want := ContentDigest(replica), ContentDigest(oracle); got != want {
+					t.Errorf("replica content diverged from the primary's shipped prefix:\n got  %s\n want %s", got, want)
 				}
-				if fst.TimeToServing < DefaultDetect || fst.Recovery.Shards != len(replicaLogs) {
-					t.Errorf("failover stats %+v", fst)
+				if st.Shards != len(replicaLogs) || st.SimTime <= 0 {
+					t.Errorf("recovery stats %+v", st)
 				}
 
-				lost := acked - fst.Recovery.Txns
+				lost := acked - st.Txns
 				switch mode {
 				case stats.ReplSync, stats.ReplQuorum:
 					// Every acknowledged commit waited for enough replica
@@ -168,7 +168,7 @@ func TestFailoverServesWrites(t *testing.T) {
 	e.Load(1, k, []byte("before"))
 	var meta CheckpointMeta
 	env.Spawn("driver", func(p *sim.Proc) {
-		meta = CheckpointAll(p, e.Tables(), e.DiskManager(), e.LogSet())
+		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
 		term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 		if !e.Submit(term, func(tx Tx) bool {
 			return tx.Phase(Action{Table: 1, Key: k, Body: func(c AccessCtx) bool {
@@ -182,15 +182,16 @@ func TestFailoverServesWrites(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	logs, _, _ := e.Replicator().CrashImage()
-	sets, fst, err := Failover(cfg, kvTables(), meta, e.DiskManager(), logs, DefaultDetect, true)
+	logs, _, _ := e.LogSet().Replication().CrashImage()
+	img := Image{Cfg: cfg, Defs: kvTables(), Meta: meta, DM: e.DiskManager(), Logs: e.LogSet().Datas()}
+	trees, _, joules, err := Boot(img, logs, true, DefaultDetect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := sets[0][1].Get(k, nil); !ok || !bytes.Equal(v, []byte("after")) {
+	if v, ok := trees[1].Get(k, nil); !ok || !bytes.Equal(v, []byte("after")) {
 		t.Errorf("promoted replica serves %q, want the sync-acknowledged update", v)
 	}
-	if fst.Mode != stats.ReplSync {
-		t.Errorf("failover mode %v", fst.Mode)
+	if joules <= 0 {
+		t.Errorf("failover boot drew %g J", joules)
 	}
 }

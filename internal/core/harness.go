@@ -8,7 +8,6 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
-	"bionicdb/internal/wal"
 )
 
 // Workload is a benchmark: schema, population, partitioning and a
@@ -119,35 +118,17 @@ type Result struct {
 	Metrics *obs.Telemetry
 }
 
-// gaugeReader is implemented by engines exposing instantaneous queue, lock
-// and log gauges to the telemetry sampler.
-type gaugeReader interface {
-	ObsGauges(socket int) obs.Gauges
-}
-
 // sampleSocket builds one telemetry sample for socket.
-func sampleSocket(env *sim.Env, pl *platform.Platform, gr gaugeReader, socket int, now sim.Time) obs.Sample {
-	smp := obs.Sample{At: now, Socket: socket}
-	if gr != nil {
-		g := gr.ObsGauges(socket)
-		smp.QueueDepth, smp.Deferred, smp.LockWaiters = g.QueueDepth, g.Deferred, g.LockWaiters
-		smp.LogBacklog, smp.ReplLag = g.LogBacklog, g.ReplLag
-	}
+func sampleSocket(env *sim.Env, eng Engine, socket int, now sim.Time) obs.Sample {
+	pl := eng.Platform()
+	g := eng.ObsGauges(socket)
+	smp := obs.Sample{At: now, Socket: socket,
+		QueueDepth: g.QueueDepth, Deferred: g.Deferred, LockWaiters: g.LockWaiters,
+		LogBacklog: g.LogBacklog, ReplLag: g.ReplLag}
 	smp.Instructions, smp.DRAMBytes, smp.LLCHits, smp.LLCMisses = pl.SocketCounters(socket)
 	smp.EgressBusy = pl.EgressBusy(socket)
 	smp.Events, smp.Windows, smp.Stalls = env.ShardCounters(0)
 	return smp
-}
-
-// logStatser is implemented by engines that report per-shard log counters.
-type logStatser interface {
-	LogStats() []stats.LogShardStats
-}
-
-// replStatser is implemented by engines that ship their log to replicas; a
-// nil slice means replication is off.
-type replStatser interface {
-	ReplStats() []stats.ReplicationStats
 }
 
 // String renders a one-line summary.
@@ -195,22 +176,49 @@ func (r *Result) RetriesPerTxn() float64 {
 	return float64(retries) / float64(txns)
 }
 
-// Run executes one full measurement: build the engine on a fresh
-// environment, populate, warm up, measure, and drain. The returned Result
-// covers only the measurement window.
+// snapshot is every cumulative counter Run windows, read at one instant.
+type snapshot struct {
+	an              stats.Anatomy // engine-level (replication ack waits)
+	bd              stats.Breakdown
+	pl              platform.Snapshot
+	commits, aborts int64
+	log             []stats.LogShardStats
+	repl            []stats.ReplicationStats
+	scan            stats.ScanStats
+}
+
+func takeSnapshot(eng Engine, engAn *stats.Anatomy, arun AnalyticsRun) snapshot {
+	sn := snapshot{
+		an:      *engAn,
+		bd:      *eng.Breakdown(),
+		pl:      eng.Platform().Snapshot(),
+		commits: eng.Counters().Get("commits"),
+		aborts:  eng.Counters().Get("aborts.user"),
+		log:     eng.LogSet().Stats(),
+	}
+	if rs := eng.LogSet().Replication(); rs != nil {
+		sn.repl = rs.Stats()
+	}
+	if arun != nil {
+		sn.scan = arun.Snapshot()
+	}
+	return sn
+}
+
+// Run executes one full measurement: open a Session (build, populate,
+// warm), attach the observers and the analytical half, run the terminals
+// through warm-up and the window, then drain. The returned Result covers
+// only the measurement window.
 func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, error) {
-	env := sim.NewEnv()
-	// Reap processes left parked on every exit path: a process panic makes
-	// RunUntil return early with workers still blocked on queues and locks,
-	// and even a clean run may leave daemons parked on primitives nobody
-	// will signal again. Without this, every errored run leaks goroutines.
-	defer env.Close()
-	eng := mk(env)
+	s := Open(wl, cfg.Seed, mk)
+	defer s.Close()
+	env, eng := s.Env, s.Eng
 	pl := eng.Platform()
 
 	// Flight recorder: spans into one ring per kernel shard (the engines run
 	// on shard 0). Attached before any event runs; strictly out of band (see
-	// RunConfig.Obs).
+	// RunConfig.Obs). SetRecorder is an optional Engine capability: only the
+	// data-oriented engines record partition and overlay spans.
 	var rec *obs.Recorder
 	if cfg.Obs.TraceOn() {
 		rec = obs.NewRecorder(env.NumShards(), cfg.Obs.Cap())
@@ -219,51 +227,36 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 		}
 	}
 	// Engine-level anatomy (replication ack waits) accumulates from run
-	// start; the snapshot closures below window it. The recorder hook rides
-	// along when tracing. Always wired: recording is a host-side histogram
-	// update per commit-path ack wait.
+	// start; the window snapshots below difference it. The recorder hook
+	// rides along when tracing. Always wired: recording is a host-side
+	// histogram update per commit-path ack wait.
 	engAn := &stats.Anatomy{}
-	if rp, ok := eng.(interface{ Replicator() *wal.ReplicaSet }); ok {
-		if rs := rp.Replicator(); rs != nil {
-			rs.SetObs(rec.Shard(0), engAn)
-		}
+	if rs := eng.LogSet().Replication(); rs != nil {
+		rs.SetObs(rec.Shard(0), engAn)
 	}
 	// Telemetry: every socket sampled on a fixed simulated-time tick, fired
 	// from the kernel's clock-advance path (no events scheduled).
 	var tel *obs.Telemetry
 	if cfg.Obs.MetricsOn() {
 		tel = obs.NewTelemetry(pl.NumSockets(), cfg.Obs.Tick())
-		gr, _ := eng.(gaugeReader)
 		env.SetSampler(0, tel.Tick, func(now sim.Time) {
-			for s := 0; s < pl.NumSockets(); s++ {
-				tel.Append(sampleSocket(env, pl, gr, s, now))
+			for sock := 0; sock < pl.NumSockets(); sock++ {
+				tel.Append(sampleSocket(env, eng, sock, now))
 			}
 		})
 	}
-
-	root := sim.NewRand(cfg.Seed)
-	wl.Populate(eng.Load, root.Split())
-	if warmer, ok := eng.(interface{ Warm() }); ok {
-		warmer.Warm()
-	}
-
 	// The analytical half attaches after population and warmup, before any
 	// terminal exists, on its own split stream: a nil Analytics consumes no
 	// randomness and schedules no events, keeping pure-OLTP runs
 	// bit-identical to the pre-HTAP harness.
 	var arun AnalyticsRun
 	if cfg.Analytics != nil {
-		arun = cfg.Analytics.Attach(env, eng, root.Split())
-		if rec != nil {
-			if sr, ok := arun.(interface{ SetRecorder(*obs.ShardRec) }); ok {
-				sr.SetRecorder(rec.Shard(0))
-			}
-		}
+		arun = cfg.Analytics.Attach(env, eng, s.Split())
+		arun.SetRecorder(rec.Shard(0))
 	}
 
 	warmT := sim.Time(cfg.Warmup)
 	endT := warmT + sim.Time(cfg.Measure)
-
 	// The latency reservoir (one flat histogram) and the per-type counts
 	// are preallocated here, once per run — nothing on the per-transaction
 	// recording path allocates.
@@ -274,96 +267,26 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 		TxnCounts:  make(map[string]int64, 16),
 		TxnRetries: make(map[string]int64), // most runs never retry: no buckets up front
 	}
-
-	var startBD, endBD stats.Breakdown
-	var startSnap, endSnap platform.Snapshot
-	var startCommits, endCommits, startAborts, endAborts int64
-	var startLog, endLog []stats.LogShardStats
-	var startRepl, endRepl []stats.ReplicationStats
-	var startScan, endScan stats.ScanStats
-	var startEngAn, endEngAn stats.Anatomy
-	snapStart := func() {
-		startEngAn = *engAn
-		startBD = *eng.Breakdown()
-		startSnap = pl.Snapshot()
-		startCommits = eng.Counters().Get("commits")
-		startAborts = eng.Counters().Get("aborts.user")
-		if ls, ok := eng.(logStatser); ok {
-			startLog = ls.LogStats()
-		}
-		if rs, ok := eng.(replStatser); ok {
-			startRepl = rs.ReplStats()
-		}
-		if arun != nil {
-			startScan = arun.Snapshot()
-		}
-	}
-	snapEnd := func() {
-		endEngAn = *engAn
-		endBD = *eng.Breakdown()
-		endSnap = pl.Snapshot()
-		endCommits = eng.Counters().Get("commits")
-		endAborts = eng.Counters().Get("aborts.user")
-		if ls, ok := eng.(logStatser); ok {
-			endLog = ls.LogStats()
-		}
-		if rs, ok := eng.(replStatser); ok {
-			endRepl = rs.ReplStats()
-		}
-		if arun != nil {
-			endScan = arun.Snapshot()
-		}
-	}
-	env.At(warmT, snapStart)
-	env.At(endT, snapEnd)
-
-	stop := false
-	// Per-terminal anatomy, merged in terminal-ID order after the run.
-	termAns := make([]stats.Anatomy, cfg.Terminals)
-	termRec := rec.Shard(0)
-	for i := 0; i < cfg.Terminals; i++ {
-		i := i
-		tr := root.Split()
-		core := pl.Cores[i%len(pl.Cores)]
-		an := &termAns[i]
-		body := func(p *sim.Proc) {
-			term := &Terminal{ID: i, P: p, Core: core, R: tr, Rec: termRec}
-			for !stop {
-				name, logic := wl.NextTxn(term.R)
-				start := p.Now()
-				committed := eng.Submit(term, logic)
-				if start >= warmT && p.Now() <= endT {
-					res.TxnCounts[name]++
-					if term.Retries > 0 {
-						res.TxnRetries[name] += int64(term.Retries)
-					}
-					if committed {
-						res.Latency.Record(p.Now().Sub(start))
-						for ph := stats.Phase(0); ph < stats.NumPhases; ph++ {
-							an.Record(ph, term.Ph[ph])
-						}
-					}
-				}
-			}
-		}
-		env.Spawn(fmt.Sprintf("terminal%d", i), body)
-	}
+	var start, end snapshot
+	env.At(warmT, func() { start = takeSnapshot(eng, engAn, arun) })
+	env.At(endT, func() { end = takeSnapshot(eng, engAn, arun) })
+	s.Start(cfg.Terminals, &Window{From: warmT, To: endT, Res: res}, rec)
 	if arun != nil {
-		arun.Start(&stop)
+		arun.Start(&s.stop)
 	}
 
-	if err := env.RunUntil(endT); err != nil {
+	if err := s.RunTo(endT); err != nil {
 		return nil, err
 	}
 	// Drain: let in-flight transactions finish within a bounded grace
 	// period (background daemons tick forever, so an unbounded Run would
 	// never return), then stop daemons and let the event queue empty.
-	stop = true
+	s.Stop()
 	drain := cfg.Drain
 	if drain <= 0 {
 		drain = 50 * sim.Millisecond
 	}
-	if err := env.RunUntil(endT + sim.Time(drain)); err != nil {
+	if err := s.RunTo(endT + sim.Time(drain)); err != nil {
 		return nil, err
 	}
 	if arun != nil {
@@ -374,35 +297,28 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 		return nil, err
 	}
 
-	res.Commits = endCommits - startCommits
-	res.Aborts = endAborts - startAborts
+	res.Commits = end.commits - start.commits
+	res.Aborts = end.aborts - start.aborts
 	res.TPS = sim.PerSecond(res.Commits, cfg.Measure)
-	res.BD = endBD.Sub(&startBD)
-	res.Energy = pl.Energy(startSnap, endSnap)
+	res.BD = end.bd.Sub(&start.bd)
+	res.Energy = pl.Energy(start.pl, end.pl)
 	if res.Commits > 0 {
 		res.JoulesPerTxn = res.Energy.Total() / float64(res.Commits)
 	}
 	res.Cache = pl.CacheStats()
-	if len(endLog) == len(startLog) {
-		for i := range endLog {
-			res.LogShards = append(res.LogShards, endLog[i].Sub(startLog[i]))
-		}
+	for i := range end.log {
+		res.LogShards = append(res.LogShards, end.log[i].Sub(start.log[i]))
 	}
-	if len(endRepl) > 0 && len(endRepl) == len(startRepl) {
-		for i := range endRepl {
-			res.Repl = append(res.Repl, endRepl[i].Sub(startRepl[i]))
-		}
+	for i := range end.repl { // nil when unreplicated
+		res.Repl = append(res.Repl, end.repl[i].Sub(start.repl[i]))
 	}
 	if arun != nil {
-		sc := endScan.Sub(startScan)
+		sc := end.scan.Sub(start.scan)
 		res.Scan = &sc
 	}
-	// Latency anatomy: per-terminal phase histograms merged in terminal-ID
-	// order, then the windowed engine-level replication-wait histogram.
-	for i := range termAns {
-		res.Anatomy.Merge(&termAns[i])
-	}
-	windowedAn := endEngAn.Sub(&startEngAn)
+	// Latency anatomy: the terminals' in-window phase samples, plus the
+	// windowed engine-level replication-wait histogram.
+	windowedAn := end.an.Sub(&start.an)
 	res.Anatomy.Merge(&windowedAn)
 	res.Trace = rec
 	res.Metrics = tel

@@ -15,13 +15,11 @@ import (
 )
 
 // CheckpointMeta is the recovery anchor: the root page of every table's
-// checkpoint image plus the log positions recovery replays from. Figure 4
-// keeps "log sync & recovery" in software; this is that box. On a sharded
-// log the start position is a vector, one entry per shard; StartLSN remains
-// shard 0's entry for single-shard callers.
+// checkpoint image plus the log positions recovery replays from, one per
+// log shard. Figure 4 keeps "log sync & recovery" in software; this is that
+// box.
 type CheckpointMeta struct {
 	Roots     map[uint16]storage.PageID
-	StartLSN  wal.LSN
 	StartLSNs []wal.LSN
 }
 
@@ -30,40 +28,14 @@ func (m CheckpointMeta) startLSN(shard int) wal.LSN {
 	if shard < len(m.StartLSNs) {
 		return m.StartLSNs[shard]
 	}
-	if shard == 0 {
-		return m.StartLSN
-	}
 	return 0
 }
 
 // Checkpoint writes every table's pages durably through dm and anchors
-// recovery at the single log's current durable point. The engine must be
+// recovery at every log shard's current durable point. The engine must be
 // quiesced (no active transactions): bionicdb checkpoints are sharp, not
 // fuzzy.
-func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, log *wal.Store) CheckpointMeta {
-	meta := checkpointPages(p, tables, dm)
-	meta.StartLSN = log.Durable()
-	meta.StartLSNs = []wal.LSN{meta.StartLSN}
-	return meta
-}
-
-// CheckpointAll is Checkpoint over a sharded log: the recovery anchor is
-// the per-shard start-LSN vector of every shard's durable point.
-func CheckpointAll(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
-	meta := checkpointPages(p, tables, dm)
-	meta.StartLSNs = ls.StartLSNs()
-	meta.StartLSN = meta.StartLSNs[0]
-	return meta
-}
-
-// CheckpointAllSets is CheckpointAll over the one-element slice
-// DORAEngine.TableSets returns (the form the benchmark's crash harness
-// calls).
-func CheckpointAllSets(p *sim.Proc, sets []map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
-	return CheckpointAll(p, sets[0], dm, ls)
-}
-
-func checkpointPages(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager) CheckpointMeta {
+func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
 	meta := CheckpointMeta{Roots: make(map[uint16]storage.PageID)}
 	ids := make([]int, 0, len(tables))
 	for id := range tables {
@@ -82,7 +54,15 @@ func checkpointPages(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.Dis
 		})
 		dm.Device().Transfer(p, written)
 	}
+	meta.StartLSNs = ls.StartLSNs()
 	return meta
+}
+
+// CheckpointAllSets is Checkpoint over the one-element slice
+// DORAEngine.TableSets returns (the form the benchmark's crash harness
+// calls).
+func CheckpointAllSets(p *sim.Proc, sets []map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
+	return Checkpoint(p, sets[0], dm, ls)
 }
 
 // scanCommits collects every commit record in one shard's log after start:
@@ -171,41 +151,6 @@ func loadTrees(defs []TableDef, meta CheckpointMeta, read func(storage.PageID) [
 	return trees, nil
 }
 
-// Recover rebuilds every table from its checkpoint image and replays the
-// logical logs: committed transactions' data records after the per-shard
-// start positions are applied in shard-log order, shard by shard; records
-// of transactions without a (vector-complete) commit record are ignored
-// (runtime aborts rolled back in memory, so redo-only logical recovery
-// suffices). Pass one log for the classic central stream or one per shard
-// for a sharded set. Shards hold disjoint key sets — data-oriented routing
-// sends every record for a key to that key's home socket — so the merged
-// state is independent of shard order. It returns the recovered trees
-// keyed by table id.
-func Recover(p *sim.Proc, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager, logs ...[]byte) (map[uint16]*btree.Tree, error) {
-	trees, err := loadTrees(defs, meta, func(id storage.PageID) []byte { return dm.Read(p, id) })
-	if err != nil {
-		return nil, err
-	}
-	// Pass 1: which transactions committed, with complete vectors?
-	perShard := make([]map[uint64][]wal.ShardLSN, len(logs))
-	durable := make([]wal.LSN, len(logs))
-	for s, data := range logs {
-		perShard[s] = make(map[uint64][]wal.ShardLSN)
-		durable[s] = wal.LSN(len(data))
-		if err := scanCommits(data, meta.startLSN(s), perShard[s]); err != nil {
-			return nil, err
-		}
-	}
-	committed := committedSet(perShard, durable)
-	// Pass 2: redo committed work, shard by shard in log order.
-	for s, data := range logs {
-		if _, err := applyShard(trees, data, meta.startLSN(s), committed); err != nil {
-			return nil, err
-		}
-	}
-	return trees, nil
-}
-
 // ContentDigest folds a table set's full key/value content into one
 // SHA-256 hex string, in (table, key) order. Two recoveries are equivalent
 // iff their digests match — the identity the crash tests pin serial and
@@ -262,18 +207,24 @@ const (
 
 const recInstrPerByte = 0.25 // per-byte decode/copy cost, both passes
 
-// RecoverMeasured is Recover under the machine's cost model: each shard's
-// log is read from its socket's log device and its records are scanned and
-// replayed on that socket's cores, with one recovery process per shard when
-// parallel is true (the sharded subsystem's parallel-recovery path) or a
-// single process walking the shards in order when false. Parallel replay is
-// safe because shards hold disjoint key sets; the recovered content is
-// identical to serial replay (tree page layout may differ — ingestion
-// order across tables interleaves — but every table's key/value state is
-// the same). The caller's process drives the phases and observes the
+// RecoverMeasured rebuilds every table from its checkpoint image and
+// replays the logical logs under the machine's cost model. Committed
+// transactions' data records after the per-shard start positions are
+// applied in shard-log order; records of transactions without a
+// (vector-complete) commit record are ignored (runtime aborts roll back in
+// memory, so redo-only logical recovery suffices). Each shard's log is read
+// from its socket's log device and its records are scanned and replayed on
+// that socket's cores, with one recovery process per shard when parallel is
+// true (the sharded subsystem's parallel-recovery path) or a single process
+// walking the shards in order when false. Parallel replay is safe because
+// shards hold disjoint key sets — data-oriented routing sends every record
+// for a key to that key's home socket — so the recovered content is
+// identical to serial replay (tree page layout may differ — ingestion order
+// across tables interleaves — but every table's key/value state is the
+// same). The caller's process drives the phases and observes the
 // completion; pl must be a freshly-booted platform matching the crashed
-// machine's config. The recovered trees come back as a one-element slice,
-// the form ContentDigestSets takes.
+// machine's config (Boot builds one). The recovered trees come back as a
+// one-element slice, the form ContentDigestSets takes.
 func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager, logs [][]byte, parallel bool) ([]map[uint16]*btree.Tree, RecoveryStats, error) {
 	start := p.Now()
 	st := RecoveryStats{Shards: len(logs)}

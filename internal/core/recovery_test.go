@@ -9,29 +9,31 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
-	"bionicdb/internal/wal"
 )
 
-// checkpointer is the engine surface recovery needs.
-type checkpointer interface {
-	Engine
-	Tables() map[uint16]*btree.Tree
-	DiskManager() *storage.DiskManager
-	LogStore() *wal.Store
+// boot recovers e's checkpoint plus logs serially on a fresh machine.
+func boot(t *testing.T, e Engine, meta CheckpointMeta, logs [][]byte) map[uint16]*btree.Tree {
+	t.Helper()
+	img := Image{Cfg: e.Platform().Cfg, Defs: kvTables(), Meta: meta, DM: e.DiskManager()}
+	trees, _, _, err := Boot(img, logs, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trees
 }
 
 // TestRecoveryAcrossEngines checkpoints, mutates, crashes and recovers each
 // engine flavor, verifying the recovered image matches the live state —
 // including the hardware log engine's epoch-collected stream.
 func TestRecoveryAcrossEngines(t *testing.T) {
-	cases := map[string]func(env *sim.Env) checkpointer{
-		"conventional": func(env *sim.Env) checkpointer {
+	cases := map[string]func(env *sim.Env) Engine{
+		"conventional": func(env *sim.Env) Engine {
 			return NewConventional(env, platform.HC2(), kvTables())
 		},
-		"dora-softlog": func(env *sim.Env) checkpointer {
+		"dora-softlog": func(env *sim.Env) Engine {
 			return NewDORA(env, platform.HC2(), kvTables(), HashScheme(4))
 		},
-		"bionic-hwlog": func(env *sim.Env) checkpointer {
+		"bionic-hwlog": func(env *sim.Env) Engine {
 			return NewBionic(env, platform.HC2(), kvTables(), HashScheme(4), AllOffloads(), 8)
 		},
 	}
@@ -45,7 +47,7 @@ func TestRecoveryAcrossEngines(t *testing.T) {
 			}
 			var meta CheckpointMeta
 			env.Spawn("driver", func(p *sim.Proc) {
-				meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogStore())
+				meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
 				term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 				r := sim.NewRand(uint64(len(name)))
 				for i := 0; i < 80; i++ {
@@ -77,31 +79,22 @@ func TestRecoveryAcrossEngines(t *testing.T) {
 			if err := env.Run(); err != nil {
 				t.Fatal(err)
 			}
-			env.Spawn("recovery", func(p *sim.Proc) {
-				trees, err := Recover(p, kvTables(), meta, e.DiskManager(), e.LogStore().Bytes())
-				if err != nil {
-					t.Error(err)
-					return
+			trees := boot(t, e, meta, e.LogSet().Datas())
+			live := e.Tables()[1]
+			rec := trees[1]
+			if rec.Size() != live.Size() {
+				t.Errorf("recovered %d rows, live %d", rec.Size(), live.Size())
+			}
+			live.Scan(nil, nil, nil, func(k, v []byte) bool {
+				got, ok := rec.Get(k, nil)
+				if !ok || !bytes.Equal(got, v) {
+					t.Errorf("row %x diverged", k)
+					return false
 				}
-				live := e.Tables()[1]
-				rec := trees[1]
-				if rec.Size() != live.Size() {
-					t.Errorf("recovered %d rows, live %d", rec.Size(), live.Size())
-				}
-				live.Scan(nil, nil, nil, func(k, v []byte) bool {
-					got, ok := rec.Get(k, nil)
-					if !ok || !bytes.Equal(got, v) {
-						t.Errorf("row %x diverged", k)
-						return false
-					}
-					return true
-				})
-				if err := rec.Validate(); err != nil {
-					t.Error(err)
-				}
+				return true
 			})
-			if err := env.Run(); err != nil {
-				t.Fatal(err)
+			if err := rec.Validate(); err != nil {
+				t.Error(err)
 			}
 		})
 	}
@@ -139,7 +132,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 				}
 				var meta CheckpointMeta
 				env.Spawn("driver", func(p *sim.Proc) {
-					meta = CheckpointAllSets(p, e.TableSets(), e.DiskManager(), e.LogSet())
+					meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
 					term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 					r := sim.NewRand(uint64(7 + sockets))
 					for i := 0; i < 150; i++ {
@@ -187,49 +180,23 @@ func TestShardedCrashRecovery(t *testing.T) {
 				if err := env.Run(); err != nil {
 					t.Fatal(err)
 				}
-				liveDigest := ContentDigestSets(e.TableSets())
+				liveDigest := ContentDigest(e.Tables())
 				logs := e.LogSet().Datas()
 
-				// Serial replay (unmeasured path).
-				env.Spawn("recover-serial", func(p *sim.Proc) {
-					trees, err := Recover(p, kvTables(), meta, e.DiskManager(), logs...)
+				// Serial and parallel replays on a fresh boot must both
+				// reproduce the live content exactly.
+				img := Image{Cfg: cfg, Defs: kvTables(), Meta: meta, DM: e.DiskManager(), Logs: logs}
+				for _, par := range []bool{false, true} {
+					trees, st, _, err := Boot(img, logs, par, 0)
 					if err != nil {
-						t.Error(err)
-						return
+						t.Fatal(err)
 					}
 					if got := ContentDigest(trees); got != liveDigest {
-						t.Errorf("serial recovery diverged from live state:\n got  %s\n want %s", got, liveDigest)
+						t.Errorf("replay (parallel=%v) diverged:\n got  %s\n want %s", par, got, liveDigest)
 					}
 					if err := trees[1].Validate(); err != nil {
 						t.Error(err)
 					}
-				})
-				if err := env.Run(); err != nil {
-					t.Fatal(err)
-				}
-
-				// Measured replays on a fresh boot: serial and parallel must
-				// both reproduce the live content exactly.
-				for _, par := range []bool{false, true} {
-					env2 := sim.NewEnv()
-					pl2 := platform.New(env2, cfg)
-					dm2 := e.DiskManager().Rebind(pl2.Disk)
-					var st RecoveryStats
-					env2.Spawn("recover-measured", func(p *sim.Proc) {
-						sets, stats, err := RecoverMeasured(p, pl2, kvTables(), meta, dm2, logs, par)
-						st = stats
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if got := ContentDigestSets(sets); got != liveDigest {
-							t.Errorf("measured replay (parallel=%v) diverged:\n got  %s\n want %s", par, got, liveDigest)
-						}
-					})
-					if err := env2.Run(); err != nil {
-						t.Fatal(err)
-					}
-					env2.Close()
 					if st.Shards != len(logs) || st.SimTime <= 0 {
 						t.Errorf("recovery stats %+v", st)
 					}
@@ -266,7 +233,7 @@ func TestCrossShardTornVector(t *testing.T) {
 	e.Load(1, k1, []byte("before-1"))
 	var meta CheckpointMeta
 	env.Spawn("driver", func(p *sim.Proc) {
-		meta = CheckpointAllSets(p, e.TableSets(), e.DiskManager(), e.LogSet())
+		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
 		term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 		ok := e.Submit(term, func(tx Tx) bool {
 			return tx.Phase(
@@ -291,38 +258,20 @@ func TestCrossShardTornVector(t *testing.T) {
 		v, _ := trees[1].Get(k, nil)
 		return v
 	}
-	env.Spawn("recovery", func(p *sim.Proc) {
-		trees, err := Recover(p, kvTables(), meta, e.DiskManager(), torn...)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if v := get(trees, k0); !bytes.Equal(v, []byte("before-0")) {
-			t.Errorf("anchor-shard record of a vector-incomplete commit replayed: k0=%q", v)
-		}
-		if v := get(trees, k1); !bytes.Equal(v, []byte("before-1")) {
-			t.Errorf("torn-shard record replayed: k1=%q", v)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	trees := boot(t, e, meta, torn)
+	if v := get(trees, k0); !bytes.Equal(v, []byte("before-0")) {
+		t.Errorf("anchor-shard record of a vector-incomplete commit replayed: k0=%q", v)
+	}
+	if v := get(trees, k1); !bytes.Equal(v, []byte("before-1")) {
+		t.Errorf("torn-shard record replayed: k1=%q", v)
 	}
 	// Sanity: with the full logs, the same recovery replays both sides.
-	env.Spawn("recovery-full", func(p *sim.Proc) {
-		trees, err := Recover(p, kvTables(), meta, e.DiskManager(), logs...)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if v := get(trees, k0); !bytes.Equal(v, []byte("after-0")) {
-			t.Errorf("intact recovery lost k0: %q", v)
-		}
-		if v := get(trees, k1); !bytes.Equal(v, []byte("after-1")) {
-			t.Errorf("intact recovery lost k1: %q", v)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	trees = boot(t, e, meta, logs)
+	if v := get(trees, k0); !bytes.Equal(v, []byte("after-0")) {
+		t.Errorf("intact recovery lost k0: %q", v)
+	}
+	if v := get(trees, k1); !bytes.Equal(v, []byte("after-1")) {
+		t.Errorf("intact recovery lost k1: %q", v)
 	}
 }
 
@@ -337,7 +286,7 @@ func TestRecoveryIgnoresUncommittedTail(t *testing.T) {
 	}
 	var meta CheckpointMeta
 	env.Spawn("driver", func(p *sim.Proc) {
-		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogStore())
+		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
 		term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 		k := storage.Uint64Key(5)
 		e.Submit(term, func(tx Tx) bool {
@@ -351,24 +300,14 @@ func TestRecoveryIgnoresUncommittedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the last 5 bytes off the durable log.
-	data := e.LogStore().Bytes()
-	torn := data[:len(data)-5]
-	env.Spawn("recovery", func(p *sim.Proc) {
-		trees, err := Recover(p, kvTables(), meta, e.DiskManager(), torn)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// The committed update's commit record may itself be in the torn
-		// region; either way recovery must not corrupt anything.
-		if err := trees[1].Validate(); err != nil {
-			t.Error(err)
-		}
-		if trees[1].Size() != 100 {
-			t.Errorf("size=%d", trees[1].Size())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	data := e.LogSet().Datas()[0]
+	trees := boot(t, e, meta, [][]byte{data[:len(data)-5]})
+	// The committed update's commit record may itself be in the torn
+	// region; either way recovery must not corrupt anything.
+	if err := trees[1].Validate(); err != nil {
+		t.Error(err)
+	}
+	if trees[1].Size() != 100 {
+		t.Errorf("size=%d", trees[1].Size())
 	}
 }

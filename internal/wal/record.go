@@ -94,15 +94,24 @@ func (r *Record) Encode(dst []byte) []byte {
 	return dst
 }
 
+// minRecordSize is the encoded size of a record with no key and no images.
+const minRecordSize = 4 + 8 + 1 + 2 + 2 + 4 + 4
+
 // Decode parses one record starting at data[off]; the record's LSN is set
-// to off. It returns the offset just past the record.
+// to off. It returns the offset just past the record. Every length field is
+// checked against the record's end before it is sliced on, so corrupt input
+// is an error, never a panic.
 func Decode(data []byte, off int) (Record, int, error) {
-	if off+17 > len(data) {
+	if off < 0 || off > len(data)-minRecordSize {
 		return Record{}, 0, fmt.Errorf("wal: truncated record header at %d", off)
 	}
 	total := int(binary.LittleEndian.Uint32(data[off:]))
-	if total < 17 || off+total > len(data) {
+	if total < minRecordSize || total > len(data)-off {
 		return Record{}, 0, fmt.Errorf("wal: corrupt record length %d at %d", total, off)
+	}
+	end := off + total
+	overrun := func(field string, n int) error {
+		return fmt.Errorf("wal: record at %d: %s length %d overruns its %d bytes", off, field, n, total)
 	}
 	r := Record{LSN: LSN(off)}
 	p := off + 4
@@ -114,17 +123,26 @@ func Decode(data []byte, off int) (Record, int, error) {
 	p += 2
 	kl := int(binary.LittleEndian.Uint16(data[p:]))
 	p += 2
+	if kl > end-p-8 {
+		return Record{}, 0, overrun("key", kl)
+	}
 	r.Key = data[p : p+kl]
 	p += kl
 	bl := int(binary.LittleEndian.Uint32(data[p:]))
 	p += 4
+	if bl > end-p-4 {
+		return Record{}, 0, overrun("before-image", bl)
+	}
 	r.Before = data[p : p+bl]
 	p += bl
 	al := int(binary.LittleEndian.Uint32(data[p:]))
 	p += 4
+	if al > end-p {
+		return Record{}, 0, overrun("after-image", al)
+	}
 	r.After = data[p : p+al]
 	p += al
-	if p != off+total {
+	if p != end {
 		return Record{}, 0, fmt.Errorf("wal: record at %d decodes to %d bytes, header says %d", off, p-off, total)
 	}
 	return r, p, nil
@@ -134,6 +152,9 @@ func Decode(data []byte, off int) (Record, int, error) {
 // calling fn; fn returning false stops the scan. A trailing partial record
 // (torn write) ends the scan without error.
 func Scan(data []byte, from LSN, fn func(Record) bool) error {
+	if from > LSN(len(data)) {
+		return nil
+	}
 	off := int(from)
 	for off < len(data) {
 		rec, next, err := Decode(data, off)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,75 @@ func TestScanFromOffset(t *testing.T) {
 	if len(seen) != 1 || seen[0] != RecCommit {
 		t.Fatalf("seen %v", seen)
 	}
+}
+
+// corruptRecord is a minimal record whose length fields are then
+// overwritten: a total length of total, a key length of key.
+func corruptRecord(size, total int, key uint16) []byte {
+	b := make([]byte, size)
+	binary.LittleEndian.PutUint32(b, uint32(total))
+	binary.LittleEndian.PutUint16(b[15:], key)
+	return b
+}
+
+func TestDecodeRejectsCorruptLengths(t *testing.T) {
+	good := (&Record{Txn: 4, Type: RecUpdate, Table: 2, Key: []byte("key"), Before: []byte("old"), After: []byte("new")}).Encode(nil)
+	withLen := func(at int, n uint32) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[at:], n)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		torn bool // Scan reads it as a torn tail, not an error
+	}{
+		{"total below the smallest record", corruptRecord(17, 17, 0), false},
+		{"key past the record's end", corruptRecord(40, 25, 60000), false},
+		{"before-image past the record's end", withLen(20, 1<<20), false},
+		{"after-image past the record's end", withLen(27, 1<<20), false},
+		{"total past the buffer", withLen(0, 1<<31), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := Decode(tc.data, 0); err == nil {
+				t.Fatal("decoded a corrupt record")
+			}
+			if err := Scan(tc.data, 0, func(Record) bool { return true }); (err == nil) != tc.torn {
+				t.Fatalf("Scan returned %v", err)
+			}
+		})
+	}
+}
+
+// FuzzDecode: on any input Decode and Scan return or error, never panic,
+// and a record that decodes re-encodes to exactly the bytes it came from.
+func FuzzDecode(f *testing.F) {
+	var log []byte
+	for _, r := range []Record{
+		{Txn: 1, Type: RecBegin},
+		{Txn: 2, Type: RecUpdate, Table: 3, Key: []byte("k1"), Before: []byte("old"), After: []byte("new")},
+		{Txn: 2, Type: RecCommit, After: []byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}},
+	} {
+		log = r.Encode(log)
+	}
+	f.Add(log, uint64(0))
+	f.Add(log[:len(log)-3], uint64(25))
+	f.Add(corruptRecord(17, 17, 0), uint64(0))
+	f.Add(corruptRecord(40, 25, 60000), uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, from uint64) {
+		check := func(r Record, off, next int) {
+			if got := r.Encode(nil); !bytes.Equal(got, data[off:next]) {
+				t.Fatalf("record at %d re-encodes to %x, decoded from %x", off, got, data[off:next])
+			}
+		}
+		if r, next, err := Decode(data, int(from)); err == nil {
+			check(r, int(from), next)
+		}
+		_ = Scan(data, LSN(from), func(r Record) bool {
+			check(r, int(r.LSN), int(r.LSN)+r.EncodedSize())
+			return true
+		})
+	})
 }
 
 func TestRecTypeStrings(t *testing.T) {

@@ -8,8 +8,6 @@ import (
 	"bionicdb/internal/core"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
-	"bionicdb/internal/storage"
-	"bionicdb/internal/wal"
 	"bionicdb/internal/workload/tpcc"
 	"bionicdb/internal/workload/ycsb"
 )
@@ -144,100 +142,36 @@ func TestScanEquivalenceAtQuiesce(t *testing.T) {
 	}
 }
 
-// checkpointable is the engine surface the crash variant needs (the same
-// contract bench's fig-recovery uses).
-type checkpointable interface {
-	core.Engine
-	Tables() map[uint16]*btree.Tree
-	DiskManager() *storage.DiskManager
-	LogSet() *wal.LogSet
-}
-
 // TestRecoveredProjectionsMatchRebuild is the crash variant: run the hybrid
 // workload on a sharded-log bionic machine, crash cold, recover serially
-// and in parallel (PR 5's RecoverMeasured), and prove the columnar
-// projections rebuilt from either recovered row store are byte-identical —
-// parallel shard replay changes nothing the analytics half can see.
+// and in parallel (core.Boot), and prove the columnar projections rebuilt
+// from either recovered row store are byte-identical — parallel shard
+// replay changes nothing the analytics half can see.
 func TestRecoveredProjectionsMatchRebuild(t *testing.T) {
 	wl := smallYCSBMixed()
 	pcfg := platform.HC2Scaled(2)
 	pcfg.LogDevPerSocket = true
 
-	env := sim.NewEnv()
-	defer env.Close()
-	eng := core.NewBionic(env, pcfg, wl.Tables(), wl.Scheme(2*pcfg.Cores), core.AllOffloads(), 8)
-	ck, ok := interface{}(eng).(checkpointable)
-	if !ok {
-		t.Fatal("bionic engine is not checkpointable")
-	}
-	root := sim.NewRand(42)
-	wl.Populate(eng.Load, root.Split())
-	if warmer, ok := interface{}(eng).(interface{ Warm() }); ok {
-		warmer.Warm()
-	}
-
-	// Checkpoint sharp before any terminal exists (adaptive stepping: the
-	// checkpoint's simulated duration is not known up front and engine
-	// daemons tick forever).
-	var meta core.CheckpointMeta
-	ckDone := false
-	env.Spawn("checkpointer", func(p *sim.Proc) {
-		meta = core.CheckpointAll(p, ck.Tables(), ck.DiskManager(), ck.LogSet())
-		ckDone = true
+	s := core.Open(wl, 42, func(env *sim.Env) core.Engine {
+		return core.NewBionic(env, pcfg, wl.Tables(), wl.Scheme(2*pcfg.Cores), core.AllOffloads(), 8)
 	})
-	step := sim.Time(1 * sim.Millisecond)
-	for !ckDone {
-		before := env.Executed()
-		if err := env.RunUntil(env.Now() + step); err != nil {
-			t.Fatal(err)
-		}
-		if env.Executed() == before {
-			step *= 2
-		} else {
-			step = sim.Time(1 * sim.Millisecond)
-		}
-	}
-
-	// Run the mixed load for a fixed window, then crash cold: no drain, no
-	// Close — staged log bytes die with the machine.
-	endT := env.Now() + sim.Time(6*sim.Millisecond)
-	for i := 0; i < 8; i++ {
-		i := i
-		tr := root.Split()
-		env.Spawn(fmt.Sprintf("terminal%d", i), func(tp *sim.Proc) {
-			term := &core.Terminal{ID: i, P: tp, Core: eng.Platform().Cores[i%len(eng.Platform().Cores)], R: tr}
-			for {
-				_, logic := wl.NextTxn(term.R)
-				eng.Submit(term, logic)
-			}
-		})
-	}
-	if err := env.RunUntil(endT); err != nil {
+	defer s.Close()
+	meta, err := s.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	logs := ck.LogSet().Datas()
-	if len(logs) != 2 {
-		t.Fatalf("expected 2 log shards on a 2-socket sharded-log machine, got %d", len(logs))
+	// Run the mixed load for a fixed window, then crash cold: no drain, no
+	// Close — staged log bytes die with the machine.
+	s.Start(8, nil, nil)
+	if err := s.RunTo(s.Env.Now() + sim.Time(6*sim.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
-	defs := wl.Tables()
-
+	img := s.Crash(meta)
+	if len(img.Logs) != 2 {
+		t.Fatalf("expected 2 log shards on a 2-socket sharded-log machine, got %d", len(img.Logs))
+	}
 	boot := func(parallel bool) map[uint16]*btree.Tree {
-		env2 := sim.NewEnv()
-		defer env2.Close()
-		pl2 := platform.New(env2, pcfg)
-		dm2 := ck.DiskManager().Rebind(pl2.Disk)
-		var trees map[uint16]*btree.Tree
-		var err error
-		env2.Spawn("recovery", func(p *sim.Proc) {
-			var sets []map[uint16]*btree.Tree
-			sets, _, err = core.RecoverMeasured(p, pl2, defs, meta, dm2, logs, parallel)
-			if err == nil {
-				trees = sets[0]
-			}
-		})
-		if runErr := env2.Run(); runErr != nil {
-			t.Fatal(runErr)
-		}
+		trees, _, _, err := core.Boot(img, img.Logs, parallel, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,14 +18,11 @@ import (
 // row: decode the row image and write the projected values.
 const refreshInstrPerRow = 40
 
-// overlayEngine is the engine surface the merge-fed maintenance path needs.
+// overlayEngine is the engine surface the merge-fed maintenance path needs:
+// one of core.Engine's two optional capabilities, since only an engine with
+// the overlay unit has a merge path to feed the projections from.
 type overlayEngine interface {
 	Overlay() *overlay.Store
-}
-
-// logSetEngine is the engine surface the freshness metric needs.
-type logSetEngine interface {
-	LogSet() *wal.LogSet
 }
 
 // projTable is one live projection: the spec plus its columnar table.
@@ -78,7 +75,7 @@ type Run struct {
 	env *sim.Env
 	eng core.Engine
 	pl  *platform.Platform
-	log *wal.LogSet // nil when the engine has no log set
+	log *wal.LogSet
 	r   *sim.Rand
 
 	hw       bool              // merge-fed projections + hardware scanners
@@ -106,9 +103,9 @@ type Run struct {
 	rec *obs.ShardRec
 }
 
-// SetRecorder attaches the flight recorder's ring for the shard the scan
-// clients run on; the harness wires it when tracing is enabled. Attaching
-// it changes no simulated behavior.
+// SetRecorder implements core.AnalyticsRun: the flight recorder's ring for
+// the shard the scan clients run on (nil when untraced). Attaching it
+// changes no simulated behavior.
 func (mr *Run) SetRecorder(rec *obs.ShardRec) { mr.rec = rec }
 
 // Attach implements core.Analytics: build the projections from the
@@ -116,11 +113,8 @@ func (mr *Run) SetRecorder(rec *obs.ShardRec) { mr.rec = rec }
 // post-run inspection.
 func (m *Mixed) Attach(env *sim.Env, eng core.Engine, r *sim.Rand) core.AnalyticsRun {
 	mr := &Run{
-		m: m, env: env, eng: eng, pl: eng.Platform(), r: r,
+		m: m, env: env, eng: eng, pl: eng.Platform(), log: eng.LogSet(), r: r,
 		byName: make(map[string]*projTable),
-	}
-	if le, ok := eng.(logSetEngine); ok {
-		mr.log = le.LogSet()
 	}
 	var ov *overlay.Store
 	if oe, ok := eng.(overlayEngine); ok {
@@ -184,9 +178,7 @@ func (mr *Run) stampFresh(now sim.Time) {
 	}
 	mr.prevStamp = now
 	mr.snapTime = now
-	if mr.log != nil {
-		mr.snapVec = mr.log.DurableVector()
-	}
+	mr.snapVec = mr.log.DurableVector()
 	mr.st.Refreshes++
 }
 
@@ -269,20 +261,18 @@ func (mr *Run) scanOnce(p *sim.Proc, core *platform.Core, cr *sim.Rand, socket i
 	if stale > mr.st.StaleMax {
 		mr.st.StaleMax = stale
 	}
-	if mr.log != nil {
-		durable := mr.log.DurableVector()
-		if !vecLE(mr.snapVec, durable) {
-			mr.st.SnapViolations++
+	durable := mr.log.DurableVector()
+	if !vecLE(mr.snapVec, durable) {
+		mr.st.SnapViolations++
+	}
+	var lag int64
+	for i := range durable {
+		if i < len(mr.snapVec) {
+			lag += int64(durable[i] - mr.snapVec[i])
 		}
-		var lag int64
-		for i := range durable {
-			if i < len(mr.snapVec) {
-				lag += int64(durable[i] - mr.snapVec[i])
-			}
-		}
-		if lag > mr.st.LagBytesMax {
-			mr.st.LagBytesMax = lag
-		}
+	}
+	if lag > mr.st.LagBytesMax {
+		mr.st.LagBytesMax = lag
 	}
 
 	task := mr.pl.NewTask(p, core, &mr.abd)

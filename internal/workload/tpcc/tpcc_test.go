@@ -114,9 +114,7 @@ func mixEngine(t *testing.T, wl core.Workload, mk func(env *sim.Env) core.Engine
 	env := sim.NewEnv()
 	e := mk(env)
 	wl.Populate(e.Load, sim.NewRand(seed))
-	if warmer, ok := e.(interface{ Warm() }); ok {
-		warmer.Warm()
-	}
+	e.Warm()
 	const terminals = 4
 	for term := 0; term < terminals; term++ {
 		term := term
