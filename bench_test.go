@@ -241,10 +241,10 @@ func BenchmarkYCSBSweep(b *testing.B) {
 	grid := bench.Grid{
 		Engines: []bench.EngineSpec{
 			bench.Conventional(),
-			bench.DORA(8),
-			bench.Bionic(8, core.AllOffloads(), 8),
+			bench.DORA(),
+			bench.Bionic(core.AllOffloads()),
 		},
-		Workloads: []bench.WorkloadSpec{{Name: "ycsb", Make: func() core.Workload {
+		Workloads: []bench.WorkloadSpec{{Name: "ycsb", Make: func(int) core.Workload {
 			cfg := ycsb.WorkloadA()
 			cfg.Records = 20000
 			return ycsb.New(cfg)
@@ -299,15 +299,15 @@ func BenchmarkC4LatencyShape(b *testing.B) {
 // speedup (fig-scaling's headline quantity; `bionicbench -fig-scaling`
 // prints the full 1 -> 16 socket table).
 func BenchmarkFigScaling(b *testing.B) {
-	spec := bench.ScalingSpec{
+	spec := bench.Grid{
 		Sockets: []int{1, 4},
 		Workloads: []bench.WorkloadSpec{
-			{Name: "tatp", Make: func() core.Workload { return benchTATP() }},
+			{Name: "tatp", Make: func(int) core.Workload { return benchTATP() }},
 		},
-		Engines:            bench.DefaultScalingEngines()[1:], // dora + bionic
-		TerminalsPerSocket: 16,
-		Warmup:             5 * sim.Millisecond,
-		Measure:            15 * sim.Millisecond,
+		Engines:   bench.Engines()[1:], // dora + bionic
+		Terminals: []int{16},
+		Warmup:    5 * sim.Millisecond,
+		Measure:   15 * sim.Millisecond,
 	}
 	var results []bench.Result
 	for i := 0; i < b.N; i++ {

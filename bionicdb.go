@@ -216,18 +216,23 @@ var (
 
 // Experiment sweeps (the internal/bench subsystem).
 type (
-	// SweepGrid declares a sweep: the cross product of engines, workloads,
-	// terminal counts and seeds.
+	// SweepGrid declares a sweep: the cross product of workloads, socket
+	// counts, engines, terminals per socket and seeds, on one machine
+	// description (log layout, replication, HTAP) shared by every point.
 	SweepGrid = bench.Grid
 	// SweepPoint is one fully-specified measurement in a grid.
 	SweepPoint = bench.Point
 	// SweepResult pairs a point with its measurement and wall-clock cost.
 	SweepResult = bench.Result
-	// SweepOptions shapes sweep execution (worker-pool size, progress).
+	// SweepOptions shapes sweep execution (worker-pool size).
 	SweepOptions = bench.Options
+	// SweepDoc is the one JSON result document: sweep results, then the
+	// recovery and failover sections, each omitted when empty.
+	SweepDoc = bench.Doc
 	// EngineSpec names an engine constructor in a sweep grid.
 	EngineSpec = bench.EngineSpec
-	// WorkloadSpec names a workload constructor in a sweep grid.
+	// WorkloadSpec names a workload constructor in a sweep grid; Make
+	// receives the point's socket count, so a workload can weak-scale.
 	WorkloadSpec = bench.WorkloadSpec
 )
 
@@ -242,59 +247,16 @@ func Sweep(points []SweepPoint, opt SweepOptions) []SweepResult {
 // ConventionalSpec is the sweep-grid spec for the 2PL baseline engine.
 func ConventionalSpec() EngineSpec { return bench.Conventional() }
 
-// DORASpec is the sweep-grid spec for the software data-oriented engine.
-func DORASpec(partitions int) EngineSpec { return bench.DORA(partitions) }
+// DORASpec is the sweep-grid spec for the software data-oriented engine;
+// the point supplies its partition count.
+func DORASpec() EngineSpec { return bench.DORA() }
 
 // BionicSpec is the sweep-grid spec for the bionic engine with the given
-// offload subset and in-flight window.
-func BionicSpec(partitions int, off Offloads, window int) EngineSpec {
-	return bench.Bionic(partitions, off, window)
-}
+// offload subset.
+func BionicSpec(off Offloads) EngineSpec { return bench.Bionic(off) }
 
-// ConventionalSpecOn is ConventionalSpec on a specific platform config
-// (pass HC2Scaled(n) for a multi-socket machine).
-func ConventionalSpecOn(cfg *PlatformConfig) EngineSpec { return bench.ConventionalOn(cfg) }
-
-// DORASpecOn is DORASpec on a specific platform config.
-func DORASpecOn(cfg *PlatformConfig, partitions int) EngineSpec {
-	return bench.DORAOn(cfg, partitions)
-}
-
-// BionicSpecOn is BionicSpec on a specific platform config.
-func BionicSpecOn(cfg *PlatformConfig, partitions int, off Offloads, window int) EngineSpec {
-	return bench.BionicOn(cfg, partitions, off, window)
-}
-
-// Multi-socket scaling sweeps (the fig-scaling experiment).
+// HTAP workloads (the fig-htap experiment's analytical half).
 type (
-	// ScalingSweep declares a weak-scaling sweep: the engine family on
-	// every workload at every socket count, with load and partitions
-	// scaling with the machine.
-	ScalingSweep = bench.ScalingSpec
-	// ScalingEngine builds one engine spec per scaled platform config.
-	ScalingEngine = bench.ScalingEngine
-)
-
-// Crash-recovery sweeps (the fig-recovery experiment).
-type (
-	// RecoverySweep declares the crash/recovery experiment: run a workload
-	// on a (sharded-log) machine, crash it cold at the end of the window,
-	// and measure the time and joules to replay the log shards — serially
-	// and one process per shard — at each socket count.
-	RecoverySweep = bench.RecoverySpec
-	// RecoveryResult is one crash/recovery measurement.
-	RecoveryResult = bench.RecoveryResult
-)
-
-// RecoveryTable renders recovery results as the fig-recovery table.
-func RecoveryTable(results []RecoveryResult) *stats.Table { return bench.RecoveryTable(results) }
-
-// HTAP sweeps (the fig-htap experiment).
-type (
-	// HTAPSweep declares the hybrid sweep: mixed transactional+analytical
-	// workloads on the conventional and bionic machines at every socket
-	// count, with the analytical half attached to each run.
-	HTAPSweep = bench.HTAPSpec
 	// HTAPWorkload is a hybrid workload: an OLTP mix plus analytical
 	// scans over columnar projections of the row store.
 	HTAPWorkload = htap.Mixed
@@ -315,34 +277,15 @@ func NewHTAPYCSB(cfg YCSBConfig, p HTAPParams) *HTAPWorkload { return htap.NewYC
 // projections of stock and order-line.
 func NewHTAPTPCC(cfg TPCCConfig, p HTAPParams) *HTAPWorkload { return htap.NewTPCC(cfg, p) }
 
-// HTAPEngines returns the fig-htap engine axis: conventional and the
-// fully-offloaded bionic engine.
-func HTAPEngines() []ScalingEngine { return bench.HTAPEngines() }
-
 // HTAPTable renders HTAP results as the fig-htap table: transactional
 // throughput and energy next to scan bandwidth and freshness.
 func HTAPTable(results []SweepResult) *stats.Table { return bench.HTAPTable(results) }
-
-// DefaultScalingEngines returns the standard scaling engine axis:
-// conventional, DORA, and the fully-offloaded bionic engine.
-func DefaultScalingEngines() []ScalingEngine { return bench.DefaultScalingEngines() }
-
-// DefaultScalingSockets returns the 1 -> 16 socket axis.
-func DefaultScalingSockets() []int { return bench.DefaultScalingSockets() }
 
 // ScalingTable renders scaling results with per-curve speedup columns.
 func ScalingTable(results []SweepResult) *stats.Table { return bench.ScalingTable(results) }
 
 // SweepTable renders sweep results as an aligned table.
 func SweepTable(results []SweepResult) *stats.Table { return bench.Table(results) }
-
-// SweepJSON marshals sweep results as the bionicbench JSON document.
-func SweepJSON(results []SweepResult) ([]byte, error) { return bench.JSON(results) }
-
-// WriteSweepJSON writes sweep results as JSON to path.
-func WriteSweepJSON(path string, results []SweepResult) error {
-	return bench.WriteJSONFile(path, results)
-}
 
 // Dark silicon analytics (the paper's §2 / Figure 1).
 

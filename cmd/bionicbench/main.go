@@ -1,44 +1,17 @@
 // Command bionicbench regenerates every figure of the paper and the
-// auxiliary claim experiments from the simulated system:
+// auxiliary claim experiments from the simulated system. The experiments
+// table below lists them: each is selected by its flag (-fig N for the
+// paper's Figures 1-4), -all runs every one, and bionicbench with no
+// experiment prints the table.
 //
-//	bionicbench -fig 1          Figure 1: dark-silicon utilization curves
-//	bionicbench -fig 2          Figure 2: platform latency/bandwidth check
-//	bionicbench -fig 3          Figure 3: DORA time breakdown (TATP
-//	                            UpdateSubscriberData, TPC-C StockLevel)
-//	bionicbench -fig 4          Figure 4: conventional vs DORA vs bionic
-//	bionicbench -ablation       C2: offload lattice on the TATP mix
-//	bionicbench -saturation     C1: probe-engine outstanding-request sweep
-//	bionicbench -sweep          engine x workload (TATP, TPC-C, YCSB) grid
-//	bionicbench -fig-scaling    multi-socket weak scaling, 1 -> 16 sockets
-//	bionicbench -fig-htap       hybrid sweep: txn throughput vs scan
-//	                            bandwidth vs energy, conventional vs bionic
-//	bionicbench -fig-failover   replication sweep: steady-state commit tax
-//	                            per mode (async/sync/quorum), then a faulted
-//	                            primary kill and the replica's measured
-//	                            failover
-//	bionicbench -fig-anatomy    per-transaction latency anatomy: p50/p99 per
-//	                            phase (queue/lock/exec/cross-shard/
-//	                            durability/replication) per engine at
-//	                            1/4/16 sockets
-//
-// The flight recorder rides along with any run-backed experiment:
-// -trace-out FILE writes each run's span trace as Chrome trace_event JSON
-// (open in chrome://tracing or Perfetto; one lane per socket) and
-// -metrics-out FILE writes the per-socket telemetry time series (CSV, or
-// JSON when the path ends in .json). Both are strictly out of band:
-// simulated results and digests are bit-identical with them on or off.
-//
-// Every measurement executes through the internal/bench sweep subsystem:
-// runs fan out across -parallel workers (default GOMAXPROCS), each in its
-// own simulation environment, so parallel results are bit-identical to
-// serial ones. -quick shrinks scales for a fast smoke run; -csv emits CSV
-// instead of aligned tables; -json FILE additionally writes every
-// core.Run-backed measurement of the invocation as structured JSON.
-// -sockets N runs the figure/sweep experiments on an N-socket machine
-// (and caps the -fig-scaling axis at N); the default 1 is the paper's
-// single-socket platform. -replication async|sync|quorum ships the log to
-// -replicas replica machines on every run-backed experiment, paying each
-// mode's commit-wait tax; the default off builds no replication machinery.
+// Every run-backed experiment declares one bench.Grid, whose runs fan out
+// across -parallel workers, each in its own simulation environment, so
+// parallel results are bit-identical to serial ones. -json FILE writes
+// every measurement of the invocation as one JSON document. -sockets N
+// puts the figure/sweep experiments on the same weak-scaled N-socket
+// machine as the scale-out figures and caps those figures' socket axis at
+// N. -trace-out and -metrics-out attach the flight recorder, strictly out
+// of band: simulated results are bit-identical with it on or off.
 package main
 
 import (
@@ -53,6 +26,7 @@ import (
 	"time"
 
 	"bionicdb/internal/bench"
+	"bionicdb/internal/btree"
 	"bionicdb/internal/core"
 	"bionicdb/internal/darksilicon"
 	"bionicdb/internal/hw/treeprobe"
@@ -65,59 +39,61 @@ import (
 	"bionicdb/internal/workload/tatp"
 	"bionicdb/internal/workload/tpcc"
 	"bionicdb/internal/workload/ycsb"
-
-	"bionicdb/internal/btree"
 )
+
+// experiment is one entry of the experiments table.
+type experiment struct {
+	flag  string // "fig N" is selected by -fig N; anything else is a bool flag
+	usage string
+	run   func()
+	json  bool // its measurements go into the -json document
+}
+
+// experiments is every experiment, in the order -all runs them.
+var experiments = []experiment{
+	{"fig 1", "Figure 1: dark-silicon utilization curves", fig1, false},
+	{"fig 2", "Figure 2: platform latency/bandwidth check", fig2, false},
+	{"fig 3", "Figure 3: DORA time breakdown (TATP UpdateSubscriberData, TPC-C StockLevel)", fig3, true},
+	{"fig 4", "Figure 4: conventional vs DORA vs bionic", fig4, true},
+	{"ablation", "run the C2 offload ablation on the TATP mix", runAblation, true},
+	{"saturation", "run the C1 probe saturation sweep", runSaturation, false},
+	{"latencies", "print the Section 3 latency taxonomy", runLatencies, false},
+	{"sweep", "run the engine x workload (TATP, TPC-C, YCSB) sweep grid", runSweep, true},
+	{"fig-scaling", "run the multi-socket scaling sweep (throughput + joules/txn vs sockets)", runFigScaling, true},
+	{"fig-recovery", "run the crash-recovery sweep (replay time + joules vs sockets)", runFigRecovery, true},
+	{"fig-htap", "run the HTAP sweep (txn throughput + scan bandwidth + freshness vs sockets, conventional vs bionic)", runFigHTAP, true},
+	{"fig-failover", "run the failover sweep (replication tax per mode, then a faulted primary kill and the replica's measured time-to-serving)", runFigFailover, true},
+	{"fig-anatomy", "run the latency-anatomy sweep (per-phase p50/p99 per engine and workload at 1/4/16 sockets)", runFigAnatomy, true},
+}
 
 var (
 	figFlag     = flag.Int("fig", 0, "regenerate figure 1..4")
-	ablation    = flag.Bool("ablation", false, "run the C2 offload ablation")
-	saturation  = flag.Bool("saturation", false, "run the C1 probe saturation sweep")
-	latencies   = flag.Bool("latencies", false, "print the Section 3 latency taxonomy")
-	sweepFlag   = flag.Bool("sweep", false, "run the engine x workload sweep grid")
-	figScaling  = flag.Bool("fig-scaling", false, "run the multi-socket scaling sweep (throughput + joules/txn vs sockets)")
-	figRecovery = flag.Bool("fig-recovery", false, "run the crash-recovery sweep (replay time + joules vs sockets)")
-	figHTAP     = flag.Bool("fig-htap", false, "run the HTAP sweep (txn throughput + scan bandwidth + freshness vs sockets, conventional vs bionic)")
-	figFailover = flag.Bool("fig-failover", false, "run the failover sweep (replication tax per mode, then a faulted primary kill and the replica's measured time-to-serving)")
-	figAnatomy  = flag.Bool("fig-anatomy", false, "run the latency-anatomy sweep (per-phase p50/p99 per engine and workload at 1/4/16 sockets)")
 	traceOut    = flag.String("trace-out", "", "write each run's span trace as Chrome trace_event JSON to this file (index-suffixed when the invocation runs multiple points)")
 	metricsOut  = flag.String("metrics-out", "", "write each run's telemetry time series to this file (.json = JSON, else CSV; index-suffixed when multiple points)")
 	shardedLog  = flag.Bool("sharded-log", false, "per-socket log shards: give every socket its own log stream and SSD (multi-socket only); -fig-scaling additionally runs the sharded axis next to the central baseline")
-	recJSON     = flag.String("recovery-json", "", "write -fig-recovery results as JSON to this file")
-	failJSON    = flag.String("failover-json", "", "write -fig-failover results as JSON to this file")
-	replication = flag.String("replication", "off", "log-shipping replication mode for the run-backed experiments: off|async|sync|quorum (-fig-failover sweeps all modes unless this narrows it)")
+	replication = flag.String("replication", "off", "log-shipping replication mode for the figure/sweep experiments: off|async|sync|quorum (-fig-failover sweeps all modes unless this narrows it)")
 	replicas    = flag.Int("replicas", 2, "replica machines when -replication is on")
 	all         = flag.Bool("all", false, "run every experiment")
 	quick       = flag.Bool("quick", false, "shrink scales for a fast run")
 	csv         = flag.Bool("csv", false, "emit CSV instead of tables")
-	jsonOut     = flag.String("json", "", "write sweep results as JSON to this file")
+	jsonOut     = flag.String("json", "", "write every measurement of the invocation as one JSON document to this file")
 	parallel    = flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
 	seed        = flag.Uint64("seed", 42, "simulation seed")
 	seeds       = flag.Int("seeds", 1, "seeds per sweep grid point (seed, seed+1, ...)")
-	sockets     = flag.Int("sockets", 1, "CPU sockets: platform size for the figure/sweep experiments, axis cap for -fig-scaling")
-	terminals   = flag.Int("terminals", 64, "closed-loop clients")
+	sockets     = flag.Int("sockets", 1, "CPU sockets: the weak-scaled machine for the figure/sweep experiments, axis cap for the scale-out ones")
+	terminals   = flag.Int("terminals", 64, "closed-loop clients per socket")
 	measureMs   = flag.Int("measure", 50, "measurement window, simulated ms")
 	warmupMs    = flag.Int("warmup", 20, "warmup, simulated ms")
 	subscribers = flag.Int("subscribers", 100000, "TATP scale")
-	warehouses  = flag.Int("warehouses", 4, "TPC-C scale")
+	warehouses  = flag.Int("warehouses", 4, "TPC-C scale (per socket)")
 	records     = flag.Int("records", 100000, "YCSB scale")
 	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile  = flag.String("memprofile", "", "sample one allocation per 2 KB during the run and write the allocs profile to this file")
-	benchjson   = flag.String("benchjson", "", "write kernel throughput + per-experiment wall-clock JSON to this file")
+	benchjson   = flag.String("benchjson", "", "write per-experiment wall-clock, kernel events and process switches as JSON to this file")
 )
 
-// collected accumulates every bench result of the invocation for -json.
-var collected []bench.Result
-
-// kernelEvents/kernelSwitches/kernelWall accumulate the event kernel's
-// volume, how much of it resumed a process coroutine, and host wall-clock
-// across every run-backed point, for the end-of-run throughput line
-// (simulated results never depend on the kernel; events/sec does).
-var (
-	kernelEvents   uint64
-	kernelSwitches uint64
-	kernelWall     time.Duration
-)
+// doc accumulates every measurement of the invocation for -json.
+var doc bench.Doc
 
 // expWalls accumulates host wall-clock per experiment for -benchjson.
 var expWalls []expWall
@@ -140,80 +116,27 @@ func fatal(v any) {
 	os.Exit(1)
 }
 
-// timed runs one experiment, recording its host wall-clock.
+// timed runs one experiment, recording its host wall-clock and the kernel
+// volume of the sweep results it added to doc.
 func timed(name string, fn func()) {
-	start, ev0, sw0 := time.Now(), kernelEvents, kernelSwitches
+	start, n := time.Now(), len(doc.Results)
 	fn()
-	expWalls = append(expWalls, expWall{
-		Name: name, WallMs: float64(time.Since(start).Nanoseconds()) / 1e6,
-		Events: kernelEvents - ev0, Switches: kernelSwitches - sw0,
-	})
-}
-
-// kernelStats measures the raw event kernel — a closed set of processes
-// timer-stepping through interleaved waits, the hot path under every
-// experiment — and reports sustained events/sec and allocations per event.
-// One warm-up pass lets pools and rings reach steady state, matching how
-// the kernel runs under a long sweep.
-func kernelStats() (eventsPerSec, allocsPerEvent float64, events uint64) {
-	measure := func() (uint64, time.Duration, uint64) {
-		env := sim.NewEnv()
-		defer env.Close()
-		const procs, steps = 16, 20000
-		for i := 0; i < procs; i++ {
-			i := i
-			env.Spawn("kernel", func(p *sim.Proc) {
-				for j := 0; j < steps; j++ {
-					p.Wait(sim.Duration(1 + (i+j)%7))
-				}
-			})
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		if err := env.Run(); err != nil {
-			panic(err)
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		return env.Executed(), wall, m1.Mallocs - m0.Mallocs
+	w := expWall{Name: name, WallMs: float64(time.Since(start).Nanoseconds()) / 1e6}
+	for _, r := range doc.Results[n:] {
+		w.Events, w.Switches = w.Events+r.Res.Events, w.Switches+r.Res.Switches
 	}
-	measure() // warm up
-	ev, wall, allocs := measure()
-	return float64(ev) / wall.Seconds(), float64(allocs) / float64(ev), ev
+	expWalls = append(expWalls, w)
 }
 
-// kernelDoc is the -benchjson document: the perf-trajectory baseline a PR
-// compares against (BENCH_kernel.json at the repo root).
-type kernelDoc struct {
-	Suite string `json:"suite"`
-	// The toolchain, the GOMAXPROCS the sections ran under and the host's
-	// CPU count: a speed number is only comparable with all three named.
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	HostCPUs   int    `json:"host_cpus"`
-	Kernel     struct {
-		EventsPerSec   float64 `json:"events_per_sec"`
-		AllocsPerEvent float64 `json:"allocs_per_event"`
-		Events         uint64  `json:"events_measured"`
-	} `json:"kernel"`
-	Experiments []expWall `json:"experiments"`
-}
-
-func writeBenchJSON(path string) error {
-	var doc kernelDoc
-	doc.Suite = "bionicbench-kernel"
-	doc.GoVersion = runtime.Version()
-	doc.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	doc.HostCPUs = runtime.NumCPU()
-	doc.Kernel.EventsPerSec, doc.Kernel.AllocsPerEvent, doc.Kernel.Events = kernelStats()
-	doc.Experiments = expWalls
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
+// usage prints the experiments table, then every flag.
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprintln(w, "usage: bionicbench [flags] -all | experiment...\n\nexperiments:")
+	for _, e := range experiments {
+		fmt.Fprintf(w, "  -%-13s %s\n", e.flag, e.usage)
 	}
-	b = append(b, '\n')
-	return os.WriteFile(path, b, 0o644)
+	fmt.Fprintln(w, "\nflags:")
+	flag.PrintDefaults()
 }
 
 // memProfileRate is the allocation sampling interval under -memprofile. The
@@ -222,6 +145,13 @@ func writeBenchJSON(path string) error {
 const memProfileRate = 2048
 
 func main() {
+	selected := map[string]*bool{}
+	for _, e := range experiments {
+		if !strings.HasPrefix(e.flag, "fig ") {
+			selected[e.flag] = flag.Bool(e.flag, false, e.usage)
+		}
+	}
+	flag.Usage = usage
 	flag.Parse()
 	if *memprofile != "" {
 		// Before the first allocation worth attributing; the runtime reads
@@ -231,13 +161,11 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -249,71 +177,43 @@ func main() {
 		*warmupMs = 5
 	}
 	ran := false
-	if *all || *figFlag == 1 {
-		timed("fig1", fig1)
-		ran = true
-	}
-	if *all || *figFlag == 2 {
-		timed("fig2", fig2)
-		ran = true
-	}
-	if *all || *figFlag == 3 {
-		timed("fig3", fig3)
-		ran = true
-	}
-	if *all || *figFlag == 4 {
-		timed("fig4", fig4)
-		ran = true
-	}
-	if *all || *ablation {
-		timed("ablation", runAblation)
-		ran = true
-	}
-	if *all || *saturation {
-		timed("saturation", runSaturation)
-		ran = true
-	}
-	if *all || *latencies {
-		timed("latencies", runLatencies)
-		ran = true
-	}
-	if *all || *sweepFlag {
-		timed("sweep", runSweep)
-		ran = true
-	}
-	if *all || *figScaling {
-		timed("fig-scaling", runFigScaling)
-		ran = true
-	}
-	if *all || *figRecovery {
-		timed("fig-recovery", runFigRecovery)
-		ran = true
-	}
-	if *all || *figHTAP {
-		timed("fig-htap", runFigHTAP)
-		ran = true
-	}
-	if *all || *figFailover {
-		timed("fig-failover", runFigFailover)
-		ran = true
-	}
-	if *all || *figAnatomy {
-		timed("fig-anatomy", runFigAnatomy)
-		ran = true
+	for _, e := range experiments {
+		if *all || e.flag == fmt.Sprintf("fig %d", *figFlag) || selected[e.flag] != nil && *selected[e.flag] {
+			timed(strings.ReplaceAll(e.flag, " ", ""), e.run) // -benchjson names figures fig1..fig4
+			ran = true
+		}
 	}
 	if !ran {
 		pprof.StopCPUProfile()
 		flag.Usage()
 		os.Exit(2)
 	}
-	if kernelEvents > 0 && kernelWall > 0 {
+	var events, switches uint64
+	var wall time.Duration
+	for _, r := range doc.Results {
+		events, switches, wall = events+r.Res.Events, switches+r.Res.Switches, wall+r.Wall
+	}
+	if events > 0 && wall > 0 {
 		// Host measurement, so stderr: stdout stays byte-identical across
 		// runs (the figure-parity check diffs it).
 		fmt.Fprintf(os.Stderr, "kernel: %d simulated events (%d process switches), %.2fs summed run wall, %.2fM events/sec\n",
-			kernelEvents, kernelSwitches, kernelWall.Seconds(), float64(kernelEvents)/kernelWall.Seconds()/1e6)
+			events, switches, wall.Seconds(), float64(events)/wall.Seconds()/1e6)
 	}
 	if *benchjson != "" {
-		if err := writeBenchJSON(*benchjson); err != nil {
+		// Per-experiment host cost with the toolchain, the GOMAXPROCS the
+		// experiments ran under and the host's CPU count: a speed number is
+		// only comparable with all three named.
+		b, err := json.MarshalIndent(struct {
+			Suite       string    `json:"suite"`
+			GoVersion   string    `json:"go_version"`
+			GOMAXPROCS  int       `json:"gomaxprocs"`
+			HostCPUs    int       `json:"host_cpus"`
+			Experiments []expWall `json:"experiments"`
+		}{"bionicbench-kernel", runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU(), expWalls}, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*benchjson, append(b, '\n'), 0o644)
+		}
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote kernel bench baseline to %s\n", *benchjson)
@@ -330,13 +230,21 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		if len(collected) == 0 {
-			fatal(fmt.Sprintf("-json %s: no results to write (the selected experiments run no measurements; use -fig 3, -fig 4, -ablation or -sweep)", *jsonOut))
+		if doc.Empty() {
+			var measured []string
+			for _, e := range experiments {
+				if e.json {
+					measured = append(measured, "-"+e.flag)
+				}
+			}
+			fatal(fmt.Sprintf("-json %s: no results to write (the selected experiments run no measurements; use %s)",
+				*jsonOut, strings.Join(measured, ", ")))
 		}
-		if err := bench.WriteJSONFile(*jsonOut, collected); err != nil {
+		if err := doc.WriteFile(*jsonOut); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %d results to %s\n", len(collected), *jsonOut)
+		fmt.Printf("wrote %d results, %d recovery and %d failover records to %s\n",
+			len(doc.Results), len(doc.Recovery), len(doc.Failover), *jsonOut)
 	}
 }
 
@@ -350,26 +258,10 @@ func emit(title string, t *stats.Table) {
 	fmt.Println()
 }
 
-// obsOpts returns the flight-recorder options the -trace-out/-metrics-out
-// flags ask for, or nil (attach nothing) when neither is given.
-func obsOpts() *obs.Options {
-	if *traceOut == "" && *metricsOut == "" {
-		return nil
-	}
-	return &obs.Options{Trace: *traceOut != "", Metrics: *metricsOut != ""}
-}
-
 // obsSeq numbers observability artifacts across the whole invocation, so
 // -all with -trace-out never overwrites one experiment's trace with the
 // next's.
 var obsSeq int
-
-// suffixPath inserts a running index before the path's extension:
-// trace.json -> trace.3.json.
-func suffixPath(path string, i int) string {
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.%d%s", strings.TrimSuffix(path, ext), i, ext)
-}
 
 // writeObsArtifacts exports each result's trace and telemetry to the flag
 // paths. A single-point invocation writes the paths verbatim; otherwise
@@ -379,22 +271,21 @@ func writeObsArtifacts(results []bench.Result) {
 		return
 	}
 	single := obsSeq == 0 && len(results) == 1
+	path := func(p string) string { // trace.json -> trace.3.json
+		if single {
+			return p
+		}
+		ext := filepath.Ext(p)
+		return fmt.Sprintf("%s.%d%s", strings.TrimSuffix(p, ext), obsSeq, ext)
+	}
 	for _, r := range results {
 		if *traceOut != "" && r.Res != nil && r.Res.Trace != nil {
-			path := *traceOut
-			if !single {
-				path = suffixPath(path, obsSeq)
-			}
-			if err := obs.WriteTraceFile(path, r.Res.Trace); err != nil {
+			if err := obs.WriteTraceFile(path(*traceOut), r.Res.Trace); err != nil {
 				fatal(err)
 			}
 		}
 		if *metricsOut != "" && r.Res != nil && r.Res.Metrics != nil {
-			path := *metricsOut
-			if !single {
-				path = suffixPath(path, obsSeq)
-			}
-			if err := r.Res.Metrics.WriteMetricsFile(path); err != nil {
+			if err := r.Res.Metrics.WriteMetricsFile(path(*metricsOut)); err != nil {
 				fatal(err)
 			}
 		}
@@ -406,24 +297,15 @@ func writeObsArtifacts(results []bench.Result) {
 }
 
 // runPoints executes points through the shared pool, records them for
-// -json, and fails fast on any run error. When -trace-out/-metrics-out are
-// given the flight recorder is attached to every point and its artifacts
-// written as the sweep completes.
+// -json, fails fast on any run error and writes the flight recorder's
+// artifacts.
 func runPoints(points []bench.Point) []bench.Result {
-	if o := obsOpts(); o != nil {
-		for i := range points {
-			points[i].Obs = o
-		}
-	}
 	results := bench.Run(points, bench.Options{Parallel: *parallel})
-	collected = append(collected, results...)
+	doc.Results = append(doc.Results, results...)
 	for _, r := range results {
 		if r.Err != nil {
 			fatal(r.Err)
 		}
-		kernelEvents += r.Res.Events
-		kernelSwitches += r.Res.Switches
-		kernelWall += r.Wall
 	}
 	writeObsArtifacts(results)
 	return results
@@ -433,34 +315,27 @@ func windows() (warmup, measure sim.Duration) {
 	return sim.Duration(*warmupMs) * sim.Millisecond, sim.Duration(*measureMs) * sim.Millisecond
 }
 
-// Workload constructors shared by the figure generators and the sweep.
-
-func tatpSpec() bench.WorkloadSpec {
-	n := *subscribers
-	return bench.WorkloadSpec{Name: "tatp", Make: func() core.Workload {
-		return tatp.New(tatp.Config{Subscribers: n})
-	}}
-}
-
-func tpccConfig() tpcc.Config {
-	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = *warehouses
-	if *quick {
-		cfg.CustomersPerDistrict = 600
-		cfg.Items = 20000
+// grid starts every run-backed experiment's Grid: its group and engine
+// axis, the seed, the windows and the flight recorder when -trace-out or
+// -metrics-out asks for it.
+func grid(group string, engines ...bench.EngineSpec) bench.Grid {
+	warmup, measure := windows()
+	g := bench.Grid{Group: group, Engines: engines, Seeds: []uint64{*seed}, Warmup: warmup, Measure: measure}
+	if *traceOut != "" || *metricsOut != "" {
+		g.Obs = &obs.Options{Trace: *traceOut != "", Metrics: *metricsOut != ""}
 	}
-	return cfg
+	return g
 }
 
-func tpccSpec() bench.WorkloadSpec {
-	cfg := tpccConfig()
-	return bench.WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(cfg) }}
-}
-
-func ycsbSpec() bench.WorkloadSpec {
-	cfg := ycsb.DefaultConfig()
-	cfg.Records = *records
-	return bench.WorkloadSpec{Name: "ycsb", Make: func() core.Workload { return ycsb.New(cfg) }}
+// onMachine puts a figure or sweep grid on the flag-selected machine:
+// -sockets N, weak-scaled like the scale-out figures (the paper's one
+// socket leaves the points unannotated), -sharded-log and -replication.
+func onMachine(g bench.Grid) bench.Grid {
+	if *sockets > 1 {
+		g.Sockets = []int{*sockets}
+	}
+	g.ShardedLog, g.Repl, g.Replicas = *shardedLog, replMode(), *replicas
+	return g
 }
 
 // replMode parses -replication, failing fast on an unknown mode.
@@ -472,32 +347,65 @@ func replMode() stats.ReplMode {
 	return m
 }
 
-// plCfg returns the platform configuration every run-backed experiment
-// builds engines on: the HC2 machine, scaled out when -sockets > 1, log-
-// sharded when -sharded-log, and replicated when -replication names a mode.
-// At the default flags it is byte-for-byte the paper's machine (the
-// sharded-log flag is inert on one socket; replication off builds nothing).
-func plCfg() *platform.Config {
-	cfg := platform.HC2Scaled(*sockets)
-	cfg.LogDevPerSocket = *shardedLog
-	if m := replMode(); m != stats.ReplNone {
-		cfg.Replicas = *replicas
-		cfg.ReplMode = m
+// bySocket expands g one socket count at a time, so each machine's rows
+// print together.
+func bySocket(g bench.Grid, socks []int) []bench.Point {
+	var points []bench.Point
+	for _, n := range socks {
+		g.Sockets = []int{n}
+		points = append(points, g.Points()...)
 	}
-	return cfg
+	return points
 }
 
-// partitionCount is one DORA partition per core across the machine.
-func partitionCount() int { return plCfg().TotalCores() }
+// family is the Figure 4 engine family, each named by its engine.
+func family() []bench.EngineSpec {
+	return []bench.EngineSpec{bench.Conventional(), bench.DORA(), bench.Bionic(core.AllOffloads())}
+}
 
-// engineSet is the Figure 4 engine family, built on the -sockets machine.
-func engineSet() []bench.EngineSpec {
-	cfg := plCfg()
-	return []bench.EngineSpec{
-		bench.ConventionalOn(cfg),
-		bench.DORAOn(cfg, partitionCount()),
-		bench.BionicOn(cfg, partitionCount(), core.AllOffloads(), 8),
+// Workload specs, each defined once with its weak scaling: TPC-C grows its
+// warehouses with the machine (warehouses are TPC-C's unit of parallelism;
+// a fixed-size database would measure contention collapse, not engine
+// scaling) and so does the hybrid YCSB its records; TATP and YCSB keep
+// their databases.
+
+func tatpSpec() bench.WorkloadSpec {
+	n := *subscribers
+	return bench.WorkloadSpec{Name: "tatp", Make: func(int) core.Workload {
+		return tatp.New(tatp.Config{Subscribers: n})
+	}}
+}
+
+func tpccSpec(name string, mk func(tpcc.Config) core.Workload) bench.WorkloadSpec {
+	base := tpcc.DefaultConfig()
+	base.Warehouses = *warehouses
+	if *quick {
+		base.CustomersPerDistrict = 600
+		base.Items = 20000
 	}
+	return bench.WorkloadSpec{Name: name, Make: func(sockets int) core.Workload {
+		cfg := base
+		cfg.Warehouses *= sockets
+		return mk(cfg)
+	}}
+}
+
+func newTPCC(cfg tpcc.Config) core.Workload { return tpcc.New(cfg) }
+
+func ycsbSpec() bench.WorkloadSpec {
+	cfg := ycsb.DefaultConfig()
+	cfg.Records = *records
+	return bench.WorkloadSpec{Name: "ycsb", Make: func(int) core.Workload { return ycsb.New(cfg) }}
+}
+
+func htapYCSBSpec() bench.WorkloadSpec {
+	base := ycsb.DefaultConfig()
+	base.Records = *records
+	return bench.WorkloadSpec{Name: "htap-ycsb", Make: func(sockets int) core.Workload {
+		cfg := base
+		cfg.Records *= sockets
+		return htap.NewYCSB(cfg, htap.DefaultParams())
+	}}
 }
 
 // fig1 prints the dark-silicon utilization curves and the power-envelope
@@ -540,68 +448,41 @@ func fig2() {
 
 // fig3 prints the DORA software breakdown for the two Figure 3 workloads.
 func fig3() {
-	warmup, measure := windows()
 	n := *subscribers
-	tpccCfg := tpccConfig()
-	g := bench.Grid{
-		Group:   "fig3",
-		Repl:    replMode(),
-		Engines: []bench.EngineSpec{bench.DORAOn(plCfg(), partitionCount())},
-		Workloads: []bench.WorkloadSpec{
-			{Name: "tatp-updsubdata", Make: func() core.Workload {
-				return tatp.New(tatp.Config{Subscribers: n}).UpdateSubDataOnly()
-			}},
-			{Name: "tpcc-stocklevel", Make: func() core.Workload {
-				return tpcc.New(tpccCfg).StockLevelOnly()
-			}},
-		},
-		Terminals: []int{*terminals},
-		Seeds:     []uint64{*seed},
-		Warmup:    warmup, Measure: measure,
+	g := onMachine(grid("fig3", bench.DORA()))
+	g.Workloads = []bench.WorkloadSpec{
+		{Name: "tatp-updsubdata", Make: func(int) core.Workload {
+			return tatp.New(tatp.Config{Subscribers: n}).UpdateSubDataOnly()
+		}},
+		tpccSpec("tpcc-stocklevel", func(cfg tpcc.Config) core.Workload { return tpcc.New(cfg).StockLevelOnly() }),
 	}
+	g.Terminals = []int{*terminals}
 	results := runPoints(g.Points())
 	t := stats.NewTable("component", ">TATP UpdSubData", ">TPCC StockLevel")
-	shares := make([][]float64, len(results))
-	for i, r := range results {
-		total := r.Res.BD.Total()
-		shares[i] = make([]float64, stats.NumComponents)
-		for _, comp := range stats.Components() {
-			if total > 0 {
-				shares[i][comp] = float64(r.Res.BD.Get(comp)) / float64(total) * 100
-			}
-		}
-	}
 	for _, comp := range stats.Components() {
 		t.Row(comp.String(),
-			fmt.Sprintf("%.1f%%", shares[0][comp]),
-			fmt.Sprintf("%.1f%%", shares[1][comp]))
+			fmt.Sprintf("%.1f%%", results[0].Res.BD.Fraction(comp)*100),
+			fmt.Sprintf("%.1f%%", results[1].Res.BD.Fraction(comp)*100))
 	}
 	emit("Figure 3: CPU time breakdown, DORA software engine", t)
 }
 
 // fig4 compares the three engines on both workload mixes.
 func fig4() {
-	warmup, measure := windows()
 	// TPC-C concurrency scales with warehouses (the spec mandates 10
 	// terminals per warehouse; 2x that keeps pressure without district
 	// convoys), so each workload expands as its own grid.
 	var points []bench.Point
-	for _, wg := range []struct {
-		wl        bench.WorkloadSpec
+	for _, wl := range []struct {
+		spec      bench.WorkloadSpec
 		terminals int
 	}{
 		{tatpSpec(), *terminals},
-		{tpccSpec(), *warehouses * 20},
+		{tpccSpec("tpcc", newTPCC), *warehouses * 20},
 	} {
-		g := bench.Grid{
-			Group:     "fig4",
-			Repl:      replMode(),
-			Engines:   engineSet(),
-			Workloads: []bench.WorkloadSpec{wg.wl},
-			Terminals: []int{wg.terminals},
-			Seeds:     []uint64{*seed},
-			Warmup:    warmup, Measure: measure,
-		}
+		g := onMachine(grid("fig4", family()...))
+		g.Workloads = []bench.WorkloadSpec{wl.spec}
+		g.Terminals = []int{wl.terminals}
 		points = append(points, g.Points()...)
 	}
 	results := runPoints(points)
@@ -632,7 +513,6 @@ func fig4() {
 
 // runAblation sweeps the offload lattice on the TATP mix.
 func runAblation() {
-	warmup, measure := windows()
 	lattice := []core.Offloads{
 		{},
 		{Queue: true},
@@ -644,19 +524,12 @@ func runAblation() {
 	}
 	engines := make([]bench.EngineSpec, len(lattice))
 	for i, off := range lattice {
-		spec := bench.BionicOn(plCfg(), partitionCount(), off, 8)
-		spec.Name = off.String() // table rows name the subset, not the engine
-		engines[i] = spec
+		engines[i] = bench.Bionic(off)
+		engines[i].Name = off.String() // table rows name the subset, not the engine
 	}
-	g := bench.Grid{
-		Group:     "ablation",
-		Repl:      replMode(),
-		Engines:   engines,
-		Workloads: []bench.WorkloadSpec{tatpSpec()},
-		Terminals: []int{*terminals},
-		Seeds:     []uint64{*seed},
-		Warmup:    warmup, Measure: measure,
-	}
+	g := onMachine(grid("ablation", engines...))
+	g.Workloads = []bench.WorkloadSpec{tatpSpec()}
+	g.Terminals = []int{*terminals}
 	results := runPoints(g.Points())
 	t := stats.NewTable("offloads", ">tps", ">uJ/txn", ">p50", ">p95")
 	for _, r := range results {
@@ -673,53 +546,49 @@ func runAblation() {
 // all three engines — the broad-and-cheap experiment surface the figure
 // generators sample corners of.
 func runSweep() {
-	warmup, measure := windows()
-	if *seeds < 1 {
-		*seeds = 1
-	}
-	seedList := make([]uint64, *seeds)
-	for i := range seedList {
-		seedList[i] = *seed + uint64(i)
-	}
-	g := bench.Grid{
-		Group:     "sweep",
-		Repl:      replMode(),
-		Engines:   engineSet(),
-		Workloads: []bench.WorkloadSpec{tatpSpec(), tpccSpec(), ycsbSpec()},
-		Terminals: []int{*terminals},
-		Seeds:     seedList,
-		Warmup:    warmup, Measure: measure,
+	g := onMachine(grid("sweep", family()...))
+	g.Workloads = []bench.WorkloadSpec{tatpSpec(), tpccSpec("tpcc", newTPCC), ycsbSpec()}
+	g.Terminals = []int{*terminals}
+	for i := 1; i < *seeds; i++ {
+		g.Seeds = append(g.Seeds, *seed+uint64(i))
 	}
 	results := runPoints(g.Points())
 	emit(fmt.Sprintf("Sweep: %d grid points (engines x workloads x %d seed(s))",
-		len(results), len(seedList)), bench.Table(results))
+		len(results), len(g.Seeds)), bench.Table(results))
 }
 
-// socketAxis returns the socket counts the scale-out experiments sweep:
-// 1 -> 16 by powers of two, capped (and extended) by -sockets when given.
-func socketAxis() []int {
-	maxSockets := 16
-	if *sockets > 1 {
-		maxSockets = *sockets
+// capped caps a scale-out socket axis at -sockets, and extends it to
+// -sockets, when -sockets > 1.
+func capped(axis []int) []int {
+	if *sockets <= 1 {
+		return axis
 	}
-	var socks []int
-	for _, n := range []int{1, 2, 4, 8, 16} {
-		if n <= maxSockets {
-			socks = append(socks, n)
+	var out []int
+	for _, n := range axis {
+		if n <= *sockets {
+			out = append(out, n)
 		}
 	}
-	if socks[len(socks)-1] != maxSockets {
-		socks = append(socks, maxSockets)
+	if out[len(out)-1] != *sockets {
+		out = append(out, *sockets)
 	}
-	return socks
+	return out
 }
 
-// perSocketTerminals is the scale-out experiments' offered load per socket.
-func perSocketTerminals() int {
+// socketAxis is the scale-out experiments' socket axis: 1 -> 16 by powers
+// of two.
+func socketAxis() []int { return capped([]int{1, 2, 4, 8, 16}) }
+
+// scaleOut starts a scale-out experiment's grid: its workloads at the
+// scale-out figures' offered load per socket.
+func scaleOut(group string, engines []bench.EngineSpec, workloads ...bench.WorkloadSpec) bench.Grid {
+	g := grid(group, engines...)
+	g.Workloads = workloads
+	g.Terminals = []int{32}
 	if *quick {
-		return 8
+		g.Terminals = []int{8}
 	}
-	return 32
+	return g
 }
 
 // runFigScaling measures the scale-out story: all three engines on all
@@ -728,33 +597,20 @@ func perSocketTerminals() int {
 // reports throughput, speedup over one socket and joules/txn — the
 // committed BENCH_scaling.json baseline is this experiment's -json output.
 func runFigScaling() {
-	warmup, measure := windows()
 	socks := socketAxis()
-	// One spec per socket count so the TPC-C database can grow with the
-	// machine (warehouses are TPC-C's unit of parallelism; a fixed-size
-	// database would measure contention collapse, not engine scaling).
+	g := scaleOut("fig-scaling", bench.Engines(), tatpSpec(), tpccSpec("tpcc", newTPCC), ycsbSpec())
+	// One socket count at a time, so each machine's rows print together.
 	// With -sharded-log the sharded axis runs next to the central baseline
 	// (only where it is structurally different: 2+ sockets), so the table
 	// shows exactly what sharding the log lifts.
 	var points []bench.Point
 	for _, n := range socks {
-		tpccCfg := tpccConfig()
-		tpccCfg.Warehouses *= n
-		spec := bench.ScalingSpec{
-			Sockets: []int{n},
-			Workloads: []bench.WorkloadSpec{
-				tatpSpec(),
-				{Name: "tpcc", Make: func() core.Workload { return tpcc.New(tpccCfg) }},
-				ycsbSpec(),
-			},
-			TerminalsPerSocket: perSocketTerminals(),
-			Seeds:              []uint64{*seed},
-			Warmup:             warmup, Measure: measure,
-		}
-		points = append(points, spec.Points()...)
+		g.Sockets = []int{n}
+		g.ShardedLog = false
+		points = append(points, g.Points()...)
 		if *shardedLog && n > 1 {
-			spec.ShardedLog = true
-			points = append(points, spec.Points()...)
+			g.ShardedLog = true
+			points = append(points, g.Points()...)
 		}
 	}
 	results := runPoints(points)
@@ -762,189 +618,86 @@ func runFigScaling() {
 		socks, platform.HC2().ICTopology), bench.ScalingTable(results))
 }
 
-// runFigHTAP measures the hybrid story: the mixed workloads (TPC-C and
-// YCSB transactions with analytical range scans over columnar projections)
-// on the conventional and bionic machines at 1 -> 16 sockets. Weak scaling
-// like fig-scaling: terminals, TPC-C warehouses and YCSB records grow with
-// the machine. Sharded logs give the freshness vector one entry per
-// socket. The table reports transactional throughput and energy next to
-// scan bandwidth and staleness — the committed BENCH_htap.json baseline is
-// this experiment's -json output.
+// runFigHTAP measures the hybrid story: the mixed workloads (transactions
+// with analytical range scans over columnar projections) on the
+// conventional and bionic machines at 1 -> 16 sockets, weak-scaled.
+// Sharded logs give the freshness vector one entry per socket. The
+// committed BENCH_htap.json baseline is this experiment's -json output.
 func runFigHTAP() {
-	warmup, measure := windows()
 	socks := socketAxis()
-	var points []bench.Point
-	for _, n := range socks {
-		tpccCfg := tpccConfig()
-		tpccCfg.Warehouses *= n
-		ycsbCfg := ycsb.DefaultConfig()
-		ycsbCfg.Records = *records * n
-		spec := bench.HTAPSpec{
-			Sockets: []int{n},
-			Workloads: []bench.WorkloadSpec{
-				{Name: "htap-ycsb", Make: func() core.Workload {
-					return htap.NewYCSB(ycsbCfg, htap.DefaultParams())
-				}},
-				{Name: "htap-tpcc", Make: func() core.Workload {
-					return htap.NewTPCC(tpccCfg, htap.DefaultParams())
-				}},
-			},
-			TerminalsPerSocket: perSocketTerminals(),
-			ShardedLog:         true,
-			Seeds:              []uint64{*seed},
-			Warmup:             warmup, Measure: measure,
-		}
-		points = append(points, spec.Points()...)
-	}
-	results := runPoints(points)
+	engines := bench.Engines()
+	g := scaleOut("fig-htap", []bench.EngineSpec{engines[0], engines[2]}, htapYCSBSpec(),
+		tpccSpec("htap-tpcc", func(cfg tpcc.Config) core.Workload { return htap.NewTPCC(cfg, htap.DefaultParams()) }))
+	g.ShardedLog, g.HTAP = true, true
+	results := runPoints(bySocket(g, socks))
 	emit(fmt.Sprintf("fig-htap: hybrid weak scaling over %v sockets, conventional vs bionic", socks),
 		bench.HTAPTable(results))
 }
 
-// runFigRecovery measures the durability subsystem's read side: crash a
-// sharded-log machine at the end of its measurement window and replay the
-// per-socket log shards — serially and one process per shard — timing the
-// boot and its joules at each socket count. TPC-C is the workload: it is
-// the log-heavy benchmark whose weak scaling the sharded log un-walls.
+// runFigRecovery measures the durability subsystem's read side
+// (Grid.RunRecovery) on TPC-C and DORA: the log-heavy benchmark whose weak
+// scaling the sharded log un-walls, on the software sharded log.
 func runFigRecovery() {
-	warmup, measure := windows()
-	socks := socketAxis()
-	spec := bench.RecoverySpec{
-		Sockets: socks,
-		Workload: func(n int) bench.WorkloadSpec {
-			tpccCfg := tpccConfig()
-			tpccCfg.Warehouses *= n
-			return bench.WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(tpccCfg) }}
-		},
-		ShardedLog:         true,
-		TerminalsPerSocket: perSocketTerminals(),
-		Seed:               *seed,
-		Warmup:             warmup, Measure: measure,
-	}
-	results := spec.RunRecovery(bench.Options{Parallel: *parallel})
+	g := scaleOut("fig-recovery", []bench.EngineSpec{bench.DORA()}, tpccSpec("tpcc", newTPCC))
+	g.Sockets, g.ShardedLog = socketAxis(), true
+	results := g.RunRecovery(bench.Options{Parallel: *parallel})
 	for _, r := range results {
 		if r.Err != nil {
 			fatal(r.Err)
 		}
 	}
-	emit(fmt.Sprintf("fig-recovery: crash at measure end, parallel shard replay over %v sockets", socks),
+	doc.Recovery = append(doc.Recovery, results...)
+	emit(fmt.Sprintf("fig-recovery: crash at measure end, parallel shard replay over %v sockets", g.Sockets),
 		bench.RecoveryTable(results))
-	if *recJSON != "" {
-		if err := bench.WriteRecoveryJSONFile(*recJSON, results); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d recovery results to %s\n", len(results), *recJSON)
-	}
 }
 
-// runFigFailover measures the robustness story: ship the per-socket log
-// shards to replica machines under each commit-wait mode, price the mode in
-// steady state against the same-socket unreplicated baseline, then kill the
-// primary mid-measure under a seed-deterministic fault plan (link lag, a
-// partition window, a replica stall) and boot the replica through measured
-// parallel recovery. TPC-C is the workload, like fig-recovery: the
-// log-heavy benchmark is the one replication taxes hardest. -replication
-// narrows the mode axis to baseline-vs-that-mode; the default sweeps all
-// three modes. The committed BENCH_failover.json baseline is this
-// experiment's -failover-json output.
+// runFigFailover measures the robustness story (bench.FailoverSpec): the
+// replication tax per commit-wait mode, then a faulted primary kill and the
+// replica's measured failover. TPC-C on DORA is the workload, like
+// fig-recovery: the log-heavy benchmark is the one replication taxes
+// hardest. -replication narrows the mode axis to baseline-vs-that-mode.
+// The committed BENCH_failover.json baseline is this experiment's -json
+// output.
 func runFigFailover() {
-	warmup, measure := windows()
-	socks := bench.DefaultFailoverSockets()
+	spec := bench.FailoverSpec{Grid: scaleOut("fig-failover", []bench.EngineSpec{bench.DORA()}, tpccSpec("tpcc", newTPCC))}
+	spec.Sockets, spec.ShardedLog, spec.Replicas = []int{1, 2, 4}, true, *replicas
 	if *sockets > 1 {
-		socks = socketAxis()
-	}
-	spec := bench.FailoverSpec{
-		Sockets:  socks,
-		Replicas: *replicas,
-		Workload: func(n int) bench.WorkloadSpec {
-			tpccCfg := tpccConfig()
-			tpccCfg.Warehouses *= n
-			return bench.WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(tpccCfg) }}
-		},
-		ShardedLog:         true,
-		TerminalsPerSocket: perSocketTerminals(),
-		Seed:               *seed,
-		Warmup:             warmup, Measure: measure,
+		spec.Sockets = socketAxis()
 	}
 	if m := replMode(); m != stats.ReplNone {
 		spec.Modes = []stats.ReplMode{stats.ReplNone, m}
 	}
-	spec.Obs = obsOpts()
 	fo, steady := spec.RunFailover(bench.Options{Parallel: *parallel})
-	collected = append(collected, steady...)
 	for _, r := range fo {
 		if r.Err != nil {
 			fatal(r.Err)
 		}
 	}
 	writeObsArtifacts(steady)
+	doc.Failover = append(doc.Failover, fo...)
 	emit(fmt.Sprintf("fig-failover: replication tax and measured failover over %v sockets, %d replicas",
-		socks, spec.Replicas), bench.FailoverTable(fo))
-	if *failJSON != "" {
-		if err := bench.WriteFailoverJSONFile(*failJSON, fo); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d failover results to %s\n", len(fo), *failJSON)
-	}
+		spec.Sockets, *replicas), bench.FailoverTable(fo))
 }
 
 // anatomySockets is the fig-anatomy socket axis: 1, 4 and 16 — the anchor,
 // the knee and the scale-out end of the scaling curves. -quick trims the
-// 16-socket end; -sockets > 1 caps (and extends) the axis like socketAxis.
+// 16-socket end.
 func anatomySockets() []int {
-	socks := []int{1, 4, 16}
 	if *quick {
-		socks = []int{1, 4}
+		return capped([]int{1, 4})
 	}
-	if *sockets > 1 {
-		var out []int
-		for _, n := range socks {
-			if n <= *sockets {
-				out = append(out, n)
-			}
-		}
-		if out[len(out)-1] != *sockets {
-			out = append(out, *sockets)
-		}
-		return out
-	}
-	return socks
+	return capped([]int{1, 4, 16})
 }
 
-// runFigAnatomy prints the per-transaction latency anatomy: where committed
-// transactions' time went — partition-queue wait, lock wait, execution, the
-// cross-shard decision round, durability fan-in and the replication ack
-// wait — per engine and workload across the socket axis, p50/p99/mean per
-// phase. The anatomy is always collected by the harness (it is pure
-// clock-reading, outside every digest); this experiment surfaces it.
-// Phases overlap across a transaction's parallel actions, so shares are of
-// summed phase time, not of end-to-end latency.
+// runFigAnatomy prints where committed transactions' time went, per phase
+// (stats.Phases), engine and workload across the socket axis. Phases
+// overlap across a transaction's parallel actions, so shares are of summed
+// phase time, not of end-to-end latency.
 func runFigAnatomy() {
-	warmup, measure := windows()
 	socks := anatomySockets()
-	var points []bench.Point
-	for _, n := range socks {
-		tpccCfg := tpccConfig()
-		tpccCfg.Warehouses *= n
-		spec := bench.ScalingSpec{
-			Sockets: []int{n},
-			Workloads: []bench.WorkloadSpec{
-				tatpSpec(),
-				{Name: "tpcc", Make: func() core.Workload { return tpcc.New(tpccCfg) }},
-				ycsbSpec(),
-			},
-			TerminalsPerSocket: perSocketTerminals(),
-			ShardedLog:         *shardedLog,
-			Seeds:              []uint64{*seed},
-			Warmup:             warmup, Measure: measure,
-		}
-		pts := spec.Points()
-		for i := range pts {
-			pts[i].Group = "fig-anatomy"
-		}
-		points = append(points, pts...)
-	}
-	results := runPoints(points)
+	g := scaleOut("fig-anatomy", bench.Engines(), tatpSpec(), tpccSpec("tpcc", newTPCC), ycsbSpec())
+	g.ShardedLog = *shardedLog
+	results := runPoints(bySocket(g, socks))
 	t := stats.NewTable("workload", "engine", ">sockets", "phase",
 		">samples", ">p50", ">p99", ">mean", ">share")
 	for _, r := range results {

@@ -21,21 +21,26 @@ func main() {
 	measureMs := flag.Int("measure", 15, "measurement window, simulated ms")
 	flag.Parse()
 
-	sweep := bionicdb.ScalingSweep{
+	sweep := bionicdb.SweepGrid{
 		Sockets: []int{1, 4},
+		Engines: []bionicdb.EngineSpec{
+			bionicdb.ConventionalSpec(),
+			bionicdb.DORASpec(),
+			bionicdb.BionicSpec(bionicdb.AllOffloads()),
+		},
 		Workloads: []bionicdb.WorkloadSpec{
-			{Name: "tatp", Make: func() bionicdb.Workload {
+			{Name: "tatp", Make: func(int) bionicdb.Workload {
 				return bionicdb.NewTATP(bionicdb.TATPConfig{Subscribers: *subscribers})
 			}},
 		},
-		TerminalsPerSocket: 16,
-		Warmup:             5 * bionicdb.Millisecond,
-		Measure:            bionicdb.Duration(*measureMs) * bionicdb.Millisecond,
+		Terminals: []int{16}, // per socket
+		Warmup:    5 * bionicdb.Millisecond,
+		Measure:   bionicdb.Duration(*measureMs) * bionicdb.Millisecond,
 	}
 
 	points := sweep.Points()
 	fmt.Printf("TATP on 1 and 4 sockets: %d runs (weak scaling, %d terminals/socket)...\n\n",
-		len(points), sweep.TerminalsPerSocket)
+		len(points), sweep.Terminals[0])
 	results := bionicdb.Sweep(points, bionicdb.SweepOptions{}) // parallel across GOMAXPROCS workers
 	for _, r := range results {
 		if r.Err != nil {

@@ -24,19 +24,15 @@ func main() {
 	metricsOut := flag.String("metrics-out", "metrics.csv", "telemetry output path (.json = JSON, else CSV)")
 	flag.Parse()
 
-	sweep := bionicdb.ScalingSweep{
+	sweep := bionicdb.SweepGrid{
 		Sockets: []int{1, *sockets},
 		Workloads: []bionicdb.WorkloadSpec{
-			{Name: "tatp", Make: func() bionicdb.Workload {
+			{Name: "tatp", Make: func(int) bionicdb.Workload {
 				return bionicdb.NewTATP(bionicdb.TATPConfig{Subscribers: 20000})
 			}},
 		},
-		Engines: []bionicdb.ScalingEngine{
-			{Name: "dora", On: func(cfg *bionicdb.PlatformConfig, partitions, window int) bionicdb.EngineSpec {
-				return bionicdb.DORASpecOn(cfg, partitions)
-			}},
-		},
-		TerminalsPerSocket: 16,
+		Engines:   []bionicdb.EngineSpec{bionicdb.DORASpec()},
+		Terminals: []int{16}, // per socket
 		// Per-socket log devices: each socket's lane then shows its own
 		// durability waits, and cross-socket transactions their decision
 		// rounds.

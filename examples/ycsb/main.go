@@ -15,7 +15,7 @@ import (
 func main() {
 	workload := func(name string, cfg bionicdb.YCSBConfig) bionicdb.WorkloadSpec {
 		cfg.Records = 20000
-		return bionicdb.WorkloadSpec{Name: name, Make: func() bionicdb.Workload {
+		return bionicdb.WorkloadSpec{Name: name, Make: func(int) bionicdb.Workload {
 			return bionicdb.NewYCSB(cfg)
 		}}
 	}
@@ -23,8 +23,8 @@ func main() {
 	grid := bionicdb.SweepGrid{
 		Engines: []bionicdb.EngineSpec{
 			bionicdb.ConventionalSpec(),
-			bionicdb.DORASpec(8),
-			bionicdb.BionicSpec(8, bionicdb.AllOffloads(), 8),
+			bionicdb.DORASpec(),
+			bionicdb.BionicSpec(bionicdb.AllOffloads()),
 		},
 		Workloads: []bionicdb.WorkloadSpec{
 			workload("ycsb-a", bionicdb.YCSBWorkloadA()),
@@ -42,7 +42,7 @@ func main() {
 
 	fmt.Print(bionicdb.SweepTable(results).String())
 
-	doc, err := bionicdb.SweepJSON(results[:1])
+	doc, err := bionicdb.SweepDoc{Results: results[:1]}.JSON()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -1,13 +1,19 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"bionicdb/internal/core"
+	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
+	"bionicdb/internal/stats"
 	"bionicdb/internal/workload/htap"
 	"bionicdb/internal/workload/tatp"
 	"bionicdb/internal/workload/tpcc"
@@ -15,13 +21,13 @@ import (
 )
 
 func smallTATP() WorkloadSpec {
-	return WorkloadSpec{Name: "tatp", Make: func() core.Workload {
+	return WorkloadSpec{Name: "tatp", Make: func(int) core.Workload {
 		return tatp.New(tatp.Config{Subscribers: 1000})
 	}}
 }
 
 func smallYCSB() WorkloadSpec {
-	return WorkloadSpec{Name: "ycsb", Make: func() core.Workload {
+	return WorkloadSpec{Name: "ycsb", Make: func(int) core.Workload {
 		cfg := ycsb.WorkloadA()
 		cfg.Records = 2000
 		return ycsb.New(cfg)
@@ -31,29 +37,32 @@ func smallYCSB() WorkloadSpec {
 // smallTPCC matters for determinism coverage: TPC-C transactions span
 // partitions, which exercises the rollback/lock-release fan-out paths.
 func smallTPCC() WorkloadSpec {
-	return WorkloadSpec{Name: "tpcc", Make: func() core.Workload {
+	return WorkloadSpec{Name: "tpcc", Make: func(int) core.Workload {
 		return tpcc.New(tpcc.SmallConfig())
 	}}
 }
 
-// quickTPCC is bionicbench -quick's TPC-C on an n-socket machine: two
-// warehouses per socket, the figure generators' weak-scaling unit.
-func quickTPCC(n int) WorkloadSpec {
-	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = 2 * n
-	cfg.CustomersPerDistrict = 600
-	cfg.Items = 20000
-	return WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(cfg) }}
+// quickTPCC is bionicbench -quick's TPC-C: two warehouses per socket, the
+// figure generators' weak-scaling unit.
+func quickTPCC() WorkloadSpec {
+	return WorkloadSpec{Name: "tpcc", Make: func(sockets int) core.Workload {
+		cfg := tpcc.DefaultConfig()
+		cfg.Warehouses = 2 * sockets
+		cfg.CustomersPerDistrict = 600
+		cfg.Items = 20000
+		return tpcc.New(cfg)
+	}}
 }
 
 func smallGrid() Grid {
 	return Grid{
-		Engines:   []EngineSpec{DORA(4), Bionic(4, core.AllOffloads(), 8)},
-		Workloads: []WorkloadSpec{smallTATP(), smallYCSB(), smallTPCC()},
-		Terminals: []int{8},
-		Seeds:     []uint64{1, 2},
-		Warmup:    1 * sim.Millisecond,
-		Measure:   3 * sim.Millisecond,
+		Engines:             []EngineSpec{DORA(), Bionic(core.AllOffloads())},
+		Workloads:           []WorkloadSpec{smallTATP(), smallYCSB(), smallTPCC()},
+		Terminals:           []int{8},
+		PartitionsPerSocket: 4,
+		Seeds:               []uint64{1, 2},
+		Warmup:              1 * sim.Millisecond,
+		Measure:             3 * sim.Millisecond,
 	}
 }
 
@@ -78,12 +87,79 @@ func TestPointsExpansion(t *testing.T) {
 		}
 	}
 
-	defaulted := Grid{Engines: []EngineSpec{DORA(4)}, Workloads: []WorkloadSpec{smallTATP()}}
+	defaulted := Grid{Engines: []EngineSpec{DORA()}, Workloads: []WorkloadSpec{smallTATP()}}
 	dp := defaulted.Points()
 	want := core.DefaultRunConfig()
 	if len(dp) != 1 || dp[0].Terminals != want.Terminals || dp[0].Seed != want.Seed ||
-		dp[0].Warmup != want.Warmup || dp[0].Measure != want.Measure {
+		dp[0].Warmup != want.Warmup || dp[0].Measure != want.Measure ||
+		dp[0].Sockets != 0 || dp[0].Partitions != 0 {
 		t.Fatalf("defaults not applied: %+v", dp[0])
+	}
+}
+
+// TestPointMachine pins the one source of truth for a point's machine: the
+// config Point.Run hands the engine has exactly the socket count, log
+// layout and replication the point states.
+func TestPointMachine(t *testing.T) {
+	var got *platform.Config
+	capture := Conventional()
+	mk := capture.Make
+	capture.Make = func(env *sim.Env, cfg *platform.Config, wl core.Workload, partitions int) core.Engine {
+		got = cfg
+		return mk(env, cfg, wl, partitions)
+	}
+	for _, sharded := range []bool{false, true} {
+		for _, repl := range []stats.ReplMode{stats.ReplNone, stats.ReplSync} {
+			g := Grid{
+				Engines:    []EngineSpec{capture},
+				Workloads:  []WorkloadSpec{smallTATP()},
+				Sockets:    []int{1, 2, 4},
+				Terminals:  []int{1},
+				ShardedLog: sharded,
+				Repl:       repl,
+				Replicas:   2,
+				Warmup:     100 * sim.Microsecond,
+				Measure:    100 * sim.Microsecond,
+			}
+			for _, p := range g.Points() {
+				if r := p.Run(); r.Err != nil {
+					t.Fatalf("x%d sharded=%v %v: %v", p.Sockets, sharded, repl, r.Err)
+				}
+				if got.NumSockets() != p.Sockets || got.ShardedLog() != p.ShardedLog ||
+					got.ReplMode != p.Repl || got.Replicas != p.Replicas {
+					t.Errorf("point x%d sharded=%v %v/%d ran on sockets=%d sharded=%v %v/%d",
+						p.Sockets, p.ShardedLog, p.Repl, p.Replicas,
+						got.NumSockets(), got.ShardedLog(), got.ReplMode, got.Replicas)
+				}
+				if want := sharded && p.Sockets > 1; p.ShardedLog != want {
+					t.Errorf("x%d: ShardedLog=%v, want %v", p.Sockets, p.ShardedLog, want)
+				}
+				wantReplicas := 0
+				if repl != stats.ReplNone {
+					wantReplicas = 2
+				}
+				if p.Replicas != wantReplicas {
+					t.Errorf("x%d %v: %d replicas, want %d", p.Sockets, repl, p.Replicas, wantReplicas)
+				}
+			}
+		}
+	}
+}
+
+// TestHTAPPointNeedsAnalytics pins that an HTAP point over a workload with
+// no analytical half errors instead of running (and hashing) as pure OLTP.
+func TestHTAPPointNeedsAnalytics(t *testing.T) {
+	g := Grid{
+		Engines:   []EngineSpec{Conventional()},
+		Workloads: []WorkloadSpec{smallTATP()},
+		HTAP:      true,
+		Warmup:    100 * sim.Microsecond,
+		Measure:   100 * sim.Microsecond,
+	}
+	for _, r := range g.Run(Options{Parallel: 1}) {
+		if r.Err == nil || r.Res != nil {
+			t.Errorf("HTAP point over %s ran without an analytical half: err=%v", r.Point.Workload.Name, r.Err)
+		}
 	}
 }
 
@@ -134,14 +210,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestYCSBAllEngines(t *testing.T) {
 	cfg := ycsb.Config{Records: 2000, ReadPct: 40, UpdatePct: 30, ScanPct: 15, RMWPct: 15, MaxScanLen: 20}
 	g := Grid{
-		Engines: []EngineSpec{Conventional(), DORA(4), Bionic(4, core.AllOffloads(), 8)},
-		Workloads: []WorkloadSpec{{Name: "ycsb", Make: func() core.Workload {
+		Engines: []EngineSpec{Conventional(), DORA(), Bionic(core.AllOffloads())},
+		Workloads: []WorkloadSpec{{Name: "ycsb", Make: func(int) core.Workload {
 			return ycsb.New(cfg)
 		}}},
-		Terminals: []int{8},
-		Seeds:     []uint64{7},
-		Warmup:    1 * sim.Millisecond,
-		Measure:   4 * sim.Millisecond,
+		Terminals:           []int{8},
+		PartitionsPerSocket: 4,
+		Seeds:               []uint64{7},
+		Warmup:              1 * sim.Millisecond,
+		Measure:             4 * sim.Millisecond,
 	}
 	for _, r := range g.Run(Options{Parallel: 2}) {
 		if r.Err != nil {
@@ -174,18 +251,19 @@ func TestForEach(t *testing.T) {
 	ForEach(0, 4, func(i int) { t.Fatal("fn called for empty range") })
 }
 
-// TestJSONEmission checks the document shape and that errors carry through.
+// TestJSONEmission checks the results section's shape and numbers.
 func TestJSONEmission(t *testing.T) {
 	g := Grid{
-		Engines:   []EngineSpec{DORA(4)},
-		Workloads: []WorkloadSpec{smallYCSB()},
-		Terminals: []int{4},
-		Seeds:     []uint64{3},
-		Warmup:    1 * sim.Millisecond,
-		Measure:   2 * sim.Millisecond,
+		Engines:             []EngineSpec{DORA()},
+		Workloads:           []WorkloadSpec{smallYCSB()},
+		Terminals:           []int{4},
+		PartitionsPerSocket: 4,
+		Seeds:               []uint64{3},
+		Warmup:              1 * sim.Millisecond,
+		Measure:             2 * sim.Millisecond,
 	}
 	results := g.Run(Options{Parallel: 1})
-	b, err := JSON(results)
+	b, err := Doc{Results: results}.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +291,98 @@ func TestJSONEmission(t *testing.T) {
 	}
 }
 
+// TestDocSections pins the one result document: all three sections
+// round-trip, an empty section is omitted, and the same grid run twice
+// writes byte-identical files (the document holds no host-clock field).
+func TestDocSections(t *testing.T) {
+	g := Grid{
+		Group:     "doc",
+		Engines:   []EngineSpec{DORA()},
+		Workloads: []WorkloadSpec{smallTATP()},
+		Terminals: []int{2},
+		Warmup:    100 * sim.Microsecond,
+		Measure:   200 * sim.Microsecond,
+	}
+	full := Doc{
+		Results:  g.Run(Options{Parallel: 1}),
+		Recovery: []RecoveryResult{{Sockets: 2, Shards: 2, ShardedLog: true, Engine: "dora", Workload: "tpcc", Txns: 7}},
+		Failover: []FailoverResult{{Sockets: 1, Mode: stats.ReplSync, Replicas: 2, Engine: "dora", Workload: "tpcc",
+			CommitsAcked: 5, DigestOK: true}},
+	}
+	again := full
+	again.Results = g.Run(Options{Parallel: 1})
+	dir := t.TempDir()
+	var written [2][]byte
+	for i, d := range []Doc{full, again} {
+		path := filepath.Join(dir, fmt.Sprintf("doc%d.json", i))
+		if err := d.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written[i] = b
+	}
+	if !bytes.Equal(written[0], written[1]) {
+		t.Errorf("two writes of the same grid differ:\n%s\n%s", written[0], written[1])
+	}
+
+	var doc struct {
+		Suite   string `json:"suite"`
+		Results []struct {
+			Name    string `json:"name"`
+			Commits int64  `json:"commits"`
+		} `json:"results"`
+		Recovery []struct {
+			Name string `json:"name"`
+			Txns int64  `json:"txns_recovered"`
+		} `json:"recovery"`
+		Failover []struct {
+			Name  string `json:"name"`
+			Acked int64  `json:"commits_acked"`
+		} `json:"failover"`
+	}
+	if err := json.Unmarshal(written[0], &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Suite != "bionicbench" || len(doc.Results) != 1 || len(doc.Recovery) != 1 || len(doc.Failover) != 1 {
+		t.Fatalf("unexpected document: %+v", doc)
+	}
+	if r := doc.Results[0]; r.Name != "doc/tatp/dora/t2/s42" || r.Commits != full.Results[0].Res.Commits {
+		t.Errorf("results section: %+v", r)
+	}
+	if r := doc.Recovery[0]; r.Name != "fig-recovery/tpcc/dora/x2/slog" || r.Txns != 7 {
+		t.Errorf("recovery section: %+v", r)
+	}
+	if r := doc.Failover[0]; r.Name != "fig-failover/tpcc/dora/x1/sync" || r.Acked != 5 {
+		t.Errorf("failover section: %+v", r)
+	}
+
+	for _, tc := range []struct {
+		doc  Doc
+		want string
+	}{
+		{Doc{Results: full.Results}, "results"},
+		{Doc{Recovery: full.Recovery}, "recovery"},
+		{Doc{Failover: full.Failover}, "failover"},
+	} {
+		b, err := tc.doc.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(b, &keys); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := keys[tc.want]; len(keys) != 2 || !ok {
+			t.Errorf("%s-only document has sections %v", tc.want, keys)
+		}
+	}
+}
+
 func smallHTAPYCSB() WorkloadSpec {
-	return WorkloadSpec{Name: "htap-ycsb", Make: func() core.Workload {
+	return WorkloadSpec{Name: "htap-ycsb", Make: func(int) core.Workload {
 		cfg := ycsb.WorkloadA()
 		cfg.Records = 2000
 		return htap.NewYCSB(cfg, htap.DefaultParams())
@@ -222,7 +390,7 @@ func smallHTAPYCSB() WorkloadSpec {
 }
 
 func smallHTAPTPCC() WorkloadSpec {
-	return WorkloadSpec{Name: "htap-tpcc", Make: func() core.Workload {
+	return WorkloadSpec{Name: "htap-tpcc", Make: func(int) core.Workload {
 		return htap.NewTPCC(tpcc.SmallConfig(), htap.DefaultParams())
 	}}
 }

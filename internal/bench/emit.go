@@ -33,7 +33,145 @@ func Table(results []Result) *stats.Table {
 	return t
 }
 
-// jsonResult is the flat per-point record the JSON document carries.
+// logLabel names a point's durability layout in tables.
+func logLabel(sharded bool) string {
+	if sharded {
+		return "sharded"
+	}
+	return "central"
+}
+
+// ScalingTable renders scaling results as the fig-scaling table: one row
+// per point with a speedup column relative to the same engine and
+// workload at the lowest measured socket count. Sharded-log rows share
+// that baseline — a 1-socket machine is identical with the flag on or off
+// — so central and sharded curves of one engine are directly comparable.
+func ScalingTable(results []Result) *stats.Table {
+	t := stats.NewTable("workload", "engine", "log", ">sockets", ">terminals",
+		">tps", ">speedup", ">uJ/txn", ">p50", ">p95", ">commits")
+	// Baseline tps per (workload, engine): the lowest measured socket
+	// count with a usable result, regardless of row order or log layout.
+	type curve struct{ wl, eng string }
+	type baseline struct {
+		sockets int
+		tps     float64
+	}
+	base := map[curve]baseline{}
+	for _, r := range results {
+		if r.Err != nil || r.Res.TPS <= 0 {
+			continue
+		}
+		k := curve{r.Point.Workload.Name, r.Point.Engine.Name}
+		if b, ok := base[k]; !ok || r.Point.Sockets < b.sockets {
+			base[k] = baseline{r.Point.Sockets, r.Res.TPS}
+		}
+	}
+	for _, r := range results {
+		p := r.Point
+		if r.Err != nil {
+			t.Row(p.Workload.Name, p.Engine.Name, logLabel(p.ShardedLog), fmt.Sprintf("%d", p.Sockets),
+				fmt.Sprintf("%d", p.Terminals), "error: "+r.Err.Error(), "", "", "", "", "")
+			continue
+		}
+		speedup := 0.0
+		if b := base[curve{p.Workload.Name, p.Engine.Name}]; b.tps > 0 {
+			speedup = r.Res.TPS / b.tps
+		}
+		t.Row(p.Workload.Name, p.Engine.Name, logLabel(p.ShardedLog),
+			fmt.Sprintf("%d", p.Sockets),
+			fmt.Sprintf("%d", p.Terminals),
+			fmt.Sprintf("%.0f", r.Res.TPS),
+			fmt.Sprintf("%.2fx", speedup),
+			fmt.Sprintf("%.1f", r.Res.JoulesPerTxn*1e6),
+			r.Res.Latency.Percentile(50).String(),
+			r.Res.Latency.Percentile(95).String(),
+			fmt.Sprintf("%d", r.Res.Commits))
+	}
+	return t
+}
+
+// HTAPTable renders HTAP results as the fig-htap table: transactional
+// throughput and energy next to scan bandwidth and freshness, one row per
+// point.
+func HTAPTable(results []Result) *stats.Table {
+	t := stats.NewTable("workload", "engine", ">sockets", ">terminals",
+		">tps", ">uJ/txn", ">scans", ">scan MB/s", ">stale max", ">stale mean", ">commits")
+	for _, r := range results {
+		p := r.Point
+		if r.Err != nil {
+			t.Row(p.Workload.Name, p.Engine.Name, fmt.Sprintf("%d", p.Sockets),
+				fmt.Sprintf("%d", p.Terminals), "error: "+r.Err.Error(), "", "", "", "", "", "")
+			continue
+		}
+		res := r.Res
+		scans, mbps, staleMax, staleMean := "-", "-", "-", "-"
+		if sc := res.Scan; sc != nil {
+			scans = fmt.Sprintf("%d", sc.Scans)
+			mbps = fmt.Sprintf("%.1f", float64(sc.Bytes)/1e6/p.Measure.Seconds())
+			staleMax = sc.StaleMax.String()
+			staleMean = sc.StaleMean().String()
+		}
+		t.Row(p.Workload.Name, p.Engine.Name,
+			fmt.Sprintf("%d", p.Sockets),
+			fmt.Sprintf("%d", p.Terminals),
+			fmt.Sprintf("%.0f", res.TPS),
+			fmt.Sprintf("%.1f", res.JoulesPerTxn*1e6),
+			scans, mbps, staleMax, staleMean,
+			fmt.Sprintf("%d", res.Commits))
+	}
+	return t
+}
+
+// Doc is the one result document: the sweep results of an invocation
+// followed by the crash experiments' typed sections. Every field it
+// writes is simulated, so the document is a pure function of the
+// experiments and their seeds.
+type Doc struct {
+	Results  []Result
+	Recovery []RecoveryResult
+	Failover []FailoverResult
+}
+
+// Empty reports whether the document has nothing to write.
+func (d Doc) Empty() bool {
+	return len(d.Results) == 0 && len(d.Recovery) == 0 && len(d.Failover) == 0
+}
+
+// jsonDoc is the emitted document shape: the suite, then each section,
+// omitted when empty.
+type jsonDoc struct {
+	Suite    string         `json:"suite"`
+	Results  []jsonResult   `json:"results,omitempty"`
+	Recovery []recoveryJSON `json:"recovery,omitempty"`
+	Failover []failoverJSON `json:"failover,omitempty"`
+}
+
+// JSON marshals the document as indented JSON:
+// {"suite": "bionicbench", "results": [...], "recovery": [...], "failover": [...]}.
+func (d Doc) JSON() ([]byte, error) {
+	doc := jsonDoc{Suite: "bionicbench"}
+	for _, r := range d.Results {
+		doc.Results = append(doc.Results, resultJSON(r))
+	}
+	for _, r := range d.Recovery {
+		doc.Recovery = append(doc.Recovery, r.json())
+	}
+	for _, r := range d.Failover {
+		doc.Failover = append(doc.Failover, r.json())
+	}
+	return json.MarshalIndent(doc, "", "  ")
+}
+
+// WriteFile writes the JSON document to path.
+func (d Doc) WriteFile(path string) error {
+	b, err := d.JSON()
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// jsonResult is the flat per-point record of the results section.
 type jsonResult struct {
 	Name       string `json:"name"`
 	Group      string `json:"experiment,omitempty"`
@@ -60,7 +198,7 @@ type jsonResult struct {
 	ICJoules     float64 `json:"interconnect_joules,omitempty"`
 
 	// Events is the kernel event count of the run — a model-coverage
-	// indicator, deliberately outside the sweep digest like WallMs.
+	// indicator, deliberately outside the sweep digest.
 	Events    uint64           `json:"events,omitempty"`
 	TxnCounts map[string]int64 `json:"txn_counts,omitempty"`
 	LogShards []logShardJSON   `json:"log_shards,omitempty"`
@@ -72,8 +210,7 @@ type jsonResult struct {
 	// reporting field outside the sweep digest.
 	Anatomy []phaseJSON `json:"anatomy,omitempty"`
 
-	WallMs float64 `json:"wall_ms"`
-	Error  string  `json:"error,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // phaseJSON is one latency-anatomy phase in the JSON document.
@@ -148,101 +285,80 @@ func replLabel(m stats.ReplMode) string {
 	return m.String()
 }
 
-// jsonDoc is the emitted document shape.
-type jsonDoc struct {
-	Suite   string       `json:"suite"`
-	Results []jsonResult `json:"results"`
-}
-
-// JSON marshals sweep results as an indented BENCH_*.json-style document:
-// {"suite": "bionicbench", "results": [...]}.
-func JSON(results []Result) ([]byte, error) {
-	doc := jsonDoc{Suite: "bionicbench", Results: make([]jsonResult, 0, len(results))}
-	for _, r := range results {
-		p := r.Point
-		name := fmt.Sprintf("%s/%s/t%d/s%d", p.Workload.Name, p.Engine.Name, p.Terminals, p.Seed)
-		if p.Sockets > 0 {
-			name = fmt.Sprintf("%s/x%d", name, p.Sockets)
-		}
-		if p.ShardedLog {
-			name += "/slog"
-		}
-		if p.Repl != 0 {
-			name += "/" + p.Repl.String()
-		}
-		if p.Group != "" {
-			name = p.Group + "/" + name
-		}
-		jr := jsonResult{
-			Name:       name,
-			Group:      p.Group,
-			Workload:   p.Workload.Name,
-			Engine:     p.Engine.Name,
-			Terminals:  p.Terminals,
-			Seed:       p.Seed,
-			Sockets:    p.Sockets,
-			ShardedLog: p.ShardedLog,
-			Repl:       replLabel(p.Repl),
-			WarmupMs:   p.Warmup.Seconds() * 1e3,
-			MeasureMs:  p.Measure.Seconds() * 1e3,
-			WallMs:     float64(r.Wall.Nanoseconds()) / 1e6,
-		}
-		if r.Err != nil {
-			jr.Error = r.Err.Error()
-		} else {
-			res := r.Res
-			jr.TPS = res.TPS
-			jr.Commits = res.Commits
-			jr.Aborts = res.Aborts
-			jr.JoulesPerTxn = res.JoulesPerTxn
-			jr.P50us = res.Latency.Percentile(50).Microseconds()
-			jr.P95us = res.Latency.Percentile(95).Microseconds()
-			jr.P99us = res.Latency.Percentile(99).Microseconds()
-			jr.CPUJoules = res.Energy.CPUDynamic + res.Energy.CPUIdle
-			jr.FPGAJoules = res.Energy.FPGA
-			jr.ICJoules = res.Energy.Interconnect
-			jr.Events = res.Events
-			jr.TxnCounts = res.TxnCounts
-			jr.Anatomy = anatomyJSON(&res.Anatomy)
-			for _, sh := range res.LogShards {
-				jr.LogShards = append(jr.LogShards, logShardJSON{
-					Shard: sh.Shard, Bytes: sh.Bytes, Syncs: sh.Syncs, Epochs: sh.Epochs,
-				})
-			}
-			for _, rp := range res.Repl {
-				jr.ReplStats = append(jr.ReplStats, replShardJSON{
-					Shard:         rp.Shard,
-					ShippedBytes:  rp.ShippedBytes,
-					Ships:         rp.Ships,
-					AckRTTs:       rp.AckRTTs,
-					LagBytesMax:   rp.LagBytesMax,
-					LagTimeMaxUs:  rp.LagTimeMax.Microseconds(),
-					LagTimeMeanUs: rp.LagTimeMean().Microseconds(),
-				})
-			}
-			if sc := res.Scan; sc != nil {
-				jr.Scan = &scanJSON{
-					Scans:          sc.Scans,
-					Rows:           sc.Rows,
-					RowsOut:        sc.RowsOut,
-					ScanMBps:       float64(sc.Bytes) / 1e6 / p.Measure.Seconds(),
-					StaleMaxUs:     sc.StaleMax.Microseconds(),
-					StaleMeanUs:    sc.StaleMean().Microseconds(),
-					Refreshes:      sc.Refreshes,
-					SnapViolations: sc.SnapViolations,
-				}
-			}
-		}
-		doc.Results = append(doc.Results, jr)
+// resultJSON flattens one sweep result into its document record.
+func resultJSON(r Result) jsonResult {
+	p := r.Point
+	name := fmt.Sprintf("%s/%s/t%d/s%d", p.Workload.Name, p.Engine.Name, p.Terminals, p.Seed)
+	if p.Sockets > 0 {
+		name = fmt.Sprintf("%s/x%d", name, p.Sockets)
 	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// WriteJSONFile writes the JSON document to path.
-func WriteJSONFile(path string, results []Result) error {
-	b, err := JSON(results)
-	if err != nil {
-		return err
+	if p.ShardedLog {
+		name += "/slog"
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	if p.Repl != stats.ReplNone {
+		name += "/" + p.Repl.String()
+	}
+	if p.Group != "" {
+		name = p.Group + "/" + name
+	}
+	jr := jsonResult{
+		Name:       name,
+		Group:      p.Group,
+		Workload:   p.Workload.Name,
+		Engine:     p.Engine.Name,
+		Terminals:  p.Terminals,
+		Seed:       p.Seed,
+		Sockets:    p.Sockets,
+		ShardedLog: p.ShardedLog,
+		Repl:       replLabel(p.Repl),
+		WarmupMs:   p.Warmup.Seconds() * 1e3,
+		MeasureMs:  p.Measure.Seconds() * 1e3,
+	}
+	if r.Err != nil {
+		jr.Error = r.Err.Error()
+		return jr
+	}
+	res := r.Res
+	jr.TPS = res.TPS
+	jr.Commits = res.Commits
+	jr.Aborts = res.Aborts
+	jr.JoulesPerTxn = res.JoulesPerTxn
+	jr.P50us = res.Latency.Percentile(50).Microseconds()
+	jr.P95us = res.Latency.Percentile(95).Microseconds()
+	jr.P99us = res.Latency.Percentile(99).Microseconds()
+	jr.CPUJoules = res.Energy.CPUDynamic + res.Energy.CPUIdle
+	jr.FPGAJoules = res.Energy.FPGA
+	jr.ICJoules = res.Energy.Interconnect
+	jr.Events = res.Events
+	jr.TxnCounts = res.TxnCounts
+	jr.Anatomy = anatomyJSON(&res.Anatomy)
+	for _, sh := range res.LogShards {
+		jr.LogShards = append(jr.LogShards, logShardJSON{
+			Shard: sh.Shard, Bytes: sh.Bytes, Syncs: sh.Syncs, Epochs: sh.Epochs,
+		})
+	}
+	for _, rp := range res.Repl {
+		jr.ReplStats = append(jr.ReplStats, replShardJSON{
+			Shard:         rp.Shard,
+			ShippedBytes:  rp.ShippedBytes,
+			Ships:         rp.Ships,
+			AckRTTs:       rp.AckRTTs,
+			LagBytesMax:   rp.LagBytesMax,
+			LagTimeMaxUs:  rp.LagTimeMax.Microseconds(),
+			LagTimeMeanUs: rp.LagTimeMean().Microseconds(),
+		})
+	}
+	if sc := res.Scan; sc != nil {
+		jr.Scan = &scanJSON{
+			Scans:          sc.Scans,
+			Rows:           sc.Rows,
+			RowsOut:        sc.RowsOut,
+			ScanMBps:       float64(sc.Bytes) / 1e6 / p.Measure.Seconds(),
+			StaleMaxUs:     sc.StaleMax.Microseconds(),
+			StaleMeanUs:    sc.StaleMean().Microseconds(),
+			Refreshes:      sc.Refreshes,
+			SnapViolations: sc.SnapViolations,
+		}
+	}
+	return jr
 }

@@ -2,68 +2,34 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"bionicdb/internal/core"
-	"bionicdb/internal/obs"
-	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
 
-// FailoverSpec declares the fig-failover experiment. Each (sockets, mode)
-// point measures two things. First, steady state: a normal measured run
-// with the log shipped to replica machines under the mode, so the table
-// shows what each commit-wait discipline costs in latency and throughput
-// against the unreplicated baseline. Second, failover: a crash-harness run
-// with a seed-deterministic fault plan — link-lag and partition windows, a
-// replica stall, then a primary kill mid-measure — after which the replica
-// boots through the measured parallel-recovery path. The figure is the
-// replication tax versus what it buys: time-to-serving and how many
-// acknowledged transactions survive per mode.
+// FailoverSpec declares the fig-failover experiment: every point of the
+// grid at every replication mode. Each (point, mode) measures two things.
+// First, steady state: a normal measured run with the log shipped to the
+// grid's Replicas replica machines under the mode, so the table shows what
+// each commit-wait discipline costs in latency and throughput against the
+// unreplicated baseline. Second, failover: a crash-harness run with a
+// seed-deterministic fault plan — link-lag and partition windows, a replica
+// stall, then a primary kill mid-measure — after which the replica boots
+// through the measured parallel-recovery path, core.DefaultDetect after the
+// kill. The figure is the replication tax versus what it buys:
+// time-to-serving and how many acknowledged transactions survive per mode.
+// The grid's Obs traces the steady-state runs; the crash phase runs
+// uninstrumented (it stops mid-flight, so there is no window to trace).
 type FailoverSpec struct {
-	// Sockets are the socket counts to measure (default 1, 2, 4).
-	Sockets []int
+	Grid
 	// Modes are the replication modes to measure; ReplNone rows are
 	// steady-state baselines only (default none, async, sync, quorum).
 	Modes []stats.ReplMode
-	// Replicas is the replica machine count (default 2: sync waits both,
-	// quorum needs one — the modes separate).
-	Replicas int
-	// Workload builds the (socket-scaled) workload for one point; required.
-	Workload func(sockets int) WorkloadSpec
-	// Engine builds the engine under test (default DORA).
-	Engine func(cfg *platform.Config, partitions, window int) EngineSpec
-	// ShardedLog gives the machine per-socket log devices.
-	ShardedLog bool
-	// Obs attaches the flight recorder to every steady-state run (see
-	// core.RunConfig.Obs); results stay bit-identical. The crash phase runs
-	// uninstrumented — it stops mid-flight, so there is no window to trace.
-	Obs *obs.Options
-
-	// TerminalsPerSocket is the offered load (default 32).
-	TerminalsPerSocket int
-	// PartitionsPerSocket is the DORA partition count per socket (default:
-	// cores per socket).
-	PartitionsPerSocket int
-	// Window is the bionic in-flight window (default 8).
-	Window int
-	// Detect is the modeled failure-detector delay before the replica
-	// starts recovery (default core.DefaultDetect).
-	Detect sim.Duration
-	// NoFaultWindows drops the lag/partition/stall windows from the fault
-	// plan, leaving only the primary kill (the windows are on by default —
-	// the fault machinery should be exercised by the figure it exists for).
-	NoFaultWindows bool
-
-	Seed    uint64
-	Warmup  sim.Duration
-	Measure sim.Duration
 }
 
-// FailoverResult is one (sockets, mode) measurement.
+// FailoverResult is one (point, mode) measurement.
 type FailoverResult struct {
 	Sockets    int
 	Shards     int
@@ -96,99 +62,64 @@ type FailoverResult struct {
 	Err error
 }
 
-// DefaultFailoverSockets returns the default socket axis.
-func DefaultFailoverSockets() []int { return []int{1, 2, 4} }
-
 // DefaultFailoverModes returns the default mode axis.
 func DefaultFailoverModes() []stats.ReplMode {
 	return []stats.ReplMode{stats.ReplNone, stats.ReplAsync, stats.ReplSync, stats.ReplQuorum}
 }
 
-// RunFailover executes the spec, fanning points out across the worker pool;
-// every point runs its steady-state and crash phases in private
+// RunFailover executes the spec, fanning (point, mode) pairs out across the
+// worker pool; every pair runs its steady-state and crash phases in private
 // environments, so parallel execution is bit-identical to serial. It
-// returns the per-point failover measurements plus the steady-state sweep
-// results (for the shared JSON/digest pipeline).
+// returns the failover measurements plus the steady-state sweep results,
+// point-major and mode-minor.
 func (s FailoverSpec) RunFailover(opt Options) ([]FailoverResult, []Result) {
 	modes := s.Modes
 	if len(modes) == 0 {
 		modes = DefaultFailoverModes()
 	}
-	replicas := s.Replicas
-	if replicas <= 0 {
-		replicas = 2
-	}
-	engine := s.Engine
-	if engine == nil {
-		engine = doraSpec
-	}
-	detect := s.Detect
-	if detect <= 0 {
-		detect = core.DefaultDetect
-	}
-	o := scaled{sockets: s.Sockets, terminals: s.TerminalsPerSocket, partitions: s.PartitionsPerSocket,
-		window: s.Window, seeds: oneSeed(s.Seed), warmup: s.Warmup, measure: s.Measure,
-		shardedLog: s.ShardedLog}.resolve(DefaultFailoverSockets())
-
-	type pt struct {
-		sockets int
-		mode    stats.ReplMode
-	}
-	var pts []pt
-	for _, n := range o.sockets {
+	var pts []Point
+	for _, p := range s.Points() {
 		for _, m := range modes {
-			pts = append(pts, pt{n, m})
+			p.Repl, p.Replicas = m, 0
+			if m != stats.ReplNone {
+				p.Replicas = s.Replicas
+			}
+			pts = append(pts, p)
 		}
 	}
 	out := make([]FailoverResult, len(pts))
 	steady := make([]Result, len(pts))
 	ForEach(len(pts), opt.Parallel, func(i int) {
-		n, mode := pts[i].sockets, pts[i].mode
-		cfg, partitions := o.machine(n)
-		if mode != stats.ReplNone {
-			cfg.Replicas = replicas
-			cfg.ReplMode = mode
-		}
-		out[i], steady[i] = runFailoverPoint(cfg, engine(cfg, partitions, o.window), s.Workload(n), mode, s.Obs,
-			o.terminals*n, o.seeds[0], o.warmup, o.measure, detect, !s.NoFaultWindows)
-		out[i].Sockets = n
-		out[i].ShardedLog = cfg.ShardedLog()
-		out[i].Replicas = cfg.Replicas
-		if opt.OnResult != nil {
-			opt.OnResult(Result{Point: Point{Index: i, Group: "fig-failover"}})
-		}
+		pts[i].Index = i
+		out[i], steady[i] = runFailoverPoint(pts[i])
 	})
-	// Overhead against the same-socket unreplicated baseline — host-side
+	// Overhead against the same point's unreplicated baseline — host-side
 	// arithmetic over the finished grid, identical in any execution order.
-	for i := range out {
-		if out[i].Mode == stats.ReplNone || out[i].Err != nil {
-			continue
-		}
-		for j := range out {
-			if out[j].Sockets == out[i].Sockets && out[j].Mode == stats.ReplNone &&
-				out[j].Err == nil && out[j].P50 > 0 {
-				out[i].OverheadP50 = float64(out[i].P50) / float64(out[j].P50)
-				break
+	for block := 0; block < len(out); block += len(modes) {
+		rows := out[block : block+len(modes)]
+		for _, base := range rows {
+			if base.Mode != stats.ReplNone || base.Err != nil || base.P50 <= 0 {
+				continue
 			}
+			for i := range rows {
+				if rows[i].Mode != stats.ReplNone && rows[i].Err == nil {
+					rows[i].OverheadP50 = float64(rows[i].P50) / float64(base.P50)
+				}
+			}
+			break
 		}
 	}
 	return out, steady
 }
 
-// runFailoverPoint measures one (config, mode): a steady-state run, then —
-// for replicated modes — a faulted crash run and the replica's failover
-// boot.
-func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, mode stats.ReplMode, obsOpt *obs.Options,
-	terminals int, seed uint64, warmup, measure sim.Duration, detect sim.Duration, windows bool) (FailoverResult, Result) {
-	res := FailoverResult{Engine: spec.Name, Workload: wlSpec.Name, Mode: mode, DigestOK: true}
+// runFailoverPoint measures one point at its replication mode: a
+// steady-state run, then — for replicated modes — a faulted crash run and
+// the replica's failover boot.
+func runFailoverPoint(p Point) (FailoverResult, Result) {
+	res := FailoverResult{Sockets: p.Sockets, Mode: p.Repl, Replicas: p.Replicas, ShardedLog: p.ShardedLog,
+		Engine: p.Engine.Name, Workload: p.Workload.Name, DigestOK: true}
 
 	// --- Steady state: the replication tax under normal operation.
-	p := Point{
-		Group: "fig-failover", Engine: spec, Workload: wlSpec,
-		Terminals: terminals, Seed: seed,
-		Sockets: cfg.NumSockets(), ShardedLog: cfg.ShardedLog(), Repl: mode, Obs: obsOpt,
-		Warmup: warmup, Measure: measure,
-	}
 	sr := p.Run()
 	if sr.Err != nil {
 		res.Err = sr.Err
@@ -204,18 +135,22 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 			res.LagBytesMax = rst.LagBytesMax
 		}
 	}
-	if mode == stats.ReplNone {
+	if p.Repl == stats.ReplNone {
 		return res, sr
 	}
 
 	// --- Crash phase: populate, checkpoint sharp, run under the fault
 	// plan, stop the world at the primary kill.
-	wl := wlSpec.Make()
-	s := core.Open(wl, seed, func(env *sim.Env) core.Engine { return spec.Make(env, wl) })
+	wl, mk, err := p.build()
+	if err != nil {
+		res.Err = err
+		return res, sr
+	}
+	s := core.Open(wl, p.Seed, mk)
 	defer s.Close()
 	rs := s.Eng.LogSet().Replication()
 	if rs == nil {
-		res.Err = fmt.Errorf("engine %s built no replication machinery", spec.Name)
+		res.Err = fmt.Errorf("engine %s built no replication machinery", p.Engine.Name)
 		return res, sr
 	}
 	faultR := s.Split()
@@ -227,7 +162,7 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	// The fault plan covers the measurement window; its kill is the run's
 	// stopping point and its windowed faults drive the ReplicaSet hooks.
 	startT := s.Env.Now()
-	plan := sim.NewFaultPlan(faultR, startT.Add(warmup), startT.Add(warmup).Add(measure), rs.Replicas(), windows)
+	plan := sim.NewFaultPlan(faultR, startT.Add(p.Warmup), startT.Add(p.Warmup).Add(p.Measure), rs.Replicas(), true)
 	plan.Schedule(s.Env,
 		func(f sim.Fault) {
 			switch f.Kind {
@@ -249,7 +184,7 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 				rs.SetStalled(f.Replica, false)
 			}
 		})
-	s.Start(terminals, nil, nil)
+	s.Start(p.Terminals, nil, nil)
 	killT, _ := plan.KillTime()
 	if err := s.RunTo(killT); err != nil {
 		res.Err = err
@@ -275,7 +210,7 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 
 	// --- Failover: the replica detects the kill and boots through measured
 	// parallel recovery.
-	trees, st, _, err := core.Boot(img, replicaLogs, true, detect)
+	trees, st, _, err := core.Boot(img, replicaLogs, true, core.DefaultDetect)
 	if err != nil {
 		res.Err = err
 		return res, sr
@@ -286,7 +221,7 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	}
 	res.RestoreSim = st.Restore
 	res.ReplaySim = st.Replay
-	res.TimeToServing = detect + st.SimTime
+	res.TimeToServing = core.DefaultDetect + st.SimTime
 
 	// Oracles: recovering the primary's shipped prefix directly must yield
 	// the content the replica serves, and the modes that wait for replica
@@ -301,8 +236,8 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	switch {
 	case !res.DigestOK:
 		res.Err = fmt.Errorf("replica content diverged from the primary's shipped prefix: %s vs %s", got, want)
-	case res.LostTxns > 0 && (mode == stats.ReplSync || mode == stats.ReplQuorum):
-		res.Err = fmt.Errorf("%s lost %d of %d acknowledged commits", mode, res.LostTxns, res.CommitsAcked)
+	case res.LostTxns > 0 && (p.Repl == stats.ReplSync || p.Repl == stats.ReplQuorum):
+		res.Err = fmt.Errorf("%s lost %d of %d acknowledged commits", p.Repl, res.LostTxns, res.CommitsAcked)
 	}
 	return res, sr
 }
@@ -333,7 +268,8 @@ func FailoverTable(results []FailoverResult) *stats.Table {
 	return t
 }
 
-// failoverJSON is the flat per-point record of the failover JSON document.
+// failoverJSON is the flat per-point record of the document's failover
+// section.
 type failoverJSON struct {
 	Name          string  `json:"name"`
 	Workload      string  `json:"workload"`
@@ -363,54 +299,36 @@ type failoverJSON struct {
 	Error         string  `json:"error,omitempty"`
 }
 
-// FailoverJSON marshals failover results as an indented
-// BENCH_failover.json-style document.
-func FailoverJSON(results []FailoverResult) ([]byte, error) {
-	doc := struct {
-		Suite   string         `json:"suite"`
-		Results []failoverJSON `json:"results"`
-	}{Suite: "bionicbench-failover"}
-	for _, r := range results {
-		jr := failoverJSON{
-			Name:          fmt.Sprintf("fig-failover/%s/%s/x%d/%s", r.Workload, r.Engine, r.Sockets, r.Mode),
-			Workload:      r.Workload,
-			Engine:        r.Engine,
-			Sockets:       r.Sockets,
-			Shards:        r.Shards,
-			Mode:          r.Mode.String(),
-			Replicas:      r.Replicas,
-			ShardedLog:    r.ShardedLog,
-			TPS:           r.TPS,
-			P50us:         r.P50.Microseconds(),
-			P95us:         r.P95.Microseconds(),
-			OverheadP50:   r.OverheadP50,
-			ShippedBytes:  r.ShippedBytes,
-			LagBytesMax:   r.LagBytesMax,
-			AckRTTs:       r.AckRTTs,
-			KillAtUs:      r.KillAt.Microseconds(),
-			CommitsAcked:  r.CommitsAcked,
-			TxnsRecovered: r.TxnsRecovered,
-			LostTxns:      r.LostTxns,
-			LostTailBytes: r.LostTailBytes,
-			ReplicaBytes:  r.ReplicaBytes,
-			RestoreUs:     r.RestoreSim.Microseconds(),
-			ReplayUs:      r.ReplaySim.Microseconds(),
-			ServingUs:     r.TimeToServing.Microseconds(),
-			DigestOK:      r.DigestOK,
-		}
-		if r.Err != nil {
-			jr.Error = r.Err.Error()
-		}
-		doc.Results = append(doc.Results, jr)
+func (r FailoverResult) json() failoverJSON {
+	jr := failoverJSON{
+		Name:          fmt.Sprintf("fig-failover/%s/%s/x%d/%s", r.Workload, r.Engine, r.Sockets, r.Mode),
+		Workload:      r.Workload,
+		Engine:        r.Engine,
+		Sockets:       r.Sockets,
+		Shards:        r.Shards,
+		Mode:          r.Mode.String(),
+		Replicas:      r.Replicas,
+		ShardedLog:    r.ShardedLog,
+		TPS:           r.TPS,
+		P50us:         r.P50.Microseconds(),
+		P95us:         r.P95.Microseconds(),
+		OverheadP50:   r.OverheadP50,
+		ShippedBytes:  r.ShippedBytes,
+		LagBytesMax:   r.LagBytesMax,
+		AckRTTs:       r.AckRTTs,
+		KillAtUs:      r.KillAt.Microseconds(),
+		CommitsAcked:  r.CommitsAcked,
+		TxnsRecovered: r.TxnsRecovered,
+		LostTxns:      r.LostTxns,
+		LostTailBytes: r.LostTailBytes,
+		ReplicaBytes:  r.ReplicaBytes,
+		RestoreUs:     r.RestoreSim.Microseconds(),
+		ReplayUs:      r.ReplaySim.Microseconds(),
+		ServingUs:     r.TimeToServing.Microseconds(),
+		DigestOK:      r.DigestOK,
 	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// WriteFailoverJSONFile writes the failover document to path.
-func WriteFailoverJSONFile(path string, results []FailoverResult) error {
-	b, err := FailoverJSON(results)
-	if err != nil {
-		return err
+	if r.Err != nil {
+		jr.Error = r.Err.Error()
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return jr
 }

@@ -9,18 +9,27 @@ import (
 	"bionicdb/internal/stats"
 )
 
+// failoverGrid is the crash experiments' machine: DORA (the software
+// sharded log) on per-socket log devices, two replicas when replicated.
+func failoverGrid(workload WorkloadSpec, sockets []int, terminals int, warmup, measure sim.Duration) Grid {
+	return Grid{
+		Group:      "fig-failover",
+		Sockets:    sockets,
+		Engines:    []EngineSpec{DORA()},
+		Workloads:  []WorkloadSpec{workload},
+		Terminals:  []int{terminals},
+		ShardedLog: true,
+		Replicas:   2,
+		Seeds:      []uint64{42},
+		Warmup:     warmup,
+		Measure:    measure,
+	}
+}
+
 func smallFailoverSpec() FailoverSpec {
 	return FailoverSpec{
-		Sockets:  []int{1, 2},
-		Modes:    []stats.ReplMode{stats.ReplNone, stats.ReplAsync, stats.ReplSync},
-		Replicas: 2,
-		Workload: func(sockets int) WorkloadSpec { return smallTPCC() },
-
-		ShardedLog:         true,
-		TerminalsPerSocket: 4,
-		Seed:               42,
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+		Grid:  failoverGrid(smallTPCC(), []int{1, 2}, 4, 1*sim.Millisecond, 3*sim.Millisecond),
+		Modes: []stats.ReplMode{stats.ReplNone, stats.ReplAsync, stats.ReplSync},
 	}
 }
 
@@ -69,9 +78,6 @@ func TestFailoverSerialParallelIdentical(t *testing.T) {
 }
 
 func TestFailoverDefaults(t *testing.T) {
-	if got := DefaultFailoverSockets(); !reflect.DeepEqual(got, []int{1, 2, 4}) {
-		t.Errorf("default sockets %v", got)
-	}
 	want := []stats.ReplMode{stats.ReplNone, stats.ReplAsync, stats.ReplSync, stats.ReplQuorum}
 	if got := DefaultFailoverModes(); !reflect.DeepEqual(got, want) {
 		t.Errorf("default modes %v", got)
@@ -91,12 +97,12 @@ func TestFailoverTableAndJSON(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, tbl)
 		}
 	}
-	b, err := FailoverJSON(results)
+	b, err := Doc{Failover: results}.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"suite": "bionicbench-failover"`,
+		`"suite": "bionicbench"`,
 		`"name": "fig-failover/tpcc/dora/x1/quorum"`,
 		`"replication": "none"`,
 		`"digest_ok": true`,
@@ -113,15 +119,8 @@ func TestFailoverTableAndJSON(t *testing.T) {
 // (which waits for nothing) commits the baseline's throughput within 1%.
 func TestFailoverBaselineSharesLayout(t *testing.T) {
 	spec := FailoverSpec{
-		Sockets:            []int{2},
-		Modes:              []stats.ReplMode{stats.ReplNone, stats.ReplAsync},
-		Replicas:           2,
-		Workload:           quickTPCC,
-		ShardedLog:         true,
-		TerminalsPerSocket: 8,
-		Seed:               42,
-		Warmup:             5 * sim.Millisecond,
-		Measure:            15 * sim.Millisecond,
+		Grid:  failoverGrid(quickTPCC(), []int{2}, 8, 5*sim.Millisecond, 15*sim.Millisecond),
+		Modes: []stats.ReplMode{stats.ReplNone, stats.ReplAsync},
 	}
 	fo, _ := spec.RunFailover(Options{Parallel: 2})
 	for _, r := range fo {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"bionicdb/internal/core"
-	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
@@ -50,13 +49,14 @@ func logPointDigests(t *testing.T, results []Result) {
 // PutFront lock-release traffic) and YCSB (scans without entity locks).
 func goldenGrid() Grid {
 	return Grid{
-		Group:     "golden",
-		Engines:   []EngineSpec{Conventional(), DORA(4), Bionic(4, core.AllOffloads(), 8)},
-		Workloads: []WorkloadSpec{smallTATP(), smallTPCC(), smallYCSB()},
-		Terminals: []int{8},
-		Seeds:     []uint64{42},
-		Warmup:    1 * sim.Millisecond,
-		Measure:   3 * sim.Millisecond,
+		Group:               "golden",
+		Engines:             []EngineSpec{Conventional(), DORA(), Bionic(core.AllOffloads())},
+		Workloads:           []WorkloadSpec{smallTATP(), smallTPCC(), smallYCSB()},
+		Terminals:           []int{8},
+		PartitionsPerSocket: 4,
+		Seeds:               []uint64{42},
+		Warmup:              1 * sim.Millisecond,
+		Measure:             3 * sim.Millisecond,
 	}
 }
 
@@ -122,22 +122,24 @@ func TestGoldenNoReplication(t *testing.T) {
 // as for goldenDigest, treating any change as a behavior change.
 const goldenScalingDigest = "da20d4cd3e6c886485f4424611f8f5fac4f031af716ad9ed3dbbc2df0f5d71e8"
 
-// goldenScalingSpec is the pinned multi-socket grid.
-func goldenScalingSpec() ScalingSpec {
-	return ScalingSpec{
-		Sockets:            []int{2, 4},
-		Workloads:          []WorkloadSpec{smallTATP(), smallTPCC(), smallYCSB()},
-		TerminalsPerSocket: 4,
-		Seeds:              []uint64{42},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+// goldenScalingGrid is the pinned multi-socket grid.
+func goldenScalingGrid() Grid {
+	return Grid{
+		Group:     "fig-scaling",
+		Sockets:   []int{2, 4},
+		Engines:   Engines(),
+		Workloads: []WorkloadSpec{smallTATP(), smallTPCC(), smallYCSB()},
+		Terminals: []int{4},
+		Seeds:     []uint64{42},
+		Warmup:    1 * sim.Millisecond,
+		Measure:   3 * sim.Millisecond,
 	}
 }
 
 // TestGoldenScalingDigest proves multi-socket runs are as reproducible as
 // single-socket ones: the recorded digest holds, serial and parallel.
 func TestGoldenScalingDigest(t *testing.T) {
-	points := goldenScalingSpec().Points()
+	points := goldenScalingGrid().Points()
 	serial := Run(points, Options{Parallel: 1})
 	for _, r := range serial {
 		if r.Err != nil {
@@ -169,23 +171,28 @@ func TestGoldenScalingDigest(t *testing.T) {
 // Re-pin exactly as for goldenDigest.
 const goldenHTAPDigest = "87873b7944ef39ba7d2eb27f95f86737dff01de67d22df9e24e150f8f71d3097"
 
-// goldenHTAPSpec is the pinned hybrid grid.
-func goldenHTAPSpec() HTAPSpec {
-	return HTAPSpec{
-		Sockets:            []int{1, 2, 4},
-		Workloads:          []WorkloadSpec{smallHTAPYCSB(), smallHTAPTPCC()},
-		TerminalsPerSocket: 4,
-		ShardedLog:         true,
-		Seeds:              []uint64{42},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+// goldenHTAPGrid is the pinned hybrid grid: conventional and bionic, the
+// two machines fig-htap contrasts.
+func goldenHTAPGrid() Grid {
+	engines := Engines()
+	return Grid{
+		Group:      "fig-htap",
+		Sockets:    []int{1, 2, 4},
+		Engines:    []EngineSpec{engines[0], engines[2]},
+		Workloads:  []WorkloadSpec{smallHTAPYCSB(), smallHTAPTPCC()},
+		Terminals:  []int{4},
+		ShardedLog: true,
+		HTAP:       true,
+		Seeds:      []uint64{42},
+		Warmup:     1 * sim.Millisecond,
+		Measure:    3 * sim.Millisecond,
 	}
 }
 
 // TestGoldenHTAPDigest proves hybrid runs are as reproducible as pure-OLTP
 // ones: the recorded digest holds, serial and parallel.
 func TestGoldenHTAPDigest(t *testing.T) {
-	points := goldenHTAPSpec().Points()
+	points := goldenHTAPGrid().Points()
 	serial := Run(points, Options{Parallel: 1})
 	for _, r := range serial {
 		if r.Err != nil {
@@ -223,25 +230,24 @@ func TestGoldenHTAPDigest(t *testing.T) {
 // 683f0753, 39f7af01, 06edc267), so the classic path itself did not move.
 const goldenShardedDORADigest = "6803235d8103961ea52ba6e745358595856446cfeb3484c7ffb0ec4380181082"
 
-// goldenShardedDORASpec is the pinned sharded-log software-DORA grid.
-func goldenShardedDORASpec() ScalingSpec {
-	return ScalingSpec{
-		Sockets:   []int{2, 4, 8},
-		Workloads: []WorkloadSpec{smallYCSB()},
-		Engines: []ScalingEngine{{Name: "dora", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return DORAOn(cfg, partitions)
-		}}},
-		TerminalsPerSocket: 4,
-		ShardedLog:         true,
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+// goldenShardedDORAGrid is the pinned sharded-log software-DORA grid.
+func goldenShardedDORAGrid() Grid {
+	return Grid{
+		Group:      "fig-scaling",
+		Sockets:    []int{2, 4, 8},
+		Engines:    []EngineSpec{DORA()},
+		Workloads:  []WorkloadSpec{smallYCSB()},
+		Terminals:  []int{4},
+		ShardedLog: true,
+		Warmup:     1 * sim.Millisecond,
+		Measure:    3 * sim.Millisecond,
 	}
 }
 
 // TestGoldenShardedDORADigest proves the recorded digest holds, serial and
 // parallel.
 func TestGoldenShardedDORADigest(t *testing.T) {
-	points := goldenShardedDORASpec().Points()
+	points := goldenShardedDORAGrid().Points()
 	serial := mustRun(t, "sharded-dora", points, Options{Parallel: 1})
 	got := Digest(serial)
 	if got != goldenShardedDORADigest {

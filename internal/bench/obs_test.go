@@ -43,47 +43,41 @@ func mustRun(t *testing.T, name string, points []Point, opt Options) []Result {
 	return results
 }
 
-// TestSpecsPropagateObs pins the options plumbing: every spec type that
-// expands to points must carry its Obs into each of them, and Point.Run
-// must hand it to the harness (witnessed by the trace and telemetry
-// artifacts coming back on the result).
+// TestSpecsPropagateObs pins the options plumbing: the grid must carry its
+// Obs into every point, Point.Run must hand it to the harness (witnessed by
+// the trace and telemetry artifacts coming back on the result), and the
+// failover spec must trace its steady-state runs.
 func TestSpecsPropagateObs(t *testing.T) {
 	o := fullObs()
-	grid := goldenGrid()
+	grid := goldenScalingGrid()
 	grid.Obs = o
-	scaling := goldenScalingSpec()
-	scaling.Obs = o
-	htap := goldenHTAPSpec()
-	htap.Obs = o
-	for name, points := range map[string][]Point{
-		"grid":    grid.Points(),
-		"scaling": scaling.Points(),
-		"htap":    htap.Points(),
-	} {
-		if len(points) == 0 {
-			t.Fatalf("%s: no points", name)
-		}
-		for _, p := range points {
-			if p.Obs != o {
-				t.Errorf("%s: point %s/%s dropped Obs", name, p.Workload.Name, p.Engine.Name)
-			}
+	for _, p := range grid.Points() {
+		if p.Obs != o {
+			t.Errorf("point %s/%s x%d dropped Obs", p.Workload.Name, p.Engine.Name, p.Sockets)
 		}
 	}
+	fo := FailoverSpec{
+		Grid:  failoverGrid(smallTPCC(), []int{1}, 4, 1*sim.Millisecond, 3*sim.Millisecond),
+		Modes: []stats.ReplMode{stats.ReplNone},
+	}
+	fo.Obs = o
+	_, steady := fo.RunFailover(Options{Parallel: 1})
 	g := goldenGrid()
 	r := g.Points()[0]
 	r.Obs = o
-	res := r.Run()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Res.Trace == nil || len(res.Res.Trace.Merged()) == 0 {
-		t.Error("traced run returned no spans")
-	}
-	if res.Res.Metrics == nil || len(res.Res.Metrics.Samples()) == 0 {
-		t.Error("sampled run returned no telemetry")
-	}
-	if res.Res.Anatomy.Samples() == 0 {
-		t.Error("run recorded no latency anatomy")
+	for _, res := range append(steady, r.Run()) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.Res.Trace == nil || len(res.Res.Trace.Merged()) == 0 {
+			t.Errorf("%s: traced run returned no spans", res.Point.Group)
+		}
+		if res.Res.Metrics == nil || len(res.Res.Metrics.Samples()) == 0 {
+			t.Errorf("%s: sampled run returned no telemetry", res.Point.Group)
+		}
+		if res.Res.Anatomy.Samples() == 0 {
+			t.Errorf("%s: run recorded no latency anatomy", res.Point.Group)
+		}
 	}
 }
 
@@ -100,9 +94,9 @@ func TestObsEquivalenceMatrix(t *testing.T) {
 		golden string
 	}{
 		{"fig3-fig4-quick", quick.Points(), goldenDigest},
-		{"scaling-golden", goldenScalingSpec().Points(), goldenScalingDigest},
-		{"htap-golden", goldenHTAPSpec().Points(), goldenHTAPDigest},
-		{"sharded-dora", goldenShardedDORASpec().Points(), goldenShardedDORADigest},
+		{"scaling-golden", goldenScalingGrid().Points(), goldenScalingDigest},
+		{"htap-golden", goldenHTAPGrid().Points(), goldenHTAPDigest},
+		{"sharded-dora", goldenShardedDORAGrid().Points(), goldenShardedDORADigest},
 	}
 	for _, fam := range families {
 		fam := fam
@@ -130,7 +124,7 @@ func TestObsEquivalenceMatrix(t *testing.T) {
 // telemetry on every point produces the golden scaling digest at
 // GOMAXPROCS=1 and GOMAXPROCS=8 alike.
 func TestObsGOMAXPROCSInvariance(t *testing.T) {
-	points := withObs(goldenScalingSpec().Points(), fullObs())
+	points := withObs(goldenScalingGrid().Points(), fullObs())
 	prev := runtime.GOMAXPROCS(1)
 	one := Digest(mustRun(t, "obs-gomaxprocs1", points, Options{Parallel: 4}))
 	runtime.GOMAXPROCS(8)
@@ -149,15 +143,8 @@ func TestObsGOMAXPROCSInvariance(t *testing.T) {
 // DeepEqual and the steady-state digests identical with it on vs off.
 func TestObsEquivalenceFailover(t *testing.T) {
 	spec := FailoverSpec{
-		Sockets:            []int{1, 2},
-		Modes:              []stats.ReplMode{stats.ReplNone, stats.ReplSync},
-		Replicas:           2,
-		Workload:           func(sockets int) WorkloadSpec { return smallTPCC() },
-		ShardedLog:         true,
-		TerminalsPerSocket: 4,
-		Seed:               42,
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+		Grid:  failoverGrid(smallTPCC(), []int{1, 2}, 4, 1*sim.Millisecond, 3*sim.Millisecond),
+		Modes: []stats.ReplMode{stats.ReplNone, stats.ReplSync},
 	}
 	offFo, offSteady := spec.RunFailover(Options{Parallel: 2})
 	spec.Obs = fullObs()

@@ -1,47 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"bionicdb/internal/core"
-	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
-
-// RecoverySpec declares the fig-recovery experiment: run a workload on a
-// sharded-log machine, crash it cold at the end of the measurement window
-// (no drain, no clean shutdown — whatever the log devices hold is the crash
-// image), then boot a fresh machine and replay the shards, serially and in
-// parallel, under the cost model. The figure is recovery time and joules
-// versus socket count: N log shards replay from N devices on N sockets, so
-// parallel recovery is the durability subsystem's read-side payoff.
-type RecoverySpec struct {
-	// Sockets are the socket counts to measure (default 1, 2, 4, 8, 16).
-	Sockets []int
-	// Workload builds the (socket-scaled) workload for one point; required.
-	Workload func(sockets int) WorkloadSpec
-	// Engine builds the engine under test for one scaled config (default
-	// DORA — the software sharded log).
-	Engine func(cfg *platform.Config, partitions, window int) EngineSpec
-	// ShardedLog gives the machine per-socket log devices (default in
-	// RunRecovery callers; false measures the centralized baseline).
-	ShardedLog bool
-
-	// TerminalsPerSocket is the offered load (default 32).
-	TerminalsPerSocket int
-	// PartitionsPerSocket is the DORA partition count per socket (default:
-	// cores per socket).
-	PartitionsPerSocket int
-	// Window is the bionic in-flight window (default 8).
-	Window int
-
-	Seed    uint64
-	Warmup  sim.Duration
-	Measure sim.Duration
-}
 
 // RecoveryResult is one crash/recovery measurement.
 type RecoveryResult struct {
@@ -66,32 +31,19 @@ type RecoveryResult struct {
 	Err error
 }
 
-// RunRecovery executes the spec, fanning points out across the worker pool.
-// Each point runs its crash phase and both recovery boots in private
-// environments, so parallel execution is bit-identical to serial.
-func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
-	engine := s.Engine
-	if engine == nil {
-		engine = doraSpec
-	}
-	o := scaled{sockets: s.Sockets, terminals: s.TerminalsPerSocket, partitions: s.PartitionsPerSocket,
-		window: s.Window, seeds: oneSeed(s.Seed), warmup: s.Warmup, measure: s.Measure,
-		shardedLog: s.ShardedLog}.resolve(DefaultScalingSockets())
-
-	out := make([]RecoveryResult, len(o.sockets))
-	ForEach(len(o.sockets), opt.Parallel, func(i int) {
-		n := o.sockets[i]
-		cfg, partitions := o.machine(n)
-		out[i] = runRecoveryPoint(engine(cfg, partitions, o.window), s.Workload(n),
-			o.terminals*n, o.seeds[0], o.warmup+o.measure)
-		out[i].Sockets = n
-		out[i].ShardedLog = cfg.ShardedLog()
-		if opt.OnResult != nil {
-			// Recovery points are not sweep Results; observers only need
-			// progress, so report a husk carrying the point index.
-			opt.OnResult(Result{Point: Point{Index: i, Group: "fig-recovery"}})
-		}
-	})
+// RunRecovery executes the fig-recovery experiment over the grid's points:
+// each one runs its workload for the warmup and measurement windows on its
+// machine, crashes it cold (no drain, no clean shutdown — whatever the log
+// devices hold is the crash image), then boots a fresh machine and replays
+// the shards, serially and in parallel, under the cost model. On a
+// sharded-log machine N log shards replay from N devices on N sockets, so
+// parallel recovery is the durability subsystem's read-side payoff. Every
+// point runs in private environments, so parallel execution is
+// bit-identical to serial.
+func (g Grid) RunRecovery(opt Options) []RecoveryResult {
+	points := g.Points()
+	out := make([]RecoveryResult, len(points))
+	ForEach(len(points), opt.Parallel, func(i int) { out[i] = runRecoveryPoint(points[i]) })
 	return out
 }
 
@@ -102,18 +54,23 @@ func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
 // unacknowledged commit per terminal (the engine acknowledges a commit only
 // after its durable point, so a terminal can have one durable commit in
 // flight when the machine dies).
-func runRecoveryPoint(spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed uint64, run sim.Duration) RecoveryResult {
-	res := RecoveryResult{Engine: spec.Name, Workload: wlSpec.Name}
-	wl := wlSpec.Make()
-	s := core.Open(wl, seed, func(env *sim.Env) core.Engine { return spec.Make(env, wl) })
+func runRecoveryPoint(p Point) RecoveryResult {
+	res := RecoveryResult{Sockets: p.Sockets, ShardedLog: p.ShardedLog,
+		Engine: p.Engine.Name, Workload: p.Workload.Name}
+	wl, mk, err := p.build()
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	s := core.Open(wl, p.Seed, mk)
 	defer s.Close()
 	meta, err := s.Checkpoint()
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	s.Start(terminals, nil, nil)
-	if err := s.RunTo(s.Env.Now() + sim.Time(run)); err != nil {
+	s.Start(p.Terminals, nil, nil)
+	if err := s.RunTo(s.Env.Now().Add(p.Warmup + p.Measure)); err != nil {
 		res.Err = err
 		return res
 	}
@@ -139,7 +96,7 @@ func runRecoveryPoint(spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed 
 	case par.Txns < res.Commits:
 		res.Err = fmt.Errorf("recovered %d transactions, %d acknowledged: acknowledged commits lost", par.Txns, res.Commits)
 		return res
-	case par.Txns-res.Commits > int64(terminals):
+	case par.Txns-res.Commits > int64(p.Terminals):
 		res.Err = fmt.Errorf("recovered %d transactions, %d acknowledged: more than one unacknowledged per terminal", par.Txns, res.Commits)
 		return res
 	}
@@ -189,7 +146,8 @@ func RecoveryTable(results []RecoveryResult) *stats.Table {
 	return t
 }
 
-// recoveryJSON is the flat per-point record of the recovery JSON document.
+// recoveryJSON is the flat per-point record of the document's recovery
+// section.
 type recoveryJSON struct {
 	Name             string  `json:"name"`
 	Workload         string  `json:"workload"`
@@ -210,48 +168,30 @@ type recoveryJSON struct {
 	Error            string  `json:"error,omitempty"`
 }
 
-// RecoveryJSON marshals recovery results as an indented
-// BENCH_recovery.json-style document.
-func RecoveryJSON(results []RecoveryResult) ([]byte, error) {
-	doc := struct {
-		Suite   string         `json:"suite"`
-		Results []recoveryJSON `json:"results"`
-	}{Suite: "bionicbench-recovery"}
-	for _, r := range results {
-		jr := recoveryJSON{
-			Name:             fmt.Sprintf("fig-recovery/%s/%s/x%d", r.Workload, r.Engine, r.Sockets),
-			Workload:         r.Workload,
-			Engine:           r.Engine,
-			Sockets:          r.Sockets,
-			Shards:           r.Shards,
-			ShardedLog:       r.ShardedLog,
-			Commits:          r.Commits,
-			LogBytes:         r.LogBytes,
-			Txns:             r.Txns,
-			Records:          r.Records,
-			RestoreUs:        r.RestoreSim.Microseconds(),
-			SerialReplayUs:   r.SerialReplay.Microseconds(),
-			ParallelReplayUs: r.ParallelReplay.Microseconds(),
-			TotalUs:          r.TotalSim.Microseconds(),
-			Joules:           r.Joules,
-			Rows:             r.Rows,
-		}
-		if r.ShardedLog {
-			jr.Name += "/slog"
-		}
-		if r.Err != nil {
-			jr.Error = r.Err.Error()
-		}
-		doc.Results = append(doc.Results, jr)
+func (r RecoveryResult) json() recoveryJSON {
+	jr := recoveryJSON{
+		Name:             fmt.Sprintf("fig-recovery/%s/%s/x%d", r.Workload, r.Engine, r.Sockets),
+		Workload:         r.Workload,
+		Engine:           r.Engine,
+		Sockets:          r.Sockets,
+		Shards:           r.Shards,
+		ShardedLog:       r.ShardedLog,
+		Commits:          r.Commits,
+		LogBytes:         r.LogBytes,
+		Txns:             r.Txns,
+		Records:          r.Records,
+		RestoreUs:        r.RestoreSim.Microseconds(),
+		SerialReplayUs:   r.SerialReplay.Microseconds(),
+		ParallelReplayUs: r.ParallelReplay.Microseconds(),
+		TotalUs:          r.TotalSim.Microseconds(),
+		Joules:           r.Joules,
+		Rows:             r.Rows,
 	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// WriteRecoveryJSONFile writes the recovery document to path.
-func WriteRecoveryJSONFile(path string, results []RecoveryResult) error {
-	b, err := RecoveryJSON(results)
-	if err != nil {
-		return err
+	if r.ShardedLog {
+		jr.Name += "/slog"
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	if r.Err != nil {
+		jr.Error = r.Err.Error()
+	}
+	return jr
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"bionicdb/internal/core"
@@ -13,11 +14,13 @@ import (
 // TestScalingPointsExpansion checks the sweep's shape: ordering, load and
 // partition scaling, and the socket annotation on every point.
 func TestScalingPointsExpansion(t *testing.T) {
-	spec := ScalingSpec{
-		Sockets:            []int{1, 2, 4},
-		Workloads:          []WorkloadSpec{smallTATP(), smallYCSB()},
-		TerminalsPerSocket: 8,
-		Seeds:              []uint64{1, 2},
+	spec := Grid{
+		Group:     "fig-scaling",
+		Sockets:   []int{1, 2, 4},
+		Engines:   Engines(),
+		Workloads: []WorkloadSpec{smallTATP(), smallYCSB()},
+		Terminals: []int{8},
+		Seeds:     []uint64{1, 2},
 	}
 	points := spec.Points()
 	if want := 2 * 3 * 3 * 2; len(points) != want { // workloads x sockets x engines x seeds
@@ -53,13 +56,14 @@ func TestScalingPointsExpansion(t *testing.T) {
 // TestScalingParallelMatchesSerial extends the subsystem's core guarantee
 // to multi-socket points.
 func TestScalingParallelMatchesSerial(t *testing.T) {
-	spec := ScalingSpec{
-		Sockets:            []int{1, 2},
-		Workloads:          []WorkloadSpec{smallYCSB()},
-		TerminalsPerSocket: 4,
-		Seeds:              []uint64{7},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            2 * sim.Millisecond,
+	spec := Grid{
+		Sockets:   []int{1, 2},
+		Engines:   Engines(),
+		Workloads: []WorkloadSpec{smallYCSB()},
+		Terminals: []int{4},
+		Seeds:     []uint64{7},
+		Warmup:    1 * sim.Millisecond,
+		Measure:   2 * sim.Millisecond,
 	}
 	points := spec.Points()
 	serial := Run(points, Options{Parallel: 1})
@@ -73,14 +77,14 @@ func TestScalingParallelMatchesSerial(t *testing.T) {
 // socket counts, reports interconnect energy on multi-socket points, and
 // that the scaling table renders a row per point.
 func TestScalingJSONCarriesSockets(t *testing.T) {
-	spec := ScalingSpec{
-		Sockets:            []int{1, 2},
-		Workloads:          []WorkloadSpec{smallTATP()},
-		Engines:            DefaultScalingEngines()[1:2], // dora only
-		TerminalsPerSocket: 4,
-		Seeds:              []uint64{3},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            2 * sim.Millisecond,
+	spec := Grid{
+		Sockets:   []int{1, 2},
+		Engines:   []EngineSpec{DORA()},
+		Workloads: []WorkloadSpec{smallTATP()},
+		Terminals: []int{4},
+		Seeds:     []uint64{3},
+		Warmup:    1 * sim.Millisecond,
+		Measure:   2 * sim.Millisecond,
 	}
 	results := spec.Run(Options{Parallel: 2})
 	for _, r := range results {
@@ -88,7 +92,7 @@ func TestScalingJSONCarriesSockets(t *testing.T) {
 			t.Fatalf("%s/x%d failed: %v", r.Point.Engine.Name, r.Point.Sockets, r.Err)
 		}
 	}
-	b, err := JSON(results)
+	b, err := Doc{Results: results}.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,44 +142,42 @@ func TestScalingThroughputGrows(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		sockets         []int
-		workload        func(n int) WorkloadSpec
+		workload        WorkloadSpec
 		sharded         bool
 		warmup, measure sim.Duration
 		grow            float64 // least tps ratio between successive socket counts
 	}{
-		{"central-tatp", []int{1, 4}, func(int) WorkloadSpec { return smallTATP() }, false,
+		{"central-tatp", []int{1, 4}, smallTATP(), false,
 			1 * sim.Millisecond, 4 * sim.Millisecond, 2},
-		{"sharded-tpcc", []int{1, 2, 4}, quickTPCC, true,
+		{"sharded-tpcc", []int{1, 2, 4}, quickTPCC(), true,
 			5 * sim.Millisecond, 15 * sim.Millisecond, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			engines := make([]core.Engine, len(tc.sockets))
-			var points []Point
-			for i, n := range tc.sockets {
-				spec := ScalingSpec{
-					Sockets:   []int{n},
-					Workloads: []WorkloadSpec{tc.workload(n)},
-					Engines: []ScalingEngine{{Name: "dora", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
-						es := DORAOn(cfg, partitions)
-						mk := es.Make
-						es.Make = func(env *sim.Env, wl core.Workload) core.Engine {
-							engines[i] = mk(env, wl)
-							return engines[i]
-						}
-						return es
-					}}},
-					TerminalsPerSocket: 8,
-					ShardedLog:         tc.sharded,
-					Seeds:              []uint64{42},
-					Warmup:             tc.warmup,
-					Measure:            tc.measure,
-				}
-				points = append(points, spec.Points()...)
+			// Each point's engine, by socket count, for its give-up counter.
+			var mu sync.Mutex
+			engines := map[int]core.Engine{}
+			dora := DORA()
+			dora.Make = func(env *sim.Env, cfg *platform.Config, wl core.Workload, partitions int) core.Engine {
+				eng := DORA().Make(env, cfg, wl, partitions)
+				mu.Lock()
+				engines[cfg.NumSockets()] = eng
+				mu.Unlock()
+				return eng
 			}
-			results := mustRun(t, tc.name, points, Options{Parallel: 2})
+			spec := Grid{
+				Sockets:    tc.sockets,
+				Engines:    []EngineSpec{dora},
+				Workloads:  []WorkloadSpec{tc.workload},
+				Terminals:  []int{8},
+				ShardedLog: tc.sharded,
+				Seeds:      []uint64{42},
+				Warmup:     tc.warmup,
+				Measure:    tc.measure,
+			}
+			results := mustRun(t, tc.name, spec.Points(), Options{Parallel: 2})
 			for i, r := range results {
 				t.Logf("x%d: %.0f tps", tc.sockets[i], r.Res.TPS)
-				if n := engines[i].Counters().Get("aborts.giveup"); n != 0 {
+				if n := engines[tc.sockets[i]].Counters().Get("aborts.giveup"); n != 0 {
 					t.Errorf("x%d: %d transactions exhausted their retry budget", tc.sockets[i], n)
 				}
 				if i == 0 {
@@ -196,16 +198,16 @@ func TestScalingThroughputGrows(t *testing.T) {
 // two layouts apart, and the sharded engines actually beat their
 // centralized selves where the log is the wall.
 func TestScalingShardedLogAxis(t *testing.T) {
-	mk := func(sharded bool) ScalingSpec {
-		return ScalingSpec{
-			Sockets:            []int{1, 2},
-			Workloads:          []WorkloadSpec{smallYCSB()},
-			Engines:            DefaultScalingEngines()[1:2], // dora
-			TerminalsPerSocket: 4,
-			Seeds:              []uint64{7},
-			Warmup:             1 * sim.Millisecond,
-			Measure:            2 * sim.Millisecond,
-			ShardedLog:         sharded,
+	mk := func(sharded bool) Grid {
+		return Grid{
+			Sockets:    []int{1, 2},
+			Engines:    []EngineSpec{DORA()},
+			Workloads:  []WorkloadSpec{smallYCSB()},
+			Terminals:  []int{4},
+			Seeds:      []uint64{7},
+			Warmup:     1 * sim.Millisecond,
+			Measure:    2 * sim.Millisecond,
+			ShardedLog: sharded,
 		}
 	}
 	central := mk(false).Points()
@@ -234,7 +236,7 @@ func TestScalingShardedLogAxis(t *testing.T) {
 	if d1, d2 := Digest(cres), Digest(sres); d1 == d2 {
 		t.Error("sharded axis digests identically to central")
 	}
-	b, err := JSON(append(append([]Result{}, cres...), sres...))
+	b, err := Doc{Results: append(append([]Result{}, cres...), sres...)}.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +290,15 @@ func TestScalingShardedLogAxis(t *testing.T) {
 // mid-decision-round: the point's own oracle must find every acknowledged
 // commit in the recovered log, and at most one more per terminal.
 func TestRecoverySweepSmall(t *testing.T) {
-	spec := RecoverySpec{
-		Sockets:            []int{1, 2},
-		Workload:           func(n int) WorkloadSpec { return smallYCSB() },
-		ShardedLog:         true,
-		TerminalsPerSocket: 4,
-		Seed:               42,
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+	spec := Grid{
+		Sockets:    []int{1, 2},
+		Engines:    []EngineSpec{DORA()},
+		Workloads:  []WorkloadSpec{smallYCSB()},
+		ShardedLog: true,
+		Terminals:  []int{4},
+		Seeds:      []uint64{42},
+		Warmup:     1 * sim.Millisecond,
+		Measure:    3 * sim.Millisecond,
 	}
 	results := spec.RunRecovery(Options{Parallel: 2})
 	if len(results) != 2 {
@@ -319,29 +322,22 @@ func TestRecoverySweepSmall(t *testing.T) {
 	if !strings.Contains(table, "par replay") {
 		t.Errorf("recovery table malformed:\n%s", table)
 	}
-	if _, err := RecoveryJSON(results); err != nil {
-		t.Fatal(err)
-	}
 
-	for _, eng := range DefaultScalingEngines() {
-		for _, wl := range []WorkloadSpec{smallTPCC(), smallYCSB(), smallTATP()} {
-			for k := 0; k < 8; k++ {
-				measure := 250*sim.Microsecond + sim.Duration(k)*370*sim.Microsecond
-				spec := RecoverySpec{
-					Sockets:            []int{1, 2, 4},
-					Workload:           func(int) WorkloadSpec { return wl },
-					Engine:             eng.On,
-					ShardedLog:         true,
-					TerminalsPerSocket: 4,
-					Seed:               42,
-					Warmup:             1 * sim.Millisecond,
-					Measure:            measure,
-				}
-				for _, r := range spec.RunRecovery(Options{Parallel: 2}) {
-					if r.Err != nil {
-						t.Errorf("%s/%s/x%d crashed at +%v: %v", eng.Name, wl.Name, r.Sockets, measure, r.Err)
-					}
-				}
+	for k := 0; k < 8; k++ {
+		measure := 250*sim.Microsecond + sim.Duration(k)*370*sim.Microsecond
+		spec := Grid{
+			Sockets:    []int{1, 2, 4},
+			Engines:    Engines(),
+			Workloads:  []WorkloadSpec{smallTPCC(), smallYCSB(), smallTATP()},
+			ShardedLog: true,
+			Terminals:  []int{4},
+			Seeds:      []uint64{42},
+			Warmup:     1 * sim.Millisecond,
+			Measure:    measure,
+		}
+		for _, r := range spec.RunRecovery(Options{Parallel: 2}) {
+			if r.Err != nil {
+				t.Errorf("%s/%s/x%d crashed at +%v: %v", r.Engine, r.Workload, r.Sockets, measure, r.Err)
 			}
 		}
 	}
