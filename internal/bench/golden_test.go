@@ -259,3 +259,50 @@ func TestGoldenShardedDORADigest(t *testing.T) {
 		t.Errorf("parallel sharded-log DORA digest diverged from serial:\n got  %s\n want %s", pd, got)
 	}
 }
+
+// goldenAblationDigest pins the C2 offload lattice bit for bit: the seven
+// offload subsets bionicbench -ablation sweeps, on the small TATP mix over
+// the golden grid's window. goldenDigest covers only the two ends of the
+// lattice (no offload, every offload); this digest puts the queue unit
+// alone, the log unit alone, the two together, and the tree-probe/overlay
+// pair with and without the log unit under the same guard. Re-pin exactly as
+// for goldenDigest.
+const goldenAblationDigest = "34e5b3eccba4094135e55b81725f5c8e84993282f50305536016ad9eb89ff2e2"
+
+// goldenAblationGrid is the pinned lattice, in bionicbench -ablation's order.
+func goldenAblationGrid() Grid {
+	var engines []EngineSpec
+	for _, off := range []core.Offloads{
+		{},
+		{Queue: true},
+		{Log: true},
+		{Queue: true, Log: true},
+		{Tree: true, Overlay: true},
+		{Tree: true, Overlay: true, Log: true},
+		core.AllOffloads(),
+	} {
+		engines = append(engines, Bionic(off))
+	}
+	g := goldenGrid()
+	g.Group = "ablation"
+	g.Engines = engines
+	g.Workloads = []WorkloadSpec{smallTATP()}
+	return g
+}
+
+// TestGoldenAblationDigest proves the recorded digest holds, serial and
+// parallel.
+func TestGoldenAblationDigest(t *testing.T) {
+	points := goldenAblationGrid().Points()
+	serial := mustRun(t, "ablation", points, Options{Parallel: 1})
+	got := Digest(serial)
+	t.Logf("serial ablation digest: %s", got)
+	if got != goldenAblationDigest {
+		t.Errorf("ablation digest diverged from golden:\n got  %s\n want %s", got, goldenAblationDigest)
+		logPointDigests(t, serial)
+	}
+	par := mustRun(t, "ablation/parallel", points, Options{Parallel: 4})
+	if pd := Digest(par); pd != got {
+		t.Errorf("parallel ablation digest diverged from serial:\n got  %s\n want %s", pd, got)
+	}
+}
