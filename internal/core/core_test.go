@@ -413,6 +413,27 @@ func TestOffloadsString(t *testing.T) {
 	}
 }
 
+// TestBionicPairsTreeAndOverlay pins that Offloads.Tree and Offloads.Overlay
+// name one unit pair: either half builds both, and the engine is named for
+// the pair.
+func TestBionicPairsTreeAndOverlay(t *testing.T) {
+	for off, want := range map[Offloads]string{
+		{Tree: true}:               "bionic[tree+overlay]",
+		{Overlay: true}:            "bionic[tree+overlay]",
+		{Overlay: true, Log: true}: "bionic[tree+log+overlay]",
+	} {
+		env := sim.NewEnv()
+		e := NewBionic(env, platform.HC2(), kvTables(), HashScheme(4), off, 8)
+		if e.Name() != want {
+			t.Errorf("%+v: engine named %q, want %q", off, e.Name(), want)
+		}
+		if e.Overlay() == nil {
+			t.Errorf("%+v: no overlay store", off)
+		}
+		env.Close()
+	}
+}
+
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	e := NewDORA(env, platform.HC2(), kvTables(), HashScheme(4))

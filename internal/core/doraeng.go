@@ -1,10 +1,9 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"bionicdb/internal/btree"
-	"bionicdb/internal/bufferpool"
 	"bionicdb/internal/dora"
 	"bionicdb/internal/hw/logengine"
 	"bionicdb/internal/hw/overlay"
@@ -24,37 +23,12 @@ import (
 // baseline; Offloads layer the paper's hardware units on top, turning it
 // into the bionic engine of Figure 4.
 type DORAEngine struct {
-	name   string
-	pl     *platform.Platform
-	defs   map[uint16]TableDef
-	scheme PartitionScheme
-	off    Offloads
-	window int
+	engineBase // over host trees behind the buffer pool, or the overlay
 
-	// Software data path (Overlay off).
-	trees map[uint16]*btree.Tree
-	pool  *bufferpool.Pool
-
-	// Hardware data path (Overlay on).
-	ov    *overlay.Store
-	probe *treeprobe.Engine
-
-	qeng *queueengine.Engine
-
-	reg   *dora.Registry
-	parts []*dora.Partition
-
-	tm      *txn.Manager
-	logSet  *wal.LogSet
-	logMgrs []*wal.Manager      // per-shard software managers (Log offload off)
-	hwLogs  []*logengine.Engine // per-shard hardware engines (Log offload on)
-	sharded bool                // more than one log shard (cfg.ShardedLog())
-	dm      *storage.DiskManager
-
-	bd     *stats.Breakdown
-	ctr    *stats.Counter
-	traces btree.TracePool
-	kvs    sim.ScratchPool[kvPair]
+	name    string
+	scheme  PartitionScheme
+	parts   []*dora.Partition
+	sharded bool // more than one log shard (cfg.ShardedLog())
 }
 
 // NewDORA builds the software data-oriented baseline (window 1, no
@@ -65,29 +39,21 @@ func NewDORA(env *sim.Env, cfg *platform.Config, tables []TableDef, scheme Parti
 
 // NewBionic builds the bionic engine: DORA plus the selected hardware
 // offloads and an in-flight window per partition so asynchronous hardware
-// requests overlap.
+// requests overlap. Offloads.Tree and Offloads.Overlay name one unit pair —
+// the tree-probe unit walks the overlay's SG-DRAM trees — so either one
+// enables both, and the engine is named for the pair.
 func NewBionic(env *sim.Env, cfg *platform.Config, tables []TableDef, scheme PartitionScheme, off Offloads, window int) *DORAEngine {
-	name := "bionic[" + off.String() + "]"
+	off.Tree = off.Tree || off.Overlay
+	off.Overlay = off.Tree
 	if window < 1 {
 		window = 8
 	}
-	return newDataOriented(env, cfg, tables, scheme, off, window, name)
+	return newDataOriented(env, cfg, tables, scheme, off, window, "bionic["+off.String()+"]")
 }
 
 func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, scheme PartitionScheme, off Offloads, window int, name string) *DORAEngine {
-	pl := platform.New(env, cfg)
-	e := &DORAEngine{
-		name:   name,
-		pl:     pl,
-		defs:   make(map[uint16]TableDef),
-		scheme: scheme,
-		off:    off,
-		window: window,
-		reg:    dora.NewRegistry(),
-		bd:     &stats.Breakdown{},
-		ctr:    stats.NewCounter(),
-	}
-	e.dm = storage.NewDiskManager(pl.Disk, cfg.PageSize)
+	e := &DORAEngine{engineBase: newEngineBase(env, cfg), name: name, scheme: scheme}
+	pl := e.pl
 	// Durable log: one shard per socket when the machine shards its log
 	// (per-socket managers or hardware engine shards, each on its own
 	// device), otherwise the classic single central stream — structurally
@@ -101,65 +67,40 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 	for s := 0; s < nShards; s++ {
 		st := wal.NewStore(pl.LogSSD(s))
 		var app wal.Appender
-		if off.Log {
-			var hw *logengine.Engine
-			if e.sharded {
-				hw = logengine.NewShard(pl, st, logengine.DefaultConfig(), s)
-			} else {
-				hw = logengine.New(pl, st, logengine.DefaultConfig())
-			}
-			e.hwLogs = append(e.hwLogs, hw)
-			app = hw
-		} else {
-			m := wal.NewManager(pl, st, wal.DefaultManagerConfig())
-			e.logMgrs = append(e.logMgrs, m)
-			app = m
+		switch {
+		case off.Log && e.sharded:
+			app = logengine.NewShard(pl, st, logengine.DefaultConfig(), s)
+		case off.Log:
+			app = logengine.New(pl, st, logengine.DefaultConfig())
+		default:
+			app = wal.NewManager(pl, st, wal.DefaultManagerConfig())
 		}
 		shards[s] = wal.LogShard{App: app, Store: st, Socket: s}
 	}
-	e.logSet = wal.NewLogSet(pl, shards)
-	if cfg.Replicated() {
-		e.logSet.AttachReplication(wal.NewReplicaSet(e.logSet))
-	}
-	e.tm = txn.NewManager(env, e.logSet, txn.DefaultConfig())
+	e.logSet, e.tm = newLog(pl, shards)
 
-	if off.Overlay || off.Tree {
-		e.probe = treeprobe.New(pl, treeprobe.DefaultConfig())
-	}
 	if off.Overlay {
-		e.ov = overlay.New(pl, e.probe, overlay.DefaultConfig())
-		for _, def := range tables {
-			e.defs[def.ID] = def
-			e.ov.CreateTable(def.ID, def.Order)
-		}
+		e.rowStore = newOverlayRows(overlay.New(pl, treeprobe.New(pl, treeprobe.DefaultConfig()), overlay.DefaultConfig()), tables)
 	} else {
-		e.pool = bufferpool.New(pl, pl.Disk, bufferpool.DefaultConfig(1<<18, cfg.PageSize))
-		e.trees = make(map[uint16]*btree.Tree)
-		for _, def := range tables {
-			def := def
-			e.defs[def.ID] = def
-			e.trees[def.ID] = btree.New(btree.Config{
-				Order:  def.Order,
-				NextID: e.dm.Allocate,
-				AddrOf: func(id storage.PageID, size int) uint64 { return pl.AllocHost(cfg.PageSize) },
-			})
-		}
+		e.rowStore = newHostRows(pl, e.dm, newBufferPool(pl), tables, 0)
 	}
 
+	var qeng *queueengine.Engine
 	if off.Queue {
-		e.qeng = queueengine.New(pl, queueengine.DefaultConfig())
+		qeng = queueengine.New(pl, queueengine.DefaultConfig())
 	}
 	// Partition placement: round-robin over the flat core list, which
 	// blocks consecutive partitions onto consecutive sockets (cores are
 	// listed socket 0 first). With partitions == total cores, partition i
 	// owns core i and socket i/CoresPerSocket — the shard layout the
 	// cross-shard commit path and the scaling sweep assume.
+	reg := dora.NewRegistry()
 	for i := 0; i < scheme.Partitions; i++ {
 		core := pl.Cores[i%len(pl.Cores)]
-		pt := dora.NewPartition(pl, e.reg, i, core, dora.DefaultCosts(), window, e.bd)
-		if e.qeng != nil {
-			pt.HWQueue = e.qeng.Unit
-			pt.HWQueueCycles = e.qeng.OpCycles()
+		pt := dora.NewPartition(pl, reg, i, core, dora.DefaultCosts(), window, e.bd)
+		if qeng != nil {
+			pt.HWQueue = qeng.Unit
+			pt.HWQueueCycles = qeng.OpCycles()
 		}
 		pt.Start()
 		e.parts = append(e.parts, pt)
@@ -170,45 +111,12 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 // Name implements Engine.
 func (e *DORAEngine) Name() string { return e.name }
 
-// Platform implements Engine.
-func (e *DORAEngine) Platform() *platform.Platform { return e.pl }
-
-// Breakdown implements Engine.
-func (e *DORAEngine) Breakdown() *stats.Breakdown { return e.bd }
-
-// Counters implements Engine.
-func (e *DORAEngine) Counters() *stats.Counter { return e.ctr }
-
-// Offloads reports the enabled hardware units.
-func (e *DORAEngine) Offloads() Offloads { return e.off }
-
 // Overlay exposes the overlay store (nil when the offload is off).
 func (e *DORAEngine) Overlay() *overlay.Store { return e.ov }
-
-// ProbeEngine exposes the tree-probe unit (nil when unused).
-func (e *DORAEngine) ProbeEngine() *treeprobe.Engine { return e.probe }
-
-// LogSet implements Engine.
-func (e *DORAEngine) LogSet() *wal.LogSet { return e.logSet }
 
 // LogStats reports per-shard log activity (bytes, syncs, epochs); the
 // benchmark's crash harness windows it.
 func (e *DORAEngine) LogStats() []stats.LogShardStats { return e.logSet.Stats() }
-
-// DiskManager implements Engine.
-func (e *DORAEngine) DiskManager() *storage.DiskManager { return e.dm }
-
-// Tables implements Engine: the overlay's trees or the host trees.
-func (e *DORAEngine) Tables() map[uint16]*btree.Tree {
-	if e.ov == nil {
-		return e.trees
-	}
-	out := make(map[uint16]*btree.Tree, len(e.defs))
-	for id := range e.defs {
-		out[id] = e.ov.TableByID(id).Tree
-	}
-	return out
-}
 
 // TableSets is Tables as the one-element slice CheckpointAllSets and
 // ContentDigestSets take.
@@ -216,68 +124,12 @@ func (e *DORAEngine) TableSets() []map[uint16]*btree.Tree {
 	return []map[uint16]*btree.Tree{e.Tables()}
 }
 
-// Registry exposes the waits-for registry (deadlock statistics).
-func (e *DORAEngine) Registry() *dora.Registry { return e.reg }
-
-// Warm implements Engine: every tree page becomes buffer-pool resident on
-// the software data path; the overlay is resident by construction.
-func (e *DORAEngine) Warm() {
-	if e.pool == nil {
-		return
-	}
-	for _, id := range sortedKeys(e.trees) {
-		e.trees[id].Pages(func(id storage.PageID, leaf bool) { e.pool.Prewarm(id) })
-	}
-}
-
-// sortedKeys returns a map's keys in ascending order. Simulation-visible
-// iteration must never follow Go's randomized map order: the event
-// schedule it produces has to be a pure function of the seed, or runs stop
-// being reproducible and parallel sweeps stop matching serial ones.
-func sortedKeys[K interface {
-	~int | ~uint16 | ~uint64
-}, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// Load implements Engine.
-func (e *DORAEngine) Load(table uint16, key, val []byte) {
-	if e.ov != nil {
-		e.ov.LoadRaw(table, key, val)
-		return
-	}
-	e.trees[table].Put(key, val, nil)
-}
-
-// ReadRaw implements Engine.
-func (e *DORAEngine) ReadRaw(table uint16, key []byte) ([]byte, bool) {
-	return e.Tables()[table].Get(key, nil)
-}
-
-// ScanRaw implements Engine.
-func (e *DORAEngine) ScanRaw(table uint16, from, to []byte, fn func(k, v []byte) bool) {
-	e.Tables()[table].Scan(from, to, nil, fn)
-}
-
 // Close implements Engine.
 func (e *DORAEngine) Close() {
 	for _, pt := range e.parts {
 		pt.Close()
 	}
-	for _, m := range e.logMgrs {
-		m.Stop()
-	}
-	for _, hw := range e.hwLogs {
-		hw.Stop()
-	}
-	if rs := e.logSet.Replication(); rs != nil {
-		rs.Stop()
-	}
+	stopLog(e.logSet)
 	if e.ov != nil {
 		e.ov.Stop()
 	}
@@ -285,122 +137,85 @@ func (e *DORAEngine) Close() {
 
 // Submit implements Engine.
 func (e *DORAEngine) Submit(term *Terminal, logic TxnLogic) bool {
-	term.Ph = [stats.NumPhases]sim.Duration{}
-	start := term.P.Now()
-	committed, txid := e.submit(term, logic)
-	if end := term.P.Now(); end > start {
-		term.Rec.Record(obs.Span{Start: start, End: end, Kind: obs.KindSubmit,
-			Socket: int32(term.Core.SocketID()), Txn: txid})
+	t, ok := term.fr.(*doraTx)
+	if !ok || t.e != e {
+		t = &doraTx{e: e, term: term, task: e.pl.NewTask(term.P, term.Core, e.bd),
+			commitSig: sim.NewSignal(e.pl.Env)}
+		term.fr = t
 	}
-	return committed
+	return submit(term, e.tm, e.ctr, t, logic)
 }
 
-func (e *DORAEngine) submit(term *Terminal, logic TxnLogic) (bool, uint64) {
-	ctr := e.ctr
-	dtx := e.frame(term)
-	task, tx := dtx.task, &dtx.tx
-	for term.Retries = 0; ; term.Retries++ {
-		task.Reset()
-		task.Exec(stats.CompFrontEnd, frontEndInstr)
-		e.tm.BeginIn(task, tx)
-		dtx.involved, dtx.refused = dtx.involved[:0], false
-		// The previous attempt's fan-outs have all fired their RVP and
-		// BeginIn dropped its undo list, the last holder of its keys.
-		dtx.arena.Reset()
-		for _, s := range dtx.slots {
-			s.arena.Reset()
-		}
-		ok := logic(dtx)
-		if dtx.refused {
-			e.rollback(term, task, dtx)
-			ctr.Inc("aborts.deadlock", 1)
-			if term.Retries < maxRetries {
-				continue
-			}
-			ctr.Inc("aborts.giveup", 1)
-			return false, tx.ID
-		}
-		if !ok {
-			e.rollback(term, task, dtx)
-			ctr.Inc("aborts.user", 1)
-			return false, tx.ID
-		}
-		sig := dtx.commit
-		e.tm.CommitTo(task, tx, sig)
-		task.Flush()
-		// Sharded log, cross-shard write set: the decision round must not
-		// acknowledge (and locks must not release) before the vector
-		// durable point. With per-shard streams there is no global LSN
-		// ordering dependent commits across sockets, so a remote shard's
-		// entity locks anchor the ordering instead: they hold until every
-		// shard of this transaction's vector is durable, and only then
-		// does the decision broadcast let dependents proceed. Transactions
-		// whose writes stay on one shard keep the early-release fast path
-		// — same-shard group commit orders their dependents for free.
-		tDur0 := term.P.Now()
-		if e.sharded && len(tx.Shards) > 1 {
-			sig.Await(term.P)
-		}
-		tCross0 := term.P.Now()
-		e.crossShardDecision(term, task, dtx, true)
-		tCross1 := term.P.Now()
-		e.releaseLocks(task, dtx)
-		tWait0 := term.P.Now()
+func (t *doraTx) state() (*platform.Task, *txn.Txn) { return t.task, &t.tx }
+
+func (t *doraTx) run(logic TxnLogic) (ok, refused bool) {
+	t.involved, t.refused = t.involved[:0], false
+	// The previous attempt's fan-outs have all fired their RVP and BeginIn
+	// dropped its undo list, the last holder of its keys.
+	t.arena.Reset()
+	for _, s := range t.slots {
+		s.arena.Reset()
+	}
+	ok = logic(t)
+	return ok, t.refused
+}
+
+func (t *doraTx) commit() {
+	e, term, task, tx := t.e, t.term, t.task, &t.tx
+	sig := t.commitSig
+	e.tm.CommitTo(task, tx, sig)
+	task.Flush()
+	// Sharded log, cross-shard write set: the decision round must not
+	// acknowledge (and locks must not release) before the vector
+	// durable point. With per-shard streams there is no global LSN
+	// ordering dependent commits across sockets, so a remote shard's
+	// entity locks anchor the ordering instead: they hold until every
+	// shard of this transaction's vector is durable, and only then
+	// does the decision broadcast let dependents proceed. Transactions
+	// whose writes stay on one shard keep the early-release fast path
+	// — same-shard group commit orders their dependents for free.
+	tDur0 := term.P.Now()
+	if e.sharded && len(tx.Shards) > 1 {
 		sig.Await(term.P)
-		sig.Reset() // that was its last observer: armed for the next commit
-		tWait1 := term.P.Now()
-		soc := int32(term.Core.SocketID())
-		if tCross0 > tDur0 {
-			term.Ph[stats.PhaseDur] += tCross0.Sub(tDur0)
-			term.Rec.Record(obs.Span{Start: tDur0, End: tCross0, Kind: obs.KindDurability, Socket: soc, Txn: tx.ID})
-		}
-		if tCross1 > tCross0 {
-			term.Ph[stats.PhaseCross] += tCross1.Sub(tCross0)
-			term.Rec.Record(obs.Span{Start: tCross0, End: tCross1, Kind: obs.KindCross, Socket: soc, Txn: tx.ID})
-		}
-		if tWait1 > tWait0 {
-			term.Ph[stats.PhaseDur] += tWait1.Sub(tWait0)
-			term.Rec.Record(obs.Span{Start: tWait0, End: tWait1, Kind: obs.KindDurability, Socket: soc, Txn: tx.ID})
-		}
-		ctr.Inc("commits", 1)
-		return true, tx.ID
 	}
-}
-
-// frame returns term's transaction frame on this engine, building it on the
-// terminal's first Submit here.
-func (e *DORAEngine) frame(term *Terminal) *doraTx {
-	if f := term.dora; f != nil && f.e == e {
-		return f
+	tCross0 := term.P.Now()
+	t.crossShardDecision(true)
+	tCross1 := term.P.Now()
+	t.releaseLocks()
+	tWait0 := term.P.Now()
+	sig.Await(term.P)
+	sig.Reset() // that was its last observer: armed for the next commit
+	tWait1 := term.P.Now()
+	soc := int32(term.Core.SocketID())
+	if tCross0 > tDur0 {
+		term.Ph[stats.PhaseDur] += tCross0.Sub(tDur0)
+		term.Rec.Record(obs.Span{Start: tDur0, End: tCross0, Kind: obs.KindDurability, Socket: soc, Txn: tx.ID})
 	}
-	term.dora = &doraTx{e: e, term: term, task: e.pl.NewTask(term.P, term.Core, e.bd),
-		commit: sim.NewSignal(e.pl.Env)}
-	return term.dora
+	if tCross1 > tCross0 {
+		term.Ph[stats.PhaseCross] += tCross1.Sub(tCross0)
+		term.Rec.Record(obs.Span{Start: tCross0, End: tCross1, Kind: obs.KindCross, Socket: soc, Txn: tx.ID})
+	}
+	if tWait1 > tWait0 {
+		term.Ph[stats.PhaseDur] += tWait1.Sub(tWait0)
+		term.Rec.Record(obs.Span{Start: tWait0, End: tWait1, Kind: obs.KindDurability, Socket: soc, Txn: tx.ID})
+	}
 }
 
 // crossShardSockets returns the distinct sockets of the transaction's
 // involved partitions when they span more than one — a genuinely
 // cross-shard transaction. Single-socket transactions (including every
 // transaction on a single-socket platform) return nil: they pay nothing.
-func (e *DORAEngine) crossShardSockets(dtx *doraTx) []int {
-	if e.pl.IC == nil {
+func (t *doraTx) crossShardSockets() []int {
+	if t.e.pl.IC == nil {
 		return nil
 	}
-	sockets := dtx.sockets[:0]
-	for _, pidx := range dtx.involved {
-		s := e.parts[pidx].Socket()
-		found := false
-		for _, v := range sockets {
-			if v == s {
-				found = true
-				break
-			}
-		}
-		if !found {
+	sockets := t.sockets[:0]
+	for _, pidx := range t.involved {
+		if s := t.e.parts[pidx].Socket(); !slices.Contains(sockets, s) {
 			sockets = append(sockets, s) // involved is sorted, so this order is deterministic
 		}
 	}
-	dtx.sockets = sockets
+	t.sockets = sockets
 	if len(sockets) < 2 {
 		return nil
 	}
@@ -415,25 +230,26 @@ func (e *DORAEngine) crossShardSockets(dtx *doraTx) []int {
 // involved socket other than its own and awaits their acknowledgements
 // through one more RVP before any entity lock is released. Transactions
 // confined to one socket skip all of it.
-func (e *DORAEngine) crossShardDecision(term *Terminal, task *platform.Task, dtx *doraTx, commit bool) {
-	sockets := e.crossShardSockets(dtx)
+func (t *doraTx) crossShardDecision(commit bool) {
+	e := t.e
+	sockets := t.crossShardSockets()
 	if sockets == nil {
 		return
 	}
-	home := term.Core.SocketID()
-	reps := dtx.reps[:0] // one involved partition per remote socket, in involved order
+	home := t.term.Core.SocketID()
+	reps := t.reps[:0] // one involved partition per remote socket, in involved order
 	for _, s := range sockets {
 		if s == home {
 			continue
 		}
-		for _, pidx := range dtx.involved {
+		for _, pidx := range t.involved {
 			if e.parts[pidx].Socket() == s {
 				reps = append(reps, pidx)
 				break
 			}
 		}
 	}
-	dtx.reps = reps
+	t.reps = reps
 	if commit {
 		e.ctr.Inc("crossshard.commits", 1)
 	} else {
@@ -442,12 +258,12 @@ func (e *DORAEngine) crossShardDecision(term *Terminal, task *platform.Task, dtx
 	if len(reps) == 0 {
 		return // every involved socket is the coordinator's own
 	}
-	rvp := dtx.arm(len(reps))
+	rvp := t.arm(len(reps))
 	for i, pidx := range reps {
-		dtx.send(i, pidx, dora.Entity{}, true, applyDecision)
+		t.send(i, pidx, dora.Entity{}, true, applyDecision, nil)
 	}
-	task.Flush()
-	rvp.Await(term.P)
+	t.task.Flush()
+	rvp.Await(t.term.P)
 }
 
 // decisionApplyInstr is the shard-side cost of recording a cross-shard
@@ -461,128 +277,71 @@ func applyDecision(c AccessCtx) bool {
 	return true
 }
 
-// rollback routes undo records back to their owning partitions (reverse
-// order within each), appends the abort record, and releases entity locks.
-func (e *DORAEngine) rollback(term *Terminal, task *platform.Task, dtx *doraTx) {
-	undo := dtx.tx.Undo
-	if len(undo) > 0 {
-		groups := make(map[int][]txn.UndoRec)
-		for i := len(undo) - 1; i >= 0; i-- {
-			u := undo[i]
-			pidx := e.scheme.Route(u.Table, u.Key)
-			groups[pidx] = append(groups[pidx], u)
+// rollback routes undo records back to their owning partitions — in
+// ascending partition order, in reverse record order within each — appends
+// the abort record, and releases entity locks. The routed records live in
+// the frame's undo scratch, which the fan-out has finished reading when its
+// rendezvous returns.
+func (t *doraTx) rollback() {
+	e := t.e
+	if n := len(t.tx.Undo); n > 0 {
+		routed := t.undo[:0]
+		for i := n - 1; i >= 0; i-- {
+			u := t.tx.Undo[i]
+			routed = append(routed, routedUndo{pidx: e.scheme.Route(u.Table, u.Key), u: u})
 		}
-		rvp := dtx.arm(len(groups))
-		for i, pidx := range sortedKeys(groups) {
-			recs := groups[pidx]
-			dtx.send(i, pidx, dora.Entity{}, true, func(c AccessCtx) bool {
-				wc := c.(*doraCtx)
-				for _, u := range recs {
-					e.applyUndoRaw(wc.task, u)
-				}
-				return true
-			})
+		// Stable, so each partition keeps its records in reverse order.
+		slices.SortStableFunc(routed, func(a, b routedUndo) int { return a.pidx - b.pidx })
+		t.undo = routed
+		groups := 1
+		for i := 1; i < len(routed); i++ {
+			if routed[i].pidx != routed[i-1].pidx {
+				groups++
+			}
 		}
-		task.Flush()
-		rvp.Await(term.P)
+		rvp := t.arm(groups)
+		for g, lo := 0, 0; lo < len(routed); g++ {
+			hi := lo + 1
+			for hi < len(routed) && routed[hi].pidx == routed[lo].pidx {
+				hi++
+			}
+			t.send(g, routed[lo].pidx, dora.Entity{}, true, applyUndo, routed[lo:hi])
+			lo = hi
+		}
+		t.task.Flush()
+		rvp.Await(t.term.P)
 	}
-	e.tm.Abort(task, &dtx.tx, func(u txn.UndoRec) {}) // undo already applied above
-	task.Flush()
+	e.tm.Abort(t.task, &t.tx, func(u txn.UndoRec) {}) // undo already applied above
+	t.task.Flush()
 	// Cross-shard transactions broadcast the abort decision and collect
 	// acks before locks release, mirroring the commit path.
-	e.crossShardDecision(term, task, dtx, false)
-	e.releaseLocks(task, dtx)
+	t.crossShardDecision(false)
+	t.releaseLocks()
+}
+
+// routedUndo is one undo record and the partition that owns its row.
+type routedUndo struct {
+	pidx int
+	u    txn.UndoRec
+}
+
+// applyUndo is the body of a rollback action: reverse the partition's share
+// of the undo records, in the order rollback routed them.
+func applyUndo(c AccessCtx) bool {
+	wc := c.(*doraCtx)
+	for _, r := range wc.undo {
+		wc.rows.applyUndoRaw(wc.task, r.u)
+	}
+	return true
 }
 
 // releaseLocks sends fire-and-forget release messages (nobody awaits them)
 // to every involved partition, in partition order.
-func (e *DORAEngine) releaseLocks(task *platform.Task, dtx *doraTx) {
-	for _, pidx := range dtx.involved {
-		e.parts[pidx].Release(task, dtx.tx.ID)
+func (t *doraTx) releaseLocks() {
+	for _, pidx := range t.involved {
+		t.e.parts[pidx].Release(t.task, t.tx.ID)
 	}
-	task.Flush()
-}
-
-// applyUndoRaw reverses one operation without logging, charged on the
-// partition worker.
-func (e *DORAEngine) applyUndoRaw(task *platform.Task, u txn.UndoRec) {
-	if e.ov != nil {
-		switch u.Type {
-		case wal.RecInsert:
-			e.ov.Delete(task, u.Table, u.Key)
-		case wal.RecUpdate, wal.RecDelete:
-			e.ov.Put(task, u.Table, u.Key, u.Before)
-		}
-		return
-	}
-	tree := e.trees[u.Table]
-	tr := e.traces.Get()
-	switch u.Type {
-	case wal.RecInsert:
-		tree.Delete(u.Key, tr)
-	case wal.RecUpdate, wal.RecDelete:
-		tree.Put(u.Key, u.Before, tr)
-	}
-	e.chargeVisits(task, tr, true)
-	e.traces.Put(tr)
-}
-
-// chargeVisits is the software data path (no page latches — PLP): a
-// buffer-pool fix plus the node search per visit. A binary search over a
-// wide node touches several cache lines, one per probe pair.
-func (e *DORAEngine) chargeVisits(task *platform.Task, tr *btree.Trace, write bool) {
-	for _, v := range tr.Visits {
-		e.pool.Fix(task, v.ID)
-		task.Access(stats.CompBtree, v.Addr, 64)
-		for i := 1; i < (v.Cmps+1)/2; i++ {
-			task.Access(stats.CompBtree, v.Addr+uint64(64*i), 16)
-		}
-		task.Exec(stats.CompBtree, 60+14*v.Cmps)
-		if v.Leaf {
-			// Record locate/copy and slot bookkeeping at the leaf.
-			task.Exec(stats.CompBtree, 110)
-		}
-		e.pool.Unfix(task, v.ID, write && v.Leaf)
-	}
-	for _, id := range tr.NewPages {
-		// Pages born by splits enter the pool without I/O.
-		e.pool.Prewarm(id)
-	}
-	if tr.Splits > 0 {
-		task.Exec(stats.CompBtree, 1500*tr.Splits)
-	}
-	if tr.Merges+tr.Borrows > 0 {
-		task.Exec(stats.CompBtree, 900*(tr.Merges+tr.Borrows))
-	}
-}
-
-// swProbeFPGA is the Tree-off/Overlay-on ablation read path: the CPU walks
-// a tree whose nodes live in SG-DRAM, paying a PCIe round trip per node —
-// the paper's warning that the units only pay off co-designed.
-func (e *DORAEngine) swProbeFPGA(task *platform.Task, tr *btree.Trace) {
-	for _, v := range tr.Visits {
-		task.Exec(stats.CompBtree, 40+8*v.Cmps)
-		sc := task.Script()
-		e.pl.PCIe.AddTransfer(sc, 64)
-		e.pl.PCIe.AddTransfer(sc, v.Bytes)
-		sc.Run()
-	}
-}
-
-// hwProbeHost is the Tree-on/Overlay-off ablation read path: the probe
-// engine walks host-resident nodes, paying the PCIe NUMA penalty per node
-// instead of local SG-DRAM.
-func (e *DORAEngine) hwProbeHost(task *platform.Task, tr *btree.Trace) {
-	task.Exec(stats.CompBtree, 80)
-	sc := task.Script()
-	e.pl.PCIe.AddTransfer(sc, 64)
-	for _, v := range tr.Visits {
-		e.pl.PCIe.AddTransfer(sc, 64)
-		e.pl.PCIe.AddTransfer(sc, v.Bytes)
-	}
-	e.pl.PCIe.AddTransfer(sc, 64)
-	sc.Run()
-	task.Exec(stats.CompBtree, 60)
+	t.task.Flush()
 }
 
 // doraTx coordinates one transaction's phases from the terminal process. It
@@ -602,20 +361,21 @@ type doraTx struct {
 	involved []int // partitions touched, kept sorted and unique
 	refused  bool
 
-	// commit is re-armed when Submit's final Await on it returns; rvp (built
-	// by arm) when the next fan-out starts, its Await having returned; a
-	// slot when the fan-out it served has fired rvp (the partition's last
+	// commitSig is re-armed when commit's final Await on it returns; rvp
+	// (built by arm) when the next fan-out starts, its Await having returned;
+	// a slot when the fan-out it served has fired rvp (the partition's last
 	// touch of an action precedes its Arrive). sockets and reps are
-	// crossShardDecision's scratch. arena holds the keys the logic builds
-	// (Action.Key, keys it hands to bodies) and a slot's arena the keys its
-	// body builds; submit resets them all when the next attempt starts, the
-	// undo list that held some of them dropped.
-	commit  *sim.Signal
-	rvp     *dora.RVP
-	slots   []*actionSlot
-	sockets []int
-	reps    []int
-	arena   storage.Arena
+	// crossShardDecision's scratch, undo is rollback's. arena holds the keys
+	// the logic builds (Action.Key, keys it hands to bodies) and a slot's
+	// arena the keys its body builds; run resets them all when the next
+	// attempt starts, the undo list that held some of them dropped.
+	commitSig *sim.Signal
+	rvp       *dora.RVP
+	slots     []*actionSlot
+	sockets   []int
+	reps      []int
+	undo      []routedUndo
+	arena     storage.Arena
 }
 
 // Arena implements Tx.
@@ -649,8 +409,9 @@ func (t *doraTx) arm(n int) *dora.RVP {
 }
 
 // send arms slot i as one action of the fan-out arm readied and enqueues it
-// on partition pidx, charging the coordinator's task.
-func (t *doraTx) send(i, pidx int, lockKey dora.Entity, priority bool, body func(c AccessCtx) bool) {
+// on partition pidx, charging the coordinator's task; undo is the records a
+// rollback action reverses.
+func (t *doraTx) send(i, pidx int, lockKey dora.Entity, priority bool, body func(c AccessCtx) bool, undo []routedUndo) {
 	for len(t.slots) <= i {
 		s := &actionSlot{}
 		s.da.Run = s.run
@@ -658,7 +419,7 @@ func (t *doraTx) send(i, pidx int, lockKey dora.Entity, priority bool, body func
 	}
 	e, s := t.e, t.slots[i]
 	s.body = body
-	s.ctx = doraCtx{e: e, tx: &t.tx, arena: &s.arena}
+	s.ctx = doraCtx{rowTx: rowTx{rows: e.rowStore, tm: e.tm, tx: &t.tx}, arena: &s.arena, undo: undo}
 	s.da = dora.Action{
 		TxnID:       t.tx.ID,
 		LockKey:     lockKey,
@@ -704,7 +465,7 @@ func (t *doraTx) Phase(actions ...Action) bool {
 		if !a.NoLock {
 			lockKey = e.scheme.Entity(a.Table, a.Key)
 		}
-		t.send(i, pidx, lockKey, false, a.Body)
+		t.send(i, pidx, lockKey, false, a.Body, nil)
 	}
 	t.task.Flush()
 	ok := rvp.Await(t.term.P)
@@ -721,150 +482,19 @@ func (t *doraTx) Phase(actions ...Action) bool {
 	return ok
 }
 
-// doraCtx is the partition-side AccessCtx. No hierarchical locks, no page
-// latches: isolation came from routing plus the entity lock already held.
+// doraCtx is the partition-side AccessCtx: the row store as it is. No
+// hierarchical locks, no page latches: isolation came from routing plus the
+// entity lock already held, which is exclusive, so ReadForUpdate has nothing
+// to strengthen.
 type doraCtx struct {
-	e    *DORAEngine
-	task *platform.Task
-	tx   *txn.Txn
+	rowTx // task is the partition worker's, set when the action runs
 
 	arena *storage.Arena // the action slot's
+	undo  []routedUndo   // a rollback action's records
 }
 
 // Arena implements AccessCtx.
 func (c *doraCtx) Arena() *storage.Arena { return c.arena }
-
-// Read implements AccessCtx.
-func (c *doraCtx) Read(table uint16, key []byte) ([]byte, bool) {
-	e := c.e
-	switch {
-	case e.off.Overlay && e.off.Tree:
-		return e.ov.Get(c.task, table, key)
-	case e.off.Overlay:
-		tr := e.traces.Get()
-		val, ok := e.ov.TableByID(table).Tree.Get(key, tr)
-		e.swProbeFPGA(c.task, tr)
-		e.traces.Put(tr)
-		return val, ok
-	case e.off.Tree:
-		tr := e.traces.Get()
-		val, ok := e.trees[table].Get(key, tr)
-		e.hwProbeHost(c.task, tr)
-		e.traces.Put(tr)
-		return val, ok
-	default:
-		tr := e.traces.Get()
-		val, ok := e.trees[table].Get(key, tr)
-		e.chargeVisits(c.task, tr, false)
-		e.traces.Put(tr)
-		return val, ok
-	}
-}
-
-// ReadForUpdate implements AccessCtx: the entity lock the action runs under
-// is already exclusive, so there is nothing to strengthen.
-func (c *doraCtx) ReadForUpdate(table uint16, key []byte) ([]byte, bool) {
-	return c.Read(table, key)
-}
-
-// Update implements AccessCtx.
-func (c *doraCtx) Update(table uint16, key, val []byte) bool {
-	e := c.e
-	if e.off.Overlay {
-		prev, existed := e.ov.Put(c.task, table, key, val)
-		if !existed {
-			e.ov.Delete(c.task, table, key)
-			return false
-		}
-		e.tm.LogUpdate(c.task, c.tx, table, key, prev, val)
-		return true
-	}
-	tr := e.traces.Get()
-	tree := e.trees[table]
-	prev, existed := tree.Put(key, val, tr)
-	e.chargeVisits(c.task, tr, true)
-	e.traces.Put(tr)
-	if !existed {
-		tree.Delete(key, nil)
-		return false
-	}
-	e.tm.LogUpdate(c.task, c.tx, table, key, prev, val)
-	return true
-}
-
-// Insert implements AccessCtx.
-func (c *doraCtx) Insert(table uint16, key, val []byte) bool {
-	e := c.e
-	if e.off.Overlay {
-		prev, existed := e.ov.Put(c.task, table, key, val)
-		if existed {
-			e.ov.Put(c.task, table, key, prev)
-			return false
-		}
-		e.tm.LogInsert(c.task, c.tx, table, key, val)
-		return true
-	}
-	tr := e.traces.Get()
-	tree := e.trees[table]
-	prev, existed := tree.Put(key, val, tr)
-	e.chargeVisits(c.task, tr, true)
-	e.traces.Put(tr)
-	if existed {
-		tree.Put(key, prev, nil)
-		return false
-	}
-	e.tm.LogInsert(c.task, c.tx, table, key, val)
-	return true
-}
-
-// Delete implements AccessCtx.
-func (c *doraCtx) Delete(table uint16, key []byte) bool {
-	e := c.e
-	if e.off.Overlay {
-		val, ok := e.ov.Delete(c.task, table, key)
-		if !ok {
-			return false
-		}
-		e.tm.LogDelete(c.task, c.tx, table, key, val)
-		return true
-	}
-	tr := e.traces.Get()
-	val, ok := e.trees[table].Delete(key, tr)
-	e.chargeVisits(c.task, tr, true)
-	e.traces.Put(tr)
-	if !ok {
-		return false
-	}
-	e.tm.LogDelete(c.task, c.tx, table, key, val)
-	return true
-}
-
-// Scan implements AccessCtx.
-func (c *doraCtx) Scan(table uint16, from, to []byte, fn func(k, v []byte) bool) {
-	e := c.e
-	if e.off.Overlay {
-		e.ov.ScanRange(c.task, table, from, to, fn)
-		return
-	}
-	tr := e.traces.Get()
-	rows := e.kvs.Get()
-	defer func() { e.kvs.Put(rows) }()
-	e.trees[table].Scan(from, to, tr, func(k, v []byte) bool {
-		rows = append(rows, kvPair{k, v})
-		return true
-	})
-	e.chargeVisits(c.task, tr, false)
-	e.traces.Put(tr)
-	for _, r := range rows {
-		c.task.Exec(stats.CompBtree, 20)
-		if !fn(r.k, r.v) {
-			return
-		}
-	}
-}
-
-// Partitions exposes the partition set (diagnostics).
-func (e *DORAEngine) Partitions() []*dora.Partition { return e.parts }
 
 // SetRecorder attaches the flight recorder to every layer this engine
 // owns: the partitions (queue-wait, lock-wait, action and flow-edge spans)

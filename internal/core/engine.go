@@ -7,6 +7,7 @@ import (
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 	"bionicdb/internal/storage"
+	"bionicdb/internal/txn"
 	"bionicdb/internal/wal"
 )
 
@@ -104,10 +105,9 @@ type Terminal struct {
 	// in-window values per transaction type into Result.TxnRetries.
 	Retries int
 
-	// The terminal's transaction frame on the engine it submits to, built
-	// by that engine on first use (doraTx, convCtx).
-	dora *doraTx
-	conv *convCtx
+	// fr is the terminal's transaction frame on the engine it submits to,
+	// built by that engine on first use (a *convCtx or a *doraTx).
+	fr frame
 }
 
 // Engine is a complete transaction processing system under one cost model,
@@ -166,8 +166,112 @@ const maxRetries = 25
 // attempt (the Figure 3 "Front-end" component).
 const frontEndInstr = 500
 
-// kvPair is one materialized scan row. Scans materialize their rows before
-// applying locks and charges (the tree must not be walked across park
-// points); the buffers come from an engine-private sim.ScratchPool so the
-// steady-state scan path stops allocating.
-type kvPair struct{ k, v []byte }
+// frame is one engine's transaction frame for a terminal, as the retry loop
+// drives it. It owns the task and the transaction every attempt re-arms.
+type frame interface {
+	state() (*platform.Task, *txn.Txn)
+	// run re-arms the attempt's scratch (BeginIn has dropped the undo list,
+	// the last holder of the previous attempt's keys) and runs logic,
+	// reporting its vote and whether the engine refused the attempt (a
+	// deadlock victim or a refused lock).
+	run(logic TxnLogic) (ok, refused bool)
+	// rollback undoes the attempt and releases its locks.
+	rollback()
+	// commit makes the attempt durable and releases its locks, folding the
+	// commit path's phases into the terminal's anatomy.
+	commit()
+}
+
+// submit is both engines' Submit: a submit span around the retry loop. Each
+// attempt resets the task, charges the front end, begins the transaction and
+// runs the logic on f; a refused attempt rolls back and retries up to
+// maxRetries, a user abort rolls back and returns.
+func submit(term *Terminal, tm *txn.Manager, ctr *stats.Counter, f frame, logic TxnLogic) bool {
+	term.Ph = [stats.NumPhases]sim.Duration{}
+	start := term.P.Now()
+	task, tx := f.state()
+	committed := false
+	for term.Retries = 0; ; term.Retries++ {
+		task.Reset()
+		task.Exec(stats.CompFrontEnd, frontEndInstr)
+		tm.BeginIn(task, tx)
+		ok, refused := f.run(logic)
+		if refused {
+			f.rollback()
+			ctr.Inc("aborts.deadlock", 1)
+			if term.Retries < maxRetries {
+				continue
+			}
+			ctr.Inc("aborts.giveup", 1)
+		} else if !ok {
+			f.rollback()
+			ctr.Inc("aborts.user", 1)
+		} else {
+			f.commit()
+			ctr.Inc("commits", 1)
+			committed = true
+		}
+		break
+	}
+	if end := term.P.Now(); end > start {
+		term.Rec.Record(obs.Span{Start: start, End: end, Kind: obs.KindSubmit,
+			Socket: int32(term.Core.SocketID()), Txn: tx.ID})
+	}
+	return committed
+}
+
+// engineBase is what both engines are built on: the machine, the row store,
+// the checkpoint page store, the durable log with the transaction manager
+// over it, and the cost and event tallies.
+type engineBase struct {
+	*rowStore
+
+	pl     *platform.Platform
+	dm     *storage.DiskManager
+	logSet *wal.LogSet
+	tm     *txn.Manager
+	bd     *stats.Breakdown
+	ctr    *stats.Counter
+}
+
+func newEngineBase(env *sim.Env, cfg *platform.Config) engineBase {
+	pl := platform.New(env, cfg)
+	return engineBase{pl: pl, dm: storage.NewDiskManager(pl.Disk, cfg.PageSize),
+		bd: &stats.Breakdown{}, ctr: stats.NewCounter()}
+}
+
+// Platform implements Engine.
+func (e *engineBase) Platform() *platform.Platform { return e.pl }
+
+// Breakdown implements Engine.
+func (e *engineBase) Breakdown() *stats.Breakdown { return e.bd }
+
+// Counters implements Engine.
+func (e *engineBase) Counters() *stats.Counter { return e.ctr }
+
+// DiskManager implements Engine.
+func (e *engineBase) DiskManager() *storage.DiskManager { return e.dm }
+
+// LogSet implements Engine.
+func (e *engineBase) LogSet() *wal.LogSet { return e.logSet }
+
+// newLog wraps shards in an engine's durable log, ships it when the machine
+// replicates, and builds the transaction manager over it.
+func newLog(pl *platform.Platform, shards []wal.LogShard) (*wal.LogSet, *txn.Manager) {
+	ls := wal.NewLogSet(pl, shards)
+	if pl.Cfg.Replicated() {
+		ls.AttachReplication(wal.NewReplicaSet(ls))
+	}
+	return ls, txn.NewManager(pl.Env, ls, txn.DefaultConfig())
+}
+
+// stopLog quiesces every shard's flush daemon, in shard order, then the
+// replication stream.
+func stopLog(ls *wal.LogSet) {
+	for i := 0; i < ls.NumShards(); i++ {
+		ls.Shard(i).(interface{ Stop() }).Stop()
+	}
+	if rs := ls.Replication(); rs != nil {
+		rs.Stop()
+	}
+}

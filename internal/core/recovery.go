@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"bionicdb/internal/btree"
 	"bionicdb/internal/platform"
@@ -37,16 +36,11 @@ func (m CheckpointMeta) startLSN(shard int) wal.LSN {
 // fuzzy.
 func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
 	meta := CheckpointMeta{Roots: make(map[uint16]storage.PageID)}
-	ids := make([]int, 0, len(tables))
-	for id := range tables {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
 	// A sharp checkpoint streams: pages are written sequentially, so the
 	// device is charged one bulk transfer per table, not one seek per page.
-	for _, id := range ids {
-		tree := tables[uint16(id)]
-		meta.Roots[uint16(id)] = tree.RootID()
+	for _, id := range sortedKeys(tables) {
+		tree := tables[id]
+		meta.Roots[id] = tree.RootID()
 		written := 0
 		tree.Checkpoint(func(pid storage.PageID, img []byte) {
 			dm.Store(pid, img)
@@ -158,15 +152,10 @@ func loadTrees(defs []TableDef, meta CheckpointMeta, read func(storage.PageID) [
 func ContentDigest(trees map[uint16]*btree.Tree) string {
 	h := sha256.New()
 	var b4 [4]byte
-	ids := make([]int, 0, len(trees))
-	for id := range trees {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(trees) {
 		binary.LittleEndian.PutUint32(b4[:], uint32(id))
 		h.Write(b4[:])
-		trees[uint16(id)].Scan(nil, nil, nil, func(k, v []byte) bool {
+		trees[id].Scan(nil, nil, nil, func(k, v []byte) bool {
 			binary.LittleEndian.PutUint32(b4[:], uint32(len(k)))
 			h.Write(b4[:])
 			h.Write(k)

@@ -1,0 +1,318 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"bionicdb/internal/btree"
+	"bionicdb/internal/bufferpool"
+	"bionicdb/internal/hw/overlay"
+	"bionicdb/internal/platform"
+	"bionicdb/internal/sim"
+	"bionicdb/internal/stats"
+	"bionicdb/internal/storage"
+	"bionicdb/internal/txn"
+	"bionicdb/internal/wal"
+)
+
+// rowStore is the one row store under every engine, with two backends:
+//
+//   - host: B+Trees in host memory behind the buffer pool, probed by the CPU.
+//     Page latches are optional: the conventional engine latches every node
+//     it visits (crabbing approximated by striped latches), the data-oriented
+//     engines need none (PLP: the partition owns the page);
+//   - overlay: the SG-DRAM trees of the overlay database, probed by the
+//     tree-probe unit. The two units come as a pair (see NewBionic).
+//
+// Every timed method charges the caller's task; Load, ReadRaw, ScanRaw,
+// Tables and Warm are the engines' untimed population, verification and
+// warm-up surface.
+type rowStore struct {
+	trees map[uint16]*btree.Tree // the host trees, or the overlay's
+
+	pool    *bufferpool.Pool // host backend
+	latches []*sim.Resource  // host backend, nil without page latches
+
+	ov *overlay.Store // overlay backend
+
+	traces btree.TracePool
+	kvs    sim.ScratchPool[kvPair]
+}
+
+// newHostRows builds the host backend over pool with the given number of
+// page-latch stripes (0 for none), one tree per table on disk pages dm
+// allocates.
+func newHostRows(pl *platform.Platform, dm *storage.DiskManager, pool *bufferpool.Pool, tables []TableDef, stripes int) *rowStore {
+	r := &rowStore{trees: make(map[uint16]*btree.Tree, len(tables)), pool: pool}
+	for i := 0; i < stripes; i++ {
+		r.latches = append(r.latches, sim.NewResource(pl.Env, fmt.Sprintf("page-latch-%d", i), 1))
+	}
+	for _, def := range tables {
+		r.trees[def.ID] = btree.New(btree.Config{
+			Order:  def.Order,
+			NextID: dm.Allocate,
+			AddrOf: func(id storage.PageID, size int) uint64 { return pl.AllocHost(pl.Cfg.PageSize) },
+		})
+	}
+	return r
+}
+
+// newBufferPool is the host backend's buffer pool, built where each engine
+// has always built it (its frame table takes host address space).
+func newBufferPool(pl *platform.Platform) *bufferpool.Pool {
+	return bufferpool.New(pl, pl.Disk, bufferpool.DefaultConfig(1<<18, pl.Cfg.PageSize))
+}
+
+// newOverlayRows builds the overlay backend: one overlay table per table.
+func newOverlayRows(ov *overlay.Store, tables []TableDef) *rowStore {
+	r := &rowStore{trees: make(map[uint16]*btree.Tree, len(tables)), ov: ov}
+	for _, def := range tables {
+		r.trees[def.ID] = ov.CreateTable(def.ID, def.Order).Tree
+	}
+	return r
+}
+
+// Load implements Engine (population path: no timing, no logging).
+func (r *rowStore) Load(table uint16, key, val []byte) {
+	if r.ov != nil {
+		r.ov.LoadRaw(table, key, val)
+		return
+	}
+	r.trees[table].Put(key, val, nil)
+}
+
+// ReadRaw implements Engine.
+func (r *rowStore) ReadRaw(table uint16, key []byte) ([]byte, bool) {
+	return r.trees[table].Get(key, nil)
+}
+
+// ScanRaw implements Engine.
+func (r *rowStore) ScanRaw(table uint16, from, to []byte, fn func(k, v []byte) bool) {
+	r.trees[table].Scan(from, to, nil, fn)
+}
+
+// Tables implements Engine: the host trees or the overlay's.
+func (r *rowStore) Tables() map[uint16]*btree.Tree { return r.trees }
+
+// Warm implements Engine: every host tree page becomes buffer-pool resident,
+// as a production system would be after its working set is faulted in; the
+// overlay is resident by construction.
+func (r *rowStore) Warm() {
+	if r.pool == nil {
+		return
+	}
+	for _, id := range sortedKeys(r.trees) {
+		r.trees[id].Pages(func(id storage.PageID, leaf bool) { r.pool.Prewarm(id) })
+	}
+}
+
+// get reads one row.
+func (r *rowStore) get(task *platform.Task, table uint16, key []byte) ([]byte, bool) {
+	if r.ov != nil {
+		return r.ov.Get(task, table, key)
+	}
+	tr := r.traces.Get()
+	val, ok := r.trees[table].Get(key, tr)
+	r.chargeVisits(task, tr, false)
+	r.traces.Put(tr)
+	return val, ok
+}
+
+// put writes one row, returning the row it replaced, if any.
+func (r *rowStore) put(task *platform.Task, table uint16, key, val []byte) ([]byte, bool) {
+	if r.ov != nil {
+		return r.ov.Put(task, table, key, val)
+	}
+	tr := r.traces.Get()
+	prev, existed := r.trees[table].Put(key, val, tr)
+	r.chargeVisits(task, tr, true)
+	r.traces.Put(tr)
+	return prev, existed
+}
+
+// restore takes back a put that found the wrong row state: it puts prev back
+// when the put replaced a row, and deletes the row the put created when not.
+// The host backend restores untimed; the overlay unit charges it.
+func (r *rowStore) restore(task *platform.Task, table uint16, key, prev []byte, existed bool) {
+	switch {
+	case r.ov != nil && existed:
+		r.ov.Put(task, table, key, prev)
+	case r.ov != nil:
+		r.ov.Delete(task, table, key)
+	case existed:
+		r.trees[table].Put(key, prev, nil)
+	default:
+		r.trees[table].Delete(key, nil)
+	}
+}
+
+// delete removes a row, returning it.
+func (r *rowStore) delete(task *platform.Task, table uint16, key []byte) ([]byte, bool) {
+	if r.ov != nil {
+		return r.ov.Delete(task, table, key)
+	}
+	tr := r.traces.Get()
+	val, ok := r.trees[table].Delete(key, tr)
+	r.chargeVisits(task, tr, true)
+	r.traces.Put(tr)
+	return val, ok
+}
+
+// scan streams [from, to) to fn. The host backend materializes the rows
+// first (the tree must not be walked across park points), charges the
+// descent, then per row takes lockRow's lock when lockRow is non-nil and
+// charges the row's hand-off before fn; a false lockRow or fn ends the scan.
+// The overlay streams through the scan path of its own unit.
+func (r *rowStore) scan(task *platform.Task, table uint16, from, to []byte, lockRow func(table uint16, key []byte) bool, fn func(k, v []byte) bool) {
+	if r.ov != nil {
+		r.ov.ScanRange(task, table, from, to, fn)
+		return
+	}
+	tr := r.traces.Get()
+	rows := r.kvs.Get()
+	defer func() { r.kvs.Put(rows) }()
+	r.trees[table].Scan(from, to, tr, func(k, v []byte) bool {
+		rows = append(rows, kvPair{k, v})
+		return true
+	})
+	r.chargeVisits(task, tr, false)
+	r.traces.Put(tr)
+	for _, row := range rows {
+		if lockRow != nil && !lockRow(table, row.k) {
+			return
+		}
+		task.Exec(stats.CompBtree, 20)
+		if !fn(row.k, row.v) {
+			return
+		}
+	}
+}
+
+// applyUndoRaw reverses one operation without logging (runtime rollback; the
+// abort record covers recovery), charged on task like the write it undoes.
+func (r *rowStore) applyUndoRaw(task *platform.Task, u txn.UndoRec) {
+	switch u.Type {
+	case wal.RecInsert:
+		r.delete(task, u.Table, u.Key)
+	case wal.RecUpdate, wal.RecDelete:
+		r.put(task, u.Table, u.Key, u.Before)
+	}
+}
+
+// chargeVisits converts a host-tree trace into the software cost model: per
+// visited node a page latch when the store has them, a buffer-pool fix, the
+// node's cache-modelled access and the binary-search instructions (a search
+// over a wide node touches several cache lines, one per probe pair), plus
+// software split and merge costs.
+func (r *rowStore) chargeVisits(task *platform.Task, tr *btree.Trace, write bool) {
+	for _, v := range tr.Visits {
+		var latch *sim.Resource
+		if r.latches != nil {
+			latch = r.latches[uint64(v.ID)%uint64(len(r.latches))]
+			task.Exec(stats.CompBtree, 60) // latch acquire/release pair
+			task.Flush()
+			latch.Acquire(task.P)
+		}
+		r.pool.Fix(task, v.ID)
+		task.Access(stats.CompBtree, v.Addr, 64)
+		for i := 1; i < (v.Cmps+1)/2; i++ {
+			task.Access(stats.CompBtree, v.Addr+uint64(64*i), 16)
+		}
+		task.Exec(stats.CompBtree, 60+14*v.Cmps)
+		if v.Leaf {
+			// Record locate/copy and slot bookkeeping at the leaf.
+			task.Exec(stats.CompBtree, 110)
+		}
+		r.pool.Unfix(task, v.ID, write && v.Leaf)
+		if latch != nil {
+			task.Flush()
+			latch.Release()
+		}
+	}
+	for _, id := range tr.NewPages {
+		// Pages born by splits enter the pool without I/O.
+		r.pool.Prewarm(id)
+	}
+	if tr.Splits > 0 {
+		task.Exec(stats.CompBtree, 1500*tr.Splits)
+	}
+	if tr.Merges+tr.Borrows > 0 {
+		task.Exec(stats.CompBtree, 900*(tr.Merges+tr.Borrows))
+	}
+}
+
+// kvPair is one materialized scan row; the buffers come from the row
+// store's sim.ScratchPool, so the steady-state scan path does not allocate.
+type kvPair struct{ k, v []byte }
+
+// rowTx is one transaction's data access to the row store from one task:
+// each write changes the row, then appends its log record and undo entry.
+// It is an AccessCtx but for Arena; the conventional engine wraps it in its
+// locks, the data-oriented engines run their actions on it as it is.
+type rowTx struct {
+	rows *rowStore
+	tm   *txn.Manager
+	task *platform.Task
+	tx   *txn.Txn
+}
+
+// Read implements AccessCtx.
+func (c *rowTx) Read(table uint16, key []byte) ([]byte, bool) {
+	return c.rows.get(c.task, table, key)
+}
+
+// ReadForUpdate implements AccessCtx: whatever lock the write needs is
+// the caller's to take, so this is a Read.
+func (c *rowTx) ReadForUpdate(table uint16, key []byte) ([]byte, bool) {
+	return c.Read(table, key)
+}
+
+// Update implements AccessCtx: a put that finds no row is taken back.
+func (c *rowTx) Update(table uint16, key, val []byte) bool {
+	prev, existed := c.rows.put(c.task, table, key, val)
+	if !existed {
+		c.rows.restore(c.task, table, key, prev, existed)
+		return false
+	}
+	c.tm.LogUpdate(c.task, c.tx, table, key, prev, val)
+	return true
+}
+
+// Insert implements AccessCtx: a put that finds a row is taken back.
+func (c *rowTx) Insert(table uint16, key, val []byte) bool {
+	prev, existed := c.rows.put(c.task, table, key, val)
+	if existed {
+		c.rows.restore(c.task, table, key, prev, existed)
+		return false
+	}
+	c.tm.LogInsert(c.task, c.tx, table, key, val)
+	return true
+}
+
+// Delete implements AccessCtx.
+func (c *rowTx) Delete(table uint16, key []byte) bool {
+	val, ok := c.rows.delete(c.task, table, key)
+	if ok {
+		c.tm.LogDelete(c.task, c.tx, table, key, val)
+	}
+	return ok
+}
+
+// Scan implements AccessCtx.
+func (c *rowTx) Scan(table uint16, from, to []byte, fn func(k, v []byte) bool) {
+	c.rows.scan(c.task, table, from, to, nil, fn)
+}
+
+// sortedKeys returns a map's keys in ascending order. Simulation-visible
+// iteration must never follow Go's randomized map order: the event
+// schedule it produces has to be a pure function of the seed, or runs stop
+// being reproducible and parallel sweeps stop matching serial ones.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
