@@ -108,6 +108,24 @@ type Tree struct {
 	height int
 	size   int
 	nextID storage.PageID
+	slab   []byte // the chunk cloneKey is filling; len is the used part
+}
+
+// slabChunk is the size of one chunk of a tree's key slab: a few hundred of
+// the shipped workloads' keys (8 to 40 bytes) per allocation.
+const slabChunk = 4096
+
+// cloneKey returns a tree-owned copy of key, carved from the tree's key slab.
+// The copy's capacity is its length, so appending to a key the tree hands
+// out never writes into its neighbour. A chunk is never reused: it lives as
+// long as any key carved from it, and keys are immutable.
+func (t *Tree) cloneKey(key []byte) []byte {
+	if len(key) > cap(t.slab)-len(t.slab) {
+		t.slab = make([]byte, 0, max(slabChunk, len(key)))
+	}
+	off := len(t.slab)
+	t.slab = append(t.slab, key...)
+	return t.slab[off:len(t.slab):len(t.slab)]
 }
 
 // New creates an empty tree.
@@ -243,7 +261,7 @@ func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed
 			n.vals[idx] = val
 			return prev, true, nil, nil
 		}
-		n.keys = insertAt(n.keys, idx, bytes.Clone(key))
+		n.keys = insertAt(n.keys, idx, t.cloneKey(key))
 		n.vals = insertAt(n.vals, idx, val)
 		if len(n.keys) > t.cfg.Order {
 			splitKey, right = t.splitLeaf(n, tr)

@@ -108,6 +108,54 @@ func TestPutReplaceCopiesNothing(t *testing.T) {
 	}
 }
 
+// TestFreshInsertsShareTheSlab: new keys are carved from the tree's key
+// slab, so inserts that split nothing allocate only when a slab chunk or the
+// leaf's key and value slices fill up.
+func TestFreshInsertsShareTheSlab(t *testing.T) {
+	const n = 2000
+	tr := sized(4 * n) // one leaf holds every key: nothing splits
+	keys := make([][]byte, n+1)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	v, i := val(0), 0
+	per := testing.AllocsPerRun(n, func() { tr.Put(keys[i], v, nil); i++ })
+	if tr.Size() != n+1 || tr.Height() != 1 {
+		t.Fatalf("size %d height %d after %d inserts", tr.Size(), tr.Height(), n+1)
+	}
+	if per >= 0.05 {
+		t.Errorf("%.3f allocations per fresh insert, want < 0.05", per)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHandedOutKeysHaveNoSpareCapacity: a key Scan hands out ends where its
+// slab neighbour begins, so appending to it copies instead of overwriting
+// the next key.
+func TestHandedOutKeysHaveNoSpareCapacity(t *testing.T) {
+	tr := sized(64)
+	for i := 0; i < 100; i++ {
+		tr.Put(key(i), val(i), nil) // in order: each key's slab neighbour is the next key
+	}
+	tr.Scan(nil, nil, nil, func(k, _ []byte) bool {
+		_ = append(k, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+		return true
+	})
+	i := 0
+	tr.Scan(nil, nil, nil, func(k, _ []byte) bool {
+		if !bytes.Equal(k, key(i)) {
+			t.Fatalf("key %d reads %x after appending to its neighbour", i, k)
+		}
+		i++
+		return true
+	})
+	if i != 100 {
+		t.Fatalf("scanned %d keys", i)
+	}
+}
+
 func TestReverseAndRandomInsertOrders(t *testing.T) {
 	for name, order := range map[string][]int{
 		"reverse": reverseInts(500),

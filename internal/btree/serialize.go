@@ -99,7 +99,7 @@ func Load(cfg Config, rootID storage.PageID, read func(id storage.PageID) []byte
 		for i := 0; i < nkeys; i++ {
 			var k []byte
 			k, off = readBytes16(img, off)
-			n.keys = append(n.keys, append([]byte(nil), k...))
+			n.keys = append(n.keys, t.cloneKey(k))
 			if n.leaf {
 				var v []byte
 				v, off = readBytes16(img, off)

@@ -105,7 +105,8 @@ func committedSet(perShard []map[uint64][]wal.ShardLSN, durable []wal.LSN) map[u
 }
 
 // applyShard replays one shard's committed data records, in shard-log
-// order, into trees. Record fields are views into the log bytes, so images
+// order, into trees. Record fields are views into the log bytes: the tree
+// clones a key it inserts, and a value becomes the stored row, so images
 // are copied before installation.
 func applyShard(trees map[uint16]*btree.Tree, data []byte, start wal.LSN, committed map[uint64]bool) (records int64, err error) {
 	err = wal.Scan(data, start, func(r wal.Record) bool {
@@ -118,9 +119,7 @@ func applyShard(trees map[uint16]*btree.Tree, data []byte, start wal.LSN, commit
 		}
 		switch r.Type {
 		case wal.RecInsert, wal.RecUpdate:
-			key := append([]byte(nil), r.Key...)
-			val := append([]byte(nil), r.After...)
-			tree.Put(key, val, nil)
+			tree.Put(r.Key, append([]byte(nil), r.After...), nil)
 			records++
 		case wal.RecDelete:
 			tree.Delete(r.Key, nil)

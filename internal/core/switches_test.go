@@ -25,13 +25,13 @@ var benchConfigs = []struct {
 	allocs    float64 // ceiling on heap allocations per transaction issued
 	build     func() (core.Workload, func(*sim.Env) core.Engine)
 }{
-	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 3.7, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 3.5, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tatp.New(tatp.Config{Subscribers: 100000})
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 54.5, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 48.2, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
@@ -47,7 +47,7 @@ var benchConfigs = []struct {
 	}},
 	// crash-recover-2s's machine and database, run as a plain window: the
 	// bionic engine's TPC-C path (overlay, per-action arenas, entity locks).
-	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 80.5, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 50.5, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := tpcc.DefaultConfig()
 		cfg.Warehouses = 8
 		wl := tpcc.New(cfg)
@@ -159,9 +159,12 @@ func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // starts failing means some per-transaction object stopped being re-armed by
 // its owner (DESIGN.md, "Pools above the kernel"), or a key or a decoded
 // string went back to the heap. The ceilings sit 3-5 % above what this scale
-// measures (3.50, 52.07, 3.55, 77.19; the last few objects are the runtime's
+// measures (3.31, 45.86, 3.54, 48.03; the last few objects are the runtime's
 // and move by a dozen per run; ycsb-dora-4s measured 16.37 while sharded-log
-// software DORA ran a second, engine-on-shard layout). Before the key arenas, view decoding and
+// software DORA ran a second, engine-on-shard layout). Before the overlay's
+// dirty set took inline keys, the B-tree cloned keys into a slab, and the
+// vector-durable join and the DORA waits-for registry reused their storage,
+// the counts were 3.48, 52.07, 3.55 and 77.16. Before the key arenas, view decoding and
 // dora.Entity the counts were 6.28, 115.24, 18.48 and 146.76; before
 // transaction frames 29.39, 376.30 and 50.19, and tpcc-conv's was 153.05
 // while it ran each transaction 3.25 times (TestConventionalTPCCRetries).

@@ -235,58 +235,75 @@ func (r *RVP) Await(p *sim.Proc) bool {
 
 // Registry is the waits-for graph shared by a set of partitions. All
 // updates happen from simulated processes (one at a time), so plain maps
-// suffice.
+// suffice. A waiter's holders are a set kept as a slice; the slices of
+// waiters that stopped waiting go on a free list, and the cycle check's
+// visited set and stack are reused, so steady-state defer and release
+// cycles allocate nothing.
 type Registry struct {
-	waits     map[uint64]map[uint64]struct{} // txn -> txns it waits for
+	waits     map[uint64][]uint64 // txn -> txns it waits for, each once
+	free      [][]uint64          // emptied holder slices
+	seen      map[uint64]bool     // wouldCycle's visited set
+	stack     []uint64            // wouldCycle's DFS stack
 	deadlocks int64
 }
 
 // NewRegistry returns an empty waits-for registry.
 func NewRegistry() *Registry {
-	return &Registry{waits: make(map[uint64]map[uint64]struct{})}
+	return &Registry{waits: make(map[uint64][]uint64), seen: make(map[uint64]bool)}
 }
 
 // Deadlocks returns how many defer attempts were refused as cycles.
 func (r *Registry) Deadlocks() int64 { return r.deadlocks }
 
-// wouldCycle reports whether adding waiter->holder closes a cycle.
+// wouldCycle reports whether adding waiter->holder closes a cycle: whether
+// waiter is reachable from holder. Reachability does not depend on the order
+// holders are visited in.
 func (r *Registry) wouldCycle(waiter, holder uint64) bool {
-	seen := map[uint64]bool{}
-	var dfs func(id uint64) bool
-	dfs = func(id uint64) bool {
+	clear(r.seen)
+	r.stack = append(r.stack[:0], holder)
+	for n := len(r.stack); n > 0; n = len(r.stack) {
+		id := r.stack[n-1]
+		r.stack = r.stack[:n-1]
 		if id == waiter {
 			return true
 		}
-		if seen[id] {
-			return false
+		if r.seen[id] {
+			continue
 		}
-		seen[id] = true
-		for next := range r.waits[id] {
-			if dfs(next) {
-				return true
-			}
-		}
-		return false
+		r.seen[id] = true
+		r.stack = append(r.stack, r.waits[id]...)
 	}
-	return dfs(holder)
+	return false
 }
 
 func (r *Registry) add(waiter, holder uint64) {
-	m := r.waits[waiter]
-	if m == nil {
-		m = make(map[uint64]struct{})
-		r.waits[waiter] = m
+	hs, ok := r.waits[waiter]
+	if !ok {
+		if n := len(r.free); n > 0 {
+			hs = r.free[n-1]
+			r.free = r.free[:n-1]
+		}
+	} else if slices.Contains(hs, holder) {
+		return
 	}
-	m[holder] = struct{}{}
+	r.waits[waiter] = append(hs, holder)
 }
 
 func (r *Registry) remove(waiter, holder uint64) {
-	if m := r.waits[waiter]; m != nil {
-		delete(m, holder)
-		if len(m) == 0 {
-			delete(r.waits, waiter)
-		}
+	hs, ok := r.waits[waiter]
+	if !ok {
+		return
 	}
+	if i := slices.Index(hs, holder); i >= 0 {
+		hs[i] = hs[len(hs)-1]
+		hs = hs[:len(hs)-1]
+	}
+	if len(hs) == 0 {
+		delete(r.waits, waiter)
+		r.free = append(r.free, hs)
+		return
+	}
+	r.waits[waiter] = hs
 }
 
 // Partition is one logical partition: an input queue, an owning worker on a

@@ -321,6 +321,40 @@ func TestCrossEntityCycleVotesAbort(t *testing.T) {
 	}
 }
 
+// TestRegistryReusesItsStorage runs defer and release cycles on the waits-for
+// registry: a cycle check before each deferral, the edge added (twice, as two
+// deferred actions of one transaction behind one holder add it), then every
+// edge removed. After the first round nothing allocates.
+func TestRegistryReusesItsStorage(t *testing.T) {
+	reg := NewRegistry()
+	cycle := func() {
+		for w := uint64(1); w <= 8; w++ {
+			for h := w + 1; h <= w+3; h++ {
+				if reg.wouldCycle(w, h) {
+					t.Fatalf("%d waiting for %d reported as a cycle", w, h)
+				}
+				reg.add(w, h)
+				reg.add(w, h)
+			}
+		}
+		if !reg.wouldCycle(9, 1) {
+			t.Fatal("9 waiting for 1, which reaches 9, not reported as a cycle")
+		}
+		for w := uint64(1); w <= 8; w++ {
+			for h := w + 1; h <= w+3; h++ {
+				reg.remove(w, h)
+			}
+		}
+		if len(reg.waits) != 0 {
+			t.Fatalf("%d waiters left after every edge was removed", len(reg.waits))
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("%v allocations per round of 24 defers and releases, want 0", n)
+	}
+}
+
 func TestEnqueueChargesDoraComponent(t *testing.T) {
 	env, pl, pt, bd := fixture(1)
 	senderBD := &stats.Breakdown{}

@@ -10,9 +10,9 @@
 package overlay
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"bionicdb/internal/btree"
 	"bionicdb/internal/hw/treeprobe"
@@ -61,7 +61,7 @@ type Table struct {
 	// only for the call.
 	MergeFn func(key, val []byte)
 
-	dirty map[string]struct{}
+	dirty map[storage.Key]struct{}
 }
 
 // Store is the overlay database.
@@ -96,7 +96,7 @@ type Store struct {
 
 	// The merge daemon's scratch, reused pass after pass (only its process
 	// touches them): the keys one table contributes and the key being merged.
-	mergeKeys []string
+	mergeKeys []storage.Key
 	mergeKey  []byte
 
 	// rec, when non-nil, records one overlay-merge span per non-empty
@@ -152,7 +152,7 @@ func (s *Store) CreateTable(id uint16, order int) *Table {
 	}
 	t := &Table{
 		ID:    id,
-		dirty: make(map[string]struct{}),
+		dirty: make(map[storage.Key]struct{}),
 	}
 	t.Tree = btree.New(btree.Config{
 		Order: order,
@@ -204,9 +204,7 @@ func (s *Store) Put(t *platform.Task, tableID uint16, key, val []byte) (prev []b
 		s.rows++
 		s.maybeEvict(t)
 	}
-	if _, dirty := tbl.dirty[string(key)]; !dirty {
-		tbl.dirty[string(key)] = struct{}{}
-	}
+	tbl.dirty[storage.KeyOf(key)] = struct{}{}
 	return prev, existed
 }
 
@@ -219,7 +217,7 @@ func (s *Store) Delete(t *platform.Task, tableID uint16, key []byte) (val []byte
 	s.traces.Put(tr)
 	if ok {
 		s.rows--
-		delete(tbl.dirty, string(key))
+		delete(tbl.dirty, storage.KeyOf(key))
 	}
 	return val, ok
 }
@@ -431,14 +429,14 @@ func (s *Store) mergeOnce(p *sim.Proc) {
 			break
 		}
 		keys := smallestDirty(tbl.dirty, budget, s.mergeKeys[:0])
-		for _, k := range keys {
-			s.mergeKey = append(s.mergeKey[:0], k...)
+		for i := range keys {
+			s.mergeKey = append(s.mergeKey[:0], keys[i].Bytes()...)
 			val, ok := tbl.Tree.Get(s.mergeKey, nil)
 			if ok && tbl.MergeFn != nil {
 				tbl.MergeFn(s.mergeKey, val)
 			}
-			totalBytes += len(k) + len(val)
-			delete(tbl.dirty, k)
+			totalBytes += len(s.mergeKey) + len(val)
+			delete(tbl.dirty, keys[i])
 			s.merged++
 		}
 		budget -= len(keys)
@@ -465,19 +463,20 @@ func (s *Store) mergeOnce(p *sim.Proc) {
 // in sorted order, built in h's storage (h must be empty). A bounded
 // max-heap keeps the scan O(D log budget) instead of sorting the whole dirty
 // set, which can be far larger than one merge pass's budget.
-func smallestDirty(dirty map[string]struct{}, budget int, h []string) []string {
+func smallestDirty(dirty map[storage.Key]struct{}, budget int, h []storage.Key) []storage.Key {
 	if budget <= 0 {
 		return h
 	}
 	// h is a max-heap: h[0] is the largest of the budget smallest so far.
+	greater := func(i, j int) bool { return compareKeys(&h[i], &h[j]) > 0 }
 	siftDown := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2
 			big := i
-			if l < len(h) && h[l] > h[big] {
+			if l < len(h) && greater(l, big) {
 				big = l
 			}
-			if r < len(h) && h[r] > h[big] {
+			if r < len(h) && greater(r, big) {
 				big = r
 			}
 			if big == i {
@@ -492,20 +491,23 @@ func smallestDirty(dirty map[string]struct{}, budget int, h []string) []string {
 			h = append(h, k)
 			for i := len(h) - 1; i > 0; {
 				parent := (i - 1) / 2
-				if h[parent] >= h[i] {
+				if !greater(i, parent) {
 					break
 				}
 				h[i], h[parent] = h[parent], h[i]
 				i = parent
 			}
-		} else if k < h[0] {
+		} else if compareKeys(&k, &h[0]) < 0 {
 			h[0] = k
 			siftDown(0)
 		}
 	}
-	sort.Strings(h)
+	slices.SortFunc(h, func(a, b storage.Key) int { return compareKeys(&a, &b) })
 	return h
 }
+
+// compareKeys orders dirty keys lexicographically by their bytes.
+func compareKeys(a, b *storage.Key) int { return bytes.Compare(a.Bytes(), b.Bytes()) }
 
 // Stop quiesces the merge daemon after a final drain and releases the
 // pooled write-completion processes.

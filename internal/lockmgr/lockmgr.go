@@ -14,6 +14,7 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
+	"bionicdb/internal/storage"
 )
 
 // Mode is a lock mode.
@@ -155,30 +156,17 @@ func New(pl *platform.Platform, cfg Config) *Manager {
 
 // Name identifies one lock: a table, or one row of a table by its primary
 // key. It is a comparable value — the lock table's map key — built by
-// RowLock and TableLock without allocating: keys up to nameInline bytes
-// (every key of the shipped workloads) are held inline, longer ones spill
-// into a string.
+// RowLock and TableLock without allocating for any key storage.Key holds
+// inline.
 type Name struct {
-	kind  byte  // 'r' for a row, 't' for a table
-	n     uint8 // bytes of key held inline
-	table uint16
-	key   [nameInline]byte
-	spill string // the whole key when it does not fit inline, else ""
+	storage.Key      // the row's primary key; empty for a table
+	kind        byte // 'r' for a row, 't' for a table
+	table       uint16
 }
-
-// nameInline is the longest key a Name holds without spilling; TPC-C's
-// customer-by-name index key, the longest in the shipped workloads, is 40.
-const nameInline = 40
 
 // RowLock names the lock of the row of table with the given primary key.
 func RowLock(table uint16, key []byte) Name {
-	n := Name{kind: 'r', table: table}
-	if len(key) > nameInline {
-		n.spill = string(key)
-	} else {
-		n.n = uint8(copy(n.key[:], key))
-	}
-	return n
+	return Name{Key: storage.KeyOf(key), kind: 'r', table: table}
 }
 
 // TableLock names a table-level lock.
@@ -198,7 +186,7 @@ func (n Name) head(dst []byte) []byte {
 // String renders the name's text form, "t<table>" or "r<table>:<key>": the
 // bytes lock names were before they became values.
 func (n Name) String() string {
-	return string(n.head(nil)) + string(n.key[:n.n]) + n.spill
+	return string(n.head(nil)) + string(n.Bytes())
 }
 
 // hashName is FNV-1a over the name's text form. The lock table's timing
@@ -207,11 +195,10 @@ func (n Name) String() string {
 func hashName(n Name) uint64 {
 	var buf [8]byte // kind, at most five digits, ':'
 	h := fnv1a(1469598103934665603, n.head(buf[:0]))
-	h = fnv1a(h, n.key[:n.n])
-	return fnv1a(h, n.spill)
+	return fnv1a(h, n.Bytes())
 }
 
-func fnv1a[T string | []byte](h uint64, b T) uint64 {
+func fnv1a(h uint64, b []byte) uint64 {
 	for i := 0; i < len(b); i++ {
 		h = (h ^ uint64(b[i])) * 1099511628211
 	}

@@ -7,6 +7,7 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
+	"bionicdb/internal/storage"
 )
 
 func fixture() (*sim.Env, *platform.Platform, *Manager) {
@@ -341,7 +342,7 @@ func TestNameHashIsTheLegacyHash(t *testing.T) {
 	r := sim.NewRand(18)
 	for i := 0; i < 5000; i++ {
 		table := uint16(r.Intn(1 << 16))
-		key := make([]byte, r.Intn(2*nameInline+8))
+		key := make([]byte, r.Intn(2*storage.KeyInline+8))
 		for j := range key {
 			key[j] = byte(r.Intn(256))
 		}
@@ -363,7 +364,7 @@ func TestNameHashIsTheLegacyHash(t *testing.T) {
 // and building an inline name allocates nothing.
 func TestLongKeysSpill(t *testing.T) {
 	long := func(last byte) []byte {
-		k := make([]byte, nameInline+12)
+		k := make([]byte, storage.KeyInline+12)
 		k[len(k)-1] = last
 		return k
 	}
@@ -398,7 +399,7 @@ func TestLongKeysSpill(t *testing.T) {
 	if len(order) != 2 || order[0] != 0 || m.Waits() != 1 {
 		t.Fatalf("grant order %v with %d waits, want [0 1] with 1", order, m.Waits())
 	}
-	key := make([]byte, nameInline)
+	key := make([]byte, storage.KeyInline)
 	if n := testing.AllocsPerRun(100, func() { _ = hashName(RowLock(3, key)) }); n != 0 {
 		t.Errorf("an inline row lock name costs %v allocations", n)
 	}

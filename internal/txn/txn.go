@@ -50,7 +50,9 @@ type UndoRec struct {
 
 // Txn is one transaction. A client that runs one transaction at a time may
 // keep one Txn and start each transaction in it with Manager.BeginIn, which
-// keeps the storage of Undo and Shards.
+// keeps the storage of Undo and Shards; the next commit re-arms the previous
+// one's durability join, so its commit signal must have fired and been
+// awaited by then.
 type Txn struct {
 	ID      uint64
 	State   State
@@ -62,7 +64,8 @@ type Txn struct {
 	// transaction on a central log) have at most one entry.
 	Shards []wal.ShardLSN
 
-	vec []byte // the commit record's encoded shard vector, reused
+	vec     []byte           // the commit record's encoded shard vector, reused
+	durable *wal.DurableJoin // joins a commit's per-shard completions, reused
 }
 
 // dropUndo empties the undo list, releasing the key and image references
@@ -246,7 +249,7 @@ func (m *Manager) CommitTo(t *platform.Task, tx *Txn, done *sim.Signal) {
 	tx.note(anchor, lsn) // the anchor entry now covers the commit record
 	tx.State = Committed
 	tx.dropUndo()
-	m.log.CommitDurable(tx.Shards, done)
+	tx.durable = m.log.CommitDurableIn(tx.durable, tx.Shards, done)
 }
 
 // Abort rolls the transaction back: apply is called for each undo record in

@@ -123,47 +123,120 @@ func (ls *LogSet) AttachReplication(rs *ReplicaSet) { ls.repl = rs }
 func (ls *LogSet) Replication() *ReplicaSet { return ls.repl }
 
 // CommitDurable fires done once every entry of vec is durable on its shard
-// — the vector durable point. A single-entry vector delegates directly to
-// the shard's appender (today's group-commit handshake, unchanged); a
-// multi-entry vector joins the per-shard completions with no extra
-// processes or events.
+// — the vector durable point. It is CommitDurableIn for callers that keep no
+// join.
+func (ls *LogSet) CommitDurable(vec []ShardLSN, done *sim.Signal) {
+	ls.CommitDurableIn(nil, vec, done)
+}
+
+// CommitDurableIn fires done once every entry of vec is durable on its shard,
+// joining the per-shard completions in j, which it re-arms first. It returns
+// the join to pass to the owner's next commit: j, or a new one when j is nil
+// and this commit needs one, so a caller whose commits never do keeps none.
+// A single-entry vector delegates directly to the shard's appender (today's
+// group-commit handshake, unchanged); a multi-entry vector joins the
+// per-shard completions with no extra processes or events.
 //
 // With replication attached under a waiting mode (sync/quorum), the vector
 // durable point extends across machines: done fires only after enough
 // replicas have also acknowledged every vector entry. Async mode (and no
 // replication) keeps the local-only wait.
-func (ls *LogSet) CommitDurable(vec []ShardLSN, done *sim.Signal) {
-	if ls.repl != nil && ls.repl.AckNeed() > 0 {
-		local := sim.NewSignal(ls.pl.Env)
-		local.OnFire(func(any) { ls.repl.AckWaitVec(vec, done) })
-		ls.commitLocal(vec, local)
-		return
+func (ls *LogSet) CommitDurableIn(j *DurableJoin, vec []ShardLSN, done *sim.Signal) *DurableJoin {
+	replicated := ls.repl != nil && ls.repl.AckNeed() > 0
+	if j == nil {
+		if !replicated && len(vec) < 2 {
+			ls.commitLocal(nil, vec, done)
+			return nil
+		}
+		j = &DurableJoin{}
+		j.arrive, j.onLocal = j.arrived, j.localDurable
 	}
-	ls.commitLocal(vec, done)
+	j.rearm()
+	if replicated {
+		if j.local == nil {
+			j.local = sim.NewSignal(ls.pl.Env)
+		}
+		j.ls, j.vec, j.done, j.localArmed = ls, vec, done, true
+		j.local.OnFire(j.onLocal)
+		ls.commitLocal(j, vec, j.local)
+		return j
+	}
+	ls.commitLocal(j, vec, done)
+	return j
 }
 
-// commitLocal is the single-machine vector durable point.
-func (ls *LogSet) commitLocal(vec []ShardLSN, done *sim.Signal) {
+// commitLocal is the single-machine vector durable point: target fires once
+// every entry of vec is durable on its shard. j must be non-nil when vec has
+// more than one entry.
+func (ls *LogSet) commitLocal(j *DurableJoin, vec []ShardLSN, target *sim.Signal) {
 	if len(vec) == 0 {
-		done.Fire(nil) // nothing was logged; durable by definition
+		target.Fire(nil) // nothing was logged; durable by definition
 		return
 	}
 	if len(vec) == 1 {
-		ls.shards[vec[0].Shard].App.CommitDurable(vec[0].LSN, done)
+		ls.shards[vec[0].Shard].App.CommitDurable(vec[0].LSN, target)
 		return
 	}
-	remaining := len(vec)
-	for _, e := range vec {
-		sub := sim.NewSignal(ls.pl.Env)
-		sub.OnFire(func(any) {
-			remaining--
-			if remaining == 0 {
-				done.Fire(nil)
-			}
-		})
-		ls.shards[e.Shard].App.CommitDurable(e.LSN, sub)
+	j.target, j.left = target, len(vec)
+	for i, e := range vec {
+		if i == len(j.subs) {
+			j.subs = append(j.subs, sim.NewSignal(ls.pl.Env))
+		}
+		j.armed = i + 1
+		j.subs[i].OnFire(j.arrive)
+		ls.shards[e.Shard].App.CommitDurable(e.LSN, j.subs[i])
 	}
 }
+
+// DurableJoin joins one commit's per-shard durability completions into its
+// commit signal: a sub-signal per shard of the vector, a count of the shards
+// still outstanding and a callback bound once, plus, on a replicated machine,
+// the signal for the local durable point that the replica-ack wait chains
+// after. An owner that commits one transaction at a time keeps the join its
+// first cross-shard or replicated commit got back from CommitDurableIn
+// (txn.Txn does) and passes it to every later one, which re-arms it, so a
+// cross-shard commit builds no signal or closure per shard. The previous
+// commit's signal must have fired, and its Await returned, before the next
+// commit re-arms the join: its Reset of a sub-signal panics otherwise. The
+// join must not be re-armed from inside a sub-signal's callback, where the
+// firing signal's Fire has not yet finished with its callback list.
+type DurableJoin struct {
+	subs   []*sim.Signal // per-shard completions, kept across commits
+	armed  int           // subs the last commit registered on
+	left   int           // shards not yet durable
+	target *sim.Signal   // fired when left reaches 0
+	arrive func(any)     // arrived, bound once
+
+	// The replicated path: local is the target, and its firing starts the
+	// replica-ack wait for vec that fires done.
+	ls         *LogSet
+	local      *sim.Signal
+	localArmed bool
+	onLocal    func(any) // localDurable, bound once
+	vec        []ShardLSN
+	done       *sim.Signal
+}
+
+// rearm resets the signals the previous commit used.
+func (j *DurableJoin) rearm() {
+	for _, sub := range j.subs[:j.armed] {
+		sub.Reset()
+	}
+	j.armed = 0
+	if j.localArmed {
+		j.local.Reset()
+		j.localArmed = false
+	}
+}
+
+func (j *DurableJoin) arrived(any) {
+	j.left--
+	if j.left == 0 {
+		j.target.Fire(nil)
+	}
+}
+
+func (j *DurableJoin) localDurable(any) { j.ls.repl.AckWaitVec(j.vec, j.done) }
 
 // Datas returns every shard's durable byte stream, shard-indexed — the
 // crash image recovery replays.

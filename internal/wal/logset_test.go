@@ -167,6 +167,46 @@ func TestLogSetVectorDurablePoint(t *testing.T) {
 	}
 }
 
+// TestCommitDurableInReusesTheJoin commits two-shard vectors through one
+// DurableJoin, awaiting each commit signal before the next commit as a
+// transaction's owner does: once the join has its sub-signals, a cross-shard
+// commit allocates nothing.
+func TestCommitDurableInReusesTheJoin(t *testing.T) {
+	env, pl, ls, mgrs := shardedFixture(t)
+	var allocs float64
+	env.Spawn("w", func(p *sim.Proc) {
+		t0 := pl.NewTask(p, pl.Sockets[0].Cores[0], nil)
+		t1 := pl.NewTask(p, pl.Sockets[1].Cores[0], nil)
+		var j *DurableJoin
+		done := sim.NewSignal(env)
+		rec := Record{Txn: 1, Type: RecUpdate, Key: []byte("k"), After: []byte("v")}
+		vec := make([]ShardLSN, 2)
+		commit := func() {
+			vec[0] = ShardLSN{Shard: 0, LSN: ls.Append(t0, 0, &rec)}
+			t0.Flush()
+			vec[1] = ShardLSN{Shard: 1, LSN: ls.Append(t1, 1, &rec)}
+			t1.Flush()
+			j = ls.CommitDurableIn(j, vec, done)
+			done.Await(p)
+			if ls.Durable(0) < vec[0].LSN || ls.Durable(1) < vec[1].LSN {
+				t.Error("commit signal fired before both shards were durable")
+			}
+			done.Reset()
+		}
+		commit()
+		allocs = testing.AllocsPerRun(20, commit)
+		for _, m := range mgrs {
+			m.Stop()
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per two-shard commit through a reused join, want 0", allocs)
+	}
+}
+
 func TestLogSetStats(t *testing.T) {
 	env, pl, ls, mgrs := shardedFixture(t)
 	env.Spawn("w", func(p *sim.Proc) {
