@@ -127,7 +127,7 @@ func sampleSocket(env *sim.Env, eng Engine, socket int, now sim.Time) obs.Sample
 		LogBacklog: g.LogBacklog, ReplLag: g.ReplLag}
 	smp.Instructions, smp.DRAMBytes, smp.LLCHits, smp.LLCMisses = pl.SocketCounters(socket)
 	smp.EgressBusy = pl.EgressBusy(socket)
-	smp.Events, smp.Windows, smp.Stalls = env.ShardCounters(0)
+	smp.Events = env.Executed()
 	return smp
 }
 
@@ -215,13 +215,13 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	env, eng := s.Env, s.Eng
 	pl := eng.Platform()
 
-	// Flight recorder: spans into one ring per kernel shard (the engines run
-	// on shard 0). Attached before any event runs; strictly out of band (see
-	// RunConfig.Obs). SetRecorder is an optional Engine capability: only the
-	// data-oriented engines record partition and overlay spans.
+	// Flight recorder: spans into one ring. Attached before any event runs;
+	// strictly out of band (see RunConfig.Obs). SetRecorder is an optional
+	// Engine capability: only the data-oriented engines record partition and
+	// overlay spans.
 	var rec *obs.Recorder
 	if cfg.Obs.TraceOn() {
-		rec = obs.NewRecorder(env.NumShards(), cfg.Obs.Cap())
+		rec = obs.NewRecorder(1, cfg.Obs.Cap())
 		if sr, ok := eng.(interface{ SetRecorder(*obs.Recorder) }); ok {
 			sr.SetRecorder(rec)
 		}
@@ -239,7 +239,7 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	var tel *obs.Telemetry
 	if cfg.Obs.MetricsOn() {
 		tel = obs.NewTelemetry(pl.NumSockets(), cfg.Obs.Tick())
-		env.SetSampler(0, tel.Tick, func(now sim.Time) {
+		env.SetSampler(tel.Tick, func(now sim.Time) {
 			for sock := 0; sock < pl.NumSockets(); sock++ {
 				tel.Append(sampleSocket(env, eng, sock, now))
 			}

@@ -104,8 +104,8 @@ type Store struct {
 	rec *obs.ShardRec
 }
 
-// SetRecorder attaches the flight recorder's ring for the kernel shard the
-// merge daemon runs on. Attaching it changes no simulated behavior.
+// SetRecorder attaches the flight recorder's span ring. Attaching it changes
+// no simulated behavior.
 func (s *Store) SetRecorder(rec *obs.ShardRec) { s.rec = rec }
 
 // scanRow is one materialized scan result row.

@@ -9,18 +9,17 @@
 // imports only internal/sim, and only for its time types and the sampler
 // hook; it never touches a heap, queue or process.
 //
-// Determinism under the parallel kernel: spans are recorded into one ring
-// buffer per kernel shard, each written only by that shard's event-loop
-// goroutine, and merged at export time by (start time, shard, per-shard
-// sequence) — a total order that is a pure function of the simulation,
-// never of host scheduling, so traces are identical at GOMAXPROCS=1 and N.
-// Telemetry samples live in one slice per socket with the same property.
+// Determinism: spans are recorded from the simulation's one event loop and
+// exported in (start time, record order) — a total order that is a pure
+// function of the simulation, never of host scheduling, so traces are
+// identical at GOMAXPROCS=1 and N. Telemetry samples are exported in
+// (time, socket) order.
 package obs
 
 import "bionicdb/internal/sim"
 
-// DefaultTraceCap is the per-shard span ring capacity when Options leaves
-// TraceCap zero.
+// DefaultTraceCap is the span ring capacity when Options leaves TraceCap
+// zero.
 const DefaultTraceCap = 1 << 16
 
 // DefaultMetricsTick is the telemetry sampling tick when Options leaves
@@ -32,12 +31,12 @@ const DefaultMetricsTick = 100 * sim.Microsecond
 // Options selects which observer faces a run attaches. A nil *Options (the
 // default everywhere) attaches nothing and costs nothing.
 type Options struct {
-	// Trace records spans from the instrumented layers into per-shard ring
-	// buffers, exportable as Chrome trace_event JSON.
+	// Trace records spans from the instrumented layers into a ring buffer,
+	// exportable as Chrome trace_event JSON.
 	Trace bool
-	// TraceCap bounds each shard's span ring (default DefaultTraceCap).
-	// When a ring is full the oldest spans are overwritten; the exporter
-	// reports how many were dropped.
+	// TraceCap bounds the span ring (default DefaultTraceCap). When the
+	// ring is full the oldest spans are overwritten; the exporter reports
+	// how many were dropped.
 	TraceCap int
 	// Metrics attaches the per-socket telemetry samplers.
 	Metrics bool

@@ -32,9 +32,6 @@ func TestOptionsNilSafe(t *testing.T) {
 func TestShardRecNilSafe(t *testing.T) {
 	var r *ShardRec
 	r.Record(Span{}) // must not panic
-	if r.NextFlow() != 0 {
-		t.Error("nil ring handed out a flow id")
-	}
 	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Error("nil ring reports contents")
 	}
@@ -94,29 +91,12 @@ func TestMergedCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestNextFlowUniqueAcrossShards(t *testing.T) {
-	rec := NewRecorder(4, 8)
-	seen := map[uint64]bool{}
-	for s := 0; s < 4; s++ {
-		for i := 0; i < 100; i++ {
-			id := rec.Shard(s).NextFlow()
-			if id == 0 {
-				t.Fatal("live ring returned the nil flow id")
-			}
-			if seen[id] {
-				t.Fatalf("flow id %#x handed out twice", id)
-			}
-			seen[id] = true
-		}
-	}
-}
-
 func TestTraceExportValidJSON(t *testing.T) {
-	rec := NewRecorder(2, 16)
-	flow := rec.Shard(0).NextFlow()
-	rec.Shard(0).Record(Span{Start: 10, End: 10, Kind: KindDispatch, Socket: 0, Txn: 7, Flow: flow, FlowOut: true})
-	rec.Shard(1).Record(Span{Start: 20, End: 30, Kind: KindQueueWait, Socket: 1, Txn: 7, Flow: flow})
-	rec.Shard(1).Record(Span{Start: 30, End: 90, Kind: KindAction, Socket: 1, Txn: 7})
+	rec := NewRecorder(1, 16)
+	r := rec.Shard(0)
+	r.Record(Span{Start: 0, End: 10, Kind: KindSubmit, Socket: 0, Txn: 7})
+	r.Record(Span{Start: 20, End: 30, Kind: KindQueueWait, Socket: 1, Txn: 7})
+	r.Record(Span{Start: 30, End: 90, Kind: KindAction, Socket: 1, Txn: 7})
 
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, rec); err != nil {
@@ -129,14 +109,13 @@ func TestTraceExportValidJSON(t *testing.T) {
 			PID  int32   `json:"pid"`
 			TID  int32   `json:"tid"`
 			TS   float64 `json:"ts"`
-			ID   string  `json:"id"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	var procs, xs, flowOut, flowIn int
+	var procs, xs int
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
@@ -145,10 +124,6 @@ func TestTraceExportValidJSON(t *testing.T) {
 			}
 		case "X":
 			xs++
-		case "s":
-			flowOut++
-		case "f":
-			flowIn++
 		}
 	}
 	if procs != 2 {
@@ -157,15 +132,12 @@ func TestTraceExportValidJSON(t *testing.T) {
 	if xs != 3 {
 		t.Errorf("trace carries %d complete events, want 3", xs)
 	}
-	if flowOut != 1 || flowIn != 1 {
-		t.Errorf("flow edge not paired: %d starts, %d finishes", flowOut, flowIn)
-	}
 }
 
 func TestTelemetryOrderAndExport(t *testing.T) {
 	tel := NewTelemetry(2, DefaultMetricsTick)
-	// Socket 1's shard happens to append before socket 0's: Samples must
-	// still come out (time, socket)-ordered.
+	// Socket 1 happens to append before socket 0: Samples must still come
+	// out (time, socket)-ordered.
 	tel.Append(Sample{At: 100, Socket: 1, QueueDepth: 3})
 	tel.Append(Sample{At: 100, Socket: 0, QueueDepth: 1})
 	tel.Append(Sample{At: 200, Socket: 0, QueueDepth: 2})

@@ -2,19 +2,16 @@ package obs
 
 import "sort"
 
-// ShardRec is one kernel shard's span ring. It is written only by code
-// executing on that shard (or by the driver between runs), so it needs no
-// locking; under the concurrent kernel each shard's event-loop goroutine
-// owns exactly one ShardRec. All methods are nil-safe: instrumented layers
-// keep a possibly-nil *ShardRec and call Record unconditionally, so the
-// untraced hot path costs one nil check.
+// ShardRec is one span ring. It is written only from the simulation (or by
+// the driver between runs), so it needs no locking. All methods are
+// nil-safe: instrumented layers keep a possibly-nil *ShardRec and call
+// Record unconditionally, so the untraced hot path costs one nil check.
 type ShardRec struct {
 	shard   int
 	cap     int
 	spans   []Span
 	next    int    // ring write position once len(spans) == cap
 	seq     uint64 // total spans ever recorded
-	flowSeq uint64 // flow ids handed out by NextFlow
 	dropped uint64 // spans overwritten after the ring filled
 }
 
@@ -35,18 +32,6 @@ func (r *ShardRec) Record(sp Span) {
 	r.dropped++
 }
 
-// NextFlow allocates a flow-edge id unique across shards: the recording
-// shard in the high bits, a per-shard counter below. Deterministic because
-// each shard's counter advances only with that shard's own event stream.
-// Returns 0 (no flow) on a nil receiver.
-func (r *ShardRec) NextFlow() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.flowSeq++
-	return uint64(r.shard+1)<<40 | r.flowSeq
-}
-
 // Len reports how many spans the ring currently holds.
 func (r *ShardRec) Len() int {
 	if r == nil {
@@ -63,13 +48,15 @@ func (r *ShardRec) Dropped() uint64 {
 	return r.dropped
 }
 
-// Recorder is the per-run trace: one span ring per kernel shard.
+// Recorder is the per-run trace: a set of span rings. Runs record into
+// ring 0; the rest of the set survives only for callers that still size
+// it by a shard count.
 type Recorder struct {
 	shards []*ShardRec
 }
 
-// NewRecorder builds a recorder with one ring of the given capacity per
-// kernel shard.
+// NewRecorder builds a recorder with the given number of rings, each of the
+// given capacity.
 func NewRecorder(shards, cap int) *Recorder {
 	if cap <= 0 {
 		cap = DefaultTraceCap
@@ -81,7 +68,7 @@ func NewRecorder(shards, cap int) *Recorder {
 	return rec
 }
 
-// Shard returns shard i's ring. Nil-safe: a nil recorder yields a nil
+// Shard returns ring i. Nil-safe: a nil recorder yields a nil
 // *ShardRec, whose Record is a no-op.
 func (rec *Recorder) Shard(i int) *ShardRec {
 	if rec == nil {
@@ -98,7 +85,7 @@ func (rec *Recorder) NumShards() int {
 	return len(rec.shards)
 }
 
-// Dropped sums the overwritten-span counts across shards.
+// Dropped sums the overwritten-span counts across rings.
 func (rec *Recorder) Dropped() uint64 {
 	var n uint64
 	if rec == nil {
@@ -111,10 +98,8 @@ func (rec *Recorder) Dropped() uint64 {
 }
 
 // Merged returns every recorded span in the canonical total order
-// (start time, shard, per-shard sequence). The order is a pure function of
-// the simulation — per-shard sequences follow each shard's deterministic
-// event stream — so the merged trace is identical between the serial and
-// concurrent kernels and at any GOMAXPROCS.
+// (start time, ring, per-ring sequence): a pure function of the
+// simulation, identical at any GOMAXPROCS.
 func (rec *Recorder) Merged() []Span {
 	if rec == nil {
 		return nil

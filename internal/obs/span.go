@@ -33,10 +33,6 @@ const (
 	KindMerge
 	// KindScan is one analytical scanner pass over a columnar projection.
 	KindScan
-	// KindDispatch is the zero-length send marker of a cross-socket action
-	// dispatch; it is the source end of a flow edge whose target is the
-	// matching KindQueueWait span on the receiving socket.
-	KindDispatch
 
 	// NumKinds is the number of span kinds.
 	NumKinds
@@ -44,7 +40,7 @@ const (
 
 var kindNames = [NumKinds]string{
 	"submit", "queue-wait", "action", "lock-wait", "cross-shard",
-	"durability", "repl-ack", "overlay-merge", "scan", "dispatch",
+	"durability", "repl-ack", "overlay-merge", "scan",
 }
 
 // String returns the kind's trace-lane name.
@@ -56,17 +52,12 @@ func (k Kind) String() string {
 }
 
 // Span is one simulated-time interval attributed to a socket and a layer.
-// Flow links the two ends of a cross-socket edge: the span recorded with
-// FlowOut set is the source, the span carrying the same nonzero Flow
-// without it is the target.
 type Span struct {
 	Start, End sim.Time
 	Kind       Kind
 	Socket     int32  // lane: the socket the work belongs to
-	Shard      int32  // kernel shard that recorded it (merge tiebreak)
+	Shard      int32  // ring that recorded it (merge tiebreak)
 	Txn        uint64 // transaction or action serial, 0 when not applicable
-	Flow       uint64 // cross-socket edge id, 0 when none
-	FlowOut    bool   // this span is the source end of Flow
 
 	seq uint64 // per-shard record order, assigned by ShardRec.Record
 }

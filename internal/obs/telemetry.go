@@ -14,8 +14,8 @@ import (
 // Sample is one telemetry observation of one socket at one simulated
 // instant. Gauges (queue depth, waiters, backlog, lag) are instantaneous;
 // the platform counters (instructions, DRAM, LLC, egress busy) and the
-// kernel counters (events, windows, stalls) are cumulative since the start
-// of the run, so rates come from differencing adjacent samples.
+// kernel's event count are cumulative since the start of the run, so rates
+// come from differencing adjacent samples.
 type Sample struct {
 	At     sim.Time `json:"at_ps"`
 	Socket int      `json:"socket"`
@@ -34,10 +34,8 @@ type Sample struct {
 	LLCMisses    int64        `json:"llc_misses"`
 	EgressBusy   sim.Duration `json:"egress_busy_ps"` // interconnect egress port busy time
 
-	// Kernel shard counters (cumulative; the shard that sampled this socket).
-	Events  uint64 `json:"events"`
-	Windows uint64 `json:"windows"`
-	Stalls  uint64 `json:"stalls"`
+	// Kernel events executed (cumulative).
+	Events uint64 `json:"events"`
 }
 
 // Gauges is one socket's instantaneous engine-side readings, returned by
@@ -51,9 +49,7 @@ type Gauges struct {
 	ReplLag     int64
 }
 
-// Telemetry is the per-run time series: one sample slice per socket. Each
-// slice is appended to only by the kernel shard running that socket's
-// sampler, so the concurrent kernel writes race-free without locks.
+// Telemetry is the per-run time series: one sample slice per socket.
 type Telemetry struct {
 	Tick      sim.Duration
 	perSocket [][]Sample
@@ -80,8 +76,7 @@ func (t *Telemetry) NumSockets() int {
 	return len(t.perSocket)
 }
 
-// Samples returns every sample ordered by (time, socket) — deterministic
-// regardless of which shard sampled what when.
+// Samples returns every sample ordered by (time, socket).
 func (t *Telemetry) Samples() []Sample {
 	if t == nil {
 		return nil
@@ -103,15 +98,15 @@ func (t *Telemetry) Samples() []Sample {
 // WriteCSV renders the series as CSV, one row per sample.
 func (t *Telemetry) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "at_us,socket,queue_depth,deferred,lock_waiters,log_backlog,repl_lag,instructions,dram_bytes,llc_hits,llc_misses,egress_busy_us,events,windows,stalls"); err != nil {
+	if _, err := fmt.Fprintln(bw, "at_us,socket,queue_depth,deferred,lock_waiters,log_backlog,repl_lag,instructions,dram_bytes,llc_hits,llc_misses,egress_busy_us,events"); err != nil {
 		return err
 	}
 	for _, s := range t.Samples() {
-		if _, err := fmt.Fprintf(bw, "%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%d,%d,%d\n",
+		if _, err := fmt.Fprintf(bw, "%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%d\n",
 			usec(s.At), s.Socket, s.QueueDepth, s.Deferred, s.LockWaiters,
 			s.LogBacklog, s.ReplLag, s.Instructions, s.DRAMBytes,
 			s.LLCHits, s.LLCMisses, s.EgressBusy.Microseconds(),
-			s.Events, s.Windows, s.Stalls); err != nil {
+			s.Events); err != nil {
 			return err
 		}
 	}

@@ -12,10 +12,9 @@ import (
 
 // Chrome trace_event export. One process (pid) per socket, one thread (tid)
 // per span kind within it, so chrome://tracing / Perfetto renders per-socket
-// lanes with the machine's layers stacked inside each. Cross-socket action
-// dispatches become flow arrows ("s"/"f" events) from the sender's dispatch
-// marker to the receiver's queue-wait span. Timestamps are microseconds
-// (the format's unit) computed from the picosecond simulated clock.
+// lanes with the machine's layers stacked inside each. Timestamps are
+// microseconds (the format's unit) computed from the picosecond simulated
+// clock.
 
 // traceEvent is one entry of the trace_event JSON array.
 type traceEvent struct {
@@ -26,8 +25,6 @@ type traceEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	PID  int32          `json:"pid"`
 	TID  int32          `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -47,7 +44,7 @@ func WriteTrace(w io.Writer, rec *Recorder) error {
 	spans := rec.Merged()
 	doc := traceDoc{
 		DisplayTimeUnit: "ns",
-		TraceEvents:     make([]traceEvent, 0, 2*len(spans)+16),
+		TraceEvents:     make([]traceEvent, 0, len(spans)+16),
 	}
 	// Name the lanes: metadata events for every (socket, kind) seen, in
 	// ascending (socket, kind) order so the export is deterministic.
@@ -88,21 +85,6 @@ func WriteTrace(w io.Writer, rec *Recorder) error {
 			TS: usec(sp.Start), Dur: usecD(sp.End.Sub(sp.Start)),
 			PID: sp.Socket, TID: int32(sp.Kind), Args: args,
 		})
-		if sp.Flow == 0 {
-			continue
-		}
-		id := fmt.Sprintf("%#x", sp.Flow)
-		if sp.FlowOut {
-			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
-				Name: "xsocket", Cat: "flow", Ph: "s", ID: id,
-				TS: usec(sp.Start), PID: sp.Socket, TID: int32(sp.Kind),
-			})
-		} else {
-			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
-				Name: "xsocket", Cat: "flow", Ph: "f", BP: "e", ID: id,
-				TS: usec(sp.Start), PID: sp.Socket, TID: int32(sp.Kind),
-			})
-		}
 	}
 	if d := rec.Dropped(); d > 0 {
 		doc.OtherData = map[string]any{"dropped_spans": d}

@@ -31,12 +31,10 @@ func (p *Proc) start(fn func(p *Proc)) {
 func (p *Proc) exit() {
 	e := p.env
 	if r := recover(); r != nil {
-		if _, killed := r.(procKilled); !killed {
-			e.setErr(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+		if _, killed := r.(procKilled); !killed && e.err == nil {
+			e.err = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 		}
 	}
-	p.done.Store(true)
-	e.spawnMu.Lock()
+	p.done = true
 	e.live--
-	e.spawnMu.Unlock()
 }

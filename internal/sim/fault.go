@@ -52,7 +52,7 @@ type Fault struct {
 
 // FaultPlan is a deterministic failure schedule: a pure function of the
 // Rand it was derived from, so a sweep's fault times are reproduced
-// bit-identically on every run, serial or parallel.
+// bit-identically on every run, whichever sweep worker runs it.
 type FaultPlan struct {
 	Faults []Fault
 }

@@ -1,6 +1,152 @@
 package sim
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// The storm is the kernel's reference program: nGroups groups of processes,
+// each group with its own resource, queue and split random stream, posting
+// callbacks to the next group. No two groups ever produce events at the same
+// timestamp (local events land on multiples of quantum, posts from group s
+// at s*8+3 past one), so each group's trace is a property of the program,
+// not of tie-breaking between groups.
+const (
+	stormQuantum = 1000 // ps; all local activity aligns to this
+	stormPost    = Duration(stormQuantum)
+)
+
+type stormRec struct {
+	at    Time
+	kind  uint8 // 0 local step, 1 resource release, 2 posted callback, 3 dequeue
+	group uint8
+	proc  uint8
+	val   uint64
+}
+
+// runStorm executes the storm and returns a digest of the per-group traces.
+func runStorm(t *testing.T, env *Env, nGroups, nProcs, nSteps int) string {
+	t.Helper()
+	return runStormUsing(t, env, nGroups, nProcs, nSteps,
+		func(_ int, r *Resource, p *Proc, d Duration) { r.Use(p, d) })
+}
+
+// runStormUsing is runStorm with the resource step supplied by the caller
+// (s is the group), so that the script tests can run the same storm with
+// that step written by hand and written as a script.
+func runStormUsing(t *testing.T, env *Env, nGroups, nProcs, nSteps int,
+	use func(s int, r *Resource, p *Proc, d Duration)) string {
+	t.Helper()
+	traces := make([][]stormRec, nGroups)
+	ress := make([]*Resource, nGroups)
+	queues := make([]*Queue[uint64], nGroups)
+	rands := make([]*Rand, nGroups)
+	root := NewRand(7)
+	for s := range rands {
+		rands[s] = root.Split()
+	}
+	for s := 0; s < nGroups; s++ {
+		ress[s] = NewResource(env, fmt.Sprintf("res%d", s), 2)
+		queues[s] = NewQueue[uint64](env, fmt.Sprintf("q%d", s), 0)
+	}
+	for s := 0; s < nGroups; s++ {
+		s := s
+		for k := 0; k < nProcs; k++ {
+			k := k
+			r := rands[s].Split()
+			env.Spawn(fmt.Sprintf("storm%d.%d", s, k), func(p *Proc) {
+				for i := 0; i < nSteps; i++ {
+					p.Wait(Duration(stormQuantum * (1 + (k+i)%5)))
+					draw := r.Uint64()
+					traces[s] = append(traces[s], stormRec{p.Now(), 0, uint8(s), uint8(k), draw})
+					use(s, ress[s], p, Duration(stormQuantum*(1+k%3)))
+					traces[s] = append(traces[s], stormRec{p.Now(), 1, uint8(s), uint8(k), 0})
+					queues[s].Put(p, draw)
+					if v, ok := queues[s].TryGet(); ok {
+						traces[s] = append(traces[s], stormRec{p.Now(), 3, uint8(s), uint8(k), v})
+					}
+					if i%4 == 3 && nGroups > 1 {
+						dst := (s + 1) % nGroups
+						at := p.Now().Add(stormPost + Duration(s*8+3))
+						val := draw ^ uint64(i)
+						env.At(at, func() {
+							traces[dst] = append(traces[dst], stormRec{at, 2, uint8(s), uint8(k), val})
+						})
+					}
+				}
+			})
+		}
+	}
+	if err := env.Run(); err != nil {
+		t.Fatalf("storm failed: %v", err)
+	}
+	return stormDigest(traces)
+}
+
+// stormDigest hashes per-group traces in group order.
+func stormDigest(traces [][]stormRec) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, trace := range traces {
+		for _, rec := range trace {
+			binary.LittleEndian.PutUint64(buf[:], uint64(rec.at))
+			h.Write(buf[:])
+			h.Write([]byte{rec.kind, rec.group, rec.proc})
+			binary.LittleEndian.PutUint64(buf[:], rec.val)
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The kernel golden: the storm at one fixed shape, pinned on the commit
+// before the coroutine kernel so that a kernel change is refereed against
+// constants in milliseconds, without an engine run. The digest covers every
+// per-group trace record (time, kind, process, random draw); Executed pins
+// the event count, fast-path advances included.
+const (
+	stormGoldenDigest   = "d0a24b4ccd7d694ddb0720fd2c449a5dbbf4b5175f88f3b73d3eaebe55f9af84"
+	stormGoldenExecuted = 4480
+)
+
+func TestKernelGolden(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	if got := runStorm(t, env, 4, 6, 60); got != stormGoldenDigest {
+		t.Errorf("storm digest %s, want %s", got, stormGoldenDigest)
+	}
+	if n := env.Executed(); n != stormGoldenExecuted {
+		t.Errorf("Executed = %d, want %d", n, stormGoldenExecuted)
+	}
+}
+
+// TestCloseReapsUnstartedProcess covers the process Close cannot unwind: one
+// that was spawned and never dispatched has run none of its body, so no
+// deferred exit drops Live for it. Close must account for it itself, and its
+// coroutine's goroutine must be gone when Close returns.
+func TestCloseReapsUnstartedProcess(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	env := NewEnv()
+	ran := false
+	env.Spawn("never", func(p *Proc) { ran = true })
+	if live := env.Live(); live != 1 {
+		t.Fatalf("Live = %d after Spawn, want 1", live)
+	}
+	env.Close()
+	if ran {
+		t.Error("Close ran the body of a process that was never dispatched")
+	}
+	if live := env.Live(); live != 0 {
+		t.Errorf("Close left Live = %d", live)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("goroutines leaked across Close: baseline %d, now %d", baseline, n)
+	}
+}
 
 // TestQueueAccountingWithPutFront pins the accounting contract across both
 // enqueue paths: Puts counts every enqueue, MaxLen tracks the high-water

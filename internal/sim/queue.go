@@ -13,7 +13,6 @@ package sim
 // drained) so engines can shut workers down deterministically.
 type Queue[T any] struct {
 	env      *Env
-	sh       *shard // owner shard: clock source and confinement domain
 	name     string
 	capacity int       // 0 = unbounded
 	buf      []slot[T] // ring; len is 0 or a power of two
@@ -35,25 +34,8 @@ type slot[T any] struct {
 }
 
 // NewQueue returns a queue with the given capacity; capacity 0 is unbounded.
-// The queue is bound to shard 0; see OnShard.
 func NewQueue[T any](env *Env, name string, capacity int) *Queue[T] {
-	return &Queue[T]{env: env, sh: env.shs[0], name: name, capacity: capacity}
-}
-
-// OnShard rebinds the queue to the given shard and returns it. On a parallel
-// environment every blocking use of a queue must come from a process on the
-// queue's shard; binding is a setup-time act.
-func (q *Queue[T]) OnShard(i int) *Queue[T] {
-	q.sh = q.env.shs[i]
-	return q
-}
-
-// confine panics when a process on a parallel environment blocks on a queue
-// owned by another shard — that is a cross-shard data race, not a wait.
-func (q *Queue[T]) confine(p *Proc) {
-	if q.env.parallel && p.sh != q.sh {
-		panic("sim: process " + p.name + " blocks on queue " + q.name + " owned by another shard")
-	}
+	return &Queue[T]{env: env, name: name, capacity: capacity}
 }
 
 // Len reports the number of queued items.
@@ -83,14 +65,13 @@ func (q *Queue[T]) bumpStats() {
 		q.maxLen = q.n
 	}
 	if w := q.getters.pop(); w != nil {
-		q.env.scheduleWake(w, q.sh.now)
+		q.env.scheduleWake(w, q.env.now)
 	}
 }
 
 // Put enqueues v, blocking while a bounded queue is full. Put panics if the
 // queue is closed: producers must be quiesced before Close.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	q.confine(p)
 	for q.capacity > 0 && q.n >= q.capacity {
 		if q.closed {
 			panic("sim: put on closed queue " + q.name)
@@ -127,7 +108,7 @@ func (q *Queue[T]) PutFront(v T) {
 		q.grow()
 	}
 	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = slot[T]{v: v, stamp: q.sh.now}
+	q.buf[q.head] = slot[T]{v: v, stamp: q.env.now}
 	q.n++
 	q.bumpStats()
 }
@@ -136,7 +117,7 @@ func (q *Queue[T]) enqueue(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = slot[T]{v: v, stamp: q.sh.now}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = slot[T]{v: v, stamp: q.env.now}
 	q.n++
 	q.bumpStats()
 }
@@ -144,7 +125,6 @@ func (q *Queue[T]) enqueue(v T) {
 // Get dequeues the oldest item, blocking while the queue is empty. It
 // returns ok=false only when the queue is closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	q.confine(p)
 	for q.n == 0 {
 		if q.closed {
 			var zero T
@@ -170,9 +150,9 @@ func (q *Queue[T]) dequeue() T {
 	q.buf[q.head] = slot[T]{} // release the item reference
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	q.sumWait += q.sh.now.Sub(s.stamp)
+	q.sumWait += q.env.now.Sub(s.stamp)
 	if w := q.putters.pop(); w != nil {
-		q.env.scheduleWake(w, q.sh.now)
+		q.env.scheduleWake(w, q.env.now)
 	}
 	return s.v
 }
@@ -185,7 +165,7 @@ func (q *Queue[T]) Close() {
 	}
 	q.closed = true
 	for w := q.getters.pop(); w != nil; w = q.getters.pop() {
-		q.env.scheduleWake(w, q.sh.now)
+		q.env.scheduleWake(w, q.env.now)
 	}
 }
 
@@ -199,7 +179,6 @@ func (q *Queue[T]) Close() {
 // a new one.
 type Signal struct {
 	env     *Env
-	sh      *shard // owner shard: clock source and confinement domain
 	fired   bool
 	val     any
 	first   *Proc   // the first waiter
@@ -208,16 +187,8 @@ type Signal struct {
 	onFire  []func(any)
 }
 
-// NewSignal returns an unfired signal, bound to shard 0; see OnShard.
-func NewSignal(env *Env) *Signal { return &Signal{env: env, sh: env.shs[0]} }
-
-// OnShard rebinds the signal to the given shard and returns it. On a
-// parallel environment Await and Fire must come from the signal's shard (a
-// CrossAt callback delivered to that shard counts).
-func (s *Signal) OnShard(i int) *Signal {
-	s.sh = s.env.shs[i]
-	return s
-}
+// NewSignal returns an unfired signal.
+func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
 // Fire completes the signal with value v, runs OnFire callbacks, and wakes
 // all waiters in arrival order. Firing an already-fired signal panics:
@@ -236,18 +207,18 @@ func (s *Signal) Fire(v any) {
 	if s.first == nil {
 		return
 	}
-	s.env.scheduleWake(s.first, s.sh.now)
+	s.env.scheduleWake(s.first, s.env.now)
 	s.first = nil
 	s.woken = 1 + len(s.waiters)
 	for i, w := range s.waiters {
-		s.env.scheduleWake(w, s.sh.now)
+		s.env.scheduleWake(w, s.env.now)
 		s.waiters[i] = nil
 	}
 	s.waiters = s.waiters[:0]
 }
 
-// Reset re-arms a fired signal for another Fire, keeping its shard binding
-// and the storage of its waiter and callback lists. Only the signal's owner
+// Reset re-arms a fired signal for another Fire, keeping the storage of its
+// waiter and callback lists. Only the signal's owner
 // may call it, and only once nothing else can still be looking at the old
 // completion: Reset panics on a signal that has not fired (a waiter or an
 // OnFire callback may be pending on it) and on one whose woken waiters have
@@ -284,9 +255,6 @@ func (s *Signal) Value() any { return s.val }
 
 // Await blocks until the signal fires and returns its value.
 func (s *Signal) Await(p *Proc) any {
-	if s.env.parallel && p.sh != s.sh {
-		panic("sim: process " + p.name + " awaits a signal owned by another shard")
-	}
 	if !s.fired {
 		if s.first == nil {
 			s.first = p

@@ -94,19 +94,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // of, this one. Use it to give each simulated process its own stream.
 func (r *Rand) Split() *Rand { return NewRand(r.Uint64()) }
 
-// SplitN returns n generators pre-split from this one in index order. On a
-// parallel environment each shard must own one pre-split stream, fixed at
-// setup time: randomness consumption then stays confined per shard and
-// results remain a pure function of the seed regardless of how the host
-// interleaves shard windows.
-func (r *Rand) SplitN(n int) []*Rand {
-	out := make([]*Rand, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // Exp returns an exponentially distributed duration with the given mean,
 // for arrival-process modelling. The result is at least 1 ps.
 func (r *Rand) Exp(mean Duration) Duration {

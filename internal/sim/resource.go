@@ -7,7 +7,6 @@ package sim
 // Resource also accumulates busy time so harnesses can report utilization.
 type Resource struct {
 	env      *Env
-	sh       *shard // owner shard: clock source and confinement domain
 	name     string
 	capacity int
 	inUse    int
@@ -24,26 +23,17 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{env: env, sh: env.shs[0], name: name, capacity: capacity}
-}
-
-// OnShard rebinds the resource to the given shard and returns it. On a
-// parallel environment every use of a resource must come from a process on
-// the resource's shard; binding is a setup-time act.
-func (r *Resource) OnShard(i int) *Resource {
-	r.sh = r.env.shs[i]
-	return r
+	return &Resource{env: env, name: name, capacity: capacity}
 }
 
 func (r *Resource) stamp() {
-	now := r.sh.now
+	now := r.env.now
 	r.busy += Duration(now-r.lastStamp) * Duration(r.inUse)
 	r.lastStamp = now
 }
 
 // Acquire claims one slot, blocking in FIFO order while none is free. It is
-// a one-step script: the acquire logic lives in the interpreter (script.go),
-// which also keeps the panic for a process on another shard.
+// a one-step script: the acquire logic lives in the interpreter (script.go).
 func (r *Resource) Acquire(p *Proc) {
 	sc := p.Script()
 	sc.Acquire(r)
@@ -73,7 +63,7 @@ func (r *Resource) release() {
 	r.stamp()
 	r.inUse--
 	if w := r.waiters.pop(); w != nil {
-		r.env.scheduleWake(w, r.sh.now)
+		r.env.scheduleWake(w, r.env.now)
 	}
 }
 
@@ -103,7 +93,7 @@ func (r *Resource) Acquires() int64 { return r.acquires }
 
 // Utilization returns busy slot-time divided by capacity × elapsed, in [0,1].
 func (r *Resource) Utilization() float64 {
-	elapsed := Duration(r.sh.now)
+	elapsed := Duration(r.env.now)
 	if elapsed <= 0 {
 		return 0
 	}

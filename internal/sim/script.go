@@ -4,9 +4,9 @@ package sim
 // Resource, wait a duration, release, plus Add, which bumps a traffic counter
 // in passing — that a process hands to the kernel to run on its behalf. The
 // process parks at most once per script, however many of its steps have to
-// wait: whenever the process's wake pops, the shard's dispatch loop advances
-// the script inline and switches back into the coroutine only when the
-// script has finished.
+// wait: whenever the process's wake pops, the dispatch loop advances the
+// script inline and switches back into the coroutine only when the script
+// has finished.
 //
 // The interpreter performs exactly the kernel mutations the process would
 // perform making the same calls one by one, in the same order at the same
@@ -124,9 +124,9 @@ func (sc *Script) Run() {
 // advance runs steps until one has to wait for an event (false: a wake for
 // the process is scheduled or it sits in a waiter ring) or none is left
 // (true). It runs in the process's own context from Run and in the dispatch
-// loop's context afterwards; the shard's cur is the process in both. A step
-// that would panic stops the script instead and leaves the message in fault,
-// so that the panic is raised on the process's own stack and reported under
+// loop's context afterwards; Env.cur is the process in both. A step that
+// would panic stops the script instead and leaves the message in fault, so
+// that the panic is raised on the process's own stack and reported under
 // its name, not in the dispatch loop.
 func (sc *Script) advance() bool {
 	p := sc.p
@@ -135,12 +135,8 @@ func (sc *Script) advance() bool {
 		r := st.r
 		switch st.kind {
 		case stepAcquire:
-			if r.env.parallel && p.sh != r.sh {
-				sc.fault = "sim: process " + p.name + " acquires resource " + r.name + " owned by another shard"
-				return true
-			}
 			r.acquires++
-			st.v = int64(r.sh.now)
+			st.v = int64(r.env.now)
 			st.kind = stepAcquiring
 			fallthrough
 		case stepAcquiring:
@@ -148,7 +144,7 @@ func (sc *Script) advance() bool {
 				r.waiters.push(p)
 				return false
 			}
-			r.waited += r.sh.now.Sub(Time(st.v))
+			r.waited += r.env.now.Sub(Time(st.v))
 			r.stamp()
 			r.inUse++
 			sc.pc++

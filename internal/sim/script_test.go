@@ -11,16 +11,13 @@ import (
 // process itself loops over the waiter ring and parks once per failed try.
 // It is the reference the script interpreter is compared against.
 func handAcquire(r *Resource, p *Proc) {
-	if r.env.parallel && p.sh != r.sh {
-		panic("sim: process " + p.name + " acquires resource " + r.name + " owned by another shard")
-	}
 	r.acquires++
-	start := r.sh.now
+	start := r.env.now
 	for r.inUse >= r.capacity {
 		r.waiters.push(p)
 		p.park()
 	}
-	r.waited += r.sh.now.Sub(start)
+	r.waited += r.env.now.Sub(start)
 	r.stamp()
 	r.inUse++
 }
@@ -64,60 +61,57 @@ func (c chain) scripted(p *Proc) {
 // TestScriptStormMatchesByHand runs the storm with its resource step widened
 // to a chain over two resources, once with every acquire, wait and release
 // made by the process itself and once as a single script, and wants the same
-// trace digest, the same event count and the same resource accounting in
-// every kernel mode. Fewer resumes is the only permitted difference.
+// trace digest, the same event count and the same resource accounting. Fewer
+// resumes is the only permitted difference.
 func TestScriptStormMatchesByHand(t *testing.T) {
-	for _, mode := range kernelModes {
-		run := func(scripted bool) (digest string, executed, switches uint64, acct string) {
-			env := NewEnv()
-			defer env.Close()
-			mode.setup(env)
-			const nShards = 4
-			as := make([]*Resource, nShards) // the storm's own, noted on first use
-			bs := make([]*Resource, nShards)
-			bytes := make([]int64, nShards)
-			for s := range bs {
-				bs[s] = NewResource(env, fmt.Sprintf("b%d", s), 1).OnShard(mode.place(s))
+	run := func(scripted bool) (digest string, executed, switches uint64, acct string) {
+		env := NewEnv()
+		defer env.Close()
+		const nGroups = 4
+		as := make([]*Resource, nGroups) // the storm's own, noted on first use
+		bs := make([]*Resource, nGroups)
+		bytes := make([]int64, nGroups)
+		for s := range bs {
+			bs[s] = NewResource(env, fmt.Sprintf("b%d", s), 1)
+		}
+		digest = runStormUsing(t, env, nGroups, 6, 60, func(s int, r *Resource, p *Proc, d Duration) {
+			as[s] = r
+			c := chain{a: r, b: bs[s], useA: d, holdB: stormQuantum, secondA: 2 * stormQuantum, bytes: &bytes[s]}
+			if d == stormQuantum {
+				c.latB = stormQuantum // the others end the transfer on a zero wait
 			}
-			digest = runStormUsing(t, env, nShards, 6, 60, mode.place, func(s int, r *Resource, p *Proc, d Duration) {
-				as[s] = r
-				c := chain{a: r, b: bs[s], useA: d, holdB: stormQuantum, secondA: 2 * stormQuantum, bytes: &bytes[s]}
-				if d == stormQuantum {
-					c.latB = stormQuantum // the others end the transfer on a zero wait
-				}
-				if scripted {
-					c.scripted(p)
-				} else {
-					c.byHand(p)
-				}
-			})
-			for _, r := range append(as, bs...) {
-				acct += fmt.Sprintf("%s:%d/%d/%d ", r.name, r.Acquires(), r.WaitTime(), r.BusyTime())
+			if scripted {
+				c.scripted(p)
+			} else {
+				c.byHand(p)
 			}
-			acct += fmt.Sprint(bytes)
-			return digest, env.Executed(), env.Switches(), acct
+		})
+		for _, r := range append(as, bs...) {
+			acct += fmt.Sprintf("%s:%d/%d/%d ", r.name, r.Acquires(), r.WaitTime(), r.BusyTime())
 		}
-		hd, he, hs, ha := run(false)
-		sd, se, ss, sa := run(true)
-		if hd != sd {
-			t.Errorf("%s: trace digest by hand %s, scripted %s", mode.name, hd, sd)
-		}
-		if he != se {
-			t.Errorf("%s: Executed by hand %d, scripted %d", mode.name, he, se)
-		}
-		if ha != sa {
-			t.Errorf("%s: resource accounting differs:\n by hand  %s\n scripted %s", mode.name, ha, sa)
-		}
-		if ss >= hs {
-			t.Errorf("%s: scripts resumed %d times, by hand %d: nothing was saved", mode.name, ss, hs)
-		}
+		acct += fmt.Sprint(bytes)
+		return digest, env.Executed(), env.Switches(), acct
+	}
+	hd, he, hs, ha := run(false)
+	sd, se, ss, sa := run(true)
+	if hd != sd {
+		t.Errorf("trace digest by hand %s, scripted %s", hd, sd)
+	}
+	if he != se {
+		t.Errorf("Executed by hand %d, scripted %d", he, se)
+	}
+	if ha != sa {
+		t.Errorf("resource accounting differs:\n by hand  %s\n scripted %s", ha, sa)
+	}
+	if ss >= hs {
+		t.Errorf("scripts resumed %d times, by hand %d: nothing was saved", ss, hs)
 	}
 }
 
-// TestScriptFuzzSeedsMatchByHand interprets FuzzShardedKernel's seed corpus
-// as programs of waits, chains, queue traffic and cross-shard posts, three
-// processes to a shard contending for that shard's two resources, and wants
-// by-hand and scripted runs to agree in every kernel mode.
+// TestScriptFuzzSeedsMatchByHand interprets FuzzKernel's seed corpus as
+// programs of waits, chains, queue traffic and posted callbacks, three
+// processes to a group contending for that group's two resources, and wants
+// by-hand and scripted runs to agree.
 func TestScriptFuzzSeedsMatchByHand(t *testing.T) {
 	seeds := [][]byte{
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
@@ -125,26 +119,24 @@ func TestScriptFuzzSeedsMatchByHand(t *testing.T) {
 		{2, 2, 2, 3, 3, 3, 4, 4, 0, 0, 1, 1, 4, 4, 4},
 		{255, 254, 253, 4, 4, 4, 4, 0, 128, 64, 32, 16, 8, 4, 2, 1},
 	}
-	const nShards, perShard = 4, 3
-	run := func(data []byte, m int, scripted bool) (string, uint64) {
-		mode := kernelModes[m]
+	const nGroups, perGroup = 4, 3
+	run := func(data []byte, scripted bool) (string, uint64) {
 		env := NewEnv()
 		defer env.Close()
-		mode.setup(env)
-		traces := make([][]stormRec, nShards)
-		bytes := make([]int64, nShards)
-		for s := 0; s < nShards; s++ {
+		traces := make([][]stormRec, nGroups)
+		bytes := make([]int64, nGroups)
+		for s := 0; s < nGroups; s++ {
 			s := s
-			a := NewResource(env, fmt.Sprintf("a%d", s), 2).OnShard(mode.place(s))
-			b := NewResource(env, fmt.Sprintf("b%d", s), 1).OnShard(mode.place(s))
-			q := NewQueue[uint64](env, fmt.Sprintf("q%d", s), 0).OnShard(mode.place(s))
-			for k := 0; k < perShard; k++ {
+			a := NewResource(env, fmt.Sprintf("a%d", s), 2)
+			b := NewResource(env, fmt.Sprintf("b%d", s), 1)
+			q := NewQueue[uint64](env, fmt.Sprintf("q%d", s), 0)
+			for k := 0; k < perGroup; k++ {
 				k := k
-				env.SpawnOn(mode.place(s), fmt.Sprintf("fz%d.%d", s, k), func(p *Proc) {
+				env.Spawn(fmt.Sprintf("fz%d.%d", s, k), func(p *Proc) {
 					note := func(kind uint8, v uint64) {
 						traces[s] = append(traces[s], stormRec{p.Now(), kind, uint8(s), uint8(k), v})
 					}
-					// Every process of a shard walks the whole input from its
+					// Every process of a group walks the whole input from its
 					// own offset, so they collide on a and b.
 					for i := range data {
 						op := data[(i+k*5+s)%len(data)]
@@ -168,9 +160,9 @@ func TestScriptFuzzSeedsMatchByHand(t *testing.T) {
 								note(3, v)
 							}
 						case 3:
-							dst := (s + 1) % nShards
-							at := p.Now().Add(stormLookahead + Duration(s*8+3))
-							p.CrossAt(mode.place(dst), at, func() {
+							dst := (s + 1) % nGroups
+							at := p.Now().Add(stormPost + Duration(s*8+3))
+							env.At(at, func() {
 								traces[dst] = append(traces[dst], stormRec{at, 2, uint8(s), uint8(k), uint64(op)})
 							})
 						}
@@ -180,18 +172,15 @@ func TestScriptFuzzSeedsMatchByHand(t *testing.T) {
 			}
 		}
 		if err := env.Run(); err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
+			t.Fatal(err)
 		}
 		return stormDigest(traces) + fmt.Sprint(bytes), env.Executed()
 	}
 	for i, data := range seeds {
-		for m, mode := range kernelModes {
-			hd, he := run(data, m, false)
-			sd, se := run(data, m, true)
-			if hd != sd || he != se {
-				t.Errorf("seed %d, %s: by hand %s / %d events, scripted %s / %d events",
-					i, mode.name, hd, he, sd, se)
-			}
+		hd, he := run(data, false)
+		sd, se := run(data, true)
+		if hd != sd || he != se {
+			t.Errorf("seed %d: by hand %s / %d events, scripted %s / %d events", i, hd, he, sd, se)
 		}
 	}
 }
@@ -315,7 +304,7 @@ func TestScriptCloseReapsMidScript(t *testing.T) {
 	if len(unwound) != 2 {
 		t.Errorf("deferred calls run: %v, want both", unwound)
 	}
-	if err := env.firstErr(); err != nil {
+	if err := env.err; err != nil {
 		t.Errorf("reaping reported a process error: %v", err)
 	}
 	if n := runtime.NumGoroutine(); n > baseline {
@@ -327,24 +316,6 @@ func TestScriptCloseReapsMidScript(t *testing.T) {
 // the dispatch loop ran (the process was parked in an earlier step) is still
 // reported as that process's error, and ends the run like any other.
 func TestScriptPanicsNameTheProcess(t *testing.T) {
-	t.Run("foreign shard", func(t *testing.T) {
-		env := NewEnv()
-		defer env.Close()
-		env.EnableParallel(2, stormLookahead)
-		far := NewResource(env, "far", 1).OnShard(1)
-		env.SpawnOn(0, "trespasser", func(p *Proc) {
-			sc := p.Script()
-			sc.Wait(5 * stormQuantum)
-			sc.Acquire(far)
-			sc.Run()
-		})
-		env.SpawnOn(0, "noise", func(p *Proc) { p.Wait(stormQuantum) })
-		err := env.Run()
-		if err == nil || !strings.Contains(err.Error(), `"trespasser"`) ||
-			!strings.Contains(err.Error(), "owned by another shard") {
-			t.Fatalf("err = %v", err)
-		}
-	})
 	t.Run("idle release", func(t *testing.T) {
 		env := NewEnv()
 		defer env.Close()

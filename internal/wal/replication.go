@@ -194,9 +194,9 @@ func (rs *ReplicaSet) AckWaitVec(vec []ShardLSN, done *sim.Signal) {
 		// Out-of-band measurement of the ack wait: an OnFire hook runs
 		// inline when done fires, so this registers no events and cannot
 		// change the schedule. A wait satisfied immediately records nothing.
-		t0 := rs.ls.pl.Env.ShardNow(0)
+		t0 := rs.ls.pl.Env.Now()
 		done.OnFire(func(any) {
-			end := rs.ls.pl.Env.ShardNow(0)
+			end := rs.ls.pl.Env.Now()
 			if end <= t0 {
 				return
 			}
