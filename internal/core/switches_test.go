@@ -23,21 +23,22 @@ var benchConfigs = []struct {
 	measure   sim.Duration
 	switches  float64 // ceiling on coroutine resumes per kernel event
 	allocs    float64 // ceiling on heap allocations per transaction issued
+	kb        float64 // ceiling on heap KB allocated per transaction issued
 	build     func() (core.Workload, func(*sim.Env) core.Engine)
 }{
-	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 3.5, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 3.5, 0.29, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tatp.New(tatp.Config{Subscribers: 100000})
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 48.2, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 48.2, 11.6, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
 		}
 	}},
-	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.62, 3.7, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.62, 3.7, 0.40, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := ycsb.WorkloadA()
 		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
 		wl := ycsb.New(cfg)
@@ -47,7 +48,7 @@ var benchConfigs = []struct {
 	}},
 	// crash-recover-2s's machine and database, run as a plain window: the
 	// bionic engine's TPC-C path (overlay, per-action arenas, entity locks).
-	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 50.5, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 50.5, 14.6, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := tpcc.DefaultConfig()
 		cfg.Warehouses = 8
 		wl := tpcc.New(cfg)
@@ -140,34 +141,40 @@ type steadyAllocs struct {
 	core.Workload
 	issued  int
 	mallocs uint64 // runtime.MemStats.Mallocs at the first NextTxn
+	bytes   uint64 // runtime.MemStats.TotalAlloc at the first NextTxn
 }
 
 func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 	if w.issued == 0 {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		w.mallocs = ms.Mallocs
+		w.mallocs, w.bytes = ms.Mallocs, ms.TotalAlloc
 	}
 	w.issued++
 	return w.Workload.NextTxn(r)
 }
 
 // TestAllocsPerTxn pins the transaction path's allocation diet: heap objects
-// allocated from the first transaction drawn to the end of core.Run, over
-// transactions drawn. Population and engine construction are outside the
-// count; the workload's own key and row building is inside. A ceiling that
-// starts failing means some per-transaction object stopped being re-armed by
-// its owner (DESIGN.md, "Pools above the kernel"), or a key or a decoded
-// string went back to the heap. The ceilings sit 3-5 % above what this scale
-// measures (3.31, 45.86, 3.54, 48.03; the last few objects are the runtime's
-// and move by a dozen per run; ycsb-dora-4s measured 16.37 while sharded-log
-// software DORA ran a second, engine-on-shard layout). Before the overlay's
-// dirty set took inline keys, the B-tree cloned keys into a slab, and the
-// vector-durable join and the DORA waits-for registry reused their storage,
-// the counts were 3.48, 52.07, 3.55 and 77.16. Before the key arenas, view decoding and
-// dora.Entity the counts were 6.28, 115.24, 18.48 and 146.76; before
-// transaction frames 29.39, 376.30 and 50.19, and tpcc-conv's was 153.05
-// while it ran each transaction 3.25 times (TestConventionalTPCCRetries).
+// and heap bytes allocated from the first transaction drawn to the end of
+// core.Run, over transactions drawn. Population and engine construction are
+// outside the count; the workload's own key and row building is inside. An
+// object ceiling that starts failing means some per-transaction object
+// stopped being re-armed by its owner (DESIGN.md, "Pools above the kernel"),
+// or a key or a decoded string went back to the heap; a byte ceiling, that
+// something started copying what it already holds. The ceilings sit 3-5 %
+// above what this scale measures: objects 3.31, 45.86, 3.54, 48.06 (the last
+// few objects are the runtime's and move by a dozen per run; ycsb-dora-4s
+// measured 16.37 while sharded-log software DORA ran a second, engine-on-shard
+// layout), KB 0.281, 11.17, 0.383, 14.07. Before the durable log became a list
+// of segments that never move, wal.Store doubled one buffer and copied the
+// whole log at each doubling: KB 0.449, 16.33, 0.581, 18.29. Before the
+// overlay's dirty set took inline keys, the B-tree cloned keys into a slab,
+// and the vector-durable join and the DORA waits-for registry reused their
+// storage, the object counts were 3.48, 52.07, 3.55 and 77.16. Before the key
+// arenas, view decoding and dora.Entity they were 6.28, 115.24, 18.48 and
+// 146.76; before transaction frames 29.39, 376.30 and 50.19, and tpcc-conv's
+// was 153.05 while it ran each transaction 3.25 times
+// (TestConventionalTPCCRetries).
 func TestAllocsPerTxn(t *testing.T) {
 	for _, c := range benchConfigs {
 		t.Run(c.name, func(t *testing.T) {
@@ -182,10 +189,14 @@ func TestAllocsPerTxn(t *testing.T) {
 			runtime.ReadMemStats(&ms)
 			n := ms.Mallocs - counted.mallocs
 			per := float64(n) / float64(counted.issued)
-			t.Logf("%d allocations / %d transactions = %.2f", n, counted.issued, per)
+			kb := float64(ms.TotalAlloc-counted.bytes) / 1024 / float64(counted.issued)
+			t.Logf("%d allocations / %d transactions = %.2f, %.3f KB per transaction", n, counted.issued, per, kb)
 			if counted.issued == 0 || per > c.allocs {
 				t.Errorf("allocations per transaction = %.2f (%d / %d), want <= %.1f",
 					per, n, counted.issued, c.allocs)
+			}
+			if kb > c.kb {
+				t.Errorf("KB allocated per transaction = %.3f, want <= %.2f", kb, c.kb)
 			}
 		})
 	}

@@ -10,52 +10,98 @@ import (
 // manager and the hardware log-insertion path write through a Store, so
 // recovery is identical for every engine. Bytes returned by Bytes survive a
 // "crash"; anything not yet written here is lost.
+//
+// The file is a list of segments that are filled in place and never moved:
+// a growing log allocates its own size once and copies no byte it already
+// holds.
 type Store struct {
 	dev    *platform.Device
-	data   []byte
+	segs   [][]byte // every segment but the last is full (len == cap)
+	n      int      // bytes written
 	writes int64
 }
 
-// storeInitCap is the initial backing-buffer capacity of a written-to Store.
-const storeInitCap = 64 << 10
+// Segment sizes: the first segment holds firstSegBytes and each later one
+// twice its predecessor, up to maxSegBytes.
+const (
+	firstSegBytes = 64 << 10
+	maxSegBytes   = 1 << 20
+)
 
 // NewStore creates an empty durable log on dev.
 func NewStore(dev *platform.Device) *Store { return &Store{dev: dev} }
 
 // Write durably appends chunk, charging one device write of its size. The
-// backing buffer grows by explicit doubling (never by append's reallocation
-// heuristics), so a long run settles into a handful of copies total instead
-// of reallocating on the append path.
+// chunk fills the tail segment and spills into new ones.
 func (s *Store) Write(p *sim.Proc, chunk []byte) {
 	if len(chunk) == 0 {
 		return
 	}
 	s.writes++
 	s.dev.Transfer(p, len(chunk))
-	if need := len(s.data) + len(chunk); need > cap(s.data) {
-		newCap := cap(s.data)
-		if newCap < storeInitCap {
-			newCap = storeInitCap
+	s.n += len(chunk)
+	for len(chunk) > 0 {
+		last := len(s.segs) - 1
+		if last < 0 || len(s.segs[last]) == cap(s.segs[last]) {
+			size := firstSegBytes
+			if last >= 0 {
+				size = min(2*cap(s.segs[last]), maxSegBytes)
+			}
+			s.segs = append(s.segs, make([]byte, 0, size))
+			last++
 		}
-		for newCap < need {
-			newCap *= 2
-		}
-		grown := make([]byte, len(s.data), newCap)
-		copy(grown, s.data)
-		s.data = grown
+		seg := s.segs[last]
+		k := min(cap(seg)-len(seg), len(chunk))
+		s.segs[last] = append(seg, chunk[:k]...)
+		chunk = chunk[k:]
 	}
-	s.data = append(s.data, chunk...)
 }
 
 // Durable returns the LSN up to which the log is durable.
-func (s *Store) Durable() LSN { return LSN(len(s.data)) }
+func (s *Store) Durable() LSN { return LSN(s.n) }
 
-// Bytes returns the durable log image — what recovery scans. The slice is
-// the store's live backing array; callers must not mutate it.
-func (s *Store) Bytes() []byte { return s.data }
+// Bytes returns the durable log image, what recovery scans. Only crash-time
+// code calls it (LogSet.Datas, ReplicaSet.CrashImage) and tests: on a store
+// of more than one segment it first flattens them into one segment of exact
+// size, so the first call copies the log once and later calls copy nothing.
+// A later Write opens a new segment and never changes an image already
+// returned. Callers must not mutate it.
+func (s *Store) Bytes() []byte {
+	if len(s.segs) == 0 {
+		return nil
+	}
+	if len(s.segs) > 1 {
+		flat := make([]byte, 0, s.n)
+		for _, seg := range s.segs {
+			flat = append(flat, seg...)
+		}
+		clear(s.segs[1:])
+		s.segs = append(s.segs[:0], flat)
+	}
+	return s.segs[0][:s.n:s.n]
+}
+
+// AppendRange appends the log bytes [from, to) to dst and returns the
+// extended slice; 0 <= from <= to <= Len(). The log shipper reads its suffix
+// ranges through it, so it walks back from the tail segment.
+func (s *Store) AppendRange(dst []byte, from, to int) []byte {
+	i, start := len(s.segs), s.n
+	for start > from {
+		i--
+		start -= len(s.segs[i])
+	}
+	for ; from < to; i++ {
+		seg := s.segs[i]
+		hi := min(len(seg), to-start)
+		dst = append(dst, seg[from-start:hi]...)
+		start += len(seg)
+		from = start
+	}
+	return dst
+}
 
 // Len returns the durable log size in bytes.
-func (s *Store) Len() int { return len(s.data) }
+func (s *Store) Len() int { return s.n }
 
 // Writes returns how many device writes (flushes/epochs) landed here.
 func (s *Store) Writes() int64 { return s.writes }

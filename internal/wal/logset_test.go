@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -9,48 +8,6 @@ import (
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
-
-func TestStoreGrowthDoublesNotPerWrite(t *testing.T) {
-	env := sim.NewEnv()
-	pl := platform.New(env, platform.HC2())
-	store := NewStore(pl.SSD)
-	var want []byte
-	env.Spawn("w", func(p *sim.Proc) {
-		chunk := make([]byte, 1000)
-		reallocs := 0
-		lastCap := cap(store.Bytes())
-		for i := 0; i < 500; i++ {
-			for j := range chunk {
-				chunk[j] = byte(i + j)
-			}
-			want = append(want, chunk...)
-			store.Write(p, chunk)
-			if c := cap(store.Bytes()); c != lastCap {
-				if lastCap >= storeInitCap && c < 2*lastCap {
-					t.Errorf("write %d: cap grew %d -> %d, want at least doubling", i, lastCap, c)
-				}
-				lastCap = c
-				reallocs++
-			}
-		}
-		// 500KB through a doubling buffer from 64KB: a handful of copies.
-		if reallocs > 5 {
-			t.Errorf("%d reallocations for 500 writes, want amortized-constant", reallocs)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(store.Bytes(), want) {
-		t.Error("store content diverged from writes")
-	}
-	if store.Len() != len(want) || store.Durable() != LSN(len(want)) {
-		t.Errorf("Len=%d Durable=%d want %d", store.Len(), store.Durable(), len(want))
-	}
-	if store.Writes() != 500 {
-		t.Errorf("writes=%d", store.Writes())
-	}
-}
 
 func TestShardVecRoundTripSorted(t *testing.T) {
 	vec := []ShardLSN{{Shard: 3, LSN: 1 << 40}, {Shard: 0, LSN: 7}, {Shard: 12, LSN: 0}}

@@ -108,6 +108,11 @@ func (rs *ReplicaSet) ship(p *sim.Proc, r, s int) {
 	pl := rs.ls.pl
 	primary := rs.ls.shards[s].Store
 	replica := rs.repl[r][s]
+	// buf is this stream's own copy of the range in flight. It cannot be
+	// shared with the other shippers: replica.Write parks on the replica
+	// SSD's transfer before it copies, and another shipper would refill a
+	// shared buffer in between.
+	var buf []byte
 	for {
 		p.Wait(shipInterval)
 		if rs.stopped {
@@ -121,16 +126,16 @@ func (rs *ReplicaSet) ship(p *sim.Proc, r, s int) {
 		if durable <= sent || rs.linkDown || rs.stalled[r] {
 			continue
 		}
-		chunk := primary.Bytes()[sent:durable]
+		buf = primary.AppendRange(buf[:0], int(sent), int(durable))
 		pickup := p.Now()
-		pl.ReplLink.Transfer(p, len(chunk))
+		pl.ReplLink.Transfer(p, len(buf))
 		if rs.lagFactor > 1 {
 			// Congestion stretches the link's propagation delay; the extra
 			// one-way latency is charged on top of the nominal transfer.
 			p.Wait(sim.Duration((rs.lagFactor - 1) * float64(pl.Cfg.ReplLinkLat)))
 		}
-		replica.Write(p, chunk)
-		rs.st[s].ShippedBytes += int64(len(chunk))
+		replica.Write(p, buf)
+		rs.st[s].ShippedBytes += int64(len(buf))
 		rs.st[s].Ships++
 		// The acknowledgement crosses the link back; a 64-byte ack pays
 		// propagation, not serialization.

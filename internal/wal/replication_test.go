@@ -160,6 +160,91 @@ func TestPartitionHoldsBacklogThenDrains(t *testing.T) {
 	}
 }
 
+// TestShippingAcrossSegments grows a replicated two-shard log past several
+// store segments on every shard, with a partition in the middle whose heal
+// ships more than two segments in one burst per stream. Four shippers
+// interleave on the shared link, each parked on its replica's SSD while the
+// others copy their ranges; every replica must still hold a literal byte
+// prefix of its primary shard.
+func TestShippingAcrossSegments(t *testing.T) {
+	env := sim.NewEnv()
+	cfg := platform.HC2Replicated(2, 2, stats.ReplAsync)
+	cfg.LogDevPerSocket = true
+	pl := platform.New(env, cfg)
+	var shards []LogShard
+	for s := 0; s < 2; s++ {
+		st := NewStore(pl.LogSSD(s))
+		shards = append(shards, LogShard{App: NewManager(pl, st, DefaultManagerConfig()), Store: st, Socket: s})
+	}
+	ls := NewLogSet(pl, shards)
+	rs := NewReplicaSet(ls)
+	ls.AttachReplication(rs)
+
+	written := 0
+	writeRecords := func(n int) {
+		for s := 0; s < 2; s++ {
+			s, first := s, written
+			env.Spawn("w", func(p *sim.Proc) {
+				task := pl.NewTask(p, pl.Sockets[s].Cores[0], nil)
+				for i := first; i < first+n; i++ {
+					rec := Record{Txn: uint64(i), Type: RecInsert, Key: []byte{byte(s), byte(i)},
+						After: logBytes(s<<20+131*i, 8<<10)}
+					ls.Append(task, s, &rec)
+					task.Flush()
+				}
+			})
+		}
+		written += n
+	}
+	replicaLens := func() (lens [2][2]int) {
+		for r := range lens {
+			for s := range lens[r] {
+				lens[r][s] = rs.ReplicaStore(r, s).Len()
+			}
+		}
+		return lens
+	}
+
+	writeRecords(130)
+	if err := env.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	rs.SetLinkDown(true)
+	cut := replicaLens()
+	writeRecords(270)
+	if err := env.RunUntil(sim.Time(30 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if got := replicaLens(); got != cut {
+		t.Fatalf("replicas moved %v -> %v through a partitioned link", cut, got)
+	}
+	for s := 0; s < 2; s++ {
+		if backlog := ls.Store(s).Len() - cut[0][s]; backlog < 2*maxSegBytes {
+			t.Fatalf("shard %d: partition backlog of %d bytes, want more than two segments", s, backlog)
+		}
+	}
+	rs.SetLinkDown(false)
+	if err := env.RunUntil(sim.Time(60 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 2; s++ {
+		primary := ls.Store(s)
+		if primary.Len() < 3<<20 || len(primary.segs) < 5 {
+			t.Fatalf("shard %d: %d bytes in %d segments, want at least 3 MiB", s, primary.Len(), len(primary.segs))
+		}
+		durable := int(primary.Durable())
+		for r := 0; r < 2; r++ {
+			rep := rs.ReplicaStore(r, s)
+			if rep.Len() != durable {
+				t.Errorf("replica %d shard %d holds %d of %d durable bytes", r, s, rep.Len(), durable)
+			}
+			if !bytes.Equal(rep.Bytes(), primary.Bytes()[:rep.Len()]) {
+				t.Errorf("replica %d shard %d is not a byte prefix of its primary", r, s)
+			}
+		}
+	}
+}
+
 func TestReplicaStallAndSyncCommitBlocked(t *testing.T) {
 	env, pl, ls, rs := replFixture(t, 2, stats.ReplSync)
 	rs.SetStalled(0, true)
