@@ -26,19 +26,19 @@ var benchConfigs = []struct {
 	kb        float64 // ceiling on heap KB allocated per transaction issued
 	build     func() (core.Workload, func(*sim.Env) core.Engine)
 }{
-	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 3.5, 0.29, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 0.28, 0.18, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tatp.New(tatp.Config{Subscribers: 100000})
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 48.2, 11.6, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 23.1, 8.35, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
 		}
 	}},
-	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.62, 3.7, 0.40, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.62, 0.58, 0.27, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := ycsb.WorkloadA()
 		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
 		wl := ycsb.New(cfg)
@@ -48,7 +48,7 @@ var benchConfigs = []struct {
 	}},
 	// crash-recover-2s's machine and database, run as a plain window: the
 	// bionic engine's TPC-C path (overlay, per-action arenas, entity locks).
-	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 50.5, 14.6, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 24.0, 11.35, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := tpcc.DefaultConfig()
 		cfg.Warehouses = 8
 		wl := tpcc.New(cfg)
@@ -162,12 +162,17 @@ func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // stopped being re-armed by its owner (DESIGN.md, "Pools above the kernel"),
 // or a key or a decoded string went back to the heap; a byte ceiling, that
 // something started copying what it already holds. The ceilings sit 3-5 %
-// above what this scale measures: objects 3.31, 45.86, 3.54, 48.06 (the last
+// above what this scale measures: objects 0.27, 22.31, 0.56, 23.16 (the last
 // few objects are the runtime's and move by a dozen per run; ycsb-dora-4s
 // measured 16.37 while sharded-log software DORA ran a second, engine-on-shard
-// layout), KB 0.281, 11.17, 0.383, 14.07. Before the durable log became a list
-// of segments that never move, wal.Store doubled one buffer and copied the
-// whole log at each doubling: KB 0.449, 16.33, 0.581, 18.29. Before the
+// layout), KB 0.174, 8.04, 0.259, 10.92; what is left is mostly the rows the
+// transactions write. Before each transaction type became an input struct
+// with its logic, bodies and scan callbacks bound once per terminal stream,
+// every draw built a logic closure, its body closures and a variadic Phase
+// slice, and TPC-C built scratch maps too: objects 3.31, 45.86, 3.54, 48.06, KB
+// 0.281, 11.17, 0.383, 14.07. Before the durable log became a list of segments
+// that never move, wal.Store doubled one buffer and copied the whole log at
+// each doubling: KB 0.449, 16.33, 0.581, 18.29. Before the
 // overlay's dirty set took inline keys, the B-tree cloned keys into a slab,
 // and the vector-durable join and the DORA waits-for registry reused their
 // storage, the object counts were 3.48, 52.07, 3.55 and 77.16. Before the key
@@ -192,7 +197,7 @@ func TestAllocsPerTxn(t *testing.T) {
 			kb := float64(ms.TotalAlloc-counted.bytes) / 1024 / float64(counted.issued)
 			t.Logf("%d allocations / %d transactions = %.2f, %.3f KB per transaction", n, counted.issued, per, kb)
 			if counted.issued == 0 || per > c.allocs {
-				t.Errorf("allocations per transaction = %.2f (%d / %d), want <= %.1f",
+				t.Errorf("allocations per transaction = %.2f (%d / %d), want <= %.2f",
 					per, n, counted.issued, c.allocs)
 			}
 			if kb > c.kb {

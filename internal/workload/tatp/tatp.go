@@ -10,6 +10,7 @@ import (
 	"bionicdb/internal/dora"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
+	"bionicdb/internal/workload"
 )
 
 // Table ids.
@@ -33,7 +34,8 @@ func DefaultConfig() Config { return Config{Subscribers: 100000} }
 
 // Workload implements core.Workload.
 type Workload struct {
-	cfg Config
+	cfg     Config
+	streams workload.PerStream[txns]
 }
 
 // New creates a TATP workload.
@@ -41,7 +43,7 @@ func New(cfg Config) *Workload {
 	if cfg.Subscribers < 1 {
 		cfg.Subscribers = 1
 	}
-	return &Workload{cfg: cfg}
+	return &Workload{cfg: cfg, streams: workload.PerStream[txns]{New: newTxns}}
 }
 
 // Name implements core.Workload.
@@ -345,158 +347,306 @@ func (w *Workload) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 	}
 }
 
+// Transactions. Each type is an input struct that its exported method fills
+// with the spec's draws from r, returning the struct's logic, which stays
+// valid until r's next draw. The struct belongs to r (txns); its logic,
+// action bodies and scan callbacks are method values bound once, in bind, so
+// an attempt only builds its keys in the attempt's arena and hands Phase the
+// struct's own action array.
+
+// txns is one stream's transaction inputs, one struct per type.
+type txns struct {
+	getSub  getSubscriberData
+	getAcc  getAccessData
+	getDest getNewDestination
+	updSub  updateSubscriberData
+	updLoc  updateLocation
+	insCF   insertCallForwarding
+	delCF   deleteCallForwarding
+}
+
+func newTxns() *txns {
+	t := new(txns)
+	t.getSub.bind()
+	t.getAcc.bind()
+	t.getDest.bind()
+	t.updSub.bind()
+	t.updLoc.bind()
+	t.insCF.bind()
+	t.delCF.bind()
+	return t
+}
+
 // GetSubscriberData reads one subscriber row (read-only, 35%).
 func (w *Workload) GetSubscriberData(r *sim.Rand) core.TxnLogic {
-	sid := w.nuRand(r)
-	return func(tx core.Tx) bool {
-		key := keys{tx.Arena()}.subscriber(sid)
-		return tx.Phase(core.Action{Table: TSubscriber, Key: key, Body: func(c core.AccessCtx) bool {
-			c.Read(TSubscriber, key)
-			return true
-		}})
-	}
+	t := &w.streams.Of(r).getSub
+	t.sid = w.nuRand(r)
+	return t.logic
+}
+
+type getSubscriberData struct {
+	sid   uint64
+	act   [1]core.Action // Key: the subscriber
+	logic core.TxnLogic
+}
+
+func (t *getSubscriberData) bind() {
+	t.logic, t.act[0] = t.run, core.Action{Table: TSubscriber, Body: t.read}
+}
+
+func (t *getSubscriberData) run(tx core.Tx) bool {
+	t.act[0].Key = keys{tx.Arena()}.subscriber(t.sid)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *getSubscriberData) read(c core.AccessCtx) bool {
+	c.Read(TSubscriber, t.act[0].Key)
+	return true
 }
 
 // GetAccessData reads one access-info row (read-only, 35%; ~62.5% hit).
 func (w *Workload) GetAccessData(r *sim.Rand) core.TxnLogic {
-	sid := w.nuRand(r)
-	ai := uint32(r.Range(1, 4))
-	return func(tx core.Tx) bool {
-		key := keys{tx.Arena()}.accessInfo(sid, ai)
-		return tx.Phase(core.Action{Table: TAccessInfo, Key: key, Body: func(c core.AccessCtx) bool {
-			c.Read(TAccessInfo, key)
-			return true
-		}})
-	}
+	t := &w.streams.Of(r).getAcc
+	t.sid = w.nuRand(r)
+	t.ai = uint32(r.Range(1, 4))
+	return t.logic
+}
+
+type getAccessData struct {
+	sid   uint64
+	ai    uint32
+	act   [1]core.Action // Key: the access-info row
+	logic core.TxnLogic
+}
+
+func (t *getAccessData) bind() {
+	t.logic, t.act[0] = t.run, core.Action{Table: TAccessInfo, Body: t.read}
+}
+
+func (t *getAccessData) run(tx core.Tx) bool {
+	t.act[0].Key = keys{tx.Arena()}.accessInfo(t.sid, t.ai)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *getAccessData) read(c core.AccessCtx) bool {
+	c.Read(TAccessInfo, t.act[0].Key)
+	return true
 }
 
 // GetNewDestination reads a special facility and its active call
 // forwardings (read-only, 10%).
 func (w *Workload) GetNewDestination(r *sim.Rand) core.TxnLogic {
-	sid := w.nuRand(r)
-	sf := uint32(r.Range(1, 4))
-	startTime := uint32(r.Intn(3) * 8)
-	endTime := uint32(r.Range(1, 24))
-	return func(tx core.Tx) bool {
-		sfKey := keys{tx.Arena()}.sf(sid, sf)
-		return tx.Phase(core.Action{Table: TSpecialFacility, Key: sfKey, Body: func(c core.AccessCtx) bool {
-			val, ok := c.Read(TSpecialFacility, sfKey)
-			if !ok {
-				return true // unsuccessful but committed
-			}
-			row := DecodeSpecialFacility(val)
-			if row.IsActive == 0 {
-				return true
-			}
-			k := keys{c.Arena()}
-			c.Scan(TCallForwarding, k.cf(sid, sf, 0), k.cf(sid, sf+1, 0), func(_, v []byte) bool {
-				cf := DecodeCallForwarding(v)
-				_ = cf.StartTime <= startTime && startTime < cf.EndTime && endTime <= cf.EndTime
-				return true
-			})
-			return true
-		}})
+	t := &w.streams.Of(r).getDest
+	t.sid = w.nuRand(r)
+	t.sf = uint32(r.Range(1, 4))
+	t.startTime = uint32(r.Intn(3) * 8)
+	t.endTime = uint32(r.Range(1, 24))
+	return t.logic
+}
+
+type getNewDestination struct {
+	sid                uint64
+	sf                 uint32
+	startTime, endTime uint32
+	act                [1]core.Action // Key: the special facility
+	logic              core.TxnLogic
+	match              func(key, val []byte) bool
+}
+
+func (t *getNewDestination) bind() {
+	t.logic, t.act[0], t.match = t.run, core.Action{Table: TSpecialFacility, Body: t.read}, t.matchCF
+}
+
+func (t *getNewDestination) run(tx core.Tx) bool {
+	t.act[0].Key = keys{tx.Arena()}.sf(t.sid, t.sf)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *getNewDestination) read(c core.AccessCtx) bool {
+	val, ok := c.Read(TSpecialFacility, t.act[0].Key)
+	if !ok {
+		return true // unsuccessful but committed
 	}
+	row := DecodeSpecialFacility(val)
+	if row.IsActive == 0 {
+		return true
+	}
+	k := keys{c.Arena()}
+	c.Scan(TCallForwarding, k.cf(t.sid, t.sf, 0), k.cf(t.sid, t.sf+1, 0), t.match)
+	return true
+}
+
+func (t *getNewDestination) matchCF(_, v []byte) bool {
+	cf := DecodeCallForwarding(v)
+	_ = cf.StartTime <= t.startTime && t.startTime < cf.EndTime && t.endTime <= cf.EndTime
+	return true
 }
 
 // UpdateSubscriberData updates subscriber bit_1 and a special facility's
 // data_a (2%; rolls back when the facility row is absent — the Figure 3
 // left bar workload).
 func (w *Workload) UpdateSubscriberData(r *sim.Rand) core.TxnLogic {
-	sid := w.nuRand(r)
-	sf := uint32(r.Range(1, 4))
-	bit := uint32(1) << uint(r.Intn(10))
-	dataA := uint32(r.Intn(256))
-	return func(tx core.Tx) bool {
-		k := keys{tx.Arena()}
-		subKey, sfKey := k.subscriber(sid), k.sf(sid, sf)
-		return tx.Phase(core.Action{Table: TSubscriber, Key: subKey, Body: func(c core.AccessCtx) bool {
-			val, ok := c.ReadForUpdate(TSubscriber, subKey)
-			if !ok {
-				return false
-			}
-			sub := DecodeSubscriber(val)
-			sub.Bits ^= bit
-			if !c.Update(TSubscriber, subKey, sub.Encode()) {
-				return false
-			}
-			sfVal, ok := c.ReadForUpdate(TSpecialFacility, sfKey)
-			if !ok {
-				return false // spec: roll back
-			}
-			row := DecodeSpecialFacility(sfVal)
-			row.DataA = dataA
-			return c.Update(TSpecialFacility, sfKey, row.Encode())
-		}})
+	t := &w.streams.Of(r).updSub
+	t.sid = w.nuRand(r)
+	t.sf = uint32(r.Range(1, 4))
+	t.bit = uint32(1) << uint(r.Intn(10))
+	t.dataA = uint32(r.Intn(256))
+	return t.logic
+}
+
+type updateSubscriberData struct {
+	sid            uint64
+	sf, bit, dataA uint32
+	sfKey          []byte
+	act            [1]core.Action // Key: the subscriber
+	logic          core.TxnLogic
+}
+
+func (t *updateSubscriberData) bind() {
+	t.logic, t.act[0] = t.run, core.Action{Table: TSubscriber, Body: t.update}
+}
+
+func (t *updateSubscriberData) run(tx core.Tx) bool {
+	k := keys{tx.Arena()}
+	t.act[0].Key, t.sfKey = k.subscriber(t.sid), k.sf(t.sid, t.sf)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *updateSubscriberData) update(c core.AccessCtx) bool {
+	subKey := t.act[0].Key
+	val, ok := c.ReadForUpdate(TSubscriber, subKey)
+	if !ok {
+		return false
 	}
+	sub := DecodeSubscriber(val)
+	sub.Bits ^= t.bit
+	if !c.Update(TSubscriber, subKey, sub.Encode()) {
+		return false
+	}
+	sfVal, ok := c.ReadForUpdate(TSpecialFacility, t.sfKey)
+	if !ok {
+		return false // spec: roll back
+	}
+	row := DecodeSpecialFacility(sfVal)
+	row.DataA = t.dataA
+	return c.Update(TSpecialFacility, t.sfKey, row.Encode())
 }
 
 // UpdateLocation updates vlr_location, located via the sub_nbr secondary
 // index (14%).
 func (w *Workload) UpdateLocation(r *sim.Rand) core.TxnLogic {
-	sid := w.nuRand(r)
-	vlr := uint32(r.Uint64())
-	return func(tx core.Tx) bool {
-		nbr := keys{tx.Arena()}.subNbr(sid)
-		return tx.Phase(core.Action{Table: TSubNbrIdx, Key: nbr, Body: func(c core.AccessCtx) bool {
-			idxVal, ok := c.Read(TSubNbrIdx, nbr)
-			if !ok {
-				return false
-			}
-			target := keys{c.Arena()}.subscriber(storage.DecodeUint64(idxVal))
-			val, ok := c.ReadForUpdate(TSubscriber, target)
-			if !ok {
-				return false
-			}
-			sub := DecodeSubscriber(val)
-			sub.VLR = vlr
-			return c.Update(TSubscriber, target, sub.Encode())
-		}})
+	t := &w.streams.Of(r).updLoc
+	t.sid = w.nuRand(r)
+	t.vlr = uint32(r.Uint64())
+	return t.logic
+}
+
+type updateLocation struct {
+	sid   uint64
+	vlr   uint32
+	act   [1]core.Action // Key: the sub_nbr index entry
+	logic core.TxnLogic
+}
+
+func (t *updateLocation) bind() {
+	t.logic, t.act[0] = t.run, core.Action{Table: TSubNbrIdx, Body: t.update}
+}
+
+func (t *updateLocation) run(tx core.Tx) bool {
+	t.act[0].Key = keys{tx.Arena()}.subNbr(t.sid)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *updateLocation) update(c core.AccessCtx) bool {
+	idxVal, ok := c.Read(TSubNbrIdx, t.act[0].Key)
+	if !ok {
+		return false
 	}
+	target := keys{c.Arena()}.subscriber(storage.DecodeUint64(idxVal))
+	val, ok := c.ReadForUpdate(TSubscriber, target)
+	if !ok {
+		return false
+	}
+	sub := DecodeSubscriber(val)
+	sub.VLR = t.vlr
+	return c.Update(TSubscriber, target, sub.Encode())
 }
 
 // InsertCallForwarding inserts a call-forwarding row (2%; fails when the
 // facility is absent or the row already exists).
 func (w *Workload) InsertCallForwarding(r *sim.Rand) core.TxnLogic {
-	sid := w.nuRand(r)
-	sf := uint32(r.Range(1, 4))
-	start := uint32(r.Intn(3) * 8)
-	end := start + uint32(r.Range(1, 8))
-	return func(tx core.Tx) bool {
-		nbr := keys{tx.Arena()}.subNbr(sid)
-		return tx.Phase(core.Action{Table: TSubNbrIdx, Key: nbr, Body: func(c core.AccessCtx) bool {
-			idxVal, ok := c.Read(TSubNbrIdx, nbr)
-			if !ok {
-				return false
-			}
-			target := storage.DecodeUint64(idxVal)
-			k := keys{c.Arena()}
-			if _, ok := c.Read(TSpecialFacility, k.sf(target, sf)); !ok {
-				return false
-			}
-			row := CallForwardingRow{SID: target, SFType: sf, StartTime: start, EndTime: end, NumberX: nbr}
-			return c.Insert(TCallForwarding, k.cf(target, sf, start), row.Encode())
-		}})
+	t := &w.streams.Of(r).insCF
+	t.sid = w.nuRand(r)
+	t.sf = uint32(r.Range(1, 4))
+	t.start = uint32(r.Intn(3) * 8)
+	t.end = t.start + uint32(r.Range(1, 8))
+	return t.logic
+}
+
+type insertCallForwarding struct {
+	sid            uint64
+	sf, start, end uint32
+	act            [1]core.Action // Key: the sub_nbr index entry
+	logic          core.TxnLogic
+}
+
+func (t *insertCallForwarding) bind() {
+	t.logic, t.act[0] = t.run, core.Action{Table: TSubNbrIdx, Body: t.insert}
+}
+
+func (t *insertCallForwarding) run(tx core.Tx) bool {
+	t.act[0].Key = keys{tx.Arena()}.subNbr(t.sid)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *insertCallForwarding) insert(c core.AccessCtx) bool {
+	nbr := t.act[0].Key
+	idxVal, ok := c.Read(TSubNbrIdx, nbr)
+	if !ok {
+		return false
 	}
+	target := storage.DecodeUint64(idxVal)
+	k := keys{c.Arena()}
+	if _, ok := c.Read(TSpecialFacility, k.sf(target, t.sf)); !ok {
+		return false
+	}
+	row := CallForwardingRow{SID: target, SFType: t.sf, StartTime: t.start, EndTime: t.end, NumberX: nbr}
+	return c.Insert(TCallForwarding, k.cf(target, t.sf, t.start), row.Encode())
 }
 
 // DeleteCallForwarding removes a call-forwarding row (2%; fails when
 // absent).
 func (w *Workload) DeleteCallForwarding(r *sim.Rand) core.TxnLogic {
-	sid := w.nuRand(r)
-	sf := uint32(r.Range(1, 4))
-	start := uint32(r.Intn(3) * 8)
-	return func(tx core.Tx) bool {
-		nbr := keys{tx.Arena()}.subNbr(sid)
-		return tx.Phase(core.Action{Table: TSubNbrIdx, Key: nbr, Body: func(c core.AccessCtx) bool {
-			idxVal, ok := c.Read(TSubNbrIdx, nbr)
-			if !ok {
-				return false
-			}
-			target := storage.DecodeUint64(idxVal)
-			return c.Delete(TCallForwarding, keys{c.Arena()}.cf(target, sf, start))
-		}})
+	t := &w.streams.Of(r).delCF
+	t.sid = w.nuRand(r)
+	t.sf = uint32(r.Range(1, 4))
+	t.start = uint32(r.Intn(3) * 8)
+	return t.logic
+}
+
+type deleteCallForwarding struct {
+	sid       uint64
+	sf, start uint32
+	act       [1]core.Action // Key: the sub_nbr index entry
+	logic     core.TxnLogic
+}
+
+func (t *deleteCallForwarding) bind() {
+	t.logic, t.act[0] = t.run, core.Action{Table: TSubNbrIdx, Body: t.delete}
+}
+
+func (t *deleteCallForwarding) run(tx core.Tx) bool {
+	t.act[0].Key = keys{tx.Arena()}.subNbr(t.sid)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *deleteCallForwarding) delete(c core.AccessCtx) bool {
+	idxVal, ok := c.Read(TSubNbrIdx, t.act[0].Key)
+	if !ok {
+		return false
 	}
+	target := storage.DecodeUint64(idxVal)
+	return c.Delete(TCallForwarding, keys{c.Arena()}.cf(target, t.sf, t.start))
 }
 
 // UpdateSubDataOnly returns a workload variant that issues only

@@ -15,6 +15,7 @@ import (
 	"bionicdb/internal/dora"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
+	"bionicdb/internal/workload"
 )
 
 // Table ids.
@@ -34,7 +35,7 @@ const (
 
 // Config scales the benchmark. The spec values are Districts=10,
 // CustomersPerDistrict=3000, Items=100000, InitialOrdersPerDistrict=3000;
-// tests shrink them.
+// tests shrink them. New fills non-positive fields from DefaultConfig.
 type Config struct {
 	Warehouses               int
 	Districts                int
@@ -66,11 +67,34 @@ type Workload struct {
 	// StockLevel can batch its stock probes per partition (8 before any
 	// Scheme call).
 	parts int
+
+	streams workload.PerStream[txns]
 }
 
-// New creates a TPC-C workload.
+// New creates a TPC-C workload. Every non-positive Config field takes
+// DefaultConfig's value, and Items is at least 15, the most distinct items
+// one NewOrder draws.
 func New(cfg Config) *Workload {
-	return &Workload{cfg: cfg, cID: 259, cLast: 173, cItem: 7911, parts: 8}
+	def := DefaultConfig()
+	if cfg.Warehouses < 1 {
+		cfg.Warehouses = def.Warehouses
+	}
+	if cfg.Districts < 1 {
+		cfg.Districts = def.Districts
+	}
+	if cfg.CustomersPerDistrict < 1 {
+		cfg.CustomersPerDistrict = def.CustomersPerDistrict
+	}
+	if cfg.Items < 1 {
+		cfg.Items = def.Items
+	}
+	cfg.Items = max(cfg.Items, maxOrderLines)
+	if cfg.InitialOrdersPerDistrict < 1 {
+		cfg.InitialOrdersPerDistrict = def.InitialOrdersPerDistrict
+	}
+	w := &Workload{cfg: cfg, cID: 259, cLast: 173, cItem: 7911, parts: 8}
+	w.streams.New = w.newTxns
+	return w
 }
 
 // stockPartition mirrors Scheme's stock routing for probe batching.
@@ -375,13 +399,17 @@ func DecodeOrderLine(b []byte) OrderLineRow {
 	}
 }
 
-// Last-name syllables (spec clause 4.3.2.3).
-var syllables = []string{"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING"}
+// lastNames are the spec last names (clause 4.3.2.3), by number.
+var lastNames = func() (names [1000]string) {
+	syllables := [10]string{"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING"}
+	for num := range names {
+		names[num] = syllables[num/100] + syllables[(num/10)%10] + syllables[num%10]
+	}
+	return names
+}()
 
-// LastName renders the spec last name for a 0-999 number.
-func LastName(num int) string {
-	return syllables[num/100] + syllables[(num/10)%10] + syllables[num%10]
-}
+// LastName returns the spec last name for a 0-999 number.
+func LastName(num int) string { return lastNames[num] }
 
 // nuRand is the spec's non-uniform random generator.
 func nuRand(r *sim.Rand, a, c, x, y uint64) uint64 {

@@ -89,6 +89,28 @@ func TestNURandRanges(t *testing.T) {
 	}
 }
 
+// TestNewFillsConfig checks that New fills non-positive fields from
+// DefaultConfig and raises Items to the 15 distinct items one NewOrder may
+// draw: a zero field used to panic at the first draw, and fewer items made
+// NewOrder's distinct-item draw loop forever.
+func TestNewFillsConfig(t *testing.T) {
+	if got := New(Config{}).Config(); got != DefaultConfig() {
+		t.Errorf("New(Config{}).Config() = %+v, want %+v", got, DefaultConfig())
+	}
+	small := Config{Warehouses: 1, Districts: 1, CustomersPerDistrict: 3, Items: 3, InitialOrdersPerDistrict: 1}
+	w := New(small)
+	if got := w.Config().Items; got != maxOrderLines {
+		t.Errorf("Items: 3 became %d, want %d", got, maxOrderLines)
+	}
+	for _, w := range []*Workload{New(Config{}), w} {
+		r := sim.NewRand(1)
+		for i := 0; i < 200; i++ {
+			w.NewOrder(r)
+			w.NextTxn(r)
+		}
+	}
+}
+
 func TestMixProportions(t *testing.T) {
 	w := New(SmallConfig())
 	r := sim.NewRand(4)

@@ -12,6 +12,7 @@ import (
 	"bionicdb/internal/dora"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
+	"bionicdb/internal/workload"
 )
 
 // TUser is the usertable id.
@@ -79,11 +80,12 @@ func WorkloadF() Config {
 	return c
 }
 
-// Workload implements core.Workload. All per-instance state is read-only
-// after New, so one Workload may back concurrent runs.
+// Workload implements core.Workload. It keeps each stream's transaction
+// inputs, so one Workload backs one run at a time.
 type Workload struct {
-	cfg  Config
-	zipf *zipfian // nil when Uniform
+	cfg     Config
+	zipf    *zipfian // nil when Uniform
+	streams workload.PerStream[txns]
 }
 
 // New creates a YCSB workload, filling zero Config fields with defaults.
@@ -103,7 +105,7 @@ func New(cfg Config) *Workload {
 	if cfg.Theta <= 0 || cfg.Theta >= 1 {
 		cfg.Theta = 0.99
 	}
-	w := &Workload{cfg: cfg}
+	w := &Workload{cfg: cfg, streams: workload.PerStream[txns]{New: newTxns}}
 	if !cfg.Uniform {
 		w.zipf = newZipfian(uint64(cfg.Records), cfg.Theta)
 	}
@@ -191,29 +193,77 @@ func (w *Workload) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 	}
 }
 
+// Transactions. Each type is an input struct that its exported method fills
+// with the draws from r, returning the struct's logic, which stays valid
+// until r's next draw. The struct belongs to r (txns); its logic and action
+// body are method values bound once, in bind, so an attempt only builds its
+// keys in the attempt's arena and hands Phase the struct's own action array.
+
+// txns is one stream's transaction inputs, one struct per type.
+type txns struct {
+	read   read
+	update update
+	scan   scan
+	rmw    readModifyWrite
+}
+
+func newTxns() *txns {
+	t := new(txns)
+	t.read.bind()
+	t.update.bind()
+	t.scan.bind()
+	t.rmw.bind()
+	return t
+}
+
 // Read returns a single-key point read.
 func (w *Workload) Read(r *sim.Rand) core.TxnLogic {
-	id := w.nextKey(r)
-	return func(tx core.Tx) bool {
-		key := keyIn(tx.Arena(), id)
-		return tx.Phase(core.Action{Table: TUser, Key: key, Body: func(c core.AccessCtx) bool {
-			c.Read(TUser, key)
-			return true
-		}})
-	}
+	t := &w.streams.Of(r).read
+	t.id = w.nextKey(r)
+	return t.logic
+}
+
+type read struct {
+	id    uint64
+	act   [1]core.Action // Key: the record
+	logic core.TxnLogic
+}
+
+func (t *read) bind() { t.logic, t.act[0] = t.run, core.Action{Table: TUser, Body: t.body} }
+
+func (t *read) run(tx core.Tx) bool {
+	t.act[0].Key = keyIn(tx.Arena(), t.id)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *read) body(c core.AccessCtx) bool {
+	c.Read(TUser, t.act[0].Key)
+	return true
 }
 
 // Update returns a blind full-value overwrite of one key.
 func (w *Workload) Update(r *sim.Rand) core.TxnLogic {
-	id := w.nextKey(r)
-	val := w.value(r)
-	return func(tx core.Tx) bool {
-		key := keyIn(tx.Arena(), id)
-		return tx.Phase(core.Action{Table: TUser, Key: key, Body: func(c core.AccessCtx) bool {
-			return c.Update(TUser, key, val)
-		}})
-	}
+	t := &w.streams.Of(r).update
+	t.id = w.nextKey(r)
+	t.val = w.value(r)
+	return t.logic
 }
+
+type update struct {
+	id    uint64
+	val   []byte // fresh per draw: it becomes the stored row
+	act   [1]core.Action
+	logic core.TxnLogic
+}
+
+func (t *update) bind() { t.logic, t.act[0] = t.run, core.Action{Table: TUser, Body: t.body} }
+
+func (t *update) run(tx core.Tx) bool {
+	t.act[0].Key = keyIn(tx.Arena(), t.id)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *update) body(c core.AccessCtx) bool { return c.Update(TUser, t.act[0].Key, t.val) }
 
 // Scan returns a short range scan of up to MaxScanLen rows starting at a
 // drawn key. Keys are dense, so [start, start+len) covers exactly the
@@ -221,33 +271,65 @@ func (w *Workload) Update(r *sim.Rand) core.TxnLogic {
 // runs without the entity lock: the rows it passes may be owned by other
 // partitions, which the spec's read-committed scans permit.
 func (w *Workload) Scan(r *sim.Rand) core.TxnLogic {
-	start := w.nextKey(r)
+	t := &w.streams.Of(r).scan
+	t.start = w.nextKey(r)
 	n := uint64(r.Range(1, w.cfg.MaxScanLen))
-	end := start + n
-	if end > uint64(w.cfg.Records) {
-		end = uint64(w.cfg.Records)
-	}
-	return func(tx core.Tx) bool {
-		startKey, endKey := keyIn(tx.Arena(), start), keyIn(tx.Arena(), end)
-		return tx.Phase(core.Action{Table: TUser, Key: startKey, NoLock: true, Body: func(c core.AccessCtx) bool {
-			c.Scan(TUser, startKey, endKey, func(k, v []byte) bool { return true })
-			return true
-		}})
-	}
+	t.end = min(t.start+n, uint64(w.cfg.Records))
+	return t.logic
 }
+
+type scan struct {
+	start, end uint64
+	endKey     []byte
+	act        [1]core.Action // Key: the first record
+	logic      core.TxnLogic
+}
+
+func (t *scan) bind() {
+	t.logic, t.act[0] = t.run, core.Action{Table: TUser, NoLock: true, Body: t.body}
+}
+
+func (t *scan) run(tx core.Tx) bool {
+	t.act[0].Key, t.endKey = keyIn(tx.Arena(), t.start), keyIn(tx.Arena(), t.end)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *scan) body(c core.AccessCtx) bool {
+	c.Scan(TUser, t.act[0].Key, t.endKey, visit)
+	return true
+}
+
+// visit is Scan's row callback: the scan's cost is in reaching the rows.
+func visit(_, _ []byte) bool { return true }
 
 // ReadModifyWrite returns a read of one key followed by a full-value write
 // of the same key inside the same action.
 func (w *Workload) ReadModifyWrite(r *sim.Rand) core.TxnLogic {
-	id := w.nextKey(r)
-	val := w.value(r)
-	return func(tx core.Tx) bool {
-		key := keyIn(tx.Arena(), id)
-		return tx.Phase(core.Action{Table: TUser, Key: key, Body: func(c core.AccessCtx) bool {
-			if _, ok := c.ReadForUpdate(TUser, key); !ok {
-				return false
-			}
-			return c.Update(TUser, key, val)
-		}})
+	t := &w.streams.Of(r).rmw
+	t.id = w.nextKey(r)
+	t.val = w.value(r)
+	return t.logic
+}
+
+type readModifyWrite struct {
+	id    uint64
+	val   []byte // fresh per draw: it becomes the stored row
+	act   [1]core.Action
+	logic core.TxnLogic
+}
+
+func (t *readModifyWrite) bind() {
+	t.logic, t.act[0] = t.run, core.Action{Table: TUser, Body: t.body}
+}
+
+func (t *readModifyWrite) run(tx core.Tx) bool {
+	t.act[0].Key = keyIn(tx.Arena(), t.id)
+	return tx.Phase(t.act[:]...)
+}
+
+func (t *readModifyWrite) body(c core.AccessCtx) bool {
+	if _, ok := c.ReadForUpdate(TUser, t.act[0].Key); !ok {
+		return false
 	}
+	return c.Update(TUser, t.act[0].Key, t.val)
 }
