@@ -150,13 +150,15 @@ func (t *Tree) newNode(leaf bool) *node {
 		id = t.nextID
 		t.nextID++
 	}
-	n := &node{id: id, leaf: leaf}
+	return &node{id: id, addr: t.addrOf(id), leaf: leaf}
+}
+
+// addrOf returns the timing-model address of node id.
+func (t *Tree) addrOf(id storage.PageID) uint64 {
 	if t.cfg.AddrOf != nil {
-		n.addr = t.cfg.AddrOf(id, t.cfg.Order*32)
-	} else {
-		n.addr = uint64(id) * 8192
+		return t.cfg.AddrOf(id, t.cfg.Order*32)
 	}
-	return n
+	return uint64(id) * 8192
 }
 
 // Size returns the number of keys stored.

@@ -1,8 +1,10 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"bionicdb/internal/storage"
 )
@@ -17,29 +19,39 @@ import (
 // Leaf chains are rebuilt from in-order traversal at load time, so next
 // pointers are not stored.
 
+// nodeHeader is the size of an image's kind byte and key count.
+const nodeHeader = 3
+
+// imageSize returns the exact size of n's checkpoint image.
+func imageSize(n *node) int {
+	size := nodeHeader
+	for i, k := range n.keys {
+		size += 2 + len(k)
+		if n.leaf {
+			size += 2 + len(n.vals[i])
+		}
+	}
+	if !n.leaf {
+		size += 8 * len(n.kids)
+	}
+	return size
+}
+
 func appendBytes16(dst, b []byte) []byte {
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(b)))
-	dst = append(dst, l[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(b)))
 	return append(dst, b...)
 }
 
-func readBytes16(b []byte, off int) ([]byte, int) {
-	n := int(binary.LittleEndian.Uint16(b[off:]))
-	off += 2
-	return b[off : off+n], off + n
-}
-
+// serializeNode returns n's checkpoint image in one buffer of exactly its
+// size, which the caller may keep.
 func serializeNode(n *node) []byte {
-	out := make([]byte, 0, 256)
+	out := make([]byte, 0, imageSize(n))
 	kind := byte(0)
 	if n.leaf {
 		kind = 1
 	}
 	out = append(out, kind)
-	var cnt [2]byte
-	binary.LittleEndian.PutUint16(cnt[:], uint16(len(n.keys)))
-	out = append(out, cnt[:]...)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(n.keys)))
 	for i, k := range n.keys {
 		out = appendBytes16(out, k)
 		if n.leaf {
@@ -47,18 +59,17 @@ func serializeNode(n *node) []byte {
 		}
 	}
 	if !n.leaf {
-		var idb [8]byte
 		for _, kid := range n.kids {
-			binary.LittleEndian.PutUint64(idb[:], uint64(kid.id))
-			out = append(out, idb[:]...)
+			out = binary.LittleEndian.AppendUint64(out, uint64(kid.id))
 		}
 	}
 	return out
 }
 
 // Checkpoint walks the tree and hands every node's page id and serialized
-// image to write, root first. Together with the root id (RootID) the images
-// fully reconstruct the tree via Load.
+// image to write, root first. Each image is a fresh buffer of exact size
+// that write may keep. Together with the root id (RootID) the images fully
+// reconstruct the tree via Load.
 func (t *Tree) Checkpoint(write func(id storage.PageID, image []byte)) {
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -76,80 +87,165 @@ func (t *Tree) Checkpoint(write func(id storage.PageID, image []byte)) {
 // image for a page id (as written by Checkpoint). The returned tree uses
 // cfg for future allocations; its id counter resumes above the largest
 // loaded id.
+//
+// The tree copies nothing out of the images: every key and value it restores
+// is a view into its page's image, clipped so its capacity is its length
+// (appending to one reallocates instead of writing into the image). The
+// images must therefore never be written again; stored keys and rows are
+// immutable, so the tree itself never does.
+//
+// A corrupt image is an error naming its page, never a panic: a truncated
+// image, an unknown kind byte, a length or the child-id array running past
+// the image, trailing bytes, a child already on its descent path (a cycle),
+// and any violation of the invariants Validate checks (key order, separator
+// bounds, occupancy, uniform leaf depth). A tree Load returns passes
+// Validate. The bounds also rule out a page shared by two subtrees: its keys
+// would have to lie in two disjoint ranges, and only the root may be empty.
 func Load(cfg Config, rootID storage.PageID, read func(id storage.PageID) []byte) (*Tree, error) {
-	t := New(cfg)
-	maxID := storage.PageID(0)
-	var build func(id storage.PageID, depth int) (*node, error)
-	build = func(id storage.PageID, depth int) (*node, error) {
-		img := read(id)
-		if img == nil {
-			return nil, fmt.Errorf("btree: missing checkpoint image for page %d", id)
-		}
-		if id > maxID {
-			maxID = id
-		}
-		n := &node{id: id, leaf: img[0] == 1}
-		if t.cfg.AddrOf != nil {
-			n.addr = t.cfg.AddrOf(id, t.cfg.Order*32)
-		} else {
-			n.addr = uint64(id) * 8192
-		}
-		nkeys := int(binary.LittleEndian.Uint16(img[1:]))
-		off := 3
-		for i := 0; i < nkeys; i++ {
-			var k []byte
-			k, off = readBytes16(img, off)
-			n.keys = append(n.keys, t.cloneKey(k))
-			if n.leaf {
-				var v []byte
-				v, off = readBytes16(img, off)
-				n.vals = append(n.vals, append([]byte(nil), v...))
-			}
-		}
-		if n.leaf {
-			if depth+1 > t.height {
-				t.height = depth + 1
-			}
-			t.size += nkeys
-			return n, nil
-		}
-		for i := 0; i < nkeys+1; i++ {
-			kidID := storage.PageID(binary.LittleEndian.Uint64(img[off:]))
-			off += 8
-			kid, err := build(kidID, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			n.kids = append(n.kids, kid)
-		}
-		return n, nil
-	}
-	t.size = 0
-	t.height = 0
-	root, err := build(rootID, 0)
+	l := loader{t: New(cfg), read: read}
+	l.t.height = 0 // set by the first leaf
+	root, err := l.build(rootID, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	t.root = root
-	if t.height == 0 {
-		t.height = 1
+	l.t.root = root
+	l.t.nextID = l.maxID + 1
+	return l.t, nil
+}
+
+// loader is one Load's state: the tree being built, the inner pages on the
+// current descent path, and the last leaf of the rebuilt chain.
+type loader struct {
+	t     *Tree
+	read  func(id storage.PageID) []byte
+	path  []storage.PageID
+	maxID storage.PageID
+	prev  *node // the last leaf built, in key order
+}
+
+// corrupt returns the error for a malformed image of page id.
+func corrupt(id storage.PageID, format string, args ...any) error {
+	return fmt.Errorf("btree: checkpoint page %d: %s", id, fmt.Sprintf(format, args...))
+}
+
+// view16 returns the u16-length-prefixed field at img[off:] as a
+// capacity-clipped view and the offset past it; ok is false when the length
+// or the field runs past the image.
+func view16(img []byte, off int) (field []byte, next int, ok bool) {
+	if len(img)-off < 2 {
+		return nil, 0, false
 	}
-	// Rebuild the leaf chain by in-order traversal.
-	var prev *node
-	var chain func(n *node)
-	chain = func(n *node) {
-		if n.leaf {
-			if prev != nil {
-				prev.next = n
+	n := int(binary.LittleEndian.Uint16(img[off:]))
+	off += 2
+	if len(img)-off < n {
+		return nil, 0, false
+	}
+	return img[off : off+n : off+n], off + n, true
+}
+
+// build decodes page id at depth (0 for the root), whose keys must lie in
+// [lo, hi) (nil for no bound), and the subtree under it.
+func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, error) {
+	t := l.t
+	img := l.read(id)
+	if img == nil {
+		return nil, fmt.Errorf("btree: missing checkpoint image for page %d", id)
+	}
+	if len(img) < nodeHeader {
+		return nil, corrupt(id, "%d-byte image is shorter than its header", len(img))
+	}
+	if img[0] > 1 {
+		return nil, corrupt(id, "kind byte %d", img[0])
+	}
+	leaf := img[0] == 1
+	nkeys := int(binary.LittleEndian.Uint16(img[1:]))
+	if depth > 0 && nkeys < t.minKeys() {
+		return nil, corrupt(id, "underflow: %d keys < min %d", nkeys, t.minKeys())
+	}
+	if nkeys > t.cfg.Order {
+		return nil, corrupt(id, "overflow: %d keys > order %d", nkeys, t.cfg.Order)
+	}
+	if id > l.maxID {
+		l.maxID = id
+	}
+	n := &node{id: id, addr: t.addrOf(id), leaf: leaf, keys: make([][]byte, nkeys)}
+	if leaf {
+		n.vals = make([][]byte, nkeys)
+	}
+	off := nodeHeader
+	var ok bool
+	for i := range n.keys {
+		if n.keys[i], off, ok = view16(img, off); !ok {
+			return nil, corrupt(id, "key %d overruns the %d-byte image", i, len(img))
+		}
+		if leaf {
+			if n.vals[i], off, ok = view16(img, off); !ok {
+				return nil, corrupt(id, "value %d overruns the %d-byte image", i, len(img))
 			}
-			prev = n
-			return
-		}
-		for _, kid := range n.kids {
-			chain(kid)
 		}
 	}
-	chain(t.root)
-	t.nextID = maxID + 1
-	return t, nil
+	if err := checkOrder(id, n.keys, lo, hi); err != nil {
+		return nil, err
+	}
+	if leaf {
+		if off != len(img) {
+			return nil, corrupt(id, "%d trailing bytes", len(img)-off)
+		}
+		if t.height == 0 {
+			t.height = depth + 1
+		} else if depth+1 != t.height {
+			return nil, corrupt(id, "leaf at depth %d, an earlier leaf at %d", depth+1, t.height)
+		}
+		t.size += nkeys
+		if l.prev != nil {
+			l.prev.next = n
+		}
+		l.prev = n
+		return n, nil
+	}
+	if len(img)-off != 8*(nkeys+1) {
+		return nil, corrupt(id, "%d bytes of child ids, want %d for %d children", len(img)-off, 8*(nkeys+1), nkeys+1)
+	}
+	n.kids = make([]*node, nkeys+1)
+	l.path = append(l.path, id)
+	for i := range n.kids {
+		kidID := storage.PageID(binary.LittleEndian.Uint64(img[off+8*i:]))
+		if slices.Contains(l.path, kidID) {
+			return nil, corrupt(id, "child %d is page %d, already on its descent path", i, kidID)
+		}
+		klo, khi := lo, hi
+		if i > 0 {
+			klo = n.keys[i-1]
+		}
+		if i < nkeys {
+			khi = n.keys[i]
+		}
+		kid, err := l.build(kidID, depth+1, klo, khi)
+		if err != nil {
+			return nil, err
+		}
+		n.kids[i] = kid
+	}
+	l.path = l.path[:len(l.path)-1]
+	return n, nil
+}
+
+// checkOrder reports keys that are not strictly ascending or fall outside
+// [lo, hi) (nil for no bound), the order Validate requires.
+func checkOrder(id storage.PageID, keys [][]byte, lo, hi []byte) error {
+	for i := 1; i < len(keys); i++ {
+		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+			return corrupt(id, "keys out of order at %d", i)
+		}
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	if lo != nil && bytes.Compare(keys[0], lo) < 0 {
+		return corrupt(id, "key below its separator bound")
+	}
+	if hi != nil && bytes.Compare(keys[len(keys)-1], hi) >= 0 {
+		return corrupt(id, "key above its separator bound")
+	}
+	return nil
 }

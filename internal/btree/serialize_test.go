@@ -1,0 +1,274 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"bionicdb/internal/storage"
+)
+
+// images checkpoints tr into a page map, keeping each image as handed out.
+func images(tr *Tree) map[storage.PageID][]byte {
+	out := map[storage.PageID][]byte{}
+	tr.Checkpoint(func(id storage.PageID, img []byte) { out[id] = img })
+	return out
+}
+
+// threeLevels is an order-4 tree of height 3 and its checkpoint images.
+func threeLevels(t testing.TB) (*Tree, map[storage.PageID][]byte) {
+	tr := small()
+	for i := 0; i < 20; i++ {
+		tr.Put(key(i), val(i), nil)
+	}
+	if tr.Height() != 3 {
+		t.Fatalf("height %d, want 3", tr.Height())
+	}
+	return tr, images(tr)
+}
+
+// TestCheckpointImagesHaveExactSize: each image is serialized into one
+// buffer of exactly its size, which the disk manager keeps as is.
+func TestCheckpointImagesHaveExactSize(t *testing.T) {
+	tr, imgs := threeLevels(t)
+	for id, img := range imgs {
+		if cap(img) != len(img) {
+			t.Errorf("page %d image has len %d, cap %d", id, len(img), cap(img))
+		}
+	}
+	var n *node
+	for n = tr.root; !n.leaf; n = n.kids[0] {
+	}
+	if got := testing.AllocsPerRun(100, func() { serializeNode(n) }); got != 1 {
+		t.Errorf("serializing a leaf allocates %.0f times, want 1", got)
+	}
+}
+
+// TestLoadAliasesImages: a loaded tree's keys and values are views into the
+// images, clipped so that appending to one reallocates and leaves the image
+// alone, and a load allocates per node, not per key.
+func TestLoadAliasesImages(t *testing.T) {
+	tr := sized(16)
+	for i := 0; i < 500; i++ {
+		tr.Put(key(i), val(i), nil)
+	}
+	imgs := images(tr)
+	orig := map[storage.PageID][]byte{}
+	for id, img := range imgs {
+		orig[id] = append([]byte(nil), img...)
+	}
+	read := func(id storage.PageID) []byte { return imgs[id] }
+	loaded, err := Load(Config{Order: 16}, tr.RootID(), read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	loaded.Scan(nil, nil, nil, func(k, v []byte) bool {
+		if cap(k) != len(k) || cap(v) != len(v) {
+			t.Fatalf("key %x: key cap %d len %d, value cap %d len %d", k, cap(k), len(k), cap(v), len(v))
+		}
+		_ = append(k, 0xFF, 0xFF)
+		_ = append(v, 0xFF, 0xFF)
+		n++
+		return true
+	})
+	if n != 500 {
+		t.Fatalf("scanned %d rows", n)
+	}
+	for id, img := range imgs {
+		if !bytes.Equal(img, orig[id]) {
+			t.Fatalf("page %d image changed after appending to loaded keys and values", id)
+		}
+	}
+	// Per node: the node, its key slice and its value or child slice; per
+	// load: the tree, its discarded empty root and the descent path.
+	pages := len(imgs)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Load(Config{Order: 16}, tr.RootID(), read); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(3*pages + 8); allocs > limit {
+		t.Errorf("Load of %d pages (500 keys) allocates %.0f times, want <= %.0f", pages, allocs, limit)
+	}
+	// The loaded tree stays fully functional.
+	for i := 500; i < 600; i++ {
+		loaded.Put(key(i), val(i), nil)
+	}
+	for i := 0; i < 300; i++ {
+		loaded.Delete(key(i), nil)
+	}
+	if err := loaded.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for id, img := range imgs {
+		if !bytes.Equal(img, orig[id]) {
+			t.Fatalf("page %d image changed after inserts and deletes on the loaded tree", id)
+		}
+	}
+	// Views, not copies: overwriting a private set of images shows through
+	// every key and value loaded from them.
+	scratch := map[storage.PageID][]byte{}
+	for id, img := range orig {
+		scratch[id] = append([]byte(nil), img...)
+	}
+	viewed, err := Load(Config{Order: 16}, tr.RootID(), func(id storage.PageID) []byte { return scratch[id] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range scratch {
+		for i := range img {
+			img[i] = 0xDB
+		}
+	}
+	viewed.Scan(nil, nil, nil, func(k, v []byte) bool {
+		if bytes.Count(k, []byte{0xDB}) != len(k) || bytes.Count(v, []byte{0xDB}) != len(v) {
+			t.Fatalf("key %x or its value %x was copied out of its image", k, v)
+		}
+		return true
+	})
+}
+
+// TestLoadRejectsCorruptImages: every way an image can be malformed is an
+// error that names the page, never a panic, an endless descent or a tree
+// that fails Validate.
+func TestLoadRejectsCorruptImages(t *testing.T) {
+	tr, base := threeLevels(t)
+	root := tr.RootID()
+	rootImg := base[root]
+	nkeys := int(binary.LittleEndian.Uint16(rootImg[1:]))
+	kidAt := func(img []byte, i int) storage.PageID {
+		nk := int(binary.LittleEndian.Uint16(img[1:]))
+		return storage.PageID(binary.LittleEndian.Uint64(img[len(img)-8*(nk+1)+8*i:]))
+	}
+	inner := kidAt(rootImg, 0) // an inner node on level 2
+	leaf := kidAt(base[inner], 0)
+	lastLeaf := kidAt(base[kidAt(rootImg, nkeys)], 0) // a leaf under the root's last separator
+	if base[inner][0] != 0 || base[leaf][0] != 1 {
+		t.Fatal("fixture: expected an inner page and a leaf page")
+	}
+	setKid := func(img []byte, i int, id storage.PageID) []byte {
+		out := append([]byte(nil), img...)
+		nk := int(binary.LittleEndian.Uint16(out[1:]))
+		binary.LittleEndian.PutUint64(out[len(out)-8*(nk+1)+8*i:], uint64(id))
+		return out
+	}
+	edit := func(img []byte, fn func(b []byte)) []byte {
+		out := append([]byte(nil), img...)
+		fn(out)
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		page  storage.PageID
+		img   []byte
+		named storage.PageID // the page the error names, when not page
+	}{
+		{"empty image", leaf, []byte{}, 0},
+		{"truncated header", leaf, base[leaf][:2], 0},
+		{"truncated leaf", leaf, base[leaf][:len(base[leaf])-1], 0},
+		{"truncated child ids", inner, base[inner][:len(base[inner])-4], 0},
+		{"kind byte 2", leaf, edit(base[leaf], func(b []byte) { b[0] = 2 }), 0},
+		{"key count past the image", leaf, edit(base[leaf], func(b []byte) { binary.LittleEndian.PutUint16(b[1:], 4) }), 0},
+		{"key count above the order", leaf, edit(base[leaf], func(b []byte) { binary.LittleEndian.PutUint16(b[1:], 60000) }), 0},
+		{"key length past the image", leaf, edit(base[leaf], func(b []byte) { binary.LittleEndian.PutUint16(b[3:], 0xFFFF) }), 0},
+		{"trailing bytes on a leaf", leaf, append(append([]byte(nil), base[leaf]...), 0), 0},
+		{"trailing bytes on an inner node", inner, append(append([]byte(nil), base[inner]...), 0), 0},
+		{"a page that is its own child", inner, setKid(base[inner], 1, inner), 0},
+		{"a child that is an ancestor", inner, setKid(base[inner], 0, root), 0},
+		{"two children share a page", inner, setKid(base[inner], 1, leaf), leaf},
+		{"keys out of order", leaf, edit(base[leaf], func(b []byte) { b[3+2+7] = 0xFF }), 0},
+		{"a leaf above its level", root, setKid(rootImg, nkeys, lastLeaf), lastLeaf},
+		{"an underfull node", leaf, serializeNode(&node{leaf: true, keys: [][]byte{key(0)}, vals: [][]byte{val(0)}}), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			imgs := map[storage.PageID][]byte{}
+			for id, img := range base {
+				imgs[id] = img
+			}
+			imgs[tc.page] = tc.img
+			_, err := Load(Config{Order: 4}, root, func(id storage.PageID) []byte { return imgs[id] })
+			if err == nil {
+				t.Fatal("loaded a corrupt checkpoint")
+			}
+			t.Log(err)
+			named := tc.page
+			if tc.named != 0 {
+				named = tc.named
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("page %d:", named)) {
+				t.Errorf("error %q does not name page %d", err, named)
+			}
+		})
+	}
+}
+
+// encodePages is FuzzLoad's input format: each page as u16 id, u16 length
+// and its image, the root first.
+func encodePages(root storage.PageID, imgs map[storage.PageID][]byte) []byte {
+	var out []byte
+	put := func(id storage.PageID) {
+		out = binary.LittleEndian.AppendUint16(out, uint16(id))
+		out = appendBytes16(out, imgs[id])
+	}
+	put(root)
+	var rest []storage.PageID
+	for id := range imgs {
+		if id != root {
+			rest = append(rest, id)
+		}
+	}
+	slices.Sort(rest)
+	for _, id := range rest {
+		put(id)
+	}
+	return out
+}
+
+// FuzzLoad: whatever the checkpoint images hold, Load either returns an
+// error or a tree that passes Validate and survives inserts and deletes.
+func FuzzLoad(f *testing.F) {
+	tr, imgs := threeLevels(f)
+	f.Add(encodePages(tr.RootID(), imgs))
+	one := small()
+	one.Put(key(1), val(1), nil)
+	f.Add(encodePages(one.RootID(), images(one)))
+	// A root that is its own child.
+	f.Add(encodePages(1, map[storage.PageID][]byte{1: {0, 1, 0, 1, 0, 'k', 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		imgs := map[storage.PageID][]byte{}
+		var root storage.PageID
+		for off := 0; len(data)-off >= 4; {
+			id := storage.PageID(binary.LittleEndian.Uint16(data[off:]))
+			n := int(binary.LittleEndian.Uint16(data[off+2:]))
+			off += 4
+			if n > len(data)-off {
+				break
+			}
+			if len(imgs) == 0 {
+				root = id
+			}
+			imgs[id] = data[off : off+n]
+			off += n
+		}
+		loaded, err := Load(Config{Order: 4}, root, func(id storage.PageID) []byte { return imgs[id] })
+		if err != nil {
+			return
+		}
+		if err := loaded.Validate(); err != nil {
+			t.Fatalf("Load returned a tree that fails Validate: %v", err)
+		}
+		for i := 0; i < 20; i++ {
+			loaded.Put(key(i), val(i), nil)
+		}
+		for i := 0; i < 20; i += 2 {
+			loaded.Delete(key(i), nil)
+		}
+		if err := loaded.Validate(); err != nil {
+			t.Fatalf("a loaded tree broke under inserts and deletes: %v", err)
+		}
+	})
+}

@@ -33,7 +33,8 @@ func (m CheckpointMeta) startLSN(shard int) wal.LSN {
 // Checkpoint writes every table's pages durably through dm and anchors
 // recovery at every log shard's current durable point. The engine must be
 // quiesced (no active transactions): bionicdb checkpoints are sharp, not
-// fuzzy.
+// fuzzy. Each page is serialized once, into an exact-size buffer that dm
+// keeps as the durable image.
 func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
 	meta := CheckpointMeta{Roots: make(map[uint16]storage.PageID)}
 	// A sharp checkpoint streams: pages are written sequentially, so the
@@ -105,9 +106,11 @@ func committedSet(perShard []map[uint64][]wal.ShardLSN, durable []wal.LSN) map[u
 }
 
 // applyShard replays one shard's committed data records, in shard-log
-// order, into trees. Record fields are views into the log bytes: the tree
-// clones a key it inserts, and a value becomes the stored row, so images
-// are copied before installation.
+// order, into trees. Record fields are views into the crash log, clipped by
+// wal.Decode so their capacity is their length: the tree clones a key it
+// inserts, and the after-image is installed as the stored row without a
+// copy. The log is never written again once it is a crash image, and stored
+// rows are immutable, so the recovered tree keeps the log alive instead.
 func applyShard(trees map[uint16]*btree.Tree, data []byte, start wal.LSN, committed map[uint64]bool) (records int64, err error) {
 	err = wal.Scan(data, start, func(r wal.Record) bool {
 		if !committed[r.Txn] {
@@ -119,7 +122,7 @@ func applyShard(trees map[uint16]*btree.Tree, data []byte, start wal.LSN, commit
 		}
 		switch r.Type {
 		case wal.RecInsert, wal.RecUpdate:
-			tree.Put(r.Key, append([]byte(nil), r.After...), nil)
+			tree.Put(r.Key, r.After, nil)
 			records++
 		case wal.RecDelete:
 			tree.Delete(r.Key, nil)
@@ -212,7 +215,9 @@ const recInstrPerByte = 0.25 // per-byte decode/copy cost, both passes
 // same). The caller's process drives the phases and observes the
 // completion; pl must be a freshly-booted platform matching the crashed
 // machine's config (Boot builds one). The recovered trees come back as a
-// one-element slice, the form ContentDigestSets takes.
+// one-element slice, the form ContentDigestSets takes. Their keys and rows
+// are views into dm's page images and into logs, copied from neither, so
+// both must stay unwritten for as long as the trees live.
 func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager, logs [][]byte, parallel bool) ([]map[uint16]*btree.Tree, RecoveryStats, error) {
 	start := p.Now()
 	st := RecoveryStats{Shards: len(logs)}

@@ -20,8 +20,11 @@ const InvalidPage PageID = 0
 
 // DiskManager owns the durable page images of one device (the SAS array or
 // the SSD). Reads and writes charge the device's latency and bandwidth.
-// Images are copied on both paths, so a crash test can discard all volatile
-// state and trust the manager's contents.
+// The timed paths (Write, Read) copy images, so a crash test can discard all
+// volatile state and trust the manager's contents. The untimed bulk paths
+// (Store, ReadRaw) copy nothing: an image, once stored, is never written
+// again — a later Write or Store of the same page replaces the map entry —
+// so Store keeps the caller's buffer and ReadRaw hands out the image itself.
 type DiskManager struct {
 	dev      *platform.Device
 	pageSize int
@@ -90,27 +93,28 @@ func (dm *DiskManager) Read(p *sim.Proc, id PageID) []byte {
 	return out
 }
 
-// Store installs a durable copy of data as page id without charging I/O —
+// Store installs data as page id's durable image without charging I/O —
 // for bulk writers (the sharp checkpointer) that stream many pages and
-// account the device time as one sequential transfer via Device().
+// account the device time as one sequential transfer via Device(). The
+// manager keeps data itself, not a copy: ownership passes to it, and the
+// caller must not write to data afterwards.
 func (dm *DiskManager) Store(id PageID, data []byte) {
 	dm.writes++
-	img := make([]byte, len(data))
-	copy(img, data)
-	dm.pages[id] = img
+	dm.pages[id] = data
 }
 
 // ReadRaw returns page id's durable image without charging I/O — for
 // recovery paths that account their device time in bulk (a boot restores
 // the checkpoint with one sequential scan, not a random read per page).
+// The result is a read-only view of the image, not a copy, with its
+// capacity clipped to its length: the caller must not write to it, and may
+// keep views into it for as long as it likes (btree.Load does).
 func (dm *DiskManager) ReadRaw(id PageID) []byte {
 	img, ok := dm.pages[id]
 	if !ok {
 		return nil
 	}
-	out := make([]byte, len(img))
-	copy(out, img)
-	return out
+	return img[:len(img):len(img)]
 }
 
 // Device returns the device this manager charges.
@@ -118,8 +122,9 @@ func (dm *DiskManager) Device() *platform.Device { return dm.dev }
 
 // Rebind returns a disk manager over the same durable page images charging
 // a different device — how a recovery boot on a fresh platform reads the
-// page images that survived a crash. The images are shared, not copied;
-// the rebound manager is for read-mostly recovery use.
+// page images that survived a crash. The images are shared, not copied:
+// every manager rebound from one crash image hands out the same read-only
+// views from ReadRaw, so two boots of one crash restore from the same bytes.
 func (dm *DiskManager) Rebind(dev *platform.Device) *DiskManager {
 	return &DiskManager{dev: dev, pageSize: dm.pageSize, pages: dm.pages, nextID: dm.nextID}
 }

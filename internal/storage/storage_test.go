@@ -129,6 +129,42 @@ func TestDiskManagerReadWrite(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsReadRawViews: the untimed bulk paths copy nothing. Store
+// keeps the caller's buffer, ReadRaw returns that buffer clipped to its
+// length, and a later Store of the page replaces the image instead of
+// writing into the one already handed out.
+func TestStoreKeepsReadRawViews(t *testing.T) {
+	dm := NewDiskManager(nil, 8192)
+	id := dm.Allocate()
+	img := make([]byte, 7, 64)
+	copy(img, "payload")
+	dm.Store(id, img)
+	got := dm.ReadRaw(id)
+	if !bytes.Equal(got, []byte("payload")) {
+		t.Fatalf("ReadRaw = %q", got)
+	}
+	if &got[0] != &img[0] {
+		t.Error("ReadRaw returned a copy, want the stored buffer")
+	}
+	if cap(got) != len(got) {
+		t.Errorf("ReadRaw view has len %d, cap %d", len(got), cap(got))
+	}
+	_ = append(got, "tail"...)
+	if string(img[:cap(img)][7:11]) == "tail" {
+		t.Error("appending to a ReadRaw view wrote into the stored buffer")
+	}
+	dm.Store(id, []byte("second"))
+	if string(got) != "payload" || string(dm.ReadRaw(id)) != "second" {
+		t.Errorf("after a second Store: old view %q, new image %q", got, dm.ReadRaw(id))
+	}
+	if dm.ReadRaw(999) != nil {
+		t.Error("ReadRaw of an unwritten page returned data")
+	}
+	if dm.Writes() != 2 || dm.Reads() != 0 {
+		t.Errorf("writes=%d reads=%d, want 2 and 0 (ReadRaw is not a timed read)", dm.Writes(), dm.Reads())
+	}
+}
+
 func TestDiskManagerChargesDevice(t *testing.T) {
 	env := sim.NewEnv()
 	pl := platform.New(env, platform.HC2())

@@ -100,7 +100,10 @@ const minRecordSize = 4 + 8 + 1 + 2 + 2 + 4 + 4
 // Decode parses one record starting at data[off]; the record's LSN is set
 // to off. It returns the offset just past the record. Every length field is
 // checked against the record's end before it is sliced on, so corrupt input
-// is an error, never a panic.
+// is an error, never a panic. Key, Before and After are views into data with
+// their capacity clipped to their length: appending to one reallocates
+// instead of writing into the next field, so recovery can install them as
+// stored keys and rows without copying.
 func Decode(data []byte, off int) (Record, int, error) {
 	if off < 0 || off > len(data)-minRecordSize {
 		return Record{}, 0, fmt.Errorf("wal: truncated record header at %d", off)
@@ -126,21 +129,21 @@ func Decode(data []byte, off int) (Record, int, error) {
 	if kl > end-p-8 {
 		return Record{}, 0, overrun("key", kl)
 	}
-	r.Key = data[p : p+kl]
+	r.Key = data[p : p+kl : p+kl]
 	p += kl
 	bl := int(binary.LittleEndian.Uint32(data[p:]))
 	p += 4
 	if bl > end-p-4 {
 		return Record{}, 0, overrun("before-image", bl)
 	}
-	r.Before = data[p : p+bl]
+	r.Before = data[p : p+bl : p+bl]
 	p += bl
 	al := int(binary.LittleEndian.Uint32(data[p:]))
 	p += 4
 	if al > end-p {
 		return Record{}, 0, overrun("after-image", al)
 	}
-	r.After = data[p : p+al]
+	r.After = data[p : p+al : p+al]
 	p += al
 	if p != end {
 		return Record{}, 0, fmt.Errorf("wal: record at %d decodes to %d bytes, header says %d", off, p-off, total)

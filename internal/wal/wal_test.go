@@ -136,8 +136,38 @@ func TestDecodeRejectsCorruptLengths(t *testing.T) {
 	}
 }
 
+// TestDecodedFieldsHaveNoSpareCapacity: Key, Before and After end where the
+// next field's bytes begin, so appending to one (recovery installs After as
+// a stored row) reallocates instead of overwriting the log.
+func TestDecodedFieldsHaveNoSpareCapacity(t *testing.T) {
+	r1 := Record{Txn: 4, Type: RecUpdate, Table: 2, Key: []byte("key"), Before: []byte("old"), After: []byte("new")}
+	r2 := Record{Txn: 4, Type: RecCommit}
+	data := r2.Encode(r1.Encode(nil))
+	orig := append([]byte(nil), data...)
+	n := 0
+	if err := Scan(data, 0, func(r Record) bool {
+		for name, f := range map[string][]byte{"key": r.Key, "before": r.Before, "after": r.After} {
+			if cap(f) != len(f) {
+				t.Errorf("record %d: %s has len %d, cap %d", n, name, len(f), cap(f))
+			}
+			_ = append(f, 0xFF, 0xFF, 0xFF, 0xFF)
+		}
+		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("scanned %d records", n)
+	}
+	if !bytes.Equal(data, orig) {
+		t.Fatal("appending to a decoded field wrote into the log")
+	}
+}
+
 // FuzzDecode: on any input Decode and Scan return or error, never panic,
-// and a record that decodes re-encodes to exactly the bytes it came from.
+// and a record that decodes re-encodes to exactly the bytes it came from,
+// its fields clipped to their length.
 func FuzzDecode(f *testing.F) {
 	var log []byte
 	for _, r := range []Record{
@@ -155,6 +185,9 @@ func FuzzDecode(f *testing.F) {
 		check := func(r Record, off, next int) {
 			if got := r.Encode(nil); !bytes.Equal(got, data[off:next]) {
 				t.Fatalf("record at %d re-encodes to %x, decoded from %x", off, got, data[off:next])
+			}
+			if cap(r.Key) != len(r.Key) || cap(r.Before) != len(r.Before) || cap(r.After) != len(r.After) {
+				t.Fatalf("record at %d has a field with spare capacity", off)
 			}
 		}
 		if r, next, err := Decode(data, int(from)); err == nil {
