@@ -290,10 +290,8 @@ func (t *Tree) splitLeaf(n *node, tr *Trace) ([]byte, *node) {
 		tr.Splits++
 		tr.NewPages = append(tr.NewPages, r.id)
 	}
-	r.keys = append(r.keys, n.keys[mid:]...)
-	r.vals = append(r.vals, n.vals[mid:]...)
-	n.keys = clip(n.keys[:mid])
-	n.vals = clip(n.vals[:mid])
+	n.keys, r.keys = split(n.keys, mid, mid)
+	n.vals, r.vals = split(n.vals, mid, mid)
 	r.next = n.next
 	n.next = r
 	return r.keys[0], r
@@ -307,10 +305,8 @@ func (t *Tree) splitInner(n *node, tr *Trace) ([]byte, *node) {
 		tr.Splits++
 		tr.NewPages = append(tr.NewPages, r.id)
 	}
-	r.keys = append(r.keys, n.keys[mid+1:]...)
-	r.kids = append(r.kids, n.kids[mid+1:]...)
-	n.keys = clip(n.keys[:mid])
-	n.kids = clip(n.kids[:mid+1])
+	n.keys, r.keys = split(n.keys, mid, mid+1)
+	n.kids, r.kids = split(n.kids, mid+1, mid+1)
 	return pivot, r
 }
 
@@ -588,7 +584,22 @@ func removeAt[T any](s []T, i int) []T {
 	return s[:len(s)-1]
 }
 
-// clip re-slices with zeroed tail so dropped references can be collected.
+// split divides a splitting node's array: left is an exact-size copy of
+// s[:i], and right is s[j:] moved to the front of s's own array, whose
+// vacated tail is cleared. Ascending loads and right-edge inserts go on
+// filling the right half, which therefore keeps the spare capacity; the left
+// half, which they no longer reach, holds no slot it does not use.
+func split[T any](s []T, i, j int) (left, right []T) {
+	left = make([]T, i)
+	copy(left, s)
+	n := copy(s, s[j:])
+	clear(s[n:])
+	return left, s[:n]
+}
+
+// clip clears s's storage past len(s), so references dropped from the end
+// can be collected; s keeps its capacity.
 func clip[T any](s []T) []T {
-	return s[: len(s) : len(s)+0]
+	clear(s[len(s):cap(s)])
+	return s
 }

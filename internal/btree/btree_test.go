@@ -3,6 +3,8 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -547,5 +549,189 @@ func BenchmarkTreePut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Put(key(i), val(i), nil)
+	}
+}
+
+// nodeSlots walks tr and returns the slots its nodes' keys, vals and kids
+// arrays hold (cap) and use (len), and the nodes off the right spine whose
+// arrays have spare capacity.
+func nodeSlots(tr *Tree) (slots, used int, spare []storage.PageID) {
+	spine := map[*node]bool{}
+	for n := tr.root; ; n = n.kids[len(n.kids)-1] {
+		spine[n] = true
+		if n.leaf {
+			break
+		}
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		c := cap(n.keys) + cap(n.vals) + cap(n.kids)
+		l := len(n.keys) + len(n.vals) + len(n.kids)
+		slots, used = slots+c, used+l
+		if c != l && !spine[n] {
+			spare = append(spare, n.id)
+		}
+		for _, kid := range n.kids {
+			walk(kid)
+		}
+	}
+	walk(tr.root)
+	return slots, used, spare
+}
+
+// TestSplitsLeaveFinishedNodesExact pins where a split leaves each node's
+// arrays: the new right node takes over the splitting node's arrays, and the
+// left node gets exact-size copies of its half. After an ascending load every
+// node off the right spine (the nodes ascending inserts have finished with)
+// has cap == len for keys, vals and kids, and the tree's live heap is the
+// slice headers and key bytes of its entries. A splitLeaf that keeps the left
+// half in the node's whole array and copies the right half out fails both: the
+// left half strands its array's spare slots (about 2.6x the headers' bytes at
+// the default order). Descending and random loads regrow the half they go on
+// filling by append's doubling, so a finished node holds more than order/2
+// entries in at most about twice order+1 slots: under 4.5x its entries.
+func TestSplitsLeaveFinishedNodesExact(t *testing.T) {
+	const n = 20000
+	ascending := make([]int, n)
+	for i := range ascending {
+		ascending[i] = i
+	}
+	orders := map[string][]int{"ascending": ascending, "descending": reverseInts(n), "random": shuffleInts(n, 42)}
+	for _, order := range []int{4, 7, 16, DefaultOrder} {
+		for _, name := range []string{"ascending", "descending", "random"} {
+			tr := sized(order)
+			for i, k := range orders[name] {
+				tr.Put(key(k), val(k), nil)
+				if i%1000 == 999 {
+					if err := tr.Validate(); err != nil {
+						t.Fatalf("order %d %s after %d inserts: %v", order, name, i+1, err)
+					}
+				}
+			}
+			slots, used, spare := nodeSlots(tr)
+			ratio := float64(slots) / float64(used)
+			t.Logf("order %3d %-10s %6d slots for %6d entries (%.2fx), %d finished nodes with spare capacity",
+				order, name, slots, used, ratio, len(spare))
+			if name == "ascending" && len(spare) > 0 {
+				t.Errorf("order %d ascending: %d finished nodes have spare capacity, first page %d", order, len(spare), spare[0])
+			}
+			if ratio > 4.5 {
+				t.Errorf("order %d %s: %d slots for %d entries, want at most 4.5x", order, name, slots, used)
+			}
+		}
+	}
+
+	// The live heap of an ascending load at the default order: 48 B of
+	// key and value headers and 8 B of key per entry, one node per 64
+	// entries, and the runtime's share: 66 B measured. Every entry shares
+	// one value, and the keys handed to Put are garbage once it returns.
+	const entries = 100000
+	v := val(0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := New(Config{})
+	for i := 0; i < entries; i++ {
+		tr.Put(key(i), v, nil)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(after.HeapAlloc-before.HeapAlloc) / entries
+	runtime.KeepAlive(tr)
+	t.Logf("ascending load at order %d: %.1f live bytes per entry", DefaultOrder, per)
+	if per > 1.5*(48+8) {
+		t.Errorf("ascending load holds %.1f live bytes per entry, want at most %.0f", per, 1.5*(48+8))
+	}
+}
+
+// pair makes tr a tree whose root has two children with nl and nr keys:
+// leaves, or inner nodes over leaves of minKeys keys each. Keys ascend from
+// 0, and nodes are built by append, so they carry spare capacity.
+func pair(tr *Tree, leaf bool, nl, nr int) (left, right *node) {
+	next := 0
+	var prev *node
+	mkLeaf := func(n int) *node {
+		l := tr.newNode(true)
+		for ; n > 0; n-- {
+			l.keys = append(l.keys, key(next))
+			l.vals = append(l.vals, val(next))
+			next++
+		}
+		if prev != nil {
+			prev.next = l
+		}
+		prev = l
+		tr.size += len(l.keys)
+		return l
+	}
+	mkKid := func(n int) *node {
+		if leaf {
+			return mkLeaf(n)
+		}
+		in := tr.newNode(false)
+		in.kids = append(in.kids, mkLeaf(tr.minKeys()))
+		for ; n > 0; n-- {
+			l := mkLeaf(tr.minKeys())
+			in.keys = append(in.keys, l.keys[0])
+			in.kids = append(in.kids, l)
+		}
+		return in
+	}
+	left = mkKid(nl)
+	sep := key(next)
+	right = mkKid(nr)
+	root := tr.newNode(false)
+	root.keys = append(root.keys, sep)
+	root.kids = append(root.kids, left, right)
+	tr.root, tr.height = root, 3
+	if leaf {
+		tr.height = 2
+	}
+	return left, right
+}
+
+// zeroTail reports whether s holds only zero values past its length.
+func zeroTail[T any](s []T) bool {
+	for _, v := range s[len(s):cap(s)] {
+		if !reflect.ValueOf(&v).Elem().IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBorrowClearsTheDonorsTail: a sibling that lends an entry keeps its
+// arrays, and no slot past its length still references what it lent; a
+// lent value later replaced in its new node would otherwise stay pinned.
+func TestBorrowClearsTheDonorsTail(t *testing.T) {
+	for _, leaf := range []bool{true, false} {
+		for _, fromLeft := range []bool{true, false} {
+			tr := sized(8)
+			min := tr.minKeys()
+			nl, nr, idx := min+2, min-1, 1
+			if !fromLeft {
+				nl, nr, idx = min-1, min+2, 0
+			}
+			left, right := pair(tr, leaf, nl, nr)
+			donor := left
+			if !fromLeft {
+				donor = right
+			}
+			var trace Trace
+			tr.rebalance(tr.root, idx, &trace)
+			if trace.Borrows != 1 || trace.Merges != 0 {
+				t.Fatalf("leaf=%v fromLeft=%v: %d borrows, %d merges, want one borrow", leaf, fromLeft, trace.Borrows, trace.Merges)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("leaf=%v fromLeft=%v: %v", leaf, fromLeft, err)
+			}
+			if len(donor.keys) != min+1 || cap(donor.keys) <= len(donor.keys) {
+				t.Errorf("leaf=%v fromLeft=%v: donor has %d keys in %d slots, want %d keys and its spare slots kept",
+					leaf, fromLeft, len(donor.keys), cap(donor.keys), min+1)
+			}
+			if !zeroTail(donor.keys) || !zeroTail(donor.vals) || !zeroTail(donor.kids) {
+				t.Errorf("leaf=%v fromLeft=%v: donor references entries past its length", leaf, fromLeft)
+			}
+		}
 	}
 }

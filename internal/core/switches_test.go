@@ -16,7 +16,8 @@ import (
 // engines, scales and client counts (benchmark/workloads.go) with a tenth of
 // its simulated window, and the machine and database of its fourth workload.
 // TestSwitchesPerEvent and TestAllocsPerTxn pin exact host-cost counts on
-// them; both counts repeat on every host.
+// them, and TestPopulateHeap the live heap of their databases; all three
+// repeat on every host.
 var benchConfigs = []struct {
 	name      string
 	terminals int
@@ -24,21 +25,22 @@ var benchConfigs = []struct {
 	switches  float64 // ceiling on coroutine resumes per kernel event
 	allocs    float64 // ceiling on heap allocations per transaction issued
 	kb        float64 // ceiling on heap KB allocated per transaction issued
+	heap      float64 // ceiling on live heap bytes per loaded row after Open
 	build     func() (core.Workload, func(*sim.Env) core.Engine)
 }{
-	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 0.28, 0.18, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 0.28, 0.18, 126, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tatp.New(tatp.Config{Subscribers: 100000})
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 23.1, 8.35, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 23.1, 7.70, 154, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
 		}
 	}},
-	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.62, 0.58, 0.27, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.62, 0.58, 0.27, 235, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := ycsb.WorkloadA()
 		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
 		wl := ycsb.New(cfg)
@@ -48,7 +50,7 @@ var benchConfigs = []struct {
 	}},
 	// crash-recover-2s's machine and database, run as a plain window: the
 	// bionic engine's TPC-C path (overlay, per-action arenas, entity locks).
-	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 24.0, 11.35, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 24.0, 10.65, 142, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := tpcc.DefaultConfig()
 		cfg.Warehouses = 8
 		wl := tpcc.New(cfg)
@@ -162,12 +164,16 @@ func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // stopped being re-armed by its owner (DESIGN.md, "Pools above the kernel"),
 // or a key or a decoded string went back to the heap; a byte ceiling, that
 // something started copying what it already holds. The ceilings sit 3-5 %
-// above what this scale measures: objects 0.27, 22.31, 0.56, 23.16 (the last
+// above what this scale measures: objects 0.27, 22.16, 0.56, 22.99 (the last
 // few objects are the runtime's and move by a dozen per run; ycsb-dora-4s
 // measured 16.37 while sharded-log software DORA ran a second, engine-on-shard
-// layout), KB 0.174, 8.04, 0.259, 10.92; what is left is mostly the rows the
-// transactions write. Before each transaction type became an input struct
-// with its logic, bodies and scan callbacks bound once per terminal stream,
+// layout), KB 0.172, 7.39, 0.259, 10.23; what is left is mostly the rows the
+// transactions write. Before a B-tree split handed its node arrays to the
+// right half and copied the left half to exact size, TPC-C's right-edge
+// inserts regrew every new right half by doubling: objects 22.31 and 23.16,
+// KB 8.04 and 10.92 on the two TPC-C machines. Before each transaction type
+// became an input struct with its logic, bodies and scan callbacks bound once
+// per terminal stream,
 // every draw built a logic closure, its body closures and a variadic Phase
 // slice, and TPC-C built scratch maps too: objects 3.31, 45.86, 3.54, 48.06, KB
 // 0.281, 11.17, 0.383, 14.07. Before the durable log became a list of segments
@@ -202,6 +208,40 @@ func TestAllocsPerTxn(t *testing.T) {
 			}
 			if kb > c.kb {
 				t.Errorf("KB allocated per transaction = %.3f, want <= %.2f", kb, c.kb)
+			}
+		})
+	}
+}
+
+// TestPopulateHeap pins what a populated database keeps live: the heap bytes
+// core.Open leaves reachable after a collection, per row loaded into the
+// engine's primary trees. Rows, keys and the trees' node arrays dominate it.
+// A ceiling that starts failing means population started stranding memory
+// it no longer uses, or keeping a second copy of what it stores. The
+// ceilings sit 3-5 % above what this scale measures: 121.2, 148.1, 226.6 and
+// 137.0 B (124.2, 111.5, 86.4 and 193.2 MiB). Before a B-tree split copied
+// the half that stops growing to exact size, the left half of every split
+// kept the whole node array: 193.8, 210.4, 299.2 and 198.6 B.
+func TestPopulateHeap(t *testing.T) {
+	for _, c := range benchConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			wl, mk := c.build()
+			s := core.Open(wl, 42, mk)
+			defer s.Close()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			rows := 0
+			for _, tree := range s.Eng.Tables() {
+				rows += tree.Size()
+			}
+			live := after.HeapAlloc - before.HeapAlloc
+			per := float64(live) / float64(rows)
+			t.Logf("%.1f MiB live for %d rows = %.1f B per row", float64(live)/(1<<20), rows, per)
+			if rows == 0 || per > c.heap {
+				t.Errorf("live heap per loaded row = %.1f B (%d rows), want <= %.0f", per, rows, c.heap)
 			}
 		})
 	}

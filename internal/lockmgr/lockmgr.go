@@ -419,7 +419,6 @@ func (m *Manager) CancelWait(txn uint64) {
 	}
 }
 
-// promote grants the longest compatible prefix of the wait queue.
 // dequeue removes queue[i], keeping the queue's storage and front capacity.
 func dequeue(queue []*waiter, i int) []*waiter {
 	copy(queue[i:], queue[i+1:])
@@ -427,6 +426,7 @@ func dequeue(queue []*waiter, i int) []*waiter {
 	return queue[:len(queue)-1]
 }
 
+// promote grants the longest compatible prefix of the wait queue.
 func (m *Manager) promote(ls *lockState, name Name) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
