@@ -32,11 +32,12 @@ func DefaultConfig(frames, pageSize int) Config {
 	return Config{Frames: frames, FixInstr: 80, UnfixInstr: 20, PageSize: pageSize}
 }
 
+// frame is one page's entry in the frame table.
 type frame struct {
-	id     storage.PageID
-	pins   int
-	dirty  bool
-	refbit bool
+	pins     int32
+	resident bool
+	dirty    bool
+	refbit   bool
 }
 
 // Pool is a clock-replacement page cache over one storage device.
@@ -45,9 +46,12 @@ type Pool struct {
 	dev   *platform.Device
 	latch *sim.Resource
 
-	resident map[storage.PageID]*frame
-	ring     []*frame
-	hand     int
+	// frames is indexed by page id (the DiskManager hands out dense ids) and
+	// grows as pages appear; ring holds the resident pages' ids in clock
+	// order, so its length is the resident count.
+	frames []frame
+	ring   []storage.PageID
+	hand   int
 
 	tableAddr uint64 // timing address of the hash table
 
@@ -65,7 +69,6 @@ func New(pl *platform.Platform, dev *platform.Device, cfg Config) *Pool {
 		cfg:       cfg,
 		dev:       dev,
 		latch:     sim.NewResource(pl.Env, "bpool-latch", 1),
-		resident:  make(map[storage.PageID]*frame, cfg.Frames),
 		tableAddr: pl.AllocHost(cfg.Frames * 64),
 	}
 }
@@ -79,8 +82,7 @@ func (bp *Pool) Fix(t *platform.Task, id storage.PageID) (hit bool) {
 	t.Access(stats.CompBpool, bp.tableAddr+(uint64(id)*64)%uint64(bp.cfg.Frames*64), 16)
 	t.Flush()
 	bp.latch.Acquire(t.P)
-	f, ok := bp.resident[id]
-	if ok {
+	if f := bp.lookup(id); f != nil {
 		f.pins++
 		f.refbit = true
 		bp.hits++
@@ -89,12 +91,10 @@ func (bp *Pool) Fix(t *platform.Task, id storage.PageID) (hit bool) {
 	}
 	bp.misses++
 	victimDirty := false
-	if len(bp.resident) >= bp.cfg.Frames {
+	if len(bp.ring) >= bp.cfg.Frames {
 		victimDirty = bp.evict(t)
 	}
-	f = &frame{id: id, pins: 1, refbit: true}
-	bp.resident[id] = f
-	bp.ring = append(bp.ring, f)
+	bp.install(id, 1)
 	// I/O happens outside the latch so other fixes proceed: release it, then
 	// the victim's write-back and the page read, under one park.
 	sc := t.P.Script()
@@ -108,6 +108,23 @@ func (bp *Pool) Fix(t *platform.Task, id storage.PageID) (hit bool) {
 	return false
 }
 
+// lookup returns page id's frame when the page is resident, else nil.
+func (bp *Pool) lookup(id storage.PageID) *frame {
+	if id < storage.PageID(len(bp.frames)) && bp.frames[id].resident {
+		return &bp.frames[id]
+	}
+	return nil
+}
+
+// install makes page id resident with pins pins, at the end of the clock ring.
+func (bp *Pool) install(id storage.PageID, pins int32) {
+	if n := int(id) + 1; n > len(bp.frames) {
+		bp.frames = append(bp.frames, make([]frame, n-len(bp.frames))...)
+	}
+	bp.frames[id] = frame{pins: pins, resident: true, refbit: true}
+	bp.ring = append(bp.ring, id)
+}
+
 // evict advances the clock hand to a victim and removes it, reporting
 // whether it was dirty. Called with the latch held.
 func (bp *Pool) evict(t *platform.Task) (wasDirty bool) {
@@ -115,7 +132,7 @@ func (bp *Pool) evict(t *platform.Task) (wasDirty bool) {
 		if bp.hand >= len(bp.ring) {
 			bp.hand = 0
 		}
-		f := bp.ring[bp.hand]
+		f := &bp.frames[bp.ring[bp.hand]]
 		if f.pins > 0 {
 			bp.hand++
 			continue
@@ -125,7 +142,7 @@ func (bp *Pool) evict(t *platform.Task) (wasDirty bool) {
 			bp.hand++
 			continue
 		}
-		delete(bp.resident, f.id)
+		f.resident = false
 		bp.ring = append(bp.ring[:bp.hand], bp.ring[bp.hand+1:]...)
 		return f.dirty
 	}
@@ -135,8 +152,8 @@ func (bp *Pool) evict(t *platform.Task) (wasDirty bool) {
 // Unfix releases a pin; dirty marks the page modified (write-back on evict).
 func (bp *Pool) Unfix(t *platform.Task, id storage.PageID, dirty bool) {
 	t.Exec(stats.CompBpool, bp.cfg.UnfixInstr)
-	f, ok := bp.resident[id]
-	if !ok || f.pins <= 0 {
+	f := bp.lookup(id)
+	if f == nil || f.pins <= 0 {
 		panic("bufferpool: unfix of unpinned page")
 	}
 	f.pins--
@@ -149,16 +166,14 @@ func (bp *Pool) Unfix(t *platform.Task, id storage.PageID, dirty bool) {
 // post-population cache warming. It is a no-op when the page is already
 // resident or the pool is full.
 func (bp *Pool) Prewarm(id storage.PageID) {
-	if _, ok := bp.resident[id]; ok || len(bp.resident) >= bp.cfg.Frames {
+	if bp.lookup(id) != nil || len(bp.ring) >= bp.cfg.Frames {
 		return
 	}
-	f := &frame{id: id, refbit: true}
-	bp.resident[id] = f
-	bp.ring = append(bp.ring, f)
+	bp.install(id, 0)
 }
 
 // Resident reports whether a page occupies a frame (no cost charged).
-func (bp *Pool) Resident(id storage.PageID) bool { _, ok := bp.resident[id]; return ok }
+func (bp *Pool) Resident(id storage.PageID) bool { return bp.lookup(id) != nil }
 
 // Hits returns the number of fix hits.
 func (bp *Pool) Hits() int64 { return bp.hits }

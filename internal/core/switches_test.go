@@ -34,13 +34,13 @@ var benchConfigs = []struct {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 23.1, 7.70, 154, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.70, 22.8, 6.10, 141, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
 		}
 	}},
-	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.62, 0.58, 0.27, 235, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.62, 0.58, 0.27, 210, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := ycsb.WorkloadA()
 		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
 		wl := ycsb.New(cfg)
@@ -164,11 +164,14 @@ func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // stopped being re-armed by its owner (DESIGN.md, "Pools above the kernel"),
 // or a key or a decoded string went back to the heap; a byte ceiling, that
 // something started copying what it already holds. The ceilings sit 3-5 %
-// above what this scale measures: objects 0.27, 22.16, 0.56, 22.99 (the last
+// above what this scale measures: objects 0.27, 21.88, 0.56, 22.99 (the last
 // few objects are the runtime's and move by a dozen per run; ycsb-dora-4s
 // measured 16.37 while sharded-log software DORA ran a second, engine-on-shard
-// layout), KB 0.172, 7.39, 0.259, 10.23; what is left is mostly the rows the
-// transactions write. Before a B-tree split handed its node arrays to the
+// layout), KB 0.172, 5.88, 0.259, 10.23; what is left is mostly the rows the
+// transactions write. Before the lock table was keyed by the name's hash,
+// with holder slices and hold lists of states, tpcc-conv measured 22.16
+// objects and 7.39 KB (hold lists of 72-byte names and a growing map keyed
+// by them). Before a B-tree split handed its node arrays to the
 // right half and copied the left half to exact size, TPC-C's right-edge
 // inserts regrew every new right half by doubling: objects 22.31 and 23.16,
 // KB 8.04 and 10.92 on the two TPC-C machines. Before each transaction type
@@ -218,8 +221,11 @@ func TestAllocsPerTxn(t *testing.T) {
 // engine's primary trees. Rows, keys and the trees' node arrays dominate it.
 // A ceiling that starts failing means population started stranding memory
 // it no longer uses, or keeping a second copy of what it stores. The
-// ceilings sit 3-5 % above what this scale measures: 121.2, 148.1, 226.6 and
-// 137.0 B (124.2, 111.5, 86.4 and 193.2 MiB). Before a B-tree split copied
+// ceilings sit 3-5 % above what this scale measures: 121.2, 136.1, 202.7 and
+// 137.0 B (124.3, 102.4, 77.3 and 193.3 MiB). Before the buffer pool's frame
+// table became a slice indexed by page id, its map pre-sized for 2^18 frames
+// kept ~9 MiB live on the two software engines: 148.1 and 226.6 B. Before a
+// B-tree split copied
 // the half that stops growing to exact size, the left half of every split
 // kept the whole node array: 193.8, 210.4, 299.2 and 198.6 B.
 func TestPopulateHeap(t *testing.T) {

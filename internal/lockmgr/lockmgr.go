@@ -97,8 +97,8 @@ func DefaultConfig() Config {
 
 // waiter is one queued request. Waiters come from the manager's free list:
 // the blocked process takes one, parks on its signal, and hands it back —
-// signal re-armed — once it has read the verdict, which is after every other
-// party (promote or CancelWait, which fired it) is done with it.
+// signal re-armed — once its Await has returned, which is after promote,
+// which fired it, is done with it.
 type waiter struct {
 	txn     uint64
 	mode    Mode
@@ -106,27 +106,45 @@ type waiter struct {
 	upgrade bool
 }
 
+// holder is one transaction's granted mode on a lock.
+type holder struct {
+	txn  uint64
+	mode Mode
+}
+
+// lockState is one lock somebody holds or awaits. Its holders are in no
+// particular order (a release moves the last one into the gap): grantable,
+// promote and wouldDeadlock each ask a yes/no question over all of them, so
+// their order never reaches the simulation.
 type lockState struct {
-	granted map[uint64]Mode
+	name    Name
+	hash    uint64     // hashName(name)
+	next    *lockState // the next state in the same table slot
+	granted []holder
 	queue   []*waiter
 }
+
+// tableSlots is the lock table's size, in the host table and in the timing
+// model alike: a name's state hangs off the slot whose address Acquire
+// charges.
+const tableSlots = 1 << 14
 
 // Manager is the lock table.
 type Manager struct {
 	cfg     Config
 	env     *sim.Env
-	locks   map[Name]*lockState
-	holds   map[uint64][]Name // txn -> lock names, for ReleaseAll
-	waiting map[uint64]Name   // txn -> lock name it is blocked on
+	table   []*lockState            // slot hash%tableSlots chains the states hashing there
+	holds   map[uint64][]*lockState // txn -> locks it holds, in grant order, for ReleaseAll
+	waiting map[uint64]*lockState   // txn -> lock it is blocked on
 	latches []*sim.Resource
 	addr    uint64
 
-	// Free lists and scratch space: lock states and hold lists churn once
-	// per lock and per transaction and waiters once per blocked acquire, so
-	// steady-state acquire/release cycles reuse their storage instead of
-	// reallocating it.
+	// Free lists and scratch space: lock states (with their holder and
+	// queue slices) and hold lists churn once per lock and per transaction
+	// and waiters once per blocked acquire, so steady-state acquire/release
+	// cycles reuse their storage instead of reallocating it.
 	freeStates  []*lockState
-	freeHolds   [][]Name
+	freeHolds   [][]*lockState
 	freeWaiters []*waiter
 	dfsSeen     map[uint64]bool
 	dfsBlocked  []uint64
@@ -142,11 +160,11 @@ func New(pl *platform.Platform, cfg Config) *Manager {
 	m := &Manager{
 		cfg:     cfg,
 		env:     pl.Env,
-		locks:   make(map[Name]*lockState),
-		holds:   make(map[uint64][]Name),
-		waiting: make(map[uint64]Name),
+		table:   make([]*lockState, tableSlots),
+		holds:   make(map[uint64][]*lockState),
+		waiting: make(map[uint64]*lockState),
 		dfsSeen: make(map[uint64]bool),
-		addr:    pl.AllocHost(1 << 20),
+		addr:    pl.AllocHost(tableSlots * 64),
 	}
 	for i := 0; i < cfg.LatchStripes; i++ {
 		m.latches = append(m.latches, sim.NewResource(pl.Env, fmt.Sprintf("lock-latch-%d", i), 1))
@@ -155,9 +173,9 @@ func New(pl *platform.Platform, cfg Config) *Manager {
 }
 
 // Name identifies one lock: a table, or one row of a table by its primary
-// key. It is a comparable value — the lock table's map key — built by
-// RowLock and TableLock without allocating for any key storage.Key holds
-// inline.
+// key. It is a comparable value, built by RowLock and TableLock without
+// allocating for any key storage.Key holds inline; the lock table finds a
+// name's state by its hash and tells colliding names apart with ==.
 type Name struct {
 	storage.Key      // the row's primary key; empty for a table
 	kind        byte // 'r' for a row, 't' for a table
@@ -213,28 +231,19 @@ func (m *Manager) Acquire(t *platform.Task, txn uint64, name Name, mode Mode) er
 	m.acquires++
 	t.Exec(stats.CompXct, m.cfg.AcquireInstr)
 	h := hashName(name)
-	t.Access(stats.CompXct, m.addr+(h%(1<<14))*64, 16)
+	t.Access(stats.CompXct, m.addr+(h%tableSlots)*64, 16)
 	t.Flush()
 	latch := m.latches[h%uint64(len(m.latches))]
 	latch.Acquire(t.P)
-	ls := m.locks[name]
-	if ls == nil {
-		if n := len(m.freeStates); n > 0 {
-			ls = m.freeStates[n-1]
-			m.freeStates = m.freeStates[:n-1]
-		} else {
-			ls = &lockState{granted: make(map[uint64]Mode)}
-		}
-		m.locks[name] = ls
-	}
-	held, holds := ls.granted[txn]
-	if holds && stronger(held, mode) {
+	ls := m.state(h, name)
+	i := ls.holderOf(txn)
+	if i >= 0 && stronger(ls.granted[i].mode, mode) {
 		latch.Release()
 		return nil
 	}
-	upgrade := holds
-	if m.grantable(ls, txn, mode, upgrade) {
-		m.grant(ls, txn, name, mode, upgrade)
+	upgrade := i >= 0
+	if grantable(ls, txn, mode, upgrade) {
+		m.grant(ls, txn, mode, upgrade)
 		latch.Release()
 		return nil
 	}
@@ -258,51 +267,91 @@ func (m *Manager) Acquire(t *platform.Task, txn uint64, name Name, mode Mode) er
 		copy(ls.queue[1:], ls.queue)
 		ls.queue[0] = w
 	}
-	m.waiting[txn] = name
+	m.waiting[txn] = ls
 	m.waits++
 	latch.Release()
 	start := t.P.Now()
-	granted := w.sig.Await(t.P).(bool)
+	w.sig.Await(t.P) // only promote fires it: a queued request is always granted
 	w.sig.Reset()
 	m.freeWaiters = append(m.freeWaiters, w)
 	m.waitTime += t.P.Now().Sub(start)
 	delete(m.waiting, txn)
-	if !granted {
-		m.deadlocks++
-		return ErrDeadlock
-	}
 	return nil
 }
 
-// grantable reports whether txn can hold mode on ls right now.
-func (m *Manager) grantable(ls *lockState, txn uint64, mode Mode, upgrade bool) bool {
-	for holder, hm := range ls.granted {
-		if holder == txn {
-			continue
-		}
-		if !Compatible(mode, hm) {
-			return false
+// state returns name's lock state, chaining a fresh one into its slot when
+// nobody holds or awaits the lock.
+func (m *Manager) state(h uint64, name Name) *lockState {
+	slot := &m.table[h%tableSlots]
+	for ls := *slot; ls != nil; ls = ls.next {
+		if ls.hash == h && ls.name == name {
+			return ls
 		}
 	}
-	// Fresh requests also respect the queue (no barging past waiters).
-	if !upgrade && len(ls.queue) > 0 {
-		return false
+	var ls *lockState
+	if n := len(m.freeStates); n > 0 {
+		ls = m.freeStates[n-1]
+		m.freeStates = m.freeStates[:n-1]
+	} else {
+		ls = new(lockState)
+	}
+	ls.name, ls.hash, ls.next = name, h, *slot
+	*slot = ls
+	return ls
+}
+
+// free unchains a state nobody holds or awaits and returns it, with its
+// slices' storage, to the free list.
+func (m *Manager) free(ls *lockState) {
+	p := &m.table[ls.hash%tableSlots]
+	for *p != ls {
+		p = &(*p).next
+	}
+	*p = ls.next
+	ls.name, ls.next = Name{}, nil // drop a spilled key
+	m.freeStates = append(m.freeStates, ls)
+}
+
+// holderOf returns the index of txn's entry in ls.granted, or -1.
+func (ls *lockState) holderOf(txn uint64) int {
+	for i, h := range ls.granted {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// admits reports whether every holder of ls but txn is compatible with mode.
+func (ls *lockState) admits(txn uint64, mode Mode) bool {
+	for _, h := range ls.granted {
+		if h.txn != txn && !Compatible(mode, h.mode) {
+			return false
+		}
 	}
 	return true
 }
 
-func (m *Manager) grant(ls *lockState, txn uint64, name Name, mode Mode, upgrade bool) {
-	ls.granted[txn] = mode
-	if !upgrade {
-		held, ok := m.holds[txn]
-		if !ok {
-			if n := len(m.freeHolds); n > 0 {
-				held = m.freeHolds[n-1]
-				m.freeHolds = m.freeHolds[:n-1]
-			}
-		}
-		m.holds[txn] = append(held, name)
+// grantable reports whether txn can hold mode on ls right now. Fresh
+// requests also respect the queue (no barging past waiters).
+func grantable(ls *lockState, txn uint64, mode Mode, upgrade bool) bool {
+	return ls.admits(txn, mode) && (upgrade || len(ls.queue) == 0)
+}
+
+func (m *Manager) grant(ls *lockState, txn uint64, mode Mode, upgrade bool) {
+	if upgrade {
+		ls.granted[ls.holderOf(txn)].mode = mode
+		return
 	}
+	ls.granted = append(ls.granted, holder{txn, mode})
+	held, ok := m.holds[txn]
+	if !ok {
+		if n := len(m.freeHolds); n > 0 {
+			held = m.freeHolds[n-1]
+			m.freeHolds = m.freeHolds[:n-1]
+		}
+	}
+	m.holds[txn] = append(held, ls)
 }
 
 // wouldDeadlock checks whether txn blocking on ls closes a waits-for cycle.
@@ -313,9 +362,9 @@ func (m *Manager) wouldDeadlock(txn uint64, ls *lockState, mode Mode, upgrade bo
 	visited := m.dfsSeen
 	blocked := m.dfsBlocked[:0]
 	defer func() { m.dfsBlocked = blocked[:0] }()
-	for holder, hm := range ls.granted {
-		if holder != txn && !Compatible(mode, hm) {
-			blocked = append(blocked, holder)
+	for _, h := range ls.granted {
+		if h.txn != txn && !Compatible(mode, h.mode) {
+			blocked = append(blocked, h.txn)
 		}
 	}
 	if !upgrade {
@@ -334,12 +383,8 @@ func (m *Manager) wouldDeadlock(txn uint64, ls *lockState, mode Mode, upgrade bo
 			return false
 		}
 		visited[id] = true
-		waitName, isWaiting := m.waiting[id]
+		wls, isWaiting := m.waiting[id]
 		if !isWaiting {
-			return false
-		}
-		wls := m.locks[waitName]
-		if wls == nil {
 			return false
 		}
 		var wmode Mode
@@ -354,8 +399,8 @@ func (m *Manager) wouldDeadlock(txn uint64, ls *lockState, mode Mode, upgrade bo
 			// Already granted (wake pending): no longer blocks anyone.
 			return false
 		}
-		for holder, hm := range wls.granted {
-			if holder != id && !Compatible(wmode, hm) && dfs(holder) {
+		for _, h := range wls.granted {
+			if h.txn != id && !Compatible(wmode, h.mode) && dfs(h.txn) {
 				return true
 			}
 		}
@@ -379,43 +424,24 @@ func (m *Manager) wouldDeadlock(txn uint64, ls *lockState, mode Mode, upgrade bo
 // ReleaseAll drops every lock txn holds (end of transaction under strict
 // 2PL) and grants newly compatible waiters in FIFO order.
 func (m *Manager) ReleaseAll(t *platform.Task, txn uint64) {
-	names := m.holds[txn]
+	held := m.holds[txn]
 	delete(m.holds, txn)
-	for _, name := range names {
+	for _, ls := range held {
 		t.Exec(stats.CompXct, m.cfg.ReleaseInstr)
-		h := hashName(name)
-		latch := m.latches[h%uint64(len(m.latches))]
+		latch := m.latches[ls.hash%uint64(len(m.latches))]
 		t.Flush()
 		latch.Acquire(t.P)
-		ls := m.locks[name]
-		delete(ls.granted, txn)
-		m.promote(ls, name)
+		i, last := ls.holderOf(txn), len(ls.granted)-1
+		ls.granted[i] = ls.granted[last]
+		ls.granted = ls.granted[:last]
+		m.promote(ls)
 		if len(ls.granted) == 0 && len(ls.queue) == 0 {
-			delete(m.locks, name)
-			m.freeStates = append(m.freeStates, ls)
+			m.free(ls)
 		}
 		latch.Release()
 	}
-	if names != nil {
-		clear(names) // drop spilled keys
-		m.freeHolds = append(m.freeHolds, names[:0])
-	}
-}
-
-// CancelWait removes txn's queued request on its waited lock (used when an
-// engine-level timeout aborts it); the waiter's signal fires with false.
-func (m *Manager) CancelWait(txn uint64) {
-	name, ok := m.waiting[txn]
-	if !ok {
-		return
-	}
-	ls := m.locks[name]
-	for i, w := range ls.queue {
-		if w.txn == txn {
-			ls.queue = dequeue(ls.queue, i)
-			w.sig.Fire(false)
-			return
-		}
+	if held != nil {
+		m.freeHolds = append(m.freeHolds, held[:0])
 	}
 }
 
@@ -427,22 +453,15 @@ func dequeue(queue []*waiter, i int) []*waiter {
 }
 
 // promote grants the longest compatible prefix of the wait queue.
-func (m *Manager) promote(ls *lockState, name Name) {
+func (m *Manager) promote(ls *lockState) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
-		ok := true
-		for holder, hm := range ls.granted {
-			if holder != w.txn && !Compatible(w.mode, hm) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !ls.admits(w.txn, w.mode) {
 			return
 		}
 		ls.queue = dequeue(ls.queue, 0)
-		m.grant(ls, w.txn, name, w.mode, w.upgrade)
-		w.sig.Fire(true)
+		m.grant(ls, w.txn, w.mode, w.upgrade)
+		w.sig.Fire(nil)
 	}
 }
 

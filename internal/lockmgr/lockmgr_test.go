@@ -436,6 +436,124 @@ func TestWaitersAreRecycled(t *testing.T) {
 	}
 }
 
+// TestPinnedSchedule runs runSchedule's seeded schedule and checks, after
+// every grant, that the lock's holders are pairwise compatible; every
+// Acquire returns nil or ErrDeadlock and the env drains. At the end the
+// table is empty and every state built is on the free list. The counters and
+// the hash of the grant sequence are pinned to what the manager produced
+// when its table was a map keyed by Name and each state's holders a map: a
+// manager that grants in another order or at another time, or decides a
+// wait or a deadlock differently, fails here.
+func TestPinnedSchedule(t *testing.T) {
+	env, pl, m := fixture()
+	built := map[*lockState]bool{}
+	res := runSchedule(t, env, pl, m, func(txn uint64, n Name) {
+		ls := m.table[hashName(n)%tableSlots]
+		for ls != nil && ls.name != n {
+			ls = ls.next
+		}
+		if ls == nil || ls.holderOf(txn) < 0 {
+			t.Fatalf("%s granted to %d but not held", n, txn)
+		}
+		built[ls] = true
+		for i, a := range ls.granted {
+			for _, b := range ls.granted[i+1:] {
+				if a.txn == b.txn || !Compatible(a.mode, b.mode) {
+					t.Errorf("%s held by %d in %v and %d in %v", n, a.txn, a.mode, b.txn, b.mode)
+				}
+			}
+		}
+	})
+	want := scheduleResult{acquires: 3088, waits: 633, deadlocks: 78, waitTime: 4636661800, grants: 0xb3e557be38f9b06e}
+	if res != want {
+		t.Errorf("schedule gave %+v, want %+v", res, want)
+	}
+	for slot, ls := range m.table {
+		if ls != nil {
+			t.Fatalf("slot %d still holds %s after every transaction released", slot, ls.name)
+		}
+	}
+	free := map[*lockState]bool{}
+	for _, ls := range m.freeStates {
+		free[ls] = true
+	}
+	for ls := range built {
+		if !free[ls] {
+			t.Errorf("state of %s is not on the free list", ls.name)
+		}
+	}
+	if len(free) != len(m.freeStates) || len(free) != len(built) {
+		t.Errorf("%d states on the free list (%d distinct), %d built", len(m.freeStates), len(free), len(built))
+	}
+}
+
+// TestSteadyStateAllocatesNothing runs the benchmark ladder's two lock shapes
+// once their free lists are warm: the uncontended transaction (an IX table
+// lock and three X row locks, released together) and contended rounds in
+// which four transactions at a time queue behind two hot rows and are
+// promoted. Neither allocates.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	keys := [][]byte{[]byte("k0"), []byte("k1"), []byte("k2"), []byte("k3"), []byte("k4")}
+	env, pl, m := fixture()
+	var ladder float64
+	env.Spawn("ladder", func(p *sim.Proc) {
+		tk := task(pl, p, 0)
+		txn := uint64(0)
+		round := func() {
+			txn++
+			if err := m.Acquire(tk, txn, TableLock(1), IX); err != nil {
+				t.Error(err)
+			}
+			for k := 0; k < 3; k++ {
+				if err := m.Acquire(tk, txn, RowLock(1, keys[(int(txn)*3+k)%len(keys)]), X); err != nil {
+					t.Error(err)
+				}
+			}
+			m.ReleaseAll(tk, txn)
+		}
+		round()
+		ladder = testing.AllocsPerRun(100, round)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ladder != 0 {
+		t.Errorf("%v allocations per uncontended transaction, want 0", ladder)
+	}
+
+	env, pl, m = fixture()
+	defer env.Close()
+	for i := 0; i < 4; i++ {
+		i := i
+		env.Spawn("w", func(p *sim.Proc) {
+			tk := task(pl, p, i)
+			r := sim.NewRand(uint64(20 + i))
+			for txn := uint64(i + 1); ; txn += 4 {
+				if err := m.Acquire(tk, txn, RowLock(1, keys[r.Intn(2)]), X); err != nil {
+					t.Error(err)
+				}
+				p.Wait(200 * sim.Nanosecond)
+				m.ReleaseAll(tk, txn)
+			}
+		})
+	}
+	horizon := sim.Time(0)
+	step := func() {
+		horizon += sim.Time(20 * sim.Microsecond)
+		if err := env.RunUntil(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	waits := m.Waits()
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Errorf("%v allocations per 20 us of contended rounds, want 0", n)
+	}
+	if m.Waits() == waits {
+		t.Fatal("no acquire waited while counting allocations")
+	}
+}
+
 func TestWaitTimeAccumulates(t *testing.T) {
 	env, pl, m := fixture()
 	env.Spawn("holder", func(p *sim.Proc) {
