@@ -33,7 +33,10 @@ func main() {
 	env.Spawn("driver", func(p *sim.Proc) {
 		term := &core.Terminal{ID: 0, P: p, Core: eng.Platform().Cores[0], R: sim.NewRand(1)}
 
-		meta = core.Checkpoint(p, eng.Tables(), eng.DiskManager(), eng.LogSet())
+		var err error
+		if meta, err = core.Checkpoint(p, eng.Tables(), eng.DiskManager(), eng.LogSet()); err != nil {
+			panic(err)
+		}
 		fmt.Printf("checkpoint complete at %v (log position %d)\n", p.Now(), meta.StartLSNs[0])
 
 		// Post-checkpoint work that only the log protects.

@@ -11,7 +11,9 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"bionicdb/internal/storage"
 )
@@ -95,11 +97,23 @@ type node struct {
 	id   storage.PageID
 	addr uint64
 	leaf bool
-	keys [][]byte
+	keys []keyRef
 	vals [][]byte // leaf only; parallel to keys
 	kids []*node  // inner only; len(kids) == len(keys)+1
 	next *node    // leaf chain
 }
+
+// keyRef locates a stored key: its u16 length prefix starts at byte off of
+// the tree's chunk number chunk, and its bytes follow. That is the
+// checkpoint image's own field layout, so a loaded key refers into its page
+// image as it is. A ref is 8 bytes and holds no pointer: node key arrays
+// are a third the size of slice headers, and the collector does not scan
+// them.
+type keyRef struct{ chunk, off uint32 }
+
+// maxKeyLen is the longest key a tree stores: a key's length prefix, like
+// the checkpoint image's, is a u16.
+const maxKeyLen = math.MaxUint16
 
 // Tree is a B+Tree. The zero value is not usable; create trees with New.
 type Tree struct {
@@ -108,6 +122,9 @@ type Tree struct {
 	height int
 	size   int
 	nextID storage.PageID
+	// chunks is what keyRefs resolve through: every slab chunk cloneKey
+	// carves and, in a tree Load built, every page image its keys alias.
+	chunks [][]byte
 	slab   []byte // the chunk cloneKey is filling; len is the used part
 }
 
@@ -115,17 +132,31 @@ type Tree struct {
 // the shipped workloads' keys (8 to 40 bytes) per allocation.
 const slabChunk = 4096
 
-// cloneKey returns a tree-owned copy of key, carved from the tree's key slab.
-// The copy's capacity is its length, so appending to a key the tree hands
-// out never writes into its neighbour. A chunk is never reused: it lives as
-// long as any key carved from it, and keys are immutable.
-func (t *Tree) cloneKey(key []byte) []byte {
-	if len(key) > cap(t.slab)-len(t.slab) {
-		t.slab = make([]byte, 0, max(slabChunk, len(key)))
+// key resolves r to the key's bytes, a view whose capacity is its length, so
+// appending to a key the tree hands out never writes into its neighbour.
+func (t *Tree) key(r keyRef) []byte {
+	c := t.chunks[r.chunk]
+	off := int(r.off) + 2
+	end := off + int(binary.LittleEndian.Uint16(c[r.off:]))
+	return c[off:end:end]
+}
+
+// cloneKey copies key into the tree's key slab, behind its u16 length, and
+// returns its ref. A chunk is never reused: the chunk table keeps it for as
+// long as the tree lives, and keys are immutable. A key longer than
+// maxKeyLen panics: Put has no error to return.
+func (t *Tree) cloneKey(key []byte) keyRef {
+	if len(key) > maxKeyLen {
+		panic(fmt.Sprintf("btree: a %d-byte key exceeds the %d-byte limit on a stored key", len(key), maxKeyLen))
 	}
-	off := len(t.slab)
+	if need := 2 + len(key); need > cap(t.slab)-len(t.slab) {
+		t.slab = make([]byte, 0, max(slabChunk, need))
+		t.chunks = append(t.chunks, t.slab[:cap(t.slab)])
+	}
+	r := keyRef{chunk: uint32(len(t.chunks) - 1), off: uint32(len(t.slab))}
+	t.slab = binary.LittleEndian.AppendUint16(t.slab, uint16(len(key)))
 	t.slab = append(t.slab, key...)
-	return t.slab[off:len(t.slab):len(t.slab)]
+	return r
 }
 
 // New creates an empty tree.
@@ -177,12 +208,12 @@ func (t *Tree) minKeys() int { return t.cfg.Order / 2 }
 
 // searchIdx returns the number of keys in n that are <= key (the child
 // index to descend into) and the comparisons a binary search performs.
-func searchIdx(n *node, key []byte) (idx, cmps int) {
+func (t *Tree) searchIdx(n *node, key []byte) (idx, cmps int) {
 	lo, hi := 0, len(n.keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		cmps++
-		if bytes.Compare(n.keys[mid], key) <= 0 {
+		if bytes.Compare(t.key(n.keys[mid]), key) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -193,10 +224,10 @@ func searchIdx(n *node, key []byte) (idx, cmps int) {
 
 // leafIdx returns the position of key in leaf n (found) or its insertion
 // point (!found), plus comparisons.
-func leafIdx(n *node, key []byte) (idx int, found bool, cmps int) {
-	idx, cmps = searchIdx(n, key)
+func (t *Tree) leafIdx(n *node, key []byte) (idx int, found bool, cmps int) {
+	idx, cmps = t.searchIdx(n, key)
 	// searchIdx counts keys <= key, so an exact match is at idx-1.
-	if idx > 0 && bytes.Equal(n.keys[idx-1], key) {
+	if idx > 0 && bytes.Equal(t.key(n.keys[idx-1]), key) {
 		return idx - 1, true, cmps
 	}
 	return idx, false, cmps
@@ -217,11 +248,11 @@ func (t *Tree) visit(tr *Trace, n *node, cmps int) {
 func (t *Tree) Get(key []byte, tr *Trace) (val []byte, ok bool) {
 	n := t.root
 	for !n.leaf {
-		idx, cmps := searchIdx(n, key)
+		idx, cmps := t.searchIdx(n, key)
 		t.visit(tr, n, cmps)
 		n = n.kids[idx]
 	}
-	idx, found, cmps := leafIdx(n, key)
+	idx, found, cmps := t.leafIdx(n, key)
 	t.visit(tr, n, cmps)
 	if !found {
 		return nil, false
@@ -254,14 +285,14 @@ func (t *Tree) Put(key, val []byte, tr *Trace) (prev []byte, existed bool) {
 
 // insert descends into n; on child split it returns the separator and new
 // right sibling for the caller to install.
-func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed bool, splitKey []byte, right *node) {
+func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed bool, splitKey keyRef, right *node) {
 	if n.leaf {
-		idx, found, cmps := leafIdx(n, key)
+		idx, found, cmps := t.leafIdx(n, key)
 		t.visit(tr, n, cmps)
 		if found {
 			prev = n.vals[idx]
 			n.vals[idx] = val
-			return prev, true, nil, nil
+			return prev, true, keyRef{}, nil
 		}
 		n.keys = insertAt(n.keys, idx, t.cloneKey(key))
 		n.vals = insertAt(n.vals, idx, val)
@@ -270,7 +301,7 @@ func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed
 		}
 		return nil, false, splitKey, right
 	}
-	idx, cmps := searchIdx(n, key)
+	idx, cmps := t.searchIdx(n, key)
 	t.visit(tr, n, cmps)
 	prev, existed, sk, r := t.insert(n.kids[idx], key, val, tr)
 	if r != nil {
@@ -283,7 +314,7 @@ func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed
 	return prev, existed, splitKey, right
 }
 
-func (t *Tree) splitLeaf(n *node, tr *Trace) ([]byte, *node) {
+func (t *Tree) splitLeaf(n *node, tr *Trace) (keyRef, *node) {
 	mid := len(n.keys) / 2
 	r := t.newNode(true)
 	if tr != nil {
@@ -297,7 +328,7 @@ func (t *Tree) splitLeaf(n *node, tr *Trace) ([]byte, *node) {
 	return r.keys[0], r
 }
 
-func (t *Tree) splitInner(n *node, tr *Trace) ([]byte, *node) {
+func (t *Tree) splitInner(n *node, tr *Trace) (keyRef, *node) {
 	mid := len(n.keys) / 2
 	pivot := n.keys[mid]
 	r := t.newNode(false)
@@ -327,7 +358,7 @@ func (t *Tree) Delete(key []byte, tr *Trace) (val []byte, ok bool) {
 // remove deletes key under n, rebalancing children that underflow.
 func (t *Tree) remove(n *node, key []byte, tr *Trace) (val []byte, ok bool) {
 	if n.leaf {
-		idx, found, cmps := leafIdx(n, key)
+		idx, found, cmps := t.leafIdx(n, key)
 		t.visit(tr, n, cmps)
 		if !found {
 			return nil, false
@@ -337,7 +368,7 @@ func (t *Tree) remove(n *node, key []byte, tr *Trace) (val []byte, ok bool) {
 		n.vals = removeAt(n.vals, idx)
 		return val, true
 	}
-	idx, cmps := searchIdx(n, key)
+	idx, cmps := t.searchIdx(n, key)
 	t.visit(tr, n, cmps)
 	val, ok = t.remove(n.kids[idx], key, tr)
 	if ok && len(n.kids[idx].keys) < t.minKeys() {
@@ -432,24 +463,25 @@ func (t *Tree) merge(n *node, i int) {
 func (t *Tree) Scan(from, to []byte, tr *Trace, fn func(key, val []byte) bool) {
 	n := t.root
 	for !n.leaf {
-		idx, cmps := searchIdx(n, from)
+		idx, cmps := t.searchIdx(n, from)
 		t.visit(tr, n, cmps)
 		n = n.kids[idx]
 	}
 	idx := 0
 	if from != nil {
 		var cmps int
-		idx, _, cmps = leafIdx(n, from)
+		idx, _, cmps = t.leafIdx(n, from)
 		t.visit(tr, n, cmps)
 	} else {
 		t.visit(tr, n, 0)
 	}
 	for n != nil {
 		for ; idx < len(n.keys); idx++ {
-			if to != nil && bytes.Compare(n.keys[idx], to) >= 0 {
+			k := t.key(n.keys[idx])
+			if to != nil && bytes.Compare(k, to) >= 0 {
 				return
 			}
-			if !fn(n.keys[idx], n.vals[idx]) {
+			if !fn(k, n.vals[idx]) {
 				return
 			}
 		}
@@ -472,7 +504,7 @@ func (t *Tree) Min(tr *Trace) (key, val []byte, ok bool) {
 	if len(n.keys) == 0 {
 		return nil, nil, false
 	}
-	return n.keys[0], n.vals[0], true
+	return t.key(n.keys[0]), n.vals[0], true
 }
 
 // Pages calls fn for every node in the tree (root first), reporting its
@@ -507,11 +539,12 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("node %d overflow: %d keys > order %d", n.id, len(n.keys), t.cfg.Order)
 		}
 		for i := 1; i < len(n.keys); i++ {
-			if bytes.Compare(n.keys[i-1], n.keys[i]) >= 0 {
+			if bytes.Compare(t.key(n.keys[i-1]), t.key(n.keys[i])) >= 0 {
 				return fmt.Errorf("node %d keys out of order at %d", n.id, i)
 			}
 		}
-		for _, k := range n.keys {
+		for _, r := range n.keys {
+			k := t.key(r)
 			if lo != nil && bytes.Compare(k, lo) < 0 {
 				return fmt.Errorf("node %d key below separator bound", n.id)
 			}
@@ -536,10 +569,10 @@ func (t *Tree) Validate() error {
 		for i, kid := range n.kids {
 			klo, khi := lo, hi
 			if i > 0 {
-				klo = n.keys[i-1]
+				klo = t.key(n.keys[i-1])
 			}
 			if i < len(n.keys) {
-				khi = n.keys[i]
+				khi = t.key(n.keys[i])
 			}
 			if err := walk(kid, depth+1, klo, khi); err != nil {
 				return err

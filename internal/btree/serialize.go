@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"bionicdb/internal/storage"
@@ -22,19 +23,31 @@ import (
 // nodeHeader is the size of an image's kind byte and key count.
 const nodeHeader = 3
 
-// imageSize returns the exact size of n's checkpoint image.
-func imageSize(n *node) int {
+// maxImage is the largest image a key reference can reach every offset of.
+const maxImage uint64 = math.MaxUint32
+
+// imageSize returns the exact size of n's checkpoint image. A value longer
+// than its u16 length field can hold, or an image past maxImage, is an error
+// naming the page (a stored key never is: cloneKey refuses one).
+func (t *Tree) imageSize(n *node) (int, error) {
 	size := nodeHeader
-	for i, k := range n.keys {
-		size += 2 + len(k)
+	for i, r := range n.keys {
+		size += 2 + len(t.key(r))
 		if n.leaf {
-			size += 2 + len(n.vals[i])
+			v := len(n.vals[i])
+			if v > math.MaxUint16 {
+				return 0, corrupt(n.id, "value %d is %d bytes, over the image format's %d-byte field limit", i, v, math.MaxUint16)
+			}
+			size += 2 + v
 		}
 	}
 	if !n.leaf {
 		size += 8 * len(n.kids)
 	}
-	return size
+	if uint64(size) > maxImage {
+		return 0, corrupt(n.id, "a %d-byte image is over the %d-byte limit", size, maxImage)
+	}
+	return size, nil
 }
 
 func appendBytes16(dst, b []byte) []byte {
@@ -43,17 +56,21 @@ func appendBytes16(dst, b []byte) []byte {
 }
 
 // serializeNode returns n's checkpoint image in one buffer of exactly its
-// size, which the caller may keep.
-func serializeNode(n *node) []byte {
-	out := make([]byte, 0, imageSize(n))
+// size, which the caller may keep, or imageSize's error.
+func (t *Tree) serializeNode(n *node) ([]byte, error) {
+	size, err := t.imageSize(n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, size)
 	kind := byte(0)
 	if n.leaf {
 		kind = 1
 	}
 	out = append(out, kind)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(n.keys)))
-	for i, k := range n.keys {
-		out = appendBytes16(out, k)
+	for i, r := range n.keys {
+		out = appendBytes16(out, t.key(r))
 		if n.leaf {
 			out = appendBytes16(out, n.vals[i])
 		}
@@ -63,24 +80,35 @@ func serializeNode(n *node) []byte {
 			out = binary.LittleEndian.AppendUint64(out, uint64(kid.id))
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Checkpoint walks the tree and hands every node's page id and serialized
 // image to write, root first. Each image is a fresh buffer of exact size
 // that write may keep. Together with the root id (RootID) the images fully
 // reconstruct the tree via Load.
-func (t *Tree) Checkpoint(write func(id storage.PageID, image []byte)) {
-	var walk func(n *node)
-	walk = func(n *node) {
-		write(n.id, serializeNode(n))
+//
+// A node the image format cannot hold (a value over 65 535 bytes) stops the
+// walk with an error naming its page; write has then seen only the pages
+// before it, and the checkpoint is incomplete.
+func (t *Tree) Checkpoint(write func(id storage.PageID, image []byte)) error {
+	var walk func(n *node) error
+	walk = func(n *node) error {
+		img, err := t.serializeNode(n)
+		if err != nil {
+			return err
+		}
+		write(n.id, img)
 		if !n.leaf {
 			for _, kid := range n.kids {
-				walk(kid)
+				if err := walk(kid); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	}
-	walk(t.root)
+	return walk(t.root)
 }
 
 // Load reconstructs a tree from checkpoint images. read must return the
@@ -88,11 +116,12 @@ func (t *Tree) Checkpoint(write func(id storage.PageID, image []byte)) {
 // cfg for future allocations; its id counter resumes above the largest
 // loaded id.
 //
-// The tree copies nothing out of the images: every key and value it restores
-// is a view into its page's image, clipped so its capacity is its length
-// (appending to one reallocates instead of writing into the image). The
-// images must therefore never be written again; stored keys and rows are
-// immutable, so the tree itself never does.
+// The tree copies nothing out of the images: each image joins the tree's
+// chunk table, every key it restores is a reference to its length prefix in
+// the image, and every value is a view into the image, clipped so its
+// capacity is its length (appending to one reallocates instead of writing
+// into the image). The images must therefore never be written again; stored
+// keys and rows are immutable, so the tree itself never does.
 //
 // A corrupt image is an error naming its page, never a panic: a truncated
 // image, an unknown kind byte, a length or the child-id array running past
@@ -123,7 +152,8 @@ type loader struct {
 	prev  *node // the last leaf built, in key order
 }
 
-// corrupt returns the error for a malformed image of page id.
+// corrupt returns the error naming checkpoint page id: a malformed image at
+// Load, or a node Checkpoint cannot write.
 func corrupt(id storage.PageID, format string, args ...any) error {
 	return fmt.Errorf("btree: checkpoint page %d: %s", id, fmt.Sprintf(format, args...))
 }
@@ -154,6 +184,9 @@ func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, erro
 	if len(img) < nodeHeader {
 		return nil, corrupt(id, "%d-byte image is shorter than its header", len(img))
 	}
+	if uint64(len(img)) > maxImage {
+		return nil, corrupt(id, "a %d-byte image is over the %d-byte limit", len(img), maxImage)
+	}
 	if img[0] > 1 {
 		return nil, corrupt(id, "kind byte %d", img[0])
 	}
@@ -168,14 +201,17 @@ func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, erro
 	if id > l.maxID {
 		l.maxID = id
 	}
-	n := &node{id: id, addr: t.addrOf(id), leaf: leaf, keys: make([][]byte, nkeys)}
+	n := &node{id: id, addr: t.addrOf(id), leaf: leaf, keys: make([]keyRef, nkeys)}
 	if leaf {
 		n.vals = make([][]byte, nkeys)
 	}
+	chunk := uint32(len(t.chunks))
+	t.chunks = append(t.chunks, img)
 	off := nodeHeader
 	var ok bool
 	for i := range n.keys {
-		if n.keys[i], off, ok = view16(img, off); !ok {
+		n.keys[i] = keyRef{chunk: chunk, off: uint32(off)}
+		if _, off, ok = view16(img, off); !ok {
 			return nil, corrupt(id, "key %d overruns the %d-byte image", i, len(img))
 		}
 		if leaf {
@@ -184,7 +220,7 @@ func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, erro
 			}
 		}
 	}
-	if err := checkOrder(id, n.keys, lo, hi); err != nil {
+	if err := t.checkOrder(id, n.keys, lo, hi); err != nil {
 		return nil, err
 	}
 	if leaf {
@@ -215,10 +251,10 @@ func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, erro
 		}
 		klo, khi := lo, hi
 		if i > 0 {
-			klo = n.keys[i-1]
+			klo = t.key(n.keys[i-1])
 		}
 		if i < nkeys {
-			khi = n.keys[i]
+			khi = t.key(n.keys[i])
 		}
 		kid, err := l.build(kidID, depth+1, klo, khi)
 		if err != nil {
@@ -232,19 +268,19 @@ func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, erro
 
 // checkOrder reports keys that are not strictly ascending or fall outside
 // [lo, hi) (nil for no bound), the order Validate requires.
-func checkOrder(id storage.PageID, keys [][]byte, lo, hi []byte) error {
+func (t *Tree) checkOrder(id storage.PageID, keys []keyRef, lo, hi []byte) error {
 	for i := 1; i < len(keys); i++ {
-		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+		if bytes.Compare(t.key(keys[i-1]), t.key(keys[i])) >= 0 {
 			return corrupt(id, "keys out of order at %d", i)
 		}
 	}
 	if len(keys) == 0 {
 		return nil
 	}
-	if lo != nil && bytes.Compare(keys[0], lo) < 0 {
+	if lo != nil && bytes.Compare(t.key(keys[0]), lo) < 0 {
 		return corrupt(id, "key below its separator bound")
 	}
-	if hi != nil && bytes.Compare(keys[len(keys)-1], hi) >= 0 {
+	if hi != nil && bytes.Compare(t.key(keys[len(keys)-1]), hi) >= 0 {
 		return corrupt(id, "key above its separator bound")
 	}
 	return nil

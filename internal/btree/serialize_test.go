@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -14,7 +16,9 @@ import (
 // images checkpoints tr into a page map, keeping each image as handed out.
 func images(tr *Tree) map[storage.PageID][]byte {
 	out := map[storage.PageID][]byte{}
-	tr.Checkpoint(func(id storage.PageID, img []byte) { out[id] = img })
+	if err := tr.Checkpoint(func(id storage.PageID, img []byte) { out[id] = img }); err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -42,13 +46,14 @@ func TestCheckpointImagesHaveExactSize(t *testing.T) {
 	var n *node
 	for n = tr.root; !n.leaf; n = n.kids[0] {
 	}
-	if got := testing.AllocsPerRun(100, func() { serializeNode(n) }); got != 1 {
+	if got := testing.AllocsPerRun(100, func() { tr.serializeNode(n) }); got != 1 {
 		t.Errorf("serializing a leaf allocates %.0f times, want 1", got)
 	}
 }
 
-// TestLoadAliasesImages: a loaded tree's keys and values are views into the
-// images, clipped so that appending to one reallocates and leaves the image
+// TestLoadAliasesImages: a loaded tree's key references point into the
+// images and its values are views of them, the keys it hands out are clipped
+// like the values so that appending to one reallocates and leaves the image
 // alone, and a load allocates per node, not per key.
 func TestLoadAliasesImages(t *testing.T) {
 	tr := sized(16)
@@ -84,14 +89,15 @@ func TestLoadAliasesImages(t *testing.T) {
 		}
 	}
 	// Per node: the node, its key slice and its value or child slice; per
-	// load: the tree, its discarded empty root and the descent path.
+	// load: the tree, its discarded empty root, the descent path and the
+	// chunk table's doublings.
 	pages := len(imgs)
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Load(Config{Order: 16}, tr.RootID(), read); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(3*pages + 8); allocs > limit {
+	if limit := float64(3*pages + 9 + bits.Len(uint(pages))); allocs > limit {
 		t.Errorf("Load of %d pages (500 keys) allocates %.0f times, want <= %.0f", pages, allocs, limit)
 	}
 	// The loaded tree stays fully functional.
@@ -109,8 +115,10 @@ func TestLoadAliasesImages(t *testing.T) {
 			t.Fatalf("page %d image changed after inserts and deletes on the loaded tree", id)
 		}
 	}
-	// Views, not copies: overwriting a private set of images shows through
-	// every key and value loaded from them.
+	// Views, not copies: every node's key references resolve through its
+	// own image, and overwriting the key and value bytes of a private set
+	// of leaf images (their length prefixes kept) shows through every key
+	// and value loaded from them.
 	scratch := map[storage.PageID][]byte{}
 	for id, img := range orig {
 		scratch[id] = append([]byte(nil), img...)
@@ -119,9 +127,28 @@ func TestLoadAliasesImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		for i, r := range n.keys {
+			if c := viewed.chunks[r.chunk]; &c[0] != &scratch[n.id][0] {
+				t.Fatalf("page %d key %d refers outside the page's image", n.id, i)
+			}
+		}
+		for _, kid := range n.kids {
+			walk(kid)
+		}
+	}
+	walk(viewed.root)
 	for _, img := range scratch {
-		for i := range img {
-			img[i] = 0xDB
+		if img[0] != 1 {
+			continue // inner separators stay: the scan descends by them
+		}
+		for i, off := 0, nodeHeader; i < 2*int(binary.LittleEndian.Uint16(img[1:])); i++ {
+			field, next, _ := view16(img, off)
+			for j := range field {
+				field[j] = 0xDB
+			}
+			off = next
 		}
 	}
 	viewed.Scan(nil, nil, nil, func(k, v []byte) bool {
@@ -161,6 +188,10 @@ func TestLoadRejectsCorruptImages(t *testing.T) {
 		fn(out)
 		return out
 	}
+	underfull, err := tr.serializeNode(&node{leaf: true, keys: []keyRef{tr.cloneKey(key(0))}, vals: [][]byte{val(0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name  string
 		page  storage.PageID
@@ -182,7 +213,7 @@ func TestLoadRejectsCorruptImages(t *testing.T) {
 		{"two children share a page", inner, setKid(base[inner], 1, leaf), leaf},
 		{"keys out of order", leaf, edit(base[leaf], func(b []byte) { b[3+2+7] = 0xFF }), 0},
 		{"a leaf above its level", root, setKid(rootImg, nkeys, lastLeaf), lastLeaf},
-		{"an underfull node", leaf, serializeNode(&node{leaf: true, keys: [][]byte{key(0)}, vals: [][]byte{val(0)}}), 0},
+		{"an underfull node", leaf, underfull, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			imgs := map[storage.PageID][]byte{}
@@ -271,4 +302,43 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("a loaded tree broke under inserts and deletes: %v", err)
 		}
 	})
+}
+
+// TestCheckpointRefusesOverlongValues: a value of 65 535 bytes, the most an
+// image's u16 length field holds, round-trips through Checkpoint and Load,
+// and one byte more is an error at Checkpoint naming the value's page and
+// length, not an image that Load later finds out of order.
+func TestCheckpointRefusesOverlongValues(t *testing.T) {
+	for _, size := range []int{math.MaxUint16, math.MaxUint16 + 1} {
+		tr := small()
+		for i := 0; i < 10; i++ {
+			tr.Put(key(i), val(i), nil)
+		}
+		long := bytes.Repeat([]byte{0xAB}, size)
+		var trace Trace
+		tr.Put(key(5), long, &trace)
+		page := trace.Visits[len(trace.Visits)-1].ID
+		imgs := map[storage.PageID][]byte{}
+		err := tr.Checkpoint(func(id storage.PageID, img []byte) { imgs[id] = img })
+		if size > math.MaxUint16 {
+			if err == nil {
+				t.Fatalf("checkpointed a %d-byte value", size)
+			}
+			t.Log(err)
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("page %d:", page)) || !strings.Contains(msg, fmt.Sprint(size)) {
+				t.Errorf("error %q names neither page %d nor the %d-byte length", err, page, size)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(Config{Order: 4}, tr.RootID(), func(id storage.PageID) []byte { return imgs[id] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := loaded.Get(key(5), nil); !ok || !bytes.Equal(v, long) {
+			t.Fatalf("the %d-byte value did not survive Checkpoint and Load", size)
+		}
+	}
 }

@@ -443,7 +443,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	var meta CheckpointMeta
 	env.Spawn("driver", func(p *sim.Proc) {
 		// Sharp checkpoint of the populated state.
-		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+		meta = checkpointed(t, p, e)
 		// Post-checkpoint transactions: updates, an insert, a delete, and
 		// one abort that must NOT survive recovery.
 		term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}

@@ -43,7 +43,7 @@ func TestFailoverCrashRecovery(t *testing.T) {
 				var meta CheckpointMeta
 				ckDone := false
 				env.Spawn("checkpointer", func(p *sim.Proc) {
-					meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+					meta = checkpointed(t, p, e)
 					ckDone = true
 				})
 				for !ckDone {
@@ -168,7 +168,7 @@ func TestFailoverServesWrites(t *testing.T) {
 	e.Load(1, k, []byte("before"))
 	var meta CheckpointMeta
 	env.Spawn("driver", func(p *sim.Proc) {
-		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+		meta = checkpointed(t, p, e)
 		term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 		if !e.Submit(term, func(tx Tx) bool {
 			return tx.Phase(Action{Table: 1, Key: k, Body: func(c AccessCtx) bool {

@@ -34,8 +34,10 @@ func (m CheckpointMeta) startLSN(shard int) wal.LSN {
 // recovery at every log shard's current durable point. The engine must be
 // quiesced (no active transactions): bionicdb checkpoints are sharp, not
 // fuzzy. Each page is serialized once, into an exact-size buffer that dm
-// keeps as the durable image.
-func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
+// keeps as the durable image. A row the image format cannot hold (a value
+// over 65 535 bytes) is an error naming its table and page, and no
+// checkpoint is taken.
+func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) (CheckpointMeta, error) {
 	meta := CheckpointMeta{Roots: make(map[uint16]storage.PageID)}
 	// A sharp checkpoint streams: pages are written sequentially, so the
 	// device is charged one bulk transfer per table, not one seek per page.
@@ -43,21 +45,28 @@ func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskMana
 		tree := tables[id]
 		meta.Roots[id] = tree.RootID()
 		written := 0
-		tree.Checkpoint(func(pid storage.PageID, img []byte) {
+		if err := tree.Checkpoint(func(pid storage.PageID, img []byte) {
 			dm.Store(pid, img)
 			written += dm.SpanBytes(len(img))
-		})
+		}); err != nil {
+			return CheckpointMeta{}, fmt.Errorf("checkpoint of table %d: %w", id, err)
+		}
 		dm.Device().Transfer(p, written)
 	}
 	meta.StartLSNs = ls.StartLSNs()
-	return meta
+	return meta, nil
 }
 
 // CheckpointAllSets is Checkpoint over the one-element slice
 // DORAEngine.TableSets returns (the form the benchmark's crash harness
-// calls).
+// calls). It has no error to return, so it panics where Checkpoint returns
+// one; the harness's rows all fit the image format.
 func CheckpointAllSets(p *sim.Proc, sets []map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) CheckpointMeta {
-	return Checkpoint(p, sets[0], dm, ls)
+	meta, err := Checkpoint(p, sets[0], dm, ls)
+	if err != nil {
+		panic(err)
+	}
+	return meta
 }
 
 // scanCommits collects every commit record in one shard's log after start:

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"bionicdb/internal/btree"
@@ -20,6 +21,16 @@ func boot(t *testing.T, e Engine, meta CheckpointMeta, logs [][]byte) map[uint16
 		t.Fatal(err)
 	}
 	return trees
+}
+
+// checkpointed is Checkpoint of e from process p, for tests whose rows all
+// fit the image format.
+func checkpointed(t *testing.T, p *sim.Proc, e Engine) CheckpointMeta {
+	meta, err := Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+	if err != nil {
+		t.Error(err)
+	}
+	return meta
 }
 
 // TestRecoveryAcrossEngines checkpoints, mutates, crashes and recovers each
@@ -47,7 +58,7 @@ func TestRecoveryAcrossEngines(t *testing.T) {
 			}
 			var meta CheckpointMeta
 			env.Spawn("driver", func(p *sim.Proc) {
-				meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+				meta = checkpointed(t, p, e)
 				term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 				r := sim.NewRand(uint64(len(name)))
 				for i := 0; i < 80; i++ {
@@ -132,7 +143,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 				}
 				var meta CheckpointMeta
 				env.Spawn("driver", func(p *sim.Proc) {
-					meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+					meta = checkpointed(t, p, e)
 					term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 					r := sim.NewRand(uint64(7 + sockets))
 					for i := 0; i < 150; i++ {
@@ -233,7 +244,7 @@ func TestCrossShardTornVector(t *testing.T) {
 	e.Load(1, k1, []byte("before-1"))
 	var meta CheckpointMeta
 	env.Spawn("driver", func(p *sim.Proc) {
-		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+		meta = checkpointed(t, p, e)
 		term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 		ok := e.Submit(term, func(tx Tx) bool {
 			return tx.Phase(
@@ -286,7 +297,7 @@ func TestRecoveryIgnoresUncommittedTail(t *testing.T) {
 	}
 	var meta CheckpointMeta
 	env.Spawn("driver", func(p *sim.Proc) {
-		meta = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+		meta = checkpointed(t, p, e)
 		term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
 		k := storage.Uint64Key(5)
 		e.Submit(term, func(tx Tx) bool {
@@ -309,5 +320,45 @@ func TestRecoveryIgnoresUncommittedTail(t *testing.T) {
 	}
 	if trees[1].Size() != 100 {
 		t.Errorf("size=%d", trees[1].Size())
+	}
+}
+
+// TestCheckpointRefusesOverlongRows: a 65 535-byte row, the most a
+// checkpoint image's u16 field holds, comes back from a boot, and a row one
+// byte longer makes Checkpoint return an error naming its table, page and
+// length instead of writing an image recovery would reject.
+func TestCheckpointRefusesOverlongRows(t *testing.T) {
+	for _, size := range []int{65535, 65536} {
+		env := sim.NewEnv()
+		e := NewConventional(env, platform.HC2(), kvTables())
+		for i := 0; i < 100; i++ {
+			e.Load(1, storage.Uint64Key(uint64(i)), []byte("base"))
+		}
+		long := bytes.Repeat([]byte{0xAB}, size)
+		k := storage.Uint64Key(7)
+		e.Load(1, k, long)
+		var meta CheckpointMeta
+		var err error
+		env.Spawn("driver", func(p *sim.Proc) {
+			meta, err = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+			e.Close()
+		})
+		if runErr := env.Run(); runErr != nil {
+			t.Fatal(runErr)
+		}
+		if size > 65535 {
+			if err == nil || !strings.Contains(err.Error(), "table 1") || !strings.Contains(err.Error(), "page ") ||
+				!strings.Contains(err.Error(), "65536 bytes") {
+				t.Errorf("Checkpoint with a %d-byte row: error %v, want one naming table 1, its page and the length", size, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees := boot(t, e, meta, e.LogSet().Datas())
+		if v, ok := trees[1].Get(k, nil); !ok || !bytes.Equal(v, long) {
+			t.Errorf("the %d-byte row did not come back from the checkpoint", size)
+		}
 	}
 }

@@ -211,8 +211,9 @@ func (r *rowStore) chargeVisits(task *platform.Task, tr *btree.Trace, write bool
 		if r.latches != nil {
 			latch = r.latches[uint64(v.ID)%uint64(len(r.latches))]
 			task.Exec(stats.CompBtree, 60) // latch acquire/release pair
-			task.Flush()
-			latch.Acquire(task.P)
+			sc := task.Script()
+			sc.Acquire(latch)
+			sc.Run()
 		}
 		r.pool.Fix(task, v.ID)
 		task.Access(stats.CompBtree, v.Addr, 64)

@@ -49,11 +49,13 @@ func (s *Session) Split() *sim.Rand { return s.root.Split() }
 // event lands inside one (RunUntil never advances the clock past the last
 // executed event) and reset once progress resumes. Only idle daemons share
 // the clock with the checkpointer, so overshooting its completion is free.
+// A row the image format cannot hold is Checkpoint's error.
 func (s *Session) Checkpoint() (CheckpointMeta, error) {
 	var meta CheckpointMeta
+	var cpErr error
 	done := false
 	s.Env.Spawn("checkpointer", func(p *sim.Proc) {
-		meta = Checkpoint(p, s.Eng.Tables(), s.Eng.DiskManager(), s.Eng.LogSet())
+		meta, cpErr = Checkpoint(p, s.Eng.Tables(), s.Eng.DiskManager(), s.Eng.LogSet())
 		done = true
 	})
 	step := sim.Time(sim.Millisecond)
@@ -68,7 +70,7 @@ func (s *Session) Checkpoint() (CheckpointMeta, error) {
 			step = sim.Time(sim.Millisecond)
 		}
 	}
-	return meta, nil
+	return meta, cpErr
 }
 
 // Window is a measurement interval and the Result its terminals record

@@ -82,7 +82,7 @@ type Store struct {
 
 	nextPage  storage.PageID
 	evicted   map[storage.PageID]bool
-	leafTouch map[storage.PageID]sim.Time // leaves only, last probe time
+	leafTouch map[storage.PageID]sim.Time // leaves only, last probe time; kept only when CapacityRows > 0
 	rows      int
 
 	faults    int64
@@ -181,7 +181,9 @@ func (s *Store) Get(t *platform.Task, tableID uint16, key []byte) (val []byte, o
 	for attempt := 0; ; attempt++ {
 		res := s.probe.Probe(t, tbl.Tree, key)
 		if !res.Aborted {
-			s.touch(tbl.Tree, key)
+			if s.cfg.CapacityRows > 0 {
+				s.touch(tbl.Tree, key)
+			}
 			return res.Val, res.Found
 		}
 		s.fault(t, tbl.Tree, key)
@@ -244,7 +246,7 @@ func (s *Store) ScanRange(t *platform.Task, tableID uint16, from, to []byte, fn 
 	})
 	for _, v := range tr.Visits {
 		s.pl.SGDRAM.AddTransfer(sc, v.Bytes)
-		if v.Leaf {
+		if v.Leaf && s.cfg.CapacityRows > 0 {
 			// A recency stamp carries the instant the leaf was read, and
 			// eviction reads it from other processes: the script ends here.
 			sc.Run()
@@ -291,9 +293,11 @@ func (s *Store) chargeWrite(t *platform.Task, tbl *Table, tr *btree.Trace, valBy
 		s.pl.SGDRAM.AddTransfer(sc, s.pl.Cfg.PageSize*tr.Splits)
 		sc.Run()
 	}
-	for _, v := range tr.Visits {
-		if v.Leaf {
-			s.leafTouch[v.ID] = t.P.Now()
+	if s.cfg.CapacityRows > 0 {
+		for _, v := range tr.Visits {
+			if v.Leaf {
+				s.leafTouch[v.ID] = t.P.Now()
+			}
 		}
 	}
 	// The hardware's half of the write, off the critical path, on a pooled
@@ -429,6 +433,7 @@ func (s *Store) mergeOnce(p *sim.Proc) {
 			break
 		}
 		keys := smallestDirty(tbl.dirty, budget, s.mergeKeys[:0])
+		drained := len(keys) == len(tbl.dirty)
 		for i := range keys {
 			s.mergeKey = append(s.mergeKey[:0], keys[i].Bytes()...)
 			val, ok := tbl.Tree.Get(s.mergeKey, nil)
@@ -436,8 +441,15 @@ func (s *Store) mergeOnce(p *sim.Proc) {
 				tbl.MergeFn(s.mergeKey, val)
 			}
 			totalBytes += len(s.mergeKey) + len(val)
-			delete(tbl.dirty, keys[i])
+			if !drained {
+				delete(tbl.dirty, keys[i])
+			}
 			s.merged++
+		}
+		if drained {
+			// Deleting every key one by one leaves tombstones the map regrows
+			// over; a pass that takes them all clears it instead.
+			clear(tbl.dirty)
 		}
 		budget -= len(keys)
 		clear(keys) // the keys are merged: do not pin them until the next pass

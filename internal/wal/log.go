@@ -201,9 +201,11 @@ func (m *Manager) Append(t *platform.Task, rec *Record) LSN {
 	size := rec.EncodedSize()
 	t.Exec(stats.CompLog, m.cfg.InsertBaseInstr+int(float64(size)*m.cfg.CopyInstrPerByte))
 	// The central buffer insert holds the latch for the copy; this is the
-	// serialization point the paper's hardware log engine removes.
-	t.Flush()
-	m.latch.Acquire(t.P)
+	// serialization point the paper's hardware log engine removes. The
+	// pending core time and the latch cost one park together.
+	sc := t.Script()
+	sc.Acquire(m.latch)
+	sc.Run()
 	lsn := m.base + LSN(len(m.buf))
 	rec.LSN = lsn
 	m.buf = rec.Encode(m.buf)
