@@ -123,7 +123,8 @@ type Tree struct {
 	size   int
 	nextID storage.PageID
 	// chunks is what keyRefs resolve through: every slab chunk cloneKey
-	// carves and, in a tree Load built, every page image its keys alias.
+	// has carved since the tree was made, loaded or last checkpointed, and
+	// every page image Load or Checkpoint bound its keys into.
 	chunks [][]byte
 	slab   []byte // the chunk cloneKey is filling; len is the used part
 }
@@ -142,9 +143,9 @@ func (t *Tree) key(r keyRef) []byte {
 }
 
 // cloneKey copies key into the tree's key slab, behind its u16 length, and
-// returns its ref. A chunk is never reused: the chunk table keeps it for as
-// long as the tree lives, and keys are immutable. A key longer than
-// maxKeyLen panics: Put has no error to return.
+// returns its ref. A chunk is never reused: the chunk table keeps it until a
+// Checkpoint binds every key into the images, and keys are immutable. A key
+// longer than maxKeyLen panics: Put has no error to return.
 func (t *Tree) cloneKey(key []byte) keyRef {
 	if len(key) > maxKeyLen {
 		panic(fmt.Sprintf("btree: a %d-byte key exceeds the %d-byte limit on a stored key", len(key), maxKeyLen))
@@ -511,16 +512,24 @@ func (t *Tree) Min(tr *Trace) (key, val []byte, ok bool) {
 // page id and whether it is a leaf. Engines use it to prewarm page caches
 // after population.
 func (t *Tree) Pages(fn func(id storage.PageID, leaf bool)) {
-	var walk func(n *node)
-	walk = func(n *node) {
+	preorder(t.root, func(n *node) bool {
 		fn(n.id, n.leaf)
-		if !n.leaf {
-			for _, kid := range n.kids {
-				walk(kid)
-			}
+		return true
+	})
+}
+
+// preorder calls fn on n and then on each subtree under it in key order,
+// until fn returns false, and reports whether it never did.
+func preorder(n *node, fn func(*node) bool) bool {
+	if !fn(n) {
+		return false
+	}
+	for _, kid := range n.kids {
+		if !preorder(kid, fn) {
+			return false
 		}
 	}
-	walk(t.root)
+	return true
 }
 
 // Validate checks every structural invariant and returns the first

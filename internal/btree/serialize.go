@@ -55,13 +55,35 @@ func appendBytes16(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// serializeNode returns n's checkpoint image in one buffer of exactly its
-// size, which the caller may keep, or imageSize's error.
-func (t *Tree) serializeNode(n *node) ([]byte, error) {
-	size, err := t.imageSize(n)
-	if err != nil {
-		return nil, err
-	}
+// imageSizes returns the size of every node's image in Checkpoint's order,
+// root first, or the error naming the first node the format cannot hold.
+func (t *Tree) imageSizes() ([]int, error) {
+	var sizes []int
+	var err error
+	preorder(t.root, func(n *node) bool {
+		var size int
+		size, err = t.imageSize(n)
+		sizes = append(sizes, size)
+		return err == nil
+	})
+	return sizes, err
+}
+
+// CheckImages returns the error Checkpoint would return, and neither writes
+// nor changes anything: the first node, root first, whose image the format
+// cannot hold. A caller that checkpoints several trees as one checks every
+// tree before it checkpoints any.
+func (t *Tree) CheckImages() error {
+	_, err := t.imageSizes()
+	return err
+}
+
+// serializeNode writes n's checkpoint image into one buffer of exactly size
+// bytes (imageSize's) and binds n to it, as chunk number chunk of the chunk
+// table Checkpoint is building: each entry is bound as soon as it is
+// written, while its offset is known. The buffer never grows, so the views
+// stay in the image that is returned.
+func (t *Tree) serializeNode(n *node, size int, chunk uint32) []byte {
 	out := make([]byte, 0, size)
 	kind := byte(0)
 	if n.leaf {
@@ -70,45 +92,51 @@ func (t *Tree) serializeNode(n *node) ([]byte, error) {
 	out = append(out, kind)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(n.keys)))
 	for i, r := range n.keys {
+		off := len(out)
 		out = appendBytes16(out, t.key(r))
 		if n.leaf {
 			out = appendBytes16(out, n.vals[i])
 		}
+		_, _ = bind(n, i, chunk, out, off) // just written: it cannot overrun out
 	}
 	if !n.leaf {
 		for _, kid := range n.kids {
 			out = binary.LittleEndian.AppendUint64(out, uint64(kid.id))
 		}
 	}
-	return out, nil
+	return out
 }
 
-// Checkpoint walks the tree and hands every node's page id and serialized
-// image to write, root first. Each image is a fresh buffer of exact size
-// that write may keep. Together with the root id (RootID) the images fully
-// reconstruct the tree via Load.
+// Checkpoint hands every node's page id and checkpoint image to write, root
+// first, and adopts the images as the tree's storage. Together with the root
+// id (RootID) the images fully reconstruct the tree via Load.
 //
-// A node the image format cannot hold (a value over 65 535 bytes) stops the
-// walk with an error naming its page; write has then seen only the pages
-// before it, and the checkpoint is incomplete.
+// Each image is a fresh buffer of exact size that write may keep. The tree
+// keeps it too: every key reference and leaf value of a node becomes a view
+// of that node's image, as Load makes them, the chunk table becomes exactly
+// the images, and the key slab restarts empty, so the tree no longer holds
+// the rows and key chunks it held before. Neither the tree nor write may
+// ever write to an image: stored keys and rows are immutable, and Put
+// replaces a value instead of writing into it. write must not use the tree,
+// which is half adopted until Checkpoint returns.
+//
+// Every node is sized before the first is written. A node the image format
+// cannot hold (a value over 65 535 bytes) is an error naming its page, and
+// then write has seen nothing and the tree is unchanged.
 func (t *Tree) Checkpoint(write func(id storage.PageID, image []byte)) error {
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		img, err := t.serializeNode(n)
-		if err != nil {
-			return err
-		}
-		write(n.id, img)
-		if !n.leaf {
-			for _, kid := range n.kids {
-				if err := walk(kid); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	sizes, err := t.imageSizes()
+	if err != nil {
+		return err
 	}
-	return walk(t.root)
+	chunks := make([][]byte, 0, len(sizes))
+	preorder(t.root, func(n *node) bool {
+		img := t.serializeNode(n, sizes[len(chunks)], uint32(len(chunks)))
+		chunks = append(chunks, img)
+		write(n.id, img)
+		return true
+	})
+	t.chunks, t.slab = chunks, nil
+	return nil
 }
 
 // Load reconstructs a tree from checkpoint images. read must return the
@@ -173,6 +201,27 @@ func view16(img []byte, off int) (field []byte, next int, ok bool) {
 	return img[off : off+n : off+n], off + n, true
 }
 
+// bind points entry i of n into img, chunk number chunk of the tree's chunk
+// table, where the entry's fields start at off: its key reference at the
+// key's length prefix and, in a leaf, its value as a view of the value field
+// clipped so that its capacity is its length. It returns the offset past the
+// entry, or an error naming the field that runs past the image. Load binds
+// the entries of the images it reads, and serializeNode those of the images
+// it writes, so a loaded tree and a checkpointed one hold the same views.
+func bind(n *node, i int, chunk uint32, img []byte, off int) (int, error) {
+	n.keys[i] = keyRef{chunk: chunk, off: uint32(off)}
+	_, off, ok := view16(img, off)
+	if !ok {
+		return 0, corrupt(n.id, "key %d overruns the %d-byte image", i, len(img))
+	}
+	if n.leaf {
+		if n.vals[i], off, ok = view16(img, off); !ok {
+			return 0, corrupt(n.id, "value %d overruns the %d-byte image", i, len(img))
+		}
+	}
+	return off, nil
+}
+
 // build decodes page id at depth (0 for the root), whose keys must lie in
 // [lo, hi) (nil for no bound), and the subtree under it.
 func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, error) {
@@ -208,16 +257,10 @@ func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, erro
 	chunk := uint32(len(t.chunks))
 	t.chunks = append(t.chunks, img)
 	off := nodeHeader
-	var ok bool
+	var err error
 	for i := range n.keys {
-		n.keys[i] = keyRef{chunk: chunk, off: uint32(off)}
-		if _, off, ok = view16(img, off); !ok {
-			return nil, corrupt(id, "key %d overruns the %d-byte image", i, len(img))
-		}
-		if leaf {
-			if n.vals[i], off, ok = view16(img, off); !ok {
-				return nil, corrupt(id, "value %d overruns the %d-byte image", i, len(img))
-			}
+		if off, err = bind(n, i, chunk, img, off); err != nil {
+			return nil, err
 		}
 	}
 	if err := t.checkOrder(id, n.keys, lo, hi); err != nil {

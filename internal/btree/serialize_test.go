@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -35,7 +36,8 @@ func threeLevels(t testing.TB) (*Tree, map[storage.PageID][]byte) {
 }
 
 // TestCheckpointImagesHaveExactSize: each image is serialized into one
-// buffer of exactly its size, which the disk manager keeps as is.
+// buffer of exactly its size, which the disk manager keeps as is, and a
+// checkpoint allocates per page, not per key.
 func TestCheckpointImagesHaveExactSize(t *testing.T) {
 	tr, imgs := threeLevels(t)
 	for id, img := range imgs {
@@ -43,11 +45,16 @@ func TestCheckpointImagesHaveExactSize(t *testing.T) {
 			t.Errorf("page %d image has len %d, cap %d", id, len(img), cap(img))
 		}
 	}
-	var n *node
-	for n = tr.root; !n.leaf; n = n.kids[0] {
-	}
-	if got := testing.AllocsPerRun(100, func() { tr.serializeNode(n) }); got != 1 {
-		t.Errorf("serializing a leaf allocates %.0f times, want 1", got)
+	// Per page: its image; per checkpoint: the chunk table and the size
+	// list's doublings.
+	pages := len(imgs)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := tr.Checkpoint(func(storage.PageID, []byte) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(pages + 4 + bits.Len(uint(pages))); allocs > limit {
+		t.Errorf("a checkpoint of %d pages allocates %.0f times, want <= %.0f", pages, allocs, limit)
 	}
 }
 
@@ -159,6 +166,109 @@ func TestLoadAliasesImages(t *testing.T) {
 	})
 }
 
+// TestCheckpointAdoptsImages: after a checkpoint every key reference and
+// leaf value of a node is a view of the image written for that node, the
+// chunk table is exactly those images (no slab chunk is left), and the keys
+// and values handed out have no spare capacity. Replaces, inserts that split
+// and deletes that borrow and merge then leave the tree valid, its content
+// that of a twin that never checkpointed, and every image as it was written.
+func TestCheckpointAdoptsImages(t *testing.T) {
+	tr, twin := sized(16), sized(16)
+	for i := 0; i < 500; i++ {
+		tr.Put(key(i), val(i), nil)
+		twin.Put(key(i), val(i), nil)
+	}
+	imgs := images(tr)
+	sums := map[storage.PageID][sha256.Size]byte{}
+	for id, img := range imgs {
+		sums[id] = sha256.Sum256(img)
+	}
+	if cap(tr.slab) != 0 {
+		t.Errorf("the key slab kept a %d-byte chunk", cap(tr.slab))
+	}
+	if len(tr.chunks) != len(imgs) {
+		t.Fatalf("%d chunks for %d images", len(tr.chunks), len(imgs))
+	}
+	chunk := 0
+	preorder(tr.root, func(n *node) bool {
+		img := imgs[n.id]
+		if c := tr.chunks[chunk]; &c[0] != &img[0] || len(c) != len(img) {
+			t.Fatalf("chunk %d is not page %d's image", chunk, n.id)
+		}
+		chunk++
+		off := nodeHeader
+		for i, r := range n.keys {
+			if c := tr.chunks[r.chunk]; &c[0] != &img[0] || int(r.off) != off {
+				t.Fatalf("page %d key %d does not refer to its field in the page's image", n.id, i)
+			}
+			_, off, _ = view16(img, off)
+			if !n.leaf {
+				continue
+			}
+			field, next, _ := view16(img, off)
+			off = next
+			if v := n.vals[i]; &v[0] != &field[0] || len(v) != len(field) || cap(v) != len(v) {
+				t.Fatalf("page %d value %d is not a clipped view of its field in the page's image", n.id, i)
+			}
+		}
+		return true
+	})
+	tr.Scan(nil, nil, nil, func(k, v []byte) bool {
+		if cap(k) != len(k) || cap(v) != len(v) {
+			t.Fatalf("key %x: key cap %d len %d, value cap %d len %d", k, cap(k), len(k), cap(v), len(v))
+		}
+		_ = append(k, 0xFF, 0xFF)
+		_ = append(v, 0xFF, 0xFF)
+		return true
+	})
+
+	var tally Trace
+	both := func(op func(tr *Tree, tc *Trace)) {
+		var tc Trace
+		op(tr, &tc)
+		op(twin, nil)
+		tally.Splits += tc.Splits
+		tally.Borrows += tc.Borrows
+		tally.Merges += tc.Merges
+	}
+	for i := 0; i < 500; i += 7 {
+		both(func(tr *Tree, tc *Trace) { tr.Put(key(i), []byte(fmt.Sprintf("replaced-%d", i)), tc) })
+	}
+	for i := 500; i < 800; i++ {
+		both(func(tr *Tree, tc *Trace) { tr.Put(key(i), val(i), tc) })
+	}
+	for i := 0; i < 800; i += 3 {
+		both(func(tr *Tree, tc *Trace) { tr.Delete(key(i), tc) })
+	}
+	for i := 100; i < 400; i++ {
+		both(func(tr *Tree, tc *Trace) { tr.Delete(key(i), tc) })
+	}
+	if tally.Splits == 0 || tally.Borrows == 0 || tally.Merges == 0 {
+		t.Fatalf("the operations made %d splits, %d borrows and %d merges; want some of each", tally.Splits, tally.Borrows, tally.Merges)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := content(tr), content(twin); !slices.Equal(got, want) {
+		t.Fatalf("the checkpointed tree holds %d entries, its twin %d, and they differ", len(got)/2, len(want)/2)
+	}
+	for id, img := range imgs {
+		if sha256.Sum256(img) != sums[id] {
+			t.Fatalf("page %d image changed after the checkpointed tree was written to", id)
+		}
+	}
+}
+
+// content lists tr's keys and values in order, as strings.
+func content(tr *Tree) []string {
+	var out []string
+	tr.Scan(nil, nil, nil, func(k, v []byte) bool {
+		out = append(out, string(k), string(v))
+		return true
+	})
+	return out
+}
+
 // TestLoadRejectsCorruptImages: every way an image can be malformed is an
 // error that names the page, never a panic, an endless descent or a tree
 // that fails Validate.
@@ -188,10 +298,12 @@ func TestLoadRejectsCorruptImages(t *testing.T) {
 		fn(out)
 		return out
 	}
-	underfull, err := tr.serializeNode(&node{leaf: true, keys: []keyRef{tr.cloneKey(key(0))}, vals: [][]byte{val(0)}})
+	lone := &node{leaf: true, keys: []keyRef{tr.cloneKey(key(0))}, vals: [][]byte{val(0)}}
+	size, err := tr.imageSize(lone)
 	if err != nil {
 		t.Fatal(err)
 	}
+	underfull := tr.serializeNode(lone, size, 0)
 	for _, tc := range []struct {
 		name  string
 		page  storage.PageID
@@ -307,7 +419,8 @@ func FuzzLoad(f *testing.F) {
 // TestCheckpointRefusesOverlongValues: a value of 65 535 bytes, the most an
 // image's u16 length field holds, round-trips through Checkpoint and Load,
 // and one byte more is an error at Checkpoint naming the value's page and
-// length, not an image that Load later finds out of order.
+// length, not an image that Load later finds out of order, before it writes
+// any page.
 func TestCheckpointRefusesOverlongValues(t *testing.T) {
 	for _, size := range []int{math.MaxUint16, math.MaxUint16 + 1} {
 		tr := small()
@@ -327,6 +440,9 @@ func TestCheckpointRefusesOverlongValues(t *testing.T) {
 			t.Log(err)
 			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("page %d:", page)) || !strings.Contains(msg, fmt.Sprint(size)) {
 				t.Errorf("error %q names neither page %d nor the %d-byte length", err, page, size)
+			}
+			if len(imgs) != 0 {
+				t.Errorf("the failed checkpoint wrote %d pages", len(imgs))
 			}
 			continue
 		}

@@ -22,12 +22,14 @@ var bootTPCCConfig = tpcc.Config{Warehouses: 2, Districts: 10, CustomersPerDistr
 type crashedTPCC struct {
 	img   core.Image
 	pages []storage.PageID
+	sums  [][sha256.Size]byte // each page's hash as the checkpoint wrote it
 	rows  int64
 	wl    *tpcc.Workload
 }
 
 // crashTPCC runs crash-recover-2s's machine over bootTPCCConfig through
-// Checkpoint, Start, RunTo and Crash.
+// Checkpoint, Start, RunTo and Crash. It hashes the checkpoint's pages before
+// Start: the live trees adopt them, so the crash window runs on them.
 func crashTPCC(t *testing.T) crashedTPCC {
 	t.Helper()
 	wl := tpcc.New(bootTPCCConfig)
@@ -43,6 +45,13 @@ func crashTPCC(t *testing.T) crashedTPCC {
 	for _, tree := range s.Eng.Tables() {
 		c.rows += int64(tree.Size())
 		tree.Pages(func(id storage.PageID, _ bool) { c.pages = append(c.pages, id) })
+	}
+	for _, id := range c.pages {
+		img := s.Eng.DiskManager().ReadRaw(id)
+		if img == nil {
+			t.Fatalf("checkpoint page %d has no image", id)
+		}
+		c.sums = append(c.sums, sha256.Sum256(img))
 	}
 	s.Start(16, nil, nil)
 	if err := s.RunTo(s.Env.Now().Add(20 * sim.Millisecond)); err != nil {
@@ -108,28 +117,23 @@ func (r recovered) ScanRaw(table uint16, from, to []byte, fn func(k, v []byte) b
 	r[table].Scan(from, to, nil, fn)
 }
 
-// TestBootLeavesCrashImageUntouched: a boot installs views of the crash
-// image, so nothing a boot or the recovered trees do may write to it. Two
-// boots of one image recover the same consistent content, appending to a
-// restored key and to restored values reallocates, and every checkpoint
-// page and log shard hashes the same afterwards.
+// TestBootLeavesCrashImageUntouched: the live trees run the crash window on
+// the checkpoint pages they adopted and a boot installs views of the crash
+// image, so nothing the window, a boot or the recovered trees do may write
+// to it. Two boots of one image recover the same consistent content,
+// appending to a restored key and to restored values reallocates, every
+// checkpoint page hashes afterwards as the checkpoint wrote it, and every
+// log shard as it did at the crash.
 func TestBootLeavesCrashImageUntouched(t *testing.T) {
 	c := crashTPCC(t)
-	hashes := func() [][sha256.Size]byte {
+	logHashes := func() [][sha256.Size]byte {
 		var out [][sha256.Size]byte
-		for _, id := range c.pages {
-			img := c.img.DM.ReadRaw(id)
-			if img == nil {
-				t.Fatalf("checkpoint page %d has no image", id)
-			}
-			out = append(out, sha256.Sum256(img))
-		}
 		for _, log := range c.img.Logs {
 			out = append(out, sha256.Sum256(log))
 		}
 		return out
 	}
-	before := hashes()
+	before := logHashes()
 
 	var digests []string
 	var sets []recovered
@@ -174,14 +178,14 @@ func TestBootLeavesCrashImageUntouched(t *testing.T) {
 	}
 	grow("a replayed value", districtVal)
 
-	after := hashes()
-	for i := range before {
-		if before[i] != after[i] {
-			if i < len(c.pages) {
-				t.Errorf("checkpoint page %d changed", c.pages[i])
-			} else {
-				t.Errorf("log shard %d changed", i-len(c.pages))
-			}
+	for i, id := range c.pages {
+		if img := c.img.DM.ReadRaw(id); img == nil || sha256.Sum256(img) != c.sums[i] {
+			t.Errorf("checkpoint page %d changed", id)
+		}
+	}
+	for i, sum := range logHashes() {
+		if sum != before[i] {
+			t.Errorf("log shard %d changed", i)
 		}
 	}
 }

@@ -33,15 +33,25 @@ func (m CheckpointMeta) startLSN(shard int) wal.LSN {
 // Checkpoint writes every table's pages durably through dm and anchors
 // recovery at every log shard's current durable point. The engine must be
 // quiesced (no active transactions): bionicdb checkpoints are sharp, not
-// fuzzy. Each page is serialized once, into an exact-size buffer that dm
-// keeps as the durable image. A row the image format cannot hold (a value
-// over 65 535 bytes) is an error naming its table and page, and no
-// checkpoint is taken.
+// fuzzy. Every node of every table is sized before the first page is
+// stored, so a row the image format cannot hold (a value over 65 535 bytes)
+// is an error naming its table and page that stores nothing and changes no
+// tree: no checkpoint is taken, and the previous one stays whole. Each page
+// is serialized once, into an exact-size buffer that dm keeps as the durable
+// image and the table's tree adopts as its storage (btree.Tree.Checkpoint):
+// the live tree and every boot of this checkpoint share those bytes, and
+// nothing writes to them again.
 func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) (CheckpointMeta, error) {
+	ids := sortedKeys(tables)
+	for _, id := range ids {
+		if err := tables[id].CheckImages(); err != nil {
+			return CheckpointMeta{}, fmt.Errorf("checkpoint of table %d: %w", id, err)
+		}
+	}
 	meta := CheckpointMeta{Roots: make(map[uint16]storage.PageID)}
 	// A sharp checkpoint streams: pages are written sequentially, so the
 	// device is charged one bulk transfer per table, not one seek per page.
-	for _, id := range sortedKeys(tables) {
+	for _, id := range ids {
 		tree := tables[id]
 		meta.Roots[id] = tree.RootID()
 		written := 0

@@ -362,3 +362,48 @@ func TestCheckpointRefusesOverlongRows(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedCheckpointKeepsThePreviousOne: a checkpoint that fails on a row
+// the image format cannot hold stores no page and changes no tree, so the
+// checkpoint before it still boots to the rows it held. Storing each page
+// as it is serialized would replace the earlier pages of the previous
+// checkpoint before the walk reached the overlong row.
+func TestFailedCheckpointKeepsThePreviousOne(t *testing.T) {
+	env := sim.NewEnv()
+	e := NewConventional(env, platform.HC2(), kvTables())
+	for i := 0; i < 300; i++ {
+		e.Load(1, storage.Uint64Key(uint64(i)), []byte(fmt.Sprintf("base-%d", i)))
+	}
+	var first CheckpointMeta
+	var err error
+	var writes int64
+	var digest string
+	env.Spawn("driver", func(p *sim.Proc) {
+		first = checkpointed(t, p, e)
+		e.Load(1, storage.Uint64Key(3), []byte("changed-after-checkpoint-1"))
+		e.Load(1, storage.Uint64Key(99), bytes.Repeat([]byte{0xAB}, 70000))
+		writes, digest = e.DiskManager().Writes(), ContentDigest(e.Tables())
+		_, err = Checkpoint(p, e.Tables(), e.DiskManager(), e.LogSet())
+		e.Close()
+	})
+	if runErr := env.Run(); runErr != nil {
+		t.Fatal(runErr)
+	}
+	if err == nil {
+		t.Fatal("checkpointed a 70 000-byte row")
+	}
+	t.Log(err)
+	if got := e.DiskManager().Writes(); got != writes {
+		t.Errorf("the failed checkpoint stored %d pages", got-writes)
+	}
+	if got := ContentDigest(e.Tables()); got != digest {
+		t.Errorf("the failed checkpoint changed the live trees' content: %s, was %s", got, digest)
+	}
+	trees := boot(t, e, first, e.LogSet().Datas())
+	if v, ok := trees[1].Get(storage.Uint64Key(3), nil); !ok || string(v) != "base-3" {
+		t.Errorf("the first checkpoint boots row 3 as %q, want %q", v, "base-3")
+	}
+	if v, ok := trees[1].Get(storage.Uint64Key(99), nil); !ok || string(v) != "base-99" {
+		t.Errorf("the first checkpoint boots row 99 as %.20q, want %q", v, "base-99")
+	}
+}

@@ -96,8 +96,10 @@ func (dm *DiskManager) Read(p *sim.Proc, id PageID) []byte {
 // Store installs data as page id's durable image without charging I/O —
 // for bulk writers (the sharp checkpointer) that stream many pages and
 // account the device time as one sequential transfer via Device(). The
-// manager keeps data itself, not a copy: ownership passes to it, and the
-// caller must not write to data afterwards.
+// manager keeps data itself, not a copy, and others may keep it too: the
+// sharp checkpointer's trees keep the images they store as their own
+// storage (btree.Tree.Checkpoint), and every boot of the crash image keeps
+// views of them. Nobody may write to data afterwards.
 func (dm *DiskManager) Store(id PageID, data []byte) {
 	dm.writes++
 	dm.pages[id] = data
