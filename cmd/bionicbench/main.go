@@ -126,6 +126,14 @@ func main() {
 	}
 	flag.Usage = usage
 	flag.Parse()
+	if *quick {
+		applyQuick()
+	}
+	if err := checkFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *memprofile != "" {
 		// Before the first allocation worth attributing; the runtime reads
 		// the rate at each allocation.
@@ -141,13 +149,6 @@ func main() {
 			fatal(err)
 		}
 		defer pprof.StopCPUProfile()
-	}
-	if *quick {
-		*subscribers = 10000
-		*warehouses = 2
-		*records = 10000
-		*measureMs = 15
-		*warmupMs = 5
 	}
 	ran := false
 	for _, e := range experiments {
@@ -200,6 +201,45 @@ func main() {
 		fmt.Printf("wrote %d results, %d recovery and %d failover records to %s\n",
 			len(doc.Results), len(doc.Recovery), len(doc.Failover), *jsonOut)
 	}
+}
+
+// applyQuick shrinks the scales and windows for -quick. A flag given on the
+// command line keeps its value.
+func applyQuick() {
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	for _, q := range []struct {
+		name string
+		p    *int
+		v    int
+	}{
+		{"subscribers", subscribers, 10000}, {"warehouses", warehouses, 2}, {"records", records, 10000},
+		{"measure", measureMs, 15}, {"warmup", warmupMs, 5},
+	} {
+		if !given[q.name] {
+			*q.p = q.v
+		}
+	}
+}
+
+// checkFlags rejects, before any run starts, sizes no run can use: a
+// non-positive scale, terminal count, window, seed count or socket count,
+// or a negative warmup.
+func checkFlags() error {
+	for _, f := range []struct {
+		name string
+		v    int
+		min  int
+	}{
+		{"warehouses", *warehouses, 1}, {"subscribers", *subscribers, 1}, {"records", *records, 1},
+		{"terminals", *terminals, 1}, {"measure", *measureMs, 1}, {"seeds", *seeds, 1},
+		{"sockets", *sockets, 1}, {"warmup", *warmupMs, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %d: must be at least %d", f.name, f.v, f.min)
+		}
+	}
+	return nil
 }
 
 func emit(title string, t *stats.Table) {

@@ -210,6 +210,9 @@ func (g Grid) Run(opt Options) []Result { return Run(g.Points(), opt) }
 // when ShardedLog, shipping its log to Replicas replicas when Repl names a
 // mode.
 func (p Point) build() (core.Workload, func(env *sim.Env) core.Engine, error) {
+	if p.Terminals < 0 {
+		return nil, nil, fmt.Errorf("point %s/%s: %d terminals", p.Workload.Name, p.Engine.Name, p.Terminals)
+	}
 	if p.Repl != stats.ReplNone && p.Replicas < 1 {
 		return nil, nil, fmt.Errorf("replication mode %s with %d replicas", p.Repl, p.Replicas)
 	}

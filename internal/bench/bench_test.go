@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -159,6 +160,24 @@ func TestHTAPPointNeedsAnalytics(t *testing.T) {
 	for _, r := range g.Run(Options{Parallel: 1}) {
 		if r.Err == nil || r.Res != nil {
 			t.Errorf("HTAP point over %s ran without an analytical half: err=%v", r.Point.Workload.Name, r.Err)
+		}
+	}
+}
+
+// TestNegativeTerminalsIsAnError: a point with a negative terminal count (a
+// negative TPC-C warehouse count times 20, say) errors naming the point
+// instead of running no terminal and reporting 0 tps.
+func TestNegativeTerminalsIsAnError(t *testing.T) {
+	g := Grid{
+		Engines:   []EngineSpec{DORA()},
+		Workloads: []WorkloadSpec{smallTATP()},
+		Terminals: []int{-20},
+		Warmup:    100 * sim.Microsecond,
+		Measure:   100 * sim.Microsecond,
+	}
+	for _, r := range g.Run(Options{Parallel: 1}) {
+		if r.Err == nil || r.Res != nil || !strings.Contains(r.Err.Error(), "tatp/dora: -20 terminals") {
+			t.Errorf("point with -20 terminals: err=%v", r.Err)
 		}
 	}
 }

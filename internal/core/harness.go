@@ -144,20 +144,6 @@ func (r *Result) String() string {
 		r.Latency.Percentile(50), r.Latency.Percentile(95))
 }
 
-// BreakdownTable renders the Figure 3-style component share table.
-func (r *Result) BreakdownTable() *stats.Table {
-	t := stats.NewTable("component", ">time", ">share")
-	total := r.BD.Total()
-	for _, c := range stats.Components() {
-		share := 0.0
-		if total > 0 {
-			share = float64(r.BD.Get(c)) / float64(total) * 100
-		}
-		t.Row(c.String(), r.BD.Get(c).String(), fmt.Sprintf("%.1f%%", share))
-	}
-	return t
-}
-
 // TxnNames returns the observed transaction types in sorted order.
 func (r *Result) TxnNames() []string {
 	names := make([]string, 0, len(r.TxnCounts))

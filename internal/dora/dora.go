@@ -693,26 +693,9 @@ func (pt *Partition) DeferredActions() int {
 	return n
 }
 
-// Inflight reports actions currently executing (diagnostics).
-func (pt *Partition) Inflight() int { return pt.inflight }
-
 // HoldsLock reports whether txnID owns the entity lock for key (testing
 // hook).
 func (pt *Partition) HoldsLock(key Entity, txnID uint64) bool {
 	l := pt.locks[key]
 	return l != nil && l.owner == txnID
-}
-
-// DumpLocks reports every held entity lock as "key owner [deferred txns]"
-// lines (diagnostics).
-func (pt *Partition) DumpLocks() []string {
-	var out []string
-	for key, l := range pt.locks {
-		line := fmt.Sprintf("%s owner=%d deferred=[", key, l.owner)
-		for _, d := range l.deferred {
-			line += fmt.Sprintf("%d ", d.TxnID)
-		}
-		out = append(out, line+"]")
-	}
-	return out
 }

@@ -3,10 +3,9 @@
 // index-organized tables living entirely in FPGA-side SG-DRAM ("the overlay
 // will consist entirely of various indexes that can be probed by the
 // hardware engine"). It caches reads, buffers writes, and bulk-merges
-// dirty rows back to the columnar base; leaves that fall out of the
-// configured capacity are evicted to the FPGA-side database files, and a
-// probe touching an evicted leaf aborts to software, which faults the leaf
-// back in and retries (§5.3's abort-and-retry contract).
+// dirty rows back to the columnar base. The overlay is always fully
+// resident: nothing is evicted, so a probe never aborts to software and the
+// FPGA-side database files see only the merge daemon's sequential writes.
 package overlay
 
 import (
@@ -25,11 +24,6 @@ import (
 
 // Config tunes the overlay.
 type Config struct {
-	// CapacityRows bounds the overlay's resident row count; above it the
-	// store evicts cold leaves. Zero means unbounded (fully resident).
-	CapacityRows int
-	// EvictBatch is how many leaves one eviction pass retires.
-	EvictBatch int
 	// MergeInterval is the bulk-merge daemon cadence.
 	MergeInterval sim.Duration
 	// MergeBatchRows caps rows merged per pass.
@@ -43,8 +37,6 @@ type Config struct {
 // DefaultConfig returns the calibrated overlay parameters.
 func DefaultConfig() Config {
 	return Config{
-		CapacityRows:   0,
-		EvictBatch:     8,
 		MergeInterval:  10 * sim.Millisecond,
 		MergeBatchRows: 65536,
 		WriteCycles:    8,
@@ -80,16 +72,10 @@ type Store struct {
 	// write-back and stamp the projections' freshness each merge interval.
 	AfterMerge func(p *sim.Proc)
 
-	nextPage  storage.PageID
-	evicted   map[storage.PageID]bool
-	leafTouch map[storage.PageID]sim.Time // leaves only, last probe time; kept only when CapacityRows > 0
-	rows      int
-
-	faults    int64
-	evictions int64
-	merged    int64
-	stopped   bool
-	traces    btree.TracePool
+	nextPage storage.PageID
+	merged   int64
+	stopped  bool
+	traces   btree.TracePool
 
 	idleWriters []*writeWorker           // pooled posted-write completion processes
 	rowsPool    sim.ScratchPool[scanRow] // pooled scan materialization buffers
@@ -126,20 +112,12 @@ type writeWorker struct {
 // is spawned immediately.
 func New(pl *platform.Platform, probe *treeprobe.Engine, cfg Config) *Store {
 	s := &Store{
-		cfg:       cfg,
-		pl:        pl,
-		probe:     probe,
-		unit:      pl.NewHWUnit("overlay-mgr", 4),
-		tables:    make(map[uint16]*Table),
-		nextPage:  1,
-		evicted:   make(map[storage.PageID]bool),
-		leafTouch: make(map[storage.PageID]sim.Time),
-	}
-	if cfg.CapacityRows > 0 {
-		// Only a bounded overlay ever evicts. An unbounded one leaves the
-		// hook unset, and the probe unit walks root to leaf under one park
-		// instead of stopping at the leaf to ask.
-		probe.Resident = func(id storage.PageID) bool { return !s.evicted[id] }
+		cfg:      cfg,
+		pl:       pl,
+		probe:    probe,
+		unit:     pl.NewHWUnit("overlay-mgr", 4),
+		tables:   make(map[uint16]*Table),
+		nextPage: 1,
 	}
 	pl.Env.Spawn("overlay-merge", func(p *sim.Proc) { s.mergeLoop(p) })
 	return s
@@ -172,25 +150,11 @@ func (s *Store) CreateTable(id uint16, order int) *Table {
 // TableByID returns a registered table.
 func (s *Store) TableByID(id uint16) *Table { return s.tables[id] }
 
-// Get probes the overlay through the hardware engine; a probe that hits an
-// evicted leaf aborts, software faults the leaf in (a database-file read on
-// the FPGA side), and the probe retries — charged to Bpool like the buffer
-// pool it replaces.
+// Get probes the overlay through the hardware engine: one probe, which
+// always completes because every node is resident.
 func (s *Store) Get(t *platform.Task, tableID uint16, key []byte) (val []byte, ok bool) {
-	tbl := s.tables[tableID]
-	for attempt := 0; ; attempt++ {
-		res := s.probe.Probe(t, tbl.Tree, key)
-		if !res.Aborted {
-			if s.cfg.CapacityRows > 0 {
-				s.touch(tbl.Tree, key)
-			}
-			return res.Val, res.Found
-		}
-		s.fault(t, tbl.Tree, key)
-		if attempt > 4 {
-			panic("overlay: probe kept aborting after faults")
-		}
-	}
+	res := s.probe.Probe(t, s.tables[tableID].Tree, key)
+	return res.Val, res.Found
 }
 
 // Put inserts or replaces a row. The functional update runs immediately;
@@ -202,10 +166,6 @@ func (s *Store) Put(t *platform.Task, tableID uint16, key, val []byte) (prev []b
 	prev, existed = tbl.Tree.Put(key, val, tr)
 	s.chargeWrite(t, tbl, tr, len(val))
 	s.traces.Put(tr)
-	if !existed {
-		s.rows++
-		s.maybeEvict(t)
-	}
 	tbl.dirty[storage.KeyOf(key)] = struct{}{}
 	return prev, existed
 }
@@ -218,7 +178,6 @@ func (s *Store) Delete(t *platform.Task, tableID uint16, key []byte) (val []byte
 	s.chargeWrite(t, tbl, tr, 0)
 	s.traces.Put(tr)
 	if ok {
-		s.rows--
 		delete(tbl.dirty, storage.KeyOf(key))
 	}
 	return val, ok
@@ -246,12 +205,6 @@ func (s *Store) ScanRange(t *platform.Task, tableID uint16, from, to []byte, fn 
 	})
 	for _, v := range tr.Visits {
 		s.pl.SGDRAM.AddTransfer(sc, v.Bytes)
-		if v.Leaf && s.cfg.CapacityRows > 0 {
-			// A recency stamp carries the instant the leaf was read, and
-			// eviction reads it from other processes: the script ends here.
-			sc.Run()
-			s.leafTouch[v.ID] = t.P.Now()
-		}
 	}
 	s.unit.AddWork(sc, len(rows)+len(tr.Visits)*2)
 	s.pl.PCIe.AddTransfer(sc, 64+rowBytes)
@@ -267,11 +220,7 @@ func (s *Store) ScanRange(t *platform.Task, tableID uint16, from, to []byte, fn 
 // LoadRaw inserts a row during population: no timing, no dirty marking
 // (freshly loaded data is considered merged).
 func (s *Store) LoadRaw(tableID uint16, key, val []byte) {
-	tbl := s.tables[tableID]
-	_, existed := tbl.Tree.Put(key, val, nil)
-	if !existed {
-		s.rows++
-	}
+	s.tables[tableID].Tree.Put(key, val, nil)
 }
 
 // chargeWrite accounts a mutating tree operation. Writes are POSTED: the
@@ -293,13 +242,6 @@ func (s *Store) chargeWrite(t *platform.Task, tbl *Table, tr *btree.Trace, valBy
 		s.pl.SGDRAM.AddTransfer(sc, s.pl.Cfg.PageSize*tr.Splits)
 		sc.Run()
 	}
-	if s.cfg.CapacityRows > 0 {
-		for _, v := range tr.Visits {
-			if v.Leaf {
-				s.leafTouch[v.ID] = t.P.Now()
-			}
-		}
-	}
 	// The hardware's half of the write, off the critical path, on a pooled
 	// completion process. The trace is snapshotted into the worker's
 	// reusable buffer because the caller may reuse it. A pool Resume and a
@@ -320,14 +262,7 @@ func (s *Store) chargeWrite(t *platform.Task, tbl *Table, tr *btree.Trace, valBy
 			sc := p.Script()
 			s.pl.PCIe.AddTransfer(sc, 64+valBytes)
 			snap := btree.Trace{Visits: w.visits}
-			res := s.probe.AddWalk(sc, &snap)
-			if res.Aborted {
-				// The write path faults like the read path.
-				s.faults++
-				s.pl.Disk.AddTransfer(sc, s.pl.Cfg.PageSize)
-				sc.Run()
-				s.clearEvicted(&snap)
-			}
+			s.probe.AddWalk(sc, &snap)
 			s.unit.AddWork(sc, s.cfg.WriteCycles+valBytes/8)
 			s.pl.SGDRAM.AddTransfer(sc, 64+valBytes)
 			sc.Run()
@@ -341,69 +276,6 @@ func (s *Store) chargeWrite(t *platform.Task, tbl *Table, tr *btree.Trace, valBy
 			}
 		}
 	})
-}
-
-// touch refreshes recency for the leaf that served key.
-func (s *Store) touch(tree *btree.Tree, key []byte) {
-	tr := s.traces.Get()
-	defer s.traces.Put(tr)
-	tree.Get(key, tr) // structural re-walk, no timing: bookkeeping only
-	for _, v := range tr.Visits {
-		if v.Leaf {
-			s.leafTouch[v.ID] = s.pl.Env.Now()
-		}
-	}
-}
-
-// fault brings the evicted leaf for key back: a database-file read on the
-// FPGA side plus an SG-DRAM install.
-func (s *Store) fault(t *platform.Task, tree *btree.Tree, key []byte) {
-	s.faults++
-	t.Exec(stats.CompBpool, 400) // software fetch-and-retry handler
-	sc := t.Script()
-	s.pl.Disk.AddTransfer(sc, s.pl.Cfg.PageSize)
-	s.pl.SGDRAM.AddTransfer(sc, s.pl.Cfg.PageSize)
-	sc.Run()
-	tr := s.traces.Get()
-	tree.Get(key, tr)
-	s.clearEvicted(tr)
-	s.traces.Put(tr)
-}
-
-func (s *Store) clearEvicted(tr *btree.Trace) {
-	for _, v := range tr.Visits {
-		if s.evicted[v.ID] {
-			delete(s.evicted, v.ID)
-			s.leafTouch[v.ID] = s.pl.Env.Now()
-		}
-	}
-}
-
-// maybeEvict retires the coldest leaves once the overlay exceeds capacity.
-// Inner nodes are never evicted — §5.3's "inodes tend to still fit
-// comfortably". Each eviction charges one page write-back to the database
-// files.
-func (s *Store) maybeEvict(t *platform.Task) {
-	if s.cfg.CapacityRows <= 0 || s.rows <= s.cfg.CapacityRows {
-		return
-	}
-	for i := 0; i < s.cfg.EvictBatch; i++ {
-		var coldest storage.PageID
-		var coldestAt sim.Time = 1<<62 - 1
-		for id, at := range s.leafTouch {
-			// Tie-break on the page id so the victim never depends on map
-			// iteration order.
-			if !s.evicted[id] && (at < coldestAt || (at == coldestAt && id < coldest)) {
-				coldest, coldestAt = id, at
-			}
-		}
-		if coldest == 0 {
-			return
-		}
-		s.evicted[coldest] = true
-		s.evictions++
-		s.pl.Disk.Transfer(t.P, s.pl.Cfg.PageSize)
-	}
 }
 
 // mergeLoop is the bulk-merge daemon: every interval it folds dirty rows
@@ -532,17 +404,17 @@ func (s *Store) Stop() {
 	s.idleWriters = nil
 }
 
-// Faults returns the number of abort-and-fault round trips.
-func (s *Store) Faults() int64 { return s.faults }
-
-// Evictions returns the number of leaves retired to the base.
-func (s *Store) Evictions() int64 { return s.evictions }
-
 // Merged returns the number of rows bulk-merged to the base.
 func (s *Store) Merged() int64 { return s.merged }
 
-// Rows returns the resident row count across tables.
-func (s *Store) Rows() int { return s.rows }
+// Rows returns the row count across tables.
+func (s *Store) Rows() int {
+	n := 0
+	for _, tbl := range s.tables {
+		n += tbl.Tree.Size()
+	}
+	return n
+}
 
 // DirtyRows returns rows awaiting merge.
 func (s *Store) DirtyRows() int {

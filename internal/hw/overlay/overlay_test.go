@@ -95,76 +95,6 @@ func TestDirtyTrackingAndMerge(t *testing.T) {
 	}
 }
 
-func TestEvictionAndFaultPath(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CapacityRows = 200
-	cfg.EvictBatch = 4
-	env, pl, s := fixture(cfg)
-	s.CreateTable(1, 16) // small order: many leaves
-	env.Spawn("w", func(p *sim.Proc) {
-		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
-		for i := 0; i < 600; i++ {
-			s.Put(task, 1, key(i), row(i))
-		}
-		if s.Evictions() == 0 {
-			t.Error("no evictions despite exceeding capacity")
-		}
-		// Every row must still be readable; evicted leaves fault in.
-		for i := 0; i < 600; i++ {
-			v, ok := s.Get(task, 1, key(i))
-			if !ok || !bytes.Equal(v, row(i)) {
-				t.Errorf("key %d unreadable after eviction", i)
-				return
-			}
-		}
-		if s.Faults() == 0 {
-			t.Error("reads of evicted leaves did not fault")
-		}
-		task.Flush()
-		s.Stop()
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFaultCostsDatabaseFileRead(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CapacityRows = 100
-	cfg.EvictBatch = 16
-	env, pl, s := fixture(cfg)
-	s.CreateTable(1, 16)
-	env.Spawn("w", func(p *sim.Proc) {
-		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
-		for i := 0; i < 400; i++ {
-			s.Put(task, 1, key(i), row(i))
-		}
-		task.Flush()
-		diskReadsBefore := pl.Disk.Ops()
-		start := p.Now()
-		// Probe keys until one faults (cold leaf).
-		faultsBefore := s.Faults()
-		for i := 0; i < 400 && s.Faults() == faultsBefore; i++ {
-			s.Get(task, 1, key(i))
-			task.Flush()
-		}
-		if s.Faults() == faultsBefore {
-			t.Error("no faulting probe found")
-			return
-		}
-		if pl.Disk.Ops() == diskReadsBefore {
-			t.Error("fault did not read database files")
-		}
-		if p.Now().Sub(start) < 5*sim.Millisecond {
-			t.Errorf("faulting path took %v, expected a disk seek", p.Now().Sub(start))
-		}
-		s.Stop()
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScanRangeStreamsRows(t *testing.T) {
 	env, pl, s := fixture(DefaultConfig())
 	s.CreateTable(1, 32)

@@ -35,10 +35,9 @@ type Engine struct {
 	pl   *platform.Platform
 	unit *platform.HWUnit
 
-	scans    int64
-	rowsIn   int64
-	rowsOut  int64
-	pcieSent int64
+	scans   int64
+	rowsIn  int64
+	rowsOut int64
 }
 
 // New creates a scanner engine on pl.
@@ -88,7 +87,6 @@ func (e *Engine) Scan(t *platform.Task, table *columnar.Table, pred Pred, projCo
 	}
 	outBytes := len(out) * projWidth
 	sc.Add(&e.rowsOut, int64(len(out)))
-	sc.Add(&e.pcieSent, int64(outBytes))
 	e.pl.PCIe.AddTransfer(sc, 64+outBytes)
 	sc.Run()
 	t.Exec(stats.CompOther, 60+len(out)/8)
@@ -148,6 +146,3 @@ func (e *Engine) Selectivity() float64 {
 	}
 	return float64(e.rowsOut) / float64(e.rowsIn)
 }
-
-// PCIeBytesSent returns the qualifying bytes shipped over the bus.
-func (e *Engine) PCIeBytesSent() int64 { return e.pcieSent }

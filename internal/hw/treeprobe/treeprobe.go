@@ -3,9 +3,9 @@
 // scatter-gather DRAM. Requests arrive asynchronously over PCIe; the unit
 // walks the tree one node per memory round trip, overlapping many probes;
 // the "load-compare-branch" comparator work costs a few fabric cycles per
-// node. Probes that touch a non-resident node abort so software can fetch
-// and retry — concurrency control, SMOs and space allocation stay in
-// software, exactly as the paper prescribes.
+// node. The trees it walks are fully resident in SG-DRAM (the overlay never
+// evicts), so a probe always completes; concurrency control, SMOs and space
+// allocation stay in software, exactly as the paper prescribes.
 package treeprobe
 
 import (
@@ -13,7 +13,6 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
-	"bionicdb/internal/storage"
 )
 
 // Config tunes the engine.
@@ -51,12 +50,7 @@ type Engine struct {
 	window *platform.HWUnit // request-table slots (held per probe)
 	pipe   *platform.HWUnit // comparator pipeline (held per node visit)
 
-	// Resident reports whether a node page is in overlay memory; nil
-	// means always resident. Probes touching a non-resident page abort.
-	Resident func(id storage.PageID) bool
-
 	probes int64
-	aborts int64
 	traces btree.TracePool
 }
 
@@ -73,14 +67,10 @@ func New(pl *platform.Platform, cfg Config) *Engine {
 // Probes returns the number of accepted probe requests.
 func (e *Engine) Probes() int64 { return e.probes }
 
-// Aborts returns the number of probes aborted on non-resident nodes.
-func (e *Engine) Aborts() int64 { return e.aborts }
-
 // Result reports a completed probe.
 type Result struct {
-	Val     []byte
-	Found   bool
-	Aborted bool // non-resident node: caller must fetch and retry in software
+	Val   []byte
+	Found bool
 }
 
 // Probe looks key up in tree through the hardware unit. The calling task
@@ -89,10 +79,9 @@ type Result struct {
 // keep it busy — the asynchrony §5.2 calls for. Host-side costs are charged
 // to the Btree component (it is still index time, just cheaper).
 //
-// The caller parks three times at most: for the request leg, for the walk
-// down to the leaf, and for the leaf visit plus the completion leg. The tree
-// is read between the first two because that is the instant the unit starts
-// walking it.
+// The caller parks twice at most: for the request leg, and for the walk plus
+// the completion leg. The tree is read between the two because that is the
+// instant the unit starts walking it.
 func (e *Engine) Probe(t *platform.Task, tree *btree.Tree, key []byte) Result {
 	// Host side: marshal and send the request descriptor.
 	t.Exec(stats.CompBtree, e.cfg.CPUIssueInstr)
@@ -104,54 +93,32 @@ func (e *Engine) Probe(t *platform.Task, tree *btree.Tree, key []byte) Result {
 	// time per visited node.
 	tr := e.traces.Get()
 	val, found := tree.Get(key, tr)
-	res := e.AddWalk(sc, tr)
+	e.AddWalk(sc, tr)
 	e.traces.Put(tr)
-	if !res.Aborted {
-		res.Val, res.Found = val, found
-	}
 
 	// Completion descriptor back to the host.
-	e.pl.PCIe.AddTransfer(sc, e.cfg.RespBytes+len(res.Val))
+	e.pl.PCIe.AddTransfer(sc, e.cfg.RespBytes+len(val))
 	sc.Run()
 	t.Exec(stats.CompBtree, e.cfg.CPUCompleteInstr)
-	return res
+	return Result{Val: val, Found: found}
 }
 
 // AddWalk appends the hardware time of a traced traversal to sc, the script
 // of the requesting process, behind whatever request leg the caller has put
-// there, and applies the residency check. Probe and ProbeTrace use it for a
-// host requester; an FPGA-side requester (the overlay's posted-write
-// completion process: no PCIe, no host CPU) calls it with its own legs. It
-// runs sc only as far as the check needs: on return sc holds the walk's last
-// steps, not yet run, so that the caller can append its completion leg and
-// park once for both.
-//
-// The walk stops at the first non-resident node, like the real unit would.
-// A leaf's residency is read at the instant the walk reaches it, since
-// leaves come and go under concurrent evictions and faults. Inner nodes are
-// asked about when the walk is built: they are never evicted (overlay
-// package), so for them the answer does not depend on when it is read.
-func (e *Engine) AddWalk(sc *sim.Script, tr *btree.Trace) Result {
+// there. Probe and ProbeLocal use it; an FPGA-side requester (the overlay's
+// posted-write completion process: no PCIe, no host CPU) calls it with its
+// own legs. It runs nothing: the caller appends its completion leg
+// and parks once for the walk and that leg.
+func (e *Engine) AddWalk(sc *sim.Script, tr *btree.Trace) {
 	sc.Add(&e.probes, 1)
 	e.window.AddAcquire(sc)
 	for _, v := range tr.Visits {
-		if e.Resident != nil {
-			if v.Leaf {
-				sc.Run()
-			}
-			if !e.Resident(v.ID) {
-				sc.Add(&e.aborts, 1)
-				e.window.AddRelease(sc)
-				return Result{Aborted: true}
-			}
-		}
 		// Dependent pointer chase: SG-DRAM round trip for the node's
 		// examined bytes, then the comparator pipeline.
 		e.pl.SGDRAM.AddTransfer(sc, v.Bytes)
 		e.pipe.AddWork(sc, e.cfg.VisitCycles)
 	}
 	e.window.AddRelease(sc)
-	return Result{}
 }
 
 // ProbeLocal runs a probe as seen from inside the FPGA — no PCIe crossing
@@ -164,28 +131,10 @@ func (e *Engine) ProbeLocal(p *sim.Proc, tree *btree.Tree, key []byte) Result {
 	tr := e.traces.Get()
 	val, found := tree.Get(key, tr)
 	sc := p.Script()
-	res := e.AddWalk(sc, tr)
+	e.AddWalk(sc, tr)
 	sc.Run()
 	e.traces.Put(tr)
-	if !res.Aborted {
-		res.Val, res.Found = val, found
-	}
-	return res
-}
-
-// ProbeTrace charges hardware time for an already-collected trace (used by
-// the overlay's write path, where the functional tree operation and the
-// timing are driven by the caller). It returns false if a visited node was
-// non-resident.
-func (e *Engine) ProbeTrace(t *platform.Task, tr *btree.Trace) (resident bool) {
-	t.Exec(stats.CompBtree, e.cfg.CPUIssueInstr)
-	sc := t.Script()
-	e.pl.PCIe.AddTransfer(sc, e.cfg.ReqBytes)
-	res := e.AddWalk(sc, tr)
-	e.pl.PCIe.AddTransfer(sc, e.cfg.RespBytes)
-	sc.Run()
-	t.Exec(stats.CompBtree, e.cfg.CPUCompleteInstr)
-	return !res.Aborted
+	return Result{Val: val, Found: found}
 }
 
 // Utilization reports the comparator pipeline's busy fraction — the

@@ -30,11 +30,11 @@ func TestProbeReturnsValue(t *testing.T) {
 	env.Spawn("p", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
 		res := e.Probe(task, tree, storage.Uint64Key(123))
-		if res.Aborted || !res.Found || !bytes.Equal(res.Val, []byte("row123")) {
+		if !res.Found || !bytes.Equal(res.Val, []byte("row123")) {
 			t.Errorf("probe result %+v", res)
 		}
 		res = e.Probe(task, tree, storage.Uint64Key(999999))
-		if res.Found || res.Aborted {
+		if res.Found {
 			t.Errorf("absent key result %+v", res)
 		}
 		task.Flush()
@@ -65,29 +65,6 @@ func TestProbeLatencyDominatedByPCIeAndSGDRAM(t *testing.T) {
 	max := 2*sim.Microsecond + sim.Duration(tree.Height()+2)*500*sim.Nanosecond
 	if took < min || took > max {
 		t.Fatalf("probe latency %v, want in [%v, %v] (height %d)", took, min, max, tree.Height())
-	}
-}
-
-func TestProbeAbortsOnNonResident(t *testing.T) {
-	env, pl, e, tree := fixture()
-	// Mark every page non-resident: first visit must abort.
-	e.Resident = func(id storage.PageID) bool { return false }
-	env.Spawn("p", func(p *sim.Proc) {
-		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
-		res := e.Probe(task, tree, storage.Uint64Key(1))
-		if !res.Aborted {
-			t.Error("expected abort")
-		}
-		if res.Found {
-			t.Error("aborted probe must not return data")
-		}
-		task.Flush()
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Aborts() != 1 {
-		t.Fatalf("aborts=%d", e.Aborts())
 	}
 }
 
@@ -150,26 +127,6 @@ func TestProbeChargesBtreeComponentOnly(t *testing.T) {
 	}
 }
 
-func TestProbeTraceResidency(t *testing.T) {
-	env, pl, e, tree := fixture()
-	env.Spawn("p", func(p *sim.Proc) {
-		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
-		var tr btree.Trace
-		tree.Get(storage.Uint64Key(7), &tr)
-		if !e.ProbeTrace(task, &tr) {
-			t.Error("resident trace reported non-resident")
-		}
-		e.Resident = func(id storage.PageID) bool { return false }
-		if e.ProbeTrace(task, &tr) {
-			t.Error("non-resident trace reported resident")
-		}
-		task.Flush()
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCoreFreeDuringProbe(t *testing.T) {
 	env, pl, e, tree := fixture()
 	env.Spawn("prober", func(p *sim.Proc) {
@@ -194,52 +151,41 @@ func TestCoreFreeDuringProbe(t *testing.T) {
 	}
 }
 
-// TestProbeParksThreeTimes pins the host cost of a probe as an exact count.
-// The unit is idle, but a callback every 50ns keeps every wait of the probe
-// off the kernel's direct-advance path, as the other terminals do in an
-// engine run, so each blocking step would park if the process made it
-// itself: 14 to 15 resumes for a 3-level tree before kernel scripts. With
-// scripts the process parks for the request leg, for the walk to the leaf
-// and for the leaf visit plus the completion leg; without a residency check
-// the last two are one.
-func TestProbeParksThreeTimes(t *testing.T) {
-	for _, c := range []struct {
-		name     string
-		resident func(storage.PageID) bool
-		want     uint64
-	}{
-		{"always resident", nil, 2},
-		{"residency checked at the leaf", func(storage.PageID) bool { return true }, 3},
-	} {
-		env, pl, e, tree := fixture()
-		if tree.Height() != 3 {
-			t.Fatalf("fixture tree has %d levels, want 3", tree.Height())
+// TestProbeParksTwice pins the host cost of a probe as an exact count. The
+// unit is idle, but a callback every 50ns keeps every wait of the probe off
+// the kernel's direct-advance path, as the other terminals do in an engine
+// run, so each blocking step would park if the process made it itself: 14 to
+// 15 resumes for a 3-level tree before kernel scripts. With scripts the
+// process parks for the request leg, and for the walk plus the completion
+// leg.
+func TestProbeParksTwice(t *testing.T) {
+	env, pl, e, tree := fixture()
+	if tree.Height() != 3 {
+		t.Fatalf("fixture tree has %d levels, want 3", tree.Height())
+	}
+	done := false
+	var tick func()
+	tick = func() {
+		if !done {
+			env.At(env.Now().Add(50*sim.Nanosecond), tick)
 		}
-		e.Resident = c.resident
-		done := false
-		var tick func()
-		tick = func() {
-			if !done {
-				env.At(env.Now().Add(50*sim.Nanosecond), tick)
-			}
+	}
+	env.At(0, tick)
+	var resumes uint64
+	env.Spawn("p", func(p *sim.Proc) {
+		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
+		before := env.Switches()
+		res := e.Probe(task, tree, storage.Uint64Key(4242))
+		resumes = env.Switches() - before
+		if !res.Found {
+			t.Error("probe missed")
 		}
-		env.At(0, tick)
-		var resumes uint64
-		env.Spawn("p", func(p *sim.Proc) {
-			task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
-			before := env.Switches()
-			res := e.Probe(task, tree, storage.Uint64Key(4242))
-			resumes = env.Switches() - before
-			if !res.Found {
-				t.Errorf("%s: probe missed", c.name)
-			}
-			done = true
-		})
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if resumes != c.want {
-			t.Errorf("%s: %d resumes, want %d", c.name, resumes, c.want)
-		}
+		done = true
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumes != 2 {
+		t.Errorf("%d resumes, want 2", resumes)
 	}
 }

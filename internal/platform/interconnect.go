@@ -159,8 +159,3 @@ func (ic *Interconnect) BusyTime() sim.Duration {
 	}
 	return d
 }
-
-// PortUtilization returns the busy fraction of one socket's egress port.
-func (ic *Interconnect) PortUtilization(socket int) float64 {
-	return ic.ports[socket].Utilization()
-}

@@ -1,6 +1,7 @@
 // Package storage provides the durable substrate shared by every engine:
-// page identity, a disk manager that keeps durable page images on a
-// simulated device, order-preserving key encodings, and a compact record
+// page identity, a disk manager that keeps the checkpoint's durable page
+// images for a simulated device (bulk checkpoint and boot I/O only, charged
+// by its callers), order-preserving key encodings, and a compact record
 // encoder. Volatile structures (B+Trees, the overlay) live in ordinary Go
 // memory; durability comes from checkpointed page images plus the WAL.
 package storage
@@ -9,7 +10,6 @@ import (
 	"encoding/binary"
 
 	"bionicdb/internal/platform"
-	"bionicdb/internal/sim"
 )
 
 // PageID names a durable page.
@@ -19,18 +19,17 @@ type PageID uint64
 const InvalidPage PageID = 0
 
 // DiskManager owns the durable page images of one device (the SAS array or
-// the SSD). Reads and writes charge the device's latency and bandwidth.
-// The timed paths (Write, Read) copy images, so a crash test can discard all
-// volatile state and trust the manager's contents. The untimed bulk paths
-// (Store, ReadRaw) copy nothing: an image, once stored, is never written
-// again — a later Write or Store of the same page replaces the map entry —
-// so Store keeps the caller's buffer and ReadRaw hands out the image itself.
+// the SSD). It charges no I/O itself. Its one writer is the sharp
+// checkpointer and its readers are recovery boots; both stream many pages
+// and charge Device one sequential transfer of the images' summed SpanBytes.
+// Nothing is copied: an image, once stored, is never written again — a
+// later Store of the same page replaces the map entry — so Store keeps the
+// caller's buffer and ReadRaw hands out the image itself.
 type DiskManager struct {
 	dev      *platform.Device
 	pageSize int
 	pages    map[PageID][]byte
 	nextID   PageID
-	reads    int64
 	writes   int64
 }
 
@@ -67,31 +66,6 @@ func (dm *DiskManager) spanPages(n int) int {
 // SpanBytes returns the on-device footprint of an image of n bytes (whole
 // pages).
 func (dm *DiskManager) SpanBytes(n int) int { return dm.spanPages(n) * dm.pageSize }
-
-// Write stores a durable copy of data as page id, charging one device write
-// per page the image spans.
-func (dm *DiskManager) Write(p *sim.Proc, id PageID, data []byte) {
-	dm.writes++
-	dm.dev.Transfer(p, dm.spanPages(len(data))*dm.pageSize)
-	img := make([]byte, len(data))
-	copy(img, data)
-	dm.pages[id] = img
-}
-
-// Read returns a copy of page id's durable image, charging one device read
-// per page the image spans. Reading a never-written page returns nil.
-func (dm *DiskManager) Read(p *sim.Proc, id PageID) []byte {
-	dm.reads++
-	img, ok := dm.pages[id]
-	if !ok {
-		dm.dev.Transfer(p, dm.pageSize)
-		return nil
-	}
-	dm.dev.Transfer(p, dm.spanPages(len(img))*dm.pageSize)
-	out := make([]byte, len(img))
-	copy(out, img)
-	return out
-}
 
 // Store installs data as page id's durable image without charging I/O —
 // for bulk writers (the sharp checkpointer) that stream many pages and
@@ -131,26 +105,13 @@ func (dm *DiskManager) Rebind(dev *platform.Device) *DiskManager {
 	return &DiskManager{dev: dev, pageSize: dm.pageSize, pages: dm.pages, nextID: dm.nextID}
 }
 
-// Exists reports whether page id has a durable image (no I/O charged).
-func (dm *DiskManager) Exists(id PageID) bool { _, ok := dm.pages[id]; return ok }
-
-// Reads returns the number of page reads issued.
-func (dm *DiskManager) Reads() int64 { return dm.reads }
-
-// Writes returns the number of page writes issued.
+// Writes returns the number of page images stored.
 func (dm *DiskManager) Writes() int64 { return dm.writes }
 
 // --- Order-preserving key encodings ---
 //
 // B+Tree keys are byte strings compared lexicographically. These helpers
 // encode fixed-width integers so that byte order matches numeric order.
-
-// EncodeUint64 appends an order-preserving encoding of v to dst.
-func EncodeUint64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
 
 // Uint64Key returns a fresh order-preserving key for v.
 func Uint64Key(v uint64) []byte { return (*Arena)(nil).Uint64Key(v) }

@@ -95,37 +95,20 @@ func TestRecordPropertyRoundTrip(t *testing.T) {
 }
 
 func TestDiskManagerReadWrite(t *testing.T) {
-	env := sim.NewEnv()
-	pl := platform.New(env, platform.HC2())
-	dm := NewDiskManager(pl.Disk, 8192)
+	dm := NewDiskManager(nil, 8192)
 	id := dm.Allocate()
 	if id == InvalidPage {
 		t.Fatal("allocated invalid page id")
 	}
-	env.Spawn("io", func(p *sim.Proc) {
-		dm.Write(p, id, []byte("payload"))
-		got := dm.Read(p, id)
-		if !bytes.Equal(got, []byte("payload")) {
-			t.Errorf("read %q", got)
-		}
-		// Copies must be independent.
-		got[0] = 'X'
-		again := dm.Read(p, id)
-		if again[0] == 'X' {
-			t.Error("disk image aliased with returned slice")
-		}
-		if dm.Read(p, 999) != nil {
-			t.Error("read of unwritten page returned data")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	dm.Store(id, []byte("payload"))
+	if got := dm.ReadRaw(id); !bytes.Equal(got, []byte("payload")) {
+		t.Errorf("read %q", got)
 	}
-	if dm.Reads() != 3 || dm.Writes() != 1 {
-		t.Fatalf("reads=%d writes=%d", dm.Reads(), dm.Writes())
+	if dm.ReadRaw(999) != nil {
+		t.Error("read of unwritten page returned data")
 	}
-	if !dm.Exists(id) || dm.Exists(999) {
-		t.Fatal("existence wrong")
+	if dm.Writes() != 1 {
+		t.Fatalf("writes=%d", dm.Writes())
 	}
 }
 
@@ -160,24 +143,49 @@ func TestStoreKeepsReadRawViews(t *testing.T) {
 	if dm.ReadRaw(999) != nil {
 		t.Error("ReadRaw of an unwritten page returned data")
 	}
-	if dm.Writes() != 2 || dm.Reads() != 0 {
-		t.Errorf("writes=%d reads=%d, want 2 and 0 (ReadRaw is not a timed read)", dm.Writes(), dm.Reads())
+	if dm.Writes() != 2 {
+		t.Errorf("writes=%d, want 2", dm.Writes())
 	}
 }
 
+// TestDiskManagerChargesDevice: Store and ReadRaw charge nothing; a bulk
+// writer or a boot pays its images' SpanBytes on Device, and a manager
+// rebound after a crash charges the new platform's device, not the old one.
 func TestDiskManagerChargesDevice(t *testing.T) {
 	env := sim.NewEnv()
 	pl := platform.New(env, platform.HC2())
 	dm := NewDiskManager(pl.Disk, 8192)
 	id := dm.Allocate()
 	env.Spawn("io", func(p *sim.Proc) {
-		dm.Write(p, id, make([]byte, 8192))
+		img := make([]byte, 8192)
+		dm.Store(id, img)
+		if p.Now() != 0 || pl.Disk.Ops() != 0 {
+			t.Errorf("Store charged the device: %v, %d ops", p.Now(), pl.Disk.Ops())
+		}
+		dm.Device().Transfer(p, dm.SpanBytes(len(img)))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if env.Now() < sim.Time(5*sim.Millisecond) {
 		t.Fatalf("page write took %v, want >= one seek", env.Now())
+	}
+
+	env2 := sim.NewEnv()
+	pl2 := platform.New(env2, platform.HC2())
+	dm2 := dm.Rebind(pl2.Disk)
+	env2.Spawn("boot", func(p *sim.Proc) {
+		img := dm2.ReadRaw(id)
+		if len(img) != 8192 {
+			t.Errorf("rebound manager read %d bytes, want 8192", len(img))
+		}
+		dm2.Device().Transfer(p, dm2.SpanBytes(len(img)))
+	})
+	if err := env2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pl.Disk.Ops() != 1 || pl2.Disk.Ops() != 1 {
+		t.Fatalf("device ops: crashed platform %d, boot platform %d, want 1 and 1", pl.Disk.Ops(), pl2.Disk.Ops())
 	}
 }
 
@@ -193,33 +201,29 @@ func TestDiskManagerWideImageSpansPages(t *testing.T) {
 		img[i] = byte(i)
 	}
 	id := dm.Allocate()
+	dm.Store(id, img)
+	if got := dm.ReadRaw(id); !bytes.Equal(got, img) {
+		t.Errorf("wide image read back as %d bytes, want its %d intact", len(got), len(img))
+	}
+	for _, c := range []struct{ n, want int }{{0, 128}, {1, 128}, {128, 128}, {129, 256}, {300, 384}} {
+		if got := dm.SpanBytes(c.n); got != c.want {
+			t.Errorf("SpanBytes(%d)=%d, want %d", c.n, got, c.want)
+		}
+	}
 	var narrow, wide sim.Duration
 	env.Spawn("io", func(p *sim.Proc) {
 		t0 := p.Now()
-		dm.Write(p, dm.Allocate(), make([]byte, 100))
+		dm.Device().Transfer(p, dm.SpanBytes(100))
 		narrow = p.Now().Sub(t0)
 		t0 = p.Now()
-		dm.Write(p, id, img)
+		dm.Device().Transfer(p, dm.SpanBytes(len(img)))
 		wide = p.Now().Sub(t0)
-		got := dm.Read(p, id)
-		if len(got) != len(img) {
-			t.Errorf("read %d bytes, want %d", len(got), len(img))
-		}
-		for i := range img {
-			if got[i] != img[i] {
-				t.Errorf("byte %d diverged", i)
-				break
-			}
-		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if dm.SpanBytes(300) != 3*128 {
-		t.Errorf("SpanBytes(300)=%d", dm.SpanBytes(300))
-	}
 	if wide <= narrow {
-		t.Errorf("3-page write (%v) not charged above 1-page write (%v)", wide, narrow)
+		t.Errorf("3-page image (%v) not charged above a 1-page one (%v)", wide, narrow)
 	}
 }
 

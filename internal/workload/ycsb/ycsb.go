@@ -37,9 +37,7 @@ type Config struct {
 	// [1, MaxScanLen] (default 100).
 	MaxScanLen int
 	// Theta is the zipfian skew in (0, 1); 0 uses YCSB's default 0.99.
-	// Uniform disables skew entirely.
-	Theta   float64
-	Uniform bool
+	Theta float64
 }
 
 // DefaultConfig returns YCSB Workload A at 100k records: 50/50
@@ -84,7 +82,7 @@ func WorkloadF() Config {
 // inputs, so one Workload backs one run at a time.
 type Workload struct {
 	cfg     Config
-	zipf    *zipfian // nil when Uniform
+	zipf    *zipfian
 	streams workload.PerStream[txns]
 }
 
@@ -105,11 +103,11 @@ func New(cfg Config) *Workload {
 	if cfg.Theta <= 0 || cfg.Theta >= 1 {
 		cfg.Theta = 0.99
 	}
-	w := &Workload{cfg: cfg, streams: workload.PerStream[txns]{New: newTxns}}
-	if !cfg.Uniform {
-		w.zipf = newZipfian(uint64(cfg.Records), cfg.Theta)
+	return &Workload{
+		cfg:     cfg,
+		zipf:    newZipfian(uint64(cfg.Records), cfg.Theta),
+		streams: workload.PerStream[txns]{New: newTxns},
 	}
-	return w
 }
 
 // Name implements core.Workload.
@@ -170,11 +168,7 @@ func (w *Workload) value(r *sim.Rand) []byte {
 
 // nextKey draws the next operation's record id.
 func (w *Workload) nextKey(r *sim.Rand) uint64 {
-	n := uint64(w.cfg.Records)
-	if w.zipf == nil {
-		return r.Uint64() % n
-	}
-	return scramble(w.zipf.Next(r), n)
+	return scramble(w.zipf.Next(r), uint64(w.cfg.Records))
 }
 
 // NextTxn implements core.Workload.
