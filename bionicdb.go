@@ -55,7 +55,7 @@ type (
 	Action = core.Action
 	// AccessCtx is the data interface action bodies program against.
 	AccessCtx = core.AccessCtx
-	// Arena is where a transaction attempt builds its keys (Tx.Arena,
+	// Arena is where a transaction attempt builds its keys and rows (Tx.Arena,
 	// AccessCtx.Arena): reset and reused by the engine per attempt.
 	Arena = storage.Arena
 	// TxnLogic is a transaction program.

@@ -18,13 +18,13 @@ func main() {
 	tables := []bionicdb.TableDef{{ID: 1, Name: "greetings", Order: 64}}
 	eng := bionicdb.NewBionic(env, bionicdb.HC2(), tables, bionicdb.HashScheme(4), bionicdb.AllOffloads(), 8)
 
-	// Keys are the text "key-0007". A key handed to the engine need only
-	// stay valid until the transaction attempt that built it ends (whatever
-	// keeps it longer, the tree storing a new row, copies it), so a
-	// transaction builds its keys in the attempt's arena, tx.Arena() in the
-	// logic and c.Arena() in an action body: the engine resets and reuses
-	// it, and steady-state keys cost no allocation. A nil arena allocates a
-	// fresh slice the caller owns.
+	// Keys are the text "key-0007". A key or row handed to the engine need
+	// only stay valid until the transaction attempt that built it ends
+	// (whatever keeps it longer copies it: the tree copies the keys and rows
+	// it stores), so a transaction builds its keys and rows in the attempt's
+	// arena, tx.Arena() in the logic and c.Arena() in an action body: the
+	// engine resets and reuses it, and steady-state keys and rows cost no
+	// allocation. A nil arena allocates a fresh slice the caller owns.
 	key := func(a *bionicdb.Arena, i int) []byte {
 		k := a.Alloc(8)
 		copy(k, "key-0000")
@@ -43,9 +43,8 @@ func main() {
 			i := i
 			committed := eng.Submit(term, func(tx bionicdb.Tx) bool {
 				return tx.Phase(bionicdb.Action{Table: 1, Key: key(tx.Arena(), i), Body: func(c bionicdb.AccessCtx) bool {
-					// The value is different: it becomes the stored row, so
-					// it is a fresh slice the engine now owns.
-					return c.Insert(1, key(c.Arena(), i), []byte(fmt.Sprintf("hello #%d", i)))
+					row := fmt.Appendf(c.Arena().Alloc(16)[:0], "hello #%d", i)
+					return c.Insert(1, key(c.Arena(), i), row)
 				}})
 			})
 			if !committed {
@@ -61,8 +60,11 @@ func main() {
 				if !ok {
 					return false
 				}
-				// v is the stored row, immutable: build the new row beside it.
-				return c.Update(1, k, append(v[:len(v):len(v)], " (updated)"...))
+				// v is the stored row, immutable: build the new row in the
+				// arena.
+				const suffix = " (updated)"
+				row := append(append(c.Arena().Alloc(len(v) + len(suffix))[:0], v...), suffix...)
+				return c.Update(1, k, row)
 			}})
 		})
 

@@ -23,10 +23,10 @@ func main() {
 	key := func(i int) []byte { return storage.Uint64Key(uint64(i)) }
 	val := func(s string) []byte { return []byte(s) }
 
-	var loadKey storage.Arena // the tree copies the keys it keeps
+	var load storage.Arena // the tree copies the keys and rows it keeps
 	for i := 0; i < 1000; i++ {
-		loadKey.Reset()
-		eng.Load(1, loadKey.Uint64Key(uint64(i)), val(fmt.Sprintf("opening-%d", i)))
+		load.Reset()
+		eng.Load(1, load.Uint64Key(uint64(i)), fmt.Appendf(load.Alloc(16)[:0], "opening-%d", i))
 	}
 
 	var meta core.CheckpointMeta

@@ -97,19 +97,29 @@ type node struct {
 	id   storage.PageID
 	addr uint64
 	leaf bool
-	keys []keyRef
-	vals [][]byte // leaf only; parallel to keys
-	kids []*node  // inner only; len(kids) == len(keys)+1
-	next *node    // leaf chain
+	keys []ref
+	vals []ref   // leaf only; parallel to keys
+	kids []*node // inner only; len(kids) == len(keys)+1
+	next *node   // leaf chain
 }
 
-// keyRef locates a stored key: its u16 length prefix starts at byte off of
-// the tree's chunk number chunk, and its bytes follow. That is the
-// checkpoint image's own field layout, so a loaded key refers into its page
-// image as it is. A ref is 8 bytes and holds no pointer: node key arrays
-// are a third the size of slice headers, and the collector does not scan
-// them.
-type keyRef struct{ chunk, off uint32 }
+// ref locates a stored byte string, a key or a row: its length prefix
+// starts at byte off of the tree's chunk number chunk, and its bytes follow.
+// The prefix is a u16, the checkpoint image's own field layout, so a loaded
+// key or row refers into its page image as it is; with the wide bit set in
+// off it is a u32, a crash log's after-image layout, so a replayed row
+// refers into the log as it is. A ref is 8 bytes and holds no pointer: node
+// key and value arrays are a third the size of slice headers, and the
+// collector does not scan them.
+type ref struct{ chunk, off uint32 }
+
+// wide marks a ref whose length prefix is a u32. Keys are never wide; a row
+// is wide when it comes from a crash log or is longer than maxKeyLen.
+const wide = 1 << 31
+
+// maxChunk is the largest chunk a ref reaches every offset of: offsets
+// below the wide bit.
+const maxChunk = wide - 1
 
 // maxKeyLen is the longest key a tree stores: a key's length prefix, like
 // the checkpoint image's, is a u16.
@@ -122,42 +132,93 @@ type Tree struct {
 	height int
 	size   int
 	nextID storage.PageID
-	// chunks is what keyRefs resolve through: every slab chunk cloneKey
-	// has carved since the tree was made, loaded or last checkpointed, and
-	// every page image Load or Checkpoint bound its keys into.
+	// chunks is what refs resolve through: every slab chunk clone has
+	// carved since the tree was made, loaded or last checkpointed, every
+	// page image Load or Checkpoint bound keys and rows into, and every
+	// buffer AddChunk registered.
 	chunks [][]byte
-	slab   []byte // the chunk cloneKey is filling; len is the used part
+	slab   []byte // the chunk clone is filling; len is the used part
+	slabAt uint32 // slab's chunk number
 }
 
-// slabChunk is the size of one chunk of a tree's key slab: a few hundred of
-// the shipped workloads' keys (8 to 40 bytes) per allocation.
+// slabChunk is the size of one chunk of a tree's slab: a few dozen of the
+// shipped workloads' rows with their keys (8 to 40-byte keys, rows of up to
+// about a hundred bytes) per allocation.
 const slabChunk = 4096
 
 // key resolves r to the key's bytes, a view whose capacity is its length, so
 // appending to a key the tree hands out never writes into its neighbour.
-func (t *Tree) key(r keyRef) []byte {
+func (t *Tree) key(r ref) []byte {
 	c := t.chunks[r.chunk]
 	off := int(r.off) + 2
 	end := off + int(binary.LittleEndian.Uint16(c[r.off:]))
 	return c[off:end:end]
 }
 
-// cloneKey copies key into the tree's key slab, behind its u16 length, and
-// returns its ref. A chunk is never reused: the chunk table keeps it until a
-// Checkpoint binds every key into the images, and keys are immutable. A key
-// longer than maxKeyLen panics: Put has no error to return.
-func (t *Tree) cloneKey(key []byte) keyRef {
+// val resolves r to the row's bytes, a view clipped like key's.
+func (t *Tree) val(r ref) []byte {
+	if r.off&wide == 0 {
+		return t.key(r)
+	}
+	c := t.chunks[r.chunk]
+	off := int(r.off&^wide) + 4
+	end := off + int(binary.LittleEndian.Uint32(c[off-4:]))
+	return c[off:end:end]
+}
+
+// clone copies b into the tree's slab, behind its length prefix, and
+// returns its ref: a u16 prefix, or a u32 one with the wide bit for b over
+// maxKeyLen bytes. A chunk is never reused: the chunk table keeps it until a
+// Checkpoint binds every key and row into the images, and stored bytes are
+// immutable.
+func (t *Tree) clone(b []byte) ref {
+	prefix := 2
+	if len(b) > maxKeyLen {
+		prefix = 4
+	}
+	need := prefix + len(b)
+	if need > maxChunk {
+		panic(fmt.Sprintf("btree: a %d-byte row exceeds the %d-byte limit on a stored row", len(b), maxChunk-4))
+	}
+	if need > cap(t.slab)-len(t.slab) {
+		t.slab = make([]byte, 0, max(slabChunk, need))
+		t.slabAt = uint32(len(t.chunks))
+		t.chunks = append(t.chunks, t.slab[:cap(t.slab)])
+	}
+	r := ref{chunk: t.slabAt, off: uint32(len(t.slab))}
+	if prefix == 2 {
+		t.slab = binary.LittleEndian.AppendUint16(t.slab, uint16(len(b)))
+	} else {
+		r.off |= wide
+		t.slab = binary.LittleEndian.AppendUint32(t.slab, uint32(len(b)))
+	}
+	t.slab = append(t.slab, b...)
+	return r
+}
+
+// cloneKey is clone for a key. A key longer than maxKeyLen panics: Put has
+// no error to return.
+func (t *Tree) cloneKey(key []byte) ref {
 	if len(key) > maxKeyLen {
 		panic(fmt.Sprintf("btree: a %d-byte key exceeds the %d-byte limit on a stored key", len(key), maxKeyLen))
 	}
-	if need := 2 + len(key); need > cap(t.slab)-len(t.slab) {
-		t.slab = make([]byte, 0, max(slabChunk, need))
-		t.chunks = append(t.chunks, t.slab[:cap(t.slab)])
+	return t.clone(key)
+}
+
+// Chunk names a buffer AddChunk registered with a tree.
+type Chunk uint32
+
+// AddChunk registers buf as one of the tree's chunks without copying it, so
+// that PutAt can store fields of it as rows: how recovery installs a crash
+// log's after-images. The tree keeps buf until its next Checkpoint, and
+// nothing may write to buf again. A buf over 2 GiB - 1, beyond what a
+// reference's offset reaches, is an error.
+func (t *Tree) AddChunk(buf []byte) (Chunk, error) {
+	if len(buf) > maxChunk {
+		return 0, fmt.Errorf("btree: a %d-byte chunk is over the %d-byte limit", len(buf), maxChunk)
 	}
-	r := keyRef{chunk: uint32(len(t.chunks) - 1), off: uint32(len(t.slab))}
-	t.slab = binary.LittleEndian.AppendUint16(t.slab, uint16(len(key)))
-	t.slab = append(t.slab, key...)
-	return r
+	t.chunks = append(t.chunks, buf[:len(buf):len(buf)])
+	return Chunk(len(t.chunks) - 1), nil
 }
 
 // New creates an empty tree.
@@ -258,16 +319,35 @@ func (t *Tree) Get(key []byte, tr *Trace) (val []byte, ok bool) {
 	if !found {
 		return nil, false
 	}
-	return n.vals[idx], true
+	return t.val(n.vals[idx]), true
 }
 
 // Put inserts or replaces key's value and returns the previous value, if
-// any. The tree owns its keys: a key it does not hold yet is copied, so the
-// caller may reuse or overwrite key's bytes once Put returns, and a replace
-// keeps the stored key and copies nothing. The value slice is stored as-is
-// (ownership passes to the tree; callers must not mutate it after).
+// any. The tree owns its keys and rows: val is copied into the tree's slab,
+// and so is a key it does not hold yet (a replace keeps the stored key), so
+// the caller may reuse or overwrite the bytes of both once Put returns. The
+// stored bytes are never written again: a replace stores the new row beside
+// the old one, so prev, and any view of the old row a caller holds, keeps
+// its bytes. Every value the tree hands out is a view whose capacity is its
+// length.
 func (t *Tree) Put(key, val []byte, tr *Trace) (prev []byte, existed bool) {
-	prev, existed, splitKey, right := t.insert(t.root, key, val, tr)
+	return t.put(key, t.clone(val), tr)
+}
+
+// PutAt is Put of the row stored at byte off of chunk c behind a u32
+// length, which it refers to instead of copying: a crash log's after-image,
+// installed by recovery. A field that runs past the chunk panics.
+func (t *Tree) PutAt(key []byte, c Chunk, off int, tr *Trace) (prev []byte, existed bool) {
+	buf := t.chunks[c]
+	if off < 0 || len(buf)-off < 4 || uint64(len(buf)-off-4) < uint64(binary.LittleEndian.Uint32(buf[off:])) {
+		panic(fmt.Sprintf("btree: a row at byte %d overruns its %d-byte chunk", off, len(buf)))
+	}
+	return t.put(key, ref{chunk: uint32(c), off: uint32(off) | wide}, tr)
+}
+
+// put inserts or replaces key's value with the row v refers to.
+func (t *Tree) put(key []byte, v ref, tr *Trace) (prev []byte, existed bool) {
+	prev, existed, splitKey, right := t.insert(t.root, key, v, tr)
 	if right != nil {
 		newRoot := t.newNode(false)
 		newRoot.keys = append(newRoot.keys, splitKey)
@@ -286,17 +366,17 @@ func (t *Tree) Put(key, val []byte, tr *Trace) (prev []byte, existed bool) {
 
 // insert descends into n; on child split it returns the separator and new
 // right sibling for the caller to install.
-func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed bool, splitKey keyRef, right *node) {
+func (t *Tree) insert(n *node, key []byte, v ref, tr *Trace) (prev []byte, existed bool, splitKey ref, right *node) {
 	if n.leaf {
 		idx, found, cmps := t.leafIdx(n, key)
 		t.visit(tr, n, cmps)
 		if found {
-			prev = n.vals[idx]
-			n.vals[idx] = val
-			return prev, true, keyRef{}, nil
+			prev = t.val(n.vals[idx])
+			n.vals[idx] = v
+			return prev, true, ref{}, nil
 		}
 		n.keys = insertAt(n.keys, idx, t.cloneKey(key))
-		n.vals = insertAt(n.vals, idx, val)
+		n.vals = insertAt(n.vals, idx, v)
 		if len(n.keys) > t.cfg.Order {
 			splitKey, right = t.splitLeaf(n, tr)
 		}
@@ -304,7 +384,7 @@ func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed
 	}
 	idx, cmps := t.searchIdx(n, key)
 	t.visit(tr, n, cmps)
-	prev, existed, sk, r := t.insert(n.kids[idx], key, val, tr)
+	prev, existed, sk, r := t.insert(n.kids[idx], key, v, tr)
 	if r != nil {
 		n.keys = insertAt(n.keys, idx, sk)
 		n.kids = insertAt(n.kids, idx+1, r)
@@ -315,7 +395,7 @@ func (t *Tree) insert(n *node, key, val []byte, tr *Trace) (prev []byte, existed
 	return prev, existed, splitKey, right
 }
 
-func (t *Tree) splitLeaf(n *node, tr *Trace) (keyRef, *node) {
+func (t *Tree) splitLeaf(n *node, tr *Trace) (ref, *node) {
 	mid := len(n.keys) / 2
 	r := t.newNode(true)
 	if tr != nil {
@@ -329,7 +409,7 @@ func (t *Tree) splitLeaf(n *node, tr *Trace) (keyRef, *node) {
 	return r.keys[0], r
 }
 
-func (t *Tree) splitInner(n *node, tr *Trace) (keyRef, *node) {
+func (t *Tree) splitInner(n *node, tr *Trace) (ref, *node) {
 	mid := len(n.keys) / 2
 	pivot := n.keys[mid]
 	r := t.newNode(false)
@@ -364,7 +444,7 @@ func (t *Tree) remove(n *node, key []byte, tr *Trace) (val []byte, ok bool) {
 		if !found {
 			return nil, false
 		}
-		val = n.vals[idx]
+		val = t.val(n.vals[idx])
 		n.keys = removeAt(n.keys, idx)
 		n.vals = removeAt(n.vals, idx)
 		return val, true
@@ -482,7 +562,7 @@ func (t *Tree) Scan(from, to []byte, tr *Trace, fn func(key, val []byte) bool) {
 			if to != nil && bytes.Compare(k, to) >= 0 {
 				return
 			}
-			if !fn(k, n.vals[idx]) {
+			if !fn(k, t.val(n.vals[idx])) {
 				return
 			}
 		}
@@ -505,7 +585,7 @@ func (t *Tree) Min(tr *Trace) (key, val []byte, ok bool) {
 	if len(n.keys) == 0 {
 		return nil, nil, false
 	}
-	return t.key(n.keys[0]), n.vals[0], true
+	return t.key(n.keys[0]), t.val(n.vals[0]), true
 }
 
 // Pages calls fn for every node in the tree (root first), reporting its

@@ -2,6 +2,8 @@ package btree
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -99,15 +101,129 @@ func TestPutOwnsNewKeys(t *testing.T) {
 	}
 }
 
-// TestPutReplaceCopiesNothing: a replace keeps the stored key.
+// TestPutReplaceCopiesNothing: a replace keeps the stored key and copies
+// only the value, behind its 2-byte length, into the slab, and allocates
+// nothing while the slab chunk has room.
 func TestPutReplaceCopiesNothing(t *testing.T) {
 	tr := sized(64)
 	for i := 0; i < 1000; i++ {
 		tr.Put(key(i), val(i), nil)
 	}
 	k, v := key(500), val(1)
-	if n := testing.AllocsPerRun(100, func() { tr.Put(k, v, nil) }); n != 0 {
+	if room := cap(tr.slab) - len(tr.slab); room < 2+len(v) {
+		tr.Put(k, make([]byte, room), nil) // fill the chunk: the next replace starts one
+	}
+	chunks, used := len(tr.chunks), len(tr.slab)
+	tr.Put(k, v, nil)
+	if len(tr.chunks) != chunks || len(tr.slab) != used+2+len(v) {
+		t.Fatalf("a replace of a %d-byte value grew the slab by %d bytes and %d chunks, want %d bytes and none",
+			len(v), len(tr.slab)-used, len(tr.chunks)-chunks, 2+len(v))
+	}
+	const runs = 100
+	if room := cap(tr.slab) - len(tr.slab); room < (runs+1)*(2+len(v)) {
+		t.Fatalf("fixture: %d bytes of slab room for %d replaces", room, runs+1)
+	}
+	if n := testing.AllocsPerRun(runs, func() { tr.Put(k, v, nil) }); n != 0 {
 		t.Fatalf("replacing a value allocates %.0f times, want 0", n)
+	}
+}
+
+// TestPutCopiesValues: the tree owns its rows. A caller may overwrite the
+// buffer it handed Put, a replaced row's view and a deleted row's view keep
+// their bytes, and every value the tree hands out has no spare capacity. A
+// row too long for a u16 length is stored too, behind a u32.
+func TestPutCopiesValues(t *testing.T) {
+	tr := small()
+	buf := make([]byte, 8)
+	for i := 0; i < 100; i++ {
+		copy(buf, key(i))
+		tr.Put(key(i), buf, nil)
+		for j := range buf {
+			buf[j] = 0xDB // what a reset arena holds under the race build
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if v, ok := tr.Get(key(i), nil); !ok || !bytes.Equal(v, key(i)) || cap(v) != len(v) {
+			t.Fatalf("row %d reads %x (cap %d) after its caller reused the buffer", i, v, cap(v))
+		}
+	}
+	old, _ := tr.Get(key(7), nil)
+	prev, existed := tr.Put(key(7), []byte("replacement"), nil)
+	if !existed || !bytes.Equal(prev, key(7)) || !bytes.Equal(old, key(7)) {
+		t.Fatalf("after a replace the old row reads %x and the view of it %x", prev, old)
+	}
+	gone, _ := tr.Get(key(8), nil)
+	deleted, ok := tr.Delete(key(8), nil)
+	for i := 100; i < 200; i++ {
+		tr.Put(key(i), val(i), nil) // grow the slab past the old rows
+	}
+	if !ok || !bytes.Equal(deleted, key(8)) || !bytes.Equal(gone, key(8)) {
+		t.Fatalf("after a delete the row reads %x and the view of it %x", deleted, gone)
+	}
+	long := bytes.Repeat([]byte{0x5A}, maxKeyLen+1)
+	tr.Put(key(3), long, nil)
+	long[0] = 0
+	if v, _ := tr.Get(key(3), nil); !bytes.Equal(v, bytes.Repeat([]byte{0x5A}, maxKeyLen+1)) || cap(v) != len(v) {
+		t.Fatalf("a %d-byte row reads back %d bytes (cap %d)", maxKeyLen+1, len(v), cap(v))
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPutAtRefersIntoChunk: PutAt stores a u32-length field of a registered
+// buffer as the row without copying it, a field that runs past the buffer
+// panics, and a checkpoint moves the row into its image and drops the
+// buffer from the chunk table.
+func TestPutAtRefersIntoChunk(t *testing.T) {
+	tr := small()
+	for i := 0; i < 10; i++ {
+		tr.Put(key(i), val(i), nil)
+	}
+	var log []byte
+	var offs []int
+	for i := 0; i < 20; i++ {
+		offs = append(offs, len(log))
+		row := []byte(fmt.Sprintf("logged-%d", i))
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(row)))
+		log = append(log, row...)
+	}
+	c, err := tr.AddChunk(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range offs {
+		tr.PutAt(key(i*2), c, off, nil)
+	}
+	for i, off := range offs {
+		v, ok := tr.Get(key(i*2), nil)
+		if !ok || !bytes.Equal(v, []byte(fmt.Sprintf("logged-%d", i))) || &v[0] != &log[off+4] || cap(v) != len(v) {
+			t.Fatalf("row %d reads %q, not a clipped view of its field", i*2, v)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "overruns") {
+				t.Errorf("PutAt of a field past the chunk: panic %q, want one naming the overrun", msg)
+			}
+		}()
+		tr.PutAt(key(99), c, len(log)-2, nil)
+	}()
+	sum := sha256.Sum256(log)
+	imgs := images(tr)
+	if len(tr.chunks) != len(imgs) {
+		t.Fatalf("%d chunks for %d images after the checkpoint", len(tr.chunks), len(imgs))
+	}
+	for i := range offs {
+		if v, _ := tr.Get(key(i*2), nil); !bytes.Equal(v, []byte(fmt.Sprintf("logged-%d", i))) {
+			t.Fatalf("row %d reads %q after the checkpoint", i*2, v)
+		}
+	}
+	if sha256.Sum256(log) != sum {
+		t.Fatal("the registered buffer changed")
 	}
 }
 
@@ -190,34 +306,48 @@ func TestNodeKeysHoldNoPointers(t *testing.T) {
 	}
 }
 
-// TestSlabChunkBoundaries: keys that fill a slab chunk to its last byte, and
-// a key longer than a chunk, resolve to their own bytes, clipped to their
-// length, and the tree around them stays valid.
+// TestNodeValuesHoldNoPointers: a leaf's value array holds 8-byte references
+// without pointers too.
+func TestNodeValuesHoldNoPointers(t *testing.T) {
+	field, _ := reflect.TypeOf(node{}).FieldByName("vals")
+	elem := field.Type.Elem()
+	if hasPointers(elem) || elem.Size() != 8 {
+		t.Errorf("node.vals holds %v (%d bytes), want 8 bytes without pointers", elem, elem.Size())
+	}
+}
+
+// TestSlabChunkBoundaries: rows and keys that fill a slab chunk to its last
+// byte, and a key longer than a chunk, resolve to their own bytes, clipped
+// to their length, and the tree around them stays valid.
 func TestSlabChunkBoundaries(t *testing.T) {
 	tr := sized(16)
-	const klen = 30 // with its 2-byte prefix, 128 keys fill a chunk exactly
+	const klen = 26 // a 2-byte row and the key, each behind a 2-byte prefix: 128 entries fill a chunk exactly
 	fixed := func(i int) []byte { return append(bytes.Repeat([]byte{'k'}, klen-8), key(i)...) }
+	row := func(i int) []byte { return []byte{byte(i >> 8), byte(i)} }
 	for i := 0; i < 256; i++ {
-		tr.Put(fixed(i), val(i), nil)
+		tr.Put(fixed(i), row(i), nil)
 	}
 	if len(tr.chunks) != 2 || len(tr.slab) != slabChunk {
-		t.Fatalf("256 keys of %d bytes fill %d slab chunks, the last to %d bytes; want 2 full ones", klen, len(tr.chunks), len(tr.slab))
+		t.Fatalf("256 entries of %d bytes fill %d slab chunks, the last to %d bytes; want 2 full ones", klen+6, len(tr.chunks), len(tr.slab))
 	}
-	for c, i := range []int{127, 255} { // the keys ending chunks 0 and 1
-		if k := tr.key(keyRef{chunk: uint32(c), off: slabChunk - klen - 2}); !bytes.Equal(k, fixed(i)) || cap(k) != len(k) {
+	for c, i := range []int{127, 255} { // the entries ending chunks 0 and 1: the row, then the key
+		if v := tr.val(ref{chunk: uint32(c), off: slabChunk - klen - 6}); !bytes.Equal(v, row(i)) || cap(v) != len(v) {
+			t.Fatalf("the last row of chunk %d reads %x (cap %d)", c, v, cap(v))
+		}
+		if k := tr.key(ref{chunk: uint32(c), off: slabChunk - klen - 2}); !bytes.Equal(k, fixed(i)) || cap(k) != len(k) {
 			t.Fatalf("the key ending chunk %d reads %q (cap %d)", c, k, cap(k))
 		}
 	}
-	tr.Put(fixed(256), val(256), nil)
-	if len(tr.chunks) != 3 || len(tr.slab) != klen+2 {
-		t.Fatalf("the key after two full chunks left %d chunks, the last used to %d bytes", len(tr.chunks), len(tr.slab))
+	tr.Put(fixed(256), row(256), nil)
+	if len(tr.chunks) != 3 || len(tr.slab) != klen+6 {
+		t.Fatalf("the entry after two full chunks left %d chunks, the last used to %d bytes", len(tr.chunks), len(tr.slab))
 	}
 	huge := bytes.Repeat([]byte{0x7F}, 3*slabChunk)
 	tr.Put(huge, val(-1), nil)
 	if c := tr.chunks[len(tr.chunks)-1]; len(c) != 2+len(huge) {
 		t.Errorf("a %d-byte key got a %d-byte chunk, want its own of %d", len(huge), len(c), 2+len(huge))
 	}
-	tr.Put(fixed(257), val(257), nil) // the huge key's chunk has no room left
+	tr.Put(fixed(257), row(257), nil) // the huge key's chunk has no room left
 	if v, ok := tr.Get(huge, nil); !ok || !bytes.Equal(v, val(-1)) {
 		t.Fatal("a key longer than a slab chunk is lost")
 	}
@@ -233,7 +363,7 @@ func TestSlabChunkBoundaries(t *testing.T) {
 		t.Fatalf("scanned %d keys, want 259", n)
 	}
 	for i := 0; i < 258; i++ {
-		if v, ok := tr.Get(fixed(i), nil); !ok || !bytes.Equal(v, val(i)) {
+		if v, ok := tr.Get(fixed(i), nil); !ok || !bytes.Equal(v, row(i)) {
 			t.Fatalf("key %d lost", i)
 		}
 	}
@@ -573,12 +703,15 @@ func TestPropertyAgainstMapOracle(t *testing.T) {
 		order := 4 + int(orderSel%12)
 		tr := sized(order)
 		oracle := map[string]string{}
+		var buf []byte
 		for step := 0; step < 800; step++ {
 			k := key(r.Intn(200))
 			switch r.Intn(3) {
 			case 0, 1:
 				v := val(r.Intn(1000))
-				tr.Put(k, v, nil)
+				buf = append(buf[:0], v...)
+				tr.Put(k, buf, nil)
+				scribble(buf)
 				oracle[string(k)] = string(v)
 			case 2:
 				_, treeOK := tr.Delete(k, nil)
@@ -617,8 +750,11 @@ func TestPropertyCheckpointEquivalence(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := sim.NewRand(seed)
 		tr := sized(4 + r.Intn(8))
+		var buf []byte
 		for i := 0; i < 300; i++ {
-			tr.Put(key(r.Intn(150)), val(r.Intn(100)), nil)
+			buf = append(buf[:0], val(r.Intn(100))...)
+			tr.Put(key(r.Intn(150)), buf, nil)
+			scribble(buf)
 			if r.Bool(0.3) {
 				tr.Delete(key(r.Intn(150)), nil)
 			}
@@ -649,6 +785,13 @@ func TestPropertyCheckpointEquivalence(t *testing.T) {
 	}
 }
 
+// scribble overwrites b as a reset arena does under the race build.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
+}
+
 func BenchmarkTreeGet(b *testing.B) {
 	tr := New(Config{})
 	for i := 0; i < 100000; i++ {
@@ -661,11 +804,19 @@ func BenchmarkTreeGet(b *testing.B) {
 	}
 }
 
+// BenchmarkTreePut inserts ascending keys, building each key and row in
+// one reused buffer as a transaction builds them in its arena.
 func BenchmarkTreePut(b *testing.B) {
 	tr := New(Config{})
+	var buf storage.Arena
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Put(key(i), val(i), nil)
+		buf.Reset()
+		row := buf.Alloc(16)
+		copy(row, "row-")
+		binary.BigEndian.PutUint64(row[8:], uint64(i))
+		tr.Put(buf.Uint64Key(uint64(i)), row, nil)
 	}
 }
 
@@ -739,11 +890,12 @@ func TestSplitsLeaveFinishedNodesExact(t *testing.T) {
 	}
 
 	// The live heap of an ascending load at the default order: an 8 B key
-	// reference and a 24 B value header, 10 B of length-prefixed key in the
-	// slab per entry, one node per 64 entries, and the runtime's share:
-	// 48.2 B measured (66 B while the keys were 24 B slice headers). Every
-	// entry shares one value, and the keys handed to Put are garbage once it
-	// returns.
+	// reference and an 8 B value reference, 10 B of length-prefixed key and
+	// 4 B of length-prefixed value in the slab per entry, one node per 64
+	// entries, and the runtime's share: 32.3 B measured (48.2 B while the
+	// values were 24 B slice headers to one shared value, 66 B while the keys
+	// were headers too). The keys and values handed to Put are garbage once
+	// it returns.
 	const entries = 100000
 	v := val(0)
 	var before, after runtime.MemStats
@@ -773,7 +925,7 @@ func pair(tr *Tree, leaf bool, nl, nr int) (left, right *node) {
 		l := tr.newNode(true)
 		for ; n > 0; n-- {
 			l.keys = append(l.keys, tr.cloneKey(key(next)))
-			l.vals = append(l.vals, val(next))
+			l.vals = append(l.vals, tr.clone(val(next)))
 			next++
 		}
 		if prev != nil {
@@ -820,8 +972,8 @@ func zeroTail[T any](s []T) bool {
 }
 
 // TestBorrowClearsTheDonorsTail: a sibling that lends an entry keeps its
-// arrays, and no slot past its length still references what it lent; a
-// lent value later replaced in its new node would otherwise stay pinned.
+// arrays, and no slot past its length still refers to what it lent, or to
+// the child it handed over, which would otherwise stay pinned.
 func TestBorrowClearsTheDonorsTail(t *testing.T) {
 	for _, leaf := range []bool{true, false} {
 		for _, fromLeft := range []bool{true, false} {

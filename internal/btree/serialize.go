@@ -23,8 +23,8 @@ import (
 // nodeHeader is the size of an image's kind byte and key count.
 const nodeHeader = 3
 
-// maxImage is the largest image a key reference can reach every offset of.
-const maxImage uint64 = math.MaxUint32
+// maxImage is the largest image a reference can reach every offset of.
+const maxImage uint64 = maxChunk
 
 // imageSize returns the exact size of n's checkpoint image. A value longer
 // than its u16 length field can hold, or an image past maxImage, is an error
@@ -34,7 +34,7 @@ func (t *Tree) imageSize(n *node) (int, error) {
 	for i, r := range n.keys {
 		size += 2 + len(t.key(r))
 		if n.leaf {
-			v := len(n.vals[i])
+			v := len(t.val(n.vals[i]))
 			if v > math.MaxUint16 {
 				return 0, corrupt(n.id, "value %d is %d bytes, over the image format's %d-byte field limit", i, v, math.MaxUint16)
 			}
@@ -95,7 +95,7 @@ func (t *Tree) serializeNode(n *node, size int, chunk uint32) []byte {
 		off := len(out)
 		out = appendBytes16(out, t.key(r))
 		if n.leaf {
-			out = appendBytes16(out, n.vals[i])
+			out = appendBytes16(out, t.val(n.vals[i]))
 		}
 		_, _ = bind(n, i, chunk, out, off) // just written: it cannot overrun out
 	}
@@ -112,13 +112,14 @@ func (t *Tree) serializeNode(n *node, size int, chunk uint32) []byte {
 // id (RootID) the images fully reconstruct the tree via Load.
 //
 // Each image is a fresh buffer of exact size that write may keep. The tree
-// keeps it too: every key reference and leaf value of a node becomes a view
-// of that node's image, as Load makes them, the chunk table becomes exactly
-// the images, and the key slab restarts empty, so the tree no longer holds
-// the rows and key chunks it held before. Neither the tree nor write may
-// ever write to an image: stored keys and rows are immutable, and Put
-// replaces a value instead of writing into it. write must not use the tree,
-// which is half adopted until Checkpoint returns.
+// keeps it too: every key and row reference of a node comes to refer into
+// that node's image, as Load makes them, the chunk table becomes exactly the
+// images, and the slab restarts empty, so the tree no longer holds the slab
+// chunks, or the buffers AddChunk registered, that it held before. Neither
+// the tree nor write may ever write to an image: stored keys and rows are
+// immutable, and Put stores a new row instead of writing into the old one.
+// write must not use the tree, which is half adopted until Checkpoint
+// returns.
 //
 // Every node is sized before the first is written. A node the image format
 // cannot hold (a value over 65 535 bytes) is an error naming its page, and
@@ -145,11 +146,12 @@ func (t *Tree) Checkpoint(write func(id storage.PageID, image []byte)) error {
 // loaded id.
 //
 // The tree copies nothing out of the images: each image joins the tree's
-// chunk table, every key it restores is a reference to its length prefix in
-// the image, and every value is a view into the image, clipped so its
-// capacity is its length (appending to one reallocates instead of writing
-// into the image). The images must therefore never be written again; stored
-// keys and rows are immutable, so the tree itself never does.
+// chunk table, and every key and row it restores is a reference to its
+// length prefix in the image. The keys and values it hands out are views
+// into the image, clipped so their capacity is their length (appending to
+// one reallocates instead of writing into the image). The images must
+// therefore never be written again; stored keys and rows are immutable, so
+// the tree itself never does.
 //
 // A corrupt image is an error naming its page, never a panic: a truncated
 // image, an unknown kind byte, a length or the child-id array running past
@@ -203,19 +205,20 @@ func view16(img []byte, off int) (field []byte, next int, ok bool) {
 
 // bind points entry i of n into img, chunk number chunk of the tree's chunk
 // table, where the entry's fields start at off: its key reference at the
-// key's length prefix and, in a leaf, its value as a view of the value field
-// clipped so that its capacity is its length. It returns the offset past the
-// entry, or an error naming the field that runs past the image. Load binds
-// the entries of the images it reads, and serializeNode those of the images
-// it writes, so a loaded tree and a checkpointed one hold the same views.
+// key's length prefix and, in a leaf, its value reference at the value's. It
+// returns the offset past the entry, or an error naming the field that runs
+// past the image. Load binds the entries of the images it reads, and
+// serializeNode those of the images it writes, so a loaded tree and a
+// checkpointed one hold the same references.
 func bind(n *node, i int, chunk uint32, img []byte, off int) (int, error) {
-	n.keys[i] = keyRef{chunk: chunk, off: uint32(off)}
+	n.keys[i] = ref{chunk: chunk, off: uint32(off)}
 	_, off, ok := view16(img, off)
 	if !ok {
 		return 0, corrupt(n.id, "key %d overruns the %d-byte image", i, len(img))
 	}
 	if n.leaf {
-		if n.vals[i], off, ok = view16(img, off); !ok {
+		n.vals[i] = ref{chunk: chunk, off: uint32(off)}
+		if _, off, ok = view16(img, off); !ok {
 			return 0, corrupt(n.id, "value %d overruns the %d-byte image", i, len(img))
 		}
 	}
@@ -250,9 +253,9 @@ func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, erro
 	if id > l.maxID {
 		l.maxID = id
 	}
-	n := &node{id: id, addr: t.addrOf(id), leaf: leaf, keys: make([]keyRef, nkeys)}
+	n := &node{id: id, addr: t.addrOf(id), leaf: leaf, keys: make([]ref, nkeys)}
 	if leaf {
-		n.vals = make([][]byte, nkeys)
+		n.vals = make([]ref, nkeys)
 	}
 	chunk := uint32(len(t.chunks))
 	t.chunks = append(t.chunks, img)
@@ -311,7 +314,7 @@ func (l *loader) build(id storage.PageID, depth int, lo, hi []byte) (*node, erro
 
 // checkOrder reports keys that are not strictly ascending or fall outside
 // [lo, hi) (nil for no bound), the order Validate requires.
-func (t *Tree) checkOrder(id storage.PageID, keys []keyRef, lo, hi []byte) error {
+func (t *Tree) checkOrder(id storage.PageID, keys []ref, lo, hi []byte) error {
 	for i := 1; i < len(keys); i++ {
 		if bytes.Compare(t.key(keys[i-1]), t.key(keys[i])) >= 0 {
 			return corrupt(id, "keys out of order at %d", i)

@@ -58,10 +58,10 @@ func TestCheckpointImagesHaveExactSize(t *testing.T) {
 	}
 }
 
-// TestLoadAliasesImages: a loaded tree's key references point into the
-// images and its values are views of them, the keys it hands out are clipped
-// like the values so that appending to one reallocates and leaves the image
-// alone, and a load allocates per node, not per key.
+// TestLoadAliasesImages: a loaded tree's key and value references point into
+// the images, the keys and values it hands out are views of them clipped so
+// that appending to one reallocates and leaves the image alone, and a load
+// allocates per node, not per key.
 func TestLoadAliasesImages(t *testing.T) {
 	tr := sized(16)
 	for i := 0; i < 500; i++ {
@@ -122,8 +122,8 @@ func TestLoadAliasesImages(t *testing.T) {
 			t.Fatalf("page %d image changed after inserts and deletes on the loaded tree", id)
 		}
 	}
-	// Views, not copies: every node's key references resolve through its
-	// own image, and overwriting the key and value bytes of a private set
+	// Views, not copies: every node's key and value references resolve
+	// through its own image, and overwriting the key and value bytes of a private set
 	// of leaf images (their length prefixes kept) shows through every key
 	// and value loaded from them.
 	scratch := map[storage.PageID][]byte{}
@@ -139,6 +139,11 @@ func TestLoadAliasesImages(t *testing.T) {
 		for i, r := range n.keys {
 			if c := viewed.chunks[r.chunk]; &c[0] != &scratch[n.id][0] {
 				t.Fatalf("page %d key %d refers outside the page's image", n.id, i)
+			}
+		}
+		for i, r := range n.vals {
+			if c := viewed.chunks[r.chunk]; &c[0] != &scratch[n.id][0] || r.off&wide != 0 {
+				t.Fatalf("page %d value %d refers outside the page's image", n.id, i)
 			}
 		}
 		for _, kid := range n.kids {
@@ -166,10 +171,11 @@ func TestLoadAliasesImages(t *testing.T) {
 	})
 }
 
-// TestCheckpointAdoptsImages: after a checkpoint every key reference and
-// leaf value of a node is a view of the image written for that node, the
-// chunk table is exactly those images (no slab chunk is left), and the keys
-// and values handed out have no spare capacity. Replaces, inserts that split
+// TestCheckpointAdoptsImages: after a checkpoint every key and value
+// reference of a node refers to its field in the image written for that
+// node, the chunk table is exactly those images (no slab chunk is left), and
+// the keys and values handed out are views of the images with no spare
+// capacity. Replaces, inserts that split
 // and deletes that borrow and merge then leave the tree valid, its content
 // that of a twin that never checkpointed, and every image as it was written.
 func TestCheckpointAdoptsImages(t *testing.T) {
@@ -184,7 +190,7 @@ func TestCheckpointAdoptsImages(t *testing.T) {
 		sums[id] = sha256.Sum256(img)
 	}
 	if cap(tr.slab) != 0 {
-		t.Errorf("the key slab kept a %d-byte chunk", cap(tr.slab))
+		t.Errorf("the slab kept a %d-byte chunk", cap(tr.slab))
 	}
 	if len(tr.chunks) != len(imgs) {
 		t.Fatalf("%d chunks for %d images", len(tr.chunks), len(imgs))
@@ -205,9 +211,12 @@ func TestCheckpointAdoptsImages(t *testing.T) {
 			if !n.leaf {
 				continue
 			}
+			if r := n.vals[i]; &tr.chunks[r.chunk][0] != &img[0] || int(r.off) != off {
+				t.Fatalf("page %d value %d does not refer to its field in the page's image", n.id, i)
+			}
 			field, next, _ := view16(img, off)
 			off = next
-			if v := n.vals[i]; &v[0] != &field[0] || len(v) != len(field) || cap(v) != len(v) {
+			if v := tr.val(n.vals[i]); &v[0] != &field[0] || len(v) != len(field) || cap(v) != len(v) {
 				t.Fatalf("page %d value %d is not a clipped view of its field in the page's image", n.id, i)
 			}
 		}
@@ -298,7 +307,7 @@ func TestLoadRejectsCorruptImages(t *testing.T) {
 		fn(out)
 		return out
 	}
-	lone := &node{leaf: true, keys: []keyRef{tr.cloneKey(key(0))}, vals: [][]byte{val(0)}}
+	lone := &node{leaf: true, keys: []ref{tr.cloneKey(key(0))}, vals: []ref{tr.clone(val(0))}}
 	size, err := tr.imageSize(lone)
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,19 @@
 package core_test
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"bionicdb/internal/btree"
 	"bionicdb/internal/core"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
+	"bionicdb/internal/wal"
 	"bionicdb/internal/workload/tpcc"
 )
 
@@ -66,12 +70,14 @@ func crashTPCC(t *testing.T) crashedTPCC {
 
 // TestBootAllocs pins the boot's allocation diet: heap objects per restored
 // row plus replayed record, for a serial and a parallel boot of one crash
-// image. The checkpoint restore installs keys and values as views into the
-// page images and replay installs after-images as views into the log, so
-// what is left is per node (the node and its slices), per new key replay
-// inserts (slab chunks, leaf growth, splits) and the machine the boot builds.
-// The ceilings sit a few % above what this database measures: serial 0.056,
-// parallel 0.057 (134 heap bytes per row or record). Before, the restore
+// image. The checkpoint restore installs keys and values as references into
+// the page images and replay installs after-images as references into the
+// log, so what is left is per node (the node and its slices), per new key
+// replay inserts (slab chunks, leaf growth, splits) and the machine the boot
+// builds. The ceilings sit a few % above what this database measures:
+// serial 0.055, parallel 0.056 (92 heap bytes per row or record; 0.054,
+// 0.056 and 108 bytes while each node's values were 24-byte slice headers
+// into the images and the log). Before, the restore
 // copied every page image, cloned every key into the slab, copied every value
 // and grew each node's slices by doubling, and replay copied every
 // after-image: 1.19 on both boots (289 bytes), about one object per row.
@@ -82,8 +88,8 @@ func TestBootAllocs(t *testing.T) {
 		parallel bool
 		ceiling  float64
 	}{
-		{"serial", false, 0.058},
-		{"parallel", true, 0.059},
+		{"serial", false, 0.057},
+		{"parallel", true, 0.058},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runtime.GC()
@@ -104,6 +110,114 @@ func TestBootAllocs(t *testing.T) {
 					per, n, work, tc.ceiling)
 			}
 		})
+	}
+}
+
+// TestBootRefersIntoCrashImage: a boot copies no row. In a serial and a
+// parallel boot every recovered row is a view of a checkpoint page image or
+// of a log shard, and the row under every key a replayed record wrote last
+// is that record's after-image, in place in its log.
+func TestBootRefersIntoCrashImage(t *testing.T) {
+	c := crashTPCC(t)
+	type span struct{ lo, hi uintptr }
+	addr := func(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
+	var images []span
+	for _, id := range c.pages {
+		img := c.img.DM.ReadRaw(id)
+		images = append(images, span{addr(img), addr(img) + uintptr(len(img))})
+	}
+	slices.SortFunc(images, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	inImage := func(v []byte) bool {
+		i, _ := slices.BinarySearchFunc(images, addr(v), func(s span, p uintptr) int { return cmp.Compare(s.lo, p) })
+		if i == len(images) || images[i].lo != addr(v) {
+			i-- // the last image starting before v
+		}
+		return i >= 0 && addr(v) >= images[i].lo && addr(v)+uintptr(len(v)) <= images[i].hi
+	}
+	inLog := func(v []byte) bool {
+		for _, log := range c.img.Logs {
+			if addr(v) >= addr(log) && addr(v)+uintptr(len(v)) <= addr(log)+uintptr(len(log)) {
+				return true
+			}
+		}
+		return false
+	}
+
+	// The committed transactions, as recovery decides them, and the last
+	// record each one wrote per key, for keys one shard's log holds.
+	type rowKey struct {
+		table uint16
+		key   string
+	}
+	type write struct {
+		shard int
+		rec   wal.Record
+	}
+	committed := map[uint64]bool{}
+	for s, log := range c.img.Logs {
+		_ = wal.Scan(log, c.img.Meta.StartLSNs[s], func(r wal.Record) bool {
+			if r.Type != wal.RecCommit {
+				return true
+			}
+			vec, err := wal.DecodeShardVec(r.After)
+			ok := err == nil
+			for _, e := range vec {
+				ok = ok && int(e.LSN) <= len(c.img.Logs[e.Shard])
+			}
+			committed[r.Txn] = ok
+			return true
+		})
+	}
+	last := map[rowKey]write{}
+	for s, log := range c.img.Logs {
+		_ = wal.Scan(log, c.img.Meta.StartLSNs[s], func(r wal.Record) bool {
+			if committed[r.Txn] && (r.Type == wal.RecInsert || r.Type == wal.RecUpdate || r.Type == wal.RecDelete) {
+				k := rowKey{r.Table, string(r.Key)}
+				if w, ok := last[k]; ok && w.shard != s {
+					t.Fatalf("table %d key %x is written on shards %d and %d", k.table, k.key, w.shard, s)
+				}
+				last[k] = write{s, r}
+			}
+			return true
+		})
+	}
+
+	for _, parallel := range []bool{false, true} {
+		trees, _, _, err := core.Boot(c.img, c.img.Logs, parallel, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, logged := 0, 0
+		for id, tree := range trees {
+			tree.Scan(nil, nil, nil, func(k, v []byte) bool {
+				rows++
+				switch {
+				case inLog(v):
+					logged++
+				case !inImage(v):
+					t.Fatalf("parallel=%v: table %d key %x: its row is in neither a page image nor a log", parallel, id, k)
+				}
+				return true
+			})
+		}
+		replayed := 0
+		for k, w := range last {
+			v, ok := trees[k.table].Get([]byte(k.key), nil)
+			if w.rec.Type == wal.RecDelete {
+				if ok {
+					t.Fatalf("parallel=%v: table %d key %x survives its delete", parallel, k.table, k.key)
+				}
+				continue
+			}
+			replayed++
+			if !ok || len(v) != len(w.rec.After) || len(v) > 0 && &v[0] != &c.img.Logs[w.shard][w.rec.AfterField()+4] {
+				t.Fatalf("parallel=%v: table %d key %x: the row is not its last after-image in log %d", parallel, k.table, k.key, w.shard)
+			}
+		}
+		t.Logf("parallel=%v: %d rows, %d of them in the logs; %d keys replayed last from an after-image", parallel, rows, logged, replayed)
+		if replayed == 0 || logged != replayed {
+			t.Errorf("parallel=%v: %d rows resolve into the logs, %d keys were last written by a replayed after-image", parallel, logged, replayed)
+		}
 	}
 }
 

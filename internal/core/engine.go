@@ -17,14 +17,13 @@ import (
 // state prevents the operation (missing row, duplicate insert) — the body
 // decides whether that is a transaction abort.
 //
-// Key lifetime: a key or scan bound passed to any method need only stay
+// Lifetime: a key, scan bound or val passed to any method need only stay
 // valid until the transaction attempt that built it ends, which is what
-// Arena's keys do; whoever keeps a key longer (a tree storing a new row, a
-// lock name, a log record) copies it. Values are different: a val passed to
-// Update or Insert becomes the stored row, so ownership passes to the engine
-// and the caller must not touch it again; a val returned by Read or Scan is
-// the stored row itself, immutable (a later write replaces it, never
-// overwrites it in place), so views into it stay good.
+// Arena's slices do; whoever keeps one longer copies it (the tree copies a
+// new key and every row it stores, a lock table its lock names, the log its
+// records before the append returns). A val returned by Read or Scan is the
+// stored row itself, immutable (a later write stores a new row, never
+// overwrites one in place), so views into it stay good.
 type AccessCtx interface {
 	// Read returns the row under key.
 	Read(table uint16, key []byte) (val []byte, ok bool)
@@ -33,17 +32,19 @@ type AccessCtx interface {
 	// the write lock here, so two such bodies on one row queue at the read
 	// instead of both holding a read lock the other's upgrade waits on.
 	ReadForUpdate(table uint16, key []byte) (val []byte, ok bool)
-	// Update replaces an existing row; false if it does not exist.
+	// Update replaces an existing row; false if it does not exist. The
+	// store copies val, so the body may build it in Arena.
 	Update(table uint16, key, val []byte) bool
-	// Insert adds a new row; false if the key already exists.
+	// Insert adds a new row; false if the key already exists. The store
+	// copies val, as for Update.
 	Insert(table uint16, key, val []byte) bool
 	// Delete removes a row; false if it does not exist.
 	Delete(table uint16, key []byte) bool
 	// Scan iterates rows with keys in [from, to); nil bounds are open.
 	Scan(table uint16, from, to []byte, fn func(key, val []byte) bool)
-	// Arena is where the body builds its keys and scan bounds: the engine
-	// resets it when the next attempt starts, and it is the body's own (the
-	// actions of one Phase run side by side, each with its own).
+	// Arena is where the body builds its keys, scan bounds and rows: the
+	// engine resets it when the next attempt starts, and it is the body's
+	// own (the actions of one Phase run side by side, each with its own).
 	Arena() *storage.Arena
 }
 
@@ -130,8 +131,8 @@ type Engine interface {
 	// It returns whether the transaction finally committed (durably).
 	Submit(term *Terminal, logic TxnLogic) (committed bool)
 	// Load inserts a row during population, bypassing timing and logging.
-	// The engine copies key (the caller may reuse its bytes at once) and
-	// takes ownership of val.
+	// The engine copies key and val, so the caller may reuse their bytes
+	// at once.
 	Load(table uint16, key, val []byte)
 	// ReadRaw reads a row without timing (verification only).
 	ReadRaw(table uint16, key []byte) (val []byte, ok bool)

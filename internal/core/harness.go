@@ -19,15 +19,15 @@ type Workload interface {
 	Tables() []TableDef
 	// Scheme returns the partitioning for the given partition count.
 	Scheme(partitions int) PartitionScheme
-	// Populate loads the initial database through load.
+	// Populate loads the initial database through load, which copies key
+	// and val: both need only stay valid until load returns.
 	Populate(load func(table uint16, key, val []byte), r *sim.Rand)
 	// NextTxn draws one transaction from the mix from the stream r. The
 	// logic may be run, and re-run by the engine's retries, until the next
 	// NextTxn on the same r: a workload may keep each stream's inputs and
 	// scratch and reuse them then, so a stream runs one transaction at a
 	// time (a terminal draws, submits, then draws again). A value the logic
-	// passes to Update or Insert is never such a reused buffer: it becomes
-	// the stored row.
+	// passes to Update or Insert may be such a buffer: the store copies it.
 	NextTxn(r *sim.Rand) (name string, logic TxnLogic)
 }
 

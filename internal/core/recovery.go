@@ -125,12 +125,19 @@ func committedSet(perShard []map[uint64][]wal.ShardLSN, durable []wal.LSN) map[u
 }
 
 // applyShard replays one shard's committed data records, in shard-log
-// order, into trees. Record fields are views into the crash log, clipped by
-// wal.Decode so their capacity is their length: the tree clones a key it
-// inserts, and the after-image is installed as the stored row without a
-// copy. The log is never written again once it is a crash image, and stored
-// rows are immutable, so the recovered tree keeps the log alive instead.
+// order, into trees. The log is registered as one chunk of each tree, and
+// every after-image is installed as a reference to its field in the log
+// (btree.Tree.PutAt), so replay copies no row; the tree clones a key it
+// inserts. The log is never written again once it is a crash image, and
+// stored rows are immutable, so the recovered trees keep the log alive
+// until their next checkpoint instead.
 func applyShard(trees map[uint16]*btree.Tree, data []byte, start wal.LSN, committed map[uint64]bool) (records int64, err error) {
+	chunks := make(map[uint16]btree.Chunk, len(trees))
+	for id, tree := range trees {
+		if chunks[id], err = tree.AddChunk(data); err != nil {
+			return 0, err
+		}
+	}
 	err = wal.Scan(data, start, func(r wal.Record) bool {
 		if !committed[r.Txn] {
 			return true
@@ -141,7 +148,7 @@ func applyShard(trees map[uint16]*btree.Tree, data []byte, start wal.LSN, commit
 		}
 		switch r.Type {
 		case wal.RecInsert, wal.RecUpdate:
-			tree.Put(r.Key, r.After, nil)
+			tree.PutAt(r.Key, chunks[r.Table], r.AfterField(), nil)
 			records++
 		case wal.RecDelete:
 			tree.Delete(r.Key, nil)
@@ -235,8 +242,8 @@ const recInstrPerByte = 0.25 // per-byte decode/copy cost, both passes
 // completion; pl must be a freshly-booted platform matching the crashed
 // machine's config (Boot builds one). The recovered trees come back as a
 // one-element slice, the form ContentDigestSets takes. Their keys and rows
-// are views into dm's page images and into logs, copied from neither, so
-// both must stay unwritten for as long as the trees live.
+// refer into dm's page images and into logs, copied from neither, so both
+// must stay unwritten for as long as the trees live.
 func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager, logs [][]byte, parallel bool) ([]map[uint16]*btree.Tree, RecoveryStats, error) {
 	start := p.Now()
 	st := RecoveryStats{Shards: len(logs)}

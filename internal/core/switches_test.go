@@ -29,19 +29,19 @@ var benchConfigs = []struct {
 	ckptHeap  float64 // the same after Open and Checkpoint, images included
 	build     func() (core.Workload, func(*sim.Env) core.Engine)
 }{
-	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 0.28, 0.18, 107, 108, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 0.093, 0.136, 79, 87, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tatp.New(tatp.Config{Subscribers: 100000})
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.65, 22.8, 6.10, 123, 120, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.65, 5.25, 6.10, 94, 99, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
 		}
 	}},
-	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.56, 0.58, 0.27, 192, 200, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.56, 0.076, 0.265, 163, 179, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := ycsb.WorkloadA()
 		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
 		wl := ycsb.New(cfg)
@@ -51,7 +51,7 @@ var benchConfigs = []struct {
 	}},
 	// crash-recover-2s's machine and database, run as a plain window: the
 	// bionic engine's TPC-C path (overlay, per-action arenas, entity locks).
-	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 24.0, 10.65, 124, 122, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 6.25, 10.3, 96, 101, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := tpcc.DefaultConfig()
 		cfg.Warehouses = 8
 		wl := tpcc.New(cfg)
@@ -167,13 +167,22 @@ func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // outside the count; the workload's own key and row building is inside. An
 // object ceiling that starts failing means some per-transaction object
 // stopped being re-armed by its owner (DESIGN.md, "Pools above the kernel"),
-// or a key or a decoded string went back to the heap; a byte ceiling, that
-// something started copying what it already holds. The ceilings sit 3-5 %
-// above what this scale measures: objects 0.27, 21.88, 0.56, 22.99 (the last
-// few objects are the runtime's and move by a dozen per run; ycsb-dora-4s
-// measured 16.37 while sharded-log software DORA ran a second, engine-on-shard
-// layout), KB 0.172, 5.88, 0.259, 10.23; what is left is mostly the rows the
-// transactions write. Before the lock table was keyed by the name's hash,
+// or a key, a row or a decoded string went back to the heap; a byte ceiling,
+// that something started copying what it already holds. The ceilings sit
+// 3-5 % above what this scale measures: objects 0.089, 5.04, 0.073, 6.03
+// (the last few objects are the runtime's and move by a dozen per run;
+// ycsb-dora-4s measured 16.37 while sharded-log software DORA ran a second,
+// engine-on-shard layout), KB 0.131, 5.98, 0.254, 9.93. What is left is the
+// trees' slab chunks, which the rows the transactions write fill, and the
+// growth of per-terminal and per-engine storage over a window this short.
+// Before rows were built in the attempt's arena and copied into the tree's
+// slab, each was a heap object of its own: objects 0.27, 21.90, 0.56, 22.97,
+// KB 0.145, 5.75, 0.259, 9.77. The two TPC-C machines' KB rose because the
+// arenas that now hold each attempt's rows reach their size inside this
+// window (the benchmark's ten times longer windows allocate fewer bytes per
+// transaction than before), which leaves tpcc-conv's 2 % under its ceiling.
+// Earlier documents measured KB 0.172, 5.88 and 10.23 on the same code.
+// Before the lock table was keyed by the name's hash,
 // with holder slices and hold lists of states, tpcc-conv measured 22.16
 // objects and 7.39 KB (hold lists of 72-byte names and a growing map keyed
 // by them). Before a B-tree split handed its node arrays to the
@@ -226,8 +235,10 @@ func TestAllocsPerTxn(t *testing.T) {
 // engine's primary trees. Rows, keys and the trees' node arrays dominate it.
 // A ceiling that starts failing means population started stranding memory
 // it no longer uses, or keeping a second copy of what it stores. The
-// ceilings sit 3-5 % above what this scale measures: 103.0, 118.0, 184.4 and
-// 119.0 B (105.6, 88.8, 70.3 and 167.8 MiB). Before a node's keys became
+// ceilings sit 3-5 % above what this scale measures: 76.3, 90.3, 157.0 and
+// 92.2 B (78.3, 67.9, 59.9 and 130.0 MiB). Before a leaf's rows moved into
+// the tree's slab behind 8-byte references, each was a heap object behind a
+// 24-byte slice header: 103.0, 118.0, 184.4 and 119.0 B. Before a node's keys became
 // 8-byte references into the tree's key chunks, each was a 24-byte slice
 // header: 121.2, 136.1, 202.7 and 137.0 B. Before the buffer pool's frame
 // table became a slice indexed by page id, its map pre-sized for 2^18 frames
@@ -267,10 +278,13 @@ func TestPopulateHeap(t *testing.T) {
 // keys exist once, as the images, and the rows and key chunks population
 // made are garbage. A ceiling that starts failing means a checkpoint started
 // keeping a second copy of what the trees store. The ceilings sit 3-5 %
-// above what this scale measures: 103.7, 115.0, 191.9 and 116.9 B (106.3,
-// 86.6, 73.2 and 164.9 MiB), about what TestPopulateHeap measures after Open
-// alone. Before the trees adopted their images, each row and key was held by
-// the tree and again by its image: 166.0, 188.7, 313.6 and 191.7 B.
+// above what this scale measures: 83.7, 95.1, 171.9 and 97.0 B (85.8, 71.6,
+// 65.6 and 136.8 MiB), a little over what TestPopulateHeap measures after
+// Open alone: one exact-size image per node where the slab packs rows and
+// keys into 4 KiB chunks. Before a leaf's rows were 8-byte references, their
+// slice headers took 103.7, 115.0, 191.9 and 116.9 B; before the trees
+// adopted their images, each row and key was held by the tree and again by
+// its image: 166.0, 188.7, 313.6 and 191.7 B.
 func TestCheckpointHeap(t *testing.T) {
 	for _, c := range benchConfigs {
 		t.Run(c.name, func(t *testing.T) {

@@ -157,7 +157,8 @@ func (s *Store) Get(t *platform.Task, tableID uint16, key []byte) (val []byte, o
 	return res.Val, res.Found
 }
 
-// Put inserts or replaces a row. The functional update runs immediately;
+// Put inserts or replaces a row. The functional update runs immediately
+// (the table's tree copies key and val, so the caller may reuse them);
 // timing is a hardware probe for positioning plus overlay-manager write
 // work, with splits (SMOs) charged to software as §5.3 requires.
 func (s *Store) Put(t *platform.Task, tableID uint16, key, val []byte) (prev []byte, existed bool) {
@@ -170,7 +171,8 @@ func (s *Store) Put(t *platform.Task, tableID uint16, key, val []byte) (prev []b
 	return prev, existed
 }
 
-// Delete removes a row (a tombstone merge to the base).
+// Delete removes a row. The key also leaves the dirty set, so the merge
+// path writes nothing for it: no tombstone reaches the base.
 func (s *Store) Delete(t *platform.Task, tableID uint16, key []byte) (val []byte, ok bool) {
 	tbl := s.tables[tableID]
 	tr := s.traces.Get()

@@ -1,9 +1,11 @@
 // Package storage provides the durable substrate shared by every engine:
 // page identity, a disk manager that keeps the checkpoint's durable page
 // images for a simulated device (bulk checkpoint and boot I/O only, charged
-// by its callers), order-preserving key encodings, and a compact record
-// encoder. Volatile structures (B+Trees, the overlay) live in ordinary Go
-// memory; durability comes from checkpointed page images plus the WAL.
+// by its callers), order-preserving key encodings, the arena transactions
+// build their keys and rows in, and a compact record encoder that builds
+// into it. Volatile structures (B+Trees, the overlay) live in ordinary Go
+// memory, and each tree copies the keys and rows it stores into storage of
+// its own; durability comes from checkpointed page images plus the WAL.
 package storage
 
 import (
@@ -124,13 +126,15 @@ func DecodeUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
 func CompositeKey(parts ...uint64) []byte { return (*Arena)(nil).CompositeKey(parts...) }
 
 // Arena is a bump allocator for byte strings that all die together: the
-// keys and scan bounds one transaction attempt builds, or the key of one
-// population row. Reset ends their lifetime and keeps the storage, so a
-// steady caller stops allocating. An arena that runs out chains a larger
-// chunk instead of moving what it already handed out, so earlier slices stay
-// valid until Reset. The zero value is ready to use; an arena belongs to one
-// process at a time. A nil *Arena allocates every slice from the heap, for
-// callers that want a fresh key they own.
+// keys, scan bounds and encoded rows one transaction attempt builds, or the
+// key and row of one population row. Whoever keeps one longer copies it: a
+// tree copies the keys and rows it stores, and a log encodes a record
+// before its append returns. Reset ends their lifetime and keeps the
+// storage, so a steady caller stops allocating. An arena that runs out
+// chains a larger chunk instead of moving what it already handed out, so
+// earlier slices stay valid until Reset. The zero value is ready to use; an
+// arena belongs to one process at a time. A nil *Arena allocates every slice
+// from the heap, for callers that want a fresh key or row they own.
 type Arena struct {
 	cur  []byte   // the chunk being filled; len is the used part
 	full [][]byte // exhausted chunks of this cycle, kept so their slices stay valid
@@ -232,29 +236,41 @@ func (a *Arena) CompositeKey(parts ...uint64) []byte {
 // with encoding/binary; it is compact, deterministic and self-contained so
 // WAL before/after images can round-trip rows.
 
-// RecordWriter builds one encoded row.
+// RecordWriter builds one encoded row in an arena.
 type RecordWriter struct {
-	buf []byte
+	a   *Arena
+	buf []byte // len is the encoded part; the capacity is the arena's
 }
 
-// NewRecordWriter returns a writer with an optional initial capacity.
-func NewRecordWriter(capacity int) *RecordWriter {
-	return &RecordWriter{buf: make([]byte, 0, capacity)}
+// NewRecordWriter returns a writer that builds its row in a, with room for
+// capacity bytes before it grows: an encoder that passes its row's exact
+// size takes one slice of the arena. As with Arena.Uint64Key, a nil arena
+// allocates, for a caller that wants a row it owns.
+func NewRecordWriter(a *Arena, capacity int) *RecordWriter {
+	return &RecordWriter{a: a, buf: a.Alloc(capacity)[:0]}
+}
+
+// grow makes room for n more bytes, moving the row to a slice of the arena
+// twice its capacity when it has none.
+func (w *RecordWriter) grow(n int) {
+	if len(w.buf)+n <= cap(w.buf) {
+		return
+	}
+	buf := w.a.Alloc(max(2*cap(w.buf), len(w.buf)+n))
+	w.buf = buf[:copy(buf, w.buf)]
 }
 
 // Uint64 appends a fixed-width integer field.
 func (w *RecordWriter) Uint64(v uint64) *RecordWriter {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
+	w.grow(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 	return w
 }
 
 // Uint32 appends a fixed-width 32-bit field.
 func (w *RecordWriter) Uint32(v uint32) *RecordWriter {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf = append(w.buf, b[:]...)
+	w.grow(4)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 	return w
 }
 
@@ -263,18 +279,28 @@ func (w *RecordWriter) Bytes(v []byte) *RecordWriter {
 	if len(v) > 1<<16-1 {
 		panic("storage: record field exceeds 64KiB")
 	}
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], uint16(len(v)))
-	w.buf = append(w.buf, b[:]...)
+	w.grow(2 + len(v))
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(v)))
 	w.buf = append(w.buf, v...)
 	return w
 }
 
-// String appends a length-prefixed string field.
-func (w *RecordWriter) String(v string) *RecordWriter { return w.Bytes([]byte(v)) }
+// String appends a length-prefixed string field. It is Bytes without the
+// conversion, which would allocate for a long string.
+func (w *RecordWriter) String(v string) *RecordWriter {
+	if len(v) > 1<<16-1 {
+		panic("storage: record field exceeds 64KiB")
+	}
+	w.grow(2 + len(v))
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(v)))
+	w.buf = append(w.buf, v...)
+	return w
+}
 
-// Finish returns the encoded row. The writer can be reused after Reset.
-func (w *RecordWriter) Finish() []byte { return w.buf }
+// Finish returns the encoded row, clipped so that its capacity is its
+// length. It lives as long as the arena's slices do. The writer can be
+// reused after Reset.
+func (w *RecordWriter) Finish() []byte { return w.buf[:len(w.buf):len(w.buf)] }
 
 // Len returns the current encoded size.
 func (w *RecordWriter) Len() int { return len(w.buf) }

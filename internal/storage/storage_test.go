@@ -50,7 +50,7 @@ func TestCompositeKeyOrdering(t *testing.T) {
 }
 
 func TestRecordWriterReaderRoundTrip(t *testing.T) {
-	w := NewRecordWriter(64)
+	w := NewRecordWriter(nil, 64)
 	w.Uint64(42).Uint32(7).String("hello").Bytes([]byte{1, 2, 3}).Uint64(9)
 	buf := w.Finish()
 	r := NewRecordReader(buf)
@@ -66,7 +66,7 @@ func TestRecordWriterReaderRoundTrip(t *testing.T) {
 }
 
 func TestRecordWriterReset(t *testing.T) {
-	w := NewRecordWriter(16)
+	w := NewRecordWriter(nil, 16)
 	w.Uint64(1)
 	w.Reset()
 	if w.Len() != 0 {
@@ -78,6 +78,33 @@ func TestRecordWriterReset(t *testing.T) {
 	}
 }
 
+// TestRecordWriterBuildsInArena: a row built in an arena allocates nothing
+// once the arena has grown, a writer that outgrows its capacity moves the
+// row within the arena and keeps its fields, and the finished row has no
+// spare capacity to append into.
+func TestRecordWriterBuildsInArena(t *testing.T) {
+	var a Arena
+	build := func(capacity int) []byte {
+		return NewRecordWriter(&a, capacity).Uint64(42).Uint32(7).String("hello").Bytes([]byte{1, 2, 3}).Finish()
+	}
+	build(24)
+	a.Reset()
+	if n := testing.AllocsPerRun(100, func() { a.Reset(); build(24) }); n != 0 {
+		t.Errorf("building a row in a grown arena allocates %.0f times, want 0", n)
+	}
+	for _, capacity := range []int{0, 5, 24} {
+		a.Reset()
+		row := build(capacity)
+		if len(row) != 24 || cap(row) != len(row) {
+			t.Fatalf("capacity %d: a %d-byte row with capacity %d, want 24 and 24", capacity, len(row), cap(row))
+		}
+		r := NewRecordReader(row)
+		if r.Uint64() != 42 || r.Uint32() != 7 || r.String() != "hello" || !bytes.Equal(r.Bytes(), []byte{1, 2, 3}) {
+			t.Fatalf("capacity %d: fields corrupted", capacity)
+		}
+	}
+}
+
 func TestRecordPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(func(a uint64, b uint32, s string, raw []byte) bool {
 		if len(s) > 60000 {
@@ -86,7 +113,7 @@ func TestRecordPropertyRoundTrip(t *testing.T) {
 		if len(raw) > 60000 {
 			raw = raw[:60000]
 		}
-		buf := NewRecordWriter(0).Uint64(a).Uint32(b).String(s).Bytes(raw).Finish()
+		buf := NewRecordWriter(nil, 0).Uint64(a).Uint32(b).String(s).Bytes(raw).Finish()
 		r := NewRecordReader(buf)
 		return r.Uint64() == a && r.Uint32() == b && r.String() == s && bytes.Equal(r.Bytes(), raw)
 	}, nil); err != nil {

@@ -94,6 +94,11 @@ func (r *Record) Encode(dst []byte) []byte {
 	return dst
 }
 
+// AfterField returns the offset of the after-image's u32 length in the log
+// a record was decoded from, the bytes following it being After: how
+// recovery installs an after-image as a reference into the log.
+func (r *Record) AfterField() int { return int(r.LSN) + r.EncodedSize() - len(r.After) - 4 }
+
 // minRecordSize is the encoded size of a record with no key and no images.
 const minRecordSize = 4 + 8 + 1 + 2 + 2 + 4 + 4
 
@@ -102,8 +107,8 @@ const minRecordSize = 4 + 8 + 1 + 2 + 2 + 4 + 4
 // checked against the record's end before it is sliced on, so corrupt input
 // is an error, never a panic. Key, Before and After are views into data with
 // their capacity clipped to their length: appending to one reallocates
-// instead of writing into the next field, so recovery can install them as
-// stored keys and rows without copying.
+// instead of writing into the next field. Recovery reads the key and
+// installs the after-image as a stored row in place, through AfterField.
 func Decode(data []byte, off int) (Record, int, error) {
 	if off < 0 || off > len(data)-minRecordSize {
 		return Record{}, 0, fmt.Errorf("wal: truncated record header at %d", off)

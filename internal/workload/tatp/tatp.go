@@ -97,7 +97,10 @@ func parseSubNbr(nbr []byte) uint64 {
 	return v
 }
 
-// Row encodings. Fixed field order via storage.RecordWriter/Reader. A
+// Row encodings. Fixed field order via storage.RecordWriter/Reader. Encode
+// builds a row in an arena at its exact size: the transaction path in the
+// attempt's arena and Populate in the subscriber's, since the store copies
+// the rows it keeps, and a nil arena returns a fresh row the caller owns. A
 // decoded row's variable-width fields are views into the encoded row: stored
 // rows are immutable (a write replaces the row, never overwrites it in
 // place), so decoding copies nothing.
@@ -113,9 +116,9 @@ type SubscriberRow struct {
 	SubNbr []byte
 }
 
-// Encode serializes the row.
-func (r *SubscriberRow) Encode() []byte {
-	w := storage.NewRecordWriter(64)
+// Encode serializes the row in a.
+func (r *SubscriberRow) Encode(a *storage.Arena) []byte {
+	w := storage.NewRecordWriter(a, 32+len(r.Byte2)+len(r.SubNbr))
 	w.Uint64(r.SID).Uint32(r.Bits).Uint64(r.Hex).Bytes(r.Byte2).Uint32(r.MSC).Uint32(r.VLR).Bytes(r.SubNbr)
 	return w.Finish()
 }
@@ -139,9 +142,9 @@ type SpecialFacilityRow struct {
 	DataB    []byte
 }
 
-// Encode serializes the row.
-func (r *SpecialFacilityRow) Encode() []byte {
-	w := storage.NewRecordWriter(40)
+// Encode serializes the row in a.
+func (r *SpecialFacilityRow) Encode(a *storage.Arena) []byte {
+	w := storage.NewRecordWriter(a, 26+len(r.DataB))
 	w.Uint64(r.SID).Uint32(r.SFType).Uint32(r.IsActive).Uint32(r.ErrorCtl).Uint32(r.DataA).Bytes(r.DataB)
 	return w.Finish()
 }
@@ -164,9 +167,9 @@ type CallForwardingRow struct {
 	NumberX   []byte
 }
 
-// Encode serializes the row.
-func (r *CallForwardingRow) Encode() []byte {
-	w := storage.NewRecordWriter(48)
+// Encode serializes the row in a.
+func (r *CallForwardingRow) Encode(a *storage.Arena) []byte {
+	w := storage.NewRecordWriter(a, 22+len(r.NumberX))
 	w.Uint64(r.SID).Uint32(r.SFType).Uint32(r.StartTime).Uint32(r.EndTime).Bytes(r.NumberX)
 	return w.Finish()
 }
@@ -183,9 +186,10 @@ func DecodeCallForwarding(b []byte) CallForwardingRow {
 // dataB is the Special_Facility filler text.
 var dataB = []byte("fghij")
 
-// accessInfoRow encodes an Access_Info tuple (only data1 is read back).
-func accessInfoRow(sid uint64, aiType uint32, r *sim.Rand) []byte {
-	w := storage.NewRecordWriter(32)
+// accessInfoRow encodes an Access_Info tuple in a (only data1 is read
+// back).
+func accessInfoRow(a *storage.Arena, sid uint64, aiType uint32, r *sim.Rand) []byte {
+	w := storage.NewRecordWriter(a, 32)
 	w.Uint64(sid).Uint32(aiType).Uint32(uint32(r.Intn(256))).Uint32(uint32(r.Intn(256)))
 	w.String("abc").String("abcde")
 	return w.Finish()
@@ -239,9 +243,10 @@ func CFKey(sid uint64, sfType, start uint32) []byte { return keys{}.cf(sid, sfTy
 // subscriber, 1-4 access-info rows, 1-4 special facilities (85% active),
 // 0-3 call forwardings per facility.
 //
-// Every key (and the sub_nbr texts the rows embed) is built in one arena that
-// is reset per subscriber: the engine's tree copies the keys it keeps, so a
-// fresh key per row would be allocated twice.
+// Every key and row (and the sub_nbr texts and random bytes the rows embed)
+// is built in one arena that is reset per subscriber: the engine's tree
+// copies the keys and rows it keeps, so a fresh slice per row would be
+// allocated twice.
 func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Rand) {
 	n := w.cfg.Subscribers
 	var arena storage.Arena
@@ -254,16 +259,16 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 			SID:    sid,
 			Bits:   uint32(r.Uint64() & 0x3ff),
 			Hex:    r.Uint64() & 0xffffffffff,
-			Byte2:  randBytes(r, 10),
+			Byte2:  randBytes(&arena, r, 10),
 			MSC:    uint32(r.Uint64()),
 			VLR:    uint32(r.Uint64()),
 			SubNbr: nbr,
 		}
-		load(TSubscriber, k.subscriber(sid), sub.Encode())
-		load(TSubNbrIdx, nbr, storage.Uint64Key(sid))
+		load(TSubscriber, k.subscriber(sid), sub.Encode(&arena))
+		load(TSubNbrIdx, nbr, arena.Uint64Key(sid))
 
 		for _, ai := range pickTypes(r) {
-			load(TAccessInfo, k.accessInfo(sid, ai), accessInfoRow(sid, ai, r))
+			load(TAccessInfo, k.accessInfo(sid, ai), accessInfoRow(&arena, sid, ai, r))
 		}
 		for _, sf := range pickTypes(r) {
 			active := uint32(0)
@@ -272,14 +277,14 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 			}
 			row := SpecialFacilityRow{SID: sid, SFType: sf, IsActive: active,
 				ErrorCtl: uint32(r.Intn(256)), DataA: uint32(r.Intn(256)), DataB: dataB}
-			load(TSpecialFacility, k.sf(sid, sf), row.Encode())
+			load(TSpecialFacility, k.sf(sid, sf), row.Encode(&arena))
 			nCF := r.Intn(4)
 			starts := []uint32{0, 8, 16}
 			for c := 0; c < nCF; c++ {
 				st := starts[c%3]
 				cf := CallForwardingRow{SID: sid, SFType: sf, StartTime: st,
 					EndTime: st + uint32(r.Range(1, 8)), NumberX: k.subNbr(uint64(r.Range(1, n)))}
-				load(TCallForwarding, k.cf(sid, sf, st), cf.Encode())
+				load(TCallForwarding, k.cf(sid, sf, st), cf.Encode(&arena))
 			}
 		}
 	}
@@ -297,8 +302,9 @@ func pickTypes(r *sim.Rand) []uint32 {
 	return out
 }
 
-func randBytes(r *sim.Rand, n int) []byte {
-	b := make([]byte, n)
+// randBytes draws n random bytes in a.
+func randBytes(a *storage.Arena, r *sim.Rand, n int) []byte {
+	b := a.Alloc(n)
 	for i := range b {
 		b[i] = byte(r.Intn(256))
 	}
@@ -520,7 +526,7 @@ func (t *updateSubscriberData) update(c core.AccessCtx) bool {
 	}
 	sub := DecodeSubscriber(val)
 	sub.Bits ^= t.bit
-	if !c.Update(TSubscriber, subKey, sub.Encode()) {
+	if !c.Update(TSubscriber, subKey, sub.Encode(c.Arena())) {
 		return false
 	}
 	sfVal, ok := c.ReadForUpdate(TSpecialFacility, t.sfKey)
@@ -529,7 +535,7 @@ func (t *updateSubscriberData) update(c core.AccessCtx) bool {
 	}
 	row := DecodeSpecialFacility(sfVal)
 	row.DataA = t.dataA
-	return c.Update(TSpecialFacility, t.sfKey, row.Encode())
+	return c.Update(TSpecialFacility, t.sfKey, row.Encode(c.Arena()))
 }
 
 // UpdateLocation updates vlr_location, located via the sub_nbr secondary
@@ -569,7 +575,7 @@ func (t *updateLocation) update(c core.AccessCtx) bool {
 	}
 	sub := DecodeSubscriber(val)
 	sub.VLR = t.vlr
-	return c.Update(TSubscriber, target, sub.Encode())
+	return c.Update(TSubscriber, target, sub.Encode(c.Arena()))
 }
 
 // InsertCallForwarding inserts a call-forwarding row (2%; fails when the
@@ -611,7 +617,7 @@ func (t *insertCallForwarding) insert(c core.AccessCtx) bool {
 		return false
 	}
 	row := CallForwardingRow{SID: target, SFType: t.sf, StartTime: t.start, EndTime: t.end, NumberX: nbr}
-	return c.Insert(TCallForwarding, k.cf(target, t.sf, t.start), row.Encode())
+	return c.Insert(TCallForwarding, k.cf(target, t.sf, t.start), row.Encode(c.Arena()))
 }
 
 // DeleteCallForwarding removes a call-forwarding row (2%; fails when

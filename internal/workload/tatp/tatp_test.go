@@ -23,19 +23,43 @@ func TestSubNbrRoundTrip(t *testing.T) {
 	}
 }
 
+// sink keeps an encoded row on the heap, where the allocations are counted.
+var sink []byte
+
+// encoded encodes a row with enc in a fresh arena and in the nil arena, and
+// requires both to be one row: the same bytes, no spare capacity, and one
+// heap object from the nil arena, which an encoder whose size estimate is
+// short would grow into a second.
+func encoded(t *testing.T, name string, enc func(a *storage.Arena) []byte) []byte {
+	t.Helper()
+	var a storage.Arena
+	row := enc(&a)
+	if fresh := enc(nil); !bytes.Equal(fresh, row) || cap(row) != len(row) {
+		t.Fatalf("%s: %x in an arena (cap %d), %x in the nil arena", name, row, cap(row), fresh)
+	}
+	if n := testing.AllocsPerRun(10, func() { sink = enc(nil) }); n != 1 {
+		t.Errorf("%s: encoding a fresh row allocates %.0f times, want 1: its size is not exact", name, n)
+	}
+	return row
+}
+
 func TestRowEncodings(t *testing.T) {
 	sub := SubscriberRow{SID: 7, Bits: 0x2aa, Hex: 0x1234567890, Byte2: []byte("0123456789"), MSC: 11, VLR: 22, SubNbr: []byte("000000000000007")}
-	got := DecodeSubscriber(sub.Encode())
+	got := DecodeSubscriber(encoded(t, "subscriber", sub.Encode))
 	if got.SID != 7 || got.Bits != 0x2aa || got.VLR != 22 || !bytes.Equal(got.SubNbr, sub.SubNbr) || !bytes.Equal(got.Byte2, sub.Byte2) {
 		t.Fatalf("subscriber round trip: %+v", got)
 	}
 	sf := SpecialFacilityRow{SID: 7, SFType: 3, IsActive: 1, DataA: 99, DataB: []byte("fghij")}
-	if g := DecodeSpecialFacility(sf.Encode()); g.SFType != 3 || g.IsActive != 1 || g.DataA != 99 {
+	if g := DecodeSpecialFacility(encoded(t, "special facility", sf.Encode)); g.SFType != 3 || g.IsActive != 1 || g.DataA != 99 {
 		t.Fatalf("sf round trip: %+v", g)
 	}
 	cf := CallForwardingRow{SID: 7, SFType: 2, StartTime: 8, EndTime: 12, NumberX: []byte("000000000000042")}
-	if g := DecodeCallForwarding(cf.Encode()); g.StartTime != 8 || g.EndTime != 12 || !bytes.Equal(g.NumberX, cf.NumberX) {
+	if g := DecodeCallForwarding(encoded(t, "call forwarding", cf.Encode)); g.StartTime != 8 || g.EndTime != 12 || !bytes.Equal(g.NumberX, cf.NumberX) {
 		t.Fatalf("cf round trip: %+v", g)
+	}
+	ai := encoded(t, "access info", func(a *storage.Arena) []byte { return accessInfoRow(a, 7, 2, sim.NewRand(1)) })
+	if rd := storage.NewRecordReader(ai); rd.Uint64() != 7 || rd.Uint32() != 2 {
+		t.Fatalf("access info round trip: %x", ai)
 	}
 }
 
@@ -226,7 +250,7 @@ func TestInsertThenDeleteCallForwarding(t *testing.T) {
 		row := CallForwardingRow{SID: 3, SFType: sfType, StartTime: 99, EndTime: 100, NumberX: []byte("x")}
 		ok := e.Submit(term, func(tx core.Tx) bool {
 			return tx.Phase(core.Action{Table: TCallForwarding, Key: key, Body: func(c core.AccessCtx) bool {
-				return c.Insert(TCallForwarding, key, row.Encode())
+				return c.Insert(TCallForwarding, key, row.Encode(c.Arena()))
 			}})
 		})
 		if !ok {

@@ -236,7 +236,10 @@ func OrderKey(wid, did, oid uint64) []byte { return keys{}.order(wid, did, oid) 
 // OrderLineKey returns order line (w, d, o, ol)'s key.
 func OrderLineKey(wid, did, oid, ol uint64) []byte { return keys{}.orderLine(wid, did, oid, ol) }
 
-// Rows. A decoded row's variable-width fields ([]byte) are views into the
+// Rows. Encode builds a row in an arena at its exact size: the transaction
+// path in the attempt's arena and Populate in the row's, since the store
+// copies the rows it keeps, and a nil arena returns a fresh row the caller
+// owns. A decoded row's variable-width fields ([]byte) are views into the
 // encoded row: stored rows are immutable (a write replaces the row, it never
 // overwrites it in place), so a view stays good for as long as the row it
 // came from is reachable, and decoding copies nothing.
@@ -248,9 +251,9 @@ type WarehouseRow struct {
 	YTD uint64 // cents
 }
 
-// Encode serializes the row.
-func (r *WarehouseRow) Encode() []byte {
-	return storage.NewRecordWriter(24).Uint64(r.WID).Uint32(r.Tax).Uint64(r.YTD).Finish()
+// Encode serializes the row in a.
+func (r *WarehouseRow) Encode(a *storage.Arena) []byte {
+	return storage.NewRecordWriter(a, 20).Uint64(r.WID).Uint32(r.Tax).Uint64(r.YTD).Finish()
 }
 
 // DecodeWarehouse parses a warehouse row.
@@ -267,9 +270,9 @@ type DistrictRow struct {
 	NextOID  uint64
 }
 
-// Encode serializes the row.
-func (r *DistrictRow) Encode() []byte {
-	return storage.NewRecordWriter(40).Uint64(r.WID).Uint64(r.DID).Uint32(r.Tax).Uint64(r.YTD).Uint64(r.NextOID).Finish()
+// Encode serializes the row in a.
+func (r *DistrictRow) Encode(a *storage.Arena) []byte {
+	return storage.NewRecordWriter(a, 36).Uint64(r.WID).Uint64(r.DID).Uint32(r.Tax).Uint64(r.YTD).Uint64(r.NextOID).Finish()
 }
 
 // DecodeDistrict parses a district row.
@@ -291,9 +294,9 @@ type CustomerRow struct {
 	Data          []byte
 }
 
-// Encode serializes the row.
-func (r *CustomerRow) Encode() []byte {
-	w := storage.NewRecordWriter(96)
+// Encode serializes the row in a.
+func (r *CustomerRow) Encode(a *storage.Arena) []byte {
+	w := storage.NewRecordWriter(a, 60+len(r.Last)+len(r.Data))
 	w.Uint64(r.WID).Uint64(r.DID).Uint64(r.CID).Bytes(r.Last).Uint32(r.Credit).Uint32(r.Discount)
 	w.Uint64(uint64(r.Balance)).Uint64(r.YTDPayment).Uint32(r.PaymentCnt).Uint32(r.DeliveryCnt).Bytes(r.Data)
 	return w.Finish()
@@ -316,9 +319,9 @@ type ItemRow struct {
 	Name  []byte
 }
 
-// Encode serializes the row.
-func (r *ItemRow) Encode() []byte {
-	return storage.NewRecordWriter(40).Uint64(r.IID).Uint32(r.Price).Bytes(r.Name).Finish()
+// Encode serializes the row in a.
+func (r *ItemRow) Encode(a *storage.Arena) []byte {
+	return storage.NewRecordWriter(a, 14+len(r.Name)).Uint64(r.IID).Uint32(r.Price).Bytes(r.Name).Finish()
 }
 
 // DecodeItem parses an item row.
@@ -336,9 +339,9 @@ type StockRow struct {
 	RemoteCnt uint32
 }
 
-// Encode serializes the row.
-func (r *StockRow) Encode() []byte {
-	w := storage.NewRecordWriter(48)
+// Encode serializes the row in a.
+func (r *StockRow) Encode(a *storage.Arena) []byte {
+	w := storage.NewRecordWriter(a, 40)
 	w.Uint64(r.WID).Uint64(r.IID).Uint64(uint64(r.Qty)).Uint64(r.YTD).Uint32(r.OrderCnt).Uint32(r.RemoteCnt)
 	return w.Finish()
 }
@@ -358,9 +361,9 @@ type OrderRow struct {
 	AllLocal           uint32
 }
 
-// Encode serializes the row.
-func (r *OrderRow) Encode() []byte {
-	w := storage.NewRecordWriter(64)
+// Encode serializes the row in a.
+func (r *OrderRow) Encode(a *storage.Arena) []byte {
+	w := storage.NewRecordWriter(a, 52)
 	w.Uint64(r.WID).Uint64(r.DID).Uint64(r.OID).Uint64(r.CID).Uint64(r.EntryD).Uint32(r.Carrier).Uint32(r.OLCnt).Uint32(r.AllLocal)
 	return w.Finish()
 }
@@ -382,9 +385,9 @@ type OrderLineRow struct {
 	DistInfo          []byte
 }
 
-// Encode serializes the row.
-func (r *OrderLineRow) Encode() []byte {
-	w := storage.NewRecordWriter(96)
+// Encode serializes the row in a.
+func (r *OrderLineRow) Encode(a *storage.Arena) []byte {
+	w := storage.NewRecordWriter(a, 70+len(r.DistInfo))
 	w.Uint64(r.WID).Uint64(r.DID).Uint64(r.OID).Uint64(r.OL).Uint64(r.IID).Uint64(r.SupplyW)
 	w.Uint32(r.Qty).Uint64(r.Amount).Uint64(r.DeliveryD).Bytes(r.DistInfo)
 	return w.Finish()
@@ -435,17 +438,19 @@ func (w *Workload) randLastNum(r *sim.Rand) int {
 	return int(nuRand(r, 255, w.cLast, 0, span-1))
 }
 
-// Row texts the workload writes; Encode copies them into the row.
+// Row texts the workload writes; Encode copies them into the row. The
+// new-order marker is a whole row: the store copies it.
 var (
-	dataInitial = []byte("initial")
-	dataBCTrail = []byte("bc-trail")
-	distInfoPad = []byte("dist-info-pad")
-	histPayment = []byte("payment")
+	dataInitial    = []byte("initial")
+	dataBCTrail    = []byte("bc-trail")
+	distInfoPad    = []byte("dist-info-pad")
+	histPayment    = []byte("payment")
+	newOrderMarker = []byte{1}
 )
 
-// Populate implements core.Workload. Every key is built in one arena that
-// is reset after each load: the engine's tree copies the keys it keeps, so a
-// fresh key per row would be allocated twice.
+// Populate implements core.Workload. Every key and row is built in one
+// arena that is reset after each load: the engine's tree copies the keys and
+// rows it keeps, so a fresh slice per row would be allocated twice.
 func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Rand) {
 	cfg := w.cfg
 	var arena storage.Arena
@@ -458,19 +463,19 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 	for i := 1; i <= cfg.Items; i++ {
 		name = strconv.AppendUint(append(name[:0], "item-"...), uint64(i), 10)
 		row := ItemRow{IID: uint64(i), Price: uint32(r.Range(100, 10000)), Name: name}
-		put(TItem, k.item(uint64(i)), row.Encode())
+		put(TItem, k.item(uint64(i)), row.Encode(&arena))
 	}
 	for wid := 1; wid <= cfg.Warehouses; wid++ {
 		wrow := WarehouseRow{WID: uint64(wid), Tax: uint32(r.Intn(2001))}
-		put(TWarehouse, k.warehouse(uint64(wid)), wrow.Encode())
+		put(TWarehouse, k.warehouse(uint64(wid)), wrow.Encode(&arena))
 		for i := 1; i <= cfg.Items; i++ {
 			srow := StockRow{WID: uint64(wid), IID: uint64(i), Qty: int64(r.Range(10, 100))}
-			put(TStock, k.stock(uint64(wid), uint64(i)), srow.Encode())
+			put(TStock, k.stock(uint64(wid), uint64(i)), srow.Encode(&arena))
 		}
 		for did := 1; did <= cfg.Districts; did++ {
 			nOrders := cfg.InitialOrdersPerDistrict
 			drow := DistrictRow{WID: uint64(wid), DID: uint64(did), Tax: uint32(r.Intn(2001)), NextOID: uint64(nOrders + 1)}
-			put(TDistrict, k.district(uint64(wid), uint64(did)), drow.Encode())
+			put(TDistrict, k.district(uint64(wid), uint64(did)), drow.Encode(&arena))
 			for cid := 1; cid <= cfg.CustomersPerDistrict; cid++ {
 				lastNum := cid - 1
 				if cid > 1000 {
@@ -486,8 +491,8 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 					Last: []byte(last), Credit: credit,
 					Discount: uint32(r.Intn(5001)), Balance: -1000, Data: dataInitial,
 				}
-				put(TCustomer, k.customer(uint64(wid), uint64(did), uint64(cid)), crow.Encode())
-				put(TCustNameIdx, k.custName(uint64(wid), uint64(did), last, uint64(cid)), storage.Uint64Key(uint64(cid)))
+				put(TCustomer, k.customer(uint64(wid), uint64(did), uint64(cid)), crow.Encode(&arena))
+				put(TCustNameIdx, k.custName(uint64(wid), uint64(did), last, uint64(cid)), arena.Uint64Key(uint64(cid)))
 			}
 			// Initial order backlog: the last 1/3 are undelivered.
 			for oid := 1; oid <= nOrders; oid++ {
@@ -499,10 +504,10 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 					carrier = 0
 				}
 				orow := OrderRow{WID: uint64(wid), DID: uint64(did), OID: uint64(oid), CID: cid, Carrier: carrier, OLCnt: uint32(olCnt), AllLocal: 1}
-				put(TOrder, k.order(uint64(wid), uint64(did), uint64(oid)), orow.Encode())
-				put(TOrderCustIdx, k.orderCust(uint64(wid), uint64(did), cid, uint64(oid)), storage.Uint64Key(uint64(oid)))
+				put(TOrder, k.order(uint64(wid), uint64(did), uint64(oid)), orow.Encode(&arena))
+				put(TOrderCustIdx, k.orderCust(uint64(wid), uint64(did), cid, uint64(oid)), arena.Uint64Key(uint64(oid)))
 				if undelivered {
-					put(TNewOrder, k.order(uint64(wid), uint64(did), uint64(oid)), []byte{1})
+					put(TNewOrder, k.order(uint64(wid), uint64(did), uint64(oid)), newOrderMarker)
 				}
 				for ol := uint64(1); ol <= olCnt; ol++ {
 					deliveryD := uint64(1)
@@ -514,7 +519,7 @@ func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Ran
 						IID: uint64(r.Range(1, cfg.Items)), SupplyW: uint64(wid),
 						Qty: 5, Amount: uint64(r.Range(1, 999900)), DeliveryD: deliveryD, DistInfo: distInfoPad,
 					}
-					put(TOrderLine, k.orderLine(uint64(wid), uint64(did), uint64(oid), ol), olrow.Encode())
+					put(TOrderLine, k.orderLine(uint64(wid), uint64(did), uint64(oid), ol), olrow.Encode(&arena))
 				}
 			}
 		}

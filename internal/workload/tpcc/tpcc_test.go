@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -23,25 +24,53 @@ func TestLastNameSyllables(t *testing.T) {
 	}
 }
 
+// sink keeps an encoded row on the heap, where the allocations are counted.
+var sink []byte
+
+// encoded encodes a row with enc in a fresh arena and in the nil arena, and
+// requires both to be one row: the same bytes, no spare capacity, and one
+// heap object from the nil arena, which an encoder whose size estimate is
+// short would grow into a second.
+func encoded(t *testing.T, name string, enc func(a *storage.Arena) []byte) []byte {
+	t.Helper()
+	var a storage.Arena
+	row := enc(&a)
+	if fresh := enc(nil); !bytes.Equal(fresh, row) || cap(row) != len(row) {
+		t.Fatalf("%s: %x in an arena (cap %d), %x in the nil arena", name, row, cap(row), fresh)
+	}
+	if n := testing.AllocsPerRun(10, func() { sink = enc(nil) }); n != 1 {
+		t.Errorf("%s: encoding a fresh row allocates %.0f times, want 1: its size is not exact", name, n)
+	}
+	return row
+}
+
 func TestRowEncodings(t *testing.T) {
+	w := WarehouseRow{WID: 3, Tax: 77, YTD: 300000}
+	if g := DecodeWarehouse(encoded(t, "warehouse", w.Encode)); g != w {
+		t.Fatalf("warehouse: %+v", g)
+	}
 	d := DistrictRow{WID: 2, DID: 5, Tax: 123, YTD: 4567, NextOID: 89}
-	if g := DecodeDistrict(d.Encode()); g != d {
+	if g := DecodeDistrict(encoded(t, "district", d.Encode)); g != d {
 		t.Fatalf("district: %+v", g)
 	}
 	c := CustomerRow{WID: 1, DID: 2, CID: 3, Last: []byte("BARBARBAR"), Credit: 1, Discount: 100, Balance: -4200, YTDPayment: 77, PaymentCnt: 3, DeliveryCnt: 1, Data: []byte("d")}
-	if g := DecodeCustomer(c.Encode()); !reflect.DeepEqual(g, c) {
+	if g := DecodeCustomer(encoded(t, "customer", c.Encode)); !reflect.DeepEqual(g, c) {
 		t.Fatalf("customer: %+v", g)
 	}
+	it := ItemRow{IID: 9, Price: 1234, Name: []byte("item-9")}
+	if g := DecodeItem(encoded(t, "item", it.Encode)); !reflect.DeepEqual(g, it) {
+		t.Fatalf("item: %+v", g)
+	}
 	s := StockRow{WID: 1, IID: 9, Qty: -5, YTD: 100, OrderCnt: 7, RemoteCnt: 2}
-	if g := DecodeStock(s.Encode()); g != s {
+	if g := DecodeStock(encoded(t, "stock", s.Encode)); g != s {
 		t.Fatalf("stock: %+v", g)
 	}
 	o := OrderRow{WID: 1, DID: 2, OID: 3, CID: 4, EntryD: 5, Carrier: 6, OLCnt: 7, AllLocal: 1}
-	if g := DecodeOrder(o.Encode()); g != o {
+	if g := DecodeOrder(encoded(t, "order", o.Encode)); g != o {
 		t.Fatalf("order: %+v", g)
 	}
 	ol := OrderLineRow{WID: 1, DID: 2, OID: 3, OL: 4, IID: 5, SupplyW: 6, Qty: 7, Amount: 8, DeliveryD: 9, DistInfo: []byte("x")}
-	if g := DecodeOrderLine(ol.Encode()); !reflect.DeepEqual(g, ol) {
+	if g := DecodeOrderLine(encoded(t, "orderline", ol.Encode)); !reflect.DeepEqual(g, ol) {
 		t.Fatalf("orderline: %+v", g)
 	}
 }

@@ -156,7 +156,7 @@ func (t *newOrder) district(c core.AccessCtx) bool {
 	d := DecodeDistrict(dv)
 	t.oid = d.NextOID
 	d.NextOID++
-	if !c.Update(TDistrict, dk, d.Encode()) {
+	if !c.Update(TDistrict, dk, d.Encode(c.Arena())) {
 		return false
 	}
 	_, found = c.Read(TCustomer, k.customer(t.wid, t.did, t.cid))
@@ -191,7 +191,7 @@ func (ln *orderLine) stock(c core.AccessCtx) bool {
 	if ln.supplyW != ln.t.wid {
 		s.RemoteCnt++
 	}
-	if !c.Update(TStock, sk, s.Encode()) {
+	if !c.Update(TStock, sk, s.Encode(c.Arena())) {
 		return false
 	}
 	ln.amount = uint64(ln.qty) * uint64(item.Price)
@@ -209,19 +209,19 @@ func (t *newOrder) insert(c core.AccessCtx) bool {
 	}
 	o := OrderRow{WID: t.wid, DID: t.did, OID: t.oid, CID: t.cid, EntryD: t.entryD, OLCnt: uint32(len(lines)), AllLocal: allLocal}
 	okey := k.order(t.wid, t.did, t.oid)
-	if !c.Insert(TOrder, okey, o.Encode()) {
+	if !c.Insert(TOrder, okey, o.Encode(c.Arena())) {
 		return false
 	}
-	if !c.Insert(TOrderCustIdx, k.orderCust(t.wid, t.did, t.cid, t.oid), storage.Uint64Key(t.oid)) {
+	if !c.Insert(TOrderCustIdx, k.orderCust(t.wid, t.did, t.cid, t.oid), c.Arena().Uint64Key(t.oid)) {
 		return false
 	}
-	if !c.Insert(TNewOrder, okey, []byte{1}) {
+	if !c.Insert(TNewOrder, okey, newOrderMarker) {
 		return false
 	}
 	for i, ln := range lines {
 		olr := OrderLineRow{WID: t.wid, DID: t.did, OID: t.oid, OL: uint64(i + 1), IID: ln.iid,
 			SupplyW: ln.supplyW, Qty: ln.qty, Amount: ln.amount, DistInfo: distInfoPad}
-		if !c.Insert(TOrderLine, k.orderLine(t.wid, t.did, t.oid, uint64(i+1)), olr.Encode()) {
+		if !c.Insert(TOrderLine, k.orderLine(t.wid, t.did, t.oid, uint64(i+1)), olr.Encode(c.Arena())) {
 			return false
 		}
 	}
@@ -306,7 +306,7 @@ func (t *payment) district(c core.AccessCtx) bool {
 	}
 	d := DecodeDistrict(dv)
 	d.YTD += t.amount
-	return c.Update(TDistrict, dk, d.Encode())
+	return c.Update(TDistrict, dk, d.Encode(c.Arena()))
 }
 
 func (t *payment) customer(c core.AccessCtx) bool {
@@ -327,11 +327,11 @@ func (t *payment) customer(c core.AccessCtx) bool {
 	if cr.Credit == 1 { // bad credit: data trail update
 		cr.Data = dataBCTrail
 	}
-	return c.Update(TCustomer, ck, cr.Encode())
+	return c.Update(TCustomer, ck, cr.Encode(c.Arena()))
 }
 
 func (t *payment) history(c core.AccessCtx) bool {
-	row := storage.NewRecordWriter(48).Uint64(t.cwid).Uint64(t.cdid).Uint64(t.amount).Bytes(histPayment).Finish()
+	row := storage.NewRecordWriter(c.Arena(), 26+len(histPayment)).Uint64(t.cwid).Uint64(t.cdid).Uint64(t.amount).Bytes(histPayment).Finish()
 	return c.Insert(THistory, t.hist[0].Key, row)
 }
 
@@ -343,7 +343,7 @@ func (t *payment) warehouse(c core.AccessCtx) bool {
 	}
 	wr := DecodeWarehouse(wv)
 	wr.YTD += t.amount
-	return c.Update(TWarehouse, wk, wr.Encode())
+	return c.Update(TWarehouse, wk, wr.Encode(c.Arena()))
 }
 
 // custSelect is how Payment and OrderStatus pick their customer: 60% by
@@ -536,13 +536,13 @@ func (t *delivery) deliver(c core.AccessCtx) bool {
 	}
 	o := DecodeOrder(ov)
 	o.Carrier = t.carrier
-	if !c.Update(TOrder, okey, o.Encode()) {
+	if !c.Update(TOrder, okey, o.Encode(c.Arena())) {
 		return false
 	}
 	t.total, t.upds, t.arena = 0, t.upds[:0], c.Arena()
 	c.Scan(TOrderLine, k.orderLine(wid, did, t.oldest, 0), k.orderLine(wid, did, t.oldest+1, 0), t.lineFn)
 	for _, u := range t.upds {
-		if !c.Update(TOrderLine, u.key, u.row.Encode()) {
+		if !c.Update(TOrderLine, u.key, u.row.Encode(c.Arena())) {
 			return false
 		}
 	}
@@ -554,7 +554,7 @@ func (t *delivery) deliver(c core.AccessCtx) bool {
 	cr := DecodeCustomer(cv)
 	cr.Balance += int64(t.total)
 	cr.DeliveryCnt++
-	return c.Update(TCustomer, ck, cr.Encode())
+	return c.Update(TCustomer, ck, cr.Encode(c.Arena()))
 }
 
 func (t *delivery) oldestOrder(nk, _ []byte) bool {

@@ -147,19 +147,20 @@ func Key(i uint64) []byte { return keyIn(nil, i) }
 func keyIn(a *storage.Arena, i uint64) []byte { return a.Uint64Key(i) }
 
 // Populate implements core.Workload: Records rows of FieldSize random
-// bytes. The keys are built in one arena, reset per row: the engine's tree
-// copies the keys it keeps, so a fresh key per row would be allocated twice.
+// bytes. Each key and row is built in one arena, reset per row: the engine's
+// tree copies the keys and rows it keeps, so a fresh slice per row would be
+// allocated twice.
 func (w *Workload) Populate(load func(table uint16, key, val []byte), r *sim.Rand) {
 	var arena storage.Arena
 	for i := 0; i < w.cfg.Records; i++ {
 		arena.Reset()
-		load(TUser, keyIn(&arena, uint64(i)), w.value(r))
+		load(TUser, keyIn(&arena, uint64(i)), w.value(&arena, r))
 	}
 }
 
-// value draws a fresh FieldSize payload.
-func (w *Workload) value(r *sim.Rand) []byte {
-	b := make([]byte, w.cfg.FieldSize)
+// value draws a FieldSize payload in a.
+func (w *Workload) value(a *storage.Arena, r *sim.Rand) []byte {
+	b := a.Alloc(w.cfg.FieldSize)
 	for i := range b {
 		b[i] = byte(r.Intn(256))
 	}
@@ -193,12 +194,22 @@ func (w *Workload) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // body are method values bound once, in bind, so an attempt only builds its
 // keys in the attempt's arena and hands Phase the struct's own action array.
 
-// txns is one stream's transaction inputs, one struct per type.
+// txns is one stream's transaction inputs, one struct per type, and the
+// arena the stream's drawn values live in until its next draw: the store
+// copies the row an Update writes, so the value need not outlive the
+// transaction.
 type txns struct {
 	read   read
 	update update
 	scan   scan
 	rmw    readModifyWrite
+	vals   storage.Arena
+}
+
+// drawValue draws a value into s's arena, ending the previous draw's.
+func (w *Workload) drawValue(s *txns, r *sim.Rand) []byte {
+	s.vals.Reset()
+	return w.value(&s.vals, r)
 }
 
 func newTxns() *txns {
@@ -237,15 +248,16 @@ func (t *read) body(c core.AccessCtx) bool {
 
 // Update returns a blind full-value overwrite of one key.
 func (w *Workload) Update(r *sim.Rand) core.TxnLogic {
-	t := &w.streams.Of(r).update
+	s := w.streams.Of(r)
+	t := &s.update
 	t.id = w.nextKey(r)
-	t.val = w.value(r)
+	t.val = w.drawValue(s, r)
 	return t.logic
 }
 
 type update struct {
 	id    uint64
-	val   []byte // fresh per draw: it becomes the stored row
+	val   []byte // in the stream's arena, until its next draw
 	act   [1]core.Action
 	logic core.TxnLogic
 }
@@ -299,15 +311,16 @@ func visit(_, _ []byte) bool { return true }
 // ReadModifyWrite returns a read of one key followed by a full-value write
 // of the same key inside the same action.
 func (w *Workload) ReadModifyWrite(r *sim.Rand) core.TxnLogic {
-	t := &w.streams.Of(r).rmw
+	s := w.streams.Of(r)
+	t := &s.rmw
 	t.id = w.nextKey(r)
-	t.val = w.value(r)
+	t.val = w.drawValue(s, r)
 	return t.logic
 }
 
 type readModifyWrite struct {
 	id    uint64
-	val   []byte // fresh per draw: it becomes the stored row
+	val   []byte // in the stream's arena, until its next draw
 	act   [1]core.Action
 	logic core.TxnLogic
 }
