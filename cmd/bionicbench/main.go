@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"bionicdb/internal/bench"
-	"bionicdb/internal/btree"
 	"bionicdb/internal/core"
 	"bionicdb/internal/darksilicon"
 	"bionicdb/internal/hw/treeprobe"
@@ -33,7 +32,7 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
-	"bionicdb/internal/storage"
+	"bionicdb/internal/wal"
 	"bionicdb/internal/workload/htap"
 	"bionicdb/internal/workload/tatp"
 	"bionicdb/internal/workload/tpcc"
@@ -425,6 +424,12 @@ func fig1() {
 			darksilicon.FormatPct(darksilicon.EnvelopeGeneration(gen, 0.5)))
 	}
 	emit("Power envelope projection (Section 2)", t)
+	var need []string
+	for _, panel := range darksilicon.Figure1Panels() {
+		need = append(need, fmt.Sprintf("%s on %d cores",
+			darksilicon.FormatPct(darksilicon.RequiredSerialFraction(0.9, panel.Cores)), panel.Cores))
+	}
+	fmt.Printf("serial fraction needed for 90%% utilization (before the power cap): %s\n", strings.Join(need, ", "))
 	lower, faster := darksilicon.EquivalentGains(10, 100000, 10)
 	fmt.Printf("joules/op identity: 10x less power -> %.2e J/op; 10x faster -> %.2e J/op\n\n", lower, faster)
 }
@@ -512,8 +517,8 @@ func runAblation() {
 		{Queue: true},
 		{Log: true},
 		{Queue: true, Log: true},
-		{Tree: true, Overlay: true},
-		{Tree: true, Overlay: true, Log: true},
+		{Overlay: true},
+		{Log: true, Overlay: true},
 		core.AllOffloads(),
 	}
 	engines := make([]bench.EngineSpec, len(lattice))
@@ -727,7 +732,7 @@ func runSaturation() {
 	tputs := make([]float64, len(windows))
 	utils := make([]float64, len(windows))
 	bench.ForEach(len(windows), *parallel, func(i int) {
-		tputs[i], utils[i] = probeThroughput(windows[i])
+		tputs[i], utils[i] = treeprobe.Saturation(windows[i], 100000, 400, *seed)
 	})
 	t := stats.NewTable(">outstanding", ">Mprobes/s", ">pipe util")
 	for i, window := range windows {
@@ -742,8 +747,8 @@ func runSaturation() {
 func runLatencies() {
 	cfg := platform.HC2()
 	t := stats.NewTable("latency source", ">modelled", "addressed by (paper section)")
-	t.Row("disk I/O", cfg.DiskLat.String(), "FPGA-side files + overlay faulting (5.6)")
-	t.Row("log flush (group commit)", (30 * sim.Microsecond).String(), "hw log insertion + async commit (5.4)")
+	t.Row("disk I/O", cfg.DiskLat.String(), "resident overlay + bulk merge writes (5.6)")
+	t.Row("log flush (group commit)", wal.DefaultManagerConfig().FlushInterval.String(), "hw log insertion + async commit (5.4)")
 	t.Row("lock wait", "workload-dependent", "DORA entity locks, deferred actions (5.1)")
 	t.Row("latch wait", "~node visit", "eliminated by PLP partitioning (5.1)")
 	t.Row("queue hop", (2 * sim.Microsecond).String(), "hw queue engine doorbells (5.5)")
@@ -753,38 +758,4 @@ func runLatencies() {
 	t.Row("LLC hit", cfg.L3Lat.String(), "-")
 	t.Row("branch/jump", cfg.CycleTime().String(), "load-compare-branch in fabric (4)")
 	emit("Section 3: the OLTP latency spectrum, from 5ms to 400ps", t)
-}
-
-func probeThroughput(window int) (perSec float64, util float64) {
-	env := sim.NewEnv()
-	defer env.Close()
-	pl := platform.New(env, platform.HC2())
-	eng := treeprobe.New(pl, treeprobe.DefaultConfig())
-	tree := btree.New(btree.Config{
-		AddrOf: func(id storage.PageID, size int) uint64 { return pl.AllocFPGA(8 << 10) },
-	})
-	var loadKey storage.Arena // the tree copies the keys it keeps
-	for i := 0; i < 100000; i++ {
-		loadKey.Reset()
-		tree.Put(loadKey.Uint64Key(uint64(i)), []byte("row"), nil)
-	}
-	const probesPerStream = 400
-	r := sim.NewRand(*seed)
-	done := 0
-	for wdx := 0; wdx < window; wdx++ {
-		keys := make([][]byte, probesPerStream)
-		for i := range keys {
-			keys[i] = storage.Uint64Key(uint64(r.Intn(100000)))
-		}
-		env.Spawn("stream", func(p *sim.Proc) {
-			for _, k := range keys {
-				eng.ProbeLocal(p, tree, k)
-				done++
-			}
-		})
-	}
-	if err := env.Run(); err != nil {
-		panic(err)
-	}
-	return sim.PerSecond(int64(done), sim.Duration(env.Now())), eng.Utilization()
 }

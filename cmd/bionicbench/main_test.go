@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,5 +72,38 @@ func TestQuickKeepsGivenFlags(t *testing.T) {
 	if *subscribers != 10000 || *records != 10000 || *measureMs != 15 || *warmupMs != 5 {
 		t.Errorf("-quick left subscribers %d, records %d, measure %d, warmup %d",
 			*subscribers, *records, *measureMs, *warmupMs)
+	}
+}
+
+// TestAnalyticExperimentsGolden pins the stdout of every experiment that
+// runs no engine (-fig 1, -fig 2, -saturation, -latencies, in the table's
+// order) against testdata/analytic.txt. Regenerate it with
+//
+//	(go run ./cmd/bionicbench -fig 1; go run ./cmd/bionicbench -fig 2;
+//	 go run ./cmd/bionicbench -saturation -latencies) > cmd/bionicbench/testdata/analytic.txt
+func TestAnalyticExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/analytic.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	for _, e := range experiments {
+		if !e.json {
+			e.run()
+		}
+	}
+	os.Stdout = stdout
+	out.Close()
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("analytic experiments' stdout differs from testdata/analytic.txt:\n%s", got)
 	}
 }

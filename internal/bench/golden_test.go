@@ -277,8 +277,8 @@ func goldenAblationGrid() Grid {
 		{Queue: true},
 		{Log: true},
 		{Queue: true, Log: true},
-		{Tree: true, Overlay: true},
-		{Tree: true, Overlay: true, Log: true},
+		{Overlay: true},
+		{Log: true, Overlay: true},
 		core.AllOffloads(),
 	} {
 		engines = append(engines, Bionic(off))

@@ -61,17 +61,19 @@ func HashScheme(n int) PartitionScheme {
 // Offloads selects which hardware units a Bionic engine uses; the zero
 // value is pure software (the DORA baseline). The C2 ablation sweeps these.
 type Offloads struct {
-	Tree    bool // §5.3 hardware tree-probe engine
-	Log     bool // §5.4 hardware log insertion
-	Queue   bool // §5.5 hardware queue management
-	Overlay bool // §5.6 overlay database instead of the buffer pool
+	Log   bool // §5.4 hardware log insertion
+	Queue bool // §5.5 hardware queue management
+	// Overlay is one unit pair: the §5.6 overlay database instead of the
+	// buffer pool, and the §5.3 hardware tree-probe engine that walks its
+	// SG-DRAM trees.
+	Overlay bool
 }
 
 // All returns every offload enabled — the full bionic configuration.
-func AllOffloads() Offloads { return Offloads{Tree: true, Log: true, Queue: true, Overlay: true} }
+func AllOffloads() Offloads { return Offloads{Log: true, Queue: true, Overlay: true} }
 
 // Any reports whether at least one offload is enabled.
-func (o Offloads) Any() bool { return o.Tree || o.Log || o.Queue || o.Overlay }
+func (o Offloads) Any() bool { return o.Log || o.Queue || o.Overlay }
 
 // String names the configuration for tables and ablation rows.
 func (o Offloads) String() string {
@@ -87,7 +89,7 @@ func (o Offloads) String() string {
 			s += name
 		}
 	}
-	add(o.Tree, "tree")
+	add(o.Overlay, "tree") // the pair's probe unit leads, its overlay closes
 	add(o.Log, "log")
 	add(o.Queue, "queue")
 	add(o.Overlay, "overlay")

@@ -383,7 +383,7 @@ func TestBionicOffloadAblationConfigsRun(t *testing.T) {
 	for _, off := range []Offloads{
 		{Queue: true},
 		{Log: true},
-		{Tree: true, Overlay: true},
+		{Overlay: true},
 		AllOffloads(),
 	} {
 		off := off
@@ -401,34 +401,36 @@ func TestBionicOffloadAblationConfigsRun(t *testing.T) {
 	}
 }
 
+// offloadNames maps offload sets to their configuration names. Overlay, the
+// tree-probe/overlay unit pair, renders "tree" first and "overlay" last.
+var offloadNames = map[Offloads]string{
+	{}:                         "none",
+	{Log: true}:                "log",
+	{Overlay: true}:            "tree+overlay",
+	{Log: true, Overlay: true}: "tree+log+overlay",
+	AllOffloads():              "tree+log+queue+overlay",
+}
+
 func TestOffloadsString(t *testing.T) {
-	if (Offloads{}).String() != "none" {
-		t.Error("zero offloads name")
-	}
-	if AllOffloads().String() != "tree+log+queue+overlay" {
-		t.Errorf("all offloads name %q", AllOffloads().String())
-	}
-	if (Offloads{Log: true}).String() != "log" {
-		t.Error("single offload name")
+	for off, want := range offloadNames {
+		if got := off.String(); got != want {
+			t.Errorf("%+v: named %q, want %q", off, got, want)
+		}
 	}
 }
 
-// TestBionicPairsTreeAndOverlay pins that Offloads.Tree and Offloads.Overlay
-// name one unit pair: either half builds both, and the engine is named for
-// the pair.
+// TestBionicPairsTreeAndOverlay pins that Offloads.Overlay names one unit
+// pair: it builds the tree-probe unit and the overlay store it walks, and a
+// bionic engine is named for exactly the set it was given.
 func TestBionicPairsTreeAndOverlay(t *testing.T) {
-	for off, want := range map[Offloads]string{
-		{Tree: true}:               "bionic[tree+overlay]",
-		{Overlay: true}:            "bionic[tree+overlay]",
-		{Overlay: true, Log: true}: "bionic[tree+log+overlay]",
-	} {
+	for off, want := range offloadNames {
 		env := sim.NewEnv()
 		e := NewBionic(env, platform.HC2(), kvTables(), HashScheme(4), off, 8)
-		if e.Name() != want {
-			t.Errorf("%+v: engine named %q, want %q", off, e.Name(), want)
+		if e.Name() != "bionic["+want+"]" {
+			t.Errorf("%+v: engine named %q, want %q", off, e.Name(), "bionic["+want+"]")
 		}
-		if e.Overlay() == nil {
-			t.Errorf("%+v: no overlay store", off)
+		if (e.Overlay() != nil) != off.Overlay {
+			t.Errorf("%+v: overlay store %v", off, e.Overlay() != nil)
 		}
 		env.Close()
 	}

@@ -39,12 +39,8 @@ func NewDORA(env *sim.Env, cfg *platform.Config, tables []TableDef, scheme Parti
 
 // NewBionic builds the bionic engine: DORA plus the selected hardware
 // offloads and an in-flight window per partition so asynchronous hardware
-// requests overlap. Offloads.Tree and Offloads.Overlay name one unit pair —
-// the tree-probe unit walks the overlay's SG-DRAM trees — so either one
-// enables both, and the engine is named for the pair.
+// requests overlap.
 func NewBionic(env *sim.Env, cfg *platform.Config, tables []TableDef, scheme PartitionScheme, off Offloads, window int) *DORAEngine {
-	off.Tree = off.Tree || off.Overlay
-	off.Overlay = off.Tree
 	if window < 1 {
 		window = 8
 	}

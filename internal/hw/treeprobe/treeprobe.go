@@ -13,6 +13,7 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
+	"bionicdb/internal/storage"
 )
 
 // Config tunes the engine.
@@ -140,3 +141,41 @@ func (e *Engine) ProbeLocal(p *sim.Proc, tree *btree.Tree, key []byte) Result {
 // Utilization reports the comparator pipeline's busy fraction — the
 // saturation metric of experiment C1.
 func (e *Engine) Utilization() float64 { return e.pipe.Utilization() }
+
+// Saturation is experiment C1's microbenchmark: window streams, each issuing
+// probesPerStream probes back to back through ProbeLocal, against a
+// rows-entry tree on the HC-2 platform, with keys drawn uniformly from seed.
+// It returns the probes completed per simulated second and the comparator
+// pipeline's utilization; throughput flattens once window passes the knee.
+func Saturation(window, rows, probesPerStream int, seed uint64) (perSec, util float64) {
+	env := sim.NewEnv()
+	defer env.Close()
+	pl := platform.New(env, platform.HC2())
+	eng := New(pl, DefaultConfig())
+	tree := btree.New(btree.Config{
+		AddrOf: func(id storage.PageID, size int) uint64 { return pl.AllocFPGA(8 << 10) },
+	})
+	var loadKey storage.Arena // the tree copies the keys it keeps
+	for i := 0; i < rows; i++ {
+		loadKey.Reset()
+		tree.Put(loadKey.Uint64Key(uint64(i)), []byte("row"), nil)
+	}
+	r := sim.NewRand(seed)
+	done := 0
+	for w := 0; w < window; w++ {
+		keys := make([][]byte, probesPerStream)
+		for i := range keys {
+			keys[i] = storage.Uint64Key(uint64(r.Intn(rows)))
+		}
+		env.Spawn("stream", func(p *sim.Proc) {
+			for _, k := range keys {
+				eng.ProbeLocal(p, tree, k)
+				done++
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		panic(err) // no process can fail: a probe always completes
+	}
+	return sim.PerSecond(int64(done), sim.Duration(env.Now())), eng.Utilization()
+}

@@ -72,32 +72,10 @@ func TestProbeLatencyDominatedByPCIeAndSGDRAM(t *testing.T) {
 // scales with the outstanding-request window and flattens around a dozen,
 // the paper's §5.3 estimate.
 func TestSaturationNearDozenOutstanding(t *testing.T) {
-	throughput := func(window int) float64 {
-		env, _, e, tree := fixture()
-		const probesPerStream = 200
-		r := sim.NewRand(7)
-		keys := make([][]byte, window*probesPerStream)
-		for i := range keys {
-			keys[i] = storage.Uint64Key(uint64(r.Intn(50000)))
-		}
-		done := 0
-		for w := 0; w < window; w++ {
-			w := w
-			env.Spawn("stream", func(p *sim.Proc) {
-				for i := 0; i < probesPerStream; i++ {
-					e.ProbeLocal(p, tree, keys[w*probesPerStream+i])
-					done++
-				}
-			})
-		}
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return sim.PerSecond(int64(done), sim.Duration(env.Now()))
-	}
-	t1 := throughput(1)
-	t12 := throughput(12)
-	t24 := throughput(24)
+	t1, _ := Saturation(1, 50000, 200, 7)
+	t12, _ := Saturation(12, 50000, 200, 7)
+	t24, _ := Saturation(24, 50000, 200, 7)
+	t.Logf("probes/s at windows 1, 12, 24: %.0f, %.0f, %.0f", t1, t12, t24)
 	if t12 < 5*t1 {
 		t.Fatalf("window 12 should be >5x window 1: %.0f vs %.0f", t12, t1)
 	}

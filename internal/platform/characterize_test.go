@@ -32,7 +32,7 @@ func TestCharacterizeMatchesFigure2(t *testing.T) {
 }
 
 // TestCharacterizeRespectsOverrides ensures custom platforms characterize
-// to their own numbers (the hc2sim -pcie-us flag path).
+// to their own numbers: a caller that edits HC2()'s PCIe fields sees them.
 func TestCharacterizeRespectsOverrides(t *testing.T) {
 	cfg := HC2()
 	cfg.PCIeLat = 4 * sim.Microsecond
