@@ -15,11 +15,15 @@ import (
 
 // CheckpointMeta is the recovery anchor: the root page of every table's
 // checkpoint image plus the log positions recovery replays from, one per
-// log shard. Figure 4 keeps "log sync & recovery" in software; this is that
-// box.
+// log shard, and the positions each shard's crash image starts at (its
+// store's kept point, wal.Store.Kept: StartLSNs on an unreplicated machine
+// whose log held bytes before its first checkpoint, 0 when the log was
+// empty or ships to replicas). Figure 4 keeps "log sync & recovery" in
+// software; this is that box.
 type CheckpointMeta struct {
 	Roots     map[uint16]storage.PageID
 	StartLSNs []wal.LSN
+	LogBases  []wal.LSN
 }
 
 // startLSN returns the replay start position for shard.
@@ -30,17 +34,27 @@ func (m CheckpointMeta) startLSN(shard int) wal.LSN {
 	return 0
 }
 
+// logBase returns the log position shard's crash image starts at.
+func (m CheckpointMeta) logBase(shard int) wal.LSN {
+	if shard < len(m.LogBases) {
+		return m.LogBases[shard]
+	}
+	return 0
+}
+
 // Checkpoint writes every table's pages durably through dm and anchors
-// recovery at every log shard's current durable point. The engine must be
-// quiesced (no active transactions): bionicdb checkpoints are sharp, not
-// fuzzy. Every node of every table is sized before the first page is
-// stored, so a row the image format cannot hold (a value over 65 535 bytes)
-// is an error naming its table and page that stores nothing and changes no
-// tree: no checkpoint is taken, and the previous one stays whole. Each page
-// is serialized once, into an exact-size buffer that dm keeps as the durable
-// image and the table's tree adopts as its storage (btree.Tree.Checkpoint):
-// the live tree and every boot of this checkpoint share those bytes, and
-// nothing writes to them again.
+// recovery at every log shard's current durable point, registering there as
+// the shard's reader so that its store keeps the bytes a crash will replay
+// (wal.Store.Register). The engine must be quiesced (no active
+// transactions): bionicdb checkpoints are sharp, not fuzzy. Every node of
+// every table is sized before the first page is stored, so a row the image
+// format cannot hold (a value over 65 535 bytes) is an error naming its
+// table and page that stores nothing and changes no tree: no checkpoint is
+// taken, and the previous one stays whole. Each page is serialized once,
+// into an exact-size buffer that dm keeps as the durable image and the
+// table's tree adopts as its storage (btree.Tree.Checkpoint): the live tree
+// and every boot of this checkpoint share those bytes, and nothing writes to
+// them again.
 func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskManager, ls *wal.LogSet) (CheckpointMeta, error) {
 	ids := sortedKeys(tables)
 	for _, id := range ids {
@@ -64,6 +78,10 @@ func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskMana
 		dm.Device().Transfer(p, written)
 	}
 	meta.StartLSNs = ls.StartLSNs()
+	if err := ls.Register(meta.StartLSNs); err != nil {
+		return CheckpointMeta{}, fmt.Errorf("checkpoint: %w", err)
+	}
+	meta.LogBases = ls.Kept()
 	return meta, nil
 }
 
@@ -79,11 +97,11 @@ func CheckpointAllSets(p *sim.Proc, sets []map[uint16]*btree.Tree, dm *storage.D
 	return meta
 }
 
-// scanCommits collects every commit record in one shard's log after start:
-// the transaction ids and, for cross-shard commits, their durability
-// vectors.
-func scanCommits(data []byte, start wal.LSN, out map[uint64][]wal.ShardLSN) error {
-	return wal.Scan(data, start, func(r wal.Record) bool {
+// scanCommits collects every commit record in one shard's log image from
+// offset from on: the transaction ids and, for cross-shard commits, their
+// durability vectors.
+func scanCommits(data []byte, from wal.LSN, out map[uint64][]wal.ShardLSN) error {
+	return wal.Scan(data, from, func(r wal.Record) bool {
 		if r.Type == wal.RecCommit {
 			if len(r.After) > 0 {
 				vec, err := wal.DecodeShardVec(r.After)
@@ -124,21 +142,21 @@ func committedSet(perShard []map[uint64][]wal.ShardLSN, durable []wal.LSN) map[u
 	return committed
 }
 
-// applyShard replays one shard's committed data records, in shard-log
-// order, into trees. The log is registered as one chunk of each tree, and
-// every after-image is installed as a reference to its field in the log
-// (btree.Tree.PutAt), so replay copies no row; the tree clones a key it
-// inserts. The log is never written again once it is a crash image, and
+// applyShard replays one shard's committed data records from offset from of
+// its log image on, in shard-log order, into trees. The log is registered
+// as one chunk of each tree, and every after-image is installed as a
+// reference to its field in the log (btree.Tree.PutAt), so replay copies no
+// row; the tree clones a key it inserts. The log is never written again once it is a crash image, and
 // stored rows are immutable, so the recovered trees keep the log alive
 // until their next checkpoint instead.
-func applyShard(trees map[uint16]*btree.Tree, data []byte, start wal.LSN, committed map[uint64]bool) (records int64, err error) {
+func applyShard(trees map[uint16]*btree.Tree, data []byte, from wal.LSN, committed map[uint64]bool) (records int64, err error) {
 	chunks := make(map[uint16]btree.Chunk, len(trees))
 	for id, tree := range trees {
 		if chunks[id], err = tree.AddChunk(data); err != nil {
 			return 0, err
 		}
 	}
-	err = wal.Scan(data, start, func(r wal.Record) bool {
+	err = wal.Scan(data, from, func(r wal.Record) bool {
 		if !committed[r.Txn] {
 			return true
 		}
@@ -224,12 +242,13 @@ const (
 
 const recInstrPerByte = 0.25 // per-byte decode/copy cost, both passes
 
-// RecoverMeasured rebuilds every table from its checkpoint image and
-// replays the logical logs under the machine's cost model. Committed
-// transactions' data records after the per-shard start positions are
-// applied in shard-log order; records of transactions without a
-// (vector-complete) commit record are ignored (runtime aborts roll back in
-// memory, so redo-only logical recovery suffices). Each shard's log is read
+// RecoverMeasured rebuilds every table from its checkpoint image and replays
+// the logical logs under the machine's cost model. Committed transactions'
+// data records after the per-shard start positions are applied in shard-log
+// order; records of transactions without a (vector-complete) commit record
+// are ignored (runtime aborts roll back in memory, so redo-only logical
+// recovery suffices). logs[s] holds shard s's log from meta's LogBases[s]
+// on, and a start position below that is an error. Each shard's log is read
 // from its socket's log device and its records are scanned and replayed on
 // that socket's cores, with one recovery process per shard when parallel is
 // true (the sharded subsystem's parallel-recovery path) or a single process
@@ -238,12 +257,12 @@ const recInstrPerByte = 0.25 // per-byte decode/copy cost, both passes
 // for a key to that key's home socket — so the recovered content is
 // identical to serial replay (tree page layout may differ — ingestion order
 // across tables interleaves — but every table's key/value state is the
-// same). The caller's process drives the phases and observes the
-// completion; pl must be a freshly-booted platform matching the crashed
-// machine's config (Boot builds one). The recovered trees come back as a
-// one-element slice, the form ContentDigestSets takes. Their keys and rows
-// refer into dm's page images and into logs, copied from neither, so both
-// must stay unwritten for as long as the trees live.
+// same). The caller's process drives the phases and observes the completion;
+// pl must be a freshly-booted platform matching the crashed machine's config
+// (Boot builds one). The recovered trees come back as a one-element slice,
+// the form ContentDigestSets takes. Their keys and rows refer into dm's page
+// images and into logs, copied from neither, so both must stay unwritten for
+// as long as the trees live.
 func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta CheckpointMeta, dm *storage.DiskManager, logs [][]byte, parallel bool) ([]map[uint16]*btree.Tree, RecoveryStats, error) {
 	start := p.Now()
 	st := RecoveryStats{Shards: len(logs)}
@@ -279,19 +298,31 @@ func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta C
 		}
 	}
 
+	// Shard s's image holds the log from meta.logBase(s) on, so replay
+	// starts at offset from[s] in it and the shard is durable up to base
+	// plus the image's length. A start below the base asks for bytes the
+	// image does not hold: an error, never a silently shorter replay.
+	from := make([]wal.LSN, len(logs))
+	for s := range logs {
+		start, base := meta.startLSN(s), meta.logBase(s)
+		if start < base {
+			return nil, st, fmt.Errorf("recovery: log shard %d replays from %d, but its image starts at %d", s, start, base)
+		}
+		from[s] = start - base
+	}
+	// tailOf is how many of shard s's image bytes lie at or past its start.
+	tailOf := func(s int) int { return max(len(logs[s])-int(from[s]), 0) }
+
 	// Phase 1 per shard: read the shard's log from its device and scan for
 	// commit records, charging the scan on the shard's socket.
 	analyze := func(ps *sim.Proc, s int) {
 		data := logs[s]
-		tail := len(data) - int(meta.startLSN(s))
-		if tail < 0 {
-			tail = 0
-		}
+		tail := tailOf(s)
 		pl.LogSSD(s).Transfer(ps, tail)
 		task := pl.NewTask(ps, shardCore(s), nil)
 		perShard[s] = make(map[uint64][]wal.ShardLSN)
-		durable[s] = wal.LSN(len(data))
-		noteErr(scanCommits(data, meta.startLSN(s), perShard[s]))
+		durable[s] = meta.logBase(s) + wal.LSN(len(data))
+		noteErr(scanCommits(data, from[s], perShard[s]))
 		task.Exec(stats.CompLog, len(perShard[s])*recScanInstrPerRec+int(float64(tail)*recInstrPerByte))
 		task.Flush()
 		st.LogBytes += int64(tail)
@@ -300,13 +331,9 @@ func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta C
 	var committed map[uint64]bool
 	replay := func(ps *sim.Proc, s int) {
 		task := pl.NewTask(ps, shardCore(s), nil)
-		n, err := applyShard(trees, logs[s], meta.startLSN(s), committed)
+		n, err := applyShard(trees, logs[s], from[s], committed)
 		noteErr(err)
-		tail := len(logs[s]) - int(meta.startLSN(s))
-		if tail < 0 {
-			tail = 0
-		}
-		task.Exec(stats.CompLog, int(n)*recApplyInstrPerRec+int(float64(tail)*recInstrPerByte))
+		task.Exec(stats.CompLog, int(n)*recApplyInstrPerRec+int(float64(tailOf(s))*recInstrPerByte))
 		task.Flush()
 		st.Records += n
 	}

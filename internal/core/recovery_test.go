@@ -10,6 +10,7 @@ import (
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/storage"
+	"bionicdb/internal/wal"
 )
 
 // boot recovers e's checkpoint plus logs serially on a fresh machine.
@@ -405,5 +406,121 @@ func TestFailedCheckpointKeepsThePreviousOne(t *testing.T) {
 	}
 	if v, ok := trees[1].Get(storage.Uint64Key(99), nil); !ok || string(v) != "base-99" {
 		t.Errorf("the first checkpoint boots row 99 as %.20q, want %q", v, "base-99")
+	}
+}
+
+// TestCheckpointAfterCommitsRecovers checkpoints a log that already holds
+// committed transactions, so each shard's store keeps only the bytes from
+// that checkpoint's start on and hands recovery an image that begins there,
+// and then checkpoints again further on, so the boot replays from inside
+// the image. Transactions committed after the checkpoints, and one that
+// aborts, must recover to the live state on every engine, with a central
+// log and with two sharded ones (the conventional engine never shards its
+// log).
+func TestCheckpointAfterCommitsRecovers(t *testing.T) {
+	engines := map[string]func(env *sim.Env, cfg *platform.Config) Engine{
+		"conventional": func(env *sim.Env, cfg *platform.Config) Engine {
+			return NewConventional(env, cfg, kvTables())
+		},
+		"dora": func(env *sim.Env, cfg *platform.Config) Engine {
+			return NewDORA(env, cfg, kvTables(), HashScheme(cfg.TotalCores()))
+		},
+		"bionic": func(env *sim.Env, cfg *platform.Config) Engine {
+			return NewBionic(env, cfg, kvTables(), HashScheme(cfg.TotalCores()), AllOffloads(), 8)
+		},
+	}
+	for _, name := range []string{"conventional", "dora", "bionic"} {
+		for _, sockets := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s-x%d", name, sockets), func(t *testing.T) {
+				cfg := platform.HC2()
+				if sockets > 1 {
+					cfg = platform.HC2ScaledSharded(sockets)
+				}
+				env := sim.NewEnv()
+				defer env.Close()
+				e := engines[name](env, cfg)
+				for i := 0; i < 300; i++ {
+					e.Load(1, storage.Uint64Key(uint64(i)), []byte(fmt.Sprintf("base-%d", i)))
+				}
+				r := sim.NewRand(uint64(11 + sockets))
+				var first, meta CheckpointMeta
+				env.Spawn("driver", func(p *sim.Proc) {
+					term := &Terminal{ID: 0, P: p, Core: e.Platform().Cores[0], R: sim.NewRand(1)}
+					// Every third transaction writes two keys, which on two
+					// sockets often live on different shards: its commit
+					// record carries a shard vector of log positions.
+					commit := func(i int) {
+						k1 := storage.Uint64Key(uint64(r.Intn(300)))
+						k2 := storage.Uint64Key(uint64(r.Intn(300)))
+						v := []byte(fmt.Sprintf("mut-%d", i))
+						write := func(k []byte) Action {
+							return Action{Table: 1, Key: k, Body: func(c AccessCtx) bool {
+								if i%4 == 1 {
+									return c.Delete(1, k) || c.Insert(1, k, v)
+								}
+								return c.Update(1, k, v) || c.Insert(1, k, v)
+							}}
+						}
+						e.Submit(term, func(tx Tx) bool {
+							if i%3 == 0 && !bytes.Equal(k1, k2) {
+								return tx.Phase(write(k1), write(k2))
+							}
+							return tx.Phase(write(k1))
+						})
+					}
+					for i := 0; i < 60; i++ {
+						commit(i)
+						if i == 29 {
+							first = checkpointed(t, p, e)
+						}
+					}
+					meta = checkpointed(t, p, e)
+					for i := 60; i < 120; i++ {
+						commit(i)
+						if i == 90 {
+							k := storage.Uint64Key(7)
+							e.Submit(term, func(tx Tx) bool {
+								tx.Phase(Action{Table: 1, Key: k, Body: func(c AccessCtx) bool {
+									return c.Update(1, k, []byte("aborted")) || c.Insert(1, k, []byte("aborted"))
+								}})
+								return false
+							})
+						}
+					}
+					e.Close()
+				})
+				if err := env.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if e.Counters().Get("aborts.user") != 1 {
+					t.Errorf("aborts.user = %d, want 1", e.Counters().Get("aborts.user"))
+				}
+				ls := e.LogSet()
+				logs := ls.Datas()
+				for s := range logs {
+					base, start, n := first.StartLSNs[s], meta.StartLSNs[s], ls.Store(s).Len()
+					if base == 0 || start <= base || meta.LogBases[s] != base || len(logs[s]) != n-int(base) {
+						t.Errorf("shard %d: checkpoints at %d and %d, image from %d of %d bytes, log of %d: want the log from the first, nonzero, checkpoint on",
+							s, base, start, meta.LogBases[s], len(logs[s]), n)
+					}
+				}
+				trees := boot(t, e, meta, logs)
+				if got, want := ContentDigest(trees), ContentDigest(e.Tables()); got != want {
+					t.Errorf("recovered content diverged from the live tables:\n got  %s\n want %s", got, want)
+				}
+				if err := trees[1].Validate(); err != nil {
+					t.Error(err)
+				}
+				// An image that starts past the checkpoint's start is an
+				// error, never a shorter replay.
+				early := meta
+				early.StartLSNs = append([]wal.LSN(nil), meta.StartLSNs...)
+				early.StartLSNs[0] = meta.LogBases[0] - 1
+				img := Image{Cfg: e.Platform().Cfg, Defs: kvTables(), Meta: early, DM: e.DiskManager()}
+				if _, _, _, err := Boot(img, logs, false, 0); err == nil {
+					t.Error("a boot replaying from below the image's first byte succeeded")
+				}
+			})
+		}
 	}
 }

@@ -61,7 +61,9 @@ func DefaultConfig() Config {
 // from any core — is durable with it, and the engine's durable horizon
 // equals its store's byte length. Recovery reads the Store's byte stream
 // and compares horizons against its length, exactly as for a software
-// shard.
+// shard; the store keeps that stream only from where a reader registered
+// (a checkpoint's start, or 0 under replication), and a store with no
+// reader counts the engine's bytes without holding them.
 type Engine struct {
 	cfg   Config
 	pl    *platform.Platform

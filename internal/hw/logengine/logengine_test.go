@@ -19,6 +19,7 @@ func fixture() (*sim.Env, *platform.Platform, *wal.Store, *Engine) {
 
 func TestAppendAndCommitDurable(t *testing.T) {
 	env, pl, store, e := fixture()
+	store.Register(0) // the test decodes the raw store
 	env.Spawn("w", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
 		rec := wal.Record{Txn: 1, Type: wal.RecInsert, Key: []byte("k"), After: []byte("v")}
@@ -54,6 +55,7 @@ func TestCrossCoreRecordsDurableWithCommit(t *testing.T) {
 	// Records staged on different cores must all be durable once a later
 	// commit (on yet another core) acks — the epoch-collection guarantee.
 	env, pl, store, e := fixture()
+	store.Register(0) // the test decodes the raw store
 	var handles []wal.LSN
 	env.Spawn("worker0", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})

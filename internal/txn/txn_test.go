@@ -45,6 +45,7 @@ func TestBeginAssignsDistinctIDs(t *testing.T) {
 
 func TestCommitBecomesDurableAndLogged(t *testing.T) {
 	env, pl, store, lm, tm := fixture()
+	store.Register(0) // the test decodes the raw store
 	env.Spawn("w", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
 		tx := tm.Begin(task)
@@ -168,6 +169,7 @@ func TestXctComponentCharged(t *testing.T) {
 // have built more records than appends were ever in flight together.
 func TestInterleavedAppendsKeepTheirRecords(t *testing.T) {
 	env, pl, store, lm, tm := fixture()
+	store.Register(0) // the test decodes the raw store
 	const per = 40
 	img := func(who, i int, what byte) []byte { return []byte{what, byte(who), byte(i), what} }
 	var tx *Txn

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"fmt"
+
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
@@ -11,14 +13,27 @@ import (
 // recovery is identical for every engine. Bytes returned by Bytes survive a
 // "crash"; anything not yet written here is lost.
 //
-// The file is a list of segments that are filled in place and never moved:
-// a growing log allocates its own size once and copies no byte it already
-// holds.
+// A store keeps bytes only for its readers. There are two: core.Checkpoint
+// registers every log shard at its checkpoint's start position, because a
+// crash replays the log from there, and NewReplicaSet registers the primary
+// stores and the replica stores at 0, because the shipper copies every byte
+// and failover replays a replica's whole copy. A store with no reader counts
+// its length, its durable point and its writes, and charges the device for
+// every chunk, but holds none of their bytes: a run that never crashes or
+// ships keeps the log's length, not its content. Once a reader registers,
+// the store keeps every byte from its kept point on; registering below that
+// point is an error, as is reading below it.
+//
+// The kept bytes are a list of segments that are filled in place and never
+// moved: a growing log allocates its own size once and copies no byte it
+// already holds.
 type Store struct {
 	dev    *platform.Device
-	segs   [][]byte // every segment but the last is full (len == cap)
+	segs   [][]byte // the kept bytes; every segment but the last is full (len == cap)
+	kept   int      // log position of the first kept byte; n while no reader
 	n      int      // bytes written
 	writes int64
+	read   bool // a reader has registered
 }
 
 // Segment sizes: the first segment holds firstSegBytes and each later one
@@ -28,11 +43,28 @@ const (
 	maxSegBytes   = 1 << 20
 )
 
-// NewStore creates an empty durable log on dev.
+// NewStore creates an empty durable log on dev, with no reader.
 func NewStore(dev *platform.Device) *Store { return &Store{dev: dev} }
 
-// Write durably appends chunk, charging one device write of its size. The
-// chunk fills the tail segment and spills into new ones.
+// Register records a reader that will ask for the bytes from position from
+// on, so the store keeps them. from must lie in [Kept(), Len()]: below the
+// kept point the bytes are gone, and a store with no reader keeps nothing,
+// so its first reader registers at Len().
+func (s *Store) Register(from LSN) error {
+	if int(from) < s.kept || int(from) > s.n {
+		return fmt.Errorf("wal: a reader at %d on a log that keeps [%d, %d)", from, s.kept, s.n)
+	}
+	s.read = true
+	return nil
+}
+
+// Kept returns the log position of the first byte the store holds: where
+// Bytes' image starts. It is Len() while the store has no reader.
+func (s *Store) Kept() LSN { return LSN(s.kept) }
+
+// Write durably appends chunk, charging one device write of its size. With
+// a reader, the chunk fills the tail segment and spills into new ones;
+// without one, only its length is counted.
 func (s *Store) Write(p *sim.Proc, chunk []byte) {
 	if len(chunk) == 0 {
 		return
@@ -40,6 +72,10 @@ func (s *Store) Write(p *sim.Proc, chunk []byte) {
 	s.writes++
 	s.dev.Transfer(p, len(chunk))
 	s.n += len(chunk)
+	if !s.read {
+		s.kept = s.n
+		return
+	}
 	for len(chunk) > 0 {
 		last := len(s.segs) - 1
 		if last < 0 || len(s.segs[last]) == cap(s.segs[last]) {
@@ -60,31 +96,38 @@ func (s *Store) Write(p *sim.Proc, chunk []byte) {
 // Durable returns the LSN up to which the log is durable.
 func (s *Store) Durable() LSN { return LSN(s.n) }
 
-// Bytes returns the durable log image, what recovery scans. Only crash-time
-// code calls it (LogSet.Datas, ReplicaSet.CrashImage) and tests: on a store
-// of more than one segment it first flattens them into one segment of exact
-// size, so the first call copies the log once and later calls copy nothing.
-// A later Write opens a new segment and never changes an image already
+// Bytes returns the durable log image, what recovery scans: the kept bytes
+// [Kept(), Len()), so the image's first byte is the log's position Kept().
+// A store with no reader returns an empty image. Only crash-time code calls
+// it (LogSet.Datas, ReplicaSet.CrashImage) and tests: on a store of more
+// than one segment it first flattens them into one segment of exact size,
+// so the first call copies the log once and later calls copy nothing. A
+// later Write opens a new segment and never changes an image already
 // returned. Callers must not mutate it.
 func (s *Store) Bytes() []byte {
 	if len(s.segs) == 0 {
 		return nil
 	}
+	size := s.n - s.kept
 	if len(s.segs) > 1 {
-		flat := make([]byte, 0, s.n)
+		flat := make([]byte, 0, size)
 		for _, seg := range s.segs {
 			flat = append(flat, seg...)
 		}
 		clear(s.segs[1:])
 		s.segs = append(s.segs[:0], flat)
 	}
-	return s.segs[0][:s.n:s.n]
+	return s.segs[0][:size:size]
 }
 
 // AppendRange appends the log bytes [from, to) to dst and returns the
-// extended slice; 0 <= from <= to <= Len(). The log shipper reads its suffix
-// ranges through it, so it walks back from the tail segment.
-func (s *Store) AppendRange(dst []byte, from, to int) []byte {
+// extended slice; Kept() <= from <= to <= Len(), and a range that starts
+// below the kept point is an error. The log shipper reads its suffix ranges
+// through it, so it walks back from the tail segment.
+func (s *Store) AppendRange(dst []byte, from, to int) ([]byte, error) {
+	if from < s.kept || from > to || to > s.n {
+		return dst, fmt.Errorf("wal: log range [%d, %d) outside the kept [%d, %d)", from, to, s.kept, s.n)
+	}
 	i, start := len(s.segs), s.n
 	for start > from {
 		i--
@@ -97,7 +140,7 @@ func (s *Store) AppendRange(dst []byte, from, to int) []byte {
 		start += len(seg)
 		from = start
 	}
-	return dst
+	return dst, nil
 }
 
 // Len returns the durable log size in bytes.

@@ -239,11 +239,32 @@ func (j *DurableJoin) arrived(any) {
 func (j *DurableJoin) localDurable(any) { j.ls.repl.AckWaitVec(j.vec, j.done) }
 
 // Datas returns every shard's durable byte stream, shard-indexed — the
-// crash image recovery replays.
+// crash image recovery replays. Shard i's image starts at its store's kept
+// point (Kept()[i]); a shard no reader registered on has an empty one.
 func (ls *LogSet) Datas() [][]byte {
 	out := make([][]byte, len(ls.shards))
 	for i, sh := range ls.shards {
 		out[i] = sh.Store.Bytes()
+	}
+	return out
+}
+
+// Register records a reader on every shard: shard i keeps its bytes from
+// from[i] on (Store.Register). core.Checkpoint registers its start vector.
+func (ls *LogSet) Register(from []LSN) error {
+	for i, sh := range ls.shards {
+		if err := sh.Store.Register(from[i]); err != nil {
+			return fmt.Errorf("log shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Kept returns every shard's kept point: where its Datas image starts.
+func (ls *LogSet) Kept() []LSN {
+	out := make([]LSN, len(ls.shards))
+	for i, sh := range ls.shards {
+		out[i] = sh.Store.Kept()
 	}
 	return out
 }

@@ -53,6 +53,7 @@ func shardedFixture(t *testing.T) (*sim.Env, *platform.Platform, *LogSet, []*Man
 
 func TestLogSetRoutesBySocket(t *testing.T) {
 	env, pl, ls, mgrs := shardedFixture(t)
+	ls.Register([]LSN{0, 0}) // the test decodes the raw stores
 	env.Spawn("w", func(p *sim.Proc) {
 		for s := 0; s < 2; s++ {
 			core := pl.Sockets[s].Cores[0]

@@ -83,11 +83,17 @@ func NewReplicaSet(ls *LogSet) *ReplicaSet {
 	for s := 0; s < nShards; s++ {
 		rs.st[s] = stats.ReplicationStats{Shard: ls.shards[s].Socket, Mode: cfg.ReplMode}
 	}
+	// The shipper reads every primary byte and failover replays a replica's
+	// whole copy, so every store of the set keeps its log from 0.
+	if err := ls.Register(make([]LSN, nShards)); err != nil {
+		panic(fmt.Sprintf("wal: NewReplicaSet on a log that already dropped bytes: %v", err))
+	}
 	for r := 0; r < cfg.Replicas; r++ {
 		stores := make([]*Store, nShards)
 		lsns := make([]LSN, nShards)
 		for s := 0; s < nShards; s++ {
 			stores[s] = NewStore(pl.ReplSSD(r, s))
+			_ = stores[s].Register(0) // cannot fail: an empty store keeps from 0
 		}
 		rs.repl = append(rs.repl, stores)
 		rs.acked = append(rs.acked, lsns)
@@ -126,7 +132,10 @@ func (rs *ReplicaSet) ship(p *sim.Proc, r, s int) {
 		if durable <= sent || rs.linkDown || rs.stalled[r] {
 			continue
 		}
-		buf = primary.AppendRange(buf[:0], int(sent), int(durable))
+		var err error
+		if buf, err = primary.AppendRange(buf[:0], int(sent), int(durable)); err != nil {
+			panic(err) // the set registered the primary at 0
+		}
 		pickup := p.Now()
 		pl.ReplLink.Transfer(p, len(buf))
 		if rs.lagFactor > 1 {

@@ -27,9 +27,25 @@ type storeFixture struct {
 	want  []byte
 }
 
-func newStoreFixture() *storeFixture {
+// newStoreFixture builds the fixture, with a reader registered at 0 when
+// read is set.
+func newStoreFixture(read bool) *storeFixture {
 	env := sim.NewEnv()
-	return &storeFixture{env: env, store: NewStore(platform.New(env, platform.HC2()).SSD)}
+	f := &storeFixture{env: env, store: NewStore(platform.New(env, platform.HC2()).SSD)}
+	if read {
+		f.store.Register(0)
+	}
+	return f
+}
+
+// appendRange is s.AppendRange, failing t on an error.
+func appendRange(t *testing.T, s *Store, dst []byte, from, to int) []byte {
+	t.Helper()
+	out, err := s.AppendRange(dst, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // write writes one chunk of each size, in order, from one process.
@@ -49,8 +65,8 @@ func (f *storeFixture) write(t *testing.T, sizes ...int) {
 
 // checkSegments asserts the segment layout: sizes double from firstSegBytes
 // up to maxSegBytes, every segment but the last is full, and the byte count
-// is their sum. The first segment may instead be a flattened image, full at
-// whatever size it has.
+// is their sum, the bytes kept. The first segment may instead be a flattened
+// image, full at whatever size it has.
 func checkSegments(t *testing.T, s *Store) {
 	t.Helper()
 	sum := 0
@@ -67,14 +83,14 @@ func checkSegments(t *testing.T, s *Store) {
 		}
 		sum += len(seg)
 	}
-	if sum != s.n {
-		t.Errorf("segments hold %d bytes, store counts %d", sum, s.n)
+	if sum != s.n-s.kept {
+		t.Errorf("segments hold %d bytes, store keeps %d", sum, s.n-s.kept)
 	}
 }
 
 func TestStoreSegments(t *testing.T) {
 	t.Run("chunks, ranges and the image", func(t *testing.T) {
-		f := newStoreFixture()
+		f := newStoreFixture(true)
 		sizes := []int{
 			1000,                  // smaller than a segment
 			firstSegBytes - 1000,  // fills the first segment exactly
@@ -100,12 +116,12 @@ func TestStoreSegments(t *testing.T) {
 			3*firstSegBytes + 99, 7 * firstSegBytes, n / 2, n - maxSegBytes, n - 8, n - 7, n - 1, n}
 		for _, a := range cuts {
 			for _, b := range cuts {
-				if a <= b && !bytes.Equal(store.AppendRange(nil, a, b), want[a:b]) {
+				if a <= b && !bytes.Equal(appendRange(t, store, nil, a, b), want[a:b]) {
 					t.Fatalf("AppendRange(%d, %d) differs from the written bytes", a, b)
 				}
 			}
 		}
-		if got := store.AppendRange([]byte("head"), 10, 20); !bytes.Equal(got, append([]byte("head"), want[10:20]...)) {
+		if got := appendRange(t, store, []byte("head"), 10, 20); !bytes.Equal(got, append([]byte("head"), want[10:20]...)) {
 			t.Error("AppendRange does not append to dst")
 		}
 
@@ -121,7 +137,7 @@ func TestStoreSegments(t *testing.T) {
 			t.Errorf("a second Bytes allocates %v times, want 0", allocs)
 		}
 		for _, a := range cuts {
-			if !bytes.Equal(store.AppendRange(nil, a, n), want[a:]) {
+			if !bytes.Equal(appendRange(t, store, nil, a, n), want[a:]) {
 				t.Fatalf("AppendRange(%d, %d) after flattening differs", a, n)
 			}
 		}
@@ -132,7 +148,7 @@ func TestStoreSegments(t *testing.T) {
 			t.Error("a Write after Bytes changed the image Bytes returned")
 		}
 		checkSegments(t, store)
-		if !bytes.Equal(store.AppendRange(nil, n-10, len(f.want)), f.want[n-10:]) || !bytes.Equal(store.Bytes(), f.want) {
+		if !bytes.Equal(appendRange(t, store, nil, n-10, len(f.want)), f.want[n-10:]) || !bytes.Equal(store.Bytes(), f.want) {
 			t.Error("store content diverged after a Write past the flattened image")
 		}
 	})
@@ -143,7 +159,7 @@ func TestStoreSegments(t *testing.T) {
 		if NewStore(nil).Bytes() != nil {
 			t.Error("an empty store has an image")
 		}
-		f := newStoreFixture()
+		f := newStoreFixture(true)
 		f.write(t, 100, 200)
 		img := f.store.Bytes()
 		if !bytes.Equal(img, f.want) || cap(img) != len(f.want) || len(f.store.segs) != 1 {
@@ -160,7 +176,7 @@ func TestStoreSegments(t *testing.T) {
 	// A log grown in small writes allocates the bytes it holds plus at most
 	// one partly filled segment, never a copy of itself.
 	t.Run("never re-copies", func(t *testing.T) {
-		f := newStoreFixture()
+		f := newStoreFixture(true)
 		chunk := logBytes(0, 1000)
 		var allocated uint64
 		f.env.Spawn("w", func(p *sim.Proc) {
@@ -183,41 +199,138 @@ func TestStoreSegments(t *testing.T) {
 	})
 }
 
-// FuzzStore writes chunks of up to three segments each, taking a Bytes image
-// between some of them, then checks AppendRange queries and the final image
-// against a plain byte-slice model. Each four bytes of ops is one operation:
-// op[0]%4 == 0 takes an image, anything else writes op[1:4] (little endian)
-// modulo three segments plus one bytes. Each eight bytes of queries is one
-// range: two little-endian uint32 offsets modulo the log length plus one.
+// TestStoreKeepsWhatItsReadersAskFor: a store with no reader counts what it
+// is written and charges the device for it, but holds none of it; a store
+// a reader registered on holds exactly the bytes from the reader's position
+// on; and a read or a reader below the kept point is an error.
+func TestStoreKeepsWhatItsReadersAskFor(t *testing.T) {
+	const chunk = 64 << 10
+	data := logBytes(0, 3*maxSegBytes)
+	unread, read := newStoreFixture(false), newStoreFixture(true)
+	var allocated uint64
+	for _, f := range []*storeFixture{unread, read} {
+		f.env.Spawn("w", func(p *sim.Proc) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for off := 0; off < len(data); off += chunk {
+				f.store.Write(p, data[off:off+chunk])
+			}
+			runtime.ReadMemStats(&after)
+			if f == unread {
+				allocated = after.TotalAlloc - before.TotalAlloc
+			}
+		})
+		if err := f.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u, r := unread.store, read.store
+	t.Logf("a store with no reader allocated %d bytes writing %d", allocated, u.Len())
+	if allocated >= 1<<10 {
+		t.Errorf("a store with no reader allocated %d bytes writing %d, want under 1 KiB", allocated, u.Len())
+	}
+	if u.Len() != r.Len() || u.Durable() != r.Durable() || u.Writes() != r.Writes() ||
+		u.Device().Bytes() != r.Device().Bytes() || u.Device().Ops() != r.Device().Ops() {
+		t.Errorf("no reader: Len=%d Durable=%d Writes=%d device %d bytes in %d ops; a reader: %d, %d, %d, %d in %d",
+			u.Len(), u.Durable(), u.Writes(), u.Device().Bytes(), u.Device().Ops(),
+			r.Len(), r.Durable(), r.Writes(), r.Device().Bytes(), r.Device().Ops())
+	}
+	if len(u.Bytes()) != 0 || u.Kept() != u.Durable() || len(u.segs) != 0 {
+		t.Errorf("a store with no reader holds %d bytes in %d segments, kept from %d", len(u.Bytes()), len(u.segs), u.Kept())
+	}
+	if !bytes.Equal(r.Bytes(), data) {
+		t.Error("a store registered at 0 does not hold every byte written")
+	}
+
+	// A first reader registers where the log ends and the store keeps what
+	// follows; a second one may register anywhere at or above the kept point.
+	f := newStoreFixture(false)
+	f.write(t, 5000, firstSegBytes)
+	from := f.store.Len()
+	if err := f.store.Register(LSN(from - 1)); err == nil {
+		t.Error("a reader registered below the end of a store that kept nothing")
+	}
+	if err := f.store.Register(LSN(from)); err != nil {
+		t.Fatal(err)
+	}
+	f.write(t, 3*firstSegBytes, 100, maxSegBytes)
+	n := f.store.Len()
+	if err := f.store.Register(LSN(from + 10)); err != nil {
+		t.Errorf("a second reader above the kept point: %v", err)
+	}
+	checkSegments(t, f.store)
+	if f.store.Kept() != LSN(from) || !bytes.Equal(appendRange(t, f.store, nil, from, n), f.want[from:]) {
+		t.Errorf("kept from %d, want %d, or the range from there differs from the written bytes", f.store.Kept(), from)
+	}
+	if !bytes.Equal(f.store.Bytes(), f.want[from:]) {
+		t.Error("the image of a store registered at a position is not the written bytes from there")
+	}
+	for _, a := range []int{0, from - 1} {
+		if _, err := f.store.AppendRange(nil, a, n); err == nil {
+			t.Errorf("AppendRange(%d, %d) below the kept point %d is no error", a, n, from)
+		}
+		if err := f.store.Register(LSN(a)); err == nil {
+			t.Errorf("a reader registered at %d, below the kept point %d", a, from)
+		}
+	}
+	if err := f.store.Register(LSN(n + 1)); err == nil {
+		t.Error("a reader registered past the end of the log")
+	}
+}
+
+// FuzzStore writes chunks of up to three segments each, registering readers
+// and taking a Bytes image between some of them, then checks AppendRange
+// queries and the final image against a plain byte-slice model. Each four
+// bytes of ops is one operation: op[0]%4 == 0 takes an image, op[0]%8 == 7
+// registers a reader op[1:4] (little endian) bytes before the log's end,
+// modulo its length plus one, and anything else writes op[1:4] modulo three
+// segments plus one bytes. Each eight bytes of queries is one range: two
+// little-endian uint32 offsets modulo the log length plus one. The model
+// keeps every byte from its first reader's position on, and nothing before
+// a reader registers; a register or a range below that point must fail.
 func FuzzStore(f *testing.F) {
-	f.Add([]byte{1, 232, 3, 0, 1, 0, 0, 1, 2, 0, 0, 0}, []byte{0, 0, 0, 0, 255, 255, 255, 255})
-	f.Add([]byte{1, 0, 0, 1, 1, 0, 0, 2, 0, 0, 0, 0, 3, 5, 0, 0}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Add([]byte{1, 255, 255, 47, 0, 0, 0, 0, 1, 1, 0, 0}, []byte{255, 0, 0, 0, 0, 0, 0, 128})
+	f.Add([]byte{7, 0, 0, 0, 1, 232, 3, 0, 1, 0, 0, 1, 2, 0, 0, 0}, []byte{0, 0, 0, 0, 255, 255, 255, 255})
+	f.Add([]byte{7, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 2, 0, 0, 0, 0, 3, 5, 0, 0}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add([]byte{7, 0, 0, 0, 1, 255, 255, 47, 0, 0, 0, 0, 1, 1, 0, 0}, []byte{255, 0, 0, 0, 0, 0, 0, 128})
+	f.Add([]byte{1, 232, 3, 0, 0, 0, 0, 0, 7, 9, 0, 0, 7, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 7, 1, 0, 0}, []byte{0, 0, 0, 0, 255, 255, 255, 255, 100, 0, 0, 0, 255, 255, 255, 255})
+	f.Add([]byte{1, 0, 0, 2, 1, 0, 0, 2, 1, 1, 0, 0}, []byte{0, 0, 0, 0, 255, 255, 255, 255})
 	u32 := func(b []byte) int { return int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24) }
 	f.Fuzz(func(t *testing.T, ops, queries []byte) {
 		var model []byte
+		kept, read := 0, false
 		env := sim.NewEnv()
 		store := NewStore(platform.New(env, platform.HC2()).SSD)
 		env.Spawn("w", func(p *sim.Proc) {
 			for i := 0; i+4 <= len(ops) && len(model) < 16<<20; i += 4 {
 				op := ops[i : i+4]
-				if op[0]%4 == 0 {
-					if !bytes.Equal(store.Bytes(), model) {
-						t.Errorf("image after %d bytes differs from the model", len(model))
+				arg := int(op[1]) | int(op[2])<<8 | int(op[3])<<16
+				switch {
+				case op[0]%4 == 0:
+					if !bytes.Equal(store.Bytes(), model[kept:]) {
+						t.Errorf("image after %d bytes differs from the model's bytes from %d", len(model), kept)
 					}
-					continue
+				case op[0]%8 == 7:
+					from := len(model) - arg%(len(model)+1)
+					err := store.Register(LSN(from))
+					if (err == nil) != (from >= kept) {
+						t.Errorf("a reader at %d with bytes kept from %d: error %v", from, kept, err)
+					}
+					read = read || err == nil
+				default:
+					chunk := logBytes(len(model), arg%(3*maxSegBytes+1))
+					model = append(model, chunk...)
+					store.Write(p, chunk)
+					if !read {
+						kept = len(model)
+					}
 				}
-				n := (int(op[1]) | int(op[2])<<8 | int(op[3])<<16) % (3*maxSegBytes + 1)
-				chunk := logBytes(len(model), n)
-				model = append(model, chunk...)
-				store.Write(p, chunk)
 			}
 		})
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if store.Len() != len(model) {
-			t.Fatalf("Len %d, model %d", store.Len(), len(model))
+		if store.Len() != len(model) || store.Kept() != LSN(kept) {
+			t.Fatalf("Len %d kept from %d, model %d kept from %d", store.Len(), store.Kept(), len(model), kept)
 		}
 		checkSegments(t, store)
 		for i := 0; i+8 <= len(queries); i += 8 {
@@ -225,11 +338,15 @@ func FuzzStore(f *testing.F) {
 			if a > b {
 				a, b = b, a
 			}
-			if !bytes.Equal(store.AppendRange(nil, a, b), model[a:b]) {
+			got, err := store.AppendRange(nil, a, b)
+			if (err == nil) != (a >= kept) {
+				t.Fatalf("AppendRange(%d, %d) with bytes kept from %d: error %v", a, b, kept, err)
+			}
+			if err == nil && !bytes.Equal(got, model[a:b]) {
 				t.Fatalf("AppendRange(%d, %d) differs from the model", a, b)
 			}
 		}
-		if !bytes.Equal(store.Bytes(), model) {
+		if !bytes.Equal(store.Bytes(), model[kept:]) {
 			t.Fatal("final image differs from the model")
 		}
 	})

@@ -295,6 +295,7 @@ func TestCommitDurableAlreadyDurable(t *testing.T) {
 
 func TestEarlyFlushOnBytesThreshold(t *testing.T) {
 	env, pl, store, m := newLogFixture()
+	store.Register(0) // the test decodes the raw store
 	env.Spawn("w", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
 		big := make([]byte, 4096)
