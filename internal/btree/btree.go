@@ -330,8 +330,55 @@ func (t *Tree) Get(key []byte, tr *Trace) (val []byte, ok bool) {
 // the old one, so prev, and any view of the old row a caller holds, keeps
 // its bytes. Every value the tree hands out is a view whose capacity is its
 // length.
+//
+// An untraced Put whose key is at or above the first key of the rightmost
+// leaf, and which cannot split that leaf, stores there without a descent:
+// every separator on the right spine is a lower bound of that leaf's keys, so
+// the descent would pick the last child at every level and reach the same
+// leaf. The tree it leaves is the one the descent leaves, down to node ids,
+// array capacities and slab layout, which is what makes ordered population
+// cheap. A traced Put keeps the descent, because its per-node comparisons are
+// what the engines charge; PutAt keeps it too, because recovery replays in
+// log order, not key order.
 func (t *Tree) Put(key, val []byte, tr *Trace) (prev []byte, existed bool) {
-	return t.put(key, t.clone(val), tr)
+	v := t.clone(val)
+	if tr == nil {
+		if prev, existed, ok := t.putRightmost(key, v); ok {
+			return prev, existed
+		}
+	}
+	return t.put(key, v, tr)
+}
+
+// putRightmost stores key's row v in the rightmost leaf, as insert would,
+// when key is at or above that leaf's first key and the leaf is below Order,
+// so no split follows, and reports whether it did; otherwise it changes
+// nothing.
+func (t *Tree) putRightmost(key []byte, v ref) (prev []byte, existed, ok bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.kids[len(n.kids)-1]
+	}
+	idx := len(n.keys)
+	switch {
+	case idx == 0 || idx >= t.cfg.Order:
+		return nil, false, false
+	case bytes.Compare(key, t.key(n.keys[idx-1])) > 0:
+		// Above the last key: an append.
+	case bytes.Compare(key, t.key(n.keys[0])) < 0:
+		return nil, false, false
+	default:
+		var found bool
+		if idx, found, _ = t.leafIdx(n, key); found {
+			prev = t.val(n.vals[idx])
+			n.vals[idx] = v
+			return prev, true, true
+		}
+	}
+	n.keys = insertAt(n.keys, idx, t.cloneKey(key))
+	n.vals = insertAt(n.vals, idx, v)
+	t.size++
+	return nil, false, true
 }
 
 // PutAt is Put of the row stored at byte off of chunk c behind a u32

@@ -804,19 +804,39 @@ func BenchmarkTreeGet(b *testing.B) {
 	}
 }
 
-// BenchmarkTreePut inserts ascending keys, building each key and row in
-// one reused buffer as a transaction builds them in its arena.
-func BenchmarkTreePut(b *testing.B) {
-	tr := New(Config{})
-	var buf storage.Arena
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		row := buf.Alloc(16)
-		copy(row, "row-")
-		binary.BigEndian.PutUint64(row[8:], uint64(i))
-		tr.Put(buf.Uint64Key(uint64(i)), row, nil)
+// BenchmarkPut inserts distinct keys, ascending as population loads a
+// primary table or shuffled (a multiplicative hash of the ascending
+// counter), untraced as population puts or traced as a transaction's insert
+// does, building each key and row in one reused buffer as a transaction
+// builds them in its arena.
+func BenchmarkPut(b *testing.B) {
+	for _, order := range []string{"ascending", "shuffled"} {
+		for _, traced := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/traced=%v", order, traced), func(b *testing.B) {
+				tr := New(Config{})
+				var buf storage.Arena
+				var trace *Trace
+				if traced {
+					trace = &Trace{}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := uint64(i)
+					if order == "shuffled" {
+						k *= 0x9E3779B97F4A7C15
+					}
+					buf.Reset()
+					row := buf.Alloc(16)
+					copy(row, "row-")
+					binary.BigEndian.PutUint64(row[8:], k)
+					if trace != nil {
+						trace.Reset()
+					}
+					tr.Put(buf.Uint64Key(k), row, trace)
+				}
+			})
+		}
 	}
 }
 
