@@ -69,7 +69,7 @@ func (e *Conventional) ObsGauges(socket int) obs.Gauges {
 }
 
 // Close implements Engine.
-func (e *Conventional) Close() { stopLog(e.logSet) }
+func (e *Conventional) Close() { e.logSet.Stop() }
 
 // Submit implements Engine.
 func (e *Conventional) Submit(term *Terminal, logic TxnLogic) bool {

@@ -25,10 +25,9 @@ import (
 type DORAEngine struct {
 	engineBase // over host trees behind the buffer pool, or the overlay
 
-	name    string
-	scheme  PartitionScheme
-	parts   []*dora.Partition
-	sharded bool // more than one log shard (cfg.ShardedLog())
+	name   string
+	scheme PartitionScheme
+	parts  []*dora.Partition
 }
 
 // NewDORA builds the software data-oriented baseline (window 1, no
@@ -54,9 +53,9 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 	// (per-socket managers or hardware engine shards, each on its own
 	// device), otherwise the classic single central stream — structurally
 	// identical to the pre-sharding engine.
-	e.sharded = cfg.ShardedLog()
+	sharded := cfg.ShardedLog()
 	nShards := 1
-	if e.sharded {
+	if sharded {
 		nShards = pl.NumSockets()
 	}
 	shards := make([]wal.LogShard, nShards)
@@ -64,7 +63,7 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 		st := wal.NewStore(pl.LogSSD(s))
 		var app wal.Appender
 		switch {
-		case off.Log && e.sharded:
+		case off.Log && sharded:
 			app = logengine.NewShard(pl, st, logengine.DefaultConfig(), s)
 		case off.Log:
 			app = logengine.New(pl, st, logengine.DefaultConfig())
@@ -125,7 +124,7 @@ func (e *DORAEngine) Close() {
 	for _, pt := range e.parts {
 		pt.Close()
 	}
-	stopLog(e.logSet)
+	e.logSet.Stop()
 	if e.ov != nil {
 		e.ov.Stop()
 	}
@@ -161,17 +160,18 @@ func (t *doraTx) commit() {
 	sig := t.commitSig
 	e.tm.CommitTo(task, tx, sig)
 	task.Flush()
-	// Sharded log, cross-shard write set: the decision round must not
-	// acknowledge (and locks must not release) before the vector
-	// durable point. With per-shard streams there is no global LSN
-	// ordering dependent commits across sockets, so a remote shard's
-	// entity locks anchor the ordering instead: they hold until every
-	// shard of this transaction's vector is durable, and only then
-	// does the decision broadcast let dependents proceed. Transactions
-	// whose writes stay on one shard keep the early-release fast path
-	// — same-shard group commit orders their dependents for free.
+	// Cross-shard write set (only a sharded log gives the vector more
+	// than one entry): the decision round must not acknowledge (and
+	// locks must not release) before the vector durable point. With
+	// per-shard streams there is no global LSN ordering dependent
+	// commits across sockets, so a remote shard's entity locks anchor
+	// the ordering instead: they hold until every shard of this
+	// transaction's vector is durable, and only then does the decision
+	// broadcast let dependents proceed. Transactions whose writes stay
+	// on one shard keep the early-release fast path — same-shard group
+	// commit orders their dependents for free.
 	tDur0 := term.P.Now()
-	if e.sharded && len(tx.Shards) > 1 {
+	if len(tx.Shards) > 1 {
 		sig.Await(term.P)
 	}
 	tCross0 := term.P.Now()
@@ -517,10 +517,8 @@ func (e *DORAEngine) ObsGauges(socket int) obs.Gauges {
 		g.QueueDepth += pt.QueueLen()
 		g.Deferred += pt.DeferredActions()
 	}
-	if e.sharded {
+	if socket < e.logSet.NumShards() {
 		g.LogBacklog = e.logSet.Backlog(socket)
-	} else if socket == 0 {
-		g.LogBacklog = e.logSet.Backlog(0)
 	}
 	if socket == 0 {
 		if rs := e.logSet.Replication(); rs != nil {

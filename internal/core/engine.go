@@ -265,14 +265,3 @@ func newLog(pl *platform.Platform, shards []wal.LogShard) (*wal.LogSet, *txn.Man
 	}
 	return ls, txn.NewManager(pl.Env, ls, txn.DefaultConfig())
 }
-
-// stopLog quiesces every shard's flush daemon, in shard order, then the
-// replication stream.
-func stopLog(ls *wal.LogSet) {
-	for i := 0; i < ls.NumShards(); i++ {
-		ls.Shard(i).(interface{ Stop() }).Stop()
-	}
-	if rs := ls.Replication(); rs != nil {
-		rs.Stop()
-	}
-}

@@ -77,7 +77,7 @@ func Checkpoint(p *sim.Proc, tables map[uint16]*btree.Tree, dm *storage.DiskMana
 		}
 		dm.Device().Transfer(p, written)
 	}
-	meta.StartLSNs = ls.StartLSNs()
+	meta.StartLSNs = ls.DurableVector()
 	if err := ls.Register(meta.StartLSNs); err != nil {
 		return CheckpointMeta{}, fmt.Errorf("checkpoint: %w", err)
 	}

@@ -58,12 +58,14 @@ func DefaultConfig() Config {
 // collects an epoch). An epoch collects every staging buffer atomically, so
 // by the time an epoch is durable, every record appended before the
 // collection — in particular everything a committing transaction staged
-// from any core — is durable with it, and the engine's durable horizon
-// equals its store's byte length. Recovery reads the Store's byte stream
-// and compares horizons against its length, exactly as for a software
-// shard; the store keeps that stream only from where a reader registered
-// (a checkpoint's start, or 0 under replication), and a store with no
-// reader counts the engine's bytes without holding them.
+// from any core — is durable with it: the engine's durable horizon is its
+// last epoch's handle, which equals its store's byte length, and commits
+// wait on it through a wal.Horizon exactly as on the software manager.
+// Recovery reads the Store's byte stream and compares horizons against its
+// length, exactly as for a software shard; the store keeps that stream
+// only from where a reader registered (a checkpoint's start, or 0 under
+// replication), and a store with no reader counts the engine's bytes
+// without holding them.
 type Engine struct {
 	cfg   Config
 	pl    *platform.Platform
@@ -76,21 +78,15 @@ type Engine struct {
 	stageAddr []uint64
 	counts    []int // records per staging buffer
 
-	handle  wal.LSN // horizon of the last staged record, in bytes
-	durable wal.LSN // horizons <= durable are on the SSD
+	handle wal.LSN     // horizon of the last staged record, in bytes
+	epoch  wal.Horizon // the last durable epoch's handle and the commits waiting past it
 
-	waiters []hwWaiter
-	kick    *sim.Queue[struct{}]
+	kicked  bool // sync now instead of at the next timer tick
 	stopped bool
 
 	spareBatch []byte // retired epoch batch, reused for the next epoch
 	appends    int64
 	syncs      int64
-}
-
-type hwWaiter struct {
-	h    wal.LSN
-	done *sim.Signal
 }
 
 // New creates the whole-machine hardware log engine — one arbitration unit
@@ -122,9 +118,8 @@ func newEngine(pl *platform.Platform, store *wal.Store, cfg Config, name string,
 		staging: make([][]byte, len(pl.Cores)),
 		counts:  make([]int, len(pl.Cores)),
 		handle:  store.Durable(),
-		durable: store.Durable(),
-		kick:    sim.NewQueue[struct{}](pl.Env, name+"-kick", 1),
 	}
+	e.epoch.Advance(store.Durable())
 	for i := 0; i < len(pl.Cores); i++ {
 		e.stageAddr = append(e.stageAddr, pl.AllocHost(64<<10))
 	}
@@ -146,22 +141,16 @@ func (e *Engine) Append(t *platform.Task, rec *wal.Record) wal.LSN {
 	e.staging[core] = rec.Encode(e.staging[core])
 	e.counts[core]++
 	if rec.Type == wal.RecCommit || rec.Type == wal.RecAbort || len(e.staging[core]) >= 16<<10 {
-		e.kick.TryPut(struct{}{})
+		e.kicked = true
 	}
 	return e.handle
 }
 
 // CommitDurable implements wal.Appender against staged-byte horizons.
-func (e *Engine) CommitDurable(h wal.LSN, done *sim.Signal) {
-	if h <= e.durable {
-		done.Fire(nil)
-		return
-	}
-	e.waiters = append(e.waiters, hwWaiter{h: h, done: done})
-}
+func (e *Engine) CommitDurable(h wal.LSN, done *sim.Signal) { e.epoch.Wait(h, done) }
 
 // Durable implements wal.Appender (staged-byte watermark).
-func (e *Engine) Durable() wal.LSN { return e.durable }
+func (e *Engine) Durable() wal.LSN { return e.epoch.Durable() }
 
 // Appends returns the number of records staged.
 func (e *Engine) Appends() int64 { return e.appends }
@@ -169,16 +158,19 @@ func (e *Engine) Appends() int64 { return e.appends }
 // Syncs returns the number of collection epochs flushed.
 func (e *Engine) Syncs() int64 { return e.syncs }
 
-// ShardStats reports the shard's sync count; every hardware sync is one
+// ShardStats implements wal.Appender: every hardware sync is one
 // arbitration epoch.
 func (e *Engine) ShardStats() (syncs, epochs int64) { return e.syncs, e.syncs }
 
-// Stop quiesces the sync daemon after draining staged records.
+// Backlog implements wal.Appender: the staged bytes live inside the model
+// until their epoch, so the gauge reads none.
+func (e *Engine) Backlog() int { return 0 }
+
+// Stop implements wal.Appender: the sync daemon stops after draining staged
+// records.
 func (e *Engine) Stop() {
 	e.stopped = true
-	if !e.kick.Closed() {
-		e.kick.TryPut(struct{}{})
-	}
+	e.kicked = true
 }
 
 func (e *Engine) syncLoop(p *sim.Proc) {
@@ -187,10 +179,10 @@ func (e *Engine) syncLoop(p *sim.Proc) {
 	// epoch ends flushed.
 	task := e.pl.NewTask(p, e.home, nil)
 	for {
-		if e.kick.Len() == 0 {
+		if !e.kicked {
 			p.Wait(e.cfg.SyncInterval)
 		}
-		e.kick.TryGet()
+		e.kicked = false
 		e.syncOnce(task)
 		if e.stopped && e.pending() == 0 {
 			return
@@ -244,14 +236,5 @@ func (e *Engine) syncOnce(task *platform.Task) {
 	sc.Run()
 	e.store.Write(p, batch)
 	e.spareBatch = batch[:0]
-	e.durable = epochHandle
-	kept := e.waiters[:0]
-	for _, w := range e.waiters {
-		if w.h <= e.durable {
-			w.done.Fire(nil)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	e.waiters = kept
+	e.epoch.Advance(epochHandle)
 }

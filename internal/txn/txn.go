@@ -17,7 +17,7 @@
 // additionally waits for enough replica acknowledgements of every vector
 // entry, so acknowledged commits survive a primary failure. Async mode and
 // unreplicated runs keep the local-only wait — this package is oblivious
-// to the difference, which lives entirely behind LogSet.CommitDurable.
+// to the difference, which lives entirely behind LogSet.CommitDurableIn.
 package txn
 
 import (

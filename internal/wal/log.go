@@ -153,7 +153,9 @@ func (s *Store) Writes() int64 { return s.writes }
 func (s *Store) Device() *platform.Device { return s.dev }
 
 // Appender is the log interface transactions use; the software Manager and
-// the hardware log engine both satisfy it.
+// the hardware log engine both satisfy it. Only the insertion path differs
+// between them: each keeps its durable point in a Horizon, so a commit waits
+// the same way on either.
 type Appender interface {
 	// Append buffers rec, assigns its LSN, and charges the caller's
 	// insertion cost. It does not wait for durability. The returned value
@@ -168,6 +170,59 @@ type Appender interface {
 	CommitDurable(lsn LSN, done *sim.Signal)
 	// Durable reports the current durable horizon.
 	Durable() LSN
+	// Stop quiesces the flush daemon once what is pending is durable.
+	Stop()
+	// ShardStats reports the device syncs issued and the hardware
+	// arbitration epochs among them; Backlog, the bytes appended but not
+	// yet handed to the device (the telemetry's flush-backlog gauge).
+	ShardStats() (syncs, epochs int64)
+	Backlog() int
+}
+
+// Horizon is a durable point and the commits waiting for it: the software
+// manager's group-commit flush, the hardware engine's epoch and a replica
+// set's acknowledged point per shard each keep one. The zero value is the
+// point 0 with no waiter.
+type Horizon struct {
+	at      LSN
+	waiters []horizonWaiter
+}
+
+type horizonWaiter struct {
+	lsn  LSN
+	done *sim.Signal
+}
+
+// Durable returns the point: every LSN at or below it is durable.
+func (h *Horizon) Durable() LSN { return h.at }
+
+// Wait fires done once the point reaches lsn: at once when it already has,
+// otherwise from the Advance that gets there.
+func (h *Horizon) Wait(lsn LSN, done *sim.Signal) {
+	if lsn <= h.at {
+		done.Fire(nil)
+		return
+	}
+	h.waiters = append(h.waiters, horizonWaiter{lsn: lsn, done: done})
+}
+
+// Advance moves the point to to, if that is further, and fires every waiter
+// it reaches, in registration order. A firing signal's callbacks must not
+// wait on the same horizon.
+func (h *Horizon) Advance(to LSN) {
+	if to <= h.at {
+		return
+	}
+	h.at = to
+	kept := h.waiters[:0]
+	for _, w := range h.waiters {
+		if w.lsn <= to {
+			w.done.Fire(nil)
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	h.waiters = kept
 }
 
 // ManagerConfig tunes the software log manager.
@@ -208,18 +263,13 @@ type Manager struct {
 
 	bufAddr uint64 // timing address of the buffer (cache-modelled copies)
 
-	waiters []commitWaiter
-	kick    *sim.Queue[struct{}]
-	spare   []byte // retired flush buffer, reused for the next fill
+	durable Horizon // the group-commit flush's point: the store's length
+	kicked  bool    // flush now instead of at the next timer tick
+	spare   []byte  // retired flush buffer, reused for the next fill
 	stopped bool
 
 	appends int64
 	flushes int64
-}
-
-type commitWaiter struct {
-	lsn  LSN
-	done *sim.Signal
 }
 
 // NewManager creates a software log manager writing to store. The flush
@@ -231,8 +281,8 @@ func NewManager(pl *platform.Platform, store *Store, cfg ManagerConfig) *Manager
 		latch:   sim.NewResource(pl.Env, "log-latch", 1),
 		base:    store.Durable(),
 		bufAddr: pl.AllocHost(cfg.FlushBytes * 2),
-		kick:    sim.NewQueue[struct{}](pl.Env, "log-kick", 1),
 	}
+	m.durable.Advance(store.Durable())
 	pl.Env.Spawn("log-flusher", func(p *sim.Proc) { m.flusherLoop(p) })
 	return m
 }
@@ -256,22 +306,16 @@ func (m *Manager) Append(t *platform.Task, rec *Record) LSN {
 	t.Flush()
 	m.latch.Release()
 	if len(m.buf) >= m.cfg.FlushBytes {
-		m.kick.TryPut(struct{}{})
+		m.kicked = true
 	}
 	return lsn + LSN(size)
 }
 
 // CommitDurable implements Appender.
-func (m *Manager) CommitDurable(lsn LSN, done *sim.Signal) {
-	if m.store.Durable() >= lsn {
-		done.Fire(nil)
-		return
-	}
-	m.waiters = append(m.waiters, commitWaiter{lsn: lsn, done: done})
-}
+func (m *Manager) CommitDurable(lsn LSN, done *sim.Signal) { m.durable.Wait(lsn, done) }
 
 // Durable implements Appender.
-func (m *Manager) Durable() LSN { return m.store.Durable() }
+func (m *Manager) Durable() LSN { return m.durable.Durable() }
 
 // Appends returns the number of records appended.
 func (m *Manager) Appends() int64 { return m.appends }
@@ -282,32 +326,28 @@ func (m *Manager) Flushes() int64 { return m.flushes }
 // LatchWait returns cumulative time processes queued on the log latch.
 func (m *Manager) LatchWait() sim.Duration { return m.latch.WaitTime() }
 
-// ShardStats reports the software shard's sync count; a software log has no
-// arbitration epochs.
+// ShardStats implements Appender: a software log has no arbitration epochs.
 func (m *Manager) ShardStats() (syncs, epochs int64) { return m.flushes, 0 }
 
-// Backlog returns the bytes appended but not yet handed to the device — the
-// flush-backlog gauge the telemetry sampler reads.
+// Backlog implements Appender.
 func (m *Manager) Backlog() int { return len(m.buf) }
 
-// Stop quiesces the flush daemon after the current pass; pending bytes are
-// flushed first.
+// Stop implements Appender: the flush daemon stops after the pass that
+// leaves nothing buffered.
 func (m *Manager) Stop() {
 	m.stopped = true
-	if !m.kick.Closed() {
-		m.kick.TryPut(struct{}{})
-	}
+	m.kicked = true
 }
 
 func (m *Manager) flusherLoop(p *sim.Proc) {
 	for {
 		// Wait for a kick or the group-commit timer, whichever first. The
-		// timer is modelled by polling the kick queue with TryGet after a
-		// sleep; a kick arriving mid-sleep is handled on wake.
-		if m.kick.Len() == 0 {
+		// timer is modelled by checking the kick flag after a sleep; a kick
+		// arriving mid-sleep is handled on wake.
+		if !m.kicked {
 			p.Wait(m.cfg.FlushInterval)
 		}
-		m.kick.TryGet()
+		m.kicked = false
 		m.flushOnce(p)
 		if m.stopped && len(m.buf) == 0 {
 			return
@@ -330,18 +370,5 @@ func (m *Manager) flushOnce(p *sim.Proc) {
 	m.flushes++
 	m.store.Write(p, chunk)
 	m.spare = chunk[:0]
-	m.wakeWaiters()
-}
-
-func (m *Manager) wakeWaiters() {
-	durable := m.store.Durable()
-	kept := m.waiters[:0]
-	for _, w := range m.waiters {
-		if w.lsn <= durable {
-			w.done.Fire(nil)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	m.waiters = kept
+	m.durable.Advance(m.store.Durable())
 }

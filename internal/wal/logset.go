@@ -114,7 +114,7 @@ func (ls *LogSet) DurableVector() []LSN {
 }
 
 // AttachReplication wires rs into the commit path: under sync/quorum
-// modes CommitDurable waits for replica acknowledgements after the local
+// modes CommitDurableIn waits for replica acknowledgements after the local
 // vector durable point. Engines attach at construction, gated on
 // Config.Replicated().
 func (ls *LogSet) AttachReplication(rs *ReplicaSet) { ls.repl = rs }
@@ -122,121 +122,160 @@ func (ls *LogSet) AttachReplication(rs *ReplicaSet) { ls.repl = rs }
 // Replication returns the attached replica set (nil when unreplicated).
 func (ls *LogSet) Replication() *ReplicaSet { return ls.repl }
 
-// CommitDurable fires done once every entry of vec is durable on its shard
-// — the vector durable point. It is CommitDurableIn for callers that keep no
-// join.
-func (ls *LogSet) CommitDurable(vec []ShardLSN, done *sim.Signal) {
-	ls.CommitDurableIn(nil, vec, done)
-}
-
-// CommitDurableIn fires done once every entry of vec is durable on its shard,
-// joining the per-shard completions in j, which it re-arms first. It returns
-// the join to pass to the owner's next commit: j, or a new one when j is nil
-// and this commit needs one, so a caller whose commits never do keeps none.
-// A single-entry vector delegates directly to the shard's appender (today's
-// group-commit handshake, unchanged); a multi-entry vector joins the
-// per-shard completions with no extra processes or events.
+// CommitDurableIn fires done once every entry of vec is durable on its shard
+// — the vector durable point — joining the per-shard completions in j, which
+// it re-arms first. It returns the join to pass to the owner's next commit:
+// j, or a new one when j is nil and this commit needs one, so a caller whose
+// commits never do keeps none (a caller with no join passes nil). A
+// single-entry vector waits on its shard's durable point directly; a
+// multi-entry vector joins the per-shard completions with no extra
+// processes or events.
 //
 // With replication attached under a waiting mode (sync/quorum), the vector
-// durable point extends across machines: done fires only after enough
-// replicas have also acknowledged every vector entry. Async mode (and no
-// replication) keeps the local-only wait.
+// durable point extends across machines: once it holds locally, the join
+// waits the same way for every entry on its shard's replicated point (the
+// LSN enough replicas have acknowledged, ReplicaSet) and only then fires
+// done. Async mode (and no replication) keeps the local-only wait.
 func (ls *LogSet) CommitDurableIn(j *DurableJoin, vec []ShardLSN, done *sim.Signal) *DurableJoin {
-	replicated := ls.repl != nil && ls.repl.AckNeed() > 0
+	replicated := ls.repl != nil && ls.repl.need > 0
 	if j == nil {
 		if !replicated && len(vec) < 2 {
-			ls.commitLocal(nil, vec, done)
+			ls.waitVec(nil, vec, done, false)
 			return nil
 		}
 		j = &DurableJoin{}
-		j.arrive, j.onLocal = j.arrived, j.localDurable
 	}
 	j.rearm()
-	if replicated {
-		if j.local == nil {
-			j.local = sim.NewSignal(ls.pl.Env)
-		}
-		j.ls, j.vec, j.done, j.localArmed = ls, vec, done, true
-		j.local.OnFire(j.onLocal)
-		ls.commitLocal(j, vec, j.local)
+	if !replicated {
+		ls.waitVec(&j.local, vec, done, false)
 		return j
 	}
-	ls.commitLocal(j, vec, done)
+	if j.repl == nil {
+		j.repl = &replJoin{ls: ls, durable: sim.NewSignal(ls.pl.Env)}
+		j.repl.onDurable = j.repl.durableHere
+	}
+	r := j.repl
+	r.vec, r.done = vec, done
+	r.durable.OnFire(r.onDurable)
+	ls.waitVec(&j.local, vec, r.durable, false)
 	return j
 }
 
-// commitLocal is the single-machine vector durable point: target fires once
-// every entry of vec is durable on its shard. j must be non-nil when vec has
-// more than one entry.
-func (ls *LogSet) commitLocal(j *DurableJoin, vec []ShardLSN, target *sim.Signal) {
-	if len(vec) == 0 {
+// waitVec fires target once every entry of vec has reached its shard's
+// durable point, or with acks its shard's replicated point. f joins a
+// multi-entry vector; it may be nil for a shorter one.
+func (ls *LogSet) waitVec(f *fanIn, vec []ShardLSN, target *sim.Signal, acks bool) {
+	switch len(vec) {
+	case 0:
 		target.Fire(nil) // nothing was logged; durable by definition
 		return
-	}
-	if len(vec) == 1 {
-		ls.shards[vec[0].Shard].App.CommitDurable(vec[0].LSN, target)
+	case 1:
+		ls.wait(vec[0], target, acks)
 		return
 	}
-	j.target, j.left = target, len(vec)
+	if f.arrive == nil {
+		f.arrive = f.arrived
+	}
+	f.target, f.left = target, len(vec)
 	for i, e := range vec {
-		if i == len(j.subs) {
-			j.subs = append(j.subs, sim.NewSignal(ls.pl.Env))
+		if i == len(f.subs) {
+			f.subs = append(f.subs, sim.NewSignal(ls.pl.Env))
 		}
-		j.armed = i + 1
-		j.subs[i].OnFire(j.arrive)
-		ls.shards[e.Shard].App.CommitDurable(e.LSN, j.subs[i])
+		f.armed = i + 1
+		f.subs[i].OnFire(f.arrive)
+		ls.wait(e, f.subs[i], acks)
 	}
 }
 
-// DurableJoin joins one commit's per-shard durability completions into its
-// commit signal: a sub-signal per shard of the vector, a count of the shards
-// still outstanding and a callback bound once, plus, on a replicated machine,
-// the signal for the local durable point that the replica-ack wait chains
-// after. An owner that commits one transaction at a time keeps the join its
+// wait fires done once e is durable on its shard, or with acks once enough
+// replicas have acknowledged it.
+func (ls *LogSet) wait(e ShardLSN, done *sim.Signal, acks bool) {
+	if acks {
+		ls.repl.points[e.Shard].Wait(e.LSN, done)
+		return
+	}
+	ls.shards[e.Shard].App.CommitDurable(e.LSN, done)
+}
+
+// DurableJoin joins one commit's per-shard completions into its commit
+// signal. An owner that commits one transaction at a time keeps the join its
 // first cross-shard or replicated commit got back from CommitDurableIn
 // (txn.Txn does) and passes it to every later one, which re-arms it, so a
-// cross-shard commit builds no signal or closure per shard. The previous
-// commit's signal must have fired, and its Await returned, before the next
-// commit re-arms the join: its Reset of a sub-signal panics otherwise. The
-// join must not be re-armed from inside a sub-signal's callback, where the
-// firing signal's Fire has not yet finished with its callback list.
+// commit builds no signal or closure per shard. The previous commit's signal
+// must have fired, and its Await returned, before the next commit re-arms
+// the join: its Reset of a sub-signal panics otherwise. The join must not be
+// re-armed from inside a sub-signal's callback, where the firing signal's
+// Fire has not yet finished with its callback list.
 type DurableJoin struct {
-	subs   []*sim.Signal // per-shard completions, kept across commits
-	armed  int           // subs the last commit registered on
-	left   int           // shards not yet durable
-	target *sim.Signal   // fired when left reaches 0
-	arrive func(any)     // arrived, bound once
-
-	// The replicated path: local is the target, and its firing starts the
-	// replica-ack wait for vec that fires done.
-	ls         *LogSet
-	local      *sim.Signal
-	localArmed bool
-	onLocal    func(any) // localDurable, bound once
-	vec        []ShardLSN
-	done       *sim.Signal
+	local fanIn     // over the shards' local durable points
+	repl  *replJoin // built by the join's first replicated commit
 }
 
-// rearm resets the signals the previous commit used.
-func (j *DurableJoin) rearm() {
-	for _, sub := range j.subs[:j.armed] {
+// replJoin is a replicated DurableJoin's second wait: the local fan-in fires
+// durable, whose callback starts acks over the shards' replicated points,
+// which fires the commit signal done.
+type replJoin struct {
+	ls        *LogSet
+	acks      fanIn
+	durable   *sim.Signal
+	onDurable func(any) // durableHere, bound once
+	vec       []ShardLSN
+	done      *sim.Signal
+	start     sim.Time  // when the ack wait began, traced only
+	onAcked   func(any) // acked, bound once traced
+}
+
+// fanIn fires target once left sub-signals have fired: one sub-signal per
+// vector entry, kept across commits, and a callback bound on first use.
+type fanIn struct {
+	subs   []*sim.Signal
+	armed  int // subs the last commit registered on
+	left   int // entries not yet reached
+	target *sim.Signal
+	arrive func(any) // arrived, bound once
+}
+
+func (f *fanIn) arrived(any) {
+	f.left--
+	if f.left == 0 {
+		f.target.Fire(nil)
+	}
+}
+
+// rearm resets the sub-signals the previous commit used.
+func (f *fanIn) rearm() {
+	for _, sub := range f.subs[:f.armed] {
 		sub.Reset()
 	}
-	j.armed = 0
-	if j.localArmed {
-		j.local.Reset()
-		j.localArmed = false
+	f.armed = 0
+}
+
+// rearm resets the signals the previous commit used. A join with a
+// replicated half commits only on a replicated machine, so every commit
+// armed its durable signal.
+func (j *DurableJoin) rearm() {
+	j.local.rearm()
+	if j.repl != nil {
+		j.repl.acks.rearm()
+		j.repl.durable.Reset()
 	}
 }
 
-func (j *DurableJoin) arrived(any) {
-	j.left--
-	if j.left == 0 {
-		j.target.Fire(nil)
+// durableHere starts the replica-ack wait once vec is durable locally.
+// Traced, it hooks done to record the wait; the hook runs inline as done
+// fires, so it adds no event and cannot change the schedule.
+func (r *replJoin) durableHere(any) {
+	if rs := r.ls.repl; rs.obsRec != nil || rs.obsAn != nil {
+		if r.onAcked == nil {
+			r.onAcked = r.acked
+		}
+		r.start = r.ls.pl.Env.Now()
+		r.done.OnFire(r.onAcked)
 	}
+	r.ls.waitVec(&r.acks, r.vec, r.done, true)
 }
 
-func (j *DurableJoin) localDurable(any) { j.ls.repl.AckWaitVec(j.vec, j.done) }
+func (r *replJoin) acked(any) { r.ls.repl.recordAckWait(r.start) }
 
 // Datas returns every shard's durable byte stream, shard-indexed — the
 // crash image recovery replays. Shard i's image starts at its store's kept
@@ -269,30 +308,19 @@ func (ls *LogSet) Kept() []LSN {
 	return out
 }
 
-// StartLSNs returns every shard's current durable horizon as a checkpoint
-// start vector.
-func (ls *LogSet) StartLSNs() []LSN { return ls.DurableVector() }
+// Backlog returns shard i's appended-but-not-yet-flushed byte count — the
+// telemetry sampler's flush-backlog gauge.
+func (ls *LogSet) Backlog(i int) int { return ls.shards[i].App.Backlog() }
 
-// shardStatser is implemented by appenders that report sync/epoch counts.
-type shardStatser interface {
-	ShardStats() (syncs, epochs int64)
-}
-
-// backlogger is implemented by appenders that expose a flush backlog (the
-// software Manager; the hardware log engine buffers inside the model and
-// reports none).
-type backlogger interface {
-	Backlog() int
-}
-
-// Backlog returns shard i's appended-but-not-yet-flushed byte count, or 0
-// when the appender exposes none — the telemetry sampler's flush-backlog
-// gauge.
-func (ls *LogSet) Backlog(i int) int {
-	if b, ok := ls.shards[i].App.(backlogger); ok {
-		return b.Backlog()
+// Stop quiesces every shard's flush daemon, in shard order, then the
+// replication stream. Engines call it from Close.
+func (ls *LogSet) Stop() {
+	for _, sh := range ls.shards {
+		sh.App.Stop()
 	}
-	return 0
+	if ls.repl != nil {
+		ls.repl.Stop()
+	}
 }
 
 // Stats reports per-shard cumulative activity counters (socket, durable
@@ -301,9 +329,7 @@ func (ls *LogSet) Stats() []stats.LogShardStats {
 	out := make([]stats.LogShardStats, len(ls.shards))
 	for i, sh := range ls.shards {
 		st := stats.LogShardStats{Shard: sh.Socket, Bytes: int64(sh.Store.Len())}
-		if ss, ok := sh.App.(shardStatser); ok {
-			st.Syncs, st.Epochs = ss.ShardStats()
-		}
+		st.Syncs, st.Epochs = sh.App.ShardStats()
 		out[i] = st
 	}
 	return out

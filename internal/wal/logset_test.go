@@ -37,8 +37,14 @@ func TestShardVecRoundTripSorted(t *testing.T) {
 // manager per socket.
 func shardedFixture(t *testing.T) (*sim.Env, *platform.Platform, *LogSet, []*Manager) {
 	t.Helper()
+	return shardedFixtureOn(t, platform.HC2ScaledSharded(2))
+}
+
+// shardedFixtureOn is shardedFixture on cfg, a two-socket machine with a log
+// device per socket.
+func shardedFixtureOn(t *testing.T, cfg *platform.Config) (*sim.Env, *platform.Platform, *LogSet, []*Manager) {
+	t.Helper()
 	env := sim.NewEnv()
-	cfg := platform.HC2ScaledSharded(2)
 	pl := platform.New(env, cfg)
 	var shards []LogShard
 	var mgrs []*Manager
@@ -101,7 +107,7 @@ func TestLogSetVectorDurablePoint(t *testing.T) {
 		l1 := ls.Append(t1, 1, &rec1)
 		t1.Flush()
 		done := sim.NewSignal(env)
-		ls.CommitDurable([]ShardLSN{{Shard: 0, LSN: l0}, {Shard: 1, LSN: l1}}, done)
+		ls.CommitDurableIn(nil, []ShardLSN{{Shard: 0, LSN: l0}, {Shard: 1, LSN: l1}}, done)
 		done.Await(p)
 		firedAt = p.Now()
 		if ls.Durable(0) < l0 || ls.Durable(1) < l1 {
@@ -128,40 +134,70 @@ func TestLogSetVectorDurablePoint(t *testing.T) {
 // TestCommitDurableInReusesTheJoin commits two-shard vectors through one
 // DurableJoin, awaiting each commit signal before the next commit as a
 // transaction's owner does: once the join has its sub-signals, a cross-shard
-// commit allocates nothing.
+// commit allocates nothing. Replicated under sync with the flight recorder's
+// anatomy attached, the join waits for both replicas' acks on both shards
+// through its second set of sub-signals and records the wait, and still
+// allocates nothing.
 func TestCommitDurableInReusesTheJoin(t *testing.T) {
-	env, pl, ls, mgrs := shardedFixture(t)
-	var allocs float64
-	env.Spawn("w", func(p *sim.Proc) {
-		t0 := pl.NewTask(p, pl.Sockets[0].Cores[0], nil)
-		t1 := pl.NewTask(p, pl.Sockets[1].Cores[0], nil)
-		var j *DurableJoin
-		done := sim.NewSignal(env)
-		rec := Record{Txn: 1, Type: RecUpdate, Key: []byte("k"), After: []byte("v")}
-		vec := make([]ShardLSN, 2)
-		commit := func() {
-			vec[0] = ShardLSN{Shard: 0, LSN: ls.Append(t0, 0, &rec)}
-			t0.Flush()
-			vec[1] = ShardLSN{Shard: 1, LSN: ls.Append(t1, 1, &rec)}
-			t1.Flush()
-			j = ls.CommitDurableIn(j, vec, done)
-			done.Await(p)
-			if ls.Durable(0) < vec[0].LSN || ls.Durable(1) < vec[1].LSN {
-				t.Error("commit signal fired before both shards were durable")
+	for _, replicated := range []bool{false, true} {
+		name := "local"
+		cfg := platform.HC2ScaledSharded(2)
+		if replicated {
+			name = "replicated"
+			cfg = platform.HC2Replicated(2, 2, stats.ReplSync)
+			cfg.LogDevPerSocket = true
+		}
+		t.Run(name, func(t *testing.T) {
+			env, pl, ls, _ := shardedFixtureOn(t, cfg)
+			var an stats.Anatomy
+			if replicated {
+				rs := NewReplicaSet(ls)
+				ls.AttachReplication(rs)
+				rs.SetObs(nil, &an)
 			}
-			done.Reset()
-		}
-		commit()
-		allocs = testing.AllocsPerRun(20, commit)
-		for _, m := range mgrs {
-			m.Stop()
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("%v allocations per two-shard commit through a reused join, want 0", allocs)
+			var allocs float64
+			commits := int64(0)
+			env.Spawn("w", func(p *sim.Proc) {
+				t0 := pl.NewTask(p, pl.Sockets[0].Cores[0], nil)
+				t1 := pl.NewTask(p, pl.Sockets[1].Cores[0], nil)
+				var j *DurableJoin
+				done := sim.NewSignal(env)
+				rec := Record{Txn: 1, Type: RecUpdate, Key: []byte("k"), After: []byte("v")}
+				vec := make([]ShardLSN, 2)
+				commit := func() {
+					vec[0] = ShardLSN{Shard: 0, LSN: ls.Append(t0, 0, &rec)}
+					t0.Flush()
+					vec[1] = ShardLSN{Shard: 1, LSN: ls.Append(t1, 1, &rec)}
+					t1.Flush()
+					j = ls.CommitDurableIn(j, vec, done)
+					done.Await(p)
+					if ls.Durable(0) < vec[0].LSN || ls.Durable(1) < vec[1].LSN {
+						t.Error("commit signal fired before both shards were durable")
+					}
+					if rs := ls.Replication(); rs != nil {
+						for r := 0; r < rs.Replicas(); r++ {
+							if acked := rs.acked[r]; acked[0] < vec[0].LSN || acked[1] < vec[1].LSN {
+								t.Errorf("sync commit signal fired before replica %d acked both shards", r)
+							}
+						}
+					}
+					done.Reset()
+					commits++
+				}
+				commit()
+				allocs = testing.AllocsPerRun(20, commit)
+				ls.Stop()
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("%v allocations per two-shard commit through a reused join, want 0", allocs)
+			}
+			if got := an.Phase(stats.PhaseRepl).Count(); replicated && got != commits {
+				t.Errorf("%d replica-ack waits recorded, want one per commit (%d)", got, commits)
+			}
+		})
 	}
 }
 

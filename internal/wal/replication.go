@@ -14,17 +14,12 @@ import (
 // picked up promptly, long enough that idle polling stays cheap.
 const shipInterval = 10 * sim.Microsecond
 
-// ackWaiter is one commit waiting for replica acknowledgements of a shard
-// prefix: fn runs once enough replicas have acknowledged lsn.
-type ackWaiter struct {
-	lsn LSN
-	fn  func()
-}
-
 // ReplicaSet ships every shard of a LogSet's durable stream to R modeled
 // replica machines and tracks, per shard, how far each replica has
-// acknowledged — the state the commit path's sync/quorum waits check
-// against and failover recovers from.
+// acknowledged — the state failover recovers from — and, per shard, the
+// replicated point the commit path's sync/quorum waits join on: the highest
+// LSN that need replicas have acknowledged, a Horizon like a shard's local
+// durable point.
 //
 // One shipper daemon runs per (replica, shard) pair. Each tick it takes
 // whatever the primary shard has made durable beyond the replica's copy,
@@ -44,11 +39,11 @@ type ReplicaSet struct {
 
 	// repl[r][s] is replica r's copy of shard s; acked[r][s] is how far
 	// replica r has acknowledged shard s back to the primary.
-	repl  [][]*Store
-	acked [][]LSN
+	repl   [][]*Store
+	acked  [][]LSN
+	points []Horizon // per shard, the need-th highest acknowledgement
 
-	waiters [][]ackWaiter // per shard, commits awaiting acks
-	st      []stats.ReplicationStats
+	st []stats.ReplicationStats
 
 	linkDown  bool
 	lagFactor float64 // link latency multiplier; 1 = nominal
@@ -75,7 +70,7 @@ func NewReplicaSet(ls *LogSet) *ReplicaSet {
 	rs := &ReplicaSet{
 		ls:        ls,
 		need:      cfg.ReplAckNeed(),
-		waiters:   make([][]ackWaiter, nShards),
+		points:    make([]Horizon, nShards),
 		st:        make([]stats.ReplicationStats, nShards),
 		lagFactor: 1,
 		stalled:   make([]bool, cfg.Replicas),
@@ -163,77 +158,50 @@ func (rs *ReplicaSet) ship(p *sim.Proc, r, s int) {
 }
 
 // advanceAck records replica r's acknowledgement of shard s up to lsn and
-// wakes every commit whose ack requirement is now met, in registration
-// order (deterministic).
+// moves the shard's replicated point, which wakes every commit it reaches in
+// registration order (deterministic).
 func (rs *ReplicaSet) advanceAck(r, s int, lsn LSN) {
 	if lsn <= rs.acked[r][s] {
 		return
 	}
 	rs.acked[r][s] = lsn
-	kept := rs.waiters[s][:0]
-	for _, w := range rs.waiters[s] {
-		if rs.ackedCount(s, w.lsn) >= rs.need {
-			w.fn()
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	rs.waiters[s] = kept
+	rs.points[s].Advance(rs.replicated(s))
 }
 
-// ackedCount returns how many replicas have acknowledged shard s through lsn.
-func (rs *ReplicaSet) ackedCount(s int, lsn LSN) int {
-	n := 0
+// replicated returns shard s's replicated point: the highest LSN at least
+// need replicas have acknowledged, which is the need-th highest of their
+// acknowledgements.
+func (rs *ReplicaSet) replicated(s int) LSN {
+	var point LSN
 	for r := range rs.acked {
-		if rs.acked[r][s] >= lsn {
-			n++
-		}
-	}
-	return n
-}
-
-// AckNeed returns how many replica acks a commit waits for (0 = async).
-func (rs *ReplicaSet) AckNeed() int { return rs.need }
-
-// AckWaitVec fires done once every entry of vec has been acknowledged by
-// enough replicas for the configured mode. The caller guarantees the
-// entries are already locally durable (the commit path chains this after
-// the vector durable point).
-func (rs *ReplicaSet) AckWaitVec(vec []ShardLSN, done *sim.Signal) {
-	if rs.need == 0 || len(vec) == 0 {
-		done.Fire(nil)
-		return
-	}
-	if rs.obsRec != nil || rs.obsAn != nil {
-		// Out-of-band measurement of the ack wait: an OnFire hook runs
-		// inline when done fires, so this registers no events and cannot
-		// change the schedule. A wait satisfied immediately records nothing.
-		t0 := rs.ls.pl.Env.Now()
-		done.OnFire(func(any) {
-			end := rs.ls.pl.Env.Now()
-			if end <= t0 {
-				return
-			}
-			if rs.obsAn != nil {
-				rs.obsAn.Record(stats.PhaseRepl, end.Sub(t0))
-			}
-			rs.obsRec.Record(obs.Span{Start: t0, End: end, Kind: obs.KindReplWait})
-		})
-	}
-	remaining := len(vec)
-	dec := func() {
-		remaining--
-		if remaining == 0 {
-			done.Fire(nil)
-		}
-	}
-	for _, e := range vec {
-		if rs.ackedCount(e.Shard, e.LSN) >= rs.need {
-			dec()
+		c := rs.acked[r][s]
+		if c <= point {
 			continue
 		}
-		rs.waiters[e.Shard] = append(rs.waiters[e.Shard], ackWaiter{lsn: e.LSN, fn: dec})
+		n := 0
+		for q := range rs.acked {
+			if rs.acked[q][s] >= c {
+				n++
+			}
+		}
+		if n >= rs.need {
+			point = c
+		}
 	}
+	return point
+}
+
+// recordAckWait records a commit's replica-ack wait, from t0 to now, into
+// the flight recorder's hooks. A wait satisfied at once records nothing.
+func (rs *ReplicaSet) recordAckWait(t0 sim.Time) {
+	end := rs.ls.pl.Env.Now()
+	if end <= t0 {
+		return
+	}
+	if rs.obsAn != nil {
+		rs.obsAn.Record(stats.PhaseRepl, end.Sub(t0))
+	}
+	rs.obsRec.Record(obs.Span{Start: t0, End: end, Kind: obs.KindReplWait})
 }
 
 // SetLinkDown partitions (true) or heals (false) the inter-machine link.

@@ -97,7 +97,7 @@ func commitLatency(t *testing.T, mode stats.ReplMode) sim.Duration {
 		lsn := appendOne(pl, ls, p, 1)
 		start = p.Now()
 		done := sim.NewSignal(env)
-		ls.CommitDurable([]ShardLSN{{Shard: 0, LSN: lsn}}, done)
+		ls.CommitDurableIn(nil, []ShardLSN{{Shard: 0, LSN: lsn}}, done)
 		done.Await(p)
 		fired = p.Now()
 	})
@@ -251,7 +251,7 @@ func TestReplicaStallAndSyncCommitBlocked(t *testing.T) {
 	done := sim.NewSignal(env)
 	env.Spawn("w", func(p *sim.Proc) {
 		lsn := appendOne(pl, ls, p, 1)
-		ls.CommitDurable([]ShardLSN{{Shard: 0, LSN: lsn}}, done)
+		ls.CommitDurableIn(nil, []ShardLSN{{Shard: 0, LSN: lsn}}, done)
 	})
 	if err := env.RunUntil(sim.Time(2 * sim.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -281,5 +281,59 @@ func TestReplicaStallAndSyncCommitBlocked(t *testing.T) {
 	}
 	if !done.Fired() {
 		t.Error("sync commit still blocked after the stalled replica caught up")
+	}
+}
+
+// TestReplicatedPointCountsAcks pins a shard's replicated point to the
+// need-th highest replica acknowledgement at three replicas, where quorum
+// needs two acks and sync three: neither the highest ack (which one replica
+// reaches alone) nor the lowest (which a single stalled replica holds at 0).
+// Every commit fires once its stalled replicas revive.
+func TestReplicatedPointCountsAcks(t *testing.T) {
+	for _, c := range []struct {
+		mode    stats.ReplMode
+		stalled []int
+		fires   bool
+	}{
+		{stats.ReplQuorum, []int{0, 1}, false}, // one ack of the two quorum needs
+		{stats.ReplQuorum, []int{0}, true},     // two acks
+		{stats.ReplSync, []int{0}, false},      // two acks of the three sync needs
+	} {
+		env, pl, ls, rs := replFixture(t, 3, c.mode)
+		for _, r := range c.stalled {
+			rs.SetStalled(r, true)
+		}
+		done := sim.NewSignal(env)
+		var lsn LSN
+		env.Spawn("w", func(p *sim.Proc) {
+			lsn = appendOne(pl, ls, p, 1)
+			ls.CommitDurableIn(nil, []ShardLSN{{Shard: 0, LSN: lsn}}, done)
+		})
+		if err := env.RunUntil(sim.Time(2 * sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		acks := 0
+		for r := 0; r < rs.Replicas(); r++ {
+			if rs.AckedVector(r)[0] >= lsn {
+				acks++
+			}
+		}
+		if acks != rs.Replicas()-len(c.stalled) {
+			t.Fatalf("%s, stalled %v: %d replicas acked the commit, want %d",
+				c.mode, c.stalled, acks, rs.Replicas()-len(c.stalled))
+		}
+		if done.Fired() != c.fires {
+			t.Errorf("%s with %d of %d acks needed: commit fired = %v, want %v",
+				c.mode, acks, rs.need, done.Fired(), c.fires)
+		}
+		for _, r := range c.stalled {
+			rs.SetStalled(r, false)
+		}
+		if err := env.RunUntil(sim.Time(3 * sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if !done.Fired() {
+			t.Errorf("%s, stalled %v: commit still blocked after the stalled replicas revived", c.mode, c.stalled)
+		}
 	}
 }
