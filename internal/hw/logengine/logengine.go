@@ -206,20 +206,27 @@ func (e *Engine) syncOnce(task *platform.Task) {
 	// the batch append copies staged bytes out synchronously, so the
 	// truncated staging arrays are free for new appends even while the
 	// epoch's device write is still in flight.
+	//
+	// The collection is a cut: every buffer is emptied before the daemon
+	// charges any core time for it, since a charge may park the task and
+	// let other cores stage into buffers already emptied.
 	batch := e.spareBatch[:0]
 	e.spareBatch = nil
-	records := 0
+	records, buffers := 0, 0
 	for i := range e.staging {
 		if len(e.staging[i]) == 0 {
 			continue
 		}
-		task.Exec(stats.CompLog, e.cfg.SyncCPUInstr)
 		batch = append(batch, e.staging[i]...)
 		records += e.counts[i]
 		e.staging[i] = e.staging[i][:0]
 		e.counts[i] = 0
+		buffers++
 	}
 	epochHandle := e.handle // everything staged before this point is in the batch
+	for ; buffers > 0; buffers-- {
+		task.Exec(stats.CompLog, e.cfg.SyncCPUInstr)
+	}
 	task.Flush()
 	if len(batch) == 0 {
 		e.spareBatch = batch[:0]

@@ -187,3 +187,65 @@ func TestManyWritersNoLatchQueueing(t *testing.T) {
 		t.Fatalf("appends=%d", e.Appends())
 	}
 }
+
+func TestEpochIsACut(t *testing.T) {
+	// An epoch collects every staging buffer before the daemon spends any
+	// core time on it, so a commit is acknowledged only once its bytes are
+	// in the store. With six or more sockets a central engine has enough
+	// non-empty buffers that charging per buffer inside the collection
+	// would park the daemon mid-epoch, and bytes staged into buffers it had
+	// already emptied would be counted into the epoch's durable point.
+	// Every core runs a committer and a background stager; the stager's
+	// pace is what the log device keeps up with on eight sockets.
+	const commitsPerCore = 40
+	const stagerEvery = 10 * sim.Microsecond
+	for _, sockets := range []int{6, 8} {
+		env := sim.NewEnv()
+		pl := platform.New(env, platform.HC2Scaled(sockets))
+		store := wal.NewStore(pl.SSD)
+		e := New(pl, store, DefaultConfig())
+		committers, commits, early := len(pl.Cores), 0, 0
+		for c := range pl.Cores {
+			env.Spawn("committer", func(p *sim.Proc) {
+				task := pl.NewTask(p, pl.Cores[c], nil)
+				for i := 0; i < commitsPerCore; i++ {
+					id := uint64(c*commitsPerCore + i)
+					rec := wal.Record{Txn: id, Type: wal.RecUpdate, Key: []byte("key"), After: make([]byte, 40)}
+					e.Append(task, &rec)
+					commit := wal.Record{Txn: id, Type: wal.RecCommit}
+					h := e.Append(task, &commit)
+					task.Flush()
+					done := sim.NewSignal(env)
+					done.OnFire(func(any) {
+						commits++
+						if store.Len() < int(h) || int(e.Durable()) > store.Len() {
+							early++
+						}
+					})
+					e.CommitDurable(h, done)
+					done.Await(p)
+				}
+				if committers--; committers == 0 {
+					e.Stop()
+				}
+			})
+			env.Spawn("stager", func(p *sim.Proc) {
+				task := pl.NewTask(p, pl.Cores[c], nil)
+				for committers > 0 {
+					rec := wal.Record{Txn: uint64(c), Type: wal.RecUpdate}
+					e.Append(task, &rec)
+					task.Block(stagerEvery)
+				}
+			})
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(pl.Cores) * commitsPerCore; commits != want {
+			t.Fatalf("%d sockets: %d commits acknowledged, want %d", sockets, commits, want)
+		}
+		if early != 0 {
+			t.Errorf("%d sockets: %d of %d commits acknowledged before their bytes were in the store", sockets, early, commits)
+		}
+	}
+}
