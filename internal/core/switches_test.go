@@ -365,8 +365,8 @@ func TestCheckpointHeap(t *testing.T) {
 // window, over the window's simulated seconds. A ceiling that starts failing
 // means something the run keeps grows with the work done, not with the data
 // it holds. The ceiling sits 5 % above what this scale measures, MB per
-// simulated second, which is the trees' dead row versions (ROADMAP item 13
-// (a)). Before a log store kept bytes only for a registered reader, every
+// simulated second, which is the trees' dead row versions (ROADMAP
+// [host-cost]). Before a log store kept bytes only for a registered reader, every
 // byte the run logged stayed live as well, and nothing ever read it back.
 func TestHeapPerSimulatedSecond(t *testing.T) {
 	c := benchConfigs[1]

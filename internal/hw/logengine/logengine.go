@@ -1,8 +1,9 @@
 // Package logengine models the paper's §5.4 hardware log-insertion engine.
 // Worker cores append records to core-private staging buffers — no central
 // latch, a fraction of the software insert cost. A software log-sync daemon
-// (Figure 4 keeps "log sync & recovery" on the CPU) periodically, or when a
-// commit kicks it, collects all staging buffers, ships them over the
+// (Figure 4 keeps "log sync & recovery" on the CPU; it is the wal.Flusher
+// the software log manager runs too) periodically, or when a commit kicks
+// it, collects all staging buffers, ships them over the
 // engine's link to the FPGA where the unit arbitrates them into a single
 // ordered stream, and writes the ordered batch to the CPU-side SSD.
 // Per-socket aggregation and hardware arbitration replace the lock-free
@@ -52,41 +53,30 @@ func DefaultConfig() Config {
 
 // Engine implements wal.Appender over the hardware path.
 //
-// LSNs returned by Append are durability horizons measured in staged bytes
-// (monotone, byte-denominated like the software manager's, though the
-// arbitration unit assigns the final intra-epoch byte order when it
-// collects an epoch). An epoch collects every staging buffer atomically, so
-// by the time an epoch is durable, every record appended before the
-// collection — in particular everything a committing transaction staged
-// from any core — is durable with it: the engine's durable horizon is its
-// last epoch's handle, which equals its store's byte length, and commits
-// wait on it through a wal.Horizon exactly as on the software manager.
-// Recovery reads the Store's byte stream and compares horizons against its
-// length, exactly as for a software shard; the store keeps that stream
-// only from where a reader registered (a checkpoint's start, or 0 under
-// replication), and a store with no reader counts the engine's bytes
-// without holding them.
+// LSNs returned by Append are durability horizons measured in staged bytes,
+// byte-denominated like the software manager's (the arbitration unit
+// assigns the final byte order within an epoch). An epoch collects every
+// staging buffer in one cut, before the daemon spends core time on it, so
+// once the epoch is durable every record staged before it — everything a
+// committing transaction staged from any core — is durable too: the
+// engine's durable point is its store's length, moved by the same
+// wal.Flusher as the software manager's, and recovery reads the store
+// exactly as for a software shard.
 type Engine struct {
-	cfg   Config
-	pl    *platform.Platform
-	store *wal.Store
-	unit  *platform.HWUnit
-	link  *platform.Device // host->FPGA->host crossing for epoch batches
-	home  *platform.Core   // core the log-sync daemon runs on
+	*wal.Flusher // the log-sync daemon; its take collects an epoch
+	cfg          Config
+	pl           *platform.Platform
+	unit         *platform.HWUnit
+	link         *platform.Device // host->FPGA->host crossing for epoch batches
+	home         *platform.Core   // core the log-sync daemon runs on
+	task         platform.Task    // the daemon's, on home, bound to its process at the first epoch
 
 	staging   [][]byte // per-core staged record bytes (global core index)
 	stageAddr []uint64
 	counts    []int // records per staging buffer
 
-	handle wal.LSN     // horizon of the last staged record, in bytes
-	epoch  wal.Horizon // the last durable epoch's handle and the commits waiting past it
-
-	kicked  bool // sync now instead of at the next timer tick
-	stopped bool
-
-	spareBatch []byte // retired epoch batch, reused for the next epoch
-	appends    int64
-	syncs      int64
+	records int // the collected epoch's, for its arbitration
+	appends int64
 }
 
 // New creates the whole-machine hardware log engine — one arbitration unit
@@ -111,19 +101,16 @@ func newEngine(pl *platform.Platform, store *wal.Store, cfg Config, name string,
 	e := &Engine{
 		cfg:     cfg,
 		pl:      pl,
-		store:   store,
 		unit:    pl.NewHWUnit(name, 4),
 		link:    link,
 		home:    home,
 		staging: make([][]byte, len(pl.Cores)),
 		counts:  make([]int, len(pl.Cores)),
-		handle:  store.Durable(),
 	}
-	e.epoch.Advance(store.Durable())
 	for i := 0; i < len(pl.Cores); i++ {
 		e.stageAddr = append(e.stageAddr, pl.AllocHost(64<<10))
 	}
-	pl.Env.Spawn(name+"-sync", func(p *sim.Proc) { e.syncLoop(p) })
+	e.Flusher = wal.NewFlusher(pl.Env, name+"-sync", store, cfg.SyncInterval, e.take, e.cross)
 	return e
 }
 
@@ -136,112 +123,59 @@ func (e *Engine) Append(t *platform.Task, rec *wal.Record) wal.LSN {
 	size := rec.EncodedSize()
 	t.Exec(stats.CompLog, e.cfg.AppendInstr+int(float64(size)*e.cfg.CopyInstrPerByte))
 	t.Access(stats.CompLog, e.stageAddr[core]+uint64(len(e.staging[core])%(64<<10)), size)
-	e.handle += wal.LSN(size)
-	rec.LSN = e.handle
+	h := e.Staged(size)
+	rec.LSN = h
 	e.staging[core] = rec.Encode(e.staging[core])
 	e.counts[core]++
 	if rec.Type == wal.RecCommit || rec.Type == wal.RecAbort || len(e.staging[core]) >= 16<<10 {
-		e.kicked = true
+		e.Kick()
 	}
-	return e.handle
+	return h
 }
-
-// CommitDurable implements wal.Appender against staged-byte horizons.
-func (e *Engine) CommitDurable(h wal.LSN, done *sim.Signal) { e.epoch.Wait(h, done) }
-
-// Durable implements wal.Appender (staged-byte watermark).
-func (e *Engine) Durable() wal.LSN { return e.epoch.Durable() }
 
 // Appends returns the number of records staged.
 func (e *Engine) Appends() int64 { return e.appends }
 
-// Syncs returns the number of collection epochs flushed.
-func (e *Engine) Syncs() int64 { return e.syncs }
-
 // ShardStats implements wal.Appender: every hardware sync is one
 // arbitration epoch.
-func (e *Engine) ShardStats() (syncs, epochs int64) { return e.syncs, e.syncs }
+func (e *Engine) ShardStats() (syncs, epochs int64) { return e.Syncs(), e.Syncs() }
 
-// Backlog implements wal.Appender: the staged bytes live inside the model
-// until their epoch, so the gauge reads none.
-func (e *Engine) Backlog() int { return 0 }
-
-// Stop implements wal.Appender: the sync daemon stops after draining staged
-// records.
-func (e *Engine) Stop() {
-	e.stopped = true
-	e.kicked = true
-}
-
-func (e *Engine) syncLoop(p *sim.Proc) {
-	// The daemon runs on the engine's home core: Figure 4's "log sync" box
-	// (the socket's last core for a shard). One task for its life: every
-	// epoch ends flushed.
-	task := e.pl.NewTask(p, e.home, nil)
-	for {
-		if !e.kicked {
-			p.Wait(e.cfg.SyncInterval)
-		}
-		e.kicked = false
-		e.syncOnce(task)
-		if e.stopped && e.pending() == 0 {
-			return
-		}
-	}
-}
-
-func (e *Engine) pending() int {
-	total := 0
-	for _, s := range e.staging {
-		total += len(s)
-	}
-	return total
-}
-
-// syncOnce collects one epoch: all staging buffers, one link push to the
-// unit for arbitration, then the ordered batch to the SSD.
-func (e *Engine) syncOnce(task *platform.Task) {
-	p := task.P
-	// The staging buffers and the epoch batch are reused across epochs:
-	// the batch append copies staged bytes out synchronously, so the
-	// truncated staging arrays are free for new appends even while the
-	// epoch's device write is still in flight.
-	//
-	// The collection is a cut: every buffer is emptied before the daemon
-	// charges any core time for it, since a charge may park the task and
-	// let other cores stage into buffers already emptied.
-	batch := e.spareBatch[:0]
-	e.spareBatch = nil
-	records, buffers := 0, 0
-	for i := range e.staging {
-		if len(e.staging[i]) == 0 {
+// take collects one epoch: every staging buffer, emptied into batch, then
+// the daemon's core time on its home core (Figure 4's "log sync" box). The
+// staging arrays are reused, since the batch append copies their bytes out.
+// The collection is a cut because it comes first: a charge may park the
+// daemon and let other cores stage into buffers already emptied.
+func (e *Engine) take(p *sim.Proc, batch []byte) []byte {
+	buffers := 0
+	for i, staged := range e.staging {
+		if len(staged) == 0 {
 			continue
 		}
-		batch = append(batch, e.staging[i]...)
-		records += e.counts[i]
-		e.staging[i] = e.staging[i][:0]
+		batch = append(batch, staged...)
+		e.records += e.counts[i]
+		e.staging[i] = staged[:0]
 		e.counts[i] = 0
 		buffers++
 	}
-	epochHandle := e.handle // everything staged before this point is in the batch
+	if e.task.P == nil {
+		e.task = *e.pl.NewTask(p, e.home, nil)
+	}
 	for ; buffers > 0; buffers-- {
-		task.Exec(stats.CompLog, e.cfg.SyncCPUInstr)
+		e.task.Exec(stats.CompLog, e.cfg.SyncCPUInstr)
 	}
-	task.Flush()
-	if len(batch) == 0 {
-		e.spareBatch = batch[:0]
-		return
-	}
-	e.syncs++
+	e.task.Flush()
+	return batch
+}
+
+// cross ships the epoch to the unit for arbitration and back.
+func (e *Engine) cross(p *sim.Proc, batch []byte) {
 	sc := p.Script()
 	// Host -> FPGA: the staged records cross the link once, batched.
 	e.link.AddTransfer(sc, len(batch))
 	// Arbitration: the unit merges the per-core streams into final order.
-	e.unit.AddWork(sc, records*e.cfg.ArbCyclesPerRecord)
-	// FPGA -> host -> SSD: the ordered epoch lands in the log file.
+	e.unit.AddWork(sc, e.records*e.cfg.ArbCyclesPerRecord)
+	// FPGA -> host: the ordered epoch comes back for the device write.
 	e.link.AddTransfer(sc, len(batch))
 	sc.Run()
-	e.store.Write(p, batch)
-	e.spareBatch = batch[:0]
-	e.epoch.Advance(epochHandle)
+	e.records = 0
 }

@@ -277,7 +277,7 @@ func TestTaskFlushBurstCap(t *testing.T) {
 // from the days every unit of work got a fresh one: a charge that was never
 // flushed stays in the Breakdown but is never served by the core, and costs
 // no simulated time. (dora's deferral path leaves such a charge behind; see
-// ROADMAP item 4 — it is a modelling bug with its own re-pin, not something a
+// ROADMAP [accounts] — it is a modelling bug with its own re-pin, not something a
 // reused task may quietly fix.)
 func TestTaskResetDropsPendingCharge(t *testing.T) {
 	env, pl := newTestPlatform()

@@ -154,15 +154,15 @@ func (s *Store) Device() *platform.Device { return s.dev }
 
 // Appender is the log interface transactions use; the software Manager and
 // the hardware log engine both satisfy it. Only the insertion path differs
-// between them: each keeps its durable point in a Horizon, so a commit waits
-// the same way on either.
+// between them: both embed a Flusher, the log-sync daemon that moves their
+// durable point, so a commit waits the same way on either.
 type Appender interface {
 	// Append buffers rec, assigns its LSN, and charges the caller's
 	// insertion cost. It does not wait for durability. The returned value
 	// is the record's durability horizon: once Durable() reaches it, the
 	// record is on stable storage (for the software manager that is the
 	// byte offset just past the record; the hardware engine returns its
-	// record handle).
+	// record handle, the same offset).
 	Append(t *platform.Task, rec *Record) LSN
 	// CommitDurable registers done to fire once lsn is durable. The
 	// caller decides whether to block on it (synchronous commit) or move
@@ -179,10 +179,10 @@ type Appender interface {
 	Backlog() int
 }
 
-// Horizon is a durable point and the commits waiting for it: the software
-// manager's group-commit flush, the hardware engine's epoch and a replica
-// set's acknowledged point per shard each keep one. The zero value is the
-// point 0 with no waiter.
+// Horizon is a durable point and the commits waiting for it: a Flusher (the
+// software manager's group commit, the hardware engine's epoch) and a
+// replica set's acknowledged point per shard each keep one. The zero value
+// is the point 0 with no waiter.
 type Horizon struct {
 	at      LSN
 	waiters []horizonWaiter
@@ -225,6 +225,108 @@ func (h *Horizon) Advance(to LSN) {
 	h.waiters = kept
 }
 
+// Flusher is the log-sync daemon both appenders embed, and the durable point
+// it moves: Figure 4 keeps "log sync" in software whichever path inserts
+// the records. An appender stages records (Staged, and Kick to ask for a
+// pass before the next timer tick) and supplies take, which moves
+// everything staged into the batch it is handed and returns it; the
+// hardware engine also supplies cross, the batch's trip over its link and
+// arbitration unit before the device write. One pass takes one batch,
+// crosses it, writes it to the store and advances the durable point to the
+// store's length, so a take must be a cut: it collects every byte staged
+// before it, and none after, before it parks (it may then charge the
+// daemon's core time for the collection). The batch storage alternates
+// between two buffers, so a steady stream of passes allocates nothing.
+type Flusher struct {
+	store    *Store
+	interval sim.Duration
+	take     func(p *sim.Proc, batch []byte) []byte
+	cross    func(p *sim.Proc, batch []byte)
+
+	durable Horizon // the store's length after the last pass
+	end     LSN     // the end of the last staged record
+	taken   LSN     // the end of the last take's cut
+	kicked  bool    // pass now instead of at the next timer tick
+	stopped bool
+	spare   []byte // the batch storage the next take fills
+	syncs   int64
+}
+
+// NewFlusher creates the log-sync daemon for store and spawns it on env
+// under name. It passes every interval, or at once after a Kick; cross may
+// be nil.
+func NewFlusher(env *sim.Env, name string, store *Store, interval sim.Duration,
+	take func(p *sim.Proc, batch []byte) []byte, cross func(p *sim.Proc, batch []byte)) *Flusher {
+	f := &Flusher{store: store, interval: interval, take: take, cross: cross,
+		end: store.Durable(), taken: store.Durable()}
+	f.durable.Advance(store.Durable())
+	env.Spawn(name, f.run)
+	return f
+}
+
+// Staged records n bytes appended for the next take and returns the
+// horizon just past them.
+func (f *Flusher) Staged(n int) LSN {
+	f.end += LSN(n)
+	return f.end
+}
+
+// Kick asks for a pass as soon as the daemon is awake instead of at its
+// next timer tick.
+func (f *Flusher) Kick() { f.kicked = true }
+
+// CommitDurable implements Appender.
+func (f *Flusher) CommitDurable(lsn LSN, done *sim.Signal) { f.durable.Wait(lsn, done) }
+
+// Durable implements Appender.
+func (f *Flusher) Durable() LSN { return f.durable.Durable() }
+
+// Backlog implements Appender: the bytes staged and not yet taken.
+func (f *Flusher) Backlog() int { return int(f.end - f.taken) }
+
+// Syncs returns the number of device writes issued: passes that took a
+// non-empty batch.
+func (f *Flusher) Syncs() int64 { return f.syncs }
+
+// Stop implements Appender: the daemon stops after the pass that leaves
+// nothing staged.
+func (f *Flusher) Stop() {
+	f.stopped = true
+	f.kicked = true
+}
+
+func (f *Flusher) run(p *sim.Proc) {
+	for {
+		// Wait for a kick or the timer, whichever first. The timer is
+		// modelled by checking the kick flag after a sleep; a kick arriving
+		// mid-sleep is handled on wake.
+		if !f.kicked {
+			p.Wait(f.interval)
+		}
+		f.kicked = false
+		if f.end > f.taken {
+			f.pass(p)
+		}
+		if f.stopped && f.end == f.taken {
+			return
+		}
+	}
+}
+
+func (f *Flusher) pass(p *sim.Proc) {
+	// The take fills the spare, and the written batch becomes the next
+	// spare once the store has copied it.
+	f.taken = f.end
+	batch := f.take(p, f.spare[:0])
+	f.syncs++
+	if f.cross != nil {
+		f.cross(p, batch)
+	}
+	f.store.Write(p, batch)
+	f.spare = batch[:0]
+	f.durable.Advance(f.store.Durable())
+}
+
 // ManagerConfig tunes the software log manager.
 type ManagerConfig struct {
 	// FlushInterval is the group-commit timer period.
@@ -255,21 +357,14 @@ func DefaultManagerConfig() ManagerConfig {
 // the buffer copy; flush waits are asynchronous and charged to commit
 // latency, not CPU.
 type Manager struct {
-	cfg   ManagerConfig
-	store *Store
-	latch *sim.Resource
-	buf   []byte
-	base  LSN // LSN of buf[0]
+	*Flusher // the group-commit flush; its take swaps buf
+	cfg      ManagerConfig
+	latch    *sim.Resource
+	buf      []byte
 
 	bufAddr uint64 // timing address of the buffer (cache-modelled copies)
 
-	durable Horizon // the group-commit flush's point: the store's length
-	kicked  bool    // flush now instead of at the next timer tick
-	spare   []byte  // retired flush buffer, reused for the next fill
-	stopped bool
-
 	appends int64
-	flushes int64
 }
 
 // NewManager creates a software log manager writing to store. The flush
@@ -277,13 +372,10 @@ type Manager struct {
 func NewManager(pl *platform.Platform, store *Store, cfg ManagerConfig) *Manager {
 	m := &Manager{
 		cfg:     cfg,
-		store:   store,
 		latch:   sim.NewResource(pl.Env, "log-latch", 1),
-		base:    store.Durable(),
 		bufAddr: pl.AllocHost(cfg.FlushBytes * 2),
 	}
-	m.durable.Advance(store.Durable())
-	pl.Env.Spawn("log-flusher", func(p *sim.Proc) { m.flusherLoop(p) })
+	m.Flusher = NewFlusher(pl.Env, "log-flusher", store, cfg.FlushInterval, m.take, nil)
 	return m
 }
 
@@ -299,76 +391,31 @@ func (m *Manager) Append(t *platform.Task, rec *Record) LSN {
 	sc := t.Script()
 	sc.Acquire(m.latch)
 	sc.Run()
-	lsn := m.base + LSN(len(m.buf))
-	rec.LSN = lsn
+	off := len(m.buf)
+	end := m.Staged(size)
+	rec.LSN = end - LSN(size)
 	m.buf = rec.Encode(m.buf)
-	t.Access(stats.CompLog, m.bufAddr+uint64(int(lsn-m.base)%m.cfg.FlushBytes), size)
+	t.Access(stats.CompLog, m.bufAddr+uint64(off%m.cfg.FlushBytes), size)
 	t.Flush()
 	m.latch.Release()
-	if len(m.buf) >= m.cfg.FlushBytes {
-		m.kicked = true
+	if m.Backlog() >= m.cfg.FlushBytes {
+		m.Kick()
 	}
-	return lsn + LSN(size)
+	return end
 }
 
-// CommitDurable implements Appender.
-func (m *Manager) CommitDurable(lsn LSN, done *sim.Signal) { m.durable.Wait(lsn, done) }
-
-// Durable implements Appender.
-func (m *Manager) Durable() LSN { return m.durable.Durable() }
+// take hands the flush the central buffer and continues in batch.
+func (m *Manager) take(_ *sim.Proc, batch []byte) []byte {
+	chunk := m.buf
+	m.buf = batch
+	return chunk
+}
 
 // Appends returns the number of records appended.
 func (m *Manager) Appends() int64 { return m.appends }
-
-// Flushes returns the number of device flushes issued.
-func (m *Manager) Flushes() int64 { return m.flushes }
 
 // LatchWait returns cumulative time processes queued on the log latch.
 func (m *Manager) LatchWait() sim.Duration { return m.latch.WaitTime() }
 
 // ShardStats implements Appender: a software log has no arbitration epochs.
-func (m *Manager) ShardStats() (syncs, epochs int64) { return m.flushes, 0 }
-
-// Backlog implements Appender.
-func (m *Manager) Backlog() int { return len(m.buf) }
-
-// Stop implements Appender: the flush daemon stops after the pass that
-// leaves nothing buffered.
-func (m *Manager) Stop() {
-	m.stopped = true
-	m.kicked = true
-}
-
-func (m *Manager) flusherLoop(p *sim.Proc) {
-	for {
-		// Wait for a kick or the group-commit timer, whichever first. The
-		// timer is modelled by checking the kick flag after a sleep; a kick
-		// arriving mid-sleep is handled on wake.
-		if !m.kicked {
-			p.Wait(m.cfg.FlushInterval)
-		}
-		m.kicked = false
-		m.flushOnce(p)
-		if m.stopped && len(m.buf) == 0 {
-			return
-		}
-	}
-}
-
-func (m *Manager) flushOnce(p *sim.Proc) {
-	if len(m.buf) == 0 {
-		return
-	}
-	// Double-buffer: appends landing while the device write is in flight
-	// go to the spare, and the flushed buffer becomes the next spare once
-	// the store has copied it. Steady-state flush cycles reuse two buffers
-	// instead of reallocating the insert buffer every interval.
-	chunk := m.buf
-	m.buf = m.spare[:0]
-	m.spare = nil
-	m.base += LSN(len(chunk))
-	m.flushes++
-	m.store.Write(p, chunk)
-	m.spare = chunk[:0]
-	m.durable.Advance(m.store.Durable())
-}
+func (m *Manager) ShardStats() (syncs, epochs int64) { return m.Syncs(), 0 }

@@ -309,7 +309,7 @@ func TestEarlyFlushOnBytesThreshold(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Flushes() < 1 {
+	if m.Syncs() < 1 {
 		t.Fatal("no flush")
 	}
 	if int(store.Durable()) < 10*4096 {
