@@ -14,19 +14,18 @@ import "fmt"
 // the process parks or finishes. The Go scheduler takes no part in a
 // process switch, so the kernel costs the same at any GOMAXPROCS.
 //
-// The event queue is a flat binary min-heap over []event keyed by (at, seq).
-// Because seq is unique the key is a total order, so the pop sequence is
-// independent of heap layout details — and unlike container/heap there is
-// no interface boxing on push or type assertion on pop, which keeps the
-// steady-state event loop allocation-free.
+// The event queue is a monotone radix queue (eventq.go): it pops events in
+// time order, equal times in push order, by bucketing each event on the
+// highest bit in which its time differs from the last pop's, so it needs
+// neither comparisons between events nor a sequence number, and a queue
+// at its peak length allocates nothing.
 type Env struct {
 	now      Time
-	seq      uint64
-	events   []event // binary min-heap ordered by (at, seq)
-	cur      *Proc   // process the dispatch loop is switched into, if any
-	horizon  Time    // RunUntil's bound; fast-path waits must not pass it
-	executed uint64  // events executed, including fast-path waits
-	switches uint64  // coroutine resumes: events that switched into a process
+	q        eventQueue
+	cur      *Proc  // process the dispatch loop is switched into, if any
+	horizon  Time   // RunUntil's bound; fast-path waits must not pass it
+	executed uint64 // events executed, including fast-path waits
+	switches uint64 // coroutine resumes: events that switched into a process
 
 	// Host-side sampler hook (see SetSampler). The hook fires whenever the
 	// clock crosses obsNext — checked at the two places the clock advances
@@ -42,13 +41,6 @@ type Env struct {
 
 	closed bool
 	dead   bool // Close ran: unfinished processes are being (or have been) reaped
-}
-
-type event struct {
-	at  Time
-	seq uint64
-	p   *Proc  // process to wake, or
-	fn  func() // callback to run in the dispatch loop
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -77,56 +69,7 @@ func (e *Env) At(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.push(event{at: t, fn: fn})
-}
-
-// push assigns the next sequence number and sifts the event up the heap.
-func (e *Env) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := e.events[parent]
-		if p.at < ev.at || (p.at == ev.at && p.seq < ev.seq) {
-			break
-		}
-		e.events[i] = p
-		i = parent
-	}
-	e.events[i] = ev
-}
-
-// pop removes and returns the minimum event.
-func (e *Env) pop() event {
-	top := e.events[0]
-	n := len(e.events) - 1
-	last := e.events[n]
-	e.events[n] = event{} // drop fn/p references for the collector
-	e.events = e.events[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n {
-				if e.events[r].at < e.events[c].at ||
-					(e.events[r].at == e.events[c].at && e.events[r].seq < e.events[c].seq) {
-					c = r
-				}
-			}
-			if last.at < e.events[c].at || (last.at == e.events[c].at && last.seq < e.events[c].seq) {
-				break
-			}
-			e.events[i] = e.events[c]
-			i = c
-		}
-		e.events[i] = last
-	}
-	return top
+	e.q.push(event{at: t, fn: fn})
 }
 
 // scheduleWake arranges for p to resume at time t. Exactly one wake may be
@@ -141,7 +84,7 @@ func (e *Env) scheduleWake(p *Proc, t Time) {
 	if t < e.now {
 		t = e.now
 	}
-	e.push(event{at: t, p: p})
+	e.q.push(event{at: t, p: p})
 }
 
 // Run executes events until none remain or a process panics. Processes left
@@ -166,18 +109,18 @@ func (e *Env) RunUntil(horizon Time) error {
 	return nil
 }
 
-// dispatch is the event loop: it executes events in (at, seq) order until
-// none remains within the horizon or a process has panicked. A callback
-// event runs inline. A process event first advances the script the process
-// parked in, if any, also inline; only when there is none, or it has
-// finished, does the loop switch into the process's coroutine, coming back
-// when the process parks or finishes. A central loop costs two coroutine
-// switches per process change where handing control process to process
-// would cost one, but a coroutine switch stays on the calling thread and
-// never enters the Go scheduler.
+// dispatch is the event loop: it executes events in time order, equal times
+// in the order they were scheduled, until none remains within the horizon
+// or a process has panicked. A callback event runs inline. A process event
+// first advances the script the process parked in, if any, also inline;
+// only when there is none, or it has finished, does the loop switch into
+// the process's coroutine, coming back when the process parks or finishes.
+// A central loop costs two coroutine switches per process change where
+// handing control process to process would cost one, but a coroutine
+// switch stays on the calling thread and never enters the Go scheduler.
 func (e *Env) dispatch() {
-	for e.err == nil && len(e.events) > 0 && e.events[0].at <= e.horizon {
-		ev := e.pop()
+	for e.err == nil && !e.q.empty() && e.q.min() <= e.horizon {
+		ev := e.q.pop()
 		e.advance(ev.at)
 		if ev.fn != nil {
 			ev.fn()
@@ -235,7 +178,7 @@ func (e *Env) Close() {
 		}
 	}
 	e.procs = nil
-	e.events = nil
+	e.q = eventQueue{}
 }
 
 // Spawn starts a new simulated process executing fn. The process begins at
@@ -299,8 +242,8 @@ func (p *Proc) Now() Time { return p.env.now }
 // park gives control back to the dispatch loop until some event wakes p.
 // The caller must have arranged a wake (a timer event or registration on a
 // queue/resource/signal waiter list) before parking. There is no case to
-// short-cut here: a wake p scheduled for itself is never the heap top when p
-// parks, because Wait's fast path takes every such case before it is pushed.
+// short-cut here: a wake p scheduled for itself is never the queue's next
+// event when p parks, because Wait's fast path takes every such case before it is pushed.
 // yield returns false once Close has stopped the coroutine, at this park or
 // at any later one reached from a deferred call while unwinding.
 func (p *Proc) park() {
@@ -314,7 +257,7 @@ func (p *Proc) park() {
 //
 // When the wake this Wait would schedule is provably the next event — no
 // queued event precedes it and it stays inside the horizon — the clock
-// advances directly: no heap push, no park, no switch. The schedule is
+// advances directly: no queued event, no park, no switch. The schedule is
 // bit-identical to the slow path because the skipped event would have been
 // popped immediately with nothing able to run in between.
 func (p *Proc) Wait(d Duration) {
@@ -332,7 +275,7 @@ func (p *Proc) startWait(d Duration) bool {
 	}
 	e := p.env
 	t := e.now.Add(d)
-	if e.cur == p && t <= e.horizon && (len(e.events) == 0 || e.events[0].at > t) {
+	if e.cur == p && t <= e.horizon && (e.q.empty() || e.q.min() > t) {
 		e.advance(t)
 		return true
 	}
@@ -360,8 +303,8 @@ func (e *Env) Resume(p *Proc) { e.scheduleWake(p, e.now) }
 // SetSampler installs a host-side observation hook: fn runs the first time
 // the clock reaches each multiple of tick. The hook is out of band — it is
 // invoked from the clock-advance path rather than from a scheduled event,
-// so installing it pushes nothing onto the heap, allocates no sequence
-// numbers and cannot change the event order or any simulated result. fn
+// so installing it queues no event and cannot change the event order or
+// any simulated result. fn
 // must only read simulation state (and write host-side records); it runs
 // mid-event, must not block and must not touch kernel primitives. A nil fn
 // removes the hook. tick must be positive.

@@ -9,8 +9,8 @@ import (
 // from several processes sharing one queue and checks the kernel's ordering
 // invariants:
 //
-//   - executed events observe a non-decreasing clock (the (time, seq) heap
-//     key is a total order, so time can never run backwards);
+//   - executed events observe a non-decreasing clock (nothing is queued
+//     before the last pop, so time can never run backwards);
 //   - queue contents follow exact FIFO/PutFront order against a model deque
 //     maintained in simulation order;
 //   - an Env.At callback runs at exactly the time it was scheduled for.

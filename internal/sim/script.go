@@ -14,7 +14,7 @@ package sim
 // busy-time stamps and acquire/wait accounting, the same Wait fast-path test
 // and the same re-check of a resource after a release woke the process (a
 // later arrival may have barged in). A coroutine switch touches no kernel
-// state, so every event gets the same sequence number either way and the pop
+// state, so every event is pushed in the same order either way and the pop
 // order, Executed and every simulated result are bit-identical; only
 // Switches falls.
 //
