@@ -1,7 +1,7 @@
 // Package columnar implements the FPGA-side columnar base store of
 // Figure 4: the durable, scan-friendly home of table data that the overlay
 // (§5.6) bulk-merges into and the enhanced scanner filters. Columns are
-// typed arrays in SG-DRAM address space; the store is append/replace
+// uint64 arrays in SG-DRAM address space; the store is append/replace
 // oriented — point reads and writes go through the overlay, not here.
 package columnar
 
@@ -14,41 +14,19 @@ import (
 	"bionicdb/internal/platform"
 )
 
-// ColumnKind is a column's physical type.
-type ColumnKind uint8
-
-// Column kinds.
-const (
-	KindUint64 ColumnKind = iota + 1
-	KindBytes
-)
-
-// Column is one typed column.
+// Column is one uint64 column: every projection's key and measures are
+// fixed-width integers.
 type Column struct {
 	Name string
-	Kind ColumnKind
 	U64  []uint64
-	Byt  [][]byte
 	addr uint64
 }
 
 // Addr returns the column's SG-DRAM base address.
 func (c *Column) Addr() uint64 { return c.addr }
 
-// Width returns the average encoded width of one value in bytes.
-func (c *Column) Width() int {
-	if c.Kind == KindUint64 {
-		return 8
-	}
-	if len(c.Byt) == 0 {
-		return 16
-	}
-	total := 0
-	for _, b := range c.Byt {
-		total += len(b) + 2
-	}
-	return total / len(c.Byt)
-}
+// Width returns the encoded width of one value in bytes.
+func (c *Column) Width() int { return 8 }
 
 // Table is a columnar table: parallel columns keyed by a dense row index,
 // plus a primary-key column for merge matching.
@@ -61,11 +39,11 @@ type Table struct {
 	pl     *platform.Platform
 }
 
-// NewTable creates an empty columnar table. The first column must be the
-// uint64 primary key.
+// NewTable creates an empty columnar table. The first column is the primary
+// key.
 func NewTable(pl *platform.Platform, name string, cols ...*Column) *Table {
-	if len(cols) == 0 || cols[0].Kind != KindUint64 {
-		panic("columnar: first column must be the uint64 primary key")
+	if len(cols) == 0 {
+		panic("columnar: a table needs its primary-key column")
 	}
 	t := &Table{Name: name, cols: cols, byName: make(map[string]*Column), keyIdx: make(map[uint64]int), pl: pl}
 	for _, c := range cols {
@@ -79,10 +57,7 @@ func NewTable(pl *platform.Platform, name string, cols ...*Column) *Table {
 }
 
 // U64Col declares a uint64 column.
-func U64Col(name string) *Column { return &Column{Name: name, Kind: KindUint64} }
-
-// BytesCol declares a variable-width column.
-func BytesCol(name string) *Column { return &Column{Name: name, Kind: KindBytes} }
+func U64Col(name string) *Column { return &Column{Name: name} }
 
 // Rows returns the number of rows.
 func (t *Table) Rows() int { return t.rows }
@@ -106,32 +81,23 @@ func (t *Table) RowWidth() int {
 // place, new rows appended. vals must match the schema minus the key.
 // Upsert is the overlay's bulk-merge entry point; it charges no simulated
 // time itself (the merge daemon charges device transfers for the batch).
-func (t *Table) Upsert(key uint64, vals ...any) {
+func (t *Table) Upsert(key uint64, vals ...uint64) {
+	if len(vals) != len(t.cols)-1 {
+		panic(fmt.Sprintf("columnar: %s: %d values for %d non-key columns", t.Name, len(vals), len(t.cols)-1))
+	}
 	pos, exists := t.keyIdx[key]
 	if !exists {
 		pos = t.rows
 		t.rows++
 		t.keyIdx[key] = pos
 		t.cols[0].U64 = append(t.cols[0].U64, key)
-		for _, c := range t.cols[1:] {
-			if c.Kind == KindUint64 {
-				c.U64 = append(c.U64, 0)
-			} else {
-				c.Byt = append(c.Byt, nil)
-			}
+		for i, c := range t.cols[1:] {
+			c.U64 = append(c.U64, vals[i])
 		}
-	}
-	if len(vals) != len(t.cols)-1 {
-		panic(fmt.Sprintf("columnar: %s: %d values for %d non-key columns", t.Name, len(vals), len(t.cols)-1))
+		return
 	}
 	for i, v := range vals {
-		c := t.cols[i+1]
-		switch c.Kind {
-		case KindUint64:
-			c.U64[pos] = v.(uint64)
-		case KindBytes:
-			c.Byt[pos] = v.([]byte)
-		}
+		t.cols[i+1].U64[pos] = v
 	}
 }
 
@@ -162,12 +128,7 @@ func (t *Table) ContentDigest() string {
 		pos := t.keyIdx[k]
 		w64(k)
 		for _, c := range t.cols[1:] {
-			if c.Kind == KindUint64 {
-				w64(c.U64[pos])
-			} else {
-				w64(uint64(len(c.Byt[pos])))
-				h.Write(c.Byt[pos])
-			}
+			w64(c.U64[pos])
 		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
@@ -175,6 +136,3 @@ func (t *Table) ContentDigest() string {
 
 // U64At reads a uint64 cell.
 func (t *Table) U64At(col string, pos int) uint64 { return t.byName[col].U64[pos] }
-
-// BytesAt reads a variable-width cell.
-func (t *Table) BytesAt(col string, pos int) []byte { return t.byName[col].Byt[pos] }

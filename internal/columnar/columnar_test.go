@@ -1,7 +1,6 @@
 package columnar
 
 import (
-	"bytes"
 	"testing"
 
 	"bionicdb/internal/platform"
@@ -11,23 +10,23 @@ import (
 func fixture() (*platform.Platform, *Table) {
 	env := sim.NewEnv()
 	pl := platform.New(env, platform.HC2())
-	t := NewTable(pl, "t", U64Col("id"), U64Col("qty"), BytesCol("name"))
+	t := NewTable(pl, "t", U64Col("id"), U64Col("qty"), U64Col("price"))
 	return pl, t
 }
 
 func TestUpsertAppendAndReplace(t *testing.T) {
 	_, tbl := fixture()
-	tbl.Upsert(1, uint64(10), []byte("a"))
-	tbl.Upsert(2, uint64(20), []byte("b"))
+	tbl.Upsert(1, 10, 100)
+	tbl.Upsert(2, 20, 200)
 	if tbl.Rows() != 2 {
 		t.Fatalf("rows=%d", tbl.Rows())
 	}
-	tbl.Upsert(1, uint64(99), []byte("z"))
+	tbl.Upsert(1, 99, 999)
 	if tbl.Rows() != 2 {
 		t.Fatalf("replace grew table: %d", tbl.Rows())
 	}
 	pos, ok := tbl.Get(1)
-	if !ok || tbl.U64At("qty", pos) != 99 || !bytes.Equal(tbl.BytesAt("name", pos), []byte("z")) {
+	if !ok || tbl.U64At("qty", pos) != 99 || tbl.U64At("price", pos) != 999 {
 		t.Fatal("replace did not land")
 	}
 	if _, ok := tbl.Get(42); ok {
@@ -49,14 +48,7 @@ func TestWidths(t *testing.T) {
 	if tbl.Column("id").Width() != 8 {
 		t.Fatal("u64 width")
 	}
-	if w := tbl.Column("name").Width(); w != 16 { // empty column default
-		t.Fatalf("empty bytes width %d", w)
-	}
-	tbl.Upsert(1, uint64(1), []byte("abcd"))
-	if w := tbl.Column("name").Width(); w != 6 {
-		t.Fatalf("bytes width %d", w)
-	}
-	if tbl.RowWidth() != 8+8+6 {
+	if tbl.RowWidth() != 3*8 {
 		t.Fatalf("row width %d", tbl.RowWidth())
 	}
 }
@@ -68,7 +60,7 @@ func TestBadUpsertArityPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tbl.Upsert(1, uint64(1)) // missing name column
+	tbl.Upsert(1, 1) // missing price column
 }
 
 func TestDuplicateColumnPanics(t *testing.T) {

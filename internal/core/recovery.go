@@ -346,15 +346,12 @@ func RecoverMeasured(p *sim.Proc, pl *platform.Platform, defs []TableDef, meta C
 			return
 		}
 		done := sim.NewSignal(p.Env())
-		remaining := len(logs)
+		done.Arm(len(logs))
 		for s := range logs {
 			s := s
 			p.Env().Spawn(fmt.Sprintf("recover-shard%d", s), func(ps *sim.Proc) {
 				fn(ps, s)
-				remaining--
-				if remaining == 0 {
-					done.Fire(nil)
-				}
+				done.Fire()
 			})
 		}
 		done.Await(p)

@@ -180,57 +180,45 @@ func (a *Action) ResetStamps() {
 	a.QueueWait, a.LockWait, a.ExecTime = 0, 0, 0
 }
 
-// RVP is a rendezvous point: the join of a fan-out of actions. The signal
-// fires when all arrivals are in; the value is true only if every action
-// voted to continue. A coordinator that runs one fan-out at a time keeps one
-// RVP and re-arms it with Reset.
+// RVP is a rendezvous point: the join of a fan-out of actions, a signal
+// armed with one completion per arrival. It completes when all arrivals are
+// in; ok stays true only if every action voted to continue. A coordinator
+// that runs one fan-out at a time keeps one RVP and re-arms it with Reset.
 type RVP struct {
-	remaining int
-	ok        bool
-	sig       sim.Signal
+	ok  bool
+	sig sim.Signal
 }
 
 // NewRVP creates a rendezvous expecting n arrivals.
 func NewRVP(env *sim.Env, n int) *RVP {
-	if n < 1 {
-		panic("dora: RVP needs at least one arrival")
-	}
-	return &RVP{remaining: n, ok: true, sig: *sim.NewSignal(env)}
+	r := &RVP{ok: true, sig: *sim.NewSignal(env)}
+	r.sig.Arm(n)
+	return r
 }
 
 // Reset re-arms the rendezvous for a new fan-out of n arrivals. Only the
 // coordinator that awaited it may call it; Reset panics while an arrival of
 // the previous fan-out is still outstanding.
 func (r *RVP) Reset(n int) {
-	if n < 1 {
-		panic("dora: RVP needs at least one arrival")
-	}
-	if r.remaining != 0 {
-		panic("dora: RVP reset before its last arrival")
-	}
 	r.sig.Reset()
-	r.remaining, r.ok = n, true
+	r.sig.Arm(n)
+	r.ok = true
 }
 
-// Arrive registers one arrival with its vote; the last arrival fires the
-// signal.
+// Arrive registers one arrival with its vote; the last arrival completes
+// the rendezvous, and one past it panics.
 func (r *RVP) Arrive(vote bool) {
-	if r.remaining <= 0 {
-		panic("dora: RVP over-arrived")
-	}
 	if !vote {
 		r.ok = false
 	}
-	r.remaining--
-	if r.remaining == 0 {
-		r.sig.Fire(r.ok)
-	}
+	r.sig.Fire()
 }
 
 // Await blocks until all arrivals are in and reports whether every action
 // voted to continue.
 func (r *RVP) Await(p *sim.Proc) bool {
-	return r.sig.Await(p).(bool)
+	r.sig.Await(p)
+	return r.ok
 }
 
 // Registry is the waits-for graph shared by a set of partitions. All
@@ -513,7 +501,7 @@ func (pt *Partition) startAction(a *Action) {
 			pt.dispatch(task, a)
 			pt.inflight--
 			if pt.slotFree != nil && !pt.slotFree.Fired() {
-				pt.slotFree.Fire(nil)
+				pt.slotFree.Fire()
 			}
 			pt.idle = append(pt.idle, c)
 			cp.Suspend()

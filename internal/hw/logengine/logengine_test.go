@@ -216,7 +216,7 @@ func TestEpochIsACut(t *testing.T) {
 					h := e.Append(task, &commit)
 					task.Flush()
 					done := sim.NewSignal(env)
-					done.OnFire(func(any) {
+					done.OnFire(func() {
 						commits++
 						if store.Len() < int(h) || int(e.Durable()) > store.Len() {
 							early++

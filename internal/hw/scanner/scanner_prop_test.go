@@ -44,7 +44,7 @@ func randomTable(pl *platform.Platform, r *sim.Rand, name string) *columnar.Tabl
 		cols = append(cols, columnar.U64Col(fmt.Sprintf("c%d", c)))
 	}
 	tbl := columnar.NewTable(pl, name, cols...)
-	vals := make([]any, ncols)
+	vals := make([]uint64, ncols)
 	for i := 0; i < rows; i++ {
 		for c := range vals {
 			vals[c] = r.Uint64() % 1000

@@ -14,9 +14,9 @@ func fixture(rows int) (*sim.Env, *platform.Platform, *Engine, *columnar.Table) 
 	pl := platform.New(env, platform.HC2())
 	e := New(pl, DefaultConfig())
 	tbl := columnar.NewTable(pl, "stock",
-		columnar.U64Col("id"), columnar.U64Col("qty"), columnar.BytesCol("name"))
+		columnar.U64Col("id"), columnar.U64Col("qty"), columnar.U64Col("supplier"))
 	for i := 0; i < rows; i++ {
-		tbl.Upsert(uint64(i), uint64(i%100), []byte("item"))
+		tbl.Upsert(uint64(i), uint64(i%100), uint64(i%7))
 	}
 	return env, pl, e, tbl
 }
@@ -108,18 +108,18 @@ func TestNilPredicateScansAll(t *testing.T) {
 
 func TestColumnarUpsertReplaces(t *testing.T) {
 	_, _, _, tbl := fixture(10)
-	tbl.Upsert(3, uint64(999), []byte("replaced"))
+	tbl.Upsert(3, 999, 42)
 	pos, ok := tbl.Get(3)
 	if !ok {
 		t.Fatal("key 3 missing")
 	}
-	if tbl.U64At("qty", pos) != 999 || string(tbl.BytesAt("name", pos)) != "replaced" {
+	if tbl.U64At("qty", pos) != 999 || tbl.U64At("supplier", pos) != 42 {
 		t.Fatal("upsert did not replace in place")
 	}
 	if tbl.Rows() != 10 {
 		t.Fatalf("rows=%d after replace", tbl.Rows())
 	}
-	tbl.Upsert(100, uint64(1), []byte("new"))
+	tbl.Upsert(100, 1, 1)
 	if tbl.Rows() != 11 {
 		t.Fatalf("rows=%d after append", tbl.Rows())
 	}
@@ -130,10 +130,10 @@ func TestColumnarSchemaValidation(t *testing.T) {
 	pl := platform.New(env, platform.HC2())
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for non-u64 key column")
+			t.Fatal("expected panic for a table without a key column")
 		}
 	}()
-	columnar.NewTable(pl, "bad", columnar.BytesCol("key"))
+	columnar.NewTable(pl, "bad")
 }
 
 func TestColumnarWidths(t *testing.T) {
@@ -141,10 +141,7 @@ func TestColumnarWidths(t *testing.T) {
 	if w := tbl.Column("id").Width(); w != 8 {
 		t.Errorf("u64 width %d", w)
 	}
-	if w := tbl.Column("name").Width(); w != len("item")+2 {
-		t.Errorf("bytes width %d", w)
-	}
-	if tbl.RowWidth() < 16 {
+	if tbl.RowWidth() != 3*8 {
 		t.Errorf("row width %d", tbl.RowWidth())
 	}
 }

@@ -461,7 +461,7 @@ func (m *Manager) promote(ls *lockState) {
 		}
 		ls.queue = dequeue(ls.queue, 0)
 		m.grant(ls, w.txn, w.mode, w.upgrade)
-		w.sig.Fire(nil)
+		w.sig.Fire()
 	}
 }
 

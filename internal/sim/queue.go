@@ -14,23 +14,14 @@ package sim
 type Queue[T any] struct {
 	env      *Env
 	name     string
-	capacity int       // 0 = unbounded
-	buf      []slot[T] // ring; len is 0 or a power of two
-	head     int       // index of the oldest item
-	n        int       // live items
+	capacity int // 0 = unbounded
+	buf      []T // ring; len is 0 or a power of two
+	head     int // index of the oldest item
+	n        int // live items
 	getters  waitRing
 	putters  waitRing
 	closed   bool
-
-	puts    int64
-	maxLen  int
-	sumWait Duration // total residence time of dequeued items
-}
-
-// slot pairs an item with its enqueue timestamp for residence accounting.
-type slot[T any] struct {
-	v     T
-	stamp Time
+	puts     int64
 }
 
 // NewQueue returns a queue with the given capacity; capacity 0 is unbounded.
@@ -41,14 +32,8 @@ func NewQueue[T any](env *Env, name string, capacity int) *Queue[T] {
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.n }
 
-// MaxLen reports the high-water mark of the queue length.
-func (q *Queue[T]) MaxLen() int { return q.maxLen }
-
 // Puts reports the number of items ever enqueued.
 func (q *Queue[T]) Puts() int64 { return q.puts }
-
-// ResidenceTime reports the cumulative time dequeued items spent queued.
-func (q *Queue[T]) ResidenceTime() Duration { return q.sumWait }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
@@ -61,9 +46,6 @@ func (q *Queue[T]) grow() {
 
 func (q *Queue[T]) bumpStats() {
 	q.puts++
-	if q.n > q.maxLen {
-		q.maxLen = q.n
-	}
 	if w := q.getters.pop(); w != nil {
 		q.env.scheduleWake(w, q.env.now)
 	}
@@ -85,18 +67,6 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 	q.enqueue(v)
 }
 
-// TryPut enqueues v only if the queue has room right now.
-func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed {
-		panic("sim: put on closed queue " + q.name)
-	}
-	if q.capacity > 0 && q.n >= q.capacity {
-		return false
-	}
-	q.enqueue(v)
-	return true
-}
-
 // PutFront enqueues v at the head of the queue, ahead of waiting items —
 // for priority messages (lock releases, completions) that must not convoy
 // behind a backlog. It never blocks.
@@ -108,7 +78,7 @@ func (q *Queue[T]) PutFront(v T) {
 		q.grow()
 	}
 	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = slot[T]{v: v, stamp: q.env.now}
+	q.buf[q.head] = v
 	q.n++
 	q.bumpStats()
 }
@@ -117,7 +87,7 @@ func (q *Queue[T]) enqueue(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = slot[T]{v: v, stamp: q.env.now}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 	q.bumpStats()
 }
@@ -146,15 +116,15 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 }
 
 func (q *Queue[T]) dequeue() T {
-	s := q.buf[q.head]
-	q.buf[q.head] = slot[T]{} // release the item reference
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero // release the item reference
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	q.sumWait += q.env.now.Sub(s.stamp)
 	if w := q.putters.pop(); w != nil {
 		q.env.scheduleWake(w, q.env.now)
 	}
-	return s.v
+	return v
 }
 
 // Close marks the queue closed and wakes every blocked getter; they drain
@@ -169,8 +139,10 @@ func (q *Queue[T]) Close() {
 	}
 }
 
-// Signal is a one-shot completion event carrying a value: the handshake for
-// asynchronous hardware requests. Await blocks until Fire; once fired,
+// Signal is a one-shot completion event: the handshake for asynchronous
+// hardware requests, and — armed with a count — the join of several
+// completions into one (a rendezvous point's arrivals, a commit's per-shard
+// durable points). Await blocks until the signal completes; once it has,
 // Await returns immediately. Multiple processes may await one signal.
 //
 // The first waiter is held inline (nearly every signal has exactly one), so
@@ -180,27 +152,47 @@ func (q *Queue[T]) Close() {
 type Signal struct {
 	env     *Env
 	fired   bool
-	val     any
+	left    int     // Fires still owed by Arm; 0 when unarmed (one Fire completes)
 	first   *Proc   // the first waiter
 	waiters []*Proc // later waiters, in arrival order
 	woken   int     // waiters Fire woke that have not yet returned from Await
-	onFire  []func(any)
+	onFire  []func()
 }
 
-// NewSignal returns an unfired signal.
+// NewSignal returns an unfired signal that one Fire completes.
 func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
-// Fire completes the signal with value v, runs OnFire callbacks, and wakes
-// all waiters in arrival order. Firing an already-fired signal panics:
-// completions must be delivered exactly once.
-func (s *Signal) Fire(v any) {
+// Arm makes the signal a join of n completions: the n-th Fire completes it
+// and every earlier one only counts. Arm panics for n < 1, on a fired
+// signal and on one already armed; Reset disarms.
+func (s *Signal) Arm(n int) {
+	switch {
+	case n < 1:
+		panic("sim: signal armed with fewer than one completion")
+	case s.fired:
+		panic("sim: arm of a fired signal")
+	case s.left != 0:
+		panic("sim: signal armed twice")
+	}
+	s.left = n
+}
+
+// Fire delivers one completion. The one that completes the signal (the
+// only one, unless Arm asked for more) runs OnFire callbacks and wakes all
+// waiters in arrival order. Firing a completed signal panics: completions
+// must be delivered exactly once.
+func (s *Signal) Fire() {
 	if s.fired {
 		panic("sim: signal fired twice")
 	}
+	if s.left > 1 {
+		s.left--
+		return
+	}
+	s.left = 0
 	s.fired = true
-	s.val = v
 	for i, fn := range s.onFire {
-		fn(v)
+		fn()
 		s.onFire[i] = nil
 	}
 	s.onFire = s.onFire[:0]
@@ -217,12 +209,12 @@ func (s *Signal) Fire(v any) {
 	s.waiters = s.waiters[:0]
 }
 
-// Reset re-arms a fired signal for another Fire, keeping the storage of its
-// waiter and callback lists. Only the signal's owner
-// may call it, and only once nothing else can still be looking at the old
-// completion: Reset panics on a signal that has not fired (a waiter or an
-// OnFire callback may be pending on it) and on one whose woken waiters have
-// not all returned from Await.
+// Reset re-arms a fired signal for another single Fire, keeping the storage
+// of its waiter and callback lists. Only the signal's owner may call it,
+// and only once nothing else can still be looking at the old completion:
+// Reset panics on a signal that has not completed (a waiter, an OnFire
+// callback or an armed completion may be pending on it) and on one whose
+// woken waiters have not all returned from Await.
 func (s *Signal) Reset() {
 	if !s.fired {
 		panic("sim: reset of a signal that has not fired")
@@ -231,17 +223,17 @@ func (s *Signal) Reset() {
 		panic("sim: reset of a signal whose waiters have not all resumed")
 	}
 	s.fired = false
-	s.val = nil
 }
 
 // OnFire registers fn to run synchronously, in registration order, when the
-// signal fires (before waiters wake). If the signal already fired, fn runs
-// immediately. Callbacks must not block; they exist so completion fan-in
-// (e.g. joining several sub-completions into one) needs no extra process —
-// and with it no extra event — per join.
-func (s *Signal) OnFire(fn func(any)) {
+// signal completes (before waiters wake). If the signal already completed,
+// fn runs immediately. Callbacks must not block; they exist so a completion
+// can start the next step of a chain (a replicated commit's ack wait once
+// its local durable point holds) with no extra process — and with it no
+// extra event.
+func (s *Signal) OnFire(fn func()) {
 	if s.fired {
-		fn(s.val)
+		fn()
 		return
 	}
 	s.onFire = append(s.onFire, fn)
@@ -250,11 +242,8 @@ func (s *Signal) OnFire(fn func(any)) {
 // Fired reports whether the signal has completed.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Value returns the fired value (nil before Fire).
-func (s *Signal) Value() any { return s.val }
-
-// Await blocks until the signal fires and returns its value.
-func (s *Signal) Await(p *Proc) any {
+// Await blocks until the signal completes.
+func (s *Signal) Await(p *Proc) {
 	if !s.fired {
 		if s.first == nil {
 			s.first = p
@@ -264,5 +253,4 @@ func (s *Signal) Await(p *Proc) any {
 		p.park()
 		s.woken--
 	}
-	return s.val
 }

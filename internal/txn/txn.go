@@ -50,9 +50,9 @@ type UndoRec struct {
 
 // Txn is one transaction. A client that runs one transaction at a time may
 // keep one Txn and start each transaction in it with Manager.BeginIn, which
-// keeps the storage of Undo and Shards; the next commit re-arms the previous
-// one's durability join, so its commit signal must have fired and been
-// awaited by then.
+// keeps the storage of Undo and Shards; on a replicated machine the next
+// commit re-arms the previous one's durability join, so its commit signal
+// must have fired by then.
 type Txn struct {
 	ID      uint64
 	State   State
@@ -65,7 +65,7 @@ type Txn struct {
 	Shards []wal.ShardLSN
 
 	vec     []byte           // the commit record's encoded shard vector, reused
-	durable *wal.DurableJoin // joins a commit's per-shard completions, reused
+	durable *wal.DurableJoin // a replicated commit's two-step wait, reused; nil unreplicated
 }
 
 // dropUndo empties the undo list, releasing the key and image references
@@ -231,7 +231,8 @@ func (m *Manager) Commit(t *platform.Task, tx *Txn) *sim.Signal {
 	return done
 }
 
-// CommitTo is Commit firing an unfired signal the caller owns.
+// CommitTo is Commit firing a signal the caller owns, new or Reset: the
+// commit arms it with one completion per shard in the vector.
 func (m *Manager) CommitTo(t *platform.Task, tx *Txn, done *sim.Signal) {
 	m.mustBeActive(tx)
 	m.commits++

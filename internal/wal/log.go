@@ -164,9 +164,10 @@ type Appender interface {
 	// byte offset just past the record; the hardware engine returns its
 	// record handle, the same offset).
 	Append(t *platform.Task, rec *Record) LSN
-	// CommitDurable registers done to fire once lsn is durable. The
-	// caller decides whether to block on it (synchronous commit) or move
-	// on (the DORA flusher-notifies-client pattern).
+	// CommitDurable registers done to fire once lsn is durable: one Fire,
+	// so a signal armed across several shards counts this one. The caller
+	// decides whether to block on it (synchronous commit) or move on (the
+	// DORA flusher-notifies-client pattern).
 	CommitDurable(lsn LSN, done *sim.Signal)
 	// Durable reports the current durable horizon.
 	Durable() LSN
@@ -200,7 +201,7 @@ func (h *Horizon) Durable() LSN { return h.at }
 // otherwise from the Advance that gets there.
 func (h *Horizon) Wait(lsn LSN, done *sim.Signal) {
 	if lsn <= h.at {
-		done.Fire(nil)
+		done.Fire()
 		return
 	}
 	h.waiters = append(h.waiters, horizonWaiter{lsn: lsn, done: done})
@@ -217,7 +218,7 @@ func (h *Horizon) Advance(to LSN) {
 	kept := h.waiters[:0]
 	for _, w := range h.waiters {
 		if w.lsn <= to {
-			w.done.Fire(nil)
+			w.done.Fire()
 		} else {
 			kept = append(kept, w)
 		}

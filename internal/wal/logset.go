@@ -123,159 +123,86 @@ func (ls *LogSet) AttachReplication(rs *ReplicaSet) { ls.repl = rs }
 func (ls *LogSet) Replication() *ReplicaSet { return ls.repl }
 
 // CommitDurableIn fires done once every entry of vec is durable on its shard
-// — the vector durable point — joining the per-shard completions in j, which
-// it re-arms first. It returns the join to pass to the owner's next commit:
-// j, or a new one when j is nil and this commit needs one, so a caller whose
-// commits never do keeps none (a caller with no join passes nil). A
-// single-entry vector waits on its shard's durable point directly; a
-// multi-entry vector joins the per-shard completions with no extra
-// processes or events.
+// — the vector durable point. done is armed with one completion per entry
+// and registered directly on each shard's durable point, so the last shard
+// to get there completes it with no extra processes or events.
 //
 // With replication attached under a waiting mode (sync/quorum), the vector
-// durable point extends across machines: once it holds locally, the join
+// durable point extends across machines: once it holds locally, the commit
 // waits the same way for every entry on its shard's replicated point (the
 // LSN enough replicas have acknowledged, ReplicaSet) and only then fires
-// done. Async mode (and no replication) keeps the local-only wait.
+// done. That two-step wait runs through j, which it re-arms first; it
+// returns the join to pass to the owner's next commit: j, or a new one when
+// j is nil. Async mode (and no replication) keeps the local-only wait and
+// no join: it returns j untouched, nil for a caller that passed none.
 func (ls *LogSet) CommitDurableIn(j *DurableJoin, vec []ShardLSN, done *sim.Signal) *DurableJoin {
-	replicated := ls.repl != nil && ls.repl.need > 0
-	if j == nil {
-		if !replicated && len(vec) < 2 {
-			ls.waitVec(nil, vec, done, false)
-			return nil
-		}
-		j = &DurableJoin{}
-	}
-	j.rearm()
-	if !replicated {
-		ls.waitVec(&j.local, vec, done, false)
+	if ls.repl == nil || ls.repl.need == 0 {
+		ls.waitVec(vec, done, false)
 		return j
 	}
-	if j.repl == nil {
-		j.repl = &replJoin{ls: ls, durable: sim.NewSignal(ls.pl.Env)}
-		j.repl.onDurable = j.repl.durableHere
+	if j == nil {
+		j = &DurableJoin{ls: ls, durable: sim.NewSignal(ls.pl.Env)}
+		j.onDurable = j.durableHere
+	} else {
+		j.durable.Reset()
 	}
-	r := j.repl
-	r.vec, r.done = vec, done
-	r.durable.OnFire(r.onDurable)
-	ls.waitVec(&j.local, vec, r.durable, false)
+	j.vec, j.done = vec, done
+	j.durable.OnFire(j.onDurable)
+	ls.waitVec(vec, j.durable, false)
 	return j
 }
 
 // waitVec fires target once every entry of vec has reached its shard's
-// durable point, or with acks its shard's replicated point. f joins a
-// multi-entry vector; it may be nil for a shorter one.
-func (ls *LogSet) waitVec(f *fanIn, vec []ShardLSN, target *sim.Signal, acks bool) {
-	switch len(vec) {
-	case 0:
-		target.Fire(nil) // nothing was logged; durable by definition
-		return
-	case 1:
-		ls.wait(vec[0], target, acks)
+// durable point, or with acks its shard's replicated point: target is armed
+// with one completion per entry.
+func (ls *LogSet) waitVec(vec []ShardLSN, target *sim.Signal, acks bool) {
+	if len(vec) == 0 {
+		target.Fire() // nothing was logged; durable by definition
 		return
 	}
-	if f.arrive == nil {
-		f.arrive = f.arrived
-	}
-	f.target, f.left = target, len(vec)
-	for i, e := range vec {
-		if i == len(f.subs) {
-			f.subs = append(f.subs, sim.NewSignal(ls.pl.Env))
+	target.Arm(len(vec))
+	for _, e := range vec {
+		if acks {
+			ls.repl.points[e.Shard].Wait(e.LSN, target)
+		} else {
+			ls.shards[e.Shard].App.CommitDurable(e.LSN, target)
 		}
-		f.armed = i + 1
-		f.subs[i].OnFire(f.arrive)
-		ls.wait(e, f.subs[i], acks)
 	}
 }
 
-// wait fires done once e is durable on its shard, or with acks once enough
-// replicas have acknowledged it.
-func (ls *LogSet) wait(e ShardLSN, done *sim.Signal, acks bool) {
-	if acks {
-		ls.repl.points[e.Shard].Wait(e.LSN, done)
-		return
-	}
-	ls.shards[e.Shard].App.CommitDurable(e.LSN, done)
-}
-
-// DurableJoin joins one commit's per-shard completions into its commit
-// signal. An owner that commits one transaction at a time keeps the join its
-// first cross-shard or replicated commit got back from CommitDurableIn
-// (txn.Txn does) and passes it to every later one, which re-arms it, so a
-// commit builds no signal or closure per shard. The previous commit's signal
-// must have fired, and its Await returned, before the next commit re-arms
-// the join: its Reset of a sub-signal panics otherwise. The join must not be
-// re-armed from inside a sub-signal's callback, where the firing signal's
-// Fire has not yet finished with its callback list.
+// DurableJoin is a replicated commit's two-step wait: the commit's local
+// vector durable point fires durable, whose callback starts the wait over
+// the shards' replicated points, which fires the commit signal done. An
+// owner that commits one transaction at a time keeps the join its first
+// replicated commit got back from CommitDurableIn (txn.Txn does) and passes
+// it to every later one, which re-arms it, so a commit builds no signal or
+// closure. The previous commit's signal must have fired before the next
+// commit re-arms the join: its Reset of durable panics otherwise.
 type DurableJoin struct {
-	local fanIn     // over the shards' local durable points
-	repl  *replJoin // built by the join's first replicated commit
-}
-
-// replJoin is a replicated DurableJoin's second wait: the local fan-in fires
-// durable, whose callback starts acks over the shards' replicated points,
-// which fires the commit signal done.
-type replJoin struct {
 	ls        *LogSet
-	acks      fanIn
 	durable   *sim.Signal
-	onDurable func(any) // durableHere, bound once
+	onDurable func() // durableHere, bound once
 	vec       []ShardLSN
 	done      *sim.Signal
-	start     sim.Time  // when the ack wait began, traced only
-	onAcked   func(any) // acked, bound once traced
-}
-
-// fanIn fires target once left sub-signals have fired: one sub-signal per
-// vector entry, kept across commits, and a callback bound on first use.
-type fanIn struct {
-	subs   []*sim.Signal
-	armed  int // subs the last commit registered on
-	left   int // entries not yet reached
-	target *sim.Signal
-	arrive func(any) // arrived, bound once
-}
-
-func (f *fanIn) arrived(any) {
-	f.left--
-	if f.left == 0 {
-		f.target.Fire(nil)
-	}
-}
-
-// rearm resets the sub-signals the previous commit used.
-func (f *fanIn) rearm() {
-	for _, sub := range f.subs[:f.armed] {
-		sub.Reset()
-	}
-	f.armed = 0
-}
-
-// rearm resets the signals the previous commit used. A join with a
-// replicated half commits only on a replicated machine, so every commit
-// armed its durable signal.
-func (j *DurableJoin) rearm() {
-	j.local.rearm()
-	if j.repl != nil {
-		j.repl.acks.rearm()
-		j.repl.durable.Reset()
-	}
+	start     sim.Time // when the ack wait began, traced only
+	onAcked   func()   // acked, bound once traced
 }
 
 // durableHere starts the replica-ack wait once vec is durable locally.
 // Traced, it hooks done to record the wait; the hook runs inline as done
 // fires, so it adds no event and cannot change the schedule.
-func (r *replJoin) durableHere(any) {
-	if rs := r.ls.repl; rs.obsRec != nil || rs.obsAn != nil {
-		if r.onAcked == nil {
-			r.onAcked = r.acked
+func (j *DurableJoin) durableHere() {
+	if rs := j.ls.repl; rs.obsRec != nil || rs.obsAn != nil {
+		if j.onAcked == nil {
+			j.onAcked = j.acked
 		}
-		r.start = r.ls.pl.Env.Now()
-		r.done.OnFire(r.onAcked)
+		j.start = j.ls.pl.Env.Now()
+		j.done.OnFire(j.onAcked)
 	}
-	r.ls.waitVec(&r.acks, r.vec, r.done, true)
+	j.ls.waitVec(j.vec, j.done, true)
 }
 
-func (r *replJoin) acked(any) { r.ls.repl.recordAckWait(r.start) }
+func (j *DurableJoin) acked() { j.ls.repl.recordAckWait(j.start) }
 
 // Datas returns every shard's durable byte stream, shard-indexed — the
 // crash image recovery replays. Shard i's image starts at its store's kept

@@ -131,13 +131,14 @@ func TestLogSetVectorDurablePoint(t *testing.T) {
 	}
 }
 
-// TestCommitDurableInReusesTheJoin commits two-shard vectors through one
-// DurableJoin, awaiting each commit signal before the next commit as a
-// transaction's owner does: once the join has its sub-signals, a cross-shard
-// commit allocates nothing. Replicated under sync with the flight recorder's
-// anatomy attached, the join waits for both replicas' acks on both shards
-// through its second set of sub-signals and records the wait, and still
-// allocates nothing.
+// TestCommitDurableInReusesTheJoin commits two-shard vectors, awaiting each
+// commit signal before the next commit as a transaction's owner does.
+// Unreplicated, the commit signal is armed per shard and registered on both
+// shards' durable points: CommitDurableIn hands back no join, and a
+// cross-shard commit allocates nothing. Replicated under sync with the
+// flight recorder's anatomy attached, the commit goes through one reused
+// DurableJoin, which waits for both replicas' acks on both shards and
+// records the wait, and still allocates nothing.
 func TestCommitDurableInReusesTheJoin(t *testing.T) {
 	for _, replicated := range []bool{false, true} {
 		name := "local"
@@ -170,6 +171,9 @@ func TestCommitDurableInReusesTheJoin(t *testing.T) {
 					vec[1] = ShardLSN{Shard: 1, LSN: ls.Append(t1, 1, &rec)}
 					t1.Flush()
 					j = ls.CommitDurableIn(j, vec, done)
+					if !replicated && j != nil {
+						t.Error("an unreplicated commit kept a join")
+					}
 					done.Await(p)
 					if ls.Durable(0) < vec[0].LSN || ls.Durable(1) < vec[1].LSN {
 						t.Error("commit signal fired before both shards were durable")
@@ -241,27 +245,27 @@ func TestSignalOnFireJoin(t *testing.T) {
 	for i := range subs {
 		i := i
 		subs[i] = sim.NewSignal(env)
-		subs[i].OnFire(func(any) {
+		subs[i].OnFire(func() {
 			fired = append(fired, fmt.Sprintf("sub%d", i))
 			remaining--
 			if remaining == 0 {
-				done.Fire(nil)
+				done.Fire()
 			}
 		})
 	}
 	env.Spawn("w", func(p *sim.Proc) {
-		subs[2].Fire(nil)
-		subs[0].Fire(nil)
+		subs[2].Fire()
+		subs[0].Fire()
 		if done.Fired() {
 			t.Error("join fired early")
 		}
-		subs[1].Fire(nil)
+		subs[1].Fire()
 		if !done.Fired() {
 			t.Error("join did not fire on last arrival")
 		}
 		// OnFire on an already-fired signal runs immediately.
 		ran := false
-		subs[0].OnFire(func(any) { ran = true })
+		subs[0].OnFire(func() { ran = true })
 		if !ran {
 			t.Error("OnFire on fired signal did not run")
 		}

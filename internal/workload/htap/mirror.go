@@ -29,7 +29,7 @@ type overlayEngine interface {
 type projTable struct {
 	spec ProjSpec
 	col  *columnar.Table
-	vals []any // Upsert scratch, reused across rows
+	vals []uint64 // Upsert scratch, reused across rows
 }
 
 // apply upserts one row image into the projection and returns the projected
@@ -52,7 +52,7 @@ func newProjTable(pl *platform.Platform, spec ProjSpec) *projTable {
 	return &projTable{
 		spec: spec,
 		col:  columnar.NewTable(pl, spec.Name, cols...),
-		vals: make([]any, len(spec.Cols)),
+		vals: make([]uint64, len(spec.Cols)),
 	}
 }
 
