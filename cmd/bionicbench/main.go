@@ -128,8 +128,18 @@ func main() {
 	if *quick {
 		applyQuick()
 	}
-	if err := checkFlags(); err != nil {
+	var run []experiment
+	for _, e := range experiments {
+		if *all || e.flag == fmt.Sprintf("fig %d", *figFlag) || selected[e.flag] != nil && *selected[e.flag] {
+			run = append(run, e)
+		}
+	}
+	if err := checkFlags(run); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if len(run) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -149,17 +159,8 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	ran := false
-	for _, e := range experiments {
-		if *all || e.flag == fmt.Sprintf("fig %d", *figFlag) || selected[e.flag] != nil && *selected[e.flag] {
-			e.run()
-			ran = true
-		}
-	}
-	if !ran {
-		pprof.StopCPUProfile()
-		flag.Usage()
-		os.Exit(2)
+	for _, e := range run {
+		e.run()
 	}
 	var events, switches uint64
 	var wall time.Duration
@@ -223,8 +224,10 @@ func applyQuick() {
 
 // checkFlags rejects, before any run starts, sizes no run can use: a
 // non-positive scale, terminal count, window, seed count or socket count,
-// or a negative warmup.
-func checkFlags() error {
+// or a negative warmup. It also rejects -seeds above 1 unless run, the
+// experiments selected, is -sweep alone: no other experiment reads it, and
+// a flag silently ignored reads as a result over several seeds.
+func checkFlags(run []experiment) error {
 	for _, f := range []struct {
 		name string
 		v    int
@@ -236,6 +239,11 @@ func checkFlags() error {
 	} {
 		if f.v < f.min {
 			return fmt.Errorf("-%s %d: must be at least %d", f.name, f.v, f.min)
+		}
+	}
+	for _, e := range run {
+		if e.flag != "sweep" && *seeds > 1 {
+			return fmt.Errorf("-seeds %d: only -sweep runs more than one seed, and -%s runs one (-seed)", *seeds, e.flag)
 		}
 	}
 	return nil

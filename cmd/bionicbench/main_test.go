@@ -41,20 +41,53 @@ func TestCheckFlags(t *testing.T) {
 		for _, v := range []int{c.min - 1, -20} {
 			resetFlags(t)
 			*c.p = v
-			err := checkFlags()
+			err := checkFlags(nil)
 			if err == nil || !strings.Contains(err.Error(), "-"+c.name+" "+strconv.Itoa(v)) {
-				t.Errorf("-%s %d: checkFlags() = %v, want an error naming the flag", c.name, v, err)
+				t.Errorf("-%s %d: checkFlags(nil) = %v, want an error naming the flag", c.name, v, err)
 			}
 		}
 		resetFlags(t)
 		*c.p = c.min
-		if err := checkFlags(); err != nil {
+		if err := checkFlags(nil); err != nil {
 			t.Errorf("-%s %d: %v", c.name, c.min, err)
 		}
 	}
 	resetFlags(t)
-	if err := checkFlags(); err != nil {
+	if err := checkFlags(nil); err != nil {
 		t.Errorf("defaults: %v", err)
+	}
+}
+
+// TestSeedsOnlyWithSweep: -seeds above 1 is refused, naming the flag and the
+// experiment, with any experiment selected but -sweep, which alone reads it.
+func TestSeedsOnlyWithSweep(t *testing.T) {
+	defer resetFlags(t)
+	*seeds = 2
+	var sweep experiment
+	for _, e := range experiments {
+		if e.flag == "sweep" {
+			sweep = e
+		}
+	}
+	if sweep.flag == "" {
+		t.Fatal("no sweep experiment")
+	}
+	for _, e := range experiments {
+		if e.flag == "sweep" {
+			continue
+		}
+		for _, run := range [][]experiment{{e}, {sweep, e}} {
+			if err := checkFlags(run); err == nil || !strings.Contains(err.Error(), "-seeds 2") || !strings.Contains(err.Error(), "-"+e.flag) {
+				t.Errorf("-seeds 2 with -%s: checkFlags = %v, want an error naming -seeds and -%s", e.flag, err, e.flag)
+			}
+		}
+	}
+	if err := checkFlags([]experiment{sweep}); err != nil {
+		t.Errorf("-seeds 2 -sweep: %v", err)
+	}
+	*seeds = 1
+	if err := checkFlags(experiments); err != nil {
+		t.Errorf("-seeds 1 -all: %v", err)
 	}
 }
 

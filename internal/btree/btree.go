@@ -139,6 +139,17 @@ type Tree struct {
 	chunks [][]byte
 	slab   []byte // the chunk clone is filling; len is the used part
 	slabAt uint32 // slab's chunk number
+
+	// With a reclaimer (SetReclaimer), the rows Put replaces and Delete
+	// removes are retired, oldest first from retired[reaped:], and then free
+	// for a later row of their length; carved has a bit set for each chunk
+	// clone carved, the only chunks whose rows are retired. Checkpoint drops
+	// all of it with the chunk table it describes.
+	rc      *Reclaimer
+	carved  []uint64
+	retired []retiredRow
+	reaped  int
+	free    map[int][]ref
 }
 
 // slabChunk is the size of one chunk of a tree's slab: a few dozen of the
@@ -168,9 +179,11 @@ func (t *Tree) val(r ref) []byte {
 
 // clone copies b into the tree's slab, behind its length prefix, and
 // returns its ref: a u16 prefix, or a u32 one with the wide bit for b over
-// maxKeyLen bytes. A chunk is never reused: the chunk table keeps it until a
-// Checkpoint binds every key and row into the images, and stored bytes are
-// immutable.
+// maxKeyLen bytes. The chunk table keeps every chunk until a Checkpoint binds
+// every key and row into the images. Stored keys are never written again;
+// a stored row is written again only when a tree with a reclaimer reuses
+// its bytes for a later row of the same length (cloneRow), after no attempt
+// can read it any more.
 func (t *Tree) clone(b []byte) ref {
 	prefix := 2
 	if len(b) > maxKeyLen {
@@ -184,6 +197,7 @@ func (t *Tree) clone(b []byte) ref {
 		t.slab = make([]byte, 0, max(slabChunk, need))
 		t.slabAt = uint32(len(t.chunks))
 		t.chunks = append(t.chunks, t.slab[:cap(t.slab)])
+		t.carve(t.slabAt)
 	}
 	r := ref{chunk: t.slabAt, off: uint32(len(t.slab))}
 	if prefix == 2 {
@@ -325,11 +339,13 @@ func (t *Tree) Get(key []byte, tr *Trace) (val []byte, ok bool) {
 // Put inserts or replaces key's value and returns the previous value, if
 // any. The tree owns its keys and rows: val is copied into the tree's slab,
 // and so is a key it does not hold yet (a replace keeps the stored key), so
-// the caller may reuse or overwrite the bytes of both once Put returns. The
-// stored bytes are never written again: a replace stores the new row beside
-// the old one, so prev, and any view of the old row a caller holds, keeps
-// its bytes. Every value the tree hands out is a view whose capacity is its
-// length.
+// the caller may reuse or overwrite the bytes of both once Put returns. A
+// replace stores the new row beside the old one, so prev, and any view of
+// the old row a caller holds, keeps its bytes: for good in a tree without a
+// reclaimer, and until the attempts open when the row was replaced have
+// ended in a tree with one, which then reuses the old row's bytes for a
+// later row of the same length (Reclaimer). Every value the tree hands out
+// is a view whose capacity is its length.
 //
 // An untraced Put whose key is at or above the first key of the rightmost
 // leaf, and which cannot split that leaf, stores there without a descent:
@@ -341,7 +357,7 @@ func (t *Tree) Get(key []byte, tr *Trace) (val []byte, ok bool) {
 // what the engines charge; PutAt keeps it too, because recovery replays in
 // log order, not key order.
 func (t *Tree) Put(key, val []byte, tr *Trace) (prev []byte, existed bool) {
-	v := t.clone(val)
+	v := t.cloneRow(val)
 	if tr == nil {
 		if prev, existed, ok := t.putRightmost(key, v); ok {
 			return prev, existed
@@ -371,6 +387,7 @@ func (t *Tree) putRightmost(key []byte, v ref) (prev []byte, existed, ok bool) {
 		var found bool
 		if idx, found, _ = t.leafIdx(n, key); found {
 			prev = t.val(n.vals[idx])
+			t.retire(n.vals[idx])
 			n.vals[idx] = v
 			return prev, true, true
 		}
@@ -419,6 +436,7 @@ func (t *Tree) insert(n *node, key []byte, v ref, tr *Trace) (prev []byte, exist
 		t.visit(tr, n, cmps)
 		if found {
 			prev = t.val(n.vals[idx])
+			t.retire(n.vals[idx])
 			n.vals[idx] = v
 			return prev, true, ref{}, nil
 		}
@@ -469,7 +487,8 @@ func (t *Tree) splitInner(n *node, tr *Trace) (ref, *node) {
 	return pivot, r
 }
 
-// Delete removes key and returns its value, if present.
+// Delete removes key and returns its value, if present: a view that keeps
+// its bytes as a replaced row's does (Put).
 func (t *Tree) Delete(key []byte, tr *Trace) (val []byte, ok bool) {
 	val, ok = t.remove(t.root, key, tr)
 	if ok {
@@ -492,6 +511,7 @@ func (t *Tree) remove(n *node, key []byte, tr *Trace) (val []byte, ok bool) {
 			return nil, false
 		}
 		val = t.val(n.vals[idx])
+		t.retire(n.vals[idx])
 		n.keys = removeAt(n.keys, idx)
 		n.vals = removeAt(n.vals, idx)
 		return val, true

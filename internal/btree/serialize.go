@@ -115,11 +115,13 @@ func (t *Tree) serializeNode(n *node, size int, chunk uint32) []byte {
 // keeps it too: every key and row reference of a node comes to refer into
 // that node's image, as Load makes them, the chunk table becomes exactly the
 // images, and the slab restarts empty, so the tree no longer holds the slab
-// chunks, or the buffers AddChunk registered, that it held before. Neither
-// the tree nor write may ever write to an image: stored keys and rows are
-// immutable, and Put stores a new row instead of writing into the old one.
-// write must not use the tree, which is half adopted until Checkpoint
-// returns.
+// chunks, or the buffers AddChunk registered, that it held before, and it
+// forgets the rows it had retired or freed for reuse (Reclaimer), which
+// were in those chunks: only rows carved from the new slab are reused after
+// it. Neither the tree nor write may ever write to an image: Put stores a
+// new row instead of writing into the old one, and reuses only the bytes of
+// rows its own slab holds. write must not use the tree, which is half
+// adopted until Checkpoint returns.
 //
 // Every node is sized before the first is written. A node the image format
 // cannot hold (a value over 65 535 bytes) is an error naming its page, and
@@ -137,6 +139,7 @@ func (t *Tree) Checkpoint(write func(id storage.PageID, image []byte)) error {
 		return true
 	})
 	t.chunks, t.slab = chunks, nil
+	t.dropRetired()
 	return nil
 }
 

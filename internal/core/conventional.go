@@ -79,7 +79,7 @@ func (e *Conventional) Submit(term *Terminal, logic TxnLogic) bool {
 		c.rt = rowTx{rows: e.rowStore, tm: e.tm, task: e.pl.NewTask(term.P, term.Core, e.bd), tx: &c.tx}
 		term.fr = c
 	}
-	return submit(term, e.tm, e.ctr, c, logic)
+	return submit(term, &e.engineBase, c, logic)
 }
 
 func (c *convCtx) state() (*platform.Task, *txn.Txn) { return c.rt.task, &c.tx }

@@ -138,7 +138,7 @@ func (e *DORAEngine) Submit(term *Terminal, logic TxnLogic) bool {
 			commitSig: sim.NewSignal(e.pl.Env)}
 		term.fr = t
 	}
-	return submit(term, e.tm, e.ctr, t, logic)
+	return submit(term, &e.engineBase, t, logic)
 }
 
 func (t *doraTx) state() (*platform.Task, *txn.Txn) { return t.task, &t.tx }

@@ -17,13 +17,21 @@ import (
 // state prevents the operation (missing row, duplicate insert) — the body
 // decides whether that is a transaction abort.
 //
-// Lifetime: a key, scan bound or val passed to any method need only stay
-// valid until the transaction attempt that built it ends, which is what
-// Arena's slices do; whoever keeps one longer copies it (the tree copies a
-// new key and every row it stores, a lock table its lock names, the log its
-// records before the append returns). A val returned by Read or Scan is the
-// stored row itself, immutable (a later write stores a new row, never
-// overwrites one in place), so views into it stay good.
+// Lifetime: one rule for everything that crosses this interface. A key,
+// scan bound or val passed to any method need only stay valid until the
+// transaction attempt that built it ends, which is what Arena's slices do;
+// whoever keeps one longer copies it (the tree copies a new key and every row
+// it stores, a lock table its lock names, the log its records before the
+// append returns). A val returned by Read, ReadForUpdate or Scan is a view of
+// the stored row itself, and so is the before-image a write hands the undo
+// list and the log: it is good until the attempt that got it ends, however
+// often other transactions replace or delete the row meanwhile. A later write
+// stores a new row beside it; only once every attempt open at that write has
+// ended does the tree reuse its bytes for another row (btree.Reclaimer, one
+// per engine, whose epochs submit opens and closes). So undo entries, log
+// records and a decoded row's []byte fields need no copy, and whatever keeps
+// a view past its attempt, or reads the trees outside one across a park,
+// copies it first.
 type AccessCtx interface {
 	// Read returns the row under key.
 	Read(table uint16, key []byte) (val []byte, ok bool)
@@ -186,8 +194,10 @@ type frame interface {
 // submit is both engines' Submit: a submit span around the retry loop. Each
 // attempt resets the task, charges the front end, begins the transaction and
 // runs the logic on f; a refused attempt rolls back and retries up to
-// maxRetries, a user abort rolls back and returns.
-func submit(term *Terminal, tm *txn.Manager, ctr *stats.Counter, f frame, logic TxnLogic) bool {
+// maxRetries, a user abort rolls back and returns. Each attempt is one epoch
+// of the row store's reclaimer, from before the logic runs to after its
+// rollback or commit: no row it could hold a view of is reused meanwhile.
+func submit(term *Terminal, e *engineBase, f frame, logic TxnLogic) bool {
 	term.Ph = [stats.NumPhases]sim.Duration{}
 	start := term.P.Now()
 	task, tx := f.state()
@@ -195,21 +205,25 @@ func submit(term *Terminal, tm *txn.Manager, ctr *stats.Counter, f frame, logic 
 	for term.Retries = 0; ; term.Retries++ {
 		task.Reset()
 		task.Exec(stats.CompFrontEnd, frontEndInstr)
-		tm.BeginIn(task, tx)
+		e.tm.BeginIn(task, tx)
+		epoch := e.rc.Begin()
 		ok, refused := f.run(logic)
-		if refused {
+		if refused || !ok {
 			f.rollback()
-			ctr.Inc("aborts.deadlock", 1)
+		} else {
+			f.commit()
+		}
+		e.rc.End(epoch)
+		if refused {
+			e.ctr.Inc("aborts.deadlock", 1)
 			if term.Retries < maxRetries {
 				continue
 			}
-			ctr.Inc("aborts.giveup", 1)
+			e.ctr.Inc("aborts.giveup", 1)
 		} else if !ok {
-			f.rollback()
-			ctr.Inc("aborts.user", 1)
+			e.ctr.Inc("aborts.user", 1)
 		} else {
-			f.commit()
-			ctr.Inc("commits", 1)
+			e.ctr.Inc("commits", 1)
 			committed = true
 		}
 		break

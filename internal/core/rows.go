@@ -28,8 +28,14 @@ import (
 // Every timed method charges the caller's task; Load, ReadRaw, ScanRaw,
 // Tables and Warm are the engines' untimed population, verification and
 // warm-up surface.
+//
+// Every tree shares the store's reclaimer, so a row a transaction replaces or
+// deletes gives its bytes to a later row of its length once every attempt
+// that could hold a view of it has ended; submit opens and closes the
+// attempts.
 type rowStore struct {
 	trees map[uint16]*btree.Tree // the host trees, or the overlay's
+	rc    btree.Reclaimer
 
 	pool    *bufferpool.Pool // host backend
 	latches []*sim.Resource  // host backend, nil without page latches
@@ -49,11 +55,13 @@ func newHostRows(pl *platform.Platform, dm *storage.DiskManager, pool *bufferpoo
 		r.latches = append(r.latches, sim.NewResource(pl.Env, fmt.Sprintf("page-latch-%d", i), 1))
 	}
 	for _, def := range tables {
-		r.trees[def.ID] = btree.New(btree.Config{
+		t := btree.New(btree.Config{
 			Order:  def.Order,
 			NextID: dm.Allocate,
 			AddrOf: func(id storage.PageID, size int) uint64 { return pl.AllocHost(pl.Cfg.PageSize) },
 		})
+		t.SetReclaimer(&r.rc)
+		r.trees[def.ID] = t
 	}
 	return r
 }
@@ -68,7 +76,9 @@ func newBufferPool(pl *platform.Platform) *bufferpool.Pool {
 func newOverlayRows(ov *overlay.Store, tables []TableDef) *rowStore {
 	r := &rowStore{trees: make(map[uint16]*btree.Tree, len(tables)), ov: ov}
 	for _, def := range tables {
-		r.trees[def.ID] = ov.CreateTable(def.ID, def.Order).Tree
+		t := ov.CreateTable(def.ID, def.Order).Tree
+		t.SetReclaimer(&r.rc)
+		r.trees[def.ID] = t
 	}
 	return r
 }

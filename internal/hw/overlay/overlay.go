@@ -49,8 +49,10 @@ type Table struct {
 	ID   uint16
 	Tree *btree.Tree
 	// MergeFn, when set, applies a merged row to the columnar base. The
-	// value is the tree's image; the key is the merge daemon's buffer, valid
-	// only for the call.
+	// value is a view of the tree's row and the key the merge daemon's
+	// buffer, both valid only for the call: the daemon runs no transaction
+	// attempt, so once it parks the tree may reuse the row's bytes
+	// (btree.Reclaimer).
 	MergeFn func(key, val []byte)
 
 	dirty map[storage.Key]struct{}

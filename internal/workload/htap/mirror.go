@@ -194,7 +194,11 @@ func (mr *Run) afterMerge(p *sim.Proc) {
 
 // refreshOnce is one host-path refresh pass: re-extract every projected
 // table from the row store, charging CPU per row and one host-memory stream
-// for the projection footprint.
+// for the projection footprint. The pass runs no transaction attempt, so it
+// holds no row view across a park: apply copies each row's projected values
+// inside the untimed scan, and only then does the pass charge and park.
+// After that park the trees may have reused the rows' bytes
+// (btree.Reclaimer).
 func (mr *Run) refreshOnce(p *sim.Proc) {
 	task := mr.pl.NewTask(p, mr.pl.Cores[0], &mr.abd)
 	rows, bytes := 0, 0
