@@ -20,10 +20,10 @@ type Conventional struct {
 
 	lm *lockmgr.Manager
 
-	// tableLocks memoizes lockmgr.TableLock names: two hierarchical lock
-	// acquisitions per row access both start with the table lock, and the
-	// set of tables is fixed at construction.
-	tableLocks map[uint16]lockmgr.Name
+	// tableLocks memoizes lockmgr.TableLock names, indexed by table id: two
+	// hierarchical lock acquisitions per row access both start with the
+	// table lock, and the set of tables is fixed at construction.
+	tableLocks []lockmgr.Name
 }
 
 // latchStripes is how many page-latch stripes the conventional engine's
@@ -32,7 +32,12 @@ const latchStripes = 64
 
 // NewConventional builds the baseline engine on a fresh platform.
 func NewConventional(env *sim.Env, cfg *platform.Config, tables []TableDef) *Conventional {
-	e := &Conventional{engineBase: newEngineBase(env, cfg), tableLocks: make(map[uint16]lockmgr.Name, len(tables))}
+	e := &Conventional{engineBase: newEngineBase(env, cfg)}
+	ids := 0
+	for _, def := range tables {
+		ids = max(ids, int(def.ID)+1)
+	}
+	e.tableLocks = make([]lockmgr.Name, ids)
 	for _, def := range tables {
 		e.tableLocks[def.ID] = lockmgr.TableLock(def.ID)
 	}

@@ -36,7 +36,7 @@ var benchConfigs = []struct {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.65, 5.25, 2.92, 94, 99, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.65, 3.45, 2.92, 94, 99, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
@@ -177,7 +177,12 @@ func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // measured at 0.087, 4.93, 0.060 and 5.81. What is left is the trees' slab
 // chunks, which the inserted rows and keys fill, and the rows that replace
 // one of another length, and the growth of per-terminal and per-engine
-// storage over a window this short. Before the trees reused the bytes of a
+// storage over a window this short. tpcc-conv now measures 3.33 objects
+// and 2.79 KB under a ceiling of 3.45 objects. Before a lock state kept its
+// first four holders in its own storage and its waiters in a list through
+// the waiters themselves, a contended lock usually drew a free state whose
+// holder slice had room for one and whose queue had none: 4.93 objects and
+// 2.81 KB under a ceiling of 5.25. Before the trees reused the bytes of a
 // replaced or deleted row once no attempt could still read it (btree
 // Reclaimer), every new row version took new slab bytes: KB 0.056, 3.29,
 // 0.059 and 7.07 under ceilings of 0.059, 3.45, 0.062 and 7.45.
@@ -366,18 +371,22 @@ func TestCheckpointHeap(t *testing.T) {
 
 // TestHeapPerSimulatedSecond bounds how fast a run's live heap grows with
 // simulated time, at the tpcc-conv configuration: the live heap after a
-// collection at the end of the 20 ms warmup and again at the end of the
-// window, over the window's simulated seconds. A ceiling that starts failing
-// means something the run keeps grows with the work done, not with the data
-// it holds. The log line splits the growth: the keys and rows the trees hold
-// (with their length prefixes and references), which TPC-C's inserts of
-// orders, order lines and history grow and no reuse can shrink, and the
-// rest, dead row versions first. The ceiling sits 7-8 % above what this
-// scale measures, 78.9 to 79.8 MiB per simulated second, of which 47.8 the
-// trees hold. Before the trees reused the bytes of rows no attempt could
-// still read, it measured 121.8 (ceiling 128); before a log store kept bytes
-// only for a registered reader, every byte the run logged stayed live as
-// well, and nothing ever read it back (297).
+// collection at the end of two back-to-back windows after the 20 ms warmup,
+// the second window's growth over its simulated seconds. The first window
+// is not counted: per-terminal storage (attempt arenas, undo lists, hold
+// lists, lock states) still reaches its size there. A ceiling that starts
+// failing means something the run keeps grows with the work done, not with
+// the data it holds. The log line splits the growth: the keys and rows the
+// trees hold (with their length prefixes and references), which TPC-C's
+// inserts of orders, order lines and history grow and no reuse can shrink,
+// and the rest, dead row versions first. The ceiling sits 6 % above what
+// this scale measures, 51.7 MiB per simulated second, of which 44.7 the
+// trees hold; the first window reads 79.3. While the first window was the
+// one counted, it measured 78.9 to 79.8 under a ceiling of 85; before the
+// trees reused the bytes of rows no attempt could still read, 121.8
+// (ceiling 128); before a log store kept bytes only for a registered
+// reader, every byte the run logged stayed live as well, and nothing ever
+// read it back (297).
 func TestHeapPerSimulatedSecond(t *testing.T) {
 	c := benchConfigs[1]
 	wl, mk := c.build()
@@ -400,13 +409,14 @@ func TestHeapPerSimulatedSecond(t *testing.T) {
 		return ms.HeapAlloc, held
 	}
 	from := sim.Time(20 * sim.Millisecond)
-	before, heldBefore := live(from)
-	after, heldAfter := live(from + sim.Time(c.measure))
+	start, _ := live(from)
+	before, heldBefore := live(from + sim.Time(c.measure))
+	after, heldAfter := live(from + 2*sim.Time(c.measure))
 	perSec := func(a, b uint64) float64 { return (float64(b) - float64(a)) / (1 << 20) / c.measure.Seconds() }
 	total, held := perSec(before, after), perSec(heldBefore, heldAfter)
-	t.Logf("live heap %.1f → %.1f MiB over %v simulated: %.1f MiB per simulated second, %.1f the keys and rows the trees hold, %.1f the rest",
-		float64(before)/(1<<20), float64(after)/(1<<20), c.measure, total, held, total-held)
-	const heapPerSimSecond = 85.0
+	t.Logf("live heap %.1f → %.1f → %.1f MiB over two windows of %v simulated: %.1f MiB per simulated second in the first, %.1f in the second, of which %.1f the keys and rows the trees hold, %.1f the rest",
+		float64(start)/(1<<20), float64(before)/(1<<20), float64(after)/(1<<20), c.measure, perSec(start, before), total, held, total-held)
+	const heapPerSimSecond = 55.0
 	if total > heapPerSimSecond {
 		t.Errorf("live heap grows %.1f MiB per simulated second, want <= %.0f", total, heapPerSimSecond)
 	}

@@ -104,6 +104,7 @@ type waiter struct {
 	mode    Mode
 	sig     *sim.Signal
 	upgrade bool
+	next    *waiter // behind it in its lock's queue, or in the free list
 }
 
 // holder is one transaction's granted mode on a lock.
@@ -112,16 +113,26 @@ type holder struct {
 	mode Mode
 }
 
+// inlineHolders is how many holders a lock state keeps in its own storage.
+// Over a TPC-C run on the conventional engine 99.92 % of the states that
+// leave the table had at most four holders at once (98.2 % one); the rest,
+// table intention locks mostly, spill to a heap slice and keep it.
+const inlineHolders = 4
+
 // lockState is one lock somebody holds or awaits. Its holders are in no
 // particular order (a release moves the last one into the gap): grantable,
 // promote and wouldDeadlock each ask a yes/no question over all of them, so
-// their order never reaches the simulation.
+// their order never reaches the simulation. Its waiters are a list through
+// the waiters themselves, first to be granted at head: promote's Fire order
+// reaches the simulation.
 type lockState struct {
 	name    Name
 	hash    uint64     // hashName(name)
-	next    *lockState // the next state in the same table slot
-	granted []holder
-	queue   []*waiter
+	next    *lockState // the next state in the same table slot, or in the free list
+	granted []holder   // a view of inline until a holder past it spills
+	head    *waiter    // the wait queue: FIFO, upgrades ahead of fresh requests
+	tail    *waiter
+	inline  [inlineHolders]holder
 }
 
 // tableSlots is the lock table's size, in the host table and in the timing
@@ -139,13 +150,14 @@ type Manager struct {
 	latches []*sim.Resource
 	addr    uint64
 
-	// Free lists and scratch space: lock states (with their holder and
-	// queue slices) and hold lists churn once per lock and per transaction
-	// and waiters once per blocked acquire, so steady-state acquire/release
-	// cycles reuse their storage instead of reallocating it.
-	freeStates  []*lockState
+	// Free lists and scratch space: lock states (with their holder storage)
+	// and hold lists churn once per lock and per transaction and waiters
+	// once per blocked acquire, so steady-state acquire/release cycles reuse
+	// their storage instead of reallocating it. States and waiters chain
+	// through their own next fields, so freeing one appends to no slice.
+	freeStates  *lockState
 	freeHolds   [][]*lockState
-	freeWaiters []*waiter
+	freeWaiters *waiter
 	dfsSeen     map[uint64]bool
 	dfsBlocked  []uint64
 
@@ -253,27 +265,21 @@ func (m *Manager) Acquire(t *platform.Task, txn uint64, name Name, mode Mode) er
 		latch.Release()
 		return ErrDeadlock
 	}
-	var w *waiter
-	if n := len(m.freeWaiters); n > 0 {
-		w = m.freeWaiters[n-1]
-		m.freeWaiters = m.freeWaiters[:n-1]
+	w := m.freeWaiters
+	if w != nil {
+		m.freeWaiters = w.next
 	} else {
 		w = &waiter{sig: sim.NewSignal(m.env)}
 	}
 	w.txn, w.mode, w.upgrade = txn, mode, upgrade
-	ls.queue = append(ls.queue, w)
-	if upgrade {
-		// Upgrades queue ahead of fresh requests.
-		copy(ls.queue[1:], ls.queue)
-		ls.queue[0] = w
-	}
+	ls.enqueue(w)
 	m.waiting[txn] = ls
 	m.waits++
 	latch.Release()
 	start := t.P.Now()
 	w.sig.Await(t.P) // only promote fires it: a queued request is always granted
 	w.sig.Reset()
-	m.freeWaiters = append(m.freeWaiters, w)
+	w.next, m.freeWaiters = m.freeWaiters, w
 	m.waitTime += t.P.Now().Sub(start)
 	delete(m.waiting, txn)
 	return nil
@@ -288,12 +294,12 @@ func (m *Manager) state(h uint64, name Name) *lockState {
 			return ls
 		}
 	}
-	var ls *lockState
-	if n := len(m.freeStates); n > 0 {
-		ls = m.freeStates[n-1]
-		m.freeStates = m.freeStates[:n-1]
+	ls := m.freeStates
+	if ls != nil {
+		m.freeStates = ls.next
 	} else {
 		ls = new(lockState)
+		ls.granted = ls.inline[:0]
 	}
 	ls.name, ls.hash, ls.next = name, h, *slot
 	*slot = ls
@@ -301,15 +307,28 @@ func (m *Manager) state(h uint64, name Name) *lockState {
 }
 
 // free unchains a state nobody holds or awaits and returns it, with its
-// slices' storage, to the free list.
+// holder storage, to the free list.
 func (m *Manager) free(ls *lockState) {
 	p := &m.table[ls.hash%tableSlots]
 	for *p != ls {
 		p = &(*p).next
 	}
 	*p = ls.next
-	ls.name, ls.next = Name{}, nil // drop a spilled key
-	m.freeStates = append(m.freeStates, ls)
+	ls.name = Name{} // drop a spilled key
+	ls.next, m.freeStates = m.freeStates, ls
+}
+
+// enqueue queues w: an upgrade at the head, ahead of every request queued
+// before it, a fresh request at the tail.
+func (ls *lockState) enqueue(w *waiter) {
+	switch {
+	case ls.head == nil:
+		w.next, ls.head, ls.tail = nil, w, w
+	case w.upgrade:
+		w.next, ls.head = ls.head, w
+	default:
+		w.next, ls.tail.next, ls.tail = nil, w, w
+	}
 }
 
 // holderOf returns the index of txn's entry in ls.granted, or -1.
@@ -335,7 +354,7 @@ func (ls *lockState) admits(txn uint64, mode Mode) bool {
 // grantable reports whether txn can hold mode on ls right now. Fresh
 // requests also respect the queue (no barging past waiters).
 func grantable(ls *lockState, txn uint64, mode Mode, upgrade bool) bool {
-	return ls.admits(txn, mode) && (upgrade || len(ls.queue) == 0)
+	return ls.admits(txn, mode) && (upgrade || ls.head == nil)
 }
 
 func (m *Manager) grant(ls *lockState, txn uint64, mode Mode, upgrade bool) {
@@ -368,7 +387,7 @@ func (m *Manager) wouldDeadlock(txn uint64, ls *lockState, mode Mode, upgrade bo
 		}
 	}
 	if !upgrade {
-		for _, w := range ls.queue {
+		for w := ls.head; w != nil; w = w.next {
 			if w.txn != txn {
 				blocked = append(blocked, w.txn)
 			}
@@ -389,7 +408,7 @@ func (m *Manager) wouldDeadlock(txn uint64, ls *lockState, mode Mode, upgrade bo
 		}
 		var wmode Mode
 		var wupg, found bool
-		for _, w := range wls.queue {
+		for w := wls.head; w != nil; w = w.next {
 			if w.txn == id {
 				wmode, wupg, found = w.mode, w.upgrade, true
 				break
@@ -405,7 +424,7 @@ func (m *Manager) wouldDeadlock(txn uint64, ls *lockState, mode Mode, upgrade bo
 			}
 		}
 		if !wupg {
-			for _, w := range wls.queue {
+			for w := wls.head; w != nil; w = w.next {
 				if w.txn != id && dfs(w.txn) {
 					return true
 				}
@@ -435,7 +454,7 @@ func (m *Manager) ReleaseAll(t *platform.Task, txn uint64) {
 		ls.granted[i] = ls.granted[last]
 		ls.granted = ls.granted[:last]
 		m.promote(ls)
-		if len(ls.granted) == 0 && len(ls.queue) == 0 {
+		if len(ls.granted) == 0 && ls.head == nil {
 			m.free(ls)
 		}
 		latch.Release()
@@ -445,21 +464,10 @@ func (m *Manager) ReleaseAll(t *platform.Task, txn uint64) {
 	}
 }
 
-// dequeue removes queue[i], keeping the queue's storage and front capacity.
-func dequeue(queue []*waiter, i int) []*waiter {
-	copy(queue[i:], queue[i+1:])
-	queue[len(queue)-1] = nil
-	return queue[:len(queue)-1]
-}
-
 // promote grants the longest compatible prefix of the wait queue.
 func (m *Manager) promote(ls *lockState) {
-	for len(ls.queue) > 0 {
-		w := ls.queue[0]
-		if !ls.admits(w.txn, w.mode) {
-			return
-		}
-		ls.queue = dequeue(ls.queue, 0)
+	for w := ls.head; w != nil && ls.admits(w.txn, w.mode); w = ls.head {
+		ls.head = w.next
 		m.grant(ls, w.txn, w.mode, w.upgrade)
 		w.sig.Fire()
 	}

@@ -1,6 +1,8 @@
 package lockmgr
 
 import (
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -431,7 +433,11 @@ func TestWaitersAreRecycled(t *testing.T) {
 	if m.Waits() < rounds/2 {
 		t.Fatalf("only %d waits in %d rounds: the test does not contend", m.Waits(), rounds)
 	}
-	if n := len(m.freeWaiters); n != 1 {
+	n := 0
+	for w := m.freeWaiters; w != nil; w = w.next {
+		n++
+	}
+	if n != 1 {
 		t.Errorf("%d waiters built for %d waits of one process at a time, want 1", n, m.Waits())
 	}
 }
@@ -473,17 +479,18 @@ func TestPinnedSchedule(t *testing.T) {
 			t.Fatalf("slot %d still holds %s after every transaction released", slot, ls.name)
 		}
 	}
-	free := map[*lockState]bool{}
-	for _, ls := range m.freeStates {
+	free, listed := map[*lockState]bool{}, 0
+	for ls := m.freeStates; ls != nil && listed <= len(built); ls = ls.next {
 		free[ls] = true
+		listed++
 	}
 	for ls := range built {
 		if !free[ls] {
 			t.Errorf("state of %s is not on the free list", ls.name)
 		}
 	}
-	if len(free) != len(m.freeStates) || len(free) != len(built) {
-		t.Errorf("%d states on the free list (%d distinct), %d built", len(m.freeStates), len(free), len(built))
+	if len(free) != listed || len(free) != len(built) {
+		t.Errorf("%d states on the free list (%d distinct), %d built", listed, len(free), len(built))
 	}
 }
 
@@ -551,6 +558,116 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if m.Waits() == waits {
 		t.Fatal("no acquire waited while counting allocations")
+	}
+}
+
+// TestContendedStatesAllocateNothing is the contended lock that draws a
+// state no contended round has used: the shape of a long run, whose free
+// list holds thousands of states that only ever had one holder. Each round
+// first runs an uncontended transaction over one distinct key more than the
+// free list holds, which takes every free state and builds one; releasing in
+// grant order leaves the new state on top of the list. The contended round
+// that follows locks a fresh key, so it draws that state, and runs every
+// shape the lock table has: two S holders, two X requests queued behind
+// them, an upgrade that queues ahead of both, and an upgrade refused as a
+// deadlock victim. The contended rounds after the first, which builds the
+// waiters and hold lists, allocate nothing, and every round grants in the
+// order FIFO with upgrades first.
+func TestContendedStatesAllocateNothing(t *testing.T) {
+	const rounds = 16
+	const slot, half = 100 * sim.Microsecond, 50 * sim.Microsecond
+	keys := make([][]byte, rounds)
+	fill := make([][]byte, 32+rounds)
+	for i := range keys {
+		keys[i] = storage.Uint64Key(uint64(i))
+	}
+	for i := range fill {
+		fill[i] = storage.Uint64Key(uint64(1000 + i))
+	}
+	env, pl, m := fixture()
+	defer env.Close()
+	at := func(p *sim.Proc, r int, off sim.Duration) {
+		if d := sim.Duration(r)*slot + off - sim.Duration(p.Now()); d > 0 {
+			p.Wait(d)
+		}
+	}
+	env.Spawn("fill", func(p *sim.Proc) {
+		tk := task(pl, p, 4)
+		for r := 0; r < rounds; r++ {
+			at(p, r, 0)
+			n := 1
+			for ls := m.freeStates; ls != nil; ls = ls.next {
+				n++
+			}
+			txn := uint64(100000 + r)
+			for _, k := range fill[:max(n, 32)] {
+				if err := m.Acquire(tk, txn, RowLock(1, k), X); err != nil {
+					t.Error(err)
+				}
+			}
+			m.ReleaseAll(tk, txn)
+		}
+	})
+	// Each round's script, by process: when it acts (µs into the contended
+	// half of the slot), what it asks for, and whether it is refused.
+	type step struct {
+		at      sim.Duration
+		mode    Mode
+		refused bool
+	}
+	scripts := [4][]step{
+		{{0, S, false}, {4, X, false}}, // S, then an upgrade that waits for the other reader
+		{{1, S, false}, {5, X, true}},  // S, then an upgrade that would close a cycle
+		{{2, X, false}},                // X behind both readers
+		{{3, X, false}},                // X behind the first writer
+	}
+	release := [4]sim.Duration{7, 6, 8, 9}
+	type grant struct { // exported fields, so that a failure prints mode names
+		Proc    int
+		Mode    Mode
+		Refused bool
+	}
+	want := []grant{{0, S, false}, {1, S, false}, {1, X, true}, {0, X, false}, {2, X, false}, {3, X, false}}
+	got := make([]grant, 0, 2*len(want))
+	for i := range scripts {
+		i := i
+		env.Spawn("w", func(p *sim.Proc) {
+			tk := task(pl, p, i)
+			for r := 0; r < rounds; r++ {
+				txn := uint64(r*len(scripts) + i + 1)
+				for _, s := range scripts[i] {
+					at(p, r, half+s.at*sim.Microsecond)
+					err := m.Acquire(tk, txn, RowLock(2, keys[r]), s.mode)
+					if (err == ErrDeadlock) != s.refused || (err != nil && err != ErrDeadlock) {
+						t.Errorf("round %d: process %d asking for %v got %v", r, i, s.mode, err)
+					}
+					got = append(got, grant{i, s.mode, err != nil})
+				}
+				at(p, r, half+release[i]*sim.Microsecond)
+				m.ReleaseAll(tk, txn)
+			}
+		})
+	}
+	for r := 0; r < rounds; r++ {
+		if err := env.RunUntil(sim.Time(sim.Duration(r)*slot + half)); err != nil {
+			t.Fatal(err)
+		}
+		got = got[:0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := env.RunUntil(sim.Time(sim.Duration(r+1) * slot)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d granted %v, want %v", r, got, want)
+		}
+		if n := after.Mallocs - before.Mallocs; r > 0 && n != 0 {
+			t.Errorf("round %d: %d allocations in a contended round, want 0", r, n)
+		}
+	}
+	if m.Waits() != 3*rounds || m.Deadlocks() != rounds {
+		t.Errorf("%d waits and %d deadlocks in %d rounds, want 3 and 1 per round", m.Waits(), m.Deadlocks(), rounds)
 	}
 }
 
