@@ -222,11 +222,12 @@ func applyQuick() {
 	}
 }
 
-// checkFlags rejects, before any run starts, sizes no run can use: a
-// non-positive scale, terminal count, window, seed count or socket count,
-// or a negative warmup. It also rejects -seeds above 1 unless run, the
-// experiments selected, is -sweep alone: no other experiment reads it, and
-// a flag silently ignored reads as a result over several seeds.
+// checkFlags rejects, before any run starts, what no run can use: a
+// non-positive scale, terminal count, window, seed count, socket count or
+// replica count, a negative warmup, or an unknown -replication mode. It
+// also rejects -seeds above 1 unless run, the experiments selected, is
+// -sweep alone: no other experiment reads it, and a flag silently ignored
+// reads as a result over several seeds.
 func checkFlags(run []experiment) error {
 	for _, f := range []struct {
 		name string
@@ -235,11 +236,14 @@ func checkFlags(run []experiment) error {
 	}{
 		{"warehouses", *warehouses, 1}, {"subscribers", *subscribers, 1}, {"records", *records, 1},
 		{"terminals", *terminals, 1}, {"measure", *measureMs, 1}, {"seeds", *seeds, 1},
-		{"sockets", *sockets, 1}, {"warmup", *warmupMs, 0},
+		{"sockets", *sockets, 1}, {"warmup", *warmupMs, 0}, {"replicas", *replicas, 1},
 	} {
 		if f.v < f.min {
 			return fmt.Errorf("-%s %d: must be at least %d", f.name, f.v, f.min)
 		}
+	}
+	if _, err := stats.ParseReplMode(*replication); err != nil {
+		return fmt.Errorf("-replication %s: %v", *replication, err)
 	}
 	for _, e := range run {
 		if e.flag != "sweep" && *seeds > 1 {
@@ -339,12 +343,9 @@ func onMachine(g bench.Grid) bench.Grid {
 	return g
 }
 
-// replMode parses -replication, failing fast on an unknown mode.
+// replMode is -replication's mode; checkFlags has refused an unknown one.
 func replMode() stats.ReplMode {
-	m, err := stats.ParseReplMode(*replication)
-	if err != nil {
-		fatal(err)
-	}
+	m, _ := stats.ParseReplMode(*replication)
 	return m
 }
 
@@ -494,27 +495,26 @@ func fig4() {
 	}
 	results := runPoints(points)
 
-	t := stats.NewTable("workload", "engine", ">tps", ">uJ/txn", ">rel J", ">p50", ">p95", ">retries/txn", ">CPU J", ">FPGA J")
-	var baseJ float64
+	// rel J is joules per transaction over the conventional engine's on
+	// the same workload.
+	baseJ := map[string]float64{}
 	for _, r := range results {
-		res := r.Res
-		if res.Engine == "conventional" {
-			baseJ = res.JoulesPerTxn
+		if r.Point.Engine.Name == "conventional" {
+			baseJ[r.Point.Workload.Name] = r.Res.JoulesPerTxn
 		}
-		rel := 1.0
-		if baseJ > 0 {
-			rel = res.JoulesPerTxn / baseJ
-		}
-		t.Row(res.Workload, res.Engine,
-			fmt.Sprintf("%.0f", res.TPS),
-			fmt.Sprintf("%.1f", res.JoulesPerTxn*1e6),
-			fmt.Sprintf("%.2f", rel),
-			res.Latency.Percentile(50).String(),
-			res.Latency.Percentile(95).String(),
-			fmt.Sprintf("%.3f", res.RetriesPerTxn()),
-			fmt.Sprintf("%.1f", (res.Energy.CPUDynamic+res.Energy.CPUIdle)*1e3),
-			fmt.Sprintf("%.1f", res.Energy.FPGA*1e3))
 	}
+	t := bench.ResultTable(results, []bench.Column[bench.Result]{bench.ColWorkload, bench.ColEngine},
+		bench.ColTPS, bench.ColUJPerTxn,
+		bench.Float("rel J", "%.2f", func(r bench.Result) float64 {
+			if b := baseJ[r.Point.Workload.Name]; b > 0 {
+				return r.Res.JoulesPerTxn / b
+			}
+			return 1
+		}),
+		bench.ColP50, bench.ColP95,
+		bench.Float("retries/txn", "%.3f", func(r bench.Result) float64 { return r.Res.RetriesPerTxn() }),
+		bench.Float("CPU J", "%.1f", func(r bench.Result) float64 { return (r.Res.Energy.CPUDynamic + r.Res.Energy.CPUIdle) * 1e3 }),
+		bench.Float("FPGA J", "%.1f", func(r bench.Result) float64 { return r.Res.Energy.FPGA * 1e3 }))
 	emit("Figure 4: conventional vs DORA vs bionic (energy in mJ over the window)", t)
 }
 
@@ -538,14 +538,10 @@ func runAblation() {
 	g.Workloads = []bench.WorkloadSpec{tatpSpec()}
 	g.Terminals = []int{*terminals}
 	results := runPoints(g.Points())
-	t := stats.NewTable("offloads", ">tps", ">uJ/txn", ">p50", ">p95")
-	for _, r := range results {
-		t.Row(r.Point.Engine.Name,
-			fmt.Sprintf("%.0f", r.Res.TPS),
-			fmt.Sprintf("%.1f", r.Res.JoulesPerTxn*1e6),
-			r.Res.Latency.Percentile(50).String(),
-			r.Res.Latency.Percentile(95).String())
-	}
+	offloads := bench.ColEngine
+	offloads.Header = "offloads"
+	t := bench.ResultTable(results, []bench.Column[bench.Result]{offloads},
+		bench.ColTPS, bench.ColUJPerTxn, bench.ColP50, bench.ColP95)
 	emit("C2 ablation: TATP mix, DORA base plus offload subsets", t)
 }
 
@@ -705,30 +701,40 @@ func runFigAnatomy() {
 	g := scaleOut("fig-anatomy", bench.Engines(), tatpSpec(), tpccSpec("tpcc", newTPCC), ycsbSpec())
 	g.ShardedLog = *shardedLog
 	results := runPoints(bySocket(g, socks))
-	t := stats.NewTable("workload", "engine", ">sockets", "phase",
-		">samples", ">p50", ">p99", ">mean", ">share")
+	// One row per phase with samples; its share is of the run's summed
+	// phase time.
+	type phaseRow struct {
+		bench.Result
+		phase stats.Phase
+		total sim.Duration
+	}
+	var rows []phaseRow
 	for _, r := range results {
-		an := &r.Res.Anatomy
 		var total sim.Duration
 		for _, ph := range stats.Phases() {
-			total += an.Phase(ph).Sum()
+			total += r.Res.Anatomy.Phase(ph).Sum()
 		}
 		for _, ph := range stats.Phases() {
-			h := an.Phase(ph)
-			if h.Count() == 0 {
-				continue
+			if r.Res.Anatomy.Phase(ph).Count() > 0 {
+				rows = append(rows, phaseRow{r, ph, total})
 			}
-			share := 0.0
-			if total > 0 {
-				share = float64(h.Sum()) / float64(total) * 100
-			}
-			t.Row(r.Point.Workload.Name, r.Point.Engine.Name,
-				fmt.Sprintf("%d", r.Point.Sockets), ph.String(),
-				fmt.Sprintf("%d", h.Count()),
-				h.Percentile(50).String(), h.Percentile(99).String(), h.Mean().String(),
-				fmt.Sprintf("%.0f%%", share))
 		}
 	}
+	run := func(p phaseRow) bench.Result { return p.Result }
+	hist := func(p phaseRow) *stats.Histogram { return p.Res.Anatomy.Phase(p.phase) }
+	t := bench.Render(rows, nil,
+		[]bench.Column[phaseRow]{bench.On(bench.ColWorkload, run), bench.On(bench.ColEngine, run), bench.On(bench.ColSockets, run),
+			{Header: "phase", Cell: func(p phaseRow) string { return p.phase.String() }}},
+		bench.Int("samples", func(p phaseRow) int64 { return hist(p).Count() }),
+		bench.Duration("p50", func(p phaseRow) sim.Duration { return hist(p).Percentile(50) }),
+		bench.Duration("p99", func(p phaseRow) sim.Duration { return hist(p).Percentile(99) }),
+		bench.Duration("mean", func(p phaseRow) sim.Duration { return hist(p).Mean() }),
+		bench.Float("share", "%.0f%%", func(p phaseRow) float64 {
+			if p.total <= 0 {
+				return 0
+			}
+			return float64(hist(p).Sum()) / float64(p.total) * 100
+		}))
 	emit(fmt.Sprintf("fig-anatomy: per-transaction latency anatomy over %v sockets", socks), t)
 }
 

@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// resetFlags puts the size and window flags back to their defaults.
+// resetFlags puts the size, window and replication flags back to their
+// defaults.
 func resetFlags(t *testing.T) {
 	t.Helper()
-	for _, name := range []string{"warehouses", "subscribers", "records", "terminals", "measure", "seeds", "sockets", "warmup"} {
+	for _, name := range []string{"warehouses", "subscribers", "records", "terminals", "measure", "seeds", "sockets", "warmup", "replicas", "replication"} {
 		f := flag.Lookup(name)
 		if err := f.Value.Set(f.DefValue); err != nil {
 			t.Fatalf("reset -%s: %v", name, err)
@@ -21,7 +22,7 @@ func resetFlags(t *testing.T) {
 }
 
 // TestCheckFlags: each size flag is refused below its floor, naming the flag,
-// and accepted at the floor.
+// and accepted at the floor; -replication is refused unless it names a mode.
 func TestCheckFlags(t *testing.T) {
 	defer resetFlags(t)
 	for _, c := range []struct {
@@ -37,6 +38,7 @@ func TestCheckFlags(t *testing.T) {
 		{"seeds", seeds, 1},
 		{"sockets", sockets, 1},
 		{"warmup", warmupMs, 0},
+		{"replicas", replicas, 1},
 	} {
 		for _, v := range []int{c.min - 1, -20} {
 			resetFlags(t)
@@ -50,6 +52,20 @@ func TestCheckFlags(t *testing.T) {
 		*c.p = c.min
 		if err := checkFlags(nil); err != nil {
 			t.Errorf("-%s %d: %v", c.name, c.min, err)
+		}
+	}
+	for _, mode := range []string{"bogus", "Async", "on"} {
+		resetFlags(t)
+		*replication = mode
+		if err := checkFlags(nil); err == nil || !strings.Contains(err.Error(), "-replication "+mode) {
+			t.Errorf("-replication %s: checkFlags(nil) = %v, want an error naming the flag", mode, err)
+		}
+	}
+	for _, mode := range []string{"off", "none", "async", "sync", "quorum"} {
+		resetFlags(t)
+		*replication = mode
+		if err := checkFlags(nil); err != nil {
+			t.Errorf("-replication %s: %v", mode, err)
 		}
 	}
 	resetFlags(t)

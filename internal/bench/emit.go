@@ -8,120 +8,6 @@ import (
 	"bionicdb/internal/stats"
 )
 
-// Table renders sweep results as the standard figure table: one row per
-// point in grid order.
-func Table(results []Result) *stats.Table {
-	t := stats.NewTable("workload", "engine", ">terminals", ">seed",
-		">tps", ">uJ/txn", ">p50", ">p95", ">commits", ">aborts")
-	for _, r := range results {
-		p := r.Point
-		if r.Err != nil {
-			t.Row(p.Workload.Name, p.Engine.Name,
-				fmt.Sprintf("%d", p.Terminals), fmt.Sprintf("%d", p.Seed),
-				"error: "+r.Err.Error(), "", "", "", "", "")
-			continue
-		}
-		t.Row(p.Workload.Name, p.Engine.Name,
-			fmt.Sprintf("%d", p.Terminals), fmt.Sprintf("%d", p.Seed),
-			fmt.Sprintf("%.0f", r.Res.TPS),
-			fmt.Sprintf("%.1f", r.Res.JoulesPerTxn*1e6),
-			r.Res.Latency.Percentile(50).String(),
-			r.Res.Latency.Percentile(95).String(),
-			fmt.Sprintf("%d", r.Res.Commits),
-			fmt.Sprintf("%d", r.Res.Aborts))
-	}
-	return t
-}
-
-// logLabel names a point's durability layout in tables.
-func logLabel(sharded bool) string {
-	if sharded {
-		return "sharded"
-	}
-	return "central"
-}
-
-// ScalingTable renders scaling results as the fig-scaling table: one row
-// per point with a speedup column relative to the same engine and
-// workload at the lowest measured socket count. Sharded-log rows share
-// that baseline — a 1-socket machine is identical with the flag on or off
-// — so central and sharded curves of one engine are directly comparable.
-func ScalingTable(results []Result) *stats.Table {
-	t := stats.NewTable("workload", "engine", "log", ">sockets", ">terminals",
-		">tps", ">speedup", ">uJ/txn", ">p50", ">p95", ">commits")
-	// Baseline tps per (workload, engine): the lowest measured socket
-	// count with a usable result, regardless of row order or log layout.
-	type curve struct{ wl, eng string }
-	type baseline struct {
-		sockets int
-		tps     float64
-	}
-	base := map[curve]baseline{}
-	for _, r := range results {
-		if r.Err != nil || r.Res.TPS <= 0 {
-			continue
-		}
-		k := curve{r.Point.Workload.Name, r.Point.Engine.Name}
-		if b, ok := base[k]; !ok || r.Point.Sockets < b.sockets {
-			base[k] = baseline{r.Point.Sockets, r.Res.TPS}
-		}
-	}
-	for _, r := range results {
-		p := r.Point
-		if r.Err != nil {
-			t.Row(p.Workload.Name, p.Engine.Name, logLabel(p.ShardedLog), fmt.Sprintf("%d", p.Sockets),
-				fmt.Sprintf("%d", p.Terminals), "error: "+r.Err.Error(), "", "", "", "", "")
-			continue
-		}
-		speedup := 0.0
-		if b := base[curve{p.Workload.Name, p.Engine.Name}]; b.tps > 0 {
-			speedup = r.Res.TPS / b.tps
-		}
-		t.Row(p.Workload.Name, p.Engine.Name, logLabel(p.ShardedLog),
-			fmt.Sprintf("%d", p.Sockets),
-			fmt.Sprintf("%d", p.Terminals),
-			fmt.Sprintf("%.0f", r.Res.TPS),
-			fmt.Sprintf("%.2fx", speedup),
-			fmt.Sprintf("%.1f", r.Res.JoulesPerTxn*1e6),
-			r.Res.Latency.Percentile(50).String(),
-			r.Res.Latency.Percentile(95).String(),
-			fmt.Sprintf("%d", r.Res.Commits))
-	}
-	return t
-}
-
-// HTAPTable renders HTAP results as the fig-htap table: transactional
-// throughput and energy next to scan bandwidth and freshness, one row per
-// point.
-func HTAPTable(results []Result) *stats.Table {
-	t := stats.NewTable("workload", "engine", ">sockets", ">terminals",
-		">tps", ">uJ/txn", ">scans", ">scan MB/s", ">stale max", ">stale mean", ">commits")
-	for _, r := range results {
-		p := r.Point
-		if r.Err != nil {
-			t.Row(p.Workload.Name, p.Engine.Name, fmt.Sprintf("%d", p.Sockets),
-				fmt.Sprintf("%d", p.Terminals), "error: "+r.Err.Error(), "", "", "", "", "", "")
-			continue
-		}
-		res := r.Res
-		scans, mbps, staleMax, staleMean := "-", "-", "-", "-"
-		if sc := res.Scan; sc != nil {
-			scans = fmt.Sprintf("%d", sc.Scans)
-			mbps = fmt.Sprintf("%.1f", float64(sc.Bytes)/1e6/p.Measure.Seconds())
-			staleMax = sc.StaleMax.String()
-			staleMean = sc.StaleMean().String()
-		}
-		t.Row(p.Workload.Name, p.Engine.Name,
-			fmt.Sprintf("%d", p.Sockets),
-			fmt.Sprintf("%d", p.Terminals),
-			fmt.Sprintf("%.0f", res.TPS),
-			fmt.Sprintf("%.1f", res.JoulesPerTxn*1e6),
-			scans, mbps, staleMax, staleMean,
-			fmt.Sprintf("%d", res.Commits))
-	}
-	return t
-}
-
 // Doc is the one result document: the sweep results of an invocation
 // followed by the crash experiments' typed sections. Every field it
 // writes is simulated, so the document is a pure function of the

@@ -242,32 +242,6 @@ func runFailoverPoint(p Point) (FailoverResult, Result) {
 	return res, sr
 }
 
-// FailoverTable renders failover results as the fig-failover table.
-func FailoverTable(results []FailoverResult) *stats.Table {
-	t := stats.NewTable("workload", "engine", ">sockets", "mode",
-		">tps", ">p50", ">p95", ">tax", ">acked", ">recovered", ">lost", ">lost KB", ">serving")
-	for _, r := range results {
-		if r.Err != nil {
-			t.Row(r.Workload, r.Engine, fmt.Sprintf("%d", r.Sockets), r.Mode.String(),
-				"error: "+r.Err.Error(), "", "", "", "", "", "", "", "")
-			continue
-		}
-		tax, acked, rec, lost, lostKB, serving := "", "", "", "", "", ""
-		if r.Mode != stats.ReplNone {
-			tax = fmt.Sprintf("%.2fx", r.OverheadP50)
-			acked = fmt.Sprintf("%d", r.CommitsAcked)
-			rec = fmt.Sprintf("%d", r.TxnsRecovered)
-			lost = fmt.Sprintf("%d", r.LostTxns)
-			lostKB = fmt.Sprintf("%.1f", float64(r.LostTailBytes)/1024)
-			serving = r.TimeToServing.String()
-		}
-		t.Row(r.Workload, r.Engine, fmt.Sprintf("%d", r.Sockets), r.Mode.String(),
-			fmt.Sprintf("%.0f", r.TPS), r.P50.String(), r.P95.String(),
-			tax, acked, rec, lost, lostKB, serving)
-	}
-	return t
-}
-
 // failoverJSON is the flat per-point record of the document's failover
 // section.
 type failoverJSON struct {

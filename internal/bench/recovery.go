@@ -5,7 +5,6 @@ import (
 
 	"bionicdb/internal/core"
 	"bionicdb/internal/sim"
-	"bionicdb/internal/stats"
 )
 
 // RecoveryResult is one crash/recovery measurement.
@@ -112,38 +111,6 @@ func runRecoveryPoint(p Point) RecoveryResult {
 		res.Rows += int64(tree.Size())
 	}
 	return res
-}
-
-// RecoveryTable renders recovery results as the fig-recovery table. The
-// replay speedup column is serial over parallel replay — the restore scan
-// is a shared-device floor both boots pay identically.
-func RecoveryTable(results []RecoveryResult) *stats.Table {
-	t := stats.NewTable("workload", "engine", "log", ">sockets", ">shards",
-		">log KB", ">txns", ">restore", ">ser replay", ">par replay", ">speedup", ">total", ">mJ", ">rows")
-	for _, r := range results {
-		if r.Err != nil {
-			t.Row(r.Workload, r.Engine, logLabel(r.ShardedLog), fmt.Sprintf("%d", r.Sockets),
-				"error: "+r.Err.Error(), "", "", "", "", "", "", "", "", "")
-			continue
-		}
-		speedup := 0.0
-		if r.ParallelReplay > 0 {
-			speedup = float64(r.SerialReplay) / float64(r.ParallelReplay)
-		}
-		t.Row(r.Workload, r.Engine, logLabel(r.ShardedLog),
-			fmt.Sprintf("%d", r.Sockets),
-			fmt.Sprintf("%d", r.Shards),
-			fmt.Sprintf("%.0f", float64(r.LogBytes)/1024),
-			fmt.Sprintf("%d", r.Txns),
-			r.RestoreSim.String(),
-			r.SerialReplay.String(),
-			r.ParallelReplay.String(),
-			fmt.Sprintf("%.2fx", speedup),
-			r.TotalSim.String(),
-			fmt.Sprintf("%.3f", r.Joules*1e3),
-			fmt.Sprintf("%d", r.Rows))
-	}
-	return t
 }
 
 // recoveryJSON is the flat per-point record of the document's recovery

@@ -39,9 +39,6 @@ type RunConfig struct {
 	Warmup sim.Duration
 	// Measure is the measurement window length.
 	Measure sim.Duration
-	// Drain bounds how long in-flight transactions get to finish after
-	// the window closes (0 uses a default).
-	Drain sim.Duration
 	// Seed drives population and the transaction mix.
 	Seed uint64
 	// Analytics, when non-nil, attaches an analytical subsystem to the run
@@ -197,6 +194,10 @@ func takeSnapshot(eng Engine, engAn *stats.Anatomy, arun AnalyticsRun) snapshot 
 	return sn
 }
 
+// drainGrace bounds how long in-flight transactions get to finish after the
+// measurement window closes.
+const drainGrace = 50 * sim.Millisecond
+
 // Run executes one full measurement: open a Session (build, populate,
 // warm), attach the observers and the analytical half, run the terminals
 // through warm-up and the window, then drain. The returned Result covers
@@ -274,11 +275,7 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	// period (background daemons tick forever, so an unbounded Run would
 	// never return), then stop daemons and let the event queue empty.
 	s.Stop()
-	drain := cfg.Drain
-	if drain <= 0 {
-		drain = 50 * sim.Millisecond
-	}
-	if err := s.RunTo(endT + sim.Time(drain)); err != nil {
+	if err := s.RunTo(endT + sim.Time(drainGrace)); err != nil {
 		return nil, err
 	}
 	if arun != nil {

@@ -63,9 +63,6 @@ func (c *cacheLevel) access(lineAddr uint64) bool {
 	return false
 }
 
-// lineOf returns the line address (addr with offset bits cleared... shifted).
-func (c *cacheLevel) lineOf(addr uint64) uint64 { return addr >> c.lineShift }
-
 // Hits returns the number of hits recorded so far.
 func (c *cacheLevel) Hits() int64 { return c.hits }
 

@@ -35,9 +35,6 @@ func (q *Queue[T]) Len() int { return q.n }
 // Puts reports the number of items ever enqueued.
 func (q *Queue[T]) Puts() int64 { return q.puts }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // grow doubles the ring, unwrapping items to the front.
 func (q *Queue[T]) grow() {
 	q.buf = growRing(q.buf, q.head, q.n)

@@ -41,28 +41,12 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with n <= 0")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Range returns a uniform int in [lo, hi] inclusive. It panics if hi < lo.
 func (r *Rand) Range(lo, hi int) int {
 	if hi < lo {
 		panic("sim: Range with hi < lo")
 	}
 	return lo + r.Intn(hi-lo+1)
-}
-
-// Range64 returns a uniform int64 in [lo, hi] inclusive.
-func (r *Rand) Range64(lo, hi int64) int64 {
-	if hi < lo {
-		panic("sim: Range64 with hi < lo")
-	}
-	return lo + r.Int63n(hi-lo+1)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

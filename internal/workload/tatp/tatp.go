@@ -658,34 +658,5 @@ func (t *deleteCallForwarding) delete(c core.AccessCtx) bool {
 // UpdateSubDataOnly returns a workload variant that issues only
 // UpdateSubscriberData transactions — the Figure 3 left-bar configuration.
 func (w *Workload) UpdateSubDataOnly() core.Workload {
-	return &singleTxn{w: w, name: "tatp-updsubdata", txName: "UpdateSubscriberData",
-		gen: w.UpdateSubscriberData}
-}
-
-// singleTxn wraps a workload to emit a single transaction type.
-type singleTxn struct {
-	w      *Workload
-	name   string
-	txName string
-	gen    func(r *sim.Rand) core.TxnLogic
-}
-
-// Name implements core.Workload (the variant's own name, e.g. for Figure 3).
-func (s *singleTxn) Name() string { return s.name }
-
-// Tables implements core.Workload by delegating to the full mix.
-func (s *singleTxn) Tables() []core.TableDef { return s.w.Tables() }
-
-// Scheme implements core.Workload by delegating to the full mix.
-func (s *singleTxn) Scheme(partitions int) core.PartitionScheme { return s.w.Scheme(partitions) }
-
-// Populate implements core.Workload: the database is the full benchmark's,
-// only the transaction mix narrows.
-func (s *singleTxn) Populate(load func(t uint16, k, v []byte), r *sim.Rand) {
-	s.w.Populate(load, r)
-}
-
-// NextTxn implements core.Workload: always the one wrapped transaction.
-func (s *singleTxn) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
-	return s.txName, s.gen(r)
+	return workload.NewSingle(w, "tatp-updsubdata", "UpdateSubscriberData", w.UpdateSubscriberData)
 }

@@ -555,37 +555,10 @@ func (w *Workload) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // StockLevelOnly returns a workload variant emitting only StockLevel — the
 // Figure 3 right-bar configuration.
 func (w *Workload) StockLevelOnly() core.Workload {
-	return &singleTxn{w: w, name: "tpcc-stocklevel", txName: "StockLevel", gen: w.StockLevel}
+	return workload.NewSingle(w, "tpcc-stocklevel", "StockLevel", w.StockLevel)
 }
 
 // NewOrderOnly returns a NewOrder-only variant for contention studies.
 func (w *Workload) NewOrderOnly() core.Workload {
-	return &singleTxn{w: w, name: "tpcc-neworder", txName: "NewOrder", gen: w.NewOrder}
-}
-
-type singleTxn struct {
-	w      *Workload
-	name   string
-	txName string
-	gen    func(r *sim.Rand) core.TxnLogic
-}
-
-// Name implements core.Workload (the variant's own name, e.g. for Figure 3).
-func (s *singleTxn) Name() string { return s.name }
-
-// Tables implements core.Workload by delegating to the full mix.
-func (s *singleTxn) Tables() []core.TableDef { return s.w.Tables() }
-
-// Scheme implements core.Workload by delegating to the full mix.
-func (s *singleTxn) Scheme(partitions int) core.PartitionScheme { return s.w.Scheme(partitions) }
-
-// Populate implements core.Workload: the database is the full benchmark's,
-// only the transaction mix narrows.
-func (s *singleTxn) Populate(load func(t uint16, k, v []byte), r *sim.Rand) {
-	s.w.Populate(load, r)
-}
-
-// NextTxn implements core.Workload: always the one wrapped transaction.
-func (s *singleTxn) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
-	return s.txName, s.gen(r)
+	return workload.NewSingle(w, "tpcc-neworder", "NewOrder", w.NewOrder)
 }
