@@ -417,7 +417,7 @@ func fig1() {
 		t := stats.NewTable("cores", ">10% serial", ">1% serial", ">0.1% serial", ">0.01% serial")
 		for n := 1; n <= panel.Cores; n *= 2 {
 			p := darksilicon.Panel{Year: panel.Year, Cores: n, PowerCap: panel.PowerCap}
-			row := []any{fmt.Sprintf("%d", n)}
+			row := []string{fmt.Sprintf("%d", n)}
 			for _, s := range darksilicon.SerialFractions() {
 				row = append(row, darksilicon.FormatPct(darksilicon.PanelUtilization(p, s)))
 			}

@@ -31,7 +31,7 @@ func Render[R any](rows []R, failed func(R) error, ident []Column[R], cols ...Co
 		if failed != nil {
 			err = failed(r)
 		}
-		cells := make([]any, len(all))
+		cells := make([]string, len(all))
 		for i, c := range all {
 			switch {
 			case err == nil || i < len(ident):

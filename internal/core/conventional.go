@@ -82,6 +82,7 @@ func (e *Conventional) Submit(term *Terminal, logic TxnLogic) bool {
 	if !ok || c.e != e {
 		c = &convCtx{e: e, term: term, commitSig: sim.NewSignal(e.pl.Env)}
 		c.rt = rowTx{rows: e.rowStore, tm: e.tm, task: e.pl.NewTask(term.P, term.Core, e.bd), tx: &c.tx}
+		c.pair.c = c
 		term.fr = c
 	}
 	return submit(term, &e.engineBase, c, logic)
@@ -167,6 +168,8 @@ type convCtx struct {
 	// (NUMA tax, acquire CPU and blocked waits) for the latency anatomy.
 	lockD sim.Duration
 
+	pair lockPair // lock's chain
+
 	// arena holds the attempt's keys, the logic's and the bodies' alike
 	// (they run one after another in this process); run resets it.
 	arena storage.Arena
@@ -185,43 +188,96 @@ const lockTableSocket = 0
 // request line to the home socket and the granted line back. Free on the
 // home socket and on single-socket platforms.
 func (e *Conventional) lockTax(task *platform.Task) {
-	ic := e.pl.IC
-	if ic == nil {
-		return
+	if e.taxed(task) {
+		sc := task.Script()
+		e.addLockTax(sc, task)
+		sc.Run()
 	}
+}
+
+// taxed reports whether task's socket pays the lock table's NUMA tax.
+func (e *Conventional) taxed(task *platform.Task) bool {
+	return e.pl.IC != nil && task.Core().SocketID() != lockTableSocket
+}
+
+// addLockTax appends the tax's two interconnect transfers to sc.
+func (e *Conventional) addLockTax(sc *sim.Script, task *platform.Task) {
 	s := task.Core().SocketID()
-	if s == lockTableSocket {
-		return
-	}
-	sc := task.Script()
-	ic.AddTransfer(sc, s, lockTableSocket, 64)
-	ic.AddTransfer(sc, lockTableSocket, s, 64)
-	sc.Run()
+	e.pl.IC.AddTransfer(sc, s, lockTableSocket, 64)
+	e.pl.IC.AddTransfer(sc, lockTableSocket, s, 64)
 }
 
 // lock takes the table lock in tableMode and, given a key, the row lock in
-// rowMode, paying the lock table's NUMA tax first. A refusal (deadlock
-// victim) is kept in c.err, and every later access is refused at once.
+// rowMode, paying the lock table's NUMA tax first. The three run as one
+// kernel script (lockPair), so the process parks at most once for them. A
+// refusal (deadlock victim) is kept in c.err, and every later access is
+// refused at once.
 func (c *convCtx) lock(table uint16, key []byte, tableMode, rowMode lockmgr.Mode) bool {
 	if c.err != nil {
 		return false
 	}
 	task := c.rt.task
 	t0 := task.P.Now()
-	defer c.noteLock(t0)
-	c.e.lockTax(task)
-	if err := c.e.lm.Acquire(task, c.tx.ID, c.e.tableLocks[table], tableMode); err != nil {
-		c.err = err
-		return false
+	lp := &c.pair
+	lp.ph = lockTaxing
+	lp.req = lockmgr.Request{Txn: c.tx.ID, Name: c.e.tableLocks[table], Mode: tableMode}
+	lp.row, lp.rowMode = lockmgr.Name{}, 0
+	if key != nil {
+		lp.row, lp.rowMode = lockmgr.RowLock(table, key), rowMode
 	}
-	if key == nil {
-		return true
+	task.RunChain(lp)
+	c.noteLock(t0)
+	return c.err == nil
+}
+
+// lockPair is convCtx.lock's chain in progress: what of it is next, the
+// request being stepped (the table lock's, then the row lock's), and the row
+// lock's name and mode (0 when there is none).
+type lockPair struct {
+	c       *convCtx
+	ph      uint8
+	req     lockmgr.Request
+	row     lockmgr.Name
+	rowMode lockmgr.Mode
+}
+
+// Lock-pair phases.
+const (
+	lockTaxing uint8 = iota
+	lockTable
+	lockRow
+)
+
+// Continue implements sim.Continuation: the tax's transfers behind the
+// pending core time, then each request, at the instants the process would
+// have made them one call at a time.
+func (lp *lockPair) Continue(sc *sim.Script) {
+	c := lp.c
+	e, task := c.e, c.rt.task
+	for !sc.Pending() {
+		switch lp.ph {
+		case lockTaxing:
+			lp.ph = lockTable
+			if e.taxed(task) {
+				task.Flush()
+				e.addLockTax(sc, task)
+			}
+		default:
+			if !e.lm.Step(sc, task, &lp.req) {
+				continue
+			}
+			if lp.req.Err != nil {
+				c.err = lp.req.Err
+				return
+			}
+			if lp.ph == lockRow || lp.rowMode == 0 {
+				return
+			}
+			lp.ph = lockRow
+			lp.req = lockmgr.Request{Txn: c.tx.ID, Name: lp.row, Mode: lp.rowMode}
+		}
 	}
-	if err := c.e.lm.Acquire(task, c.tx.ID, lockmgr.RowLock(table, key), rowMode); err != nil {
-		c.err = err
-		return false
-	}
-	return true
+	sc.Then(lp)
 }
 
 // noteLock folds the elapsed time since t0 into the lock phase and, when

@@ -214,43 +214,139 @@ func (r *rowStore) applyUndoRaw(task *platform.Task, u txn.UndoRec) {
 // visited node a page latch when the store has them, a buffer-pool fix, the
 // node's cache-modelled access and the binary-search instructions (a search
 // over a wide node touches several cache lines, one per probe pair), plus
-// software split and merge costs.
+// software split and merge costs. The walk runs as one kernel script
+// (pageWalk), so the task's process parks at most once for all of it.
 func (r *rowStore) chargeVisits(task *platform.Task, tr *btree.Trace, write bool) {
-	for _, v := range tr.Visits {
-		var latch *sim.Resource
-		if r.latches != nil {
-			latch = r.latches[uint64(v.ID)%uint64(len(r.latches))]
-			task.Exec(stats.CompBtree, 60) // latch acquire/release pair
-			sc := task.Script()
-			sc.Acquire(latch)
-			sc.Run()
+	w := walks.Get(task)
+	w.r, w.tr, w.write, w.i = r, tr, write, 0
+	w.begin()
+	task.RunChain(w)
+	w.tr = nil
+}
+
+// pageWalk is one chargeVisits in progress, run as kernel continuations:
+// each latch, fix, charge and unfix happens at the instant the process would
+// have made it one call at a time, and wherever the process would have
+// parked (a latch, the core, a charge reaching the task's burst cap, a
+// miss's I/O) the walk appends the step and itself behind it. A task's walk
+// is built the first time the task walks a tree.
+type pageWalk struct {
+	r     *rowStore
+	t     *platform.Task
+	tr    *btree.Trace
+	write bool
+	i     int       // the visit in progress; len(tr.Visits) for the tail
+	ph    walkPhase // what of visit i is next
+	line  int       // the next extra cache line visit i's search touches
+	fix   bufferpool.FixOp
+	unfix bufferpool.UnfixOp
+}
+
+var walks = platform.NewLocal(func(t *platform.Task) *pageWalk { return &pageWalk{t: t} })
+
+// walkPhase is one thing the walk does per visit, in order.
+type walkPhase uint8
+
+const (
+	walkLatch walkPhase = iota // the latch pair's instructions, core time, the page latch
+	walkFix
+	walkNode    // the node's first cache line
+	walkLines   // the search's further lines, one per probe pair
+	walkSearch  // the search's instructions
+	walkLeaf    // record locate/copy and slot bookkeeping at the leaf
+	walkUnfix   // the unfix; a dirty one at a written leaf
+	walkUnlatch // core time, then the latch's release
+)
+
+// begin readies visit w.i, or the tail past the last one.
+func (w *pageWalk) begin() {
+	w.ph = walkLatch
+	if w.i == len(w.tr.Visits) {
+		return
+	}
+	if w.r.latches == nil {
+		w.ph = walkFix
+	}
+	v := &w.tr.Visits[w.i]
+	w.fix = bufferpool.FixOp{ID: v.ID}
+	w.unfix = bufferpool.UnfixOp{ID: v.ID, Dirty: w.write && v.Leaf}
+	w.line = 1
+}
+
+// Continue implements sim.Continuation: it runs the walk until it has
+// appended steps to wait on, then appends itself behind them, or until it is
+// over.
+func (w *pageWalk) Continue(sc *sim.Script) {
+	for !sc.Pending() {
+		if w.step(sc) {
+			return
 		}
-		r.pool.Fix(task, v.ID)
-		task.Access(stats.CompBtree, v.Addr, 64)
-		for i := 1; i < (v.Cmps+1)/2; i++ {
-			task.Access(stats.CompBtree, v.Addr+uint64(64*i), 16)
+	}
+	sc.Then(w)
+}
+
+// step does the walk's next thing and reports whether the walk is over.
+func (w *pageWalk) step(sc *sim.Script) (over bool) {
+	r, t := w.r, w.t
+	if w.i == len(w.tr.Visits) {
+		if w.ph == 0 {
+			for _, id := range w.tr.NewPages {
+				// Pages born by splits enter the pool without I/O.
+				r.pool.Prewarm(id)
+			}
+			w.ph++
+			if w.tr.Splits > 0 {
+				t.Exec(stats.CompBtree, 1500*w.tr.Splits)
+			}
+			return false
 		}
-		task.Exec(stats.CompBtree, 60+14*v.Cmps)
+		if n := w.tr.Merges + w.tr.Borrows; n > 0 {
+			t.Exec(stats.CompBtree, 900*n)
+		}
+		return true
+	}
+	v := &w.tr.Visits[w.i]
+	switch w.ph {
+	case walkLatch:
+		t.Exec(stats.CompBtree, 60)
+		t.Flush() // empty when the charge reached the burst cap
+		sc.Acquire(r.latch(v.ID))
+	case walkFix:
+		if !r.pool.StepFix(sc, t, &w.fix) {
+			return false
+		}
+	case walkNode:
+		t.Access(stats.CompBtree, v.Addr, 64)
+	case walkLines:
+		if w.line < (v.Cmps+1)/2 {
+			t.Access(stats.CompBtree, v.Addr+uint64(64*w.line), 16)
+			w.line++
+			return false
+		}
+	case walkSearch:
+		t.Exec(stats.CompBtree, 60+14*v.Cmps)
+	case walkLeaf:
 		if v.Leaf {
-			// Record locate/copy and slot bookkeeping at the leaf.
-			task.Exec(stats.CompBtree, 110)
+			t.Exec(stats.CompBtree, 110)
 		}
-		r.pool.Unfix(task, v.ID, write && v.Leaf)
-		if latch != nil {
-			task.Flush()
-			latch.Release()
+	case walkUnfix:
+		if !r.pool.StepUnfix(sc, t, &w.unfix) {
+			return false
 		}
+	case walkUnlatch:
+		t.Flush()
+		sc.Release(r.latch(v.ID))
 	}
-	for _, id := range tr.NewPages {
-		// Pages born by splits enter the pool without I/O.
-		r.pool.Prewarm(id)
+	if w.ph++; w.ph > walkUnlatch || w.ph == walkUnlatch && r.latches == nil {
+		w.i++
+		w.begin()
 	}
-	if tr.Splits > 0 {
-		task.Exec(stats.CompBtree, 1500*tr.Splits)
-	}
-	if tr.Merges+tr.Borrows > 0 {
-		task.Exec(stats.CompBtree, 900*(tr.Merges+tr.Borrows))
-	}
+	return false
+}
+
+// latch returns page id's latch stripe.
+func (r *rowStore) latch(id storage.PageID) *sim.Resource {
+	return r.latches[uint64(id)%uint64(len(r.latches))]
 }
 
 // kvPair is one materialized scan row; the buffers come from the row

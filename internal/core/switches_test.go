@@ -36,13 +36,13 @@ var benchConfigs = []struct {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
 		}
 	}},
-	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.65, 3.45, 2.92, 94, 99, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-conv", 64, 40 * sim.Millisecond, 0.17, 3.45, 2.92, 94, 99, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tpcc.New(tpcc.DefaultConfig())
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
 		}
 	}},
-	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.56, 0.076, 0.0098, 163, 179, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.44, 0.076, 0.0098, 163, 179, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := ycsb.WorkloadA()
 		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
 		wl := ycsb.New(cfg)
@@ -71,8 +71,13 @@ var benchConfigs = []struct {
 // conflicts where it used to refuse and retry: 2.54M events became 2.38M).
 // Before a page latch and the log latch were taken in the script of the
 // flush ahead of them, tpcc-conv measured 0.658 (2 093 732 resumes / 3 184 179
-// events, now 2 009 911) and ycsb-dora-4s 0.592 (now 0.542), against
-// ceilings of 0.70 and 0.62.
+// events, then 2 009 911) and ycsb-dora-4s 0.592 (then 0.542), against
+// ceilings of 0.70 and 0.62. Before the conventional engine's page walk,
+// lock pair, release loop and software log insert ran as kernel
+// continuations, each parking at most once, tpcc-conv measured 0.631
+// (2 009 911 resumes / 3 184 179 events) and ycsb-dora-4s 0.542 (1 290 868 /
+// 2 381 902) against ceilings of 0.65 and 0.56; they measure 0.155 (493 914
+// / 3 184 179) and 0.419 (997 854 / 2 381 902), the event counts unchanged.
 func TestSwitchesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("populates three benchmark-scale databases")
@@ -177,8 +182,11 @@ func (w *steadyAllocs) NextTxn(r *sim.Rand) (string, core.TxnLogic) {
 // measured at 0.087, 4.93, 0.060 and 5.81. What is left is the trees' slab
 // chunks, which the inserted rows and keys fill, and the rows that replace
 // one of another length, and the growth of per-terminal and per-engine
-// storage over a window this short. tpcc-conv now measures 3.33 objects
-// and 2.79 KB under a ceiling of 3.45 objects. Before a lock state kept its
+// storage over a window this short. tpcc-conv now measures 3.39 objects
+// and 2.80 KB under a ceiling of 3.45 objects, ycsb-dora-4s 0.063 objects:
+// each task builds the state of its blocking chains (the page walk, a lock
+// call, a log insert) the first time it runs one, and terminals start in
+// this window (before that state, 3.33 / 2.79 KB and 0.060). Before a lock state kept its
 // first four holders in its own storage and its waiters in a list through
 // the waiters themselves, a contended lock usually drew a free state whose
 // holder slice had room for one and whose queue had none: 4.93 objects and

@@ -109,7 +109,8 @@ func TestWindowOneSerializesBlockingActions(t *testing.T) {
 		rvp := NewRVP(env, 2)
 		for i := 0; i < 2; i++ {
 			pt.Enqueue(task, &Action{RVP: rvp, Run: func(t *platform.Task, w *Partition) bool {
-				t.Block(10 * sim.Microsecond) // async hardware-style wait
+				t.Flush()
+				t.P.Wait(10 * sim.Microsecond) // async hardware-style wait
 				return true
 			}})
 		}
@@ -132,7 +133,8 @@ func TestWindowedPartitionOverlapsBlockedActions(t *testing.T) {
 		rvp := NewRVP(env, 8)
 		for i := 0; i < 8; i++ {
 			pt.Enqueue(task, &Action{RVP: rvp, Run: func(t *platform.Task, w *Partition) bool {
-				t.Block(10 * sim.Microsecond)
+				t.Flush()
+				t.P.Wait(10 * sim.Microsecond)
 				return true
 			}})
 		}
@@ -161,7 +163,8 @@ func TestWindowCapsInflight(t *testing.T) {
 				if inflight > maxInflight {
 					maxInflight = inflight
 				}
-				t.Block(5 * sim.Microsecond)
+				t.Flush()
+				t.P.Wait(5 * sim.Microsecond)
 				inflight--
 				return true
 			}})
@@ -413,7 +416,8 @@ func TestPartitionCloseDrains(t *testing.T) {
 		rvp := NewRVP(env, 10)
 		for i := 0; i < 10; i++ {
 			pt.Enqueue(task, &Action{RVP: rvp, Run: func(t *platform.Task, w *Partition) bool {
-				t.Block(2 * sim.Microsecond)
+				t.Flush()
+				t.P.Wait(2 * sim.Microsecond)
 				return true
 			}})
 		}
@@ -440,7 +444,8 @@ func TestPriorityActionJumpsQueue(t *testing.T) {
 		rvp := NewRVP(env, 3)
 		// A slow action occupies the worker; two more queue behind it.
 		pt.Enqueue(task, &Action{RVP: rvp, Run: func(t *platform.Task, w *Partition) bool {
-			t.Block(10 * sim.Microsecond)
+			t.Flush()
+			t.P.Wait(10 * sim.Microsecond)
 			order = append(order, "slow")
 			return true
 		}})

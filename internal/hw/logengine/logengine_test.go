@@ -234,7 +234,8 @@ func TestEpochIsACut(t *testing.T) {
 				for committers > 0 {
 					rec := wal.Record{Txn: uint64(c), Type: wal.RecUpdate}
 					e.Append(task, &rec)
-					task.Block(stagerEvery)
+					task.Flush()
+					task.P.Wait(stagerEvery)
 				}
 			})
 		}

@@ -238,32 +238,93 @@ func fnv1a(h uint64, b []byte) uint64 {
 // Acquire takes name in mode for txn, blocking until granted. It returns
 // ErrDeadlock when waiting would close a cycle; the caller must abort.
 // Re-acquiring a held lock in the same or weaker mode is free; requesting a
-// stronger mode converts (upgrades) it.
+// stronger mode converts (upgrades) it. It runs Step as one kernel script,
+// so the task's process parks at most once, queueing included.
 func (m *Manager) Acquire(t *platform.Task, txn uint64, name Name, mode Mode) error {
-	m.acquires++
-	t.Exec(stats.CompXct, m.cfg.AcquireInstr)
-	h := hashName(name)
-	t.Access(stats.CompXct, m.addr+(h%tableSlots)*64, 16)
-	t.Flush()
-	latch := m.latches[h%uint64(len(m.latches))]
-	latch.Acquire(t.P)
-	ls := m.state(h, name)
+	c := calls.Get(t)
+	c.m, c.releasing, c.req = m, false, Request{Txn: txn, Name: name, Mode: mode}
+	t.RunChain(c)
+	return c.req.Err
+}
+
+// Request is one lock acquisition in progress (Step). It begins from the
+// value with Txn, Name and Mode set and the rest zero; Err is its result
+// once Step is done.
+type Request struct {
+	Txn  uint64
+	Name Name
+	Mode Mode
+	Err  error
+
+	pc    uint8
+	h     uint64   // hashName(Name)
+	w     *waiter  // the queued request, while it waits
+	start sim.Time // when it began waiting
+}
+
+// Step runs acquisition q on t from inside a continuation of t's process
+// (sim.Script): the probe's instructions and hash-table access, the stripe
+// latch, the grant, refusal or enqueue, and after a wait the waiter's
+// return. Each happens at the instant Acquire's process would have done it.
+// It returns false once it has appended kernel steps that must run before it
+// can go on (core time, the latch, the grant's signal, a charge's cut): the
+// caller calls it again, with the same q, from a continuation behind them.
+// It returns true when the lock is granted or refused (q.Err).
+func (m *Manager) Step(sc *sim.Script, t *platform.Task, q *Request) (done bool) {
+	switch q.pc {
+	case 0:
+		q.pc++
+		m.acquires++
+		t.Exec(stats.CompXct, m.cfg.AcquireInstr)
+		if sc.Pending() {
+			return false
+		}
+		fallthrough
+	case 1:
+		q.pc++
+		q.h = hashName(q.Name)
+		t.Access(stats.CompXct, m.addr+(q.h%tableSlots)*64, 16)
+		t.Flush() // empty when the access reached the burst cap
+		sc.Acquire(m.latch(q.h))
+		return false
+	case 2:
+		q.pc++
+		return m.decide(sc, t, q)
+	}
+	// The grant's Fire woke the request: promote, which fired it, is done
+	// with the waiter.
+	w := q.w
+	w.sig.Reset()
+	w.next, m.freeWaiters = m.freeWaiters, w
+	q.w = nil
+	m.waitTime += t.P.Now().Sub(q.start)
+	delete(m.waiting, q.Txn)
+	return true
+}
+
+// decide grants, refuses or queues q, holding its stripe latch, and
+// releases the latch.
+func (m *Manager) decide(sc *sim.Script, t *platform.Task, q *Request) (done bool) {
+	txn, mode := q.Txn, q.Mode
+	latch := m.latch(q.h)
+	ls := m.state(q.h, q.Name)
 	i := ls.holderOf(txn)
 	if i >= 0 && stronger(ls.granted[i].mode, mode) {
 		latch.Release()
-		return nil
+		return true
 	}
 	upgrade := i >= 0
 	if grantable(ls, txn, mode, upgrade) {
 		m.grant(ls, txn, mode, upgrade)
 		latch.Release()
-		return nil
+		return true
 	}
 	// Must wait: check for a deadlock cycle before enqueueing.
 	if m.wouldDeadlock(txn, ls, mode, upgrade) {
 		m.deadlocks++
 		latch.Release()
-		return ErrDeadlock
+		q.Err = ErrDeadlock
+		return true
 	}
 	w := m.freeWaiters
 	if w != nil {
@@ -276,13 +337,41 @@ func (m *Manager) Acquire(t *platform.Task, txn uint64, name Name, mode Mode) er
 	m.waiting[txn] = ls
 	m.waits++
 	latch.Release()
-	start := t.P.Now()
-	w.sig.Await(t.P) // only promote fires it: a queued request is always granted
-	w.sig.Reset()
-	w.next, m.freeWaiters = m.freeWaiters, w
-	m.waitTime += t.P.Now().Sub(start)
-	delete(m.waiting, txn)
-	return nil
+	q.w, q.start = w, t.P.Now()
+	sc.Await(w.sig) // only promote fires it: a queued request is always granted
+	return false
+}
+
+// latch returns the lock-table latch stripe of a name's hash.
+func (m *Manager) latch(h uint64) *sim.Resource {
+	return m.latches[h%uint64(len(m.latches))]
+}
+
+// call is a task's blocking Acquire or ReleaseAll in progress, and its
+// continuation. It is built when the task first takes a lock.
+type call struct {
+	m         *Manager
+	t         *platform.Task
+	req       Request
+	releasing bool // a ReleaseAll; the rest is the release loop's state
+	held      []*lockState
+	i         int
+	latched   bool // held[i]'s latch is queued: the release goes on under it
+}
+
+var calls = platform.NewLocal(func(t *platform.Task) *call { return &call{t: t} })
+
+// Continue implements sim.Continuation.
+func (c *call) Continue(sc *sim.Script) {
+	var done bool
+	if c.releasing {
+		done = c.m.stepRelease(sc, c)
+	} else {
+		done = c.m.Step(sc, c.t, &c.req)
+	}
+	if !done {
+		sc.Then(c)
+	}
 }
 
 // state returns name's lock state, chaining a fresh one into its slot when
@@ -441,16 +530,42 @@ func (m *Manager) wouldDeadlock(txn uint64, ls *lockState, mode Mode, upgrade bo
 }
 
 // ReleaseAll drops every lock txn holds (end of transaction under strict
-// 2PL) and grants newly compatible waiters in FIFO order.
+// 2PL) and grants newly compatible waiters in FIFO order. The loop runs as
+// one kernel script, so the task's process parks at most once for all of
+// the latches it takes.
 func (m *Manager) ReleaseAll(t *platform.Task, txn uint64) {
-	held := m.holds[txn]
+	c := calls.Get(t)
+	c.m, c.releasing, c.i, c.latched = m, true, 0, false
+	c.held = m.holds[txn]
 	delete(m.holds, txn)
-	for _, ls := range held {
-		t.Exec(stats.CompXct, m.cfg.ReleaseInstr)
-		latch := m.latches[ls.hash%uint64(len(m.latches))]
-		t.Flush()
-		latch.Acquire(t.P)
-		i, last := ls.holderOf(txn), len(ls.granted)-1
+	c.req = Request{Txn: txn}
+	t.RunChain(c)
+	if c.held != nil {
+		m.freeHolds = append(m.freeHolds, c.held[:0])
+	}
+	c.held = nil
+}
+
+// stepRelease runs ReleaseAll's loop from inside a continuation, as Step
+// runs an acquisition: per held lock the release's instructions, the stripe
+// latch, and under it the holder's removal, the promotion of waiters and
+// the state's return to the free list.
+func (m *Manager) stepRelease(sc *sim.Script, c *call) (done bool) {
+	t := c.t
+	for ; c.i < len(c.held); c.i++ {
+		ls := c.held[c.i]
+		latch := m.latch(ls.hash)
+		if !c.latched {
+			// After a charge that reached the burst cap the flush is
+			// empty: the latch queues behind the core time the cap did.
+			c.latched = true
+			t.Exec(stats.CompXct, m.cfg.ReleaseInstr)
+			t.Flush()
+			sc.Acquire(latch)
+			return false
+		}
+		c.latched = false
+		i, last := ls.holderOf(c.req.Txn), len(ls.granted)-1
 		ls.granted[i] = ls.granted[last]
 		ls.granted = ls.granted[:last]
 		m.promote(ls)
@@ -459,9 +574,7 @@ func (m *Manager) ReleaseAll(t *platform.Task, txn uint64) {
 		}
 		latch.Release()
 	}
-	if held != nil {
-		m.freeHolds = append(m.freeHolds, held[:0])
-	}
+	return true
 }
 
 // promote grants the longest compatible prefix of the wait queue.

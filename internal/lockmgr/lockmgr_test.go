@@ -692,3 +692,56 @@ func TestWaitTimeAccumulates(t *testing.T) {
 		t.Fatalf("wait time %v", m.WaitTime())
 	}
 }
+
+// TestReleaseLoopAllocatesNothing checks that ReleaseAll's loop, run as one
+// kernel script per call, allocates nothing in steady state while it parks
+// on stripe latches and cores and promotes waiters: six processes on two
+// cores each hold the table lock and four of twelve rows, taken in key
+// order, and release them all at once.
+func TestReleaseLoopAllocatesNothing(t *testing.T) {
+	keys := make([][]byte, 12)
+	for i := range keys {
+		keys[i] = []byte{'k', byte('a' + i)}
+	}
+	env, pl, m := fixture()
+	defer env.Close()
+	for i := 0; i < 6; i++ {
+		i := i
+		env.Spawn("w", func(p *sim.Proc) {
+			tk := task(pl, p, i%2)
+			r := sim.NewRand(uint64(40 + i))
+			for txn := uint64(i + 1); ; txn += 6 {
+				if err := m.Acquire(tk, txn, TableLock(1), IX); err != nil {
+					t.Error(err)
+				}
+				first := r.Intn(len(keys) - 4)
+				for k := first; k < first+4; k++ {
+					if err := m.Acquire(tk, txn, RowLock(1, keys[k]), X); err != nil {
+						t.Error(err)
+					}
+				}
+				tk.Flush()
+				p.Wait(100 * sim.Nanosecond)
+				m.ReleaseAll(tk, txn)
+				tk.Flush()
+			}
+		})
+	}
+	horizon := sim.Time(2 * sim.Millisecond)
+	if err := env.RunUntil(horizon); err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		horizon += sim.Time(50 * sim.Microsecond)
+		if err := env.RunUntil(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waits := m.Waits()
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Errorf("%v allocations per 50 us of release loops, want 0", n)
+	}
+	if m.Waits() == waits {
+		t.Fatal("no acquire waited while counting allocations")
+	}
+}

@@ -306,6 +306,46 @@ type Task struct {
 	core *Core
 
 	pending sim.Duration
+	locals  [maxLocals]any // the task's Local values, by Local index
+}
+
+// Local is a per-task variable of type T for the packages above platform:
+// every task holds its own, built the first time Get asks that task for it.
+// Blocking chains (RunChain) keep their continuation state in one, so a
+// chain's state is built once per task, which is once per process for the
+// process's life, and never per operation: a process runs one chain at a
+// time, and a chain that runs inside another keeps its state in the outer
+// one's.
+type Local[T any] struct {
+	i     int
+	build func(t *Task) *T
+}
+
+// maxLocals is how many Locals a task has room for: one per blocking chain
+// that keeps its state per task.
+const maxLocals = 4
+
+// locals counts the Locals declared so far.
+var locals int
+
+// NewLocal declares a per-task variable whose value build makes. Call it
+// only to initialize a package-level variable.
+func NewLocal[T any](build func(t *Task) *T) Local[T] {
+	if locals == maxLocals {
+		panic("platform: more than maxLocals per-task variables")
+	}
+	locals++
+	return Local[T]{i: locals - 1, build: build}
+}
+
+// Get returns t's value of l, building it on first use.
+func (l Local[T]) Get(t *Task) *T {
+	if v, ok := t.locals[l.i].(*T); ok {
+		return v
+	}
+	v := l.build(t)
+	t.locals[l.i] = v
+	return v
 }
 
 // maxBurst caps how much charged time may accumulate before the task is
@@ -340,10 +380,6 @@ func (t *Task) Access(comp stats.Component, addr uint64, size int) {
 	t.charge(comp, t.core.access(addr, size))
 }
 
-// ChargeTime charges a raw duration of CPU-held time to comp (for modelled
-// costs that are neither instructions nor cache accesses).
-func (t *Task) ChargeTime(comp stats.Component, d sim.Duration) { t.charge(comp, d) }
-
 func (t *Task) charge(comp stats.Component, d sim.Duration) {
 	if t.BD != nil {
 		t.BD.Add(comp, d)
@@ -356,11 +392,20 @@ func (t *Task) charge(comp stats.Component, d sim.Duration) {
 
 // Flush applies accumulated charges: the task occupies its core for the
 // pending duration. Call before any blocking operation and at action
-// boundaries.
+// boundaries. Inside a continuation of the task's process (sim.Script) it
+// never blocks: it appends the core time to the running script, which serves
+// it after the continuation returns, and the continuation goes on behind it.
+// The burst cap flushes the same way, so a charge made in a continuation
+// never parks, and its cut points are where the process would have parked.
 func (t *Task) Flush() {
-	if t.pending != 0 {
-		t.Script().Run()
+	if t.pending == 0 {
+		return
 	}
+	if sc := t.P.Continuing(); sc != nil {
+		t.addFlush(sc)
+		return
+	}
+	t.Script().Run()
 }
 
 // Script starts a kernel script on t.P that begins with the flush (nothing,
@@ -369,18 +414,27 @@ func (t *Task) Flush() {
 // and what follows it cost one park together.
 func (t *Task) Script() *sim.Script {
 	sc := t.P.Script()
+	t.addFlush(sc)
+	return sc
+}
+
+// RunChain runs a blocking chain as one kernel script of the task's
+// process: c is the chain's state, whose Continue does what the chain does
+// at each instant and appends the steps it waits on, and c behind them,
+// until the chain is over (see sim.Script). However often the chain waits,
+// the process parks at most once.
+func (t *Task) RunChain(c sim.Continuation) {
+	sc := t.P.Script()
+	sc.Then(c)
+	sc.Run()
+}
+
+// addFlush appends the pending core time to sc.
+func (t *Task) addFlush(sc *sim.Script) {
 	if t.pending != 0 {
 		sc.Use(t.core.res, t.pending)
 		t.pending = 0
 	}
-	return sc
-}
-
-// Block flushes pending work and then waits d off-core (an asynchronous
-// wait: the core is free for other tasks).
-func (t *Task) Block(d sim.Duration) {
-	t.Flush()
-	t.P.Wait(d)
 }
 
 // HWUnit is an FPGA engine: a pipeline with a fixed number of concurrent

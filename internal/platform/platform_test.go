@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"testing"
 
 	"bionicdb/internal/sim"
@@ -482,7 +483,7 @@ func TestCountersMoveWhenTheStepStarts(t *testing.T) {
 	// Core 0 is busy for 50us, so the chained flush waits that long for it.
 	env.Spawn("hog", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], nil)
-		task.ChargeTime(stats.CompOther, 50*sim.Microsecond)
+		task.charge(stats.CompOther, 50*sim.Microsecond)
 	})
 	env.Spawn("chained", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], nil)
@@ -503,5 +504,87 @@ func TestCountersMoveWhenTheStepStarts(t *testing.T) {
 	}
 	if got, want := at[60*sim.Microsecond], (reading{2, 1024, 1, 64, 1}); got != want {
 		t.Errorf("at 60us: %+v, want %+v", got, want)
+	}
+}
+
+// chargeChain makes a fixed run of charges from a continuation (RunChain),
+// each one host work whose instant it records, going on behind whatever a
+// charge that reached the burst cap appended.
+type chargeChain struct {
+	t     *Task
+	n, i  int
+	note  func()
+	addr  uint64
+	steps int // continuations run
+}
+
+func (c *chargeChain) charge(i int) {
+	c.note()
+	if i%3 == 0 {
+		c.t.Access(stats.CompOther, c.addr+uint64(i)*4096, 64)
+	} else {
+		c.t.Exec(stats.CompOther, 700)
+	}
+}
+
+func (c *chargeChain) Continue(sc *sim.Script) {
+	c.steps++
+	for c.i < c.n {
+		c.charge(c.i)
+		c.i++
+		if sc.Pending() {
+			sc.Then(c)
+			return
+		}
+	}
+	c.t.Flush()
+}
+
+// TestChainChargesCutAtBurstCap runs three tasks on one core that make the
+// same charges, once one call at a time and once from a continuation, and
+// wants the same charge instants, core accounting and event count: in a
+// continuation a charge that reaches the burst cap appends the core time
+// instead of parking, and the continuation goes on behind it, so the cut
+// points stay where they were while each task parks once per run.
+func TestChainChargesCutAtBurstCap(t *testing.T) {
+	run := func(chained bool) (trace string, executed, switches uint64, busy sim.Duration, steps int) {
+		env := sim.NewEnv()
+		pl := New(env, HC2())
+		var rec []string
+		for k := 0; k < 3; k++ {
+			k := k
+			env.Spawn("charger", func(p *sim.Proc) {
+				c := &chargeChain{t: pl.NewTask(p, pl.Cores[0], nil), n: 40, addr: pl.AllocHost(1 << 20)}
+				c.note = func() { rec = append(rec, fmt.Sprintf("%d@%v", k, p.Now())) }
+				for round := 0; round < 3; round++ {
+					c.i = 0
+					if chained {
+						c.t.RunChain(c)
+						continue
+					}
+					for ; c.i < c.n; c.i++ {
+						c.charge(c.i)
+					}
+					c.t.Flush()
+				}
+				steps += c.steps
+			})
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rec), env.Executed(), env.Switches(), pl.Cores[0].BusyTime(), steps
+	}
+	ht, he, hs, hb, _ := run(false)
+	ct, ce, cs, cb, steps := run(true)
+	if ht != ct || he != ce || hb != cb {
+		t.Errorf("by hand %d events, core busy %v; chained %d events, core busy %v; traces equal %v",
+			he, hb, ce, cb, ht == ct)
+	}
+	if steps <= 9 {
+		t.Errorf("%d continuation steps over 9 chains: no charge reached the burst cap", steps)
+	}
+	if cs >= hs {
+		t.Errorf("chained resumed %d times, by hand %d: nothing was saved", cs, hs)
 	}
 }

@@ -247,6 +247,7 @@ func (p *Proc) Now() Time { return p.env.now }
 // yield returns false once Close has stopped the coroutine, at this park or
 // at any later one reached from a deferred call while unwinding.
 func (p *Proc) park() {
+	p.mayBlock()
 	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
@@ -261,6 +262,7 @@ func (p *Proc) park() {
 // bit-identical to the slow path because the skipped event would have been
 // popped immediately with nothing able to run in between.
 func (p *Proc) Wait(d Duration) {
+	p.mayBlock()
 	if !p.startWait(d) {
 		p.park()
 	}
@@ -283,9 +285,23 @@ func (p *Proc) startWait(d Duration) bool {
 	return false
 }
 
-// Yield reschedules the process at the current time, letting every other
-// runnable event at this timestamp execute first.
-func (p *Proc) Yield() { p.Wait(0) }
+// mayBlock panics when p is inside a continuation, which must not block.
+func (p *Proc) mayBlock() {
+	if p.script.cont {
+		panic("sim: process " + p.name + " blocks inside a continuation")
+	}
+}
+
+// Continuing returns the process's script while one of its continuation
+// steps runs (script.go), nil otherwise. Code that can run either in the
+// process's body or in a continuation appends what it would block on to the
+// script it returns instead of blocking.
+func (p *Proc) Continuing() *Script {
+	if p.script.cont {
+		return &p.script
+	}
+	return nil
+}
 
 // Suspend parks the process indefinitely. The caller must have registered
 // the process somewhere a later Resume will find it — Suspend/Resume is the

@@ -242,12 +242,18 @@ func (s *Signal) Fired() bool { return s.fired }
 // Await blocks until the signal completes.
 func (s *Signal) Await(p *Proc) {
 	if !s.fired {
-		if s.first == nil {
-			s.first = p
-		} else {
-			s.waiters = append(s.waiters, p)
-		}
+		p.mayBlock() // before enlisting: a refused await leaves no waiter
+		s.enlist(p)
 		p.park()
 		s.woken--
+	}
+}
+
+// enlist makes p a waiter, woken by the Fire that completes s.
+func (s *Signal) enlist(p *Proc) {
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.waiters = append(s.waiters, p)
 	}
 }

@@ -40,17 +40,6 @@ func (r *Resource) Acquire(p *Proc) {
 	sc.Run()
 }
 
-// TryAcquire claims a slot only if one is free right now.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.acquires++
-	r.stamp()
-	r.inUse++
-	return true
-}
-
 // Release frees one slot and wakes the longest-waiting process, if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
@@ -88,7 +77,7 @@ func (r *Resource) BusyTime() Duration { r.stamp(); return r.busy }
 // WaitTime returns the total time processes have spent queued.
 func (r *Resource) WaitTime() Duration { return r.waited }
 
-// Acquires returns the number of successful or pending Acquire/TryAcquire calls.
+// Acquires returns the number of Acquire calls, granted or pending.
 func (r *Resource) Acquires() int64 { return r.acquires }
 
 // Utilization returns busy slot-time divided by capacity × elapsed, in [0,1].

@@ -241,12 +241,12 @@ func TestTryAcquire(t *testing.T) {
 	res := NewResource(env, "r", 1)
 	var got []bool
 	env.Spawn("a", func(p *Proc) {
-		if !res.TryAcquire() {
+		if !tryAcquire(res) {
 			t.Error("first TryAcquire failed")
 		}
-		got = append(got, res.TryAcquire()) // should fail: full
+		got = append(got, tryAcquire(res)) // should fail: full
 		res.Release()
-		got = append(got, res.TryAcquire()) // should succeed
+		got = append(got, tryAcquire(res)) // should succeed
 		res.Release()
 	})
 	if err := env.Run(); err != nil {
@@ -490,7 +490,7 @@ func TestSignalResetPanicsWhileInUse(t *testing.T) {
 		// The sleeper's wake is scheduled, not yet run: it has not seen the
 		// completion.
 		mustPanic("waiter woken but not resumed", woken.Reset)
-		p.Yield()
+		p.Wait(0)
 		woken.Reset()
 	})
 	if err := env.RunUntil(Time(Millisecond)); err != nil {

@@ -357,28 +357,9 @@ func NewTable(headers ...string) *Table {
 	return t
 }
 
-// Row appends a row; values are formatted with %v.
-func (t *Table) Row(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = trimFloat(v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-func trimFloat(v float64) string {
-	s := fmt.Sprintf("%.3f", v)
-	s = strings.TrimRight(s, "0")
-	s = strings.TrimRight(s, ".")
-	if s == "" || s == "-" {
-		s = "0"
-	}
-	return s
+// Row appends a row of cells, each already formatted.
+func (t *Table) Row(cells ...string) {
+	t.rows = append(t.rows, cells)
 }
 
 // String renders the table with a header rule.

@@ -380,29 +380,63 @@ func NewManager(pl *platform.Platform, store *Store, cfg ManagerConfig) *Manager
 	return m
 }
 
-// Append implements Appender: encode, latch, copy, release.
+// Append implements Appender: encode, latch, copy, release. The insert runs
+// as one kernel script (appendOp), so the task's process parks at most once
+// for the core time, the latch and the release together.
 func (m *Manager) Append(t *platform.Task, rec *Record) LSN {
-	m.appends++
-	// Record construction happens outside the latch.
-	size := rec.EncodedSize()
-	t.Exec(stats.CompLog, m.cfg.InsertBaseInstr+int(float64(size)*m.cfg.CopyInstrPerByte))
-	// The central buffer insert holds the latch for the copy; this is the
-	// serialization point the paper's hardware log engine removes. The
-	// pending core time and the latch cost one park together.
-	sc := t.Script()
-	sc.Acquire(m.latch)
-	sc.Run()
-	off := len(m.buf)
-	end := m.Staged(size)
-	rec.LSN = end - LSN(size)
-	m.buf = rec.Encode(m.buf)
-	t.Access(stats.CompLog, m.bufAddr+uint64(off%m.cfg.FlushBytes), size)
-	t.Flush()
-	m.latch.Release()
-	if m.Backlog() >= m.cfg.FlushBytes {
-		m.Kick()
+	op := appendOps.Get(t)
+	op.m, op.rec, op.pc = m, rec, 0
+	t.RunChain(op)
+	op.rec = nil
+	return op.end
+}
+
+// appendOp is a task's Append in progress, run as kernel continuations: each
+// thing the insert does happens at the instant the process would have done
+// it one call at a time. It is built when the task first appends.
+type appendOp struct {
+	m    *Manager
+	t    *platform.Task
+	rec  *Record
+	size int
+	end  LSN
+	pc   uint8
+}
+
+var appendOps = platform.NewLocal(func(t *platform.Task) *appendOp { return &appendOp{t: t} })
+
+// Continue implements sim.Continuation.
+func (op *appendOp) Continue(sc *sim.Script) {
+	m, t, rec := op.m, op.t, op.rec
+	switch op.pc {
+	case 0:
+		op.pc++
+		m.appends++
+		// Record construction happens outside the latch.
+		op.size = rec.EncodedSize()
+		t.Exec(stats.CompLog, m.cfg.InsertBaseInstr+int(float64(op.size)*m.cfg.CopyInstrPerByte))
+		// The central buffer insert holds the latch for the copy; this is
+		// the serialization point the paper's hardware log engine removes.
+		// The pending core time and the latch cost one wait together (the
+		// flush is empty when the charge reached the burst cap).
+		t.Flush()
+		sc.Acquire(m.latch)
+		sc.Then(op)
+	case 1:
+		op.pc++
+		off := len(m.buf)
+		op.end = m.Staged(op.size)
+		rec.LSN = op.end - LSN(op.size)
+		m.buf = rec.Encode(m.buf)
+		t.Access(stats.CompLog, m.bufAddr+uint64(off%m.cfg.FlushBytes), op.size)
+		t.Flush()
+		sc.Release(m.latch)
+		sc.Then(op)
+	default:
+		if m.Backlog() >= m.cfg.FlushBytes {
+			m.Kick()
+		}
 	}
-	return end
 }
 
 // take hands the flush the central buffer and continues in batch.
