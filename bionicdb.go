@@ -17,12 +17,10 @@ import (
 
 	"bionicdb/internal/bench"
 	"bionicdb/internal/core"
-	"bionicdb/internal/darksilicon"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 	"bionicdb/internal/storage"
-	"bionicdb/internal/workload/htap"
 	"bionicdb/internal/workload/tatp"
 	"bionicdb/internal/workload/tpcc"
 	"bionicdb/internal/workload/ycsb"
@@ -126,20 +124,6 @@ func BreakdownLines(bd *stats.Breakdown) []string {
 // machine of the paper's Figure 2.
 func HC2() *PlatformConfig { return platform.HC2() }
 
-// HC2Scaled returns the HC2 machine scaled out to n sockets joined by the
-// default ring interconnect. One socket is exactly HC2(); more sockets add
-// cores, per-socket LLCs, and cross-socket message costs (the DORA engines
-// shard their partitions across sockets and commit cross-shard
-// transactions through an RVP decision round).
-func HC2Scaled(sockets int) *PlatformConfig { return platform.HC2Scaled(sockets) }
-
-// HC2ScaledSharded is HC2Scaled with per-socket log devices: every socket
-// gets its own log stream and SSD (the sharded durability subsystem), so
-// the DORA engines keep one WAL shard per socket, commit cross-shard
-// transactions at the vector durable point, and recover by replaying all
-// shards in parallel. On one socket it is exactly HC2().
-func HC2ScaledSharded(sockets int) *PlatformConfig { return platform.HC2ScaledSharded(sockets) }
-
 // NewConventional builds the shared-everything 2PL baseline engine.
 func NewConventional(env *Env, cfg *PlatformConfig, tables []TableDef) Engine {
 	return core.NewConventional(env, cfg, tables)
@@ -167,9 +151,6 @@ func HashScheme(partitions int) PartitionScheme { return core.HashScheme(partiti
 func Run(cfg RunConfig, wl Workload, mk func(env *Env) Engine) (*Result, error) {
 	return core.Run(cfg, wl, mk)
 }
-
-// DefaultRunConfig returns the figure generators' measurement shape.
-func DefaultRunConfig() RunConfig { return core.DefaultRunConfig() }
 
 // Workloads.
 
@@ -255,51 +236,8 @@ func DORASpec() EngineSpec { return bench.DORA() }
 // offload subset.
 func BionicSpec(off Offloads) EngineSpec { return bench.Bionic(off) }
 
-// HTAP workloads (the fig-htap experiment's analytical half).
-type (
-	// HTAPWorkload is a hybrid workload: an OLTP mix plus analytical
-	// scans over columnar projections of the row store.
-	HTAPWorkload = htap.Mixed
-	// HTAPParams tunes the analytical half (scan clients per socket,
-	// host refresh cadence, scanner configuration).
-	HTAPParams = htap.Params
-)
-
-// DefaultHTAPParams returns the calibrated analytical parameters.
-func DefaultHTAPParams() HTAPParams { return htap.DefaultParams() }
-
-// NewHTAPYCSB creates the YCSB-backed hybrid workload: the OLTP mix plus
-// key-range scans over a columnar projection of the usertable.
-func NewHTAPYCSB(cfg YCSBConfig, p HTAPParams) *HTAPWorkload { return htap.NewYCSB(cfg, p) }
-
-// NewHTAPTPCC creates the TPC-C-backed hybrid workload (CH-benCHmark
-// style): the OLTP mix plus low-stock and revenue scans over columnar
-// projections of stock and order-line.
-func NewHTAPTPCC(cfg TPCCConfig, p HTAPParams) *HTAPWorkload { return htap.NewTPCC(cfg, p) }
-
-// HTAPTable renders HTAP results as the fig-htap table: transactional
-// throughput and energy next to scan bandwidth and freshness.
-func HTAPTable(results []SweepResult) *stats.Table { return bench.HTAPTable(results) }
-
 // ScalingTable renders scaling results with per-curve speedup columns.
 func ScalingTable(results []SweepResult) *stats.Table { return bench.ScalingTable(results) }
 
 // SweepTable renders sweep results as an aligned table.
 func SweepTable(results []SweepResult) *stats.Table { return bench.Table(results) }
-
-// Dark silicon analytics (the paper's §2 / Figure 1).
-
-// AmdahlSpeedup is Amdahl's law for the given serial fraction and cores.
-func AmdahlSpeedup(serialFrac float64, cores int) float64 {
-	return darksilicon.Speedup(serialFrac, cores)
-}
-
-// ChipUtilization is the utilized fraction of an n-core chip.
-func ChipUtilization(serialFrac float64, cores int) float64 {
-	return darksilicon.Utilization(serialFrac, cores)
-}
-
-// EnergyPerOp returns joules/op for a component at a power and throughput.
-func EnergyPerOp(powerW, opsPerSec float64) float64 {
-	return darksilicon.EnergyPerOp(powerW, opsPerSec)
-}

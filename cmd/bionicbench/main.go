@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -82,7 +83,7 @@ var (
 	terminals   = flag.Int("terminals", 64, "closed-loop clients per socket")
 	measureMs   = flag.Int("measure", 50, "measurement window, simulated ms")
 	warmupMs    = flag.Int("warmup", 20, "warmup, simulated ms")
-	subscribers = flag.Int("subscribers", 100000, "TATP scale")
+	subscribers = flag.Int("subscribers", tatp.DefaultConfig().Subscribers, "TATP scale")
 	warehouses  = flag.Int("warehouses", 4, "TPC-C scale (per socket)")
 	records     = flag.Int("records", 100000, "YCSB scale")
 	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -185,16 +186,6 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		if doc.Empty() {
-			var measured []string
-			for _, e := range experiments {
-				if e.json {
-					measured = append(measured, "-"+e.flag)
-				}
-			}
-			fatal(fmt.Sprintf("-json %s: no results to write (the selected experiments run no measurements; use %s)",
-				*jsonOut, strings.Join(measured, ", ")))
-		}
 		if err := doc.WriteFile(*jsonOut); err != nil {
 			fatal(err)
 		}
@@ -227,7 +218,8 @@ func applyQuick() {
 // replica count, a negative warmup, or an unknown -replication mode. It
 // also rejects -seeds above 1 unless run, the experiments selected, is
 // -sweep alone: no other experiment reads it, and a flag silently ignored
-// reads as a result over several seeds.
+// reads as a result over several seeds. And it rejects -json unless run
+// holds an experiment that measures something, naming those that do.
 func checkFlags(run []experiment) error {
 	for _, f := range []struct {
 		name string
@@ -249,6 +241,15 @@ func checkFlags(run []experiment) error {
 		if e.flag != "sweep" && *seeds > 1 {
 			return fmt.Errorf("-seeds %d: only -sweep runs more than one seed, and -%s runs one (-seed)", *seeds, e.flag)
 		}
+	}
+	if *jsonOut != "" && !slices.ContainsFunc(run, func(e experiment) bool { return e.json }) {
+		var measured []string
+		for _, e := range experiments {
+			if e.json {
+				measured = append(measured, "-"+e.flag)
+			}
+		}
+		return fmt.Errorf("-json %s: the selected experiments run no measurements; use %s", *jsonOut, strings.Join(measured, ", "))
 	}
 	return nil
 }

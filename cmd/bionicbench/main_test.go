@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// resetFlags puts the size, window and replication flags back to their
-// defaults.
+// resetFlags puts the size, window, replication and -json flags back to
+// their defaults.
 func resetFlags(t *testing.T) {
 	t.Helper()
-	for _, name := range []string{"warehouses", "subscribers", "records", "terminals", "measure", "seeds", "sockets", "warmup", "replicas", "replication"} {
+	for _, name := range []string{"warehouses", "subscribers", "records", "terminals", "measure", "seeds", "sockets", "warmup", "replicas", "replication", "json"} {
 		f := flag.Lookup(name)
 		if err := f.Value.Set(f.DefValue); err != nil {
 			t.Fatalf("reset -%s: %v", name, err)
@@ -22,7 +22,9 @@ func resetFlags(t *testing.T) {
 }
 
 // TestCheckFlags: each size flag is refused below its floor, naming the flag,
-// and accepted at the floor; -replication is refused unless it names a mode.
+// and accepted at the floor; -replication is refused unless it names a mode;
+// -json is refused unless an experiment that measures is selected, naming
+// those that do.
 func TestCheckFlags(t *testing.T) {
 	defer resetFlags(t)
 	for _, c := range []struct {
@@ -71,6 +73,23 @@ func TestCheckFlags(t *testing.T) {
 	resetFlags(t)
 	if err := checkFlags(nil); err != nil {
 		t.Errorf("defaults: %v", err)
+	}
+	byFlag := map[string]experiment{}
+	for _, e := range experiments {
+		byFlag[e.flag] = e
+	}
+	*jsonOut = "x.json"
+	for _, run := range [][]experiment{nil, {byFlag["fig 1"]}, {byFlag["fig 2"], byFlag["latencies"], byFlag["saturation"]}} {
+		err := checkFlags(run)
+		if err == nil || !strings.Contains(err.Error(), "-json x.json") || !strings.Contains(err.Error(), "-fig 4") ||
+			!strings.Contains(err.Error(), "-fig-failover") || strings.Contains(err.Error(), "-fig 1") {
+			t.Errorf("-json with %d experiments that measure nothing: checkFlags = %v, want an error naming -json and the experiments that measure", len(run), err)
+		}
+	}
+	for _, run := range [][]experiment{{byFlag["fig 4"]}, {byFlag["fig 1"], byFlag["fig-recovery"]}, experiments} {
+		if err := checkFlags(run); err != nil {
+			t.Errorf("-json with %d experiments, one measuring: %v", len(run), err)
+		}
 	}
 }
 

@@ -201,9 +201,6 @@ func (g Grid) Points() []Point {
 	return out
 }
 
-// Run executes the whole grid; see Run.
-func (g Grid) Run(opt Options) []Result { return Run(g.Points(), opt) }
-
 // build returns the point's private workload and the engine constructor
 // core.Run and core.Open take. It is the one place a point's machine is
 // stated: the HC2 socket scaled out to Sockets, with per-socket log devices

@@ -413,3 +413,6 @@ func smallHTAPTPCC() WorkloadSpec {
 		return htap.NewTPCC(tpcc.SmallConfig(), htap.DefaultParams())
 	}}
 }
+
+// Run executes the whole grid; see Run.
+func (g Grid) Run(opt Options) []Result { return Run(g.Points(), opt) }

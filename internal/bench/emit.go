@@ -18,11 +18,6 @@ type Doc struct {
 	Failover []FailoverResult
 }
 
-// Empty reports whether the document has nothing to write.
-func (d Doc) Empty() bool {
-	return len(d.Results) == 0 && len(d.Recovery) == 0 && len(d.Failover) == 0
-}
-
 // jsonDoc is the emitted document shape: the suite, then each section,
 // omitted when empty.
 type jsonDoc struct {

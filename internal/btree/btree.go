@@ -90,9 +90,6 @@ func (p *TracePool) Put(t *Trace) {
 	p.free = append(p.free, t)
 }
 
-// Depth returns the number of nodes visited on the root-to-leaf path.
-func (t *Trace) Depth() int { return len(t.Visits) }
-
 type node struct {
 	id   storage.PageID
 	addr uint64
@@ -273,9 +270,6 @@ func (t *Tree) Size() int { return t.size }
 
 // Height returns the number of levels (1 for a lone leaf).
 func (t *Tree) Height() int { return t.height }
-
-// Order returns the configured maximum keys per node.
-func (t *Tree) Order() int { return t.cfg.Order }
 
 // RootID returns the page id of the root node, for checkpoint catalogs.
 func (t *Tree) RootID() storage.PageID { return t.root.id }

@@ -1026,3 +1026,9 @@ func TestBorrowClearsTheDonorsTail(t *testing.T) {
 		}
 	}
 }
+
+// Depth returns the number of nodes visited on the root-to-leaf path.
+func (t *Trace) Depth() int { return len(t.Visits) }
+
+// Order returns the configured maximum keys per node.
+func (t *Tree) Order() int { return t.cfg.Order }

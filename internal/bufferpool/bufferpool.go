@@ -54,10 +54,6 @@ type Pool struct {
 	hand   int
 
 	tableAddr uint64 // timing address of the hash table
-
-	hits       int64
-	misses     int64
-	writebacks int64
 }
 
 // New creates a pool caching pages of dev.
@@ -121,12 +117,10 @@ func (bp *Pool) StepFix(sc *sim.Script, t *platform.Task, f *FixOp) (done bool) 
 	if fr := bp.lookup(f.ID); fr != nil {
 		fr.pins++
 		fr.refbit = true
-		bp.hits++
 		bp.latch.Release()
 		f.Hit = true
 		return true
 	}
-	bp.misses++
 	victimDirty := false
 	if len(bp.ring) >= bp.cfg.Frames {
 		victimDirty = bp.evict()
@@ -136,7 +130,6 @@ func (bp *Pool) StepFix(sc *sim.Script, t *platform.Task, f *FixOp) (done bool) 
 	// the victim's write-back and the page read.
 	bp.latch.Release()
 	if victimDirty {
-		bp.writebacks++
 		bp.dev.AddTransfer(sc, bp.cfg.PageSize)
 	}
 	bp.dev.AddTransfer(sc, bp.cfg.PageSize)
@@ -256,25 +249,4 @@ func (bp *Pool) Prewarm(id storage.PageID) {
 		return
 	}
 	bp.install(id, 0)
-}
-
-// Resident reports whether a page occupies a frame (no cost charged).
-func (bp *Pool) Resident(id storage.PageID) bool { return bp.lookup(id) != nil }
-
-// Hits returns the number of fix hits.
-func (bp *Pool) Hits() int64 { return bp.hits }
-
-// Misses returns the number of fix misses.
-func (bp *Pool) Misses() int64 { return bp.misses }
-
-// Writebacks returns the number of dirty-victim write-backs.
-func (bp *Pool) Writebacks() int64 { return bp.writebacks }
-
-// HitRatio returns hits/(hits+misses), or 0 before any fix.
-func (bp *Pool) HitRatio() float64 {
-	total := bp.hits + bp.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(bp.hits) / float64(total)
 }

@@ -22,9 +22,6 @@ type Column struct {
 	addr uint64
 }
 
-// Addr returns the column's SG-DRAM base address.
-func (c *Column) Addr() uint64 { return c.addr }
-
 // Width returns the encoded width of one value in bytes.
 func (c *Column) Width() int { return 8 }
 

@@ -73,3 +73,6 @@ func TestDuplicateColumnPanics(t *testing.T) {
 	}()
 	NewTable(pl, "bad", U64Col("x"), U64Col("x"))
 }
+
+// Addr returns the column's SG-DRAM base address.
+func (c *Column) Addr() uint64 { return c.addr }

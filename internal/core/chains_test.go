@@ -55,6 +55,7 @@ func TestPageWalkAllocatesNothing(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	e, keys := chainEngine(env)
+	visits := 0
 	for i := 0; i < 8; i++ {
 		i := i
 		env.Spawn("walker", func(p *sim.Proc) {
@@ -65,6 +66,7 @@ func TestPageWalkAllocatesNothing(t *testing.T) {
 				tr := e.traces.Get()
 				e.trees[1].Get(k, tr)
 				e.chargeVisits(task, tr, i%2 == 1)
+				visits += len(tr.Visits)
 				e.traces.Put(tr)
 				task.Flush()
 			}
@@ -73,7 +75,7 @@ func TestPageWalkAllocatesNothing(t *testing.T) {
 	if n := steadyAllocs(t, env); n != 0 {
 		t.Errorf("%v allocations per 100µs of page walks, want 0", n)
 	}
-	if e.pool.Hits() == 0 {
+	if visits == 0 {
 		t.Fatal("no page was fixed")
 	}
 }
@@ -87,6 +89,7 @@ func TestLockPairAllocatesNothing(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	e, keys := chainEngine(env)
+	waits := 0 // releases that found a request queued
 	for i := 0; i < 8; i++ {
 		i := i
 		env.Spawn("locker", func(p *sim.Proc) {
@@ -102,6 +105,9 @@ func TestLockPairAllocatesNothing(t *testing.T) {
 				c.lock(1, keys[max(a, b)], lockmgr.IS, lockmgr.S)
 				c.rt.task.Flush()
 				p.Wait(200 * sim.Nanosecond)
+				if e.lm.CurWaiters() > 0 {
+					waits++
+				}
 				e.lm.ReleaseAll(c.rt.task, txn)
 				c.rt.task.Flush()
 			}
@@ -110,7 +116,7 @@ func TestLockPairAllocatesNothing(t *testing.T) {
 	if n := steadyAllocs(t, env); n != 0 {
 		t.Errorf("%v allocations per 100µs of lock pairs, want 0", n)
 	}
-	if e.lm.Waits() == 0 {
+	if waits == 0 {
 		t.Fatal("no lock request waited")
 	}
 }

@@ -228,20 +228,16 @@ func (r *RVP) Await(p *sim.Proc) bool {
 // visited set and stack are reused, so steady-state defer and release
 // cycles allocate nothing.
 type Registry struct {
-	waits     map[uint64][]uint64 // txn -> txns it waits for, each once
-	free      [][]uint64          // emptied holder slices
-	seen      map[uint64]bool     // wouldCycle's visited set
-	stack     []uint64            // wouldCycle's DFS stack
-	deadlocks int64
+	waits map[uint64][]uint64 // txn -> txns it waits for, each once
+	free  [][]uint64          // emptied holder slices
+	seen  map[uint64]bool     // wouldCycle's visited set
+	stack []uint64            // wouldCycle's DFS stack
 }
 
 // NewRegistry returns an empty waits-for registry.
 func NewRegistry() *Registry {
 	return &Registry{waits: make(map[uint64][]uint64), seen: make(map[uint64]bool)}
 }
-
-// Deadlocks returns how many defer attempts were refused as cycles.
-func (r *Registry) Deadlocks() int64 { return r.deadlocks }
 
 // wouldCycle reports whether adding waiter->holder closes a cycle: whether
 // waiter is reachable from holder. Reachability does not depend on the order
@@ -317,7 +313,6 @@ type Partition struct {
 	inflight   int
 	slotFree   *sim.Signal // fired by a finishing child while the worker waits for a slot
 	done       int64
-	defers     int64
 	actionName string         // spawn name for windowed child actions, built once
 	idle       []*actionChild // pooled child processes awaiting work
 
@@ -414,12 +409,6 @@ func (pt *Partition) Enqueue(t *platform.Task, a *Action) {
 
 // QueueLen reports the current backlog.
 func (pt *Partition) QueueLen() int { return pt.in.Len() }
-
-// Done reports how many actions have completed (including abort votes).
-func (pt *Partition) Done() int64 { return pt.done }
-
-// Defers reports how often a conflicting action was parked.
-func (pt *Partition) Defers() int64 { return pt.defers }
 
 // Start spawns the partition worker. With Window == 1 the worker runs each
 // action to completion itself; with a larger window it dispatches actions
@@ -556,13 +545,11 @@ func (pt *Partition) dispatch(task *platform.Task, a *Action) {
 		} else if l.owner != a.TxnID {
 			// Conflict: defer unless that would close a cycle.
 			if pt.reg.wouldCycle(a.TxnID, l.owner) {
-				pt.reg.deadlocks++
 				a.Refused = true
 				pt.finish(task, a, false)
 				return
 			}
 			pt.reg.add(a.TxnID, l.owner)
-			pt.defers++
 			a.defAt = task.P.Now()
 			l.deferred = append(l.deferred, a)
 			return
@@ -669,9 +656,6 @@ func (pt *Partition) ReleaseLocks(task *platform.Task, txnID uint64) {
 // Close shuts the input queue; the worker exits after draining.
 func (pt *Partition) Close() { pt.in.Close() }
 
-// HeldLocks reports how many entity locks are currently owned (diagnostics).
-func (pt *Partition) HeldLocks() int { return len(pt.locks) }
-
 // DeferredActions reports actions parked on entity locks (diagnostics).
 func (pt *Partition) DeferredActions() int {
 	n := 0
@@ -679,11 +663,4 @@ func (pt *Partition) DeferredActions() int {
 		n += len(l.deferred)
 	}
 	return n
-}
-
-// HoldsLock reports whether txnID owns the entity lock for key (testing
-// hook).
-func (pt *Partition) HoldsLock(key Entity, txnID uint64) bool {
-	l := pt.locks[key]
-	return l != nil && l.owner == txnID
 }

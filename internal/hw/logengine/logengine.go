@@ -76,7 +76,6 @@ type Engine struct {
 	counts    []int // records per staging buffer
 
 	records int // the collected epoch's, for its arbitration
-	appends int64
 }
 
 // New creates the whole-machine hardware log engine — one arbitration unit
@@ -118,7 +117,6 @@ func newEngine(pl *platform.Platform, store *wal.Store, cfg Config, name string,
 // caller's core. Commit records kick an immediate sync so group-commit
 // latency stays bounded.
 func (e *Engine) Append(t *platform.Task, rec *wal.Record) wal.LSN {
-	e.appends++
 	core := t.Core().ID
 	size := rec.EncodedSize()
 	t.Exec(stats.CompLog, e.cfg.AppendInstr+int(float64(size)*e.cfg.CopyInstrPerByte))
@@ -132,9 +130,6 @@ func (e *Engine) Append(t *platform.Task, rec *wal.Record) wal.LSN {
 	}
 	return h
 }
-
-// Appends returns the number of records staged.
-func (e *Engine) Appends() int64 { return e.appends }
 
 // ShardStats implements wal.Appender: every hardware sync is one
 // arbitration epoch.

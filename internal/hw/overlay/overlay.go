@@ -411,15 +411,6 @@ func (s *Store) Stop() {
 // Merged returns the number of rows bulk-merged to the base.
 func (s *Store) Merged() int64 { return s.merged }
 
-// Rows returns the row count across tables.
-func (s *Store) Rows() int {
-	n := 0
-	for _, tbl := range s.tables {
-		n += tbl.Tree.Size()
-	}
-	return n
-}
-
 // DirtyRows returns rows awaiting merge.
 func (s *Store) DirtyRows() int {
 	n := 0

@@ -364,3 +364,12 @@ func TestPutRedirtyAllocatesNothing(t *testing.T) {
 		t.Errorf("%v allocations per %d re-dirtying puts and a merge pass, want 0", allocs, len(keys))
 	}
 }
+
+// Rows returns the row count across tables.
+func (s *Store) Rows() int {
+	n := 0
+	for _, tbl := range s.tables {
+		n += tbl.Tree.Size()
+	}
+	return n
+}

@@ -35,6 +35,3 @@ func New(pl *platform.Platform, cfg Config) *Engine {
 // OpCycles returns the per-operation fabric occupancy for partitions to
 // charge.
 func (e *Engine) OpCycles() int { return e.cfg.OpCycles }
-
-// Ops returns the number of queue operations served.
-func (e *Engine) Ops() int64 { return e.Unit.Ops() }

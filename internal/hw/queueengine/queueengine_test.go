@@ -11,16 +11,18 @@ func TestEngineServesOps(t *testing.T) {
 	env := sim.NewEnv()
 	pl := platform.New(env, platform.HC2())
 	e := New(pl, DefaultConfig())
+	ops := 0
 	for i := 0; i < 10; i++ {
 		env.Spawn("op", func(p *sim.Proc) {
 			e.Unit.Work(p, e.OpCycles())
+			ops++
 		})
 	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Ops() != 10 {
-		t.Fatalf("ops=%d", e.Ops())
+	if ops != 10 {
+		t.Fatalf("ops=%d", ops)
 	}
 	// 10 ops, 4 slots, 3 cycles (~20ns) each: ~3 waves.
 	if env.Now() > sim.Time(100*sim.Nanosecond) {

@@ -35,7 +35,6 @@ type Engine struct {
 	pl   *platform.Platform
 	unit *platform.HWUnit
 
-	scans   int64
 	rowsIn  int64
 	rowsOut int64
 }
@@ -54,7 +53,6 @@ type Pred func(t *columnar.Table, pos int) bool
 // qualifying rows (projCols) cross PCIe. The calling task is blocked but
 // off-core for the duration.
 func (e *Engine) Scan(t *platform.Task, table *columnar.Table, pred Pred, projCols []string) []int {
-	e.scans++
 	t.Exec(stats.CompOther, 200) // descriptor setup
 	sc := t.Script()
 	e.pl.PCIe.AddTransfer(sc, 64) // scan descriptor
@@ -135,9 +133,6 @@ func HostScan(t *platform.Task, pl *platform.Platform, table *columnar.Table, pr
 	sc.Run()
 	return out
 }
-
-// Scans returns the number of hardware scans run.
-func (e *Engine) Scans() int64 { return e.scans }
 
 // Selectivity returns output rows / input rows across all scans.
 func (e *Engine) Selectivity() float64 {

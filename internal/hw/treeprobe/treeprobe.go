@@ -65,9 +65,6 @@ func New(pl *platform.Platform, cfg Config) *Engine {
 	}
 }
 
-// Probes returns the number of accepted probe requests.
-func (e *Engine) Probes() int64 { return e.probes }
-
 // Result reports a completed probe.
 type Result struct {
 	Val   []byte

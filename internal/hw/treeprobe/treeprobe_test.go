@@ -167,3 +167,6 @@ func TestProbeParksTwice(t *testing.T) {
 		t.Errorf("%d resumes, want 2", resumes)
 	}
 }
+
+// Probes returns the number of accepted probe requests.
+func (e *Engine) Probes() int64 { return e.probes }

@@ -160,11 +160,6 @@ type Manager struct {
 	freeWaiters *waiter
 	dfsSeen     map[uint64]bool
 	dfsBlocked  []uint64
-
-	acquires  int64
-	waits     int64
-	deadlocks int64
-	waitTime  sim.Duration
 }
 
 // New creates an empty lock manager.
@@ -256,10 +251,9 @@ type Request struct {
 	Mode Mode
 	Err  error
 
-	pc    uint8
-	h     uint64   // hashName(Name)
-	w     *waiter  // the queued request, while it waits
-	start sim.Time // when it began waiting
+	pc uint8
+	h  uint64  // hashName(Name)
+	w  *waiter // the queued request, while it waits
 }
 
 // Step runs acquisition q on t from inside a continuation of t's process
@@ -274,7 +268,6 @@ func (m *Manager) Step(sc *sim.Script, t *platform.Task, q *Request) (done bool)
 	switch q.pc {
 	case 0:
 		q.pc++
-		m.acquires++
 		t.Exec(stats.CompXct, m.cfg.AcquireInstr)
 		if sc.Pending() {
 			return false
@@ -297,7 +290,6 @@ func (m *Manager) Step(sc *sim.Script, t *platform.Task, q *Request) (done bool)
 	w.sig.Reset()
 	w.next, m.freeWaiters = m.freeWaiters, w
 	q.w = nil
-	m.waitTime += t.P.Now().Sub(q.start)
 	delete(m.waiting, q.Txn)
 	return true
 }
@@ -321,7 +313,6 @@ func (m *Manager) decide(sc *sim.Script, t *platform.Task, q *Request) (done boo
 	}
 	// Must wait: check for a deadlock cycle before enqueueing.
 	if m.wouldDeadlock(txn, ls, mode, upgrade) {
-		m.deadlocks++
 		latch.Release()
 		q.Err = ErrDeadlock
 		return true
@@ -335,9 +326,8 @@ func (m *Manager) decide(sc *sim.Script, t *platform.Task, q *Request) (done boo
 	w.txn, w.mode, w.upgrade = txn, mode, upgrade
 	ls.enqueue(w)
 	m.waiting[txn] = ls
-	m.waits++
 	latch.Release()
-	q.w, q.start = w, t.P.Now()
+	q.w = w
 	sc.Await(w.sig) // only promote fires it: a queued request is always granted
 	return false
 }
@@ -585,18 +575,6 @@ func (m *Manager) promote(ls *lockState) {
 		w.sig.Fire()
 	}
 }
-
-// Acquires returns the number of Acquire calls.
-func (m *Manager) Acquires() int64 { return m.acquires }
-
-// Waits returns the number of blocking acquisitions.
-func (m *Manager) Waits() int64 { return m.waits }
-
-// Deadlocks returns the number of ErrDeadlock results handed out.
-func (m *Manager) Deadlocks() int64 { return m.deadlocks }
-
-// WaitTime returns the cumulative blocked time across all transactions.
-func (m *Manager) WaitTime() sim.Duration { return m.waitTime }
 
 // CurWaiters returns the number of transactions currently blocked waiting
 // for a lock — an instantaneous gauge for the telemetry sampler.

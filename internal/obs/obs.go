@@ -45,9 +45,6 @@ type Options struct {
 	MetricsTick sim.Duration
 }
 
-// Enabled reports whether the options ask for any observation at all.
-func (o *Options) Enabled() bool { return o != nil && (o.Trace || o.Metrics) }
-
 // TraceOn reports whether span tracing is requested (nil-safe).
 func (o *Options) TraceOn() bool { return o != nil && o.Trace }
 

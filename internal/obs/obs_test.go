@@ -185,3 +185,22 @@ func TestKindNamesTotal(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// Enabled reports whether the options ask for any observation at all.
+func (o *Options) Enabled() bool { return o != nil && (o.Trace || o.Metrics) }
+
+// NumShards reports how many rings the recorder holds.
+func (rec *Recorder) NumShards() int {
+	if rec == nil {
+		return 0
+	}
+	return len(rec.shards)
+}
+
+// Len reports how many spans the ring currently holds.
+func (r *ShardRec) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.spans)
+}

@@ -32,14 +32,6 @@ func (r *ShardRec) Record(sp Span) {
 	r.dropped++
 }
 
-// Len reports how many spans the ring currently holds.
-func (r *ShardRec) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.spans)
-}
-
 // Dropped reports how many spans were overwritten after the ring filled.
 func (r *ShardRec) Dropped() uint64 {
 	if r == nil {
@@ -75,14 +67,6 @@ func (rec *Recorder) Shard(i int) *ShardRec {
 		return nil
 	}
 	return rec.shards[i]
-}
-
-// NumShards reports how many rings the recorder holds.
-func (rec *Recorder) NumShards() int {
-	if rec == nil {
-		return 0
-	}
-	return len(rec.shards)
 }
 
 // Dropped sums the overwritten-span counts across rings.

@@ -63,12 +63,6 @@ func (c *cacheLevel) access(lineAddr uint64) bool {
 	return false
 }
 
-// Hits returns the number of hits recorded so far.
-func (c *cacheLevel) Hits() int64 { return c.hits }
-
-// Misses returns the number of misses recorded so far.
-func (c *cacheLevel) Misses() int64 { return c.misses }
-
 // CacheStats summarizes hierarchy behaviour for reports and tests.
 type CacheStats struct {
 	L1Hits, L1Misses int64

@@ -9,7 +9,6 @@ import "bionicdb/internal/sim"
 // requesters overlap latency but share bandwidth. This is the standard
 // queueing model for every box and arrow in Figure 2.
 type Device struct {
-	name    string
 	chans   *sim.Resource
 	perChan float64      // GB/s per channel
 	latency sim.Duration // pipelined: experienced after the channel is released
@@ -25,7 +24,6 @@ func NewDevice(env *sim.Env, name string, gbps float64, latency sim.Duration, ch
 		channels = 1
 	}
 	return &Device{
-		name:    name,
 		chans:   sim.NewResource(env, name, channels),
 		perChan: gbps / float64(channels),
 		latency: latency,
@@ -57,20 +55,8 @@ func (d *Device) AddTransfer(sc *sim.Script, bytes int) {
 	sc.Wait(d.latency)
 }
 
-// Name returns the device name.
-func (d *Device) Name() string { return d.name }
-
-// Latency returns the configured per-access latency (pipelined or holding).
-func (d *Device) Latency() sim.Duration { return d.latency + d.holdLat }
-
 // Bytes returns the total bytes transferred.
 func (d *Device) Bytes() int64 { return d.bytes }
 
-// Ops returns the number of transfers.
-func (d *Device) Ops() int64 { return d.chans.Acquires() }
-
 // BusyTime returns channel-seconds of serialization consumed.
 func (d *Device) BusyTime() sim.Duration { return d.chans.BusyTime() }
-
-// Utilization returns fraction of aggregate bandwidth consumed so far.
-func (d *Device) Utilization() float64 { return d.chans.Utilization() }

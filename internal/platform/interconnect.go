@@ -80,19 +80,6 @@ func meshWidth(n int) int {
 	return w
 }
 
-// Diameter returns the worst-case hop count on an n-socket machine.
-func (t Topology) Diameter(n int) int {
-	max := 0
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if h := t.Hops(a, b, n); h > max {
-				max = h
-			}
-		}
-	}
-	return max
-}
-
 // Interconnect is the modeled socket-to-socket fabric: one egress port per
 // socket (a bandwidth channel) plus a pipelined per-hop latency. Senders
 // serialize on their own socket's port and then experience hop latency
@@ -150,12 +137,3 @@ func (ic *Interconnect) Messages() int64 { return ic.msgs }
 
 // HopBytes returns cumulative bytes x hops moved (the energy integrand).
 func (ic *Interconnect) HopBytes() int64 { return ic.hopBytes }
-
-// BusyTime returns summed egress-port serialization time.
-func (ic *Interconnect) BusyTime() sim.Duration {
-	var d sim.Duration
-	for _, port := range ic.ports {
-		d += port.BusyTime()
-	}
-	return d
-}

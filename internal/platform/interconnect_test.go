@@ -194,3 +194,16 @@ func TestInterconnectEnergy(t *testing.T) {
 		t.Errorf("CPU idle joules = %g, want %g (64 cores)", rep.CPUIdle, want)
 	}
 }
+
+// Diameter returns the worst-case hop count on an n-socket machine.
+func (t Topology) Diameter(n int) int {
+	max := 0
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if h := t.Hops(a, b, n); h > max {
+				max = h
+			}
+		}
+	}
+	return max
+}

@@ -131,18 +131,10 @@ func New(env *sim.Env, cfg *Config) *Platform {
 	return pl
 }
 
-// Replicas returns how many replica machines the platform ships its log to
-// (zero with replication off).
-func (pl *Platform) Replicas() int { return len(pl.replSSDs) }
-
 // ReplSSD returns the given replica machine's log device for the given
 // shard. Replica machines mirror the primary's log-device layout: one
 // device per shard.
 func (pl *Platform) ReplSSD(replica, shard int) *Device { return pl.replSSDs[replica][shard] }
-
-// LogShards returns how many per-socket log shards the machine carries: the
-// socket count under Cfg.ShardedLog(), otherwise 1 (the single SSD).
-func (pl *Platform) LogShards() int { return len(pl.logSSDs) }
 
 // LogSSD returns the log device of the given socket. On a non-sharded
 // machine every socket shares the one Figure 2 SSD.
@@ -258,12 +250,6 @@ type Core struct {
 
 // SocketID returns the socket this core belongs to.
 func (c *Core) SocketID() int { return c.sock.ID }
-
-// BusyTime returns how long the core has been executing charged work.
-func (c *Core) BusyTime() sim.Duration { return c.res.BusyTime() }
-
-// Utilization returns the busy fraction of this core so far.
-func (c *Core) Utilization() float64 { return c.res.Utilization() }
 
 // access charges one memory reference through the cache hierarchy and
 // returns its latency. It also accounts DRAM fill traffic for the energy
@@ -477,12 +463,6 @@ func (u *HWUnit) AddAcquire(sc *sim.Script) { sc.Acquire(u.slots) }
 
 // AddRelease appends the release of a slot claimed with AddAcquire.
 func (u *HWUnit) AddRelease(sc *sim.Script) { sc.Release(u.slots) }
-
-// Ops returns the number of operations accepted by the unit.
-func (u *HWUnit) Ops() int64 { return u.slots.Acquires() }
-
-// BusyTime returns slot-time consumed.
-func (u *HWUnit) BusyTime() sim.Duration { return u.slots.BusyTime() }
 
 // Utilization returns the busy fraction of the unit's pipeline.
 func (u *HWUnit) Utilization() float64 { return u.slots.Utilization() }

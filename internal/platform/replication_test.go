@@ -141,3 +141,7 @@ func TestReplAckNeed(t *testing.T) {
 		t.Errorf("unreplicated need %d", got)
 	}
 }
+
+// Replicas returns how many replica machines the platform ships its log to
+// (zero with replication off).
+func (pl *Platform) Replicas() int { return len(pl.replSSDs) }

@@ -230,9 +230,6 @@ type Proc struct {
 	script Script // the one script p builds and runs at a time (script.go)
 }
 
-// Name returns the diagnostic name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
 

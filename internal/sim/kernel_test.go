@@ -276,11 +276,11 @@ func TestCloseReapsCleanRunLeftovers(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
 	env.Spawn("holder", func(p *Proc) {
-		res.Acquire(p) // acquired and never released
+		acquire(res, p) // acquired and never released
 	})
 	env.Spawn("waiter", func(p *Proc) {
 		p.Wait(Nanosecond)
-		res.Acquire(p) // parks forever
+		acquire(res, p) // parks forever
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

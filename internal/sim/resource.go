@@ -2,7 +2,8 @@ package sim
 
 // Resource models a server pool with a fixed number of identical slots and a
 // FIFO wait queue: CPU cores, memory channels, a log device, a latch
-// (capacity 1). Acquire blocks the calling process while all slots are busy.
+// (capacity 1). A script's Acquire step blocks the process while all slots
+// are busy.
 //
 // Resource also accumulates busy time so harnesses can report utilization.
 type Resource struct {
@@ -14,8 +15,6 @@ type Resource struct {
 
 	busy      Duration // integral of inUse over time
 	lastStamp Time
-	acquires  int64
-	waited    Duration // total time processes spent queued
 }
 
 // NewResource returns a resource with the given number of slots.
@@ -30,14 +29,6 @@ func (r *Resource) stamp() {
 	now := r.env.now
 	r.busy += Duration(now-r.lastStamp) * Duration(r.inUse)
 	r.lastStamp = now
-}
-
-// Acquire claims one slot, blocking in FIFO order while none is free. It is
-// a one-step script: the acquire logic lives in the interpreter (script.go).
-func (r *Resource) Acquire(p *Proc) {
-	sc := p.Script()
-	sc.Acquire(r)
-	sc.Run()
 }
 
 // Release frees one slot and wakes the longest-waiting process, if any.
@@ -65,20 +56,8 @@ func (r *Resource) Use(p *Proc, d Duration) {
 	sc.Run()
 }
 
-// InUse reports the number of currently held slots.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen reports the number of processes blocked in Acquire.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
-
 // BusyTime returns the slot-time integral consumed so far (slots × time).
 func (r *Resource) BusyTime() Duration { r.stamp(); return r.busy }
-
-// WaitTime returns the total time processes have spent queued.
-func (r *Resource) WaitTime() Duration { return r.waited }
-
-// Acquires returns the number of Acquire calls, granted or pending.
-func (r *Resource) Acquires() int64 { return r.acquires }
 
 // Utilization returns busy slot-time divided by capacity × elapsed, in [0,1].
 func (r *Resource) Utilization() float64 {

@@ -12,9 +12,9 @@ package sim
 // The interpreter performs exactly the kernel mutations the process would
 // perform making the same calls one by one, in the same order at the same
 // simulated instants: the same waiter-ring pushes and wake events, the same
-// busy-time stamps and acquire/wait accounting, the same Wait fast-path test
-// and the same re-check of a resource after a release woke the process (a
-// later arrival may have barged in). A coroutine switch touches no kernel
+// busy-time stamps, the same Wait fast-path test and the same re-check of a
+// resource after a release woke the process (a later arrival may have
+// barged in). A coroutine switch touches no kernel
 // state, so every event is pushed in the same order either way and the pop
 // order, Executed and every simulated result are bit-identical; only
 // Switches falls.
@@ -55,8 +55,7 @@ type Script struct {
 type stepKind uint8
 
 const (
-	stepAcquire   stepKind = iota // not yet begun
-	stepAcquiring                 // counted and timed; waiting for a free slot
+	stepAcquire stepKind = iota
 	stepWait
 	stepRelease
 	stepAdd
@@ -67,8 +66,8 @@ const (
 
 // step is one verb. x is what it acts on: the Resource of an acquire or a
 // release, the counter of an add, the Signal of an await, the Continuation
-// of a continuation. v is the wait's duration, the instant an acquire in
-// progress began, or the counter's addend, by kind. One two-word interface
+// of a continuation. v is the wait's duration or the counter's addend, by
+// kind. One two-word interface
 // field shared by every kind keeps a step at four words; a probe's script
 // runs to a few dozen steps.
 type step struct {
@@ -186,17 +185,10 @@ func (sc *Script) advance() bool {
 		switch st.kind {
 		case stepAcquire:
 			r := st.x.(*Resource)
-			r.acquires++
-			st.v = int64(r.env.now)
-			st.kind = stepAcquiring
-			fallthrough
-		case stepAcquiring:
-			r := st.x.(*Resource)
 			if r.inUse >= r.capacity {
 				r.waiters.push(p)
 				return false
 			}
-			r.waited += r.env.now.Sub(Time(st.v))
 			r.stamp()
 			r.inUse++
 			sc.pc++

@@ -11,15 +11,19 @@ import (
 // process itself loops over the waiter ring and parks once per failed try.
 // It is the reference the script interpreter is compared against.
 func handAcquire(r *Resource, p *Proc) {
-	r.acquires++
-	start := r.env.now
 	for r.inUse >= r.capacity {
 		r.waiters.push(p)
 		p.park()
 	}
-	r.waited += r.env.now.Sub(start)
 	r.stamp()
 	r.inUse++
+}
+
+// acquire claims one slot of r for p as a one-step script.
+func acquire(r *Resource, p *Proc) {
+	sc := p.Script()
+	sc.Acquire(r)
+	sc.Run()
 }
 
 // tryAcquire claims a slot of r only if one is free right now. Tests use it
@@ -28,7 +32,6 @@ func tryAcquire(r *Resource) bool {
 	if r.inUse >= r.capacity {
 		return false
 	}
-	r.acquires++
 	r.stamp()
 	r.inUse++
 	return true
@@ -188,7 +191,7 @@ func TestScriptStormMatchesByHand(t *testing.T) {
 			c.run(p, m, new(chainCont))
 		})
 		for _, r := range append(as, bs...) {
-			acct += fmt.Sprintf("%s:%d/%d/%d ", r.name, r.Acquires(), r.WaitTime(), r.BusyTime())
+			acct += fmt.Sprintf("%s:%d ", r.name, r.BusyTime())
 		}
 		acct += fmt.Sprint(bytes)
 		return digest, env.Executed(), env.Switches(), acct
@@ -381,7 +384,7 @@ func TestScriptContinuationCutsAtBurstCap(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		acct := fmt.Sprintf("%d/%d/%d", core.Acquires(), core.WaitTime(), core.BusyTime())
+		acct := fmt.Sprint(core.BusyTime())
 		return stormDigest(traces), env.Executed(), env.Switches(), acct
 	}
 	hd, he, hs, ha := run(false)
@@ -450,8 +453,8 @@ func resumesOf(t *testing.T, setup func(env *Env, r *Resource), body func(p *Pro
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("resource left with %d held, %d queued", r.InUse(), r.QueueLen())
+	if r.inUse != 0 || r.waiters.n != 0 {
+		t.Fatalf("resource left with %d held, %d queued", r.inUse, r.waiters.n)
 	}
 	return n
 }
@@ -540,8 +543,8 @@ func TestScriptCloseReapsMidScript(t *testing.T) {
 	if err := env.RunUntil(Time(Microsecond)); err != nil {
 		t.Fatal(err)
 	}
-	if env.Live() != 2 || r.QueueLen() != 1 {
-		t.Fatalf("Live = %d, queue = %d; want both processes parked mid-script", env.Live(), r.QueueLen())
+	if env.Live() != 2 || r.waiters.n != 1 {
+		t.Fatalf("Live = %d, queue = %d; want both processes parked mid-script", env.Live(), r.waiters.n)
 	}
 	env.Close()
 	if env.Live() != 0 {
@@ -584,8 +587,8 @@ func TestScriptCloseReapsMidContinuation(t *testing.T) {
 	if err := env.RunUntil(Time(Microsecond)); err != nil {
 		t.Fatal(err)
 	}
-	if env.Live() != 1 || r.QueueLen() != 1 {
-		t.Fatalf("Live = %d, queue = %d; want the process parked mid-continuation", env.Live(), r.QueueLen())
+	if env.Live() != 1 || r.waiters.n != 1 {
+		t.Fatalf("Live = %d, queue = %d; want the process parked mid-continuation", env.Live(), r.waiters.n)
 	}
 	env.Close()
 	if env.Live() != 0 || !unwound || ranPast {

@@ -168,7 +168,7 @@ func TestResourceMutualExclusion(t *testing.T) {
 	maxHolders := 0
 	for i := 0; i < 4; i++ {
 		env.Spawn("u", func(p *Proc) {
-			res.Acquire(p)
+			acquire(res, p)
 			holders++
 			if holders > maxHolders {
 				maxHolders = holders
@@ -220,7 +220,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 		i := i
 		env.Spawn("u", func(p *Proc) {
 			p.Wait(Duration(i) * Nanosecond) // arrive in index order
-			res.Acquire(p)
+			acquire(res, p)
 			order = append(order, i)
 			p.Wait(100 * Nanosecond)
 			res.Release()

@@ -11,8 +11,6 @@ type waitRing struct {
 	n    int
 }
 
-func (w *waitRing) len() int { return w.n }
-
 func (w *waitRing) push(p *Proc) {
 	if w.n == len(w.buf) {
 		w.buf = growRing(w.buf, w.head, w.n)

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"bionicdb/internal/sim"
@@ -81,13 +80,6 @@ func (b *Breakdown) Fraction(c Component) float64 {
 	return float64(b.t[c]) / float64(total)
 }
 
-// AddAll merges another breakdown into this one.
-func (b *Breakdown) AddAll(o *Breakdown) {
-	for i := range b.t {
-		b.t[i] += o.t[i]
-	}
-}
-
 // Sub returns the per-component difference b - o (for measurement windows
 // bounded by two snapshots).
 func (b *Breakdown) Sub(o *Breakdown) Breakdown {
@@ -97,9 +89,6 @@ func (b *Breakdown) Sub(o *Breakdown) Breakdown {
 	}
 	return out
 }
-
-// Reset zeroes all components.
-func (b *Breakdown) Reset() { b.t = [NumComponents]sim.Duration{} }
 
 // Histogram records durations in logarithmic buckets (~7% resolution) and
 // answers percentile queries. The zero value is ready to use.
@@ -604,13 +593,3 @@ func (c *Counter) Inc(name string, delta int64) { c.m[name] += delta }
 
 // Get returns the named counter's value.
 func (c *Counter) Get(name string) int64 { return c.m[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

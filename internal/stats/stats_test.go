@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,4 +190,24 @@ func TestCounter(t *testing.T) {
 	if len(names) != 2 || names[0] != "aborts" || names[1] != "commits" {
 		t.Errorf("names = %v", names)
 	}
+}
+
+// AddAll merges another breakdown into this one.
+func (b *Breakdown) AddAll(o *Breakdown) {
+	for i := range b.t {
+		b.t[i] += o.t[i]
+	}
+}
+
+// Reset zeroes all components.
+func (b *Breakdown) Reset() { b.t = [NumComponents]sim.Duration{} }
+
+// Names returns the counter names in sorted order.
+func (c *Counter) Names() []string {
+	names := make([]string, 0, len(c.m))
+	for n := range c.m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

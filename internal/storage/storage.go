@@ -32,7 +32,6 @@ type DiskManager struct {
 	pageSize int
 	pages    map[PageID][]byte
 	nextID   PageID
-	writes   int64
 }
 
 // NewDiskManager creates a disk manager for pages of pageSize bytes on dev.
@@ -44,9 +43,6 @@ func NewDiskManager(dev *platform.Device, pageSize int) *DiskManager {
 		nextID:   1,
 	}
 }
-
-// PageSize returns the configured page size.
-func (dm *DiskManager) PageSize() int { return dm.pageSize }
 
 // Allocate reserves a new page identity (no I/O is charged).
 func (dm *DiskManager) Allocate() PageID {
@@ -77,7 +73,6 @@ func (dm *DiskManager) SpanBytes(n int) int { return dm.spanPages(n) * dm.pageSi
 // storage (btree.Tree.Checkpoint), and every boot of the crash image keeps
 // views of them. Nobody may write to data afterwards.
 func (dm *DiskManager) Store(id PageID, data []byte) {
-	dm.writes++
 	dm.pages[id] = data
 }
 
@@ -107,9 +102,6 @@ func (dm *DiskManager) Rebind(dev *platform.Device) *DiskManager {
 	return &DiskManager{dev: dev, pageSize: dm.pageSize, pages: dm.pages, nextID: dm.nextID}
 }
 
-// Writes returns the number of page images stored.
-func (dm *DiskManager) Writes() int64 { return dm.writes }
-
 // --- Order-preserving key encodings ---
 //
 // B+Tree keys are byte strings compared lexicographically. These helpers
@@ -120,10 +112,6 @@ func Uint64Key(v uint64) []byte { return (*Arena)(nil).Uint64Key(v) }
 
 // DecodeUint64 reads an order-preserving uint64 from the front of b.
 func DecodeUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
-
-// CompositeKey builds an order-preserving key from fixed-width integer
-// parts, for multi-column primary keys like (warehouse, district, order).
-func CompositeKey(parts ...uint64) []byte { return (*Arena)(nil).CompositeKey(parts...) }
 
 // Arena is a bump allocator for byte strings that all die together: the
 // keys, scan bounds and encoded rows one transaction attempt builds, or the
@@ -302,12 +290,6 @@ func (w *RecordWriter) String(v string) *RecordWriter {
 // reused after Reset.
 func (w *RecordWriter) Finish() []byte { return w.buf[:len(w.buf):len(w.buf)] }
 
-// Len returns the current encoded size.
-func (w *RecordWriter) Len() int { return len(w.buf) }
-
-// Reset clears the writer for reuse.
-func (w *RecordWriter) Reset() { w.buf = w.buf[:0] }
-
 // RecordReader decodes a row written by RecordWriter in field order.
 type RecordReader struct {
 	buf []byte
@@ -339,9 +321,3 @@ func (r *RecordReader) Bytes() []byte {
 	r.off += n
 	return v
 }
-
-// String reads the next variable-width field as a string.
-func (r *RecordReader) String() string { return string(r.Bytes()) }
-
-// Remaining returns the number of unread bytes.
-func (r *RecordReader) Remaining() int { return len(r.buf) - r.off }

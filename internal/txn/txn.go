@@ -115,10 +115,6 @@ type Manager struct {
 	env    *sim.Env
 	nextID uint64
 
-	begins  int64
-	commits int64
-	aborts  int64
-
 	// recs holds idle log records. A record goes through the Appender
 	// interface and so lives on the heap; an append borrows one for its own
 	// duration. An append can park (core, log latch) while another process —
@@ -131,9 +127,6 @@ type Manager struct {
 func NewManager(env *sim.Env, log *wal.LogSet, cfg Config) *Manager {
 	return &Manager{cfg: cfg, log: log, env: env, nextID: 1}
 }
-
-// LogSet returns the log set the manager appends to.
-func (m *Manager) LogSet() *wal.LogSet { return m.log }
 
 // Begin starts a transaction in a fresh Txn; see BeginIn.
 func (m *Manager) Begin(t *platform.Task) *Txn {
@@ -151,7 +144,6 @@ func (m *Manager) BeginIn(t *platform.Task, tx *Txn) {
 	if tx.State == Active {
 		panic(fmt.Sprintf("txn: begin in active transaction %d", tx.ID))
 	}
-	m.begins++
 	tx.ID = m.nextID
 	m.nextID++
 	tx.State = Active
@@ -235,7 +227,6 @@ func (m *Manager) Commit(t *platform.Task, tx *Txn) *sim.Signal {
 // commit arms it with one completion per shard in the vector.
 func (m *Manager) CommitTo(t *platform.Task, tx *Txn, done *sim.Signal) {
 	m.mustBeActive(tx)
-	m.commits++
 	t.Exec(stats.CompXct, m.cfg.CommitInstr)
 	rec := wal.Record{Txn: tx.ID, Type: wal.RecCommit}
 	anchor := m.anchorShard(t, tx)
@@ -259,7 +250,6 @@ func (m *Manager) CommitTo(t *platform.Task, tx *Txn, done *sim.Signal) {
 // durability.
 func (m *Manager) Abort(t *platform.Task, tx *Txn, apply func(u UndoRec)) {
 	m.mustBeActive(tx)
-	m.aborts++
 	t.Exec(stats.CompXct, m.cfg.AbortInstr)
 	for i := len(tx.Undo) - 1; i >= 0; i-- {
 		apply(tx.Undo[i])
@@ -274,12 +264,3 @@ func (m *Manager) mustBeActive(tx *Txn) {
 		panic(fmt.Sprintf("txn: operation on non-active transaction %d (state %d)", tx.ID, tx.State))
 	}
 }
-
-// Begins returns the number of transactions started.
-func (m *Manager) Begins() int64 { return m.begins }
-
-// Commits returns the number of commit records appended.
-func (m *Manager) Commits() int64 { return m.commits }
-
-// Aborts returns the number of aborted transactions.
-func (m *Manager) Aborts() int64 { return m.aborts }

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"bionicdb/internal/platform"
@@ -20,8 +21,23 @@ func fixture() (*sim.Env, *platform.Platform, *wal.Store, *wal.Manager, *Manager
 	return env, pl, store, lm, tm
 }
 
+// logTypes returns the types of the records in store, in log order. The
+// store must have been registered from 0 before anything was appended.
+func logTypes(t *testing.T, store *wal.Store) []wal.RecType {
+	t.Helper()
+	var types []wal.RecType
+	if err := wal.Scan(store.Bytes(), 0, func(r wal.Record) bool {
+		types = append(types, r.Type)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return types
+}
+
 func TestBeginAssignsDistinctIDs(t *testing.T) {
-	env, pl, _, lm, tm := fixture()
+	env, pl, store, lm, tm := fixture()
+	store.Register(0) // the test decodes the raw store
 	env.Spawn("w", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
 		a := tm.Begin(task)
@@ -38,8 +54,8 @@ func TestBeginAssignsDistinctIDs(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tm.Begins() != 2 {
-		t.Fatalf("begins=%d", tm.Begins())
+	if got := logTypes(t, store); !slices.Equal(got, []wal.RecType{wal.RecBegin, wal.RecBegin}) {
+		t.Fatalf("log types %v, want two begins", got)
 	}
 }
 
@@ -61,13 +77,7 @@ func TestCommitBecomesDurableAndLogged(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var types []wal.RecType
-	if err := wal.Scan(store.Bytes(), 0, func(r wal.Record) bool {
-		types = append(types, r.Type)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
+	types := logTypes(t, store)
 	want := []wal.RecType{wal.RecBegin, wal.RecInsert, wal.RecCommit}
 	if len(types) != len(want) {
 		t.Fatalf("log types %v", types)
@@ -80,7 +90,8 @@ func TestCommitBecomesDurableAndLogged(t *testing.T) {
 }
 
 func TestAbortAppliesUndoInReverse(t *testing.T) {
-	env, pl, _, lm, tm := fixture()
+	env, pl, store, lm, tm := fixture()
+	store.Register(0) // the test decodes the raw store
 	var undone []string
 	env.Spawn("w", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], &stats.Breakdown{})
@@ -103,8 +114,8 @@ func TestAbortAppliesUndoInReverse(t *testing.T) {
 	if len(undone) != 3 || undone[0] != "c" || undone[1] != "b" || undone[2] != "a" {
 		t.Fatalf("undo order %v, want reverse", undone)
 	}
-	if tm.Aborts() != 1 {
-		t.Fatalf("aborts=%d", tm.Aborts())
+	if types := logTypes(t, store); len(types) == 0 || types[len(types)-1] != wal.RecAbort {
+		t.Fatalf("log types %v, want an abort last", types)
 	}
 }
 
@@ -195,14 +206,16 @@ func TestInterleavedAppendsKeepTheirRecords(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if lm.LatchWait() == 0 {
-		t.Fatal("the two actions never queued on the log latch: nothing interleaved")
-	}
 	next := map[uint16]int{1: 0, 2: 0}
+	switches, last := 0, uint16(0) // changes of action along the log
 	err := wal.Scan(store.Bytes(), 0, func(r wal.Record) bool {
 		if r.Type != wal.RecUpdate {
 			return true
 		}
+		if last != 0 && r.Table != last {
+			switches++
+		}
+		last = r.Table
 		who, i := int(r.Table), next[r.Table]
 		next[r.Table]++
 		if r.Txn != tx.ID || !bytes.Equal(r.Key, img(who, i, 'k')) ||
@@ -217,6 +230,9 @@ func TestInterleavedAppendsKeepTheirRecords(t *testing.T) {
 	if next[1] != per || next[2] != per {
 		t.Errorf("logged %d and %d updates, want %d each", next[1], next[2], per)
 	}
+	if switches < 2 {
+		t.Error("one action's updates all precede the other's: nothing interleaved")
+	}
 	if len(tx.Undo) != 2*per {
 		t.Errorf("%d undo entries, want %d", len(tx.Undo), 2*per)
 	}
@@ -229,7 +245,8 @@ func TestInterleavedAppendsKeepTheirRecords(t *testing.T) {
 // starts clean, keeps the first one's storage, and BeginIn refuses a
 // transaction that is still active.
 func TestBeginInReusesTheTxn(t *testing.T) {
-	env, pl, _, lm, tm := fixture()
+	env, pl, store, lm, tm := fixture()
+	store.Register(0) // the test decodes the raw store
 	env.Spawn("w", func(p *sim.Proc) {
 		task := pl.NewTask(p, pl.Cores[0], nil)
 		done := sim.NewSignal(env)
@@ -264,7 +281,8 @@ func TestBeginInReusesTheTxn(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tm.Begins() != 2 || tm.Commits() != 1 || tm.Aborts() != 1 {
-		t.Errorf("begins %d commits %d aborts %d", tm.Begins(), tm.Commits(), tm.Aborts())
+	want := []wal.RecType{wal.RecBegin, wal.RecUpdate, wal.RecCommit, wal.RecBegin, wal.RecAbort}
+	if got := logTypes(t, store); !slices.Equal(got, want) {
+		t.Errorf("log types %v, want %v", got, want)
 	}
 }

@@ -18,22 +18,21 @@ import (
 // crash replays the log from there, and NewReplicaSet registers the primary
 // stores and the replica stores at 0, because the shipper copies every byte
 // and failover replays a replica's whole copy. A store with no reader counts
-// its length, its durable point and its writes, and charges the device for
-// every chunk, but holds none of their bytes: a run that never crashes or
-// ships keeps the log's length, not its content. Once a reader registers,
-// the store keeps every byte from its kept point on; registering below that
-// point is an error, as is reading below it.
+// its length and its durable point, and charges the device for every chunk,
+// but holds none of their bytes: a run that never crashes or ships keeps the
+// log's length, not its content. Once a reader registers, the store keeps
+// every byte from its kept point on; registering below that point is an
+// error, as is reading below it.
 //
 // The kept bytes are a list of segments that are filled in place and never
 // moved: a growing log allocates its own size once and copies no byte it
 // already holds.
 type Store struct {
-	dev    *platform.Device
-	segs   [][]byte // the kept bytes; every segment but the last is full (len == cap)
-	kept   int      // log position of the first kept byte; n while no reader
-	n      int      // bytes written
-	writes int64
-	read   bool // a reader has registered
+	dev  *platform.Device
+	segs [][]byte // the kept bytes; every segment but the last is full (len == cap)
+	kept int      // log position of the first kept byte; n while no reader
+	n    int      // bytes written
+	read bool     // a reader has registered
 }
 
 // Segment sizes: the first segment holds firstSegBytes and each later one
@@ -69,7 +68,6 @@ func (s *Store) Write(p *sim.Proc, chunk []byte) {
 	if len(chunk) == 0 {
 		return
 	}
-	s.writes++
 	s.dev.Transfer(p, len(chunk))
 	s.n += len(chunk)
 	if !s.read {
@@ -145,12 +143,6 @@ func (s *Store) AppendRange(dst []byte, from, to int) ([]byte, error) {
 
 // Len returns the durable log size in bytes.
 func (s *Store) Len() int { return s.n }
-
-// Writes returns how many device writes (flushes/epochs) landed here.
-func (s *Store) Writes() int64 { return s.writes }
-
-// Device returns the device this store writes to.
-func (s *Store) Device() *platform.Device { return s.dev }
 
 // Appender is the log interface transactions use; the software Manager and
 // the hardware log engine both satisfy it. Only the insertion path differs
@@ -364,8 +356,6 @@ type Manager struct {
 	buf      []byte
 
 	bufAddr uint64 // timing address of the buffer (cache-modelled copies)
-
-	appends int64
 }
 
 // NewManager creates a software log manager writing to store. The flush
@@ -411,7 +401,6 @@ func (op *appendOp) Continue(sc *sim.Script) {
 	switch op.pc {
 	case 0:
 		op.pc++
-		m.appends++
 		// Record construction happens outside the latch.
 		op.size = rec.EncodedSize()
 		t.Exec(stats.CompLog, m.cfg.InsertBaseInstr+int(float64(op.size)*m.cfg.CopyInstrPerByte))
@@ -445,12 +434,6 @@ func (m *Manager) take(_ *sim.Proc, batch []byte) []byte {
 	m.buf = batch
 	return chunk
 }
-
-// Appends returns the number of records appended.
-func (m *Manager) Appends() int64 { return m.appends }
-
-// LatchWait returns cumulative time processes queued on the log latch.
-func (m *Manager) LatchWait() sim.Duration { return m.latch.WaitTime() }
 
 // ShardStats implements Appender: a software log has no arbitration epochs.
 func (m *Manager) ShardStats() (syncs, epochs int64) { return m.Syncs(), 0 }

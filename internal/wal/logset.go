@@ -64,9 +64,6 @@ func NewLogSet(pl *platform.Platform, shards []LogShard) *LogSet {
 // NumShards returns the shard count.
 func (ls *LogSet) NumShards() int { return len(ls.shards) }
 
-// Shard returns shard i's appender.
-func (ls *LogSet) Shard(i int) Appender { return ls.shards[i].App }
-
 // Store returns shard i's durable store.
 func (ls *LogSet) Store(i int) *Store { return ls.shards[i].Store }
 
@@ -100,9 +97,6 @@ func (ls *LogSet) Append(t *platform.Task, shard int, rec *Record) LSN {
 	}
 	return sh.App.Append(t, rec)
 }
-
-// Durable returns shard i's durable horizon.
-func (ls *LogSet) Durable(i int) LSN { return ls.shards[i].App.Durable() }
 
 // DurableVector returns every shard's current durable horizon.
 func (ls *LogSet) DurableVector() []LSN {

@@ -277,3 +277,9 @@ func TestSignalOnFireJoin(t *testing.T) {
 		t.Errorf("fire order %v", fired)
 	}
 }
+
+// Durable returns shard i's durable horizon.
+func (ls *LogSet) Durable(i int) LSN { return ls.shards[i].App.Durable() }
+
+// Shard returns shard i's appender.
+func (ls *LogSet) Shard(i int) Appender { return ls.shards[i].App }

@@ -220,18 +220,8 @@ func (rs *ReplicaSet) SetLagFactor(f float64) {
 // replica neither persists nor acknowledges shipped bytes.
 func (rs *ReplicaSet) SetStalled(r int, stalled bool) { rs.stalled[r] = stalled }
 
-// AckedVector returns replica r's acknowledged horizon per shard.
-func (rs *ReplicaSet) AckedVector(r int) []LSN {
-	out := make([]LSN, len(rs.acked[r]))
-	copy(out, rs.acked[r])
-	return out
-}
-
 // Replicas returns the replica machine count.
 func (rs *ReplicaSet) Replicas() int { return len(rs.repl) }
-
-// ReplicaStore returns replica r's copy of shard s (its durable store).
-func (rs *ReplicaSet) ReplicaStore(r, s int) *Store { return rs.repl[r][s] }
 
 // CrashImage returns the log image failover recovers from after losing the
 // primary: per shard, the longest replica copy — every copy is a byte

@@ -337,3 +337,13 @@ func TestReplicatedPointCountsAcks(t *testing.T) {
 		}
 	}
 }
+
+// AckedVector returns replica r's acknowledged horizon per shard.
+func (rs *ReplicaSet) AckedVector(r int) []LSN {
+	out := make([]LSN, len(rs.acked[r]))
+	copy(out, rs.acked[r])
+	return out
+}
+
+// ReplicaStore returns replica r's copy of shard s (its durable store).
+func (rs *ReplicaSet) ReplicaStore(r, s int) *Store { return rs.repl[r][s] }

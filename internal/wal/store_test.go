@@ -106,9 +106,8 @@ func TestStoreSegments(t *testing.T) {
 		if len(store.segs) < 6 {
 			t.Fatalf("%d segments for %d bytes", len(store.segs), n)
 		}
-		if store.Len() != n || store.Durable() != LSN(n) || store.Writes() != int64(len(sizes)) {
-			t.Errorf("Len=%d Durable=%d Writes=%d, want %d, %d, %d",
-				store.Len(), store.Durable(), store.Writes(), n, n, len(sizes))
+		if store.Len() != n || store.Durable() != LSN(n) {
+			t.Errorf("Len=%d Durable=%d, want %d, %d", store.Len(), store.Durable(), n, n)
 		}
 
 		// Ranges over the segmented store, before anything flattens it.
@@ -229,11 +228,11 @@ func TestStoreKeepsWhatItsReadersAskFor(t *testing.T) {
 	if allocated >= 1<<10 {
 		t.Errorf("a store with no reader allocated %d bytes writing %d, want under 1 KiB", allocated, u.Len())
 	}
-	if u.Len() != r.Len() || u.Durable() != r.Durable() || u.Writes() != r.Writes() ||
-		u.Device().Bytes() != r.Device().Bytes() || u.Device().Ops() != r.Device().Ops() {
-		t.Errorf("no reader: Len=%d Durable=%d Writes=%d device %d bytes in %d ops; a reader: %d, %d, %d, %d in %d",
-			u.Len(), u.Durable(), u.Writes(), u.Device().Bytes(), u.Device().Ops(),
-			r.Len(), r.Durable(), r.Writes(), r.Device().Bytes(), r.Device().Ops())
+	if u.Len() != r.Len() || u.Durable() != r.Durable() ||
+		u.Device().Bytes() != r.Device().Bytes() || u.Device().BusyTime() != r.Device().BusyTime() {
+		t.Errorf("no reader: Len=%d Durable=%d device %d bytes in %v; a reader: %d, %d, %d in %v",
+			u.Len(), u.Durable(), u.Device().Bytes(), u.Device().BusyTime(),
+			r.Len(), r.Durable(), r.Device().Bytes(), r.Device().BusyTime())
 	}
 	if len(u.Bytes()) != 0 || u.Kept() != u.Durable() || len(u.segs) != 0 {
 		t.Errorf("a store with no reader holds %d bytes in %d segments, kept from %d", len(u.Bytes()), len(u.segs), u.Kept())
@@ -351,3 +350,6 @@ func FuzzStore(f *testing.F) {
 		}
 	})
 }
+
+// Device returns the device this store writes to.
+func (s *Store) Device() *platform.Device { return s.dev }

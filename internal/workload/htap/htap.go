@@ -107,14 +107,6 @@ type Mixed struct {
 // Name implements core.Workload.
 func (m *Mixed) Name() string { return m.name }
 
-// Specs returns the projection specs.
-func (m *Mixed) Specs() []ProjSpec { return m.specs }
-
-// LastRun returns the most recently attached analytical run, for tests
-// that inspect the mirror after core.Run returns. Each core.Run gets its
-// own Mixed (bench.WorkloadSpec.Make), so this is that run's mirror.
-func (m *Mixed) LastRun() *Run { return m.lastRun }
-
 // u64at reads a big-endian uint64 field at byte offset off, or 0 when the
 // image is too short (the projection never sees such rows in practice).
 func u64at(b []byte, off int) uint64 {

@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"bionicdb/internal/btree"
+	"bionicdb/internal/columnar"
 	"bionicdb/internal/core"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
+	"bionicdb/internal/stats"
 	"bionicdb/internal/workload/tpcc"
 	"bionicdb/internal/workload/ycsb"
 )
@@ -264,4 +266,32 @@ func TestRecoveredProjectionsMatchRebuild(t *testing.T) {
 			t.Errorf("%s: projection from serial-recovered store %s != parallel-recovered %s", spec.Name, ser, par)
 		}
 	}
+}
+
+// LastRun returns the most recently attached analytical run, for tests
+// that inspect the mirror after core.Run returns. Each core.Run gets its
+// own Mixed (bench.WorkloadSpec.Make), so this is that run's mirror.
+func (m *Mixed) LastRun() *Run { return m.lastRun }
+
+// Specs returns the projection specs.
+func (m *Mixed) Specs() []ProjSpec { return m.specs }
+
+// HW reports whether the run used the merge-fed hardware path.
+func (mr *Run) HW() bool { return mr.hw }
+
+// Projection returns the named live projection table, for tests.
+func (mr *Run) Projection(name string) *columnar.Table { return mr.byName[name].col }
+
+// Stats returns the cumulative scan statistics, for tests.
+func (mr *Run) Stats() stats.ScanStats { return mr.st }
+
+// BuildProjection builds a fresh projection of spec from the rows scan
+// yields — the "rebuild from the row store" side of the equivalence tests.
+func BuildProjection(pl *platform.Platform, spec ProjSpec, scan func(fn func(k, v []byte) bool)) *columnar.Table {
+	pt := newProjTable(pl, spec)
+	scan(func(k, v []byte) bool {
+		pt.apply(k, v)
+		return true
+	})
+	return pt.col
 }

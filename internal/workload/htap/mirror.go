@@ -56,17 +56,6 @@ func newProjTable(pl *platform.Platform, spec ProjSpec) *projTable {
 	}
 }
 
-// BuildProjection builds a fresh projection of spec from the rows scan
-// yields — the "rebuild from the row store" side of the equivalence tests.
-func BuildProjection(pl *platform.Platform, spec ProjSpec, scan func(fn func(k, v []byte) bool)) *columnar.Table {
-	pt := newProjTable(pl, spec)
-	scan(func(k, v []byte) bool {
-		pt.apply(k, v)
-		return true
-	})
-	return pt.col
-}
-
 // Run is one run's attached analytical subsystem: the projection mirror,
 // its maintenance path, and the scan clients. It implements
 // core.AnalyticsRun.
@@ -307,12 +296,3 @@ func (mr *Run) Snapshot() stats.ScanStats { return mr.st }
 // one final pass on its next tick, mirroring the overlay merge daemon's
 // final drain).
 func (mr *Run) Close() { mr.stopped = true }
-
-// Stats returns the cumulative scan statistics, for tests.
-func (mr *Run) Stats() stats.ScanStats { return mr.st }
-
-// HW reports whether the run used the merge-fed hardware path.
-func (mr *Run) HW() bool { return mr.hw }
-
-// Projection returns the named live projection table, for tests.
-func (mr *Run) Projection(name string) *columnar.Table { return mr.byName[name].col }

@@ -49,9 +49,6 @@ func New(cfg Config) *Workload {
 // Name implements core.Workload.
 func (w *Workload) Name() string { return "tatp" }
 
-// Subscribers returns the scale factor.
-func (w *Workload) Subscribers() int { return w.cfg.Subscribers }
-
 // Tables implements core.Workload.
 func (w *Workload) Tables() []core.TableDef {
 	return []core.TableDef{
@@ -85,9 +82,6 @@ func sidOf(table uint16, key []byte) uint64 {
 	}
 	return storage.DecodeUint64(key)
 }
-
-// SubNbr renders the 15-digit subscriber number of s_id.
-func SubNbr(sid uint64) []byte { return keys{}.subNbr(sid) }
 
 func parseSubNbr(nbr []byte) uint64 {
 	var v uint64
@@ -226,18 +220,6 @@ func (k keys) subNbr(sid uint64) []byte {
 	}
 	return b
 }
-
-// SubscriberKey returns the primary key for s_id.
-func SubscriberKey(sid uint64) []byte { return keys{}.subscriber(sid) }
-
-// AccessInfoKey returns the (s_id, ai_type) key.
-func AccessInfoKey(sid uint64, aiType uint32) []byte { return keys{}.accessInfo(sid, aiType) }
-
-// SFKey returns the (s_id, sf_type) key.
-func SFKey(sid uint64, sfType uint32) []byte { return keys{}.sf(sid, sfType) }
-
-// CFKey returns the (s_id, sf_type, start_time) key.
-func CFKey(sid uint64, sfType, start uint32) []byte { return keys{}.cf(sid, sfType, start) }
 
 // Populate implements core.Workload: the spec's population rules — every
 // subscriber, 1-4 access-info rows, 1-4 special facilities (85% active),

@@ -288,3 +288,18 @@ func TestUpdateSubDataOnlyVariant(t *testing.T) {
 		}
 	}
 }
+
+// AccessInfoKey returns the (s_id, ai_type) key.
+func AccessInfoKey(sid uint64, aiType uint32) []byte { return keys{}.accessInfo(sid, aiType) }
+
+// CFKey returns the (s_id, sf_type, start_time) key.
+func CFKey(sid uint64, sfType, start uint32) []byte { return keys{}.cf(sid, sfType, start) }
+
+// SFKey returns the (s_id, sf_type) key.
+func SFKey(sid uint64, sfType uint32) []byte { return keys{}.sf(sid, sfType) }
+
+// SubNbr renders the 15-digit subscriber number of s_id.
+func SubNbr(sid uint64) []byte { return keys{}.subNbr(sid) }
+
+// SubscriberKey returns the primary key for s_id.
+func SubscriberKey(sid uint64) []byte { return keys{}.subscriber(sid) }

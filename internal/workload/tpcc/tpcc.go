@@ -221,20 +221,8 @@ func WarehouseKey(wid uint64) []byte { return keys{}.warehouse(wid) }
 // DistrictKey returns district (w, d)'s key.
 func DistrictKey(wid, did uint64) []byte { return keys{}.district(wid, did) }
 
-// CustomerKey returns customer (w, d, c)'s key.
-func CustomerKey(wid, did, cid uint64) []byte { return keys{}.customer(wid, did, cid) }
-
-// ItemKey returns item i's key.
-func ItemKey(iid uint64) []byte { return keys{}.item(iid) }
-
-// StockKey returns stock (w, i)'s key.
-func StockKey(wid, iid uint64) []byte { return keys{}.stock(wid, iid) }
-
 // OrderKey returns order (w, d, o)'s key.
 func OrderKey(wid, did, oid uint64) []byte { return keys{}.order(wid, did, oid) }
-
-// OrderLineKey returns order line (w, d, o, ol)'s key.
-func OrderLineKey(wid, did, oid, ol uint64) []byte { return keys{}.orderLine(wid, did, oid, ol) }
 
 // Rows. Encode builds a row in an arena at its exact size: the transaction
 // path in the attempt's arena and Populate in the row's, since the store

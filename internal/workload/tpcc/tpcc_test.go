@@ -475,3 +475,15 @@ func TestSchemeRouting(t *testing.T) {
 	}
 	_ = storage.DecodeUint64
 }
+
+// CustomerKey returns customer (w, d, c)'s key.
+func CustomerKey(wid, did, cid uint64) []byte { return keys{}.customer(wid, did, cid) }
+
+// ItemKey returns item i's key.
+func ItemKey(iid uint64) []byte { return keys{}.item(iid) }
+
+// OrderLineKey returns order line (w, d, o, ol)'s key.
+func OrderLineKey(wid, did, oid, ol uint64) []byte { return keys{}.orderLine(wid, did, oid, ol) }
+
+// StockKey returns stock (w, i)'s key.
+func StockKey(wid, iid uint64) []byte { return keys{}.stock(wid, iid) }

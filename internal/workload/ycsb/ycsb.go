@@ -113,9 +113,6 @@ func New(cfg Config) *Workload {
 // Name implements core.Workload.
 func (w *Workload) Name() string { return "ycsb" }
 
-// Config returns the scale and mix parameters.
-func (w *Workload) Config() Config { return w.cfg }
-
 // Records returns the usertable row count.
 func (w *Workload) Records() int { return w.cfg.Records }
 
@@ -137,9 +134,6 @@ func (w *Workload) Scheme(partitions int) core.PartitionScheme {
 		},
 	}
 }
-
-// Key returns the primary key of record i, a fresh slice the caller owns.
-func Key(i uint64) []byte { return keyIn(nil, i) }
 
 // keyIn builds record i's key in the arena a: the transaction path and
 // Populate build theirs in the attempt's (or the row's) arena, where they

@@ -161,3 +161,9 @@ func TestSchemeRoutesInRange(t *testing.T) {
 		}
 	}
 }
+
+// Config returns the scale and mix parameters.
+func (w *Workload) Config() Config { return w.cfg }
+
+// Key returns the primary key of record i, a fresh slice the caller owns.
+func Key(i uint64) []byte { return keyIn(nil, i) }
