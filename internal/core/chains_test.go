@@ -7,6 +7,7 @@ import (
 	"bionicdb/internal/lockmgr"
 	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
+	"bionicdb/internal/storage"
 )
 
 // chainEngine is a conventional engine over one warm table of 4096 rows,
@@ -22,12 +23,12 @@ func chainEngine(env *sim.Env) (*Conventional, [][]byte) {
 	return e, keys
 }
 
-// steadyAllocs runs env for 5 ms, long enough for every latch stripe's
+// steadyAllocs runs env for warmup, long enough for every latch stripe's
 // waiter ring and every task's chain state to be built, then in 100 µs steps
 // under testing.AllocsPerRun, and returns the allocations per step.
-func steadyAllocs(t *testing.T, env *sim.Env) float64 {
+func steadyAllocs(t *testing.T, env *sim.Env, warmup sim.Duration) float64 {
 	t.Helper()
-	horizon := sim.Time(5 * sim.Millisecond)
+	horizon := sim.Time(warmup)
 	if err := env.RunUntil(horizon); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestPageWalkAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
-	if n := steadyAllocs(t, env); n != 0 {
+	if n := steadyAllocs(t, env, 5*sim.Millisecond); n != 0 {
 		t.Errorf("%v allocations per 100µs of page walks, want 0", n)
 	}
 	if visits == 0 {
@@ -113,10 +114,62 @@ func TestLockPairAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
-	if n := steadyAllocs(t, env); n != 0 {
+	if n := steadyAllocs(t, env, 5*sim.Millisecond); n != 0 {
 		t.Errorf("%v allocations per 100µs of lock pairs, want 0", n)
 	}
 	if waits == 0 {
 		t.Fatal("no lock request waited")
+	}
+}
+
+// TestCoordinatorChainsAllocateNothing checks that a DORA coordinator's
+// chains (a phase's enqueue, flush and rendezvous fan-out, a rollback's undo
+// fan-out, and the commit tail: the flush, the wait for a two-shard write
+// set's vector durable point, the cross-shard decision round, the release
+// messages and the commit-signal wait) allocate nothing in steady state:
+// eight terminals on a two-socket machine with a log shard per socket each
+// update one row on either socket per transaction, a quarter of them
+// aborting, with values that keep their length.
+func TestCoordinatorChainsAllocateNothing(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	e := NewDORA(env, platform.HC2ScaledSharded(2), kvTables(), modScheme(16))
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = storage.Uint64Key(uint64(i))
+		e.Load(1, keys[i], []byte("init-00"))
+	}
+	cores := e.Platform().Cores
+	for i := 0; i < 8; i++ {
+		i := i
+		env.Spawn("terminal", func(p *sim.Proc) {
+			term := &Terminal{ID: i, P: p, Core: cores[(i*3)%len(cores)], R: sim.NewRand(uint64(i + 1))}
+			var ka, kb []byte
+			va, vb := []byte("value-a"), []byte("value-b")
+			commit := true
+			acts := [2]Action{
+				{Table: 1, Body: func(c AccessCtx) bool { return c.Update(1, ka, va) }},
+				{Table: 1, Body: func(c AccessCtx) bool { return c.Update(1, kb, vb) }},
+			}
+			logic := func(tx Tx) bool {
+				acts[0].Key, acts[1].Key = ka, kb
+				return tx.Phase(acts[:]...) && commit
+			}
+			for {
+				// Partitions 0-7 live on socket 0, 8-15 on socket 1.
+				ka, kb = keys[term.R.Intn(8)], keys[8+term.R.Intn(8)]
+				commit = term.R.Intn(4) != 0
+				e.Submit(term, logic)
+			}
+		})
+	}
+	commits, aborts := e.Counters().Get("crossshard.commits"), e.Counters().Get("crossshard.aborts")
+	// Commits wait for both log shards, so the frames, the logs' buffers
+	// and the partitions' lock lists take 20 ms to reach their size.
+	if n := steadyAllocs(t, env, 20*sim.Millisecond); n != 0 {
+		t.Errorf("%v allocations per 100µs of cross-shard transactions, want 0", n)
+	}
+	if e.Counters().Get("crossshard.commits") == commits || e.Counters().Get("crossshard.aborts") == aborts {
+		t.Fatal("no cross-shard commit or abort while counting allocations")
 	}
 }

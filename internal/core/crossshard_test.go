@@ -58,8 +58,8 @@ func updateTwo(a, b uint64, commit bool) TxnLogic {
 }
 
 // TestCrossShardCommit: a transaction spanning partitions on two sockets
-// runs the decision round; a socket-local transaction pays no interconnect
-// messages at all.
+// runs the decision round; a socket-local transaction moves no bytes over
+// the interconnect at all.
 func TestCrossShardCommit(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -74,9 +74,9 @@ func TestCrossShardCommit(t *testing.T) {
 		if got := e.Counters().Get("crossshard.commits"); got != 1 {
 			t.Errorf("crossshard.commits = %d, want 1", got)
 		}
-		msgs := e.pl.IC.Messages()
-		if msgs == 0 {
-			t.Error("cross-shard transaction sent no interconnect messages")
+		hopBytes := e.pl.IC.HopBytes()
+		if hopBytes == 0 {
+			t.Error("cross-shard transaction moved nothing over the interconnect")
 		}
 
 		// Keys 1 and 2 both live on the coordinator's socket: no decision
@@ -87,8 +87,8 @@ func TestCrossShardCommit(t *testing.T) {
 		if got := e.Counters().Get("crossshard.commits"); got != 1 {
 			t.Errorf("local transaction bumped crossshard.commits to %d", got)
 		}
-		if got := e.pl.IC.Messages(); got != msgs {
-			t.Errorf("socket-local transaction sent %d interconnect messages", got-msgs)
+		if got := e.pl.IC.HopBytes(); got != hopBytes {
+			t.Errorf("socket-local transaction moved %d hop-bytes over the interconnect", got-hopBytes)
 		}
 	})
 }

@@ -156,10 +156,7 @@ func (t *doraTx) run(logic TxnLogic) (ok, refused bool) {
 }
 
 func (t *doraTx) commit() {
-	e, term, task, tx := t.e, t.term, t.task, &t.tx
-	sig := t.commitSig
-	e.tm.CommitTo(task, tx, sig)
-	task.Flush()
+	t.e.tm.CommitTo(t.task, &t.tx, t.commitSig)
 	// Cross-shard write set (only a sharded log gives the vector more
 	// than one entry): the decision round must not acknowledge (and
 	// locks must not release) before the vector durable point. With
@@ -170,31 +167,41 @@ func (t *doraTx) commit() {
 	// broadcast let dependents proceed. Transactions whose writes stay
 	// on one shard keep the early-release fast path — same-shard group
 	// commit orders their dependents for free.
-	tDur0 := term.P.Now()
-	if len(tx.Shards) > 1 {
-		sig.Await(term.P)
-	}
-	tCross0 := term.P.Now()
-	t.crossShardDecision(true)
-	tCross1 := term.P.Now()
-	t.releaseLocks()
-	tWait0 := term.P.Now()
-	sig.Await(term.P)
-	sig.Reset() // that was its last observer: armed for the next commit
-	tWait1 := term.P.Now()
+	t.tail(true)
+}
+
+// stampCommit folds a commit's phases into the terminal's anatomy and trace
+// once its signal has fired, at now: the wait for a cross-shard write set's
+// vector durable point, the decision round, and the wait for the signal.
+// The chain takes each edge at its instant (edges).
+func (t *doraTx) stampCommit(now sim.Time) {
+	term := t.term
 	soc := int32(term.Core.SocketID())
-	if tCross0 > tDur0 {
-		term.Ph[stats.PhaseDur] += tCross0.Sub(tDur0)
-		term.Rec.Record(obs.Span{Start: tDur0, End: tCross0, Kind: obs.KindDurability, Socket: soc, Txn: tx.ID})
+	for _, ph := range [...]struct {
+		ph       stats.Phase
+		kind     obs.Kind
+		from, to sim.Time
+	}{
+		{stats.PhaseDur, obs.KindDurability, t.edges[0], t.edges[1]},
+		{stats.PhaseCross, obs.KindCross, t.edges[1], t.edges[2]},
+		{stats.PhaseDur, obs.KindDurability, t.edges[3], now},
+	} {
+		if ph.to > ph.from {
+			term.Ph[ph.ph] += ph.to.Sub(ph.from)
+			term.Rec.Record(obs.Span{Start: ph.from, End: ph.to, Kind: ph.kind, Socket: soc, Txn: t.tx.ID})
+		}
 	}
-	if tCross1 > tCross0 {
-		term.Ph[stats.PhaseCross] += tCross1.Sub(tCross0)
-		term.Rec.Record(obs.Span{Start: tCross0, End: tCross1, Kind: obs.KindCross, Socket: soc, Txn: tx.ID})
-	}
-	if tWait1 > tWait0 {
-		term.Ph[stats.PhaseDur] += tWait1.Sub(tWait0)
-		term.Rec.Record(obs.Span{Start: tWait0, End: tWait1, Kind: obs.KindDurability, Socket: soc, Txn: tx.ID})
-	}
+}
+
+// tail runs what follows a commit's CommitTo or a rollback's Abort as one
+// chain (Continue): the flush; for a commit with a cross-shard write set the
+// wait for the vector durable point; the cross-shard decision round; the
+// release messages to every involved partition and the flush; and for a
+// commit the wait for the commit signal, which it then re-arms and stamps
+// (stampCommit).
+func (t *doraTx) tail(commit bool) {
+	t.committing, t.pc = commit, coFlush
+	t.task.RunChain(t)
 }
 
 // crossShardSockets returns the distinct sockets of the transaction's
@@ -218,48 +225,49 @@ func (t *doraTx) crossShardSockets() []int {
 	return sockets
 }
 
-// crossShardDecision is the decision phase of the RVP-based cross-shard
-// commit protocol. The prepare votes were already collected by the phase
-// RVPs (every action voted before the coordinator reached this point), so
-// what remains of two-phase commit is the decision broadcast: the
-// coordinator sends the outcome to one representative partition per
-// involved socket other than its own and awaits their acknowledgements
-// through one more RVP before any entity lock is released. Transactions
-// confined to one socket skip all of it.
-func (t *doraTx) crossShardDecision(commit bool) {
+// crossShardReps arms the decision phase of the RVP-based cross-shard
+// commit protocol and returns its fan-out's size. The prepare votes were
+// already collected by the phase RVPs (every action voted before the
+// coordinator reached this point), so what remains of two-phase commit is
+// the decision broadcast: the coordinator sends the outcome to one
+// representative partition per involved socket other than its own and
+// awaits their acknowledgements through one more RVP before any entity lock
+// is released. Transactions confined to one socket skip all of it.
+func (t *doraTx) crossShardReps(commit bool) int {
 	e := t.e
 	sockets := t.crossShardSockets()
 	if sockets == nil {
-		return
+		return 0
 	}
 	home := t.term.Core.SocketID()
-	reps := t.reps[:0] // one involved partition per remote socket, in involved order
-	for _, s := range sockets {
-		if s == home {
-			continue
-		}
-		for _, pidx := range t.involved {
-			if e.parts[pidx].Socket() == s {
-				reps = append(reps, pidx)
-				break
-			}
-		}
+	n := len(sockets) // one representative per remote socket
+	if slices.Contains(sockets, home) {
+		n--
 	}
-	t.reps = reps
 	if commit {
 		e.ctr.Inc("crossshard.commits", 1)
 	} else {
 		e.ctr.Inc("crossshard.aborts", 1)
 	}
-	if len(reps) == 0 {
-		return // every involved socket is the coordinator's own
+	if n == 0 {
+		return 0 // every involved socket is the coordinator's own
 	}
-	rvp := t.arm(len(reps))
-	for i, pidx := range reps {
-		t.send(i, pidx, dora.Entity{}, true, applyDecision, nil)
+	t.arm(n)
+	i := 0
+	for _, s := range sockets {
+		if s == home {
+			continue
+		}
+		// The socket's first involved partition, in involved order.
+		for _, pidx := range t.involved {
+			if e.parts[pidx].Socket() == s {
+				t.slot(i, pidx, dora.Entity{}, true, applyDecision, nil)
+				i++
+				break
+			}
+		}
 	}
-	t.task.Flush()
-	rvp.Await(t.term.P)
+	return n
 }
 
 // decisionApplyInstr is the shard-side cost of recording a cross-shard
@@ -295,24 +303,21 @@ func (t *doraTx) rollback() {
 				groups++
 			}
 		}
-		rvp := t.arm(groups)
+		t.arm(groups)
 		for g, lo := 0, 0; lo < len(routed); g++ {
 			hi := lo + 1
 			for hi < len(routed) && routed[hi].pidx == routed[lo].pidx {
 				hi++
 			}
-			t.send(g, routed[lo].pidx, dora.Entity{}, true, applyUndo, routed[lo:hi])
+			t.slot(g, routed[lo].pidx, dora.Entity{}, true, applyUndo, routed[lo:hi])
 			lo = hi
 		}
-		t.task.Flush()
-		rvp.Await(t.term.P)
+		t.fanOut(groups)
 	}
 	e.tm.Abort(t.task, &t.tx, func(u txn.UndoRec) {}) // undo already applied above
-	t.task.Flush()
 	// Cross-shard transactions broadcast the abort decision and collect
 	// acks before locks release, mirroring the commit path.
-	t.crossShardDecision(false)
-	t.releaseLocks()
+	t.tail(false)
 }
 
 // routedUndo is one undo record and the partition that owns its row.
@@ -329,15 +334,6 @@ func applyUndo(c AccessCtx) bool {
 		wc.rows.applyUndoRaw(wc.task, r.u)
 	}
 	return true
-}
-
-// releaseLocks sends fire-and-forget release messages (nobody awaits them)
-// to every involved partition, in partition order.
-func (t *doraTx) releaseLocks() {
-	for _, pidx := range t.involved {
-		t.e.parts[pidx].Release(t.task, t.tx.ID)
-	}
-	t.task.Flush()
 }
 
 // doraTx coordinates one transaction's phases from the terminal process. It
@@ -357,11 +353,21 @@ type doraTx struct {
 	involved []int // partitions touched, kept sorted and unique
 	refused  bool
 
+	// The coordinator's chain (Continue): where it is, what follows the
+	// rendezvous of the fan-out it sends, whether the tail it runs is a
+	// commit's, and the progress of the enqueue it makes (declared beside
+	// refused so that they share its word). n, i, msg and edges below are
+	// the chain's too.
+	pc         coPC
+	after      coPC
+	committing bool
+	enq        dora.EnqueueOp
+
 	// commitSig is re-armed when commit's final Await on it returns; rvp
 	// (built by arm) when the next fan-out starts, its Await having returned;
 	// a slot when the fan-out it served has fired rvp (the partition's last
-	// touch of an action precedes its Arrive). sockets and reps are
-	// crossShardDecision's scratch, undo is rollback's. arena holds the keys
+	// touch of an action precedes its Arrive). sockets is the decision
+	// round's scratch, undo is rollback's. arena holds the keys
 	// the logic builds (Action.Key, keys it hands to bodies) and a slot's
 	// arena the keys its body builds; run resets them all when the next
 	// attempt starts, the undo list that held some of them dropped.
@@ -369,21 +375,29 @@ type doraTx struct {
 	rvp       *dora.RVP
 	slots     []*actionSlot
 	sockets   []int
-	reps      []int
 	undo      []routedUndo
 	arena     storage.Arena
+
+	// The fan-out the chain sends (slots[:n], or a release message to each
+	// involved partition), the next one (i), the release message in
+	// progress, and the commit tail's edges: when the durability wait, the
+	// cross-shard round and the final wait began, and when the round ended.
+	n, i  int32
+	msg   *dora.Action
+	edges [4]sim.Time
 }
 
 // Arena implements Tx.
 func (t *doraTx) Arena() *storage.Arena { return &t.arena }
 
 // actionSlot is one reusable action of a fan-out: the dora.Action that
-// travels to the partition, the AccessCtx its body runs against, the arena
+// travels to the partition, the partition it travels to, the AccessCtx its body runs against, the arena
 // the body builds its keys in (the actions of one fan-out run on different
 // partitions, interleaved, so they cannot share one). da.Run is bound to run
 // once, when the slot is built.
 type actionSlot struct {
 	da    dora.Action
+	pt    *dora.Partition
 	ctx   doraCtx
 	arena storage.Arena
 	body  func(c AccessCtx) bool
@@ -404,16 +418,16 @@ func (t *doraTx) arm(n int) *dora.RVP {
 	return t.rvp
 }
 
-// send arms slot i as one action of the fan-out arm readied and enqueues it
-// on partition pidx, charging the coordinator's task; undo is the records a
-// rollback action reverses.
-func (t *doraTx) send(i, pidx int, lockKey dora.Entity, priority bool, body func(c AccessCtx) bool, undo []routedUndo) {
+// slot arms slot i as one action of the fan-out arm readied, bound for
+// partition pidx; undo is the records a rollback action reverses.
+func (t *doraTx) slot(i, pidx int, lockKey dora.Entity, priority bool, body func(c AccessCtx) bool, undo []routedUndo) {
 	for len(t.slots) <= i {
 		s := &actionSlot{}
 		s.da.Run = s.run
 		t.slots = append(t.slots, s)
 	}
 	e, s := t.e, t.slots[i]
+	s.pt = e.parts[pidx]
 	s.body = body
 	s.ctx = doraCtx{rowTx: rowTx{rows: e.rowStore, tm: e.tm, tx: &t.tx}, arena: &s.arena, undo: undo}
 	s.da = dora.Action{
@@ -424,7 +438,114 @@ func (t *doraTx) send(i, pidx int, lockKey dora.Entity, priority bool, body func
 		Priority:    priority,
 		Run:         s.da.Run,
 	}
-	e.parts[pidx].Enqueue(t.task, &s.da)
+}
+
+// fanOut enqueues slots[:n] on their partitions, charging the coordinator's
+// task, and waits at the rendezvous, as one chain: the coordinator parks
+// once.
+func (t *doraTx) fanOut(n int) {
+	t.n, t.i, t.after, t.pc = int32(n), 0, coOver, coSend
+	t.task.RunChain(t)
+}
+
+// coPC is what the coordinator's chain does next.
+type coPC uint8
+
+const (
+	coSend      coPC = iota // enqueue slots[i] while i < n, then the flush and the rendezvous
+	coVoted                 // the rendezvous has fired: go on to after
+	coFlush                 // a tail's first flush
+	coDurable               // a commit waits for a cross-shard vector's durable point
+	coDecide                // the cross-shard decision round
+	coCrossed               // the round is over: the release messages begin
+	coRelease               // a release message to involved[i], then the flush
+	coAwait                 // a commit waits for its commit signal
+	coCommitted             // the signal is re-armed
+	coOver
+)
+
+// Continue implements sim.Continuation: it runs the coordinator's chain
+// until it has appended steps to wait on, then appends itself behind them,
+// or until the chain is over. Each enqueue, charge, stamp and await happens
+// at the instant the coordinator making the calls one by one would make it.
+func (t *doraTx) Continue(sc *sim.Script) {
+	for !sc.Pending() {
+		if t.step(sc) {
+			return
+		}
+	}
+	sc.Then(t)
+}
+
+// step does the chain's next thing and reports whether the chain is over.
+func (t *doraTx) step(sc *sim.Script) (over bool) {
+	task := t.task
+	now := task.P.Now()
+	switch t.pc {
+	case coSend:
+		if t.i == t.n {
+			task.Flush()
+			t.rvp.AddAwait(sc)
+			t.pc = coVoted
+			return false
+		}
+		if s := t.slots[t.i]; t.enq.Step(sc, task, s.pt, &s.da) {
+			t.i++
+		}
+	case coVoted:
+		t.pc = t.after
+	case coFlush:
+		task.Flush()
+		t.pc = coDecide
+		if t.committing {
+			t.pc = coDurable
+		}
+	case coDurable:
+		t.edges[0] = now
+		if len(t.tx.Shards) > 1 {
+			sc.Await(t.commitSig)
+		}
+		t.pc = coDecide
+	case coDecide:
+		t.edges[1] = now
+		t.pc = coCrossed
+		if n := t.crossShardReps(t.committing); n > 0 {
+			t.n, t.i, t.after, t.pc = int32(n), 0, coCrossed, coSend
+		}
+	case coCrossed:
+		t.edges[2] = now
+		t.i, t.pc = 0, coRelease
+	case coRelease:
+		// Fire-and-forget release messages (nobody awaits them) to every
+		// involved partition, in partition order.
+		if int(t.i) == len(t.involved) {
+			task.Flush()
+			t.pc = coOver
+			if t.committing {
+				t.pc = coAwait
+			}
+			return false
+		}
+		pt := t.e.parts[t.involved[t.i]]
+		if t.msg == nil {
+			t.msg = pt.ReleaseMessage(t.tx.ID)
+		}
+		if t.enq.Step(sc, task, pt, t.msg) {
+			t.msg = nil
+			t.i++
+		}
+	case coAwait:
+		t.edges[3] = now
+		sc.Await(t.commitSig)
+		t.pc = coCommitted
+	case coCommitted:
+		t.commitSig.Reset() // that was its last observer: armed for the next commit
+		t.stampCommit(now)
+		t.pc = coOver
+	case coOver:
+		return true
+	}
+	return false
 }
 
 // involve records pidx in the sorted involved set. Releases iterate this
@@ -447,7 +568,7 @@ func (t *doraTx) involve(pidx int) {
 }
 
 // Phase implements Tx: fan the actions out to their partitions and await
-// the rendezvous.
+// the rendezvous, parking once.
 func (t *doraTx) Phase(actions ...Action) bool {
 	if len(actions) == 0 {
 		return true
@@ -461,10 +582,10 @@ func (t *doraTx) Phase(actions ...Action) bool {
 		if !a.NoLock {
 			lockKey = e.scheme.Entity(a.Table, a.Key)
 		}
-		t.send(i, pidx, lockKey, false, a.Body, nil)
+		t.slot(i, pidx, lockKey, false, a.Body, nil)
 	}
-	t.task.Flush()
-	ok := rvp.Await(t.term.P)
+	t.fanOut(len(actions))
+	ok := rvp.OK()
 	// The actions are all complete: fold the partition-side stamps into the
 	// transaction's anatomy.
 	for _, s := range t.slots[:len(actions)] {

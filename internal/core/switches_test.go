@@ -30,7 +30,7 @@ var benchConfigs = []struct {
 	ckptHeap  float64 // the same after Open and Checkpoint, images included
 	build     func() (core.Workload, func(*sim.Env) core.Engine)
 }{
-	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.45, 0.093, 0.059, 79, 87, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tatp-bionic", 64, 40 * sim.Millisecond, 0.11, 0.093, 0.059, 79, 87, func() (core.Workload, func(*sim.Env) core.Engine) {
 		wl := tatp.New(tatp.Config{Subscribers: 100000})
 		return wl, func(env *sim.Env) core.Engine {
 			return core.NewBionic(env, platform.HC2(), wl.Tables(), wl.Scheme(8), core.AllOffloads(), 8)
@@ -42,7 +42,7 @@ var benchConfigs = []struct {
 			return core.NewConventional(env, platform.HC2(), wl.Tables())
 		}
 	}},
-	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.44, 0.076, 0.0098, 163, 179, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"ycsb-dora-4s", 128, 20 * sim.Millisecond, 0.26, 0.076, 0.0098, 163, 179, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := ycsb.WorkloadA()
 		cfg.Records, cfg.FieldSize, cfg.Theta = 400000, 100, 0.7
 		wl := ycsb.New(cfg)
@@ -52,7 +52,7 @@ var benchConfigs = []struct {
 	}},
 	// crash-recover-2s's machine and database, run as a plain window: the
 	// bionic engine's TPC-C path (overlay, per-action arenas, entity locks).
-	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.25, 6.25, 7.45, 96, 101, func() (core.Workload, func(*sim.Env) core.Engine) {
+	{"tpcc-bionic-2s", 64, 15 * sim.Millisecond, 0.05, 6.25, 7.45, 96, 101, func() (core.Workload, func(*sim.Env) core.Engine) {
 		cfg := tpcc.DefaultConfig()
 		cfg.Warehouses = 8
 		wl := tpcc.New(cfg)
@@ -78,6 +78,14 @@ var benchConfigs = []struct {
 // (2 009 911 resumes / 3 184 179 events) and ycsb-dora-4s 0.542 (1 290 868 /
 // 2 381 902) against ceilings of 0.65 and 0.56; they measure 0.155 (493 914
 // / 3 184 179) and 0.419 (997 854 / 2 381 902), the event counts unchanged.
+// Before DORA's partition servers, coordinator fan-outs and commit tails,
+// the tree probe and the overlay's scans and write completions ran as
+// kernel continuations, tatp-bionic measured 0.333 (1 042 637 / 3 134 835),
+// ycsb-dora-4s 0.419 and tpcc-bionic-2s 0.182 (784 828 / 4 308 825) against
+// ceilings of 0.45, 0.44 and 0.25; they measure 0.093 (290 919), 0.243
+// (578 261) and 0.041 (177 552), the event counts unchanged. What is left
+// switches into a body: a data action's Run, the transaction logic between
+// its phases and commit, and a probe's caller once per probe.
 func TestSwitchesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("populates three benchmark-scale databases")

@@ -51,7 +51,7 @@ func DefaultCosts() Costs {
 // per locked action and keying the local lock table with it allocates
 // nothing; the zero Entity means "no lock". String renders the name the
 // engines used to build as text ("d3.7", "s42"), and Compare orders entities
-// as that text orders, which is the order ReleaseLocks frees them in.
+// as that text orders, which is the order a release message frees them in.
 type Entity struct {
 	form   uint8 // entityNone, entity1, entity2 or entityKey
 	prefix byte  // the name's first letter; the key length for entityKey
@@ -154,7 +154,7 @@ type Action struct {
 	// user aborts (do not retry).
 	Refused bool
 
-	// release marks a lock-release message (Partition.Release): it has no
+	// release marks a lock-release message (ReleaseMessage): it has no
 	// body, the partition frees TxnID's entity locks itself and takes the
 	// message back onto its free list once applied. (Declared beside the
 	// other flags so the three share one word.)
@@ -220,6 +220,13 @@ func (r *RVP) Await(p *sim.Proc) bool {
 	r.sig.Await(p)
 	return r.ok
 }
+
+// AddAwait appends Await's wait to a script the caller is building; OK
+// reports the votes once the script has run past it.
+func (r *RVP) AddAwait(sc *sim.Script) { sc.Await(&r.sig) }
+
+// OK reports whether every arrival so far voted to continue.
+func (r *RVP) OK() bool { return r.ok }
 
 // Registry is the waits-for graph shared by a set of partitions. All
 // updates happen from simulated processes (one at a time), so plain maps
@@ -295,6 +302,12 @@ func (r *Registry) remove(waiter, holder uint64) {
 // may be in flight at once (1 = strictly serial, the software DORA
 // configuration; >1 enables the overlap the bionic engine needs for
 // asynchronous hardware requests).
+//
+// The worker and the windowed children run as kernel continuations
+// (sim.Script): taking the next action, the dequeue and lock steps, the
+// finish and the vote are steps of one chain, and a serving process switches
+// into its coroutine only to run a data action's Run. A release message never
+// switches in.
 type Partition struct {
 	ID     int
 	Core   *platform.Core
@@ -310,19 +323,24 @@ type Partition struct {
 	qAddr  uint64 // queue slots, for coherence-miss charging
 	socket int    // the socket Core lives on, cached for the message path
 
+	// The worker's chain state: the window-1 worker serves actions itself
+	// (srv); a windowed one hands them to children (disp). Both take from in
+	// through next.
+	next sim.Getter[*Action]
+	srv  server
+	disp dispatcher
+
 	inflight   int
 	slotFree   *sim.Signal // fired by a finishing child while the worker waits for a slot
 	done       int64
 	actionName string         // spawn name for windowed child actions, built once
 	idle       []*actionChild // pooled child processes awaiting work
 
-	// Free lists and scratch: entity locks churn once per lock, release
-	// messages once per transaction, and owned is ReleaseLocks' sorted-key
-	// scratch (taken for the duration of a call, so a re-entrant call on a
-	// windowed partition that parked mid-loop builds its own).
+	// Free lists: entity locks churn once per lock, release messages once
+	// per transaction.
 	freeLocks []*entityLock
 	freeRel   []*Action
-	owned     []Entity
+	owned     []Entity // a release loop's sorted-key scratch, while no loop holds it
 
 	// HWQueue, when non-nil, is the hardware queue-management engine: the
 	// enqueue/dequeue path charges it instead of the software costs.
@@ -347,7 +365,7 @@ func NewPartition(pl *platform.Platform, reg *Registry, id int, core *platform.C
 	if window < 1 {
 		window = 1
 	}
-	return &Partition{
+	pt := &Partition{
 		ID:         id,
 		Core:       core,
 		Costs:      costs,
@@ -361,6 +379,9 @@ func NewPartition(pl *platform.Platform, reg *Registry, id int, core *platform.C
 		socket:     core.SocketID(),
 		actionName: fmt.Sprintf("part%d.action", id),
 	}
+	pt.next.Q = pt.in
+	pt.disp.pt = pt
+	return pt
 }
 
 // Socket returns the socket this partition's owning core lives on.
@@ -379,32 +400,87 @@ const actionMsgBytes = 64
 // Enqueue routes an action into the partition, charging the sender's task.
 // On a multi-socket platform a sender on another socket additionally pays
 // one interconnect message to carry the action descriptor to the
-// partition's socket; same-socket sends pay nothing new.
+// partition's socket; same-socket sends pay nothing new. It runs the steps
+// of EnqueueOp as one kernel script, so the sender parks at most once.
 func (pt *Partition) Enqueue(t *platform.Task, a *Action) {
-	if pt.HWQueue != nil {
-		// Doorbell write + hardware enqueue: minimal CPU, unit does the rest.
-		t.Exec(stats.CompDora, pt.Costs.EnqueueInstr/4)
-	} else {
-		t.Exec(stats.CompDora, pt.Costs.EnqueueInstr)
+	c := enqueues.Get(t)
+	c.pt, c.a = pt, a
+	t.RunChain(c)
+}
+
+// enqueueChain is a task's blocking Enqueue in progress, and its
+// continuation. It is built when the task first enqueues.
+type enqueueChain struct {
+	t  *platform.Task
+	op EnqueueOp
+	pt *Partition
+	a  *Action
+}
+
+var enqueues = platform.NewLocal(func(t *platform.Task) *enqueueChain { return &enqueueChain{t: t} })
+
+// Continue implements sim.Continuation.
+func (c *enqueueChain) Continue(sc *sim.Script) {
+	if !c.op.Step(sc, c.t, c.pt, c.a) {
+		sc.Then(c)
+	}
+}
+
+// EnqueueOp is the progress of one enqueue, for a sender that runs it from
+// inside its own chain of continuations (Step). The zero EnqueueOp is ready
+// to begin one.
+type EnqueueOp struct{ pc uint8 }
+
+// Step enqueues a on pt from inside a continuation of t's process: the
+// sender's instructions and, in software, the queue slot's coherence
+// access, then one stretch of kernel steps for the core time, the hardware
+// enqueue and the interconnect message, then the put. Each happens at the
+// instant a process making the calls one by one would make it. It returns
+// false once it has appended steps that must run before it can go on: the
+// caller calls it again, with the same op, pt and a, from a continuation
+// behind them. It returns true when a is in the queue, leaving op ready for
+// the next enqueue.
+func (op *EnqueueOp) Step(sc *sim.Script, t *platform.Task, pt *Partition, a *Action) (done bool) {
+	if op.pc == 0 {
+		op.pc = 2
+		if pt.HWQueue != nil {
+			// Doorbell write + hardware enqueue: minimal CPU, unit does the
+			// rest.
+			t.Exec(stats.CompDora, pt.Costs.EnqueueInstr/4)
+		} else {
+			op.pc = 1
+			t.Exec(stats.CompDora, pt.Costs.EnqueueInstr)
+			if sc.Pending() {
+				return false // the access reads Puts once the core time is served
+			}
+		}
+	}
+	if op.pc == 1 {
 		// Producer-side coherence traffic on the queue slot.
 		t.Access(stats.CompDora, pt.qAddr+uint64(pt.in.Puts()%1024)*64, 64)
+		op.pc = 2
 	}
-	// One park for the core time, the hardware enqueue and the interconnect
-	// message together.
-	sc := t.Script()
-	if pt.HWQueue != nil {
-		pt.HWQueue.AddWork(sc, pt.HWQueueCycles)
+	if op.pc == 2 {
+		op.pc = 3
+		t.Flush()
+		if pt.HWQueue != nil {
+			pt.HWQueue.AddWork(sc, pt.HWQueueCycles)
+		}
+		if ic := pt.pl.IC; ic != nil {
+			ic.AddTransfer(sc, t.Core().SocketID(), pt.socket, actionMsgBytes)
+		}
+		if sc.Pending() {
+			return false
+		}
 	}
-	if ic := pt.pl.IC; ic != nil {
-		ic.AddTransfer(sc, t.Core().SocketID(), pt.socket, actionMsgBytes)
-	}
-	sc.Run()
+	op.pc = 0
 	a.EnqAt = t.P.Now()
 	if a.Priority {
 		pt.in.PutFront(a)
-		return
+	} else {
+		pt.in.Put(t.P, a) // unbounded: never parks
 	}
-	pt.in.Put(t.P, a)
+	return true
 }
 
 // QueueLen reports the current backlog.
@@ -415,55 +491,76 @@ func (pt *Partition) QueueLen() int { return pt.in.Len() }
 // to child processes that share the partition's core, so an action blocked
 // on asynchronous hardware leaves the core free for its siblings.
 func (pt *Partition) Start() {
-	body := func(p *sim.Proc) {
-		// One task for the worker's life, started afresh per action.
-		task := pt.pl.NewTask(p, pt.Core, pt.bd)
-		for {
-			a, ok := pt.in.Get(p)
-			if !ok {
-				for pt.inflight > 0 {
-					pt.awaitSlot(p)
-				}
-				// Drained: release the pooled child processes so they
-				// exit and the partition leaves nothing parked behind.
-				for _, c := range pt.idle {
-					c.quit = true
-					pt.pl.Env.Resume(c.proc)
-				}
-				pt.idle = nil
-				return
-			}
-			if pt.Window == 1 {
-				task.Reset()
-				pt.dispatch(task, a)
-				continue
-			}
-			for pt.inflight >= pt.Window {
-				pt.awaitSlot(p)
-			}
-			pt.inflight++
-			pt.startAction(a)
+	pt.pl.Env.Spawn(fmt.Sprintf("part%d.worker", pt.ID), func(p *sim.Proc) {
+		if pt.Window == 1 {
+			// One task for the worker's life, started afresh per action.
+			pt.srv = server{pt: pt, task: pt.pl.NewTask(p, pt.Core, pt.bd)}
+			pt.srv.serve()
+			return
 		}
-	}
-	pt.pl.Env.Spawn(fmt.Sprintf("part%d.worker", pt.ID), body)
+		sc := p.Script()
+		sc.Then(&pt.disp)
+		sc.Run()
+	})
 }
 
-// awaitSlot parks the worker until a child process finishes an action. The
-// worker owns slotFree and is its only waiter, so it re-arms the one signal.
-func (pt *Partition) awaitSlot(p *sim.Proc) {
+// dispatcher is a windowed worker's chain: take the next action, wait for a
+// free slot in the window, hand the action to a child, and on close wait
+// for the children to finish and release them.
+type dispatcher struct {
+	pt    *Partition
+	taken bool // next holds a take's result that is not yet handed on
+}
+
+// Continue implements sim.Continuation: it runs until it has appended a
+// step to wait on, then appends itself behind it, or until the partition is
+// drained.
+func (d *dispatcher) Continue(sc *sim.Script) {
+	pt := d.pt
+	for !sc.Pending() {
+		switch {
+		case !d.taken:
+			sc.Get(&pt.next)
+			d.taken = true
+		case pt.next.OK && pt.inflight >= pt.Window:
+			pt.awaitSlot(sc)
+		case pt.next.OK:
+			a := pt.next.V
+			pt.next.V, d.taken = nil, false
+			pt.inflight++
+			pt.startAction(a)
+		case pt.inflight > 0:
+			pt.awaitSlot(sc) // closed: drain the window
+		default:
+			// Drained: release the pooled child processes so they exit and
+			// the partition leaves nothing parked behind.
+			for _, c := range pt.idle {
+				c.quit = true
+				pt.pl.Env.Resume(c.srv.task.P)
+			}
+			pt.idle = nil
+			return
+		}
+	}
+	sc.Then(d)
+}
+
+// awaitSlot appends the wait for a child to finish an action. The worker
+// owns slotFree and is its only waiter, so it re-arms the one signal.
+func (pt *Partition) awaitSlot(sc *sim.Script) {
 	if pt.slotFree == nil {
-		pt.slotFree = sim.NewSignal(p.Env())
+		pt.slotFree = sim.NewSignal(pt.pl.Env)
 	} else {
 		pt.slotFree.Reset()
 	}
-	pt.slotFree.Await(p)
+	sc.Await(pt.slotFree)
 }
 
 // actionChild is one pooled windowed-action process: a single goroutine
-// serving many actions across its lifetime, parked in the partition's idle
-// list between actions.
+// serving many actions across its lifetime, suspended in the partition's
+// idle list between actions.
 type actionChild struct {
-	proc *sim.Proc
+	srv  server
 	next *Action
 	quit bool
 }
@@ -477,36 +574,199 @@ func (pt *Partition) startAction(a *Action) {
 		c := pt.idle[n-1]
 		pt.idle = pt.idle[:n-1]
 		c.next = a
-		pt.pl.Env.Resume(c.proc)
+		pt.pl.Env.Resume(c.srv.task.P)
 		return
 	}
 	c := &actionChild{next: a}
-	c.proc = pt.pl.Env.Spawn(pt.actionName, func(cp *sim.Proc) {
-		task := pt.pl.NewTask(cp, pt.Core, pt.bd)
-		for {
-			a := c.next
-			c.next = nil
-			task.Reset()
-			pt.dispatch(task, a)
+	c.srv = server{pt: pt, child: c, pc: srvResumed}
+	pt.pl.Env.Spawn(pt.actionName, func(cp *sim.Proc) {
+		c.srv.task = pt.pl.NewTask(cp, pt.Core, pt.bd)
+		c.srv.serve()
+	})
+}
+
+// server is one process serving actions: the window-1 worker, or a windowed
+// child. Its chain takes an action (the worker from the queue, a child from
+// the dispatcher's Resume), stamps its queue or lock wait, charges the
+// dequeue, resolves the entity lock (grant, defer or refuse), runs the body,
+// finishes (the RVP charge, the flush, the vote) and goes on to the next.
+// Everything but a data action's Run runs as continuations; the chain stops
+// for Run, which serve calls on the process's own stack.
+type server struct {
+	pt    *Partition
+	task  *platform.Task
+	child *actionChild // nil for the window-1 worker
+
+	pc      serverPC
+	a       *Action
+	release bool // a is a release message: the partition recycles it
+	vote    bool
+	t0      sim.Time // when the body or the release loop began
+	rel     releaseLoop
+}
+
+// serverPC is what a server does next, in order.
+type serverPC uint8
+
+const (
+	srvTake    serverPC = iota // the worker takes the next action from the queue
+	srvTaken                   // the take is done
+	srvResumed                 // a child was resumed with its next action, or to quit
+	srvDequeue                 // stamps, the dequeue charge or the hardware queue unit
+	srvAccess                  // the software dequeue's queue-slot access
+	srvLock                    // the entity lock's instructions
+	srvLookup                  // grant, defer or refuse
+	srvRun                     // the body, or a release message's loop
+	srvRelease                 // the release loop, one owned lock at a time
+	srvRan                     // the exec stamps
+	srvFinish                  // the RVP charge and the flush
+	srvVote                    // done, and the vote's hop home
+	srvArrive                  // the vote
+	srvNext                    // a child's bookkeeping, then the next action
+	srvExit                    // the queue is drained, or the child released
+)
+
+// serve runs the server's chain, stopping to run each data action's body on
+// the process's own stack, until the chain ends.
+func (s *server) serve() {
+	for {
+		s.task.RunChain(s)
+		if s.pc == srvExit {
+			return
+		}
+		s.vote = s.a.Run(s.task, s.pt)
+		s.pc = srvRan
+	}
+}
+
+// Continue implements sim.Continuation: it runs the chain until it has
+// appended steps to wait on, then appends itself behind them, or until it
+// stops for a body or ends.
+func (s *server) Continue(sc *sim.Script) {
+	for !sc.Pending() {
+		if s.step(sc) {
+			return
+		}
+	}
+	sc.Then(s)
+}
+
+// step does the server's next thing and reports whether the chain stops.
+func (s *server) step(sc *sim.Script) (stop bool) {
+	pt, task := s.pt, s.task
+	switch s.pc {
+	case srvTake:
+		sc.Get(&pt.next)
+		s.pc = srvTaken
+	case srvTaken:
+		if !pt.next.OK {
+			s.pc = srvExit
+			return true
+		}
+		s.a, pt.next.V = pt.next.V, nil
+		task.Reset()
+		s.pc = srvDequeue
+	case srvResumed:
+		c := s.child
+		if c.quit {
+			s.pc = srvExit
+			return true
+		}
+		s.a, c.next = c.next, nil
+		task.Reset()
+		s.pc = srvDequeue
+	case srvDequeue:
+		s.stamp(task.P.Now())
+		if pt.HWQueue != nil {
+			task.Exec(stats.CompDora, pt.Costs.DequeueInstr/4)
+			task.Flush()
+			pt.HWQueue.AddWork(sc, pt.HWQueueCycles)
+			s.pc = srvLock
+		} else {
+			task.Exec(stats.CompDora, pt.Costs.DequeueInstr)
+			s.pc = srvAccess
+		}
+	case srvAccess:
+		task.Access(stats.CompDora, pt.qAddr+uint64(pt.done%1024)*64, 64)
+		s.pc = srvLock
+	case srvLock:
+		s.pc = srvRun
+		if s.a.LockKey != (Entity{}) {
+			task.Exec(stats.CompDora, pt.Costs.LocalLockInstr)
+			s.pc = srvLookup
+		}
+	case srvLookup:
+		s.pc = pt.lock(task, s.a)
+		s.vote = false // a refused action votes to abort
+	case srvRun:
+		s.t0 = task.P.Now()
+		s.release = s.a.release
+		if !s.release {
+			return true // serve runs the body
+		}
+		s.vote = true
+		s.rel.begin(pt, s.a.TxnID)
+		s.pc = srvRelease
+	case srvRelease:
+		if s.rel.step(pt, task) {
+			s.pc = srvRan
+		}
+	case srvRan:
+		a := s.a
+		if t1 := task.P.Now(); t1 > s.t0 {
+			a.ExecTime += t1.Sub(s.t0)
+			pt.rec.Record(obs.Span{Start: s.t0, End: t1, Kind: obs.KindAction,
+				Socket: int32(pt.socket), Txn: a.TxnID})
+		}
+		s.pc = srvFinish
+	case srvFinish:
+		task.Exec(stats.CompDora, pt.Costs.RVPInstr)
+		task.Flush()
+		s.pc = srvVote
+	case srvVote:
+		pt.done++
+		s.pc = srvNext
+		if a := s.a; a.RVP != nil {
+			// Carry the vote back to a coordinator on another socket.
+			if ic := pt.pl.IC; ic != nil && a.ReplySocket != pt.socket {
+				ic.AddTransfer(sc, pt.socket, a.ReplySocket, actionMsgBytes)
+			}
+			s.pc = srvArrive
+		}
+	case srvArrive:
+		// The action is its coordinator's again the moment it arrives.
+		a := s.a
+		s.a = nil
+		a.RVP.Arrive(s.vote)
+		s.pc = srvNext
+	case srvNext:
+		if s.release {
+			// Only RVP-less release messages are recycled.
+			pt.freeRel = append(pt.freeRel, s.a)
+			s.release = false
+		}
+		s.a = nil
+		if c := s.child; c != nil {
 			pt.inflight--
 			if pt.slotFree != nil && !pt.slotFree.Fired() {
 				pt.slotFree.Fire()
 			}
 			pt.idle = append(pt.idle, c)
-			cp.Suspend()
-			if c.quit {
-				return
-			}
+			sc.Suspend()
+			s.pc = srvResumed
+		} else {
+			s.pc = srvTake
 		}
-	})
+	}
+	return false
 }
 
-// dispatch charges the dequeue, resolves the local lock, and either runs,
-// defers, or abort-votes the action.
-func (pt *Partition) dispatch(task *platform.Task, a *Action) {
-	if at := task.P.Now(); a.defAt != 0 {
-		// Re-dispatch of a deferred action: the park-to-grant gap (plus the
-		// re-queue hop) is lock wait, not queue wait.
+// stamp folds the wait up to at into a's anatomy: lock wait for the
+// re-dispatch of a deferred action (the park-to-grant gap plus the re-queue
+// hop), queue wait otherwise.
+func (s *server) stamp(at sim.Time) {
+	pt, a := s.pt, s.a
+	if a.defAt != 0 {
 		if at > a.defAt {
 			a.LockWait += at.Sub(a.defAt)
 			pt.rec.Record(obs.Span{Start: a.defAt, End: at, Kind: obs.KindLockWait,
@@ -521,83 +781,45 @@ func (pt *Partition) dispatch(task *platform.Task, a *Action) {
 		pt.rec.Record(obs.Span{Start: a.EnqAt, End: at, Kind: obs.KindQueueWait,
 			Socket: int32(pt.socket), Txn: a.TxnID})
 	}
-	if pt.HWQueue != nil {
-		task.Exec(stats.CompDora, pt.Costs.DequeueInstr/4)
-		sc := task.Script()
-		pt.HWQueue.AddWork(sc, pt.HWQueueCycles)
-		sc.Run()
-	} else {
-		task.Exec(stats.CompDora, pt.Costs.DequeueInstr)
-		task.Access(stats.CompDora, pt.qAddr+uint64(pt.done%1024)*64, 64)
-	}
-	if a.LockKey != (Entity{}) {
-		task.Exec(stats.CompDora, pt.Costs.LocalLockInstr)
-		l := pt.locks[a.LockKey]
-		if l == nil {
-			if n := len(pt.freeLocks); n > 0 {
-				l = pt.freeLocks[n-1]
-				pt.freeLocks = pt.freeLocks[:n-1]
-			} else {
-				l = &entityLock{}
-			}
-			l.owner = a.TxnID
-			pt.locks[a.LockKey] = l
-		} else if l.owner != a.TxnID {
-			// Conflict: defer unless that would close a cycle.
-			if pt.reg.wouldCycle(a.TxnID, l.owner) {
-				a.Refused = true
-				pt.finish(task, a, false)
-				return
-			}
-			pt.reg.add(a.TxnID, l.owner)
-			a.defAt = task.P.Now()
-			l.deferred = append(l.deferred, a)
-			return
+}
+
+// lock resolves a's entity lock and returns what the server does next: run
+// the action (granted), finish it with an abort vote (refused: deferring
+// would close a waits-for cycle) or take the next one (deferred). A deferred
+// action leaves its lock charge pending on the task, which the next action's
+// Reset drops.
+func (pt *Partition) lock(task *platform.Task, a *Action) serverPC {
+	l := pt.locks[a.LockKey]
+	if l == nil {
+		if n := len(pt.freeLocks); n > 0 {
+			l = pt.freeLocks[n-1]
+			pt.freeLocks = pt.freeLocks[:n-1]
+		} else {
+			l = &entityLock{}
 		}
+		l.owner = a.TxnID
+		pt.locks[a.LockKey] = l
+		return srvRun
 	}
-	pt.run(task, a)
+	if l.owner == a.TxnID {
+		return srvRun
+	}
+	// Conflict: defer unless that would close a cycle.
+	if pt.reg.wouldCycle(a.TxnID, l.owner) {
+		a.Refused = true
+		return srvFinish
+	}
+	pt.reg.add(a.TxnID, l.owner)
+	a.defAt = task.P.Now()
+	l.deferred = append(l.deferred, a)
+	return srvNext
 }
 
-func (pt *Partition) run(task *platform.Task, a *Action) {
-	t0 := task.P.Now()
-	vote := true
-	if a.release {
-		pt.ReleaseLocks(task, a.TxnID)
-	} else {
-		vote = a.Run(task, pt)
-	}
-	if t1 := task.P.Now(); t1 > t0 {
-		a.ExecTime += t1.Sub(t0)
-		pt.rec.Record(obs.Span{Start: t0, End: t1, Kind: obs.KindAction,
-			Socket: int32(pt.socket), Txn: a.TxnID})
-	}
-	// Read before finish: an action with an RVP is its coordinator's again
-	// the moment it arrives. Only RVP-less release messages are recycled.
-	release := a.release
-	pt.finish(task, a, vote)
-	if release {
-		pt.freeRel = append(pt.freeRel, a)
-	}
-}
-
-func (pt *Partition) finish(task *platform.Task, a *Action, vote bool) {
-	task.Exec(stats.CompDora, pt.Costs.RVPInstr)
-	task.Flush()
-	pt.done++
-	if a.RVP != nil {
-		// Carry the vote back to a coordinator on another socket.
-		if ic := pt.pl.IC; ic != nil && a.ReplySocket != pt.socket {
-			ic.Transfer(task.P, pt.socket, a.ReplySocket, actionMsgBytes)
-		}
-		a.RVP.Arrive(vote)
-	}
-}
-
-// Release asks the partition to free every entity lock txnID holds and
-// re-dispatch what was deferred behind them: a priority message nobody
-// awaits, charged to the sender's task like any Enqueue. The message comes
-// from the partition's free list.
-func (pt *Partition) Release(t *platform.Task, txnID uint64) {
+// ReleaseMessage returns a message that, enqueued on the partition, frees
+// every entity lock txnID holds there and re-dispatches what was deferred
+// behind them: a priority message nobody awaits. It comes from the
+// partition's free list, to which the partition returns it once applied.
+func (pt *Partition) ReleaseMessage(txnID uint64) *Action {
 	var a *Action
 	if n := len(pt.freeRel) - 1; n >= 0 {
 		a = pt.freeRel[n]
@@ -607,50 +829,75 @@ func (pt *Partition) Release(t *platform.Task, txnID uint64) {
 		a = &Action{Priority: true, release: true}
 	}
 	a.TxnID = txnID
-	pt.Enqueue(t, a)
+	return a
 }
 
-// ReleaseLocks frees every local lock txnID holds in this partition and
-// re-dispatches deferred actions by re-enqueueing them. It runs on the
-// partition's own worker: applying a Release message, or from an action
-// body that wants the release awaited through its RVP.
-func (pt *Partition) ReleaseLocks(task *platform.Task, txnID uint64) {
-	// Release in sorted key order: the order decides when deferred actions
-	// re-enter the queue, so it must not follow randomized map iteration.
-	owned := pt.owned[:0]
-	pt.owned = nil // task.Exec below can park a windowed partition's child
+// releaseLoop is a release message applied as continuations: it frees every
+// local lock txn holds in the partition, in sorted key order, and
+// re-dispatches deferred actions by re-enqueueing them at the queue head.
+// owned is its sorted-key scratch, the partition's for the loop's duration:
+// a loop that begins while another is mid-loop (two windowed children)
+// builds its own.
+type releaseLoop struct {
+	txn     uint64
+	owned   []Entity
+	i       int
+	charged bool // owned[i]'s instructions are charged: the release goes on
+}
+
+// begin collects what txn holds, in the order the loop frees it: the order
+// decides when deferred actions re-enter the queue, so it must not follow
+// randomized map iteration.
+func (r *releaseLoop) begin(pt *Partition, txn uint64) {
+	r.txn, r.i, r.charged = txn, 0, false
+	r.owned, pt.owned = pt.owned[:0], nil
 	for key, l := range pt.locks {
-		if l.owner == txnID {
-			owned = append(owned, key)
+		if l.owner == txn {
+			r.owned = append(r.owned, key)
 		}
 	}
-	slices.SortFunc(owned, Entity.Compare)
-	for _, key := range owned {
-		l := pt.locks[key]
+	slices.SortFunc(r.owned, Entity.Compare)
+}
+
+// step does the loop's next thing, the next lock's instructions or, once
+// they are charged, its release, and reports whether the loop is over. The
+// caller calls it again from a continuation when a charge appended steps.
+func (r *releaseLoop) step(pt *Partition, task *platform.Task) (over bool) {
+	if r.i == len(r.owned) {
+		clear(r.owned)
+		pt.owned, r.owned = r.owned[:0], nil
+		return true
+	}
+	if !r.charged {
+		r.charged = true
 		task.Exec(stats.CompDora, pt.Costs.LocalLockInstr)
-		if len(l.deferred) == 0 {
-			delete(pt.locks, key)
-			pt.freeLocks = append(pt.freeLocks, l)
-			continue
-		}
-		// Hand the entity to the first deferred action's transaction and
-		// re-enqueue every deferred action whose transaction now owns it;
-		// others re-defer when dispatched.
-		next := l.deferred[0]
-		l.owner = next.TxnID
-		rest := l.deferred
-		// Re-dispatch at the queue head: deferred actions were admitted
-		// before anything currently queued.
-		for i := len(rest) - 1; i >= 0; i-- {
-			d := rest[i]
-			pt.reg.remove(d.TxnID, txnID)
-			pt.in.PutFront(d)
-		}
-		clear(rest)
-		l.deferred = rest[:0]
+		return false
 	}
-	clear(owned)
-	pt.owned = owned[:0]
+	r.charged = false
+	key := r.owned[r.i]
+	r.i++
+	l := pt.locks[key]
+	if len(l.deferred) == 0 {
+		delete(pt.locks, key)
+		pt.freeLocks = append(pt.freeLocks, l)
+		return false
+	}
+	// Hand the entity to the first deferred action's transaction and
+	// re-enqueue every deferred action whose transaction now owns it;
+	// others re-defer when dispatched.
+	next := l.deferred[0]
+	l.owner = next.TxnID
+	rest := l.deferred
+	// Re-dispatch at the queue head: deferred actions were admitted before
+	// anything currently queued.
+	for i := len(rest) - 1; i >= 0; i-- {
+		d := rest[i]
+		pt.reg.remove(d.TxnID, r.txn)
+		pt.in.PutFront(d)
+	}
+	clear(rest)
+	l.deferred = rest[:0]
+	return false
 }
 
 // Close shuts the input queue; the worker exits after draining.

@@ -1,6 +1,7 @@
 package dora
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -651,8 +652,8 @@ func TestReleaseMessagesAreRecycled(t *testing.T) {
 }
 
 // TestEntityNamesAndOrder: an Entity renders the name the engines used to
-// build as a string, and Compare is that string's order, which ReleaseLocks
-// frees locks in (so "d1.10" still goes before "d1.2").
+// build as a string, and Compare is that string's order, which a release
+// message frees locks in (so "d1.10" still goes before "d1.2").
 func TestEntityNamesAndOrder(t *testing.T) {
 	ents := []Entity{
 		Entity1('w', 3), Entity1('w', 12), Entity1('s', 100000),
@@ -685,6 +686,34 @@ func TestEntityNamesAndOrder(t *testing.T) {
 	}
 }
 
+// Release asks the partition to free every entity lock txnID holds: a
+// release message, charged to the sender's task like any Enqueue.
+func (pt *Partition) Release(t *platform.Task, txnID uint64) {
+	pt.Enqueue(t, pt.ReleaseMessage(txnID))
+}
+
+// ReleaseLocks runs a release message's loop from an action body, on the
+// body's task, so that the release is awaited through the body's RVP.
+func (pt *Partition) ReleaseLocks(t *platform.Task, txnID uint64) {
+	var r releaseLoop
+	r.begin(pt, txnID)
+	var c contFunc
+	c = func(sc *sim.Script) {
+		for !sc.Pending() {
+			if r.step(pt, t) {
+				return
+			}
+		}
+		sc.Then(c)
+	}
+	t.RunChain(c)
+}
+
+// contFunc is a function as a sim.Continuation.
+type contFunc func(sc *sim.Script)
+
+func (f contFunc) Continue(sc *sim.Script) { f(sc) }
+
 // HeldLocks reports how many entity locks are currently owned (diagnostics).
 func (pt *Partition) HeldLocks() int { return len(pt.locks) }
 
@@ -693,4 +722,110 @@ func (pt *Partition) HeldLocks() int { return len(pt.locks) }
 func (pt *Partition) HoldsLock(key Entity, txnID uint64) bool {
 	l := pt.locks[key]
 	return l != nil && l.owner == txnID
+}
+
+// TestReleaseMessageRunsWithoutSwitching: a release message is applied
+// entirely as kernel steps, by the window-1 worker and by a pooled windowed
+// child alike: while it is taken, dequeued and applied and its finish is
+// charged, no process switches into its coroutine. The only resume in the
+// window is the coordinator's own wake at its end.
+func TestReleaseMessageRunsWithoutSwitching(t *testing.T) {
+	for _, window := range []int{1, 4} {
+		t.Run(fmt.Sprintf("window %d", window), func(t *testing.T) {
+			env, pl, pt, _ := fixture(window)
+			defer env.Close()
+			var resumes uint64
+			env.Spawn("coord", func(p *sim.Proc) {
+				task := pl.NewTask(p, pl.Cores[1], nil)
+				sendLocked(env, task, pt, 1, "e", nil).Await(p)
+				if !pt.HoldsLock(ent("e"), 1) {
+					t.Fatal("the locked action's transaction does not hold its entity")
+				}
+				pt.Release(task, 1)
+				task.Flush()
+				before := env.Switches()
+				p.Wait(100 * sim.Microsecond)
+				resumes = env.Switches() - before
+				if pt.HeldLocks() != 0 {
+					t.Errorf("%d entity locks held after the release", pt.HeldLocks())
+				}
+				pt.Close()
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if resumes != 1 {
+				t.Errorf("%d resumes while the release ran, want 1 (the coordinator's wake)", resumes)
+			}
+		})
+	}
+}
+
+// TestServerChainAllocatesNothing checks that the partition's server chain
+// (the take, the dequeue and lock steps, the switch into the body, the
+// finish and the vote), the windowed dispatcher and its children, and the
+// release message's loop allocate nothing in steady state: eight
+// coordinators send one locked action at a time, over four hot entities, to
+// a window-1 and a window-4 partition, so that actions defer and are handed
+// their entity by a release, and send a release message behind each.
+func TestServerChainAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	pl := platform.New(env, platform.HC2())
+	reg := NewRegistry()
+	parts := []*Partition{
+		NewPartition(pl, reg, 0, pl.Cores[0], DefaultCosts(), 1, nil),
+		NewPartition(pl, reg, 1, pl.Cores[1], DefaultCosts(), 4, nil),
+	}
+	for _, pt := range parts {
+		pt.Start()
+	}
+	ents := []Entity{ent("a"), ent("b"), ent("c"), ent("d")}
+	body := func(t *platform.Task, _ *Partition) bool {
+		t.Exec(stats.CompOther, 400)
+		t.Flush()
+		t.P.Wait(300 * sim.Nanosecond) // a windowed body parks: its siblings overlap
+		return true
+	}
+	deferred := 0
+	for i := 0; i < 8; i++ {
+		i := i
+		env.Spawn("coord", func(p *sim.Proc) {
+			task := pl.NewTask(p, pl.Cores[2+i%4], nil)
+			pt := parts[i%2]
+			rvp := NewRVP(env, 1)
+			var a Action
+			r := sim.NewRand(uint64(i + 1))
+			for txn := uint64(i + 1); ; txn += 8 {
+				a = Action{TxnID: txn, LockKey: ents[r.Intn(len(ents))], RVP: rvp, Run: body}
+				pt.Enqueue(task, &a)
+				task.Flush()
+				rvp.Await(p)
+				rvp.Reset(1)
+				if a.LockWait > 0 {
+					deferred++
+				}
+				pt.Release(task, txn)
+				task.Flush()
+			}
+		})
+	}
+	horizon := sim.Time(2 * sim.Millisecond)
+	if err := env.RunUntil(horizon); err != nil {
+		t.Fatal(err)
+	}
+	before, deferredBefore := env.Executed(), deferred
+	n := testing.AllocsPerRun(20, func() {
+		horizon += sim.Time(100 * sim.Microsecond)
+		if err := env.RunUntil(horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("%v allocations per 100µs of actions and releases, want 0", n)
+	}
+	if env.Executed() == before || deferred == deferredBefore {
+		t.Fatalf("%d events, %d deferred actions while counting: the chains did not run contended",
+			env.Executed()-before, deferred-deferredBefore)
+	}
 }

@@ -79,8 +79,8 @@ type Store struct {
 	stopped  bool
 	traces   btree.TracePool
 
-	idleWriters []*writeWorker           // pooled posted-write completion processes
-	rowsPool    sim.ScratchPool[scanRow] // pooled scan materialization buffers
+	idleWriters []*writeWorker // pooled posted-write completion processes
+	scans       []*scan        // free list of ScanRange's chains
 
 	// The merge daemon's scratch, reused pass after pass (only its process
 	// touches them): the keys one table contributes and the key being merged.
@@ -100,14 +100,45 @@ func (s *Store) SetRecorder(rec *obs.ShardRec) { s.rec = rec }
 type scanRow struct{ k, v []byte }
 
 // writeWorker is one pooled posted-write completion process: a single
-// goroutine serving many hardware write completions, parked in the store's
-// idle list between jobs. Its visits buffer is reused across jobs, so the
-// steady-state write path snapshots the caller's trace without allocating.
+// goroutine serving many hardware write completions, suspended in the
+// store's idle list between jobs. Its visits buffer is reused across jobs,
+// so the steady-state write path snapshots the caller's trace without
+// allocating. It runs as one chain of continuations for its whole life
+// (Continue) and never switches into its coroutine after its first run.
 type writeWorker struct {
+	s        *Store
 	proc     *sim.Proc
 	visits   []btree.Visit
 	valBytes int
 	quit     bool
+	written  bool // the job's steps have run: the worker goes idle next
+}
+
+// Continue implements sim.Continuation: the job's write steps, then, once
+// they have run, the idle list and the suspend until the next job's Resume
+// (or Stop's).
+func (w *writeWorker) Continue(sc *sim.Script) {
+	s := w.s
+	if w.written {
+		w.written = false
+		if s.stopped {
+			return
+		}
+		s.idleWriters = append(s.idleWriters, w)
+		sc.Suspend()
+		sc.Then(w)
+		return
+	}
+	if w.quit {
+		return
+	}
+	s.pl.PCIe.AddTransfer(sc, 64+w.valBytes)
+	snap := btree.Trace{Visits: w.visits}
+	s.probe.AddWalk(sc, &snap)
+	s.unit.AddWork(sc, s.cfg.WriteCycles+w.valBytes/8)
+	s.pl.SGDRAM.AddTransfer(sc, 64+w.valBytes)
+	w.written = true
+	sc.Then(w)
 }
 
 // New creates an overlay store whose probes run on probe. The merge daemon
@@ -190,35 +221,79 @@ func (s *Store) Delete(t *platform.Task, tableID uint16, key []byte) (val []byte
 // ScanRange streams [from, to) from the overlay: a hardware descent plus
 // sequential SG-DRAM leaf reads, returning the rows via fn. Rows are
 // materialized before fn runs, so fn may safely perform further (parking)
-// operations without racing tree mutations.
+// operations without racing tree mutations. The request leg, the tree read
+// at the instant the unit starts, the leaf reads and the completion leg run
+// as one chain, so the caller parks once.
 func (s *Store) ScanRange(t *platform.Task, tableID uint16, from, to []byte, fn func(key, val []byte) bool) {
-	tbl := s.tables[tableID]
-	tr := s.traces.Get()
-	defer s.traces.Put(tr)
-	t.Exec(stats.CompBtree, 100)
-	sc := t.Script()
-	s.pl.PCIe.AddTransfer(sc, 64)
-	sc.Run()
-	rows := s.rowsPool.Get()
-	defer func() { s.rowsPool.Put(rows) }()
-	rowBytes := 0
-	tbl.Tree.Scan(from, to, tr, func(k, v []byte) bool {
-		rows = append(rows, scanRow{k, v})
-		rowBytes += len(k) + len(v)
-		return true
-	})
-	for _, v := range tr.Visits {
-		s.pl.SGDRAM.AddTransfer(sc, v.Bytes)
-	}
-	s.unit.AddWork(sc, len(rows)+len(tr.Visits)*2)
-	s.pl.PCIe.AddTransfer(sc, 64+rowBytes)
-	sc.Run()
-	t.Exec(stats.CompBtree, 60+len(rows)/4)
-	for _, r := range rows {
+	op := s.getScan()
+	op.t, op.tbl, op.from, op.to = t, s.tables[tableID], from, to
+	t.RunChain(op)
+	t.Exec(stats.CompBtree, 60+len(op.rows)/4)
+	for _, r := range op.rows {
 		if !fn(r.k, r.v) {
-			return
+			break
 		}
 	}
+	s.putScan(op)
+}
+
+// scan is one ScanRange in progress, run as kernel continuations: its trace
+// and materialized rows, and the scan's state. Scans come from the store's
+// free list, so a scan allocates nothing once the list holds as many as
+// ever run at once.
+type scan struct {
+	s        *Store
+	t        *platform.Task
+	tbl      *Table
+	from, to []byte
+	tr       btree.Trace
+	rows     []scanRow
+	rowBytes int
+	sent     bool // the request leg is appended: the tree read comes next
+}
+
+func (s *Store) getScan() *scan {
+	if n := len(s.scans); n > 0 {
+		op := s.scans[n-1]
+		s.scans = s.scans[:n-1]
+		return op
+	}
+	return &scan{s: s}
+}
+
+// putScan returns op to the free list, dropping what it refers to.
+func (s *Store) putScan(op *scan) {
+	clear(op.rows)
+	op.rows = op.rows[:0]
+	op.tr.Reset()
+	op.t, op.tbl, op.from, op.to, op.rowBytes, op.sent = nil, nil, nil, nil, 0, false
+	s.scans = append(s.scans, op)
+}
+
+// Continue implements sim.Continuation.
+func (op *scan) Continue(sc *sim.Script) {
+	s := op.s
+	if !op.sent {
+		op.sent = true
+		op.t.Exec(stats.CompBtree, 100)
+		op.t.Flush()
+		s.pl.PCIe.AddTransfer(sc, 64)
+		sc.Then(op)
+		return
+	}
+	op.tbl.Tree.Scan(op.from, op.to, &op.tr, op.add)
+	for _, v := range op.tr.Visits {
+		s.pl.SGDRAM.AddTransfer(sc, v.Bytes)
+	}
+	s.unit.AddWork(sc, len(op.rows)+len(op.tr.Visits)*2)
+	s.pl.PCIe.AddTransfer(sc, 64+op.rowBytes)
+}
+
+// add materializes one scanned row.
+func (op *scan) add(k, v []byte) bool {
+	op.rows = append(op.rows, scanRow{k, v})
+	op.rowBytes += len(k) + len(v)
+	return true
 }
 
 // LoadRaw inserts a row during population: no timing, no dirty marking
@@ -259,26 +334,11 @@ func (s *Store) chargeWrite(t *platform.Task, tbl *Table, tr *btree.Trace, valBy
 		s.pl.Env.Resume(w.proc)
 		return
 	}
-	w := &writeWorker{visits: append([]btree.Visit(nil), tr.Visits...), valBytes: valBytes}
+	w := &writeWorker{s: s, visits: append([]btree.Visit(nil), tr.Visits...), valBytes: valBytes}
 	w.proc = s.pl.Env.Spawn("overlay.write", func(p *sim.Proc) {
-		for {
-			valBytes := w.valBytes
-			sc := p.Script()
-			s.pl.PCIe.AddTransfer(sc, 64+valBytes)
-			snap := btree.Trace{Visits: w.visits}
-			s.probe.AddWalk(sc, &snap)
-			s.unit.AddWork(sc, s.cfg.WriteCycles+valBytes/8)
-			s.pl.SGDRAM.AddTransfer(sc, 64+valBytes)
-			sc.Run()
-			if s.stopped {
-				return
-			}
-			s.idleWriters = append(s.idleWriters, w)
-			p.Suspend()
-			if w.quit {
-				return
-			}
-		}
+		sc := p.Script()
+		sc.Then(w)
+		sc.Run()
 	})
 }
 

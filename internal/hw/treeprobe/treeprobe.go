@@ -51,18 +51,26 @@ type Engine struct {
 	window *platform.HWUnit // request-table slots (held per probe)
 	pipe   *platform.HWUnit // comparator pipeline (held per node visit)
 
-	probes int64
+	walks  []*walk // free list
 	traces btree.TracePool
 }
 
-// New creates a probe engine on pl.
+// New creates a probe engine on pl, its free list holding one walk per
+// request-table slot.
 func New(pl *platform.Platform, cfg Config) *Engine {
-	return &Engine{
+	e := &Engine{
 		cfg:    cfg,
 		pl:     pl,
 		window: pl.NewHWUnit("treeprobe-window", cfg.Window),
 		pipe:   pl.NewHWUnit("treeprobe-pipe", 1),
+		walks:  make([]*walk, cfg.Window),
 	}
+	ws := make([]walk, cfg.Window)
+	for i := range ws {
+		ws[i].e = e
+		e.walks[i] = &ws[i]
+	}
+	return e
 }
 
 // Result reports a completed probe.
@@ -71,34 +79,72 @@ type Result struct {
 	Found bool
 }
 
+// walk is one probe in progress, run as kernel continuations. Walks come
+// from the engine's free list, so a probe allocates nothing while no more
+// probes are in flight than the request table has slots.
+type walk struct {
+	e     *Engine
+	t     *platform.Task
+	tree  *btree.Tree
+	key   []byte
+	res   Result
+	stage uint8
+}
+
+// getWalk takes a walk from the free list, building one when it is empty.
+func (e *Engine) getWalk() *walk {
+	if n := len(e.walks); n > 0 {
+		w := e.walks[n-1]
+		e.walks = e.walks[:n-1]
+		return w
+	}
+	return &walk{e: e}
+}
+
+// putWalk returns w to the free list, dropping what it refers to.
+func (e *Engine) putWalk(w *walk) {
+	w.t, w.tree, w.key, w.res, w.stage = nil, nil, nil, Result{}, 0
+	e.walks = append(e.walks, w)
+}
+
 // Probe looks key up in tree through the hardware unit. The calling task
 // flushes its CPU work and blocks for the PCIe round trip and the walk;
 // because the core is released, sibling actions in the partition window
 // keep it busy — the asynchrony §5.2 calls for. Host-side costs are charged
 // to the Btree component (it is still index time, just cheaper).
 //
-// The caller parks twice at most: for the request leg, and for the walk plus
-// the completion leg. The tree is read between the two because that is the
-// instant the unit starts walking it.
+// The probe runs as one chain, so the caller parks once: the request leg,
+// then, at the instant the unit starts walking, the tree read, then the walk
+// and the completion leg.
 func (e *Engine) Probe(t *platform.Task, tree *btree.Tree, key []byte) Result {
-	// Host side: marshal and send the request descriptor.
-	t.Exec(stats.CompBtree, e.cfg.CPUIssueInstr)
-	sc := t.Script()
-	e.pl.PCIe.AddTransfer(sc, e.cfg.ReqBytes)
-	sc.Run()
+	w := e.getWalk()
+	w.t, w.tree, w.key = t, tree, key
+	t.RunChain(w)
+	res := w.res
+	e.putWalk(w)
+	t.Exec(stats.CompBtree, e.cfg.CPUCompleteInstr)
+	return res
+}
 
-	// Hardware side: walk the real tree, charging SG-DRAM and pipeline
-	// time per visited node.
+// Continue implements sim.Continuation.
+func (w *walk) Continue(sc *sim.Script) {
+	e := w.e
+	w.stage++
+	if w.stage == 1 {
+		// Host side: marshal and send the request descriptor.
+		w.t.Exec(stats.CompBtree, e.cfg.CPUIssueInstr)
+		w.t.Flush()
+		e.pl.PCIe.AddTransfer(sc, e.cfg.ReqBytes)
+		sc.Then(w)
+		return
+	}
+	// Hardware side: walk the real tree, charging SG-DRAM and pipeline time
+	// per visited node, then the completion descriptor back to the host.
 	tr := e.traces.Get()
-	val, found := tree.Get(key, tr)
+	w.res.Val, w.res.Found = w.tree.Get(w.key, tr)
 	e.AddWalk(sc, tr)
 	e.traces.Put(tr)
-
-	// Completion descriptor back to the host.
-	e.pl.PCIe.AddTransfer(sc, e.cfg.RespBytes+len(val))
-	sc.Run()
-	t.Exec(stats.CompBtree, e.cfg.CPUCompleteInstr)
-	return Result{Val: val, Found: found}
+	e.pl.PCIe.AddTransfer(sc, e.cfg.RespBytes+len(w.res.Val))
 }
 
 // AddWalk appends the hardware time of a traced traversal to sc, the script
@@ -108,7 +154,6 @@ func (e *Engine) Probe(t *platform.Task, tree *btree.Tree, key []byte) Result {
 // own legs. It runs nothing: the caller appends its completion leg
 // and parks once for the walk and that leg.
 func (e *Engine) AddWalk(sc *sim.Script, tr *btree.Trace) {
-	sc.Add(&e.probes, 1)
 	e.window.AddAcquire(sc)
 	for _, v := range tr.Visits {
 		// Dependent pointer chase: SG-DRAM round trip for the node's

@@ -92,7 +92,6 @@ type Interconnect struct {
 	plat  *Platform
 	ports []*Device
 
-	msgs     int64
 	hopBytes int64 // sum over messages of bytes * hops, for energy
 	hopLat   sim.Duration
 }
@@ -107,33 +106,20 @@ func newInterconnect(env *sim.Env, cfg *Config, n int) *Interconnect {
 	return ic
 }
 
-// Transfer sends a message of the given size from socket `from` to socket
-// `to`: serialization on the sender's egress port, then one pipelined hop
-// latency per topology hop. Same-socket sends are free. It returns the
-// time the calling process spent in the fabric.
-func (ic *Interconnect) Transfer(p *sim.Proc, from, to, bytes int) sim.Duration {
-	start := p.Now()
-	sc := p.Script()
-	ic.AddTransfer(sc, from, to, bytes)
-	sc.Run()
-	return p.Now().Sub(start)
-}
-
-// AddTransfer appends Transfer to a script the caller is building; it
-// appends nothing for a same-socket send.
+// AddTransfer appends to a script the caller is building the sending of a
+// message of the given size from socket `from` to socket `to`:
+// serialization on the sender's egress port, then one pipelined hop latency
+// per topology hop. It appends nothing for a same-socket send, which is
+// free.
 func (ic *Interconnect) AddTransfer(sc *sim.Script, from, to, bytes int) {
 	hops := ic.Topo.Hops(from, to, len(ic.ports))
 	if hops == 0 {
 		return
 	}
-	sc.Add(&ic.msgs, 1)
 	sc.Add(&ic.hopBytes, int64(bytes)*int64(hops))
 	ic.ports[from].AddTransfer(sc, bytes) // ports carry zero pipelined latency
 	sc.Wait(sim.Duration(hops) * ic.hopLat)
 }
-
-// Messages returns how many cross-socket messages have been sent.
-func (ic *Interconnect) Messages() int64 { return ic.msgs }
 
 // HopBytes returns cumulative bytes x hops moved (the energy integrand).
 func (ic *Interconnect) HopBytes() int64 { return ic.hopBytes }

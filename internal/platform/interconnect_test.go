@@ -121,9 +121,19 @@ func TestInterconnectTiming(t *testing.T) {
 	if threeHop != wantThree {
 		t.Errorf("3-hop 64B transfer took %v, want %v", threeHop, wantThree)
 	}
-	if got := pl.IC.Messages(); got != 2 {
-		t.Errorf("message count %d, want 2 (same-socket sends are not messages)", got)
+	if got := pl.IC.HopBytes(); got != 64*4 {
+		t.Errorf("hop-bytes %d, want %d (same-socket sends move none)", got, 64*4)
 	}
+}
+
+// Transfer sends a message from socket from to socket to as a one-step
+// script and returns the time the calling process spent in the fabric.
+func (ic *Interconnect) Transfer(p *sim.Proc, from, to, bytes int) sim.Duration {
+	start := p.Now()
+	sc := p.Script()
+	ic.AddTransfer(sc, from, to, bytes)
+	sc.Run()
+	return p.Now().Sub(start)
 }
 
 // TestInterconnectQueueing: two concurrent senders on one socket serialize

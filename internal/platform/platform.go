@@ -309,7 +309,7 @@ type Local[T any] struct {
 
 // maxLocals is how many Locals a task has room for: one per blocking chain
 // that keeps its state per task.
-const maxLocals = 4
+const maxLocals = 5
 
 // locals counts the Locals declared so far.
 var locals int

@@ -300,17 +300,12 @@ func (p *Proc) Continuing() *Script {
 	return nil
 }
 
-// Suspend parks the process indefinitely. The caller must have registered
-// the process somewhere a later Resume will find it — Suspend/Resume is the
-// primitive behind worker pools that reuse one process (and its coroutine)
-// for many units of work instead of spawning per unit. A Resume costs
-// exactly what a Spawn's initial wake costs (one event at the current
-// time), so pooling changes allocation behavior, never the event schedule.
-func (p *Proc) Suspend() { p.park() }
-
-// Resume schedules suspended process p to continue at the current time.
-// Resuming a process that is not suspended (or already has a wake pending)
-// panics.
+// Resume schedules suspended process p (Script.Suspend) to continue at the
+// current time. Suspend/Resume is the primitive behind worker pools that
+// reuse one process for many units of work instead of spawning per unit. A
+// Resume costs exactly what a Spawn's initial wake costs (one event at the
+// current time), so pooling changes allocation behavior, never the event
+// schedule. Resuming a process that already has a wake pending panics.
 func (e *Env) Resume(p *Proc) { e.scheduleWake(p, e.now) }
 
 // SetSampler installs a host-side observation hook: fn runs the first time

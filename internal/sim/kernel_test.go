@@ -344,8 +344,9 @@ func TestWaitFastPathStopsAtHorizon(t *testing.T) {
 	}
 }
 
-// TestSuspendResume checks the worker-pool primitive: a suspended process
-// resumes at the current time, after already-queued same-time events.
+// TestSuspendResume checks the worker-pool primitive: a process suspended by
+// a script's Suspend step resumes at the current time, after already-queued
+// same-time events.
 func TestSuspendResume(t *testing.T) {
 	env := NewEnv()
 	var worker *Proc
@@ -355,7 +356,9 @@ func TestSuspendResume(t *testing.T) {
 		worker = p
 		for round := 0; round < 2; round++ {
 			idle = true
-			p.Suspend()
+			sc := p.Script()
+			sc.Suspend()
+			sc.Run()
 			order = append(order, "work")
 		}
 	})

@@ -92,15 +92,45 @@ func (q *Queue[T]) enqueue(v T) {
 // Get dequeues the oldest item, blocking while the queue is empty. It
 // returns ok=false only when the queue is closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	for q.n == 0 {
-		if q.closed {
-			var zero T
-			return zero, false
+	for {
+		if v, ok, done := q.take(p); done {
+			return v, ok
 		}
-		q.getters.push(p)
 		p.park()
 	}
-	return q.dequeue(), true
+}
+
+// take is one try of Get: the oldest item (ok), or ok=false when the queue
+// is closed and drained (both done), or, while it is empty and open, p put in
+// the getter ring, which a Put, PutFront or Close wakes (not done).
+func (q *Queue[T]) take(p *Proc) (v T, ok, done bool) {
+	if q.n == 0 {
+		if !q.closed {
+			q.getters.push(p)
+		}
+		return v, false, q.closed
+	}
+	return q.dequeue(), true, true
+}
+
+// Getter is one consumer's end of a queue for Script.Get: the step takes the
+// oldest item of Q into V, with OK false once Q is closed and drained.
+type Getter[T any] struct {
+	Q  *Queue[T]
+	V  T
+	OK bool
+}
+
+// taker is what a get step takes from: one try, reporting false when it put
+// p in a getter ring to wait.
+type taker interface {
+	take(p *Proc) bool
+}
+
+func (g *Getter[T]) take(p *Proc) bool {
+	v, ok, done := g.Q.take(p)
+	g.V, g.OK = v, ok
+	return done
 }
 
 // TryGet dequeues the oldest item only if one is available right now.

@@ -2,12 +2,12 @@ package sim
 
 // Script is a short program that a process hands to the kernel to run on its
 // behalf: the kernel's blocking verbs (acquire a Resource, wait a duration,
-// release, await a Signal), Add, which bumps a traffic counter in passing,
-// and continuations, caller code that runs at its instant and may append
-// further steps. The process parks at most once per script, however many of
-// its steps have to wait: whenever the process's wake pops, the dispatch
-// loop advances the script inline and switches back into the coroutine only
-// when the script has finished.
+// release, await a Signal, take from a Queue, suspend until Env.Resume), Add,
+// which bumps a traffic counter in passing, and continuations, caller code
+// that runs at its instant and may append further steps. The process parks
+// at most once per script, however many of its steps have to wait: whenever
+// the process's wake pops, the dispatch loop advances the script inline and
+// switches back into the coroutine only when the script has finished.
 //
 // The interpreter performs exactly the kernel mutations the process would
 // perform making the same calls one by one, in the same order at the same
@@ -19,6 +19,17 @@ package sim
 // order, Executed and every simulated result are bit-identical; only
 // Switches falls.
 //
+// Get and Suspend are what let a serving process (a partition worker, a
+// pooled completion process) run its whole loop as a chain. Get takes the
+// oldest item of a queue through one consumer's end (a Getter, which holds
+// the item and whether there was one): it makes the one try Queue.Get makes,
+// waits in the queue's getter ring while the queue is empty and open, and is
+// woken by the same Put, PutFront or Close. Suspend waits for the Env.Resume
+// that hands the process its next unit of work. Neither adds an event. A
+// process whose chain never ends switches into its coroutine only when its
+// chain stops to let it run Go code that needs a stack, and builds a new
+// chain to go on.
+//
 // A continuation (Then) is how a blocking chain with work between its
 // blocking calls still parks once: anything the caller does between two
 // blocking calls that reads or writes simulation state other processes can
@@ -27,7 +38,7 @@ package sim
 // before it and before the ones it appends. The contract:
 //
 //   - a continuation never blocks: a blocking primitive called from one
-//     (Wait, Await, Suspend, Queue.Get, Script, Run) panics. It appends the
+//     (Wait, Await, Queue.Get, Script, Run) panics. It appends the
 //     steps it needs instead, and one more continuation behind them to go on
 //     once they have run; Proc.Continuing tells code that can run either way
 //     (a task charge reaching its burst cap) to append;
@@ -61,15 +72,17 @@ const (
 	stepAdd
 	stepAwait    // not yet begun
 	stepAwaiting // enlisted with the signal; its Fire is the wake
+	stepGet
+	stepSuspend
 	stepThen
 )
 
 // step is one verb. x is what it acts on: the Resource of an acquire or a
-// release, the counter of an add, the Signal of an await, the Continuation
-// of a continuation. v is the wait's duration or the counter's addend, by
-// kind. One two-word interface
-// field shared by every kind keeps a step at four words; a probe's script
-// runs to a few dozen steps.
+// release, the counter of an add, the Signal of an await, the taker of a
+// get, the Continuation of a continuation. v is the wait's duration or the
+// counter's addend, by kind. One two-word interface field shared by every
+// kind keeps a step at four words; a probe's script runs to a few dozen
+// steps.
 type step struct {
 	kind stepKind
 	x    any
@@ -97,7 +110,7 @@ func (sc *Script) Acquire(r *Resource) {
 
 // Add appends a step that advances *ctr by n and never waits. It is for the
 // traffic counters owners keep beside a resource (a device's bytes, a
-// fabric's messages): harnesses snapshot those at measurement-window edges,
+// fabric's hop-bytes): harnesses snapshot those at measurement-window edges,
 // so a counter has to move at the instant its transfer starts, not when the
 // script that contains the transfer was built.
 func (sc *Script) Add(ctr *int64, n int64) {
@@ -119,6 +132,19 @@ func (sc *Script) Release(r *Resource) {
 // passes at once.
 func (sc *Script) Await(s *Signal) {
 	sc.steps = append(sc.steps, step{kind: stepAwait, x: s})
+}
+
+// Get appends a step that takes the oldest item of g's queue into g, waiting
+// in the queue's getter ring while it is empty and open, as Queue.Get does.
+func (sc *Script) Get(g taker) {
+	sc.steps = append(sc.steps, step{kind: stepGet, x: g})
+}
+
+// Suspend appends a step that parks the process until Env.Resume wakes it.
+// The caller must have registered the process somewhere that Resume will
+// find it (a pool's idle list) by the time the step runs.
+func (sc *Script) Suspend() {
+	sc.steps = append(sc.steps, step{kind: stepSuspend})
 }
 
 // Continuation is caller code a script runs at its instant (Then). A
@@ -218,6 +244,14 @@ func (sc *Script) advance() bool {
 		case stepAwaiting:
 			st.x.(*Signal).woken--
 			sc.pc++
+		case stepGet:
+			if !st.x.(taker).take(p) {
+				return false
+			}
+			sc.pc++
+		case stepSuspend:
+			sc.pc++
+			return false
 		case stepThen:
 			c := st.x.(Continuation)
 			sc.pc++

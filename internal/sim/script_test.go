@@ -40,10 +40,12 @@ func tryAcquire(r *Resource) bool {
 // chain is the blocking sequence the equivalence tests run three ways: a
 // service time at a, a device-shaped transfer through b (hold, release,
 // trailing latency that may be zero), with sig a wait for a signal that a
-// callback fires sigAt after the chain began, and a second service time at
-// a. Between the first service time and the transfer the chain counts 64
+// callback fires sigAt after the chain began, with gq a take from gq, into
+// which a callback puts an item getAt after the chain began, with idle a
+// suspend until a callback resumes the process, and a second service time
+// at a. Between the first service time and the transfer the chain counts 64
 // bytes: a kernel Add when scripted, host work in a continuation when
-// continued.
+// continued; the item it takes it adds to the count.
 type chain struct {
 	a, b          *Resource
 	useA, holdB   Duration
@@ -52,12 +54,46 @@ type chain struct {
 	sig           *Signal
 	fire          func() // sig.Fire, bound once
 	sigAt         Duration
+	gq            *Queue[uint64]
+	g             *Getter[uint64] // a get step's end of gq
+	getAt         Duration
+	idle          *int64 // 1 from the instant the process suspends until it is resumed
+	resumeAt      Duration
+}
+
+// Suspend parks p until Env.Resume wakes it: the blocking call that
+// Script.Suspend replaced, kept as the by-hand reference.
+func (p *Proc) Suspend() { p.park() }
+
+// post schedules the callbacks the chain waits on, from the instant it
+// begins: sig's Fire, the item for its take, and the resume after its
+// suspend, which polls idle every quantum from resumeAt on, so that it
+// never resumes a process that has not suspended.
+func (c chain) post(p *Proc) {
+	env := p.env
+	if c.sig != nil {
+		env.At(p.Now().Add(c.sigAt), c.fire)
+	}
+	if c.gq != nil {
+		v := uint64(c.getAt)
+		env.At(p.Now().Add(c.getAt), func() { c.gq.PutFront(v) })
+	}
+	if c.idle != nil {
+		var poll func()
+		poll = func() {
+			if *c.idle == 0 {
+				env.At(env.Now().Add(stormQuantum), poll)
+				return
+			}
+			*c.idle = 0
+			env.Resume(p)
+		}
+		env.At(p.Now().Add(c.resumeAt), poll)
+	}
 }
 
 func (c chain) byHand(p *Proc) {
-	if c.sig != nil {
-		p.env.At(p.Now().Add(c.sigAt), c.fire)
-	}
+	c.post(p)
 	handAcquire(c.a, p)
 	p.Wait(c.useA)
 	c.a.Release()
@@ -70,15 +106,21 @@ func (c chain) byHand(p *Proc) {
 		c.sig.Await(p)
 		c.sig.Reset()
 	}
+	if c.gq != nil {
+		v, _ := c.gq.Get(p)
+		*c.bytes += int64(v)
+	}
+	if c.idle != nil {
+		*c.idle = 1
+		p.Suspend()
+	}
 	handAcquire(c.a, p)
 	p.Wait(c.secondA)
 	c.a.Release()
 }
 
 func (c chain) scripted(p *Proc) {
-	if c.sig != nil {
-		p.env.At(p.Now().Add(c.sigAt), c.fire)
-	}
+	c.post(p)
 	sc := p.Script()
 	sc.Use(c.a, c.useA)
 	sc.Add(c.bytes, 64)
@@ -89,10 +131,20 @@ func (c chain) scripted(p *Proc) {
 	if c.sig != nil {
 		sc.Await(c.sig)
 	}
+	if c.gq != nil {
+		sc.Get(c.g)
+	}
+	if c.idle != nil {
+		sc.Add(c.idle, 1)
+		sc.Suspend()
+	}
 	sc.Use(c.a, c.secondA)
 	sc.Run()
 	if c.sig != nil {
 		c.sig.Reset()
+	}
+	if c.gq != nil {
+		*c.bytes += int64(c.g.V)
 	}
 }
 
@@ -118,9 +170,7 @@ func (cc *chainCont) Continue(sc *Script) {
 	cc.stage++
 	switch cc.stage {
 	case 1:
-		if c.sig != nil {
-			sc.p.env.At(sc.p.Now().Add(c.sigAt), c.fire)
-		}
+		c.post(sc.p)
 		sc.Use(c.a, c.useA)
 		sc.Then(cc)
 	case 2:
@@ -132,10 +182,20 @@ func (cc *chainCont) Continue(sc *Script) {
 		if c.sig != nil {
 			sc.Await(c.sig)
 		}
+		if c.gq != nil {
+			sc.Get(c.g)
+		}
 		sc.Then(cc)
 	case 3:
 		if c.sig != nil {
 			c.sig.Reset()
+		}
+		if c.gq != nil {
+			*c.bytes += int64(c.g.V)
+		}
+		if c.idle != nil {
+			*c.idle = 1
+			sc.Suspend()
 		}
 		sc.Use(c.a, c.secondA)
 	}
@@ -164,8 +224,9 @@ func (c chain) run(p *Proc, m chainMode, cc *chainCont) {
 }
 
 // TestScriptStormMatchesByHand runs the storm with its resource step widened
-// to a chain over two resources and a signal, once with every acquire, wait,
-// release and await made by the process itself, once as a single script and
+// to a chain over two resources, a signal, a queue its group's processes
+// take from and a suspend, once with every acquire, wait, release, await,
+// get and suspend made by the process itself, once as a single script and
 // once as a script of continuations, and wants the same trace digest, the
 // same event count and the same resource accounting. Fewer resumes is the
 // only permitted difference.
@@ -176,15 +237,19 @@ func TestScriptStormMatchesByHand(t *testing.T) {
 		const nGroups = 4
 		as := make([]*Resource, nGroups) // the storm's own, noted on first use
 		bs := make([]*Resource, nGroups)
+		gqs := make([]*Queue[uint64], nGroups)
 		bytes := make([]int64, nGroups)
 		for s := range bs {
 			bs[s] = NewResource(env, fmt.Sprintf("b%d", s), 1)
+			gqs[s] = NewQueue[uint64](env, fmt.Sprintf("g%d", s), 0)
 		}
 		digest = runStormUsing(t, env, nGroups, 6, 60, func(s int, r *Resource, p *Proc, d Duration) {
 			as[s] = r
 			sig := NewSignal(env)
 			c := chain{a: r, b: bs[s], useA: d, holdB: stormQuantum, secondA: 2 * stormQuantum, bytes: &bytes[s],
-				sig: sig, fire: sig.Fire, sigAt: d + 3*stormQuantum}
+				sig: sig, fire: sig.Fire, sigAt: d + 3*stormQuantum,
+				gq: gqs[s], g: &Getter[uint64]{Q: gqs[s]}, getAt: 2*d + stormQuantum,
+				idle: new(int64), resumeAt: d + 4*stormQuantum}
 			if d == stormQuantum {
 				c.latB = stormQuantum // the others end the transfer on a zero wait
 			}
@@ -216,8 +281,9 @@ func TestScriptStormMatchesByHand(t *testing.T) {
 
 // TestScriptFuzzSeedsMatchByHand interprets FuzzKernel's seed corpus as
 // programs of waits, chains, queue traffic and posted callbacks, three
-// processes to a group contending for that group's two resources, and wants
-// by-hand, scripted and continued runs to agree.
+// processes to a group contending for that group's two resources and taking
+// from its queue of posted items, and wants by-hand, scripted and continued
+// runs to agree.
 func TestScriptFuzzSeedsMatchByHand(t *testing.T) {
 	seeds := [][]byte{
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
@@ -236,9 +302,11 @@ func TestScriptFuzzSeedsMatchByHand(t *testing.T) {
 			a := NewResource(env, fmt.Sprintf("a%d", s), 2)
 			b := NewResource(env, fmt.Sprintf("b%d", s), 1)
 			q := NewQueue[uint64](env, fmt.Sprintf("q%d", s), 0)
+			gq := NewQueue[uint64](env, fmt.Sprintf("g%d", s), 0)
 			for k := 0; k < perGroup; k++ {
 				k := k
 				sig := NewSignal(env)
+				g := &Getter[uint64]{Q: gq}
 				var cc chainCont
 				env.Spawn(fmt.Sprintf("fz%d.%d", s, k), func(p *Proc) {
 					note := func(kind uint8, v uint64) {
@@ -259,6 +327,12 @@ func TestScriptFuzzSeedsMatchByHand(t *testing.T) {
 								secondA: stormQuantum}
 							if op&16 != 0 {
 								c.sig, c.fire, c.sigAt = sig, sig.Fire, Duration(stormQuantum*(1+int(op>>5)))
+							}
+							if op&32 != 0 {
+								c.gq, c.g, c.getAt = gq, g, Duration(stormQuantum*(9+int(op>>4)%6))
+							}
+							if op&64 != 0 {
+								c.idle, c.resumeAt = new(int64), Duration(stormQuantum*(2+int(op>>3)%3))
 							}
 							c.run(p, m, &cc)
 						case 2:
@@ -514,9 +588,10 @@ func TestScriptResumeCounts(t *testing.T) {
 }
 
 // TestScriptCloseReapsMidScript checks that Close unwinds a process parked
-// inside a script, whichever kind of step it stopped at, through its
-// deferred calls, and that a script run from a deferred call while the
-// process is being reaped neither hangs nor turns into a process error.
+// inside a script, whichever kind of step it stopped at (a wait, an acquire,
+// a get on an empty queue, a suspend), through its deferred calls, and that
+// a script run from a deferred call while the process is being reaped
+// neither hangs nor turns into a process error.
 func TestScriptCloseReapsMidScript(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	env := NewEnv()
@@ -540,18 +615,36 @@ func TestScriptCloseReapsMidScript(t *testing.T) {
 		r.Use(p, Nanosecond) // parked in r's waiter ring
 		t.Error("queued process got the resource")
 	})
+	q := NewQueue[int](env, "q", 0)
+	env.Spawn("getter", func(p *Proc) {
+		defer func() { unwound = append(unwound, "getter") }()
+		g := Getter[int]{Q: q}
+		sc := p.Script()
+		sc.Get(&g) // parked in q's getter ring: nothing is ever put
+		sc.Run()
+		t.Error("getter took from an empty queue")
+	})
+	env.Spawn("suspender", func(p *Proc) {
+		defer func() { unwound = append(unwound, "suspender") }()
+		sc := p.Script()
+		sc.Wait(Nanosecond)
+		sc.Suspend() // parked for good: nothing resumes it
+		sc.Run()
+		t.Error("suspended process went on")
+	})
 	if err := env.RunUntil(Time(Microsecond)); err != nil {
 		t.Fatal(err)
 	}
-	if env.Live() != 2 || r.waiters.n != 1 {
-		t.Fatalf("Live = %d, queue = %d; want both processes parked mid-script", env.Live(), r.waiters.n)
+	if env.Live() != 4 || r.waiters.n != 1 || q.getters.n != 1 {
+		t.Fatalf("Live = %d, resource queue = %d, getters = %d; want four processes parked mid-script",
+			env.Live(), r.waiters.n, q.getters.n)
 	}
 	env.Close()
 	if env.Live() != 0 {
 		t.Errorf("Close left %d processes", env.Live())
 	}
-	if len(unwound) != 2 {
-		t.Errorf("deferred calls run: %v, want both", unwound)
+	if len(unwound) != 4 {
+		t.Errorf("deferred calls run: %v, want all four", unwound)
 	}
 	if err := env.err; err != nil {
 		t.Errorf("reaping reported a process error: %v", err)
